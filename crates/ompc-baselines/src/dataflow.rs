@@ -102,8 +102,7 @@ impl<'w> DataflowProcess<'w> {
     fn launch(&mut self, task: usize, ctx: &mut SimContext) {
         let node = self.assignment[task];
         let mut pending = 0usize;
-        for &pred in self.workload.graph.predecessors(task) {
-            let bytes = self.workload.graph.edge_bytes(pred, task);
+        for (pred, bytes) in self.workload.graph.in_edges(task) {
             let src = self.assignment[pred];
             if src != node && bytes > 0 {
                 ctx.send_labeled(

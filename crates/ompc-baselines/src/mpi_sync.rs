@@ -74,8 +74,7 @@ impl<'w> MpiSyncProcess<'w> {
         let tasks: Vec<usize> = self.levels[self.current_level].clone();
         for &task in &tasks {
             let node = self.assignment[task];
-            for &pred in self.workload.graph.predecessors(task) {
-                let bytes = self.workload.graph.edge_bytes(pred, task);
+            for (pred, bytes) in self.workload.graph.in_edges(task) {
                 let src = self.assignment[pred];
                 if src != node && bytes > 0 {
                     ctx.send_labeled(src, node, bytes, TOK_TRANSFER, format!("halo t{task}"));

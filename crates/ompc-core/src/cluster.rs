@@ -1364,6 +1364,16 @@ impl ClusterDevice {
         if graph.is_empty() {
             return Ok((RegionReport::default(), RunRecord::default()));
         }
+        // The planner orders tasks by their cost estimates, and admission
+        // reserves them as load for the next tenant: a NaN, infinite or
+        // negative hint is a caller error, rejected before either sees it.
+        let mut hints = graph.tasks().iter().map(|task| (task, task.kind.cost_hint()));
+        if let Some((task, cost)) = hints.find(|(_, c)| !(c.is_finite() && *c >= 0.0)) {
+            return Err(OmpcError::InvalidConfig(format!(
+                "task {} ({:?}) has cost hint {cost}; cost hints are finite, non-negative seconds",
+                task.id.0, task.label
+            )));
+        }
         let graph = Arc::new(graph);
         let mut lease = self.admit();
         let sched_start = Instant::now();

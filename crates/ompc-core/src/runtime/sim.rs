@@ -282,8 +282,7 @@ impl<'w> SimBackend<'w> {
                 awaited += 1;
             }
         };
-        for &pred in self.workload.graph.predecessors(task) {
-            let bytes = self.workload.graph.edge_bytes(pred, task);
+        for (pred, bytes) in self.workload.graph.in_edges(task) {
             if bytes == 0 {
                 continue;
             }

@@ -42,12 +42,22 @@ pub struct SchedEdge {
 }
 
 /// A directed acyclic task graph.
+///
+/// The adjacency is weighted: next to every entry of `successors[t]` /
+/// `predecessors[t]` sits the total bytes flowing between that pair of
+/// tasks, so the schedulers and runtimes read an edge's weight where they
+/// read its endpoint instead of searching the edge list for it.
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     tasks: Vec<SchedTask>,
     edges: Vec<SchedEdge>,
     successors: Vec<Vec<usize>>,
     predecessors: Vec<Vec<usize>>,
+    /// `successor_bytes[t][i]` is the total bytes on all edges
+    /// `t -> successors[t][i]`; parallel edges each carry the pair's sum.
+    successor_bytes: Vec<Vec<u64>>,
+    /// Likewise for `predecessors[t][i] -> t`.
+    predecessor_bytes: Vec<Vec<u64>>,
 }
 
 impl TaskGraph {
@@ -67,6 +77,8 @@ impl TaskGraph {
         self.tasks.push(SchedTask { id, cost, pinned, label });
         self.successors.push(Vec::new());
         self.predecessors.push(Vec::new());
+        self.successor_bytes.push(Vec::new());
+        self.predecessor_bytes.push(Vec::new());
         id
     }
 
@@ -81,8 +93,20 @@ impl TaskGraph {
         assert_ne!(from, to, "self-dependence on task {from}");
         let idx = self.edges.len();
         self.edges.push(SchedEdge { from, to, bytes });
+        // A parallel edge raises the pair's total on every entry the pair
+        // already has, so each adjacency entry always carries the sum.
+        let before = self.pair_bytes(from, to);
+        let total = before.unwrap_or(0) + bytes;
+        if before.is_some_and(|b| b != total) {
+            let entries = self.successors[from].iter().zip(&mut self.successor_bytes[from]);
+            entries.filter(|(&s, _)| s == to).for_each(|(_, b)| *b = total);
+            let entries = self.predecessors[to].iter().zip(&mut self.predecessor_bytes[to]);
+            entries.filter(|(&p, _)| p == from).for_each(|(_, b)| *b = total);
+        }
         self.successors[from].push(to);
+        self.successor_bytes[from].push(total);
         self.predecessors[to].push(from);
+        self.predecessor_bytes[to].push(total);
         idx
     }
 
@@ -116,10 +140,41 @@ impl TaskGraph {
         &self.predecessors[task]
     }
 
+    /// The incoming edges of `task` as `(predecessor, bytes)`, one item per
+    /// edge in the order of [`TaskGraph::predecessors`]. `bytes` is the
+    /// total between the pair — what [`TaskGraph::edge_bytes`] returns — so
+    /// a pair joined by parallel edges appears once per edge, each time
+    /// with the sum.
+    pub fn in_edges(&self, task: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.predecessors[task].iter().copied().zip(self.predecessor_bytes[task].iter().copied())
+    }
+
+    /// The outgoing edges of `task` as `(successor, bytes)`; the mirror of
+    /// [`TaskGraph::in_edges`].
+    pub fn out_edges(&self, task: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.successors[task].iter().copied().zip(self.successor_bytes[task].iter().copied())
+    }
+
     /// Bytes on the edge `from -> to` (summed if parallel edges exist),
     /// 0 when no such edge exists.
+    ///
+    /// This is a lookup in the shorter of the two endpoints' adjacency
+    /// lists, `O(min(out-degree(from), in-degree(to)))`. A loop over a
+    /// task's predecessors or successors should take the weights from
+    /// [`TaskGraph::in_edges`] / [`TaskGraph::out_edges`] instead of calling
+    /// this once per neighbour.
     pub fn edge_bytes(&self, from: usize, to: usize) -> u64 {
-        self.edges.iter().filter(|e| e.from == from && e.to == to).map(|e| e.bytes).sum()
+        self.pair_bytes(from, to).unwrap_or(0)
+    }
+
+    /// Total bytes between `from` and `to`, `None` when no edge joins them.
+    fn pair_bytes(&self, from: usize, to: usize) -> Option<u64> {
+        let found = if self.successors[from].len() <= self.predecessors[to].len() {
+            self.out_edges(from).find(|&(s, _)| s == to)
+        } else {
+            self.in_edges(to).find(|&(p, _)| p == from)
+        };
+        found.map(|(_, bytes)| bytes)
     }
 
     /// Tasks with no predecessors.
@@ -272,5 +327,31 @@ mod tests {
         g.add_edge(0, 1, 10);
         g.add_edge(0, 1, 20);
         assert_eq!(g.edge_bytes(0, 1), 30);
+    }
+
+    #[test]
+    fn weighted_adjacency_lists_one_entry_per_edge_with_the_pair_total() {
+        // An ordering-only (0 byte) edge followed by a flow edge between the
+        // same pair, as region graphs produce, plus an unrelated neighbour.
+        let mut g = TaskGraph::new();
+        for _ in 0..3 {
+            g.add_task(1.0);
+        }
+        g.add_edge(0, 2, 0);
+        g.add_edge(1, 2, 7);
+        g.add_edge(0, 2, 64);
+        assert_eq!(g.predecessors(2), &[0, 1, 0]);
+        assert_eq!(g.in_edges(2).collect::<Vec<_>>(), vec![(0, 64), (1, 7), (0, 64)]);
+        assert_eq!(g.out_edges(0).collect::<Vec<_>>(), vec![(2, 64), (2, 64)]);
+        assert_eq!(g.out_edges(1).collect::<Vec<_>>(), vec![(2, 7)]);
+        for t in 0..g.len() {
+            for (p, bytes) in g.in_edges(t) {
+                let listed: u64 =
+                    g.edges().iter().filter(|e| e.from == p && e.to == t).map(|e| e.bytes).sum();
+                assert_eq!(bytes, listed);
+                assert_eq!(g.edge_bytes(p, t), listed);
+            }
+        }
+        assert_eq!(g.edge_bytes(2, 0), 0);
     }
 }

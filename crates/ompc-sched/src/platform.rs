@@ -55,8 +55,14 @@ impl Platform {
         if from == to {
             0.0
         } else {
-            self.latency + bytes as f64 / self.bandwidth
+            self.remote_comm_time(bytes)
         }
+    }
+
+    /// Communication time for `bytes` over the interconnect, whichever two
+    /// distinct processors it joins (the interconnect is uniform).
+    pub fn remote_comm_time(&self, bytes: u64) -> f64 {
+        self.latency + bytes as f64 / self.bandwidth
     }
 
     /// Average communication time for `bytes` between two distinct
@@ -65,7 +71,7 @@ impl Platform {
         if self.num_procs() <= 1 {
             0.0
         } else {
-            self.latency + bytes as f64 / self.bandwidth
+            self.remote_comm_time(bytes)
         }
     }
 }

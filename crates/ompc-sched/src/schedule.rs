@@ -73,13 +73,13 @@ impl Schedule {
             .filter(|(_, p)| p.proc == proc)
             .map(|(t, _)| t)
             .collect();
-        tasks.sort_by(|&a, &b| {
-            self.placements[a]
-                .start
-                .partial_cmp(&self.placements[b].start)
-                .expect("start times are finite")
-        });
+        self.sort_by_start(&mut tasks);
         tasks
+    }
+
+    /// Order `tasks` by estimated start time, ties in the order given.
+    fn sort_by_start(&self, tasks: &mut [usize]) {
+        tasks.sort_by(|&a, &b| self.placements[a].start.total_cmp(&self.placements[b].start));
     }
 
     /// Validate the schedule against its graph and platform:
@@ -135,8 +135,12 @@ impl Schedule {
         // No overlap on a processor (single execution slot per processor in
         // the scheduler's estimate; the runtime may use intra-node cores for
         // nested parallelism, which the estimate ignores conservatively).
-        for proc in 0..platform.num_procs() {
-            let tasks = self.tasks_on(proc);
+        let mut tasks_on: Vec<Vec<usize>> = vec![Vec::new(); platform.num_procs()];
+        for (t, p) in self.placements.iter().enumerate() {
+            tasks_on[p.proc].push(t);
+        }
+        for (proc, tasks) in tasks_on.iter_mut().enumerate() {
+            self.sort_by_start(tasks);
             for pair in tasks.windows(2) {
                 let a = self.placements[pair[0]];
                 let b = self.placements[pair[1]];

@@ -296,6 +296,71 @@ fn out_of_range_task_error_is_rejected_by_all_backends() {
 }
 
 #[test]
+fn non_finite_or_negative_cost_hints_are_rejected_before_planning() {
+    with_timeout(WATCHDOG, || {
+        // A cost hint the planner cannot order used to reach HEFT's rank
+        // sort and panic there. The region-execution path now rejects it
+        // with a typed error, whether it arrives per task or through a
+        // kernel's registered cost, and the device stays usable.
+        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
+            let name = backend.name();
+            let mut device =
+                ClusterDevice::with_config(2, OmpcConfig { backend, ..OmpcConfig::small() });
+            let double = device.register_kernel_fn("double", 1e-4, |args| {
+                let doubled: Vec<f64> = args.as_f64s(0).iter().map(|v| v * 2.0).collect();
+                args.set_f64s(0, &doubled);
+            });
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+                let mut region = device.target_region();
+                let a = region.map_to_f64s(&[1.0, 2.0]);
+                region.target_with_cost(double, 1e-4, vec![Dependence::inout(a)], "ok");
+                region.target_with_cost(double, bad, vec![Dependence::inout(a)], "bad");
+                region.map_from(a);
+                let err = region.run().unwrap_err();
+                assert!(
+                    matches!(&err, OmpcError::InvalidConfig(m) if m.contains("cost hint")),
+                    "{name}: cost hint {bad}: got {err:?}"
+                );
+            }
+            let nan_kernel = device.register_kernel_fn("nan-cost", f64::NAN, |_| {});
+            let mut region = device.target_region();
+            let a = region.map_to_f64s(&[1.0]);
+            region.target(nan_kernel, vec![Dependence::inout(a)]);
+            let err = region.run().unwrap_err();
+            assert!(matches!(err, OmpcError::InvalidConfig(_)), "{name}: got {err:?}");
+
+            let mut region = device.target_region();
+            let a = region.map_to_f64s(&[1.0, 2.0]);
+            region.target(double, vec![Dependence::inout(a)]);
+            region.map_from(a);
+            region.run().unwrap_or_else(|e| panic!("{name}: device unusable afterwards: {e:?}"));
+            assert_eq!(device.buffer_f64s(a).unwrap(), vec![2.0, 4.0], "{name}");
+            device.shutdown();
+        }
+
+        // `RuntimePlan::for_workload` has no error to return: it must plan
+        // whatever it is given without panicking.
+        let mut workload = chain_workload(4, 0.002, 1024);
+        for (t, bad) in [(1, f64::NAN), (2, f64::INFINITY), (3, -1.0)] {
+            let mut g = TaskGraph::new();
+            for task in workload.graph.tasks() {
+                g.add_task(if task.id == t { bad } else { task.cost });
+            }
+            for e in workload.graph.edges() {
+                g.add_edge(e.from, e.to, e.bytes);
+            }
+            workload = WorkloadGraph::new(g, workload.output_bytes.clone());
+            let plan = RuntimePlan::for_workload(
+                &workload,
+                &ompc::sched::Platform::cluster(2),
+                &OmpcConfig::small(),
+            );
+            assert_eq!(plan.assignment.len(), 4);
+        }
+    });
+}
+
+#[test]
 fn idle_pool_threads_are_reaped_after_the_timeout() {
     with_timeout(WATCHDOG, || {
         // With `pool_idle_timeout_ms` set, the long-lived pool shrinks
