@@ -9,7 +9,7 @@
 
 use crate::{BaselineResult, BaselineRuntime};
 use ompc_core::model::WorkloadGraph;
-use ompc_sim::{ClusterConfig, Completion, Engine, SimContext, SimProcess, SimTime, Trace};
+use ompc_sim::{ClusterConfig, Completion, Engine, SimContext, SimProcess, SimTime};
 use std::collections::VecDeque;
 
 const TOK_STARTUP: u64 = 1 << 48;
@@ -105,13 +105,7 @@ impl<'w> DataflowProcess<'w> {
         for (pred, bytes) in self.workload.graph.in_edges(task) {
             let src = self.assignment[pred];
             if src != node && bytes > 0 {
-                ctx.send_labeled(
-                    src,
-                    node,
-                    self.params.wire_bytes(bytes),
-                    TOK_TRANSFER | task as u64,
-                    format!("{} in t{task}", self.params.name),
-                );
+                ctx.send(src, node, self.params.wire_bytes(bytes), TOK_TRANSFER | task as u64);
                 self.handler_cost[task] += self.params.message_cost(bytes);
                 pending += 1;
             }
@@ -127,7 +121,7 @@ impl<'w> DataflowProcess<'w> {
         let duration = SimTime::from_secs_f64(self.workload.graph.tasks()[task].cost)
             + self.params.per_task_overhead
             + self.handler_cost[task];
-        ctx.compute_labeled(node, duration, TOK_COMPUTE | task as u64, format!("t{task}"));
+        ctx.compute(node, duration, TOK_COMPUTE | task as u64);
     }
 
     fn finish(&mut self, task: usize, ctx: &mut SimContext) {
@@ -143,7 +137,7 @@ impl<'w> DataflowProcess<'w> {
             self.launch(t, ctx);
         }
         if self.completed == self.workload.len() {
-            ctx.runtime(0, self.params.shutdown, TOK_SHUTDOWN, "shutdown".to_string());
+            ctx.runtime(0, self.params.shutdown, TOK_SHUTDOWN);
         }
     }
 }
@@ -154,7 +148,7 @@ impl SimProcess for DataflowProcess<'_> {
             ctx.stop();
             return;
         }
-        ctx.runtime(0, self.params.startup, TOK_STARTUP, "startup".to_string());
+        ctx.runtime(0, self.params.startup, TOK_STARTUP);
     }
 
     fn on_completion(&mut self, completion: Completion, ctx: &mut SimContext) {
@@ -194,11 +188,10 @@ impl BaselineRuntime for DataflowRuntime {
         assignment: &[usize],
     ) -> BaselineResult {
         assert_eq!(assignment.len(), workload.len(), "assignment must cover every task");
-        let mut engine = Engine::with_trace(cluster.clone(), Trace::disabled());
+        let mut engine = Engine::new(cluster.clone());
         let mut process = DataflowProcess::new(workload, assignment, self.params.clone());
         let makespan = engine.run(&mut process);
-        let (stats, _) = engine.finish();
-        BaselineResult { runtime: self.params.name, makespan, stats }
+        BaselineResult { runtime: self.params.name, makespan, stats: engine.finish() }
     }
 }
 

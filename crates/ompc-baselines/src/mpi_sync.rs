@@ -3,7 +3,7 @@
 
 use crate::{BaselineResult, BaselineRuntime};
 use ompc_core::model::WorkloadGraph;
-use ompc_sim::{ClusterConfig, Completion, Engine, SimContext, SimProcess, SimTime, Trace};
+use ompc_sim::{ClusterConfig, Completion, Engine, SimContext, SimProcess, SimTime};
 
 const TOK_STARTUP: u64 = 1 << 48;
 const TOK_TRANSFER: u64 = 2 << 48;
@@ -77,7 +77,7 @@ impl<'w> MpiSyncProcess<'w> {
             for (pred, bytes) in self.workload.graph.in_edges(task) {
                 let src = self.assignment[pred];
                 if src != node && bytes > 0 {
-                    ctx.send_labeled(src, node, bytes, TOK_TRANSFER, format!("halo t{task}"));
+                    ctx.send(src, node, bytes, TOK_TRANSFER);
                     self.pending_transfers += 1;
                 }
             }
@@ -93,7 +93,7 @@ impl<'w> MpiSyncProcess<'w> {
         for &task in &tasks {
             let node = self.assignment[task];
             let duration = SimTime::from_secs_f64(self.workload.graph.tasks()[task].cost);
-            ctx.compute_labeled(node, duration, TOK_COMPUTE, format!("t{task}"));
+            ctx.compute(node, duration, TOK_COMPUTE);
         }
         if self.pending_computes == 0 {
             self.advance(ctx);
@@ -113,7 +113,7 @@ impl SimProcess for MpiSyncProcess<'_> {
             return;
         }
         // MPI_Init and initial data generation are local and cheap.
-        ctx.runtime(0, SimTime::from_millis(2), TOK_STARTUP, "mpi-init".to_string());
+        ctx.runtime(0, SimTime::from_millis(2), TOK_STARTUP);
     }
 
     fn on_completion(&mut self, completion: Completion, ctx: &mut SimContext) {
@@ -149,11 +149,10 @@ impl BaselineRuntime for MpiSyncRuntime {
         assignment: &[usize],
     ) -> BaselineResult {
         assert_eq!(assignment.len(), workload.len(), "assignment must cover every task");
-        let mut engine = Engine::with_trace(cluster.clone(), Trace::disabled());
+        let mut engine = Engine::new(cluster.clone());
         let mut process = MpiSyncProcess::new(workload, assignment);
         let makespan = engine.run(&mut process);
-        let (stats, _) = engine.finish();
-        BaselineResult { runtime: "MPI", makespan, stats }
+        BaselineResult { runtime: "MPI", makespan, stats: engine.finish() }
     }
 }
 

@@ -18,9 +18,14 @@ pub struct AblationRow {
     pub seconds: f64,
 }
 
-fn measure(config: &OmpcConfig, cluster: &ClusterConfig, tb: &TaskBenchConfig) -> f64 {
+fn measure(
+    config: &OmpcConfig,
+    overheads: &OverheadModel,
+    cluster: &ClusterConfig,
+    tb: &TaskBenchConfig,
+) -> f64 {
     let workload = generate_workload(tb);
-    simulate_ompc(&workload, cluster, config, &OverheadModel::default())
+    simulate_ompc(&workload, cluster, config, overheads)
         .expect("valid cluster")
         .makespan
         .as_secs_f64()
@@ -32,6 +37,7 @@ pub fn run_ablation() -> Vec<AblationRow> {
     let nodes = 16;
     let cluster = ClusterConfig::santos_dumont(nodes);
     let tb = TaskBenchConfig::figure6(DependencePattern::Stencil1D, 1.0);
+    let overheads = OverheadModel::default();
     let mut rows = Vec::new();
 
     // 1. Scheduler choice.
@@ -45,7 +51,7 @@ pub fn run_ablation() -> Vec<AblationRow> {
         rows.push(AblationRow {
             study: "scheduler".to_string(),
             variant: scheduler.name().to_string(),
-            seconds: measure(&config, &cluster, &tb),
+            seconds: measure(&config, &overheads, &cluster, &tb),
         });
     }
 
@@ -56,31 +62,32 @@ pub fn run_ablation() -> Vec<AblationRow> {
         rows.push(AblationRow {
             study: "in-flight-limit".to_string(),
             variant: format!("limit={limit}"),
-            seconds: measure(&config, &cluster, &tb),
+            seconds: measure(&config, &overheads, &cluster, &tb),
         });
     }
-    rows.push(AblationRow {
-        study: "in-flight-limit".to_string(),
-        variant: "legacy-serial-transfers".to_string(),
-        seconds: measure(&OmpcConfig::legacy_libomptarget(), &cluster, &tb),
-    });
     {
-        let config = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+        let serial = OverheadModel { serial_input_transfers: true, ..OverheadModel::default() };
+        rows.push(AblationRow {
+            study: "in-flight-limit".to_string(),
+            variant: "legacy-serial-transfers".to_string(),
+            seconds: measure(&OmpcConfig::default(), &serial, &cluster, &tb),
+        });
+        let config = OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
         rows.push(AblationRow {
             study: "in-flight-limit".to_string(),
             variant: "unlimited".to_string(),
-            seconds: measure(&config, &cluster, &tb),
+            seconds: measure(&config, &overheads, &cluster, &tb),
         });
     }
 
     // 3. Worker-to-worker forwarding vs. staging through the head node.
     for forwarding in [true, false] {
-        let config =
-            OmpcConfig { worker_to_worker_forwarding: forwarding, ..OmpcConfig::default() };
+        let model =
+            OverheadModel { worker_to_worker_forwarding: forwarding, ..OverheadModel::default() };
         rows.push(AblationRow {
             study: "data-forwarding".to_string(),
             variant: if forwarding { "worker-to-worker" } else { "staged-via-head" }.to_string(),
-            seconds: measure(&config, &cluster, &tb),
+            seconds: measure(&OmpcConfig::default(), &model, &cluster, &tb),
         });
     }
 
@@ -91,7 +98,7 @@ pub fn run_ablation() -> Vec<AblationRow> {
         rows.push(AblationRow {
             study: "nic-channels".to_string(),
             variant: format!("vci={channels}"),
-            seconds: measure(&OmpcConfig::default(), &cluster, &tb),
+            seconds: measure(&OmpcConfig::default(), &overheads, &cluster, &tb),
         });
     }
     rows

@@ -9,7 +9,7 @@
 //! and replanned tasks, and the heartbeat detection latency.
 
 use crate::report::JsonRow;
-use ompc_core::prelude::{simulate_ompc_recorded, FaultPlan, OmpcConfig, OverheadModel};
+use ompc_core::prelude::{simulate_ompc_outcome, FaultPlan, OmpcConfig, OverheadModel};
 use ompc_json::Json;
 use ompc_sim::ClusterConfig;
 use ompc_taskbench::{generate_workload, DependencePattern, TaskBenchConfig};
@@ -62,8 +62,10 @@ pub fn run_fault_overhead(nodes: usize, replan: bool) -> Vec<FaultRow> {
                 replan_on_failure: replan,
                 ..OmpcConfig::default()
             };
-            let (result, record) = simulate_ompc_recorded(&workload, &cluster, &config, &overheads)
-                .expect("fault scenario must stay recoverable");
+            let (result, record) =
+                simulate_ompc_outcome(&workload, &cluster, &config, &overheads, None)
+                    .into_result()
+                    .expect("fault scenario must stay recoverable");
             let makespan_s = result.makespan.as_secs_f64();
             if injected == 0 {
                 baseline_s = makespan_s;

@@ -12,8 +12,9 @@
 //! behind the RTM kernels. The figure sweeps the prefetch depth on both
 //! real backends and reports wall time plus total planned transfer bytes —
 //! bounded by the no-duplication ceiling at every depth (the
-//! never-duplicate invariant made visible), with the depth ≥ 2 wall-time
-//! reduction as the acceptance gate `--smoke` enforces in CI.
+//! never-duplicate invariant made visible). The run panics if a depth
+//! changes the stacked image or breaks the ceiling; wall times are
+//! reported, never gated.
 
 use crate::report::JsonRow;
 use ompc_awave::{rtm_shot, ModelKind, RtmImage, RtmParams, Shot, VelocityModel};
@@ -247,39 +248,6 @@ pub fn run_prefetch(survey: PrefetchSurvey, depths: &[usize]) -> Vec<PrefetchRow
         }
     }
     rows
-}
-
-/// The `--smoke` acceptance gate. On the message-passing backend — the
-/// one that models the paper's wire path, where a synchronous enter-data
-/// round-trip leaves the pipeline genuinely idle — prefetch at depth ≥ 2
-/// must reduce wall time. The threaded backend moves bytes by in-process
-/// memcpy with almost no dead time to reclaim (on a single-core host,
-/// none), so there it must merely not regress beyond timing noise.
-/// Returns the offending rows.
-pub fn prefetch_gate_failures(rows: &[PrefetchRow]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-        let sync = rows.iter().find(|r| r.backend == backend && r.depth == 0);
-        let deep = rows
-            .iter()
-            .filter(|r| r.backend == backend && r.depth >= 2)
-            .min_by(|a, b| a.seconds.partial_cmp(&b.seconds).expect("finite seconds"));
-        let (Some(sync), Some(deep)) = (sync, deep) else { continue };
-        let (required, label) = match backend {
-            BackendKind::Mpi => (sync.seconds, "no overlap win"),
-            _ => (sync.seconds * 1.10, "regressed beyond noise"),
-        };
-        if deep.seconds >= required {
-            failures.push(format!(
-                "{}: depth {} took {:.4}s, sync took {:.4}s — {label}",
-                backend.name(),
-                deep.depth,
-                deep.seconds,
-                sync.seconds
-            ));
-        }
-    }
-    failures
 }
 
 impl JsonRow for PrefetchRow {

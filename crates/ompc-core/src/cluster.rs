@@ -205,6 +205,10 @@ impl ClusterDevice {
     /// cost of small runs (Fig. 7(a)) drops to a registry reset.
     pub fn with_config(num_workers: usize, config: OmpcConfig) -> Self {
         assert!(num_workers > 0, "the cluster needs at least one worker node");
+        // A world needs at least one communicator; a zero knob means "the
+        // minimum", not a panic. Clamped once here so world construction
+        // and the warm-pool key (here and at shutdown) read the same value.
+        let config = OmpcConfig { num_communicators: config.num_communicators.max(1), ..config };
         let start = Instant::now();
         let adopted = if config.warm_worker_keepalive {
             adopt_warm_workers(&warm_key(num_workers, &config))
@@ -246,12 +250,6 @@ impl ClusterDevice {
         // have paced (or not paced) its links differently.
         world.set_link_bandwidth(config.emulated_link_mib_per_s as u64 * 1024 * 1024);
         let startup_time = start.elapsed();
-        let pool = HeadWorkerPool::with_idle_timeout(
-            config.pool_idle_timeout_ms.map(std::time::Duration::from_millis),
-        );
-        let transfer_pool = HeadWorkerPool::with_idle_timeout(
-            config.pool_idle_timeout_ms.map(std::time::Duration::from_millis),
-        );
         let telemetry = Telemetry::new(config.telemetry);
         Self {
             world: Some(world),
@@ -262,8 +260,8 @@ impl ClusterDevice {
             config,
             num_workers,
             worker_handles,
-            pool,
-            transfer_pool,
+            pool: HeadWorkerPool::new(),
+            transfer_pool: HeadWorkerPool::new(),
             inflight_cv: Arc::new(Condvar::new()),
             async_hold: Arc::new((Mutex::new(false), Condvar::new())),
             report: Mutex::new(DeviceReport { startup_time, ..DeviceReport::default() }),
@@ -287,9 +285,7 @@ impl ClusterDevice {
     /// pool. The pool grows lazily to `min(head_worker_threads, window,
     /// tasks)` of the largest region executed so far and is reused across
     /// regions — repeated small regions never pay per-region spawn/join
-    /// churn. With [`OmpcConfig::pool_idle_timeout_ms`] set, idle threads
-    /// exit after the timeout, so this count also *drops* once the device
-    /// has been quiet. Always zero under
+    /// churn. Always zero under
     /// [`crate::config::BackendKind::Mpi`], which has no head pool.
     pub fn pool_threads(&self) -> usize {
         self.pool.threads()
@@ -1535,13 +1531,8 @@ impl ClusterDevice {
                  earlier region and stays excommunicated; plan over ClusterDevice::alive_workers()"
             )));
         }
-        let faults = FaultState::from_config(
-            &fault_plan,
-            self.config.heartbeat_period_ms,
-            self.config.heartbeat_miss_threshold,
-            self.num_workers,
-        )?
-        .map(|f| f.with_replan(self.config.replan_on_failure).with_prior_failures(&prior_dead));
+        let faults = FaultState::from_config(&fault_plan, self.num_workers)?
+            .map(|f| f.with_replan(self.config.replan_on_failure).with_prior_failures(&prior_dead));
         // Transfers planned between regions (lazy host flushes through
         // `buffer_data`) belong to no run; clear the device-level
         // namespace — and only it, an overlapped region's in-progress log

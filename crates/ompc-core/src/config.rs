@@ -1,5 +1,6 @@
-//! Runtime configuration: threading, scheduling policy, and the overhead
-//! model used by the simulated runtime.
+//! Runtime configuration. [`OmpcConfig`] holds the settings every execution
+//! backend honours; [`OverheadModel`] holds what only the simulated backend
+//! reads — its cost constants and its two ablation switches.
 
 use crate::runtime::fault::FaultPlan;
 use crate::runtime::telemetry::TelemetryLevel;
@@ -24,7 +25,7 @@ pub enum BackendKind {
     /// in-flight task.
     Mpi,
     /// [`crate::runtime::SimBackend`]: the deterministic virtual cluster.
-    /// Selected implicitly by the `simulate_ompc*` family; a
+    /// Selected implicitly by the `simulate_ompc*` functions; a
     /// [`crate::cluster::ClusterDevice`] rejects it with
     /// [`crate::types::OmpcError::InvalidConfig`] because a real device
     /// has no cost model to simulate against.
@@ -121,29 +122,16 @@ pub struct OmpcConfig {
     /// input forwarding with other regions' compute. `None` reproduces the
     /// libomptarget-style per-thread limit (`head_worker_threads`, the §7
     /// bottleneck); `Some(n)` sets the window explicitly, independent of
-    /// the thread pool.
+    /// the thread pool. `Some(usize::MAX)` lifts the limit — the "fully
+    /// asynchronous libomptarget" fix the paper proposes as future work.
     pub max_inflight_tasks: Option<usize>,
-    /// Whether the in-flight limit is enforced (disabling it models the
-    /// "fully asynchronous libomptarget" fix the paper proposes as future
-    /// work; used in the ablation bench).
-    pub enforce_in_flight_limit: bool,
-    /// Issue a task's input transfers strictly one at a time, the way a
-    /// blocked libomptarget head thread processes a target region's map
-    /// items in order. Disabled by default: the pipelined dispatch loop
-    /// issues all of a task's input forwards concurrently.
-    pub serial_input_transfers: bool,
     /// Number of MPI communicators created at start-up and used round-robin
-    /// by the event system.
+    /// by the event system. `0` is treated as `1`.
     pub num_communicators: u32,
     /// Static scheduler used at the implicit barrier.
     pub scheduler: SchedulerKind,
-    /// Whether the data manager forwards buffers directly between worker
-    /// nodes (paper §4.3). Disabling it stages every transfer through the
-    /// head node, the behaviour the DM was built to avoid; used by the
-    /// ablation benchmark.
-    pub worker_to_worker_forwarding: bool,
-    /// Deterministic failure-injection plan honoured by both execution
-    /// backends (paper §3.1 fault tolerance). Empty by default: no node
+    /// Deterministic failure-injection plan honoured by every execution
+    /// backend (paper §3.1 fault tolerance). Empty by default: no node
     /// ever fails and the fault subsystem stays entirely out of the
     /// dispatch loop.
     pub fault_plan: FaultPlan,
@@ -151,13 +139,6 @@ pub struct OmpcConfig {
     /// over the surviving workers instead of the fast round-robin
     /// [`crate::heartbeat::plan_recovery`] path.
     pub replan_on_failure: bool,
-    /// Ring-heartbeat period in milliseconds (paper §3.1). In the simulated
-    /// backend heartbeats follow virtual time; in the threaded backend the
-    /// dispatch loop advances a logical clock by one period per round.
-    pub heartbeat_period_ms: u64,
-    /// Number of consecutive missed heartbeat periods after which a silent
-    /// node is declared failed.
-    pub heartbeat_miss_threshold: u32,
     /// Upper bound (milliseconds) on any single wait for an event reply in
     /// the threaded backend, or `None` to wait forever. The event-reply
     /// protocol guarantees every event is answered — success or typed
@@ -171,25 +152,6 @@ pub struct OmpcConfig {
     /// for the slowest kernel plus queueing delay on the worker's handler
     /// pool.
     pub event_reply_timeout_ms: Option<u64>,
-    /// Idle timeout (milliseconds) after which a head pool thread that
-    /// received no work exits, letting the long-lived
-    /// [`crate::runtime::HeadWorkerPool`] shrink below its high-water mark.
-    /// `None` (the default) keeps the historical behaviour: the pool only
-    /// ever grows, which is right for steady workloads but wastes threads
-    /// on a device alternating huge and tiny regions. The pool re-grows
-    /// lazily on the next region that needs more threads, so enabling the
-    /// reaper trades idle memory for occasional re-spawn latency.
-    pub pool_idle_timeout_ms: Option<u64>,
-    /// Pack all tasks a dispatch round sends to one node into a single
-    /// [`crate::protocol::EventRequest::TaskTrain`] message instead of one
-    /// tagged message per task (the §7 per-task messaging cost). The worker
-    /// runs the train in order and still replies **per task** on each car's
-    /// own channel, so error blame, zombie-gate refusals, and fault
-    /// recovery stay per-task. Only the [`crate::runtime::MpiBackend`]
-    /// reads this knob; a round that sends a node exactly one task is sent
-    /// as a plain `Task` message, wire-identical to batching disabled.
-    /// Enabled by default.
-    pub task_train_batching: bool,
     /// Keep the MPI worker loops of a [`crate::cluster::ClusterDevice`]
     /// alive after [`crate::cluster::ClusterDevice::shutdown`] and let the
     /// next device with the same shape (workers, communicators, handler
@@ -281,18 +243,11 @@ impl Default for OmpcConfig {
             event_handler_threads: 2,
             head_worker_threads: 48,
             max_inflight_tasks: None,
-            enforce_in_flight_limit: true,
-            serial_input_transfers: false,
             num_communicators: 8,
             scheduler: SchedulerKind::Heft,
-            worker_to_worker_forwarding: true,
             fault_plan: FaultPlan::default(),
             replan_on_failure: false,
-            heartbeat_period_ms: 10,
-            heartbeat_miss_threshold: 3,
             event_reply_timeout_ms: None,
-            pool_idle_timeout_ms: None,
-            task_train_batching: true,
             warm_worker_keepalive: true,
             enter_data_async: false,
             prefetch_depth: 1,
@@ -314,18 +269,11 @@ impl OmpcConfig {
             event_handler_threads: 1,
             head_worker_threads: 4,
             max_inflight_tasks: None,
-            enforce_in_flight_limit: true,
-            serial_input_transfers: false,
             num_communicators: 2,
             scheduler: SchedulerKind::Heft,
-            worker_to_worker_forwarding: true,
             fault_plan: FaultPlan::default(),
             replan_on_failure: false,
-            heartbeat_period_ms: 10,
-            heartbeat_miss_threshold: 3,
             event_reply_timeout_ms: Some(60_000),
-            pool_idle_timeout_ms: None,
-            task_train_batching: true,
             warm_worker_keepalive: true,
             enter_data_async: false,
             prefetch_depth: 1,
@@ -337,23 +285,12 @@ impl OmpcConfig {
         }
     }
 
-    /// The configuration that reproduces the paper's libomptarget behaviour
-    /// exactly: a dispatch window of one task per head worker thread and
-    /// per-task input transfers issued one at a time (the §7 bottleneck).
-    pub fn legacy_libomptarget() -> Self {
-        Self { max_inflight_tasks: None, serial_input_transfers: true, ..Self::default() }
-    }
-
     /// The effective dispatch-window size honoured by every execution
-    /// backend: `usize::MAX` when the limit is lifted, the explicit
-    /// [`OmpcConfig::max_inflight_tasks`] when set, and the libomptarget
-    /// per-thread limit otherwise.
+    /// backend: the explicit [`OmpcConfig::max_inflight_tasks`] when set
+    /// (`usize::MAX` lifts the limit), and the libomptarget per-thread limit
+    /// otherwise.
     pub fn inflight_window(&self) -> usize {
-        if !self.enforce_in_flight_limit {
-            usize::MAX
-        } else {
-            self.max_inflight_tasks.unwrap_or(self.head_worker_threads).max(1)
-        }
+        self.max_inflight_tasks.unwrap_or(self.head_worker_threads).max(1)
     }
 
     /// The effective admission limit: how many regions may execute at once.
@@ -382,11 +319,14 @@ impl OmpcConfig {
     }
 }
 
-/// Overhead constants of the simulated OMPC runtime, calibrated against the
+/// What only the simulated OMPC runtime ([`crate::runtime::SimBackend`])
+/// reads. The overhead constants are calibrated against the
 /// runtime-overhead characterization of Fig. 7(a): start-up and shutdown are
 /// constant, there is a fixed cost per scheduled task and per dispatched
 /// event, and the whole runtime adds roughly 25 ms of constant overhead with
-/// a ~4.7 ms gap after the first event.
+/// a ~4.7 ms gap after the first event. The two model switches reproduce
+/// the §7 ablations; a real device has no such choice, so they are not part
+/// of [`OmpcConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverheadModel {
     /// Time from process start to the creation of the gate threads.
@@ -405,6 +345,15 @@ pub struct OverheadModel {
     pub event_completion: SimTime,
     /// Worker-node bookkeeping to handle one event (gate thread + handler).
     pub worker_event_handling: SimTime,
+    /// Issue a task's input transfers strictly one at a time, the way a
+    /// blocked libomptarget head thread processes a target region's map
+    /// items in order. Disabled by default: the pipelined dispatch loop
+    /// issues all of a task's input forwards concurrently.
+    pub serial_input_transfers: bool,
+    /// Whether the data manager forwards buffers directly between worker
+    /// nodes (paper §4.3). Disabling it stages every transfer through the
+    /// head node, the behaviour the DM was built to avoid.
+    pub worker_to_worker_forwarding: bool,
 }
 
 impl Default for OverheadModel {
@@ -417,6 +366,8 @@ impl Default for OverheadModel {
             event_dispatch: SimTime::from_micros(120),
             event_completion: SimTime::from_micros(60),
             worker_event_handling: SimTime::from_micros(80),
+            serial_input_transfers: false,
+            worker_to_worker_forwarding: true,
         }
     }
 }
@@ -454,12 +405,7 @@ mod tests {
         assert_eq!(BackendKind::Sim.name(), "sim");
         assert_eq!(OmpcConfig::default().backend, BackendKind::Threaded);
         assert_eq!(OmpcConfig::small().backend, BackendKind::Threaded);
-        // The idle reaper is opt-in.
-        assert_eq!(OmpcConfig::default().pool_idle_timeout_ms, None);
-        assert_eq!(OmpcConfig::small().pool_idle_timeout_ms, None);
-        // Task-train batching and warm-worker keepalive are on by default.
-        assert!(OmpcConfig::default().task_train_batching);
-        assert!(OmpcConfig::small().task_train_batching);
+        // Warm-worker keepalive is on by default.
         assert!(OmpcConfig::default().warm_worker_keepalive);
         assert!(OmpcConfig::small().warm_worker_keepalive);
         // Telemetry is off by default: no clock reads, empty span streams.
@@ -486,6 +432,48 @@ mod tests {
         );
     }
 
+    /// The knob audit, pinned: both structs are built with every field
+    /// written out, so adding a field fails to compile here. A setting
+    /// belongs in [`OmpcConfig`] only if two non-test callers need different
+    /// values (or the perf ledger names it) and every backend honours it;
+    /// what only the simulator reads goes on [`OverheadModel`]; a value the
+    /// code can derive is derived.
+    #[test]
+    fn every_setting_is_written_out_and_matches_the_defaults() {
+        let config = OmpcConfig {
+            backend: BackendKind::Threaded,
+            event_handler_threads: 2,
+            head_worker_threads: 48,
+            max_inflight_tasks: None,
+            num_communicators: 8,
+            scheduler: SchedulerKind::Heft,
+            fault_plan: FaultPlan::default(),
+            replan_on_failure: false,
+            event_reply_timeout_ms: None,
+            warm_worker_keepalive: true,
+            enter_data_async: false,
+            prefetch_depth: 1,
+            max_concurrent_regions: 1,
+            collective_min_fanout: 0,
+            collective_chunk_kib: 0,
+            emulated_link_mib_per_s: 0,
+            telemetry: TelemetryLevel::Off,
+        };
+        assert_eq!(config, OmpcConfig::default());
+        let overheads = OverheadModel {
+            startup: SimTime::from_millis(12),
+            shutdown: SimTime::from_millis(8),
+            schedule_per_task: SimTime::from_micros(25),
+            schedule_per_edge: SimTime::from_micros(5),
+            event_dispatch: SimTime::from_micros(120),
+            event_completion: SimTime::from_micros(60),
+            worker_event_handling: SimTime::from_micros(80),
+            serial_input_transfers: false,
+            worker_to_worker_forwarding: true,
+        };
+        assert_eq!(overheads, OverheadModel::default());
+    }
+
     #[test]
     fn collective_knobs_default_off_and_resolve() {
         // Broadcast trees are strictly opt-in: the default configuration
@@ -509,7 +497,7 @@ mod tests {
     #[test]
     fn default_config_enforces_in_flight_limit() {
         let c = OmpcConfig::default();
-        assert!(c.enforce_in_flight_limit);
+        assert_eq!(c.inflight_window(), c.head_worker_threads);
         assert_eq!(c.head_worker_threads, 48);
         assert!(c.num_communicators >= 1);
         let s = OmpcConfig::small();
@@ -525,11 +513,8 @@ mod tests {
         assert_eq!(c.inflight_window(), 7);
         c.max_inflight_tasks = Some(0);
         assert_eq!(c.inflight_window(), 1, "window is clamped to at least one task");
-        c.enforce_in_flight_limit = false;
+        c.max_inflight_tasks = Some(usize::MAX);
         assert_eq!(c.inflight_window(), usize::MAX);
-        let legacy = OmpcConfig::legacy_libomptarget();
-        assert!(legacy.serial_input_transfers);
-        assert_eq!(legacy.inflight_window(), legacy.head_worker_threads);
     }
 
     #[test]

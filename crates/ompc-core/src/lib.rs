@@ -96,8 +96,7 @@ pub mod prelude {
         SpanPhase, TaskEvent, Telemetry, TelemetryLevel, ThreadedBackend,
     };
     pub use crate::sim_runtime::{
-        sim_plan, simulate_ompc, simulate_ompc_outcome, simulate_ompc_outcome_traced,
-        simulate_ompc_recorded, simulate_ompc_traced, simulate_ompc_with_plan, OmpcSimOutcome,
+        simulate_ompc, simulate_ompc_outcome, simulate_ompc_with_plan, OmpcSimOutcome,
         OmpcSimResult,
     };
     pub use crate::stats::{DeviceReport, RegionReport};

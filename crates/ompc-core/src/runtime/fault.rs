@@ -15,11 +15,10 @@
 //! * **Detection** — the ring-topology [`crate::heartbeat::HeartbeatMonitor`]
 //!   is fed by the dispatch loop: every dispatch round, each node that the
 //!   injector has not silenced beats; a silenced node misses its beats and
-//!   is declared failed after
-//!   [`crate::config::OmpcConfig::heartbeat_miss_threshold`] periods. The
+//!   is declared failed after [`HEARTBEAT_MISS_THRESHOLD`] periods. The
 //!   fault clock is virtual time in the simulated backend and a logical
-//!   clock advanced one [`crate::config::OmpcConfig::heartbeat_period_ms`]
-//!   per round in the threaded backend.
+//!   clock advanced one [`HEARTBEAT_PERIOD_MS`] per round in the real
+//!   backends.
 //! * **Recovery** — between injection and declaration the dead node
 //!   completes nothing: the [`crate::data_manager::DataManager`] discards
 //!   its copies and writes immediately ([`LostBuffer`] lineage), and the
@@ -41,6 +40,12 @@
 use crate::heartbeat::{HeartbeatMonitor, Millis};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Ring-heartbeat period in milliseconds (paper §3.1).
+pub const HEARTBEAT_PERIOD_MS: Millis = 10;
+/// Consecutive missed heartbeat periods after which a silent node is
+/// declared failed.
+pub const HEARTBEAT_MISS_THRESHOLD: u32 = 3;
 
 /// When an injected failure takes effect.
 ///
@@ -335,7 +340,6 @@ pub struct ReplanEntry {
 pub struct FaultState {
     pub(crate) injector: FailureInjector,
     pub(crate) monitor: HeartbeatMonitor,
-    period: Millis,
     clock: Millis,
     num_workers: usize,
     pub(crate) replan_on_failure: bool,
@@ -348,29 +352,18 @@ pub struct FaultState {
 }
 
 impl FaultState {
-    /// Build the subsystem from configuration knobs, or `None` when the
-    /// fault plan is empty (the subsystem then stays entirely out of the
+    /// Build the subsystem from the configured fault plan, or `None` when
+    /// the plan is empty (the subsystem then stays entirely out of the
     /// dispatch loop).
-    pub fn from_config(
-        plan: &FaultPlan,
-        period_ms: Millis,
-        miss_threshold: u32,
-        num_workers: usize,
-    ) -> OmpcResult<Option<Self>> {
+    pub fn from_config(plan: &FaultPlan, num_workers: usize) -> OmpcResult<Option<Self>> {
         if plan.is_empty() {
             return Ok(None);
         }
         plan.validate(num_workers)?;
-        if period_ms == 0 || miss_threshold == 0 {
-            return Err(OmpcError::InvalidConfig(
-                "heartbeat period and miss threshold must be positive".to_string(),
-            ));
-        }
         let nodes = num_workers + 1;
         Ok(Some(Self {
             injector: FailureInjector::new(plan, nodes),
-            monitor: HeartbeatMonitor::new(nodes, period_ms, miss_threshold),
-            period: period_ms,
+            monitor: HeartbeatMonitor::new(nodes, HEARTBEAT_PERIOD_MS, HEARTBEAT_MISS_THRESHOLD),
             clock: 0,
             num_workers,
             replan_on_failure: false,
@@ -434,7 +427,7 @@ impl FaultState {
     pub(crate) fn advance_round(&mut self, backend_now: Option<Millis>) -> Vec<NodeId> {
         self.clock = match backend_now {
             Some(now) => now.max(self.clock),
-            None => self.clock + self.period,
+            None => self.clock + HEARTBEAT_PERIOD_MS,
         };
         let mut fired = self.injector.advance_clock(self.clock);
         let wall_elapsed = self.wall_start.elapsed().as_millis() as Millis;
@@ -475,7 +468,7 @@ mod tests {
     #[test]
     fn empty_plan_disables_the_subsystem() {
         assert!(FaultPlan::none().is_empty());
-        assert!(FaultState::from_config(&FaultPlan::none(), 10, 3, 4).unwrap().is_none());
+        assert!(FaultState::from_config(&FaultPlan::none(), 4).unwrap().is_none());
     }
 
     #[test]
@@ -486,8 +479,7 @@ mod tests {
         assert!(matches!(oob.validate(4), Err(OmpcError::InvalidConfig(_))));
         let ok = FaultPlan::none().fail_at_millis(4, 5).fail_after_completions(1, 2);
         assert!(ok.validate(4).is_ok());
-        assert!(FaultState::from_config(&ok, 10, 3, 4).unwrap().is_some());
-        assert!(matches!(FaultState::from_config(&ok, 0, 3, 4), Err(OmpcError::InvalidConfig(_))));
+        assert!(FaultState::from_config(&ok, 4).unwrap().is_some());
     }
 
     #[test]
@@ -533,7 +525,7 @@ mod tests {
         // An immediate wall trigger (0 ms) fires on the first round even
         // though the fault clock is still at its first period.
         let plan = FaultPlan::none().fail_at_wall_millis(1, 0);
-        let mut state = FaultState::from_config(&plan, 10, 3, 2).unwrap().unwrap();
+        let mut state = FaultState::from_config(&plan, 2).unwrap().unwrap();
         let fired = state.advance_round(None);
         assert_eq!(fired, vec![1]);
         assert!(state.is_dead(1));
@@ -547,7 +539,7 @@ mod tests {
         assert!(!plan.has_task_error(4));
         // Task errors alone do not enable the node-failure subsystem.
         assert!(plan.is_empty());
-        assert!(FaultState::from_config(&plan, 10, 3, 4).unwrap().is_none());
+        assert!(FaultState::from_config(&plan, 4).unwrap().is_none());
     }
 
     #[test]
@@ -563,7 +555,7 @@ mod tests {
     #[test]
     fn silenced_node_is_declared_after_missed_heartbeats() {
         let plan = FaultPlan::none().fail_after_completions(1, 1);
-        let mut state = FaultState::from_config(&plan, 10, 3, 1).unwrap().unwrap();
+        let mut state = FaultState::from_config(&plan, 1).unwrap().unwrap();
         // Rounds before the failure: everyone beats, nothing declared.
         for _ in 0..3 {
             state.advance_round(None);
@@ -591,7 +583,7 @@ mod tests {
         // its (fresh) monitor entry goes silent immediately.
         let plan = FaultPlan::none().fail_after_completions(2, 1);
         let mut state =
-            FaultState::from_config(&plan, 10, 3, 3).unwrap().unwrap().with_prior_failures(&[1]);
+            FaultState::from_config(&plan, 3).unwrap().unwrap().with_prior_failures(&[1]);
         assert!(state.is_dead(1) && state.is_declared(1));
         assert_eq!(state.alive_workers(), vec![2, 3]);
         let mut declared = Vec::new();

@@ -399,12 +399,10 @@ pub trait ExecutionBackend {
 /// must agree on. Used by the backend-equivalence tests and exposed through
 /// the public reporting APIs
 /// ([`crate::cluster::ClusterDevice::last_run_record`],
-/// [`crate::sim_runtime::simulate_ompc_recorded`],
 /// [`crate::sim_runtime::simulate_ompc_outcome`]).
 ///
 /// ```
 /// use ompc_core::prelude::*;
-/// use ompc_core::sim_runtime::simulate_ompc_recorded;
 /// use ompc_sim::ClusterConfig;
 ///
 /// let mut g = ompc_sched::TaskGraph::new();
@@ -414,13 +412,14 @@ pub trait ExecutionBackend {
 /// g.add_edge(0, 1, 128);
 /// g.add_edge(1, 2, 128);
 /// let workload = WorkloadGraph::new(g, vec![128; 3]);
-/// let (_, record) = simulate_ompc_recorded(
+/// let record = simulate_ompc_outcome(
 ///     &workload,
 ///     &ClusterConfig::santos_dumont(3),
 ///     &OmpcConfig::default(),
 ///     &OverheadModel::default(),
+///     None,
 /// )
-/// .unwrap();
+/// .record;
 /// // A chain dispatches and retires strictly in order, one in flight.
 /// assert_eq!(record.dispatch_order, vec![0, 1, 2]);
 /// assert_eq!(record.completion_order, vec![0, 1, 2]);
@@ -1286,7 +1285,7 @@ mod tests {
         let w = WorkloadGraph::new(g, vec![64; 6]);
         let plan = RuntimePlan { assignment: vec![1, 1, 1, 2, 2, 2], window: 1 };
         let fault_plan = FaultPlan::none().fail_after_completions(1, 2);
-        let faults = FaultState::from_config(&fault_plan, 10, 3, 2).unwrap().unwrap();
+        let faults = FaultState::from_config(&fault_plan, 2).unwrap().unwrap();
         let mut core = RuntimeCore::with_faults(&w, &plan, faults);
         let mut backend = FaultyStackBackend::default();
         core.execute(&mut backend).unwrap();
@@ -1371,7 +1370,7 @@ mod tests {
         let w = WorkloadGraph::new(g, vec![8; 3]);
         let plan = RuntimePlan { assignment: vec![1, 2, 2], window: 1 };
         let fault_plan = FaultPlan::none().fail_after_completions(1, 1);
-        let faults = FaultState::from_config(&fault_plan, 10, 3, 2).unwrap().unwrap();
+        let faults = FaultState::from_config(&fault_plan, 2).unwrap().unwrap();
         let mut core = RuntimeCore::with_faults(&w, &plan, faults);
         let remote = OmpcError::RemoteEvent {
             node: 1,
@@ -1397,7 +1396,7 @@ mod tests {
         let w = WorkloadGraph::new(g, vec![8; 4]);
         let plan = RuntimePlan { assignment: vec![1; 4], window: 1 };
         let fault_plan = FaultPlan::none().fail_after_completions(1, 1);
-        let faults = FaultState::from_config(&fault_plan, 10, 2, 1).unwrap().unwrap();
+        let faults = FaultState::from_config(&fault_plan, 1).unwrap().unwrap();
         let mut core = RuntimeCore::with_faults(&w, &plan, faults);
         let err = core.execute(&mut FaultyStackBackend::default()).unwrap_err();
         assert_eq!(err, OmpcError::NodeFailure(1));

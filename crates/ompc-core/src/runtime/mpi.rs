@@ -20,12 +20,11 @@
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
 //! send a target task immediately. It buffers the composed car per
 //! destination node, and the train departs when the dispatch window closes
-//! (the core calls `await_completions`, or batching is disabled). A train
-//! of one car is sent as a plain [`EventRequest::Task`] — wire-identical to
-//! the unbatched protocol — so [`crate::config::OmpcConfig::task_train_batching`]
-//! changes message *count*, never message *meaning*. Each car keeps its own
-//! reply channel, so per-task typed errors, zombie-gate refusals, and fault
-//! blame survive batching unchanged.
+//! (the core calls `await_completions`). A train of one car is sent as a
+//! plain [`EventRequest::Task`], so batching changes message *count*, never
+//! message *meaning*. Each car keeps its own reply channel, so per-task
+//! typed errors, zombie-gate refusals, and fault blame survive batching
+//! unchanged.
 //!
 //! **Completion channel**: instead of `iprobe`ing the reply channel of
 //! every outstanding task (O(tasks in flight) per poll), workers post a
@@ -495,8 +494,8 @@ impl MpiDriver<'_> {
     /// whole by [`MpiDriver::fail_unsent_train`] and its cars re-dispatched,
     /// so recording interleaved with the sends would double-count the cars
     /// that preceded the failure. Committing after the last send keeps
-    /// per-task accounting identical with and without batching *and* across
-    /// retries.
+    /// per-task accounting identical however tasks are packed into trains
+    /// and across retries.
     fn send_train(&mut self, node: NodeId, mut cars: Vec<BufferedCar>) -> OmpcResult<()> {
         let tel = Arc::clone(&self.ctx.telemetry);
         let timed = tel.spans_enabled();
@@ -1321,11 +1320,6 @@ impl ExecutionBackend for MpiDriver<'_> {
             // breakdowns: the core owns the propagate-vs-restart policy.
             Err(error) => self.ready.push_back(TaskEvent::Failed { task, error }),
         }
-        if !self.ctx.config.task_train_batching {
-            // Unbatched mode: every car departs alone, immediately — the
-            // wire protocol of the original per-task dispatch.
-            self.flush_trains();
-        }
         Ok(())
     }
 
@@ -1557,40 +1551,6 @@ mod tests {
         assert_eq!(f64::from_bits(seen.load(Ordering::SeqCst)), 10.0);
         assert_eq!(device.buffer_f64s(a).unwrap(), vec![10.0]);
         device.shutdown();
-    }
-
-    #[test]
-    fn task_trains_match_unbatched_dispatch() {
-        let run = |batching: bool| {
-            let mut device = ClusterDevice::with_config(
-                2,
-                OmpcConfig { task_train_batching: batching, ..mpi_config() },
-            );
-            let bump = device.register_kernel_fn("bump", 1e-5, |args| {
-                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                args.set_f64s(0, &v);
-            });
-            let mut region = device.target_region();
-            let buffers: Vec<_> = (0..5).map(|i| region.map_to_f64s(&[i as f64])).collect();
-            for &b in &buffers {
-                region.target(bump, vec![Dependence::inout(b)]);
-                region.target(bump, vec![Dependence::inout(b)]);
-            }
-            for &b in &buffers {
-                region.map_from(b);
-            }
-            let report = region.run().unwrap();
-            let values: Vec<Vec<f64>> =
-                buffers.iter().map(|&b| device.buffer_f64s(b).unwrap()).collect();
-            device.shutdown();
-            (report.target_tasks, report.data_events, report.bytes_moved, values)
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "a train is a packaging of the same per-task protocol: results, per-task \
-             event accounting, and bytes moved must not depend on batching"
-        );
     }
 
     /// Regression test for the counter drift of re-queued train cars: a

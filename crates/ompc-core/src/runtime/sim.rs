@@ -13,7 +13,7 @@
 //! Unlike the pre-unification model, input transfers of one task are issued
 //! **concurrently** by default (pipelined forwarding); the historical
 //! one-at-a-time behaviour of a blocked head worker thread is preserved
-//! behind [`crate::config::OmpcConfig::serial_input_transfers`].
+//! behind [`OverheadModel::serial_input_transfers`].
 
 use super::fault::LostBuffer;
 use super::threaded::POISONED_KERNEL;
@@ -24,7 +24,7 @@ use crate::heartbeat::Millis;
 use crate::model::WorkloadGraph;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use ompc_sched::Platform;
-use ompc_sim::{ClusterConfig, Completion, Engine, SimStats, SimTime, Token, Trace};
+use ompc_sim::{ClusterConfig, Completion, Engine, SimStats, SimTime, Token};
 use std::collections::{HashMap, VecDeque};
 
 const TOK_STARTUP: u64 = 1 << 48;
@@ -72,8 +72,6 @@ pub struct SimBackend<'w> {
     /// Node each task executes on, as told by the core at `launch` time —
     /// the core's assignment is the single source of truth.
     node_of: Vec<NodeId>,
-    forwarding: bool,
-    serial_inputs: bool,
     /// Retained configuration, consulted by the fault-recovery `replan`
     /// hook (scheduler choice).
     config: OmpcConfig,
@@ -100,7 +98,6 @@ impl<'w> SimBackend<'w> {
         cluster: &ClusterConfig,
         config: &OmpcConfig,
         overheads: OverheadModel,
-        trace: Trace,
     ) -> Self {
         let total = workload.len();
         assert!((total as u64) < TOK_SUB_MASK, "simulated workloads are limited to 2^24 tasks");
@@ -115,12 +112,10 @@ impl<'w> SimBackend<'w> {
         }
         let schedule_time = overheads.schedule_time(total, workload.graph.edges().len());
         Self {
-            engine: Engine::with_trace(cluster.clone(), trace),
+            engine: Engine::new(cluster.clone()),
             workload,
             overheads,
             node_of: vec![HEAD_NODE; total],
-            forwarding: config.worker_to_worker_forwarding,
-            serial_inputs: config.serial_input_transfers,
             config: config.clone(),
             dm,
             pending_inputs: vec![0; total],
@@ -137,14 +132,15 @@ impl<'w> SimBackend<'w> {
         self.schedule_time
     }
 
-    /// Consume the backend and return the engine's statistics and trace.
-    pub fn finish(self) -> (SimStats, Trace) {
+    /// Consume the backend and return the engine's statistics.
+    pub fn finish(self) -> SimStats {
         self.engine.finish()
     }
 
     /// Drain the transfers the data manager planned during the run, in
     /// planning order — attached to the run's
-    /// [`crate::runtime::RunRecord`] by the `simulate_ompc*` entry points.
+    /// [`crate::runtime::RunRecord`] by
+    /// [`crate::sim_runtime::simulate_ompc_outcome`].
     pub fn take_transfers(&mut self) -> Vec<TransferRecord> {
         self.dm.take_transfer_log()
     }
@@ -193,13 +189,7 @@ impl<'w> SimBackend<'w> {
                 };
                 let node = self.node_of[task];
                 self.engine.issue(|ctx| {
-                    ctx.send_labeled(
-                        HEAD_NODE,
-                        node,
-                        bytes,
-                        transfer_token(TOK_TRANSFER, task, buffer),
-                        format!("in t{task}"),
-                    )
+                    ctx.send(HEAD_NODE, node, bytes, transfer_token(TOK_TRANSFER, task, buffer))
                 });
                 None
             }
@@ -224,14 +214,7 @@ impl<'w> SimBackend<'w> {
             }
             TOK_COMPUTE => {
                 let cost = self.overheads.event_completion;
-                self.engine.issue(|ctx| {
-                    ctx.runtime(
-                        HEAD_NODE,
-                        cost,
-                        TOK_COMPLETE | task as u64,
-                        format!("complete t{task}"),
-                    )
-                });
+                self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, cost, TOK_COMPLETE | task as u64));
                 None
             }
             TOK_COMPLETE => {
@@ -306,7 +289,7 @@ impl<'w> SimBackend<'w> {
             self.start_compute(task);
             return;
         }
-        if self.serial_inputs {
+        if self.overheads.serial_input_transfers {
             let mut queue: VecDeque<(NodeId, u64, u64)> = transfers.into();
             if let Some((src, bytes, buf)) = queue.pop_front() {
                 self.queued_inputs[task] = queue;
@@ -321,27 +304,15 @@ impl<'w> SimBackend<'w> {
 
     fn issue_transfer(&mut self, task: usize, src: NodeId, bytes: u64, buffer: u64) {
         let node = self.node_of[task];
-        if self.forwarding || src == HEAD_NODE {
+        if self.overheads.worker_to_worker_forwarding || src == HEAD_NODE {
             self.engine.issue(|ctx| {
-                ctx.send_labeled(
-                    src,
-                    node,
-                    bytes,
-                    transfer_token(TOK_TRANSFER, task, buffer),
-                    format!("in t{task}"),
-                )
+                ctx.send(src, node, bytes, transfer_token(TOK_TRANSFER, task, buffer))
             });
         } else {
             // Forwarding disabled (ablation): stage the buffer through the
             // head node, then on to the consumer.
             self.engine.issue(|ctx| {
-                ctx.send_labeled(
-                    src,
-                    HEAD_NODE,
-                    bytes,
-                    transfer_token(TOK_STAGE, task, buffer),
-                    format!("stage t{task}"),
-                )
+                ctx.send(src, HEAD_NODE, bytes, transfer_token(TOK_STAGE, task, buffer))
             });
         }
     }
@@ -350,30 +321,24 @@ impl<'w> SimBackend<'w> {
         let node = self.node_of[task];
         let cost = SimTime::from_secs_f64(self.workload.graph.tasks()[task].cost)
             + self.overheads.worker_event_handling;
-        self.engine.issue(|ctx| {
-            ctx.compute_labeled(node, cost, TOK_COMPUTE | task as u64, format!("t{task}"))
-        });
+        self.engine.issue(|ctx| ctx.compute(node, cost, TOK_COMPUTE | task as u64));
     }
 }
 
 impl ExecutionBackend for SimBackend<'_> {
     fn prologue(&mut self) -> OmpcResult<()> {
         let startup = self.overheads.startup;
-        self.engine
-            .issue(|ctx| ctx.runtime(HEAD_NODE, startup, TOK_STARTUP, "startup".to_string()));
+        self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, startup, TOK_STARTUP));
         self.pump_phase("startup")?;
         let schedule = self.schedule_time;
-        self.engine
-            .issue(|ctx| ctx.runtime(HEAD_NODE, schedule, TOK_SCHEDULE, "schedule".to_string()));
+        self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, schedule, TOK_SCHEDULE));
         self.pump_phase("schedule")
     }
 
     fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()> {
         self.node_of[task] = node;
         let cost = self.overheads.event_dispatch;
-        self.engine.issue(|ctx| {
-            ctx.runtime(HEAD_NODE, cost, TOK_DISPATCH | task as u64, format!("dispatch t{task}"))
-        });
+        self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, cost, TOK_DISPATCH | task as u64));
         Ok(())
     }
 
@@ -439,15 +404,8 @@ impl ExecutionBackend for SimBackend<'_> {
                 continue;
             }
             if let Some(from) = self.dm.retrieve_source(BufferId(sink as u64)) {
-                self.engine.issue(|ctx| {
-                    ctx.send_labeled(
-                        from,
-                        HEAD_NODE,
-                        bytes,
-                        TOK_RETRIEVE | sink as u64,
-                        format!("out t{sink}"),
-                    )
-                });
+                self.engine
+                    .issue(|ctx| ctx.send(from, HEAD_NODE, bytes, TOK_RETRIEVE | sink as u64));
                 // Simulated transfers cannot fail; commit immediately.
                 self.dm.record_retrieve(BufferId(sink as u64));
                 self.retrievals_pending += 1;
@@ -457,8 +415,7 @@ impl ExecutionBackend for SimBackend<'_> {
             self.pump_phase("result retrieval")?;
         }
         let shutdown = self.overheads.shutdown;
-        self.engine
-            .issue(|ctx| ctx.runtime(HEAD_NODE, shutdown, TOK_SHUTDOWN, "shutdown".to_string()));
+        self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, shutdown, TOK_SHUTDOWN));
         self.pump_phase("shutdown")
     }
 }

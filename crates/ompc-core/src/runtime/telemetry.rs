@@ -2,11 +2,9 @@
 //! timelines, and overhead attribution for the real backends.
 //!
 //! The paper's §7 evaluation decomposes runtime overhead into scheduling,
-//! serialization, communication, and execution. The simulated backend has
-//! always been able to produce that decomposition (its
-//! [`ompc_sim::TraceEvent`] stream is Gantt-capable by construction); the
-//! real backends were blind — order-only [`RunRecord`]s and three coarse
-//! [`crate::event::EventCounters`]. This module closes the gap:
+//! serialization, communication, and execution. Without this module the
+//! real backends are blind — order-only [`RunRecord`]s and three coarse
+//! [`crate::event::EventCounters`]. It closes the gap:
 //!
 //! * [`Telemetry`] is a device-owned recorder. Both real backends push a
 //!   [`Span`] per lifecycle phase of every task — dispatch, payload

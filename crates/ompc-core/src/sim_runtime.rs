@@ -12,7 +12,10 @@
 //! * every task dispatch and completion passes through the head node's
 //!   event system and pays a per-event cost;
 //! * input data is forwarded worker-to-worker (never staged through the
-//!   head) when the producer ran on another worker;
+//!   head) when the producer ran on another worker, and a task's input
+//!   transfers are issued concurrently — the two §7 ablations flip these
+//!   through [`OverheadModel::worker_to_worker_forwarding`] and
+//!   [`OverheadModel::serial_input_transfers`];
 //! * root tasks receive their initial data from the head node and sink
 //!   results are retrieved back to it (enter / exit data);
 //! * the head node keeps a bounded number of target tasks in flight —
@@ -20,6 +23,9 @@
 //!   (one task per head worker thread, the libomptarget limitation) the
 //!   §7 scalability drop at 32–64 nodes reproduces; widening the window
 //!   pipelines dispatch and lifts it.
+//!
+//! [`simulate_ompc_outcome`] is the one implementation; [`simulate_ompc`]
+//! and [`simulate_ompc_with_plan`] are thin conveniences over it.
 
 use crate::config::{OmpcConfig, OverheadModel};
 use crate::model::WorkloadGraph;
@@ -27,7 +33,7 @@ use crate::runtime::fault::FaultState;
 use crate::runtime::sim::sim_platform;
 use crate::runtime::{RunRecord, RuntimeCore, RuntimePlan, SimBackend};
 use crate::types::{OmpcError, OmpcResult};
-use ompc_sim::{ClusterConfig, SimStats, SimTime, Trace};
+use ompc_sim::{ClusterConfig, SimStats, SimTime};
 
 /// Result of one simulated OMPC run.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,14 +74,13 @@ impl OmpcSimResult {
     }
 }
 
-/// The outcome of one simulated OMPC run — the **one outcome-shaped API**
-/// behind the whole `simulate_ompc*` family. Whatever happens to the run,
-/// the execution core's decision record (and the trace, when enabled)
-/// survives: a run aborted by a propagated task error still reports which
-/// tasks dispatched and retired before the failure, which is what the
-/// cross-backend error-equivalence tests compare. The convenience wrappers
-/// ([`simulate_ompc`], [`simulate_ompc_recorded`], [`simulate_ompc_traced`],
-/// [`simulate_ompc_with_plan`]) all reduce to this shape.
+/// The outcome of one simulated OMPC run, as returned by
+/// [`simulate_ompc_outcome`]. Whatever happens to the run, the execution
+/// core's decision record survives: a run aborted by a propagated task
+/// error still reports which tasks dispatched and retired before the
+/// failure, which is what the cross-backend error-equivalence tests
+/// compare. The two conveniences ([`simulate_ompc`],
+/// [`simulate_ompc_with_plan`]) reduce to this shape.
 ///
 /// ```
 /// use ompc_core::prelude::*;
@@ -114,23 +119,18 @@ pub struct OmpcSimOutcome {
     /// The execution core's decision record — always available, even for a
     /// failed run (it then covers everything up to the failure).
     pub record: RunRecord,
-    /// The execution trace; [`Trace::disabled`] unless the run was started
-    /// through a traced entry point.
-    pub trace: Trace,
 }
 
 impl OmpcSimOutcome {
-    /// Convert into a plain result, keeping the record and trace on
-    /// success and dropping them on failure (the lossy view the pre-unified
-    /// `simulate_ompc*` wrappers expose).
-    pub fn into_result(self) -> OmpcResult<(OmpcSimResult, RunRecord, Trace)> {
-        self.result.map(|r| (r, self.record, self.trace))
+    /// Convert into a plain result, keeping the record on success and
+    /// dropping it on failure.
+    pub fn into_result(self) -> OmpcResult<(OmpcSimResult, RunRecord)> {
+        self.result.map(|r| (r, self.record))
     }
 }
 
 /// Run the simulated OMPC runtime on `workload` over `cluster` and return
-/// the timing result. Tracing is disabled for speed; use
-/// [`simulate_ompc_traced`] when the trace is needed.
+/// the timing result.
 ///
 /// Fails with [`OmpcError::InvalidConfig`] when the cluster has no worker
 /// nodes (the head node cannot execute target tasks), with
@@ -174,60 +174,6 @@ pub fn simulate_ompc(
     simulate_ompc_outcome(workload, cluster, config, overheads, None).result
 }
 
-/// The unified error-aware entry point: run the simulation — under an
-/// explicit [`RuntimePlan`] when given, the cluster-derived plan otherwise
-/// — and return the full [`OmpcSimOutcome`], whose decision record
-/// survives a failed run. This is the error-aware counterpart of
-/// [`crate::cluster::ClusterDevice::last_run_record`]. Tracing is disabled
-/// for speed; use [`simulate_ompc_outcome_traced`] when the trace is
-/// needed.
-pub fn simulate_ompc_outcome(
-    workload: &WorkloadGraph,
-    cluster: &ClusterConfig,
-    config: &OmpcConfig,
-    overheads: &OverheadModel,
-    plan: Option<&RuntimePlan>,
-) -> OmpcSimOutcome {
-    simulate_outcome_inner(workload, cluster, config, overheads, plan.cloned(), false)
-}
-
-/// [`simulate_ompc_outcome`] with the execution trace enabled.
-pub fn simulate_ompc_outcome_traced(
-    workload: &WorkloadGraph,
-    cluster: &ClusterConfig,
-    config: &OmpcConfig,
-    overheads: &OverheadModel,
-    plan: Option<&RuntimePlan>,
-) -> OmpcSimOutcome {
-    simulate_outcome_inner(workload, cluster, config, overheads, plan.cloned(), true)
-}
-
-/// Like [`simulate_ompc`] but also returns the full execution trace.
-pub fn simulate_ompc_traced(
-    workload: &WorkloadGraph,
-    cluster: &ClusterConfig,
-    config: &OmpcConfig,
-    overheads: &OverheadModel,
-) -> OmpcResult<(OmpcSimResult, Trace)> {
-    let (result, _, trace) =
-        simulate_ompc_outcome_traced(workload, cluster, config, overheads, None).into_result()?;
-    Ok((result, trace))
-}
-
-/// Like [`simulate_ompc`] but also returns the execution core's decision
-/// record (assignment, dispatch and completion order, peak concurrency,
-/// and — under an injected fault plan — the failure and recovery events).
-pub fn simulate_ompc_recorded(
-    workload: &WorkloadGraph,
-    cluster: &ClusterConfig,
-    config: &OmpcConfig,
-    overheads: &OverheadModel,
-) -> OmpcResult<(OmpcSimResult, RunRecord)> {
-    let (result, record, _) =
-        simulate_ompc_outcome(workload, cluster, config, overheads, None).into_result()?;
-    Ok((result, record))
-}
-
 /// Run the simulation under an explicit, externally computed [`RuntimePlan`]
 /// instead of deriving one from the cluster's network model. This is how
 /// the backend-equivalence tests drive the simulated, threaded, and MPI
@@ -239,34 +185,23 @@ pub fn simulate_ompc_with_plan(
     overheads: &OverheadModel,
     plan: &RuntimePlan,
 ) -> OmpcResult<(OmpcSimResult, RunRecord)> {
-    let (result, record, _) =
-        simulate_ompc_outcome(workload, cluster, config, overheads, Some(plan)).into_result()?;
-    Ok((result, record))
+    simulate_ompc_outcome(workload, cluster, config, overheads, Some(plan)).into_result()
 }
 
-/// The static plan [`simulate_ompc`] derives for a workload: the configured
-/// scheduler over the cluster's own communication model.
-pub fn sim_plan(
-    workload: &WorkloadGraph,
-    cluster: &ClusterConfig,
-    config: &OmpcConfig,
-) -> RuntimePlan {
-    RuntimePlan::for_workload(workload, &sim_platform(cluster), config)
-}
-
-fn simulate_outcome_inner(
+/// The one implementation: run the simulation — under an explicit
+/// [`RuntimePlan`] when given, otherwise under the plan the configured
+/// scheduler derives over the cluster's own communication model — and
+/// return the full [`OmpcSimOutcome`], whose decision record survives a
+/// failed run. This is the error-aware counterpart of
+/// [`crate::cluster::ClusterDevice::last_run_record`].
+pub fn simulate_ompc_outcome(
     workload: &WorkloadGraph,
     cluster: &ClusterConfig,
     config: &OmpcConfig,
     overheads: &OverheadModel,
-    plan: Option<RuntimePlan>,
-    traced: bool,
+    plan: Option<&RuntimePlan>,
 ) -> OmpcSimOutcome {
-    let fail = |e: OmpcError| OmpcSimOutcome {
-        result: Err(e),
-        record: RunRecord::default(),
-        trace: Trace::disabled(),
-    };
+    let fail = |e: OmpcError| OmpcSimOutcome { result: Err(e), record: RunRecord::default() };
     let workers = cluster.worker_nodes();
     if workers == 0 {
         return fail(OmpcError::InvalidConfig(format!(
@@ -278,33 +213,33 @@ fn simulate_outcome_inner(
     if let Err(e) = config.fault_plan.validate_task_errors(workload.len()) {
         return fail(e);
     }
-    let plan = plan.unwrap_or_else(|| sim_plan(workload, cluster, config));
-    let trace = if traced { Trace::new() } else { Trace::disabled() };
-    let faults = match FaultState::from_config(
-        &config.fault_plan,
-        config.heartbeat_period_ms,
-        config.heartbeat_miss_threshold,
-        workers,
-    ) {
+    let derived;
+    let plan = match plan {
+        Some(plan) => plan,
+        None => {
+            derived = RuntimePlan::for_workload(workload, &sim_platform(cluster), config);
+            &derived
+        }
+    };
+    let faults = match FaultState::from_config(&config.fault_plan, workers) {
         Ok(f) => f.map(|f| f.with_replan(config.replan_on_failure)),
         Err(e) => return fail(e),
     };
     let mut core = match faults {
-        Some(faults) => RuntimeCore::with_faults(workload, &plan, faults),
-        None => RuntimeCore::new(workload, &plan),
+        Some(faults) => RuntimeCore::with_faults(workload, plan, faults),
+        None => RuntimeCore::new(workload, plan),
     };
-    let mut backend = SimBackend::new(workload, cluster, config, overheads.clone(), trace);
+    let mut backend = SimBackend::new(workload, cluster, config, overheads.clone());
     let executed = core.execute(&mut backend);
     let mut record = core.record();
     record.transfers = backend.take_transfers();
     if let Err(e) = executed {
         // The run failed (propagated task error, unrecoverable node loss):
         // the record of what happened before the failure survives.
-        let (_, trace) = backend.finish();
-        return OmpcSimOutcome { result: Err(e), record, trace };
+        return OmpcSimOutcome { result: Err(e), record };
     }
     let schedule = backend.schedule_time();
-    let (stats, trace) = backend.finish();
+    let stats = backend.finish();
     OmpcSimOutcome {
         result: Ok(OmpcSimResult {
             makespan: stats.makespan,
@@ -314,7 +249,6 @@ fn simulate_outcome_inner(
             stats,
         }),
         record,
-        trace,
     }
 }
 
@@ -348,6 +282,15 @@ mod tests {
         (ClusterConfig::santos_dumont(nodes), OmpcConfig::default(), OverheadModel::default())
     }
 
+    fn recorded(
+        workload: &WorkloadGraph,
+        cluster: &ClusterConfig,
+        config: &OmpcConfig,
+        overheads: &OverheadModel,
+    ) -> (OmpcSimResult, RunRecord) {
+        simulate_ompc_outcome(workload, cluster, config, overheads, None).into_result().unwrap()
+    }
+
     #[test]
     fn empty_workload_finishes_immediately() {
         let (cluster, config, overheads) = default_setup(2);
@@ -374,7 +317,7 @@ mod tests {
         let overheads = OverheadModel::default();
         // Lift the in-flight limit so node count (not head threads) is the
         // binding constraint in this test.
-        let config = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+        let config = OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
         let w = wide_workload(256, 0.05, 1 << 16);
         let small =
             simulate_ompc(&w, &ClusterConfig::santos_dumont(3), &config, &overheads).unwrap();
@@ -394,7 +337,8 @@ mod tests {
         let cluster = ClusterConfig::santos_dumont(9);
         let w = wide_workload(256, 0.02, 1 << 10);
         let limited = OmpcConfig { max_inflight_tasks: Some(4), ..OmpcConfig::default() };
-        let unlimited = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+        let unlimited =
+            OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
         let r_lim = simulate_ompc(&w, &cluster, &limited, &overheads).unwrap();
         let r_unl = simulate_ompc(&w, &cluster, &unlimited, &overheads).unwrap();
         assert!(
@@ -453,9 +397,10 @@ mod tests {
         }
         let w = WorkloadGraph::new(g, vec![64 << 20; sources + 1]);
         let (cluster, _, overheads) = default_setup(8);
-        let pipelined = simulate_ompc(&w, &cluster, &OmpcConfig::default(), &overheads).unwrap();
-        let legacy =
-            simulate_ompc(&w, &cluster, &OmpcConfig::legacy_libomptarget(), &overheads).unwrap();
+        let config = OmpcConfig::default();
+        let pipelined = simulate_ompc(&w, &cluster, &config, &overheads).unwrap();
+        let serial = OverheadModel { serial_input_transfers: true, ..overheads };
+        let legacy = simulate_ompc(&w, &cluster, &config, &serial).unwrap();
         assert!(
             pipelined.makespan < legacy.makespan,
             "overlapped input forwarding ({}) must beat serial forwarding ({})",
@@ -480,15 +425,14 @@ mod tests {
         g.add_edge(big, sink, 256 << 20);
         let w = WorkloadGraph::new(g, vec![1 << 10, 256 << 20, 64]);
         let cluster = ClusterConfig::santos_dumont(4);
-        let config = OmpcConfig {
+        let config = OmpcConfig::default();
+        let staged = OverheadModel {
             worker_to_worker_forwarding: false,
             serial_input_transfers: false,
-            ..OmpcConfig::default()
+            ..OverheadModel::default()
         };
         let plan = RuntimePlan { assignment: vec![3, 1, 2], window: config.inflight_window() };
-        let (r, record) =
-            simulate_ompc_with_plan(&w, &cluster, &config, &OverheadModel::default(), &plan)
-                .unwrap();
+        let (r, record) = simulate_ompc_with_plan(&w, &cluster, &config, &staged, &plan).unwrap();
         assert_eq!(record.assignment, vec![3, 1, 2]);
         // The 256 MB buffer crosses the network three times: head -> big's
         // node (enter data), big's node -> head (stage), head -> sink's node.
@@ -553,8 +497,9 @@ mod tests {
         let w = chain_workload(12, 0.01, 64 << 20);
         let heft_cfg = OmpcConfig { scheduler: SchedulerKind::Heft, ..OmpcConfig::default() };
         let rr_cfg = OmpcConfig { scheduler: SchedulerKind::RoundRobin, ..OmpcConfig::default() };
-        let heft = sim_plan(&w, &cluster, &heft_cfg);
-        let rr = sim_plan(&w, &cluster, &rr_cfg);
+        let overheads = OverheadModel::default();
+        let (r_heft, heft) = recorded(&w, &cluster, &heft_cfg, &overheads);
+        let (r_rr, rr) = recorded(&w, &cluster, &rr_cfg, &overheads);
         // HEFT keeps the communication-heavy chain on one node; round robin
         // scatters it.
         let heft_nodes: std::collections::BTreeSet<_> = heft.assignment.iter().collect();
@@ -562,9 +507,6 @@ mod tests {
         assert_eq!(heft_nodes.len(), 1);
         assert!(rr_nodes.len() > 1);
         // And the simulated makespan agrees that HEFT is at least as good.
-        let overheads = OverheadModel::default();
-        let r_heft = simulate_ompc(&w, &cluster, &heft_cfg, &overheads).unwrap();
-        let r_rr = simulate_ompc(&w, &cluster, &rr_cfg, &overheads).unwrap();
         assert!(r_heft.makespan <= r_rr.makespan);
     }
 
@@ -572,23 +514,13 @@ mod tests {
     fn recorded_run_reports_core_decisions() {
         let (cluster, config, overheads) = default_setup(4);
         let w = chain_workload(6, 0.01, 1 << 18);
-        let (result, record) = simulate_ompc_recorded(&w, &cluster, &config, &overheads).unwrap();
+        let (result, record) = recorded(&w, &cluster, &config, &overheads);
         assert_eq!(result.stats.total_tasks(), 6);
         // A chain dispatches and completes strictly in order.
         assert_eq!(record.dispatch_order, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(record.completion_order, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(record.peak_in_flight, 1);
         assert_eq!(record.assignment.len(), 6);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_makespan() {
-        let (cluster, config, overheads) = default_setup(4);
-        let w = chain_workload(6, 0.01, 1 << 18);
-        let plain = simulate_ompc(&w, &cluster, &config, &overheads).unwrap();
-        let (traced, trace) = simulate_ompc_traced(&w, &cluster, &config, &overheads).unwrap();
-        assert_eq!(plain.makespan, traced.makespan);
-        assert!(!trace.is_empty());
     }
 
     #[test]
@@ -618,15 +550,14 @@ mod tests {
         let overheads = OverheadModel::default();
         let cluster = ClusterConfig::santos_dumont(4);
         let w = chain_workload(10, 0.02, 1 << 16);
-        let baseline =
-            simulate_ompc_recorded(&w, &cluster, &OmpcConfig::default(), &overheads).unwrap();
+        let baseline = recorded(&w, &cluster, &OmpcConfig::default(), &overheads);
         // Kill the node running the chain after its third retirement.
         let victim = baseline.1.assignment[2];
         let config = OmpcConfig {
             fault_plan: FaultPlan::none().fail_after_completions(victim, 3),
             ..OmpcConfig::default()
         };
-        let (result, record) = simulate_ompc_recorded(&w, &cluster, &config, &overheads).unwrap();
+        let (result, record) = recorded(&w, &cluster, &config, &overheads);
         assert_eq!(result.stats.makespan, result.makespan);
         assert_eq!(record.failures.len(), 1);
         assert_eq!(record.failures[0].node, victim);
@@ -656,7 +587,7 @@ mod tests {
             max_inflight_tasks: Some(2),
             ..OmpcConfig::default()
         };
-        let (_, record) = simulate_ompc_recorded(&w, &cluster, &config, &overheads).unwrap();
+        let (_, record) = recorded(&w, &cluster, &config, &overheads);
         assert_eq!(record.failures.len(), 1);
         // Nothing may end up on the dead node except tasks retired before
         // the failure.

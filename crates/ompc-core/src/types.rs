@@ -254,7 +254,7 @@ mod tests {
     fn error_display() {
         assert!(OmpcError::UnknownBuffer(BufferId(1)).to_string().contains("buf:1"));
         assert!(OmpcError::NodeFailure(2).to_string().contains("node 2"));
-        let e: OmpcError = ompc_mpi::MpiError::RequestConsumed.into();
+        let e: OmpcError = ompc_mpi::MpiError::Finalized(0).into();
         assert!(matches!(e, OmpcError::Communication(_)));
     }
 

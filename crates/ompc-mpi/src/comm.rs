@@ -3,7 +3,6 @@
 use crate::error::{MpiError, MpiResult};
 use crate::mailbox::Mailbox;
 use crate::message::{Message, MessageEnvelope};
-use crate::request::{RecvRequest, SendRequest};
 use crate::types::{CommId, Rank, Status, Tag};
 use crate::world::WorldInner;
 use std::sync::atomic::Ordering;
@@ -13,9 +12,7 @@ use std::sync::Arc;
 ///
 /// Clones share the underlying world, so a single rank may hand communicator
 /// handles to several of its threads (the OMPC gate thread and event-handler
-/// pool do exactly this). All operations are thread-safe; MPI's usual
-/// requirement that collectives be invoked in the same order on every rank
-/// still applies.
+/// pool do exactly this). All operations are thread-safe.
 #[derive(Debug, Clone)]
 pub struct Communicator {
     world: Arc<WorldInner>,
@@ -86,14 +83,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// Non-blocking send. Because sends are buffered, the returned request
-    /// is already complete; it exists so calling code can keep MPI-shaped
-    /// request lists.
-    pub fn isend(&self, dest: Rank, tag: Tag, data: Vec<u8>) -> MpiResult<SendRequest> {
-        self.send(dest, tag, data)?;
-        Ok(SendRequest::completed(dest, tag))
-    }
-
     /// Blocking receive matching `(source, tag)`; `None` is a wildcard.
     pub fn recv(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Message> {
         if let Some(s) = source {
@@ -128,12 +117,6 @@ impl Communicator {
         self.own_mailbox().try_recv(self.comm, source, tag)
     }
 
-    /// Post a non-blocking receive and obtain a request that can be tested
-    /// or waited on later.
-    pub fn irecv(&self, source: Option<Rank>, tag: Option<Tag>) -> RecvRequest {
-        RecvRequest::new(Arc::clone(self.own_mailbox()), self.comm, source, tag)
-    }
-
     /// Blocking probe: wait for a matching message and report its status
     /// without consuming it. The gate thread uses this with wildcards to
     /// discover new-event notifications.
@@ -151,11 +134,6 @@ impl Communicator {
     pub fn send_recv(&self, dest: Rank, tag: Tag, data: Vec<u8>) -> MpiResult<Message> {
         self.send(dest, tag, data)?;
         self.recv(Some(dest), Some(tag))
-    }
-
-    pub(crate) fn next_collective_seq(&self) -> u64 {
-        self.world.rank_states[self.rank].coll_seq[self.comm.0 as usize]
-            .fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -178,31 +156,6 @@ mod tests {
         let c = w.communicator(0);
         assert!(c.on(CommId(1)).is_ok());
         assert_eq!(c.on(CommId(7)).unwrap_err(), MpiError::InvalidCommunicator(CommId(7)));
-    }
-
-    #[test]
-    fn isend_completes_immediately() {
-        let w = World::new(2);
-        let c0 = w.communicator(0);
-        let c1 = w.communicator(1);
-        let mut req = c0.isend(1, Tag(2), vec![5]).unwrap();
-        assert!(req.test());
-        req.wait().unwrap();
-        assert_eq!(c1.recv(Some(0), Some(Tag(2))).unwrap().data, vec![5]);
-    }
-
-    #[test]
-    fn irecv_can_be_tested_then_waited() {
-        let w = World::new(2);
-        let c0 = w.communicator(0);
-        let c1 = w.communicator(1);
-        let mut req = c1.irecv(Some(0), Some(Tag(3)));
-        assert!(!req.test());
-        c0.send(1, Tag(3), vec![1, 1]).unwrap();
-        // The message is now queued; test must eventually observe it.
-        assert!(req.test());
-        let msg = req.wait().unwrap();
-        assert_eq!(msg.data, vec![1, 1]);
     }
 
     #[test]

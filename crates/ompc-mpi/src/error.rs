@@ -23,11 +23,6 @@ pub enum MpiError {
     /// A receive or wait was abandoned because the peer terminated without
     /// sending the expected message.
     PeerTerminated { peer: Rank, tag: Option<Tag> },
-    /// A request was waited on twice or its payload was already taken.
-    RequestConsumed,
-    /// A collective was invoked with inconsistent parameters across ranks
-    /// (e.g. different roots for a broadcast).
-    CollectiveMismatch(String),
     /// Payload could not be reinterpreted as the requested element type.
     TypeConversion { expected: &'static str, len: usize },
     /// A timed receive gave up before a matching message arrived. Used by
@@ -48,8 +43,6 @@ impl fmt::Display for MpiError {
                 Some(t) => write!(f, "peer rank {peer} terminated while waiting on {t}"),
                 None => write!(f, "peer rank {peer} terminated"),
             },
-            MpiError::RequestConsumed => write!(f, "request already waited on / payload taken"),
-            MpiError::CollectiveMismatch(m) => write!(f, "collective mismatch: {m}"),
             MpiError::TypeConversion { expected, len } => {
                 write!(f, "payload of {len} bytes is not a whole number of {expected} elements")
             }

@@ -6,13 +6,11 @@
 //!
 //! * point-to-point messages matched on `(communicator, source, destination,
 //!   tag)` with non-overtaking order per matched triple,
-//! * non-blocking sends/receives with request objects that can be waited on
-//!   or polled,
-//! * message probing (used by the gate thread to discover new events),
+//! * buffered sends and blocking, bounded, or non-blocking receives,
+//! * message probing (used by the gate thread to discover new events), and
 //! * multiple communicators mapped round-robin to independent progress
 //!   channels (the paper maps them to hardware Virtual Communication
-//!   Interfaces), and
-//! * a handful of collectives (barrier, broadcast, reduce, gather).
+//!   Interfaces).
 //!
 //! There is no production-grade MPI binding in the Rust ecosystem that can
 //! run on a laptop without an MPI installation, so this crate implements the
@@ -44,12 +42,10 @@
 //! }
 //! ```
 
-pub mod collective;
 pub mod comm;
 pub mod error;
 pub mod mailbox;
 pub mod message;
-pub mod request;
 pub mod typed;
 pub mod types;
 pub mod world;
@@ -57,7 +53,6 @@ pub mod world;
 pub use comm::Communicator;
 pub use error::{MpiError, MpiResult};
 pub use message::{Message, MessageEnvelope};
-pub use request::{RecvRequest, SendRequest};
 pub use types::{CommId, Rank, Status, Tag, ANY_SOURCE, ANY_TAG};
 pub use world::World;
 

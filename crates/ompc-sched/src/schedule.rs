@@ -77,9 +77,14 @@ impl Schedule {
         tasks
     }
 
-    /// Order `tasks` by estimated start time, ties in the order given.
+    /// Order `tasks` by estimated `(start, finish)`, remaining ties in the
+    /// order given: a zero-length task sorts before a longer one starting
+    /// at the same instant, which is the order they occupy the processor.
     fn sort_by_start(&self, tasks: &mut [usize]) {
-        tasks.sort_by(|&a, &b| self.placements[a].start.total_cmp(&self.placements[b].start));
+        tasks.sort_by(|&a, &b| {
+            let (a, b) = (self.placements[a], self.placements[b]);
+            a.start.total_cmp(&b.start).then(a.finish.total_cmp(&b.finish))
+        });
     }
 
     /// Validate the schedule against its graph and platform:
@@ -211,6 +216,57 @@ mod tests {
         ]);
         let err = s.validate(&g, &p).unwrap_err();
         assert!(err.contains("overlap"));
+    }
+
+    #[test]
+    fn zero_length_task_at_the_start_of_a_longer_one_is_not_an_overlap() {
+        // The longer task has the lower index, so a tie broken by index
+        // would compare the zero-length task *after* it.
+        let mut g = TaskGraph::new();
+        g.add_task(1.0);
+        g.add_task(0.0);
+        let p = platform();
+        let s = Schedule::new(vec![
+            Placement { proc: 0, start: 0.5, finish: 1.5 },
+            Placement { proc: 0, start: 0.5, finish: 0.5 },
+        ]);
+        assert_eq!(s.validate(&g, &p), Ok(()));
+        assert_eq!(s.tasks_on(0), vec![1, 0]);
+        // A zero-length task strictly inside the long one still overlaps.
+        let inside = Schedule::new(vec![
+            Placement { proc: 0, start: 0.5, finish: 1.5 },
+            Placement { proc: 0, start: 1.0, finish: 1.0 },
+        ]);
+        assert!(inside.validate(&g, &p).unwrap_err().contains("overlap"));
+    }
+
+    #[test]
+    fn heft_schedule_of_a_region_shaped_graph_validates() {
+        use crate::{HeftScheduler, Scheduler};
+        // The shape `RegionGraph` lowers to: zero-cost enter-data tasks
+        // feeding costed target tasks, everything on one processor. HEFT
+        // inserts each data task at the instant an earlier, lower-indexed
+        // target task starts.
+        let mut g = TaskGraph::new();
+        for _ in 0..4 {
+            let compute = g.add_task(1.0);
+            let data = g.add_task(0.0);
+            let consumer = g.add_task(1.0);
+            g.add_edge(data, consumer, 1 << 20);
+            g.add_edge(compute, consumer, 8);
+        }
+        let p = Platform::homogeneous(1, 0.001, 1e9);
+        let s = HeftScheduler::new().schedule(&g, &p);
+        let shares_a_start = (0..g.len()).any(|z| {
+            let zero = s.placement(z);
+            zero.start == zero.finish
+                && (0..z).any(|t| {
+                    let long = s.placement(t);
+                    long.start == zero.start && long.finish > long.start
+                })
+        });
+        assert!(shares_a_start, "the graph no longer produces the tie under test: {s:?}");
+        assert_eq!(s.validate(&g, &p), Ok(()));
     }
 
     #[test]

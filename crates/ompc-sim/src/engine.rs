@@ -13,7 +13,6 @@ use crate::config::ClusterConfig;
 use crate::resources::{CorePool, FifoServer, NicChannels};
 use crate::stats::{NodeStats, SimStats};
 use crate::time::SimTime;
-use crate::trace::{Trace, TraceEvent, TraceKind};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -50,14 +49,14 @@ impl Completion {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Occupy one core of `node` for `duration`.
-    Compute { node: usize, duration: SimTime, token: Token, label: String },
+    Compute { node: usize, duration: SimTime, token: Token },
     /// Move `bytes` from `src` to `dst` through the network model.
-    Send { src: usize, dst: usize, bytes: u64, token: Token, label: String },
+    Send { src: usize, dst: usize, bytes: u64, token: Token },
     /// Fire a completion after `delay` without occupying any resource.
     Timer { delay: SimTime, token: Token },
-    /// Account `duration` of runtime bookkeeping on `node` (traced as
-    /// [`TraceKind::Runtime`], does not occupy a core).
-    Runtime { node: usize, duration: SimTime, token: Token, label: String },
+    /// Account `duration` of runtime bookkeeping on `node` (does not occupy
+    /// a core).
+    Runtime { node: usize, duration: SimTime, token: Token },
     /// Stop the simulation after the current callback returns.
     Stop,
 }
@@ -83,29 +82,12 @@ impl SimContext {
 
     /// Request a compute activity of `duration` on `node`.
     pub fn compute(&mut self, node: usize, duration: SimTime, token: Token) {
-        self.compute_labeled(node, duration, token, String::new());
-    }
-
-    /// Request a compute activity with a trace label.
-    pub fn compute_labeled(&mut self, node: usize, duration: SimTime, token: Token, label: String) {
-        self.commands.push(Command::Compute { node, duration, token, label });
+        self.commands.push(Command::Compute { node, duration, token });
     }
 
     /// Request a transfer of `bytes` from `src` to `dst`.
     pub fn send(&mut self, src: usize, dst: usize, bytes: u64, token: Token) {
-        self.send_labeled(src, dst, bytes, token, String::new());
-    }
-
-    /// Request a transfer with a trace label.
-    pub fn send_labeled(
-        &mut self,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        token: Token,
-        label: String,
-    ) {
-        self.commands.push(Command::Send { src, dst, bytes, token, label });
+        self.commands.push(Command::Send { src, dst, bytes, token });
     }
 
     /// Request a timer that fires after `delay`.
@@ -114,8 +96,8 @@ impl SimContext {
     }
 
     /// Account runtime overhead of `duration` on `node`.
-    pub fn runtime(&mut self, node: usize, duration: SimTime, token: Token, label: String) {
-        self.commands.push(Command::Runtime { node, duration, token, label });
+    pub fn runtime(&mut self, node: usize, duration: SimTime, token: Token) {
+        self.commands.push(Command::Runtime { node, duration, token });
     }
 
     /// Stop the simulation.
@@ -174,14 +156,12 @@ impl Ord for QueueEntry {
 enum ActivityKind {
     Compute { node: usize, duration: SimTime },
     Transfer { src: usize, dst: usize, bytes: u64, serialize: SimTime },
-    Runtime { node: usize, duration: SimTime },
+    Runtime { node: usize },
 }
 
 #[derive(Debug, Clone)]
 struct Activity {
     token: Token,
-    label: String,
-    started: SimTime,
     kind: ActivityKind,
 }
 
@@ -198,19 +178,12 @@ pub struct Engine {
     next_activity: u64,
     node_stats: Vec<NodeStats>,
     events_processed: u64,
-    trace: Trace,
     stopped: bool,
 }
 
 impl Engine {
-    /// Create an engine for the given cluster, with tracing enabled.
+    /// Create an engine for the given cluster.
     pub fn new(config: ClusterConfig) -> Self {
-        Self::with_trace(config, Trace::new())
-    }
-
-    /// Create an engine with an explicit trace (use [`Trace::disabled`] for
-    /// large parameter sweeps).
-    pub fn with_trace(config: ClusterConfig, trace: Trace) -> Self {
         assert!(config.nodes > 0, "cluster needs at least one node");
         let cores = (0..config.nodes).map(|_| FifoServer::new(config.node.cores)).collect();
         let nics =
@@ -227,7 +200,6 @@ impl Engine {
             next_activity: 0,
             node_stats,
             events_processed: 0,
-            trace,
             stopped: false,
         }
     }
@@ -258,26 +230,22 @@ impl Engine {
     fn apply_commands(&mut self, commands: Vec<Command>) {
         for cmd in commands {
             match cmd {
-                Command::Compute { node, duration, token, label } => {
+                Command::Compute { node, duration, token } => {
                     assert!(node < self.config.nodes, "compute on unknown node {node}");
                     let id = self.new_activity(Activity {
                         token,
-                        label,
-                        started: self.now,
                         kind: ActivityKind::Compute { node, duration },
                     });
                     if self.cores[node].acquire(duration, id) {
                         self.push(self.now + duration, Internal::ComputeDone { activity: id });
                     }
                 }
-                Command::Send { src, dst, bytes, token, label } => {
+                Command::Send { src, dst, bytes, token } => {
                     assert!(src < self.config.nodes, "send from unknown node {src}");
                     assert!(dst < self.config.nodes, "send to unknown node {dst}");
                     let serialize = self.config.network.serialization_time(bytes);
                     let id = self.new_activity(Activity {
                         token,
-                        label,
-                        started: self.now,
                         kind: ActivityKind::Transfer { src, dst, bytes, serialize },
                     });
                     if self.nics[src].acquire(serialize, id) {
@@ -287,14 +255,10 @@ impl Engine {
                 Command::Timer { delay, token } => {
                     self.push(self.now + delay, Internal::TimerFired { token });
                 }
-                Command::Runtime { node, duration, token, label } => {
+                Command::Runtime { node, duration, token } => {
                     assert!(node < self.config.nodes, "runtime on unknown node {node}");
-                    let id = self.new_activity(Activity {
-                        token,
-                        label,
-                        started: self.now,
-                        kind: ActivityKind::Runtime { node, duration },
-                    });
+                    let id =
+                        self.new_activity(Activity { token, kind: ActivityKind::Runtime { node } });
                     self.push(self.now + duration, Internal::RuntimeDone { activity: id });
                 }
                 Command::Stop => self.stopped = true,
@@ -312,19 +276,7 @@ impl Engine {
                 };
                 self.node_stats[node].compute_time += duration;
                 self.node_stats[node].tasks_executed += 1;
-                self.trace.record(TraceEvent {
-                    kind: TraceKind::Compute,
-                    node,
-                    dest: None,
-                    start: self.now.saturating_sub(duration),
-                    end: self.now,
-                    label: act.label,
-                    bytes: 0,
-                });
                 if let Some((next_duration, next_id)) = self.cores[node].release() {
-                    if let Some(next) = self.activities.get_mut(&next_id) {
-                        next.started = self.now;
-                    }
                     self.push(
                         self.now + next_duration,
                         Internal::ComputeDone { activity: next_id },
@@ -333,23 +285,16 @@ impl Engine {
                 Some(Completion::Compute { node, token: act.token })
             }
             Internal::SerializeDone { activity } => {
-                let (src, _dst, bytes, serialize, latency) = {
-                    let act = self.activities.get(&activity).expect("unknown transfer activity");
-                    match act.kind {
-                        ActivityKind::Transfer { src, dst, bytes, serialize } => {
-                            (src, dst, bytes, serialize, self.config.network.latency)
-                        }
-                        _ => unreachable!("activity kind mismatch"),
-                    }
+                let act = self.activities.get(&activity).expect("unknown transfer activity");
+                let ActivityKind::Transfer { src, bytes, serialize, .. } = act.kind else {
+                    unreachable!("activity kind mismatch")
                 };
+                let latency = self.config.network.latency;
                 self.node_stats[src].send_time += serialize;
                 self.node_stats[src].messages_sent += 1;
                 self.node_stats[src].bytes_sent += bytes;
                 self.push(self.now + latency, Internal::Arrival { activity });
                 if let Some((next_duration, next_id)) = self.nics[src].release() {
-                    if let Some(next) = self.activities.get_mut(&next_id) {
-                        next.started = self.now;
-                    }
                     self.push(
                         self.now + next_duration,
                         Internal::SerializeDone { activity: next_id },
@@ -363,33 +308,14 @@ impl Engine {
                     ActivityKind::Transfer { src, dst, bytes, .. } => (src, dst, bytes),
                     _ => unreachable!("activity kind mismatch"),
                 };
-                self.trace.record(TraceEvent {
-                    kind: TraceKind::Transfer,
-                    node: src,
-                    dest: Some(dst),
-                    start: act.started,
-                    end: self.now,
-                    label: act.label,
-                    bytes,
-                });
                 Some(Completion::Transfer { src, dst, bytes, token: act.token })
             }
             Internal::TimerFired { token } => Some(Completion::Timer { token }),
             Internal::RuntimeDone { activity } => {
                 let act = self.activities.remove(&activity).expect("unknown runtime activity");
-                let (node, duration) = match act.kind {
-                    ActivityKind::Runtime { node, duration } => (node, duration),
-                    _ => unreachable!("activity kind mismatch"),
+                let ActivityKind::Runtime { node } = act.kind else {
+                    unreachable!("activity kind mismatch")
                 };
-                self.trace.record(TraceEvent {
-                    kind: TraceKind::Runtime,
-                    node,
-                    dest: None,
-                    start: self.now.saturating_sub(duration),
-                    end: self.now,
-                    label: act.label,
-                    bytes: 0,
-                });
                 Some(Completion::Runtime { node, token: act.token })
             }
         }
@@ -435,14 +361,13 @@ impl Engine {
         self.now
     }
 
-    /// Consume the engine and return the run statistics and trace.
-    pub fn finish(self) -> (SimStats, Trace) {
-        let stats = SimStats {
+    /// Consume the engine and return the run statistics.
+    pub fn finish(self) -> SimStats {
+        SimStats {
             makespan: self.now,
             nodes: self.node_stats,
             events_processed: self.events_processed,
-        };
-        (stats, self.trace)
+        }
     }
 }
 
@@ -499,12 +424,11 @@ mod tests {
         let per_round = SimTime::from_millis(10) + cfg.network.transfer_time(1 << 20);
         let expected = SimTime(per_round.0 * 5);
         assert_eq!(makespan, expected);
-        let (stats, trace) = engine.finish();
+        let stats = engine.finish();
         assert_eq!(stats.total_tasks(), 5);
+        assert_eq!(stats.nodes[1].tasks_executed, 5);
         assert_eq!(stats.nodes[1].messages_sent, 5);
         assert_eq!(stats.nodes[1].bytes_sent, 5 << 20);
-        assert_eq!(trace.of_kind(TraceKind::Compute).count(), 5);
-        assert_eq!(trace.of_kind(TraceKind::Transfer).count(), 5);
     }
 
     /// Saturates a single-core node with three tasks to exercise queueing.
@@ -566,7 +490,7 @@ mod tests {
     impl SimProcess for TimersOnly {
         fn init(&mut self, ctx: &mut SimContext) {
             ctx.timer(SimTime::from_millis(5), 10);
-            ctx.runtime(0, SimTime::from_millis(2), 20, "schedule".to_string());
+            ctx.runtime(0, SimTime::from_millis(2), 20);
         }
         fn on_completion(&mut self, completion: Completion, _ctx: &mut SimContext) {
             self.fired.push(completion.token());
@@ -580,9 +504,7 @@ mod tests {
         let makespan = engine.run(&mut proc);
         assert_eq!(makespan, SimTime::from_millis(5));
         assert_eq!(proc.fired, vec![20, 10]);
-        let (stats, trace) = engine.finish();
-        assert_eq!(stats.events_processed, 2);
-        assert_eq!(trace.total_time(TraceKind::Runtime), SimTime::from_millis(2));
+        assert_eq!(engine.finish().events_processed, 2);
     }
 
     /// Stop command halts the run even with pending events.
@@ -675,12 +597,8 @@ mod tests {
             let mut engine = Engine::new(two_node_config());
             let mut proc = PingPong { remaining: 3, transfers_seen: 0 };
             engine.run(&mut proc);
-            let (stats, trace) = engine.finish();
-            (stats, trace.to_json())
+            engine.finish()
         };
-        let (s1, t1) = run();
-        let (s2, t2) = run();
-        assert_eq!(s1, s2);
-        assert_eq!(t1, t2);
+        assert_eq!(run(), run());
     }
 }

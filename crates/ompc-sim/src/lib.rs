@@ -30,11 +30,9 @@ pub mod engine;
 pub mod resources;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use config::{ClusterConfig, NetworkConfig, NodeConfig};
 pub use engine::{Command, Completion, Engine, SimContext, SimProcess, Token};
 pub use resources::{CorePool, NicChannels};
 pub use stats::{NodeStats, SimStats};
 pub use time::SimTime;
-pub use trace::{Trace, TraceEvent, TraceKind};

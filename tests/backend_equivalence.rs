@@ -200,13 +200,13 @@ fn backends_respect_dependences_under_wide_windows() {
     });
 }
 
-/// Task-train batching is a message-*packaging* optimisation only: with
-/// batching on or off, the MPI backend must produce the same decisions as
-/// the simulated and threaded backends — strict equality of dispatch and
+/// Task-train batching is a message-*packaging* optimisation only: the MPI
+/// backend, which always batches, must produce the same decisions as the
+/// simulated and threaded backends — strict equality of dispatch and
 /// completion orders at a serial window, set-equality of the transfer plan
 /// (and a dependence-respecting completion permutation) at a wide window.
 #[test]
-fn task_train_batching_matrix_is_equivalent_three_ways() {
+fn task_train_matrix_is_equivalent_three_ways() {
     with_timeout(WATCHDOG, || {
         for seed in 0..6u64 {
             let mut rng = Rng::new(2000 + seed);
@@ -228,53 +228,49 @@ fn task_train_batching_matrix_is_equivalent_three_ways() {
                 .unwrap();
                 let threaded_record =
                     device_record(BackendKind::Threaded, workers, &config, &workload, &plan);
-                for batching in [true, false] {
-                    let mpi_config = OmpcConfig { task_train_batching: batching, ..config.clone() };
-                    let record =
-                        device_record(BackendKind::Mpi, workers, &mpi_config, &workload, &plan);
-                    let tag = format!("seed {seed} window {window} batching {batching}");
-                    assert_eq!(sim_record.assignment, record.assignment, "{tag}: assignment");
-                    if strict {
-                        assert_eq!(
-                            sim_record.dispatch_order, record.dispatch_order,
-                            "{tag}: dispatch order"
-                        );
-                        assert_eq!(
-                            sim_record.completion_order, record.completion_order,
-                            "{tag}: completion order"
-                        );
-                        assert_eq!(
-                            threaded_record.completion_order, record.completion_order,
-                            "{tag}: threaded vs mpi completion order"
-                        );
-                        assert_eq!(
-                            input_transfers(&sim_record),
-                            input_transfers(&record),
-                            "{tag}: input-transfer plan"
-                        );
-                    } else {
-                        let mut seen = record.completion_order.clone();
-                        seen.sort_unstable();
-                        assert_eq!(
-                            seen,
-                            (0..workload.len()).collect::<Vec<_>>(),
-                            "{tag}: every task exactly once"
-                        );
-                        assert!(
-                            is_topological(&record.completion_order, &workload),
-                            "{tag}: dependence-respecting completion order"
-                        );
-                        assert!(record.peak_in_flight <= window, "{tag}: window bound");
-                        let sort = |mut v: Vec<TransferRecord>| {
-                            v.sort_by_key(|t| (t.buffer, t.from, t.to, t.bytes));
-                            v
-                        };
-                        assert_eq!(
-                            sort(input_transfers(&sim_record)),
-                            sort(input_transfers(&record)),
-                            "{tag}: input-transfer set"
-                        );
-                    }
+                let record = device_record(BackendKind::Mpi, workers, &config, &workload, &plan);
+                let tag = format!("seed {seed} window {window}");
+                assert_eq!(sim_record.assignment, record.assignment, "{tag}: assignment");
+                if strict {
+                    assert_eq!(
+                        sim_record.dispatch_order, record.dispatch_order,
+                        "{tag}: dispatch order"
+                    );
+                    assert_eq!(
+                        sim_record.completion_order, record.completion_order,
+                        "{tag}: completion order"
+                    );
+                    assert_eq!(
+                        threaded_record.completion_order, record.completion_order,
+                        "{tag}: threaded vs mpi completion order"
+                    );
+                    assert_eq!(
+                        input_transfers(&sim_record),
+                        input_transfers(&record),
+                        "{tag}: input-transfer plan"
+                    );
+                } else {
+                    let mut seen = record.completion_order.clone();
+                    seen.sort_unstable();
+                    assert_eq!(
+                        seen,
+                        (0..workload.len()).collect::<Vec<_>>(),
+                        "{tag}: every task exactly once"
+                    );
+                    assert!(
+                        is_topological(&record.completion_order, &workload),
+                        "{tag}: dependence-respecting completion order"
+                    );
+                    assert!(record.peak_in_flight <= window, "{tag}: window bound");
+                    let sort = |mut v: Vec<TransferRecord>| {
+                        v.sort_by_key(|t| (t.buffer, t.from, t.to, t.bytes));
+                        v
+                    };
+                    assert_eq!(
+                        sort(input_transfers(&sim_record)),
+                        sort(input_transfers(&record)),
+                        "{tag}: input-transfer set"
+                    );
                 }
             }
         }
@@ -300,7 +296,9 @@ fn window_is_honored_and_bottleneck_reproduces() {
 
     let run = |window: usize| {
         let config = OmpcConfig { max_inflight_tasks: Some(window), ..OmpcConfig::default() };
-        simulate_ompc_recorded(&workload, &cluster, &config, &OverheadModel::default()).unwrap()
+        simulate_ompc_outcome(&workload, &cluster, &config, &OverheadModel::default(), None)
+            .into_result()
+            .unwrap()
     };
     let (narrow_result, narrow_record) = run(2);
     let (wide_result, wide_record) = run(width);

@@ -117,7 +117,8 @@ fn lifting_the_in_flight_limit_restores_scalability() {
     let cfg = TaskBenchConfig::new(DependencePattern::Trivial, 2 * nodes, 8, 10_000_000, 0);
     let workload = generate_workload(&cfg);
     let limited = ompc_time(&workload, nodes, &OmpcConfig::default());
-    let unlimited_cfg = OmpcConfig { enforce_in_flight_limit: false, ..OmpcConfig::default() };
+    let unlimited_cfg =
+        OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
     let unlimited = ompc_time(&workload, nodes, &unlimited_cfg);
     assert!(
         unlimited < limited * 0.6,
@@ -135,8 +136,17 @@ fn forwarding_beats_staging_through_the_head() {
     cfg.output_bytes = cfg.bytes_for_ccr(1.0, &NetworkConfig::infiniband());
     let workload = generate_workload(&cfg);
     let forwarding = ompc_time(&workload, nodes, &OmpcConfig::default());
-    let staged_cfg = OmpcConfig { worker_to_worker_forwarding: false, ..OmpcConfig::default() };
-    let staged = ompc_time(&workload, nodes, &staged_cfg);
+    let staged_model =
+        OverheadModel { worker_to_worker_forwarding: false, ..OverheadModel::default() };
+    let staged = simulate_ompc(
+        &workload,
+        &ClusterConfig::santos_dumont(nodes),
+        &OmpcConfig::default(),
+        &staged_model,
+    )
+    .unwrap()
+    .makespan
+    .as_secs_f64();
     assert!(
         staged > forwarding * 1.1,
         "staging through the head ({staged}) must be noticeably slower than forwarding ({forwarding})"

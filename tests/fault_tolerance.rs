@@ -231,7 +231,6 @@ fn train_car_errors_blame_only_the_failing_task() {
             max_inflight_tasks: Some(8),
             ..OmpcConfig::small()
         };
-        assert!(config.task_train_batching, "batching is the default under test");
         let device = ClusterDevice::with_config(1, config);
         let counter = Arc::new(AtomicUsize::new(0));
         let count = {
@@ -279,7 +278,6 @@ fn mid_train_node_death_recovers_on_the_survivors() {
         let mut config = fault_config(FaultPlan::none().fail_after_completions(1, 1));
         config.backend = BackendKind::Mpi;
         config.max_inflight_tasks = Some(n);
-        assert!(config.task_train_batching, "batching is the default under test");
         let plan = RuntimePlan { assignment, window: config.inflight_window() };
         let mut device = ClusterDevice::with_config(2, config);
         let record = device.run_workload(&workload, &plan).unwrap();
