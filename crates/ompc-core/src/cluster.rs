@@ -21,6 +21,7 @@ use crate::model::WorkloadGraph;
 use crate::protocol::{COMPLETION_TAG, PREFETCH_TAG};
 use crate::region::TargetRegion;
 use crate::runtime::fault::{FaultPlan, FaultState};
+use crate::runtime::lowering::{Commit, DataPath, Lowering};
 use crate::runtime::mpi::NoticeRouter;
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::runtime::{
@@ -40,6 +41,12 @@ use std::time::Instant;
 
 /// A host-task body: runs on the head node with access to the host buffers.
 pub type HostFn = Arc<dyn Fn(&BufferRegistry) + Send + Sync>;
+
+/// How a device-level lazy flush is committed: outside any region, as a
+/// `HostFlush` span with the given detail.
+fn host_flush(detail: &'static str) -> Commit {
+    Commit { region: UNATTRIBUTED, phase: SpanPhase::HostFlush, task: None, detail }
+}
 
 /// Compatibility key of a parked worker pool: only a device asking for the
 /// same worker count, communicator fan-out, handler threads, and reply
@@ -449,32 +456,9 @@ impl ClusterDevice {
                 None => return Ok(ticket),
             }
         };
-        let events = Arc::clone(&self.events);
-        let buffers = Arc::clone(&self.buffers);
-        let dm = Arc::clone(&self.dm);
-        let cv = Arc::clone(&self.inflight_cv);
-        let hold = Arc::clone(&self.async_hold);
-        let telemetry = Arc::clone(&self.telemetry);
-        let submitted = self.transfer_pool.submit_closure(Box::new(move || {
-            Self::wait_hold(&hold);
-            let outcome = Self::retrieve_and_commit(
-                &events,
-                &buffers,
-                &dm,
-                &telemetry,
-                from,
-                buffer,
-                "double-buffered flush",
-            );
-            let mut dm = dm.lock();
-            dm.finish_inflight(buffer, HEAD_NODE, outcome);
-            drop(dm);
-            cv.notify_all();
-        }));
-        if submitted.is_err() {
-            self.dm.lock().finish_inflight(buffer, HEAD_NODE, Err(OmpcError::ShutDown));
-            self.inflight_cv.notify_all();
-        }
+        self.spawn_async_job(vec![(buffer, HEAD_NODE)], move |path| {
+            vec![path.retrieve_and_commit(from, buffer, &host_flush("double-buffered flush"))]
+        });
         Ok(ticket)
     }
 
@@ -527,70 +511,53 @@ impl ClusterDevice {
         }
     }
 
-    /// Body of one single-transfer async job: push the planned movement
-    /// over the wire and record a `Prefetch` span for the overlap.
-    fn run_async_submit(
-        events: &EventSystem,
-        buffers: &BufferRegistry,
-        dm: &Mutex<DataManager>,
-        telemetry: &Telemetry,
-        plan: &TransferPlan,
-        detail: &'static str,
-    ) -> OmpcResult<()> {
-        // The destination may have died while the job sat in the queue (or
-        // behind the hold gate): fail without touching the wire, so the
-        // booking rolls back deterministically.
-        if dm.lock().is_failed(plan.to) {
-            return Err(OmpcError::NodeFailure(plan.to));
-        }
-        let t0 = telemetry.start();
-        let moved = if plan.from == HEAD_NODE {
-            // A one-car train, not a plain submit: the worker's gate thread
-            // handles trains inline, so the arrival can never queue behind a
-            // composite task blocked awaiting this very transfer (the MPI
-            // backend's `AwaitLocal` step) on a small handler pool.
-            buffers
-                .get(plan.buffer)
-                .and_then(|data| events.submit_train(plan.to, vec![(plan.buffer, data)]))
-        } else {
-            events.exchange(plan.from, plan.to, plan.buffer).map(|_| ())
-        };
-        if moved.is_ok() && telemetry.spans_enabled() {
-            let bytes = buffers.size_of(plan.buffer).unwrap_or(0) as u64;
-            telemetry.record(
-                Span::new(SpanPhase::Prefetch, plan.to, t0, monotonic_us())
-                    .bytes(bytes)
-                    .from(plan.from)
-                    .detail(detail),
-            );
-        }
-        moved
-    }
-
-    /// Submit one booked async movement to the transfer pool. If the pool
-    /// is already drained (device shutting down) the booking is resolved as
-    /// failed immediately so no waiter ever blocks on a job that will not
-    /// run.
-    fn spawn_transfer_job(&self, plan: TransferPlan, detail: &'static str) {
-        let events = Arc::clone(&self.events);
-        let buffers = Arc::clone(&self.buffers);
-        let dm = Arc::clone(&self.dm);
-        let cv = Arc::clone(&self.inflight_cv);
-        let hold = Arc::clone(&self.async_hold);
-        let telemetry = Arc::clone(&self.telemetry);
-        let (buffer, to) = (plan.buffer, plan.to);
-        let submitted = self.transfer_pool.submit_closure(Box::new(move || {
-            Self::wait_hold(&hold);
-            let outcome = Self::run_async_submit(&events, &buffers, &dm, &telemetry, &plan, detail);
+    /// Run `job` on the transfer pool on behalf of `bookings` — in-flight
+    /// entries already booked in the data manager, as `(buffer, node)` — and
+    /// resolve each with the outcome the job returns for it (one per
+    /// booking, in order), waking every waiter. If the pool is already
+    /// drained (device shutting down) the bookings are resolved as failed
+    /// immediately, so no waiter ever blocks on a job that will not run.
+    fn spawn_async_job(
+        &self,
+        bookings: Vec<(BufferId, NodeId)>,
+        job: impl FnOnce(&DataPath) -> Vec<OmpcResult<()>> + Send + 'static,
+    ) {
+        let resolve = |dm: &Mutex<DataManager>,
+                       cv: &Condvar,
+                       bookings: &[(BufferId, NodeId)],
+                       outcomes: Vec<OmpcResult<()>>| {
             let mut dm = dm.lock();
-            dm.finish_inflight(buffer, to, outcome);
+            for (&(buffer, node), outcome) in bookings.iter().zip(outcomes) {
+                dm.finish_inflight(buffer, node, outcome);
+            }
             drop(dm);
             cv.notify_all();
+        };
+        let path = self.data_path();
+        let cv = Arc::clone(&self.inflight_cv);
+        let hold = Arc::clone(&self.async_hold);
+        let queued = bookings.clone();
+        let submitted = self.transfer_pool.submit_closure(Box::new(move || {
+            Self::wait_hold(&hold);
+            let outcomes = job(&path);
+            resolve(&path.dm, &cv, &queued, outcomes);
         }));
         if submitted.is_err() {
-            self.dm.lock().finish_inflight(buffer, to, Err(OmpcError::ShutDown));
-            self.inflight_cv.notify_all();
+            let outcomes = bookings.iter().map(|_| Err(OmpcError::ShutDown)).collect();
+            resolve(&self.dm, &self.inflight_cv, &bookings, outcomes);
         }
+    }
+
+    /// Submit one booked async movement to the transfer pool: push it over
+    /// the wire and record a `Prefetch` span for the overlap.
+    fn spawn_transfer_job(&self, plan: TransferPlan, detail: &'static str) {
+        self.spawn_async_job(vec![(plan.buffer, plan.to)], move |path| {
+            // A one-car train, not a plain submit: the worker's gate thread
+            // handles trains inline, so the arrival can never queue behind a
+            // composite task blocked awaiting this very transfer (its
+            // `AwaitLocal` step) on a small handler pool.
+            vec![Self::run_prefetch(path, plan.from, plan.to, &[plan.buffer], detail)]
+        });
     }
 
     /// Submit one per-node prefetch *train* (MPI backend): every payload
@@ -599,90 +566,64 @@ impl ClusterDevice {
     /// round-trip instead of k. All-or-nothing: a failed train rolls back
     /// every booking it carried.
     fn spawn_train_job(&self, node: NodeId, plans: Vec<TransferPlan>) {
-        let events = Arc::clone(&self.events);
-        let buffers = Arc::clone(&self.buffers);
-        let dm = Arc::clone(&self.dm);
-        let cv = Arc::clone(&self.inflight_cv);
-        let hold = Arc::clone(&self.async_hold);
-        let telemetry = Arc::clone(&self.telemetry);
-        let submitted = {
-            let plans = plans.clone();
-            self.transfer_pool.submit_closure(Box::new(move || {
-                Self::wait_hold(&hold);
-                let outcome: OmpcResult<()> = (|| {
-                    if dm.lock().is_failed(node) {
-                        return Err(OmpcError::NodeFailure(node));
-                    }
-                    let t0 = telemetry.start();
-                    let mut cars = Vec::with_capacity(plans.len());
-                    let mut total = 0u64;
-                    for plan in &plans {
-                        let data = buffers.get(plan.buffer)?;
-                        total += data.len() as u64;
-                        cars.push((plan.buffer, data));
-                    }
-                    events.submit_train(node, cars)?;
-                    if telemetry.spans_enabled() {
-                        telemetry.record(
-                            Span::new(SpanPhase::Prefetch, node, t0, monotonic_us())
-                                .bytes(total)
-                                .from(HEAD_NODE)
-                                .detail("prefetch train"),
-                        );
-                    }
-                    Ok(())
-                })();
-                let mut dm = dm.lock();
-                for plan in &plans {
-                    dm.finish_inflight(
-                        plan.buffer,
-                        node,
-                        outcome.as_ref().map(|_| ()).map_err(Clone::clone),
-                    );
-                }
-                drop(dm);
-                cv.notify_all();
-            }))
-        };
-        if submitted.is_err() {
-            let mut dm = self.dm.lock();
-            for plan in &plans {
-                dm.finish_inflight(plan.buffer, node, Err(OmpcError::ShutDown));
-            }
-            drop(dm);
-            self.inflight_cv.notify_all();
-        }
+        let buffers: Vec<BufferId> = plans.iter().map(|p| p.buffer).collect();
+        let bookings = buffers.iter().map(|&b| (b, node)).collect();
+        self.spawn_async_job(bookings, move |path| {
+            let outcome = Self::run_prefetch(path, HEAD_NODE, node, &buffers, "prefetch train");
+            vec![outcome; buffers.len()]
+        });
     }
 
-    /// Retrieve `buffer` from `from` and commit it to the host registry
-    /// (shared body of the synchronous and double-buffered lazy flushes).
-    fn retrieve_and_commit(
-        events: &EventSystem,
-        buffers: &BufferRegistry,
-        dm: &Mutex<DataManager>,
-        telemetry: &Telemetry,
+    /// Body of an async movement of `buffers` from `from` to `to`: a submit
+    /// train from the head, an exchange between workers.
+    fn run_prefetch(
+        path: &DataPath,
         from: NodeId,
-        buffer: BufferId,
+        to: NodeId,
+        buffers: &[BufferId],
         detail: &'static str,
     ) -> OmpcResult<()> {
-        let t0 = telemetry.start();
-        let data = events.retrieve(from, buffer)?;
-        let bytes = data.len() as u64;
-        if telemetry.spans_enabled() {
-            telemetry.record(
-                Span::new(SpanPhase::HostFlush, HEAD_NODE, t0, monotonic_us())
-                    .bytes(bytes)
+        // The destination may have died while the job sat in the queue (or
+        // behind the hold gate): fail without touching the wire, so the
+        // bookings roll back deterministically.
+        if path.dm.lock().is_failed(to) {
+            return Err(OmpcError::NodeFailure(to));
+        }
+        let t0 = path.telemetry.start();
+        let mut total = 0u64;
+        if from == HEAD_NODE {
+            let mut cars = Vec::with_capacity(buffers.len());
+            for &buffer in buffers {
+                let data = path.buffers.get(buffer)?;
+                total += data.len() as u64;
+                cars.push((buffer, data));
+            }
+            path.events.submit_train(to, cars)?;
+        } else {
+            for &buffer in buffers {
+                total += path.events.exchange(from, to, buffer)?;
+            }
+        }
+        if path.telemetry.spans_enabled() {
+            path.telemetry.record(
+                Span::new(SpanPhase::Prefetch, to, t0, monotonic_us())
+                    .bytes(total)
                     .from(from)
                     .detail(detail),
             );
         }
-        buffers.set(buffer, data)?;
-        let mut dm = dm.lock();
-        // A kernel may have resized the device copy; the observed size
-        // keeps this and every later transfer-log entry truthful.
-        dm.observe_size(buffer, bytes);
-        dm.record_retrieve(buffer);
         Ok(())
+    }
+
+    /// The device's data-path machinery, as its jobs and region executions
+    /// take it.
+    fn data_path(&self) -> DataPath {
+        DataPath {
+            events: Arc::clone(&self.events),
+            buffers: Arc::clone(&self.buffers),
+            dm: Arc::clone(&self.dm),
+            telemetry: Arc::clone(&self.telemetry),
+        }
     }
 
     /// Device-level unstructured `target exit data map(from:)`: flush the
@@ -742,15 +683,8 @@ impl ClusterDevice {
                 }
             }
         };
-        let outcome = Self::retrieve_and_commit(
-            &self.events,
-            &self.buffers,
-            &self.dm,
-            &self.telemetry,
-            from,
-            buffer,
-            "lazy host flush",
-        );
+        let outcome =
+            self.data_path().retrieve_and_commit(from, buffer, &host_flush("lazy host flush"));
         {
             let mut dm = self.dm.lock();
             dm.finish_inflight(
@@ -1278,27 +1212,12 @@ impl ClusterDevice {
     /// every destination's in-flight booking individually — a tree is one
     /// ticket whose waiters resolve per-destination.
     fn spawn_broadcast_job(&self, spec: BroadcastSpec) {
-        let events = Arc::clone(&self.events);
-        let buffers = Arc::clone(&self.buffers);
-        let dm = Arc::clone(&self.dm);
-        let cv = Arc::clone(&self.inflight_cv);
-        let hold = Arc::clone(&self.async_hold);
-        let telemetry = Arc::clone(&self.telemetry);
-        let fallback = spec.clone();
-        let submitted = self.transfer_pool.submit_closure(Box::new(move || {
-            Self::wait_hold(&hold);
+        let bookings = spec.destinations.iter().map(|&node| (spec.buffer, node)).collect();
+        self.spawn_async_job(bookings, move |path| {
             let payload = if spec.source == HEAD_NODE {
-                match buffers.get(spec.buffer) {
+                match path.buffers.get(spec.buffer) {
                     Ok(data) => Some(data),
-                    Err(e) => {
-                        let mut dm = dm.lock();
-                        for &node in &spec.destinations {
-                            dm.finish_inflight(spec.buffer, node, Err(e.clone()));
-                        }
-                        drop(dm);
-                        cv.notify_all();
-                        return;
-                    }
+                    Err(e) => return vec![Err(e); spec.destinations.len()],
                 }
             } else {
                 None
@@ -1307,28 +1226,17 @@ impl ClusterDevice {
                 bytes: payload.as_ref().map(|d| d.len() as u64).unwrap_or(spec.bytes),
                 ..spec
             };
-            let outcome = run_broadcast(&events, &telemetry, &spec, payload.as_deref());
-            let mut dm = dm.lock();
-            for edge in &outcome.delivered {
-                if edge.from != spec.source {
-                    dm.retarget_deferred_from(spec.buffer, edge.to, edge.from);
-                }
-                dm.finish_inflight(spec.buffer, edge.to, Ok(()));
+            let outcome = run_broadcast(&path.events, &path.telemetry, &spec, payload.as_deref());
+            let mut dm = path.dm.lock();
+            for edge in outcome.delivered.iter().filter(|edge| edge.from != spec.source) {
+                dm.retarget_deferred_from(spec.buffer, edge.to, edge.from);
             }
-            for (node, error) in &outcome.failed {
-                dm.finish_inflight(spec.buffer, *node, Err(error.clone()));
-            }
-            drop(dm);
-            cv.notify_all();
-        }));
-        if submitted.is_err() {
-            let mut dm = self.dm.lock();
-            for &node in &fallback.destinations {
-                dm.finish_inflight(fallback.buffer, node, Err(OmpcError::ShutDown));
-            }
-            drop(dm);
-            self.inflight_cv.notify_all();
-        }
+            let outcome_of = |node: &NodeId| match outcome.failed.iter().find(|(n, _)| n == node) {
+                Some((_, error)) => Err(error.clone()),
+                None => Ok(()),
+            };
+            spec.destinations.iter().map(outcome_of).collect()
+        });
     }
 
     /// Execute a region graph through the unified execution core. Called by
@@ -1564,42 +1472,24 @@ impl ClusterDevice {
             None => RuntimeCore::new(graph.as_ref(), plan),
         };
         core.set_telemetry(Arc::clone(telemetry));
-        let result = match self.config.backend {
-            BackendKind::Threaded => {
-                let backend = ThreadedBackend::new(
-                    &self.pool,
-                    Arc::clone(&self.events),
-                    Arc::clone(&self.buffers),
-                    Arc::clone(&self.dm),
-                    region,
-                    graph,
-                    host_fns,
-                    &self.config,
-                    Arc::clone(telemetry),
-                    Arc::clone(&self.inflight_cv),
-                );
-                backend.execute(&mut core)
+        let path = DataPath { telemetry: Arc::clone(telemetry), ..self.data_path() };
+        let cv = Arc::clone(&self.inflight_cv);
+        let result =
+            Lowering::new(path, cv, region, graph, host_fns, &self.config).and_then(|lowering| {
+                match self.config.backend {
+                BackendKind::Threaded => {
+                    ThreadedBackend::new(&self.pool, lowering).execute(&mut core)
+                }
+                BackendKind::Mpi => {
+                    MpiBackend::new(lowering, Arc::clone(&self.notice_router)).execute(&mut core)
+                }
+                BackendKind::Sim => Err(OmpcError::InvalidConfig(
+                    "a ClusterDevice cannot drive the simulated backend; use the simulate_ompc* \
+                     entry points instead"
+                        .to_string(),
+                )),
             }
-            BackendKind::Mpi => {
-                let backend = MpiBackend::new(
-                    Arc::clone(&self.events),
-                    Arc::clone(&self.buffers),
-                    Arc::clone(&self.dm),
-                    region,
-                    graph,
-                    host_fns,
-                    &self.config,
-                    Arc::clone(telemetry),
-                    Arc::clone(&self.notice_router),
-                );
-                backend.execute(&mut core)
-            }
-            BackendKind::Sim => Err(OmpcError::InvalidConfig(
-                "a ClusterDevice cannot drive the simulated backend; use the simulate_ompc* \
-                 entry points instead"
-                    .to_string(),
-            )),
-        };
+            });
         let mut record = core.record();
         // The data manager logged every transfer this run planned under
         // its region namespace (including any planned for work that later

@@ -47,6 +47,44 @@ impl EventCounters {
     }
 }
 
+/// The exclusive channel an outstanding event's typed reply arrives on,
+/// as returned by the `post*` half of a verb: whoever holds it either blocks
+/// in [`EventSystem::await_reply`] or probes the channel itself and hands the
+/// raw reply to [`EventSystem::accept_reply`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplyChannel {
+    /// Node that will reply.
+    pub(crate) node: NodeId,
+    /// Tag of the event's channel.
+    pub(crate) tag: Tag,
+    /// Communicator of the event's channel.
+    pub(crate) comm: CommId,
+    moved: Moved,
+}
+
+/// An event's typed reply as the head sees it: the payload plus — when the
+/// event was timed — the worker's stamps, or the typed error.
+pub(crate) type TypedReply = OmpcResult<(Vec<u8>, Option<TaskStamps>)>;
+
+/// How a successful reply is entered into the [`EventCounters`].
+#[derive(Debug, Clone, Copy)]
+enum Moved {
+    /// A control event: no payload either way.
+    Nothing,
+    /// The head sent this many payload bytes along with the event.
+    Sent(u64),
+    /// The reply payload is the data (a retrieve).
+    Payload,
+    /// The reply payload is the receiver's byte-count acknowledgement (an
+    /// exchange).
+    Acked,
+}
+
+/// The byte count an exchange receiver acknowledged.
+fn acked_bytes(ack: &[u8]) -> u64 {
+    ack.get(..8).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes).unwrap_or(0)
+}
+
 /// Head-node handle used to drive worker nodes through events.
 #[derive(Debug)]
 pub struct EventSystem {
@@ -74,28 +112,92 @@ impl EventSystem {
         }
     }
 
-    /// Wait for the typed reply of the event on `(tag, comm)` from `node`
-    /// and convert it into the event's result. Worker-side errors arrive
-    /// as decoded [`crate::types::OmpcError::RemoteEvent`] values; a timed-out or
-    /// undeliverable reply is a [`crate::types::OmpcError::Communication`].
-    fn await_reply(&self, node: NodeId, tag: Tag, comm: CommId) -> OmpcResult<Vec<u8>> {
-        self.await_reply_timed(node, tag, comm).map(|(payload, _)| payload)
-    }
-
-    /// [`EventSystem::await_reply`], preserving the worker-side telemetry
-    /// stamps of a timed reply (`None` for ordinary replies).
-    fn await_reply_timed(
+    /// Put one event on the wire without waiting for it: allocate its
+    /// exclusive channel, notify `node`, and return the channel its typed
+    /// reply will arrive on. The head-side half every verb below — and the
+    /// message-passing transport's enter/exit-data path — is built from.
+    pub(crate) fn post(
         &self,
         node: NodeId,
-        tag: Tag,
-        comm: CommId,
-    ) -> OmpcResult<(Vec<u8>, Option<TaskStamps>)> {
-        let channel = self.comm.on(comm)?;
-        let msg = match self.reply_timeout {
-            Some(timeout) => channel.recv_timeout(Some(node), Some(tag), timeout)?,
-            None => channel.recv(Some(node), Some(tag))?,
+        request: EventRequest,
+        timed: bool,
+    ) -> OmpcResult<ReplyChannel> {
+        let (tag, comm) = self.open_channel();
+        let moved = match request {
+            EventRequest::Retrieve { .. } => Moved::Payload,
+            EventRequest::ExchangeRecv { .. } => Moved::Acked,
+            _ => Moved::Nothing,
         };
-        EventReply::decode(&msg.data)?.into_timed_result()
+        self.notify(node, &EventNotification { request, tag, comm, timed })?;
+        Ok(ReplyChannel { node, tag, comm, moved })
+    }
+
+    /// [`EventSystem::post`] a submit of `data` into `buffer` on `node`
+    /// (host → worker): the payload follows the notification on the
+    /// event's channel.
+    pub(crate) fn post_submit(
+        &self,
+        node: NodeId,
+        buffer: BufferId,
+        data: Vec<u8>,
+    ) -> OmpcResult<ReplyChannel> {
+        let bytes = data.len() as u64;
+        let channel = self.post(node, EventRequest::Submit { buffer }, false)?;
+        self.comm.on(channel.comm)?.send(node, channel.tag, data)?;
+        Ok(ReplyChannel { moved: Moved::Sent(bytes), ..channel })
+    }
+
+    /// [`EventSystem::post`] both halves of a worker-to-worker forward of
+    /// `buffer` on one channel; the receiver `to` owns the reply. A failure
+    /// of the *sending* half travels through the receiver (the sender
+    /// forwards its error envelope instead of the data), so the head never
+    /// hangs on a half-completed exchange.
+    pub(crate) fn post_exchange(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        buffer: BufferId,
+    ) -> OmpcResult<ReplyChannel> {
+        let channel = self.post(to, EventRequest::ExchangeRecv { buffer, from }, false)?;
+        let request = EventRequest::ExchangeSend { buffer, to };
+        let (tag, comm) = (channel.tag, channel.comm);
+        self.notify(from, &EventNotification { request, tag, comm, timed: false })?;
+        Ok(channel)
+    }
+
+    /// Block (bounded by the reply timeout) for the typed reply on
+    /// `channel` and convert it into the event's result. Worker-side errors
+    /// arrive as decoded [`crate::types::OmpcError::RemoteEvent`] values; a
+    /// timed-out or undeliverable reply is a
+    /// [`crate::types::OmpcError::Communication`].
+    pub(crate) fn await_reply(&self, channel: &ReplyChannel) -> TypedReply {
+        let lane = self.comm.on(channel.comm)?;
+        let msg = match self.reply_timeout {
+            Some(timeout) => lane.recv_timeout(Some(channel.node), Some(channel.tag), timeout)?,
+            None => lane.recv(Some(channel.node), Some(channel.tag))?,
+        };
+        self.accept_reply(channel, &msg.data)
+    }
+
+    /// Decode a reply already received on `channel` (a transport that
+    /// probes instead of blocking hands the raw message here) and count the
+    /// event — only once it is known to have succeeded. A timed reply keeps
+    /// its worker-side [`TaskStamps`].
+    pub(crate) fn accept_reply(&self, channel: &ReplyChannel, data: &[u8]) -> TypedReply {
+        let (payload, stamps) = EventReply::decode(data)?.into_timed_result()?;
+        self.counters.record(match channel.moved {
+            Moved::Nothing => None,
+            Moved::Sent(bytes) => Some(bytes),
+            Moved::Payload => Some(payload.len() as u64),
+            Moved::Acked => Some(acked_bytes(&payload)),
+        });
+        Ok((payload, stamps))
+    }
+
+    /// Post `request` to `node` and wait for its reply payload.
+    fn call(&self, node: NodeId, request: EventRequest) -> OmpcResult<Vec<u8>> {
+        let channel = self.post(node, request, false)?;
+        self.await_reply(&channel).map(|(payload, _)| payload)
     }
 
     /// Traffic counters (events issued, data events, bytes).
@@ -133,56 +235,19 @@ impl EventSystem {
 
     /// Allocate `size` bytes for `buffer` on `node` and wait for the reply.
     pub fn alloc(&self, node: NodeId, buffer: BufferId, size: usize) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification {
-                request: EventRequest::Alloc { buffer, size: size as u64 },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        self.await_reply(node, tag, comm)?;
-        self.counters.record(None);
-        Ok(())
+        self.call(node, EventRequest::Alloc { buffer, size: size as u64 }).map(|_| ())
     }
 
     /// Free `buffer` on `node` and wait for the reply.
     pub fn delete(&self, node: NodeId, buffer: BufferId) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification {
-                request: EventRequest::Delete { buffer },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        self.await_reply(node, tag, comm)?;
-        self.counters.record(None);
-        Ok(())
+        self.call(node, EventRequest::Delete { buffer }).map(|_| ())
     }
 
     /// Copy `data` into `buffer` on `node` (host → worker) and wait for the
     /// reply.
     pub fn submit(&self, node: NodeId, buffer: BufferId, data: Vec<u8>) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
-        let bytes = data.len() as u64;
-        self.notify(
-            node,
-            &EventNotification {
-                request: EventRequest::Submit { buffer },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        self.comm.on(comm)?.send(node, tag, data)?;
-        self.await_reply(node, tag, comm)?;
-        self.counters.record(Some(bytes));
-        Ok(())
+        let channel = self.post_submit(node, buffer, data)?;
+        self.await_reply(&channel).map(|_| ())
     }
 
     /// Copy several buffers to `node` in one event (host → worker), the
@@ -195,23 +260,14 @@ impl EventSystem {
     /// orphans. A train is all-or-nothing on the wire: a failed car fails
     /// the whole event and the caller rolls back every booked copy.
     pub fn submit_train(&self, node: NodeId, cars: Vec<(BufferId, Vec<u8>)>) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
         let buffers: Vec<BufferId> = cars.iter().map(|(b, _)| *b).collect();
         let sizes: Vec<u64> = cars.iter().map(|(_, d)| d.len() as u64).collect();
-        self.notify(
-            node,
-            &EventNotification {
-                request: EventRequest::SubmitTrain { buffers },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        let channel = self.comm.on(comm)?;
+        let channel = self.post(node, EventRequest::SubmitTrain { buffers }, false)?;
+        let lane = self.comm.on(channel.comm)?;
         for (_, data) in cars {
-            channel.send(node, tag, data)?;
+            lane.send(node, channel.tag, data)?;
         }
-        let outcome = self.await_reply(node, tag, comm).map(|_| ());
+        let outcome = self.await_reply(&channel);
         // Drain the train's single prefetch notice regardless of outcome
         // (the zombie refusal path posts one too); leaving it behind would
         // let a later train drain a stale notice for the wrong event.
@@ -222,6 +278,8 @@ impl EventSystem {
             None => self.comm.recv(Some(node), Some(PREFETCH_TAG)).map(|msg| msg.data),
         };
         outcome?;
+        // The envelope's reply counted the train as one event; each car is
+        // one more data-carrying event, as for a composite task's payloads.
         for bytes in sizes {
             self.counters.record(Some(bytes));
         }
@@ -230,72 +288,24 @@ impl EventSystem {
 
     /// Fetch the contents of `buffer` from `node` (worker → host).
     pub fn retrieve(&self, node: NodeId, buffer: BufferId) -> OmpcResult<Vec<u8>> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification {
-                request: EventRequest::Retrieve { buffer },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        let data = self.await_reply(node, tag, comm)?;
-        self.counters.record(Some(data.len() as u64));
-        Ok(data)
+        self.call(node, EventRequest::Retrieve { buffer })
     }
 
     /// Forward `buffer` directly from worker `from` to worker `to` without
     /// staging it on the head node, and wait for the receiver's reply.
-    /// Returns the number of bytes the receiver acknowledged. A failure of
-    /// the *sending* half travels through the receiver (the sender forwards
-    /// its error envelope instead of the data), so the head never hangs on
-    /// a half-completed exchange.
+    /// Returns the number of bytes the receiver acknowledged.
     pub fn exchange(&self, from: NodeId, to: NodeId, buffer: BufferId) -> OmpcResult<u64> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            to,
-            &EventNotification {
-                request: EventRequest::ExchangeRecv { buffer, from },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        self.notify(
-            from,
-            &EventNotification {
-                request: EventRequest::ExchangeSend { buffer, to },
-                tag,
-                comm,
-                timed: false,
-            },
-        )?;
-        let ack = self.await_reply(to, tag, comm)?;
-        let bytes =
-            u64::from_le_bytes(ack.get(..8).unwrap_or(&[0u8; 8]).try_into().unwrap_or([0u8; 8]));
-        self.counters.record(Some(bytes));
-        Ok(bytes)
+        let channel = self.post_exchange(from, to, buffer)?;
+        self.await_reply(&channel).map(|(ack, _)| acked_bytes(&ack))
     }
 
     /// Run `kernel` on `node` against its device copies of `buffers` and
     /// wait for the reply. An unregistered kernel comes back as
     /// [`crate::types::OmpcError::RemoteEvent`] wrapping
-    /// [`crate::types::OmpcError::UnknownKernel`] — not as a hang.
-    pub fn execute(
-        &self,
-        node: NodeId,
-        kernel: KernelId,
-        buffers: Vec<BufferId>,
-    ) -> OmpcResult<()> {
-        self.execute_timed(node, kernel, buffers, false).map(|_| ())
-    }
-
-    /// [`EventSystem::execute`] with the notification's `timed` flag under
-    /// caller control: with `timed`, the worker captures its receive /
-    /// dependence-wait / kernel timestamps and the reply carries them back
-    /// ([`TaskStamps`]). With `timed = false` this is byte-identical to
-    /// [`EventSystem::execute`] and the worker reads no clock.
+    /// [`crate::types::OmpcError::UnknownKernel`] — not as a hang. With
+    /// `timed`, the worker captures its receive / dependence-wait / kernel
+    /// timestamps and the reply carries them back ([`TaskStamps`]); without
+    /// it the worker reads no clock.
     pub fn execute_timed(
         &self,
         node: NodeId,
@@ -303,32 +313,15 @@ impl EventSystem {
         buffers: Vec<BufferId>,
         timed: bool,
     ) -> OmpcResult<Option<TaskStamps>> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification {
-                request: EventRequest::Execute { kernel, buffers },
-                tag,
-                comm,
-                timed,
-            },
-        )?;
-        let (_, stamps) = self.await_reply_timed(node, tag, comm)?;
-        self.counters.record(None);
-        Ok(stamps)
+        let channel = self.post(node, EventRequest::Execute { kernel, buffers }, timed)?;
+        self.await_reply(&channel).map(|(_, stamps)| stamps)
     }
 
     /// Clear `node`'s device memory and wait for the acknowledgement —
     /// issued between device lifetimes when warm workers are recycled, so
     /// an adopted worker pool starts from an empty device state.
     pub fn reset(&self, node: NodeId) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification { request: EventRequest::Reset, tag, comm, timed: false },
-        )?;
-        self.await_reply(node, tag, comm)?;
-        Ok(())
+        self.call(node, EventRequest::Reset).map(|_| ())
     }
 
     /// Zero the traffic counters (warm-worker adoption: the next device
@@ -344,22 +337,12 @@ impl EventSystem {
     /// reply. Fire-and-forget — the injector must not block on the node it
     /// just declared dead.
     pub fn kill(&self, node: NodeId) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification { request: EventRequest::Kill, tag, comm, timed: false },
-        )?;
-        Ok(())
+        self.post(node, EventRequest::Kill, false).map(|_| ())
     }
 
     /// Tell `node` to leave its gate loop and terminate.
     pub fn shutdown(&self, node: NodeId) -> OmpcResult<()> {
-        let (tag, comm) = self.open_channel();
-        self.notify(
-            node,
-            &EventNotification { request: EventRequest::Shutdown, tag, comm, timed: false },
-        )?;
-        Ok(())
+        self.post(node, EventRequest::Shutdown, false).map(|_| ())
     }
 }
 

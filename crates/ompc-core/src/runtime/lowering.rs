@@ -1,0 +1,967 @@
+//! The one lowering of a planned task into device operations (paper §4.3
+//! deciding what moves, §4.2 moving it), shared by both real transports.
+//!
+//! [`Lowering::lower`] turns a task plus the [`DataManager`]'s residency
+//! state into the wire vocabulary both transports already speak:
+//!
+//! * a target task becomes a [`Composite`] — `Delete`* / `RecvFromHead` /
+//!   `RecvFromWorker` / `AwaitLocal` / `Alloc` / `Execute` steps with their
+//!   payload frames and exchange-send requests;
+//! * an enter/exit-data task becomes one [`DataEvent`] (`Submit`,
+//!   `ExchangeRecv`+`ExchangeSend`, `Alloc`, `Retrieve`);
+//! * a host task (flushed and run right here, outside every lock), a no-op
+//!   data task, or a task bound for a dead node is [`Lowered::Done`].
+//!
+//! Each lowering comes with its bookkeeping [`Record`] — the transfers it
+//! owns, the replicas it recorded optimistically, the buffers it writes —
+//! and [`Lowering::retire`] settles that record once the transport has the
+//! reply: writes are recorded and stale copies queued for deletion, a
+//! failure rolls every optimistic holder and log entry back, an exit-data
+//! payload is committed to the host, worker stamps become spans.
+//! [`Lowering::abandon`] is the same rollback for a lowering that never
+//! reached the wire.
+//!
+//! The lowering also owns the state both transports used to keep copies of:
+//!
+//! * the **in-flight gate** — `(buffer, node)` pairs whose transfer a task of
+//!   this region owns. A co-located reader lowered meanwhile gets an
+//!   `AwaitLocal` step instead of a second transfer; a failed owner leaves
+//!   its error behind for waiters, so blame survives. Device-level bookings
+//!   (async enter-data, prefetch) stay in the [`DataManager`]'s own table,
+//!   which the gate consults;
+//! * **deferred deletes** — stale and released copies ride the next
+//!   composite to their node as `Delete` prologue steps, or are flushed by
+//!   [`Lowering::flush_deletes`] at the end of the run;
+//! * the **payload-frame cache** — a host buffer forwarded to k nodes is
+//!   cloned out of the registry once per version.
+//!
+//! A transport only *delivers*: it sends (or walks) the steps, obtains the
+//! typed reply, and hands it back.
+
+use super::fault::LostBuffer;
+use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
+use super::RuntimePlan;
+use crate::buffer::BufferRegistry;
+use crate::cluster::HostFn;
+use crate::config::OmpcConfig;
+use crate::data_manager::{DataManager, TransferReason, TransferState, HEAD_NODE};
+use crate::event::{EventSystem, ReplyChannel, TypedReply};
+use crate::protocol::{EventRequest, TaskStep};
+use crate::task::{RegionGraph, TargetTask, TaskKind};
+use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
+use ompc_sched::Platform;
+use parking_lot::{Condvar, Mutex};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
+
+/// The kernel id injected task errors execute against: guaranteed to be
+/// unregistered, so the worker's handler genuinely fails and the error
+/// travels back through the event-reply channel.
+pub(crate) const POISONED_KERNEL: KernelId = KernelId(usize::MAX);
+
+/// `AwaitLocal` bound when no reply timeout is configured: a co-scheduled
+/// transfer that has not landed in this long is considered failed.
+const DEFAULT_AWAIT_LOCAL_MS: u64 = 60_000;
+
+/// The device machinery every head-side data movement runs against.
+#[derive(Clone)]
+pub(crate) struct DataPath {
+    pub(crate) events: Arc<EventSystem>,
+    pub(crate) buffers: Arc<BufferRegistry>,
+    pub(crate) dm: Arc<Mutex<DataManager>>,
+    pub(crate) telemetry: Arc<Telemetry>,
+}
+
+/// Where a retrieval is committed and how its span reads.
+pub(crate) struct Commit {
+    /// Transfer-log namespace the retrieve is recorded under.
+    pub(crate) region: u64,
+    pub(crate) phase: SpanPhase,
+    pub(crate) task: Option<usize>,
+    pub(crate) detail: &'static str,
+}
+
+impl DataPath {
+    /// Fetch the latest version of `buffer` from `from` and commit it to the
+    /// host. Nothing is committed until the bytes land: a failed retrieval
+    /// leaves the location state truthful, so recovery re-sources and
+    /// retries.
+    pub(crate) fn retrieve_and_commit(
+        &self,
+        from: NodeId,
+        buffer: BufferId,
+        how: &Commit,
+    ) -> OmpcResult<()> {
+        let t0 = self.telemetry.start();
+        let data = self.events.retrieve(from, buffer)?;
+        self.commit(from, buffer, data, t0, how)
+    }
+
+    /// The commit half: store the retrieved bytes in the host registry and
+    /// record the retrieve. A kernel may have resized the device copy; the
+    /// observed size keeps this and every later transfer-log entry truthful.
+    fn commit(
+        &self,
+        from: NodeId,
+        buffer: BufferId,
+        data: Vec<u8>,
+        t0: u64,
+        how: &Commit,
+    ) -> OmpcResult<()> {
+        let bytes = data.len() as u64;
+        self.buffers.set(buffer, data)?;
+        {
+            let mut dm = self.dm.lock();
+            dm.observe_size(buffer, bytes);
+            dm.record_retrieve_in(how.region, buffer);
+        }
+        if self.telemetry.spans_enabled() {
+            let span = Span::new(how.phase, HEAD_NODE, t0, monotonic_us())
+                .bytes(bytes)
+                .from(from)
+                .detail(how.detail);
+            self.telemetry.record(match how.task {
+                Some(task) => span.task(task).attempt(self.telemetry.attempt(task)),
+                None => span,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// A target task in wire form: the ordered steps the executing node
+/// performs, plus what the head must put on the wire for them.
+#[derive(Default)]
+pub(crate) struct Composite {
+    pub(crate) steps: Vec<TaskStep>,
+    /// Host payload frames for the `RecvFromHead` steps, in step order.
+    /// Shared with the payload cache.
+    pub(crate) payloads: Vec<Arc<Vec<u8>>>,
+    /// Per `RecvFromWorker` step, in step order: the source node, the
+    /// exchange-send request it must be told, and the bytes it will move.
+    pub(crate) exchanges: Vec<(NodeId, EventRequest, u64)>,
+}
+
+/// The single event an enter/exit-data task lowers to.
+pub(crate) enum DataEvent {
+    Submit { node: NodeId, buffer: BufferId, frame: Arc<Vec<u8>> },
+    Exchange { from: NodeId, to: NodeId, buffer: BufferId },
+    Alloc { node: NodeId, buffer: BufferId, size: u64 },
+    Retrieve { from: NodeId, buffer: BufferId },
+}
+
+/// What [`Lowering::lower`] made of a task.
+pub(crate) enum Lowered {
+    /// Nothing to deliver: the task is complete.
+    Done,
+    /// Deliver the composite to the task's node; retire with its reply.
+    Task(Composite, Record),
+    /// [`Lowering::post`] the event; retire with its reply.
+    Event(DataEvent, Record),
+}
+
+/// What the head must settle when a lowered task's reply arrives.
+pub(crate) struct Record {
+    /// The node the task's effects land on (for an exit-data retrieval, the
+    /// node the bytes come from).
+    node: NodeId,
+    kind: RecordKind,
+}
+
+enum RecordKind {
+    Target {
+        /// Buffers whose inbound transfer to `node` this task owns.
+        owned: Vec<BufferId>,
+        /// Output replicas on `node` recorded optimistically for alloc steps.
+        allocs: Vec<BufferId>,
+        /// Buffers the task writes.
+        writes: Vec<BufferId>,
+        /// Deferred deletes attached as prologue steps.
+        deletes: Vec<BufferId>,
+    },
+    /// `planned`: the holder entry was written optimistically by the plan
+    /// (rolled back on failure) rather than still to be recorded on success
+    /// (an alloc). `cancelled_delete`: the inbound copy superseded a
+    /// deferred delete of the same pair, which is owed again if it never
+    /// lands.
+    EnterData { buffer: BufferId, planned: bool, cancelled_delete: bool },
+    /// The reply payload is the buffer contents; `release` the device copies
+    /// afterwards unless the buffer is keep-resident.
+    ExitData { buffer: BufferId, release: bool },
+}
+
+/// The gate's view of one owned transfer.
+enum Gate {
+    InFlight,
+    /// The owner failed with this error; waiters receive a clone, so a
+    /// failure caused by a killed source keeps its node attribution.
+    Failed(OmpcError),
+}
+
+#[derive(Default)]
+struct State {
+    gate: HashMap<(u64, NodeId), Gate>,
+    deferred_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
+    /// Buffer id → (registry version, encoded frame).
+    payload_cache: HashMap<u64, (u64, Arc<Vec<u8>>)>,
+}
+
+/// The lowering of one region execution. Shared by the threaded transport's
+/// pool threads; `state` is taken before the data manager, never after.
+pub(crate) struct Lowering {
+    pub(super) path: DataPath,
+    /// Paired with the data manager's mutex: notified whenever an async
+    /// data-path job resolves a device-level booking.
+    inflight_cv: Arc<Condvar>,
+    /// Transfer-log namespace of this execution: the region epoch issued at
+    /// admission.
+    pub(super) region: u64,
+    pub(super) graph: Arc<RegionGraph>,
+    host_fns: HashMap<usize, HostFn>,
+    pub(super) config: OmpcConfig,
+    state: Mutex<State>,
+    /// Paired with `state`: notified whenever a gate entry resolves.
+    gate_cv: Condvar,
+}
+
+impl Lowering {
+    /// Build the lowering of one region execution. Rejects a fault plan
+    /// naming a task the graph does not have.
+    pub(crate) fn new(
+        path: DataPath,
+        inflight_cv: Arc<Condvar>,
+        region: u64,
+        graph: Arc<RegionGraph>,
+        host_fns: HashMap<usize, HostFn>,
+        config: &OmpcConfig,
+    ) -> OmpcResult<Self> {
+        config.fault_plan.validate_task_errors(graph.len())?;
+        Ok(Self {
+            path,
+            inflight_cv,
+            region,
+            graph,
+            host_fns,
+            config: config.clone(),
+            state: Mutex::new(State::default()),
+            gate_cv: Condvar::new(),
+        })
+    }
+
+    fn span(&self, phase: SpanPhase, node: NodeId, t0: u64, task: usize) -> Span {
+        let attempt = self.path.telemetry.attempt(task);
+        Span::new(phase, node, t0, monotonic_us()).task(task).attempt(attempt)
+    }
+
+    /// Lower task `tid`, assigned to `node`. `Err` is a head-side task
+    /// failure (a rejected plan, a failed host flush, a panicking host
+    /// body) with nothing left to roll back.
+    pub(crate) fn lower(&self, tid: usize, node: NodeId) -> OmpcResult<Lowered> {
+        if node != HEAD_NODE && self.path.dm.lock().is_failed(node) {
+            // The failure injector killed this node: the task completes as
+            // a no-op whose (stale) completion the core discards and
+            // restarts on a survivor.
+            return Ok(Lowered::Done);
+        }
+        let task = self.graph.task(TaskId(tid));
+        match &task.kind {
+            TaskKind::Host { .. } => self.run_host_task(tid, task).map(|()| Lowered::Done),
+            TaskKind::EnterData { .. } if node == HEAD_NODE => Ok(Lowered::Done),
+            TaskKind::EnterData { buffer, map } => self.lower_enter(tid, node, *buffer, *map),
+            TaskKind::ExitData { buffer, map } => Ok(self.lower_exit(node, *buffer, *map)),
+            TaskKind::Target { kernel, .. } => self.lower_target(tid, node, task, *kernel),
+        }
+    }
+
+    /// A host task reads through the head's buffer registry, so every read
+    /// buffer whose latest version lives on a worker is flushed home first —
+    /// the host-side analogue of the input transfers a target task plans.
+    /// Graph dependences order this after the producing task's completion.
+    fn run_host_task(&self, tid: usize, task: &TargetTask) -> OmpcResult<()> {
+        for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
+            let from = {
+                let dm = self.path.dm.lock();
+                // A host-only buffer (never mapped to the device) has no
+                // residency entry and nothing to flush.
+                dm.is_registered(dep.buffer).then(|| dm.retrieve_source(dep.buffer)).flatten()
+            };
+            if let Some(from) = from {
+                let how = Commit {
+                    region: self.region,
+                    phase: SpanPhase::HostFlush,
+                    task: Some(tid),
+                    detail: "host task input",
+                };
+                self.path.retrieve_and_commit(from, dep.buffer, &how)?;
+            }
+        }
+        if let Some(body) = self.host_fns.get(&tid) {
+            let buffers = &self.path.buffers;
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(buffers)))
+                .map_err(|_| OmpcError::Internal(format!("host task {tid} panicked")))?;
+        }
+        Ok(())
+    }
+
+    /// Residency-aware distribution: source from the current latest holder —
+    /// a submit from the host for a fresh mapping, a worker-to-worker
+    /// forward when the latest version lives on another worker, and **no
+    /// transfer at all** when the buffer is already present or already on
+    /// its way (OpenMP present-table semantics: re-entering mapped data does
+    /// not copy; the first reader awaits a booked transfer).
+    fn lower_enter(
+        &self,
+        tid: usize,
+        node: NodeId,
+        buffer: BufferId,
+        map: MapType,
+    ) -> OmpcResult<Lowered> {
+        let mut state = self.state.lock();
+        let (event, planned) = match map {
+            MapType::To | MapType::ToFrom | MapType::ToResident => {
+                let reason = TransferReason::EnterData;
+                let plan =
+                    self.path.dm.lock().plan_input_as_in(self.region, buffer, node, reason)?;
+                match plan {
+                    None => return Ok(Lowered::Done),
+                    Some(plan) if plan.from != HEAD_NODE => {
+                        (DataEvent::Exchange { from: plan.from, to: node, buffer }, true)
+                    }
+                    Some(_) => match self.cached_payload(&mut state, buffer, tid) {
+                        Ok(frame) => (DataEvent::Submit { node, buffer, frame }, true),
+                        Err(e) => {
+                            self.path.dm.lock().forget_replica(buffer, node);
+                            return Err(e);
+                        }
+                    },
+                }
+            }
+            MapType::Alloc if !self.path.dm.lock().is_present(buffer, node) => {
+                let size = self.path.buffers.size_of(buffer)? as u64;
+                (DataEvent::Alloc { node, buffer, size }, false)
+            }
+            MapType::Alloc | MapType::From | MapType::Release => return Ok(Lowered::Done),
+        };
+        // The incoming copy supersedes whatever stale bytes a deferred
+        // delete was going to free; a single event cannot carry the delete
+        // ahead of itself, so it is cancelled instead.
+        let cancelled_delete =
+            state.deferred_deletes.get_mut(&node).is_some_and(|set| set.remove(&buffer));
+        let kind = RecordKind::EnterData { buffer, planned, cancelled_delete };
+        Ok(Lowered::Event(event, Record { node, kind }))
+    }
+
+    /// A read-only plan: the latest-on-head commit (and its log entry)
+    /// happens in [`Lowering::retire`] once the bytes arrived, so a source
+    /// that dies mid-retrieval leaves the location state truthful.
+    fn lower_exit(&self, node: NodeId, buffer: BufferId, map: MapType) -> Lowered {
+        let (from, keep_resident) = {
+            let dm = self.path.dm.lock();
+            let copies = map.copies_from_device() && dm.is_registered(buffer);
+            let from = copies.then(|| dm.retrieve_source(buffer)).flatten();
+            // §4.4 consistency: the exit task is pinned to its last target
+            // producer, so in a failure-free run the retrieval source is the
+            // pinned node (or the pinned node holds the version it read).
+            debug_assert!(
+                from.is_none_or(|f| f == node || dm.has_failures() || dm.is_present(buffer, node)),
+                "exit-data task pinned to node {node} but the latest copy of {buffer} is only \
+                 on node {from:?}"
+            );
+            // `map(from:)` on a keep-resident buffer is a flush: the host
+            // copy becomes current, the device copies stay mapped.
+            (from, copies && dm.is_resident(buffer))
+        };
+        match from {
+            Some(from) => {
+                let kind = RecordKind::ExitData { buffer, release: !keep_resident };
+                Lowered::Event(DataEvent::Retrieve { from, buffer }, Record { node: from, kind })
+            }
+            None => {
+                if !keep_resident {
+                    self.release(buffer);
+                }
+                Lowered::Done
+            }
+        }
+    }
+
+    fn lower_target(
+        &self,
+        tid: usize,
+        node: NodeId,
+        task: &TargetTask,
+        kernel: KernelId,
+    ) -> OmpcResult<Lowered> {
+        // Injected task error (fault plan): execute a deliberately
+        // unregistered kernel so a genuine worker-side handler error
+        // exercises the reply path end to end.
+        let kernel =
+            if self.config.fault_plan.has_task_error(tid) { POISONED_KERNEL } else { kernel };
+        let mut work = Composite::default();
+        let (mut owned, mut allocs) = (Vec::new(), Vec::new());
+        let mut state = self.state.lock();
+        // Plan the whole task under one acquisition of the gate and the data
+        // manager: a co-located reader lowered later either sees our holder
+        // record and gate entry (and awaits the arrival) or plans its own
+        // transfer.
+        let planned: OmpcResult<()> = (|| {
+            let mut dm = self.path.dm.lock();
+            for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
+                self.plan_read(&mut state, &mut dm, tid, node, dep.buffer, &mut work, &mut owned)?;
+            }
+            // Write-only outputs: make sure storage exists on the node.
+            for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
+                if !dm.is_present(dep.buffer, node) {
+                    let size = self.path.buffers.size_of(dep.buffer)? as u64;
+                    work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
+                    dm.record_replica(dep.buffer, node);
+                    allocs.push(dep.buffer);
+                }
+            }
+            Ok(())
+        })();
+        // Deferred maintenance rides along: the deletes queued for this node
+        // since its last task become prologue steps — ordered before any
+        // receive of the same buffer, costing no extra round-trip.
+        let deletes: Vec<BufferId> =
+            state.deferred_deletes.remove(&node).unwrap_or_default().into_iter().collect();
+        work.steps.splice(0..0, deletes.iter().map(|&buffer| TaskStep::Delete { buffer }));
+        let buffers = task.dependences.iter().map(|d| d.buffer).collect();
+        work.steps.push(TaskStep::Execute { kernel, buffers });
+        let writes =
+            task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer).collect();
+        let record = Record { node, kind: RecordKind::Target { owned, allocs, writes, deletes } };
+        match planned {
+            Ok(()) => Ok(Lowered::Task(work, record)),
+            Err(error) => {
+                // A rejected plan (concurrent first-touch guard, unknown
+                // buffer) aborts the task; resolve what was already
+                // announced so co-located waiters error out.
+                self.roll_back(&mut state, record, &error, true);
+                Err(error)
+            }
+        }
+    }
+
+    /// Plan one input of a task on `node`: a receive step this task owns,
+    /// an await of bytes someone else has on the wire, or nothing.
+    #[allow(clippy::too_many_arguments)]
+    fn plan_read(
+        &self,
+        state: &mut State,
+        dm: &mut DataManager,
+        tid: usize,
+        node: NodeId,
+        buffer: BufferId,
+        work: &mut Composite,
+        owned: &mut Vec<BufferId>,
+    ) -> OmpcResult<()> {
+        let Some(plan) = dm.plan_input_in(self.region, buffer, node)? else {
+            // Already a holder — but the bytes may still be on the wire:
+            // a task of this region owns the transfer (the gate), or an
+            // async enter-data / prefetch booked it (the data manager's
+            // table). A failed gate entry seen *here* is stale: the rollback
+            // forgot the holder, so the node holds the buffer by other means.
+            let ours = matches!(state.gate.get(&(buffer.0, node)), Some(Gate::InFlight));
+            if !ours {
+                state.gate.remove(&(buffer.0, node));
+            }
+            if ours || matches!(dm.transfer_state(buffer, node), TransferState::InFlight(_)) {
+                let timeout_ms =
+                    self.config.event_reply_timeout_ms.unwrap_or(DEFAULT_AWAIT_LOCAL_MS);
+                work.steps.push(TaskStep::AwaitLocal { buffer, timeout_ms });
+            }
+            return Ok(());
+        };
+        // The gate opens at lowering time: a later co-located reader must
+        // await the arrival even though the bytes have not left yet.
+        state.gate.insert((buffer.0, node), Gate::InFlight);
+        owned.push(buffer);
+        if plan.from == HEAD_NODE {
+            work.payloads.push(self.cached_payload(state, buffer, tid)?);
+            work.steps.push(TaskStep::RecvFromHead { buffer });
+        } else {
+            let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
+            let request = EventRequest::ExchangeSend { buffer, to: node };
+            work.exchanges.push((plan.from, request, bytes));
+            work.steps.push(TaskStep::RecvFromWorker { buffer, from: plan.from });
+        }
+        Ok(())
+    }
+
+    /// The payload frame of `buffer`, reusing the cached frame while the
+    /// registry still holds the same version. Records a `Serialize` span
+    /// (detail `hit` / `miss`) attributed to `task`.
+    fn cached_payload(
+        &self,
+        state: &mut State,
+        buffer: BufferId,
+        task: usize,
+    ) -> OmpcResult<Arc<Vec<u8>>> {
+        let tel = &self.path.telemetry;
+        let t0 = tel.start();
+        let version = self.path.buffers.version(buffer)?;
+        let (frame, detail) = match state.payload_cache.get(&buffer.0) {
+            Some((cached, frame)) if *cached == version => (Arc::clone(frame), "hit"),
+            _ => {
+                let (version, data) = self.path.buffers.get_versioned(buffer)?;
+                let frame = Arc::new(data);
+                state.payload_cache.insert(buffer.0, (version, Arc::clone(&frame)));
+                (frame, "miss")
+            }
+        };
+        if tel.spans_enabled() {
+            let span = self.span(SpanPhase::Serialize, HEAD_NODE, t0, task);
+            tel.record(span.bytes(frame.len() as u64).detail(detail));
+        }
+        Ok(frame)
+    }
+
+    /// Put a data task's single event on the wire; the caller awaits (or
+    /// probes) the returned channel and retires the task with the reply. A
+    /// distribution records an `EnterData` span for the time on the wire.
+    pub(crate) fn post(&self, task: usize, event: DataEvent) -> OmpcResult<ReplyChannel> {
+        let events = &self.path.events;
+        let t0 = self.path.telemetry.start();
+        let (node, from, bytes, posted) = match event {
+            DataEvent::Alloc { node, buffer, size } => {
+                return events.post(node, EventRequest::Alloc { buffer, size }, false);
+            }
+            DataEvent::Retrieve { from, buffer } => {
+                return events.post(from, EventRequest::Retrieve { buffer }, false);
+            }
+            DataEvent::Submit { node, buffer, frame } => {
+                let posted = events.post_submit(node, buffer, frame.as_ref().clone());
+                (node, HEAD_NODE, frame.len(), posted)
+            }
+            DataEvent::Exchange { from, to, buffer } => {
+                let bytes = self.path.buffers.size_of(buffer).unwrap_or(0);
+                (to, from, bytes, events.post_exchange(from, to, buffer))
+            }
+        };
+        if posted.is_ok() && self.path.telemetry.spans_enabled() {
+            let span = self.span(SpanPhase::EnterData, node, t0, task);
+            self.path.telemetry.record(span.bytes(bytes as u64).from(from).detail("EnterData"));
+        }
+        posted
+    }
+
+    /// The owned transfer of `buffer` to `node` has arrived: release its
+    /// waiters now rather than when the owning task retires.
+    pub(crate) fn landed(&self, buffer: BufferId, node: NodeId) {
+        self.state.lock().gate.remove(&(buffer.0, node));
+        self.gate_cv.notify_all();
+    }
+
+    /// Resolve an `AwaitLocal` step on the head: block until the bytes of
+    /// `buffer` someone else put on the wire towards `node` have arrived —
+    /// first on the gate, then on the device-level booking — and fail at
+    /// once with the transfer's own error if it failed. A booking rolled
+    /// back with its error already consumed (its destination died and
+    /// recovery dealt with it) is re-planned: the returned composite holds
+    /// the one receive `record` now owns and the caller must perform, and is
+    /// empty otherwise.
+    pub(crate) fn await_local(
+        &self,
+        task: usize,
+        node: NodeId,
+        buffer: BufferId,
+        record: &mut Record,
+    ) -> OmpcResult<Composite> {
+        let tel = &self.path.telemetry;
+        loop {
+            {
+                let mut state = self.state.lock();
+                loop {
+                    match state.gate.get(&(buffer.0, node)) {
+                        None => break,
+                        Some(Gate::Failed(error)) => return Err(error.clone()),
+                        Some(Gate::InFlight) => self.gate_cv.wait(&mut state),
+                    }
+                }
+            }
+            let t0 = tel.start();
+            let mut waited = false;
+            let resident = {
+                let mut dm = self.path.dm.lock();
+                loop {
+                    match dm.transfer_state(buffer, node) {
+                        TransferState::Resident => break true,
+                        TransferState::InFlight(_) => {
+                            waited = true;
+                            self.inflight_cv.wait(&mut dm);
+                        }
+                        TransferState::Invalid => match dm.take_inflight_error(buffer, node) {
+                            Some(error) => return Err(error),
+                            None => break false,
+                        },
+                    }
+                }
+            };
+            if waited && tel.spans_enabled() {
+                let span = self.span(SpanPhase::AwaitInflight, node, t0, task);
+                tel.record(span.detail("first reader awaits async transfer"));
+            }
+            let mut work = Composite::default();
+            if let (false, RecordKind::Target { owned, .. }) = (resident, &mut record.kind) {
+                let mut state = self.state.lock();
+                let mut dm = self.path.dm.lock();
+                self.plan_read(&mut state, &mut dm, task, node, buffer, &mut work, owned)?;
+            }
+            // Someone else re-planned the transfer meanwhile: await theirs.
+            if !matches!(work.steps.last(), Some(TaskStep::AwaitLocal { .. })) {
+                return Ok(work);
+            }
+        }
+    }
+
+    /// Settle a delivered task with its typed reply (payload plus the
+    /// worker's stamps, when the event was timed).
+    pub(crate) fn retire(&self, task: usize, record: Record, reply: TypedReply) -> OmpcResult<()> {
+        let (payload, stamps) = match reply {
+            Ok(reply) => reply,
+            Err(error) => {
+                self.roll_back(&mut self.state.lock(), record, &error, false);
+                return Err(error);
+            }
+        };
+        let tel = &self.path.telemetry;
+        let t0 = tel.start();
+        let Record { node, kind } = record;
+        if let Some(s) = stamps {
+            let attempt = tel.attempt(task);
+            for (phase, start, end) in [
+                (SpanPhase::WorkerRecv, s.recv_us, s.recv_us),
+                (SpanPhase::WorkerAwait, s.recv_us, s.deps_us),
+                (SpanPhase::Compute, s.exec_start_us, s.exec_end_us),
+            ] {
+                tel.record(Span::new(phase, node, start, end).task(task).attempt(attempt));
+            }
+        }
+        match kind {
+            RecordKind::Target { owned, writes, .. } => {
+                let mut state = self.state.lock();
+                if !owned.is_empty() {
+                    for buffer in owned {
+                        state.gate.remove(&(buffer.0, node));
+                    }
+                    self.gate_cv.notify_all();
+                }
+                // The copy on `node` is now the only valid one; the stale
+                // ones are freed by the next composite headed their way.
+                let mut dm = self.path.dm.lock();
+                for buffer in writes {
+                    for stale in dm.record_write(buffer, node) {
+                        if stale != HEAD_NODE && !dm.is_failed(stale) {
+                            state.deferred_deletes.entry(stale).or_default().insert(buffer);
+                        }
+                    }
+                }
+            }
+            RecordKind::EnterData { buffer, planned, .. } => {
+                if !planned {
+                    self.path.dm.lock().record_replica(buffer, node);
+                }
+            }
+            RecordKind::ExitData { buffer, release } => {
+                let how = Commit {
+                    region: self.region,
+                    phase: SpanPhase::ExitData,
+                    task: Some(task),
+                    detail: "ExitData",
+                };
+                self.path.commit(node, buffer, payload, t0, &how)?;
+                if release {
+                    self.release(buffer);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Roll back a lowering that never reached the wire: as a failed
+    /// [`Lowering::retire`], and its attached deletes are owed again.
+    pub(crate) fn abandon(&self, record: Record, error: &OmpcError) {
+        self.roll_back(&mut self.state.lock(), record, error, true);
+    }
+
+    /// The task never landed its effects: forget the optimistic holder
+    /// records (and their log entries) so no later reader skips a transfer
+    /// the bytes never made, and leave `error` on the gate so co-located
+    /// waiters fail with it instead of blocking.
+    fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
+        let Record { node, kind } = record;
+        let mut dm = self.path.dm.lock();
+        let mut owed = Vec::new();
+        match kind {
+            RecordKind::Target { owned, allocs, deletes, .. } => {
+                for &buffer in owned.iter().chain(&allocs) {
+                    dm.forget_replica(buffer, node);
+                }
+                for buffer in owned {
+                    state.gate.insert((buffer.0, node), Gate::Failed(error.clone()));
+                }
+                self.gate_cv.notify_all();
+                if unsent {
+                    owed = deletes;
+                }
+            }
+            RecordKind::EnterData { buffer, planned, cancelled_delete } => {
+                if planned {
+                    dm.forget_replica(buffer, node);
+                }
+                if cancelled_delete {
+                    owed.push(buffer);
+                }
+            }
+            RecordKind::ExitData { .. } => {}
+        }
+        if !owed.is_empty() && !dm.is_failed(node) {
+            state.deferred_deletes.entry(node).or_default().extend(owed);
+        }
+    }
+
+    /// Release every device copy of `buffer` (exit-data semantics): drop it
+    /// from the data manager and queue the delete on every live holder.
+    fn release(&self, buffer: BufferId) {
+        let mut state = self.state.lock();
+        let mut dm = self.path.dm.lock();
+        for holder in dm.remove(buffer) {
+            if !dm.is_failed(holder) {
+                state.deferred_deletes.entry(holder).or_default().insert(buffer);
+            }
+        }
+    }
+
+    /// Send every deferred delete that never found a composite to ride (end
+    /// of the run). Dead nodes are skipped — their memory died with them.
+    pub(crate) fn flush_deletes(&self) -> OmpcResult<()> {
+        let pending = std::mem::take(&mut self.state.lock().deferred_deletes);
+        for (node, buffers) in pending {
+            if self.path.dm.lock().is_failed(node) {
+                continue;
+            }
+            for buffer in buffers {
+                self.path.events.delete(node, buffer)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether a task failure on `node` is collateral damage of an injected
+    /// node death — the task ran there, or the error is blamed on a killed
+    /// peer — which the core restarts instead of propagating.
+    pub(crate) fn blames_dead_node(&self, node: NodeId, error: &OmpcError) -> bool {
+        let dm = self.path.dm.lock();
+        (node != HEAD_NODE && dm.is_failed(node))
+            || error.origin_node().is_some_and(|n| dm.is_failed(n))
+    }
+
+    /// `node` just died: discard its copies and its deferred deletes (they
+    /// must not ride a later composite into the zombie gate), kill the
+    /// worker's event loop **for real** — from now on it refuses every event
+    /// with an error reply, so peers observe the death instead of hanging —
+    /// and name the writers of every buffer whose only copy was lost.
+    pub(crate) fn invalidate_node(&self, node: NodeId) -> Vec<LostBuffer> {
+        self.state.lock().deferred_deletes.remove(&node);
+        let lost = self.path.dm.lock().fail_node(node);
+        let _ = self.path.events.kill(node);
+        let writers_of = |buffer| {
+            let writes = |t: &&TargetTask| {
+                t.dependences.iter().any(|d| d.buffer == buffer && d.dep_type.writes())
+            };
+            self.graph.tasks().iter().filter(writes).map(|t| t.id.0).collect()
+        };
+        lost.into_iter().map(|buffer| LostBuffer { buffer, writers: writers_of(buffer) }).collect()
+    }
+
+    /// Re-run the static scheduler over the survivors, re-pinned against
+    /// the post-failure residency view: the dead node's copies are gone, so
+    /// data tasks follow the surviving holders.
+    pub(crate) fn replan(&self, alive_workers: &[NodeId]) -> Vec<NodeId> {
+        let residency = self.path.dm.lock().latest_on_workers();
+        RuntimePlan::region_assignment_on(
+            &self.graph,
+            &self.path.buffers,
+            &Platform::cluster(alive_workers.len()),
+            &self.config,
+            alive_workers,
+            &residency,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::types::Dependence;
+    use ompc_mpi::World;
+
+    /// A lowering over a three-rank world whose worker ranks never run:
+    /// nothing is ever delivered, so each test observes the lowering alone.
+    /// Buffer `a` is 32 host bytes; tasks 0–1 read it, task 2 updates it,
+    /// task 3 reads it and allocates an output.
+    struct Fixture {
+        _world: World,
+        low: Lowering,
+        a: BufferId,
+    }
+
+    fn fixture() -> Fixture {
+        let world = World::with_communicators(3, 1);
+        let buffers = Arc::new(BufferRegistry::new());
+        let a = buffers.register(vec![7u8; 32]);
+        let out = buffers.register(vec![0u8; 8]);
+        let mut dm = DataManager::new();
+        dm.register_host_buffer(a, 32);
+        dm.register_host_buffer(out, 8);
+        let mut graph = RegionGraph::new();
+        let kind = TaskKind::Target { kernel: KernelId(0), cost_hint: 1e-6 };
+        graph.add_task(kind.clone(), vec![Dependence::input(a)], "r0");
+        graph.add_task(kind.clone(), vec![Dependence::input(a)], "r1");
+        graph.add_task(kind.clone(), vec![Dependence::inout(a)], "w");
+        graph.add_task(kind, vec![Dependence::input(a), Dependence::output(out)], "r+o");
+        let path = DataPath {
+            events: Arc::new(EventSystem::new(world.communicator(0))),
+            buffers,
+            dm: Arc::new(Mutex::new(dm)),
+            telemetry: Telemetry::off(),
+        };
+        let cv = Arc::new(Condvar::new());
+        let config = OmpcConfig::small();
+        let low = Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
+        Fixture { _world: world, low, a }
+    }
+
+    fn lower_task(low: &Lowering, task: usize, node: NodeId) -> (Composite, Record) {
+        match low.lower(task, node).unwrap() {
+            Lowered::Task(work, record) => (work, record),
+            _ => panic!("task {task} must lower to a composite"),
+        }
+    }
+
+    fn inflight_entries(low: &Lowering) -> usize {
+        low.state.lock().gate.values().filter(|g| matches!(g, Gate::InFlight)).count()
+    }
+
+    #[test]
+    fn a_reader_owns_its_transfer_and_a_colocated_reader_awaits_it() {
+        let Fixture { low, a, .. } = &fixture();
+        let (work, _record) = lower_task(low, 0, 1);
+        assert!(
+            matches!(&work.steps[..], [TaskStep::RecvFromHead { buffer }, TaskStep::Execute { .. }] if buffer == a),
+            "unexpected steps: {:?}",
+            work.steps
+        );
+        assert_eq!(work.payloads.len(), 1);
+        assert_eq!(*work.payloads[0], vec![7u8; 32]);
+        assert!(work.exchanges.is_empty());
+        assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "one transfer, one log record");
+        assert_eq!(inflight_entries(low), 1, "one owned transfer, one gate entry");
+
+        // The second reader on the same node plans nothing of its own.
+        let (work, _record) = lower_task(low, 1, 1);
+        assert!(
+            matches!(&work.steps[..], [TaskStep::AwaitLocal { buffer, .. }, TaskStep::Execute { .. }] if buffer == a),
+            "unexpected steps: {:?}",
+            work.steps
+        );
+        assert!(work.payloads.is_empty() && work.exchanges.is_empty());
+        assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "no second log record");
+        assert_eq!(inflight_entries(low), 1);
+
+        // A reader on another node is a transfer of its own, from the
+        // cached frame.
+        let (other, _record) = lower_task(low, 1, 2);
+        assert!(matches!(
+            &other.steps[..],
+            [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]
+        ));
+        assert_eq!(low.state.lock().payload_cache.len(), 1);
+        assert_eq!(inflight_entries(low), 2);
+    }
+
+    #[test]
+    fn a_failed_retire_restores_holders_log_and_gate() {
+        let Fixture { low, a, .. } = &fixture();
+        let holders_before = low.path.dm.lock().holders(*a);
+        let (work, record) = lower_task(low, 3, 1);
+        assert!(work.steps.iter().any(|s| matches!(s, TaskStep::Alloc { .. })));
+        let (_, mut waiter) = lower_task(low, 1, 1);
+        assert_ne!(low.path.dm.lock().holders(*a), holders_before);
+
+        let boom = OmpcError::RemoteEvent {
+            node: 2,
+            event: 9,
+            error: Box::new(OmpcError::NodeFailure(2)),
+        };
+        assert_eq!(low.retire(3, record, Err(boom.clone())), Err(boom.clone()));
+        {
+            let dm = low.path.dm.lock();
+            assert_eq!(dm.holders(*a), holders_before, "the optimistic holder is forgotten");
+            assert!(!dm.is_present(BufferId(a.0 + 1), 1), "so is the optimistic alloc");
+            assert!(dm.transfer_log().is_empty(), "the log record is withdrawn");
+        }
+        assert_eq!(inflight_entries(low), 0, "nothing is on the wire any more");
+        // The waiter that was told to await fails with the owner's error —
+        // blame included — instead of blocking.
+        assert_eq!(low.await_local(1, 1, *a, &mut waiter).err(), Some(boom));
+        // And a reader lowered now plans the transfer again.
+        let (again, _record) = lower_task(low, 0, 1);
+        assert!(matches!(
+            &again.steps[..],
+            [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]
+        ));
+        assert_eq!(low.path.dm.lock().transfer_log().len(), 1);
+    }
+
+    #[test]
+    fn an_abandoned_lowering_owes_its_attached_deletes_again() {
+        let Fixture { low, a, .. } = &fixture();
+        // A replica on node 2, then a write on node 1: node 2's copy is
+        // stale and its delete waits for a composite headed there.
+        let (_, reader) = lower_task(low, 0, 2);
+        low.retire(0, reader, Ok((Vec::new(), None))).unwrap();
+        let (_, writer) = lower_task(low, 2, 1);
+        low.retire(2, writer, Ok((Vec::new(), None))).unwrap();
+        assert_eq!(low.path.dm.lock().holders(*a), vec![1]);
+        let owed = |low: &Lowering| low.state.lock().deferred_deletes.get(&2).cloned();
+        assert_eq!(owed(low), Some([*a].into_iter().collect()));
+
+        // The next task on node 2 carries the delete ahead of its receive.
+        let (work, record) = lower_task(low, 1, 2);
+        assert!(
+            matches!(&work.steps[..], [TaskStep::Delete { buffer }, TaskStep::RecvFromWorker { from: 1, .. }, TaskStep::Execute { .. }] if buffer == a),
+            "unexpected steps: {:?}",
+            work.steps
+        );
+        assert_eq!(work.exchanges.len(), 1);
+        assert_eq!(owed(low), None);
+
+        // Its train never departs.
+        low.abandon(record, &OmpcError::Communication("never sent".into()));
+        assert_eq!(owed(low), Some([*a].into_iter().collect()), "the delete is owed again");
+        assert_eq!(low.path.dm.lock().holders(*a), vec![1], "the planned replica is forgotten");
+        assert_eq!(inflight_entries(low), 0);
+        let (work, _record) = lower_task(low, 1, 2);
+        assert!(matches!(work.steps[0], TaskStep::Delete { .. }), "and rides the next composite");
+    }
+
+    #[test]
+    fn a_task_on_a_dead_node_lowers_to_nothing() {
+        let Fixture { low, .. } = &fixture();
+        low.path.dm.lock().fail_node(2);
+        assert!(matches!(low.lower(0, 2), Ok(Lowered::Done)));
+        assert!(low.path.dm.lock().transfer_log().is_empty());
+        assert!(low.blames_dead_node(2, &OmpcError::ShutDown));
+        assert!(low.blames_dead_node(
+            1,
+            &OmpcError::RemoteEvent {
+                node: 2,
+                event: 1,
+                error: Box::new(OmpcError::NodeFailure(2)),
+            }
+        ));
+        assert!(!low.blames_dead_node(1, &OmpcError::ShutDown));
+    }
+}

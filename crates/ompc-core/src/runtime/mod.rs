@@ -16,12 +16,14 @@
 //!   ([`crate::config::OmpcConfig::max_inflight_tasks`]), and the per-phase
 //!   accounting (dispatch order, completion order, peak concurrency).
 //! * [`ExecutionBackend`] — the trait a backend implements to execute what
-//!   the core decides: [`ThreadedBackend`] drives the real worker threads
-//!   through a pool of synchronous head worker threads, [`MpiBackend`]
-//!   carries every task as one composite tagged message over the
-//!   `ompc-mpi` world and probes for typed completion replies (the paper's
-//!   gate-thread shape), and [`SimBackend`] wraps the `ompc-sim`
-//!   discrete-event engine. Select between the first two with
+//!   the core decides. [`SimBackend`] wraps the `ompc-sim` discrete-event
+//!   engine. On a real cluster, `lowering` turns each dispatched task into
+//!   device operations once — steps, single data events, the bookkeeping to
+//!   retire or roll back — and one of two *transports* delivers them:
+//!   [`ThreadedBackend`] walks the steps on a pool of synchronous head
+//!   worker threads, [`MpiBackend`] carries them as one composite tagged
+//!   message over the `ompc-mpi` world and picks completions off one
+//!   channel (the paper's gate-thread shape). Select between the two with
 //!   [`crate::config::OmpcConfig::backend`].
 //! * [`fault`] — the fault-tolerance subsystem (paper §3.1): deterministic
 //!   failure injection, ring-heartbeat detection driven by this dispatch
@@ -33,6 +35,7 @@
 //! reproduced (or lifted) in either mode purely through configuration.
 
 pub mod fault;
+pub(crate) mod lowering;
 pub mod mpi;
 pub mod sim;
 pub mod telemetry;
@@ -64,9 +67,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// pre-residency runtime did.
 pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 
-/// Release every device copy of `buffer` (exit-data semantics, shared by
-/// the threaded and MPI backends): drop the buffer from the data manager
-/// and delete the copy on every live holder. Dead holders are skipped —
+/// Release every device copy of `buffer` (device-level exit-data
+/// semantics): drop the buffer from the data manager and delete the copy
+/// on every live holder. Dead holders are skipped —
 /// their memory died with them, and a delete event would only bounce off
 /// the zombie gate.
 pub(crate) fn release_device_copies(

@@ -16,7 +16,7 @@
 //! behind [`OverheadModel::serial_input_transfers`].
 
 use super::fault::LostBuffer;
-use super::threaded::POISONED_KERNEL;
+use super::lowering::POISONED_KERNEL;
 use super::{ExecutionBackend, RuntimePlan, TaskEvent};
 use crate::config::{OmpcConfig, OverheadModel};
 use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE};

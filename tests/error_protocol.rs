@@ -198,6 +198,48 @@ fn device_survives_a_task_error_and_reuses_its_long_lived_pool() {
 }
 
 #[test]
+fn host_task_panic_is_the_same_typed_error_on_both_real_backends() {
+    with_timeout(WATCHDOG, || {
+        // The host body runs inside the shared lowering, so a panic in it is
+        // caught in one place: the same typed error whichever transport
+        // delivered the region — and an ordinary task failure to the
+        // threaded pool (a queued successor is cancelled, not run), which
+        // leaves the device usable for the next region.
+        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
+            let name = backend.name();
+            let config = OmpcConfig { backend, max_inflight_tasks: Some(1), ..OmpcConfig::small() };
+            let mut device = ClusterDevice::with_config(2, config);
+            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                args.set_f64s(0, &v);
+            });
+
+            let mut region = device.target_region();
+            let a = region.map_to_f64s(&[1.0]);
+            region.target(bump, vec![Dependence::inout(a)]);
+            let host = region.host_task(vec![Dependence::input(a)], |_| panic!("host body bug"));
+            region.map_from(a);
+            let err = region.run().unwrap_err();
+            assert_eq!(
+                err,
+                OmpcError::Internal(format!("host task {} panicked", host.0)),
+                "{name}: a host-task panic must be this typed error"
+            );
+            let record = device.last_run_record().expect("failed runs keep their record");
+            assert!(!record.completion_order.contains(&host.0), "{name}");
+
+            let mut region = device.target_region();
+            let b = region.map_to_f64s(&[10.0, 20.0]);
+            region.target(bump, vec![Dependence::inout(b)]);
+            region.map_from(b);
+            region.run().unwrap_or_else(|e| panic!("{name}: device unusable afterwards: {e:?}"));
+            assert_eq!(device.buffer_f64s(b).unwrap(), vec![11.0, 21.0], "{name}");
+            device.shutdown();
+        }
+    });
+}
+
+#[test]
 fn pool_is_sized_by_min_of_threads_window_and_tasks_and_grows_lazily() {
     with_timeout(WATCHDOG, || {
         let config = OmpcConfig { head_worker_threads: 4, ..OmpcConfig::small() };
