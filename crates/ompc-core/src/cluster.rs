@@ -13,7 +13,8 @@ use crate::collective::{run_broadcast, BroadcastSpec};
 use crate::config::BackendKind;
 use crate::config::OmpcConfig;
 use crate::data_manager::{
-    DataManager, Ticket, TransferPlan, TransferReason, TransferState, HEAD_NODE, UNATTRIBUTED,
+    Booking, DataManager, Owner, Ticket, TransferPlan, TransferReason, TransferState, HEAD_NODE,
+    UNATTRIBUTED,
 };
 use crate::event::EventSystem;
 use crate::kernel::{Kernel, KernelArgs, KernelRegistry};
@@ -272,7 +273,7 @@ impl ClusterDevice {
             inflight_cv: Arc::new(Condvar::new()),
             async_hold: Arc::new((Mutex::new(false), Condvar::new())),
             report: Mutex::new(DeviceReport { startup_time, ..DeviceReport::default() }),
-            admission: Mutex::new(AdmissionGate::default()),
+            admission: Mutex::default(),
             admission_cv: Condvar::new(),
             inflight_load: Mutex::new(HashMap::new()),
             notice_router: NoticeRouter::new(),
@@ -399,12 +400,13 @@ impl ClusterDevice {
             dm.open_ticket()
         };
         // `Input`, not `EnterData`: the synchronous path distributes a
-        // device-resident mapping lazily through the first reader's
-        // `plan_input`, so the async record must carry the same reason for
-        // the transfer plans to compare byte-identical.
+        // device-resident mapping lazily through the first reader's own
+        // booking, so the async record must carry the same reason for the
+        // transfer plans to compare byte-identical.
         if let Some(node) = self.predict_first_reader(buffer) {
-            let plan = self.dm.lock().begin_inflight(buffer, node, TransferReason::Input, ticket);
-            if let Some(plan) = plan {
+            let booked =
+                self.dm.lock().book(Owner::Ticket(ticket), buffer, node, TransferReason::Input);
+            if let Ok(Booking::Move(plan)) = booked {
                 self.spawn_transfer_job(plan, "async enter-data");
             }
         }
@@ -446,7 +448,8 @@ impl ClusterDevice {
             if !dm.is_registered(buffer) {
                 return Ok(dm.open_ticket());
             }
-            if let TransferState::InFlight(t) = dm.transfer_state(buffer, HEAD_NODE) {
+            if let TransferState::InFlight(Owner::Ticket(t)) = dm.transfer_state(buffer, HEAD_NODE)
+            {
                 return Ok(t);
             }
             let ticket = dm.open_ticket();
@@ -511,10 +514,26 @@ impl ClusterDevice {
         }
     }
 
-    /// Run `job` on the transfer pool on behalf of `bookings` — in-flight
-    /// entries already booked in the data manager, as `(buffer, node)` — and
-    /// resolve each with the outcome the job returns for it (one per
-    /// booking, in order), waking every waiter. If the pool is already
+    /// Finish `bookings` — `(buffer, node)` pairs this caller booked in the
+    /// data manager — each with its outcome (one per booking, in order), and
+    /// wake every waiter. A buffer released meanwhile has nothing left to
+    /// finish.
+    fn resolve(
+        dm: &Mutex<DataManager>,
+        cv: &Condvar,
+        bookings: &[(BufferId, NodeId)],
+        outcomes: Vec<OmpcResult<()>>,
+    ) {
+        let mut dm = dm.lock();
+        for (&(buffer, node), outcome) in bookings.iter().zip(outcomes) {
+            let _ = dm.finish(buffer, node, outcome);
+        }
+        drop(dm);
+        cv.notify_all();
+    }
+
+    /// Run `job` on the transfer pool on behalf of `bookings` and resolve
+    /// each with the outcome the job returns for it. If the pool is already
     /// drained (device shutting down) the bookings are resolved as failed
     /// immediately, so no waiter ever blocks on a job that will not run.
     fn spawn_async_job(
@@ -522,17 +541,6 @@ impl ClusterDevice {
         bookings: Vec<(BufferId, NodeId)>,
         job: impl FnOnce(&DataPath) -> Vec<OmpcResult<()>> + Send + 'static,
     ) {
-        let resolve = |dm: &Mutex<DataManager>,
-                       cv: &Condvar,
-                       bookings: &[(BufferId, NodeId)],
-                       outcomes: Vec<OmpcResult<()>>| {
-            let mut dm = dm.lock();
-            for (&(buffer, node), outcome) in bookings.iter().zip(outcomes) {
-                dm.finish_inflight(buffer, node, outcome);
-            }
-            drop(dm);
-            cv.notify_all();
-        };
         let path = self.data_path();
         let cv = Arc::clone(&self.inflight_cv);
         let hold = Arc::clone(&self.async_hold);
@@ -540,11 +548,11 @@ impl ClusterDevice {
         let submitted = self.transfer_pool.submit_closure(Box::new(move || {
             Self::wait_hold(&hold);
             let outcomes = job(&path);
-            resolve(&path.dm, &cv, &queued, outcomes);
+            Self::resolve(&path.dm, &cv, &queued, outcomes);
         }));
         if submitted.is_err() {
             let outcomes = bookings.iter().map(|_| Err(OmpcError::ShutDown)).collect();
-            resolve(&self.dm, &self.inflight_cv, &bookings, outcomes);
+            Self::resolve(&self.dm, &self.inflight_cv, &bookings, outcomes);
         }
     }
 
@@ -685,16 +693,8 @@ impl ClusterDevice {
         };
         let outcome =
             self.data_path().retrieve_and_commit(from, buffer, &host_flush("lazy host flush"));
-        {
-            let mut dm = self.dm.lock();
-            dm.finish_inflight(
-                buffer,
-                HEAD_NODE,
-                outcome.as_ref().map(|_| ()).map_err(Clone::clone),
-            );
-            let _ = dm.ticket_result(ticket);
-        }
-        self.inflight_cv.notify_all();
+        Self::resolve(&self.dm, &self.inflight_cv, &[(buffer, HEAD_NODE)], vec![outcome.clone()]);
+        let _ = self.dm.lock().ticket_result(ticket);
         outcome
     }
 
@@ -966,7 +966,9 @@ impl ClusterDevice {
                     if dm.retrieve_source(buffer).is_some() || dm.buffer_in_flight(buffer) {
                         continue;
                     }
-                    let Some(plan) = dm.begin_inflight(buffer, node, reason, ticket) else {
+                    let Ok(Booking::Move(plan)) =
+                        dm.book(Owner::Ticket(ticket), buffer, node, reason)
+                    else {
                         continue;
                     };
                     // MPI prefetches from the head batch into per-node
@@ -1031,44 +1033,11 @@ impl ClusterDevice {
         // per-destination through the in-flight table — and rides a single
         // transfer-pool job. Everything else (and everything when the knob
         // is off) follows the exact per-plan path below.
-        let mut broadcast_buffers: BTreeSet<BufferId> = BTreeSet::new();
-        if let Some(threshold) = self.config.collective_threshold() {
-            let wanted = Self::collective_destinations(graph, assignment);
-            let mut jobs: Vec<BroadcastSpec> = Vec::new();
-            {
-                let mut dm = self.dm.lock();
-                for (buffer, mut dests) in wanted {
-                    if !dm.is_registered(buffer) || dm.buffer_in_flight(buffer) {
-                        continue;
-                    }
-                    dests.retain(|&node, _| !dm.is_present(buffer, node) && !dm.is_failed(node));
-                    if dests.len() < threshold {
-                        continue;
-                    }
-                    let Some(source) = dm.latest(buffer) else { continue };
-                    let ticket = dm.open_ticket();
-                    let mut destinations = Vec::with_capacity(dests.len());
-                    for (&node, &reason) in &dests {
-                        if dm.begin_inflight(buffer, node, reason, ticket).is_some() {
-                            destinations.push(node);
-                        }
-                    }
-                    if destinations.is_empty() {
-                        continue;
-                    }
-                    broadcast_buffers.insert(buffer);
-                    jobs.push(BroadcastSpec {
-                        buffer,
-                        bytes: dm.bytes_of(buffer),
-                        source,
-                        destinations,
-                        chunk_bytes: self.config.collective_chunk_bytes() as u64,
-                    });
-                }
-            }
-            for spec in jobs {
-                self.spawn_broadcast_job(spec);
-            }
+        let trees = self.book_broadcasts(graph, assignment, |dm| Owner::Ticket(dm.open_ticket()));
+        let broadcast_buffers: BTreeSet<BufferId> = trees.iter().map(|spec| spec.buffer).collect();
+        for spec in trees {
+            let bookings = Self::tree_bookings(&spec);
+            self.spawn_async_job(bookings, move |path| Self::run_broadcast_tree(path, spec));
         }
         let mut jobs: Vec<TransferPlan> = Vec::new();
         {
@@ -1086,8 +1055,9 @@ impl ClusterDevice {
                 if node == HEAD_NODE {
                     continue;
                 }
-                if let Some(plan) =
-                    dm.begin_inflight(buffer, node, TransferReason::EnterData, ticket)
+                let reason = TransferReason::EnterData;
+                if let Ok(Booking::Move(plan)) =
+                    dm.book(Owner::Ticket(ticket), buffer, node, reason)
                 {
                     jobs.push(plan);
                 }
@@ -1147,96 +1117,84 @@ impl ClusterDevice {
         wanted
     }
 
-    /// Distribute the read-only one-to-many inputs of an already-planned
-    /// region as binomial broadcast trees, synchronously, before the
-    /// backend dispatches its first task. Only runs with
-    /// [`OmpcConfig::collective_min_fanout`] set and only over buffers
-    /// reaching at least that many destinations in this planning step —
-    /// everything below the threshold is left exactly to the per-task star
-    /// machinery, byte-identically to the collectives-off path. Delivered
-    /// edges are logged (with the feeder that actually carried the bytes)
-    /// under the region's namespace; failed destinations are simply not
-    /// recorded as holders, so the backend re-sources them per-task.
-    fn predistribute_collectives(
+    /// Book every one-to-many distribution of a planned region that reaches
+    /// [`OmpcConfig::collective_min_fanout`] destinations in this planning
+    /// step as one broadcast tree, each destination a booking of `owner`'s
+    /// (asked once per tree). Everything below the threshold is left exactly
+    /// to the per-task star machinery, byte-identically to the
+    /// collectives-off path.
+    fn book_broadcasts(
         &self,
         graph: &RegionGraph,
         assignment: &[NodeId],
-        region: u64,
-        telemetry: &Telemetry,
-    ) {
-        let Some(threshold) = self.config.collective_threshold() else { return };
-        let chunk = self.config.collective_chunk_bytes() as u64;
+        mut owner: impl FnMut(&mut DataManager) -> Owner,
+    ) -> Vec<BroadcastSpec> {
+        let Some(threshold) = self.config.collective_threshold() else { return Vec::new() };
+        let mut trees = Vec::new();
+        let mut dm = self.dm.lock();
         for (buffer, mut dests) in Self::collective_destinations(graph, assignment) {
-            let (source, bytes) = {
-                let dm = self.dm.lock();
-                if !dm.is_registered(buffer) || dm.buffer_in_flight(buffer) {
-                    // An async booking (streamed enter-data, cross-region
-                    // prefetch) owns the buffer's movement; its waiters
-                    // resolve through the in-flight table instead.
-                    continue;
-                }
-                dests.retain(|&node, _| !dm.is_present(buffer, node) && !dm.is_failed(node));
-                let Some(source) = dm.latest(buffer) else { continue };
-                (source, dm.bytes_of(buffer))
-            };
+            // Whoever has the buffer on the wire already owns its movement;
+            // this region's readers resolve through the in-flight table.
+            if !dm.is_registered(buffer) || dm.buffer_in_flight(buffer) {
+                continue;
+            }
+            dests.retain(|&node, _| !dm.is_present(buffer, node) && !dm.is_failed(node));
             if dests.len() < threshold {
                 continue;
             }
-            let payload = if source == HEAD_NODE {
-                match self.buffers.get(buffer) {
-                    Ok(data) => Some(data),
-                    Err(_) => continue,
-                }
-            } else {
-                None
+            let Some(source) = dm.latest(buffer) else { continue };
+            let owner = owner(&mut dm);
+            let booked = |(&node, &reason): (&NodeId, &TransferReason)| {
+                matches!(dm.book(owner, buffer, node, reason), Ok(Booking::Move(_))).then_some(node)
             };
-            let spec = BroadcastSpec {
-                buffer,
-                bytes: payload.as_ref().map(|d| d.len() as u64).unwrap_or(bytes),
-                source,
-                destinations: dests.keys().copied().collect(),
-                chunk_bytes: chunk,
-            };
-            let outcome = run_broadcast(&self.events, telemetry, &spec, payload.as_deref());
-            let mut dm = self.dm.lock();
-            for edge in &outcome.delivered {
-                let reason = dests.get(&edge.to).copied().unwrap_or(TransferReason::Input);
-                dm.note_broadcast_delivery(region, buffer, edge.from, edge.to, reason);
+            let destinations: Vec<NodeId> = dests.iter().filter_map(booked).collect();
+            if !destinations.is_empty() {
+                trees.push(BroadcastSpec {
+                    buffer,
+                    bytes: dm.bytes_of(buffer),
+                    source,
+                    destinations,
+                    chunk_bytes: self.config.collective_chunk_bytes() as u64,
+                });
             }
         }
+        trees
     }
 
-    /// Submit one booked broadcast tree to the transfer pool: the job runs
-    /// the tree, retargets each deferred record whose payload was fed by a
-    /// different node than planned (tree relays, rescues), and resolves
-    /// every destination's in-flight booking individually — a tree is one
-    /// ticket whose waiters resolve per-destination.
-    fn spawn_broadcast_job(&self, spec: BroadcastSpec) {
-        let bookings = spec.destinations.iter().map(|&node| (spec.buffer, node)).collect();
-        self.spawn_async_job(bookings, move |path| {
-            let payload = if spec.source == HEAD_NODE {
-                match path.buffers.get(spec.buffer) {
-                    Ok(data) => Some(data),
-                    Err(e) => return vec![Err(e); spec.destinations.len()],
-                }
-            } else {
-                None
-            };
-            let spec = BroadcastSpec {
-                bytes: payload.as_ref().map(|d| d.len() as u64).unwrap_or(spec.bytes),
-                ..spec
-            };
-            let outcome = run_broadcast(&path.events, &path.telemetry, &spec, payload.as_deref());
-            let mut dm = path.dm.lock();
-            for edge in outcome.delivered.iter().filter(|edge| edge.from != spec.source) {
-                dm.retarget_deferred_from(spec.buffer, edge.to, edge.from);
+    /// The bookings of one tree: a copy of its buffer per destination.
+    fn tree_bookings(spec: &BroadcastSpec) -> Vec<(BufferId, NodeId)> {
+        spec.destinations.iter().map(|&node| (spec.buffer, node)).collect()
+    }
+
+    /// Ship one booked broadcast tree and repoint the record of every edge
+    /// that was fed by a different node than booked (tree relays, rescues).
+    /// Returns each destination's outcome, in `spec.destinations` order, for
+    /// its booking to be finished with — a tree's waiters resolve
+    /// per-destination, and a failed destination is rolled back and
+    /// re-sourced by the per-task machinery.
+    fn run_broadcast_tree(path: &DataPath, spec: BroadcastSpec) -> Vec<OmpcResult<()>> {
+        let payload = if spec.source == HEAD_NODE {
+            match path.buffers.get(spec.buffer) {
+                Ok(data) => Some(data),
+                Err(e) => return vec![Err(e); spec.destinations.len()],
             }
-            let outcome_of = |node: &NodeId| match outcome.failed.iter().find(|(n, _)| n == node) {
-                Some((_, error)) => Err(error.clone()),
-                None => Ok(()),
-            };
-            spec.destinations.iter().map(outcome_of).collect()
-        });
+        } else {
+            None
+        };
+        let spec = BroadcastSpec {
+            bytes: payload.as_ref().map(|d| d.len() as u64).unwrap_or(spec.bytes),
+            ..spec
+        };
+        let outcome = run_broadcast(&path.events, &path.telemetry, &spec, payload.as_deref());
+        let mut dm = path.dm.lock();
+        for edge in outcome.delivered.iter().filter(|edge| edge.from != spec.source) {
+            dm.retarget(spec.buffer, edge.to, edge.from);
+        }
+        let outcome_of = |node: &NodeId| match outcome.failed.iter().find(|(n, _)| n == node) {
+            Some((_, error)) => Err(error.clone()),
+            None => Ok(()),
+        };
+        spec.destinations.iter().map(outcome_of).collect()
     }
 
     /// Execute a region graph through the unified execution core. Called by
@@ -1459,20 +1417,26 @@ impl ClusterDevice {
                 graph.tasks().iter().flat_map(|t| t.dependences.iter().map(|d| d.buffer)).collect();
             dm.adopt_deferred_for(&consumed, region);
         }
+        let path = DataPath { telemetry: Arc::clone(telemetry), ..self.data_path() };
         // Collective pre-distribution: one-to-many read-only inputs ship
-        // as binomial broadcast trees before the first task dispatches
-        // (no-op unless `collective_min_fanout` is set; async-booked
-        // buffers are skipped — their broadcast already rides the
-        // transfer pool).
+        // as binomial broadcast trees, synchronously, before the first task
+        // dispatches (no-op unless `collective_min_fanout` is set;
+        // async-booked buffers are skipped — their broadcast already rides
+        // the transfer pool). Booked, shipped and finished exactly like the
+        // async trees, only by this region and on this thread.
         if !matches!(self.config.backend, BackendKind::Sim) {
-            self.predistribute_collectives(&graph, &plan.assignment, region, telemetry);
+            let owner = Owner::Region(region);
+            for spec in self.book_broadcasts(&graph, &plan.assignment, |_| owner) {
+                let bookings = Self::tree_bookings(&spec);
+                let outcomes = Self::run_broadcast_tree(&path, spec);
+                Self::resolve(&self.dm, &self.inflight_cv, &bookings, outcomes);
+            }
         }
         let mut core = match faults {
             Some(faults) => RuntimeCore::with_faults(graph.as_ref(), plan, faults),
             None => RuntimeCore::new(graph.as_ref(), plan),
         };
         core.set_telemetry(Arc::clone(telemetry));
-        let path = DataPath { telemetry: Arc::clone(telemetry), ..self.data_path() };
         let cv = Arc::clone(&self.inflight_cv);
         let result =
             Lowering::new(path, cv, region, graph, host_fns, &self.config).and_then(|lowering| {

@@ -13,22 +13,21 @@
 //!   data task, or a task bound for a dead node is [`Lowered::Done`].
 //!
 //! Each lowering comes with its bookkeeping [`Record`] — the transfers it
-//! owns, the replicas it recorded optimistically, the buffers it writes —
-//! and [`Lowering::retire`] settles that record once the transport has the
-//! reply: writes are recorded and stale copies queued for deletion, a
-//! failure rolls every optimistic holder and log entry back, an exit-data
-//! payload is committed to the host, worker stamps become spans.
-//! [`Lowering::abandon`] is the same rollback for a lowering that never
-//! reached the wire.
+//! has booked in the [`DataManager`]'s in-flight table, the buffers it
+//! writes — and [`Lowering::retire`] settles that record once the transport
+//! has the reply: the bookings are finished, writes are recorded and stale
+//! copies queued for deletion, an exit-data payload is committed to the
+//! host, worker stamps become spans; a failure finishes every booking with
+//! the error, which rolls holder and log entry back and leaves the error —
+//! blame included — for whoever awaits the copy. [`Lowering::abandon`] is
+//! the same rollback for a lowering that never reached the wire.
 //!
-//! The lowering also owns the state both transports used to keep copies of:
+//! Whether bytes are on a node *yet* is the in-flight table's knowledge
+//! alone: a reader of a copy somebody else has on the wire — a task of this
+//! region, of another tenant, an async enter-data or prefetch — gets an
+//! `AwaitLocal` step instead of a second transfer. What the lowering owns
+//! is per region and shared by its tasks:
 //!
-//! * the **in-flight gate** — `(buffer, node)` pairs whose transfer a task of
-//!   this region owns. A co-located reader lowered meanwhile gets an
-//!   `AwaitLocal` step instead of a second transfer; a failed owner leaves
-//!   its error behind for waiters, so blame survives. Device-level bookings
-//!   (async enter-data, prefetch) stay in the [`DataManager`]'s own table,
-//!   which the gate consults;
 //! * **deferred deletes** — stale and released copies ride the next
 //!   composite to their node as `Delete` prologue steps, or are flushed by
 //!   [`Lowering::flush_deletes`] at the end of the run;
@@ -44,7 +43,7 @@ use super::RuntimePlan;
 use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
-use crate::data_manager::{DataManager, TransferReason, TransferState, HEAD_NODE};
+use crate::data_manager::{Booking, DataManager, Owner, TransferReason, TransferState, HEAD_NODE};
 use crate::event::{EventSystem, ReplyChannel, TypedReply};
 use crate::protocol::{EventRequest, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
@@ -113,7 +112,7 @@ impl DataPath {
         {
             let mut dm = self.dm.lock();
             dm.observe_size(buffer, bytes);
-            dm.record_retrieve_in(how.region, buffer);
+            dm.record_retrieve_in(how.region, buffer)?;
         }
         if self.telemetry.spans_enabled() {
             let span = Span::new(how.phase, HEAD_NODE, t0, monotonic_us())
@@ -170,37 +169,25 @@ pub(crate) struct Record {
 
 enum RecordKind {
     Target {
-        /// Buffers whose inbound transfer to `node` this task owns.
+        /// Buffers whose inbound transfer to `node` this task has booked.
         owned: Vec<BufferId>,
-        /// Output replicas on `node` recorded optimistically for alloc steps.
-        allocs: Vec<BufferId>,
         /// Buffers the task writes.
         writes: Vec<BufferId>,
         /// Deferred deletes attached as prologue steps.
         deletes: Vec<BufferId>,
     },
-    /// `planned`: the holder entry was written optimistically by the plan
-    /// (rolled back on failure) rather than still to be recorded on success
-    /// (an alloc). `cancelled_delete`: the inbound copy superseded a
-    /// deferred delete of the same pair, which is owed again if it never
-    /// lands.
-    EnterData { buffer: BufferId, planned: bool, cancelled_delete: bool },
+    /// `booked`: the copy is a booking of this task's (finished with the
+    /// reply) rather than a replica to record on success (an alloc).
+    /// `cancelled_delete`: the inbound copy superseded a deferred delete of
+    /// the same pair, which is owed again if it never lands.
+    EnterData { buffer: BufferId, booked: bool, cancelled_delete: bool },
     /// The reply payload is the buffer contents; `release` the device copies
     /// afterwards unless the buffer is keep-resident.
     ExitData { buffer: BufferId, release: bool },
 }
 
-/// The gate's view of one owned transfer.
-enum Gate {
-    InFlight,
-    /// The owner failed with this error; waiters receive a clone, so a
-    /// failure caused by a killed source keeps its node attribution.
-    Failed(OmpcError),
-}
-
 #[derive(Default)]
 struct State {
-    gate: HashMap<(u64, NodeId), Gate>,
     deferred_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
     /// Buffer id → (registry version, encoded frame).
     payload_cache: HashMap<u64, (u64, Arc<Vec<u8>>)>,
@@ -210,8 +197,8 @@ struct State {
 /// pool threads; `state` is taken before the data manager, never after.
 pub(crate) struct Lowering {
     pub(super) path: DataPath,
-    /// Paired with the data manager's mutex: notified whenever an async
-    /// data-path job resolves a device-level booking.
+    /// Paired with the data manager's mutex: notified whenever anyone — a
+    /// task of any region, an async data-path job — finishes a booking.
     inflight_cv: Arc<Condvar>,
     /// Transfer-log namespace of this execution: the region epoch issued at
     /// admission.
@@ -220,8 +207,6 @@ pub(crate) struct Lowering {
     host_fns: HashMap<usize, HostFn>,
     pub(super) config: OmpcConfig,
     state: Mutex<State>,
-    /// Paired with `state`: notified whenever a gate entry resolves.
-    gate_cv: Condvar,
 }
 
 impl Lowering {
@@ -244,7 +229,6 @@ impl Lowering {
             host_fns,
             config: config.clone(),
             state: Mutex::new(State::default()),
-            gate_cv: Condvar::new(),
         })
     }
 
@@ -279,12 +263,9 @@ impl Lowering {
     /// Graph dependences order this after the producing task's completion.
     fn run_host_task(&self, tid: usize, task: &TargetTask) -> OmpcResult<()> {
         for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
-            let from = {
-                let dm = self.path.dm.lock();
-                // A host-only buffer (never mapped to the device) has no
-                // residency entry and nothing to flush.
-                dm.is_registered(dep.buffer).then(|| dm.retrieve_source(dep.buffer)).flatten()
-            };
+            // A host-only buffer (never mapped to the device) has no
+            // residency entry and nothing to flush.
+            let from = self.path.dm.lock().retrieve_source(dep.buffer);
             if let Some(from) = from {
                 let how = Commit {
                     region: self.region,
@@ -317,20 +298,21 @@ impl Lowering {
         map: MapType,
     ) -> OmpcResult<Lowered> {
         let mut state = self.state.lock();
-        let (event, planned) = match map {
+        let (event, booked) = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
+                let owner = Owner::Region(self.region);
                 let reason = TransferReason::EnterData;
-                let plan =
-                    self.path.dm.lock().plan_input_as_in(self.region, buffer, node, reason)?;
-                match plan {
-                    None => return Ok(Lowered::Done),
-                    Some(plan) if plan.from != HEAD_NODE => {
+                let booking = self.path.dm.lock().book(owner, buffer, node, reason)?;
+                match booking {
+                    Booking::Present | Booking::Await => return Ok(Lowered::Done),
+                    Booking::Move(plan) if plan.from != HEAD_NODE => {
                         (DataEvent::Exchange { from: plan.from, to: node, buffer }, true)
                     }
-                    Some(_) => match self.cached_payload(&mut state, buffer, tid) {
+                    Booking::Move(_) => match self.cached_payload(&mut state, buffer, tid) {
                         Ok(frame) => (DataEvent::Submit { node, buffer, frame }, true),
                         Err(e) => {
-                            self.path.dm.lock().forget_replica(buffer, node);
+                            let failed = Err(e.clone());
+                            let _ = self.finish(&mut self.path.dm.lock(), node, &[buffer], &failed);
                             return Err(e);
                         }
                     },
@@ -347,7 +329,7 @@ impl Lowering {
         // ahead of itself, so it is cancelled instead.
         let cancelled_delete =
             state.deferred_deletes.get_mut(&node).is_some_and(|set| set.remove(&buffer));
-        let kind = RecordKind::EnterData { buffer, planned, cancelled_delete };
+        let kind = RecordKind::EnterData { buffer, booked, cancelled_delete };
         Ok(Lowered::Event(event, Record { node, kind }))
     }
 
@@ -357,7 +339,7 @@ impl Lowering {
     fn lower_exit(&self, node: NodeId, buffer: BufferId, map: MapType) -> Lowered {
         let (from, keep_resident) = {
             let dm = self.path.dm.lock();
-            let copies = map.copies_from_device() && dm.is_registered(buffer);
+            let copies = map.copies_from_device();
             let from = copies.then(|| dm.retrieve_source(buffer)).flatten();
             // §4.4 consistency: the exit task is pinned to its last target
             // producer, so in a failure-free run the retrieval source is the
@@ -398,24 +380,22 @@ impl Lowering {
         let kernel =
             if self.config.fault_plan.has_task_error(tid) { POISONED_KERNEL } else { kernel };
         let mut work = Composite::default();
-        let (mut owned, mut allocs) = (Vec::new(), Vec::new());
+        let mut owned = Vec::new();
         let mut state = self.state.lock();
-        // Plan the whole task under one acquisition of the gate and the data
-        // manager: a co-located reader lowered later either sees our holder
-        // record and gate entry (and awaits the arrival) or plans its own
-        // transfer.
+        // Plan the whole task under one acquisition of the data manager: a
+        // co-located reader lowered later either sees our booking (and
+        // awaits the arrival) or plans its own transfer.
         let planned: OmpcResult<()> = (|| {
             let mut dm = self.path.dm.lock();
             for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
                 self.plan_read(&mut state, &mut dm, tid, node, dep.buffer, &mut work, &mut owned)?;
             }
-            // Write-only outputs: make sure storage exists on the node.
+            // Write-only outputs: make sure storage exists on the node. It
+            // becomes the buffer's one holder when the write is recorded.
             for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
                 if !dm.is_present(dep.buffer, node) {
                     let size = self.path.buffers.size_of(dep.buffer)? as u64;
                     work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
-                    dm.record_replica(dep.buffer, node);
-                    allocs.push(dep.buffer);
                 }
             }
             Ok(())
@@ -430,13 +410,12 @@ impl Lowering {
         work.steps.push(TaskStep::Execute { kernel, buffers });
         let writes =
             task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer).collect();
-        let record = Record { node, kind: RecordKind::Target { owned, allocs, writes, deletes } };
+        let record = Record { node, kind: RecordKind::Target { owned, writes, deletes } };
         match planned {
             Ok(()) => Ok(Lowered::Task(work, record)),
             Err(error) => {
-                // A rejected plan (concurrent first-touch guard, unknown
-                // buffer) aborts the task; resolve what was already
-                // announced so co-located waiters error out.
+                // A rejected plan (an unknown buffer) aborts the task;
+                // resolve what was already booked so its waiters error out.
                 self.roll_back(&mut state, record, &error, true);
                 Err(error)
             }
@@ -456,26 +435,18 @@ impl Lowering {
         work: &mut Composite,
         owned: &mut Vec<BufferId>,
     ) -> OmpcResult<()> {
-        let Some(plan) = dm.plan_input_in(self.region, buffer, node)? else {
-            // Already a holder — but the bytes may still be on the wire:
-            // a task of this region owns the transfer (the gate), or an
-            // async enter-data / prefetch booked it (the data manager's
-            // table). A failed gate entry seen *here* is stale: the rollback
-            // forgot the holder, so the node holds the buffer by other means.
-            let ours = matches!(state.gate.get(&(buffer.0, node)), Some(Gate::InFlight));
-            if !ours {
-                state.gate.remove(&(buffer.0, node));
-            }
-            if ours || matches!(dm.transfer_state(buffer, node), TransferState::InFlight(_)) {
+        // The booking is made at lowering time: a later co-located reader
+        // must await the arrival even though the bytes have not left yet.
+        let plan = match dm.book(Owner::Region(self.region), buffer, node, TransferReason::Input)? {
+            Booking::Present => return Ok(()),
+            Booking::Await => {
                 let timeout_ms =
                     self.config.event_reply_timeout_ms.unwrap_or(DEFAULT_AWAIT_LOCAL_MS);
                 work.steps.push(TaskStep::AwaitLocal { buffer, timeout_ms });
+                return Ok(());
             }
-            return Ok(());
+            Booking::Move(plan) => plan,
         };
-        // The gate opens at lowering time: a later co-located reader must
-        // await the arrival even though the bytes have not left yet.
-        state.gate.insert((buffer.0, node), Gate::InFlight);
         owned.push(buffer);
         if plan.from == HEAD_NODE {
             work.payloads.push(self.cached_payload(state, buffer, tid)?);
@@ -546,21 +517,37 @@ impl Lowering {
         posted
     }
 
-    /// The owned transfer of `buffer` to `node` has arrived: release its
+    /// Finish this region's bookings of `buffers` towards `node` with
+    /// `outcome` — every one of them, whatever the table makes of each —
+    /// and wake whoever awaits them.
+    fn finish(
+        &self,
+        dm: &mut DataManager,
+        node: NodeId,
+        buffers: &[BufferId],
+        outcome: &OmpcResult<()>,
+    ) -> OmpcResult<()> {
+        let finished = buffers.iter().map(|&buffer| dm.finish(buffer, node, outcome.clone()));
+        let all = finished.fold(Ok(()), OmpcResult::and);
+        if !buffers.is_empty() {
+            self.inflight_cv.notify_all();
+        }
+        all
+    }
+
+    /// The booked transfer of `buffer` to `node` has arrived: release its
     /// waiters now rather than when the owning task retires.
     pub(crate) fn landed(&self, buffer: BufferId, node: NodeId) {
-        self.state.lock().gate.remove(&(buffer.0, node));
-        self.gate_cv.notify_all();
+        let _ = self.finish(&mut self.path.dm.lock(), node, &[buffer], &Ok(()));
     }
 
     /// Resolve an `AwaitLocal` step on the head: block until the bytes of
-    /// `buffer` someone else put on the wire towards `node` have arrived —
-    /// first on the gate, then on the device-level booking — and fail at
-    /// once with the transfer's own error if it failed. A booking rolled
-    /// back with its error already consumed (its destination died and
-    /// recovery dealt with it) is re-planned: the returned composite holds
-    /// the one receive `record` now owns and the caller must perform, and is
-    /// empty otherwise.
+    /// `buffer` someone else put on the wire towards `node` have arrived,
+    /// and fail at once with the transfer's own error if it failed. A
+    /// booking that resolved without leaving either copy or error (a write
+    /// elsewhere invalidated it on the wire) is re-planned: the returned
+    /// composite holds the one receive `record` now owns and the caller
+    /// must perform, and is empty otherwise.
     pub(crate) fn await_local(
         &self,
         task: usize,
@@ -570,16 +557,6 @@ impl Lowering {
     ) -> OmpcResult<Composite> {
         let tel = &self.path.telemetry;
         loop {
-            {
-                let mut state = self.state.lock();
-                loop {
-                    match state.gate.get(&(buffer.0, node)) {
-                        None => break,
-                        Some(Gate::Failed(error)) => return Err(error.clone()),
-                        Some(Gate::InFlight) => self.gate_cv.wait(&mut state),
-                    }
-                }
-            }
             let t0 = tel.start();
             let mut waited = false;
             let resident = {
@@ -587,14 +564,14 @@ impl Lowering {
                 loop {
                     match dm.transfer_state(buffer, node) {
                         TransferState::Resident => break true,
-                        TransferState::InFlight(_) => {
-                            waited = true;
+                        TransferState::InFlight(owner) => {
+                            // The span below is the async data path's: a
+                            // task's own transfer already shows as its `Send`.
+                            waited |= matches!(owner, Owner::Ticket(_));
                             self.inflight_cv.wait(&mut dm);
                         }
-                        TransferState::Invalid => match dm.take_inflight_error(buffer, node) {
-                            Some(error) => return Err(error),
-                            None => break false,
-                        },
+                        TransferState::Invalid(Some(error)) => return Err(error),
+                        TransferState::Invalid(None) => break false,
                     }
                 }
             };
@@ -641,26 +618,24 @@ impl Lowering {
         match kind {
             RecordKind::Target { owned, writes, .. } => {
                 let mut state = self.state.lock();
-                if !owned.is_empty() {
-                    for buffer in owned {
-                        state.gate.remove(&(buffer.0, node));
-                    }
-                    self.gate_cv.notify_all();
-                }
+                let mut dm = self.path.dm.lock();
+                self.finish(&mut dm, node, &owned, &Ok(()))?;
                 // The copy on `node` is now the only valid one; the stale
                 // ones are freed by the next composite headed their way.
-                let mut dm = self.path.dm.lock();
                 for buffer in writes {
-                    for stale in dm.record_write(buffer, node) {
+                    for stale in dm.record_write(buffer, node)? {
                         if stale != HEAD_NODE && !dm.is_failed(stale) {
                             state.deferred_deletes.entry(stale).or_default().insert(buffer);
                         }
                     }
                 }
             }
-            RecordKind::EnterData { buffer, planned, .. } => {
-                if !planned {
-                    self.path.dm.lock().record_replica(buffer, node);
+            RecordKind::EnterData { buffer, booked, .. } => {
+                let mut dm = self.path.dm.lock();
+                if booked {
+                    self.finish(&mut dm, node, &[buffer], &Ok(()))?;
+                } else {
+                    dm.record_replica(buffer, node)?;
                 }
             }
             RecordKind::ExitData { buffer, release } => {
@@ -685,30 +660,25 @@ impl Lowering {
         self.roll_back(&mut self.state.lock(), record, error, true);
     }
 
-    /// The task never landed its effects: forget the optimistic holder
-    /// records (and their log entries) so no later reader skips a transfer
-    /// the bytes never made, and leave `error` on the gate so co-located
-    /// waiters fail with it instead of blocking.
+    /// The task never landed its effects: finish its bookings with `error`,
+    /// so no later reader skips a transfer the bytes never made (holder and
+    /// log entry are rolled back) and whoever awaits one of them fails with
+    /// `error` — a killed source keeps its blame — instead of blocking.
     fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
         let Record { node, kind } = record;
         let mut dm = self.path.dm.lock();
+        let failed = Err(error.clone());
         let mut owed = Vec::new();
         match kind {
-            RecordKind::Target { owned, allocs, deletes, .. } => {
-                for &buffer in owned.iter().chain(&allocs) {
-                    dm.forget_replica(buffer, node);
-                }
-                for buffer in owned {
-                    state.gate.insert((buffer.0, node), Gate::Failed(error.clone()));
-                }
-                self.gate_cv.notify_all();
+            RecordKind::Target { owned, deletes, .. } => {
+                let _ = self.finish(&mut dm, node, &owned, &failed);
                 if unsent {
                     owed = deletes;
                 }
             }
-            RecordKind::EnterData { buffer, planned, cancelled_delete } => {
-                if planned {
-                    dm.forget_replica(buffer, node);
+            RecordKind::EnterData { buffer, booked, cancelled_delete } => {
+                if booked {
+                    let _ = self.finish(&mut dm, node, &[buffer], &failed);
                 }
                 if cancelled_delete {
                     owed.push(buffer);
@@ -764,7 +734,8 @@ impl Lowering {
     /// and name the writers of every buffer whose only copy was lost.
     pub(crate) fn invalidate_node(&self, node: NodeId) -> Vec<LostBuffer> {
         self.state.lock().deferred_deletes.remove(&node);
-        let lost = self.path.dm.lock().fail_node(node);
+        // Only workers are ever declared failed; the head would lose nothing.
+        let lost = self.path.dm.lock().fail_node(node).unwrap_or_default();
         let _ = self.path.events.kill(node);
         let writers_of = |buffer| {
             let writes = |t: &&TargetTask| {
@@ -840,8 +811,13 @@ mod tests {
         }
     }
 
+    /// Copies of the fixture's two buffers booked as in flight.
     fn inflight_entries(low: &Lowering) -> usize {
-        low.state.lock().gate.values().filter(|g| matches!(g, Gate::InFlight)).count()
+        let dm = low.path.dm.lock();
+        let pairs = (0..2).flat_map(|b| (1..3).map(move |node| (BufferId(b), node)));
+        pairs
+            .filter(|&(b, n)| matches!(dm.transfer_state(b, n), TransferState::InFlight(_)))
+            .count()
     }
 
     #[test]
@@ -916,6 +892,50 @@ mod tests {
     }
 
     #[test]
+    fn a_reader_of_another_region_awaits_a_colocated_transfer_too() {
+        let Fixture { low, a, .. } = &fixture();
+        let tenant = |region| {
+            let cv = Arc::clone(&low.inflight_cv);
+            let (graph, config) = (Arc::clone(&low.graph), OmpcConfig::small());
+            Lowering::new(low.path.clone(), cv, region, graph, HashMap::new(), &config).unwrap()
+        };
+        let second = tenant(2);
+        let (work, owner) = lower_task(low, 0, 1);
+        assert!(matches!(
+            &work.steps[..],
+            [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]
+        ));
+
+        // Region 2's reader on the node region 1's bytes are travelling to
+        // awaits them instead of computing on whatever is there now ...
+        let (work, mut waiter) = lower_task(&second, 1, 1);
+        assert!(
+            matches!(&work.steps[..], [TaskStep::AwaitLocal { buffer, .. }, TaskStep::Execute { .. }] if buffer == a),
+            "unexpected steps: {:?}",
+            work.steps
+        );
+        assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "no second log record");
+        // ... and its reader on another node is an ordinary plan of its own.
+        let (work, _record) = lower_task(&second, 0, 2);
+        assert!(
+            matches!(&work.steps[..], [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]),
+            "unexpected steps: {:?}",
+            work.steps
+        );
+
+        // Region 1's transfer fails: region 2's waiter gets that very error,
+        // and whoever lowers a reader next moves the bytes again.
+        let boom = OmpcError::Communication("link down".into());
+        assert_eq!(low.retire(0, owner, Err(boom.clone())), Err(boom.clone()));
+        assert_eq!(second.await_local(1, 1, *a, &mut waiter).err(), Some(boom));
+        let (again, _record) = lower_task(&tenant(3), 0, 1);
+        assert!(matches!(
+            &again.steps[..],
+            [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]
+        ));
+    }
+
+    #[test]
     fn an_abandoned_lowering_owes_its_attached_deletes_again() {
         let Fixture { low, a, .. } = &fixture();
         // A replica on node 2, then a write on node 1: node 2's copy is
@@ -950,7 +970,7 @@ mod tests {
     #[test]
     fn a_task_on_a_dead_node_lowers_to_nothing() {
         let Fixture { low, .. } = &fixture();
-        low.path.dm.lock().fail_node(2);
+        low.path.dm.lock().fail_node(2).unwrap();
         assert!(matches!(low.lower(0, 2), Ok(Lowered::Done)));
         assert!(low.path.dm.lock().transfer_log().is_empty());
         assert!(low.blames_dead_node(2, &OmpcError::ShutDown));

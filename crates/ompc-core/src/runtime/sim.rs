@@ -19,7 +19,9 @@ use super::fault::LostBuffer;
 use super::lowering::POISONED_KERNEL;
 use super::{ExecutionBackend, RuntimePlan, TaskEvent};
 use crate::config::{OmpcConfig, OverheadModel};
-use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE};
+use crate::data_manager::{
+    Booking, DataManager, Owner, TransferReason, TransferRecord, HEAD_NODE, UNATTRIBUTED,
+};
 use crate::heartbeat::Millis;
 use crate::model::WorkloadGraph;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
@@ -80,11 +82,10 @@ pub struct SimBackend<'w> {
     dm: DataManager,
     pending_inputs: Vec<usize>,
     queued_inputs: Vec<VecDeque<(NodeId, u64, u64)>>,
-    /// In-flight input transfers keyed by `(buffer, destination)`, each with
-    /// the co-located tasks waiting for that same copy — the simulated
-    /// analogue of the threaded backend's transfer gate: a consumer whose
+    /// The co-located tasks waiting for a copy the data manager has booked
+    /// as in flight, keyed by `(buffer, destination)`: a consumer whose
     /// shared input is already on the wire must not start computing until
-    /// the bytes arrive.
+    /// the bytes arrive — the simulated analogue of an `AwaitLocal` step.
     arrivals: HashMap<(u64, NodeId), Vec<usize>>,
     phase_done: bool,
     retrievals_pending: usize,
@@ -153,7 +154,7 @@ impl<'w> SimBackend<'w> {
             let Some(completion) = self.engine.next_completion() else {
                 return Err(OmpcError::Internal(format!("simulation stalled during {label}")));
             };
-            if let Some(task) = self.step(completion) {
+            if let Some(task) = self.step(completion)? {
                 return Err(OmpcError::Internal(format!("task {task} completed during {label}")));
             }
         }
@@ -162,7 +163,7 @@ impl<'w> SimBackend<'w> {
 
     /// React to one engine completion; returns a task id when a target task
     /// retired.
-    fn step(&mut self, completion: Completion) -> Option<usize> {
+    fn step(&mut self, completion: Completion) -> OmpcResult<Option<usize>> {
         let token: Token = completion.token();
         let kind = token & !TOK_MASK;
         let task = if kind == TOK_TRANSFER || kind == TOK_STAGE {
@@ -172,14 +173,8 @@ impl<'w> SimBackend<'w> {
         };
         let buffer = token & TOK_SUB_MASK;
         match kind {
-            TOK_STARTUP | TOK_SCHEDULE | TOK_SHUTDOWN => {
-                self.phase_done = true;
-                None
-            }
-            TOK_DISPATCH => {
-                self.issue_inputs(task);
-                None
-            }
+            TOK_STARTUP | TOK_SCHEDULE | TOK_SHUTDOWN => self.phase_done = true,
+            TOK_DISPATCH => self.issue_inputs(task)?,
             TOK_STAGE => {
                 // The head forwards exactly the bytes that just arrived on
                 // this first leg (the completion carries them), so several
@@ -191,7 +186,6 @@ impl<'w> SimBackend<'w> {
                 self.engine.issue(|ctx| {
                     ctx.send(HEAD_NODE, node, bytes, transfer_token(TOK_TRANSFER, task, buffer))
                 });
-                None
             }
             TOK_TRANSFER => {
                 self.pending_inputs[task] -= 1;
@@ -201,6 +195,7 @@ impl<'w> SimBackend<'w> {
                 // The copy has landed: release every co-located task that
                 // was waiting for this buffer on this node.
                 let node = self.node_of[task];
+                self.dm.finish(BufferId(buffer), node, Ok(()))?;
                 for waiter in self.arrivals.remove(&(buffer, node)).unwrap_or_default() {
                     self.pending_inputs[waiter] -= 1;
                     if self.pending_inputs[waiter] == 0 {
@@ -210,18 +205,16 @@ impl<'w> SimBackend<'w> {
                 if self.pending_inputs[task] == 0 {
                     self.start_compute(task);
                 }
-                None
             }
             TOK_COMPUTE => {
                 let cost = self.overheads.event_completion;
                 self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, cost, TOK_COMPLETE | task as u64));
-                None
             }
             TOK_COMPLETE => {
                 // The task's output now lives (only) on the node that ran it.
                 let node = self.node_of[task];
                 if self.dm.is_registered(BufferId(task as u64)) {
-                    self.dm.record_write(BufferId(task as u64), node);
+                    self.dm.record_write(BufferId(task as u64), node)?;
                 } else {
                     self.dm.register_device_buffer(
                         BufferId(task as u64),
@@ -229,23 +222,23 @@ impl<'w> SimBackend<'w> {
                         self.workload.output_bytes[task],
                     );
                 }
-                Some(task)
+                return Ok(Some(task));
             }
             TOK_RETRIEVE => {
                 self.retrievals_pending -= 1;
                 if self.retrievals_pending == 0 {
                     self.phase_done = true;
                 }
-                None
             }
             _ => unreachable!("unknown token kind {kind:#x}"),
         }
+        Ok(None)
     }
 
     /// Plan the input forwarding of a freshly dispatched task through the
     /// data manager and issue the transfers — concurrently in the pipelined
     /// default, one at a time in the legacy serial mode.
-    fn issue_inputs(&mut self, task: usize) {
+    fn issue_inputs(&mut self, task: usize) -> OmpcResult<()> {
         let node = self.node_of[task];
         let mut transfers: Vec<(NodeId, u64, u64)> = Vec::new();
         let mut awaited = 0usize;
@@ -254,40 +247,37 @@ impl<'w> SimBackend<'w> {
                         buf: u64,
                         bytes: u64,
                         reason: TransferReason| {
-            if let Some(plan) = dm.plan_input_as(BufferId(buf), node, reason) {
-                // We own this transfer; announce it so later co-located
+            match dm.book(Owner::Region(UNATTRIBUTED), BufferId(buf), node, reason)? {
+                // We own this transfer; the booking makes later co-located
                 // consumers wait for the arrival instead of racing past it.
-                arrivals.insert((buf, node), Vec::new());
-                transfers.push((plan.from, bytes, buf));
-            } else if let Some(waiters) = arrivals.get_mut(&(buf, node)) {
+                Booking::Move(plan) => transfers.push((plan.from, bytes, buf)),
                 // Already on the wire for a sibling task on this node.
-                waiters.push(task);
-                awaited += 1;
+                Booking::Await => {
+                    arrivals.entry((buf, node)).or_default().push(task);
+                    awaited += 1;
+                }
+                Booking::Present => {}
             }
+            Ok::<(), OmpcError>(())
         };
         for (pred, bytes) in self.workload.graph.in_edges(task) {
             if bytes == 0 {
                 continue;
             }
-            need(&mut self.dm, &mut self.arrivals, pred as u64, bytes, TransferReason::Input);
+            need(&mut self.dm, &mut self.arrivals, pred as u64, bytes, TransferReason::Input)?;
         }
         if self.workload.graph.predecessors(task).is_empty() {
             let bytes = self.workload.output_bytes[task];
             if bytes > 0 {
                 // Initial data distributed from the head node (enter data).
-                need(
-                    &mut self.dm,
-                    &mut self.arrivals,
-                    task as u64,
-                    bytes,
-                    TransferReason::EnterData,
-                );
+                let reason = TransferReason::EnterData;
+                need(&mut self.dm, &mut self.arrivals, task as u64, bytes, reason)?;
             }
         }
         self.pending_inputs[task] = transfers.len() + awaited;
         if self.pending_inputs[task] == 0 {
             self.start_compute(task);
-            return;
+            return Ok(());
         }
         if self.overheads.serial_input_transfers {
             let mut queue: VecDeque<(NodeId, u64, u64)> = transfers.into();
@@ -300,6 +290,7 @@ impl<'w> SimBackend<'w> {
                 self.issue_transfer(task, src, bytes, buf);
             }
         }
+        Ok(())
     }
 
     fn issue_transfer(&mut self, task: usize, src: NodeId, bytes: u64, buffer: u64) {
@@ -349,7 +340,7 @@ impl ExecutionBackend for SimBackend<'_> {
                     "simulation event queue drained with tasks outstanding".to_string(),
                 ));
             };
-            if let Some(task) = self.step(completion) {
+            if let Some(task) = self.step(completion)? {
                 // Injected task error (fault plan): model the worker-side
                 // handler failure the threaded backend provokes for real —
                 // a typed error reply attributing the executing node.
@@ -376,9 +367,9 @@ impl ExecutionBackend for SimBackend<'_> {
     fn invalidate_node(&mut self, node: NodeId) -> Vec<LostBuffer> {
         // In workload graphs buffer `t` is task `t`'s output, so the lost
         // lineage of a buffer is exactly its producing task.
-        self.dm
-            .fail_node(node)
-            .into_iter()
+        // (Only workers are ever declared failed; the head loses nothing.)
+        let lost = self.dm.fail_node(node).unwrap_or_default();
+        lost.into_iter()
             .map(|buffer| LostBuffer { buffer, writers: vec![buffer.0 as usize] })
             .collect()
     }
@@ -407,7 +398,7 @@ impl ExecutionBackend for SimBackend<'_> {
                 self.engine
                     .issue(|ctx| ctx.send(from, HEAD_NODE, bytes, TOK_RETRIEVE | sink as u64));
                 // Simulated transfers cannot fail; commit immediately.
-                self.dm.record_retrieve(BufferId(sink as u64));
+                self.dm.record_retrieve(BufferId(sink as u64))?;
                 self.retrievals_pending += 1;
             }
         }

@@ -19,9 +19,9 @@
 //!   `min(head_worker_threads, window, tasks)` for the largest region seen
 //!   so far, reused across region executions, drained at shutdown;
 //! * `AwaitLocal` **is resolved on the head**: the pool thread blocks on the
-//!   lowering's gate (or the device's in-flight table) and fails at once
-//!   with the transfer's own error, where the message-passing transport
-//!   ships the step to the worker and lets it time out;
+//!   device's in-flight table and fails at once with the transfer's own
+//!   error, where the message-passing transport ships the step to the
+//!   worker and lets it time out;
 //! * a task's receives overlap when there are two or more;
 //! * the **cancellation flag**: a genuine task failure on a live node stops
 //!   the tasks already queued behind it, and the synthetic errors of those

@@ -449,7 +449,7 @@ mod tests {
         // Two consumers of one producer pinned to the same node: the second
         // gets no transfer of its own (the copy is already on the wire for
         // the first), but it must not start computing until that copy has
-        // arrived - the simulated analogue of the threaded transfer gate.
+        // arrived - the simulated analogue of an `AwaitLocal` step.
         let mut g = TaskGraph::new();
         let p = g.add_task(1e-4);
         let c1 = g.add_task(1e-4);
