@@ -1,26 +1,24 @@
 //! Host-side buffer registry: the head node's view of every mapped buffer.
 
 use crate::types::{BufferId, OmpcError, OmpcResult};
+use ompc_mpi::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-
-/// One registered buffer: its bytes plus a version counter bumped on every
-/// [`BufferRegistry::set`], so payload caches can tell "same bytes as last
-/// time" from "rewritten since".
-#[derive(Debug, Default)]
-struct Slot {
-    data: Vec<u8>,
-    version: u64,
-}
 
 /// The head node's storage for mapped buffers.
 ///
 /// In OpenMP terms this is the host memory that `map` clauses copy from and
 /// to; the worker nodes keep their own device copies (see
 /// `crate::worker::DeviceMemory`), coordinated by the data manager.
+///
+/// A slot holds a shared [`Bytes`] handle, and that handle *is* the payload
+/// frame: distributing a buffer hands the very allocation registered here to
+/// the transport, and a retrieved buffer is stored as the allocation the
+/// worker sent. Only [`BufferRegistry::get`] — a caller asking for bytes of
+/// its own — copies.
 #[derive(Debug, Default)]
 pub struct BufferRegistry {
-    buffers: RwLock<HashMap<u64, Slot>>,
+    buffers: RwLock<HashMap<u64, Bytes>>,
     next: RwLock<u64>,
 }
 
@@ -35,7 +33,7 @@ impl BufferRegistry {
         let mut next = self.next.write();
         let id = *next;
         *next += 1;
-        self.buffers.write().insert(id, Slot { data, version: 0 });
+        self.buffers.write().insert(id, data.into());
         BufferId(id)
     }
 
@@ -47,39 +45,32 @@ impl BufferRegistry {
 
     /// Size in bytes of a buffer.
     pub fn size_of(&self, id: BufferId) -> OmpcResult<usize> {
-        self.buffers.read().get(&id.0).map(|s| s.data.len()).ok_or(OmpcError::UnknownBuffer(id))
+        self.buffers.read().get(&id.0).map(|data| data.len()).ok_or(OmpcError::UnknownBuffer(id))
     }
 
-    /// Clone the current host contents of a buffer.
+    /// Copy out the current host contents of a buffer.
     pub fn get(&self, id: BufferId) -> OmpcResult<Vec<u8>> {
-        self.buffers.read().get(&id.0).map(|s| s.data.clone()).ok_or(OmpcError::UnknownBuffer(id))
+        self.share(id).map(|data| data.to_vec())
     }
 
-    /// Clone the current host contents of a buffer together with its
-    /// version, as one consistent snapshot. Payload caches key on the
-    /// version: a cached frame with the same version is the same bytes.
-    pub fn get_versioned(&self, id: BufferId) -> OmpcResult<(u64, Vec<u8>)> {
-        self.buffers
-            .read()
-            .get(&id.0)
-            .map(|s| (s.version, s.data.clone()))
-            .ok_or(OmpcError::UnknownBuffer(id))
+    /// The current host contents of a buffer as a shared handle on the
+    /// registry's own allocation — what the data path puts on the wire.
+    pub(crate) fn share(&self, id: BufferId) -> OmpcResult<Bytes> {
+        self.buffers.read().get(&id.0).cloned().ok_or(OmpcError::UnknownBuffer(id))
     }
 
-    /// The version counter of a buffer: 0 at registration, bumped by every
-    /// [`BufferRegistry::set`].
-    pub fn version(&self, id: BufferId) -> OmpcResult<u64> {
-        self.buffers.read().get(&id.0).map(|s| s.version).ok_or(OmpcError::UnknownBuffer(id))
-    }
-
-    /// Replace the host contents of a buffer (used when `map(from:)` /
-    /// `map(tofrom:)` data returns from the cluster).
+    /// Replace the host contents of a buffer.
     pub fn set(&self, id: BufferId, data: Vec<u8>) -> OmpcResult<()> {
-        let mut buffers = self.buffers.write();
-        match buffers.get_mut(&id.0) {
+        self.set_shared(id, data.into())
+    }
+
+    /// [`BufferRegistry::set`] from a shared handle (how `map(from:)` /
+    /// `map(tofrom:)` data returns from the cluster: the registry keeps the
+    /// allocation the worker sent).
+    pub(crate) fn set_shared(&self, id: BufferId, data: Bytes) -> OmpcResult<()> {
+        match self.buffers.write().get_mut(&id.0) {
             Some(slot) => {
-                slot.data = data;
-                slot.version += 1;
+                *slot = data;
                 Ok(())
             }
             None => Err(OmpcError::UnknownBuffer(id)),
@@ -87,8 +78,8 @@ impl BufferRegistry {
     }
 
     /// Remove a buffer entirely (after `map(release:)` / exit data).
-    pub fn remove(&self, id: BufferId) -> OmpcResult<Vec<u8>> {
-        self.buffers.write().remove(&id.0).map(|s| s.data).ok_or(OmpcError::UnknownBuffer(id))
+    pub fn remove(&self, id: BufferId) -> OmpcResult<()> {
+        self.buffers.write().remove(&id.0).map(drop).ok_or(OmpcError::UnknownBuffer(id))
     }
 
     /// Whether the buffer exists.
@@ -124,7 +115,7 @@ mod tests {
         assert_eq!(reg.size_of(a).unwrap(), 3);
         reg.set(a, vec![9]).unwrap();
         assert_eq!(reg.get(a).unwrap(), vec![9]);
-        assert_eq!(reg.remove(a).unwrap(), vec![9]);
+        reg.remove(a).unwrap();
         assert!(!reg.contains(a));
         assert!(reg.contains(b));
     }
@@ -140,17 +131,23 @@ mod tests {
     }
 
     #[test]
-    fn versions_bump_on_set_only() {
+    fn a_slot_is_the_allocation_it_was_given() {
         let reg = BufferRegistry::new();
-        let a = reg.register(vec![1, 2]);
-        assert_eq!(reg.version(a).unwrap(), 0);
-        assert_eq!(reg.get_versioned(a).unwrap(), (0, vec![1, 2]));
-        reg.get(a).unwrap();
-        assert_eq!(reg.version(a).unwrap(), 0, "reads do not bump the version");
-        reg.set(a, vec![3]).unwrap();
-        reg.set(a, vec![4]).unwrap();
-        assert_eq!(reg.get_versioned(a).unwrap(), (2, vec![4]));
-        assert_eq!(reg.version(BufferId(9)).unwrap_err(), OmpcError::UnknownBuffer(BufferId(9)));
+        let data = vec![1u8; 64];
+        let at = data.as_ptr();
+        let a = reg.register(data);
+        let shared = reg.share(a).unwrap();
+        assert_eq!(shared.as_ptr(), at, "registering moves the vector in");
+        assert!(reg.share(a).unwrap().same_allocation(&shared), "sharing twice is one block");
+        let owned = reg.get(a).unwrap();
+        assert_ne!(owned.as_ptr(), at, "an owned copy is the caller's own");
+        // A returning payload replaces the handle; earlier holders keep
+        // the version they took.
+        let back = ompc_mpi::Bytes::from(vec![2u8; 8]);
+        reg.set_shared(a, back.clone()).unwrap();
+        assert!(reg.share(a).unwrap().same_allocation(&back));
+        assert_eq!(&shared[..], &[1u8; 64][..]);
+        assert_eq!(reg.share(BufferId(9)).unwrap_err(), OmpcError::UnknownBuffer(BufferId(9)));
     }
 
     #[test]

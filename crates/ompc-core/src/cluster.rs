@@ -9,7 +9,7 @@
 //! logic.
 
 use crate::buffer::BufferRegistry;
-use crate::collective::{run_broadcast, BroadcastSpec};
+use crate::collective::{run_broadcast, BroadcastSource, BroadcastSpec};
 use crate::config::BackendKind;
 use crate::config::OmpcConfig;
 use crate::data_manager::{
@@ -602,7 +602,7 @@ impl ClusterDevice {
         if from == HEAD_NODE {
             let mut cars = Vec::with_capacity(buffers.len());
             for &buffer in buffers {
-                let data = path.buffers.get(buffer)?;
+                let data = path.buffers.share(buffer)?;
                 total += data.len() as u64;
                 cars.push((buffer, data));
             }
@@ -1142,7 +1142,15 @@ impl ClusterDevice {
             if dests.len() < threshold {
                 continue;
             }
-            let Some(source) = dm.latest(buffer) else { continue };
+            // A head-sourced tree streams the registry's own allocation.
+            let (bytes, source) = match dm.latest(buffer) {
+                Some(HEAD_NODE) => match self.buffers.share(buffer) {
+                    Ok(payload) => (payload.len() as u64, BroadcastSource::Head(payload)),
+                    Err(_) => continue,
+                },
+                Some(node) => (dm.bytes_of(buffer), BroadcastSource::Worker(node)),
+                None => continue,
+            };
             let owner = owner(&mut dm);
             let booked = |(&node, &reason): (&NodeId, &TransferReason)| {
                 matches!(dm.book(owner, buffer, node, reason), Ok(Booking::Move(_))).then_some(node)
@@ -1151,7 +1159,7 @@ impl ClusterDevice {
             if !destinations.is_empty() {
                 trees.push(BroadcastSpec {
                     buffer,
-                    bytes: dm.bytes_of(buffer),
+                    bytes,
                     source,
                     destinations,
                     chunk_bytes: self.config.collective_chunk_bytes() as u64,
@@ -1173,21 +1181,10 @@ impl ClusterDevice {
     /// per-destination, and a failed destination is rolled back and
     /// re-sourced by the per-task machinery.
     fn run_broadcast_tree(path: &DataPath, spec: BroadcastSpec) -> Vec<OmpcResult<()>> {
-        let payload = if spec.source == HEAD_NODE {
-            match path.buffers.get(spec.buffer) {
-                Ok(data) => Some(data),
-                Err(e) => return vec![Err(e); spec.destinations.len()],
-            }
-        } else {
-            None
-        };
-        let spec = BroadcastSpec {
-            bytes: payload.as_ref().map(|d| d.len() as u64).unwrap_or(spec.bytes),
-            ..spec
-        };
-        let outcome = run_broadcast(&path.events, &path.telemetry, &spec, payload.as_deref());
+        let outcome = run_broadcast(&path.events, &path.telemetry, &spec);
+        let source = spec.source.node();
         let mut dm = path.dm.lock();
-        for edge in outcome.delivered.iter().filter(|edge| edge.from != spec.source) {
+        for edge in outcome.delivered.iter().filter(|edge| edge.from != source) {
             dm.retarget(spec.buffer, edge.to, edge.from);
         }
         let outcome_of = |node: &NodeId| match outcome.failed.iter().find(|(n, _)| n == node) {

@@ -13,11 +13,13 @@
 //! worker links in parallel.
 //!
 //! Underneath, payloads stream as **chunked frames**
-//! ([`crate::protocol::encode_relay_frame`], size
-//! [`crate::config::OmpcConfig::collective_chunk_kib`]): a relay forwards
-//! chunk *i* the moment it arrives, while chunk *i+1* is still on the wire
-//! towards it, overlapping receive, store, and fan-out down the whole
-//! tree.
+//! ([`crate::protocol::relay_frame_header`] plus the chunk as the message
+//! body, size [`crate::config::OmpcConfig::collective_chunk_kib`]): a relay
+//! forwards chunk *i* the moment it arrives, while chunk *i+1* is still on
+//! the wire towards it, overlapping receive, store, and fan-out down the
+//! whole tree. Every chunk is a view of the source's allocation and every
+//! relay passes on the handle it received, so the tree moves one block of
+//! memory however many nodes it reaches.
 //!
 //! ## Delivery tracking and failure healing
 //!
@@ -40,10 +42,10 @@
 
 use crate::data_manager::HEAD_NODE;
 use crate::event::EventSystem;
-use crate::protocol::{EventNotification, EventReply, EventRequest, RelayChild};
+use crate::protocol::{EventNotification, EventRequest, RelayChild, Reply};
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::types::{BufferId, NodeId, OmpcError};
-use ompc_mpi::{CommId, Tag};
+use ompc_mpi::{Bytes, CommId, Tag};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -56,15 +58,34 @@ const DEFAULT_BROADCAST_TIMEOUT: Duration = Duration::from_secs(90);
 /// and every sleep is pure latency on the broadcast's critical path.
 const POLL_SLEEP: Duration = Duration::from_micros(50);
 
+/// Where a broadcast's payload comes from.
+#[derive(Debug, Clone)]
+pub enum BroadcastSource {
+    /// The head streams the frames itself, out of this handle.
+    Head(Bytes),
+    /// A worker holding the buffer is driven through a `RelayFeed` event.
+    Worker(NodeId),
+}
+
+impl BroadcastSource {
+    /// The node holding the payload ([`HEAD_NODE`] or the worker).
+    pub fn node(&self) -> NodeId {
+        match self {
+            BroadcastSource::Head(_) => HEAD_NODE,
+            BroadcastSource::Worker(node) => *node,
+        }
+    }
+}
+
 /// One planned one-to-many distribution.
 #[derive(Debug, Clone)]
 pub struct BroadcastSpec {
     /// The buffer being distributed.
     pub buffer: BufferId,
-    /// Payload size in bytes (the registered size; what each edge carries).
+    /// Payload size in bytes (what each edge carries).
     pub bytes: u64,
-    /// Node currently holding the payload ([`HEAD_NODE`] or a worker).
-    pub source: NodeId,
+    /// Who currently holds the payload.
+    pub source: BroadcastSource,
     /// Nodes that must receive a copy; none of them holds one yet.
     pub destinations: Vec<NodeId>,
     /// Frame size for the pipelined stream (0 = one whole-buffer frame).
@@ -134,9 +155,7 @@ struct FeedInFlight {
     fed: Vec<usize>,
 }
 
-/// Execute `spec` as a binomial broadcast. `payload` must be `Some` iff
-/// `spec.source == HEAD_NODE` (the head streams the frames itself; a
-/// worker source is driven through a `RelayFeed` event instead).
+/// Execute `spec` as a binomial broadcast.
 ///
 /// Blocks until every destination either acknowledged its copy or failed;
 /// per-destination outcomes are reported in the returned
@@ -147,16 +166,16 @@ pub(crate) fn run_broadcast(
     events: &EventSystem,
     telemetry: &Telemetry,
     spec: &BroadcastSpec,
-    payload: Option<&[u8]>,
 ) -> BroadcastOutcome {
     let mut outcome = BroadcastOutcome::default();
     if spec.destinations.is_empty() {
         return outcome;
     }
     let size = 1 + spec.destinations.len();
+    let source = spec.source.node();
     let node_of = |slot: usize| -> NodeId {
         if slot == 0 {
-            spec.source
+            source
         } else {
             spec.destinations[slot - 1]
         }
@@ -222,32 +241,34 @@ pub(crate) fn run_broadcast(
     let root_children: Vec<RelayChild> = root_slots.iter().map(|&slot| child_of(slot)).collect();
     let mut feeds: Vec<FeedInFlight> = Vec::new();
     let mut feed_failed: Option<OmpcError> = None;
-    if spec.source == HEAD_NODE {
-        let payload = payload.expect("a head-sourced broadcast carries its payload");
-        let tc = telemetry.start();
-        let sent = crate::worker::send_relay_frames(
-            events.communicator(),
-            payload,
-            spec.chunk_bytes,
-            &root_children,
-        );
-        if telemetry.spans_enabled() {
-            telemetry.record(
-                Span::new(SpanPhase::Chunk, HEAD_NODE, tc, monotonic_us())
-                    .bytes(spec.bytes * root_children.len() as u64)
-                    .detail("head-stream"),
+    match &spec.source {
+        BroadcastSource::Head(payload) => {
+            let tc = telemetry.start();
+            let sent = crate::worker::send_relay_frames(
+                events.communicator(),
+                payload,
+                spec.chunk_bytes,
+                &root_children,
             );
-        }
-        if let Err(e) = sent {
-            feed_failed = Some(e);
-        }
-    } else {
-        match dispatch_feed(events, spec, spec.source, &root_children) {
-            Ok(mut feed) => {
-                feed.fed = root_slots.clone();
-                feeds.push(feed);
+            if telemetry.spans_enabled() {
+                telemetry.record(
+                    Span::new(SpanPhase::Chunk, HEAD_NODE, tc, monotonic_us())
+                        .bytes(spec.bytes * root_children.len() as u64)
+                        .detail("head-stream"),
+                );
             }
-            Err(e) => feed_failed = Some(e),
+            if let Err(e) = sent {
+                feed_failed = Some(e);
+            }
+        }
+        BroadcastSource::Worker(feeder) => {
+            match dispatch_feed(events, spec, *feeder, &root_children) {
+                Ok(mut feed) => {
+                    feed.fed = root_slots.clone();
+                    feeds.push(feed);
+                }
+                Err(e) => feed_failed = Some(e),
+            }
         }
     }
     if feed_failed.is_some() {
@@ -282,8 +303,7 @@ pub(crate) fn run_broadcast(
                 .on(comm)
                 .and_then(|c| c.recv(Some(node), Some(tag)))
                 .map_err(|e| OmpcError::Communication(e.to_string()))
-                .and_then(|msg| EventReply::decode(&msg.data))
-                .and_then(EventReply::into_result);
+                .and_then(|msg| Reply::from_parts(&msg.data, msg.body, false));
             pending.remove(&slot);
             orphans.remove(&slot);
             progressed = true;
@@ -332,8 +352,7 @@ pub(crate) fn run_broadcast(
                 .on(feed.comm)
                 .and_then(|c| c.recv(Some(feed.feeder), Some(feed.tag)))
                 .map_err(|e| OmpcError::Communication(e.to_string()))
-                .and_then(|msg| EventReply::decode(&msg.data))
-                .and_then(EventReply::into_result);
+                .and_then(|msg| Reply::from_parts(&msg.data, msg.body, false));
             if reply.is_err() {
                 for slot in feed.fed {
                     if pending.contains_key(&slot) {
@@ -372,25 +391,25 @@ pub(crate) fn run_broadcast(
             } else if orphan_closure(&orphans, &pending, size) >= pending.len() {
                 // No delivery exists anywhere and none can happen: only the
                 // source still holds the bytes.
-                let fed_ok = if spec.source == HEAD_NODE {
-                    let payload = payload.expect("a head-sourced broadcast carries its payload");
-                    crate::worker::send_relay_frames(
+                let fed_ok = match &spec.source {
+                    BroadcastSource::Head(payload) => crate::worker::send_relay_frames(
                         events.communicator(),
                         payload,
                         spec.chunk_bytes,
                         &rescue_children,
                     )
-                    .map(|()| None)
-                } else {
-                    dispatch_feed(events, spec, spec.source, &rescue_children).map(|mut feed| {
-                        feed.fed = fed.clone();
-                        Some(feed)
-                    })
+                    .map(|()| None),
+                    BroadcastSource::Worker(feeder) => {
+                        dispatch_feed(events, spec, *feeder, &rescue_children).map(|mut feed| {
+                            feed.fed = fed.clone();
+                            Some(feed)
+                        })
+                    }
                 };
                 match fed_ok {
                     Ok(feed) => {
                         for &slot in &fed {
-                            planned_parent.insert(slot, spec.source);
+                            planned_parent.insert(slot, source);
                         }
                         feeds.extend(feed);
                         orphans.clear();

@@ -9,6 +9,10 @@
 //! destination, concurrent events cannot cross-talk even though many head
 //! worker threads issue them at the same time.
 //!
+//! Payloads move as shared [`Bytes`] handles in both directions: a submit
+//! puts the caller's handle on the wire as the message body, and a retrieve
+//! returns the handle the worker replied with — the head copies no buffer.
+//!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler
 //! failures (unregistered kernels, missing buffers, killed nodes) come back
 //! as [`crate::types::OmpcError::RemoteEvent`] values naming the origin
@@ -18,11 +22,10 @@
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`].
 
 use crate::protocol::{
-    EventNotification, EventReply, EventRequest, TaskStamps, CONTROL_TAG, FIRST_EVENT_TAG,
-    PREFETCH_TAG,
+    EventNotification, EventRequest, Reply, TaskStamps, CONTROL_TAG, FIRST_EVENT_TAG, PREFETCH_TAG,
 };
-use crate::types::{BufferId, KernelId, NodeId, OmpcResult};
-use ompc_mpi::{CommId, Communicator, Tag};
+use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
+use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -62,9 +65,10 @@ pub(crate) struct ReplyChannel {
     moved: Moved,
 }
 
-/// An event's typed reply as the head sees it: the payload plus — when the
-/// event was timed — the worker's stamps, or the typed error.
-pub(crate) type TypedReply = OmpcResult<(Vec<u8>, Option<TaskStamps>)>;
+/// An event's typed reply as the head sees it: the reply's parts — inline
+/// acknowledgement, data body, the worker's stamps when the event was
+/// timed — or the typed error.
+pub(crate) type TypedReply = OmpcResult<Reply>;
 
 /// How a successful reply is entered into the [`EventCounters`].
 #[derive(Debug, Clone, Copy)]
@@ -139,11 +143,11 @@ impl EventSystem {
         &self,
         node: NodeId,
         buffer: BufferId,
-        data: Vec<u8>,
+        data: Bytes,
     ) -> OmpcResult<ReplyChannel> {
         let bytes = data.len() as u64;
         let channel = self.post(node, EventRequest::Submit { buffer }, false)?;
-        self.comm.on(channel.comm)?.send(node, channel.tag, data)?;
+        self.comm.on(channel.comm)?.send_with_body(node, channel.tag, Vec::new(), data)?;
         Ok(ReplyChannel { moved: Moved::Sent(bytes), ..channel })
     }
 
@@ -176,28 +180,30 @@ impl EventSystem {
             Some(timeout) => lane.recv_timeout(Some(channel.node), Some(channel.tag), timeout)?,
             None => lane.recv(Some(channel.node), Some(channel.tag))?,
         };
-        self.accept_reply(channel, &msg.data)
+        self.accept_reply(channel, msg)
     }
 
     /// Decode a reply already received on `channel` (a transport that
-    /// probes instead of blocking hands the raw message here) and count the
-    /// event — only once it is known to have succeeded. A timed reply keeps
-    /// its worker-side [`TaskStamps`].
-    pub(crate) fn accept_reply(&self, channel: &ReplyChannel, data: &[u8]) -> TypedReply {
-        let (payload, stamps) = EventReply::decode(data)?.into_timed_result()?;
+    /// probes instead of blocking hands the message here) and count the
+    /// event — only once it is known to have succeeded. A retrieve's reply
+    /// must carry the buffer as its body and every other reply none; a
+    /// timed reply keeps its worker-side [`TaskStamps`].
+    pub(crate) fn accept_reply(&self, channel: &ReplyChannel, msg: Message) -> TypedReply {
+        let data_bearing = matches!(channel.moved, Moved::Payload);
+        let reply = Reply::from_parts(&msg.data, msg.body, data_bearing)?;
         self.counters.record(match channel.moved {
             Moved::Nothing => None,
             Moved::Sent(bytes) => Some(bytes),
-            Moved::Payload => Some(payload.len() as u64),
-            Moved::Acked => Some(acked_bytes(&payload)),
+            Moved::Payload => reply.body.as_ref().map(|data| data.len() as u64),
+            Moved::Acked => Some(acked_bytes(&reply.inline)),
         });
-        Ok((payload, stamps))
+        Ok(reply)
     }
 
-    /// Post `request` to `node` and wait for its reply payload.
-    fn call(&self, node: NodeId, request: EventRequest) -> OmpcResult<Vec<u8>> {
+    /// Post `request` to `node` and wait for its reply.
+    fn call(&self, node: NodeId, request: EventRequest) -> TypedReply {
         let channel = self.post(node, request, false)?;
-        self.await_reply(&channel).map(|(payload, _)| payload)
+        self.await_reply(&channel)
     }
 
     /// Traffic counters (events issued, data events, bytes).
@@ -245,7 +251,7 @@ impl EventSystem {
 
     /// Copy `data` into `buffer` on `node` (host → worker) and wait for the
     /// reply.
-    pub fn submit(&self, node: NodeId, buffer: BufferId, data: Vec<u8>) -> OmpcResult<()> {
+    pub fn submit(&self, node: NodeId, buffer: BufferId, data: Bytes) -> OmpcResult<()> {
         let channel = self.post_submit(node, buffer, data)?;
         self.await_reply(&channel).map(|_| ())
     }
@@ -259,23 +265,21 @@ impl EventSystem {
     /// the reply so the any-source prefetch channel never accumulates
     /// orphans. A train is all-or-nothing on the wire: a failed car fails
     /// the whole event and the caller rolls back every booked copy.
-    pub fn submit_train(&self, node: NodeId, cars: Vec<(BufferId, Vec<u8>)>) -> OmpcResult<()> {
+    pub fn submit_train(&self, node: NodeId, cars: Vec<(BufferId, Bytes)>) -> OmpcResult<()> {
         let buffers: Vec<BufferId> = cars.iter().map(|(b, _)| *b).collect();
         let sizes: Vec<u64> = cars.iter().map(|(_, d)| d.len() as u64).collect();
         let channel = self.post(node, EventRequest::SubmitTrain { buffers }, false)?;
         let lane = self.comm.on(channel.comm)?;
         for (_, data) in cars {
-            lane.send(node, channel.tag, data)?;
+            lane.send_with_body(node, channel.tag, Vec::new(), data)?;
         }
         let outcome = self.await_reply(&channel);
         // Drain the train's single prefetch notice regardless of outcome
         // (the zombie refusal path posts one too); leaving it behind would
         // let a later train drain a stale notice for the wrong event.
         let _ = match self.reply_timeout {
-            Some(timeout) => {
-                self.comm.recv_timeout(Some(node), Some(PREFETCH_TAG), timeout).map(|msg| msg.data)
-            }
-            None => self.comm.recv(Some(node), Some(PREFETCH_TAG)).map(|msg| msg.data),
+            Some(timeout) => self.comm.recv_timeout(Some(node), Some(PREFETCH_TAG), timeout),
+            None => self.comm.recv(Some(node), Some(PREFETCH_TAG)),
         };
         outcome?;
         // The envelope's reply counted the train as one event; each car is
@@ -286,9 +290,12 @@ impl EventSystem {
         Ok(())
     }
 
-    /// Fetch the contents of `buffer` from `node` (worker → host).
-    pub fn retrieve(&self, node: NodeId, buffer: BufferId) -> OmpcResult<Vec<u8>> {
-        self.call(node, EventRequest::Retrieve { buffer })
+    /// Fetch the contents of `buffer` from `node` (worker → host): the
+    /// returned handle is the allocation the worker holds.
+    pub fn retrieve(&self, node: NodeId, buffer: BufferId) -> OmpcResult<Bytes> {
+        let reply = self.call(node, EventRequest::Retrieve { buffer })?;
+        // `accept_reply` has already refused a retrieve reply without one.
+        reply.body.ok_or_else(|| OmpcError::Internal(format!("no data retrieving {buffer}")))
     }
 
     /// Forward `buffer` directly from worker `from` to worker `to` without
@@ -296,7 +303,7 @@ impl EventSystem {
     /// Returns the number of bytes the receiver acknowledged.
     pub fn exchange(&self, from: NodeId, to: NodeId, buffer: BufferId) -> OmpcResult<u64> {
         let channel = self.post_exchange(from, to, buffer)?;
-        self.await_reply(&channel).map(|(ack, _)| acked_bytes(&ack))
+        self.await_reply(&channel).map(|reply| acked_bytes(&reply.inline))
     }
 
     /// Run `kernel` on `node` against its device copies of `buffers` and
@@ -314,7 +321,7 @@ impl EventSystem {
         timed: bool,
     ) -> OmpcResult<Option<TaskStamps>> {
         let channel = self.post(node, EventRequest::Execute { kernel, buffers }, timed)?;
-        self.await_reply(&channel).map(|(_, stamps)| stamps)
+        self.await_reply(&channel).map(|reply| reply.stamps)
     }
 
     /// Clear `node`'s device memory and wait for the acknowledgement —

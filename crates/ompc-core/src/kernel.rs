@@ -8,21 +8,56 @@
 //! [`KernelId`] in execute events.
 
 use crate::types::{BufferId, KernelId};
+use ompc_mpi::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// One kernel argument's storage.
+#[derive(Debug)]
+enum Arg<'a> {
+    /// Storage the caller lent for the invocation ([`KernelArgs::new`]).
+    Lent(&'a mut Vec<u8>),
+    /// The device-resident copy, borrowed as a shared handle. `written`
+    /// once the kernel has replaced or modified it — `bytes` is then the
+    /// kernel's private version, to be stored back when it returns.
+    Resident { bytes: Bytes, written: bool },
+}
+
 /// The buffers a kernel invocation operates on, in the order they were
 /// declared by the task's `depend` clauses.
+///
+/// On a worker the arguments **borrow** the node's device copies: reading
+/// copies nothing, [`KernelArgs::set_f64s`] / [`KernelArgs::set_u64s`]
+/// replace a buffer without first copying what they overwrite, and
+/// [`KernelArgs::bytes_mut`] takes a private copy on the first write to a
+/// buffer somebody else still holds. The device's own resident copy counts
+/// as such a holder until the task commits, so a kernel's writes are never
+/// seen by a forward already in flight, and a kernel that fails leaves the
+/// device exactly as it found it.
 #[derive(Debug)]
 pub struct KernelArgs<'a> {
-    buffers: Vec<(BufferId, &'a mut Vec<u8>)>,
+    buffers: Vec<(BufferId, Arg<'a>)>,
 }
 
 impl<'a> KernelArgs<'a> {
     /// Build the argument pack from (id, storage) pairs.
     pub fn new(buffers: Vec<(BufferId, &'a mut Vec<u8>)>) -> Self {
-        Self { buffers }
+        Self { buffers: buffers.into_iter().map(|(id, data)| (id, Arg::Lent(data))).collect() }
+    }
+
+    /// Build the argument pack over a worker's resident copies.
+    pub(crate) fn resident(buffers: Vec<(BufferId, Bytes)>) -> Self {
+        let borrowed = |(id, bytes)| (id, Arg::Resident { bytes, written: false });
+        Self { buffers: buffers.into_iter().map(borrowed).collect() }
+    }
+
+    /// The resident arguments the kernel wrote, with their new contents.
+    pub(crate) fn into_written(self) -> impl Iterator<Item = (BufferId, Bytes)> + use<'a> {
+        self.buffers.into_iter().filter_map(|(id, arg)| match arg {
+            Arg::Resident { bytes, written: true } => Some((id, bytes)),
+            _ => None,
+        })
     }
 
     /// Number of buffers passed to the kernel.
@@ -42,12 +77,30 @@ impl<'a> KernelArgs<'a> {
 
     /// Read-only view of the `idx`-th buffer.
     pub fn bytes(&self, idx: usize) -> &[u8] {
-        self.buffers[idx].1
+        match &self.buffers[idx].1 {
+            Arg::Lent(data) => data,
+            Arg::Resident { bytes, .. } => bytes,
+        }
     }
 
-    /// Mutable view of the `idx`-th buffer.
+    /// Mutable view of the `idx`-th buffer (copy-on-write, see the type).
     pub fn bytes_mut(&mut self, idx: usize) -> &mut Vec<u8> {
-        self.buffers[idx].1
+        match &mut self.buffers[idx].1 {
+            Arg::Lent(data) => data,
+            Arg::Resident { bytes, written } => {
+                *written = true;
+                bytes.make_mut()
+            }
+        }
+    }
+
+    /// Replace the `idx`-th buffer with `data`; the old contents are
+    /// dropped, never copied.
+    fn set(&mut self, idx: usize, data: Vec<u8>) {
+        match &mut self.buffers[idx].1 {
+            Arg::Lent(slot) => **slot = data,
+            arg => *arg = Arg::Resident { bytes: data.into(), written: true },
+        }
     }
 
     /// Interpret the `idx`-th buffer as little-endian `f64`s.
@@ -58,7 +111,7 @@ impl<'a> KernelArgs<'a> {
 
     /// Overwrite the `idx`-th buffer with little-endian `f64`s.
     pub fn set_f64s(&mut self, idx: usize, values: &[f64]) {
-        *self.bytes_mut(idx) = ompc_mpi::typed::f64s_to_bytes(values);
+        self.set(idx, ompc_mpi::typed::f64s_to_bytes(values));
     }
 
     /// Interpret the `idx`-th buffer as little-endian `u64`s.
@@ -69,7 +122,7 @@ impl<'a> KernelArgs<'a> {
 
     /// Overwrite the `idx`-th buffer with little-endian `u64`s.
     pub fn set_u64s(&mut self, idx: usize, values: &[u64]) {
-        *self.bytes_mut(idx) = ompc_mpi::typed::u64s_to_bytes(values);
+        self.set(idx, ompc_mpi::typed::u64s_to_bytes(values));
     }
 }
 
@@ -211,6 +264,31 @@ mod tests {
         args.set_u64s(1, &[8, 9]);
         assert_eq!(args.as_f64s(0), vec![3.0]);
         assert_eq!(args.as_u64s(1), vec![8, 9]);
+    }
+
+    #[test]
+    fn resident_arguments_copy_on_write_and_report_only_what_was_written() {
+        let shared: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![i as u8; 16])).collect();
+        let ids = (0..4).map(BufferId);
+        let mut args = KernelArgs::resident(ids.zip(shared.iter().cloned()).collect());
+        // Reading borrows the resident allocation itself.
+        assert_eq!(args.bytes(0).as_ptr(), shared[0].as_ptr());
+        assert_eq!(args.as_u64s(0).len(), 2);
+        // The first `bytes_mut` of a shared buffer copies it, once.
+        args.bytes_mut(1)[0] = 9;
+        let private = args.bytes(1).as_ptr();
+        assert_ne!(private, shared[1].as_ptr());
+        args.bytes_mut(1)[1] = 9;
+        assert_eq!(args.bytes(1).as_ptr(), private, "exactly one copy");
+        assert_eq!(&shared[1][..], &[1u8; 16][..], "the other holder never sees the write");
+        // A setter replaces the handle and touches nothing it overwrites.
+        args.set_u64s(2, &[7]);
+        assert_eq!(args.as_u64s(2), vec![7]);
+        assert_eq!(&shared[2][..], &[2u8; 16][..]);
+        let written: Vec<(BufferId, Bytes)> = args.into_written().collect();
+        let ids: Vec<BufferId> = written.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, vec![BufferId(1), BufferId(2)], "read-only arguments are not stored back");
+        assert_eq!(&written[0].1[..2], &[9, 9]);
     }
 
     #[test]

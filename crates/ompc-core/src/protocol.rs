@@ -13,9 +13,32 @@
 //! [`OmpcError::RemoteEvent`]), so a worker-side failure — an unregistered
 //! kernel, a missing buffer, a killed node — surfaces on the head node as a
 //! propagated error instead of a reply that never arrives.
+//!
+//! ## Header and body
+//!
+//! A message is a small codec'd **header** plus at most one shared
+//! **body** (`ompc_mpi::Message::{data, body}`), and bulk data always
+//! travels as the body — the very [`Bytes`] handle the sender held, so no
+//! frame is assembled around a payload or taken apart again:
+//!
+//! | message | header | body |
+//! |---|---|---|
+//! | notification, completion notice | the encoding | — |
+//! | reply without data ([`Reply::from_parts`], `data_bearing = false`) | [`EventReply`] (status, stamps, inline acknowledgement) | — |
+//! | reply that *is* the data (retrieve; the sending half of a forward) | `EventReply::Ok` with nothing inline | the buffer |
+//! | host payload (submit, `RecvFromHead`, a prefetch-train car) | empty ([`payload_body`]) | the buffer |
+//! | collective frame ([`relay_frame_header`] / [`decode_relay_parts`]) | frame index `u64` | the chunk |
+//!
+//! Every receiver states which shape it expects, and a message of the wrong
+//! shape — a data reply without its body, a body where none belongs, a
+//! frame header that is not exactly an index — is a typed error, never an
+//! empty buffer. Byte counts (`Status::len`, link pacing) are header plus
+//! body, which is exactly the length of the single-part frames
+//! ([`encode_relay_frame`], an [`EventReply`] with the data inline) these
+//! shapes replaced; the runtime no longer builds either for bulk data.
 
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{CommId, Tag};
+use ompc_mpi::{Bytes, CommId, Tag};
 
 /// Tag reserved for new-event notifications received by the gate thread.
 pub const CONTROL_TAG: Tag = Tag(0);
@@ -194,6 +217,33 @@ pub fn decode_relay_frame(data: &[u8]) -> OmpcResult<(u64, Vec<u8>)> {
     }
     let index = u64::from_le_bytes(data[..8].try_into().expect("8-byte slice"));
     Ok((index, data[8..].to_vec()))
+}
+
+/// Header of one two-part collective frame: the frame index. The chunk
+/// travels as the message body.
+pub fn relay_frame_header(index: u64) -> Vec<u8> {
+    index.to_le_bytes().to_vec()
+}
+
+/// Parse a two-part collective frame into `(frame index, chunk)`. The
+/// header must be exactly the index and the chunk must be there: a header
+/// that also carries bytes inline, or a frame without a body, is an error.
+pub fn decode_relay_parts(header: &[u8], body: Option<Bytes>) -> OmpcResult<(u64, Bytes)> {
+    let index: [u8; 8] = header.try_into().map_err(|_| {
+        OmpcError::Internal(format!("relay frame header of {} bytes, not 8", header.len()))
+    })?;
+    let chunk = body.ok_or_else(|| OmpcError::Internal("relay frame without a body".into()))?;
+    Ok((u64::from_le_bytes(index), chunk))
+}
+
+/// The buffer a host payload message carries: an empty header and the
+/// contents as the body.
+pub fn payload_body(header: &[u8], body: Option<Bytes>) -> OmpcResult<Bytes> {
+    if !header.is_empty() {
+        let n = header.len();
+        return Err(OmpcError::Internal(format!("payload message with a {n}-byte header")));
+    }
+    body.ok_or_else(|| OmpcError::Internal("payload message without a body".into()))
 }
 
 /// One car of an [`EventRequest::TaskTrain`]: a complete composite task
@@ -829,6 +879,50 @@ impl EventReply {
     }
 }
 
+/// A successful reply in the two parts it travels as: what the header
+/// carries inline, and the body.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Reply {
+    /// The small inline payload (a byte-count acknowledgement; often empty).
+    pub inline: Vec<u8>,
+    /// The buffer a data-bearing reply carries (a retrieve, the sending
+    /// half of a worker-to-worker forward).
+    pub body: Option<Bytes>,
+    /// Worker-side stamps, when the event was timed.
+    pub stamps: Option<TaskStamps>,
+}
+
+impl Reply {
+    /// The reply whose body is `data`.
+    pub fn data(data: Bytes) -> Self {
+        Self { body: Some(data), ..Self::default() }
+    }
+
+    /// Split into the message parts: the [`EventReply`] header and the body.
+    pub fn into_parts(self) -> (Vec<u8>, Option<Bytes>) {
+        let header = match self.stamps {
+            Some(stamps) => EventReply::OkTimed(stamps, self.inline),
+            None => EventReply::Ok(self.inline),
+        };
+        (header.encode(), self.body)
+    }
+
+    /// Decode a received reply. `data_bearing` is what the origin asked for:
+    /// a reply that *is* a buffer must carry it as the body and nothing
+    /// inline; any other reply must carry no body. The destination's typed
+    /// error comes back as `Err` either way.
+    pub fn from_parts(header: &[u8], body: Option<Bytes>, data_bearing: bool) -> OmpcResult<Self> {
+        let (inline, stamps) = EventReply::decode(header)?.into_timed_result()?;
+        let shape = |what: &str| Err(OmpcError::Internal(format!("malformed reply: {what}")));
+        match (data_bearing, &body) {
+            (true, None) => shape("a data-bearing reply without its body"),
+            (true, Some(_)) if !inline.is_empty() => shape("data both inline and as the body"),
+            (false, Some(_)) => shape("a body on a reply that takes none"),
+            _ => Ok(Self { inline, body, stamps }),
+        }
+    }
+}
+
 /// The compact notice a worker posts to the head's [`COMPLETION_TAG`]
 /// channel after sending a composite-task reply: just the finished task's
 /// event tag and its outcome. The reply itself (payload or typed error) is
@@ -1348,9 +1442,57 @@ mod tests {
             }
             let notice = CompletionNotice { tag: Tag(rng.next_u64()), ok: rng.range(0, 2) == 1 };
             check_codec(rng, &notice, 0, CompletionNotice::encode, CompletionNotice::decode);
-            let frame = (rng.next_u64(), payload);
+            let frame = (rng.next_u64(), payload.clone());
             let encode = |(index, payload): &(u64, Vec<u8>)| encode_relay_frame(*index, payload);
             check_codec(rng, &frame, frame.1.len(), encode, decode_relay_frame);
+
+            // The two-part shapes. Each is checked as its header (the body
+            // is a handle, not bytes a codec could damage) under every way
+            // the body can be there or not.
+            let body = Bytes::from(payload.clone());
+            let stamps = (rng.range(0, 2) == 1).then_some(stamps);
+            let ack = Reply { inline: payload.clone(), body: None, stamps };
+            let data = Reply { inline: Vec::new(), body: Some(body.clone()), stamps };
+            for (reply, data_bearing) in [(&ack, false), (&data, true)] {
+                let decode =
+                    |header: &[u8]| Reply::from_parts(header, reply.body.clone(), data_bearing);
+                let tail = reply.inline.len();
+                check_codec(rng, reply, tail, |r| r.clone().into_parts().0, decode);
+                let (header, sent) = reply.clone().into_parts();
+                assert!(sent.is_some_and(|b| b.same_allocation(&body)) == data_bearing);
+                // The body is there when the origin expects none, or missing
+                // when the reply is the data: an error, never an empty buffer.
+                let other = if data_bearing { None } else { Some(body.clone()) };
+                assert!(Reply::from_parts(&header, other, data_bearing).is_err());
+                assert!(Reply::from_parts(&header, reply.body.clone(), !data_bearing).is_err());
+            }
+            // Data both inline and as the body is ambiguous.
+            if !payload.is_empty() {
+                let (header, _) = ack.clone().into_parts();
+                assert!(Reply::from_parts(&header, Some(body.clone()), true).is_err());
+            }
+            // An error reply is the destination's error whatever was asked.
+            let failed = EventReply::Err(arb_error(rng, ERR_REMOTE_EVENT)).encode();
+            for data_bearing in [false, true] {
+                assert!(Reply::from_parts(&failed, None, data_bearing).is_err());
+            }
+
+            let index = rng.next_u64();
+            let header = relay_frame_header(index);
+            let (i, chunk) = decode_relay_parts(&header, Some(body.clone())).unwrap();
+            assert!(i == index && chunk.same_allocation(&body));
+            assert!(decode_relay_parts(&header, None).is_err(), "a frame without its chunk");
+            // A header that is not exactly the index disagrees with its
+            // body: truncated, or an old single-part frame beside a body.
+            for cut in 0..header.len() {
+                assert!(decode_relay_parts(&header[..cut], Some(body.clone())).is_err());
+            }
+            let inline_too = encode_relay_frame(index, &[0]);
+            assert!(decode_relay_parts(&inline_too, Some(body.clone())).is_err());
+
+            assert!(payload_body(&[], Some(body.clone())).unwrap().same_allocation(&body));
+            assert!(payload_body(&[], None).is_err(), "a payload message without its payload");
+            assert!(payload_body(&[0], Some(body)).is_err(), "a header on a raw payload");
         }
     }
 

@@ -25,14 +25,16 @@
 //! Whether bytes are on a node *yet* is the in-flight table's knowledge
 //! alone: a reader of a copy somebody else has on the wire — a task of this
 //! region, of another tenant, an async enter-data or prefetch — gets an
-//! `AwaitLocal` step instead of a second transfer. What the lowering owns
-//! is per region and shared by its tasks:
+//! `AwaitLocal` step instead of a second transfer. What the lowering owns,
+//! per region and shared by its tasks, is the **deferred deletes**: stale
+//! and released copies ride the next composite to their node as `Delete`
+//! prologue steps, or are flushed by [`Lowering::flush_deletes`] at the end
+//! of the run.
 //!
-//! * **deferred deletes** — stale and released copies ride the next
-//!   composite to their node as `Delete` prologue steps, or are flushed by
-//!   [`Lowering::flush_deletes`] at the end of the run;
-//! * the **payload-frame cache** — a host buffer forwarded to k nodes is
-//!   cloned out of the registry once per version.
+//! A host payload is the registry's own [`Bytes`] handle — the buffer *is*
+//! the frame: forwarded to k nodes it is one allocation held k + 1 times,
+//! and a retrieved buffer is committed as the allocation the worker replied
+//! with.
 //!
 //! A transport only *delivers*: it sends (or walks) the steps, obtains the
 //! typed reply, and hands it back.
@@ -45,9 +47,10 @@ use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
 use crate::data_manager::{Booking, DataManager, Owner, TransferReason, TransferState, HEAD_NODE};
 use crate::event::{EventSystem, ReplyChannel, TypedReply};
-use crate::protocol::{EventRequest, TaskStep};
+use crate::protocol::{EventRequest, Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
+use ompc_mpi::Bytes;
 use ompc_sched::Platform;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -103,12 +106,12 @@ impl DataPath {
         &self,
         from: NodeId,
         buffer: BufferId,
-        data: Vec<u8>,
+        data: Bytes,
         t0: u64,
         how: &Commit,
     ) -> OmpcResult<()> {
         let bytes = data.len() as u64;
-        self.buffers.set(buffer, data)?;
+        self.buffers.set_shared(buffer, data)?;
         {
             let mut dm = self.dm.lock();
             dm.observe_size(buffer, bytes);
@@ -133,9 +136,9 @@ impl DataPath {
 #[derive(Default)]
 pub(crate) struct Composite {
     pub(crate) steps: Vec<TaskStep>,
-    /// Host payload frames for the `RecvFromHead` steps, in step order.
-    /// Shared with the payload cache.
-    pub(crate) payloads: Vec<Arc<Vec<u8>>>,
+    /// Host payloads for the `RecvFromHead` steps, in step order: the
+    /// registry's own handles.
+    pub(crate) payloads: Vec<Bytes>,
     /// Per `RecvFromWorker` step, in step order: the source node, the
     /// exchange-send request it must be told, and the bytes it will move.
     pub(crate) exchanges: Vec<(NodeId, EventRequest, u64)>,
@@ -143,7 +146,7 @@ pub(crate) struct Composite {
 
 /// The single event an enter/exit-data task lowers to.
 pub(crate) enum DataEvent {
-    Submit { node: NodeId, buffer: BufferId, frame: Arc<Vec<u8>> },
+    Submit { node: NodeId, buffer: BufferId, frame: Bytes },
     Exchange { from: NodeId, to: NodeId, buffer: BufferId },
     Alloc { node: NodeId, buffer: BufferId, size: u64 },
     Retrieve { from: NodeId, buffer: BufferId },
@@ -189,8 +192,6 @@ enum RecordKind {
 #[derive(Default)]
 struct State {
     deferred_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
-    /// Buffer id → (registry version, encoded frame).
-    payload_cache: HashMap<u64, (u64, Arc<Vec<u8>>)>,
 }
 
 /// The lowering of one region execution. Shared by the threaded transport's
@@ -308,7 +309,7 @@ impl Lowering {
                     Booking::Move(plan) if plan.from != HEAD_NODE => {
                         (DataEvent::Exchange { from: plan.from, to: node, buffer }, true)
                     }
-                    Booking::Move(_) => match self.cached_payload(&mut state, buffer, tid) {
+                    Booking::Move(_) => match self.host_payload(buffer, tid) {
                         Ok(frame) => (DataEvent::Submit { node, buffer, frame }, true),
                         Err(e) => {
                             let failed = Err(e.clone());
@@ -388,7 +389,7 @@ impl Lowering {
         let planned: OmpcResult<()> = (|| {
             let mut dm = self.path.dm.lock();
             for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
-                self.plan_read(&mut state, &mut dm, tid, node, dep.buffer, &mut work, &mut owned)?;
+                self.plan_read(&mut dm, tid, node, dep.buffer, &mut work, &mut owned)?;
             }
             // Write-only outputs: make sure storage exists on the node. It
             // becomes the buffer's one holder when the write is recorded.
@@ -424,10 +425,8 @@ impl Lowering {
 
     /// Plan one input of a task on `node`: a receive step this task owns,
     /// an await of bytes someone else has on the wire, or nothing.
-    #[allow(clippy::too_many_arguments)]
     fn plan_read(
         &self,
-        state: &mut State,
         dm: &mut DataManager,
         tid: usize,
         node: NodeId,
@@ -449,7 +448,7 @@ impl Lowering {
         };
         owned.push(buffer);
         if plan.from == HEAD_NODE {
-            work.payloads.push(self.cached_payload(state, buffer, tid)?);
+            work.payloads.push(self.host_payload(buffer, tid)?);
             work.steps.push(TaskStep::RecvFromHead { buffer });
         } else {
             let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
@@ -460,30 +459,16 @@ impl Lowering {
         Ok(())
     }
 
-    /// The payload frame of `buffer`, reusing the cached frame while the
-    /// registry still holds the same version. Records a `Serialize` span
-    /// (detail `hit` / `miss`) attributed to `task`.
-    fn cached_payload(
-        &self,
-        state: &mut State,
-        buffer: BufferId,
-        task: usize,
-    ) -> OmpcResult<Arc<Vec<u8>>> {
+    /// The host payload of `buffer`: the registry's own allocation, shared.
+    /// Records a `Serialize` span attributed to `task` — all that is left of
+    /// building a frame.
+    fn host_payload(&self, buffer: BufferId, task: usize) -> OmpcResult<Bytes> {
         let tel = &self.path.telemetry;
         let t0 = tel.start();
-        let version = self.path.buffers.version(buffer)?;
-        let (frame, detail) = match state.payload_cache.get(&buffer.0) {
-            Some((cached, frame)) if *cached == version => (Arc::clone(frame), "hit"),
-            _ => {
-                let (version, data) = self.path.buffers.get_versioned(buffer)?;
-                let frame = Arc::new(data);
-                state.payload_cache.insert(buffer.0, (version, Arc::clone(&frame)));
-                (frame, "miss")
-            }
-        };
+        let frame = self.path.buffers.share(buffer)?;
         if tel.spans_enabled() {
             let span = self.span(SpanPhase::Serialize, HEAD_NODE, t0, task);
-            tel.record(span.bytes(frame.len() as u64).detail(detail));
+            tel.record(span.bytes(frame.len() as u64));
         }
         Ok(frame)
     }
@@ -502,8 +487,8 @@ impl Lowering {
                 return events.post(from, EventRequest::Retrieve { buffer }, false);
             }
             DataEvent::Submit { node, buffer, frame } => {
-                let posted = events.post_submit(node, buffer, frame.as_ref().clone());
-                (node, HEAD_NODE, frame.len(), posted)
+                let bytes = frame.len();
+                (node, HEAD_NODE, bytes, events.post_submit(node, buffer, frame))
             }
             DataEvent::Exchange { from, to, buffer } => {
                 let bytes = self.path.buffers.size_of(buffer).unwrap_or(0);
@@ -581,9 +566,8 @@ impl Lowering {
             }
             let mut work = Composite::default();
             if let (false, RecordKind::Target { owned, .. }) = (resident, &mut record.kind) {
-                let mut state = self.state.lock();
                 let mut dm = self.path.dm.lock();
-                self.plan_read(&mut state, &mut dm, task, node, buffer, &mut work, owned)?;
+                self.plan_read(&mut dm, task, node, buffer, &mut work, owned)?;
             }
             // Someone else re-planned the transfer meanwhile: await theirs.
             if !matches!(work.steps.last(), Some(TaskStep::AwaitLocal { .. })) {
@@ -592,10 +576,10 @@ impl Lowering {
         }
     }
 
-    /// Settle a delivered task with its typed reply (payload plus the
-    /// worker's stamps, when the event was timed).
+    /// Settle a delivered task with its typed reply (the retrieved buffer
+    /// of an exit-data event; the worker's stamps, when the event was timed).
     pub(crate) fn retire(&self, task: usize, record: Record, reply: TypedReply) -> OmpcResult<()> {
-        let (payload, stamps) = match reply {
+        let Reply { body, stamps, .. } = match reply {
             Ok(reply) => reply,
             Err(error) => {
                 self.roll_back(&mut self.state.lock(), record, &error, false);
@@ -645,7 +629,10 @@ impl Lowering {
                     task: Some(task),
                     detail: "ExitData",
                 };
-                self.path.commit(node, buffer, payload, t0, &how)?;
+                let data = body.ok_or_else(|| {
+                    OmpcError::Internal(format!("exit-data reply for {buffer} carried no data"))
+                })?;
+                self.path.commit(node, buffer, data, t0, &how)?;
                 if release {
                     self.release(buffer);
                 }
@@ -830,7 +817,9 @@ mod tests {
             work.steps
         );
         assert_eq!(work.payloads.len(), 1);
-        assert_eq!(*work.payloads[0], vec![7u8; 32]);
+        assert_eq!(&work.payloads[0][..], &[7u8; 32][..]);
+        let host = low.path.buffers.share(*a).unwrap();
+        assert!(work.payloads[0].same_allocation(&host), "the registry's buffer is the frame");
         assert!(work.exchanges.is_empty());
         assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "one transfer, one log record");
         assert_eq!(inflight_entries(low), 1, "one owned transfer, one gate entry");
@@ -846,15 +835,58 @@ mod tests {
         assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "no second log record");
         assert_eq!(inflight_entries(low), 1);
 
-        // A reader on another node is a transfer of its own, from the
-        // cached frame.
+        // A reader on another node is a transfer of its own, of the same
+        // allocation.
         let (other, _record) = lower_task(low, 1, 2);
         assert!(matches!(
             &other.steps[..],
             [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]
         ));
-        assert_eq!(low.state.lock().payload_cache.len(), 1);
+        assert!(other.payloads[0].same_allocation(&host));
         assert_eq!(inflight_entries(low), 2);
+    }
+
+    /// Act as worker `rank` for one event: take its notification off the
+    /// control tag and handle it against `memory`.
+    fn serve(world: &World, rank: usize, memory: &crate::worker::DeviceMemory) {
+        use crate::protocol::{EventNotification, CONTROL_TAG};
+        let comm = world.communicator(rank);
+        let msg = comm.recv(Some(HEAD_NODE), Some(CONTROL_TAG)).unwrap();
+        let notification = EventNotification::decode(&msg.data).unwrap();
+        let kernels = crate::kernel::KernelRegistry::new();
+        crate::worker::handle_event(&comm, memory, &kernels, notification).unwrap();
+    }
+
+    #[test]
+    fn a_buffer_is_one_allocation_from_the_registry_to_device_memory_and_back() {
+        let Fixture { low, a, _world: world } = &fixture();
+        let path = &low.path;
+        let host = path.buffers.share(*a).unwrap();
+        let memories = [crate::worker::DeviceMemory::new(), crate::worker::DeviceMemory::new()];
+
+        // Head → both workers: one allocation, held three times.
+        for (node, memory) in [1, 2].into_iter().zip(&memories) {
+            let frame = low.host_payload(*a, 0).unwrap();
+            let channel = low.post(0, DataEvent::Submit { node, buffer: *a, frame }).unwrap();
+            serve(world, node, memory);
+            path.events.await_reply(&channel).unwrap();
+        }
+        for memory in &memories {
+            assert!(memory.get(*a).unwrap().same_allocation(&host));
+        }
+
+        // Worker → head: the registry ends up holding the worker's
+        // allocation, whatever the kernel there made of the buffer.
+        let produced = Bytes::from(vec![9u8; 48]);
+        memories[0].store(*a, produced.clone());
+        let how = Commit { region: 1, phase: SpanPhase::ExitData, task: None, detail: "identity" };
+        std::thread::scope(|scope| {
+            scope.spawn(|| serve(world, 1, &memories[0]));
+            path.retrieve_and_commit(1, *a, &how).unwrap();
+        });
+        assert!(path.buffers.share(*a).unwrap().same_allocation(&produced));
+        assert_eq!(path.buffers.get(*a).unwrap(), vec![9u8; 48]);
+        assert_eq!(&host[..], &[7u8; 32][..], "earlier holders keep the version they took");
     }
 
     #[test]
@@ -941,9 +973,9 @@ mod tests {
         // A replica on node 2, then a write on node 1: node 2's copy is
         // stale and its delete waits for a composite headed there.
         let (_, reader) = lower_task(low, 0, 2);
-        low.retire(0, reader, Ok((Vec::new(), None))).unwrap();
+        low.retire(0, reader, Ok(Reply::default())).unwrap();
         let (_, writer) = lower_task(low, 2, 1);
-        low.retire(2, writer, Ok((Vec::new(), None))).unwrap();
+        low.retire(2, writer, Ok(Reply::default())).unwrap();
         assert_eq!(low.path.dm.lock().holders(*a), vec![1]);
         let owed = |low: &Lowering| low.state.lock().deferred_deletes.get(&2).cloned();
         assert_eq!(owed(low), Some([*a].into_iter().collect()));

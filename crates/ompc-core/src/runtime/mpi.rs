@@ -10,7 +10,7 @@
 //! `protocol` codec and sent as a tagged message; its payloads and exchange
 //! notices ride the task's exclusive `(tag, communicator)` channel
 //! (communicators chosen round-robin by tag, the paper's VCI mapping), and
-//! the worker's handler answers with exactly one [`EventReply`] when the
+//! the worker's handler answers with exactly one typed reply when the
 //! last step finished — success or a typed error naming the node and event.
 //! `AwaitLocal` travels with the other steps and **is resolved on the
 //! worker**, bounded by its time-out (the threaded transport resolves it on
@@ -56,8 +56,7 @@ use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
 use crate::event::ReplyChannel;
 use crate::protocol::{
-    CompletionNotice, EventNotification, EventReply, EventRequest, TaskSpec, TrainCar,
-    COMPLETION_TAG,
+    CompletionNotice, EventNotification, EventRequest, Reply, TaskSpec, TrainCar, COMPLETION_TAG,
 };
 use crate::types::{NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{CommId, Tag};
@@ -367,7 +366,7 @@ impl<'c> MpiDriver<'c> {
             let channel = events.communicator().on(car.comm)?;
             for frame in car.work.payloads {
                 let bytes = frame.len() as u64;
-                channel.send(node, car.tag, frame.as_ref().clone())?;
+                channel.send_with_body(node, car.tag, Vec::new(), frame)?;
                 car_bytes += bytes;
                 recorded.push(Some(bytes));
             }
@@ -420,10 +419,8 @@ impl<'c> MpiDriver<'c> {
         let t0 = tel.start();
         let reply = match &pending.lane {
             // A car's events were counted when its train departed.
-            ReplyLane::Noticed { .. } => {
-                EventReply::decode(&msg.data).and_then(EventReply::into_timed_result)
-            }
-            ReplyLane::Probed(channel) => events.accept_reply(channel, &msg.data),
+            ReplyLane::Noticed { .. } => Reply::from_parts(&msg.data, msg.body, false),
+            ReplyLane::Probed(channel) => events.accept_reply(channel, msg),
         };
         if tel.spans_enabled() {
             tel.record(
@@ -826,7 +823,7 @@ mod tests {
         use crate::runtime::telemetry::Telemetry;
         use crate::task::RegionGraph;
         use crate::worker::worker_main;
-        use ompc_mpi::{CommId, Tag, World};
+        use ompc_mpi::{Bytes, CommId, Tag, World};
         use parking_lot::Condvar;
         use std::collections::HashMap;
         use std::sync::atomic::Ordering;
@@ -871,7 +868,7 @@ mod tests {
             comm,
             work: Composite {
                 steps: Vec::new(),
-                payloads: payload.map(Arc::new).into_iter().collect(),
+                payloads: payload.map(Bytes::from).into_iter().collect(),
                 exchanges: Vec::new(),
             },
         };

@@ -8,11 +8,11 @@
 //!
 //! * [`Telemetry`] is a device-owned recorder. Both real backends push a
 //!   [`Span`] per lifecycle phase of every task — dispatch, payload
-//!   serialize (cache hit/miss), send, worker-side receive / dependence
-//!   await / kernel execute (captured in the worker loop and shipped home
-//!   inside the typed event reply), reply decode, retire — plus spans for
-//!   data-path activity (enter/exit data, lazy host flush, train flush,
-//!   recovery replan).
+//!   serialize (taking the host buffer's handle), send, worker-side
+//!   receive / dependence await / kernel execute (captured in the worker
+//!   loop and shipped home inside the typed event reply), reply decode,
+//!   retire — plus spans for data-path activity (enter/exit data, lazy host
+//!   flush, train flush, recovery replan).
 //! * [`chrome_trace`] renders the spans as Chrome trace-event JSON, loadable
 //!   in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`, with one
 //!   row per cluster node and flow arrows for worker-to-worker forwards.

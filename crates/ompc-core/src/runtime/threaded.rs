@@ -33,9 +33,10 @@ use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
 use crate::event::TypedReply;
-use crate::protocol::TaskStep;
+use crate::protocol::{Reply, TaskStep};
 use crate::types::{NodeId, OmpcError, OmpcResult};
 use crossbeam::channel::{Receiver, Sender};
+use ompc_mpi::Bytes;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -137,7 +138,7 @@ impl RegionContext {
                 TaskStep::Execute { kernel, buffers } => {
                     let timed = self.lowering.path.telemetry.spans_enabled();
                     let stamps = events.execute_timed(node, kernel, buffers, timed)?;
-                    return Ok((Vec::new(), stamps));
+                    return Ok(Reply { stamps, ..Reply::default() });
                 }
                 _ => {}
             }
@@ -152,10 +153,10 @@ impl RegionContext {
         task: usize,
         node: NodeId,
         receives: Vec<TaskStep>,
-        payloads: Vec<Arc<Vec<u8>>>,
+        payloads: Vec<Bytes>,
     ) -> OmpcResult<()> {
         let mut frames = payloads.into_iter();
-        let jobs: Vec<(TaskStep, Option<Arc<Vec<u8>>>)> = receives
+        let jobs: Vec<(TaskStep, Option<Bytes>)> = receives
             .into_iter()
             .map(|step| {
                 let frame = if matches!(step, TaskStep::RecvFromHead { .. }) {
@@ -196,7 +197,7 @@ impl RegionContext {
         task: usize,
         node: NodeId,
         step: TaskStep,
-        frame: Option<Arc<Vec<u8>>>,
+        frame: Option<Bytes>,
     ) -> OmpcResult<()> {
         let events = &self.lowering.path.events;
         let tel = &self.lowering.path.telemetry;
@@ -206,8 +207,9 @@ impl RegionContext {
                 let frame = frame.ok_or_else(|| {
                     OmpcError::Internal(format!("no payload frame lowered for {buffer}"))
                 })?;
-                events.submit(node, buffer, frame.as_ref().clone())?;
-                (buffer, HEAD_NODE, None, frame.len() as u64)
+                let bytes = frame.len() as u64;
+                events.submit(node, buffer, frame)?;
+                (buffer, HEAD_NODE, None, bytes)
             }
             TaskStep::RecvFromWorker { buffer, from } => {
                 (buffer, node, Some(from), events.exchange(from, node, buffer)?)

@@ -9,15 +9,23 @@
 //! injection) kills the event loop for real: the node stops executing
 //! events and refuses every later one with an error reply until the final
 //! [`EventRequest::Shutdown`].
+//!
+//! Buffers are held, received and sent as shared [`Bytes`] handles: a
+//! payload that arrives is stored as the allocation the sender held, a
+//! forward or a retrieve sends the resident handle as the message body, a
+//! relay passes on the chunk it received, and kernels borrow their inputs
+//! ([`KernelArgs`]). The one place a worker copies payload bytes is the
+//! re-assembly of a *chunked* collective stream.
 
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
-    decode_relay_frame, encode_relay_frame, relay_frame_count, CompletionNotice, EventNotification,
-    EventReply, EventRequest, RelayChild, TaskStamps, COMPLETION_TAG, CONTROL_TAG, PREFETCH_TAG,
+    decode_relay_parts, payload_body, relay_frame_count, relay_frame_header, CompletionNotice,
+    EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskStamps, COMPLETION_TAG,
+    CONTROL_TAG, PREFETCH_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{Communicator, Tag};
+use ompc_mpi::{Bytes, Communicator, Tag};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -32,10 +40,11 @@ const HEAD_RANK: usize = 0;
 /// never arrive into a typed error instead of a hang.
 const RELAY_FRAME_TIMEOUT_MS: u64 = 60_000;
 
-/// A worker node's local buffer storage (its "device memory").
+/// A worker node's local buffer storage (its "device memory"): one shared
+/// handle per resident buffer.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
-    buffers: Mutex<HashMap<u64, Vec<u8>>>,
+    buffers: Mutex<HashMap<u64, Bytes>>,
     /// Signalled on every store, so a composite task's `AwaitLocal` step
     /// can wait for a buffer a co-scheduled task is transferring in.
     arrival: parking_lot::Condvar,
@@ -48,7 +57,7 @@ impl DeviceMemory {
     }
 
     /// Store (or overwrite) the contents of a buffer.
-    pub fn store(&self, id: BufferId, data: Vec<u8>) {
+    pub fn store(&self, id: BufferId, data: Bytes) {
         self.buffers.lock().insert(id.0, data);
         self.arrival.notify_all();
     }
@@ -73,9 +82,15 @@ impl DeviceMemory {
         }
     }
 
-    /// Clone the contents of a buffer.
-    pub fn get(&self, id: BufferId) -> Option<Vec<u8>> {
+    /// A handle on the resident contents of a buffer — the allocation
+    /// itself, not a copy of it.
+    pub fn get(&self, id: BufferId) -> Option<Bytes> {
         self.buffers.lock().get(&id.0).cloned()
+    }
+
+    /// [`DeviceMemory::get`], a missing buffer being the typed error.
+    fn resident(&self, id: BufferId) -> OmpcResult<Bytes> {
+        self.get(id).ok_or(OmpcError::UnknownBuffer(id))
     }
 
     /// Remove a buffer, returning whether it was present.
@@ -116,12 +131,54 @@ fn as_remote(node: NodeId, tag: Tag, error: OmpcError) -> OmpcError {
     }
 }
 
-/// Compute the outcome (reply payload or error) of one head-replying event.
+/// Send an event's one typed reply to `dest` on its channel: the reply's
+/// header and body on success, the error — attributed to this node and
+/// event — otherwise. Returns the handler's own outcome.
+fn send_reply(
+    channel: &Communicator,
+    dest: usize,
+    tag: Tag,
+    outcome: OmpcResult<Reply>,
+) -> OmpcResult<()> {
+    match outcome {
+        Ok(reply) => {
+            let (header, body) = reply.into_parts();
+            match body {
+                Some(body) => channel.send_with_body(dest, tag, header, body)?,
+                None => channel.send(dest, tag, header)?,
+            }
+            Ok(())
+        }
+        Err(error) => {
+            let remote = as_remote(channel.rank(), tag, error.clone());
+            channel.send(dest, tag, EventReply::Err(remote).encode())?;
+            Err(error)
+        }
+    }
+}
+
+/// Receive the host payload message that follows a notification on its
+/// channel.
+fn recv_payload(channel: &Communicator, tag: Tag) -> OmpcResult<Bytes> {
+    let msg = channel.recv(Some(HEAD_RANK), Some(tag))?;
+    payload_body(&msg.data, msg.body)
+}
+
+/// Receive what the sending half of a worker-to-worker forward transmits:
+/// a reply that is the buffer on success, its error (kept with its
+/// original attribution) otherwise.
+fn recv_forward(channel: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<Bytes> {
+    let msg = channel.recv(Some(from), Some(tag))?;
+    let reply = Reply::from_parts(&msg.data, msg.body, true)?;
+    reply.body.ok_or_else(|| OmpcError::Internal("forward without its data".to_string()))
+}
+
+/// Compute the outcome (reply or error) of one head-replying event.
 ///
 /// `recv_us` is the handler-entry timestamp when the head asked for a timed
 /// reply (`notification.timed`), `None` otherwise — no clock is read for
 /// untimed events. Execute/Task events return the captured [`TaskStamps`]
-/// alongside their payload so the caller can reply `OkTimed`.
+/// in their reply.
 fn event_outcome(
     channel: &Communicator,
     memory: &DeviceMemory,
@@ -129,33 +186,26 @@ fn event_outcome(
     request: EventRequest,
     tag: Tag,
     recv_us: Option<u64>,
-) -> OmpcResult<(Vec<u8>, Option<TaskStamps>)> {
+) -> OmpcResult<Reply> {
     match request {
         EventRequest::Alloc { buffer, size } => {
-            memory.store(buffer, vec![0u8; size as usize]);
-            Ok((Vec::new(), None))
+            memory.store(buffer, vec![0u8; size as usize].into());
+            Ok(Reply::default())
         }
         EventRequest::Delete { buffer } => {
             memory.remove(buffer);
-            Ok((Vec::new(), None))
+            Ok(Reply::default())
         }
         EventRequest::Submit { buffer } => {
-            let msg = channel.recv(Some(HEAD_RANK), Some(tag))?;
-            memory.store(buffer, msg.data);
-            Ok((Vec::new(), None))
+            memory.store(buffer, recv_payload(channel, tag)?);
+            Ok(Reply::default())
         }
-        EventRequest::Retrieve { buffer } => {
-            memory.get(buffer).map(|d| (d, None)).ok_or(OmpcError::UnknownBuffer(buffer))
-        }
+        EventRequest::Retrieve { buffer } => memory.resident(buffer).map(Reply::data),
         EventRequest::ExchangeRecv { buffer, from } => {
-            // The sending half transmits a reply envelope: the data on
-            // success, its error otherwise — which we forward to the head
-            // (with the sender's attribution) instead of acknowledging.
-            let msg = channel.recv(Some(from), Some(tag))?;
-            let data = EventReply::decode(&msg.data)?.into_result()?;
-            let bytes = (data.len() as u64).to_le_bytes().to_vec();
+            let data = recv_forward(channel, from, tag)?;
+            let inline = (data.len() as u64).to_le_bytes().to_vec();
             memory.store(buffer, data);
-            Ok((bytes, None))
+            Ok(Reply { inline, ..Reply::default() })
         }
         EventRequest::Execute { kernel, buffers } => {
             let exec_start = recv_us.map(|_| monotonic_us());
@@ -169,63 +219,80 @@ fn event_outcome(
                     exec_end_us: monotonic_us(),
                 }
             });
-            Ok((Vec::new(), stamps))
+            Ok(Reply { stamps, ..Reply::default() })
         }
         EventRequest::Task(spec) => {
             let stamps = run_task_steps(channel, memory, kernels, spec, tag, recv_us)?;
-            Ok((Vec::new(), stamps))
+            Ok(Reply { stamps, ..Reply::default() })
         }
         EventRequest::Reset => {
             memory.clear();
-            Ok((Vec::new(), None))
+            Ok(Reply::default())
         }
-        EventRequest::ExchangeSend { .. }
-        | EventRequest::TaskTrain(_)
-        | EventRequest::SubmitTrain { .. }
-        | EventRequest::RelayRecv { .. }
-        | EventRequest::RelayFeed { .. }
-        | EventRequest::Shutdown
-        | EventRequest::Kill => {
-            unreachable!("not a single-reply head event")
+        // `handle_event` answers these itself; one arriving here is a bug
+        // the head should hear about, not a dead handler thread.
+        other => {
+            Err(OmpcError::Internal(format!("{} is not a single-reply head event", other.name())))
         }
     }
 }
 
-/// Stream `data` to every listed child as `[frame index u64][payload]`
-/// frames on each child's own relay channel. Frames go out breadth-first —
-/// frame `i` reaches every child before frame `i + 1` is serialized — so
-/// the whole tree's pipelines fill together. Used by the feeding half of a
-/// worker-sourced broadcast ([`EventRequest::RelayFeed`]) and by the head
-/// node when it is itself the tree source.
+/// Send one collective frame — frame index in the header, `chunk` as the
+/// body — to every listed child on the child's own relay channel. The
+/// children share the one chunk.
+fn fan_out(
+    comm: &Communicator,
+    children: &[RelayChild],
+    index: u64,
+    chunk: &Bytes,
+) -> OmpcResult<()> {
+    for child in children {
+        let frame = relay_frame_header(index);
+        comm.on(child.comm)?.send_with_body(child.node, child.tag, frame, chunk.clone())?;
+    }
+    Ok(())
+}
+
+/// Bytes frame `index` of a `total_bytes` stream cut every `chunk_bytes`
+/// carries (`chunk_bytes == 0`: the one frame carries everything).
+fn frame_len(index: u64, total_bytes: u64, chunk_bytes: u64) -> u64 {
+    match chunk_bytes {
+        0 => total_bytes,
+        _ => total_bytes.saturating_sub(index * chunk_bytes).min(chunk_bytes),
+    }
+}
+
+/// Stream `data` to every listed child as collective frames, each chunk a
+/// view of `data`'s allocation. Frames go out breadth-first — frame `i`
+/// reaches every child before frame `i + 1` — so the whole tree's pipelines
+/// fill together. Used by the feeding half of a worker-sourced broadcast
+/// ([`EventRequest::RelayFeed`]) and by the head node when it is itself the
+/// tree source.
 pub(crate) fn send_relay_frames(
     comm: &Communicator,
-    data: &[u8],
+    data: &Bytes,
     chunk_bytes: u64,
     children: &[RelayChild],
 ) -> OmpcResult<()> {
-    let frames = relay_frame_count(data.len() as u64, chunk_bytes);
-    for index in 0..frames {
-        let payload = if chunk_bytes == 0 {
-            data
-        } else {
-            let start = (index * chunk_bytes) as usize;
-            let end = (start + chunk_bytes as usize).min(data.len());
-            &data[start..end]
-        };
-        let frame = encode_relay_frame(index, payload);
-        for child in children {
-            comm.on(child.comm)?.send(child.node, child.tag, frame.clone())?;
-        }
+    let total = data.len() as u64;
+    for index in 0..relay_frame_count(total, chunk_bytes) {
+        let start = (index * chunk_bytes) as usize;
+        let end = start + frame_len(index, total, chunk_bytes) as usize;
+        fan_out(comm, children, index, &data.slice(start..end))?;
     }
     Ok(())
 }
 
 /// Receive one buffer as collective payload frames and relay each frame
 /// onward: frames are accepted **from any source** (planned parent or a
-/// rescue feeder), written once, and forwarded once to every child the
-/// moment they first arrive — so this node fans frame `i` onward while
-/// frame `i + 1` is still inbound. Duplicate frames (normal during
-/// re-sourcing, when a rescue feeder replays the whole stream) are ignored.
+/// rescue feeder), kept once, and forwarded once to every child the moment
+/// they first arrive — so this node fans frame `i` onward while frame
+/// `i + 1` is still inbound. Duplicate frames (normal during re-sourcing,
+/// when a rescue feeder replays the whole stream) are ignored.
+///
+/// Forwarding passes the received chunk's handle on. A stream of one frame
+/// is stored as it arrived; only a chunked one is re-assembled — copied —
+/// into the buffer.
 #[allow(clippy::too_many_arguments)]
 fn relay_recv_frames(
     comm: &Communicator,
@@ -238,8 +305,7 @@ fn relay_recv_frames(
     tag: Tag,
 ) -> OmpcResult<()> {
     let frames = relay_frame_count(total_bytes, chunk_bytes) as usize;
-    let mut data = vec![0u8; total_bytes as usize];
-    let mut seen = vec![false; frames];
+    let mut chunks: Vec<Option<Bytes>> = vec![None; frames];
     let mut remaining = frames;
     while remaining > 0 {
         let msg = channel
@@ -247,35 +313,36 @@ fn relay_recv_frames(
             .map_err(|e| {
                 OmpcError::Communication(format!("waiting for a collective frame of {buffer}: {e}"))
             })?;
-        let (index, payload) = decode_relay_frame(&msg.data)?;
-        let index = index as usize;
-        if index >= frames {
+        let (index, chunk) = decode_relay_parts(&msg.data, msg.body)?;
+        let Some(slot) = chunks.get_mut(index as usize) else {
             return Err(OmpcError::Internal(format!(
                 "collective frame index {index} out of range for {frames} frames of {buffer}"
             )));
-        }
-        if seen[index] {
+        };
+        if slot.is_some() {
             continue;
         }
-        let offset = if chunk_bytes == 0 { 0 } else { index * chunk_bytes as usize };
-        let expected = if chunk_bytes == 0 {
-            total_bytes as usize
-        } else {
-            (total_bytes as usize - offset).min(chunk_bytes as usize)
-        };
-        if payload.len() != expected {
+        let expected = frame_len(index, total_bytes, chunk_bytes);
+        if chunk.len() as u64 != expected {
             return Err(OmpcError::Internal(format!(
                 "collective frame {index} of {buffer} carried {} bytes, expected {expected}",
-                payload.len()
+                chunk.len()
             )));
         }
-        data[offset..offset + payload.len()].copy_from_slice(&payload);
-        seen[index] = true;
+        fan_out(comm, children, index, &chunk)?;
+        *slot = Some(chunk);
         remaining -= 1;
-        for child in children {
-            comm.on(child.comm)?.send(child.node, child.tag, msg.data.clone())?;
-        }
     }
+    let data = match &chunks[..] {
+        [Some(whole)] => whole.clone(),
+        _ => {
+            let mut assembled = Vec::with_capacity(total_bytes as usize);
+            for chunk in chunks.iter().flatten() {
+                assembled.extend_from_slice(chunk);
+            }
+            assembled.into()
+        }
+    };
     memory.store(buffer, data);
     Ok(())
 }
@@ -299,6 +366,12 @@ fn post_prefetch_notice(comm: &Communicator, tag: Tag, ok: bool) {
 }
 
 /// Run `kernel` against the node's device copies of `buffers`.
+///
+/// The kernel borrows the resident handles (see [`KernelArgs`]): nothing is
+/// copied in, and only what it wrote is stored back, when it returns. A
+/// buffer that is not resident is an error before the kernel runs, and a
+/// kernel that panics is an error that leaves device memory as it was —
+/// either way the handler thread lives on to send the typed reply.
 fn execute_kernel(
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
@@ -306,16 +379,12 @@ fn execute_kernel(
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
     let k = kernels.get(kernel).ok_or(OmpcError::UnknownKernel(kernel))?;
-    // Work on private copies so concurrent read-only forwards of the
-    // same buffers keep seeing a consistent resident version; the
-    // dependence graph already serializes writers.
-    let mut copies: Vec<(BufferId, Vec<u8>)> =
-        buffers.iter().map(|&b| (b, memory.get(b).unwrap_or_default())).collect();
-    {
-        let mut args = KernelArgs::new(copies.iter_mut().map(|(id, data)| (*id, data)).collect());
-        k.execute(&mut args);
-    }
-    for (id, data) in copies {
+    let resident: OmpcResult<Vec<(BufferId, Bytes)>> =
+        buffers.iter().map(|&b| memory.resident(b).map(|bytes| (b, bytes))).collect();
+    let mut args = KernelArgs::resident(resident?);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.execute(&mut args)))
+        .map_err(|_| OmpcError::Internal(format!("kernel '{}' panicked", k.name())))?;
+    for (id, data) in args.into_written() {
         memory.store(id, data);
     }
     Ok(())
@@ -346,16 +415,10 @@ fn run_task_steps(
     for step in spec.steps {
         match step {
             TaskStep::RecvFromHead { buffer } => {
-                let msg = channel.recv(Some(HEAD_RANK), Some(tag))?;
-                memory.store(buffer, msg.data);
+                memory.store(buffer, recv_payload(channel, tag)?);
             }
             TaskStep::RecvFromWorker { buffer, from } => {
-                // The sender transmits a reply envelope: the data on
-                // success, its error (kept with its original attribution)
-                // otherwise.
-                let msg = channel.recv(Some(from), Some(tag))?;
-                let data = EventReply::decode(&msg.data)?.into_result()?;
-                memory.store(buffer, data);
+                memory.store(buffer, recv_forward(channel, from, tag)?);
             }
             TaskStep::AwaitLocal { buffer, timeout_ms } => {
                 if !memory.wait_for(buffer, std::time::Duration::from_millis(timeout_ms)) {
@@ -367,7 +430,7 @@ fn run_task_steps(
             }
             TaskStep::Alloc { buffer, size } => {
                 if !memory.contains(buffer) {
-                    memory.store(buffer, vec![0u8; size as usize]);
+                    memory.store(buffer, vec![0u8; size as usize].into());
                 }
             }
             TaskStep::Delete { buffer } => {
@@ -404,51 +467,34 @@ pub fn handle_event(
 ) -> OmpcResult<()> {
     let channel = comm.on(notification.comm)?;
     let tag = notification.tag;
-    let node = comm.rank();
     // Handler-entry timestamp, read only when the head asked for a timed
     // reply — an untimed event costs no clock read on the worker.
     let recv_us = notification.timed.then(monotonic_us);
     match notification.request {
         EventRequest::Shutdown | EventRequest::Kill => Ok(()), // gate-loop concerns
         EventRequest::ExchangeSend { buffer, to } => {
-            // The sending half's "reply" is the envelope it forwards to the
-            // receiver: the data on success, the error otherwise. The
+            // The sending half's "reply" goes to the receiver: the resident
+            // handle as the body on success, the error otherwise. The
             // receiver propagates a failure to the head, so the head never
             // hangs on a half-completed exchange.
-            let outcome = memory.get(buffer).ok_or(OmpcError::UnknownBuffer(buffer));
-            let reply = match &outcome {
-                Ok(data) => EventReply::Ok(data.clone()),
-                Err(e) => EventReply::Err(as_remote(node, tag, e.clone())),
-            };
-            channel.send(to, tag, reply.encode())?;
-            outcome.map(|_| ())
+            send_reply(&channel, to, tag, memory.resident(buffer).map(Reply::data))
         }
         EventRequest::SubmitTrain { buffers } => {
             // A prefetch train: the payloads stream in order on the train's
             // own channel (non-overtaking per sender/channel/tag), stored
             // as they arrive, answered by one typed reply for the whole
             // train plus exactly one prefetch notice.
-            let mut outcome = Ok(());
-            for buffer in buffers {
-                match channel.recv(Some(HEAD_RANK), Some(tag)) {
-                    Ok(msg) => memory.store(buffer, msg.data),
-                    Err(e) => {
-                        outcome = Err(OmpcError::from(e));
-                        break;
-                    }
-                }
-            }
-            let reply = match &outcome {
-                Ok(()) => EventReply::Ok(Vec::new()),
-                Err(e) => EventReply::Err(as_remote(node, tag, e.clone())),
-            };
-            let ok = outcome.is_ok();
-            channel.send(HEAD_RANK, tag, reply.encode())?;
+            let stored = buffers.into_iter().try_for_each(|buffer| {
+                memory.store(buffer, recv_payload(&channel, tag)?);
+                Ok(())
+            });
+            let ok = stored.is_ok();
+            let outcome = send_reply(&channel, HEAD_RANK, tag, stored.map(|()| Reply::default()));
             post_prefetch_notice(comm, tag, ok);
             outcome
         }
         EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
-            let outcome = relay_recv_frames(
+            let received = relay_recv_frames(
                 comm,
                 &channel,
                 memory,
@@ -458,26 +504,16 @@ pub fn handle_event(
                 &children,
                 tag,
             );
-            let reply = match &outcome {
-                // The ack payload carries the delivered byte count, like an
-                // exchange acknowledgement.
-                Ok(()) => EventReply::Ok(total_bytes.to_le_bytes().to_vec()),
-                Err(e) => EventReply::Err(as_remote(node, tag, e.clone())),
-            };
-            channel.send(HEAD_RANK, tag, reply.encode())?;
-            outcome
+            // The ack carries the delivered byte count, like an exchange
+            // acknowledgement.
+            let ack = Reply { inline: total_bytes.to_le_bytes().to_vec(), ..Reply::default() };
+            send_reply(&channel, HEAD_RANK, tag, received.map(|()| ack))
         }
         EventRequest::RelayFeed { buffer, chunk_bytes, children } => {
-            let outcome = memory
-                .get(buffer)
-                .ok_or(OmpcError::UnknownBuffer(buffer))
+            let fed = memory
+                .resident(buffer)
                 .and_then(|data| send_relay_frames(comm, &data, chunk_bytes, &children));
-            let reply = match &outcome {
-                Ok(()) => EventReply::Ok(Vec::new()),
-                Err(e) => EventReply::Err(as_remote(node, tag, e.clone())),
-            };
-            channel.send(HEAD_RANK, tag, reply.encode())?;
-            outcome
+            send_reply(&channel, HEAD_RANK, tag, fed.map(|()| Reply::default()))
         }
         EventRequest::TaskTrain(cars) => {
             // Run the cars strictly in order, replying per car on each
@@ -491,20 +527,10 @@ pub fn handle_event(
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
                 let car_recv_us = notification.timed.then(monotonic_us);
-                let outcome =
-                    run_task_steps(&channel, memory, kernels, car.spec, car.tag, car_recv_us);
-                let (reply, ok) = match outcome {
-                    Ok(Some(stamps)) => (EventReply::OkTimed(stamps, Vec::new()), true),
-                    Ok(None) => (EventReply::Ok(Vec::new()), true),
-                    Err(e) => {
-                        let remote = as_remote(node, car.tag, e.clone());
-                        if result.is_ok() {
-                            result = Err(e);
-                        }
-                        (EventReply::Err(remote), false)
-                    }
-                };
-                channel.send(HEAD_RANK, car.tag, reply.encode())?;
+                let ran = run_task_steps(&channel, memory, kernels, car.spec, car.tag, car_recv_us);
+                let ok = ran.is_ok();
+                let reply = ran.map(|stamps| Reply { stamps, ..Reply::default() });
+                result = result.and(send_reply(&channel, HEAD_RANK, car.tag, reply));
                 post_completion(comm, car.tag, ok);
             }
             result
@@ -512,13 +538,8 @@ pub fn handle_event(
         request => {
             let is_task = matches!(request, EventRequest::Task(_));
             let outcome = event_outcome(&channel, memory, kernels, request, tag, recv_us);
-            let (reply, result) = match outcome {
-                Ok((payload, Some(stamps))) => (EventReply::OkTimed(stamps, payload), Ok(())),
-                Ok((payload, None)) => (EventReply::Ok(payload), Ok(())),
-                Err(e) => (EventReply::Err(as_remote(node, tag, e.clone())), Err(e)),
-            };
-            let ok = result.is_ok();
-            channel.send(HEAD_RANK, tag, reply.encode())?;
+            let ok = outcome.is_ok();
+            let result = send_reply(&channel, HEAD_RANK, tag, outcome);
             if is_task {
                 post_completion(comm, tag, ok);
             }
@@ -582,19 +603,21 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
             let comm = comm.clone();
             let memory = Arc::clone(&memory);
             let kernels = Arc::clone(&kernels);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("ompc-handler-{}-{}", comm.rank(), i))
-                    .spawn_scoped(scope, move || {
-                        while let Ok(notification) = rx.recv() {
-                            // Errors on individual events must not kill the
-                            // handler pool; the head node receives them as
-                            // error replies on the event channel.
-                            let _ = handle_event(&comm, &memory, &kernels, notification);
-                        }
-                    })
-                    .expect("failed to spawn event handler thread"),
-            );
+            let spawned = std::thread::Builder::new()
+                .name(format!("ompc-handler-{}-{}", comm.rank(), i))
+                .spawn_scoped(scope, move || {
+                    while let Ok(notification) = rx.recv() {
+                        // Errors on individual events must not kill the
+                        // handler pool; the head node receives them as
+                        // error replies on the event channel.
+                        let _ = handle_event(&comm, &memory, &kernels, notification);
+                    }
+                });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                // The node serves with the handlers it has.
+                Err(_) => break,
+            }
         }
         drop(rx);
 
@@ -606,7 +629,10 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
         // small handler pool cannot deadlock on two opposing exchanges.
         // The loop ends when the world shuts down or every peer terminated
         // (recv fails), or when a shutdown event arrives.
-        let mut dead = false;
+        //
+        // A node without a single handler thread cannot run an event: it
+        // refuses every one, as a killed node does.
+        let mut dead = handles.is_empty();
         while let Ok(msg) = comm.recv(None, Some(CONTROL_TAG)) {
             let Ok(notification) = EventNotification::decode(&msg.data) else {
                 continue;
@@ -666,9 +692,9 @@ mod tests {
     fn device_memory_basics() {
         let mem = DeviceMemory::new();
         assert!(mem.is_empty());
-        mem.store(BufferId(1), vec![1, 2, 3]);
+        mem.store(BufferId(1), vec![1, 2, 3].into());
         assert!(mem.contains(BufferId(1)));
-        assert_eq!(mem.get(BufferId(1)), Some(vec![1, 2, 3]));
+        assert_eq!(mem.get(BufferId(1)), Some(vec![1, 2, 3].into()));
         assert_eq!(mem.len(), 1);
         assert!(mem.remove(BufferId(1)));
         assert!(!mem.remove(BufferId(1)));
@@ -693,7 +719,8 @@ mod tests {
         let buffer = BufferId(0);
         let tag = Tag(10);
         let comm = CommId(1);
-        head.on(comm).unwrap().send(1, tag, ompc_mpi::typed::f64s_to_bytes(&[1.0, 2.0])).unwrap();
+        let payload = ompc_mpi::typed::f64s_to_bytes(&[1.0, 2.0]).into();
+        head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), payload).unwrap();
         handle_event(
             &worker,
             &memory,
@@ -737,7 +764,8 @@ mod tests {
         )
         .unwrap();
         let msg = head.on(comm).unwrap().recv(Some(1), Some(tag3)).unwrap();
-        let data = EventReply::decode(&msg.data).unwrap().into_result().unwrap();
+        // A retrieve's reply is the buffer: nothing inline, the data as body.
+        let data = Reply::from_parts(&msg.data, msg.body, true).unwrap().body.unwrap();
         assert_eq!(ompc_mpi::typed::bytes_to_f64s(&data).unwrap(), vec![3.0, 6.0]);
     }
 
@@ -793,7 +821,7 @@ mod tests {
         let mem2 = DeviceMemory::new();
         let kernels = KernelRegistry::new();
         let buffer = BufferId(0);
-        mem1.store(buffer, vec![7, 8, 9]);
+        mem1.store(buffer, vec![7, 8, 9].into());
 
         let tag = Tag(20);
         let comm = CommId(0);
@@ -832,12 +860,149 @@ mod tests {
         )
         .unwrap();
         let received = recv_thread.join().unwrap();
-        assert_eq!(received, Some(vec![7, 8, 9]));
+        // The receiver's resident bytes *are* the sender's allocation.
+        let sent = mem1.get(buffer).unwrap();
+        assert!(received.is_some_and(|r| r.same_allocation(&sent) && r[..] == [7, 8, 9]));
         // The head got a typed acknowledgement carrying the byte count.
         let ack = head.recv(Some(2), Some(tag)).unwrap();
         let payload = EventReply::decode(&ack.data).unwrap().into_result().unwrap();
         assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 3);
         let _ = mem2;
+    }
+
+    fn execute(kernel: KernelId, buffers: Vec<BufferId>, tag: u64) -> EventNotification {
+        EventNotification {
+            request: EventRequest::Execute { kernel, buffers },
+            tag: Tag(tag),
+            comm: CommId(0),
+            timed: false,
+        }
+    }
+
+    #[test]
+    fn a_kernel_never_computes_on_a_buffer_that_is_not_there() {
+        let world = World::new(2);
+        let head = world.communicator(0);
+        let worker = world.communicator(1);
+        let memory = DeviceMemory::new();
+        let kernels = KernelRegistry::new();
+        let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        let touch = kernels.register_fn("touch", 1e-6, move |_| {
+            flag.store(true, std::sync::atomic::Ordering::SeqCst);
+        });
+        memory.store(BufferId(1), vec![1].into());
+        let (here, missing) = (BufferId(1), BufferId(2));
+        let err = handle_event(&worker, &memory, &kernels, execute(touch, vec![here, missing], 5))
+            .unwrap_err();
+        assert_eq!(err, OmpcError::UnknownBuffer(missing));
+        assert!(!ran.load(std::sync::atomic::Ordering::SeqCst), "the kernel must not run");
+        // Nothing was conjured into residency: a later `AwaitLocal` of the
+        // buffer still waits for the real bytes.
+        assert!(!memory.contains(missing));
+        assert!(!memory.wait_for(missing, std::time::Duration::ZERO));
+        let msg = head.recv(Some(1), Some(Tag(5))).unwrap();
+        let replied = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
+        assert_eq!(replied.root_cause(), &OmpcError::UnknownBuffer(missing));
+    }
+
+    #[test]
+    fn a_panicking_kernel_is_a_typed_reply_and_leaves_device_memory_as_it_was() {
+        let world = World::new(2);
+        let head = world.communicator(0);
+        let worker = world.communicator(1);
+        let memory = DeviceMemory::new();
+        let kernels = KernelRegistry::new();
+        // Writes its output, then trips over an input that is not whole f64s.
+        let boom = kernels.register_fn("boom", 1e-6, |args| {
+            args.set_f64s(1, &[9.0]);
+            args.bytes_mut(2)[0] = 9;
+            args.as_f64s(0);
+        });
+        let before: Vec<Bytes> =
+            vec![vec![0u8; 7].into(), vec![1u8; 8].into(), vec![2u8; 8].into()];
+        let ids: Vec<BufferId> = (0..3).map(BufferId).collect();
+        for (id, data) in ids.iter().zip(&before) {
+            memory.store(*id, data.clone());
+        }
+        let err = handle_event(&worker, &memory, &kernels, execute(boom, ids.clone(), 6));
+        assert_eq!(err, Err(OmpcError::Internal("kernel 'boom' panicked".to_string())));
+        for (id, data) in ids.iter().zip(&before) {
+            let now = memory.get(*id).unwrap();
+            assert!(now.same_allocation(data) && now == *data, "{id} changed");
+        }
+        let msg = head.recv(Some(1), Some(Tag(6))).unwrap();
+        match EventReply::decode(&msg.data).unwrap().into_result().unwrap_err() {
+            OmpcError::RemoteEvent { node: 1, event: 6, error } => {
+                assert_eq!(*error, OmpcError::Internal("kernel 'boom' panicked".to_string()))
+            }
+            other => panic!("expected a remote-event error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_forward_in_flight_never_sees_a_later_write_and_a_reader_copies_nothing() {
+        let world = World::new(3);
+        let w1 = world.communicator(1);
+        let w2 = world.communicator(2);
+        let memory = DeviceMemory::new();
+        let kernels = KernelRegistry::new();
+        let buffer = BufferId(0);
+        let original = Bytes::from(vec![1u8; 64]);
+        memory.store(buffer, original.clone());
+
+        // The forward sits in rank 2's mailbox, holding the allocation.
+        let forward = EventNotification {
+            request: EventRequest::ExchangeSend { buffer, to: 2 },
+            tag: Tag(7),
+            comm: CommId(0),
+            timed: false,
+        };
+        handle_event(&w1, &memory, &kernels, forward).unwrap();
+
+        // A kernel writes the same buffer in place, twice: one copy.
+        let pointers = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&pointers);
+        let scribble = kernels.register_fn("scribble", 1e-6, move |args| {
+            for value in [8, 9] {
+                args.bytes_mut(0)[0] = value;
+                seen.lock().push(args.bytes(0).as_ptr() as usize);
+            }
+        });
+        handle_event(&w1, &memory, &kernels, execute(scribble, vec![buffer], 8)).unwrap();
+        let written = memory.get(buffer).unwrap();
+        assert_eq!((written[0], written[1]), (9, 1));
+        assert!(!written.same_allocation(&original), "the write went to a private copy");
+        let at = written.as_ptr() as usize;
+        assert_eq!(*pointers.lock(), vec![at, at], "exactly one copy, stored back as it is");
+
+        // The forward delivers the bytes as they were when it was sent.
+        let msg = w2.recv(Some(1), Some(Tag(7))).unwrap();
+        let forwarded = Reply::from_parts(&msg.data, msg.body, true).unwrap().body.unwrap();
+        assert!(forwarded.same_allocation(&original));
+        assert_eq!(&forwarded[..], &[1u8; 64][..]);
+
+        // A kernel that only reads borrows the resident allocation and
+        // stores nothing back.
+        let seen = Arc::clone(&pointers);
+        let peek = kernels.register_fn("peek", 1e-6, move |args| {
+            seen.lock().push(args.bytes(0).as_ptr() as usize);
+            assert_eq!(args.len(), 1);
+        });
+        handle_event(&w1, &memory, &kernels, execute(peek, vec![buffer], 9)).unwrap();
+        assert_eq!(pointers.lock().last(), Some(&at), "the kernel read the resident bytes");
+        assert!(memory.get(buffer).unwrap().same_allocation(&written));
+    }
+
+    #[test]
+    fn an_event_the_single_reply_path_cannot_answer_is_a_typed_error() {
+        let world = World::new(2);
+        let worker = world.communicator(1);
+        let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
+        let request =
+            EventRequest::RelayFeed { buffer: BufferId(0), chunk_bytes: 0, children: vec![] };
+        let outcome = event_outcome(&worker, &memory, &kernels, request, Tag(3), None);
+        assert!(matches!(outcome, Err(OmpcError::Internal(m)) if m.contains("relay-feed")));
     }
 
     #[test]
@@ -959,7 +1124,7 @@ mod tests {
         // The good car's payload travels on the car's own channel.
         head.on(CommId(1))
             .unwrap()
-            .send(1, Tag(50), ompc_mpi::typed::f64s_to_bytes(&[1.0]))
+            .send_with_body(1, Tag(50), Vec::new(), ompc_mpi::typed::f64s_to_bytes(&[1.0]).into())
             .unwrap();
         let err = handle_event(
             &worker,
@@ -985,7 +1150,7 @@ mod tests {
         // The failed car did not abort the train: the good car executed.
         assert_eq!(
             memory.get(BufferId(1)),
-            Some(ompc_mpi::typed::f64s_to_bytes(&[2.0])),
+            Some(ompc_mpi::typed::f64s_to_bytes(&[2.0]).into()),
             "earlier cars execute regardless of later failures"
         );
 
@@ -1014,8 +1179,8 @@ mod tests {
         let tag = Tag(80);
         let comm = CommId(0);
         // Payloads ride the train's own channel, in the listed order.
-        head.on(comm).unwrap().send(1, tag, vec![1, 1]).unwrap();
-        head.on(comm).unwrap().send(1, tag, vec![2, 2, 2]).unwrap();
+        head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), vec![1, 1].into()).unwrap();
+        head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), vec![2, 2, 2].into()).unwrap();
         handle_event(
             &worker,
             &memory,
@@ -1028,8 +1193,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(memory.get(BufferId(4)), Some(vec![1, 1]));
-        assert_eq!(memory.get(BufferId(9)), Some(vec![2, 2, 2]));
+        assert_eq!(memory.get(BufferId(4)), Some(vec![1, 1].into()));
+        assert_eq!(memory.get(BufferId(9)), Some(vec![2, 2, 2].into()));
         // One typed reply for the whole train, then exactly one notice on
         // the prefetch channel.
         let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
@@ -1095,20 +1260,18 @@ mod tests {
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
         let buffer = BufferId(3);
-        let data: Vec<u8> = (0..10).collect();
+        let data = Bytes::from((0..10).collect::<Vec<u8>>());
         let tag = Tag(30);
         let comm = CommId(1);
         let child = RelayChild { node: 2, tag: Tag(31), comm: CommId(0) };
 
-        let frame = |i: u64| {
-            let start = (i * 4) as usize;
-            encode_relay_frame(i, &data[start..(start + 4).min(10)])
-        };
         let ch = head.on(comm).unwrap();
-        ch.send(1, tag, frame(1)).unwrap();
-        ch.send(1, tag, frame(0)).unwrap();
-        ch.send(1, tag, frame(0)).unwrap(); // duplicate: ignored, not re-forwarded
-        ch.send(1, tag, frame(2)).unwrap();
+        // Frame 0 twice: the duplicate is ignored, not re-forwarded.
+        for i in [1u64, 0, 0, 2] {
+            let start = (i * 4) as usize;
+            let chunk = data.slice(start..(start + 4).min(10));
+            ch.send_with_body(1, tag, relay_frame_header(i), chunk).unwrap();
+        }
 
         handle_event(
             &w1,
@@ -1139,7 +1302,9 @@ mod tests {
         let mut got = Vec::new();
         for _ in 0..3 {
             let msg = child_ch.recv(Some(1), Some(child.tag)).unwrap();
-            got.push(crate::protocol::decode_relay_frame(&msg.data).unwrap().0);
+            let (index, chunk) = decode_relay_parts(&msg.data, msg.body).unwrap();
+            assert!(chunk.same_allocation(&data), "a relay forwards the chunk it received");
+            got.push(index);
         }
         assert_eq!(got, vec![1, 0, 2]);
         assert!(child_ch.iprobe(Some(1), Some(child.tag)).is_none(), "duplicate was forwarded");
@@ -1154,7 +1319,7 @@ mod tests {
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
         let buffer = BufferId(8);
-        memory.store(buffer, vec![5; 10]);
+        memory.store(buffer, vec![5; 10].into());
         let tag = Tag(60);
         let child = RelayChild { node: 2, tag: Tag(61), comm: CommId(1) };
         handle_event(
@@ -1175,7 +1340,12 @@ mod tests {
         let mut rebuilt = vec![0u8; 10];
         for want in 0..3u64 {
             let msg = child_ch.recv(Some(1), Some(child.tag)).unwrap();
-            let (i, payload) = crate::protocol::decode_relay_frame(&msg.data).unwrap();
+            assert_eq!(msg.data.len(), 8, "the header is the frame index alone");
+            let (i, payload) = decode_relay_parts(&msg.data, msg.body).unwrap();
+            assert!(
+                payload.same_allocation(&memory.get(buffer).unwrap()),
+                "a chunk is a view of the resident buffer"
+            );
             assert_eq!(i, want, "frames stream in index order");
             rebuilt[(i * 4) as usize..(i * 4) as usize + payload.len()].copy_from_slice(&payload);
         }
@@ -1217,18 +1387,16 @@ mod tests {
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
         let buffer = BufferId(4);
-        let data: Vec<u8> = (10..18).collect();
+        let data = Bytes::from((10..18).collect::<Vec<u8>>());
         let tag = Tag(70);
         let comm = CommId(1);
-        parent.on(comm).unwrap().send(1, tag, encode_relay_frame(0, &data[..4])).unwrap();
-        for i in 0..2u64 {
-            let start = (i * 4) as usize;
-            rescuer
-                .on(comm)
-                .unwrap()
-                .send(1, tag, encode_relay_frame(i, &data[start..start + 4]))
-                .unwrap();
-        }
+        let frame = |from: &Communicator, i: u64| {
+            let chunk = data.slice((i * 4) as usize..(i * 4) as usize + 4);
+            from.on(comm).unwrap().send_with_body(1, tag, relay_frame_header(i), chunk).unwrap();
+        };
+        frame(&parent, 0);
+        frame(&rescuer, 0);
+        frame(&rescuer, 1);
         handle_event(
             &w1,
             &memory,
@@ -1258,7 +1426,7 @@ mod tests {
         let worker = world.communicator(1);
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
-        memory.store(BufferId(3), vec![1, 2, 3]);
+        memory.store(BufferId(3), vec![1, 2, 3].into());
         handle_event(
             &worker,
             &memory,

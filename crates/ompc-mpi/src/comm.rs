@@ -1,5 +1,6 @@
 //! Communicator handles: the per-rank API for point-to-point communication.
 
+use crate::bytes::Bytes;
 use crate::error::{MpiError, MpiResult};
 use crate::mailbox::Mailbox;
 use crate::message::{Message, MessageEnvelope};
@@ -65,12 +66,37 @@ impl Communicator {
         &self.world.mailboxes[self.rank]
     }
 
-    /// Buffered (eager) send: the payload is copied into the destination
+    /// Buffered (eager) send: the payload is moved into the destination
     /// mailbox and the call returns immediately, like `MPI_Send` with an
     /// eager protocol.
     pub fn send(&self, dest: Rank, tag: Tag, data: Vec<u8>) -> MpiResult<()> {
+        self.send_parts(dest, tag, data, None)
+    }
+
+    /// [`Communicator::send`] a two-part message: a small `header` plus a
+    /// shared `body` that is delivered as the very handle passed here — no
+    /// byte of it is copied on the way. The emulated link is occupied for
+    /// the length of both parts, exactly as for an owned payload that long.
+    pub fn send_with_body(
+        &self,
+        dest: Rank,
+        tag: Tag,
+        header: Vec<u8>,
+        body: Bytes,
+    ) -> MpiResult<()> {
+        self.send_parts(dest, tag, header, Some(body))
+    }
+
+    fn send_parts(
+        &self,
+        dest: Rank,
+        tag: Tag,
+        payload: Vec<u8>,
+        body: Option<Bytes>,
+    ) -> MpiResult<()> {
         let mailbox = self.mailbox_of(dest)?;
-        self.world.pace_egress(self.rank, data.len());
+        let len = payload.len() + body.as_ref().map_or(0, |b| b.len());
+        self.world.pace_egress(self.rank, len);
         let seq = self.world.rank_states[self.rank].send_seq[dest].fetch_add(1, Ordering::Relaxed);
         mailbox.deliver(MessageEnvelope {
             source: self.rank,
@@ -78,7 +104,8 @@ impl Communicator {
             tag,
             comm: self.comm,
             seq,
-            payload: data,
+            payload,
+            body,
         });
         Ok(())
     }
@@ -189,6 +216,52 @@ mod tests {
         let mut sources = vec![a.source(), b.source()];
         sources.sort_unstable();
         assert_eq!(sources, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_body_is_delivered_as_the_allocation_that_was_sent() {
+        let w = World::new(3);
+        let c0 = w.communicator(0);
+        let body = Bytes::from(vec![5u8; 4096]);
+        // One payload to two ranks: three holders, one block.
+        c0.send_with_body(1, Tag(3), vec![1, 2], body.clone()).unwrap();
+        c0.send_with_body(2, Tag(3), Vec::new(), body.clone()).unwrap();
+        let c1 = w.communicator(1);
+        // Probes and the delivered status count header + body.
+        assert_eq!(c1.iprobe(Some(0), Some(Tag(3))).unwrap().len, 2 + 4096);
+        assert_eq!(c1.probe(Some(0), Some(Tag(3))).unwrap().len, 2 + 4096);
+        let m1 = c1.recv(Some(0), Some(Tag(3))).unwrap();
+        assert_eq!((m1.len(), m1.status.len, &m1.data[..]), (4098, 4098, &[1u8, 2][..]));
+        let m2 = w.communicator(2).try_recv(Some(0), Some(Tag(3))).unwrap();
+        assert_eq!((m2.len(), m2.data.len()), (4096, 0));
+        for received in [m1.body.unwrap(), m2.body.unwrap()] {
+            assert!(received.same_allocation(&body));
+            assert_eq!(received.as_ptr(), body.as_ptr());
+        }
+        // A plain send has no body.
+        c0.send(1, Tag(4), vec![7]).unwrap();
+        assert_eq!(c1.recv(Some(0), Some(Tag(4))).unwrap().body, None);
+    }
+
+    #[test]
+    fn a_paced_link_charges_a_body_like_an_owned_payload_of_that_length() {
+        // 10 000 bytes over 1 MB/s occupy the link for 10 ms, whichever part
+        // of the message they travel in. `thread::sleep` never returns
+        // early, so the bound cannot fail on a slow machine — but a body
+        // that was not charged returns in microseconds.
+        let wire = std::time::Duration::from_millis(10);
+        let sends: [fn(&Communicator); 2] = [
+            |c| c.send(1, Tag(1), vec![0u8; 10_000]).unwrap(),
+            |c| c.send_with_body(1, Tag(1), vec![0u8; 8], vec![0u8; 9_992].into()).unwrap(),
+        ];
+        for send in sends {
+            let w = World::new(2);
+            w.set_link_bandwidth(1_000_000);
+            let t0 = std::time::Instant::now();
+            send(&w.communicator(0));
+            assert!(t0.elapsed() >= wire, "sent 10 000 bytes in {:?}", t0.elapsed());
+            assert_eq!(w.communicator(1).recv(Some(0), Some(Tag(1))).unwrap().len(), 10_000);
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! precise subset of MPI semantics:
 //!
 //! * point-to-point messages matched on `(communicator, source, destination,
-//!   tag)` with non-overtaking order per matched triple,
+//!   tag)` with non-overtaking order per matched triple, each a small header
+//!   plus at most one shared [`Bytes`] body that is delivered without a copy,
 //! * buffered sends and blocking, bounded, or non-blocking receives,
 //! * message probing (used by the gate thread to discover new events), and
 //! * multiple communicators mapped round-robin to independent progress
@@ -42,6 +43,7 @@
 //! }
 //! ```
 
+pub mod bytes;
 pub mod comm;
 pub mod error;
 pub mod mailbox;
@@ -50,6 +52,7 @@ pub mod typed;
 pub mod types;
 pub mod world;
 
+pub use bytes::Bytes;
 pub use comm::Communicator;
 pub use error::{MpiError, MpiResult};
 pub use message::{Message, MessageEnvelope};

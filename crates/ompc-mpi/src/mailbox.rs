@@ -196,7 +196,15 @@ mod tests {
     use std::thread;
 
     fn env(source: Rank, tag: u64, comm: u32, seq: u64, payload: Vec<u8>) -> MessageEnvelope {
-        MessageEnvelope { source, dest: 0, tag: Tag(tag), comm: CommId(comm), seq, payload }
+        MessageEnvelope {
+            source,
+            dest: 0,
+            tag: Tag(tag),
+            comm: CommId(comm),
+            seq,
+            payload,
+            body: None,
+        }
     }
 
     #[test]

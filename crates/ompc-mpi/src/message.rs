@@ -1,14 +1,27 @@
 //! Message envelope and the matching rules used by the mailboxes.
+//!
+//! A message has two parts: a small owned header (`data`) and at most one
+//! shared [`Bytes`] body. Control traffic is header only; bulk payloads
+//! travel as the body, so a sender never assembles a frame around them and a
+//! receiver never takes one apart — the body handle that was sent is the
+//! body handle that is received. Lengths ([`Status::len`], link pacing) count
+//! both parts.
 
+use crate::bytes::Bytes;
 use crate::types::{CommId, Rank, Status, Tag};
 
-/// A received message: payload plus the status describing where it came from.
+/// A received message: header and optional body plus the status describing
+/// where it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Completion information (source, tag, length, communicator).
     pub status: Status,
-    /// The payload bytes.
+    /// The header bytes — the whole message for anything sent with
+    /// [`crate::Communicator::send`].
     pub data: Vec<u8>,
+    /// The shared body, when the message was sent with
+    /// [`crate::Communicator::send_with_body`].
+    pub body: Option<Bytes>,
 }
 
 impl Message {
@@ -22,14 +35,14 @@ impl Message {
         self.status.tag
     }
 
-    /// Length of the payload in bytes.
+    /// Length of the message in bytes, header plus body.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.status.len
     }
 
-    /// Whether the payload is empty (e.g. a pure notification message).
+    /// Whether the message is empty (e.g. a pure notification message).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 }
 
@@ -49,8 +62,10 @@ pub struct MessageEnvelope {
     /// Monotonic per-(source, dest, comm) sequence number used to preserve
     /// the MPI non-overtaking guarantee when wildcard receives are posted.
     pub seq: u64,
-    /// Payload bytes.
+    /// Header bytes.
     pub payload: Vec<u8>,
+    /// Shared body, if any.
+    pub body: Option<Bytes>,
 }
 
 impl MessageEnvelope {
@@ -75,20 +90,13 @@ impl MessageEnvelope {
 
     /// Convert the envelope into a delivered [`Message`].
     pub fn into_message(self) -> Message {
-        Message {
-            status: Status {
-                source: self.source,
-                tag: self.tag,
-                len: self.payload.len(),
-                comm: self.comm,
-            },
-            data: self.payload,
-        }
+        Message { status: self.probe_status(), data: self.payload, body: self.body }
     }
 
     /// Status that a probe of this envelope would report (payload stays put).
     pub fn probe_status(&self) -> Status {
-        Status { source: self.source, tag: self.tag, len: self.payload.len(), comm: self.comm }
+        let len = self.payload.len() + self.body.as_ref().map_or(0, |b| b.len());
+        Status { source: self.source, tag: self.tag, len, comm: self.comm }
     }
 }
 
@@ -104,6 +112,7 @@ mod tests {
             comm: CommId(comm),
             seq: 0,
             payload: vec![1, 2, 3],
+            body: None,
         }
     }
 
@@ -146,5 +155,15 @@ mod tests {
         let st = e.probe_status();
         assert_eq!(st.len, 3);
         assert_eq!(e.payload.len(), 3);
+    }
+
+    #[test]
+    fn lengths_count_header_plus_body_and_the_body_is_delivered_as_sent() {
+        let body = Bytes::from(vec![9u8; 10]);
+        let e = MessageEnvelope { body: Some(body.clone()), ..env(1, 4, 0) };
+        assert_eq!(e.probe_status().len, 13);
+        let m = e.into_message();
+        assert_eq!((m.len(), m.data.len()), (13, 3));
+        assert!(m.body.is_some_and(|b| b.same_allocation(&body)));
     }
 }

@@ -240,6 +240,70 @@ fn host_task_panic_is_the_same_typed_error_on_both_real_backends() {
 }
 
 #[test]
+fn kernel_panic_is_a_typed_error_on_both_real_backends_and_the_workers_live_on() {
+    with_timeout(WATCHDOG, || {
+        // A kernel body that panics used to take its handler thread with
+        // it: no reply was ever sent, the head waited out its reply timeout
+        // (forever, by default) and the warm pool kept a worker with one
+        // handler fewer — none, under this configuration. The worker now
+        // catches the panic and replies a typed error naming the kernel;
+        // what the kernel had written dies with it.
+        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
+            let name = backend.name();
+            let config = OmpcConfig { backend, ..OmpcConfig::small() };
+            let mut device = ClusterDevice::with_config(2, config.clone());
+            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                args.set_f64s(0, &v);
+            });
+            // Overwrites its output, then reads seven bytes as `f64`s.
+            let misaligned = device.register_kernel_fn("misaligned", 1e-6, |args| {
+                args.set_f64s(1, &[99.0]);
+                args.as_f64s(0);
+            });
+            let out = device.enter_data_f64s(&[1.0]);
+            let mut region = device.target_region();
+            region.target(bump, vec![Dependence::inout(out)]);
+            region.run().unwrap();
+
+            let mut region = device.target_region();
+            let odd = region.map_to(vec![0u8; 7]);
+            region.target(misaligned, vec![Dependence::input(odd), Dependence::inout(out)]);
+            match region.run().unwrap_err() {
+                OmpcError::RemoteEvent { node, error, .. } => {
+                    assert!(node >= 1, "{name}: the error names the worker, got node {node}");
+                    let expected = OmpcError::Internal("kernel 'misaligned' panicked".to_string());
+                    assert_eq!(*error, expected, "{name}");
+                }
+                other => panic!("{name}: expected the worker's typed error, got {other:?}"),
+            }
+            assert_eq!(device.buffer_f64s(out).unwrap(), vec![2.0], "{name}: a failed task wrote");
+
+            // The same device, then the same (warm) workers under a new
+            // device, still run regions.
+            let mut region = device.target_region();
+            region.target(bump, vec![Dependence::inout(out)]);
+            region.run().unwrap_or_else(|e| panic!("{name}: device unusable afterwards: {e:?}"));
+            assert_eq!(device.buffer_f64s(out).unwrap(), vec![3.0], "{name}");
+            device.shutdown();
+
+            let mut next = ClusterDevice::with_config(2, config);
+            let bump = next.register_kernel_fn("bump", 1e-6, |args| {
+                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                args.set_f64s(0, &v);
+            });
+            let mut region = next.target_region();
+            let b = region.map_to_f64s(&[10.0]);
+            region.target(bump, vec![Dependence::inout(b)]);
+            region.map_from(b);
+            region.run().unwrap_or_else(|e| panic!("{name}: workers unusable afterwards: {e:?}"));
+            assert_eq!(next.buffer_f64s(b).unwrap(), vec![11.0], "{name}");
+            next.shutdown();
+        }
+    });
+}
+
+#[test]
 fn pool_is_sized_by_min_of_threads_window_and_tasks_and_grows_lazily() {
     with_timeout(WATCHDOG, || {
         let config = OmpcConfig { head_worker_threads: 4, ..OmpcConfig::small() };
