@@ -30,17 +30,23 @@ impl BufferRegistry {
 
     /// Register host data and obtain its buffer id.
     pub fn register(&self, data: Vec<u8>) -> BufferId {
+        self.register_shared(data.into())
+    }
+
+    /// [`BufferRegistry::register`] from a shared handle.
+    pub(crate) fn register_shared(&self, data: Bytes) -> BufferId {
         let mut next = self.next.write();
         let id = *next;
         *next += 1;
-        self.buffers.write().insert(id, data.into());
+        self.buffers.write().insert(id, data);
         BufferId(id)
     }
 
     /// Register a zero-filled buffer of `size` bytes (the `map(alloc:)`
-    /// analogue).
+    /// analogue). The slot is a view of the shared zero block
+    /// ([`Bytes::zeroed`]): no memory is allocated or filled for it.
     pub fn register_uninit(&self, size: usize) -> BufferId {
-        self.register(vec![0u8; size])
+        self.register_shared(Bytes::zeroed(size))
     }
 
     /// Size in bytes of a buffer.

@@ -644,7 +644,7 @@ impl ClusterDevice {
             return Err(OmpcError::ShutDown);
         }
         self.flush_to_host(buffer)?;
-        crate::runtime::release_device_copies(&self.dm, &self.events, buffer)
+        crate::runtime::release_device_copies(&self.dm, &self.events, &self.telemetry, &[buffer])
     }
 
     /// Bring the host copy of `buffer` up to date when its latest version
@@ -1523,7 +1523,7 @@ impl ClusterDevice {
         let buffers: Vec<BufferId> = workload
             .output_bytes
             .iter()
-            .map(|&bytes| self.buffers.register(vec![0u8; bytes as usize]))
+            .map(|&bytes| self.buffers.register_uninit(bytes as usize))
             .collect();
         let mut region = RegionGraph::new();
         for t in 0..workload.len() {
@@ -1558,16 +1558,15 @@ impl ClusterDevice {
         drop(lease);
         // The materialized buffers are private to this run: release their
         // device copies, data-manager entries, and host copies so repeated
-        // `run_workload` calls on one device do not accumulate state.
+        // `run_workload` calls on one device do not accumulate state. A
+        // node that does not acknowledge is one the run killed without yet
+        // declaring it dead — its memory is gone either way — so a failed
+        // release never turns a finished run into an error.
+        let _ = crate::runtime::release_device_copies(&self.dm, &self.events, &telemetry, &buffers);
         for &buffer in &buffers {
-            let holders = self.dm.lock().remove(buffer);
-            for holder in holders {
-                if holder != HEAD_NODE {
-                    let _ = self.events.delete(holder, buffer);
-                }
-            }
             let _ = self.buffers.remove(buffer);
         }
+        let teardown_spans = telemetry.take_spans();
         // De-materialize the transfer records: buffer `t` of the workload
         // coordinate system is task `t`'s output (the convention the
         // simulated backend records in), so cross-backend transfer sets
@@ -1582,6 +1581,7 @@ impl ClusterDevice {
                     transfer.buffer = BufferId(t);
                 }
             }
+            record.spans.extend(teardown_spans.iter().cloned());
         };
         if let Some(last) = self.last_record.lock().as_mut() {
             remap(last);
@@ -1828,5 +1828,55 @@ mod tests {
         let k = device.register_kernel_fn("noop", 1e-6, |_| {});
         region.target(k, vec![Dependence::inout(a)]);
         assert_eq!(region.run().unwrap_err(), OmpcError::ShutDown);
+    }
+
+    /// Releasing device copies costs one event per node, not one per copy:
+    /// a 4 × 4 periodic Stencil-1D leaves 16 outputs and 12 forwarded copies
+    /// on two workers, and tearing the run down is at most two events.
+    #[test]
+    fn releasing_copies_is_one_event_per_node() {
+        let mut graph = ompc_sched::TaskGraph::new();
+        for _ in 0..16 {
+            graph.add_task(1e-4);
+        }
+        for step in 1..4 {
+            for point in 0..4 {
+                for from in [(point + 3) % 4, point, (point + 1) % 4] {
+                    graph.add_edge((step - 1) * 4 + from, step * 4 + point, 64);
+                }
+            }
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 16]);
+        // Points 0–1 on worker 1, points 2–3 on worker 2.
+        let assignment: Vec<NodeId> = (0..16).map(|task| 1 + (task % 4) / 2).collect();
+        // What the run itself issues, per transport: a composite task is
+        // one event and a forward one more; the threaded transport walks
+        // each composite as an alloc and an execute.
+        for (backend, own) in [(BackendKind::Mpi, 16 + 12), (BackendKind::Threaded, 32 + 12)] {
+            let config = OmpcConfig { backend, ..OmpcConfig::small() };
+            let plan = RuntimePlan { assignment: assignment.clone(), window: 4 };
+            let mut device = ClusterDevice::with_config(2, config);
+            let issued = || device.events.counters().events.load(Ordering::Relaxed);
+            let record = device.run_workload(&workload, &plan).unwrap();
+            assert_eq!(record.transfer_count(), 12, "{backend:?}");
+            assert_eq!(issued() - own, 2, "{backend:?}: one release event per worker");
+            assert!(device.dm.lock().is_empty() && device.buffers.is_empty(), "{backend:?}");
+
+            // A resident buffer read on both workers: ending its mapping is
+            // one event per holder.
+            let read = device.register_kernel_fn("read", 1e-2, |args| {
+                let _ = args.bytes(0);
+            });
+            let a = device.enter_data(vec![7u8; 64]);
+            let mut region = device.target_region();
+            region.target(read, vec![Dependence::input(a)]);
+            region.target(read, vec![Dependence::input(a)]);
+            region.run().unwrap();
+            assert!((1..=2).all(|worker| device.dm.lock().is_present(a, worker)), "{backend:?}");
+            let before = issued();
+            device.exit_data(a).unwrap();
+            assert_eq!(issued() - before, 2, "{backend:?}");
+            device.shutdown();
+        }
     }
 }

@@ -244,9 +244,13 @@ impl EventSystem {
         self.call(node, EventRequest::Alloc { buffer, size: size as u64 }).map(|_| ())
     }
 
-    /// Free `buffer` on `node` and wait for the reply.
-    pub fn delete(&self, node: NodeId, buffer: BufferId) -> OmpcResult<()> {
-        self.call(node, EventRequest::Delete { buffer }).map(|_| ())
+    /// Free every listed buffer on `node` — one event however many — and
+    /// wait for the reply. An empty list sends nothing.
+    pub fn delete(&self, node: NodeId, buffers: Vec<BufferId>) -> OmpcResult<()> {
+        if buffers.is_empty() {
+            return Ok(());
+        }
+        self.call(node, EventRequest::Delete { buffers }).map(|_| ())
     }
 
     /// Copy `data` into `buffer` on `node` (host → worker) and wait for the

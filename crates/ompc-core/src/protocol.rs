@@ -72,8 +72,10 @@ pub const FIRST_EVENT_TAG: u64 = 3;
 pub enum EventRequest {
     /// Allocate `size` bytes of device memory for `buffer`.
     Alloc { buffer: BufferId, size: u64 },
-    /// Free the device memory of `buffer`.
-    Delete { buffer: BufferId },
+    /// Free the device memory of every listed buffer (one not resident is
+    /// skipped): however many copies a node owes, releasing them is one
+    /// event and one reply.
+    Delete { buffers: Vec<BufferId> },
     /// Receive the contents of `buffer` from the origin (data follows on
     /// the event channel).
     Submit { buffer: BufferId },
@@ -365,6 +367,13 @@ impl Writer {
     fn bytes(&mut self, b: &[u8]) {
         self.0.extend_from_slice(b);
     }
+    /// A `u32` count and that many buffer ids ([`Reader::buffers`] reads it).
+    fn buffers(&mut self, buffers: &[BufferId]) {
+        self.u32(buffers.len() as u32);
+        for b in buffers {
+            self.u64(b.0);
+        }
+    }
 }
 
 struct Reader<'a> {
@@ -494,10 +503,7 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
         TaskStep::Execute { kernel, buffers } => {
             w.u8(STEP_EXECUTE);
             w.u64(kernel.0 as u64);
-            w.u32(buffers.len() as u32);
-            for b in buffers {
-                w.u64(b.0);
-            }
+            w.buffers(buffers);
         }
     }
 }
@@ -533,9 +539,9 @@ impl EventNotification {
                 w.u64(buffer.0);
                 w.u64(*size);
             }
-            EventRequest::Delete { buffer } => {
+            EventRequest::Delete { buffers } => {
                 w.u8(KIND_DELETE);
-                w.u64(buffer.0);
+                w.buffers(buffers);
             }
             EventRequest::Submit { buffer } => {
                 w.u8(KIND_SUBMIT);
@@ -558,10 +564,7 @@ impl EventNotification {
             EventRequest::Execute { kernel, buffers } => {
                 w.u8(KIND_EXECUTE);
                 w.u64(kernel.0 as u64);
-                w.u32(buffers.len() as u32);
-                for b in buffers {
-                    w.u64(b.0);
-                }
+                w.buffers(buffers);
             }
             EventRequest::Task(spec) => {
                 w.u8(KIND_TASK);
@@ -584,10 +587,7 @@ impl EventNotification {
             }
             EventRequest::SubmitTrain { buffers } => {
                 w.u8(KIND_SUBMIT_TRAIN);
-                w.u32(buffers.len() as u32);
-                for b in buffers {
-                    w.u64(b.0);
-                }
+                w.buffers(buffers);
             }
             EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
                 w.u8(KIND_RELAY_RECV);
@@ -630,7 +630,7 @@ impl EventNotification {
         let kind = r.u8()?;
         let request = match kind {
             KIND_ALLOC => EventRequest::Alloc { buffer: BufferId(r.u64()?), size: r.u64()? },
-            KIND_DELETE => EventRequest::Delete { buffer: BufferId(r.u64()?) },
+            KIND_DELETE => EventRequest::Delete { buffers: r.buffers()? },
             KIND_SUBMIT => EventRequest::Submit { buffer: BufferId(r.u64()?) },
             KIND_RETRIEVE => EventRequest::Retrieve { buffer: BufferId(r.u64()?) },
             KIND_EXCHANGE_SEND => {
@@ -982,7 +982,9 @@ mod tests {
     #[test]
     fn all_event_kinds_round_trip() {
         round_trip(EventRequest::Alloc { buffer: BufferId(7), size: 1024 });
-        round_trip(EventRequest::Delete { buffer: BufferId(7) });
+        for count in [0, 1, 300] {
+            round_trip(EventRequest::Delete { buffers: (0..count).map(BufferId).collect() });
+        }
         round_trip(EventRequest::Submit { buffer: BufferId(1) });
         round_trip(EventRequest::Retrieve { buffer: BufferId(2) });
         round_trip(EventRequest::ExchangeSend { buffer: BufferId(3), to: 5 });
@@ -1227,16 +1229,19 @@ mod tests {
 
     /// A forged element count must not size an allocation: this 18-byte
     /// notification — a task of `u32::MAX` steps — used to abort the process
-    /// reserving 128 GiB before reading a single step.
+    /// reserving 128 GiB before reading a single step. The same holds for a
+    /// delete of `u32::MAX` buffers.
     #[test]
     fn a_forged_element_count_is_a_truncation_error_not_an_allocation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u64.to_le_bytes()); // tag
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // comm
-        bytes.extend_from_slice(&[0, KIND_TASK]); // untimed, a composite task
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // ... of 4 billion steps
-        assert_eq!(bytes.len(), 18);
-        assert!(EventNotification::decode(&bytes).is_err());
+        for kind in [KIND_TASK, KIND_DELETE] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&7u64.to_le_bytes()); // tag
+            bytes.extend_from_slice(&0u32.to_le_bytes()); // comm
+            bytes.extend_from_slice(&[0, kind]); // untimed
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // ... of 4 billion elements
+            assert_eq!(bytes.len(), 18);
+            assert!(matches!(EventNotification::decode(&bytes), Err(OmpcError::Internal(_))));
+        }
     }
 
     /// `levels` nested remote-event errors around a `ShutDown`, as a reply.
@@ -1301,7 +1306,7 @@ mod tests {
         let node = rng.range_usize(0, 1 << 20);
         let request = match kind {
             KIND_ALLOC => EventRequest::Alloc { buffer, size: rng.next_u64() },
-            KIND_DELETE => EventRequest::Delete { buffer },
+            KIND_DELETE => EventRequest::Delete { buffers: arb_buffers(rng) },
             KIND_SUBMIT => EventRequest::Submit { buffer },
             KIND_RETRIEVE => EventRequest::Retrieve { buffer },
             KIND_EXCHANGE_SEND => EventRequest::ExchangeSend { buffer, to: node },

@@ -691,18 +691,23 @@ impl Lowering {
     }
 
     /// Send every deferred delete that never found a composite to ride (end
-    /// of the run). Dead nodes are skipped — their memory died with them.
+    /// of the run): one event per node. Dead nodes are skipped — their
+    /// memory died with them. Every live node is attempted; what a node did
+    /// not acknowledge stays owed to it, and the first error is returned.
     pub(crate) fn flush_deletes(&self) -> OmpcResult<()> {
-        let pending = std::mem::take(&mut self.state.lock().deferred_deletes);
-        for (node, buffers) in pending {
-            if self.path.dm.lock().is_failed(node) {
-                continue;
-            }
-            for buffer in buffers {
-                self.path.events.delete(node, buffer)?;
-            }
+        let mut pending = std::mem::take(&mut self.state.lock().deferred_deletes);
+        {
+            let dm = self.path.dm.lock();
+            pending.retain(|&node, _| !dm.is_failed(node));
         }
-        Ok(())
+        let owed = pending.iter().map(|(&node, buffers)| (node, buffers.iter().copied().collect()));
+        let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, owed);
+        let mut state = self.state.lock();
+        for (node, _) in &failed {
+            let unacknowledged = pending.remove(node).unwrap_or_default();
+            state.deferred_deletes.entry(*node).or_default().extend(unacknowledged);
+        }
+        super::first_error(failed)
     }
 
     /// Whether a task failure on `node` is collateral damage of an injected
@@ -754,6 +759,7 @@ mod tests {
     use super::*;
     use crate::types::Dependence;
     use ompc_mpi::World;
+    use std::sync::atomic::Ordering;
 
     /// A lowering over a three-rank world whose worker ranks never run:
     /// nothing is ever delivered, so each test observes the lowering alone.
@@ -846,15 +852,36 @@ mod tests {
         assert_eq!(inflight_entries(low), 2);
     }
 
-    /// Act as worker `rank` for one event: take its notification off the
-    /// control tag and handle it against `memory`.
-    fn serve(world: &World, rank: usize, memory: &crate::worker::DeviceMemory) {
+    /// Worker `rank`'s next event off the control tag. An event the head
+    /// never sends fails the test instead of hanging it.
+    fn next_event(world: &World, rank: usize) -> crate::protocol::EventNotification {
         use crate::protocol::{EventNotification, CONTROL_TAG};
+        let patience = std::time::Duration::from_secs(10);
         let comm = world.communicator(rank);
-        let msg = comm.recv(Some(HEAD_NODE), Some(CONTROL_TAG)).unwrap();
-        let notification = EventNotification::decode(&msg.data).unwrap();
+        let msg = comm.recv_timeout(Some(HEAD_NODE), Some(CONTROL_TAG), patience).unwrap();
+        EventNotification::decode(&msg.data).unwrap()
+    }
+
+    /// Act as worker `rank` for one event: handle it against `memory`.
+    fn serve(world: &World, rank: usize, memory: &crate::worker::DeviceMemory) {
+        let notification = next_event(world, rank);
         let kernels = crate::kernel::KernelRegistry::new();
+        let comm = world.communicator(rank);
         crate::worker::handle_event(&comm, memory, &kernels, notification).unwrap();
+    }
+
+    /// Act as a killed worker `rank` for one event: refuse it, as the
+    /// zombie gate does.
+    fn refuse(world: &World, rank: usize) {
+        use crate::protocol::EventReply;
+        let notification = next_event(world, rank);
+        let error = OmpcError::RemoteEvent {
+            node: rank,
+            event: notification.tag.0,
+            error: Box::new(OmpcError::NodeFailure(rank)),
+        };
+        let channel = world.communicator(rank).on(notification.comm).unwrap();
+        channel.send(HEAD_NODE, notification.tag, EventReply::Err(error).encode()).unwrap();
     }
 
     #[test]
@@ -997,6 +1024,42 @@ mod tests {
         assert_eq!(inflight_entries(low), 0);
         let (work, _record) = lower_task(low, 1, 2);
         assert!(matches!(work.steps[0], TaskStep::Delete { .. }), "and rides the next composite");
+    }
+
+    #[test]
+    fn a_flush_attempts_every_node_and_keeps_owing_the_one_that_failed() {
+        let Fixture { low, a, _world: world } = &fixture();
+        let out = BufferId(a.0 + 1);
+        {
+            let mut state = low.state.lock();
+            state.deferred_deletes.entry(1).or_default().insert(*a);
+            state.deferred_deletes.entry(2).or_default().extend([*a, out]);
+        }
+        let memory = crate::worker::DeviceMemory::new();
+        memory.store(*a, vec![7u8; 32].into());
+        memory.store(out, vec![0u8; 8].into());
+
+        // Node 1 was killed but is not yet declared failed; node 2, after it
+        // in node order, is healthy.
+        let flushed = std::thread::scope(|scope| {
+            scope.spawn(|| refuse(world, 1));
+            scope.spawn(|| serve(world, 2, &memory));
+            low.flush_deletes()
+        });
+        assert!(
+            matches!(&flushed, Err(OmpcError::RemoteEvent { node: 1, error, .. }) if **error == OmpcError::NodeFailure(1)),
+            "the error is node 1's: {flushed:?}"
+        );
+        assert!(memory.is_empty(), "node 2's copies went in one event all the same");
+        let owed = |node| low.state.lock().deferred_deletes.get(&node).cloned();
+        assert_eq!(owed(1), Some([*a].into_iter().collect()), "node 1 is still owed its delete");
+        assert_eq!(owed(2), None);
+
+        // Once the node is declared dead nothing is owed or sent any more.
+        low.path.dm.lock().fail_node(1).unwrap();
+        assert_eq!(low.flush_deletes(), Ok(()));
+        assert!(low.state.lock().deferred_deletes.is_empty());
+        assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -56,6 +56,7 @@ use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE
 use crate::event::EventSystem;
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
+use crate::protocol::EventRequest;
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_sched::Platform;
@@ -67,27 +68,72 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// pre-residency runtime did.
 pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 
-/// Release every device copy of `buffer` (device-level exit-data
-/// semantics): drop the buffer from the data manager and delete the copy
-/// on every live holder. Dead holders are skipped —
-/// their memory died with them, and a delete event would only bounce off
-/// the zombie gate.
+/// Free device copies, one `Delete` event per node: every node's event is
+/// posted before any reply is awaited, so a release costs one round trip
+/// however many nodes and buffers it covers. Each node is attempted; the
+/// nodes that did not acknowledge come back with their error, so the caller
+/// can keep owing them. At [`TelemetryLevel::Spans`] every event leaves an
+/// [`SpanPhase::ExitData`] span on its node, the buffer count as its detail.
+pub(crate) fn delete_device_copies(
+    events: &EventSystem,
+    telemetry: &Telemetry,
+    owed: impl IntoIterator<Item = (NodeId, Vec<BufferId>)>,
+) -> Vec<(NodeId, OmpcError)> {
+    let t0 = telemetry.start();
+    let mut failed = Vec::new();
+    let mut posted = Vec::new();
+    for (node, buffers) in owed.into_iter().filter(|(_, buffers)| !buffers.is_empty()) {
+        let count = buffers.len();
+        match events.post(node, EventRequest::Delete { buffers }, false) {
+            Ok(channel) => posted.push((channel, count)),
+            Err(error) => failed.push((node, error)),
+        }
+    }
+    for (channel, count) in posted {
+        match events.await_reply(&channel) {
+            Ok(_) if telemetry.spans_enabled() => telemetry.record(
+                Span::new(SpanPhase::ExitData, channel.node, t0, telemetry::monotonic_us())
+                    .detail(format!("released {count} buffers")),
+            ),
+            Ok(_) => {}
+            Err(error) => failed.push((channel.node, error)),
+        }
+    }
+    failed
+}
+
+/// Release every device copy of `buffers` (device-level exit-data
+/// semantics) — the one way a mapping ends on the head: drop the buffers
+/// from the data manager under one lock, then free the copies with one
+/// event per live holder ([`delete_device_copies`]). Dead holders are
+/// skipped — their memory died with them, and a delete event would only
+/// bounce off the zombie gate. The buffers are forgotten whatever the
+/// workers answer; the first node's error is returned.
 pub(crate) fn release_device_copies(
     dm: &parking_lot::Mutex<DataManager>,
     events: &EventSystem,
-    buffer: BufferId,
+    telemetry: &Telemetry,
+    buffers: &[BufferId],
 ) -> OmpcResult<()> {
-    // `remove` returns only worker-node holders; capture the failed set
-    // under the same acquisition instead of re-locking per holder.
-    let live_holders: Vec<NodeId> = {
+    let mut owed: BTreeMap<NodeId, Vec<BufferId>> = BTreeMap::new();
+    {
+        // `remove` returns only worker-node holders.
         let mut dm = dm.lock();
-        let holders = dm.remove(buffer);
-        holders.into_iter().filter(|&n| !dm.is_failed(n)).collect()
-    };
-    for holder in live_holders {
-        events.delete(holder, buffer)?;
+        for &buffer in buffers {
+            for holder in dm.remove(buffer) {
+                if !dm.is_failed(holder) {
+                    owed.entry(holder).or_default().push(buffer);
+                }
+            }
+        }
     }
-    Ok(())
+    first_error(delete_device_copies(events, telemetry, owed))
+}
+
+/// What a release reports when some node did not acknowledge: the first
+/// such node's error.
+fn first_error(failed: Vec<(NodeId, OmpcError)>) -> OmpcResult<()> {
+    failed.into_iter().next().map_or(Ok(()), |(_, error)| Err(error))
 }
 
 /// A dependence DAG as seen by the execution core: dense task ids, counted

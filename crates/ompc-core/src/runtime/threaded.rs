@@ -34,7 +34,7 @@ use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
 use crate::event::TypedReply;
 use crate::protocol::{Reply, TaskStep};
-use crate::types::{NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use crossbeam::channel::{Receiver, Sender};
 use ompc_mpi::Bytes;
 use parking_lot::Mutex;
@@ -97,13 +97,14 @@ impl RegionContext {
                 self.lowering.retire(task, record, reply)
             }
             Lowered::Task(mut work, mut record) => {
-                let deletes =
-                    work.steps.iter().take_while(|s| matches!(s, TaskStep::Delete { .. }));
-                let deleted = deletes.count();
-                let prologue = work.steps.drain(..deleted).try_for_each(|step| match step {
-                    TaskStep::Delete { buffer } => events.delete(node, buffer),
-                    _ => Ok(()),
+                // The leading deletes are one event, however many.
+                let leading = work.steps.iter().map_while(|step| match step {
+                    TaskStep::Delete { buffer } => Some(*buffer),
+                    _ => None,
                 });
+                let deletes: Vec<BufferId> = leading.collect();
+                work.steps.drain(..deletes.len());
+                let prologue = events.delete(node, deletes);
                 drop(order);
                 let reply = prologue.and_then(|()| self.run_steps(task, node, work, &mut record));
                 self.lowering.retire(task, record, reply)

@@ -189,11 +189,14 @@ fn event_outcome(
 ) -> OmpcResult<Reply> {
     match request {
         EventRequest::Alloc { buffer, size } => {
-            memory.store(buffer, vec![0u8; size as usize].into());
+            memory.store(buffer, Bytes::zeroed(size as usize));
             Ok(Reply::default())
         }
-        EventRequest::Delete { buffer } => {
-            memory.remove(buffer);
+        EventRequest::Delete { buffers } => {
+            // Absent buffers are fine (the copy may never have landed).
+            for buffer in buffers {
+                memory.remove(buffer);
+            }
             Ok(Reply::default())
         }
         EventRequest::Submit { buffer } => {
@@ -430,7 +433,7 @@ fn run_task_steps(
             }
             TaskStep::Alloc { buffer, size } => {
                 if !memory.contains(buffer) {
-                    memory.store(buffer, vec![0u8; size as usize].into());
+                    memory.store(buffer, Bytes::zeroed(size as usize));
                 }
             }
             TaskStep::Delete { buffer } => {
@@ -877,6 +880,84 @@ mod tests {
             comm: CommId(0),
             timed: false,
         }
+    }
+
+    #[test]
+    fn one_delete_event_frees_every_listed_buffer_and_replies_once() {
+        let world = World::new(2);
+        let head = world.communicator(0);
+        let worker = world.communicator(1);
+        let memory = DeviceMemory::new();
+        let kernels = KernelRegistry::new();
+        for id in 0..4 {
+            memory.store(BufferId(id), vec![id as u8; 8].into());
+        }
+        // Buffer 9 never landed here: absent buffers are fine.
+        let buffers = vec![BufferId(0), BufferId(9), BufferId(2), BufferId(3)];
+        let delete = EventNotification {
+            request: EventRequest::Delete { buffers },
+            tag: Tag(5),
+            comm: CommId(0),
+            timed: false,
+        };
+        handle_event(&worker, &memory, &kernels, delete).unwrap();
+        assert_eq!(memory.len(), 1);
+        assert!(memory.contains(BufferId(1)), "an unlisted buffer stays");
+        let msg = head.recv(Some(1), Some(Tag(5))).unwrap();
+        assert_eq!(EventReply::decode(&msg.data).unwrap(), EventReply::Ok(Vec::new()));
+        assert!(head.iprobe(None, None).is_none(), "exactly one reply");
+    }
+
+    #[test]
+    fn an_allocated_buffer_reads_as_zeros_until_a_kernel_writes_it() {
+        let world = World::new(2);
+        let worker = world.communicator(1);
+        let memory = DeviceMemory::new();
+        let kernels = KernelRegistry::new();
+        const N: usize = 1 << 16;
+        let ids: Vec<BufferId> = (0..3).map(BufferId).collect();
+        use crate::protocol::{TaskSpec, TaskStep};
+        let task = |steps| EventNotification {
+            request: EventRequest::Task(TaskSpec { steps }),
+            tag: Tag(8),
+            comm: CommId(0),
+            timed: false,
+        };
+        let allocs = || ids.iter().map(|&buffer| TaskStep::Alloc { buffer, size: N as u64 });
+
+        // `Alloc` of a buffer already resident is a no-op; a fresh one reads
+        // as zeros.
+        let resident = Bytes::from(vec![5u8; N]);
+        memory.store(ids[2], resident.clone());
+        let reads = kernels.register_fn("reads", 1e-6, |args| {
+            assert!(args.bytes(0) == [0u8; N] && args.bytes(1) == [0u8; N]);
+            assert!(args.bytes(2) == [5u8; N]);
+        });
+        let run = |kernel| TaskStep::Execute { kernel, buffers: ids.clone() };
+        handle_event(&worker, &memory, &kernels, task(allocs().chain([run(reads)]).collect()))
+            .unwrap();
+        assert!(memory.get(ids[2]).unwrap().same_allocation(&resident));
+        let fresh = memory.get(ids[0]).unwrap();
+
+        // A kernel that writes: `set_f64s` replaces the view outright and
+        // `bytes_mut` materialises private zeros — neither result is a view
+        // of zeros any more, and the zeros themselves are never written.
+        let writes = kernels.register_fn("writes", 1e-6, |args| {
+            args.set_f64s(0, &[1.5]);
+            args.bytes_mut(1)[N - 1] = 9;
+        });
+        handle_event(&worker, &memory, &kernels, task(vec![run(writes)])).unwrap();
+        let now: Vec<Bytes> = ids.iter().map(|&id| memory.get(id).unwrap()).collect();
+        assert_eq!(now[0], Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[1.5])));
+        assert_eq!((now[1].len(), now[1][N - 1], now[1][0]), (N, 9, 0));
+        assert!(!now[0].same_allocation(&fresh) && !now[1].same_allocation(&fresh));
+        assert!(fresh.len() == N && fresh.iter().all(|&byte| byte == 0));
+
+        // The event-level alloc (map(alloc:)) does replace what is there.
+        let alloc = EventRequest::Alloc { buffer: ids[0], size: 16 };
+        let notification = EventNotification { request: alloc, ..task(Vec::new()) };
+        handle_event(&worker, &memory, &kernels, notification).unwrap();
+        assert_eq!(memory.get(ids[0]).unwrap(), Bytes::from(vec![0u8; 16]));
     }
 
     #[test]

@@ -7,10 +7,26 @@
 //! counter, and [`Bytes::slice`] narrows the view without touching the
 //! allocation — so a payload forwarded to five ranks, or cut into relay
 //! chunks, is still one block of memory held several times.
+//!
+//! A buffer nobody has written yet is not memory of its own either:
+//! [`Bytes::zeroed`] is a view of one process-wide block of zeros, and only
+//! [`Bytes::make_mut`] — a writer that wants the old contents — turns it
+//! into a private allocation.
 
 use std::fmt;
 use std::ops::{Deref, Range};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+
+/// The block every live [`Bytes::zeroed`] view shares. Held weakly: the
+/// views keep it alive, so it is never larger than the largest zero view
+/// still in use and is freed with the last of them.
+static ZEROS: Mutex<Weak<Vec<u8>>> = Mutex::new(Weak::new());
+
+/// The slot is only ever replaced whole, so a panic while it was held
+/// cannot have left it half-written: a poisoned lock is recovered.
+fn zeros() -> MutexGuard<'static, Weak<Vec<u8>>> {
+    ZEROS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A cheaply cloneable, immutable view of a byte buffer.
 ///
@@ -30,6 +46,38 @@ pub struct Bytes {
 }
 
 impl Bytes {
+    /// `len` zero bytes, as a view of the process-wide zero block: costs no
+    /// allocation and no fill while a block of at least `len` bytes is alive
+    /// (a larger request replaces the block; views of the old one keep it).
+    /// The block is never written — [`Bytes::make_mut`] on a view of it
+    /// hands out a fresh zeroed vector instead.
+    ///
+    /// ```
+    /// use ompc_mpi::Bytes;
+    ///
+    /// let a = Bytes::zeroed(1 << 20);
+    /// let b = Bytes::zeroed(1 << 10);
+    /// assert!(a.same_allocation(&b));
+    /// assert!(b.iter().all(|&byte| byte == 0));
+    /// ```
+    pub fn zeroed(len: usize) -> Bytes {
+        let mut block = zeros();
+        let buf = match block.upgrade() {
+            Some(buf) if buf.len() >= len => buf,
+            _ => {
+                let buf = Arc::new(vec![0u8; len]);
+                *block = Arc::downgrade(&buf);
+                buf
+            }
+        };
+        Bytes { buf, window: Some(0..len) }
+    }
+
+    /// Whether this is a view of the current zero block.
+    fn views_zero_block(&self) -> bool {
+        zeros().upgrade().is_some_and(|block| Arc::ptr_eq(&block, &self.buf))
+    }
+
     /// A view of `range` (relative to this view) over the same allocation.
     ///
     /// # Panics
@@ -56,9 +104,13 @@ impl Bytes {
     /// this handle is the only one and views the whole allocation the vector
     /// is handed out in place; otherwise the viewed bytes are first copied
     /// into a fresh allocation, so no other holder ever observes the write.
+    /// A view of the zero block ([`Bytes::zeroed`]) materialises as one
+    /// zeroed allocation — never an allocation plus a copy of zeros.
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
         if self.window.is_some() || Arc::get_mut(&mut self.buf).is_none() {
-            self.buf = Arc::new(self.to_vec());
+            let private =
+                if self.views_zero_block() { vec![0u8; self.len()] } else { self.to_vec() };
+            self.buf = Arc::new(private);
             self.window = None;
         }
         // Unique by now, so this hands the vector out without cloning it.
@@ -163,5 +215,62 @@ mod tests {
         // the vector handed out must be exactly the viewed bytes.
         let mut part = Bytes::from(vec![0u8, 1, 2, 3]).slice(1..3);
         assert_eq!(part.make_mut(), &vec![1u8, 2]);
+    }
+
+    /// Every assertion on the zero block lives in this one test: the block
+    /// is process-wide, and a second test asking for zeros on another
+    /// thread could replace it between two lines of this one.
+    #[test]
+    fn zero_views_share_one_block_until_somebody_writes() {
+        assert_eq!(zeros().strong_count(), 0, "nothing is allocated before the first request");
+        let empty = Bytes::zeroed(0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.clone().make_mut(), &Vec::<u8>::new());
+        drop(empty);
+
+        const N: usize = 4096;
+        let a = Bytes::zeroed(N);
+        let b = Bytes::zeroed(N / 2);
+        assert_eq!(&a[..], &[0u8; N][..]);
+        assert_eq!(b.len(), N / 2);
+        assert!(a.same_allocation(&b), "a smaller request views the block that is there");
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        assert_eq!(zeros().upgrade().map(|block| block.len()), Some(N));
+        assert_eq!(a, Bytes::from(vec![0u8; N]), "equality is that of the bytes");
+
+        // A writer gets a private vector of exactly the viewed zeros, once;
+        // the other view and the block never see the write.
+        let mut written = a.clone();
+        written.make_mut()[7] = 9;
+        assert!(!written.same_allocation(&a));
+        assert_eq!(written.len(), N);
+        assert_eq!(written.iter().filter(|&&byte| byte != 0).count(), 1);
+        let private = written.as_ptr();
+        written.make_mut()[8] = 9;
+        assert_eq!(written.as_ptr(), private, "already private: no second allocation");
+        assert!(a.iter().chain(b.iter()).all(|&byte| byte == 0));
+
+        // A slice of a zero view is a zero view: same block, and writing it
+        // materialises just the slice.
+        let mut part = a.slice(100..164);
+        assert!(part.same_allocation(&a));
+        assert_eq!(part.make_mut(), &vec![0u8; 64]);
+
+        // Growth: a larger request replaces the block; earlier views keep
+        // the one they have, and a write to one of those is still private
+        // and still zeros.
+        let big = Bytes::zeroed(4 * N);
+        assert!(!big.same_allocation(&a));
+        assert_eq!(&big[..], &[0u8; 4 * N][..]);
+        assert!(Bytes::zeroed(N).same_allocation(&big), "later requests view the larger block");
+        let mut outgrown = b.clone();
+        outgrown.make_mut().push(1);
+        assert_eq!(outgrown.len(), N / 2 + 1);
+        assert!(b.iter().all(|&byte| byte == 0));
+
+        // The static keeps nothing alive: the block dies with its last view.
+        drop((a, b, big, written, part, outgrown));
+        assert_eq!(zeros().strong_count(), 0);
+        assert!(zeros().upgrade().is_none());
     }
 }

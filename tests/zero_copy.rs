@@ -1,13 +1,15 @@
 //! The data path moves handles, not bytes — pinned without a clock.
 //!
 //! A counting global allocator adds up every block the process allocates
-//! that is at least as large as one payload. Running a Stencil-1D workload
-//! whose task outputs are that large then has a floor that cannot be
-//! avoided — the host buffer registered per task and the device storage
-//! each task's output is allocated into — and everything above that floor is
-//! a copy somebody made on the way: cloning a buffer out of a registry or a
-//! device memory, assembling a frame around it, taking one apart. The bound
-//! allows one payload of slack and no more.
+//! that is at least as large as one payload. A Stencil-1D workload whose
+//! task outputs are that large but are never written needs none: a buffer
+//! that is registered or allocated and not yet written is a view of the one
+//! shared block of zeros. When the kernels do write their outputs the floor
+//! is one block per written output — the kernel's own. Everything above
+//! the floor is a copy somebody made on the way: cloning a buffer out of a
+//! registry or a device memory, assembling a frame around it, taking one
+//! apart, filling zeros nobody reads. The bound allows the zero block, one
+//! payload of slack, and no more.
 //!
 //! This file holds a single test: the counter is process-wide, and a second
 //! test running on another thread would be counted too.
@@ -73,9 +75,9 @@ fn a_stencil_run_allocates_its_buffers_and_copies_none_of_them() {
     let tasks = workload.len() as u64;
     assert_eq!(tasks, 16);
     let assignment: Vec<NodeId> = (0..16).map(|task| 1 + (task % 4) / 2).collect();
-    // The floor: one registered host buffer and one device allocation per
-    // task output. One more payload of slack.
-    let bound = (2 * tasks + 1) * PAYLOAD as u64;
+    // Nothing writes an output, so no buffer needs memory of its own: the
+    // shared zero block, and one more payload of slack.
+    let slack = 2 * PAYLOAD as u64;
 
     for backend in [BackendKind::Mpi, BackendKind::Threaded] {
         let config = OmpcConfig { backend, ..OmpcConfig::small() };
@@ -84,17 +86,52 @@ fn a_stencil_run_allocates_its_buffers_and_copies_none_of_them() {
         let before = LARGE_BYTES.load(Ordering::Relaxed);
         let record = device.run_workload(&workload, &plan).unwrap();
         let allocated = LARGE_BYTES.load(Ordering::Relaxed) - before;
-        device.shutdown();
 
         let moved = record.transfer_bytes();
         assert_eq!(moved, 12 * PAYLOAD as u64, "{backend:?}: four forwards a consuming step");
         assert!(
-            allocated <= bound,
+            allocated <= slack,
             "{backend:?}: {allocated} B allocated in payload-sized blocks ({:.1} payloads) to move \
-             {moved} B; buffers alone need {} payloads, the bound is {}",
+             {moved} B of outputs nobody wrote; the bound is 2 payloads",
             allocated as f64 / PAYLOAD as f64,
-            2 * tasks,
-            bound / PAYLOAD as u64,
         );
+
+        // Kernels that write their outputs — through `bytes_mut`, which
+        // materialises the zeros, or `set_f64s`, which replaces them — cost
+        // exactly the block each of them writes.
+        const OUTPUTS: u64 = 8;
+        let ones = std::sync::Arc::new(vec![1.0f64; PAYLOAD / 8]);
+        let fill = std::sync::Arc::clone(&ones);
+        let write = device.register_kernel_fn("write", 1e-3, move |args| {
+            if args.buffer_id(0).0 % 2 == 0 {
+                args.bytes_mut(0)[PAYLOAD - 1] = 1;
+            } else {
+                args.set_f64s(0, &fill);
+            }
+        });
+        let before = LARGE_BYTES.load(Ordering::Relaxed);
+        let mut region = device.target_region();
+        let outputs: Vec<BufferId> = (0..OUTPUTS).map(|_| region.map_alloc(PAYLOAD)).collect();
+        for &output in &outputs {
+            region.target(write, vec![Dependence::output(output)]);
+            region.map_from(output);
+        }
+        region.run().unwrap();
+        let allocated = LARGE_BYTES.load(Ordering::Relaxed) - before;
+        let floor = OUTPUTS * PAYLOAD as u64;
+        assert!(
+            (floor..=floor + slack).contains(&allocated),
+            "{backend:?}: {:.1} payloads allocated for {OUTPUTS} written outputs",
+            allocated as f64 / PAYLOAD as f64,
+        );
+        for output in outputs {
+            let data = device.buffer_data(output).unwrap();
+            assert_eq!(data.len(), PAYLOAD);
+            match output.0 % 2 {
+                0 => assert!(data[PAYLOAD - 1] == 1 && data[..PAYLOAD - 1].iter().all(|&b| b == 0)),
+                _ => assert_eq!(data, ompc::mpi::typed::f64s_to_bytes(&ones)),
+            }
+        }
+        device.shutdown();
     }
 }
