@@ -765,6 +765,16 @@ impl ClusterDevice {
         self.report.lock().clone()
     }
 
+    /// Mailbox gauges of every rank of the device's world, head node first:
+    /// messages delivered, receivers woken, empty wake-ups, the unexpected
+    /// queue's high-water mark and the receives blocked right now. Reads no
+    /// clock and stops nothing; empty once the workers have been parked or
+    /// joined.
+    pub fn mailbox_stats(&self) -> Vec<ompc_mpi::MailboxStats> {
+        let Some(world) = &self.world else { return Vec::new() };
+        (0..=self.num_workers).map(|rank| world.communicator(rank).mailbox_stats()).collect()
+    }
+
     /// Decision record of the most recent region / workload execution:
     /// assignment, dispatch and completion orders, and — when a
     /// [`crate::runtime::fault::FaultPlan`] was active — the failure
@@ -1876,6 +1886,38 @@ mod tests {
             let before = issued();
             device.exit_data(a).unwrap();
             assert_eq!(issued() - before, 2, "{backend:?}");
+            device.shutdown();
+        }
+    }
+
+    /// No thread of the device is woken for nothing: not the gate for a
+    /// handler's message or the head for another region's reply while a
+    /// graph runs, and not by the clock while the device sits idle.
+    #[test]
+    fn no_rank_wakes_up_empty_handed_during_a_run_or_while_idle() {
+        let mut graph = ompc_sched::TaskGraph::new();
+        for _ in 0..64 {
+            graph.add_task(1e-4);
+        }
+        for task in 2..64 {
+            graph.add_edge(task - 2, task, 64);
+            graph.add_edge(task - 1, task, 64);
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 64]);
+        let assignment: Vec<NodeId> = (0..64).map(|task| 1 + task % 2).collect();
+        for backend in [BackendKind::Mpi, BackendKind::Threaded] {
+            let config = OmpcConfig { backend, ..OmpcConfig::small() };
+            let mut device = ClusterDevice::with_config(2, config);
+            let plan = RuntimePlan { assignment: assignment.clone(), window: 4 };
+            device.run_workload(&workload, &plan).unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(200));
+            let stats = device.mailbox_stats();
+            assert_eq!(stats.len(), 3, "{backend:?}");
+            for (rank, rank_stats) in stats.iter().enumerate() {
+                assert!(rank_stats.delivered > 0, "{backend:?} rank {rank}: {rank_stats:?}");
+                assert!(rank_stats.woken <= rank_stats.delivered, "{backend:?} rank {rank}");
+                assert_eq!(rank_stats.empty_wakeups, 0, "{backend:?} rank {rank}: {rank_stats:?}");
+            }
             device.shutdown();
         }
     }

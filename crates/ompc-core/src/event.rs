@@ -393,4 +393,19 @@ mod tests {
         assert_eq!(c.data_events.load(Ordering::Relaxed), 2);
         assert_eq!(c.bytes_moved.load(Ordering::Relaxed), 150);
     }
+
+    #[test]
+    fn a_reply_that_never_comes_fails_at_the_reply_timeout() {
+        // Nobody serves rank 1. The head's wait is one sleep that ends at
+        // its own deadline: no transport tick wakes it on the way there.
+        let world = ompc_mpi::World::with_communicators(2, 2);
+        let timeout = Duration::from_millis(120);
+        let es = EventSystem::with_reply_timeout(world.communicator(0), Some(timeout));
+        let t0 = std::time::Instant::now();
+        let err = es.retrieve(1, BufferId(0)).unwrap_err();
+        assert!(matches!(err, crate::types::OmpcError::Communication(_)), "got {err:?}");
+        assert!((timeout..Duration::from_secs(30)).contains(&t0.elapsed()), "{:?}", t0.elapsed());
+        let head = world.communicator(0).mailbox_stats();
+        assert_eq!((head.woken, head.empty_wakeups, head.posted), (0, 0, 0));
+    }
 }

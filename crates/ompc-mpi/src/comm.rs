@@ -2,7 +2,7 @@
 
 use crate::bytes::Bytes;
 use crate::error::{MpiError, MpiResult};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{Mailbox, MailboxStats};
 use crate::message::{Message, MessageEnvelope};
 use crate::types::{CommId, Rank, Status, Tag};
 use crate::world::WorldInner;
@@ -154,6 +154,14 @@ impl Communicator {
     /// Non-blocking probe.
     pub fn iprobe(&self, source: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
         self.own_mailbox().iprobe(self.comm, source, tag)
+    }
+
+    /// Traffic counters of this rank's mailbox, all communicators together:
+    /// messages delivered, receivers woken, empty wake-ups, the unexpected
+    /// queue's high-water mark and the receives blocked right now. Reads no
+    /// clock and changes nothing.
+    pub fn mailbox_stats(&self) -> MailboxStats {
+        self.own_mailbox().stats()
     }
 
     /// Convenience: send `data` to `dest` and block until a reply with the

@@ -55,6 +55,7 @@ pub mod world;
 pub use bytes::Bytes;
 pub use comm::Communicator;
 pub use error::{MpiError, MpiResult};
+pub use mailbox::MailboxStats;
 pub use message::{Message, MessageEnvelope};
 pub use types::{CommId, Rank, Status, Tag, ANY_SOURCE, ANY_TAG};
 pub use world::World;

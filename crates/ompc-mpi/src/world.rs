@@ -229,4 +229,35 @@ mod tests {
         w2.shutdown();
         assert!(t.join().unwrap().is_err());
     }
+
+    #[test]
+    fn ranks_blocked_in_recv_sleep_until_something_is_addressed_to_them() {
+        // No periodic tick: a blocked receive is woken by a message for it,
+        // by shutdown or by the last peer terminating — never by the clock.
+        let w = World::new(3);
+        let stats = |r| w.communicator(r).mailbox_stats();
+        // Plain threads, not `launch`: a rank returning must not count as a
+        // terminated peer of one that is still waiting for its message.
+        let ranks: Vec<_> = (0..3)
+            .map(|r| {
+                let c = w.communicator(r);
+                std::thread::spawn(move || c.recv(None, Some(Tag(1))).map(|m| m.data))
+            })
+            .collect();
+        while (0..3).any(|r| stats(r).posted != 1) {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        for r in 0..3 {
+            let idle = stats(r);
+            assert_eq!((idle.woken, idle.empty_wakeups, idle.posted), (0, 0, 1), "rank {r}");
+        }
+        for r in 0..3 {
+            w.communicator((r + 1) % 3).send(r, Tag(1), vec![r as u8]).unwrap();
+        }
+        for (r, h) in ranks.into_iter().enumerate() {
+            assert_eq!(h.join().unwrap(), Ok(vec![r as u8]));
+            assert_eq!((stats(r).woken, stats(r).empty_wakeups), (1, 0), "rank {r}");
+        }
+    }
 }

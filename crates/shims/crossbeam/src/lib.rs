@@ -4,6 +4,11 @@
 //! multi-producer **multi-consumer** FIFO channel (std's mpsc receiver is
 //! not cloneable, which the head-node worker pool requires). Implemented
 //! with a mutex-protected queue and a condition variable.
+//!
+//! A send to a channel nobody sleeps on is free of system calls, as in the
+//! crate this stands in for: receivers count themselves asleep under the
+//! queue's mutex before they wait, and a sender notifies only when that
+//! count is non-zero.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -14,6 +19,10 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers inside a condvar wait. Raised under the mutex before
+        /// the wait, so whoever changes the queue or `senders` under the
+        /// same mutex sees every receiver its change could have to wake.
+        sleeping: usize,
     }
 
     struct Shared<T> {
@@ -24,6 +33,24 @@ pub mod channel {
     impl<T> Shared<T> {
         fn lock(&self) -> std::sync::MutexGuard<'_, State<T>> {
             self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        /// Sleep until notified or `timeout` (if any) elapses, counted in
+        /// `sleeping` for exactly as long.
+        fn sleep<'a>(
+            &self,
+            mut state: std::sync::MutexGuard<'a, State<T>>,
+            timeout: Option<std::time::Duration>,
+        ) -> std::sync::MutexGuard<'a, State<T>> {
+            state.sleeping += 1;
+            let mut state = match timeout {
+                None => self.available.wait(state).unwrap_or_else(PoisonError::into_inner),
+                Some(t) => {
+                    self.available.wait_timeout(state, t).unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+            state.sleeping -= 1;
+            state
         }
     }
 
@@ -76,7 +103,12 @@ pub mod channel {
     /// Create an unbounded mpmc FIFO channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+                sleeping: 0,
+            }),
             available: Condvar::new(),
         });
         (Sender(Arc::clone(&shared)), Receiver(shared))
@@ -90,8 +122,11 @@ pub mod channel {
                 return Err(SendError(value));
             }
             state.queue.push_back(value);
+            let asleep = state.sleeping > 0;
             drop(state);
-            self.0.available.notify_one();
+            if asleep {
+                self.0.available.notify_one();
+            }
             Ok(())
         }
     }
@@ -107,8 +142,9 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.0.lock();
             state.senders -= 1;
-            if state.senders == 0 {
-                drop(state);
+            let asleep = state.senders == 0 && state.sleeping > 0;
+            drop(state);
+            if asleep {
                 self.0.available.notify_all();
             }
         }
@@ -126,7 +162,7 @@ pub mod channel {
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
-                state = self.0.available.wait(state).unwrap_or_else(PoisonError::into_inner);
+                state = self.0.sleep(state, None);
             }
         }
 
@@ -148,12 +184,7 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
-                let (guard, _) = self
-                    .0
-                    .available
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                state = guard;
+                state = self.0.sleep(state, Some(deadline - now));
             }
         }
 
@@ -176,6 +207,12 @@ pub mod channel {
         pub fn is_empty(&self) -> bool {
             self.len() == 0
         }
+
+        /// Receivers currently asleep in `recv` / `recv_timeout`.
+        #[cfg(test)]
+        pub(crate) fn sleeping(&self) -> usize {
+            self.0.lock().sleeping
+        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -195,6 +232,16 @@ pub mod channel {
 #[cfg(test)]
 mod tests {
     use super::channel;
+
+    /// A wait that a lost wake-up would hang fails after this long instead.
+    const WATCHDOG: std::time::Duration = std::time::Duration::from_secs(60);
+
+    /// Spin (no clock) until exactly `n` receivers are asleep on the channel.
+    fn until_sleeping(rx: &channel::Receiver<u32>, n: usize) {
+        while rx.sleeping() != n {
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn recv_timeout_times_out_then_delivers() {
@@ -267,5 +314,70 @@ mod tests {
         all.extend(b.join().unwrap());
         all.sort_unstable();
         assert_eq!(all, (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_bursty_producer_loses_nothing_to_a_slow_consumer() {
+        // The consumer alternates between finding the queue non-empty (no
+        // sleep, so the sender must not need to notify) and sleeping on an
+        // empty one (so the sender must): bursts of sends with a yield
+        // between them hit both, and every value must come out once, in
+        // order.
+        const BURSTS: u32 = 2_000;
+        const BURST: u32 = 8;
+        let (tx, rx) = channel::unbounded::<u32>();
+        let consumer = std::thread::spawn(move || {
+            let mut next = 0;
+            while let Ok(v) = rx.recv_timeout(WATCHDOG) {
+                assert_eq!(v, next);
+                next += 1;
+                if v % 5 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            next
+        });
+        for burst in 0..BURSTS {
+            for i in 0..BURST {
+                tx.send(burst * BURST + i).unwrap();
+            }
+            std::thread::yield_now();
+        }
+        drop(tx);
+        assert_eq!(consumer.join().unwrap(), BURSTS * BURST);
+    }
+
+    #[test]
+    fn timed_and_untimed_receivers_are_both_counted_asleep_and_woken() {
+        let (tx, rx) = channel::unbounded::<u32>();
+        let sleepers = |n| until_sleeping(&rx, n);
+        let (rx1, rx2) = (rx.clone(), rx.clone());
+        let timed = std::thread::spawn(move || rx1.recv_timeout(WATCHDOG));
+        let untimed = std::thread::spawn(move || rx2.recv());
+        sleepers(2);
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        let mut got = vec![timed.join().unwrap().unwrap(), untimed.join().unwrap().unwrap()];
+        got.sort_unstable();
+        assert_eq!(got, vec![1, 2]);
+        sleepers(0);
+        // A wait that times out is uncounted again.
+        assert!(rx.recv_timeout(std::time::Duration::from_millis(1)).is_err());
+        sleepers(0);
+    }
+
+    #[test]
+    fn dropping_the_last_sender_wakes_every_sleeper() {
+        let (tx, rx) = channel::unbounded::<u32>();
+        let tx2 = tx.clone();
+        let (rx1, rx2) = (rx.clone(), rx.clone());
+        let timed = std::thread::spawn(move || rx1.recv_timeout(WATCHDOG));
+        let untimed = std::thread::spawn(move || rx2.recv());
+        until_sleeping(&rx, 2);
+        drop(tx);
+        assert_eq!(rx.sleeping(), 2, "a sender remains: nobody is woken");
+        drop(tx2);
+        assert_eq!(timed.join().unwrap(), Err(channel::RecvTimeoutError::Disconnected));
+        assert_eq!(untimed.join().unwrap(), Err(channel::RecvError));
     }
 }

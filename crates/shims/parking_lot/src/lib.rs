@@ -5,8 +5,14 @@
 //! `Condvar` with non-poisoning guards. Everything is implemented over
 //! `std::sync`; a poisoned std lock is treated as still-usable (the data is
 //! handed back), matching parking_lot's no-poisoning semantics.
+//!
+//! A notify with no waiter is free, as in the crate this stands in for:
+//! [`Condvar`] counts the threads inside its waits and `notify_one` /
+//! `notify_all` return after one atomic load when there are none (a bare
+//! `std::sync::Condvar` makes a `futex_wake` system call either way).
 
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::PoisonError;
 use std::time::Duration;
 
@@ -124,23 +130,40 @@ impl WaitTimeoutResult {
 }
 
 /// A condition variable operating on [`MutexGuard`]s.
+///
+/// `waiters` is incremented by a waiter while it still holds its mutex and
+/// decremented once it holds it again. A notifier that changed the waited-for
+/// state under that mutex therefore either ran before the waiter's check
+/// (the waiter sees the new state and never waits) or acquired the mutex
+/// after the waiter released it inside the wait — and then reads a count
+/// that already includes it. So skipping the wake-up at zero cannot lose
+/// one, whether the notify is issued under the lock or after unlocking.
 #[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
+pub struct Condvar {
+    inner: std::sync::Condvar,
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     /// Create a condition variable.
     pub const fn new() -> Self {
-        Self(std::sync::Condvar::new())
+        Self { inner: std::sync::Condvar::new(), waiters: AtomicUsize::new(0) }
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter; free when nobody waits.
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        self.inner.notify_one();
     }
 
-    /// Wake all waiters.
+    /// Wake all waiters; free when nobody waits.
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        self.inner.notify_all();
     }
 
     /// Block on the condition variable until notified or `timeout` elapses,
@@ -151,8 +174,10 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let inner = guard.inner.take().expect("guard already taken");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (inner, result) =
-            self.0.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
+            self.inner.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
         WaitTimeoutResult(result.timed_out())
     }
@@ -160,7 +185,9 @@ impl Condvar {
     /// Block on the condition variable until notified.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.inner.take().expect("guard already taken");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = self.inner.wait(inner).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(inner);
     }
 }
@@ -212,5 +239,98 @@ mod tests {
             cv.notify_all();
         }
         t.join().unwrap();
+    }
+
+    /// A wait that a lost wake-up would hang fails after this long instead.
+    const WATCHDOG: Duration = Duration::from_secs(60);
+
+    fn spin_until_waiting(cv: &Condvar, n: usize) {
+        while cv.waiters.load(Ordering::SeqCst) != n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_notify_before_the_wait_is_not_remembered() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn hand_offs_notified_after_unlocking_are_never_lost() {
+        // Two threads pass a turn flag back and forth 10^5 times, each
+        // notify issued after the mutex is released — the window in which
+        // an uncounted waiter would be missed.
+        const ROUNDS: u32 = 100_000;
+        let shared = Arc::new((Mutex::new(0u32), Condvar::new()));
+        let player = |me: u32| {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || {
+                let (turn, cv) = &*shared;
+                for round in 0..ROUNDS {
+                    let mut t = turn.lock();
+                    while *t % 2 != me {
+                        let r = cv.wait_for(&mut t, WATCHDOG);
+                        assert!(!r.timed_out(), "lost wake-up in round {round}");
+                    }
+                    *t += 1;
+                    drop(t);
+                    cv.notify_one();
+                }
+            })
+        };
+        let (a, b) = (player(0), player(1));
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(*shared.0.lock(), 2 * ROUNDS);
+        assert_eq!(shared.1.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn notify_all_releases_every_counted_waiter_and_the_count_returns_to_zero() {
+        const N: usize = 4;
+        let shared = Arc::new((Mutex::new(false), Condvar::new()));
+        let waiters: Vec<_> = (0..N)
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    let (m, cv) = &*shared;
+                    let mut go = m.lock();
+                    while !*go {
+                        assert!(!cv.wait_for(&mut go, WATCHDOG).timed_out(), "lost wake-up");
+                    }
+                })
+            })
+            .collect();
+        let (m, cv) = &*shared;
+        spin_until_waiting(cv, N);
+        *m.lock() = true;
+        cv.notify_all();
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        // A wait that ends by time-out is uncounted again too, and the
+        // untimed wait is counted like the timed one.
+        assert!(cv.wait_for(&mut m.lock(), Duration::from_millis(1)).timed_out());
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        *m.lock() = false;
+        let s2 = Arc::clone(&shared);
+        let t = std::thread::spawn(move || {
+            let mut go = s2.0.lock();
+            while !*go {
+                s2.1.wait(&mut go);
+            }
+        });
+        spin_until_waiting(cv, 1);
+        *m.lock() = true;
+        cv.notify_one();
+        t.join().unwrap();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 }
