@@ -19,11 +19,9 @@ use crate::data_manager::{
 use crate::event::EventSystem;
 use crate::kernel::{Kernel, KernelArgs, KernelRegistry};
 use crate::model::WorkloadGraph;
-use crate::protocol::{COMPLETION_TAG, PREFETCH_TAG};
 use crate::region::TargetRegion;
 use crate::runtime::fault::{FaultPlan, FaultState};
 use crate::runtime::lowering::{Commit, DataPath, Lowering};
-use crate::runtime::mpi::NoticeRouter;
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::runtime::{
     HeadWorkerPool, MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan, ThreadedBackend,
@@ -32,7 +30,7 @@ use crate::stats::{DeviceReport, RegionReport};
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, Dependence, KernelId, MapType, NodeId, OmpcError, OmpcResult};
 use crate::worker::worker_main;
-use ompc_mpi::World;
+use ompc_mpi::{CommId, World};
 use ompc_sched::Platform;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -184,9 +182,6 @@ pub struct ClusterDevice {
     /// tenants spread across the shared workers instead of piling onto
     /// the serially-optimal nodes.
     inflight_load: Mutex<HashMap<u64, HashMap<NodeId, f64>>>,
-    /// Completion-channel demultiplexer shared by every concurrently
-    /// admitted MPI region execution.
-    notice_router: Arc<NoticeRouter>,
     /// Decision record of the most recent region / workload execution,
     /// including any failure and recovery events.
     last_record: Mutex<Option<RunRecord>>,
@@ -276,7 +271,6 @@ impl ClusterDevice {
             admission: Mutex::default(),
             admission_cv: Condvar::new(),
             inflight_load: Mutex::new(HashMap::new()),
-            notice_router: NoticeRouter::new(),
             last_record: Mutex::new(None),
             workload_kernel: std::sync::OnceLock::new(),
             telemetry,
@@ -767,9 +761,9 @@ impl ClusterDevice {
 
     /// Mailbox gauges of every rank of the device's world, head node first:
     /// messages delivered, receivers woken, empty wake-ups, the unexpected
-    /// queue's high-water mark and the receives blocked right now. Reads no
-    /// clock and stops nothing; empty once the workers have been parked or
-    /// joined.
+    /// queue's high-water mark and depth, and the receives blocked right
+    /// now. Reads no clock and stops nothing; empty once the workers have
+    /// been parked or joined.
     pub fn mailbox_stats(&self) -> Vec<ompc_mpi::MailboxStats> {
         let Some(world) = &self.world else { return Vec::new() };
         (0..=self.num_workers).map(|rank| world.communicator(rank).mailbox_stats()).collect()
@@ -842,10 +836,13 @@ impl ClusterDevice {
             }
         }
         let Some(world) = self.world.take() else { return false };
-        // A completion (or prefetch-train) notice of an already-drained
-        // reply must not leak into the adopting lifetime as a stale message.
-        while self.events.communicator().try_recv(None, Some(COMPLETION_TAG)).is_some() {}
-        while self.events.communicator().try_recv(None, Some(PREFETCH_TAG)).is_some() {}
+        // The adopting lifetime starts with an empty head mailbox: a late
+        // leftover of a failed run (a reply or notice on some execution's
+        // device-unique channel) must not leak into it as a stale message.
+        let head = self.events.communicator();
+        for comm in (0..head.num_communicators()).filter_map(|c| head.on(CommId(c)).ok()) {
+            while comm.try_recv(None, None).is_some() {}
+        }
         self.events.reset_counters();
         WARM_WORKERS.lock().push((
             warm_key(self.num_workers, &self.config),
@@ -1451,9 +1448,7 @@ impl ClusterDevice {
                 BackendKind::Threaded => {
                     ThreadedBackend::new(&self.pool, lowering).execute(&mut core)
                 }
-                BackendKind::Mpi => {
-                    MpiBackend::new(lowering, Arc::clone(&self.notice_router)).execute(&mut core)
-                }
+                BackendKind::Mpi => MpiBackend::new(lowering).execute(&mut core),
                 BackendKind::Sim => Err(OmpcError::InvalidConfig(
                     "a ClusterDevice cannot drive the simulated backend; use the simulate_ompc* \
                      entry points instead"
@@ -1826,6 +1821,69 @@ mod tests {
         // Leave the process as we found it (the failed pool was already
         // joined cold; nothing should be left under this key).
         assert_eq!(parked(&key), before);
+    }
+
+    /// A lifetime whose last MPI region failed with a task error — not a
+    /// node failure, so its pool parks — hands the adopting lifetime empty
+    /// mailboxes on every rank, whichever channel a leftover sat on.
+    #[test]
+    fn an_adopted_pool_starts_with_empty_mailboxes_after_a_failed_region() {
+        use crate::runtime::fault::FaultPlan;
+        // A key no other test in the process uses: 2 workers × 11
+        // communicators.
+        let config = OmpcConfig {
+            backend: BackendKind::Mpi,
+            warm_worker_keepalive: true,
+            num_communicators: 11,
+            ..OmpcConfig::small()
+        };
+        let key = warm_key(2, &config);
+        let parked = |key: &WarmKey| WARM_WORKERS.lock().iter().filter(|(k, _)| k == key).count();
+        let before = parked(&key);
+        let mut graph = ompc_sched::TaskGraph::new();
+        for _ in 0..4 {
+            graph.add_task(1e-4);
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 4]);
+        let plan = RuntimePlan { assignment: vec![1, 1, 2, 2], window: 4 };
+
+        let failing =
+            OmpcConfig { fault_plan: FaultPlan::none().error_on_task(1), ..config.clone() };
+        let mut d1 = ClusterDevice::with_config(2, failing);
+        assert!(d1.run_workload(&workload, &plan).is_err());
+        // A late leftover on some execution's channel, as a failed run can
+        // leave behind: a worker's message on a tag of its own, on a
+        // communicator other than the world's.
+        let world = d1.world.as_ref().unwrap();
+        world
+            .communicator(2)
+            .on(CommId(7))
+            .unwrap()
+            .send(HEAD_NODE, ompc_mpi::Tag(1 << 40), vec![1])
+            .unwrap();
+        assert_eq!(d1.mailbox_stats()[0].queued, 1);
+        d1.shutdown();
+        assert_eq!(parked(&key), before + 1, "a task error does not disqualify the pool");
+
+        let mut d2 = ClusterDevice::with_config(2, config);
+        assert_eq!(parked(&key), before, "the new lifetime adopted the parked pool");
+        let stats = d2.mailbox_stats();
+        assert_eq!(stats.len(), 3);
+        for (rank, rank_stats) in stats.iter().enumerate() {
+            assert_eq!(rank_stats.queued, 0, "rank {rank}: {rank_stats:?}");
+        }
+        d2.run_workload(&workload, &plan).unwrap();
+        d2.shutdown();
+
+        // Leave the process as we found it.
+        if let Some(warm) = adopt_warm_workers(&key) {
+            for node in 1..=2 {
+                let _ = warm.events.shutdown(node);
+            }
+            for handle in warm.worker_handles {
+                let _ = handle.join();
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`].
 
 use crate::protocol::{
-    EventNotification, EventRequest, Reply, TaskStamps, CONTROL_TAG, FIRST_EVENT_TAG, PREFETCH_TAG,
+    EventNotification, EventRequest, Reply, TaskStamps, CONTROL_TAG, FIRST_EVENT_TAG,
 };
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
@@ -214,9 +214,9 @@ impl EventSystem {
     /// Allocate an exclusive `(tag, communicator)` channel for a new event.
     /// Communicators are chosen round-robin by tag, mirroring the paper's
     /// mapping of events onto MPICH virtual communication interfaces. Also
-    /// used by the message-passing `MpiBackend`, so composite task events
-    /// and this system's synchronous events share one device-unique tag
-    /// space.
+    /// used by the message-passing `MpiBackend` — for its composite task
+    /// events and each region execution's completion channel — so they and
+    /// this system's synchronous events share one device-unique tag space.
     pub(crate) fn open_channel(&self) -> (Tag, CommId) {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let comm = CommId((tag % u64::from(self.comm.num_communicators())) as u32);
@@ -263,12 +263,9 @@ impl EventSystem {
     /// Copy several buffers to `node` in one event (host → worker), the
     /// prefetch analogue of the task trains: one gate notification, the
     /// payloads streaming in order on the train's own channel, one typed
-    /// reply for the whole train. The worker additionally posts exactly one
-    /// [`crate::protocol::CompletionNotice`] on [`PREFETCH_TAG`] — in both
-    /// its handler and zombie-refusal paths — which this call drains after
-    /// the reply so the any-source prefetch channel never accumulates
-    /// orphans. A train is all-or-nothing on the wire: a failed car fails
-    /// the whole event and the caller rolls back every booked copy.
+    /// reply for the whole train. A train is all-or-nothing on the wire: a
+    /// failed car fails the whole event and the caller rolls back every
+    /// booked copy.
     pub fn submit_train(&self, node: NodeId, cars: Vec<(BufferId, Bytes)>) -> OmpcResult<()> {
         let buffers: Vec<BufferId> = cars.iter().map(|(b, _)| *b).collect();
         let sizes: Vec<u64> = cars.iter().map(|(_, d)| d.len() as u64).collect();
@@ -277,15 +274,7 @@ impl EventSystem {
         for (_, data) in cars {
             lane.send_with_body(node, channel.tag, Vec::new(), data)?;
         }
-        let outcome = self.await_reply(&channel);
-        // Drain the train's single prefetch notice regardless of outcome
-        // (the zombie refusal path posts one too); leaving it behind would
-        // let a later train drain a stale notice for the wrong event.
-        let _ = match self.reply_timeout {
-            Some(timeout) => self.comm.recv_timeout(Some(node), Some(PREFETCH_TAG), timeout),
-            None => self.comm.recv(Some(node), Some(PREFETCH_TAG)),
-        };
-        outcome?;
+        self.await_reply(&channel)?;
         // The envelope's reply counted the train as one event; each car is
         // one more data-carrying event, as for a composite task's payloads.
         for bytes in sizes {

@@ -14,6 +14,12 @@
 //! kernel, a missing buffer, a killed node — surfaces on the head node as a
 //! propagated error instead of a reply that never arrives.
 //!
+//! A composite task travels as a car of an [`EventRequest::TaskTrain`]. After
+//! each car's reply the worker also posts a [`CompletionNotice`] on the
+//! train envelope's own `(tag, communicator)` — the completion channel of the
+//! region execution that sent the train, an event channel like any other.
+//! [`CONTROL_TAG`] is the only reserved tag.
+//!
 //! ## Header and body
 //!
 //! A message is a small codec'd **header** plus at most one shared
@@ -40,29 +46,14 @@
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Tag};
 
-/// Tag reserved for new-event notifications received by the gate thread.
+/// Tag reserved for new-event notifications received by the gate thread —
+/// the only reserved tag: every other channel, a region execution's
+/// completion channel included, is an event channel.
 pub const CONTROL_TAG: Tag = Tag(0);
 
-/// Tag reserved for the head node's any-source completion channel: after a
-/// worker sends a composite-task reply on the task's exclusive channel, it
-/// posts a compact [`CompletionNotice`] to the head on this tag (world
-/// communicator). The head discovers finished tasks by draining this one
-/// well-known channel — O(messages arrived) per poll — instead of probing
-/// every outstanding task channel; the per-task channel is consulted only
-/// afterwards, for the reply payload already guaranteed to be present.
-pub const COMPLETION_TAG: Tag = Tag(1);
-
-/// Tag reserved for the prefetch completion lane: after a worker finishes
-/// (or refuses) an [`EventRequest::SubmitTrain`], it posts one
-/// [`CompletionNotice`] — carrying the train's envelope tag — to the head
-/// on this tag. The asynchronous data path drains exactly one notice per
-/// train it dispatched, keeping prefetch completions on their own reserved
-/// channel instead of mixing with the task completion stream on
-/// [`COMPLETION_TAG`].
-pub const PREFETCH_TAG: Tag = Tag(2);
-
 /// First tag usable by events (event tags are allocated upwards from here
-/// and stay below the collective-reserved range).
+/// and stay below the collective-reserved range). Tags 1 and 2 once named
+/// shared notice lanes and are left unused.
 pub const FIRST_EVENT_TAG: u64 = 3;
 
 /// The action a new event asks the destination node to perform. These map
@@ -93,19 +84,24 @@ pub enum EventRequest {
     Execute { kernel: KernelId, buffers: Vec<BufferId> },
     /// Run one whole task — data movement steps then kernel execution — on
     /// the destination node, producing a single reply when every step has
-    /// finished. This is the [`crate::runtime::MpiBackend`]'s composite
-    /// event: the head composes the task's recipe from the data manager's
-    /// forwarding plan and carries it as one tagged message instead of
-    /// blocking a head pool thread on each constituent event.
+    /// finished — that reply and nothing else. The composite event's
+    /// recipe: the [`crate::runtime::MpiBackend`] sends it as the car of a
+    /// [`TaskTrain`], which the worker answers the same way plus a
+    /// completion notice.
+    ///
+    /// [`TaskTrain`]: EventRequest::TaskTrain
     Task(TaskSpec),
     /// Run several composite tasks bound for this node, batched into one
-    /// tagged message (a *task train*). The worker runs the cars strictly
-    /// in order but replies **per car** on each car's own exclusive
-    /// `(tag, communicator)` channel, exactly as if the cars had arrived
-    /// as individual [`Task`] notifications: the typed error protocol,
-    /// zombie-gate refusals, and fault blame all stay per task. The head
-    /// packs all ready tasks of one dispatch round bound for one node into
-    /// a train, collapsing k control-tag messages into one.
+    /// tagged message (a *task train*) — how the
+    /// [`crate::runtime::MpiBackend`] sends every target task, a train of
+    /// one car included. The worker runs the cars strictly in order but
+    /// replies **per car** on each car's own exclusive `(tag, communicator)`
+    /// channel, exactly as if the cars had arrived as individual [`Task`]
+    /// notifications: the typed error protocol, zombie-gate refusals, and
+    /// fault blame all stay per task. After each car's reply — or its
+    /// refusal, on a killed node — the worker posts a [`CompletionNotice`]
+    /// on the envelope's own `(tag, communicator)`: the completion channel
+    /// of the region execution that sent the train.
     ///
     /// [`Task`]: EventRequest::Task
     TaskTrain(Vec<TrainCar>),
@@ -113,12 +109,11 @@ pub enum EventRequest {
     /// batched event (a *prefetch train*): the payloads follow on the
     /// train's envelope channel in listed order (MPI delivery is
     /// non-overtaking per `(source, communicator, tag)`), the worker stores
-    /// each one, and a single typed reply acknowledges the whole train.
-    /// After replying — or refusing, on a killed node — the worker posts
-    /// one [`CompletionNotice`] on the reserved [`PREFETCH_TAG`] lane.
-    /// This is how the asynchronous data path streams a queued region's
-    /// enter-data inputs to one node while the current region computes,
-    /// collapsing k submit events into one control message.
+    /// each one, and a single typed reply acknowledges the whole train —
+    /// the train's one message back. This is how the asynchronous data path
+    /// streams a queued region's enter-data inputs to one node while the
+    /// current region computes, collapsing k submit events into one control
+    /// message.
     SubmitTrain { buffers: Vec<BufferId> },
     /// Receive one buffer as a chunked collective payload stream and relay
     /// each frame onward: the node receives `[frame index u64][payload]`
@@ -923,12 +918,13 @@ impl Reply {
     }
 }
 
-/// The compact notice a worker posts to the head's [`COMPLETION_TAG`]
-/// channel after sending a composite-task reply: just the finished task's
-/// event tag and its outcome. The reply itself (payload or typed error) is
-/// already sitting in the head's mailbox on the task's exclusive channel —
-/// sends are eager — so the head turns a notice into the full reply with
-/// one guaranteed-ready receive instead of probing every in-flight task.
+/// The compact notice a worker posts on a task train's envelope channel —
+/// the completion channel of the region execution that sent it — after
+/// sending a car's reply: just the finished car's event tag and its
+/// outcome. The reply itself (payload or typed error) is already sitting in
+/// the head's mailbox on the car's exclusive channel — sends are eager — so
+/// the head turns a notice into the full reply with one guaranteed-ready
+/// receive instead of probing every in-flight task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletionNotice {
     /// Event tag of the finished composite task.
@@ -939,7 +935,7 @@ pub struct CompletionNotice {
 }
 
 impl CompletionNotice {
-    /// Serialize for transmission on [`COMPLETION_TAG`].
+    /// Serialize for transmission on a completion channel.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u64(self.tag.0);
@@ -947,7 +943,7 @@ impl CompletionNotice {
         w.0
     }
 
-    /// Parse a notice received on [`COMPLETION_TAG`].
+    /// Parse a notice received on a completion channel.
     pub fn decode(data: &[u8]) -> OmpcResult<Self> {
         let mut r = Reader::new(data);
         let tag = Tag(r.u64()?);
@@ -1128,16 +1124,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_tag_is_reserved_below_the_event_range() {
-        assert_ne!(PREFETCH_TAG, CONTROL_TAG);
-        assert_ne!(PREFETCH_TAG, COMPLETION_TAG);
-        // Evaluated through a binding so the reservation reads as a
-        // runtime check without tripping clippy's const-assert lint.
-        let first_event_tag = FIRST_EVENT_TAG;
-        assert!(PREFETCH_TAG.0 < first_event_tag);
-    }
-
-    #[test]
     fn truncated_task_train_is_an_error() {
         let n = EventNotification {
             request: EventRequest::TaskTrain(vec![TrainCar {
@@ -1171,10 +1157,11 @@ mod tests {
     }
 
     #[test]
-    fn completion_tag_is_reserved_below_the_event_range() {
-        assert_ne!(COMPLETION_TAG, CONTROL_TAG);
+    fn control_tag_is_reserved_below_the_event_range() {
+        // Evaluated through a binding so the reservation reads as a
+        // runtime check without tripping clippy's const-assert lint.
         let first_event = FIRST_EVENT_TAG;
-        assert!(COMPLETION_TAG.0 < first_event);
+        assert!(CONTROL_TAG.0 < first_event);
     }
 
     #[test]

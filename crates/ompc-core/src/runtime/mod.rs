@@ -22,9 +22,9 @@
 //!   retire or roll back — and one of two *transports* delivers them:
 //!   [`ThreadedBackend`] walks the steps on a pool of synchronous head
 //!   worker threads, [`MpiBackend`] carries them as one composite tagged
-//!   message over the `ompc-mpi` world and picks completions off one
-//!   channel (the paper's gate-thread shape). Select between the two with
-//!   [`crate::config::OmpcConfig::backend`].
+//!   message over the `ompc-mpi` world and picks completions off the region
+//!   execution's own channel (the paper's gate-thread shape). Select
+//!   between the two with [`crate::config::OmpcConfig::backend`].
 //! * [`fault`] — the fault-tolerance subsystem (paper §3.1): deterministic
 //!   failure injection, ring-heartbeat detection driven by this dispatch
 //!   loop, and task recovery onto the surviving workers.

@@ -1,9 +1,9 @@
 //! The message-passing transport: every lowered target task travels to its
 //! worker node as **one composite event over `ompc-mpi`**, ready tasks bound
 //! for the same node in one dispatch window ride together as a **task
-//! train**, and completions come back over a well-known **completion
-//! channel** — the paper's head/worker split (§4.2) with no head thread
-//! blocked per in-flight task and no per-task probe loop.
+//! train**, and completions come home on the region execution's **own
+//! completion channel** — the paper's head/worker split (§4.2) with no head
+//! thread blocked per in-flight task and no per-task probe loop.
 //!
 //! The shared lowering (`runtime/lowering.rs`) decides what a task is; this
 //! file only delivers it. A composite's steps are serialized through the
@@ -19,35 +19,35 @@
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
 //! send a target task immediately. It buffers the car per destination node,
 //! and the train departs when the dispatch window closes (the core calls
-//! `await_completions`). A train of one car is sent as a plain
-//! [`EventRequest::Task`], so batching changes message *count*, never
-//! message *meaning*. Each car keeps its own reply channel, so per-task
-//! typed errors, zombie-gate refusals, and fault blame survive batching
-//! unchanged.
+//! `await_completions`). Every departure is one [`EventRequest::TaskTrain`],
+//! a train of one car included. Each car keeps its own reply channel, so
+//! per-task typed errors, zombie-gate refusals, and fault blame survive
+//! batching unchanged.
 //!
-//! **Completion channel**: instead of `iprobe`ing the reply channel of
-//! every outstanding task (O(tasks in flight) per poll), workers post a
-//! compact [`CompletionNotice`] to the reserved
-//! [`crate::protocol::COMPLETION_TAG`] after each task or train car. The
-//! head blocks on that one channel (a condvar wakeup, not a sleep poll) and
-//! receives each noticed task's already-delivered typed reply — work
-//! proportional to messages arrived, not tasks outstanding. Data events
-//! (the single enter/exit-data events the lowering posts) carry no notice
-//! and keep the bounded per-channel probe;
+//! **A completion channel per region execution**: the driver opens one
+//! `(tag, communicator)` channel when the execution starts, and every train
+//! envelope names it. After each car's typed reply the worker posts a compact
+//! [`CompletionNotice`] there, so the head waits with one posted receive on
+//! its own channel and then takes the noticed car's already-delivered reply —
+//! work proportional to messages arrived, not tasks outstanding. Concurrent
+//! region executions need no demultiplexer: no two share a channel, and the
+//! mailbox's matching hands each notice to the one driver waiting for it.
+//! Data events (the single enter/exit-data events the lowering posts) carry
+//! no notice; while one is outstanding the wait is cut every
+//! `PROBE_INTERVAL` to probe its reply channel.
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`] remains the
 //! last-resort bound on a reply that can never arrive.
 //!
 //! Tag layout: new-event notifications travel on the reserved
-//! [`crate::protocol::CONTROL_TAG`], completion notices on
-//! [`crate::protocol::COMPLETION_TAG`]; every task and every data or
-//! maintenance event owns a device-unique tag drawn from the
+//! [`crate::protocol::CONTROL_TAG`]; every task, every completion channel and
+//! every data or maintenance event owns a device-unique tag drawn from the
 //! [`EventSystem`](crate::event::EventSystem)'s one counter, so concurrent
 //! events cannot cross-talk.
 //!
 //! Fault tolerance needs nothing transport-specific: a killed worker's
-//! zombie gate refuses every later task — and every car of a later train,
-//! individually — with an error reply, so a launch onto a dead node degrades
-//! into a stale failure the core restarts, never a hang.
+//! zombie gate refuses every car of a later train individually — an error
+//! reply and a notice each — so a launch onto a dead node degrades into a
+//! stale failure the core restarts, never a hang.
 
 use super::fault::LostBuffer;
 use super::lowering::{Composite, Lowered, Lowering, Record};
@@ -56,103 +56,28 @@ use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
 use crate::event::ReplyChannel;
 use crate::protocol::{
-    CompletionNotice, EventNotification, EventRequest, Reply, TaskSpec, TrainCar, COMPLETION_TAG,
+    CompletionNotice, EventNotification, EventRequest, Reply, TaskSpec, TrainCar,
 };
 use crate::types::{NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{CommId, Tag};
-use parking_lot::{Condvar, Mutex};
+use ompc_mpi::{CommId, Communicator, MpiError, Tag};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the probe loop sleeps between polls while a *data* event
-/// (enter/exit transfer) is outstanding — those carry no completion notice,
-/// so their reply channels are still probed. Small enough to keep
+/// How long the completion wait runs before probing again while a *data*
+/// event (enter/exit transfer) is outstanding — those carry no completion
+/// notice, so their reply channels are still probed. Small enough to keep
 /// single-transfer latency negligible, large enough not to spin a core.
 const PROBE_INTERVAL: Duration = Duration::from_micros(100);
-
-/// Upper bound on one blocking wait for a completion notice. An arriving
-/// notice wakes the waiter immediately through the transport's condvar; the
-/// slice only bounds how long an idle wait can defer the deadline check.
-const NOTICE_WAIT_SLICE: Duration = Duration::from_millis(100);
 
 /// Bound on each reply wait while draining outstanding tasks after a failed
 /// run, when no [`crate::config::OmpcConfig::event_reply_timeout_ms`] is
 /// configured.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Demultiplexer for the shared completion channel. With concurrent region
-/// executions admitted, several [`MpiDriver`]s consume the one
-/// [`COMPLETION_TAG`] channel; a driver that received another region's
-/// notice and discarded it would leave the owner blocked on a completion
-/// that already arrived. The router keeps a registry of which region owns
-/// each outstanding reply tag, lets exactly one driver *pump* the channel
-/// at a time, and parks foreign notices for their owning region — whose
-/// driver is woken through the condvar instead of racing for the channel.
-///
-/// With a single admitted region the router degenerates to the bare
-/// channel: the pump is never contended and nothing is ever parked, so the
-/// serial wire behavior is byte-identical.
-pub(crate) struct NoticeRouter {
-    inner: Mutex<RouterInner>,
-    /// Signalled when a notice is parked for some region or the pump is
-    /// released, so waiting drivers re-check their queues.
-    arrived: Condvar,
-}
-
-#[derive(Default)]
-struct RouterInner {
-    /// Reply tag → owning region, for every outstanding target task of
-    /// every admitted region.
-    owners: HashMap<u64, u64>,
-    /// Notices received by a pumping driver on behalf of another region,
-    /// keyed by the owning region.
-    parked: HashMap<u64, VecDeque<Vec<u8>>>,
-    /// Whether some driver currently holds the pump (is the one reader of
-    /// the shared channel).
-    pumping: bool,
-}
-
-impl NoticeRouter {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self { inner: Mutex::new(RouterInner::default()), arrived: Condvar::new() })
-    }
-
-    /// Claim `tag`'s eventual completion notice for `region`.
-    fn register(&self, tag: Tag, region: u64) {
-        self.inner.lock().owners.insert(tag.0, region);
-    }
-
-    /// Drop the claim on `tag`: a notice arriving later is stale and gets
-    /// discarded by whichever driver pumps it.
-    fn unregister(&self, tag: Tag) {
-        self.inner.lock().owners.remove(&tag.0);
-    }
-
-    /// Classify one raw notice pulled off the channel by a driver of
-    /// `region`: `Some` when it belongs to that driver, `None` when it was
-    /// parked for its owning region or discarded (stale tag of an already
-    /// drained run).
-    fn route(&self, region: u64, data: Vec<u8>) -> Option<Vec<u8>> {
-        let Ok(notice) = CompletionNotice::decode(&data) else { return None };
-        let mut inner = self.inner.lock();
-        match inner.owners.get(&notice.tag.0) {
-            Some(&owner) if owner == region => Some(data),
-            Some(&owner) => {
-                inner.parked.entry(owner).or_default().push_back(data);
-                drop(inner);
-                self.arrived.notify_all();
-                None
-            }
-            None => None,
-        }
-    }
-}
-
 /// Where a dispatched task's reply will arrive.
 enum ReplyLane {
-    /// A composite task: the worker posts a completion notice, then the
-    /// reply sits on the car's exclusive channel.
+    /// A composite task: the reply sits on the car's exclusive channel,
+    /// followed by a completion notice on the execution's channel.
     Noticed { node: NodeId, tag: Tag, comm: CommId },
     /// A data event: no notice, its channel is probed.
     Probed(ReplyChannel),
@@ -187,23 +112,20 @@ struct BufferedCar {
 /// Selected with [`crate::config::BackendKind::Mpi`].
 pub struct MpiBackend {
     lowering: Lowering,
-    /// The owning device's completion-channel demultiplexer, shared by
-    /// every concurrently admitted region execution.
-    router: Arc<NoticeRouter>,
 }
 
 impl MpiBackend {
     /// Build a backend delivering `lowering`'s tasks for one region
     /// execution.
-    pub(crate) fn new(lowering: Lowering, router: Arc<NoticeRouter>) -> Self {
-        Self { lowering, router }
+    pub(crate) fn new(lowering: Lowering) -> Self {
+        Self { lowering }
     }
 
     /// Drive `core` to completion. After the run (successful or not) every
-    /// outstanding task reply is drained, so no stale message bleeds into
-    /// a later region execution.
+    /// outstanding task reply and notice is drained, so no stale message
+    /// bleeds into a later region execution.
     pub fn execute(&self, core: &mut RuntimeCore) -> OmpcResult<()> {
-        let mut driver = MpiDriver::new(&self.lowering, &self.router);
+        let mut driver = MpiDriver::new(&self.lowering)?;
         let result = core.execute(&mut driver);
         driver.drain_outstanding();
         // On the success path the epilogue already flushed; after a failed
@@ -216,11 +138,14 @@ impl MpiBackend {
 
 /// The [`ExecutionBackend`] face of the message-passing head: `launch`
 /// lowers one task and buffers its car on its node's train,
-/// `await_completions` flushes the trains and blocks on the completion
-/// channel.
+/// `await_completions` flushes the trains and waits on the execution's
+/// completion channel.
 struct MpiDriver<'c> {
     lowering: &'c Lowering,
-    router: &'c NoticeRouter,
+    /// This execution's completion channel: the head's handle on its
+    /// communicator, and its tag. Every train envelope names it.
+    notices: Communicator,
+    notice_tag: Tag,
     /// Outstanding tasks, keyed by core task id.
     pending: BTreeMap<usize, Pending>,
     /// Locally produced events (tasks the lowering completed or failed on
@@ -244,20 +169,24 @@ fn event_of(task: usize, outcome: OmpcResult<()>) -> TaskEvent {
 }
 
 impl<'c> MpiDriver<'c> {
-    fn new(lowering: &'c Lowering, router: &'c NoticeRouter) -> Self {
-        Self {
+    /// A driver for one region execution, with its completion channel open.
+    fn new(lowering: &'c Lowering) -> OmpcResult<Self> {
+        let events = &lowering.path.events;
+        let (notice_tag, comm) = events.open_channel();
+        Ok(Self {
             lowering,
-            router,
+            notices: events.communicator().on(comm)?,
+            notice_tag,
             pending: BTreeMap::new(),
             ready: VecDeque::new(),
             trains: BTreeMap::new(),
             notice_tasks: HashMap::new(),
-        }
+        })
     }
 
-    /// Wait (bounded) for every outstanding reply after a failed run, and
-    /// clear every completion-channel leftover so nothing bleeds into a
-    /// later region execution.
+    /// Wait (bounded) for every outstanding reply — and each car's notice —
+    /// after a failed run, then empty the completion channel, so nothing
+    /// bleeds into a later region execution.
     fn drain_outstanding(&mut self) {
         let events = &self.lowering.path.events;
         // Trains that never departed reached no worker: fail their cars
@@ -272,46 +201,23 @@ impl<'c> MpiDriver<'c> {
         let timeout = events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
         for (_, p) in std::mem::take(&mut self.pending) {
             let (node, tag, comm) = p.lane.address();
-            if let Ok(channel) = events.communicator().on(comm) {
-                let _ = channel.recv_timeout(Some(node), Some(tag), timeout);
+            let replied = events
+                .communicator()
+                .on(comm)
+                .and_then(|channel| channel.recv_timeout(Some(node), Some(tag), timeout))
+                .is_ok();
+            // A car posts its one notice right after its reply.
+            if replied && matches!(p.lane, ReplyLane::Noticed { .. }) {
+                let _ = self.notices.recv_timeout(Some(node), Some(self.notice_tag), timeout);
             }
         }
-        // Drop the claims before clearing the index, so a notice arriving
-        // even later is discarded as stale by whichever driver pumps it.
-        for tag in self.notice_tasks.keys() {
-            self.router.unregister(Tag(*tag));
-        }
-        self.notice_tasks.clear();
-        // The drained replies' notices were never consumed. Clear this
-        // region's leftovers — parked notices and whatever already sits on
-        // the shared channel — without eating another admitted region's
-        // notices: pump through the router so foreign notices park for
-        // their owners while this region's (now unclaimed) tags discard.
-        let router = self.router;
-        let pump = {
-            let mut inner = router.inner.lock();
-            inner.parked.remove(&self.lowering.region);
-            if inner.pumping {
-                // The active pumper routes our stale notices to the
-                // discard path itself; nothing left to do.
-                false
-            } else {
-                inner.pumping = true;
-                true
-            }
-        };
-        if pump {
-            while let Some(msg) = events.communicator().try_recv(None, Some(COMPLETION_TAG)) {
-                let _ = router.route(self.lowering.region, msg.data);
-            }
-            router.inner.lock().pumping = false;
-            router.arrived.notify_all();
-        }
+        // Notices of cars abandoned after their train's envelope went out.
+        while self.notices.try_recv(None, Some(self.notice_tag)).is_some() {}
     }
 
-    /// Send every buffered train. A train of one car goes out as a plain
-    /// task message; failures fall back on [`MpiDriver::fail_unsent_train`]
-    /// and surface as per-task failures through `ready`.
+    /// Send every buffered train; failures fall back on
+    /// [`MpiDriver::fail_unsent_train`] and surface as per-task failures
+    /// through `ready`.
     fn flush_trains(&mut self) {
         for (node, cars) in std::mem::take(&mut self.trains) {
             let tasks = cars.iter().map(|c| c.task).collect();
@@ -322,8 +228,9 @@ impl<'c> MpiDriver<'c> {
     }
 
     /// Emit one train's messages: a single notification carrying every
-    /// car's recipe (or a plain task message for a train of one), then each
-    /// car's payloads and exchange notifications on the car's own channel.
+    /// car's recipe, its envelope naming this execution's completion
+    /// channel, then each car's payloads and exchange notifications on the
+    /// car's own channel.
     ///
     /// Counters are accumulated locally and committed only once the whole
     /// train is on the wire: a train that fails mid-send is failed as a
@@ -337,17 +244,16 @@ impl<'c> MpiDriver<'c> {
         let tel = &self.lowering.path.telemetry;
         let timed = tel.spans_enabled();
         let t0 = tel.start();
-        let spec_of =
-            |car: &mut BufferedCar| TaskSpec { steps: std::mem::take(&mut car.work.steps) };
-        let (request, (tag, comm)) = if let [car] = cars.as_mut_slice() {
-            (EventRequest::Task(spec_of(car)), (car.tag, car.comm))
-        } else {
-            let spec_cars: Vec<TrainCar> = cars
-                .iter_mut()
-                .map(|car| TrainCar { tag: car.tag, comm: car.comm, spec: spec_of(car) })
-                .collect();
-            (EventRequest::TaskTrain(spec_cars), events.open_channel())
-        };
+        let spec_cars = cars
+            .iter_mut()
+            .map(|car| TrainCar {
+                tag: car.tag,
+                comm: car.comm,
+                spec: TaskSpec { steps: std::mem::take(&mut car.work.steps) },
+            })
+            .collect();
+        let (tag, comm) = (self.notice_tag, self.notices.comm_id());
+        let request = EventRequest::TaskTrain(spec_cars);
         events.notify(node, &EventNotification { request, tag, comm, timed })?;
         if timed {
             // The envelope notification only: the cars' own frames get
@@ -402,7 +308,6 @@ impl<'c> MpiDriver<'c> {
             if let Some(p) = self.pending.remove(&task) {
                 let (_, tag, _) = p.lane.address();
                 self.notice_tasks.remove(&tag.0);
-                self.router.unregister(tag);
                 self.lowering.abandon(p.record, error);
             }
             self.ready.push_back(TaskEvent::Failed { task, error: error.clone() });
@@ -434,9 +339,9 @@ impl<'c> MpiDriver<'c> {
     }
 
     /// Resolve one completion notice: look up the noticed task, receive its
-    /// already-delivered typed reply, and retire it. Unknown tags (stale
-    /// notices of a previously drained run) and undecodable notices are
-    /// discarded.
+    /// already-delivered typed reply, and retire it. Unknown tags (notices
+    /// of cars abandoned after their envelope went out) and undecodable
+    /// notices are discarded.
     fn on_notice(&mut self, data: &[u8], out: &mut Vec<TaskEvent>) -> OmpcResult<()> {
         let Ok(notice) = CompletionNotice::decode(data) else {
             return Ok(());
@@ -444,7 +349,6 @@ impl<'c> MpiDriver<'c> {
         let Some(task) = self.notice_tasks.remove(&notice.tag.0) else {
             return Ok(());
         };
-        self.router.unregister(notice.tag);
         // The worker sends the typed reply before posting the notice and
         // the transport delivers eagerly, so the receive cannot block.
         if let Some(p) = self.pending.remove(&task) {
@@ -453,109 +357,13 @@ impl<'c> MpiDriver<'c> {
         Ok(())
     }
 
-    /// Take the next completion notice addressed to this region without
-    /// blocking: parked notices first, then whatever already arrived on the
-    /// shared channel — pumped only when no other region's driver holds the
-    /// pump (that pumper parks our notices for us).
-    fn try_next_notice(&self) -> Option<Vec<u8>> {
-        let router = self.router;
-        {
-            let mut inner = router.inner.lock();
-            if let Some(data) =
-                inner.parked.get_mut(&self.lowering.region).and_then(|q| q.pop_front())
-            {
-                return Some(data);
-            }
-            if inner.pumping {
-                return None;
-            }
-            inner.pumping = true;
-        }
-        let mut own = None;
-        while own.is_none() {
-            match self.lowering.path.events.communicator().try_recv(None, Some(COMPLETION_TAG)) {
-                Some(msg) => own = router.route(self.lowering.region, msg.data),
-                None => break,
-            }
-        }
-        router.inner.lock().pumping = false;
-        router.arrived.notify_all();
-        own
-    }
-
-    /// Block up to `wait` for the next completion notice addressed to this
-    /// region: parked notices first, then pump the shared channel — or,
-    /// when another region's driver holds the pump, sleep on the router's
-    /// condvar until that pumper parks something for us or hands the pump
-    /// over.
-    fn wait_notice(&self, wait: Duration) -> Option<Vec<u8>> {
-        let router = self.router;
-        let deadline = Instant::now() + wait;
-        loop {
-            let pump = {
-                let mut inner = router.inner.lock();
-                if let Some(data) =
-                    inner.parked.get_mut(&self.lowering.region).and_then(|q| q.pop_front())
-                {
-                    return Some(data);
-                }
-                if inner.pumping {
-                    let timeout = deadline.saturating_duration_since(Instant::now());
-                    if timeout.is_zero() {
-                        return None;
-                    }
-                    router.arrived.wait_for(&mut inner, timeout);
-                    false
-                } else {
-                    inner.pumping = true;
-                    true
-                }
-            };
-            if pump {
-                let own = self.pump_until(deadline);
-                router.inner.lock().pumping = false;
-                router.arrived.notify_all();
-                if own.is_some() {
-                    return own;
-                }
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-        }
-    }
-
-    /// Pump the shared completion channel until a notice for this region
-    /// arrives or `deadline` passes, parking foreign notices as they come.
-    /// Caller holds the router's pump.
-    fn pump_until(&self, deadline: Instant) -> Option<Vec<u8>> {
-        loop {
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            if timeout.is_zero() {
-                return None;
-            }
-            match self.lowering.path.events.communicator().recv_timeout(
-                None,
-                Some(COMPLETION_TAG),
-                timeout,
-            ) {
-                Ok(msg) => {
-                    if let Some(own) = self.router.route(self.lowering.region, msg.data) {
-                        return Some(own);
-                    }
-                }
-                Err(_) => return None,
-            }
-        }
-    }
-
     /// One pass of the completion loop: resolve every notice that has
     /// already arrived on the completion channel, then probe the reply
     /// channels of the outstanding *data* events (which carry no notice) —
     /// O(messages arrived) + O(data events), never O(tasks in flight).
     fn poll_replies(&mut self, out: &mut Vec<TaskEvent>) -> OmpcResult<()> {
-        while let Some(data) = self.try_next_notice() {
-            self.on_notice(&data, out)?;
+        while let Some(msg) = self.notices.try_recv(None, Some(self.notice_tag)) {
+            self.on_notice(&msg.data, out)?;
         }
         let comm = self.lowering.path.events.communicator();
         let arrived: Vec<usize> = self
@@ -588,7 +396,6 @@ impl ExecutionBackend for MpiDriver<'_> {
             Ok(Lowered::Task(work, record)) => {
                 let (tag, comm) = lowering.path.events.open_channel();
                 self.notice_tasks.insert(tag.0, task);
-                self.router.register(tag, lowering.region);
                 self.trains.entry(node).or_default().push(BufferedCar { task, tag, comm, work });
                 let lane = ReplyLane::Noticed { node, tag, comm };
                 self.pending.insert(task, Pending { lane, record });
@@ -626,34 +433,29 @@ impl ExecutionBackend for MpiDriver<'_> {
         }
         let deadline = self.lowering.path.events.reply_timeout().map(|t| Instant::now() + t);
         loop {
-            let all_noticed =
-                self.pending.values().all(|p| matches!(p.lane, ReplyLane::Noticed { .. }));
-            if all_noticed {
-                // Every outstanding task posts a completion notice: block
-                // on the completion channel (condvar wakeup on arrival) in
-                // deadline-bounded slices.
-                let wait = deadline
-                    .map(|d| d.saturating_duration_since(Instant::now()).min(NOTICE_WAIT_SLICE))
-                    .unwrap_or(NOTICE_WAIT_SLICE);
-                if let Some(data) = self.wait_notice(wait) {
-                    self.on_notice(&data, &mut events)?;
-                }
-            } else {
-                // A data event carries no notice: fall back to the bounded
-                // sleep-poll for its reply channel.
-                std::thread::sleep(PROBE_INTERVAL);
+            // One receive on the completion channel: a notice wakes it at
+            // once. It is bounded by the reply deadline and — only while a
+            // data event, which posts no notice, is outstanding — by the
+            // probe interval.
+            let probing = self.pending.values().any(|p| matches!(p.lane, ReplyLane::Probed(_)));
+            let mut wait = if probing { PROBE_INTERVAL } else { Duration::MAX };
+            if let Some(deadline) = deadline {
+                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
+            }
+            match self.notices.recv_timeout(None, Some(self.notice_tag), wait) {
+                Ok(msg) => self.on_notice(&msg.data, &mut events)?,
+                Err(MpiError::Timeout { .. }) => {}
+                Err(error) => return Err(error.into()),
             }
             self.poll_replies(&mut events)?;
             if !events.is_empty() {
                 return Ok(events);
             }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Err(OmpcError::Communication(format!(
-                        "timed out waiting for the replies of {} outstanding task event(s)",
-                        self.pending.len()
-                    )));
-                }
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(OmpcError::Communication(format!(
+                    "timed out waiting for the replies of {} outstanding task event(s)",
+                    self.pending.len()
+                )));
             }
         }
     }
@@ -815,7 +617,7 @@ mod tests {
     /// counts each car exactly once.
     #[test]
     fn mid_train_send_failure_commits_no_counters_until_the_retry_lands() {
-        use super::{BufferedCar, MpiDriver, NoticeRouter};
+        use super::{BufferedCar, MpiDriver};
         use crate::buffer::BufferRegistry;
         use crate::event::EventSystem;
         use crate::kernel::KernelRegistry;
@@ -852,8 +654,7 @@ mod tests {
             &mpi_config(),
         )
         .unwrap();
-        let router = NoticeRouter::new();
-        let mut driver = MpiDriver::new(&lowering, &router);
+        let mut driver = MpiDriver::new(&lowering).unwrap();
         let snapshot = || {
             let c = events.counters();
             (
@@ -913,6 +714,105 @@ mod tests {
         let err = region.run().unwrap_err();
         assert_eq!(err.root_cause(), &OmpcError::UnknownKernel(bogus), "got {err:?}");
         assert!(err.origin_node().is_some_and(|n| (1..=2).contains(&n)));
+        device.shutdown();
+    }
+
+    /// Two concurrently admitted regions with a train on both workers at
+    /// the same time: the mailbox's matching alone hands every notice to the
+    /// driver that owns it — both regions come out byte-correct and the head
+    /// never wakes up for a message that is not its own.
+    #[test]
+    fn overlapped_regions_each_receive_their_own_completions() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Barrier};
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let config = OmpcConfig {
+                max_concurrent_regions: 2,
+                event_handler_threads: 2,
+                max_inflight_tasks: Some(8),
+                ..mpi_config()
+            };
+            let mut device = ClusterDevice::with_config(2, config);
+            // The first car of each of the four trains (two regions × two
+            // workers) waits here for the other three, so all four trains
+            // are on the workers at once.
+            let (barrier, started) = (Arc::new(Barrier::new(4)), AtomicUsize::new(0));
+            let bump = device.register_kernel_fn("bump", 1e-3, move |args| {
+                if started.fetch_add(1, Ordering::SeqCst) < 4 {
+                    barrier.wait();
+                }
+                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                args.set_f64s(0, &v);
+            });
+            let runs = std::thread::scope(|scope| {
+                let clients: Vec<_> = [0.0, 100.0]
+                    .map(|base| {
+                        let device = &device;
+                        scope.spawn(move || {
+                            let mut region = device.target_region();
+                            let values: Vec<f64> = (0..4).map(|i| base + f64::from(i)).collect();
+                            let buffers: Vec<_> =
+                                values.iter().map(|&v| region.map_to_f64s(&[v])).collect();
+                            let tasks: Vec<_> = buffers
+                                .iter()
+                                .map(|&b| region.target(bump, vec![Dependence::inout(b)]))
+                                .collect();
+                            for &b in &buffers {
+                                region.map_from(b);
+                            }
+                            let (_, record) = region.run_recorded().unwrap();
+                            let nodes: Vec<_> =
+                                tasks.iter().map(|t| record.assignment[t.0]).collect();
+                            (values, buffers, nodes)
+                        })
+                    })
+                    .into_iter()
+                    .collect();
+                clients.into_iter().map(|client| client.join().unwrap()).collect::<Vec<_>>()
+            });
+            for (values, buffers, nodes) in runs {
+                assert!(
+                    [1, 2].iter().all(|w| nodes.contains(w)),
+                    "a train on each worker: {nodes:?}"
+                );
+                for (value, buffer) in values.iter().zip(buffers) {
+                    assert_eq!(device.buffer_f64s(buffer).unwrap(), vec![value + 1.0]);
+                }
+            }
+            let head = device.mailbox_stats()[0];
+            assert_eq!((head.empty_wakeups, head.queued), (0, 0), "{head:?}");
+            device.shutdown();
+        });
+    }
+
+    /// Every reply and every notice of every execution is taken: the head's
+    /// unexpected queue is empty after a run whose multi-car train failed
+    /// mid-way and after fifty successful runs on one device.
+    #[test]
+    fn no_reply_or_notice_outlives_its_execution() {
+        use crate::runtime::fault::FaultPlan;
+        use crate::runtime::RuntimePlan;
+        let mut graph = ompc_sched::TaskGraph::new();
+        for _ in 0..4 {
+            graph.add_task(1e-4);
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 4]);
+
+        // One train of four cars on worker 1; its second car fails.
+        let config = OmpcConfig { fault_plan: FaultPlan::none().error_on_task(1), ..mpi_config() };
+        let mut device = ClusterDevice::with_config(2, config);
+        let one_train = RuntimePlan { assignment: vec![1; 4], window: 4 };
+        let err = device.run_workload(&workload, &one_train).unwrap_err();
+        assert_eq!(err.origin_node(), Some(1), "got {err:?}");
+        assert_eq!(device.mailbox_stats()[0].queued, 0);
+        device.shutdown();
+
+        let mut device = ClusterDevice::with_config(2, mpi_config());
+        let spread = RuntimePlan { assignment: vec![1, 2, 1, 2], window: 4 };
+        for run in 0..50 {
+            device.run_workload(&workload, &spread).unwrap();
+            assert_eq!(device.mailbox_stats()[0].queued, 0, "run {run}");
+        }
         device.shutdown();
     }
 

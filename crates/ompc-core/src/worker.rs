@@ -20,8 +20,7 @@
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
     decode_relay_parts, payload_body, relay_frame_count, relay_frame_header, CompletionNotice,
-    EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskStamps, COMPLETION_TAG,
-    CONTROL_TAG, PREFETCH_TAG,
+    EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskStamps, CONTROL_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
@@ -350,22 +349,14 @@ fn relay_recv_frames(
     Ok(())
 }
 
-/// Post a compact completion notice for a finished (or refused) composite
-/// task to the head's any-source completion channel. Sent strictly *after*
-/// the task's typed reply: sends are eager, so by the time the head drains
-/// the notice the reply is already in its mailbox.
-fn post_completion(comm: &Communicator, tag: Tag, ok: bool) {
-    let notice = CompletionNotice { tag, ok };
-    let _ = comm.send(HEAD_RANK, COMPLETION_TAG, notice.encode());
-}
-
-/// Post the single prefetch notice of a [`EventRequest::SubmitTrain`] on
-/// the head's any-source prefetch channel. Sent in both the handler and the
-/// zombie-refusal paths, so the head can always drain exactly one notice
-/// per train after its reply arrives.
-fn post_prefetch_notice(comm: &Communicator, tag: Tag, ok: bool) {
-    let notice = CompletionNotice { tag, ok };
-    let _ = comm.send(HEAD_RANK, PREFETCH_TAG, notice.encode());
+/// Post a compact completion notice for a finished (or refused) train car
+/// on the train envelope's `(tag, comm)` — the completion channel of the
+/// region execution that sent it. Sent strictly *after* the car's typed
+/// reply: sends are eager, so by the time the head receives the notice the
+/// reply is already in its mailbox.
+fn post_completion(envelope: &Communicator, envelope_tag: Tag, car: Tag, ok: bool) {
+    let notice = CompletionNotice { tag: car, ok };
+    let _ = envelope.send(HEAD_RANK, envelope_tag, notice.encode());
 }
 
 /// Run `kernel` against the node's device copies of `buffers`.
@@ -486,15 +477,12 @@ pub fn handle_event(
             // A prefetch train: the payloads stream in order on the train's
             // own channel (non-overtaking per sender/channel/tag), stored
             // as they arrive, answered by one typed reply for the whole
-            // train plus exactly one prefetch notice.
+            // train.
             let stored = buffers.into_iter().try_for_each(|buffer| {
                 memory.store(buffer, recv_payload(&channel, tag)?);
                 Ok(())
             });
-            let ok = stored.is_ok();
-            let outcome = send_reply(&channel, HEAD_RANK, tag, stored.map(|()| Reply::default()));
-            post_prefetch_notice(comm, tag, ok);
-            outcome
+            send_reply(&channel, HEAD_RANK, tag, stored.map(|()| Reply::default()))
         }
         EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
             let received = relay_recv_frames(
@@ -523,51 +511,46 @@ pub fn handle_event(
             // car's own exclusive channel — a failed car replies its typed
             // error and the train keeps rolling (tasks are independent;
             // the head's per-task blame machinery decides what a failure
-            // means). The first car error is this handler's own outcome.
+            // means) — and noticing each car on the envelope's channel. The
+            // first car error is this handler's own outcome.
             let mut result = Ok(());
             for car in cars {
-                let channel = comm.on(car.comm)?;
+                let car_channel = comm.on(car.comm)?;
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
                 let car_recv_us = notification.timed.then(monotonic_us);
-                let ran = run_task_steps(&channel, memory, kernels, car.spec, car.tag, car_recv_us);
+                let ran =
+                    run_task_steps(&car_channel, memory, kernels, car.spec, car.tag, car_recv_us);
                 let ok = ran.is_ok();
                 let reply = ran.map(|stamps| Reply { stamps, ..Reply::default() });
-                result = result.and(send_reply(&channel, HEAD_RANK, car.tag, reply));
-                post_completion(comm, car.tag, ok);
+                result = result.and(send_reply(&car_channel, HEAD_RANK, car.tag, reply));
+                post_completion(&channel, tag, car.tag, ok);
             }
             result
         }
         request => {
-            let is_task = matches!(request, EventRequest::Task(_));
             let outcome = event_outcome(&channel, memory, kernels, request, tag, recv_us);
-            let ok = outcome.is_ok();
-            let result = send_reply(&channel, HEAD_RANK, tag, outcome);
-            if is_task {
-                post_completion(comm, tag, ok);
-            }
-            result
+            send_reply(&channel, HEAD_RANK, tag, outcome)
         }
     }
 }
 
 /// Refuse an event on a killed node: reply with the node's failure instead
 /// of executing anything, so no peer ever blocks on a dead node. Every car
-/// of a task train is refused individually — the zombie gate answers on
-/// each car's own channel (and completion notice), exactly as it would for
-/// unbatched tasks.
+/// of a task train is refused individually — an error reply on the car's
+/// own channel and a notice on the envelope's, exactly as the handler would
+/// answer a failed car.
 fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcResult<()> {
     let node = comm.rank();
+    let channel = comm.on(notification.comm)?;
     if let EventRequest::TaskTrain(cars) = &notification.request {
         for car in cars {
-            let channel = comm.on(car.comm)?;
             let error = as_remote(node, car.tag, OmpcError::NodeFailure(node));
-            channel.send(HEAD_RANK, car.tag, EventReply::Err(error).encode())?;
-            post_completion(comm, car.tag, false);
+            comm.on(car.comm)?.send(HEAD_RANK, car.tag, EventReply::Err(error).encode())?;
+            post_completion(&channel, notification.tag, car.tag, false);
         }
         return Ok(());
     }
-    let channel = comm.on(notification.comm)?;
     let error = as_remote(node, notification.tag, OmpcError::NodeFailure(node));
     let dest = match notification.request {
         // The exchange receiver is the peer waiting on the sending half.
@@ -575,13 +558,6 @@ fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcRe
         _ => HEAD_RANK,
     };
     channel.send(dest, notification.tag, EventReply::Err(error).encode())?;
-    if matches!(notification.request, EventRequest::Task(_)) {
-        post_completion(comm, notification.tag, false);
-    }
-    if matches!(notification.request, EventRequest::SubmitTrain { .. }) {
-        // The head drains one prefetch notice per train even on refusal.
-        post_prefetch_notice(comm, notification.tag, false);
-    }
     Ok(())
 }
 
@@ -1171,6 +1147,18 @@ mod tests {
         assert_eq!(forwarded.root_cause(), &OmpcError::UnknownBuffer(buffer));
     }
 
+    /// The next `cars` completion notices from worker 1 on a train
+    /// envelope's channel: the car tags and outcomes, in arrival order.
+    fn notices_on(channel: &Communicator, tag: Tag, cars: usize) -> Vec<(u64, bool)> {
+        (0..cars)
+            .map(|_| {
+                let msg = channel.recv(Some(1), Some(tag)).unwrap();
+                let notice = CompletionNotice::decode(&msg.data).unwrap();
+                (notice.tag.0, notice.ok)
+            })
+            .collect()
+    }
+
     #[test]
     fn task_train_replies_per_car_and_posts_notices_in_order() {
         use crate::protocol::{TaskSpec, TaskStep, TrainCar};
@@ -1207,14 +1195,17 @@ mod tests {
             .unwrap()
             .send_with_body(1, Tag(50), Vec::new(), ompc_mpi::typed::f64s_to_bytes(&[1.0]).into())
             .unwrap();
+        // The envelope names the completion channel of the execution that
+        // sent the train.
+        let (envelope_tag, envelope_comm) = (Tag(49), CommId(1));
         let err = handle_event(
             &worker,
             &memory,
             &kernels,
             EventNotification {
                 request: EventRequest::TaskTrain(vec![good, bad]),
-                tag: Tag(50),
-                comm: CommId(1),
+                tag: envelope_tag,
+                comm: envelope_comm,
                 timed: false,
             },
         )
@@ -1235,23 +1226,42 @@ mod tests {
             "earlier cars execute regardless of later failures"
         );
 
-        // Two completion notices, in car order, with per-car outcomes.
-        use crate::protocol::{CompletionNotice, COMPLETION_TAG};
-        let n1 = head.recv(Some(1), Some(COMPLETION_TAG)).unwrap();
-        let n2 = head.recv(Some(1), Some(COMPLETION_TAG)).unwrap();
-        assert_eq!(
-            CompletionNotice::decode(&n1.data).unwrap(),
-            CompletionNotice { tag: Tag(50), ok: true }
-        );
-        assert_eq!(
-            CompletionNotice::decode(&n2.data).unwrap(),
-            CompletionNotice { tag: Tag(51), ok: false }
-        );
+        // Two completion notices on the envelope's channel, in car order,
+        // with per-car outcomes — and nothing anywhere else.
+        let envelope = head.on(envelope_comm).unwrap();
+        assert_eq!(notices_on(&envelope, envelope_tag, 2), vec![(50, true), (51, false)]);
+        assert_eq!(head.mailbox_stats().queued, 0);
     }
 
     #[test]
-    fn submit_train_stores_payloads_in_order_and_posts_one_notice() {
-        use crate::protocol::PREFETCH_TAG;
+    fn a_plain_task_is_answered_by_its_reply_alone() {
+        use crate::protocol::{TaskSpec, TaskStep};
+        let world = World::with_communicators(2, 2);
+        let head = world.communicator(0);
+        let worker = world.communicator(1);
+        let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
+        for (kernel, ok) in
+            [(kernels.register_fn("noop", 1e-6, |_| {}), true), (KernelId(9), false)]
+        {
+            let steps = vec![
+                TaskStep::Alloc { buffer: BufferId(2), size: 8 },
+                TaskStep::Execute { kernel, buffers: vec![BufferId(2)] },
+            ];
+            let task = EventNotification {
+                request: EventRequest::Task(TaskSpec { steps }),
+                tag: Tag(30),
+                comm: CommId(1),
+                timed: false,
+            };
+            assert_eq!(handle_event(&worker, &memory, &kernels, task).is_ok(), ok);
+            let msg = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(30))).unwrap();
+            assert_eq!(EventReply::decode(&msg.data).unwrap().into_result().is_ok(), ok);
+            assert_eq!(head.mailbox_stats().queued, 0, "a task posts no notice (ok: {ok})");
+        }
+    }
+
+    #[test]
+    fn submit_train_stores_payloads_in_order_and_replies_once() {
         let world = World::with_communicators(2, 2);
         let head = world.communicator(0);
         let worker = world.communicator(1);
@@ -1276,20 +1286,14 @@ mod tests {
         .unwrap();
         assert_eq!(memory.get(BufferId(4)), Some(vec![1, 1].into()));
         assert_eq!(memory.get(BufferId(9)), Some(vec![2, 2, 2].into()));
-        // One typed reply for the whole train, then exactly one notice on
-        // the prefetch channel.
+        // One typed reply for the whole train, and nothing else.
         let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
         assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
-        let notice = head.recv(Some(1), Some(PREFETCH_TAG)).unwrap();
-        assert_eq!(
-            CompletionNotice::decode(&notice.data).unwrap(),
-            CompletionNotice { tag, ok: true }
-        );
+        assert_eq!(head.mailbox_stats().queued, 0);
     }
 
     #[test]
-    fn killed_worker_refuses_a_submit_train_with_an_error_and_a_notice() {
-        use crate::protocol::PREFETCH_TAG;
+    fn killed_worker_refuses_a_submit_train_with_one_error_reply() {
         let world = World::with_communicators(2, 2);
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
@@ -1313,12 +1317,6 @@ mod tests {
         let msg = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(91))).unwrap();
         let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
         assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1));
-        // The refusal path still posts the train's single prefetch notice.
-        let notice = head.recv(Some(1), Some(PREFETCH_TAG)).unwrap();
-        assert_eq!(
-            CompletionNotice::decode(&notice.data).unwrap(),
-            CompletionNotice { tag: Tag(91), ok: false }
-        );
         let shutdown = EventNotification {
             request: EventRequest::Shutdown,
             tag: Tag(92),
@@ -1327,6 +1325,9 @@ mod tests {
         };
         head.send(1, CONTROL_TAG, shutdown.encode()).unwrap();
         worker.join().unwrap();
+        // The worker is gone, so whatever it sent has arrived: the refusal
+        // was the train's one message.
+        assert_eq!(head.mailbox_stats().queued, 0);
     }
 
     #[test]
@@ -1527,7 +1528,7 @@ mod tests {
 
     #[test]
     fn killed_worker_refuses_every_train_car_individually() {
-        use crate::protocol::{CompletionNotice, TaskSpec, TaskStep, TrainCar, COMPLETION_TAG};
+        use crate::protocol::{TaskSpec, TaskStep, TrainCar};
         let world = World::with_communicators(2, 2);
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
@@ -1549,10 +1550,11 @@ mod tests {
                 spec: TaskSpec { steps: vec![TaskStep::Alloc { buffer: BufferId(t), size: 8 }] },
             })
             .collect();
+        let (envelope_tag, envelope_comm) = (Tag(74), CommId(0));
         let train = EventNotification {
             request: EventRequest::TaskTrain(cars),
-            tag: Tag(71),
-            comm: CommId(1),
+            tag: envelope_tag,
+            comm: envelope_comm,
             timed: false,
         };
         head.send(1, CONTROL_TAG, train.encode()).unwrap();
@@ -1563,12 +1565,10 @@ mod tests {
             let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
             assert_eq!(err.origin_node(), Some(1), "car {tag}");
             assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "car {tag}");
-            let notice = head.recv(Some(1), Some(COMPLETION_TAG)).unwrap();
-            assert_eq!(
-                CompletionNotice::decode(&notice.data).unwrap(),
-                CompletionNotice { tag: Tag(tag), ok: false }
-            );
         }
+        // One refusal notice per car on the envelope's channel, in car order.
+        let envelope = head.on(envelope_comm).unwrap();
+        assert_eq!(notices_on(&envelope, envelope_tag, 2), vec![(71, false), (72, false)]);
         let shutdown = EventNotification {
             request: EventRequest::Shutdown,
             tag: Tag(73),
@@ -1577,6 +1577,7 @@ mod tests {
         };
         head.send(1, CONTROL_TAG, shutdown.encode()).unwrap();
         worker.join().unwrap();
+        assert_eq!(head.mailbox_stats().queued, 0);
     }
 
     #[test]

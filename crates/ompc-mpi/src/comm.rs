@@ -158,8 +158,8 @@ impl Communicator {
 
     /// Traffic counters of this rank's mailbox, all communicators together:
     /// messages delivered, receivers woken, empty wake-ups, the unexpected
-    /// queue's high-water mark and the receives blocked right now. Reads no
-    /// clock and changes nothing.
+    /// queue's high-water mark and depth, and the receives blocked right
+    /// now. Reads no clock and changes nothing.
     pub fn mailbox_stats(&self) -> MailboxStats {
         self.own_mailbox().stats()
     }

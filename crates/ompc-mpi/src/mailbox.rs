@@ -49,6 +49,9 @@ pub struct MailboxStats {
     pub empty_wakeups: u64,
     /// The most envelopes the unexpected queue has held at once.
     pub unexpected_high_water: usize,
+    /// Envelopes in the unexpected queue right now: delivered, and not yet
+    /// taken by any receive.
+    pub queued: usize,
     /// Receives and probes blocked in the mailbox right now.
     pub posted: usize,
 }
@@ -251,12 +254,6 @@ impl Mailbox {
         wake(&probes);
     }
 
-    /// Number of messages currently queued: delivered, and not yet matched
-    /// by any receive.
-    pub fn queued(&self) -> usize {
-        self.inner.lock().unexpected.len()
-    }
-
     /// The mailbox's traffic counters.
     pub fn stats(&self) -> MailboxStats {
         let inner = self.inner.lock();
@@ -265,6 +262,7 @@ impl Mailbox {
             woken: inner.woken,
             empty_wakeups: self.empty_wakeups.load(Ordering::Relaxed),
             unexpected_high_water: inner.unexpected_high_water,
+            queued: inner.unexpected.len(),
             posted: inner.receives.len() + inner.probes.len(),
         }
     }
@@ -416,17 +414,17 @@ mod tests {
     fn try_recv_returns_none_when_empty() {
         let mb = Mailbox::new(0, 2);
         assert!(mb.try_recv(CommId(0), None, None).is_none());
-        assert_eq!(mb.queued(), 0);
+        assert_eq!(mb.stats().queued, 0);
     }
 
     #[test]
     fn delivery_then_matching_receive() {
         let mb = Mailbox::new(0, 2);
         mb.deliver(env(1, 5, 0, 0, vec![42]));
-        assert_eq!(mb.queued(), 1);
+        assert_eq!(mb.stats().queued, 1);
         let m = mb.try_recv(CommId(0), Some(1), Some(Tag(5))).unwrap();
         assert_eq!(m.data, vec![42]);
-        assert_eq!(mb.queued(), 0);
+        assert_eq!(mb.stats().queued, 0);
     }
 
     #[test]
@@ -436,7 +434,7 @@ mod tests {
         mb.deliver(env(2, 6, 0, 0, vec![2]));
         let m = mb.try_recv(CommId(0), Some(2), None).unwrap();
         assert_eq!(m.data, vec![2]);
-        assert_eq!(mb.queued(), 1);
+        assert_eq!(mb.stats().queued, 1);
         let m = mb.try_recv(CommId(0), None, None).unwrap();
         assert_eq!(m.data, vec![1]);
     }
@@ -460,7 +458,7 @@ mod tests {
         let st = mb.iprobe(CommId(0), None, None).unwrap();
         assert_eq!(st.len, 4);
         assert_eq!(st.source, 1);
-        assert_eq!(mb.queued(), 1);
+        assert_eq!(mb.stats().queued, 1);
     }
 
     #[test]
@@ -560,14 +558,14 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         let stats = mb.stats();
         assert_eq!((stats.delivered, stats.woken, stats.posted), (2, 0, 1));
-        assert_eq!((mb.queued(), stats.unexpected_high_water), (2, 2));
+        assert_eq!((stats.queued, stats.unexpected_high_water), (2, 2));
         mb.deliver(env(1, 10, 0, 0, vec![3]));
         assert_eq!(waiting.join().unwrap().unwrap().data, vec![3]);
         // Read after the receiver has returned, so an engine that had woken
         // it for the two strangers would have counted that by now.
         let stats = mb.stats();
         assert_eq!((stats.delivered, stats.woken, stats.empty_wakeups), (3, 1, 0));
-        assert_eq!((mb.queued(), stats.unexpected_high_water), (2, 2));
+        assert_eq!((stats.queued, stats.unexpected_high_water), (2, 2));
     }
 
     #[test]
@@ -579,7 +577,7 @@ mod tests {
         mb.deliver(env(1, 4, 0, 0, vec![1, 2, 3]));
         let status = probe.join().unwrap().unwrap();
         assert_eq!((status.source, status.tag, status.len), (1, Tag(4), 3));
-        assert_eq!(mb.queued(), 1);
+        assert_eq!(mb.stats().queued, 1);
         assert_eq!(mb.try_recv(CommId(0), Some(1), Some(Tag(4))).unwrap().data, vec![1, 2, 3]);
         // With a receive posted too, the probe still sees the message and
         // the receive gets it.
@@ -590,7 +588,7 @@ mod tests {
         mb.deliver(env(1, 4, 0, 1, vec![9]));
         assert_eq!(probe.join().unwrap().unwrap().len, 1);
         assert_eq!(recv.join().unwrap().unwrap().data, vec![9]);
-        assert_eq!((mb.queued(), mb.stats().woken), (0, 3));
+        assert_eq!((mb.stats().queued, mb.stats().woken), (0, 3));
     }
 
     #[test]
@@ -603,7 +601,7 @@ mod tests {
         assert_eq!(mb.stats().posted, 0);
         // The next message is not handed to the receive that gave up.
         mb.deliver(env(1, 1, 0, 0, vec![5]));
-        assert_eq!((mb.queued(), mb.stats().woken), (1, 0));
+        assert_eq!((mb.stats().queued, mb.stats().woken), (1, 0));
         let zero = mb.recv_timeout(CommId(0), Some(1), Some(Tag(2)), Duration::ZERO);
         assert!(matches!(zero, Err(MpiError::Timeout { .. })));
         // A time-out too long for the clock to represent waits like `recv`.
@@ -738,7 +736,7 @@ mod tests {
         assert_eq!(seen, expected, "seed {seed}: a message was lost");
         let stats = mb.stats();
         assert_eq!(
-            (stats.delivered, stats.posted, mb.queued()),
+            (stats.delivered, stats.posted, stats.queued),
             (total as u64, 0, 0),
             "seed {seed}"
         );
