@@ -12,9 +12,9 @@
 //! The paper uses the Sigsbee and Marmousi velocity models. The original
 //! datasets are licensed artifacts that cannot be redistributed, so this
 //! crate generates *synthetic* models with the same character (documented
-//! in DESIGN.md): a Sigsbee-like layered model with a high-velocity salt
-//! body, and a Marmousi-like model with strong lateral and vertical
-//! velocity variation.
+//! in the [`velocity`] module): a Sigsbee-like layered model with a
+//! high-velocity salt body, and a Marmousi-like model with strong lateral
+//! and vertical velocity variation.
 //!
 //! The crate provides:
 //!
@@ -22,12 +22,13 @@
 //!   Marmousi-like velocity grids;
 //! * [`WaveField`] / [`propagate`] — an 8th-order-in-space,
 //!   2nd-order-in-time acoustic finite-difference propagator with sponge
-//!   boundaries;
+//!   boundaries, one ghost-bordered stencil for every cell (see [`wave`]);
 //! * [`rtm_shot`] / [`migrate`] — single-shot RTM and multi-shot image
 //!   stacking;
 //! * [`workload`] — the abstract shot-per-node workload used to reproduce
-//!   Fig. 7(b) on the simulated cluster, and a helper to run real shots on
-//!   the threaded [`ompc_core::cluster::ClusterDevice`].
+//!   Fig. 7(b) on the simulated cluster, and helpers to run real shots on
+//!   a [`ompc_core::cluster::ClusterDevice`] over whichever backend it was
+//!   built with.
 
 pub mod rtm;
 pub mod velocity;

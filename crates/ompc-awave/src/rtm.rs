@@ -198,6 +198,26 @@ mod tests {
         assert!(shallow.is_finite());
     }
 
+    /// FNV-1a over the little-endian bits of every value.
+    fn fnv1a(values: &[f64]) -> u64 {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn survey_image_bits_are_pinned() {
+        // The ledger's survey shape with six fixed shots. The hash was taken
+        // from the clamped per-cell propagator this crate started with: any
+        // change to the kernel must leave every bit of the image alone.
+        let model = VelocityModel::generate(ModelKind::SigsbeeLike, 96, 96, 20.0);
+        let params = RtmParams { nt: 300, snapshot_every: 4, smoothing_passes: 2 };
+        let shots = [8, 23, 40, 51, 70, 87].map(|source_x| Shot { source_x, source_z: 2 });
+        let image = migrate(&model, &shots, &params);
+        assert_eq!(fnv1a(&image.values), 0x0229_61cc_cab4_7405);
+    }
+
     #[test]
     #[should_panic(expected = "image sizes differ")]
     fn stacking_mismatched_images_panics() {

@@ -1,6 +1,7 @@
 //! Awave as an OMPC workload: the shot-per-node decomposition used in the
 //! paper's Fig. 7(b), for both the simulated runtime (full-scale problem
-//! sizes) and the real threaded cluster (reduced problem sizes).
+//! sizes) and a real cluster device on either backend (reduced problem
+//! sizes).
 
 use crate::rtm::{rtm_shot, RtmImage, RtmParams, Shot};
 use crate::velocity::VelocityModel;
@@ -69,7 +70,7 @@ pub fn awave_workload(config: &AwaveWorkloadConfig) -> WorkloadGraph {
     WorkloadGraph::new(graph, output_bytes)
 }
 
-/// Run a real survey on the threaded cluster device: one target task per
+/// Run a real survey on a cluster device: one target task per
 /// shot (each migrating its shot with the real RTM kernel), followed by
 /// host-side stacking of the returned images. Returns the stacked image,
 /// which must equal the sequential [`crate::rtm::migrate`] result.

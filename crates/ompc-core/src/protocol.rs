@@ -209,11 +209,10 @@ pub fn encode_relay_frame(index: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Parse one collective payload frame into `(frame index, payload)`.
 pub fn decode_relay_frame(data: &[u8]) -> OmpcResult<(u64, Vec<u8>)> {
-    if data.len() < 8 {
-        return Err(OmpcError::Internal("truncated relay frame".to_string()));
-    }
-    let index = u64::from_le_bytes(data[..8].try_into().expect("8-byte slice"));
-    Ok((index, data[8..].to_vec()))
+    let (index, payload) = data
+        .split_first_chunk::<8>()
+        .ok_or_else(|| OmpcError::Internal("truncated relay frame".to_string()))?;
+    Ok((u64::from_le_bytes(*index), payload.to_vec()))
 }
 
 /// Header of one two-part collective frame: the frame index. The chunk
@@ -313,7 +312,8 @@ pub enum TaskStep {
 ///     comm: CommId(0),
 ///     timed: false,
 /// };
-/// assert_eq!(EventNotification::decode(&n.encode()).unwrap(), n);
+/// assert_eq!(EventNotification::decode(&n.encode())?, n);
+/// # Ok::<(), ompc_core::types::OmpcError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskSpec {
@@ -389,14 +389,19 @@ impl<'a> Reader<'a> {
         self.pos = end;
         Ok(slice)
     }
+    /// The next `N` bytes as an array: a fixed-width field.
+    fn take_array<const N: usize>(&mut self) -> OmpcResult<[u8; N]> {
+        let bytes = self.take(N)?;
+        bytes.try_into().map_err(|_| OmpcError::Internal("truncated notification".to_string()))
+    }
     fn u8(&mut self) -> OmpcResult<u8> {
         Ok(self.take(1)?[0])
     }
     fn u32(&mut self) -> OmpcResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4-byte slice")))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
     fn u64(&mut self) -> OmpcResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8-byte slice")))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
     fn string(&mut self) -> OmpcResult<String> {
         let len = self.u32()? as usize;
@@ -797,15 +802,16 @@ fn decode_error(r: &mut Reader<'_>, depth: usize) -> OmpcResult<OmpcError> {
 /// use ompc_core::types::{BufferId, OmpcError};
 ///
 /// let ok = EventReply::Ok(vec![1, 2, 3]);
-/// assert_eq!(EventReply::decode(&ok.encode()).unwrap(), ok);
+/// assert_eq!(EventReply::decode(&ok.encode())?, ok);
 ///
 /// let err = EventReply::Err(OmpcError::RemoteEvent {
 ///     node: 2,
 ///     event: 41,
 ///     error: Box::new(OmpcError::UnknownBuffer(BufferId(7))),
 /// });
-/// let decoded = EventReply::decode(&err.encode()).unwrap();
-/// assert_eq!(decoded.into_result().unwrap_err().origin_node(), Some(2));
+/// let decoded = EventReply::decode(&err.encode())?;
+/// assert_eq!(decoded.into_result().err().and_then(|e| e.origin_node()), Some(2));
+/// # Ok::<(), OmpcError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventReply {
