@@ -58,7 +58,7 @@ pub fn run_ablation() -> Vec<AblationRow> {
     // 2. Head-node in-flight window (the libomptarget blocked-thread bound,
     // now an explicit knob of the unified execution core).
     for limit in [4usize, 16, 48, 96] {
-        let config = OmpcConfig { max_inflight_tasks: Some(limit), ..OmpcConfig::default() };
+        let config = OmpcConfig { max_inflight_tasks: limit, ..OmpcConfig::default() };
         rows.push(AblationRow {
             study: "in-flight-limit".to_string(),
             variant: format!("limit={limit}"),
@@ -72,7 +72,7 @@ pub fn run_ablation() -> Vec<AblationRow> {
             variant: "legacy-serial-transfers".to_string(),
             seconds: measure(&OmpcConfig::default(), &serial, &cluster, &tb),
         });
-        let config = OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
+        let config = OmpcConfig { max_inflight_tasks: usize::MAX, ..OmpcConfig::default() };
         rows.push(AblationRow {
             study: "in-flight-limit".to_string(),
             variant: "unlimited".to_string(),

@@ -1,12 +1,12 @@
 //! The collective data-movement figure: star vs binomial-tree distribution
-//! of one shared read-only buffer to k readers, fanout sweep on both real
-//! backends. Writes `results/collectives.json`.
+//! of one shared read-only buffer to k readers, fanout sweep on the real
+//! cluster. Writes `results/collectives.json`.
 //!
 //! Usage: `cargo run --release -p ompc-bench --bin collectives [--smoke]`
 //!
 //! `--smoke` shrinks the workload for CI and enforces the gate: at fanout
-//! 8 the tree must at least halve the head-link bytes of the star run on
-//! both backends, or the process exits non-zero. Wall time is the printed
+//! 8 the tree must at least halve the head-link bytes of the star run, or
+//! the process exits non-zero. Wall time is the printed
 //! `vs star` column.
 
 use ompc_bench::{
@@ -80,6 +80,6 @@ fn main() {
             }
             std::process::exit(1);
         }
-        eprintln!("tree halves the fanout-8 head link on both backends — gate passed");
+        eprintln!("tree halves the fanout-8 head link — gate passed");
     }
 }

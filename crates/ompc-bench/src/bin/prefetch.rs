@@ -1,6 +1,6 @@
 //! The cross-region prefetch figure: the resident Awave survey with
 //! per-shot observed-traces payloads, pipelined at varying prefetch
-//! depths on both real backends. Writes `results/prefetch.json`.
+//! depths on the real cluster. Writes `results/prefetch.json`.
 //!
 //! Usage: `cargo run --release -p ompc-bench --bin prefetch [--smoke]`
 //!

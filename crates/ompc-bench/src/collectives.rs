@@ -2,7 +2,7 @@
 //! distributed to k reader nodes in a single planning step, star
 //! (`collective_min_fanout = 0`, every copy sourced from the head) against
 //! the binomial broadcast tree (`collective_min_fanout = 2`, chunked
-//! relays), as the fanout sweeps upward on both real backends.
+//! relays), as the fanout sweeps upward on the real cluster.
 //!
 //! The figure the paper's §4.2 event system motivates: with k head-sourced
 //! sends the head link carries k full payloads back to back, while the
@@ -143,43 +143,41 @@ fn run_distribution(
     (outputs, edges, seconds)
 }
 
-/// The collectives figure: star and tree at every fanout on both real
-/// backends, best-of-repeats timing, exact logged wire bytes. Panics if
+/// The collectives figure: star and tree at every fanout on the real
+/// cluster, best-of-repeats timing, exact logged wire bytes. Panics if
 /// the tree changes any reader's result relative to the star run.
 pub fn run_collectives(workload: CollectiveWorkload, fanouts: &[usize]) -> Vec<CollectiveRow> {
     let mut rows = Vec::new();
     for &fanout in fanouts {
-        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-            let mut reference: Option<Vec<f64>> = None;
-            for (mode, tree) in [("star", false), ("tree", true)] {
-                let mut best = f64::INFINITY;
-                let mut bytes = (0u64, 0u64);
-                for _ in 0..workload.repeats.max(1) {
-                    let (outputs, edges, seconds) =
-                        run_distribution(workload, backend, fanout, tree);
-                    match &reference {
-                        None => reference = Some(outputs),
-                        Some(want) => assert_eq!(
-                            want,
-                            &outputs,
-                            "{mode} at fanout {fanout} on {} changed a reader's result",
-                            backend.name()
-                        ),
-                    }
-                    best = best.min(seconds);
-                    let head: u64 = edges.iter().filter(|e| e.0 == 0).map(|e| e.2).sum();
-                    let total: u64 = edges.iter().map(|e| e.2).sum();
-                    bytes = (head, total);
+        let backend = BackendKind::Mpi;
+        let mut reference: Option<Vec<f64>> = None;
+        for (mode, tree) in [("star", false), ("tree", true)] {
+            let mut best = f64::INFINITY;
+            let mut bytes = (0u64, 0u64);
+            for _ in 0..workload.repeats.max(1) {
+                let (outputs, edges, seconds) = run_distribution(workload, backend, fanout, tree);
+                match &reference {
+                    None => reference = Some(outputs),
+                    Some(want) => assert_eq!(
+                        want,
+                        &outputs,
+                        "{mode} at fanout {fanout} on {} changed a reader's result",
+                        backend.name()
+                    ),
                 }
-                rows.push(CollectiveRow {
-                    backend,
-                    fanout,
-                    mode,
-                    seconds: best,
-                    head_bytes: bytes.0,
-                    total_bytes: bytes.1,
-                });
+                best = best.min(seconds);
+                let head: u64 = edges.iter().filter(|e| e.0 == 0).map(|e| e.2).sum();
+                let total: u64 = edges.iter().map(|e| e.2).sum();
+                bytes = (head, total);
             }
+            rows.push(CollectiveRow {
+                backend,
+                fanout,
+                mode,
+                seconds: best,
+                head_bytes: bytes.0,
+                total_bytes: bytes.1,
+            });
         }
     }
     rows
@@ -187,8 +185,8 @@ pub fn run_collectives(workload: CollectiveWorkload, fanouts: &[usize]) -> Vec<C
 
 /// The `--smoke` acceptance gate, a deterministic wire fact: at fanout 8
 /// the star sources 8 payloads from the head and the binomial tree
-/// ⌈log₂ 9⌉ = 4, so the logged head bytes must shrink by at least 2x on
-/// both backends. Wall times are reported, never gated.
+/// ⌈log₂ 9⌉ = 4, so the logged head bytes must shrink by at least 2x.
+/// Wall times are reported, never gated.
 ///
 /// Returns the offending rows as human-readable findings.
 pub fn collectives_gate_failures(rows: &[CollectiveRow]) -> Vec<String> {
@@ -196,20 +194,19 @@ pub fn collectives_gate_failures(rows: &[CollectiveRow]) -> Vec<String> {
     let cell = |backend: BackendKind, fanout: usize, mode: &str| {
         rows.iter().find(|r| r.backend == backend && r.fanout == fanout && r.mode == mode)
     };
-    for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-        let (Some(star), Some(tree)) = (cell(backend, 8, "star"), cell(backend, 8, "tree")) else {
-            failures.push(format!("no fanout-8 star/tree rows measured on {}", backend.name()));
-            continue;
-        };
-        if tree.head_bytes * 2 > star.head_bytes {
-            failures.push(format!(
-                "{} fanout 8: tree head bytes {} vs star {} — the broadcast tree \
-                 does not halve the head link",
-                backend.name(),
-                tree.head_bytes,
-                star.head_bytes
-            ));
-        }
+    let backend = BackendKind::Mpi;
+    let (Some(star), Some(tree)) = (cell(backend, 8, "star"), cell(backend, 8, "tree")) else {
+        failures.push(format!("no fanout-8 star/tree rows measured on {}", backend.name()));
+        return failures;
+    };
+    if tree.head_bytes * 2 > star.head_bytes {
+        failures.push(format!(
+            "{} fanout 8: tree head bytes {} vs star {} — the broadcast tree \
+             does not halve the head link",
+            backend.name(),
+            tree.head_bytes,
+            star.head_bytes
+        ));
     }
     failures
 }
@@ -241,17 +238,16 @@ mod tests {
             repeats: 1,
         };
         let rows = run_collectives(workload, &[4]);
-        assert_eq!(rows.len(), 4, "star and tree on both backends");
+        assert_eq!(rows.len(), 2, "star and tree");
         let payload_bytes = (workload.payload_len * 8) as u64;
-        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-            let star =
-                rows.iter().find(|r| r.backend == backend && r.mode == "star").expect("star row");
-            let tree =
-                rows.iter().find(|r| r.backend == backend && r.mode == "tree").expect("tree row");
-            assert_eq!(star.head_bytes, 4 * payload_bytes);
-            assert_eq!(star.total_bytes, 4 * payload_bytes);
-            assert_eq!(tree.head_bytes, 3 * payload_bytes, "head feeds slots 1, 2, 4");
-            assert_eq!(tree.total_bytes, 4 * payload_bytes, "one relay edge");
-        }
+        let backend = BackendKind::Mpi;
+        let star =
+            rows.iter().find(|r| r.backend == backend && r.mode == "star").expect("star row");
+        let tree =
+            rows.iter().find(|r| r.backend == backend && r.mode == "tree").expect("tree row");
+        assert_eq!(star.head_bytes, 4 * payload_bytes);
+        assert_eq!(star.total_bytes, 4 * payload_bytes);
+        assert_eq!(tree.head_bytes, 3 * payload_bytes, "head feeds slots 1, 2, 4");
+        assert_eq!(tree.total_bytes, 4 * payload_bytes, "one relay edge");
     }
 }

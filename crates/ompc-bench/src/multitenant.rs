@@ -87,11 +87,8 @@ fn client_payload(client: usize, round: usize, len: usize) -> Vec<f64> {
 /// (per-client output sums in client order, wall seconds).
 fn run_tenants(workload: MultitenantWorkload, limit: usize) -> (Vec<Vec<f64>>, f64) {
     let config = OmpcConfig {
-        backend: BackendKind::Threaded,
+        backend: BackendKind::Mpi,
         max_concurrent_regions: limit,
-        // Enough head pool threads that a held worker never starves an
-        // overlapped tenant's dispatch.
-        head_worker_threads: workload.workers.max(2),
         ..OmpcConfig::small()
     };
     let mut device = ClusterDevice::with_config(workload.workers, config);

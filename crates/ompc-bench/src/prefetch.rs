@@ -9,8 +9,8 @@
 //! cross-region prefetch ([`ClusterDevice::run_pipeline`],
 //! `prefetch_depth ≥ 1`) the payload of queued shots streams on the
 //! transfer pool while earlier shots compute, hiding the distribution
-//! behind the RTM kernels. The figure sweeps the prefetch depth on both
-//! real backends and reports wall time plus total planned transfer bytes —
+//! behind the RTM kernels. The figure sweeps the prefetch depth on the real
+//! cluster and reports wall time plus total planned transfer bytes —
 //! bounded by the no-duplication ceiling at every depth (the
 //! never-duplicate invariant made visible). The run panics if a depth
 //! changes the stacked image or breaks the ceiling; wall times are
@@ -58,7 +58,7 @@ impl PrefetchSurvey {
 /// One point of the prefetch figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchRow {
-    /// Backend measured (threaded or mpi).
+    /// Backend measured.
     pub backend: BackendKind,
     /// Prefetch depth (`0` = synchronous enter-data, no overlap).
     pub depth: usize,
@@ -204,7 +204,7 @@ fn run_survey(backend: BackendKind, survey: PrefetchSurvey, depth: usize) -> (Rt
     (stacked, transfer_bytes, seconds)
 }
 
-/// The prefetch figure: both real backends at every depth, best-of-repeats
+/// The prefetch figure: the cluster at every depth, best-of-repeats
 /// timing. Panics if any depth changes the stacked image — overlap is a
 /// timing optimisation only — or pushes the planned bytes above the
 /// no-duplication ceiling (every buffer moves at most once per
@@ -212,40 +212,39 @@ fn run_survey(backend: BackendKind, survey: PrefetchSurvey, depth: usize) -> (Rt
 pub fn run_prefetch(survey: PrefetchSurvey, depths: &[usize]) -> Vec<PrefetchRow> {
     let ceiling = transfer_ceiling(survey);
     let mut rows = Vec::new();
-    for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-        let mut reference: Option<RtmImage> = None;
-        for &depth in depths {
-            let mut best = f64::INFINITY;
-            let mut bytes = 0;
-            for _ in 0..survey.repeats.max(1) {
-                let (image, run_bytes, seconds) = run_survey(backend, survey, depth);
-                assert!(
-                    run_bytes <= ceiling,
-                    "{}: depth {depth} planned {run_bytes} bytes, above the \
-                     no-duplication ceiling {ceiling}",
+    let backend = BackendKind::Mpi;
+    let mut reference: Option<RtmImage> = None;
+    for &depth in depths {
+        let mut best = f64::INFINITY;
+        let mut bytes = 0;
+        for _ in 0..survey.repeats.max(1) {
+            let (image, run_bytes, seconds) = run_survey(backend, survey, depth);
+            assert!(
+                run_bytes <= ceiling,
+                "{}: depth {depth} planned {run_bytes} bytes, above the \
+                 no-duplication ceiling {ceiling}",
+                backend.name()
+            );
+            match &reference {
+                None => reference = Some(image),
+                Some(ref_image) => assert_eq!(
+                    ref_image.values,
+                    image.values,
+                    "{}: depth {depth} changed the stacked image",
                     backend.name()
-                );
-                match &reference {
-                    None => reference = Some(image),
-                    Some(ref_image) => assert_eq!(
-                        ref_image.values,
-                        image.values,
-                        "{}: depth {depth} changed the stacked image",
-                        backend.name()
-                    ),
-                }
-                best = best.min(seconds);
-                bytes = run_bytes;
+                ),
             }
-            rows.push(PrefetchRow {
-                backend,
-                depth,
-                shots: survey.shots,
-                payload_bytes: (survey.payload_len * 8) as u64,
-                transfer_bytes: bytes,
-                seconds: best,
-            });
+            best = best.min(seconds);
+            bytes = run_bytes;
         }
+        rows.push(PrefetchRow {
+            backend,
+            depth,
+            shots: survey.shots,
+            payload_bytes: (survey.payload_len * 8) as u64,
+            transfer_bytes: bytes,
+            seconds: best,
+        });
     }
     rows
 }
@@ -279,15 +278,14 @@ mod tests {
             repeats: 1,
         };
         let rows = run_prefetch(survey, &[0, 1]);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 2);
         let ceiling = transfer_ceiling(survey);
-        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-            let bytes: Vec<u64> =
-                rows.iter().filter(|r| r.backend == backend).map(|r| r.transfer_bytes).collect();
-            assert_eq!(bytes.len(), 2);
-            for b in bytes {
-                assert!(b > 0 && b <= ceiling, "{}: {b} vs ceiling {ceiling}", backend.name());
-            }
+        let backend = BackendKind::Mpi;
+        let bytes: Vec<u64> =
+            rows.iter().filter(|r| r.backend == backend).map(|r| r.transfer_bytes).collect();
+        assert_eq!(bytes.len(), 2);
+        for b in bytes {
+            assert!(b > 0 && b <= ceiling, "{}: {b} vs ceiling {ceiling}", backend.name());
         }
     }
 }

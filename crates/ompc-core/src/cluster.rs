@@ -1,9 +1,9 @@
 //! The cluster device: the head-node runtime that owns the worker threads,
 //! schedules target regions, and drives the event system.
 //!
-//! This is the real (threaded) execution mode: every worker node is an OS
-//! thread running [`crate::worker::worker_main`], messages travel through
-//! the `ompc-mpi` substrate, and kernels execute real Rust code. The
+//! This is the real execution mode: every worker node is an OS thread
+//! running [`crate::worker::worker_main`], messages travel through the
+//! `ompc-mpi` substrate, and kernels execute real Rust code. The
 //! simulated mode used for the large-scale benchmark figures lives in
 //! [`crate::sim_runtime`] and reuses the same scheduler and data-manager
 //! logic.
@@ -23,9 +23,7 @@ use crate::region::TargetRegion;
 use crate::runtime::fault::{FaultPlan, FaultState};
 use crate::runtime::lowering::{Commit, DataPath, Lowering};
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
-use crate::runtime::{
-    HeadWorkerPool, MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan, ThreadedBackend,
-};
+use crate::runtime::{MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan};
 use crate::stats::{DeviceReport, RegionReport};
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, Dependence, KernelId, MapType, NodeId, OmpcError, OmpcResult};
@@ -40,6 +38,63 @@ use std::time::Instant;
 
 /// A host-task body: runs on the head node with access to the host buffers.
 pub type HostFn = Arc<dyn Fn(&BufferRegistry) + Send + Sync>;
+
+/// One job of the async data path: a closure that carries its own
+/// bookkeeping, so the pool only has to run it.
+type TransferJob = Box<dyn FnOnce() + Send>;
+
+/// The async data path's background thread (async enter-data, cross-region
+/// prefetch, double-buffered flushes): spawned on the first job, fed jobs in
+/// order, joined by [`TransferPool::drain`] at device shutdown.
+#[derive(Default)]
+struct TransferPool(Mutex<TransferThread>);
+
+#[derive(Default)]
+enum TransferThread {
+    #[default]
+    Idle,
+    Running(crossbeam::channel::Sender<TransferJob>, JoinHandle<()>),
+    /// Drained at shutdown: submissions fail from then on.
+    Drained,
+}
+
+impl TransferPool {
+    /// Queue one job, spawning the thread first if need be; fails once the
+    /// pool has been drained.
+    fn submit(&self, job: TransferJob) -> OmpcResult<()> {
+        let mut thread = self.0.lock();
+        if matches!(*thread, TransferThread::Idle) {
+            let (tx, rx) = crossbeam::channel::unbounded::<TransferJob>();
+            let handle = std::thread::Builder::new()
+                .name("ompc-transfer".to_string())
+                .spawn(move || {
+                    while let Ok(job) = rx.recv() {
+                        // A panicking job must not take the thread with it:
+                        // every later job would strand in the queue.
+                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                    }
+                })
+                .map_err(|e| {
+                    OmpcError::Internal(format!("cannot spawn the transfer thread: {e}"))
+                })?;
+            *thread = TransferThread::Running(tx, handle);
+        }
+        match &*thread {
+            TransferThread::Running(tx, _) => tx.send(job).map_err(|_| OmpcError::ShutDown),
+            _ => Err(OmpcError::ShutDown),
+        }
+    }
+
+    /// Refuse new jobs, let the queued ones finish, and join the thread.
+    /// Idempotent.
+    fn drain(&self) {
+        let thread = std::mem::replace(&mut *self.0.lock(), TransferThread::Drained);
+        if let TransferThread::Running(tx, handle) = thread {
+            drop(tx);
+            let _ = handle.join();
+        }
+    }
+}
 
 /// How a device-level lazy flush is committed: outside any region, as a
 /// `HostFlush` span with the given detail.
@@ -151,17 +206,11 @@ pub struct ClusterDevice {
     config: OmpcConfig,
     num_workers: usize,
     worker_handles: Vec<JoinHandle<()>>,
-    /// Long-lived head worker pool, sized lazily per region
-    /// (`min(head_worker_threads, window, tasks)`, growing to the largest
-    /// region seen) and reused across region executions; drained on
-    /// shutdown/drop.
-    pool: HeadWorkerPool,
-    /// Dedicated pool for the asynchronous data path (async enter-data,
-    /// cross-region prefetch, double-buffered flushes). Separate from the
-    /// region pool by design: a region task may *block* on an in-flight
-    /// transfer, so the job driving that transfer must never be queued
-    /// behind it on the same threads.
-    transfer_pool: HeadWorkerPool,
+    /// The asynchronous data path's own thread (async enter-data,
+    /// cross-region prefetch, double-buffered flushes): a region task
+    /// waiting for one of its transfers parks on the head while the job
+    /// moves the bytes.
+    transfer_pool: TransferPool,
     /// Paired with `dm`'s mutex; notified whenever an async data-path job
     /// resolves an in-flight entry. First readers, concurrent flushes, and
     /// ticket awaiters block here.
@@ -263,8 +312,7 @@ impl ClusterDevice {
             config,
             num_workers,
             worker_handles,
-            pool: HeadWorkerPool::new(),
-            transfer_pool: HeadWorkerPool::new(),
+            transfer_pool: TransferPool::default(),
             inflight_cv: Arc::new(Condvar::new()),
             async_hold: Arc::new((Mutex::new(false), Condvar::new())),
             report: Mutex::new(DeviceReport { startup_time, ..DeviceReport::default() }),
@@ -281,16 +329,6 @@ impl ClusterDevice {
     /// Number of worker nodes.
     pub fn num_workers(&self) -> usize {
         self.num_workers
-    }
-
-    /// Number of threads currently alive in the long-lived head worker
-    /// pool. The pool grows lazily to `min(head_worker_threads, window,
-    /// tasks)` of the largest region executed so far and is reused across
-    /// regions — repeated small regions never pay per-region spawn/join
-    /// churn. Always zero under
-    /// [`crate::config::BackendKind::Mpi`], which has no head pool.
-    pub fn pool_threads(&self) -> usize {
-        self.pool.threads()
     }
 
     /// The runtime configuration.
@@ -539,7 +577,7 @@ impl ClusterDevice {
         let cv = Arc::clone(&self.inflight_cv);
         let hold = Arc::clone(&self.async_hold);
         let queued = bookings.clone();
-        let submitted = self.transfer_pool.submit_closure(Box::new(move || {
+        let submitted = self.transfer_pool.submit(Box::new(move || {
             Self::wait_hold(&hold);
             let outcomes = job(&path);
             Self::resolve(&path.dm, &cv, &queued, outcomes);
@@ -554,19 +592,14 @@ impl ClusterDevice {
     /// the wire and record a `Prefetch` span for the overlap.
     fn spawn_transfer_job(&self, plan: TransferPlan, detail: &'static str) {
         self.spawn_async_job(vec![(plan.buffer, plan.to)], move |path| {
-            // A one-car train, not a plain submit: the worker's gate thread
-            // handles trains inline, so the arrival can never queue behind a
-            // composite task blocked awaiting this very transfer (its
-            // `AwaitLocal` step) on a small handler pool.
             vec![Self::run_prefetch(path, plan.from, plan.to, &[plan.buffer], detail)]
         });
     }
 
-    /// Submit one per-node prefetch *train* (MPI backend): every payload
-    /// streams back-to-back on one reserved channel and the worker posts a
-    /// single completion notice, so a k-buffer prefetch costs one
-    /// round-trip instead of k. All-or-nothing: a failed train rolls back
-    /// every booking it carried.
+    /// Submit one per-node prefetch *train*: every payload streams
+    /// back-to-back on one channel and the worker answers once, so a
+    /// k-buffer prefetch costs one round-trip instead of k. All-or-nothing:
+    /// a failed train rolls back every booking it carried.
     fn spawn_train_job(&self, node: NodeId, plans: Vec<TransferPlan>) {
         let buffers: Vec<BufferId> = plans.iter().map(|p| p.buffer).collect();
         let bookings = buffers.iter().map(|&b| (b, node)).collect();
@@ -783,9 +816,9 @@ impl ClusterDevice {
         (1..=self.num_workers).filter(|&n| !dm.is_failed(n)).collect()
     }
 
-    /// Shut the cluster down: the head worker pool drains (in-flight jobs
-    /// finish, pool threads are joined), then workers receive shutdown
-    /// events and their threads are joined. With
+    /// Shut the cluster down: the transfer pool drains (in-flight jobs
+    /// finish, its thread is joined), then workers receive shutdown events
+    /// and their threads are joined. With
     /// [`OmpcConfig::warm_worker_keepalive`], a healthy worker pool is
     /// *parked* for the next compatible device lifetime instead of joined:
     /// every device memory is cleared by a reset round-trip and the event
@@ -798,13 +831,11 @@ impl ClusterDevice {
         }
         self.shut_down = true;
         let start = Instant::now();
-        // Release the test-only hold gate and drain the async data path
-        // first — an in-flight prefetch must land (or fail fast) before the
-        // region pool and the workers go away — then drain the region pool:
-        // jobs in both pools talk to the workers through the event system.
+        // Release the test-only hold gate and drain the async data path: an
+        // in-flight prefetch must land (or fail fast) before the workers go
+        // away.
         self.debug_hold_async_transfers(false);
         self.transfer_pool.drain();
-        self.pool.drain();
         if self.config.warm_worker_keepalive && self.try_park_workers() {
             self.report.lock().shutdown_time = start.elapsed();
             return;
@@ -978,10 +1009,9 @@ impl ClusterDevice {
                     else {
                         continue;
                     };
-                    // MPI prefetches from the head batch into per-node
-                    // trains on the reserved tag; everything else moves as
-                    // an individual async job.
-                    if matches!(self.config.backend, BackendKind::Mpi) && plan.from == HEAD_NODE {
+                    // Prefetches from the head batch into per-node trains;
+                    // everything else moves as an individual async job.
+                    if plan.from == HEAD_NODE {
                         train_batches.entry(node).or_default().push(plan);
                     } else {
                         singles.push(plan);
@@ -1445,10 +1475,9 @@ impl ClusterDevice {
         let result =
             Lowering::new(path, cv, region, graph, host_fns, &self.config).and_then(|lowering| {
                 match self.config.backend {
-                BackendKind::Threaded => {
-                    ThreadedBackend::new(&self.pool, lowering).execute(&mut core)
+                BackendKind::Threaded | BackendKind::Mpi => {
+                    MpiBackend::new(lowering).execute(&mut core)
                 }
-                BackendKind::Mpi => MpiBackend::new(lowering).execute(&mut core),
                 BackendKind::Sim => Err(OmpcError::InvalidConfig(
                     "a ClusterDevice cannot drive the simulated backend; use the simulate_ompc* \
                      entry points instead"
@@ -1482,7 +1511,7 @@ impl ClusterDevice {
     ///
     /// The workload is materialized as a region of no-op target tasks, one
     /// per workload task, connected through per-task output buffers of the
-    /// workload's output sizes — the threaded mirror of what
+    /// workload's output sizes — the real-cluster mirror of what
     /// [`crate::sim_runtime::simulate_ompc_with_plan`] executes on the
     /// virtual cluster. This is the entry point of the backend-equivalence
     /// tests: both backends must make identical scheduling and dispatch
@@ -1544,7 +1573,7 @@ impl ClusterDevice {
         }
         // Workload runs pass the same admission gate and get their own
         // region epoch (transfer-log and telemetry namespace) — a
-        // run_workload call is one more tenant over the shared pool.
+        // run_workload call is one more tenant over the shared workers.
         let mut lease = self.admit();
         let epoch = {
             let mut dm = self.dm.lock();
@@ -1898,6 +1927,52 @@ mod tests {
         assert_eq!(region.run().unwrap_err(), OmpcError::ShutDown);
     }
 
+    /// A region task whose input an async ticket has on the wire waits on
+    /// the head — nothing of it reaches a worker — and when the ticket's
+    /// transfer fails (here: refused by a worker killed behind the head's
+    /// back), the task fails at once with that very error.
+    #[test]
+    fn a_failed_ticket_fails_the_task_parked_on_it_at_once() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let config = OmpcConfig { warm_worker_keepalive: false, ..OmpcConfig::small() };
+            let mut device = ClusterDevice::with_config(1, config);
+            let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let read = {
+                let ran = Arc::clone(&ran);
+                device.register_kernel_fn("read", 1e-6, move |_| ran.store(true, Ordering::SeqCst))
+            };
+            device.debug_hold_async_transfers(true);
+            let (buffer, ticket) = device.enter_data_async_f64s(&[1.0, 2.0]);
+            device.events.kill(1).unwrap();
+
+            // The reader is dispatched — and parks on the ticket — before the
+            // host task, whose body lets the held ticket fail and waits for
+            // it: by the time the driver looks at its parked reader again,
+            // the booking is over.
+            let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+            let (failed_tx, failed_rx) = std::sync::mpsc::channel::<()>();
+            let (parked_tx, failed_rx) = (Mutex::new(parked_tx), Mutex::new(failed_rx));
+            let mut region = device.target_region();
+            region.target(read, vec![Dependence::input(buffer)]);
+            region.host_task(vec![], move |_| {
+                let _ = parked_tx.lock().send(());
+                let _ = failed_rx.lock().recv();
+            });
+            let (ticket_error, run_error) = std::thread::scope(|scope| {
+                let run = scope.spawn(move || region.run().unwrap_err());
+                parked_rx.recv().unwrap();
+                device.debug_hold_async_transfers(false);
+                let ticket_error = device.await_transfer(ticket).unwrap_err();
+                failed_tx.send(()).unwrap();
+                (ticket_error, run.join().unwrap())
+            });
+            assert_eq!(ticket_error.origin_node(), Some(1), "{ticket_error:?}");
+            assert_eq!(run_error, ticket_error, "the task fails with the ticket's own error");
+            assert!(!ran.load(Ordering::SeqCst), "the parked task never reached the worker");
+            device.shutdown();
+        });
+    }
+
     /// Releasing device copies costs one event per node, not one per copy:
     /// a 4 × 4 periodic Stencil-1D leaves 16 outputs and 12 forwarded copies
     /// on two workers, and tearing the run down is at most two events.
@@ -1917,35 +1992,32 @@ mod tests {
         let workload = crate::model::WorkloadGraph::new(graph, vec![64; 16]);
         // Points 0–1 on worker 1, points 2–3 on worker 2.
         let assignment: Vec<NodeId> = (0..16).map(|task| 1 + (task % 4) / 2).collect();
-        // What the run itself issues, per transport: a composite task is
-        // one event and a forward one more; the threaded transport walks
-        // each composite as an alloc and an execute.
-        for (backend, own) in [(BackendKind::Mpi, 16 + 12), (BackendKind::Threaded, 32 + 12)] {
-            let config = OmpcConfig { backend, ..OmpcConfig::small() };
-            let plan = RuntimePlan { assignment: assignment.clone(), window: 4 };
-            let mut device = ClusterDevice::with_config(2, config);
-            let issued = || device.events.counters().events.load(Ordering::Relaxed);
-            let record = device.run_workload(&workload, &plan).unwrap();
-            assert_eq!(record.transfer_count(), 12, "{backend:?}");
-            assert_eq!(issued() - own, 2, "{backend:?}: one release event per worker");
-            assert!(device.dm.lock().is_empty() && device.buffers.is_empty(), "{backend:?}");
+        // What the run itself issues: a composite task is one event and a
+        // forward one more.
+        let own = 16 + 12;
+        let plan = RuntimePlan { assignment, window: 4 };
+        let mut device = ClusterDevice::with_config(2, OmpcConfig::small());
+        let issued = || device.events.counters().events.load(Ordering::Relaxed);
+        let record = device.run_workload(&workload, &plan).unwrap();
+        assert_eq!(record.transfer_count(), 12);
+        assert_eq!(issued() - own, 2, "one release event per worker");
+        assert!(device.dm.lock().is_empty() && device.buffers.is_empty());
 
-            // A resident buffer read on both workers: ending its mapping is
-            // one event per holder.
-            let read = device.register_kernel_fn("read", 1e-2, |args| {
-                let _ = args.bytes(0);
-            });
-            let a = device.enter_data(vec![7u8; 64]);
-            let mut region = device.target_region();
-            region.target(read, vec![Dependence::input(a)]);
-            region.target(read, vec![Dependence::input(a)]);
-            region.run().unwrap();
-            assert!((1..=2).all(|worker| device.dm.lock().is_present(a, worker)), "{backend:?}");
-            let before = issued();
-            device.exit_data(a).unwrap();
-            assert_eq!(issued() - before, 2, "{backend:?}");
-            device.shutdown();
-        }
+        // A resident buffer read on both workers: ending its mapping is one
+        // event per holder.
+        let read = device.register_kernel_fn("read", 1e-2, |args| {
+            let _ = args.bytes(0);
+        });
+        let a = device.enter_data(vec![7u8; 64]);
+        let mut region = device.target_region();
+        region.target(read, vec![Dependence::input(a)]);
+        region.target(read, vec![Dependence::input(a)]);
+        region.run().unwrap();
+        assert!((1..=2).all(|worker| device.dm.lock().is_present(a, worker)));
+        let before = issued();
+        device.exit_data(a).unwrap();
+        assert_eq!(issued() - before, 2);
+        device.shutdown();
     }
 
     /// No thread of the device is woken for nothing: not the gate for a
@@ -1963,20 +2035,17 @@ mod tests {
         }
         let workload = crate::model::WorkloadGraph::new(graph, vec![64; 64]);
         let assignment: Vec<NodeId> = (0..64).map(|task| 1 + task % 2).collect();
-        for backend in [BackendKind::Mpi, BackendKind::Threaded] {
-            let config = OmpcConfig { backend, ..OmpcConfig::small() };
-            let mut device = ClusterDevice::with_config(2, config);
-            let plan = RuntimePlan { assignment: assignment.clone(), window: 4 };
-            device.run_workload(&workload, &plan).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(200));
-            let stats = device.mailbox_stats();
-            assert_eq!(stats.len(), 3, "{backend:?}");
-            for (rank, rank_stats) in stats.iter().enumerate() {
-                assert!(rank_stats.delivered > 0, "{backend:?} rank {rank}: {rank_stats:?}");
-                assert!(rank_stats.woken <= rank_stats.delivered, "{backend:?} rank {rank}");
-                assert_eq!(rank_stats.empty_wakeups, 0, "{backend:?} rank {rank}: {rank_stats:?}");
-            }
-            device.shutdown();
+        let mut device = ClusterDevice::with_config(2, OmpcConfig::small());
+        let plan = RuntimePlan { assignment, window: 4 };
+        device.run_workload(&workload, &plan).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let stats = device.mailbox_stats();
+        assert_eq!(stats.len(), 3);
+        for (rank, rank_stats) in stats.iter().enumerate() {
+            assert!(rank_stats.delivered > 0, "rank {rank}: {rank_stats:?}");
+            assert!(rank_stats.woken <= rank_stats.delivered, "rank {rank}");
+            assert_eq!(rank_stats.empty_wakeups, 0, "rank {rank}: {rank_stats:?}");
         }
+        device.shutdown();
     }
 }

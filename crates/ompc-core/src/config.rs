@@ -7,22 +7,20 @@ use crate::runtime::telemetry::TelemetryLevel;
 use ompc_sched::{EagerScheduler, HeftScheduler, MinMinScheduler, RoundRobinScheduler, Scheduler};
 use ompc_sim::SimTime;
 
-/// Which [`crate::runtime::ExecutionBackend`] a
-/// [`crate::cluster::ClusterDevice`] drives through the unified execution
-/// core. All backends share every scheduling, windowing, forwarding, and
-/// recovery decision; they differ only in *how* dispatched tasks execute.
+/// Which [`crate::runtime::ExecutionBackend`] the unified execution core
+/// drives. Both share every scheduling, windowing, forwarding, and recovery
+/// decision; they differ only in *how* dispatched tasks execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
-    /// [`crate::runtime::ThreadedBackend`]: a long-lived pool of head
-    /// worker threads drives each task's events synchronously (the
-    /// libomptarget hidden-helper-thread analogue). The default.
-    #[default]
+    /// Another name for [`BackendKind::Mpi`]: the same transport, kept
+    /// because recorded benchmark configurations name it.
     Threaded,
-    /// [`crate::runtime::MpiBackend`]: pure message passing — the head
-    /// serializes each task into one composite event carried over
-    /// `ompc-mpi` tagged messages and probes for typed completion replies,
-    /// as the paper's gate thread does. No head pool threads block per
-    /// in-flight task.
+    /// [`crate::runtime::MpiBackend`], the one real-cluster transport: the
+    /// head serializes each task into one composite event carried over
+    /// `ompc-mpi` tagged messages and picks typed completions off the
+    /// region execution's own channel, as the paper's gate thread does. No
+    /// head thread blocks per in-flight task. The default.
+    #[default]
     Mpi,
     /// [`crate::runtime::SimBackend`]: the deterministic virtual cluster.
     /// Selected implicitly by the `simulate_ompc*` functions; a
@@ -78,8 +76,8 @@ impl SchedulerKind {
     }
 }
 
-/// Configuration of a [`crate::cluster::ClusterDevice`] (real threaded mode)
-/// and of the simulated OMPC runtime.
+/// Configuration of a [`crate::cluster::ClusterDevice`] (the real
+/// in-process cluster) and of the simulated OMPC runtime.
 ///
 /// Build one by updating the defaults:
 ///
@@ -87,44 +85,34 @@ impl SchedulerKind {
 /// use ompc_core::config::{OmpcConfig, SchedulerKind};
 ///
 /// let config = OmpcConfig {
-///     head_worker_threads: 8,
-///     max_inflight_tasks: Some(32),
+///     max_inflight_tasks: 32,
 ///     scheduler: SchedulerKind::Heft,
 ///     ..OmpcConfig::default()
 /// };
 /// assert_eq!(config.inflight_window(), 32);
-/// // The head pool is sized min(threads, window, tasks): a 4-task region
-/// // on this config uses 4 pool threads, a 100-task region uses 8.
-/// assert_eq!(config.head_worker_threads.min(config.inflight_window()).min(4), 4);
+/// // The defaults keep the paper's limit of 48 in-flight target tasks.
+/// assert_eq!(OmpcConfig::default().inflight_window(), 48);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct OmpcConfig {
     /// Which execution backend a [`crate::cluster::ClusterDevice`] drives:
-    /// the threaded head pool (default) or the message-passing
-    /// [`crate::runtime::MpiBackend`]. The simulated backend is selected
+    /// the message-passing [`crate::runtime::MpiBackend`] (default; also
+    /// named [`BackendKind::Threaded`]). The simulated backend is selected
     /// through the `simulate_ompc*` entry points instead.
     pub backend: BackendKind,
     /// Number of event-handler threads per worker node (paper §4.2).
     pub event_handler_threads: usize,
-    /// Upper bound of the head-node worker pool. In LLVM's libomptarget one
-    /// OpenMP thread blocks per in-flight `target nowait` region, so the
-    /// paper's runtime can keep at most this many target tasks in flight —
-    /// the limitation it identifies as the main scalability bottleneck (§7).
-    /// In this runtime the thread-pool size and the dispatch window are
-    /// decoupled (see [`OmpcConfig::max_inflight_tasks`]), and the pool
-    /// itself is **long-lived**: the device spawns
-    /// `min(head_worker_threads, window, tasks)` threads lazily for the
-    /// largest region seen so far and reuses them across region
-    /// executions instead of spawning/joining a fresh pool per region.
-    pub head_worker_threads: usize,
-    /// Size of the pipelined dispatch window: how many target regions the
+    /// Size of the pipelined dispatch window: how many target tasks the
     /// unified execution core keeps in flight at once, overlapping their
-    /// input forwarding with other regions' compute. `None` reproduces the
-    /// libomptarget-style per-thread limit (`head_worker_threads`, the §7
-    /// bottleneck); `Some(n)` sets the window explicitly, independent of
-    /// the thread pool. `Some(usize::MAX)` lifts the limit — the "fully
-    /// asynchronous libomptarget" fix the paper proposes as future work.
-    pub max_inflight_tasks: Option<usize>,
+    /// input forwarding with other tasks' compute. In LLVM's libomptarget
+    /// one OpenMP thread blocks per in-flight `target nowait` region, so the
+    /// paper's runtime keeps at most its 48 hidden-helper threads' worth in
+    /// flight — the limitation it identifies as the main scalability
+    /// bottleneck (§7) — and the default reproduces that limit. No head
+    /// thread blocks per task here, so the window is only a number:
+    /// `usize::MAX` lifts the limit — the "fully asynchronous libomptarget"
+    /// fix the paper proposes as future work — and `0` is treated as `1`.
+    pub max_inflight_tasks: usize,
     /// Number of MPI communicators created at start-up and used round-robin
     /// by the event system. `0` is treated as `1`.
     pub num_communicators: u32,
@@ -139,11 +127,12 @@ pub struct OmpcConfig {
     /// over the surviving workers instead of the fast round-robin
     /// [`crate::heartbeat::plan_recovery`] path.
     pub replan_on_failure: bool,
-    /// Upper bound (milliseconds) on any single wait for an event reply in
-    /// the threaded backend, or `None` to wait forever. The event-reply
-    /// protocol guarantees every event is answered — success or typed
-    /// error — so this is a last line of defence against a reply that can
-    /// never arrive (e.g. a worker thread that died without answering);
+    /// Upper bound (milliseconds) on any single wait for an event reply —
+    /// and on a worker's wait for a transfer queued ahead of a task — or
+    /// `None` to wait forever. The event-reply protocol guarantees every
+    /// event is answered — success or typed error — so this is a last line
+    /// of defence against a reply that can never arrive (e.g. a worker
+    /// thread that died without answering);
     /// hitting it surfaces as an [`crate::types::OmpcError::Communication`]
     /// instead of a hang. `None` by default — a kernel is allowed to run
     /// arbitrarily long — and set to 60 s in [`OmpcConfig::small`], the
@@ -185,7 +174,7 @@ pub struct OmpcConfig {
     /// each `execute_region` call runs alone and produces byte-identical
     /// records, reports, and transfer plans to the historical behaviour.
     /// Raising it lets that many clients run concurrently over the shared
-    /// head worker pool and residency table — admission is strictly FIFO
+    /// workers and residency table — admission is strictly FIFO
     /// (a huge region cannot starve the small ones queued behind it; they
     /// were admitted in arrival order), each admitted region plans against
     /// a load snapshot of the regions already in flight, and every region
@@ -236,13 +225,12 @@ pub struct OmpcConfig {
 impl Default for OmpcConfig {
     fn default() -> Self {
         Self {
-            backend: BackendKind::Threaded,
+            backend: BackendKind::Mpi,
+            event_handler_threads: 2,
             // The paper's nodes have 24 cores / 48 hardware threads; the
             // OpenMP hidden-helper/worker pool on the head node is what
             // bounds in-flight target regions.
-            event_handler_threads: 2,
-            head_worker_threads: 48,
-            max_inflight_tasks: None,
+            max_inflight_tasks: 48,
             num_communicators: 8,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
@@ -265,10 +253,9 @@ impl OmpcConfig {
     /// communicators.
     pub fn small() -> Self {
         Self {
-            backend: BackendKind::Threaded,
+            backend: BackendKind::Mpi,
             event_handler_threads: 1,
-            head_worker_threads: 4,
-            max_inflight_tasks: None,
+            max_inflight_tasks: 4,
             num_communicators: 2,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
@@ -286,11 +273,9 @@ impl OmpcConfig {
     }
 
     /// The effective dispatch-window size honoured by every execution
-    /// backend: the explicit [`OmpcConfig::max_inflight_tasks`] when set
-    /// (`usize::MAX` lifts the limit), and the libomptarget per-thread limit
-    /// otherwise.
+    /// backend: [`OmpcConfig::max_inflight_tasks`], at least one task.
     pub fn inflight_window(&self) -> usize {
-        self.max_inflight_tasks.unwrap_or(self.head_worker_threads).max(1)
+        self.max_inflight_tasks.max(1)
     }
 
     /// The effective admission limit: how many regions may execute at once.
@@ -398,13 +383,13 @@ mod tests {
     }
 
     #[test]
-    fn backend_kinds_have_stable_names_and_threaded_default() {
-        assert_eq!(BackendKind::default(), BackendKind::Threaded);
+    fn backend_kinds_have_stable_names_and_mpi_default() {
+        assert_eq!(BackendKind::default(), BackendKind::Mpi);
         assert_eq!(BackendKind::Threaded.name(), "threaded");
         assert_eq!(BackendKind::Mpi.name(), "mpi");
         assert_eq!(BackendKind::Sim.name(), "sim");
-        assert_eq!(OmpcConfig::default().backend, BackendKind::Threaded);
-        assert_eq!(OmpcConfig::small().backend, BackendKind::Threaded);
+        assert_eq!(OmpcConfig::default().backend, BackendKind::Mpi);
+        assert_eq!(OmpcConfig::small().backend, BackendKind::Mpi);
         // Warm-worker keepalive is on by default.
         assert!(OmpcConfig::default().warm_worker_keepalive);
         assert!(OmpcConfig::small().warm_worker_keepalive);
@@ -441,10 +426,9 @@ mod tests {
     #[test]
     fn every_setting_is_written_out_and_matches_the_defaults() {
         let config = OmpcConfig {
-            backend: BackendKind::Threaded,
+            backend: BackendKind::Mpi,
             event_handler_threads: 2,
-            head_worker_threads: 48,
-            max_inflight_tasks: None,
+            max_inflight_tasks: 48,
             num_communicators: 8,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
@@ -497,24 +481,19 @@ mod tests {
     #[test]
     fn default_config_enforces_in_flight_limit() {
         let c = OmpcConfig::default();
-        assert_eq!(c.inflight_window(), c.head_worker_threads);
-        assert_eq!(c.head_worker_threads, 48);
+        assert_eq!(c.inflight_window(), 48);
         assert!(c.num_communicators >= 1);
-        let s = OmpcConfig::small();
-        assert!(s.head_worker_threads < c.head_worker_threads);
+        assert_eq!(OmpcConfig::small().inflight_window(), 4);
     }
 
     #[test]
     fn inflight_window_resolution() {
-        let mut c = OmpcConfig::default();
-        // Legacy default: one in-flight task per head worker thread.
-        assert_eq!(c.inflight_window(), c.head_worker_threads);
-        c.max_inflight_tasks = Some(7);
-        assert_eq!(c.inflight_window(), 7);
-        c.max_inflight_tasks = Some(0);
-        assert_eq!(c.inflight_window(), 1, "window is clamped to at least one task");
-        c.max_inflight_tasks = Some(usize::MAX);
-        assert_eq!(c.inflight_window(), usize::MAX);
+        let window = |max_inflight_tasks| {
+            OmpcConfig { max_inflight_tasks, ..OmpcConfig::default() }.inflight_window()
+        };
+        assert_eq!(window(7), 7);
+        assert_eq!(window(0), 1, "window is clamped to at least one task");
+        assert_eq!(window(usize::MAX), usize::MAX);
     }
 
     #[test]

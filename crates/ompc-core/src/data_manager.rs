@@ -15,9 +15,9 @@
 //! * read-only uses replicate the buffer, so later readers can fetch it
 //!   from any holder.
 //!
-//! The same logic drives the threaded, message-passing, and simulated
-//! runtimes, so the transfer patterns measured in the benchmarks are
-//! produced by exactly this code.
+//! The same logic drives the real cluster and the simulated runtime, so
+//! the transfer patterns measured in the benchmarks are produced by exactly
+//! this code.
 //!
 //! ## Cross-region residency
 //!
@@ -620,6 +620,12 @@ impl DataManager {
         self.buffers.get(&buffer).is_some_and(|loc| loc.copies.iter().any(moving))
     }
 
+    /// Whether any movement booked under a ticket (the async data path) is
+    /// still in flight.
+    pub fn tickets_in_flight(&self) -> bool {
+        self.tickets.values().any(|ticket| ticket.remaining > 0)
+    }
+
     /// Move the deferred records of async transfers whose buffers belong to
     /// the region about to run into that region's (fresh) log namespace, in
     /// booking order. Called by the device right before a region executes,
@@ -1121,8 +1127,10 @@ mod tests {
         let b = BufferId(0);
         dm.register_host_buffer(b, 64);
         let t = dm.open_ticket();
+        assert!(!dm.tickets_in_flight(), "an open ticket moves nothing yet");
         let booked = dm.book(Owner::Ticket(t), b, 2, TransferReason::Input);
         assert_eq!(booked, Ok(Booking::Move(TransferPlan { from: HEAD_NODE, to: 2, buffer: b })));
+        assert!(dm.tickets_in_flight());
         // The booking is a holder (no sync re-plan) but the record is
         // deferred, not in the per-run log.
         assert!(dm.plan_input(b, 2).unwrap().is_none());
@@ -1137,7 +1145,7 @@ mod tests {
         assert_eq!(dm.ticket_result(t), None);
         dm.finish(b, 2, Ok(())).unwrap();
         assert_eq!(dm.transfer_state(b, 2), TransferState::Resident);
-        assert!(!dm.buffer_in_flight(b));
+        assert!(!dm.buffer_in_flight(b) && !dm.tickets_in_flight());
         assert_eq!(dm.ticket_result(t), Some(Ok(())));
         // Reaped: a later read of the same ticket reads as complete.
         assert_eq!(dm.ticket_result(t), Some(Ok(())));

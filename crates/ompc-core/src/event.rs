@@ -6,8 +6,9 @@
 //! messages on the `(tag, communicator)` channel, and finally waits for the
 //! **typed reply** ([`crate::protocol::EventReply`]) on that same channel.
 //! Because the tag is unique per event and shared only with the
-//! destination, concurrent events cannot cross-talk even though many head
-//! worker threads issue them at the same time.
+//! destination, concurrent events cannot cross-talk even though several
+//! head threads (region executions, the async data path) issue them at the
+//! same time.
 //!
 //! Payloads move as shared [`Bytes`] handles in both directions: a submit
 //! puts the caller's handle on the wire as the message body, and a retrieve
@@ -21,10 +22,8 @@
 //! that died without answering), every wait is additionally bounded by
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`].
 
-use crate::protocol::{
-    EventNotification, EventRequest, Reply, TaskStamps, CONTROL_TAG, FIRST_EVENT_TAG,
-};
-use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
+use crate::protocol::{EventNotification, EventRequest, Reply, CONTROL_TAG, FIRST_EVENT_TAG};
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -187,7 +186,7 @@ impl EventSystem {
     /// probes instead of blocking hands the message here) and count the
     /// event — only once it is known to have succeeded. A retrieve's reply
     /// must carry the buffer as its body and every other reply none; a
-    /// timed reply keeps its worker-side [`TaskStamps`].
+    /// timed reply keeps its worker-side [`crate::protocol::TaskStamps`].
     pub(crate) fn accept_reply(&self, channel: &ReplyChannel, msg: Message) -> TypedReply {
         let data_bearing = matches!(channel.moved, Moved::Payload);
         let reply = Reply::from_parts(&msg.data, msg.body, data_bearing)?;
@@ -239,27 +238,6 @@ impl EventSystem {
         Ok(())
     }
 
-    /// Allocate `size` bytes for `buffer` on `node` and wait for the reply.
-    pub fn alloc(&self, node: NodeId, buffer: BufferId, size: usize) -> OmpcResult<()> {
-        self.call(node, EventRequest::Alloc { buffer, size: size as u64 }).map(|_| ())
-    }
-
-    /// Free every listed buffer on `node` — one event however many — and
-    /// wait for the reply. An empty list sends nothing.
-    pub fn delete(&self, node: NodeId, buffers: Vec<BufferId>) -> OmpcResult<()> {
-        if buffers.is_empty() {
-            return Ok(());
-        }
-        self.call(node, EventRequest::Delete { buffers }).map(|_| ())
-    }
-
-    /// Copy `data` into `buffer` on `node` (host → worker) and wait for the
-    /// reply.
-    pub fn submit(&self, node: NodeId, buffer: BufferId, data: Bytes) -> OmpcResult<()> {
-        let channel = self.post_submit(node, buffer, data)?;
-        self.await_reply(&channel).map(|_| ())
-    }
-
     /// Copy several buffers to `node` in one event (host → worker), the
     /// prefetch analogue of the task trains: one gate notification, the
     /// payloads streaming in order on the train's own channel, one typed
@@ -297,24 +275,6 @@ impl EventSystem {
     pub fn exchange(&self, from: NodeId, to: NodeId, buffer: BufferId) -> OmpcResult<u64> {
         let channel = self.post_exchange(from, to, buffer)?;
         self.await_reply(&channel).map(|reply| acked_bytes(&reply.inline))
-    }
-
-    /// Run `kernel` on `node` against its device copies of `buffers` and
-    /// wait for the reply. An unregistered kernel comes back as
-    /// [`crate::types::OmpcError::RemoteEvent`] wrapping
-    /// [`crate::types::OmpcError::UnknownKernel`] — not as a hang. With
-    /// `timed`, the worker captures its receive / dependence-wait / kernel
-    /// timestamps and the reply carries them back ([`TaskStamps`]); without
-    /// it the worker reads no clock.
-    pub fn execute_timed(
-        &self,
-        node: NodeId,
-        kernel: KernelId,
-        buffers: Vec<BufferId>,
-        timed: bool,
-    ) -> OmpcResult<Option<TaskStamps>> {
-        let channel = self.post(node, EventRequest::Execute { kernel, buffers }, timed)?;
-        self.await_reply(&channel).map(|reply| reply.stamps)
     }
 
     /// Clear `node`'s device memory and wait for the acknowledgement —

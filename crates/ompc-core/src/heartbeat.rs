@@ -11,8 +11,8 @@
 //! it can be tested and simulated) plus a recovery planner that recomputes
 //! the placement of the affected tasks. The monitor is not a standalone
 //! gadget: [`crate::runtime::RuntimeCore`] drives it from the dispatch loop
-//! — virtual time in the simulated backend, a logical per-round clock in
-//! the threaded backend — and [`plan_recovery`] is the fast-path
+//! — virtual time in the simulated backend, a logical per-round clock on
+//! the real cluster — and [`plan_recovery`] is the fast-path
 //! reassignment of the [`crate::runtime::fault`] subsystem.
 
 use crate::types::NodeId;

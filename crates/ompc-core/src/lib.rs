@@ -14,11 +14,11 @@
 //! data-manager-driven forwarding — parameterized over an
 //! [`runtime::ExecutionBackend`]:
 //!
-//! * **Real (threaded) mode** — [`cluster::ClusterDevice`] spawns one OS
-//!   thread per worker node, communicates through the in-process MPI
-//!   substrate (`ompc-mpi`), and executes real Rust kernels via
-//!   [`runtime::ThreadedBackend`]. This is the mode the examples and
-//!   integration tests use.
+//! * **Real mode** — [`cluster::ClusterDevice`] spawns one OS thread per
+//!   worker node, communicates through the in-process MPI substrate
+//!   (`ompc-mpi`), and executes real Rust kernels via
+//!   [`runtime::MpiBackend`]. This is the mode the examples and integration
+//!   tests use.
 //! * **Simulated mode** — [`sim_runtime::simulate_ompc`] drives the same
 //!   core over the deterministic virtual cluster of `ompc-sim` via
 //!   [`runtime::SimBackend`], which is how the paper's 2–64-node
@@ -91,9 +91,9 @@ pub mod prelude {
     pub use crate::region::TargetRegion;
     pub use crate::runtime::{
         chrome_trace, clock_reads, critical_path, overhead_attribution, Attribution,
-        ExecutionBackend, FailureRecord, FaultPlan, FaultTrigger, HeadWorkerPool, MpiBackend,
-        ReplanEntry, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan, SimBackend, Span,
-        SpanPhase, TaskEvent, Telemetry, TelemetryLevel, ThreadedBackend,
+        ExecutionBackend, FailureRecord, FaultPlan, FaultTrigger, MpiBackend, ReplanEntry,
+        ResidencyMap, RunRecord, RuntimeCore, RuntimePlan, SimBackend, Span, SpanPhase, TaskEvent,
+        Telemetry, TelemetryLevel,
     };
     pub use crate::sim_runtime::{
         simulate_ompc, simulate_ompc_outcome, simulate_ompc_with_plan, OmpcSimOutcome,

@@ -273,10 +273,11 @@ pub enum TaskStep {
     /// an [`EventRequest::ExchangeSend`], so a dead or failed source
     /// surfaces as a typed error in this task's reply instead of a hang.
     RecvFromWorker { buffer: BufferId, from: NodeId },
-    /// Wait until `buffer` is locally present in device memory: a
-    /// co-scheduled task on the same node owns the in-flight transfer of
-    /// this buffer and will store it. Bounded by `timeout_ms` so an
-    /// upstream failure degrades into a typed error, never a hang.
+    /// Wait for the newest receive of `buffer` the worker accepted before
+    /// this task — an earlier car or data event of the same region
+    /// execution owns the transfer — to land, and fail with that receive's
+    /// error if it failed. A stale copy already resident never satisfies
+    /// the wait. `timeout_ms` is only a last-resort bound (`u64::MAX`: none).
     AwaitLocal { buffer: BufferId, timeout_ms: u64 },
     /// Ensure `size` zeroed bytes of device memory exist for `buffer` (a
     /// write-only output that nothing transferred in).

@@ -63,7 +63,7 @@ pub const HEARTBEAT_MISS_THRESHOLD: u32 = 3;
 pub enum FaultTrigger {
     /// The node dies once the fault clock reaches this many milliseconds
     /// (virtual time in the simulated backend, the logical dispatch clock
-    /// in the threaded backend).
+    /// on the real cluster).
     AtMillis(Millis),
     /// The node dies immediately after its K-th task retirement — the
     /// trigger to use when every backend must fail at the identical point
@@ -108,7 +108,7 @@ pub struct FaultPlan {
     /// The injected node failures, in configuration order.
     pub events: Vec<FaultEvent>,
     /// Tasks whose execution is forced to fail at the protocol layer: the
-    /// threaded backend executes them against a deliberately unregistered
+    /// real cluster executes them against a deliberately unregistered
     /// kernel (a genuine worker-side handler error travelling back through
     /// the event-reply channel), the simulated backend models the same
     /// failed reply. Used to test the error-reply path deterministically
@@ -152,7 +152,7 @@ impl FaultPlan {
     /// Force `task`'s execution to fail at the protocol layer (an injected
     /// worker-side handler error). Both backends propagate the same
     /// `RemoteEvent { node, error: UnknownKernel, .. }`; only the `event`
-    /// id is backend-specific (the real wire tag in the threaded backend,
+    /// id is backend-specific (the real wire tag on the cluster,
     /// the task index in the simulated one) — compare errors across
     /// backends via `origin_node()` / `root_cause()`, not equality.
     pub fn error_on_task(mut self, task: usize) -> Self {

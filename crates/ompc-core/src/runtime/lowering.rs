@@ -1,8 +1,9 @@
 //! The one lowering of a planned task into device operations (paper §4.3
-//! deciding what moves, §4.2 moving it), shared by both real transports.
+//! deciding what moves, §4.2 moving it), which the message-passing
+//! transport (`runtime/mpi.rs`) delivers.
 //!
 //! [`Lowering::lower`] turns a task plus the [`DataManager`]'s residency
-//! state into the wire vocabulary both transports already speak:
+//! state into the wire vocabulary the workers speak:
 //!
 //! * a target task becomes a [`Composite`] — `Delete`* / `RecvFromHead` /
 //!   `RecvFromWorker` / `AwaitLocal` / `Alloc` / `Execute` steps with their
@@ -10,7 +11,11 @@
 //! * an enter/exit-data task becomes one [`DataEvent`] (`Submit`,
 //!   `ExchangeRecv`+`ExchangeSend`, `Alloc`, `Retrieve`);
 //! * a host task (flushed and run right here, outside every lock), a no-op
-//!   data task, or a task bound for a dead node is [`Lowered::Done`].
+//!   data task, or a task bound for a dead node is [`Lowered::Done`];
+//! * a target task reading bytes another owner has on the wire towards its
+//!   node is [`Lowered::Parked`]: nothing is booked, and the transport
+//!   lowers it again once [`Lowering::awaited`] says those bookings are
+//!   over.
 //!
 //! Each lowering comes with its bookkeeping [`Record`] — the transfers it
 //! has booked in the [`DataManager`]'s in-flight table, the buffers it
@@ -23,9 +28,21 @@
 //! the same rollback for a lowering that never reached the wire.
 //!
 //! Whether bytes are on a node *yet* is the in-flight table's knowledge
-//! alone: a reader of a copy somebody else has on the wire — a task of this
-//! region, of another tenant, an async enter-data or prefetch — gets an
-//! `AwaitLocal` step instead of a second transfer. What the lowering owns,
+//! alone, and a reader of a copy somebody else has on the wire never plans
+//! a second transfer. Who that somebody is decides where the reader waits:
+//!
+//! * an earlier task (or data event) **of this execution** has queued the
+//!   receive ahead of the reader on the same node — the reader's composite
+//!   carries an `AwaitLocal` step, and the worker waits for that very
+//!   receive to land or fail (first-in-first-out on the node, so even one
+//!   handler thread cannot deadlock on it);
+//! * **anyone else** — another tenant, an async enter-data, prefetch or
+//!   broadcast ticket — has no event queued ahead of it there: the reader
+//!   parks on the head, booking nothing, and fails at once with the
+//!   transfer's own error, or is planned afresh when the booking was
+//!   invalidated on the wire.
+//!
+//! What the lowering owns,
 //! per region and shared by its tasks, is the **deferred deletes**: stale
 //! and released copies ride the next composite to their node as `Delete`
 //! prologue steps, or are flushed by [`Lowering::flush_deletes`] at the end
@@ -60,10 +77,6 @@ use std::sync::Arc;
 /// unregistered, so the worker's handler genuinely fails and the error
 /// travels back through the event-reply channel.
 pub(crate) const POISONED_KERNEL: KernelId = KernelId(usize::MAX);
-
-/// `AwaitLocal` bound when no reply timeout is configured: a co-scheduled
-/// transfer that has not landed in this long is considered failed.
-const DEFAULT_AWAIT_LOCAL_MS: u64 = 60_000;
 
 /// The device machinery every head-side data movement runs against.
 #[derive(Clone)]
@@ -160,6 +173,10 @@ pub(crate) enum Lowered {
     Task(Composite, Record),
     /// [`Lowering::post`] the event; retire with its reply.
     Event(DataEvent, Record),
+    /// Another owner has these inputs on the wire towards the task's node:
+    /// nothing was booked — lower the task again once
+    /// [`Lowering::awaited`] says so.
+    Parked(Vec<BufferId>),
 }
 
 /// What the head must settle when a lowered task's reply arrives.
@@ -194,8 +211,8 @@ struct State {
     deferred_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
 }
 
-/// The lowering of one region execution. Shared by the threaded transport's
-/// pool threads; `state` is taken before the data manager, never after.
+/// The lowering of one region execution. `state` is taken before the data
+/// manager, never after.
 pub(crate) struct Lowering {
     pub(super) path: DataPath,
     /// Paired with the data manager's mutex: notified whenever anyone — a
@@ -386,21 +403,20 @@ impl Lowering {
         // Plan the whole task under one acquisition of the data manager: a
         // co-located reader lowered later either sees our booking (and
         // awaits the arrival) or plans its own transfer.
-        let planned: OmpcResult<()> = (|| {
-            let mut dm = self.path.dm.lock();
-            for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
-                self.plan_read(&mut dm, tid, node, dep.buffer, &mut work, &mut owned)?;
+        let mut dm = self.path.dm.lock();
+        // Only somebody else's booking parks a task: with no ticket in flight
+        // and no other region admitted beside this one, there is none.
+        if self.config.admission_limit() > 1 || dm.tickets_in_flight() {
+            let awaiting: Vec<BufferId> = (task.dependences.iter())
+                .filter(|d| d.dep_type.reads() && self.foreign_inflight(&dm, d.buffer, node))
+                .map(|d| d.buffer)
+                .collect();
+            if !awaiting.is_empty() {
+                return Ok(Lowered::Parked(awaiting));
             }
-            // Write-only outputs: make sure storage exists on the node. It
-            // becomes the buffer's one holder when the write is recorded.
-            for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
-                if !dm.is_present(dep.buffer, node) {
-                    let size = self.path.buffers.size_of(dep.buffer)? as u64;
-                    work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
-                }
-            }
-            Ok(())
-        })();
+        }
+        let planned = self.plan_inputs(&mut dm, tid, node, task, &mut work, &mut owned);
+        drop(dm);
         // Deferred maintenance rides along: the deletes queued for this node
         // since its last task become prologue steps — ordered before any
         // receive of the same buffer, costing no extra round-trip.
@@ -423,8 +439,66 @@ impl Lowering {
         }
     }
 
+    /// Plan every input of a task on `node`, and storage for its write-only
+    /// outputs. Another owner's booking of an input never reaches here
+    /// ([`Lowering::foreign_inflight`]).
+    fn plan_inputs(
+        &self,
+        dm: &mut DataManager,
+        tid: usize,
+        node: NodeId,
+        task: &TargetTask,
+        work: &mut Composite,
+        owned: &mut Vec<BufferId>,
+    ) -> OmpcResult<()> {
+        for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
+            self.plan_read(dm, tid, node, dep.buffer, work, owned)?;
+        }
+        // Write-only outputs: make sure storage exists on the node. It
+        // becomes the buffer's one holder when the write is recorded.
+        for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
+            if !dm.is_present(dep.buffer, node) {
+                let size = self.path.buffers.size_of(dep.buffer)? as u64;
+                work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether someone other than this execution has `buffer` on the wire
+    /// towards `node`: a task reading it cannot await the bytes on the
+    /// worker, where no event of theirs is queued ahead of it.
+    fn foreign_inflight(&self, dm: &DataManager, buffer: BufferId, node: NodeId) -> bool {
+        matches!(
+            dm.transfer_state(buffer, node),
+            TransferState::InFlight(owner) if owner != Owner::Region(self.region)
+        )
+    }
+
+    /// Where the bookings a [`Lowered::Parked`] task on `node` awaits stand:
+    /// `None` while another owner still has one of `buffers` on the wire,
+    /// the transfer's own error — blame included — when one failed, and
+    /// `Ok` once the task may be lowered again (the bytes arrived, the
+    /// booking was invalidated on the wire and is planned afresh, or the
+    /// node died and the task lowers to nothing).
+    pub(crate) fn awaited(&self, node: NodeId, buffers: &[BufferId]) -> Option<OmpcResult<()>> {
+        let dm = self.path.dm.lock();
+        if dm.is_failed(node) {
+            return Some(Ok(()));
+        }
+        if buffers.iter().any(|&buffer| self.foreign_inflight(&dm, buffer, node)) {
+            return None;
+        }
+        let failed = buffers.iter().find_map(|&buffer| match dm.transfer_state(buffer, node) {
+            TransferState::Invalid(Some(error)) => Some(error),
+            _ => None,
+        });
+        Some(failed.map_or(Ok(()), Err))
+    }
+
     /// Plan one input of a task on `node`: a receive step this task owns,
-    /// an await of bytes someone else has on the wire, or nothing.
+    /// an await of bytes an earlier task of this execution has queued ahead
+    /// of it on the node, or nothing.
     fn plan_read(
         &self,
         dm: &mut DataManager,
@@ -439,8 +513,9 @@ impl Lowering {
         let plan = match dm.book(Owner::Region(self.region), buffer, node, TransferReason::Input)? {
             Booking::Present => return Ok(()),
             Booking::Await => {
-                let timeout_ms =
-                    self.config.event_reply_timeout_ms.unwrap_or(DEFAULT_AWAIT_LOCAL_MS);
+                // The receive lands or fails by itself; the reply time-out
+                // is only the last resort.
+                let timeout_ms = self.config.event_reply_timeout_ms.unwrap_or(u64::MAX);
                 work.steps.push(TaskStep::AwaitLocal { buffer, timeout_ms });
                 return Ok(());
             }
@@ -518,62 +593,6 @@ impl Lowering {
             self.inflight_cv.notify_all();
         }
         all
-    }
-
-    /// The booked transfer of `buffer` to `node` has arrived: release its
-    /// waiters now rather than when the owning task retires.
-    pub(crate) fn landed(&self, buffer: BufferId, node: NodeId) {
-        let _ = self.finish(&mut self.path.dm.lock(), node, &[buffer], &Ok(()));
-    }
-
-    /// Resolve an `AwaitLocal` step on the head: block until the bytes of
-    /// `buffer` someone else put on the wire towards `node` have arrived,
-    /// and fail at once with the transfer's own error if it failed. A
-    /// booking that resolved without leaving either copy or error (a write
-    /// elsewhere invalidated it on the wire) is re-planned: the returned
-    /// composite holds the one receive `record` now owns and the caller
-    /// must perform, and is empty otherwise.
-    pub(crate) fn await_local(
-        &self,
-        task: usize,
-        node: NodeId,
-        buffer: BufferId,
-        record: &mut Record,
-    ) -> OmpcResult<Composite> {
-        let tel = &self.path.telemetry;
-        loop {
-            let t0 = tel.start();
-            let mut waited = false;
-            let resident = {
-                let mut dm = self.path.dm.lock();
-                loop {
-                    match dm.transfer_state(buffer, node) {
-                        TransferState::Resident => break true,
-                        TransferState::InFlight(owner) => {
-                            // The span below is the async data path's: a
-                            // task's own transfer already shows as its `Send`.
-                            waited |= matches!(owner, Owner::Ticket(_));
-                            self.inflight_cv.wait(&mut dm);
-                        }
-                        TransferState::Invalid(Some(error)) => return Err(error),
-                        TransferState::Invalid(None) => break false,
-                    }
-                }
-            };
-            if waited && tel.spans_enabled() {
-                let span = self.span(SpanPhase::AwaitInflight, node, t0, task);
-                tel.record(span.detail("first reader awaits async transfer"));
-            }
-            let mut work = Composite::default();
-            if let (false, RecordKind::Target { owned, .. }) = (resident, &mut record.kind) {
-                let mut dm = self.path.dm.lock();
-                self.plan_read(&mut dm, task, node, buffer, &mut work, owned)?;
-            }
-            // Someone else re-planned the transfer meanwhile: await theirs.
-            if !matches!(work.steps.last(), Some(TaskStep::AwaitLocal { .. })) {
-                return Ok(work);
-            }
-        }
     }
 
     /// Settle a delivered task with its typed reply (the retrieved buffer
@@ -708,15 +727,6 @@ impl Lowering {
             state.deferred_deletes.entry(*node).or_default().extend(unacknowledged);
         }
         super::first_error(failed)
-    }
-
-    /// Whether a task failure on `node` is collateral damage of an injected
-    /// node death — the task ran there, or the error is blamed on a killed
-    /// peer — which the core restarts instead of propagating.
-    pub(crate) fn blames_dead_node(&self, node: NodeId, error: &OmpcError) -> bool {
-        let dm = self.path.dm.lock();
-        (node != HEAD_NODE && dm.is_failed(node))
-            || error.origin_node().is_some_and(|n| dm.is_failed(n))
     }
 
     /// `node` just died: discard its copies and its deferred deletes (they
@@ -922,7 +932,8 @@ mod tests {
         let holders_before = low.path.dm.lock().holders(*a);
         let (work, record) = lower_task(low, 3, 1);
         assert!(work.steps.iter().any(|s| matches!(s, TaskStep::Alloc { .. })));
-        let (_, mut waiter) = lower_task(low, 1, 1);
+        let (waiter, _) = lower_task(low, 1, 1);
+        assert!(matches!(waiter.steps[0], TaskStep::AwaitLocal { .. }), "{:?}", waiter.steps);
         assert_ne!(low.path.dm.lock().holders(*a), holders_before);
 
         let boom = OmpcError::RemoteEvent {
@@ -938,9 +949,9 @@ mod tests {
             assert!(dm.transfer_log().is_empty(), "the log record is withdrawn");
         }
         assert_eq!(inflight_entries(low), 0, "nothing is on the wire any more");
-        // The waiter that was told to await fails with the owner's error —
-        // blame included — instead of blocking.
-        assert_eq!(low.await_local(1, 1, *a, &mut waiter).err(), Some(boom));
+        // Whoever awaits the copy on the head sees the owner's error, blame
+        // included (the worker-side waiter hears it from the receive itself).
+        assert_eq!(low.path.dm.lock().transfer_state(*a, 1), TransferState::Invalid(Some(boom)));
         // And a reader lowered now plans the transfer again.
         let (again, _record) = lower_task(low, 0, 1);
         assert!(matches!(
@@ -953,9 +964,11 @@ mod tests {
     #[test]
     fn a_reader_of_another_region_awaits_a_colocated_transfer_too() {
         let Fixture { low, a, .. } = &fixture();
+        // A tenant of a device admitting two regions at once.
         let tenant = |region| {
             let cv = Arc::clone(&low.inflight_cv);
-            let (graph, config) = (Arc::clone(&low.graph), OmpcConfig::small());
+            let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
+            let graph = Arc::clone(&low.graph);
             Lowering::new(low.path.clone(), cv, region, graph, HashMap::new(), &config).unwrap()
         };
         let second = tenant(2);
@@ -966,13 +979,12 @@ mod tests {
         ));
 
         // Region 2's reader on the node region 1's bytes are travelling to
-        // awaits them instead of computing on whatever is there now ...
-        let (work, mut waiter) = lower_task(&second, 1, 1);
-        assert!(
-            matches!(&work.steps[..], [TaskStep::AwaitLocal { buffer, .. }, TaskStep::Execute { .. }] if buffer == a),
-            "unexpected steps: {:?}",
-            work.steps
-        );
+        // awaits them instead of computing on whatever is there now — on the
+        // head, booking nothing: none of its events is queued ahead of the
+        // reader on the node ...
+        let parked = second.lower(1, 1).unwrap();
+        assert!(matches!(&parked, Lowered::Parked(awaiting) if awaiting == &[*a]));
+        assert_eq!(second.awaited(1, &[*a]), None, "region 1's transfer is still on the wire");
         assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "no second log record");
         // ... and its reader on another node is an ordinary plan of its own.
         let (work, _record) = lower_task(&second, 0, 2);
@@ -986,7 +998,7 @@ mod tests {
         // and whoever lowers a reader next moves the bytes again.
         let boom = OmpcError::Communication("link down".into());
         assert_eq!(low.retire(0, owner, Err(boom.clone())), Err(boom.clone()));
-        assert_eq!(second.await_local(1, 1, *a, &mut waiter).err(), Some(boom));
+        assert_eq!(second.awaited(1, &[*a]), Some(Err(boom)));
         let (again, _record) = lower_task(&tenant(3), 0, 1);
         assert!(matches!(
             &again.steps[..],
@@ -1068,15 +1080,7 @@ mod tests {
         low.path.dm.lock().fail_node(2).unwrap();
         assert!(matches!(low.lower(0, 2), Ok(Lowered::Done)));
         assert!(low.path.dm.lock().transfer_log().is_empty());
-        assert!(low.blames_dead_node(2, &OmpcError::ShutDown));
-        assert!(low.blames_dead_node(
-            1,
-            &OmpcError::RemoteEvent {
-                node: 2,
-                event: 1,
-                error: Box::new(OmpcError::NodeFailure(2)),
-            }
-        ));
-        assert!(!low.blames_dead_node(1, &OmpcError::ShutDown));
+        // A task parked towards the dead node waits for nothing any more.
+        assert_eq!(low.awaited(2, &[BufferId(0)]), Some(Ok(())));
     }
 }

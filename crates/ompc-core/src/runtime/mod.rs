@@ -19,12 +19,10 @@
 //!   the core decides. [`SimBackend`] wraps the `ompc-sim` discrete-event
 //!   engine. On a real cluster, `lowering` turns each dispatched task into
 //!   device operations once — steps, single data events, the bookkeeping to
-//!   retire or roll back — and one of two *transports* delivers them:
-//!   [`ThreadedBackend`] walks the steps on a pool of synchronous head
-//!   worker threads, [`MpiBackend`] carries them as one composite tagged
-//!   message over the `ompc-mpi` world and picks completions off the region
-//!   execution's own channel (the paper's gate-thread shape). Select
-//!   between the two with [`crate::config::OmpcConfig::backend`].
+//!   retire or roll back — and [`MpiBackend`], the one transport, carries
+//!   them as one composite tagged message over the `ompc-mpi` world and
+//!   picks completions off the region execution's own channel (the paper's
+//!   gate-thread shape): no head thread blocks per in-flight task.
 //! * [`fault`] — the fault-tolerance subsystem (paper §3.1): deterministic
 //!   failure injection, ring-heartbeat detection driven by this dispatch
 //!   loop, and task recovery onto the surviving workers.
@@ -39,7 +37,6 @@ pub(crate) mod lowering;
 pub mod mpi;
 pub mod sim;
 pub mod telemetry;
-pub mod threaded;
 
 pub use fault::{FailureRecord, FaultPlan, FaultState, FaultTrigger, LostBuffer, ReplanEntry};
 pub use mpi::MpiBackend;
@@ -48,7 +45,6 @@ pub use telemetry::{
     chrome_trace, clock_reads, critical_path, overhead_attribution, Attribution, Span, SpanPhase,
     Telemetry, TelemetryLevel,
 };
-pub use threaded::{HeadWorkerPool, ThreadedBackend};
 
 use crate::buffer::BufferRegistry;
 use crate::config::OmpcConfig;
@@ -139,7 +135,7 @@ fn first_error(failed: Vec<(NodeId, OmpcError)>) -> OmpcResult<()> {
 /// A dependence DAG as seen by the execution core: dense task ids, counted
 /// predecessors, listed successors. Implemented by the scheduler's
 /// `TaskGraph` (simulated workloads) and the runtime's [`RegionGraph`]
-/// (threaded target regions), so one dispatch loop drives both.
+/// (target regions on the real cluster), so one dispatch loop drives both.
 pub trait TaskDag {
     /// Number of tasks.
     fn task_count(&self) -> usize;
@@ -214,6 +210,12 @@ impl RuntimePlan {
     /// `platform`, with processor `p` mapped to `nodes[p]`. This is how
     /// fault recovery re-schedules onto the surviving workers: the platform
     /// shrinks to the survivor count and `nodes` names the survivors.
+    ///
+    /// # Panics
+    ///
+    /// When `nodes` does not name exactly one node per processor of
+    /// `platform` — a broken call, not bad input: every caller derives both
+    /// from one node list.
     pub fn workload_assignment_on(
         workload: &WorkloadGraph,
         platform: &Platform,
@@ -292,6 +294,11 @@ impl RuntimePlan {
     /// snapshot instead of re-running HEFT over the union of both graphs.
     /// An empty (or all-zero) load plans bit-identically to
     /// [`RuntimePlan::region_assignment_on`].
+    ///
+    /// # Panics
+    ///
+    /// When `nodes` does not name exactly one node per processor of
+    /// `platform`, as [`RuntimePlan::workload_assignment_on`].
     #[allow(clippy::too_many_arguments)]
     pub fn region_assignment_with_load(
         region: &RegionGraph,
@@ -409,7 +416,7 @@ pub trait ExecutionBackend {
     /// discards the result and requeues the task instead of retiring it.
     /// A [`TaskEvent::Failed`] whose blamed node is dead is handled the
     /// same way; any other failure propagates. `Err` from this method is
-    /// reserved for backend-level breakdowns (a vanished pool, a stalled
+    /// reserved for backend-level breakdowns (a broken transport, a stalled
     /// engine) that abort the run outright.
     fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>>;
 
@@ -419,7 +426,7 @@ pub trait ExecutionBackend {
     }
 
     /// The backend's fault clock in milliseconds, if it has one. The
-    /// simulated backend reports virtual time; the threaded backend returns
+    /// simulated backend reports virtual time; the real cluster returns
     /// `None` and the core advances a logical clock one heartbeat period
     /// per dispatch round.
     fn clock_millis(&self) -> Option<Millis> {
@@ -627,7 +634,6 @@ impl RuntimeCore {
 
     fn build(dag: &impl TaskDag, plan: &RuntimePlan, faults: Option<FaultState>) -> Self {
         let total = dag.task_count();
-        assert_eq!(plan.assignment.len(), total, "plan must assign every task of the graph");
         let preds_remaining: Vec<usize> = (0..total).map(|t| dag.predecessor_count(t)).collect();
         let ready: VecDeque<usize> = (0..total).filter(|&t| preds_remaining[t] == 0).collect();
         let successors: Vec<Vec<usize>> = (0..total).map(|t| dag.successor_ids(t)).collect();
@@ -673,8 +679,17 @@ impl RuntimeCore {
         self.telemetry = telemetry;
     }
 
-    /// Drive `backend` until every task has completed.
+    /// Drive `backend` until every task has completed. A plan that does not
+    /// assign every task of the graph exactly once is
+    /// [`OmpcError::InvalidConfig`].
     pub fn execute<B: ExecutionBackend>(&mut self, backend: &mut B) -> OmpcResult<()> {
+        if self.assignment.len() != self.total {
+            return Err(OmpcError::InvalidConfig(format!(
+                "the plan assigns {} task(s) to a graph of {}",
+                self.assignment.len(),
+                self.total
+            )));
+        }
         if self.total == 0 {
             return Ok(());
         }
@@ -818,9 +833,13 @@ impl RuntimeCore {
         node: NodeId,
         backend: &mut B,
     ) -> OmpcResult<()> {
-        let (alive, silenced_at, detected_at, replan) = {
-            let f = self.faults.as_ref().expect("recovery requires an active fault subsystem");
-            (f.alive_workers(), f.silenced_at(node), f.clock(), f.replan_on_failure)
+        let (alive, silenced_at, detected_at, replan) = match &self.faults {
+            Some(f) => (f.alive_workers(), f.silenced_at(node), f.clock(), f.replan_on_failure),
+            None => {
+                return Err(OmpcError::Internal(format!(
+                    "node {node} was declared failed without an active fault subsystem"
+                )))
+            }
         };
         let (lost_buffers, lineage_tasks) = self.kill_info.remove(&node).unwrap_or((0, 0));
         self.failures.push(FailureRecord {
@@ -1070,6 +1089,18 @@ mod tests {
             core.execute(&mut StackBackend::default()).unwrap();
             assert_eq!(core.record().peak_in_flight, window.min(16));
         }
+    }
+
+    #[test]
+    fn a_plan_of_the_wrong_length_is_a_typed_error_before_anything_runs() {
+        let w = diamond();
+        let mut backend = StackBackend::default();
+        for assignment in [vec![1; 3], vec![1; 5]] {
+            let plan = RuntimePlan { assignment, window: 4 };
+            let err = RuntimeCore::new(&w, &plan).execute(&mut backend).unwrap_err();
+            assert!(matches!(err, OmpcError::InvalidConfig(_)), "got {err:?}");
+        }
+        assert_eq!(backend.prologues, 0);
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! The message-passing transport: every lowered target task travels to its
-//! worker node as **one composite event over `ompc-mpi`**, ready tasks bound
-//! for the same node in one dispatch window ride together as a **task
-//! train**, and completions come home on the region execution's **own
-//! completion channel** — the paper's head/worker split (§4.2) with no head
-//! thread blocked per in-flight task and no per-task probe loop.
+//! The message-passing transport — the one real-cluster transport: every
+//! lowered target task travels to its worker node as **one composite event
+//! over `ompc-mpi`**, ready tasks bound for the same node in one dispatch
+//! window ride together as a **task train**, and completions come home on
+//! the region execution's **own completion channel** — the paper's
+//! head/worker split (§4.2) with no head thread blocked per in-flight task
+//! and no per-task probe loop.
 //!
-//! The shared lowering (`runtime/lowering.rs`) decides what a task is; this
-//! file only delivers it. A composite's steps are serialized through the
+//! The lowering (`runtime/lowering.rs`) decides what a task is; this file
+//! only delivers it. A composite's steps are serialized through the
 //! `protocol` codec and sent as a tagged message; its payloads and exchange
 //! notices ride the task's exclusive `(tag, communicator)` channel
 //! (communicators chosen round-robin by tag, the paper's VCI mapping), and
 //! the worker's handler answers with exactly one typed reply when the
 //! last step finished — success or a typed error naming the node and event.
-//! `AwaitLocal` travels with the other steps and **is resolved on the
-//! worker**, bounded by its time-out (the threaded transport resolves it on
-//! the head and fails at once).
+//!
+//! **Waiting for someone else's bytes.** An `AwaitLocal` step only ever
+//! names a receive an earlier car or data event of this execution queued
+//! ahead of it on the same node, so the worker resolves it in arrival
+//! order. A task whose input another owner has on the wire (another
+//! tenant, an async or prefetch ticket) is *parked* here instead: nothing is
+//! booked or sent, the completion loop keeps running, and the task is
+//! lowered again — or failed with the transfer's own error — once the
+//! lowering says the booking is over.
 //!
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
 //! send a target task immediately. It buffers the car per destination node,
@@ -33,16 +40,15 @@
 //! region executions need no demultiplexer: no two share a channel, and the
 //! mailbox's matching hands each notice to the one driver waiting for it.
 //! Data events (the single enter/exit-data events the lowering posts) carry
-//! no notice; while one is outstanding the wait is cut every
-//! `PROBE_INTERVAL` to probe its reply channel.
+//! no notice; while one is outstanding, or a task is parked, the wait is cut
+//! every `PROBE_INTERVAL` to probe again.
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`] remains the
 //! last-resort bound on a reply that can never arrive.
 //!
 //! Tag layout: new-event notifications travel on the reserved
 //! [`crate::protocol::CONTROL_TAG`]; every task, every completion channel and
 //! every data or maintenance event owns a device-unique tag drawn from the
-//! [`EventSystem`](crate::event::EventSystem)'s one counter, so concurrent
-//! events cannot cross-talk.
+//! [`EventSystem`]'s one counter, so concurrent events cannot cross-talk.
 //!
 //! Fault tolerance needs nothing transport-specific: a killed worker's
 //! zombie gate refuses every car of a later train individually — an error
@@ -54,19 +60,20 @@ use super::lowering::{Composite, Lowered, Lowering, Record};
 use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
-use crate::event::ReplyChannel;
+use crate::event::{EventSystem, ReplyChannel, TypedReply};
 use crate::protocol::{
     CompletionNotice, EventNotification, EventRequest, Reply, TaskSpec, TrainCar,
 };
-use crate::types::{NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{CommId, Communicator, MpiError, Tag};
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use ompc_mpi::{CommId, Communicator, Message, MpiError, Tag};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How long the completion wait runs before probing again while a *data*
 /// event (enter/exit transfer) is outstanding — those carry no completion
-/// notice, so their reply channels are still probed. Small enough to keep
-/// single-transfer latency negligible, large enough not to spin a core.
+/// notice, so their reply channels are still probed — or a task is parked
+/// on another owner's booking. Small enough to keep single-transfer latency
+/// negligible, large enough not to spin a core.
 const PROBE_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Bound on each reply wait while draining outstanding tasks after a failed
@@ -90,12 +97,31 @@ impl ReplyLane {
             ReplyLane::Probed(channel) => (channel.node, channel.tag, channel.comm),
         }
     }
+
+    /// The typed reply `msg`, received on this lane, carries.
+    fn reply(&self, events: &EventSystem, msg: Message) -> TypedReply {
+        match self {
+            // A car's events were counted when its train departed.
+            ReplyLane::Noticed { .. } => Reply::from_parts(&msg.data, msg.body, false),
+            ReplyLane::Probed(channel) => events.accept_reply(channel, msg),
+        }
+    }
 }
 
 /// One dispatched task whose reply the completion loop is waiting for.
 struct Pending {
     lane: ReplyLane,
     record: Record,
+}
+
+/// A task parked on the head until other owners' bookings of its inputs
+/// are over ([`Lowered::Parked`]).
+struct ParkedTask {
+    task: usize,
+    node: NodeId,
+    awaiting: Vec<BufferId>,
+    /// When it parked, for its `AwaitInflight` span.
+    since: u64,
 }
 
 /// One lowered target task waiting for its train to depart.
@@ -109,7 +135,8 @@ struct BufferedCar {
 }
 
 /// Executes a region graph through composite task messages over `ompc-mpi`.
-/// Selected with [`crate::config::BackendKind::Mpi`].
+/// Selected with [`crate::config::BackendKind::Mpi`] (or its other name,
+/// [`crate::config::BackendKind::Threaded`]).
 pub struct MpiBackend {
     lowering: Lowering,
 }
@@ -158,6 +185,8 @@ struct MpiDriver<'c> {
     /// Event tag → core task id for outstanding target tasks: the index a
     /// [`CompletionNotice`] is resolved through.
     notice_tasks: HashMap<u64, usize>,
+    /// Tasks waiting on the head for other owners' bookings.
+    parked: Vec<ParkedTask>,
 }
 
 /// A retired task's outcome as the core's completion-stream entry.
@@ -181,12 +210,15 @@ impl<'c> MpiDriver<'c> {
             ready: VecDeque::new(),
             trains: BTreeMap::new(),
             notice_tasks: HashMap::new(),
+            parked: Vec::new(),
         })
     }
 
     /// Wait (bounded) for every outstanding reply — and each car's notice —
-    /// after a failed run, then empty the completion channel, so nothing
-    /// bleeds into a later region execution.
+    /// after a failed run and settle its task, then empty the completion
+    /// channel, so nothing bleeds into a later region execution: no reply
+    /// left in a mailbox, no booking left on the wire for a later region to
+    /// await.
     fn drain_outstanding(&mut self) {
         let events = &self.lowering.path.events;
         // Trains that never departed reached no worker: fail their cars
@@ -199,20 +231,56 @@ impl<'c> MpiDriver<'c> {
             self.fail_unsent_train(tasks, &error);
         }
         let timeout = events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
-        for (_, p) in std::mem::take(&mut self.pending) {
+        for (task, p) in std::mem::take(&mut self.pending) {
             let (node, tag, comm) = p.lane.address();
-            let replied = events
+            let received = events
                 .communicator()
                 .on(comm)
-                .and_then(|channel| channel.recv_timeout(Some(node), Some(tag), timeout))
-                .is_ok();
-            // A car posts its one notice right after its reply.
-            if replied && matches!(p.lane, ReplyLane::Noticed { .. }) {
-                let _ = self.notices.recv_timeout(Some(node), Some(self.notice_tag), timeout);
+                .and_then(|channel| channel.recv_timeout(Some(node), Some(tag), timeout));
+            match received {
+                Ok(msg) => {
+                    // A car posts its one notice right after its reply.
+                    if matches!(p.lane, ReplyLane::Noticed { .. }) {
+                        let _ =
+                            self.notices.recv_timeout(Some(node), Some(self.notice_tag), timeout);
+                    }
+                    let reply = p.lane.reply(events, msg);
+                    let _ = self.lowering.retire(task, p.record, reply);
+                }
+                Err(error) => self.lowering.abandon(p.record, &error.into()),
             }
         }
         // Notices of cars abandoned after their train's envelope went out.
         while self.notices.try_recv(None, Some(self.notice_tag)).is_some() {}
+    }
+
+    /// Lower again every parked task whose awaited bookings are over, or
+    /// fail it with the transfer's own error. It may park again.
+    fn unpark(&mut self) -> OmpcResult<()> {
+        if self.parked.is_empty() {
+            return Ok(());
+        }
+        let tel = &self.lowering.path.telemetry;
+        let (resolved, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .map(|p| (self.lowering.awaited(p.node, &p.awaiting), p))
+            .partition(|(outcome, _)| outcome.is_some());
+        self.parked = waiting.into_iter().map(|(_, p)| p).collect();
+        for (outcome, p) in resolved {
+            if tel.spans_enabled() {
+                tel.record(
+                    Span::new(SpanPhase::AwaitInflight, p.node, p.since, monotonic_us())
+                        .task(p.task)
+                        .attempt(tel.attempt(p.task))
+                        .detail("first reader awaits another owner's transfer"),
+                );
+            }
+            match outcome {
+                Some(Err(error)) => self.ready.push_back(TaskEvent::Failed { task: p.task, error }),
+                _ => self.launch(p.task, p.node)?,
+            }
+        }
+        Ok(())
     }
 
     /// Send every buffered train; failures fall back on
@@ -322,11 +390,7 @@ impl<'c> MpiDriver<'c> {
         let (node, tag, comm) = pending.lane.address();
         let msg = events.communicator().on(comm)?.recv(Some(node), Some(tag))?;
         let t0 = tel.start();
-        let reply = match &pending.lane {
-            // A car's events were counted when its train departed.
-            ReplyLane::Noticed { .. } => Reply::from_parts(&msg.data, msg.body, false),
-            ReplyLane::Probed(channel) => events.accept_reply(channel, msg),
-        };
+        let reply = pending.lane.reply(events, msg);
         if tel.spans_enabled() {
             tel.record(
                 Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
@@ -410,6 +474,10 @@ impl ExecutionBackend for MpiDriver<'_> {
                     self.ready.push_back(event_of(task, outcome));
                 }
             },
+            Ok(Lowered::Parked(awaiting)) => {
+                let since = lowering.path.telemetry.start();
+                self.parked.push(ParkedTask { task, node, awaiting, since });
+            }
             // Head-side failures are task failures, not backend breakdowns:
             // the core owns the propagate-vs-restart policy.
             Err(error) => self.ready.push_back(TaskEvent::Failed { task, error }),
@@ -418,26 +486,39 @@ impl ExecutionBackend for MpiDriver<'_> {
     }
 
     fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-        // The dispatch window is closed: every buffered train departs now.
-        self.flush_trains();
-        let mut events: Vec<TaskEvent> = self.ready.drain(..).collect();
-        // Whatever already arrived rides along without waiting.
-        self.poll_replies(&mut events)?;
-        if !events.is_empty() {
-            return Ok(events);
-        }
-        if self.pending.is_empty() {
-            return Err(OmpcError::Internal(
-                "mpi backend awaited completions with nothing outstanding".to_string(),
-            ));
-        }
-        let deadline = self.lowering.path.events.reply_timeout().map(|t| Instant::now() + t);
+        let mut events = Vec::new();
+        let mut deadline = None;
         loop {
+            // Parked tasks whose bookings are over join the trains, and the
+            // dispatch window is closed: every buffered train departs now.
+            self.unpark()?;
+            self.flush_trains();
+            events.extend(self.ready.drain(..));
+            // Whatever already arrived rides along without waiting.
+            self.poll_replies(&mut events)?;
+            if !events.is_empty() {
+                return Ok(events);
+            }
+            if self.pending.is_empty() && self.parked.is_empty() {
+                return Err(OmpcError::Internal(
+                    "mpi backend awaited completions with nothing outstanding".to_string(),
+                ));
+            }
+            let deadline = *deadline.get_or_insert_with(|| {
+                self.lowering.path.events.reply_timeout().map(|t| Instant::now() + t)
+            });
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(OmpcError::Communication(format!(
+                    "timed out waiting for the replies of {} outstanding task event(s)",
+                    self.pending.len() + self.parked.len()
+                )));
+            }
             // One receive on the completion channel: a notice wakes it at
             // once. It is bounded by the reply deadline and — only while a
-            // data event, which posts no notice, is outstanding — by the
-            // probe interval.
-            let probing = self.pending.values().any(|p| matches!(p.lane, ReplyLane::Probed(_)));
+            // data event, which posts no notice, is outstanding or a task is
+            // parked — by the probe interval.
+            let probing = !self.parked.is_empty()
+                || self.pending.values().any(|p| matches!(p.lane, ReplyLane::Probed(_)));
             let mut wait = if probing { PROBE_INTERVAL } else { Duration::MAX };
             if let Some(deadline) = deadline {
                 wait = wait.min(deadline.saturating_duration_since(Instant::now()));
@@ -446,16 +527,6 @@ impl ExecutionBackend for MpiDriver<'_> {
                 Ok(msg) => self.on_notice(&msg.data, &mut events)?,
                 Err(MpiError::Timeout { .. }) => {}
                 Err(error) => return Err(error.into()),
-            }
-            self.poll_replies(&mut events)?;
-            if !events.is_empty() {
-                return Ok(events);
-            }
-            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                return Err(OmpcError::Communication(format!(
-                    "timed out waiting for the replies of {} outstanding task event(s)",
-                    self.pending.len()
-                )));
             }
         }
     }
@@ -506,9 +577,6 @@ mod tests {
         assert_eq!(report.target_tasks, 2);
         assert!(report.bytes_moved > 0, "task payloads travel as real messages");
         assert_eq!(device.buffer_f64s(a).unwrap(), vec![20.0, 30.0, 40.0, 50.0]);
-        // No head pool thread was ever spawned: the MPI backend is pure
-        // message passing.
-        assert_eq!(device.pool_threads(), 0);
         device.shutdown();
     }
 
@@ -703,6 +771,96 @@ mod tests {
         let _ = worker.join();
     }
 
+    /// A reader awaiting a receive an earlier car of its execution queued
+    /// ahead of it on the node hears that receive's own error when it
+    /// fails — here because the forward's source was killed mid-run, before
+    /// the head has declared it dead — at once, with the source's blame,
+    /// and with no reply time-out configured to rescue either car.
+    #[test]
+    fn a_reader_awaiting_a_failed_receive_replies_the_owners_error() {
+        use super::MpiDriver;
+        use crate::buffer::BufferRegistry;
+        use crate::data_manager::DataManager;
+        use crate::event::EventSystem;
+        use crate::kernel::KernelRegistry;
+        use crate::runtime::lowering::{DataPath, Lowering};
+        use crate::runtime::telemetry::Telemetry;
+        use crate::runtime::{ExecutionBackend, TaskEvent};
+        use crate::task::{RegionGraph, TaskKind};
+        use crate::worker::worker_main;
+        use ompc_mpi::World;
+        use parking_lot::{Condvar, Mutex};
+        use std::collections::HashMap;
+        use std::sync::Arc;
+
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(5), || {
+            let world = World::with_communicators(3, 2);
+            let kernels = Arc::new(KernelRegistry::new());
+            let noop = kernels.register_fn("noop", 1e-6, |_| {});
+            let workers: Vec<_> = [(1, 2), (2, 1)]
+                .into_iter()
+                .map(|(rank, handlers)| {
+                    let (comm, kernels) = (world.communicator(rank), Arc::clone(&kernels));
+                    std::thread::spawn(move || worker_main(comm, kernels, handlers))
+                })
+                .collect();
+            let events = Arc::new(EventSystem::with_reply_timeout(world.communicator(0), None));
+            // The latest version of `a` lives on node 2 — which has just been
+            // killed, unknown yet to the head.
+            let buffers = Arc::new(BufferRegistry::new());
+            let a = buffers.register(vec![0u8; 8]);
+            let mut dm = DataManager::new();
+            dm.register_host_buffer(a, 8);
+            dm.record_write(a, 2).unwrap();
+            events.kill(2).unwrap();
+            let mut graph = RegionGraph::new();
+            for label in ["owner", "reader"] {
+                let kind = TaskKind::Target { kernel: noop, cost_hint: 1e-6 };
+                graph.add_task(kind, vec![Dependence::input(a)], label);
+            }
+            let path = DataPath {
+                events: Arc::clone(&events),
+                buffers,
+                dm: Arc::new(Mutex::new(dm)),
+                telemetry: Telemetry::off(),
+            };
+            let config = OmpcConfig { event_reply_timeout_ms: None, ..mpi_config() };
+            let cv = Arc::new(Condvar::new());
+            let lowering =
+                Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
+
+            // The owner forwards `a` from node 2, the reader awaits that
+            // receive — in two trains on node 1, so that with two handler
+            // threads the reader's wait can run beside the owner's receive.
+            let mut driver = MpiDriver::new(&lowering).unwrap();
+            driver.launch(0, 1).unwrap();
+            driver.flush_trains();
+            driver.launch(1, 1).unwrap();
+            driver.flush_trains();
+            let mut failed = HashMap::new();
+            while failed.len() < 2 {
+                for event in driver.await_completions().unwrap() {
+                    match event {
+                        TaskEvent::Failed { task, error } => failed.insert(task, error),
+                        other => panic!("both cars must fail, got {other:?}"),
+                    };
+                }
+            }
+            for (task, error) in &failed {
+                assert_eq!(error.origin_node(), Some(2), "task {task}: {error:?}");
+                assert_eq!(error.root_cause(), &OmpcError::NodeFailure(2), "task {task}");
+            }
+            assert_eq!(failed[&0], failed[&1], "the reader replies the owner's very error");
+
+            for node in 1..=2 {
+                let _ = events.shutdown(node);
+            }
+            for worker in workers {
+                let _ = worker.join();
+            }
+        });
+    }
+
     #[test]
     fn unregistered_kernel_is_a_typed_error_not_a_hang() {
         let mut device = ClusterDevice::with_config(2, mpi_config());
@@ -717,6 +875,36 @@ mod tests {
         device.shutdown();
     }
 
+    /// A run that fails settles the tasks still outstanding at that moment
+    /// once their replies come: none of their bookings stays on the wire
+    /// for a later region — which would otherwise wait on the head for a
+    /// transfer nobody will ever finish.
+    #[test]
+    fn a_failed_run_leaves_no_booking_on_the_wire() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let config = OmpcConfig { event_reply_timeout_ms: Some(5_000), ..mpi_config() };
+            let mut device = ClusterDevice::with_config(1, config);
+            let read = device.register_kernel_fn("read", 1e-6, |args| {
+                let _ = args.bytes(0);
+            });
+            // Still reading when its train-mate's failure ends the run.
+            let slow_read = device.register_kernel_fn("slow-read", 1e-6, |args| {
+                std::thread::sleep(std::time::Duration::from_millis(300));
+                let _ = args.bytes(0);
+            });
+            let a = device.enter_data_f64s(&[1.0]);
+            let mut region = device.target_region();
+            region.target(crate::types::KernelId(424_242), vec![]);
+            region.target(slow_read, vec![Dependence::input(a)]);
+            assert!(region.run().is_err());
+
+            let mut region = device.target_region();
+            region.target(read, vec![Dependence::input(a)]);
+            region.run().unwrap();
+            device.shutdown();
+        });
+    }
+
     /// Two concurrently admitted regions with a train on both workers at
     /// the same time: the mailbox's matching alone hands every notice to the
     /// driver that owns it — both regions come out byte-correct and the head
@@ -729,7 +917,7 @@ mod tests {
             let config = OmpcConfig {
                 max_concurrent_regions: 2,
                 event_handler_threads: 2,
-                max_inflight_tasks: Some(8),
+                max_inflight_tasks: 8,
                 ..mpi_config()
             };
             let mut device = ClusterDevice::with_config(2, config);

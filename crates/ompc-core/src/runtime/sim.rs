@@ -1,7 +1,7 @@
 //! The simulated execution backend: the OMPC protocol modelled over the
 //! `ompc-sim` discrete-event engine.
 //!
-//! The backend models exactly what the threaded backend does for real —
+//! The backend models exactly what the real cluster does —
 //! dispatch bookkeeping on the head node, input forwarding planned by the
 //! same [`DataManager`] logic, per-event completion costs, sink retrieval
 //! and shutdown — with compute durations and byte-transfer times supplied
@@ -78,7 +78,7 @@ pub struct SimBackend<'w> {
     /// hook (scheduler choice).
     config: OmpcConfig,
     /// Forwarding decisions, driven by the same data-manager logic as the
-    /// threaded backend; buffer `t` is task `t`'s output.
+    /// real cluster; buffer `t` is task `t`'s output.
     dm: DataManager,
     pending_inputs: Vec<usize>,
     queued_inputs: Vec<VecDeque<(NodeId, u64, u64)>>,
@@ -342,7 +342,7 @@ impl ExecutionBackend for SimBackend<'_> {
             };
             if let Some(task) = self.step(completion)? {
                 // Injected task error (fault plan): model the worker-side
-                // handler failure the threaded backend provokes for real —
+                // handler failure the real cluster provokes —
                 // a typed error reply attributing the executing node.
                 if self.config.fault_plan.has_task_error(task) {
                     return Ok(vec![TaskEvent::Failed {

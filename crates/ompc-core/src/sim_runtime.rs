@@ -20,7 +20,7 @@
 //!   results are retrieved back to it (enter / exit data);
 //! * the head node keeps a bounded number of target tasks in flight —
 //!   [`crate::config::OmpcConfig::max_inflight_tasks`]. With the default
-//!   (one task per head worker thread, the libomptarget limitation) the
+//!   (48, one task per libomptarget head worker thread) the
 //!   §7 scalability drop at 32–64 nodes reproduces; widening the window
 //!   pipelines dispatch and lifts it.
 //!
@@ -99,7 +99,7 @@ impl OmpcSimResult {
 /// // decision record still shows everything that retired first.
 /// let config = OmpcConfig {
 ///     fault_plan: FaultPlan::none().error_on_task(2),
-///     max_inflight_tasks: Some(1),
+///     max_inflight_tasks: 1,
 ///     ..OmpcConfig::default()
 /// };
 /// let outcome = simulate_ompc_outcome(
@@ -176,8 +176,8 @@ pub fn simulate_ompc(
 
 /// Run the simulation under an explicit, externally computed [`RuntimePlan`]
 /// instead of deriving one from the cluster's network model. This is how
-/// the backend-equivalence tests drive the simulated, threaded, and MPI
-/// backends from the *same* plan.
+/// the backend-equivalence tests drive the simulator and the real cluster
+/// from the *same* plan.
 pub fn simulate_ompc_with_plan(
     workload: &WorkloadGraph,
     cluster: &ClusterConfig,
@@ -317,7 +317,7 @@ mod tests {
         let overheads = OverheadModel::default();
         // Lift the in-flight limit so node count (not head threads) is the
         // binding constraint in this test.
-        let config = OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
+        let config = OmpcConfig { max_inflight_tasks: usize::MAX, ..OmpcConfig::default() };
         let w = wide_workload(256, 0.05, 1 << 16);
         let small =
             simulate_ompc(&w, &ClusterConfig::santos_dumont(3), &config, &overheads).unwrap();
@@ -336,9 +336,8 @@ mod tests {
         let overheads = OverheadModel::default();
         let cluster = ClusterConfig::santos_dumont(9);
         let w = wide_workload(256, 0.02, 1 << 10);
-        let limited = OmpcConfig { max_inflight_tasks: Some(4), ..OmpcConfig::default() };
-        let unlimited =
-            OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
+        let limited = OmpcConfig { max_inflight_tasks: 4, ..OmpcConfig::default() };
+        let unlimited = OmpcConfig { max_inflight_tasks: usize::MAX, ..OmpcConfig::default() };
         let r_lim = simulate_ompc(&w, &cluster, &limited, &overheads).unwrap();
         let r_unl = simulate_ompc(&w, &cluster, &unlimited, &overheads).unwrap();
         assert!(
@@ -356,7 +355,7 @@ mod tests {
         let w = wide_workload(128, 0.02, 1 << 14);
         let mut previous: Option<SimTime> = None;
         for window in [1usize, 2, 4, 8, 16, 64, 256] {
-            let config = OmpcConfig { max_inflight_tasks: Some(window), ..OmpcConfig::default() };
+            let config = OmpcConfig { max_inflight_tasks: window, ..OmpcConfig::default() };
             let r = simulate_ompc(&w, &cluster, &config, &overheads).unwrap();
             if let Some(prev) = previous {
                 assert!(
@@ -370,11 +369,11 @@ mod tests {
         }
         // And the extremes differ strictly: the bottleneck is real.
         let narrow = {
-            let c = OmpcConfig { max_inflight_tasks: Some(1), ..OmpcConfig::default() };
+            let c = OmpcConfig { max_inflight_tasks: 1, ..OmpcConfig::default() };
             simulate_ompc(&w, &cluster, &c, &overheads).unwrap()
         };
         let wide = {
-            let c = OmpcConfig { max_inflight_tasks: Some(256), ..OmpcConfig::default() };
+            let c = OmpcConfig { max_inflight_tasks: 256, ..OmpcConfig::default() };
             simulate_ompc(&w, &cluster, &c, &overheads).unwrap()
         };
         assert!(narrow.makespan > wide.makespan);
@@ -584,7 +583,7 @@ mod tests {
         let config = OmpcConfig {
             fault_plan: FaultPlan::none().fail_after_completions(1, 1),
             replan_on_failure: true,
-            max_inflight_tasks: Some(2),
+            max_inflight_tasks: 2,
             ..OmpcConfig::default()
         };
         let (_, record) = recorded(&w, &cluster, &config, &overheads);

@@ -3,8 +3,8 @@
 
 use std::time::Duration;
 
-/// Timing breakdown of one target-region execution on the real (threaded)
-/// cluster device.
+/// Timing breakdown of one target-region execution on the real cluster
+/// device.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionReport {
     /// The region epoch the data manager assigned this execution (the

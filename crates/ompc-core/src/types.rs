@@ -152,7 +152,7 @@ pub enum OmpcError {
         /// Node whose handler failed.
         node: NodeId,
         /// Id of the event that failed: the wire tag (unique per device
-        /// lifetime) in the threaded backend, the task index for errors
+        /// lifetime) on the real cluster, the task index for errors
         /// modelled by the simulated backend — backend-specific, so
         /// cross-backend comparisons should use
         /// [`OmpcError::origin_node`] / [`OmpcError::root_cause`] rather

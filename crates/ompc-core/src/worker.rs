@@ -20,12 +20,14 @@
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
     decode_relay_parts, payload_body, relay_frame_count, relay_frame_header, CompletionNotice,
-    EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskStamps, CONTROL_TAG,
+    EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskSpec, TaskStamps, TaskStep,
+    CONTROL_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, Communicator, Tag};
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -40,13 +42,57 @@ const HEAD_RANK: usize = 0;
 const RELAY_FRAME_TIMEOUT_MS: u64 = 60_000;
 
 /// A worker node's local buffer storage (its "device memory"): one shared
-/// handle per resident buffer.
+/// handle per resident buffer, and the arrival book of the receives the
+/// gate accepted.
+///
+/// The gate numbers every receive it accepts with a fresh *generation*; the
+/// handler that performs the receive *lands* it — the bytes stored, or the
+/// failure recorded. An `AwaitLocal` step waits for the newest receive of
+/// its buffer accepted before it, not for the buffer's presence: a stale
+/// copy a deferred delete has not freed yet is resident too, and must never
+/// satisfy the wait.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
-    buffers: Mutex<HashMap<u64, Bytes>>,
-    /// Signalled on every store, so a composite task's `AwaitLocal` step
-    /// can wait for a buffer a co-scheduled task is transferring in.
-    arrival: parking_lot::Condvar,
+    state: Mutex<MemoryState>,
+    /// Signalled whenever an accepted receive lands.
+    landed: parking_lot::Condvar,
+}
+
+#[derive(Debug, Default)]
+struct MemoryState {
+    buffers: HashMap<u64, Bytes>,
+    /// Per buffer with an accepted receive still to land, or a failed one.
+    arrivals: HashMap<u64, Arrivals>,
+    /// Last generation handed out: generations are unique per node.
+    generation: u64,
+}
+
+/// The receives of one buffer the gate accepted.
+#[derive(Debug, Default)]
+struct Arrivals {
+    /// Generation of the newest accepted receive.
+    newest: u64,
+    /// The accepted receive that has not landed yet. The head books one
+    /// movement of a copy at a time, so there is at most one; a newer one
+    /// supersedes it.
+    pending: Option<u64>,
+    /// The newest receive that failed, with its error: what its waiters
+    /// reply.
+    failed: Option<(u64, OmpcError)>,
+}
+
+impl MemoryState {
+    fn announce(&mut self, buffer: BufferId) -> u64 {
+        self.generation += 1;
+        let arrivals = self.arrivals.entry(buffer.0).or_default();
+        arrivals.newest = self.generation;
+        arrivals.pending = Some(self.generation);
+        self.generation
+    }
+
+    fn newest(&self, buffer: BufferId) -> u64 {
+        self.arrivals.get(&buffer.0).map_or(0, |arrivals| arrivals.newest)
+    }
 }
 
 impl DeviceMemory {
@@ -57,34 +103,120 @@ impl DeviceMemory {
 
     /// Store (or overwrite) the contents of a buffer.
     pub fn store(&self, id: BufferId, data: Bytes) {
-        self.buffers.lock().insert(id.0, data);
-        self.arrival.notify_all();
+        self.state.lock().buffers.insert(id.0, data);
     }
 
-    /// Block until the buffer is locally present, up to `timeout`. Returns
-    /// whether the buffer arrived — `false` means the co-scheduled task
-    /// that owned the transfer never stored it (it failed or its node
-    /// died), and the caller must error out instead of computing on
-    /// missing data.
-    pub fn wait_for(&self, id: BufferId, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut buffers = self.buffers.lock();
+    /// Number the receives of an event the gate accepted, in step order: a
+    /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker`
+    /// step, a `Submit`, an `ExchangeRecv`), and per `AwaitLocal` step the
+    /// generation of the newest receive of its buffer accepted before it.
+    /// Only the gate calls this, in arrival order, so "before" means
+    /// "queued ahead on this node".
+    pub(crate) fn accept(&self, request: &EventRequest) -> Vec<u64> {
+        match request {
+            EventRequest::Submit { buffer } | EventRequest::ExchangeRecv { buffer, .. } => {
+                vec![self.state.lock().announce(*buffer)]
+            }
+            EventRequest::Task(spec) => self.number(&spec.steps),
+            EventRequest::TaskTrain(cars) => {
+                self.number(cars.iter().flat_map(|car| &car.spec.steps))
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// [`DeviceMemory::accept`] for the steps of a task or a train.
+    fn number<'a>(&self, steps: impl IntoIterator<Item = &'a TaskStep>) -> Vec<u64> {
+        let mut state = self.state.lock();
+        let mut generations = Vec::new();
+        for step in steps {
+            match *step {
+                TaskStep::RecvFromHead { buffer } | TaskStep::RecvFromWorker { buffer, .. } => {
+                    generations.push(state.announce(buffer));
+                }
+                TaskStep::AwaitLocal { buffer, .. } => generations.push(state.newest(buffer)),
+                _ => {}
+            }
+        }
+        generations
+    }
+
+    /// Land the accepted receive `generation` of `id`: store the bytes, or
+    /// record the failure for the receive's waiters. Returns the receive's
+    /// own outcome.
+    pub(crate) fn land(
+        &self,
+        id: BufferId,
+        generation: u64,
+        outcome: OmpcResult<Bytes>,
+    ) -> OmpcResult<()> {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let result = outcome.map(|data| {
+            state.buffers.insert(id.0, data);
+        });
+        if let Entry::Occupied(mut entry) = state.arrivals.entry(id.0) {
+            let arrivals = entry.get_mut();
+            if arrivals.pending == Some(generation) {
+                arrivals.pending = None;
+            }
+            match &result {
+                Err(error) => arrivals.failed = Some((generation, error.clone())),
+                Ok(()) if arrivals.failed.as_ref().is_some_and(|(g, _)| *g < generation) => {
+                    arrivals.failed = None;
+                }
+                Ok(()) => {}
+            }
+            if arrivals.pending.is_none() && arrivals.failed.is_none() {
+                entry.remove();
+            }
+        }
+        drop(guard);
+        self.landed.notify_all();
+        result
+    }
+
+    /// Block until the accepted receive `generation` of `id` has landed,
+    /// and fail with its error if it failed. `timeout` is a last-resort
+    /// bound (one too large to represent waits forever): the receive is
+    /// queued ahead of the waiter on this node, so it lands (or fails)
+    /// without anybody's help.
+    pub(crate) fn await_landing(
+        &self,
+        id: BufferId,
+        generation: u64,
+        timeout: std::time::Duration,
+    ) -> OmpcResult<()> {
+        let deadline = std::time::Instant::now().checked_add(timeout);
+        let mut state = self.state.lock();
         loop {
-            if buffers.contains_key(&id.0) {
-                return true;
+            let arrivals = state.arrivals.get(&id.0);
+            if arrivals.is_none_or(|a| a.pending != Some(generation)) {
+                return match arrivals.and_then(|a| a.failed.as_ref()) {
+                    Some((g, error)) if *g == generation => Err(error.clone()),
+                    _ => Ok(()),
+                };
             }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
+            match deadline {
+                None => self.landed.wait(&mut state),
+                Some(deadline) => {
+                    let now = std::time::Instant::now();
+                    if now >= deadline {
+                        return Err(OmpcError::Internal(format!(
+                            "task step timed out waiting for {id} to arrive from a co-scheduled \
+                             transfer"
+                        )));
+                    }
+                    let _ = self.landed.wait_for(&mut state, deadline - now);
+                }
             }
-            let _ = self.arrival.wait_for(&mut buffers, deadline - now);
         }
     }
 
     /// A handle on the resident contents of a buffer — the allocation
     /// itself, not a copy of it.
     pub fn get(&self, id: BufferId) -> Option<Bytes> {
-        self.buffers.lock().get(&id.0).cloned()
+        self.state.lock().buffers.get(&id.0).cloned()
     }
 
     /// [`DeviceMemory::get`], a missing buffer being the typed error.
@@ -94,17 +226,17 @@ impl DeviceMemory {
 
     /// Remove a buffer, returning whether it was present.
     pub fn remove(&self, id: BufferId) -> bool {
-        self.buffers.lock().remove(&id.0).is_some()
+        self.state.lock().buffers.remove(&id.0).is_some()
     }
 
     /// Whether the buffer is present.
     pub fn contains(&self, id: BufferId) -> bool {
-        self.buffers.lock().contains_key(&id.0)
+        self.state.lock().buffers.contains_key(&id.0)
     }
 
     /// Number of resident buffers.
     pub fn len(&self) -> usize {
-        self.buffers.lock().len()
+        self.state.lock().buffers.len()
     }
 
     /// Whether no buffers are resident.
@@ -112,11 +244,14 @@ impl DeviceMemory {
         self.len() == 0
     }
 
-    /// Drop every resident buffer (warm-worker recycling between device
-    /// lifetimes).
+    /// Drop every resident buffer and every arrival record (warm-worker
+    /// recycling between device lifetimes).
     pub fn clear(&self) {
-        self.buffers.lock().clear();
-        self.arrival.notify_all();
+        let mut state = self.state.lock();
+        state.buffers.clear();
+        state.arrivals.clear();
+        drop(state);
+        self.landed.notify_all();
     }
 }
 
@@ -172,6 +307,10 @@ fn recv_forward(channel: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<By
     reply.body.ok_or_else(|| OmpcError::Internal("forward without its data".to_string()))
 }
 
+/// The generations [`DeviceMemory::accept`] gave an event's receives and
+/// awaits, consumed in step order.
+type Generations = std::vec::IntoIter<u64>;
+
 /// Compute the outcome (reply or error) of one head-replying event.
 ///
 /// `recv_us` is the handler-entry timestamp when the head asked for a timed
@@ -183,6 +322,7 @@ fn event_outcome(
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
     request: EventRequest,
+    generations: &mut Generations,
     tag: Tag,
     recv_us: Option<u64>,
 ) -> OmpcResult<Reply> {
@@ -199,14 +339,16 @@ fn event_outcome(
             Ok(Reply::default())
         }
         EventRequest::Submit { buffer } => {
-            memory.store(buffer, recv_payload(channel, tag)?);
+            let generation = generations.next().unwrap_or_default();
+            memory.land(buffer, generation, recv_payload(channel, tag))?;
             Ok(Reply::default())
         }
         EventRequest::Retrieve { buffer } => memory.resident(buffer).map(Reply::data),
         EventRequest::ExchangeRecv { buffer, from } => {
-            let data = recv_forward(channel, from, tag)?;
-            let inline = (data.len() as u64).to_le_bytes().to_vec();
-            memory.store(buffer, data);
+            let generation = generations.next().unwrap_or_default();
+            let data = recv_forward(channel, from, tag);
+            let inline = data.as_ref().map_or(0, |d| d.len() as u64).to_le_bytes().to_vec();
+            memory.land(buffer, generation, data)?;
             Ok(Reply { inline, ..Reply::default() })
         }
         EventRequest::Execute { kernel, buffers } => {
@@ -224,7 +366,7 @@ fn event_outcome(
             Ok(Reply { stamps, ..Reply::default() })
         }
         EventRequest::Task(spec) => {
-            let stamps = run_task_steps(channel, memory, kernels, spec, tag, recv_us)?;
+            let stamps = run_task_steps(channel, memory, kernels, spec, generations, tag, recv_us)?;
             Ok(Reply { stamps, ..Reply::default() })
         }
         EventRequest::Reset => {
@@ -385,7 +527,9 @@ fn execute_kernel(
 }
 
 /// Execute the steps of a composite [`EventRequest::Task`] in order. The
-/// first failing step aborts the task; the caller replies with the error.
+/// first failing step aborts the task; the caller replies with the error,
+/// and the receives the task did not get to are landed as failed with it,
+/// so whoever awaits their bytes replies the same error.
 ///
 /// With `recv_us` set (the head asked for a timed reply), the worker stamps
 /// the moment the data steps finished (`deps_us` — everything before it is
@@ -395,42 +539,44 @@ fn run_task_steps(
     channel: &Communicator,
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
-    spec: crate::protocol::TaskSpec,
+    spec: TaskSpec,
+    generations: &mut Generations,
     tag: Tag,
     recv_us: Option<u64>,
 ) -> OmpcResult<Option<TaskStamps>> {
-    use crate::protocol::TaskStep;
     let mut stamps = recv_us.map(|recv_us| TaskStamps {
         recv_us,
         deps_us: recv_us,
         exec_start_us: recv_us,
         exec_end_us: recv_us,
     });
-    for step in spec.steps {
-        match step {
+    let mut steps = spec.steps.into_iter();
+    while let Some(step) = steps.next() {
+        let ran = match step {
             TaskStep::RecvFromHead { buffer } => {
-                memory.store(buffer, recv_payload(channel, tag)?);
+                let generation = generations.next().unwrap_or_default();
+                memory.land(buffer, generation, recv_payload(channel, tag))
             }
             TaskStep::RecvFromWorker { buffer, from } => {
-                memory.store(buffer, recv_forward(channel, from, tag)?);
+                let generation = generations.next().unwrap_or_default();
+                memory.land(buffer, generation, recv_forward(channel, from, tag))
             }
             TaskStep::AwaitLocal { buffer, timeout_ms } => {
-                if !memory.wait_for(buffer, std::time::Duration::from_millis(timeout_ms)) {
-                    return Err(OmpcError::Internal(format!(
-                        "task step timed out after {timeout_ms} ms waiting for {buffer} to \
-                         arrive from a co-scheduled transfer"
-                    )));
-                }
+                let generation = generations.next().unwrap_or_default();
+                let timeout = std::time::Duration::from_millis(timeout_ms);
+                memory.await_landing(buffer, generation, timeout)
             }
             TaskStep::Alloc { buffer, size } => {
                 if !memory.contains(buffer) {
                     memory.store(buffer, Bytes::zeroed(size as usize));
                 }
+                Ok(())
             }
             TaskStep::Delete { buffer } => {
                 // Deferred head-side maintenance riding this task; absent
                 // buffers are fine (the copy may never have landed).
                 memory.remove(buffer);
+                Ok(())
             }
             TaskStep::Execute { kernel, buffers } => {
                 if let Some(s) = stamps.as_mut() {
@@ -438,27 +584,69 @@ fn run_task_steps(
                     s.deps_us = now;
                     s.exec_start_us = now;
                 }
-                execute_kernel(memory, kernels, kernel, &buffers)?;
+                let executed = execute_kernel(memory, kernels, kernel, &buffers);
                 if let Some(s) = stamps.as_mut() {
                     s.exec_end_us = monotonic_us();
                 }
+                executed
             }
+        };
+        if let Err(error) = ran {
+            abandon_steps(memory, steps, generations, &error);
+            return Err(error);
         }
     }
     Ok(stamps)
+}
+
+/// Land every receive among `steps` — a task's steps it will never run —
+/// as failed with `error`, keeping `generations` in step.
+fn abandon_steps(
+    memory: &DeviceMemory,
+    steps: impl Iterator<Item = TaskStep>,
+    generations: &mut Generations,
+    error: &OmpcError,
+) {
+    for step in steps {
+        match step {
+            TaskStep::RecvFromHead { buffer } | TaskStep::RecvFromWorker { buffer, .. } => {
+                let generation = generations.next().unwrap_or_default();
+                let _ = memory.land(buffer, generation, Err(error.clone()));
+            }
+            TaskStep::AwaitLocal { .. } => {
+                generations.next();
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Handle one event on the worker side, always producing exactly one typed
 /// reply (to the head node, or to the exchange receiver for the sending
 /// half). Returns the handler's own outcome so tests and the gate loop can
 /// observe failures; the same error has already been sent as the reply.
-/// Exposed for unit testing; normal use is through [`worker_main`].
+/// Exposed for unit testing; normal use is through [`worker_main`], whose
+/// gate accepts the event and whose handler runs it.
 pub fn handle_event(
     comm: &Communicator,
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
     notification: EventNotification,
 ) -> OmpcResult<()> {
+    let generations = memory.accept(&notification.request);
+    run_event(comm, memory, kernels, notification, generations)
+}
+
+/// Run one event the gate accepted with `generations`
+/// ([`DeviceMemory::accept`]).
+fn run_event(
+    comm: &Communicator,
+    memory: &DeviceMemory,
+    kernels: &KernelRegistry,
+    notification: EventNotification,
+    generations: Vec<u64>,
+) -> OmpcResult<()> {
+    let mut generations = generations.into_iter();
     let channel = comm.on(notification.comm)?;
     let tag = notification.tag;
     // Handler-entry timestamp, read only when the head asked for a timed
@@ -519,8 +707,15 @@ pub fn handle_event(
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
                 let car_recv_us = notification.timed.then(monotonic_us);
-                let ran =
-                    run_task_steps(&car_channel, memory, kernels, car.spec, car.tag, car_recv_us);
+                let ran = run_task_steps(
+                    &car_channel,
+                    memory,
+                    kernels,
+                    car.spec,
+                    &mut generations,
+                    car.tag,
+                    car_recv_us,
+                );
                 let ok = ran.is_ok();
                 let reply = ran.map(|stamps| Reply { stamps, ..Reply::default() });
                 result = result.and(send_reply(&car_channel, HEAD_RANK, car.tag, reply));
@@ -529,7 +724,8 @@ pub fn handle_event(
             result
         }
         request => {
-            let outcome = event_outcome(&channel, memory, kernels, request, tag, recv_us);
+            let outcome =
+                event_outcome(&channel, memory, kernels, request, &mut generations, tag, recv_us);
             send_reply(&channel, HEAD_RANK, tag, outcome)
         }
     }
@@ -573,7 +769,7 @@ fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcRe
 /// rather than hanging, and no further effects land on the dead node.
 pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_threads: usize) {
     let memory = Arc::new(DeviceMemory::new());
-    let (tx, rx) = crossbeam::channel::unbounded::<EventNotification>();
+    let (tx, rx) = crossbeam::channel::unbounded::<(EventNotification, Vec<u64>)>();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -585,11 +781,11 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
             let spawned = std::thread::Builder::new()
                 .name(format!("ompc-handler-{}-{}", comm.rank(), i))
                 .spawn_scoped(scope, move || {
-                    while let Ok(notification) = rx.recv() {
+                    while let Ok((notification, generations)) = rx.recv() {
                         // Errors on individual events must not kill the
                         // handler pool; the head node receives them as
                         // error replies on the event channel.
-                        let _ = handle_event(&comm, &memory, &kernels, notification);
+                        let _ = run_event(&comm, &memory, &kernels, notification, generations);
                     }
                 });
             match spawned {
@@ -629,10 +825,7 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
                 continue;
             }
             // A prefetch train is inline too: its payloads are sent eagerly
-            // right after the envelope, so the receives are bounded — and a
-            // pooled train could queue behind a composite task whose
-            // `AwaitLocal` step is waiting for this very train, deadlocking
-            // a single-handler pool until the await times out.
+            // right after the envelope, so the receives are bounded.
             // RelayFeed is inline for the same reason as ExchangeSend: it
             // only sends (the local copy is resident by construction), so
             // it can never block the gate. RelayRecv stays pooled — it
@@ -648,9 +841,13 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
                     | EventRequest::RelayFeed { .. }
                     | EventRequest::Reset
             );
+            // Receives are numbered here, in arrival order: an `AwaitLocal`
+            // step names the newest receive of its buffer queued ahead of
+            // it, whichever handler ends up running either.
+            let generations = memory.accept(&notification.request);
             if inline {
-                let _ = handle_event(&comm, &memory, &kernels, notification);
-            } else if tx.send(notification).is_err() {
+                let _ = run_event(&comm, &memory, &kernels, notification, generations);
+            } else if tx.send((notification, generations)).is_err() {
                 break;
             }
         }
@@ -954,10 +1151,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, OmpcError::UnknownBuffer(missing));
         assert!(!ran.load(std::sync::atomic::Ordering::SeqCst), "the kernel must not run");
-        // Nothing was conjured into residency: a later `AwaitLocal` of the
-        // buffer still waits for the real bytes.
+        // Nothing was conjured into residency.
         assert!(!memory.contains(missing));
-        assert!(!memory.wait_for(missing, std::time::Duration::ZERO));
         let msg = head.recv(Some(1), Some(Tag(5))).unwrap();
         let replied = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
         assert_eq!(replied.root_cause(), &OmpcError::UnknownBuffer(missing));
@@ -1058,7 +1253,9 @@ mod tests {
         let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
         let request =
             EventRequest::RelayFeed { buffer: BufferId(0), chunk_bytes: 0, children: vec![] };
-        let outcome = event_outcome(&worker, &memory, &kernels, request, Tag(3), None);
+        let mut generations = memory.accept(&request).into_iter();
+        let outcome =
+            event_outcome(&worker, &memory, &kernels, request, &mut generations, Tag(3), None);
         assert!(matches!(outcome, Err(OmpcError::Internal(m)) if m.contains("relay-feed")));
     }
 
@@ -1608,6 +1805,89 @@ mod tests {
 
         // Shutdown still terminates the gate loop.
         send(EventRequest::Shutdown, 103);
+        worker.join().unwrap();
+    }
+
+    /// An `AwaitLocal` step waits for the receive queued ahead of it, not
+    /// for the buffer's presence: with two handler threads a wait can run
+    /// while the receive it names is still pending, and a stale copy of an
+    /// older version already resident must not satisfy it. A kernel barrier
+    /// puts each handler on one train; the head then holds the receive's
+    /// payload back until the waiting reader has had every chance to reply
+    /// early (a bound on the wrong behaviour only — the right one needs no
+    /// clock, since the reader can only reply after the payload landed).
+    #[test]
+    fn a_resident_older_version_never_satisfies_a_wait_for_a_queued_receive() {
+        use crate::protocol::{TaskSpec, TaskStep, TrainCar};
+        use std::sync::Barrier;
+        let world = World::with_communicators(2, 2);
+        let head = world.communicator(0);
+        let kernels = Arc::new(KernelRegistry::new());
+        let barrier = Arc::new(Barrier::new(2));
+        let meet = kernels.register_fn("meet", 1e-6, move |_| {
+            barrier.wait();
+        });
+        let seen = Arc::new(Mutex::new(None));
+        let read = {
+            let seen = Arc::clone(&seen);
+            kernels.register_fn("read", 1e-6, move |args| *seen.lock() = Some(args.as_f64s(0)[0]))
+        };
+        let worker = {
+            let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
+            std::thread::spawn(move || worker_main(comm, kernels, 2))
+        };
+        let comm = CommId(1);
+        let lane = head.on(comm).unwrap();
+        let notify = |request: EventRequest, tag: u64| {
+            let n = EventNotification { request, tag: Tag(tag), comm, timed: false };
+            head.send(1, CONTROL_TAG, n.encode()).unwrap();
+        };
+        let reply = |tag: u64| {
+            let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+            Reply::from_parts(&msg.data, msg.body, false)
+        };
+        let payload = |value: f64| Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[value]));
+        let b = BufferId(3);
+
+        // Version 1 is resident.
+        notify(EventRequest::Submit { buffer: b }, 10);
+        lane.send_with_body(1, Tag(10), Vec::new(), payload(1.0)).unwrap();
+        reply(10).unwrap();
+
+        // Train 1: meet, then receive version 2. Train 2: meet, then await
+        // that receive and read the buffer.
+        let car = |tag: u64, steps: Vec<TaskStep>| TrainCar {
+            tag: Tag(tag),
+            comm,
+            spec: TaskSpec { steps },
+        };
+        let meeting = || TaskStep::Execute { kernel: meet, buffers: vec![] };
+        notify(
+            EventRequest::TaskTrain(vec![
+                car(21, vec![meeting()]),
+                car(22, vec![TaskStep::RecvFromHead { buffer: b }]),
+            ]),
+            20,
+        );
+        let awaiting = TaskStep::AwaitLocal { buffer: b, timeout_ms: u64::MAX };
+        let reading = TaskStep::Execute { kernel: read, buffers: vec![b] };
+        notify(
+            EventRequest::TaskTrain(vec![
+                car(31, vec![meeting()]),
+                car(32, vec![awaiting, reading]),
+            ]),
+            30,
+        );
+        let early =
+            lane.recv_timeout(Some(1), Some(Tag(32)), std::time::Duration::from_millis(500));
+        assert!(early.is_err(), "the reader replied before its receive landed: {:?}", *seen.lock());
+        lane.send_with_body(1, Tag(22), Vec::new(), payload(2.0)).unwrap();
+        for tag in [21, 22, 31, 32] {
+            reply(tag).unwrap();
+        }
+        assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the older version");
+
+        notify(EventRequest::Shutdown, 40);
         worker.join().unwrap();
     }
 }

@@ -6,7 +6,7 @@
 //! diversity comes from the device's test-only hold gate
 //! (`debug_hold_async_transfers`): the seed decides when async jobs are
 //! frozen and released, so each seed is a reproducible schedule. Everything
-//! runs under ompc-testutil's 120 s watchdog and on both real backends.
+//! runs under ompc-testutil's 120 s watchdog.
 
 use ompc::prelude::*;
 use ompc_testutil::{with_timeout, Rng};
@@ -14,18 +14,15 @@ use std::time::Duration;
 
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-const REAL_BACKENDS: [BackendKind; 2] = [BackendKind::Threaded, BackendKind::Mpi];
-
-/// Seeded interleavings per backend (the ISSUE's floor is 20).
+/// Seeded interleavings (the floor is 20).
 const INTERLEAVINGS: u64 = 20;
 
-fn async_config(backend: BackendKind, enter_data_async: bool) -> OmpcConfig {
+fn async_config(enter_data_async: bool) -> OmpcConfig {
     OmpcConfig {
-        backend,
         enter_data_async,
         // Serial dispatch window: the regime where async and sync transfer
         // plans are comparable entry for entry.
-        max_inflight_tasks: Some(1),
+        max_inflight_tasks: 1,
         ..OmpcConfig::small()
     }
 }
@@ -59,10 +56,10 @@ struct Observed {
 /// draw **exactly the same** random values in the same order — async-only
 /// decisions (hold/release, ticket awaits) are drawn unconditionally and
 /// ignored in sync mode — so the scripts are aligned step for step.
-fn scripted_run(backend: BackendKind, seed: u64, use_async: bool) -> Observed {
+fn scripted_run(seed: u64, use_async: bool) -> Observed {
     let mut rng = Rng::new(seed);
     let workers = rng.range_usize(2, 4);
-    let mut device = ClusterDevice::with_config(workers, async_config(backend, use_async));
+    let mut device = ClusterDevice::with_config(workers, async_config(use_async));
     let sum = register_sum(&device);
 
     let mut observed = Observed::default();
@@ -174,34 +171,19 @@ fn scripted_run(backend: BackendKind, seed: u64, use_async: bool) -> Observed {
     observed
 }
 
-fn interleavings_match_sync(backend: BackendKind) {
-    with_timeout(WATCHDOG, move || {
-        for seed in 0..INTERLEAVINGS {
-            let sync = scripted_run(backend, seed, false);
-            let async_ = scripted_run(backend, seed, true);
-            assert_eq!(
-                sync,
-                async_,
-                "{} seed {seed}: async run diverged from the sync path",
-                backend.name()
-            );
-        }
-    });
-}
-
-/// ≥20 seeded interleavings, threaded backend: results and per-region
-/// transfer plans byte/set-identical to the synchronous path.
-#[test]
-fn async_interleavings_match_sync_path_threaded() {
-    interleavings_match_sync(BackendKind::Threaded);
-}
-
-/// ≥20 seeded interleavings, MPI backend: the first-reader `AwaitLocal`
-/// protocol (one-car prefetch trains on the reserved tag) is observably
-/// indistinguishable from the synchronous distribution.
+/// ≥20 seeded interleavings: results and per-region transfer plans
+/// byte/set-identical to the synchronous path — a first reader parked on
+/// the head behind an in-flight ticket is observably indistinguishable from
+/// the synchronous distribution.
 #[test]
 fn async_interleavings_match_sync_path_mpi() {
-    interleavings_match_sync(BackendKind::Mpi);
+    with_timeout(WATCHDOG, || {
+        for seed in 0..INTERLEAVINGS {
+            let sync = scripted_run(seed, false);
+            let async_ = scripted_run(seed, true);
+            assert_eq!(sync, async_, "seed {seed}: async run diverged from the sync path");
+        }
+    });
 }
 
 /// The ticket surface: `enter_data_async` returns immediately even with
@@ -210,31 +192,28 @@ fn async_interleavings_match_sync_path_mpi() {
 #[test]
 fn enter_data_async_tickets_resolve_and_overlap() {
     with_timeout(WATCHDOG, || {
-        for backend in REAL_BACKENDS {
-            let mut device = ClusterDevice::with_config(2, async_config(backend, true));
-            let sum = register_sum(&device);
-            device.debug_hold_async_transfers(true);
-            // Returns with the transfer frozen: the entry point is provably
-            // non-blocking.
-            let (input, ticket) = device.enter_data_async_f64s(&[1.0, 2.0, 3.0]);
-            device.debug_hold_async_transfers(false);
-            device.await_transfer(ticket).unwrap();
-            // Awaiting twice (and awaiting a ticket never issued) is fine.
-            device.await_transfer(ticket).unwrap();
-            device.await_transfer(Ticket(u64::MAX)).unwrap();
-            let mut region = device.target_region();
-            let out = region.map_alloc(8);
-            region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
-            region.map_from(out);
-            region.run().unwrap();
-            assert_eq!(
-                device.buffer_f64s(out).unwrap()[0],
-                6.0,
-                "{}: region must read the async-entered data",
-                backend.name()
-            );
-            device.shutdown();
-        }
+        let mut device = ClusterDevice::with_config(2, async_config(true));
+        let sum = register_sum(&device);
+        device.debug_hold_async_transfers(true);
+        // Returns with the transfer frozen: the entry point is provably
+        // non-blocking.
+        let (input, ticket) = device.enter_data_async_f64s(&[1.0, 2.0, 3.0]);
+        device.debug_hold_async_transfers(false);
+        device.await_transfer(ticket).unwrap();
+        // Awaiting twice (and awaiting a ticket never issued) is fine.
+        device.await_transfer(ticket).unwrap();
+        device.await_transfer(Ticket(u64::MAX)).unwrap();
+        let mut region = device.target_region();
+        let out = region.map_alloc(8);
+        region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
+        region.map_from(out);
+        region.run().unwrap();
+        assert_eq!(
+            device.buffer_f64s(out).unwrap()[0],
+            6.0,
+            "region must read the async-entered data"
+        );
+        device.shutdown();
     });
 }
 
@@ -245,79 +224,64 @@ fn enter_data_async_tickets_resolve_and_overlap() {
 #[test]
 fn concurrent_flushes_schedule_exactly_one_retrieve() {
     with_timeout(WATCHDOG, || {
-        for backend in REAL_BACKENDS {
-            let device =
-                std::sync::Arc::new(ClusterDevice::with_config(2, async_config(backend, false)));
-            let sum = register_sum(&device);
-            let input = device.enter_data_f64s(&[4.0, 5.0]);
-            let mut region = device.target_region();
-            let out = region.map_alloc(8);
-            region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
-            region.run().unwrap();
-            // `out` now lives on a worker and the host copy is stale.
-            device.take_unattributed_transfers();
+        let device = std::sync::Arc::new(ClusterDevice::with_config(2, async_config(false)));
+        let sum = register_sum(&device);
+        let input = device.enter_data_f64s(&[4.0, 5.0]);
+        let mut region = device.target_region();
+        let out = region.map_alloc(8);
+        region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
+        region.run().unwrap();
+        // `out` now lives on a worker and the host copy is stale.
+        device.take_unattributed_transfers();
 
-            // Freeze the async flush mid-flight, then read from the host:
-            // the read must block on the booked retrieval, not start its own.
-            device.debug_hold_async_transfers(true);
-            let ticket = device.flush_async(out).unwrap();
-            // A second async flush of the same buffer piggybacks on the
-            // first booking instead of scheduling a duplicate.
-            let ticket2 = device.flush_async(out).unwrap();
-            assert_eq!(ticket, ticket2, "{}: duplicate flush booked", backend.name());
-            let reader = {
+        // Freeze the async flush mid-flight, then read from the host:
+        // the read must block on the booked retrieval, not start its own.
+        device.debug_hold_async_transfers(true);
+        let ticket = device.flush_async(out).unwrap();
+        // A second async flush of the same buffer piggybacks on the
+        // first booking instead of scheduling a duplicate.
+        let ticket2 = device.flush_async(out).unwrap();
+        assert_eq!(ticket, ticket2, "duplicate flush booked");
+        let reader = {
+            let device = std::sync::Arc::clone(&device);
+            std::thread::spawn(move || device.buffer_data(out).unwrap())
+        };
+        // Give the reader time to reach the wait, then release the job.
+        std::thread::sleep(Duration::from_millis(50));
+        device.debug_hold_async_transfers(false);
+        device.await_transfer(ticket).unwrap();
+        assert_eq!(
+            reader.join().unwrap(),
+            device.buffer_data(out).unwrap(),
+            "racing readers saw different bytes"
+        );
+        assert_eq!(device.buffer_f64s(out).unwrap()[0], 9.0);
+
+        let retrieves: Vec<TransferRecord> =
+            device.take_unattributed_transfers().into_iter().filter(|t| t.buffer == out).collect();
+        assert_eq!(retrieves.len(), 1, "one flush must reach the wire, got {retrieves:?}");
+
+        // The purely synchronous race: many threads call `buffer_data`
+        // at once; the in-flight table serializes them onto one retrieve.
+        let mut region = device.target_region();
+        let out2 = region.map_alloc(8);
+        region.target(sum, vec![Dependence::input(input), Dependence::output(out2)]);
+        region.run().unwrap();
+        device.take_unattributed_transfers();
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
                 let device = std::sync::Arc::clone(&device);
-                std::thread::spawn(move || device.buffer_data(out).unwrap())
-            };
-            // Give the reader time to reach the wait, then release the job.
-            std::thread::sleep(Duration::from_millis(50));
-            device.debug_hold_async_transfers(false);
-            device.await_transfer(ticket).unwrap();
-            assert_eq!(
-                reader.join().unwrap(),
-                device.buffer_data(out).unwrap(),
-                "{}: racing readers saw different bytes",
-                backend.name()
-            );
-            assert_eq!(device.buffer_f64s(out).unwrap()[0], 9.0, "{}", backend.name());
-
-            let retrieves: Vec<TransferRecord> = device
-                .take_unattributed_transfers()
-                .into_iter()
-                .filter(|t| t.buffer == out)
-                .collect();
-            assert_eq!(
-                retrieves.len(),
-                1,
-                "{}: one flush must reach the wire, got {retrieves:?}",
-                backend.name()
-            );
-
-            // The purely synchronous race: many threads call `buffer_data`
-            // at once; the in-flight table serializes them onto one retrieve.
-            let mut region = device.target_region();
-            let out2 = region.map_alloc(8);
-            region.target(sum, vec![Dependence::input(input), Dependence::output(out2)]);
-            region.run().unwrap();
-            device.take_unattributed_transfers();
-            let readers: Vec<_> = (0..4)
-                .map(|_| {
-                    let device = std::sync::Arc::clone(&device);
-                    std::thread::spawn(move || device.buffer_data(out2).unwrap())
-                })
-                .collect();
-            let reads: Vec<Vec<u8>> = readers.into_iter().map(|r| r.join().unwrap()).collect();
-            assert!(reads.windows(2).all(|w| w[0] == w[1]), "{}", backend.name());
-            let retrieves = device
-                .take_unattributed_transfers()
-                .into_iter()
-                .filter(|t| t.buffer == out2)
-                .count();
-            assert_eq!(retrieves, 1, "{}: concurrent host reads double-flushed", backend.name());
-            match std::sync::Arc::try_unwrap(device) {
-                Ok(mut device) => device.shutdown(),
-                Err(_) => panic!("a reader thread leaked the device"),
-            }
+                std::thread::spawn(move || device.buffer_data(out2).unwrap())
+            })
+            .collect();
+        let reads: Vec<Vec<u8>> = readers.into_iter().map(|r| r.join().unwrap()).collect();
+        assert!(reads.windows(2).all(|w| w[0] == w[1]));
+        let retrieves =
+            device.take_unattributed_transfers().into_iter().filter(|t| t.buffer == out2).count();
+        assert_eq!(retrieves, 1, "concurrent host reads double-flushed");
+        match std::sync::Arc::try_unwrap(device) {
+            Ok(mut device) => device.shutdown(),
+            Err(_) => panic!("a reader thread leaked the device"),
         }
     });
 }
@@ -330,8 +294,8 @@ fn concurrent_flushes_schedule_exactly_one_retrieve() {
 /// synchronous run — same buffers, sources, destinations, bytes, reasons.
 #[test]
 fn streamed_map_to_inputs_keep_transfer_plan_identity() {
-    fn scripted(backend: BackendKind, stream: bool) -> (Vec<f64>, Vec<Vec<TransferRecord>>) {
-        let mut device = ClusterDevice::with_config(2, async_config(backend, stream));
+    fn scripted(stream: bool) -> (Vec<f64>, Vec<Vec<TransferRecord>>) {
+        let mut device = ClusterDevice::with_config(2, async_config(stream));
         let sum = register_sum(&device);
         let mut outputs = Vec::new();
         let mut plans = Vec::new();
@@ -364,26 +328,18 @@ fn streamed_map_to_inputs_keep_transfer_plan_identity() {
     }
 
     with_timeout(WATCHDOG, || {
-        for backend in REAL_BACKENDS {
-            let sync = scripted(backend, false);
-            let streamed = scripted(backend, true);
-            assert_eq!(sync.0, streamed.0, "{}: streamed outputs diverged", backend.name());
+        let sync = scripted(false);
+        let streamed = scripted(true);
+        assert_eq!(sync.0, streamed.0, "streamed outputs diverged");
+        assert_eq!(sync.1, streamed.1, "streamed map(to:) changed the region transfer plan");
+        // The plan is not vacuously empty: every round distributes its
+        // two fresh inputs.
+        for plan in &streamed.1 {
             assert_eq!(
-                sync.1,
-                streamed.1,
-                "{}: streamed map(to:) changed the region transfer plan",
-                backend.name()
+                plan.iter().filter(|t| t.reason == TransferReason::EnterData).count(),
+                2,
+                "expected both map(to:) distributions in the plan"
             );
-            // The plan is not vacuously empty: every round distributes its
-            // two fresh inputs.
-            for plan in &streamed.1 {
-                assert_eq!(
-                    plan.iter().filter(|t| t.reason == TransferReason::EnterData).count(),
-                    2,
-                    "{}: expected both map(to:) distributions in the plan",
-                    backend.name()
-                );
-            }
         }
     });
 }
@@ -395,90 +351,81 @@ fn streamed_map_to_inputs_keep_transfer_plan_identity() {
 #[test]
 fn pipeline_prefetch_matches_sequential_and_never_duplicates() {
     with_timeout(WATCHDOG, || {
-        for backend in REAL_BACKENDS {
-            let data: Vec<Vec<f64>> =
-                (0..4).map(|i| (0..4).map(|j| (i * 7 + j) as f64).collect()).collect();
+        let data: Vec<Vec<f64>> =
+            (0..4).map(|i| (0..4).map(|j| (i * 7 + j) as f64).collect()).collect();
 
-            // Sequential reference: same regions, run one by one.
-            let reference = {
-                let mut device = ClusterDevice::with_config(2, async_config(backend, false));
-                let sum = register_sum(&device);
-                let inputs: Vec<BufferId> =
-                    data.iter().map(|d| device.enter_data_f64s(d)).collect();
-                let mut outputs = Vec::new();
-                let mut last = Vec::new();
-                for &input in &inputs {
-                    let mut region = device.target_region();
-                    let out = region.map_alloc(8);
-                    region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
-                    region.map_from(out);
-                    region.run().unwrap();
-                    outputs.push(device.buffer_f64s(out).unwrap()[0]);
-                    last = sorted(device.last_run_record().unwrap().transfers);
-                }
-                device.shutdown();
-                (outputs, last)
-            };
-
-            // Pipelined run with cross-region prefetch two regions deep.
-            let config = OmpcConfig { prefetch_depth: 2, ..async_config(backend, false) };
-            let mut device = ClusterDevice::with_config(2, config);
+        // Sequential reference: same regions, run one by one.
+        let reference = {
+            let mut device = ClusterDevice::with_config(2, async_config(false));
             let sum = register_sum(&device);
             let inputs: Vec<BufferId> = data.iter().map(|d| device.enter_data_f64s(d)).collect();
-            let mut outs = Vec::new();
-            let regions: Vec<TargetRegion<'_>> = inputs
-                .iter()
-                .map(|&input| {
-                    let mut region = device.target_region();
-                    let out = region.map_alloc(8);
-                    region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
-                    region.map_from(out);
-                    outs.push(out);
-                    region
-                })
-                .collect();
-            let reports = device.run_pipeline(regions).unwrap();
-            assert_eq!(reports.len(), 4, "{}", backend.name());
-            let outputs: Vec<f64> =
-                outs.iter().map(|&out| device.buffer_f64s(out).unwrap()[0]).collect();
-            assert_eq!(outputs, reference.0, "{}: pipeline changed the results", backend.name());
-            // The adopted prefetch records make the final region's plan
-            // identical to the sequential one: one Input transfer, same
-            // source, same destination, same bytes.
-            let last = sorted(device.last_run_record().unwrap().transfers);
-            assert_eq!(
-                last,
-                reference.1,
-                "{}: pipelined transfer plan diverged from sequential",
-                backend.name()
-            );
-
-            // Never-duplicate, hazard rule: a pipeline whose regions read
-            // the *same* buffer must not prefetch it (an earlier queued
-            // region still touches it) — the second region reads the
-            // resident copy, moving nothing.
-            let repeat = inputs[0];
-            let regions: Vec<TargetRegion<'_>> = (0..2)
-                .map(|_| {
-                    let mut region = device.target_region();
-                    let out = region.map_alloc(8);
-                    region.target(sum, vec![Dependence::input(repeat), Dependence::output(out)]);
-                    region.map_from(out);
-                    region
-                })
-                .collect();
-            device.run_pipeline(regions).unwrap();
-            let record = device.last_run_record().unwrap();
-            assert!(
-                record
-                    .transfers
-                    .iter()
-                    .all(|t| t.buffer != repeat || t.reason != TransferReason::Input),
-                "{}: prefetch duplicated a worker-resident buffer: {:?}",
-                backend.name(),
-                record.transfers
-            );
+            let mut outputs = Vec::new();
+            let mut last = Vec::new();
+            for &input in &inputs {
+                let mut region = device.target_region();
+                let out = region.map_alloc(8);
+                region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
+                region.map_from(out);
+                region.run().unwrap();
+                outputs.push(device.buffer_f64s(out).unwrap()[0]);
+                last = sorted(device.last_run_record().unwrap().transfers);
+            }
             device.shutdown();
-        }
+            (outputs, last)
+        };
+
+        // Pipelined run with cross-region prefetch two regions deep.
+        let config = OmpcConfig { prefetch_depth: 2, ..async_config(false) };
+        let mut device = ClusterDevice::with_config(2, config);
+        let sum = register_sum(&device);
+        let inputs: Vec<BufferId> = data.iter().map(|d| device.enter_data_f64s(d)).collect();
+        let mut outs = Vec::new();
+        let regions: Vec<TargetRegion<'_>> = inputs
+            .iter()
+            .map(|&input| {
+                let mut region = device.target_region();
+                let out = region.map_alloc(8);
+                region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
+                region.map_from(out);
+                outs.push(out);
+                region
+            })
+            .collect();
+        let reports = device.run_pipeline(regions).unwrap();
+        assert_eq!(reports.len(), 4);
+        let outputs: Vec<f64> =
+            outs.iter().map(|&out| device.buffer_f64s(out).unwrap()[0]).collect();
+        assert_eq!(outputs, reference.0, "pipeline changed the results");
+        // The adopted prefetch records make the final region's plan
+        // identical to the sequential one: one Input transfer, same
+        // source, same destination, same bytes.
+        let last = sorted(device.last_run_record().unwrap().transfers);
+        assert_eq!(last, reference.1, "pipelined transfer plan diverged from sequential");
+
+        // Never-duplicate, hazard rule: a pipeline whose regions read
+        // the *same* buffer must not prefetch it (an earlier queued
+        // region still touches it) — the second region reads the
+        // resident copy, moving nothing.
+        let repeat = inputs[0];
+        let regions: Vec<TargetRegion<'_>> = (0..2)
+            .map(|_| {
+                let mut region = device.target_region();
+                let out = region.map_alloc(8);
+                region.target(sum, vec![Dependence::input(repeat), Dependence::output(out)]);
+                region.map_from(out);
+                region
+            })
+            .collect();
+        device.run_pipeline(regions).unwrap();
+        let record = device.last_run_record().unwrap();
+        assert!(
+            record
+                .transfers
+                .iter()
+                .all(|t| t.buffer != repeat || t.reason != TransferReason::Input),
+            "prefetch duplicated a worker-resident buffer: {:?}",
+            record.transfers
+        );
+        device.shutdown();
     });
 }

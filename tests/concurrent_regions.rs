@@ -2,9 +2,8 @@
 //! for the multi-tenant refactor. N client threads calling
 //! [`TargetRegion::run_recorded`] on the same [`ClusterDevice`] must
 //! produce per-client results, run records, and transfer plans
-//! byte-identical to running the same clients serially — on both real
-//! backends, under seeded interleavings, inside ompc-testutil's 120 s
-//! watchdog.
+//! byte-identical to running the same clients serially — under seeded
+//! interleavings, inside ompc-testutil's 120 s watchdog.
 //!
 //! What the identity tests deliberately do *not* compare: telemetry spans
 //! and the [`RegionReport`] event-counter deltas (`data_events`,
@@ -18,7 +17,6 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 const WATCHDOG: Duration = Duration::from_secs(120);
-const REAL_BACKENDS: [BackendKind; 2] = [BackendKind::Threaded, BackendKind::Mpi];
 
 /// Everything one client observes from its own region execution, with
 /// buffer ids rewritten to client-local indices so runs on different
@@ -92,24 +90,19 @@ fn register_kernels(device: &ClusterDevice) -> (KernelId, KernelId) {
     (sum, double)
 }
 
-fn config_for(backend: BackendKind, clients: usize) -> OmpcConfig {
+fn config_for(clients: usize) -> OmpcConfig {
     OmpcConfig {
-        backend,
         max_concurrent_regions: clients,
         // A serial dispatch window keeps each region's completion order
         // deterministic, so the serial-vs-concurrent comparison is exact.
-        max_inflight_tasks: Some(1),
+        max_inflight_tasks: 1,
         ..OmpcConfig::small()
     }
 }
 
 /// Run `clients` on one device, serially in client order.
-fn serial_outcomes(
-    backend: BackendKind,
-    workers: usize,
-    clients: &[Vec<f64>],
-) -> Vec<ClientOutcome> {
-    let mut device = ClusterDevice::with_config(workers, config_for(backend, 1));
+fn serial_outcomes(workers: usize, clients: &[Vec<f64>]) -> Vec<ClientOutcome> {
+    let mut device = ClusterDevice::with_config(workers, config_for(1));
     let (sum, double) = register_kernels(&device);
     let outcomes: Vec<ClientOutcome> =
         clients.iter().map(|vals| run_client(&device, sum, double, vals).1).collect();
@@ -120,12 +113,11 @@ fn serial_outcomes(
 /// Run `clients` on one device concurrently (one thread per client, all
 /// admitted at once), returning per-client `(region id, outcome)`.
 fn concurrent_outcomes(
-    backend: BackendKind,
     workers: usize,
     clients: &[Vec<f64>],
     stagger_us: &[u64],
 ) -> Vec<(u64, ClientOutcome)> {
-    let mut device = ClusterDevice::with_config(workers, config_for(backend, clients.len()));
+    let mut device = ClusterDevice::with_config(workers, config_for(clients.len()));
     let (sum, double) = register_kernels(&device);
     let mut results: Vec<Option<(u64, ClientOutcome)>> = vec![None; clients.len()];
     std::thread::scope(|scope| {
@@ -150,32 +142,30 @@ fn concurrent_outcomes(
 }
 
 /// Three overlapped clients on a single worker must be byte-identical to
-/// the same three clients run serially, on both real backends, and their
-/// reports must carry three distinct non-zero region ids.
+/// the same three clients run serially, and their reports must carry three
+/// distinct non-zero region ids.
 #[test]
 fn overlapped_clients_match_serial_byte_for_byte() {
     with_timeout(WATCHDOG, || {
         let clients: Vec<Vec<f64>> =
             vec![vec![1.0, 2.0, 3.0], vec![10.0, 20.0], vec![5.0, 5.0, 5.0, 5.0]];
-        for backend in REAL_BACKENDS {
-            let serial = serial_outcomes(backend, 1, &clients);
-            let concurrent = concurrent_outcomes(backend, 1, &clients, &[0, 150, 300]);
-            let mut regions: Vec<u64> = concurrent.iter().map(|(r, _)| *r).collect();
-            for (i, ((region, got), want)) in concurrent.iter().zip(&serial).enumerate() {
-                assert_ne!(*region, 0, "{}: client {i} got the default epoch", backend.name());
-                assert_eq!(got, want, "{}: client {i} diverged from serial", backend.name());
-                assert_eq!(got.output, vec![2.0 * clients[i].iter().sum::<f64>()]);
-            }
-            regions.sort_unstable();
-            regions.dedup();
-            assert_eq!(regions.len(), clients.len(), "{}: region ids collided", backend.name());
+        let serial = serial_outcomes(1, &clients);
+        let concurrent = concurrent_outcomes(1, &clients, &[0, 150, 300]);
+        let mut regions: Vec<u64> = concurrent.iter().map(|(r, _)| *r).collect();
+        for (i, ((region, got), want)) in concurrent.iter().zip(&serial).enumerate() {
+            assert_ne!(*region, 0, "client {i} got the default epoch");
+            assert_eq!(got, want, "client {i} diverged from serial");
+            assert_eq!(got.output, vec![2.0 * clients[i].iter().sum::<f64>()]);
         }
+        regions.sort_unstable();
+        regions.dedup();
+        assert_eq!(regions.len(), clients.len(), "region ids collided");
     });
 }
 
 /// Seeded interleavings: random client counts, payloads, and start
 /// staggers. Every interleaving must reproduce the serial outcomes
-/// exactly, on both real backends.
+/// exactly.
 #[test]
 fn seeded_interleavings_match_serial() {
     with_timeout(WATCHDOG, || {
@@ -187,17 +177,10 @@ fn seeded_interleavings_match_serial() {
                 })
                 .collect();
             let stagger: Vec<u64> = (0..clients.len()).map(|_| rng.range(0, 800)).collect();
-            for backend in REAL_BACKENDS {
-                let serial = serial_outcomes(backend, 1, &clients);
-                let concurrent = concurrent_outcomes(backend, 1, &clients, &stagger);
-                for (i, ((_, got), want)) in concurrent.iter().zip(&serial).enumerate() {
-                    assert_eq!(
-                        got,
-                        want,
-                        "seed {seed} {}: client {i} diverged from serial",
-                        backend.name()
-                    );
-                }
+            let serial = serial_outcomes(1, &clients);
+            let concurrent = concurrent_outcomes(1, &clients, &stagger);
+            for (i, ((_, got), want)) in concurrent.iter().zip(&serial).enumerate() {
+                assert_eq!(got, want, "seed {seed} client {i} diverged from serial");
             }
         }
     });
@@ -209,35 +192,33 @@ fn seeded_interleavings_match_serial() {
 #[test]
 fn admission_gate_serializes_when_limit_is_one() {
     with_timeout(WATCHDOG, || {
-        for backend in REAL_BACKENDS {
-            let clients: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64 + 1.0]).collect();
-            let mut device = ClusterDevice::with_config(
-                1,
-                OmpcConfig { max_concurrent_regions: 1, ..config_for(backend, 1) },
-            );
-            let (sum, double) = register_kernels(&device);
-            let mut results: Vec<(u64, ClientOutcome)> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = clients
-                    .iter()
-                    .map(|vals| {
-                        let device = &device;
-                        scope.spawn(move || run_client(device, sum, double, vals))
-                    })
-                    .collect();
-                for handle in handles {
-                    results.push(handle.join().unwrap());
-                }
-            });
-            let epoch = device.region_epoch();
-            device.shutdown();
-            assert_eq!(epoch, clients.len() as u64, "{}", backend.name());
-            let mut regions: Vec<u64> = results.iter().map(|(r, _)| *r).collect();
-            regions.sort_unstable();
-            assert_eq!(regions, vec![1, 2, 3], "{}", backend.name());
-            for (i, (_, outcome)) in results.iter().enumerate() {
-                assert_eq!(outcome.output, vec![2.0 * clients[i][0]], "{}", backend.name());
+        let clients: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64 + 1.0]).collect();
+        let mut device = ClusterDevice::with_config(
+            1,
+            OmpcConfig { max_concurrent_regions: 1, ..config_for(1) },
+        );
+        let (sum, double) = register_kernels(&device);
+        let mut results: Vec<(u64, ClientOutcome)> = Vec::new();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = clients
+                .iter()
+                .map(|vals| {
+                    let device = &device;
+                    scope.spawn(move || run_client(device, sum, double, vals))
+                })
+                .collect();
+            for handle in handles {
+                results.push(handle.join().unwrap());
             }
+        });
+        let epoch = device.region_epoch();
+        device.shutdown();
+        assert_eq!(epoch, clients.len() as u64);
+        let mut regions: Vec<u64> = results.iter().map(|(r, _)| *r).collect();
+        regions.sort_unstable();
+        assert_eq!(regions, vec![1, 2, 3]);
+        for (i, (_, outcome)) in results.iter().enumerate() {
+            assert_eq!(outcome.output, vec![2.0 * clients[i][0]]);
         }
     });
 }
@@ -250,11 +231,7 @@ fn overlapped_region_is_planned_around_inflight_load() {
     with_timeout(WATCHDOG, || {
         let mut device = ClusterDevice::with_config(
             2,
-            OmpcConfig {
-                backend: BackendKind::Threaded,
-                max_concurrent_regions: 2,
-                ..OmpcConfig::small()
-            },
+            OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() },
         );
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -305,50 +282,45 @@ fn overlapped_region_is_planned_around_inflight_load() {
 #[test]
 fn overlapped_tenants_share_settled_resident_buffer() {
     with_timeout(WATCHDOG, || {
-        for backend in REAL_BACKENDS {
-            let mut device = ClusterDevice::with_config(1, config_for(backend, 2));
-            let sum = device.register_kernel_fn("sum", 1e-6, |args| {
-                let total: f64 = args.as_f64s(0).iter().sum();
-                args.set_f64s(1, &[total]);
-            });
-            // Settle the shared input on the worker first.
-            let shared = {
-                let mut region = device.target_region();
-                let shared = region.map_to_resident_f64s(&[3.0, 4.0]);
-                let out = region.map_alloc(8);
-                region.target(sum, vec![Dependence::input(shared), Dependence::output(out)]);
-                region.map_from(out);
-                region.run().unwrap();
-                shared
-            };
-            let outcomes: Vec<(Vec<f64>, Vec<TransferRecord>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..2)
-                    .map(|_| {
-                        let device = &device;
-                        scope.spawn(move || {
-                            let mut region = device.target_region();
-                            let out = region.map_alloc(8);
-                            region.target(
-                                sum,
-                                vec![Dependence::input(shared), Dependence::output(out)],
-                            );
-                            region.map_from(out);
-                            let (_, record) = region.run_recorded().unwrap();
-                            (device.buffer_f64s(out).unwrap(), record.transfers)
-                        })
+        let mut device = ClusterDevice::with_config(1, config_for(2));
+        let sum = device.register_kernel_fn("sum", 1e-6, |args| {
+            let total: f64 = args.as_f64s(0).iter().sum();
+            args.set_f64s(1, &[total]);
+        });
+        // Settle the shared input on the worker first.
+        let shared = {
+            let mut region = device.target_region();
+            let shared = region.map_to_resident_f64s(&[3.0, 4.0]);
+            let out = region.map_alloc(8);
+            region.target(sum, vec![Dependence::input(shared), Dependence::output(out)]);
+            region.map_from(out);
+            region.run().unwrap();
+            shared
+        };
+        let outcomes: Vec<(Vec<f64>, Vec<TransferRecord>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let device = &device;
+                    scope.spawn(move || {
+                        let mut region = device.target_region();
+                        let out = region.map_alloc(8);
+                        region
+                            .target(sum, vec![Dependence::input(shared), Dependence::output(out)]);
+                        region.map_from(out);
+                        let (_, record) = region.run_recorded().unwrap();
+                        (device.buffer_f64s(out).unwrap(), record.transfers)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
-            device.shutdown();
-            for (output, transfers) in &outcomes {
-                assert_eq!(output, &vec![7.0], "{}", backend.name());
-                assert!(
-                    transfers.iter().all(|t| t.buffer != shared),
-                    "{}: a settled resident buffer must not be retransferred",
-                    backend.name()
-                );
-            }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        device.shutdown();
+        for (output, transfers) in &outcomes {
+            assert_eq!(output, &vec![7.0]);
+            assert!(
+                transfers.iter().all(|t| t.buffer != shared),
+                "a settled resident buffer must not be retransferred"
+            );
         }
     });
 }

@@ -117,8 +117,7 @@ fn lifting_the_in_flight_limit_restores_scalability() {
     let cfg = TaskBenchConfig::new(DependencePattern::Trivial, 2 * nodes, 8, 10_000_000, 0);
     let workload = generate_workload(&cfg);
     let limited = ompc_time(&workload, nodes, &OmpcConfig::default());
-    let unlimited_cfg =
-        OmpcConfig { max_inflight_tasks: Some(usize::MAX), ..OmpcConfig::default() };
+    let unlimited_cfg = OmpcConfig { max_inflight_tasks: usize::MAX, ..OmpcConfig::default() };
     let unlimited = ompc_time(&workload, nodes, &unlimited_cfg);
     assert!(
         unlimited < limited * 0.6,

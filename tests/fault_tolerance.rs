@@ -1,10 +1,10 @@
 //! Integration tests of the fault-tolerance subsystem (paper §3.1): a
 //! deterministically injected worker failure must be detected by the ring
 //! heartbeat, its lost work re-executed on the survivors, and the final
-//! results must be byte-identical to a failure-free run — in **all three**
-//! execution backends (simulated, threaded, message-passing MPI), which
-//! must also agree on the recovered task sets. The cross-backend tests
-//! run under ompc-testutil's 120 s watchdog.
+//! results must be byte-identical to a failure-free run — on the simulator
+//! and on the message-passing cluster, which must also agree on the
+//! recovered task sets. The cluster tests run under ompc-testutil's 120 s
+//! watchdog.
 
 use ompc::prelude::*;
 use ompc::sched::TaskGraph;
@@ -25,19 +25,11 @@ fn fault_config(plan: FaultPlan) -> OmpcConfig {
 /// `kill_after`-th task completion. Returns the final host buffer and the
 /// run record.
 fn run_listing1_chain(fault: Option<(usize, usize)>) -> (Vec<f64>, RunRecord) {
-    run_listing1_chain_on(BackendKind::Threaded, fault)
-}
-
-/// [`run_listing1_chain`] on an explicit device backend.
-fn run_listing1_chain_on(
-    backend: BackendKind,
-    fault: Option<(usize, usize)>,
-) -> (Vec<f64>, RunRecord) {
     let plan = match fault {
         Some((victim, kill_after)) => FaultPlan::none().fail_after_completions(victim, kill_after),
         None => FaultPlan::none(),
     };
-    let mut device = ClusterDevice::with_config(2, OmpcConfig { backend, ..fault_config(plan) });
+    let mut device = ClusterDevice::with_config(2, fault_config(plan));
     let plus_one = device.register_kernel_fn("plus-one", 1e-5, |args| {
         let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
         args.set_f64s(0, &v);
@@ -59,31 +51,7 @@ fn run_listing1_chain_on(
 }
 
 #[test]
-fn threaded_region_survives_a_mid_region_failure_with_identical_buffers() {
-    // Failure-free baseline, and the node HEFT placed the chain on.
-    let (clean, clean_record) = run_listing1_chain(None);
-    assert_eq!(clean, vec![20.0, 30.0, 40.0, 50.0]);
-    assert!(clean_record.failures.is_empty());
-    let victim = clean_record.assignment[1];
-    assert!(victim >= 1, "foo must run on a worker");
-
-    // Kill the victim after its second completion: enter-data and foo have
-    // retired there, bar's work is lost mid-region.
-    let (recovered, record) = run_listing1_chain(Some((victim, 2)));
-    assert_eq!(recovered, clean, "recovery must reproduce the failure-free bytes");
-    assert_eq!(record.failures.len(), 1);
-    assert_eq!(record.failures[0].node, victim);
-    assert!(record.failures[0].detected_at >= record.failures[0].silenced_at);
-    assert!(record.failures[0].lost_buffers >= 1, "the chain's buffer died with the node");
-    // The lost lineage (enter-data + foo at least) re-executed.
-    assert!(record.reexecuted.contains(&0) && record.reexecuted.contains(&1));
-    // Recovery moved the affected tasks off the dead node.
-    assert!(!record.replanned.is_empty());
-    assert!(record.replanned.iter().all(|r| r.from == victim && r.to != victim));
-}
-
-#[test]
-fn threaded_region_recovers_with_full_replan_too() {
+fn region_recovers_with_full_replan_too() {
     let (clean, clean_record) = run_listing1_chain(None);
     let victim = clean_record.assignment[1];
     let plan = FaultPlan::none().fail_after_completions(victim, 2);
@@ -111,9 +79,9 @@ fn threaded_region_recovers_with_full_replan_too() {
 }
 
 /// The backend-equivalence property under failure: for the same seeded
-/// chain, the same explicit plan, and the same injected failure, all three
-/// backends must retire tasks in the same order and recover exactly the
-/// same task sets.
+/// chain, the same explicit plan, and the same injected failure, the
+/// simulator predicts the order the cluster retires tasks in and exactly
+/// the task sets it recovers.
 #[test]
 fn backends_recover_the_same_tasks_from_the_same_failure() {
     with_timeout(WATCHDOG, || {
@@ -130,7 +98,7 @@ fn backends_recover_the_same_tasks_from_the_same_failure() {
         // retirements), second half on worker 2.
         let assignment: Vec<NodeId> = (0..n).map(|t| if t < n / 2 { 1 } else { 2 }).collect();
         let mut config = fault_config(FaultPlan::none().fail_after_completions(1, 2));
-        config.max_inflight_tasks = Some(1);
+        config.max_inflight_tasks = 1;
         let plan = RuntimePlan { assignment, window: config.inflight_window() };
 
         let (_, sim_record) = simulate_ompc_with_plan(
@@ -142,14 +110,10 @@ fn backends_recover_the_same_tasks_from_the_same_failure() {
         )
         .unwrap();
 
-        let mut records = vec![("sim", sim_record)];
-        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-            let mut device =
-                ClusterDevice::with_config(2, OmpcConfig { backend, ..config.clone() });
-            let record = device.run_workload(&workload, &plan).unwrap();
-            device.shutdown();
-            records.push((backend.name(), record));
-        }
+        let mut device = ClusterDevice::with_config(2, config);
+        let record = device.run_workload(&workload, &plan).unwrap();
+        device.shutdown();
+        let records = vec![("sim", sim_record), ("cluster", record)];
 
         for (name, record) in &records {
             assert_eq!(record.failures.len(), 1, "{name}: exactly one declared failure");
@@ -160,7 +124,7 @@ fn backends_recover_the_same_tasks_from_the_same_failure() {
             retired.dedup();
             assert_eq!(retired, (0..n).collect::<Vec<_>>(), "{name}: every task must retire");
         }
-        // The backends agree on every recovery decision (timing aside).
+        // The simulator predicts every recovery decision (timing aside).
         let (_, sim_record) = &records[0];
         for (name, record) in &records[1..] {
             assert_eq!(
@@ -193,20 +157,22 @@ fn backends_recover_the_same_tasks_from_the_same_failure() {
     });
 }
 
-/// The MPI backend's fault surface end to end at the region level: the
-/// victim's event loop dies for real mid-region, recovery re-executes the
-/// lost lineage on the survivor through fresh composite task messages, and
-/// the final bytes are identical to a failure-free run.
+/// The fault surface end to end at the region level: the victim's event
+/// loop dies for real mid-region, recovery re-executes the lost lineage on
+/// the survivor through fresh composite task messages, and the final bytes
+/// are identical to a failure-free run.
 #[test]
 fn mpi_region_survives_a_mid_region_failure_with_identical_buffers() {
     with_timeout(WATCHDOG, || {
-        let (clean, clean_record) = run_listing1_chain_on(BackendKind::Mpi, None);
+        let (clean, clean_record) = run_listing1_chain(None);
         assert_eq!(clean, vec![20.0, 30.0, 40.0, 50.0]);
         assert!(clean_record.failures.is_empty());
         let victim = clean_record.assignment[1];
         assert!(victim >= 1, "foo must run on a worker");
 
-        let (recovered, record) = run_listing1_chain_on(BackendKind::Mpi, Some((victim, 2)));
+        // Kill the victim after its second completion: enter-data and foo
+        // have retired there, bar's work is lost mid-region.
+        let (recovered, record) = run_listing1_chain(Some((victim, 2)));
         assert_eq!(recovered, clean, "recovery must reproduce the failure-free bytes");
         assert_eq!(record.failures.len(), 1);
         assert_eq!(record.failures[0].node, victim);
@@ -219,18 +185,16 @@ fn mpi_region_survives_a_mid_region_failure_with_identical_buffers() {
 }
 
 /// Per-task blame inside a task train: one broken car must not poison its
-/// siblings. With a single worker and a wide-open window, every task of the
-/// region departs in one multi-car train; the worker keeps the train rolling
-/// past the failing car, so the siblings execute and the region surfaces the
-/// bad car's own typed error, blamed on the worker that ran it.
+/// siblings. With a single worker, a wide-open window and device-resident
+/// inputs (no enter-data task for a target to wait behind), every task of
+/// the region is ready at once and departs in one multi-car train; the
+/// worker keeps the train rolling past the failing car, so the siblings
+/// execute and the region surfaces the bad car's own typed error, blamed on
+/// the worker that ran it.
 #[test]
 fn train_car_errors_blame_only_the_failing_task() {
     with_timeout(WATCHDOG, || {
-        let config = OmpcConfig {
-            backend: BackendKind::Mpi,
-            max_inflight_tasks: Some(8),
-            ..OmpcConfig::small()
-        };
+        let config = OmpcConfig { max_inflight_tasks: 8, ..OmpcConfig::small() };
         let device = ClusterDevice::with_config(1, config);
         let counter = Arc::new(AtomicUsize::new(0));
         let count = {
@@ -240,8 +204,8 @@ fn train_car_errors_blame_only_the_failing_task() {
             })
         };
         let bogus = KernelId(424_242);
+        let buffers: Vec<BufferId> = (0..5).map(|i| device.enter_data_f64s(&[i as f64])).collect();
         let mut region = device.target_region();
-        let buffers: Vec<BufferId> = (0..5).map(|i| region.map_to_f64s(&[i as f64])).collect();
         region.target(count, vec![Dependence::inout(buffers[0])]);
         region.target(count, vec![Dependence::inout(buffers[1])]);
         region.target(bogus, vec![Dependence::inout(buffers[2])]);
@@ -276,8 +240,7 @@ fn mid_train_node_death_recovers_on_the_survivors() {
         let workload = WorkloadGraph::new(g, vec![4 * 1024; n]);
         let assignment: Vec<NodeId> = (0..n).map(|t| if t % 2 == 0 { 1 } else { 2 }).collect();
         let mut config = fault_config(FaultPlan::none().fail_after_completions(1, 1));
-        config.backend = BackendKind::Mpi;
-        config.max_inflight_tasks = Some(n);
+        config.max_inflight_tasks = n;
         let plan = RuntimePlan { assignment, window: config.inflight_window() };
         let mut device = ClusterDevice::with_config(2, config);
         let record = device.run_workload(&workload, &plan).unwrap();
@@ -316,12 +279,11 @@ fn worker_less_cluster_is_rejected_with_a_clear_error() {
 
 #[test]
 fn cancellation_stops_tasks_queued_behind_a_failure() {
-    // One head pool thread and a wide-open window: the failing task and all
-    // counting tasks are queued into the pool together, the failing task
-    // first. Without the cancellation flag every counter would still
-    // execute before the error propagates; with it, none do.
-    let config =
-        OmpcConfig { head_worker_threads: 1, max_inflight_tasks: Some(256), ..OmpcConfig::small() };
+    // A wide-open window: the failing task and every counting task are
+    // dispatched together, the failing task first. Its failure propagates
+    // before any counter's kernel could have run, and the run launches
+    // nothing after it.
+    let config = OmpcConfig { max_inflight_tasks: 256, ..OmpcConfig::small() };
     let device = ClusterDevice::with_config(2, config);
     let counter = Arc::new(AtomicUsize::new(0));
     let count = {
@@ -351,11 +313,9 @@ fn cancellation_stops_tasks_queued_behind_a_failure() {
 
 #[test]
 fn cancellation_never_masks_the_root_cause_error() {
-    // With several pool threads, a task skipped by the cancellation flag
-    // can report its synthetic error before the task that actually failed
-    // reports the real one; the run must still surface the root cause.
-    let config =
-        OmpcConfig { head_worker_threads: 4, max_inflight_tasks: Some(256), ..OmpcConfig::small() };
+    // Many tasks in flight when one fails: the run surfaces that task's
+    // own error, never a consequence of stopping the others.
+    let config = OmpcConfig { max_inflight_tasks: 256, ..OmpcConfig::small() };
     let device = ClusterDevice::with_config(2, config);
     let noop = device.register_kernel_fn("noop", 1e-6, |_| {});
     let mut region = device.target_region();
@@ -376,52 +336,39 @@ fn explicit_plan_naming_a_long_dead_node_is_rejected_not_fake_completed() {
         // up front with `InvalidConfig` — previously the dead-node branch
         // fake-completed the task (its kernel never ran) and, with no
         // remaining trigger, the core retired the lie as a genuine
-        // completion. Both real backends share the guard.
-        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-            let config = OmpcConfig {
-                backend,
-                ..fault_config(FaultPlan::none().fail_after_completions(1, 1))
-            };
-            let mut device = ClusterDevice::with_config(2, config);
-            let bump = device.register_kernel_fn("bump", 1e-5, |args| {
-                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                args.set_f64s(0, &v);
-            });
-            // Region 1: node 1 dies after its first retirement; recovery
-            // completes the region on node 2.
-            let mut region = device.target_region();
-            let a = region.map_to_f64s(&[1.0]);
-            region.target(bump, vec![Dependence::inout(a)]);
-            region.target(bump, vec![Dependence::inout(a)]);
-            region.map_from(a);
-            region.run().unwrap();
-            assert_eq!(device.alive_workers(), vec![2], "{}", backend.name());
+        // completion.
+        let config = fault_config(FaultPlan::none().fail_after_completions(1, 1));
+        let mut device = ClusterDevice::with_config(2, config);
+        let bump = device.register_kernel_fn("bump", 1e-5, |args| {
+            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+            args.set_f64s(0, &v);
+        });
+        // Region 1: node 1 dies after its first retirement; recovery
+        // completes the region on node 2.
+        let mut region = device.target_region();
+        let a = region.map_to_f64s(&[1.0]);
+        region.target(bump, vec![Dependence::inout(a)]);
+        region.target(bump, vec![Dependence::inout(a)]);
+        region.map_from(a);
+        region.run().unwrap();
+        assert_eq!(device.alive_workers(), vec![2]);
 
-            // Region 2: an explicit plan naming the long-dead node 1.
-            let mut g = TaskGraph::new();
-            g.add_task(0.001);
-            g.add_task(0.001);
-            g.add_edge(0, 1, 64);
-            let workload = WorkloadGraph::new(g, vec![64; 2]);
-            let plan = RuntimePlan { assignment: vec![1, 2], window: 1 };
-            let err = device.run_workload(&workload, &plan).unwrap_err();
-            assert!(
-                matches!(err, OmpcError::InvalidConfig(_)),
-                "{}: expected InvalidConfig, got {err:?}",
-                backend.name()
-            );
-            assert!(
-                err.to_string().contains("node 1"),
-                "{}: unclear message: {err}",
-                backend.name()
-            );
+        // Region 2: an explicit plan naming the long-dead node 1.
+        let mut g = TaskGraph::new();
+        g.add_task(0.001);
+        g.add_task(0.001);
+        g.add_edge(0, 1, 64);
+        let workload = WorkloadGraph::new(g, vec![64; 2]);
+        let plan = RuntimePlan { assignment: vec![1, 2], window: 1 };
+        let err = device.run_workload(&workload, &plan).unwrap_err();
+        assert!(matches!(err, OmpcError::InvalidConfig(_)), "expected InvalidConfig, got {err:?}");
+        assert!(err.to_string().contains("node 1"), "unclear message: {err}");
 
-            // A plan over the survivors still runs.
-            let plan = RuntimePlan { assignment: vec![2, 2], window: 1 };
-            let record = device.run_workload(&workload, &plan).unwrap();
-            assert_eq!(record.completion_order, vec![0, 1], "{}", backend.name());
-            device.shutdown();
-        }
+        // A plan over the survivors still runs.
+        let plan = RuntimePlan { assignment: vec![2, 2], window: 1 };
+        let record = device.run_workload(&workload, &plan).unwrap();
+        assert_eq!(record.completion_order, vec![0, 1]);
+        device.shutdown();
     });
 }
 
@@ -467,113 +414,104 @@ fn device_stays_usable_after_a_failure_in_an_earlier_region() {
 /// tenants are overlapped on one device. Only the tenant with tasks on
 /// the victim is blamed and replanned; the untouched tenant's record
 /// stays clean (no failures, no re-executions, no replans, no task on
-/// the victim) and its bytes are identical to a failure-free run. Both
-/// real backends.
+/// the victim) and its bytes are identical to a failure-free run.
 #[test]
 fn node_death_during_overlapped_regions_blames_only_the_victim_tenant() {
     with_timeout(WATCHDOG, || {
-        for backend in [BackendKind::Threaded, BackendKind::Mpi] {
-            // Probe, fault-free: tenant A admitted first on an idle
-            // three-worker device; deterministic HEFT places its chain on
-            // the same node the real run will use — the victim.
-            let run_tenant_a =
-                |device: &ClusterDevice, chain: KernelId| -> (Vec<f64>, RegionReport, RunRecord) {
-                    let mut region = device.target_region();
-                    let a = region.map_to_f64s(&[1.0, 2.0]);
-                    region.target(chain, vec![Dependence::inout(a)]);
-                    region.target(chain, vec![Dependence::inout(a)]);
-                    region.map_from(a);
-                    let (report, record) = region.run_recorded().unwrap();
-                    (device.buffer_f64s(a).unwrap(), report, record)
-                };
-            let (clean_bytes, victim) = {
-                let mut device = ClusterDevice::with_config(
-                    3,
-                    OmpcConfig { backend, ..fault_config(FaultPlan::none()) },
-                );
-                // Big hints so the load-aware planner sees tenant A's
-                // reservation; the closures themselves are instant.
-                let chain = device.register_kernel_fn("chain", 10.0, |args| {
-                    let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                    args.set_f64s(0, &v);
-                });
-                let (bytes, _, record) = run_tenant_a(&device, chain);
-                let victim = record.assignment[1];
-                assert!(victim >= 1, "tenant A's chain runs on a worker");
-                device.shutdown();
-                (bytes, victim)
-            };
-
-            // Real run: the victim dies after tenant A's enter-data and
-            // first kernel retire there; tenant B is admitted mid-flight
-            // (the first kernel signals through the channel before the
-            // death is declared) and planned around A's reserved load.
-            let plan = FaultPlan::none().fail_after_completions(victim, 2);
-            let config = OmpcConfig { backend, max_concurrent_regions: 2, ..fault_config(plan) };
-            let mut device = ClusterDevice::with_config(3, config);
-            let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-            let started_tx = std::sync::Mutex::new(started_tx);
-            let chain = device.register_kernel_fn("chain", 10.0, move |args| {
-                let _ = started_tx.lock().unwrap().send(());
-                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                args.set_f64s(0, &v);
-            });
-            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
-                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                args.set_f64s(0, &v);
-            });
-            let (b_bytes, b_report, b_record) = std::thread::scope(|scope| {
-                let device_ref = &device;
-                let tenant_a = scope.spawn(move || run_tenant_a(device_ref, chain));
-
-                // Admit tenant B only once tenant A's first kernel is
-                // executing on the victim, so the regions truly overlap.
-                started_rx.recv().unwrap();
+        // Probe, fault-free: tenant A admitted first on an idle
+        // three-worker device; deterministic HEFT places its chain on
+        // the same node the real run will use — the victim.
+        let run_tenant_a =
+            |device: &ClusterDevice, chain: KernelId| -> (Vec<f64>, RegionReport, RunRecord) {
                 let mut region = device.target_region();
-                let b = region.map_to_f64s(&[10.0]);
-                region.target(bump, vec![Dependence::inout(b)]);
-                region.map_from(b);
+                let a = region.map_to_f64s(&[1.0, 2.0]);
+                region.target(chain, vec![Dependence::inout(a)]);
+                region.target(chain, vec![Dependence::inout(a)]);
+                region.map_from(a);
                 let (report, record) = region.run_recorded().unwrap();
-                let bytes = device.buffer_f64s(b).unwrap();
-
-                let (a_bytes, a_report, a_record) = tenant_a.join().unwrap();
-                // Tenant A: blamed, replanned off the victim, recovered to
-                // the failure-free bytes.
-                assert_eq!(a_bytes, clean_bytes, "{}: tenant A must recover", backend.name());
-                assert_eq!(a_record.failures.len(), 1, "{}", backend.name());
-                assert_eq!(a_record.failures[0].node, victim, "{}", backend.name());
-                assert!(!a_record.reexecuted.is_empty(), "{}", backend.name());
-                assert!(
-                    a_record.replanned.iter().all(|r| r.from == victim && r.to != victim),
-                    "{}: recovery must move tenant A off the victim: {:?}",
-                    backend.name(),
-                    a_record.replanned
-                );
-                assert_ne!(a_report.region, report.region, "{}", backend.name());
-                (bytes, report, record)
+                (device.buffer_f64s(a).unwrap(), report, record)
+            };
+        let (clean_bytes, victim) = {
+            let mut device = ClusterDevice::with_config(3, fault_config(FaultPlan::none()));
+            // Big hints so the load-aware planner sees tenant A's
+            // reservation; the closures themselves are instant.
+            let chain = device.register_kernel_fn("chain", 10.0, |args| {
+                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                args.set_f64s(0, &v);
             });
+            let (bytes, _, record) = run_tenant_a(&device, chain);
+            let victim = record.assignment[1];
+            assert!(victim >= 1, "tenant A's chain runs on a worker");
             device.shutdown();
+            (bytes, victim)
+        };
 
-            // Tenant B: untouched. Same bytes as a failure-free run of the
-            // same region, no blame, no re-execution, no replanning, and
-            // no task ever placed on the victim.
-            assert_eq!(b_bytes, vec![11.0], "{}: tenant B's bytes changed", backend.name());
-            assert_ne!(b_report.region, 0, "{}", backend.name());
+        // Real run: the victim dies after tenant A's enter-data and
+        // first kernel retire there; tenant B is admitted mid-flight
+        // (the first kernel signals through the channel before the
+        // death is declared) and planned around A's reserved load.
+        let plan = FaultPlan::none().fail_after_completions(victim, 2);
+        let config = OmpcConfig { max_concurrent_regions: 2, ..fault_config(plan) };
+        let mut device = ClusterDevice::with_config(3, config);
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let started_tx = std::sync::Mutex::new(started_tx);
+        let chain = device.register_kernel_fn("chain", 10.0, move |args| {
+            let _ = started_tx.lock().unwrap().send(());
+            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+            args.set_f64s(0, &v);
+        });
+        let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+            args.set_f64s(0, &v);
+        });
+        let (b_bytes, b_report, b_record) = std::thread::scope(|scope| {
+            let device_ref = &device;
+            let tenant_a = scope.spawn(move || run_tenant_a(device_ref, chain));
+
+            // Admit tenant B only once tenant A's first kernel is
+            // executing on the victim, so the regions truly overlap.
+            started_rx.recv().unwrap();
+            let mut region = device.target_region();
+            let b = region.map_to_f64s(&[10.0]);
+            region.target(bump, vec![Dependence::inout(b)]);
+            region.map_from(b);
+            let (report, record) = region.run_recorded().unwrap();
+            let bytes = device.buffer_f64s(b).unwrap();
+
+            let (a_bytes, a_report, a_record) = tenant_a.join().unwrap();
+            // Tenant A: blamed, replanned off the victim, recovered to
+            // the failure-free bytes.
+            assert_eq!(a_bytes, clean_bytes, "tenant A must recover");
+            assert_eq!(a_record.failures.len(), 1);
+            assert_eq!(a_record.failures[0].node, victim);
+            assert!(!a_record.reexecuted.is_empty());
             assert!(
-                b_record.failures.is_empty(),
-                "{}: the untouched tenant was blamed: {:?}",
-                backend.name(),
-                b_record.failures
+                a_record.replanned.iter().all(|r| r.from == victim && r.to != victim),
+                "recovery must move tenant A off the victim: {:?}",
+                a_record.replanned
             );
-            assert!(b_record.reexecuted.is_empty(), "{}", backend.name());
-            assert!(b_record.replanned.is_empty(), "{}", backend.name());
-            assert!(
-                b_record.assignment.iter().all(|&n| n != victim),
-                "{}: tenant B was planned onto the victim: {:?}",
-                backend.name(),
-                b_record.assignment
-            );
-        }
+            assert_ne!(a_report.region, report.region);
+            (bytes, report, record)
+        });
+        device.shutdown();
+
+        // Tenant B: untouched. Same bytes as a failure-free run of the
+        // same region, no blame, no re-execution, no replanning, and
+        // no task ever placed on the victim.
+        assert_eq!(b_bytes, vec![11.0], "tenant B's bytes changed");
+        assert_ne!(b_report.region, 0);
+        assert!(
+            b_record.failures.is_empty(),
+            "the untouched tenant was blamed: {:?}",
+            b_record.failures
+        );
+        assert!(b_record.reexecuted.is_empty());
+        assert!(b_record.replanned.is_empty());
+        assert!(
+            b_record.assignment.iter().all(|&n| n != victim),
+            "tenant B was planned onto the victim: {:?}",
+            b_record.assignment
+        );
     });
 }
 
@@ -582,10 +520,8 @@ fn node_death_during_overlapped_regions_blames_only_the_victim_tenant() {
 /// must roll back — the ticket reports the failure instead of hanging —
 /// the next consumer re-sources the bytes from a survivor, and the aborted
 /// movement is withdrawn from the transfer accounting so nothing is
-/// double-counted. Threaded backend: the device's hold gate freezes the
-/// transfer job deterministically while the fault fires (the MPI
-/// first-reader protocol resolves in-flight failures through its
-/// `AwaitLocal` timeout instead, which is too slow for a unit test).
+/// double-counted. The device's hold gate freezes the transfer job
+/// deterministically while the fault fires.
 #[test]
 fn prefetch_in_flight_node_death_rolls_back_and_resources() {
     with_timeout(WATCHDOG, || {
@@ -698,7 +634,7 @@ fn relay_node_death_mid_broadcast_rescues_the_undelivered_subtree() {
             enter_data_async: true,
             collective_min_fanout: 2,
             collective_chunk_kib: 1,
-            max_inflight_tasks: Some(8),
+            max_inflight_tasks: 8,
             ..fault_config(plan)
         };
         let register_scale = |device: &ClusterDevice| {

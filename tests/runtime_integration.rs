@@ -142,11 +142,11 @@ fn results_are_placement_independent() {
 }
 
 /// Exercising the in-flight limit on the real runtime: a wide region with a
-/// tiny head worker pool must still complete (throttled, not deadlocked).
+/// tiny dispatch window must still complete (throttled, not deadlocked).
 #[test]
 fn tiny_in_flight_limit_still_completes() {
     let mut config = OmpcConfig::small();
-    config.head_worker_threads = 2;
+    config.max_inflight_tasks = 2;
     let mut device = ClusterDevice::with_config(2, config);
     let bump = device.register_kernel_fn("bump", 1e-6, |args| {
         let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
@@ -199,8 +199,7 @@ fn event_counters_track_data_movement() {
 #[test]
 fn concurrent_same_node_readers_see_complete_data() {
     let mut config = OmpcConfig::small();
-    config.head_worker_threads = 8;
-    config.max_inflight_tasks = Some(16);
+    config.max_inflight_tasks = 16;
     let mut device = ClusterDevice::with_config(2, config);
     let produce = device.register_kernel_fn("produce", 1e-5, |args| {
         let n = args.as_f64s(0).len();

@@ -79,59 +79,57 @@ fn a_stencil_run_allocates_its_buffers_and_copies_none_of_them() {
     // shared zero block, and one more payload of slack.
     let slack = 2 * PAYLOAD as u64;
 
-    for backend in [BackendKind::Mpi, BackendKind::Threaded] {
-        let config = OmpcConfig { backend, ..OmpcConfig::small() };
-        let plan = RuntimePlan { assignment: assignment.clone(), window: config.inflight_window() };
-        let mut device = ClusterDevice::with_config(2, config);
-        let before = LARGE_BYTES.load(Ordering::Relaxed);
-        let record = device.run_workload(&workload, &plan).unwrap();
-        let allocated = LARGE_BYTES.load(Ordering::Relaxed) - before;
+    let config = OmpcConfig::small();
+    let plan = RuntimePlan { assignment: assignment.clone(), window: config.inflight_window() };
+    let mut device = ClusterDevice::with_config(2, config);
+    let before = LARGE_BYTES.load(Ordering::Relaxed);
+    let record = device.run_workload(&workload, &plan).unwrap();
+    let allocated = LARGE_BYTES.load(Ordering::Relaxed) - before;
 
-        let moved = record.transfer_bytes();
-        assert_eq!(moved, 12 * PAYLOAD as u64, "{backend:?}: four forwards a consuming step");
-        assert!(
-            allocated <= slack,
-            "{backend:?}: {allocated} B allocated in payload-sized blocks ({:.1} payloads) to move \
-             {moved} B of outputs nobody wrote; the bound is 2 payloads",
-            allocated as f64 / PAYLOAD as f64,
-        );
+    let moved = record.transfer_bytes();
+    assert_eq!(moved, 12 * PAYLOAD as u64, "four forwards a consuming step");
+    assert!(
+        allocated <= slack,
+        "{allocated} B allocated in payload-sized blocks ({:.1} payloads) to move \
+         {moved} B of outputs nobody wrote; the bound is 2 payloads",
+        allocated as f64 / PAYLOAD as f64,
+    );
 
-        // Kernels that write their outputs — through `bytes_mut`, which
-        // materialises the zeros, or `set_f64s`, which replaces them — cost
-        // exactly the block each of them writes.
-        const OUTPUTS: u64 = 8;
-        let ones = std::sync::Arc::new(vec![1.0f64; PAYLOAD / 8]);
-        let fill = std::sync::Arc::clone(&ones);
-        let write = device.register_kernel_fn("write", 1e-3, move |args| {
-            if args.buffer_id(0).0 % 2 == 0 {
-                args.bytes_mut(0)[PAYLOAD - 1] = 1;
-            } else {
-                args.set_f64s(0, &fill);
-            }
-        });
-        let before = LARGE_BYTES.load(Ordering::Relaxed);
-        let mut region = device.target_region();
-        let outputs: Vec<BufferId> = (0..OUTPUTS).map(|_| region.map_alloc(PAYLOAD)).collect();
-        for &output in &outputs {
-            region.target(write, vec![Dependence::output(output)]);
-            region.map_from(output);
+    // Kernels that write their outputs — through `bytes_mut`, which
+    // materialises the zeros, or `set_f64s`, which replaces them — cost
+    // exactly the block each of them writes.
+    const OUTPUTS: u64 = 8;
+    let ones = std::sync::Arc::new(vec![1.0f64; PAYLOAD / 8]);
+    let fill = std::sync::Arc::clone(&ones);
+    let write = device.register_kernel_fn("write", 1e-3, move |args| {
+        if args.buffer_id(0).0 % 2 == 0 {
+            args.bytes_mut(0)[PAYLOAD - 1] = 1;
+        } else {
+            args.set_f64s(0, &fill);
         }
-        region.run().unwrap();
-        let allocated = LARGE_BYTES.load(Ordering::Relaxed) - before;
-        let floor = OUTPUTS * PAYLOAD as u64;
-        assert!(
-            (floor..=floor + slack).contains(&allocated),
-            "{backend:?}: {:.1} payloads allocated for {OUTPUTS} written outputs",
-            allocated as f64 / PAYLOAD as f64,
-        );
-        for output in outputs {
-            let data = device.buffer_data(output).unwrap();
-            assert_eq!(data.len(), PAYLOAD);
-            match output.0 % 2 {
-                0 => assert!(data[PAYLOAD - 1] == 1 && data[..PAYLOAD - 1].iter().all(|&b| b == 0)),
-                _ => assert_eq!(data, ompc::mpi::typed::f64s_to_bytes(&ones)),
-            }
-        }
-        device.shutdown();
+    });
+    let before = LARGE_BYTES.load(Ordering::Relaxed);
+    let mut region = device.target_region();
+    let outputs: Vec<BufferId> = (0..OUTPUTS).map(|_| region.map_alloc(PAYLOAD)).collect();
+    for &output in &outputs {
+        region.target(write, vec![Dependence::output(output)]);
+        region.map_from(output);
     }
+    region.run().unwrap();
+    let allocated = LARGE_BYTES.load(Ordering::Relaxed) - before;
+    let floor = OUTPUTS * PAYLOAD as u64;
+    assert!(
+        (floor..=floor + slack).contains(&allocated),
+        "{:.1} payloads allocated for {OUTPUTS} written outputs",
+        allocated as f64 / PAYLOAD as f64,
+    );
+    for output in outputs {
+        let data = device.buffer_data(output).unwrap();
+        assert_eq!(data.len(), PAYLOAD);
+        match output.0 % 2 {
+            0 => assert!(data[PAYLOAD - 1] == 1 && data[..PAYLOAD - 1].iter().all(|&b| b == 0)),
+            _ => assert_eq!(data, ompc::mpi::typed::f64s_to_bytes(&ones)),
+        }
+    }
+    device.shutdown();
 }
