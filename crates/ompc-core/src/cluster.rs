@@ -1637,7 +1637,7 @@ impl Drop for ClusterDevice {
 mod tests {
     use super::*;
     use crate::types::Dependence;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn listing1_chain_runs_end_to_end() {
@@ -1992,15 +1992,19 @@ mod tests {
         let workload = crate::model::WorkloadGraph::new(graph, vec![64; 16]);
         // Points 0–1 on worker 1, points 2–3 on worker 2.
         let assignment: Vec<NodeId> = (0..16).map(|task| 1 + (task % 4) / 2).collect();
-        // What the run itself issues: a composite task is one event and a
-        // forward one more.
-        let own = 16 + 12;
+        // What the run itself issues: a composite task is one event. Each of
+        // the 12 forwards is a push riding its producer's composite — a data
+        // movement, but no event of the head's.
+        let own = 16;
         let plan = RuntimePlan { assignment, window: 4 };
         let mut device = ClusterDevice::with_config(2, OmpcConfig::small());
         let issued = || device.events.counters().events.load(Ordering::Relaxed);
         let record = device.run_workload(&workload, &plan).unwrap();
         assert_eq!(record.transfer_count(), 12);
         assert_eq!(issued() - own, 2, "one release event per worker");
+        let counters = device.events.counters();
+        let moved = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!((moved(&counters.data_events), moved(&counters.bytes_moved)), (12, 12 * 64));
         assert!(device.dm.lock().is_empty() && device.buffers.is_empty());
 
         // A resident buffer read on both workers: ending its mapping is one
@@ -2018,6 +2022,125 @@ mod tests {
         device.exit_data(a).unwrap();
         assert_eq!(issued() - before, 2);
         device.shutdown();
+    }
+
+    /// A worker dies holding a copy pushed to it that its reader has not
+    /// claimed yet: the push ends with the node, the reader moves to the
+    /// survivor and reads the producer's own copy there, and the region's
+    /// bytes are those of a failure-free run.
+    #[test]
+    fn a_node_dying_with_an_unclaimed_push_still_recovers() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let fault_plan = FaultPlan::none().fail_after_completions(2, 1);
+            let mut device =
+                ClusterDevice::with_config(2, OmpcConfig { fault_plan, ..OmpcConfig::small() });
+            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+                let v = args.as_f64s(0)[0];
+                args.set_f64s(0, &[v + 1.0]);
+            });
+            let fill = device.register_kernel_fn("fill", 1e-6, |args| args.set_f64s(0, &[10.0]));
+            let sum = device.register_kernel_fn("sum", 1e-6, |args| {
+                let total = args.as_f64s(0)[0] + args.as_f64s(1)[0];
+                args.set_f64s(2, &[total]);
+            });
+            let [b, c, d] = [1.0, 0.0, 0.0].map(|v| device.enter_data_f64s(&[v]));
+            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
+            let mut graph = RegionGraph::new();
+            // The producer, on worker 1, pushes `b` to the reader's worker 2
+            // as soon as it is done. The fill follows it (it overwrites what
+            // the producer reads), and worker 2 dies with the fill's
+            // retirement — before the reader, which reads the fill too, is
+            // ever lowered.
+            let producer = vec![Dependence::inout(b), Dependence::input(c)];
+            graph.add_task(target(bump), producer, "producer");
+            graph.add_task(target(fill), vec![Dependence::output(c)], "fill");
+            let reader = vec![Dependence::input(b), Dependence::input(c), Dependence::output(d)];
+            graph.add_task(target(sum), reader, "reader");
+            let plan = RuntimePlan { assignment: vec![1, 2, 2], window: 4 };
+            let region = device.dm.lock().begin_region();
+            let telemetry = device.telemetry.scoped(region);
+            let graph = Arc::new(graph);
+            let record =
+                device.execute_planned(graph, HashMap::new(), &plan, region, &telemetry).unwrap();
+            assert_eq!(record.failures.len(), 1);
+            assert_eq!(record.failures[0].node, 2);
+            assert_eq!(record.assignment, vec![1, 1, 1], "the fill and the reader moved");
+            assert!(
+                record.transfers.iter().all(|t| t.buffer != b || t.to != 2),
+                "the push to the dead node is withdrawn: {:?}",
+                record.transfers
+            );
+            assert_eq!(device.buffer_f64s(d).unwrap(), vec![12.0]);
+            device.shutdown();
+        });
+    }
+
+    /// A recovery moves the only reader of a pushed version off a live
+    /// worker, and a later version of the buffer is read on that worker: the
+    /// reader there reads the later version, not the push nobody claimed.
+    #[test]
+    fn a_reader_moved_off_a_pushed_copy_leaves_no_stale_push_to_a_later_reader() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            // Worker 3 dies with its first retirement; the full replan over
+            // workers 1 and 2 is round-robin in topological order, which is
+            // task order here: 1, 2, 1, 2, 1, 2.
+            let config = OmpcConfig {
+                fault_plan: FaultPlan::none().fail_after_completions(3, 1),
+                replan_on_failure: true,
+                scheduler: crate::config::SchedulerKind::RoundRobin,
+                ..OmpcConfig::small()
+            };
+            let mut device = ClusterDevice::with_config(3, config);
+            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+                let v = args.as_f64s(0)[0];
+                args.set_f64s(0, &[v + 1.0]);
+            });
+            let fill = device.register_kernel_fn("fill", 1e-6, |args| args.set_f64s(0, &[10.0]));
+            let sum = device.register_kernel_fn("sum", 1e-6, |args| {
+                let total = args.as_f64s(0)[0] + args.as_f64s(1)[0];
+                args.set_f64s(2, &[total]);
+            });
+            let copy = device.register_kernel_fn("copy", 1e-6, |args| {
+                let v = args.as_f64s(0)[0];
+                args.set_f64s(1, &[v]);
+            });
+            let [b, x, o1, oy, o2] =
+                [1.0, 0.0, 0.0, 0.0, 0.0].map(|v| device.enter_data_f64s(&[v]));
+            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
+            let mut graph = RegionGraph::new();
+            // The fill dies with worker 3 and runs again after the replan,
+            // so the first reader of the producer's `b` — planned on worker
+            // 2, where the producer pushes it — is lowered only once the
+            // replan moved it to worker 1. The update of `b` then runs on
+            // worker 1 and its reader on worker 2.
+            graph.add_task(target(fill), vec![Dependence::output(x)], "fill");
+            graph.add_task(target(bump), vec![Dependence::inout(b)], "producer");
+            let first = vec![Dependence::input(b), Dependence::input(x), Dependence::output(o1)];
+            graph.add_task(target(sum), first, "first reader");
+            let pad = vec![Dependence::input(o1), Dependence::output(oy)];
+            graph.add_task(target(copy), pad, "pad");
+            graph.add_task(target(bump), vec![Dependence::inout(b)], "update");
+            let later = vec![Dependence::input(b), Dependence::output(o2)];
+            graph.add_task(target(copy), later, "later reader");
+            let plan = RuntimePlan { assignment: vec![3, 1, 2, 1, 1, 2], window: 4 };
+            let region = device.dm.lock().begin_region();
+            let telemetry = device.telemetry.scoped(region);
+            let graph = Arc::new(graph);
+            let record =
+                device.execute_planned(graph, HashMap::new(), &plan, region, &telemetry).unwrap();
+            assert_eq!(record.failures.len(), 1);
+            assert_eq!(record.failures[0].node, 3);
+            assert_eq!(record.assignment, vec![1, 1, 1, 2, 1, 2]);
+            assert_eq!(device.buffer_f64s(o1).unwrap(), vec![12.0]);
+            assert_eq!(device.buffer_f64s(o2).unwrap(), vec![3.0], "the update, not the push");
+            assert_eq!(device.buffer_f64s(b).unwrap(), vec![3.0]);
+            let forwards_of_b: Vec<(NodeId, NodeId)> = (record.transfers.iter())
+                .filter(|t| t.buffer == b && t.from != HEAD_NODE && t.to != HEAD_NODE)
+                .map(|t| (t.from, t.to))
+                .collect();
+            assert_eq!(forwards_of_b, vec![(1, 2)], "the update's push alone reaches worker 2");
+            device.shutdown();
+        });
     }
 
     /// No thread of the device is woken for nothing: not the gate for a

@@ -31,11 +31,11 @@ use std::time::Duration;
 /// Counters describing the event traffic of a device lifetime.
 #[derive(Debug, Default)]
 pub struct EventCounters {
-    /// Number of events issued.
+    /// Number of events issued (a push is none: it rides its producer's).
     pub events: AtomicU64,
-    /// Number of data-carrying events (submit / retrieve / exchange).
+    /// Number of data-carrying events (submit / retrieve / exchange) and booked pushes.
     pub data_events: AtomicU64,
-    /// Bytes moved by data-carrying events.
+    /// Bytes moved by those.
     pub bytes_moved: AtomicU64,
 }
 
@@ -43,9 +43,14 @@ impl EventCounters {
     pub(crate) fn record(&self, data_bytes: Option<u64>) {
         self.events.fetch_add(1, Ordering::Relaxed);
         if let Some(bytes) = data_bytes {
-            self.data_events.fetch_add(1, Ordering::Relaxed);
-            self.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
+            self.record_data(bytes);
         }
+    }
+
+    /// One data movement, and no event: all a booked push records.
+    pub(crate) fn record_data(&self, bytes: u64) {
+        self.data_events.fetch_add(1, Ordering::Relaxed);
+        self.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 

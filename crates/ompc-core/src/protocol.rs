@@ -31,7 +31,7 @@
 //! |---|---|---|
 //! | notification, completion notice | the encoding | — |
 //! | reply without data ([`Reply::from_parts`], `data_bearing = false`) | [`EventReply`] (status, stamps, inline acknowledgement) | — |
-//! | reply that *is* the data (retrieve; the sending half of a forward) | `EventReply::Ok` with nothing inline | the buffer |
+//! | reply that *is* the data (retrieve; the sending half of a forward, a [`TaskStep::Push`]) | `EventReply::Ok` with nothing inline | the buffer |
 //! | host payload (submit, `RecvFromHead`, a prefetch-train car) | empty ([`payload_body`]) | the buffer |
 //! | collective frame ([`relay_frame_header`] / [`decode_relay_parts`]) | frame index `u64` | the chunk |
 //!
@@ -56,9 +56,9 @@ pub const CONTROL_TAG: Tag = Tag(0);
 /// shared notice lanes and are left unused.
 pub const FIRST_EVENT_TAG: u64 = 3;
 
-/// The action a new event asks the destination node to perform. These map
-/// one-to-one to the operations a libomptarget device plugin must implement
-/// (alloc, delete, submit, retrieve, exchange, execute) plus shutdown.
+/// The action a new event asks the destination node to perform: what a
+/// libomptarget device plugin must implement (alloc, delete, submit,
+/// retrieve, exchange; execute is a task step) plus shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventRequest {
     /// Allocate `size` bytes of device memory for `buffer`.
@@ -80,8 +80,6 @@ pub enum EventRequest {
     /// channel and acknowledge to the origin (the receiving half of a
     /// worker-to-worker forward).
     ExchangeRecv { buffer: BufferId, from: NodeId },
-    /// Execute kernel `kernel` against the listed device buffers.
-    Execute { kernel: KernelId, buffers: Vec<BufferId> },
     /// Run one whole task — data movement steps then kernel execution — on
     /// the destination node, producing a single reply when every step has
     /// finished — that reply and nothing else. The composite event's
@@ -157,7 +155,6 @@ impl EventRequest {
             EventRequest::Retrieve { .. } => "retrieve",
             EventRequest::ExchangeSend { .. } => "exchange-send",
             EventRequest::ExchangeRecv { .. } => "exchange-recv",
-            EventRequest::Execute { .. } => "execute",
             EventRequest::Task(_) => "task",
             EventRequest::TaskTrain(_) => "task-train",
             EventRequest::SubmitTrain { .. } => "submit-train",
@@ -273,8 +270,8 @@ pub enum TaskStep {
     /// an [`EventRequest::ExchangeSend`], so a dead or failed source
     /// surfaces as a typed error in this task's reply instead of a hang.
     RecvFromWorker { buffer: BufferId, from: NodeId },
-    /// Wait for the newest receive of `buffer` the worker accepted before
-    /// this task — an earlier car or data event of the same region
+    /// Wait for the newest receive (or claim) of `buffer` the worker accepted
+    /// before this task — an earlier car or data event of the same region
     /// execution owns the transfer — to land, and fail with that receive's
     /// error if it failed. A stale copy already resident never satisfies
     /// the wait. `timeout_ms` is only a last-resort bound (`u64::MAX`: none).
@@ -289,6 +286,14 @@ pub enum TaskStep {
     Delete { buffer: BufferId },
     /// Run `kernel` against the listed device buffers.
     Execute { kernel: KernelId, buffers: Vec<BufferId> },
+    /// After the kernel, send the resident `buffer` to worker `to` on the push channel
+    /// `(tag, comm)`, as the sending half of an [`EventRequest::ExchangeSend`] would.
+    Push { buffer: BufferId, to: NodeId, tag: Tag, comm: CommId },
+    /// Receive the copy of `buffer` worker `from` pushed on `(tag, comm)`: queued before the
+    /// head booked it, so the step never waits, and a missing one is a typed error.
+    Claim { buffer: BufferId, from: NodeId, tag: Tag, comm: CommId },
+    /// Drop what worker `from` pushed on `(tag, comm)` and nobody claimed.
+    Discard { from: NodeId, tag: Tag, comm: CommId },
 }
 
 /// The recipe of one composite [`EventRequest::Task`]: the ordered steps
@@ -431,6 +436,9 @@ impl<'a> Reader<'a> {
     fn steps(&mut self) -> OmpcResult<Vec<TaskStep>> {
         self.list(9, decode_step)
     }
+    fn channel(&mut self) -> OmpcResult<(NodeId, Tag, CommId)> {
+        Ok((self.u64()? as NodeId, Tag(self.u64()?), CommId(self.u32()?)))
+    }
     fn rest(&mut self) -> Vec<u8> {
         let rest = self.data.get(self.pos..).unwrap_or_default().to_vec();
         self.pos = self.data.len();
@@ -444,7 +452,7 @@ const KIND_SUBMIT: u8 = 3;
 const KIND_RETRIEVE: u8 = 4;
 const KIND_EXCHANGE_SEND: u8 = 5;
 const KIND_EXCHANGE_RECV: u8 = 6;
-const KIND_EXECUTE: u8 = 7;
+// 7 was a bare `Execute` event: a kernel runs as a task's `Execute` step.
 const KIND_SHUTDOWN: u8 = 8;
 const KIND_KILL: u8 = 9;
 const KIND_TASK: u8 = 10;
@@ -475,6 +483,16 @@ const STEP_AWAIT_LOCAL: u8 = 3;
 const STEP_ALLOC: u8 = 4;
 const STEP_EXECUTE: u8 = 5;
 const STEP_DELETE: u8 = 6;
+const STEP_PUSH: u8 = 7;
+const STEP_CLAIM: u8 = 8;
+const STEP_DISCARD: u8 = 9;
+
+/// A worker, then a `(tag, communicator)` channel.
+fn encode_channel(w: &mut Writer, node: NodeId, tag: Tag, comm: CommId) {
+    w.u64(node as u64);
+    w.u64(tag.0);
+    w.u32(comm.0);
+}
 
 fn encode_step(w: &mut Writer, step: &TaskStep) {
     match step {
@@ -506,6 +524,16 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
             w.u64(kernel.0 as u64);
             w.buffers(buffers);
         }
+        TaskStep::Push { buffer, to: node, tag, comm }
+        | TaskStep::Claim { buffer, from: node, tag, comm } => {
+            w.u8(if matches!(step, TaskStep::Push { .. }) { STEP_PUSH } else { STEP_CLAIM });
+            w.u64(buffer.0);
+            encode_channel(w, *node, *tag, *comm);
+        }
+        TaskStep::Discard { from, tag, comm } => {
+            w.u8(STEP_DISCARD);
+            encode_channel(w, *from, *tag, *comm);
+        }
     }
 }
 
@@ -522,6 +550,18 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
         STEP_DELETE => TaskStep::Delete { buffer: BufferId(r.u64()?) },
         STEP_EXECUTE => {
             TaskStep::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffers()? }
+        }
+        STEP_PUSH => {
+            let (buffer, (to, tag, comm)) = (BufferId(r.u64()?), r.channel()?);
+            TaskStep::Push { buffer, to, tag, comm }
+        }
+        STEP_CLAIM => {
+            let (buffer, (from, tag, comm)) = (BufferId(r.u64()?), r.channel()?);
+            TaskStep::Claim { buffer, from, tag, comm }
+        }
+        STEP_DISCARD => {
+            let (from, tag, comm) = r.channel()?;
+            TaskStep::Discard { from, tag, comm }
         }
         other => return Err(OmpcError::Internal(format!("unknown task step kind {other}"))),
     })
@@ -561,11 +601,6 @@ impl EventNotification {
                 w.u8(KIND_EXCHANGE_RECV);
                 w.u64(buffer.0);
                 w.u64(*from as u64);
-            }
-            EventRequest::Execute { kernel, buffers } => {
-                w.u8(KIND_EXECUTE);
-                w.u64(kernel.0 as u64);
-                w.buffers(buffers);
             }
             EventRequest::Task(spec) => {
                 w.u8(KIND_TASK);
@@ -639,9 +674,6 @@ impl EventNotification {
             }
             KIND_EXCHANGE_RECV => {
                 EventRequest::ExchangeRecv { buffer: BufferId(r.u64()?), from: r.u64()? as NodeId }
-            }
-            KIND_EXECUTE => {
-                EventRequest::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffers()? }
             }
             KIND_TASK => EventRequest::Task(TaskSpec { steps: r.steps()? }),
             KIND_TASK_TRAIN => EventRequest::TaskTrain(r.list(16, |r| {
@@ -992,10 +1024,12 @@ mod tests {
         round_trip(EventRequest::Retrieve { buffer: BufferId(2) });
         round_trip(EventRequest::ExchangeSend { buffer: BufferId(3), to: 5 });
         round_trip(EventRequest::ExchangeRecv { buffer: BufferId(3), from: 2 });
-        round_trip(EventRequest::Execute {
-            kernel: KernelId(9),
-            buffers: vec![BufferId(1), BufferId(2), BufferId(3)],
-        });
+        round_trip(EventRequest::Task(TaskSpec {
+            steps: vec![TaskStep::Execute {
+                kernel: KernelId(9),
+                buffers: vec![BufferId(1), BufferId(2), BufferId(3)],
+            }],
+        }));
         round_trip(EventRequest::Shutdown);
         round_trip(EventRequest::Kill);
     }
@@ -1014,6 +1048,9 @@ mod tests {
                     kernel: KernelId(7),
                     buffers: vec![BufferId(1), BufferId(2), BufferId(3), BufferId(4)],
                 },
+                TaskStep::Push { buffer: BufferId(4), to: 2, tag: Tag(40), comm: CommId(1) },
+                TaskStep::Claim { buffer: BufferId(5), from: 3, tag: Tag(41), comm: CommId(0) },
+                TaskStep::Discard { from: 3, tag: Tag(u64::MAX), comm: CommId(u32::MAX) },
             ],
         }));
     }
@@ -1224,7 +1261,8 @@ mod tests {
     /// A forged element count must not size an allocation: this 18-byte
     /// notification — a task of `u32::MAX` steps — used to abort the process
     /// reserving 128 GiB before reading a single step. The same holds for a
-    /// delete of `u32::MAX` buffers.
+    /// delete of `u32::MAX` buffers, and for a task whose one real step — a
+    /// push, a claim, a discard — claims 4 billion siblings.
     #[test]
     fn a_forged_element_count_is_a_truncation_error_not_an_allocation() {
         for kind in [KIND_TASK, KIND_DELETE] {
@@ -1234,6 +1272,17 @@ mod tests {
             bytes.extend_from_slice(&[0, kind]); // untimed
             bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // ... of 4 billion elements
             assert_eq!(bytes.len(), 18);
+            assert!(matches!(EventNotification::decode(&bytes), Err(OmpcError::Internal(_))));
+        }
+        let (tag, comm) = (Tag(9), CommId(1));
+        for step in [
+            TaskStep::Push { buffer: BufferId(3), to: 2, tag, comm },
+            TaskStep::Claim { buffer: BufferId(3), from: 1, tag, comm },
+            TaskStep::Discard { from: 1, tag, comm },
+        ] {
+            let task = EventRequest::Task(TaskSpec { steps: vec![step] });
+            let mut bytes = EventNotification { request: task, tag, comm, timed: false }.encode();
+            bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes()); // the step count
             assert!(matches!(EventNotification::decode(&bytes), Err(OmpcError::Internal(_))));
         }
     }
@@ -1270,16 +1319,18 @@ mod tests {
     fn arb_steps(rng: &mut Rng) -> Vec<TaskStep> {
         let step = |rng: &mut Rng| {
             let buffer = BufferId(rng.next_u64());
-            match rng.range(0, 6) {
+            let node = rng.range_usize(0, 1 << 20);
+            let (tag, comm) = (Tag(rng.next_u64()), CommId(rng.next_u64() as u32));
+            match rng.range(0, 9) {
                 0 => TaskStep::RecvFromHead { buffer },
-                1 => TaskStep::RecvFromWorker { buffer, from: rng.range_usize(0, 1 << 20) },
+                1 => TaskStep::RecvFromWorker { buffer, from: node },
                 2 => TaskStep::AwaitLocal { buffer, timeout_ms: rng.next_u64() },
                 3 => TaskStep::Alloc { buffer, size: rng.next_u64() },
                 4 => TaskStep::Delete { buffer },
-                _ => TaskStep::Execute {
-                    kernel: KernelId(rng.range_usize(0, 1 << 20)),
-                    buffers: arb_buffers(rng),
-                },
+                5 => TaskStep::Push { buffer, to: node, tag, comm },
+                6 => TaskStep::Claim { buffer, from: node, tag, comm },
+                7 => TaskStep::Discard { from: node, tag, comm },
+                _ => TaskStep::Execute { kernel: KernelId(node), buffers: arb_buffers(rng) },
             }
         };
         (0..rng.range(0, 5)).map(|_| step(rng)).collect()
@@ -1294,7 +1345,8 @@ mod tests {
         (0..rng.range(0, 5)).map(|_| child(rng)).collect()
     }
 
-    /// A notification of wire kind `kind` (every kind from 1 to 15 exists).
+    /// A notification of wire kind `kind` (every kind from 1 to 15 but 7
+    /// exists).
     fn arb_notification(rng: &mut Rng, kind: u8) -> EventNotification {
         let buffer = BufferId(rng.next_u64());
         let node = rng.range_usize(0, 1 << 20);
@@ -1305,9 +1357,6 @@ mod tests {
             KIND_RETRIEVE => EventRequest::Retrieve { buffer },
             KIND_EXCHANGE_SEND => EventRequest::ExchangeSend { buffer, to: node },
             KIND_EXCHANGE_RECV => EventRequest::ExchangeRecv { buffer, from: node },
-            KIND_EXECUTE => {
-                EventRequest::Execute { kernel: KernelId(node), buffers: arb_buffers(rng) }
-            }
             KIND_SHUTDOWN => EventRequest::Shutdown,
             KIND_KILL => EventRequest::Kill,
             KIND_TASK => EventRequest::Task(TaskSpec { steps: arb_steps(rng) }),
@@ -1419,7 +1468,7 @@ mod tests {
     fn seeded_fuzz_every_message_round_trips_and_rejects_corruption() {
         for seed in 0..1_000 {
             let rng = &mut Rng::new(seed);
-            for kind in KIND_ALLOC..=KIND_RELAY_FEED {
+            for kind in (KIND_ALLOC..=KIND_RELAY_FEED).filter(|&kind| kind != 7) {
                 let n = arb_notification(rng, kind);
                 check_codec(rng, &n, 0, EventNotification::encode, EventNotification::decode);
             }
@@ -1497,7 +1546,8 @@ mod tests {
 
     #[test]
     fn execute_with_no_buffers_round_trips() {
-        round_trip(EventRequest::Execute { kernel: KernelId(0), buffers: vec![] });
+        let execute = TaskStep::Execute { kernel: KernelId(0), buffers: vec![] };
+        round_trip(EventRequest::Task(TaskSpec { steps: vec![execute] }));
     }
 
     #[test]
@@ -1524,6 +1574,9 @@ mod tests {
         .encode();
         let last = bytes.len() - 1;
         bytes[last] = 99;
+        assert!(EventNotification::decode(&bytes).is_err());
+        // 7 named the bare `Execute` event, which is gone.
+        bytes[last] = 7;
         assert!(EventNotification::decode(&bytes).is_err());
     }
 
@@ -1567,9 +1620,6 @@ mod tests {
         assert_eq!(EventRequest::TaskTrain(vec![]).name(), "task-train");
         assert_eq!(EventRequest::Reset.name(), "reset");
         assert_eq!(EventRequest::Retrieve { buffer: BufferId(0) }.name(), "retrieve");
-        assert_eq!(
-            EventRequest::Execute { kernel: KernelId(0), buffers: vec![] }.name(),
-            "execute"
-        );
+        assert_eq!(EventRequest::Task(TaskSpec { steps: vec![] }).name(), "task");
     }
 }

@@ -6,8 +6,8 @@
 //! state into the wire vocabulary the workers speak:
 //!
 //! * a target task becomes a [`Composite`] — `Delete`* / `RecvFromHead` /
-//!   `RecvFromWorker` / `AwaitLocal` / `Alloc` / `Execute` steps with their
-//!   payload frames and exchange-send requests;
+//!   `RecvFromWorker` / `Claim` / `AwaitLocal` / `Alloc` / `Execute` /
+//!   `Push`* steps with their payload frames and exchange-send requests;
 //! * an enter/exit-data task becomes one [`DataEvent`] (`Submit`,
 //!   `ExchangeRecv`+`ExchangeSend`, `Alloc`, `Retrieve`);
 //! * a host task (flushed and run right here, outside every lock), a no-op
@@ -42,11 +42,12 @@
 //!   transfer's own error, or is planned afresh when the booking was
 //!   invalidated on the wire.
 //!
-//! What the lowering owns,
-//! per region and shared by its tasks, is the **deferred deletes**: stale
-//! and released copies ride the next composite to their node as `Delete`
-//! prologue steps, or are flushed by [`Lowering::flush_deletes`] at the end
-//! of the run.
+//! What the lowering owns, per region and shared by its tasks, is the
+//! **deferred deletes** — stale and released copies ride the next composite
+//! to their node as `Delete` prologue steps — and the **pushes** nobody
+//! claimed yet, which end unclaimed when a later write, a recovery, a death
+//! or the end of the run leaves them no reader; [`Lowering::flush_deletes`]
+//! sends each live node what is left of both, in one event.
 //!
 //! A host payload is the registry's own [`Bytes`] handle — the buffer *is*
 //! the frame: forwarded to k nodes it is one allocation held k + 1 times,
@@ -67,7 +68,7 @@ use crate::event::{EventSystem, ReplyChannel, TypedReply};
 use crate::protocol::{EventRequest, Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
-use ompc_mpi::Bytes;
+use ompc_mpi::{Bytes, CommId, Tag};
 use ompc_sched::Platform;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -191,10 +192,14 @@ enum RecordKind {
     Target {
         /// Buffers whose inbound transfer to `node` this task has booked.
         owned: Vec<BufferId>,
+        /// Pushes it claimed (their buffers are in `owned`).
+        claims: Vec<Push>,
         /// Buffers the task writes.
         writes: Vec<BufferId>,
         /// Deferred deletes attached as prologue steps.
         deletes: Vec<BufferId>,
+        /// Copies its composite pushes, booked when it succeeds.
+        pushes: Vec<Push>,
     },
     /// `booked`: the copy is a booking of this task's (finished with the
     /// reply) rather than a replica to record on success (an alloc).
@@ -206,9 +211,45 @@ enum RecordKind {
     ExitData { buffer: BufferId, release: bool },
 }
 
+/// A copy of `buffer` task `producer` on `from` pushes to `to`, on its own channel.
+#[derive(Debug, Clone, Copy)]
+struct Push {
+    producer: TaskId,
+    buffer: BufferId,
+    from: NodeId,
+    to: NodeId,
+    tag: Tag,
+    comm: CommId,
+}
+
+/// A target task's inputs as planned.
+#[derive(Default)]
+struct Inputs {
+    work: Composite,
+    owned: Vec<BufferId>,
+    claims: Vec<Push>,
+}
+
+impl Inputs {
+    /// Claim the unclaimed push of `buffer` to `node`, if there is one.
+    fn claim(&mut self, state: &mut State, buffer: BufferId, node: NodeId) -> bool {
+        let Some(push) = state.unclaimed.remove(&(buffer, node)) else { return false };
+        let Push { from, tag, comm, .. } = push;
+        self.work.steps.push(TaskStep::Claim { buffer, from, tag, comm });
+        self.owned.push(buffer);
+        self.claims.push(push);
+        true
+    }
+}
+
 #[derive(Default)]
 struct State {
     deferred_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
+    assignment: Vec<NodeId>,
+    /// Booked pushes awaiting their first reader, by `(buffer, node)`.
+    unclaimed: BTreeMap<(BufferId, NodeId), Push>,
+    /// Pushes sent that nobody will claim, owed a drop ([`Lowering::flush_deletes`]).
+    discards: Vec<Push>,
 }
 
 /// The lowering of one region execution. `state` is taken before the data
@@ -397,8 +438,7 @@ impl Lowering {
         // exercises the reply path end to end.
         let kernel =
             if self.config.fault_plan.has_task_error(tid) { POISONED_KERNEL } else { kernel };
-        let mut work = Composite::default();
-        let mut owned = Vec::new();
+        let mut inputs = Inputs::default();
         let mut state = self.state.lock();
         // Plan the whole task under one acquisition of the data manager: a
         // co-located reader lowered later either sees our booking (and
@@ -415,8 +455,10 @@ impl Lowering {
                 return Ok(Lowered::Parked(awaiting));
             }
         }
-        let planned = self.plan_inputs(&mut dm, tid, node, task, &mut work, &mut owned);
+        let planned = self.plan_inputs(&mut state, &mut dm, tid, node, task, &mut inputs);
+        let pushes = self.plan_pushes(&state, &dm, tid, node);
         drop(dm);
+        let Inputs { mut work, owned, claims } = inputs;
         // Deferred maintenance rides along: the deletes queued for this node
         // since its last task become prologue steps — ordered before any
         // receive of the same buffer, costing no extra round-trip.
@@ -425,9 +467,13 @@ impl Lowering {
         work.steps.splice(0..0, deletes.iter().map(|&buffer| TaskStep::Delete { buffer }));
         let buffers = task.dependences.iter().map(|d| d.buffer).collect();
         work.steps.push(TaskStep::Execute { kernel, buffers });
+        let push =
+            |p: &Push| TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag, comm: p.comm };
+        work.steps.extend(pushes.iter().map(push));
         let writes =
             task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer).collect();
-        let record = Record { node, kind: RecordKind::Target { owned, writes, deletes } };
+        let kind = RecordKind::Target { owned, claims, writes, deletes, pushes };
+        let record = Record { node, kind };
         match planned {
             Ok(()) => Ok(Lowered::Task(work, record)),
             Err(error) => {
@@ -444,25 +490,39 @@ impl Lowering {
     /// ([`Lowering::foreign_inflight`]).
     fn plan_inputs(
         &self,
+        state: &mut State,
         dm: &mut DataManager,
         tid: usize,
         node: NodeId,
         task: &TargetTask,
-        work: &mut Composite,
-        owned: &mut Vec<BufferId>,
+        inputs: &mut Inputs,
     ) -> OmpcResult<()> {
         for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
-            self.plan_read(dm, tid, node, dep.buffer, work, owned)?;
+            self.plan_read(state, dm, tid, node, dep.buffer, inputs)?;
         }
-        // Write-only outputs: make sure storage exists on the node. It
-        // becomes the buffer's one holder when the write is recorded.
+        // Write-only outputs: make sure storage exists on the node — an unclaimed copy
+        // pushed here will do. It becomes the buffer's one holder when the write is recorded.
         for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
-            if !dm.is_present(dep.buffer, node) {
+            if !inputs.claim(state, dep.buffer, node) && !dm.is_present(dep.buffer, node) {
                 let size = self.path.buffers.size_of(dep.buffer)? as u64;
-                work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
+                inputs.work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
             }
         }
         Ok(())
+    }
+
+    /// Where task `tid` on `node` pushes what it writes, each on a fresh channel.
+    fn plan_pushes(&self, state: &State, dm: &DataManager, tid: usize, node: NodeId) -> Vec<Push> {
+        let target =
+            |&(b, r): &(BufferId, TaskId)| self.graph.task(r).kind.is_target().then_some((r.0, b));
+        let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
+        let targets: BTreeSet<_> =
+            super::push_targets(readers, node, &state.assignment, dm).collect();
+        let channel = |(to, buffer)| {
+            let (tag, comm) = self.path.events.open_channel();
+            Push { producer: TaskId(tid), buffer, from: node, to, tag, comm }
+        };
+        targets.into_iter().map(channel).collect()
     }
 
     /// Whether someone other than this execution has `buffer` on the wire
@@ -496,32 +556,35 @@ impl Lowering {
         Some(failed.map_or(Ok(()), Err))
     }
 
-    /// Plan one input of a task on `node`: a receive step this task owns,
-    /// an await of bytes an earlier task of this execution has queued ahead
-    /// of it on the node, or nothing.
+    /// Plan one input of a task on `node`: a receive step this task owns (a
+    /// claim, a transfer), an await of bytes an earlier task of this
+    /// execution has queued ahead of it on the node, or nothing.
     fn plan_read(
         &self,
+        state: &mut State,
         dm: &mut DataManager,
         tid: usize,
         node: NodeId,
         buffer: BufferId,
-        work: &mut Composite,
-        owned: &mut Vec<BufferId>,
+        inputs: &mut Inputs,
     ) -> OmpcResult<()> {
         // The booking is made at lowering time: a later co-located reader
         // must await the arrival even though the bytes have not left yet.
         let plan = match dm.book(Owner::Region(self.region), buffer, node, TransferReason::Input)? {
             Booking::Present => return Ok(()),
+            // The first reader of a pushed copy claims it, later ones await.
+            Booking::Await if inputs.claim(state, buffer, node) => return Ok(()),
             Booking::Await => {
                 // The receive lands or fails by itself; the reply time-out
                 // is only the last resort.
                 let timeout_ms = self.config.event_reply_timeout_ms.unwrap_or(u64::MAX);
-                work.steps.push(TaskStep::AwaitLocal { buffer, timeout_ms });
+                inputs.work.steps.push(TaskStep::AwaitLocal { buffer, timeout_ms });
                 return Ok(());
             }
             Booking::Move(plan) => plan,
         };
-        owned.push(buffer);
+        inputs.owned.push(buffer);
+        let work = &mut inputs.work;
         if plan.from == HEAD_NODE {
             work.payloads.push(self.host_payload(buffer, tid)?);
             work.steps.push(TaskStep::RecvFromHead { buffer });
@@ -619,10 +682,12 @@ impl Lowering {
             }
         }
         match kind {
-            RecordKind::Target { owned, writes, .. } => {
+            RecordKind::Target { owned, writes, pushes, .. } => {
                 let mut state = self.state.lock();
                 let mut dm = self.path.dm.lock();
                 self.finish(&mut dm, node, &owned, &Ok(()))?;
+                // Nobody may claim a version this task supersedes any more.
+                self.end_pushes(&mut state, &mut dm, None, |p| writes.contains(&p.buffer));
                 // The copy on `node` is now the only valid one; the stale
                 // ones are freed by the next composite headed their way.
                 for buffer in writes {
@@ -632,6 +697,7 @@ impl Lowering {
                         }
                     }
                 }
+                self.book_pushes(&mut state, &mut dm, pushes);
             }
             RecordKind::EnterData { buffer, booked, .. } => {
                 let mut dm = self.path.dm.lock();
@@ -660,24 +726,73 @@ impl Lowering {
         Ok(())
     }
 
+    /// Book a succeeded producer's pushes as its readers' input transfers: a data movement
+    /// each, but no event. One from a dead producer, one whose node hosts no reader of it any
+    /// more (a recovery moved them) and one the table refuses are dropped.
+    fn book_pushes(&self, state: &mut State, dm: &mut DataManager, pushes: Vec<Push>) {
+        let (owner, input) = (Owner::Region(self.region), TransferReason::Input);
+        for push in pushes {
+            let bookable = !dm.is_failed(push.from) && self.read_at(&state.assignment, &push);
+            let booking = bookable.then(|| dm.book(owner, push.buffer, push.to, input));
+            if let Some(Ok(Booking::Move(_))) = booking {
+                let bytes = self.path.buffers.size_of(push.buffer).unwrap_or(0) as u64;
+                self.path.events.counters().record_data(bytes);
+                state.unclaimed.insert((push.buffer, push.to), push);
+            } else {
+                state.discards.push(push);
+            }
+        }
+    }
+
+    /// Whether a reader of the version `push` carries runs on its node under `assignment`.
+    fn read_at(&self, assignment: &[NodeId], push: &Push) -> bool {
+        let readers = self.graph.readers_of(push.producer).iter();
+        readers
+            .filter(|&&(buffer, _)| buffer == push.buffer)
+            .any(|&(_, reader)| assignment.get(reader.0) == Some(&push.to))
+    }
+
+    /// End the unclaimed pushes `over` picks: each booking finished with an error — `dead`'s
+    /// failure, or that nobody claimed it — its record withdrawn, and each copy owed a drop.
+    fn end_pushes(
+        &self,
+        state: &mut State,
+        dm: &mut DataManager,
+        dead: Option<NodeId>,
+        over: impl Fn(&Push) -> bool,
+    ) {
+        let nobody = || OmpcError::Communication("no reader claimed the push".into());
+        let (State { unclaimed, discards, .. }, failed) =
+            (state, Err(dead.map_or_else(nobody, OmpcError::NodeFailure)));
+        unclaimed.retain(|_, push| {
+            let end = over(push);
+            if end {
+                let _ = self.finish(dm, push.to, &[push.buffer], &failed);
+                discards.push(*push);
+            }
+            !end
+        });
+    }
+
     /// Roll back a lowering that never reached the wire: as a failed
     /// [`Lowering::retire`], and its attached deletes are owed again.
     pub(crate) fn abandon(&self, record: Record, error: &OmpcError) {
         self.roll_back(&mut self.state.lock(), record, error, true);
     }
 
-    /// The task never landed its effects: finish its bookings with `error`,
-    /// so no later reader skips a transfer the bytes never made (holder and
-    /// log entry are rolled back) and whoever awaits one of them fails with
-    /// `error` — a killed source keeps its blame — instead of blocking.
+    /// The task never landed its effects: finish its bookings with `error`, so no later
+    /// reader skips a transfer the bytes never made (holder and log entry are rolled back)
+    /// and whoever awaits one of them fails with `error` — a killed source keeps its blame —
+    /// instead of blocking. A copy it claimed is owed a drop, in case no step took it.
     fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
         let Record { node, kind } = record;
         let mut dm = self.path.dm.lock();
         let failed = Err(error.clone());
         let mut owed = Vec::new();
         match kind {
-            RecordKind::Target { owned, deletes, .. } => {
+            RecordKind::Target { owned, claims, deletes, .. } => {
                 let _ = self.finish(&mut dm, node, &owned, &failed);
+                state.discards.extend(claims);
                 if unsent {
                     owed = deletes;
                 }
@@ -709,35 +824,51 @@ impl Lowering {
         }
     }
 
-    /// Send every deferred delete that never found a composite to ride (end
-    /// of the run): one event per node. Dead nodes are skipped — their
-    /// memory died with them. Every live node is attempted; what a node did
-    /// not acknowledge stays owed to it, and the first error is returned.
+    /// The end of the run: every push still unclaimed is over, and each live node gets one
+    /// event ([`super::delete_device_copies`]) with the deletes no composite carried and the
+    /// drops of the copies nobody claimed. Dead nodes are skipped — their memory died with
+    /// them. Every live node is attempted; what a node did not acknowledge stays owed to it,
+    /// and the first error is returned.
     pub(crate) fn flush_deletes(&self) -> OmpcResult<()> {
-        let mut pending = std::mem::take(&mut self.state.lock().deferred_deletes);
+        let mut owed: BTreeMap<NodeId, (BTreeSet<BufferId>, Vec<Push>)> = BTreeMap::new();
         {
-            let dm = self.path.dm.lock();
-            pending.retain(|&node, _| !dm.is_failed(node));
+            let (mut state, mut dm) = (self.state.lock(), self.path.dm.lock());
+            self.end_pushes(&mut state, &mut dm, None, |_| true);
+            for (node, buffers) in std::mem::take(&mut state.deferred_deletes) {
+                owed.entry(node).or_default().0 = buffers;
+            }
+            for push in std::mem::take(&mut state.discards) {
+                owed.entry(push.to).or_default().1.push(push);
+            }
+            owed.retain(|&node, _| !dm.is_failed(node));
         }
-        let owed = pending.iter().map(|(&node, buffers)| (node, buffers.iter().copied().collect()));
-        let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, owed);
+        let sent = owed.iter().map(|(&node, (buffers, pushes))| {
+            let discard = |p: &Push| TaskStep::Discard { from: p.from, tag: p.tag, comm: p.comm };
+            (node, buffers.iter().copied().collect(), pushes.iter().map(discard).collect())
+        });
+        let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, sent);
         let mut state = self.state.lock();
         for (node, _) in &failed {
-            let unacknowledged = pending.remove(node).unwrap_or_default();
-            state.deferred_deletes.entry(*node).or_default().extend(unacknowledged);
+            let (buffers, pushes) = owed.remove(node).unwrap_or_default();
+            state.deferred_deletes.entry(*node).or_default().extend(buffers);
+            state.discards.extend(pushes);
         }
         super::first_error(failed)
     }
 
-    /// `node` just died: discard its copies and its deferred deletes (they
-    /// must not ride a later composite into the zombie gate), kill the
-    /// worker's event loop **for real** — from now on it refuses every event
-    /// with an error reply, so peers observe the death instead of hanging —
-    /// and name the writers of every buffer whose only copy was lost.
+    /// `node` just died: discard its copies, its pushes and its deferred deletes (they must
+    /// not ride a later composite into the zombie gate), kill the worker's event loop **for
+    /// real** — from now on it refuses every event with an error reply, so peers observe the
+    /// death instead of hanging — and name the writers of every buffer whose only copy was
+    /// lost.
     pub(crate) fn invalidate_node(&self, node: NodeId) -> Vec<LostBuffer> {
-        self.state.lock().deferred_deletes.remove(&node);
+        let mut state = self.state.lock();
+        state.deferred_deletes.remove(&node);
+        let mut dm = self.path.dm.lock();
         // Only workers are ever declared failed; the head would lose nothing.
-        let lost = self.path.dm.lock().fail_node(node).unwrap_or_default();
+        let lost = dm.fail_node(node).unwrap_or_default();
+        self.end_pushes(&mut state, &mut dm, Some(node), |p| p.to == node || p.from == node);
+        drop((state, dm));
         let _ = self.path.events.kill(node);
         let writers_of = |buffer| {
             let writes = |t: &&TargetTask| {
@@ -746,6 +877,14 @@ impl Lowering {
             self.graph.tasks().iter().filter(writes).map(|t| t.id.0).collect()
         };
         lost.into_iter().map(|buffer| LostBuffer { buffer, writers: writers_of(buffer) }).collect()
+    }
+
+    /// The assignment the core launches by from now on. After a recovery, a
+    /// push whose node hosts no reader of its version any more is over.
+    pub(crate) fn assign(&self, assignment: &[NodeId]) {
+        let (mut state, mut dm) = (self.state.lock(), self.path.dm.lock());
+        self.end_pushes(&mut state, &mut dm, None, |p| !self.read_at(assignment, p));
+        state.assignment = assignment.to_vec();
     }
 
     /// Re-run the static scheduler over the survivors, re-pinned against
@@ -771,10 +910,10 @@ mod tests {
     use ompc_mpi::World;
     use std::sync::atomic::Ordering;
 
-    /// A lowering over a three-rank world whose worker ranks never run:
+    /// A lowering over a four-rank world whose worker ranks never run:
     /// nothing is ever delivered, so each test observes the lowering alone.
     /// Buffer `a` is 32 host bytes; tasks 0–1 read it, task 2 updates it,
-    /// task 3 reads it and allocates an output.
+    /// tasks 3–6 read that version and task 3 also allocates an output.
     struct Fixture {
         _world: World,
         low: Lowering,
@@ -782,7 +921,7 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let world = World::with_communicators(3, 1);
+        let world = World::with_communicators(4, 1);
         let buffers = Arc::new(BufferRegistry::new());
         let a = buffers.register(vec![7u8; 32]);
         let out = buffers.register(vec![0u8; 8]);
@@ -794,7 +933,10 @@ mod tests {
         graph.add_task(kind.clone(), vec![Dependence::input(a)], "r0");
         graph.add_task(kind.clone(), vec![Dependence::input(a)], "r1");
         graph.add_task(kind.clone(), vec![Dependence::inout(a)], "w");
-        graph.add_task(kind, vec![Dependence::input(a), Dependence::output(out)], "r+o");
+        graph.add_task(kind.clone(), vec![Dependence::input(a), Dependence::output(out)], "r+o");
+        for label in ["r3", "r4", "r5"] {
+            graph.add_task(kind.clone(), vec![Dependence::input(a)], label);
+        }
         let path = DataPath {
             events: Arc::new(EventSystem::new(world.communicator(0))),
             buffers,
@@ -817,7 +959,7 @@ mod tests {
     /// Copies of the fixture's two buffers booked as in flight.
     fn inflight_entries(low: &Lowering) -> usize {
         let dm = low.path.dm.lock();
-        let pairs = (0..2).flat_map(|b| (1..3).map(move |node| (BufferId(b), node)));
+        let pairs = (0..2).flat_map(|b| (1..4).map(move |node| (BufferId(b), node)));
         pairs
             .filter(|&(b, n)| matches!(dm.transfer_state(b, n), TransferState::InFlight(_)))
             .count()
@@ -1072,6 +1214,255 @@ mod tests {
         assert_eq!(low.flush_deletes(), Ok(()));
         assert!(low.state.lock().deferred_deletes.is_empty());
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 1);
+    }
+
+    /// Task 2's update of `a` on node 1 is read by tasks 3 and 4 on node 2,
+    /// task 5 on node 3 and task 6 beside it on node 1.
+    const READERS_SPREAD: [NodeId; 7] = [1, 1, 1, 2, 2, 3, 1];
+
+    /// The `(buffer, destination)` of every push step among `steps`.
+    fn pushes(steps: &[TaskStep]) -> Vec<(BufferId, NodeId)> {
+        let push = |step: &TaskStep| match *step {
+            TaskStep::Push { buffer, to, .. } => Some((buffer, to)),
+            _ => None,
+        };
+        steps.iter().filter_map(push).collect()
+    }
+
+    #[test]
+    fn a_producer_pushes_once_per_remote_reader_node_and_the_first_reader_claims() {
+        let Fixture { low, a, .. } = &fixture();
+        let a = *a;
+        low.assign(&READERS_SPREAD);
+        let (work, record) = lower_task(low, 2, 1);
+        assert!(
+            matches!(
+                &work.steps[..],
+                [
+                    TaskStep::RecvFromHead { .. },
+                    TaskStep::Execute { .. },
+                    TaskStep::Push { .. },
+                    TaskStep::Push { .. }
+                ]
+            ),
+            "the pushes end the composite: {:?}",
+            work.steps
+        );
+        assert_eq!(pushes(&work.steps), vec![(a, 2), (a, 3)], "one per remote reader node");
+        let channel_to = |node| {
+            let step =
+                work.steps.iter().find(|s| matches!(s, TaskStep::Push { to, .. } if *to == node));
+            match step {
+                Some(&TaskStep::Push { tag, comm, .. }) => (tag, comm),
+                _ => panic!("no push to node {node}"),
+            }
+        };
+        assert_ne!(channel_to(2), channel_to(3), "each push has a channel of its own");
+        assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "nothing is booked before it ran");
+
+        // The producer is done: its pushes are booked from it, as the pulls
+        // they replace would have been, and cost the head no event.
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        let forwards: Vec<(NodeId, NodeId)> = (low.path.dm.lock().transfer_log().iter())
+            .filter(|t| t.reason == TransferReason::Input && t.from != HEAD_NODE)
+            .map(|t| (t.from, t.to))
+            .collect();
+        assert_eq!(forwards, vec![(1, 2), (1, 3)]);
+        let counters = low.path.events.counters();
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&counters.events), 0, "a push is no event of the head's");
+        assert_eq!((count(&counters.data_events), count(&counters.bytes_moved)), (2, 64));
+
+        // A reader beside the producer plans nothing.
+        let (beside, _record) = lower_task(low, 6, 1);
+        assert!(matches!(&beside.steps[..], [TaskStep::Execute { .. }]), "{:?}", beside.steps);
+        // The first reader on node 2 claims the push on its channel ...
+        let (first, _record) = lower_task(low, 3, 2);
+        let (tag, comm) = channel_to(2);
+        assert!(
+            matches!(&first.steps[..], [TaskStep::Claim { buffer, from: 1, .. }, TaskStep::Alloc { .. }, TaskStep::Execute { .. }] if *buffer == a),
+            "unexpected steps: {:?}",
+            first.steps
+        );
+        assert_eq!(first.steps[0], TaskStep::Claim { buffer: a, from: 1, tag, comm });
+        assert!(first.payloads.is_empty() && first.exchanges.is_empty(), "the head sends nothing");
+        // ... and the second awaits that receive.
+        let (second, _record) = lower_task(low, 4, 2);
+        assert!(
+            matches!(&second.steps[..], [TaskStep::AwaitLocal { buffer, .. }, TaskStep::Execute { .. }] if *buffer == a),
+            "unexpected steps: {:?}",
+            second.steps
+        );
+        let (third_node, _record) = lower_task(low, 5, 3);
+        assert!(matches!(third_node.steps[0], TaskStep::Claim { from: 1, .. }));
+        assert_eq!(low.path.dm.lock().transfer_log().len(), 3, "no reader books a transfer");
+    }
+
+    #[test]
+    fn a_failed_producer_leaves_nothing_booked() {
+        let Fixture { low, a, .. } = &fixture();
+        low.assign(&READERS_SPREAD);
+        let (work, record) = lower_task(low, 2, 1);
+        assert_eq!(pushes(&work.steps).len(), 2);
+        let boom = OmpcError::RemoteEvent {
+            node: 1,
+            event: 5,
+            error: Box::new(OmpcError::UnknownKernel(KernelId(0))),
+        };
+        assert_eq!(low.retire(2, record, Err(boom.clone())), Err(boom));
+        assert!(low.path.dm.lock().transfer_log().is_empty());
+        assert_eq!(inflight_entries(low), 0);
+        let state = low.state.lock();
+        assert!(state.unclaimed.is_empty() && state.discards.is_empty());
+        drop(state);
+        // A reader lowered now fetches the version that is still the latest.
+        let (work, _record) = lower_task(low, 3, 2);
+        assert!(matches!(work.steps[0], TaskStep::RecvFromHead { buffer } if buffer == *a));
+    }
+
+    #[test]
+    fn a_claim_that_never_leaves_is_dropped_and_a_dead_node_ends_its_pushes() {
+        let Fixture { low, a, .. } = &fixture();
+        let a = *a;
+        low.assign(&READERS_SPREAD);
+        let (_, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        let owed =
+            |low: &Lowering| low.state.lock().discards.iter().map(|p| p.to).collect::<Vec<_>>();
+        let (work, record) = lower_task(low, 3, 2);
+        assert!(matches!(work.steps[0], TaskStep::Claim { .. }));
+        // Its train never departs: the copy it claimed is owed a drop, and
+        // the next reader there fetches the version afresh.
+        low.abandon(record, &OmpcError::Communication("never sent".into()));
+        assert_eq!(owed(low), vec![2]);
+        let (work, _record) = lower_task(low, 4, 2);
+        assert!(
+            matches!(work.steps[0], TaskStep::RecvFromWorker { from: 1, .. }),
+            "{:?}",
+            work.steps
+        );
+
+        // The producer's node dies: the push nobody claimed yet is over —
+        // its record withdrawn, its copy owed a drop too — while the pull is
+        // its reader's to finish.
+        low.invalidate_node(1);
+        let dm = low.path.dm.lock();
+        let failed = TransferState::Invalid(Some(OmpcError::NodeFailure(1)));
+        assert_eq!(dm.transfer_state(a, 3), failed);
+        assert_eq!(dm.transfer_state(a, 2), TransferState::InFlight(Owner::Region(1)));
+        assert!(dm.transfer_log().iter().all(|t| t.to != 3));
+        drop(dm);
+        assert!(low.state.lock().unclaimed.is_empty());
+        assert_eq!(owed(low), vec![2, 3]);
+    }
+
+    /// The channel of the push to `node` among `steps`.
+    fn push_channel(steps: &[TaskStep], node: NodeId) -> (Tag, CommId) {
+        let channel = |step: &TaskStep| match *step {
+            TaskStep::Push { to, tag, comm, .. } if to == node => Some((tag, comm)),
+            _ => None,
+        };
+        steps.iter().find_map(channel).expect("a push to the node")
+    }
+
+    /// The worker-to-worker forwards on record, as `(from, to)`.
+    fn forwards(low: &Lowering) -> Vec<(NodeId, NodeId)> {
+        let log = low.path.dm.lock().transfer_log();
+        log.iter().filter(|t| t.from != HEAD_NODE).map(|t| (t.from, t.to)).collect()
+    }
+
+    #[test]
+    fn a_later_write_ends_the_push_of_the_version_it_supersedes() {
+        let Fixture { low, a, .. } = &fixture();
+        let a = *a;
+        low.assign(&READERS_SPREAD);
+        let (first, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        // The writer runs again — a recovery re-executes it — before any
+        // reader claimed its first pushes: those are over, its new ones
+        // are booked in their place.
+        let (second, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        assert_eq!(forwards(low), vec![(1, 2), (1, 3)], "the first pushes' records withdrawn");
+        let dropped: Vec<_> = (low.state.lock().discards.iter()).map(|p| (p.to, p.tag)).collect();
+        let first_tag = |node| push_channel(&first.steps, node).0;
+        assert_eq!(dropped, vec![(2, first_tag(2)), (3, first_tag(3))]);
+        // The reader claims the version it reads.
+        let (reader, _record) = lower_task(low, 3, 2);
+        let (tag, comm) = push_channel(&second.steps, 2);
+        assert_eq!(reader.steps[0], TaskStep::Claim { buffer: a, from: 1, tag, comm });
+    }
+
+    #[test]
+    fn a_recovery_that_moves_the_readers_off_a_node_ends_the_push_there() {
+        let Fixture { low, a, .. } = &fixture();
+        low.assign(&READERS_SPREAD);
+        let (work, record) = lower_task(low, 2, 1);
+        assert_eq!(pushes(&work.steps), vec![(*a, 2), (*a, 3)]);
+        // Node 3's reader moves beside the producer before it is done: its
+        // push to node 3 is sent but never booked.
+        let mut moved = READERS_SPREAD;
+        moved[5] = 1;
+        low.assign(&moved);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        assert_eq!(forwards(low), vec![(1, 2)]);
+        let dropped = |low: &Lowering| -> Vec<NodeId> {
+            low.state.lock().discards.iter().map(|p| p.to).collect()
+        };
+        assert_eq!(dropped(low), vec![3]);
+        // Node 2's readers move too: the booked push there is over.
+        moved[3] = 1;
+        moved[4] = 3;
+        low.assign(&moved);
+        assert_eq!(forwards(low), Vec::new());
+        assert_eq!(dropped(low), vec![3, 2]);
+        assert!(low.state.lock().unclaimed.is_empty());
+        let nobody = OmpcError::Communication("no reader claimed the push".into());
+        let failed = TransferState::Invalid(Some(nobody));
+        assert_eq!(low.path.dm.lock().transfer_state(*a, 2), failed);
+    }
+
+    #[test]
+    fn one_end_of_run_event_per_node_carries_its_deletes_and_its_drops() {
+        use crate::protocol::TaskSpec;
+        use crate::worker::DeviceMemory;
+        let Fixture { low, a, _world: world } = &fixture();
+        let a = *a;
+        low.assign(&READERS_SPREAD);
+        let (work, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        low.state.lock().deferred_deletes.entry(2).or_default().insert(a);
+        let memory = DeviceMemory::new();
+        memory.store(a, vec![7u8; 32].into());
+        let kernels = crate::kernel::KernelRegistry::new();
+        // Act as worker `node` for one event, and say what it was.
+        let act = |node, memory: &DeviceMemory| {
+            let notification = next_event(world, node);
+            let request = notification.request.clone();
+            let comm = world.communicator(node);
+            crate::worker::handle_event(&comm, memory, &kernels, notification).unwrap();
+            request
+        };
+        let (two, three) = std::thread::scope(|scope| {
+            let two = scope.spawn(|| act(2, &memory));
+            let three = scope.spawn(|| act(3, &DeviceMemory::new()));
+            assert_eq!(low.flush_deletes(), Ok(()));
+            (two.join().unwrap(), three.join().unwrap())
+        });
+        let discard = |node| {
+            let (tag, comm) = push_channel(&work.steps, node);
+            TaskStep::Discard { from: 1, tag, comm }
+        };
+        let task = |steps| EventRequest::Task(TaskSpec { steps });
+        assert_eq!(two, task(vec![TaskStep::Delete { buffer: a }, discard(2)]));
+        assert_eq!(three, task(vec![discard(3)]));
+        assert!(memory.is_empty());
+        assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 2);
+        let state = low.state.lock();
+        assert!(state.unclaimed.is_empty() && state.discards.is_empty());
+        assert!(state.deferred_deletes.is_empty());
+        drop(state);
+        assert_eq!(forwards(low), Vec::new(), "the unclaimed pushes' records are withdrawn");
     }
 
     #[test]

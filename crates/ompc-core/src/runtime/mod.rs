@@ -52,7 +52,7 @@ use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE
 use crate::event::EventSystem;
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
-use crate::protocol::EventRequest;
+use crate::protocol::{EventRequest, TaskSpec, TaskStep};
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_sched::Platform;
@@ -68,19 +68,25 @@ pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 /// posted before any reply is awaited, so a release costs one round trip
 /// however many nodes and buffers it covers. Each node is attempted; the
 /// nodes that did not acknowledge come back with their error, so the caller
-/// can keep owing them. At [`TelemetryLevel::Spans`] every event leaves an
+/// can keep owing them. A node also owed `Discard` steps gets one `Task` of
+/// `Delete` steps and those instead. At [`TelemetryLevel::Spans`] every event leaves an
 /// [`SpanPhase::ExitData`] span on its node, the buffer count as its detail.
 pub(crate) fn delete_device_copies(
     events: &EventSystem,
     telemetry: &Telemetry,
-    owed: impl IntoIterator<Item = (NodeId, Vec<BufferId>)>,
+    owed: impl IntoIterator<Item = (NodeId, Vec<BufferId>, Vec<TaskStep>)>,
 ) -> Vec<(NodeId, OmpcError)> {
     let t0 = telemetry.start();
     let mut failed = Vec::new();
     let mut posted = Vec::new();
-    for (node, buffers) in owed.into_iter().filter(|(_, buffers)| !buffers.is_empty()) {
+    for (node, buffers, discards) in owed.into_iter().filter(|(_, b, d)| b.len() + d.len() > 0) {
         let count = buffers.len();
-        match events.post(node, EventRequest::Delete { buffers }, false) {
+        let deletes = buffers.iter().map(|&buffer| TaskStep::Delete { buffer });
+        let request = match discards.is_empty() {
+            true => EventRequest::Delete { buffers },
+            false => EventRequest::Task(TaskSpec { steps: deletes.chain(discards).collect() }),
+        };
+        match events.post(node, request, false) {
             Ok(channel) => posted.push((channel, count)),
             Err(error) => failed.push((node, error)),
         }
@@ -123,6 +129,7 @@ pub(crate) fn release_device_copies(
             }
         }
     }
+    let owed = owed.into_iter().map(|(node, buffers)| (node, buffers, Vec::new()));
     first_error(delete_device_copies(events, telemetry, owed))
 }
 
@@ -130,6 +137,19 @@ pub(crate) fn release_device_copies(
 /// such node's error.
 fn first_error(failed: Vec<(NodeId, OmpcError)>) -> OmpcResult<()> {
     failed.into_iter().next().map_or(Ok(()), |(_, error)| Err(error))
+}
+
+/// Who pushes where, for lowering and simulator alike: each `(reader, what)` to the reader's
+/// node unless that is `node`, the head or dead. A node may come twice; its second booking awaits.
+pub(crate) fn push_targets<'a, T: 'a>(
+    readers: impl IntoIterator<Item = (usize, T)> + 'a,
+    node: NodeId,
+    assignment: &'a [NodeId],
+    dm: &'a DataManager,
+) -> impl Iterator<Item = (NodeId, T)> + 'a {
+    let node_of = |(reader, what)| Some((*assignment.get(reader)?, what));
+    let remote = move |&(to, _): &(NodeId, T)| to != node && to != HEAD_NODE && !dm.is_failed(to);
+    readers.into_iter().filter_map(node_of).filter(remote)
 }
 
 /// A dependence DAG as seen by the execution core: dense task ids, counted
@@ -409,6 +429,9 @@ pub trait ExecutionBackend {
     /// [`ExecutionBackend::await_completions`] so the core can keep the
     /// window full.
     fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()>;
+
+    /// The assignment launches follow: given before the first, and after each recovery.
+    fn assign(&mut self, assignment: &[NodeId]);
 
     /// Wait until at least one launched task has produced an outcome and
     /// return the events in completion order. When a completion's node has
@@ -694,6 +717,7 @@ impl RuntimeCore {
             return Ok(());
         }
         backend.prologue()?;
+        backend.assign(&self.assignment);
         self.fill_window(backend)?;
         while self.completed < self.total {
             let events = backend.await_completions()?;
@@ -874,6 +898,7 @@ impl RuntimeCore {
                 }
             }
         }
+        backend.assign(&self.assignment);
         if self.telemetry.spans_enabled() {
             self.telemetry.record(
                 Span::new(SpanPhase::Replan, HEAD_NODE, replan_start, telemetry::monotonic_us())
@@ -1024,6 +1049,8 @@ mod tests {
     }
 
     impl ExecutionBackend for StackBackend {
+        fn assign(&mut self, _: &[NodeId]) {}
+
         fn prologue(&mut self) -> OmpcResult<()> {
             self.prologues += 1;
             Ok(())
@@ -1117,6 +1144,8 @@ mod tests {
     fn stalled_backend_is_an_error_not_a_hang() {
         struct Stalled;
         impl ExecutionBackend for Stalled {
+            fn assign(&mut self, _: &[NodeId]) {}
+
             fn launch(&mut self, _: usize, _: NodeId) -> OmpcResult<()> {
                 Ok(())
             }
@@ -1327,6 +1356,8 @@ mod tests {
     }
 
     impl ExecutionBackend for FaultyStackBackend {
+        fn assign(&mut self, _: &[NodeId]) {}
+
         fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()> {
             self.ran_on.insert(task, node);
             self.inner.launch(task, node)
@@ -1400,6 +1431,8 @@ mod tests {
     }
 
     impl ExecutionBackend for FailOnce {
+        fn assign(&mut self, _: &[NodeId]) {}
+
         fn launch(&mut self, task: usize, _node: NodeId) -> OmpcResult<()> {
             self.running.push(task);
             Ok(())

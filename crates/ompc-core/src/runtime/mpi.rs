@@ -149,15 +149,15 @@ impl MpiBackend {
     }
 
     /// Drive `core` to completion. After the run (successful or not) every
-    /// outstanding task reply and notice is drained, so no stale message
-    /// bleeds into a later region execution.
+    /// outstanding task reply, notice and unclaimed push is drained, so no
+    /// stale message bleeds into a later region execution.
     pub fn execute(&self, core: &mut RuntimeCore) -> OmpcResult<()> {
         let mut driver = MpiDriver::new(&self.lowering)?;
         let result = core.execute(&mut driver);
         driver.drain_outstanding();
         // On the success path the epilogue already flushed; after a failed
-        // run, flush best-effort so no device copy leaks into the next
-        // region.
+        // run, flush best-effort so no device copy or pushed copy leaks into
+        // the next region.
         let _ = self.lowering.flush_deletes();
         result
     }
@@ -485,6 +485,10 @@ impl ExecutionBackend for MpiDriver<'_> {
         Ok(())
     }
 
+    fn assign(&mut self, assignment: &[NodeId]) {
+        self.lowering.assign(assignment);
+    }
+
     fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
         let mut events = Vec::new();
         let mut deadline = None;
@@ -532,9 +536,8 @@ impl ExecutionBackend for MpiDriver<'_> {
     }
 
     fn epilogue(&mut self) -> OmpcResult<()> {
-        // `await_completions` flushed every train before the last
-        // completion, so only deferred maintenance that never found a
-        // composite-task carrier is left to flush here.
+        // `await_completions` flushed every train before the last completion, so only
+        // deferred deletes no composite carried, and pushes nobody claimed, are left here.
         self.lowering.flush_deletes()
     }
 
@@ -551,6 +554,8 @@ impl ExecutionBackend for MpiDriver<'_> {
 mod tests {
     use crate::cluster::ClusterDevice;
     use crate::config::{BackendKind, OmpcConfig};
+    use crate::runtime::fault::FaultPlan;
+    use crate::runtime::RuntimePlan;
     use crate::types::{Dependence, OmpcError};
 
     fn mpi_config() -> OmpcConfig {
@@ -973,33 +978,82 @@ mod tests {
         });
     }
 
-    /// Every reply and every notice of every execution is taken: the head's
-    /// unexpected queue is empty after a run whose multi-car train failed
-    /// mid-way and after fifty successful runs on one device.
-    #[test]
-    fn no_reply_or_notice_outlives_its_execution() {
-        use crate::runtime::fault::FaultPlan;
-        use crate::runtime::RuntimePlan;
+    /// Task 0 on worker 1 writes what task 2 on worker 2 reads, and task 1
+    /// — in the same train as task 0, after it — fails: the run ends after
+    /// task 0's push to worker 2 was booked and before task 2 could claim
+    /// it. `device` must have been built with task 1's injected error.
+    fn fail_between_push_and_claim(device: &ClusterDevice) -> OmpcError {
         let mut graph = ompc_sched::TaskGraph::new();
-        for _ in 0..4 {
+        for _ in 0..3 {
             graph.add_task(1e-4);
         }
-        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 4]);
+        graph.add_edge(0, 2, 64);
+        graph.add_edge(1, 2, 64);
+        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 3]);
+        let plan = RuntimePlan { assignment: vec![1, 1, 2], window: 4 };
+        device.run_workload(&workload, &plan).unwrap_err()
+    }
+
+    fn config_failing_task(task: usize) -> OmpcConfig {
+        OmpcConfig { fault_plan: FaultPlan::none().error_on_task(task), ..mpi_config() }
+    }
+
+    /// A push no reader claims does not outlive its execution: its booking
+    /// is finished with an error — the transfer record withdrawn — and the
+    /// worker it was pushed to receives and drops it.
+    #[test]
+    fn a_push_nobody_claims_is_rolled_back_and_dropped() {
+        let mut device = ClusterDevice::with_config(2, config_failing_task(1));
+        let before = device.mailbox_stats()[2];
+        let err = fail_between_push_and_claim(&device);
+        assert_eq!(err.origin_node(), Some(1), "got {err:?}");
+        let record = device.last_run_record().unwrap();
+        assert!(record.transfers.is_empty(), "the push's record is withdrawn: {record:?}");
+        let reader = device.mailbox_stats()[2];
+        let delivered = reader.delivered - before.delivered;
+        assert_eq!(delivered, 2, "the push, then the event that dropped it");
+        assert_eq!(reader.queued, 0, "{reader:?}");
+        device.shutdown();
+    }
+
+    /// Every reply, notice and push of every execution is taken, on every
+    /// rank: no mailbox keeps a message after a run whose multi-car train
+    /// failed mid-way, after a run that failed between a push and its claim,
+    /// or after any of fifty successful runs whose forwards are all pushes.
+    #[test]
+    fn no_reply_or_notice_outlives_its_execution() {
+        let drained = |device: &ClusterDevice| {
+            let stats = device.mailbox_stats();
+            assert_eq!(stats.len(), 3);
+            stats.iter().all(|rank| rank.queued == 0)
+        };
+        let mut independent = ompc_sched::TaskGraph::new();
+        for _ in 0..4 {
+            independent.add_task(1e-4);
+        }
+        let mut chain = independent.clone();
+        for task in 1..4 {
+            chain.add_edge(task - 1, task, 64);
+        }
+        let independent = crate::model::WorkloadGraph::new(independent, vec![64; 4]);
+        let chain = crate::model::WorkloadGraph::new(chain, vec![64; 4]);
 
         // One train of four cars on worker 1; its second car fails.
-        let config = OmpcConfig { fault_plan: FaultPlan::none().error_on_task(1), ..mpi_config() };
-        let mut device = ClusterDevice::with_config(2, config);
+        let mut device = ClusterDevice::with_config(2, config_failing_task(1));
         let one_train = RuntimePlan { assignment: vec![1; 4], window: 4 };
-        let err = device.run_workload(&workload, &one_train).unwrap_err();
+        let err = device.run_workload(&independent, &one_train).unwrap_err();
         assert_eq!(err.origin_node(), Some(1), "got {err:?}");
-        assert_eq!(device.mailbox_stats()[0].queued, 0);
+        assert!(drained(&device));
+        fail_between_push_and_claim(&device);
+        assert!(drained(&device));
         device.shutdown();
 
         let mut device = ClusterDevice::with_config(2, mpi_config());
         let spread = RuntimePlan { assignment: vec![1, 2, 1, 2], window: 4 };
         for run in 0..50 {
-            device.run_workload(&workload, &spread).unwrap();
-            assert_eq!(device.mailbox_stats()[0].queued, 0, "run {run}");
+            let record = device.run_workload(&chain, &spread).unwrap();
+            assert_eq!(record.transfer_count(), 3, "run {run}");
+            assert!(drained(&device), "run {run}");
         }
         device.shutdown();
     }

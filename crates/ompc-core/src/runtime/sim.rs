@@ -10,13 +10,13 @@
 //! (and only when) the configuration selects the legacy libomptarget-style
 //! window.
 //!
-//! Unlike the pre-unification model, input transfers of one task are issued
-//! **concurrently** by default (pipelined forwarding); the historical
-//! one-at-a-time behaviour of a blocked head worker thread is preserved
-//! behind [`OverheadModel::serial_input_transfers`].
+//! A producer **pushes** its output when it completes, by the lowering's
+//! own rule of who pushes where; a consumer pulls the rest, concurrently —
+//! or, under the two legacy ablations, everything.
 
 use super::fault::LostBuffer;
 use super::lowering::POISONED_KERNEL;
+use super::push_targets;
 use super::{ExecutionBackend, RuntimePlan, TaskEvent};
 use crate::config::{OmpcConfig, OverheadModel};
 use crate::data_manager::{
@@ -38,10 +38,11 @@ const TOK_COMPLETE: u64 = 6 << 48;
 const TOK_RETRIEVE: u64 = 7 << 48;
 const TOK_SHUTDOWN: u64 = 8 << 48;
 const TOK_STAGE: u64 = 9 << 48;
+const TOK_PUSH: u64 = 10 << 48;
 const TOK_MASK: u64 = (1 << 48) - 1;
 /// Transfer-class tokens (`TOK_TRANSFER` / `TOK_STAGE`) carry both the
 /// consumer task and the buffer that is moving, so an arrival can release
-/// co-located waiters of that specific buffer.
+/// co-located waiters of that specific buffer (a `TOK_PUSH`: its node).
 const TOK_TASK_SHIFT: u64 = 24;
 const TOK_SUB_MASK: u64 = (1 << TOK_TASK_SHIFT) - 1;
 
@@ -74,6 +75,8 @@ pub struct SimBackend<'w> {
     /// Node each task executes on, as told by the core at `launch` time —
     /// the core's assignment is the single source of truth.
     node_of: Vec<NodeId>,
+    /// The core's assignment, which decides where a producer pushes.
+    assignment: Vec<NodeId>,
     /// Retained configuration, consulted by the fault-recovery `replan`
     /// hook (scheduler choice).
     config: OmpcConfig,
@@ -117,6 +120,7 @@ impl<'w> SimBackend<'w> {
             workload,
             overheads,
             node_of: vec![HEAD_NODE; total],
+            assignment: Vec::new(),
             config: config.clone(),
             dm,
             pending_inputs: vec![0; total],
@@ -166,7 +170,7 @@ impl<'w> SimBackend<'w> {
     fn step(&mut self, completion: Completion) -> OmpcResult<Option<usize>> {
         let token: Token = completion.token();
         let kind = token & !TOK_MASK;
-        let task = if kind == TOK_TRANSFER || kind == TOK_STAGE {
+        let task = if kind == TOK_TRANSFER || kind == TOK_STAGE || kind == TOK_PUSH {
             ((token & TOK_MASK) >> TOK_TASK_SHIFT) as usize
         } else {
             (token & TOK_MASK) as usize
@@ -192,26 +196,18 @@ impl<'w> SimBackend<'w> {
                 if let Some((src, bytes, buf)) = self.queued_inputs[task].pop_front() {
                     self.issue_transfer(task, src, bytes, buf);
                 }
-                // The copy has landed: release every co-located task that
-                // was waiting for this buffer on this node.
-                let node = self.node_of[task];
-                self.dm.finish(BufferId(buffer), node, Ok(()))?;
-                for waiter in self.arrivals.remove(&(buffer, node)).unwrap_or_default() {
-                    self.pending_inputs[waiter] -= 1;
-                    if self.pending_inputs[waiter] == 0 {
-                        self.start_compute(waiter);
-                    }
-                }
+                self.land(buffer, self.node_of[task])?;
                 if self.pending_inputs[task] == 0 {
                     self.start_compute(task);
                 }
             }
+            TOK_PUSH => self.land(buffer, task)?, // a push names its destination
             TOK_COMPUTE => {
                 let cost = self.overheads.event_completion;
                 self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, cost, TOK_COMPLETE | task as u64));
             }
             TOK_COMPLETE => {
-                // The task's output now lives (only) on the node that ran it.
+                // The output lives (only) where it ran, and goes on to its readers.
                 let node = self.node_of[task];
                 if self.dm.is_registered(BufferId(task as u64)) {
                     self.dm.record_write(BufferId(task as u64), node)?;
@@ -221,6 +217,20 @@ impl<'w> SimBackend<'w> {
                         node,
                         self.workload.output_bytes[task],
                     );
+                }
+                let (overheads, workload) = (&self.overheads, self.workload);
+                let pushing = overheads.worker_to_worker_forwarding;
+                if pushing && !overheads.serial_input_transfers && !self.dm.is_failed(node) {
+                    let edges = workload.graph.out_edges(task).filter(|&(_, bytes)| bytes > 0);
+                    let mut sends: Vec<_> =
+                        push_targets(edges, node, &self.assignment, &self.dm).collect();
+                    sends.sort_by_key(|&(to, _)| to); // in node order, as the lowering books
+                    for (to, bytes) in sends {
+                        if let Ok(Some(_)) = self.dm.plan_input(BufferId(task as u64), to) {
+                            let token = transfer_token(TOK_PUSH, to, task as u64);
+                            self.engine.issue(|ctx| ctx.send(node, to, bytes, token));
+                        }
+                    }
                 }
                 return Ok(Some(task));
             }
@@ -308,6 +318,18 @@ impl<'w> SimBackend<'w> {
         }
     }
 
+    /// A copy of `buffer` landed on `node`: release the tasks awaiting it.
+    fn land(&mut self, buffer: u64, node: NodeId) -> OmpcResult<()> {
+        self.dm.finish(BufferId(buffer), node, Ok(()))?;
+        for waiter in self.arrivals.remove(&(buffer, node)).unwrap_or_default() {
+            self.pending_inputs[waiter] -= 1;
+            if self.pending_inputs[waiter] == 0 {
+                self.start_compute(waiter);
+            }
+        }
+        Ok(())
+    }
+
     fn start_compute(&mut self, task: usize) {
         let node = self.node_of[task];
         let cost = SimTime::from_secs_f64(self.workload.graph.tasks()[task].cost)
@@ -331,6 +353,10 @@ impl ExecutionBackend for SimBackend<'_> {
         let cost = self.overheads.event_dispatch;
         self.engine.issue(|ctx| ctx.runtime(HEAD_NODE, cost, TOK_DISPATCH | task as u64));
         Ok(())
+    }
+
+    fn assign(&mut self, assignment: &[NodeId]) {
+        self.assignment = assignment.to_vec();
     }
 
     fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {

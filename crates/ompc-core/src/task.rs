@@ -110,6 +110,8 @@ pub struct RegionGraph {
     edges: Vec<TaskEdge>,
     successors: Vec<Vec<TaskId>>,
     predecessors: Vec<Vec<TaskId>>,
+    /// Per task, every `(buffer, reader)` reading a version it wrote.
+    readers: Vec<Vec<(BufferId, TaskId)>>,
     buffer_state: HashMap<BufferId, BufferState>,
 }
 
@@ -129,6 +131,7 @@ impl RegionGraph {
         let id = TaskId(self.tasks.len());
         self.successors.push(Vec::new());
         self.predecessors.push(Vec::new());
+        self.readers.push(Vec::new());
 
         // Collect edges first to avoid duplicated edges when a task both
         // reads and writes the same buffer.
@@ -137,6 +140,7 @@ impl RegionGraph {
             let state = self.buffer_state.entry(dep.buffer).or_default();
             if dep.dep_type.reads() {
                 if let Some(writer) = state.last_writer {
+                    self.readers[writer.0].push((dep.buffer, id));
                     new_edges.push(TaskEdge {
                         from: writer,
                         to: id,
@@ -235,6 +239,11 @@ impl RegionGraph {
     /// Direct predecessors of a task.
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
         &self.predecessors[id.0]
+    }
+
+    /// Every `(buffer, reader)` of a version `writer` wrote ([`Self::edges`]: one per pair).
+    pub fn readers_of(&self, writer: TaskId) -> &[(BufferId, TaskId)] {
+        &self.readers[writer.0]
     }
 
     /// Flow edges into `id`: the buffers whose data the task consumes and
@@ -416,10 +425,27 @@ mod tests {
             vec![Dependence::input(a), Dependence::input(b)],
             "c",
         );
-        // Two buffers but only one structural edge between the pair.
+        // Two buffers but only one structural edge between the pair ...
         assert_eq!(g.predecessors(c), &[p]);
         assert_eq!(g.successors(p), &[c]);
         assert_eq!(g.edges().len(), 1);
+        // ... while the consumer reads both versions the producer wrote.
+        assert_eq!(g.readers_of(p), &[(a, c), (b, c)]);
+    }
+
+    #[test]
+    fn a_reader_reads_the_version_of_the_last_writer_before_it() {
+        let mut g = RegionGraph::new();
+        let a = BufferId(0);
+        let kind = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let w0 = g.add_task(kind(), vec![Dependence::output(a)], "w0");
+        let r0 = g.add_task(kind(), vec![Dependence::input(a)], "r0");
+        let w1 = g.add_task(kind(), vec![Dependence::inout(a)], "w1");
+        let r1 = g.add_task(kind(), vec![Dependence::input(a)], "r1");
+        // w1 reads w0's version too; r1 reads w1's, though it follows w0.
+        assert_eq!(g.readers_of(w0), &[(a, r0), (a, w1)]);
+        assert_eq!(g.readers_of(w1), &[(a, r1)]);
+        assert!(g.readers_of(r0).is_empty() && g.readers_of(r1).is_empty());
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!
 //! Buffers are held, received and sent as shared [`Bytes`] handles: a
 //! payload that arrives is stored as the allocation the sender held, a
-//! forward or a retrieve sends the resident handle as the message body, a
-//! relay passes on the chunk it received, and kernels borrow their inputs
-//! ([`KernelArgs`]). The one place a worker copies payload bytes is the
+//! forward, a push or a retrieve sends the resident handle as the message
+//! body, a relay passes on the chunk it received, and kernels borrow their
+//! inputs ([`KernelArgs`]). The one place a worker copies payload bytes is the
 //! re-assembly of a *chunked* collective stream.
 
 use crate::kernel::{KernelArgs, KernelRegistry};
@@ -25,7 +25,7 @@ use crate::protocol::{
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{Bytes, Communicator, Tag};
+use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -107,8 +107,8 @@ impl DeviceMemory {
     }
 
     /// Number the receives of an event the gate accepted, in step order: a
-    /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker`
-    /// step, a `Submit`, an `ExchangeRecv`), and per `AwaitLocal` step the
+    /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker` /
+    /// `Claim` step, a `Submit`, an `ExchangeRecv`), and per `AwaitLocal` step the
     /// generation of the newest receive of its buffer accepted before it.
     /// Only the gate calls this, in arrival order, so "before" means
     /// "queued ahead on this node".
@@ -131,9 +131,9 @@ impl DeviceMemory {
         let mut generations = Vec::new();
         for step in steps {
             match *step {
-                TaskStep::RecvFromHead { buffer } | TaskStep::RecvFromWorker { buffer, .. } => {
-                    generations.push(state.announce(buffer));
-                }
+                TaskStep::RecvFromHead { buffer }
+                | TaskStep::RecvFromWorker { buffer, .. }
+                | TaskStep::Claim { buffer, .. } => generations.push(state.announce(buffer)),
                 TaskStep::AwaitLocal { buffer, .. } => generations.push(state.newest(buffer)),
                 _ => {}
             }
@@ -298,13 +298,21 @@ fn recv_payload(channel: &Communicator, tag: Tag) -> OmpcResult<Bytes> {
     payload_body(&msg.data, msg.body)
 }
 
-/// Receive what the sending half of a worker-to-worker forward transmits:
-/// a reply that is the buffer on success, its error (kept with its
-/// original attribution) otherwise.
-fn recv_forward(channel: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<Bytes> {
-    let msg = channel.recv(Some(from), Some(tag))?;
+/// What the sending half of a forward or a push sent: the buffer, or its attributed error.
+fn forwarded(msg: Message) -> OmpcResult<Bytes> {
     let reply = Reply::from_parts(&msg.data, msg.body, true)?;
     reply.body.ok_or_else(|| OmpcError::Internal("forward without its data".to_string()))
+}
+
+/// Receive what the sending half of a worker-to-worker forward transmits.
+fn recv_forward(channel: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<Bytes> {
+    forwarded(channel.recv(Some(from), Some(tag))?)
+}
+
+/// Take what `from` pushed on `(tag, cid)`: queued before it was booked.
+fn take_push(comm: &Communicator, from: NodeId, tag: Tag, cid: CommId) -> OmpcResult<Bytes> {
+    let missing = || OmpcError::Internal(format!("nothing pushed by node {from} on {tag:?}"));
+    forwarded(comm.on(cid)?.try_recv(Some(from), Some(tag)).ok_or_else(missing)?)
 }
 
 /// The generations [`DeviceMemory::accept`] gave an event's receives and
@@ -315,8 +323,7 @@ type Generations = std::vec::IntoIter<u64>;
 ///
 /// `recv_us` is the handler-entry timestamp when the head asked for a timed
 /// reply (`notification.timed`), `None` otherwise — no clock is read for
-/// untimed events. Execute/Task events return the captured [`TaskStamps`]
-/// in their reply.
+/// untimed events. A task returns the captured [`TaskStamps`] in its reply.
 fn event_outcome(
     channel: &Communicator,
     memory: &DeviceMemory,
@@ -350,20 +357,6 @@ fn event_outcome(
             let inline = data.as_ref().map_or(0, |d| d.len() as u64).to_le_bytes().to_vec();
             memory.land(buffer, generation, data)?;
             Ok(Reply { inline, ..Reply::default() })
-        }
-        EventRequest::Execute { kernel, buffers } => {
-            let exec_start = recv_us.map(|_| monotonic_us());
-            execute_kernel(memory, kernels, kernel, &buffers)?;
-            let stamps = recv_us.map(|recv_us| {
-                let start = exec_start.unwrap_or(recv_us);
-                TaskStamps {
-                    recv_us,
-                    deps_us: start,
-                    exec_start_us: start,
-                    exec_end_us: monotonic_us(),
-                }
-            });
-            Ok(Reply { stamps, ..Reply::default() })
         }
         EventRequest::Task(spec) => {
             let stamps = run_task_steps(channel, memory, kernels, spec, generations, tag, recv_us)?;
@@ -561,6 +554,10 @@ fn run_task_steps(
                 let generation = generations.next().unwrap_or_default();
                 memory.land(buffer, generation, recv_forward(channel, from, tag))
             }
+            TaskStep::Claim { buffer, from, tag, comm } => {
+                let generation = generations.next().unwrap_or_default();
+                memory.land(buffer, generation, take_push(channel, from, tag, comm))
+            }
             TaskStep::AwaitLocal { buffer, timeout_ms } => {
                 let generation = generations.next().unwrap_or_default();
                 let timeout = std::time::Duration::from_millis(timeout_ms);
@@ -590,6 +587,17 @@ fn run_task_steps(
                 }
                 executed
             }
+            TaskStep::Push { buffer, to, tag, comm } => {
+                // The reader hears any failure: the error sent, or its claim's.
+                let data = memory.resident(buffer).map(Reply::data);
+                let _ = channel.on(comm).map(|lane| send_reply(&lane, to, tag, data));
+                Ok(())
+            }
+            TaskStep::Discard { from, tag, comm } => {
+                // Whatever was pushed — the bytes or their error — goes.
+                let _ = take_push(channel, from, tag, comm);
+                Ok(())
+            }
         };
         if let Err(error) = ran {
             abandon_steps(memory, steps, generations, &error);
@@ -600,7 +608,8 @@ fn run_task_steps(
 }
 
 /// Land every receive among `steps` — a task's steps it will never run —
-/// as failed with `error`, keeping `generations` in step.
+/// as failed with `error`, keeping `generations` in step. No push leaves,
+/// and a claimed copy stays queued for the head's [`TaskStep::Discard`].
 fn abandon_steps(
     memory: &DeviceMemory,
     steps: impl Iterator<Item = TaskStep>,
@@ -609,7 +618,9 @@ fn abandon_steps(
 ) {
     for step in steps {
         match step {
-            TaskStep::RecvFromHead { buffer } | TaskStep::RecvFromWorker { buffer, .. } => {
+            TaskStep::RecvFromHead { buffer }
+            | TaskStep::RecvFromWorker { buffer, .. }
+            | TaskStep::Claim { buffer, .. } => {
                 let generation = generations.next().unwrap_or_default();
                 let _ = memory.land(buffer, generation, Err(error.clone()));
             }
@@ -864,6 +875,11 @@ mod tests {
     use crate::types::KernelId;
     use ompc_mpi::{CommId, Tag, World};
 
+    /// A task of one `Execute` step: how a kernel runs.
+    fn kernel_task(kernel: KernelId, buffers: Vec<BufferId>) -> EventRequest {
+        EventRequest::Task(TaskSpec { steps: vec![TaskStep::Execute { kernel, buffers }] })
+    }
+
     #[test]
     fn device_memory_basics() {
         let mem = DeviceMemory::new();
@@ -915,7 +931,7 @@ mod tests {
             &memory,
             &kernels,
             EventNotification {
-                request: EventRequest::Execute { kernel: kid, buffers: vec![buffer] },
+                request: kernel_task(kid, vec![buffer]),
                 tag: tag2,
                 comm,
                 timed: false,
@@ -977,7 +993,7 @@ mod tests {
             &memory,
             &kernels,
             EventNotification {
-                request: EventRequest::Execute { kernel: KernelId(3), buffers: vec![] },
+                request: kernel_task(KernelId(3), vec![]),
                 tag: Tag(1),
                 comm: CommId(0),
                 timed: false,
@@ -1048,7 +1064,7 @@ mod tests {
 
     fn execute(kernel: KernelId, buffers: Vec<BufferId>, tag: u64) -> EventNotification {
         EventNotification {
-            request: EventRequest::Execute { kernel, buffers },
+            request: kernel_task(kernel, buffers),
             tag: Tag(tag),
             comm: CommId(0),
             timed: false,
@@ -1272,7 +1288,7 @@ mod tests {
             &memory,
             &kernels,
             EventNotification {
-                request: EventRequest::Execute { kernel: KernelId(7), buffers: vec![] },
+                request: kernel_task(KernelId(7), vec![]),
                 tag,
                 comm: CommId(0),
                 timed: false,
@@ -1342,6 +1358,56 @@ mod tests {
         let forwarded = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
         assert_eq!(forwarded.origin_node(), Some(1), "the error keeps the sender's attribution");
         assert_eq!(forwarded.root_cause(), &OmpcError::UnknownBuffer(buffer));
+    }
+
+    #[test]
+    fn a_push_lands_through_its_claim_and_a_failed_kernel_sends_none() {
+        let world = World::with_communicators(3, 2);
+        let (head, p, q) = (world.communicator(0), world.communicator(1), world.communicator(2));
+        let kernels = KernelRegistry::new();
+        let write = kernels.register_fn("write", 1e-6, |args| args.set_f64s(0, &[4.5]));
+        let (producer, reader) = (DeviceMemory::new(), DeviceMemory::new());
+        let b = BufferId(3);
+        let comm = CommId(1);
+        let task = |steps, tag| EventNotification {
+            request: EventRequest::Task(TaskSpec { steps }),
+            tag: Tag(tag),
+            comm: CommId(0),
+            timed: false,
+        };
+        let push = |tag| TaskStep::Push { buffer: b, to: 2, tag: Tag(tag), comm };
+        let claim = |tag| TaskStep::Claim { buffer: b, from: 1, tag: Tag(tag), comm };
+        let unknown = || TaskStep::Execute { kernel: KernelId(9), buffers: vec![] };
+
+        // The producer writes `b` and pushes it on; the claim takes the
+        // resident allocation itself, already queued.
+        let alloc = TaskStep::Alloc { buffer: b, size: 8 };
+        let execute = TaskStep::Execute { kernel: write, buffers: vec![b] };
+        handle_event(&p, &producer, &kernels, task(vec![alloc, execute, push(60)], 61)).unwrap();
+        handle_event(&q, &reader, &kernels, task(vec![claim(60)], 62)).unwrap();
+        let landed = reader.get(b).unwrap();
+        assert!(landed.same_allocation(&producer.get(b).unwrap()));
+        assert_eq!(ompc_mpi::typed::bytes_to_f64s(&landed).unwrap(), vec![4.5]);
+
+        // A failed kernel never reaches its push, and a claim of nothing is
+        // an error, not a wait.
+        let failed = handle_event(&p, &producer, &kernels, task(vec![unknown(), push(63)], 64));
+        assert_eq!(failed, Err(OmpcError::UnknownKernel(KernelId(9))));
+        assert_eq!(q.mailbox_stats().queued, 0, "a failed kernel sends no push");
+        let nothing = handle_event(&q, &reader, &kernels, task(vec![claim(63)], 65));
+        assert!(matches!(nothing, Err(OmpcError::Internal(_))), "{nothing:?}");
+
+        // A claim behind a failed step leaves its copy queued; a discard
+        // drops it, one nobody claimed, and one of nothing.
+        handle_event(&p, &producer, &kernels, task(vec![push(66), push(67)], 68)).unwrap();
+        let behind = handle_event(&q, &reader, &kernels, task(vec![unknown(), claim(66)], 69));
+        assert!(behind.is_err());
+        assert_eq!(q.mailbox_stats().queued, 2);
+        let discard = |tag| TaskStep::Discard { from: 1, tag: Tag(tag), comm };
+        let drops = vec![discard(66), discard(67), discard(66)];
+        handle_event(&q, &reader, &kernels, task(drops, 70)).unwrap();
+        assert_eq!(q.mailbox_stats().queued, 0, "every pushed copy was taken");
+        assert_eq!(head.mailbox_stats().queued, 7, "one reply per task, nothing else");
     }
 
     /// The next `cars` completion notices from worker 1 on a train
@@ -1797,7 +1863,7 @@ mod tests {
 
         // Kill the node, then try to execute: the event is refused.
         send(EventRequest::Kill, 101);
-        send(EventRequest::Execute { kernel: KernelId(0), buffers: vec![] }, 102);
+        send(kernel_task(KernelId(0), vec![]), 102);
         let msg = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(102))).unwrap();
         let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
         assert_eq!(err.origin_node(), Some(1));

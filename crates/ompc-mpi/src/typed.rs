@@ -15,15 +15,25 @@ pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
     out
 }
 
+/// Every whole `N`-byte word of `bytes`, in order, through `word`: the
+/// array split off the front is exactly `N` bytes by its type, so no
+/// conversion can fail.
+fn words<const N: usize, T>(bytes: &[u8], word: fn([u8; N]) -> T) -> Vec<T> {
+    let mut values = Vec::with_capacity(bytes.len() / N);
+    let mut rest = bytes;
+    while let Some((head, tail)) = rest.split_first_chunk::<N>() {
+        values.push(word(*head));
+        rest = tail;
+    }
+    values
+}
+
 /// Deserialize little-endian bytes into `f64` values.
 pub fn bytes_to_f64s(bytes: &[u8]) -> MpiResult<Vec<f64>> {
     if !bytes.len().is_multiple_of(8) {
         return Err(MpiError::TypeConversion { expected: "f64", len: bytes.len() });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunk of 8 bytes")))
-        .collect())
+    Ok(words(bytes, f64::from_le_bytes))
 }
 
 /// Serialize a slice of `u64` values into little-endian bytes.
@@ -40,10 +50,7 @@ pub fn bytes_to_u64s(bytes: &[u8]) -> MpiResult<Vec<u64>> {
     if !bytes.len().is_multiple_of(8) {
         return Err(MpiError::TypeConversion { expected: "u64", len: bytes.len() });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8 bytes")))
-        .collect())
+    Ok(words(bytes, u64::from_le_bytes))
 }
 
 /// Serialize a slice of `u32` values into little-endian bytes.
@@ -60,10 +67,7 @@ pub fn bytes_to_u32s(bytes: &[u8]) -> MpiResult<Vec<u32>> {
     if !bytes.len().is_multiple_of(4) {
         return Err(MpiError::TypeConversion { expected: "u32", len: bytes.len() });
     }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4 bytes")))
-        .collect())
+    Ok(words(bytes, u32::from_le_bytes))
 }
 
 #[cfg(test)]

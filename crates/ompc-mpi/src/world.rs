@@ -85,6 +85,10 @@ pub struct World {
 
 impl World {
     /// Create a world of `size` ranks with a single (world) communicator.
+    ///
+    /// # Panics
+    ///
+    /// When `size` is zero, as [`World::with_communicators`].
     pub fn new(size: usize) -> Self {
         Self::with_communicators(size, 1)
     }
@@ -93,6 +97,13 @@ impl World {
     /// (`CommId(0)` … `CommId(num_comms - 1)`); the OMPC event system uses
     /// several communicators in a round-robin fashion, mirroring the paper's
     /// use of MPICH virtual communication interfaces.
+    ///
+    /// # Panics
+    ///
+    /// When `size` or `num_comms` is zero: a world without a rank or a
+    /// communicator is a broken call, not a state a run can reach — the
+    /// cluster device sizes its world from a checked worker count and clamps
+    /// its communicator knob to at least one.
     pub fn with_communicators(size: usize, num_comms: u32) -> Self {
         assert!(size > 0, "a world needs at least one rank");
         assert!(num_comms > 0, "a world needs at least one communicator");
@@ -135,7 +146,12 @@ impl World {
     }
 
     /// Obtain a communicator handle for `rank` on the world communicator
-    /// without spawning a thread. Panics if the rank is out of range.
+    /// without spawning a thread.
+    ///
+    /// # Panics
+    ///
+    /// When `rank` is not a rank of this world: callers hand out the ranks
+    /// of the world they built, so another one is a broken call.
     pub fn communicator(&self, rank: Rank) -> Communicator {
         assert!(rank < self.inner.size, "rank {rank} out of range");
         Communicator::new(Arc::clone(&self.inner), rank, CommId::WORLD)
@@ -145,6 +161,13 @@ impl World {
     /// handles in rank order. When a rank function returns, the other ranks
     /// are notified so that receives which can never complete fail instead
     /// of hanging.
+    ///
+    /// # Panics
+    ///
+    /// When the operating system refuses to spawn a rank's thread: a world
+    /// missing a rank cannot run, and this launcher (used by tests and
+    /// benchmarks; the cluster device spawns its own worker threads) has no
+    /// partial world to hand back.
     pub fn launch<T, F>(&self, f: F) -> std::vec::IntoIter<JoinHandle<T>>
     where
         T: Send + 'static,
