@@ -16,7 +16,7 @@ use crate::data_manager::{
     Booking, DataManager, Owner, Ticket, TransferPlan, TransferReason, TransferState, HEAD_NODE,
     UNATTRIBUTED,
 };
-use crate::event::EventSystem;
+use crate::event::{Composite, EventSystem};
 use crate::kernel::{Kernel, KernelArgs, KernelRegistry};
 use crate::model::WorkloadGraph;
 use crate::region::TargetRegion;
@@ -596,10 +596,11 @@ impl ClusterDevice {
         });
     }
 
-    /// Submit one per-node prefetch *train*: every payload streams
-    /// back-to-back on one channel and the worker answers once, so a
-    /// k-buffer prefetch costs one round-trip instead of k. All-or-nothing:
-    /// a failed train rolls back every booking it carried.
+    /// Submit one per-node prefetch *train*: one task of a `RecvFromHead`
+    /// per buffer, every payload streaming back-to-back on its channel and
+    /// the worker answering once, so a k-buffer prefetch costs one
+    /// round-trip instead of k. All-or-nothing: a failed train rolls back
+    /// every booking it carried.
     fn spawn_train_job(&self, node: NodeId, plans: Vec<TransferPlan>) {
         let buffers: Vec<BufferId> = plans.iter().map(|p| p.buffer).collect();
         let bookings = buffers.iter().map(|&b| (b, node)).collect();
@@ -609,8 +610,10 @@ impl ClusterDevice {
         });
     }
 
-    /// Body of an async movement of `buffers` from `from` to `to`: a submit
-    /// train from the head, an exchange between workers.
+    /// Body of an async movement of `buffers` from `from` to `to`: one task
+    /// on `to` of a `RecvFromHead` per buffer from the head, or a
+    /// `RecvFromWorker` per buffer from a worker, each source told its
+    /// `ExchangeSend`.
     fn run_prefetch(
         path: &DataPath,
         from: NodeId,
@@ -625,20 +628,19 @@ impl ClusterDevice {
             return Err(OmpcError::NodeFailure(to));
         }
         let t0 = path.telemetry.start();
-        let mut total = 0u64;
-        if from == HEAD_NODE {
-            let mut cars = Vec::with_capacity(buffers.len());
-            for &buffer in buffers {
+        let (mut work, mut total) = (Composite::default(), 0);
+        for &buffer in buffers {
+            if from == HEAD_NODE {
                 let data = path.buffers.share(buffer)?;
                 total += data.len() as u64;
-                cars.push((buffer, data));
-            }
-            path.events.submit_train(to, cars)?;
-        } else {
-            for &buffer in buffers {
-                total += path.events.exchange(from, to, buffer)?;
+                work.recv_from_head(buffer, data);
+            } else {
+                let bytes = path.buffers.size_of(buffer).unwrap_or(0) as u64;
+                total += bytes;
+                work.recv_from_worker(buffer, from, bytes);
             }
         }
+        path.events.run_task(to, work)?;
         if path.telemetry.spans_enabled() {
             path.telemetry.record(
                 Span::new(SpanPhase::Prefetch, to, t0, monotonic_us())

@@ -36,7 +36,7 @@
 //!
 //! "Are the bytes of buffer *b* really on node *n* yet?" has one answer,
 //! kept here per copy. Every way bytes get promised to a node — a target
-//! task's input, an enter-data event, an asynchronous device-level booking,
+//! task's input, an enter-data task, an asynchronous device-level booking,
 //! a broadcast edge — is one [`DataManager::book`], which answers *present*,
 //! *await the existing owner* or *move from X* (holder and transfer record
 //! written optimistically), and one [`DataManager::finish`], which commits
@@ -80,7 +80,7 @@ pub struct Ticket(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Owner {
     /// A synchronous plan of the region execution with this epoch: a task's
-    /// input, an enter-data event, a pre-distributed broadcast edge (the
+    /// input, an enter-data task, a pre-distributed broadcast edge (the
     /// simulator, which runs one region, books under [`UNATTRIBUTED`]). The
     /// record goes straight into that region's log.
     Region(u64),

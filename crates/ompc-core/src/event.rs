@@ -10,9 +10,14 @@
 //! head threads (region executions, the async data path) issue them at the
 //! same time.
 //!
-//! Payloads move as shared [`Bytes`] handles in both directions: a submit
-//! puts the caller's handle on the wire as the message body, and a retrieve
-//! returns the handle the worker replied with — the head copies no buffer.
+//! Payloads move as shared [`Bytes`] handles in both directions: a host
+//! payload puts the caller's handle on the wire as the message body, and a
+//! retrieve returns the handle the worker replied with — the head copies no
+//! buffer.
+//!
+//! Every head→worker buffer operation is one [`EventRequest::Task`] of
+//! [`TaskStep`]s — a region task as a car of a train (`runtime/mpi.rs`), a
+//! release, a flush, a prefetch or a forward on its own (`post_task`).
 //!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler
 //! failures (unregistered kernels, missing buffers, killed nodes) come back
@@ -22,7 +27,9 @@
 //! that died without answering), every wait is additionally bounded by
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`].
 
-use crate::protocol::{EventNotification, EventRequest, Reply, CONTROL_TAG, FIRST_EVENT_TAG};
+use crate::protocol::{
+    EventNotification, EventRequest, Reply, TaskSpec, TaskStep, CONTROL_TAG, FIRST_EVENT_TAG,
+};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +38,13 @@ use std::time::Duration;
 /// Counters describing the event traffic of a device lifetime.
 #[derive(Debug, Default)]
 pub struct EventCounters {
-    /// Number of events issued (a push is none: it rides its producer's).
+    /// Number of events issued: a task or a train car counts one when it is
+    /// on the wire, and each of its frames — a host payload, a source told
+    /// its `ExchangeSend` — one more (a push is none: it rides its
+    /// producer's).
     pub events: AtomicU64,
-    /// Number of data-carrying events (submit / retrieve / exchange) and booked pushes.
+    /// Number of data movements: host payload frames, worker-to-worker
+    /// forwards, booked pushes, committed retrievals.
     pub data_events: AtomicU64,
     /// Bytes moved by those.
     pub bytes_moved: AtomicU64,
@@ -47,17 +58,50 @@ impl EventCounters {
         }
     }
 
-    /// One data movement, and no event: all a booked push records.
+    /// One data movement, and no event: all a booked push or a committed
+    /// retrieval records.
     pub(crate) fn record_data(&self, bytes: u64) {
         self.data_events.fetch_add(1, Ordering::Relaxed);
         self.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
-/// The exclusive channel an outstanding event's typed reply arrives on,
-/// as returned by the `post*` half of a verb: whoever holds it either blocks
-/// in [`EventSystem::await_reply`] or probes the channel itself and hands the
-/// raw reply to [`EventSystem::accept_reply`].
+/// A task in wire form: the ordered steps the executing node performs, plus
+/// what the head must put on the wire for them.
+#[derive(Default)]
+pub(crate) struct Composite {
+    pub(crate) steps: Vec<TaskStep>,
+    /// Host payloads for the `RecvFromHead` steps, in step order: the
+    /// registry's own handles.
+    pub(crate) payloads: Vec<Bytes>,
+    /// Per `RecvFromWorker` step, in step order: the node to tell its
+    /// `ExchangeSend`, the buffer, and the bytes it will move.
+    pub(crate) exchanges: Vec<(NodeId, BufferId, u64)>,
+}
+
+impl Composite {
+    /// Receive `buffer` from the head: `data` follows the notification.
+    pub(crate) fn recv_from_head(&mut self, buffer: BufferId, data: Bytes) {
+        self.payloads.push(data);
+        self.steps.push(TaskStep::RecvFromHead { buffer });
+    }
+
+    /// Receive `buffer` — `bytes` of it — from worker `from`.
+    pub(crate) fn recv_from_worker(&mut self, buffer: BufferId, from: NodeId, bytes: u64) {
+        self.exchanges.push((from, buffer, bytes));
+        self.steps.push(TaskStep::RecvFromWorker { buffer, from });
+    }
+
+    /// Whether the task's reply is the data: its body is the buffer of a
+    /// [`TaskStep::Retrieve`] step.
+    pub(crate) fn returns_data(&self) -> bool {
+        self.steps.iter().any(|step| matches!(step, TaskStep::Retrieve { .. }))
+    }
+}
+
+/// The exclusive channel an outstanding event's typed reply arrives on:
+/// whoever holds it either blocks in [`EventSystem::await_reply`] or
+/// receives the reply itself and decodes it with [`ReplyChannel::reply`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReplyChannel {
     /// Node that will reply.
@@ -66,32 +110,24 @@ pub(crate) struct ReplyChannel {
     pub(crate) tag: Tag,
     /// Communicator of the event's channel.
     pub(crate) comm: CommId,
-    moved: Moved,
+    /// Whether the reply is the data ([`Composite::returns_data`]).
+    pub(crate) data_bearing: bool,
+}
+
+impl ReplyChannel {
+    /// The typed reply `msg`, received on this channel, carries: a
+    /// data-bearing reply must carry the buffer as its body and every other
+    /// reply none; a timed reply keeps its worker-side
+    /// [`crate::protocol::TaskStamps`].
+    pub(crate) fn reply(&self, msg: Message) -> TypedReply {
+        Reply::from_parts(&msg.data, msg.body, self.data_bearing)
+    }
 }
 
 /// An event's typed reply as the head sees it: the reply's parts — inline
 /// acknowledgement, data body, the worker's stamps when the event was
 /// timed — or the typed error.
 pub(crate) type TypedReply = OmpcResult<Reply>;
-
-/// How a successful reply is entered into the [`EventCounters`].
-#[derive(Debug, Clone, Copy)]
-enum Moved {
-    /// A control event: no payload either way.
-    Nothing,
-    /// The head sent this many payload bytes along with the event.
-    Sent(u64),
-    /// The reply payload is the data (a retrieve).
-    Payload,
-    /// The reply payload is the receiver's byte-count acknowledgement (an
-    /// exchange).
-    Acked,
-}
-
-/// The byte count an exchange receiver acknowledged.
-fn acked_bytes(ack: &[u8]) -> u64 {
-    ack.get(..8).and_then(|b| b.try_into().ok()).map(u64::from_le_bytes).unwrap_or(0)
-}
 
 /// Head-node handle used to drive worker nodes through events.
 #[derive(Debug)]
@@ -120,57 +156,57 @@ impl EventSystem {
         }
     }
 
-    /// Put one event on the wire without waiting for it: allocate its
-    /// exclusive channel, notify `node`, and return the channel its typed
-    /// reply will arrive on. The head-side half every verb below — and the
-    /// message-passing transport's enter/exit-data path — is built from.
-    pub(crate) fn post(
-        &self,
-        node: NodeId,
-        request: EventRequest,
-        timed: bool,
-    ) -> OmpcResult<ReplyChannel> {
+    /// Put one untimed event on the wire without waiting for it: allocate
+    /// its exclusive channel, notify `node`, and return the channel its
+    /// typed reply will arrive on.
+    fn post(&self, node: NodeId, request: EventRequest) -> OmpcResult<ReplyChannel> {
         let (tag, comm) = self.open_channel();
-        let moved = match request {
-            EventRequest::Retrieve { .. } => Moved::Payload,
-            EventRequest::ExchangeRecv { .. } => Moved::Acked,
-            _ => Moved::Nothing,
-        };
-        self.notify(node, &EventNotification { request, tag, comm, timed })?;
-        Ok(ReplyChannel { node, tag, comm, moved })
+        self.notify(node, &EventNotification { request, tag, comm, timed: false })?;
+        Ok(ReplyChannel { node, tag, comm, data_bearing: false })
     }
 
-    /// [`EventSystem::post`] a submit of `data` into `buffer` on `node`
-    /// (host → worker): the payload follows the notification on the
-    /// event's channel.
-    pub(crate) fn post_submit(
+    /// Put one [`EventRequest::Task`] on the wire without waiting for it:
+    /// the notification, then its frames ([`EventSystem::send_frames`]).
+    /// Counted as it goes out, as a train car is.
+    pub(crate) fn post_task(&self, node: NodeId, work: Composite) -> OmpcResult<ReplyChannel> {
+        let data_bearing = work.returns_data();
+        let Composite { steps, payloads, exchanges } = work;
+        let channel = self.post(node, EventRequest::Task(TaskSpec { steps }))?;
+        let frames = self.send_frames(node, channel.tag, channel.comm, payloads, exchanges)?;
+        self.counters.record(None);
+        for bytes in frames {
+            self.counters.record(Some(bytes));
+        }
+        Ok(ReplyChannel { data_bearing, ..channel })
+    }
+
+    /// Send what follows a task's notification to `node` on its channel
+    /// `(tag, comm)`: each host payload, then each source's `ExchangeSend`.
+    /// A failure of a *sending* half travels through the receiver (the
+    /// sender forwards its error envelope instead of the data), so the head
+    /// never hangs on a half-completed forward. Returns the bytes each frame
+    /// moves, in order, for the caller to count once the whole task — or
+    /// train — is on the wire.
+    pub(crate) fn send_frames(
         &self,
         node: NodeId,
-        buffer: BufferId,
-        data: Bytes,
-    ) -> OmpcResult<ReplyChannel> {
-        let bytes = data.len() as u64;
-        let channel = self.post(node, EventRequest::Submit { buffer }, false)?;
-        self.comm.on(channel.comm)?.send_with_body(node, channel.tag, Vec::new(), data)?;
-        Ok(ReplyChannel { moved: Moved::Sent(bytes), ..channel })
-    }
-
-    /// [`EventSystem::post`] both halves of a worker-to-worker forward of
-    /// `buffer` on one channel; the receiver `to` owns the reply. A failure
-    /// of the *sending* half travels through the receiver (the sender
-    /// forwards its error envelope instead of the data), so the head never
-    /// hangs on a half-completed exchange.
-    pub(crate) fn post_exchange(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        buffer: BufferId,
-    ) -> OmpcResult<ReplyChannel> {
-        let channel = self.post(to, EventRequest::ExchangeRecv { buffer, from }, false)?;
-        let request = EventRequest::ExchangeSend { buffer, to };
-        let (tag, comm) = (channel.tag, channel.comm);
-        self.notify(from, &EventNotification { request, tag, comm, timed: false })?;
-        Ok(channel)
+        tag: Tag,
+        comm: CommId,
+        payloads: Vec<Bytes>,
+        exchanges: Vec<(NodeId, BufferId, u64)>,
+    ) -> OmpcResult<Vec<u64>> {
+        let lane = self.comm.on(comm)?;
+        let mut moved = Vec::with_capacity(payloads.len() + exchanges.len());
+        for payload in payloads {
+            moved.push(payload.len() as u64);
+            lane.send_with_body(node, tag, Vec::new(), payload)?;
+        }
+        for (from, buffer, bytes) in exchanges {
+            let request = EventRequest::ExchangeSend { buffer, to: node };
+            self.notify(from, &EventNotification { request, tag, comm, timed: false })?;
+            moved.push(bytes);
+        }
+        Ok(moved)
     }
 
     /// Block (bounded by the reply timeout) for the typed reply on
@@ -184,33 +220,16 @@ impl EventSystem {
             Some(timeout) => lane.recv_timeout(Some(channel.node), Some(channel.tag), timeout)?,
             None => lane.recv(Some(channel.node), Some(channel.tag))?,
         };
-        self.accept_reply(channel, msg)
+        channel.reply(msg)
     }
 
-    /// Decode a reply already received on `channel` (a transport that
-    /// probes instead of blocking hands the message here) and count the
-    /// event — only once it is known to have succeeded. A retrieve's reply
-    /// must carry the buffer as its body and every other reply none; a
-    /// timed reply keeps its worker-side [`crate::protocol::TaskStamps`].
-    pub(crate) fn accept_reply(&self, channel: &ReplyChannel, msg: Message) -> TypedReply {
-        let data_bearing = matches!(channel.moved, Moved::Payload);
-        let reply = Reply::from_parts(&msg.data, msg.body, data_bearing)?;
-        self.counters.record(match channel.moved {
-            Moved::Nothing => None,
-            Moved::Sent(bytes) => Some(bytes),
-            Moved::Payload => reply.body.as_ref().map(|data| data.len() as u64),
-            Moved::Acked => Some(acked_bytes(&reply.inline)),
-        });
-        Ok(reply)
-    }
-
-    /// Post `request` to `node` and wait for its reply.
-    fn call(&self, node: NodeId, request: EventRequest) -> TypedReply {
-        let channel = self.post(node, request, false)?;
+    /// [`EventSystem::post_task`], then wait for its reply.
+    pub(crate) fn run_task(&self, node: NodeId, work: Composite) -> TypedReply {
+        let channel = self.post_task(node, work)?;
         self.await_reply(&channel)
     }
 
-    /// Traffic counters (events issued, data events, bytes).
+    /// Traffic counters (events issued, data movements, bytes).
     pub fn counters(&self) -> &EventCounters {
         &self.counters
     }
@@ -218,17 +237,17 @@ impl EventSystem {
     /// Allocate an exclusive `(tag, communicator)` channel for a new event.
     /// Communicators are chosen round-robin by tag, mirroring the paper's
     /// mapping of events onto MPICH virtual communication interfaces. Also
-    /// used by the message-passing `MpiBackend` — for its composite task
-    /// events and each region execution's completion channel — so they and
-    /// this system's synchronous events share one device-unique tag space.
+    /// used by the message-passing `MpiBackend` — for its train cars and
+    /// each region execution's completion channel — and by the collectives,
+    /// so every event shares one device-unique tag space.
     pub(crate) fn open_channel(&self) -> (Tag, CommId) {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let comm = CommId((tag % u64::from(self.comm.num_communicators())) as u32);
         (Tag(tag), comm)
     }
 
-    /// The head node's communicator handle, for backends that probe and
-    /// receive replies themselves instead of blocking per event.
+    /// The head node's communicator handle, for backends that receive
+    /// replies themselves instead of blocking per event.
     pub(crate) fn communicator(&self) -> &Communicator {
         &self.comm
     }
@@ -243,50 +262,22 @@ impl EventSystem {
         Ok(())
     }
 
-    /// Copy several buffers to `node` in one event (host → worker), the
-    /// prefetch analogue of the task trains: one gate notification, the
-    /// payloads streaming in order on the train's own channel, one typed
-    /// reply for the whole train. A train is all-or-nothing on the wire: a
-    /// failed car fails the whole event and the caller rolls back every
-    /// booked copy.
-    pub fn submit_train(&self, node: NodeId, cars: Vec<(BufferId, Bytes)>) -> OmpcResult<()> {
-        let buffers: Vec<BufferId> = cars.iter().map(|(b, _)| *b).collect();
-        let sizes: Vec<u64> = cars.iter().map(|(_, d)| d.len() as u64).collect();
-        let channel = self.post(node, EventRequest::SubmitTrain { buffers }, false)?;
-        let lane = self.comm.on(channel.comm)?;
-        for (_, data) in cars {
-            lane.send_with_body(node, channel.tag, Vec::new(), data)?;
-        }
-        self.await_reply(&channel)?;
-        // The envelope's reply counted the train as one event; each car is
-        // one more data-carrying event, as for a composite task's payloads.
-        for bytes in sizes {
-            self.counters.record(Some(bytes));
-        }
-        Ok(())
-    }
-
-    /// Fetch the contents of `buffer` from `node` (worker → host): the
-    /// returned handle is the allocation the worker holds.
+    /// Fetch the contents of `buffer` from `node` (worker → host) as one
+    /// task of a [`TaskStep::Retrieve`] step: the returned handle is the
+    /// allocation the worker holds. Whoever commits it counts the bytes.
     pub fn retrieve(&self, node: NodeId, buffer: BufferId) -> OmpcResult<Bytes> {
-        let reply = self.call(node, EventRequest::Retrieve { buffer })?;
-        // `accept_reply` has already refused a retrieve reply without one.
+        let work = Composite { steps: vec![TaskStep::Retrieve { buffer }], ..Composite::default() };
+        let reply = self.run_task(node, work)?;
+        // `Reply::from_parts` has already refused a data reply without one.
         reply.body.ok_or_else(|| OmpcError::Internal(format!("no data retrieving {buffer}")))
-    }
-
-    /// Forward `buffer` directly from worker `from` to worker `to` without
-    /// staging it on the head node, and wait for the receiver's reply.
-    /// Returns the number of bytes the receiver acknowledged.
-    pub fn exchange(&self, from: NodeId, to: NodeId, buffer: BufferId) -> OmpcResult<u64> {
-        let channel = self.post_exchange(from, to, buffer)?;
-        self.await_reply(&channel).map(|reply| acked_bytes(&reply.inline))
     }
 
     /// Clear `node`'s device memory and wait for the acknowledgement —
     /// issued between device lifetimes when warm workers are recycled, so
     /// an adopted worker pool starts from an empty device state.
     pub fn reset(&self, node: NodeId) -> OmpcResult<()> {
-        self.call(node, EventRequest::Reset).map(|_| ())
+        let channel = self.post(node, EventRequest::Reset)?;
+        self.await_reply(&channel).map(|_| ())
     }
 
     /// Zero the traffic counters (warm-worker adoption: the next device
@@ -302,12 +293,12 @@ impl EventSystem {
     /// reply. Fire-and-forget — the injector must not block on the node it
     /// just declared dead.
     pub fn kill(&self, node: NodeId) -> OmpcResult<()> {
-        self.post(node, EventRequest::Kill, false).map(|_| ())
+        self.post(node, EventRequest::Kill).map(|_| ())
     }
 
     /// Tell `node` to leave its gate loop and terminate.
     pub fn shutdown(&self, node: NodeId) -> OmpcResult<()> {
-        self.post(node, EventRequest::Shutdown, false).map(|_| ())
+        self.post(node, EventRequest::Shutdown).map(|_| ())
     }
 }
 

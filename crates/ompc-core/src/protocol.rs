@@ -14,7 +14,9 @@
 //! kernel, a missing buffer, a killed node — surfaces on the head node as a
 //! propagated error instead of a reply that never arrives.
 //!
-//! A composite task travels as a car of an [`EventRequest::TaskTrain`]. After
+//! Every head→worker buffer operation is an [`EventRequest::Task`] of
+//! [`TaskStep`]s. A region task travels as a car of an
+//! [`EventRequest::TaskTrain`]; after
 //! each car's reply the worker also posts a [`CompletionNotice`] on the
 //! train envelope's own `(tag, communicator)` — the completion channel of the
 //! region execution that sent the train, an event channel like any other.
@@ -31,8 +33,8 @@
 //! |---|---|---|
 //! | notification, completion notice | the encoding | — |
 //! | reply without data ([`Reply::from_parts`], `data_bearing = false`) | [`EventReply`] (status, stamps, inline acknowledgement) | — |
-//! | reply that *is* the data (retrieve; the sending half of a forward, a [`TaskStep::Push`]) | `EventReply::Ok` with nothing inline | the buffer |
-//! | host payload (submit, `RecvFromHead`, a prefetch-train car) | empty ([`payload_body`]) | the buffer |
+//! | reply that *is* the data (a task with a [`TaskStep::Retrieve`]; the sending half of a forward, a [`TaskStep::Push`]) | `EventReply::Ok` with nothing inline | the buffer |
+//! | host payload (one per [`TaskStep::RecvFromHead`]) | empty ([`payload_body`]) | the buffer |
 //! | collective frame ([`relay_frame_header`] / [`decode_relay_parts`]) | frame index `u64` | the chunk |
 //!
 //! Every receiver states which shape it expects, and a message of the wrong
@@ -51,41 +53,28 @@ use ompc_mpi::{Bytes, CommId, Tag};
 /// completion channel included, is an event channel.
 pub const CONTROL_TAG: Tag = Tag(0);
 
-/// First tag usable by events (event tags are allocated upwards from here
-/// and stay below the collective-reserved range). Tags 1 and 2 once named
-/// shared notice lanes and are left unused.
+/// First tag usable by events: event tags are allocated upwards from here.
+/// Tags 1 and 2 once named shared notice lanes and are left unused.
 pub const FIRST_EVENT_TAG: u64 = 3;
 
-/// The action a new event asks the destination node to perform: what a
-/// libomptarget device plugin must implement (alloc, delete, submit,
-/// retrieve, exchange; execute is a task step) plus shutdown.
+/// The action a new event asks the destination node to perform. What a
+/// libomptarget device plugin must implement — alloc, delete, submit,
+/// retrieve, exchange, execute — are the [`TaskStep`]s of a [`Task`]; the
+/// other kinds are the sending half of a worker-to-worker forward, the
+/// collective relays, and the worker's own lifecycle.
+///
+/// [`Task`]: EventRequest::Task
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventRequest {
-    /// Allocate `size` bytes of device memory for `buffer`.
-    Alloc { buffer: BufferId, size: u64 },
-    /// Free the device memory of every listed buffer (one not resident is
-    /// skipped): however many copies a node owes, releasing them is one
-    /// event and one reply.
-    Delete { buffers: Vec<BufferId> },
-    /// Receive the contents of `buffer` from the origin (data follows on
-    /// the event channel).
-    Submit { buffer: BufferId },
-    /// Send the contents of `buffer` back to the origin on the event
-    /// channel.
-    Retrieve { buffer: BufferId },
     /// Send the contents of `buffer` to worker `to` on the event channel
     /// (the sending half of a worker-to-worker forward).
     ExchangeSend { buffer: BufferId, to: NodeId },
-    /// Receive the contents of `buffer` from worker `from` on the event
-    /// channel and acknowledge to the origin (the receiving half of a
-    /// worker-to-worker forward).
-    ExchangeRecv { buffer: BufferId, from: NodeId },
-    /// Run one whole task — data movement steps then kernel execution — on
-    /// the destination node, producing a single reply when every step has
-    /// finished — that reply and nothing else. The composite event's
-    /// recipe: the [`crate::runtime::MpiBackend`] sends it as the car of a
-    /// [`TaskTrain`], which the worker answers the same way plus a
-    /// completion notice.
+    /// Run one whole task — its steps in order — on the destination node,
+    /// producing a single reply when every step has finished — that reply
+    /// and nothing else. Every head→worker buffer operation is one: a region
+    /// task as the car of a [`TaskTrain`], which the worker answers the same
+    /// way plus a completion notice; a release, a flush, a prefetch or a
+    /// forward on its own.
     ///
     /// [`TaskTrain`]: EventRequest::TaskTrain
     Task(TaskSpec),
@@ -103,16 +92,6 @@ pub enum EventRequest {
     ///
     /// [`Task`]: EventRequest::Task
     TaskTrain(Vec<TrainCar>),
-    /// Receive the contents of several buffers from the origin in one
-    /// batched event (a *prefetch train*): the payloads follow on the
-    /// train's envelope channel in listed order (MPI delivery is
-    /// non-overtaking per `(source, communicator, tag)`), the worker stores
-    /// each one, and a single typed reply acknowledges the whole train —
-    /// the train's one message back. This is how the asynchronous data path
-    /// streams a queued region's enter-data inputs to one node while the
-    /// current region computes, collapsing k submit events into one control
-    /// message.
-    SubmitTrain { buffers: Vec<BufferId> },
     /// Receive one buffer as a chunked collective payload stream and relay
     /// each frame onward: the node receives `[frame index u64][payload]`
     /// frames on the event's exclusive channel **from any source** (the
@@ -149,15 +128,9 @@ impl EventRequest {
     /// Short name used in traces and error messages.
     pub fn name(&self) -> &'static str {
         match self {
-            EventRequest::Alloc { .. } => "alloc",
-            EventRequest::Delete { .. } => "delete",
-            EventRequest::Submit { .. } => "submit",
-            EventRequest::Retrieve { .. } => "retrieve",
             EventRequest::ExchangeSend { .. } => "exchange-send",
-            EventRequest::ExchangeRecv { .. } => "exchange-recv",
             EventRequest::Task(_) => "task",
             EventRequest::TaskTrain(_) => "task-train",
-            EventRequest::SubmitTrain { .. } => "submit-train",
             EventRequest::RelayRecv { .. } => "relay-recv",
             EventRequest::RelayFeed { .. } => "relay-feed",
             EventRequest::Reset => "reset",
@@ -271,8 +244,8 @@ pub enum TaskStep {
     /// surfaces as a typed error in this task's reply instead of a hang.
     RecvFromWorker { buffer: BufferId, from: NodeId },
     /// Wait for the newest receive (or claim) of `buffer` the worker accepted
-    /// before this task — an earlier car or data event of the same region
-    /// execution owns the transfer — to land, and fail with that receive's
+    /// before this task — an earlier car of the same region execution owns
+    /// the transfer — to land, and fail with that receive's
     /// error if it failed. A stale copy already resident never satisfies
     /// the wait. `timeout_ms` is only a last-resort bound (`u64::MAX`: none).
     AwaitLocal { buffer: BufferId, timeout_ms: u64 },
@@ -286,6 +259,9 @@ pub enum TaskStep {
     Delete { buffer: BufferId },
     /// Run `kernel` against the listed device buffers.
     Execute { kernel: KernelId, buffers: Vec<BufferId> },
+    /// Send the resident `buffer` home as the task's reply body: the reply of
+    /// a task with this step is data-bearing ([`Reply::from_parts`]).
+    Retrieve { buffer: BufferId },
     /// After the kernel, send the resident `buffer` to worker `to` on the push channel
     /// `(tag, comm)`, as the sending half of an [`EventRequest::ExchangeSend`] would.
     Push { buffer: BufferId, to: NodeId, tag: Tag, comm: CommId },
@@ -446,19 +422,15 @@ impl<'a> Reader<'a> {
     }
 }
 
-const KIND_ALLOC: u8 = 1;
-const KIND_DELETE: u8 = 2;
-const KIND_SUBMIT: u8 = 3;
-const KIND_RETRIEVE: u8 = 4;
+// 1–4, 6 and 13 were the single-purpose `Alloc`, `Delete`, `Submit`,
+// `Retrieve`, `ExchangeRecv` and `SubmitTrain` events, and 7 a bare `Execute`:
+// each is a step of a `Task` now.
 const KIND_EXCHANGE_SEND: u8 = 5;
-const KIND_EXCHANGE_RECV: u8 = 6;
-// 7 was a bare `Execute` event: a kernel runs as a task's `Execute` step.
 const KIND_SHUTDOWN: u8 = 8;
 const KIND_KILL: u8 = 9;
 const KIND_TASK: u8 = 10;
 const KIND_TASK_TRAIN: u8 = 11;
 const KIND_RESET: u8 = 12;
-const KIND_SUBMIT_TRAIN: u8 = 13;
 const KIND_RELAY_RECV: u8 = 14;
 const KIND_RELAY_FEED: u8 = 15;
 
@@ -486,6 +458,7 @@ const STEP_DELETE: u8 = 6;
 const STEP_PUSH: u8 = 7;
 const STEP_CLAIM: u8 = 8;
 const STEP_DISCARD: u8 = 9;
+const STEP_RETRIEVE: u8 = 10;
 
 /// A worker, then a `(tag, communicator)` channel.
 fn encode_channel(w: &mut Writer, node: NodeId, tag: Tag, comm: CommId) {
@@ -515,8 +488,8 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
             w.u64(buffer.0);
             w.u64(*size);
         }
-        TaskStep::Delete { buffer } => {
-            w.u8(STEP_DELETE);
+        TaskStep::Delete { buffer } | TaskStep::Retrieve { buffer } => {
+            w.u8(if matches!(step, TaskStep::Delete { .. }) { STEP_DELETE } else { STEP_RETRIEVE });
             w.u64(buffer.0);
         }
         TaskStep::Execute { kernel, buffers } => {
@@ -548,6 +521,7 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
         }
         STEP_ALLOC => TaskStep::Alloc { buffer: BufferId(r.u64()?), size: r.u64()? },
         STEP_DELETE => TaskStep::Delete { buffer: BufferId(r.u64()?) },
+        STEP_RETRIEVE => TaskStep::Retrieve { buffer: BufferId(r.u64()?) },
         STEP_EXECUTE => {
             TaskStep::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffers()? }
         }
@@ -575,32 +549,10 @@ impl EventNotification {
         w.u32(self.comm.0);
         w.u8(self.timed as u8);
         match &self.request {
-            EventRequest::Alloc { buffer, size } => {
-                w.u8(KIND_ALLOC);
-                w.u64(buffer.0);
-                w.u64(*size);
-            }
-            EventRequest::Delete { buffers } => {
-                w.u8(KIND_DELETE);
-                w.buffers(buffers);
-            }
-            EventRequest::Submit { buffer } => {
-                w.u8(KIND_SUBMIT);
-                w.u64(buffer.0);
-            }
-            EventRequest::Retrieve { buffer } => {
-                w.u8(KIND_RETRIEVE);
-                w.u64(buffer.0);
-            }
             EventRequest::ExchangeSend { buffer, to } => {
                 w.u8(KIND_EXCHANGE_SEND);
                 w.u64(buffer.0);
                 w.u64(*to as u64);
-            }
-            EventRequest::ExchangeRecv { buffer, from } => {
-                w.u8(KIND_EXCHANGE_RECV);
-                w.u64(buffer.0);
-                w.u64(*from as u64);
             }
             EventRequest::Task(spec) => {
                 w.u8(KIND_TASK);
@@ -620,10 +572,6 @@ impl EventNotification {
                         encode_step(&mut w, step);
                     }
                 }
-            }
-            EventRequest::SubmitTrain { buffers } => {
-                w.u8(KIND_SUBMIT_TRAIN);
-                w.buffers(buffers);
             }
             EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
                 w.u8(KIND_RELAY_RECV);
@@ -665,22 +613,14 @@ impl EventNotification {
         };
         let kind = r.u8()?;
         let request = match kind {
-            KIND_ALLOC => EventRequest::Alloc { buffer: BufferId(r.u64()?), size: r.u64()? },
-            KIND_DELETE => EventRequest::Delete { buffers: r.buffers()? },
-            KIND_SUBMIT => EventRequest::Submit { buffer: BufferId(r.u64()?) },
-            KIND_RETRIEVE => EventRequest::Retrieve { buffer: BufferId(r.u64()?) },
             KIND_EXCHANGE_SEND => {
                 EventRequest::ExchangeSend { buffer: BufferId(r.u64()?), to: r.u64()? as NodeId }
-            }
-            KIND_EXCHANGE_RECV => {
-                EventRequest::ExchangeRecv { buffer: BufferId(r.u64()?), from: r.u64()? as NodeId }
             }
             KIND_TASK => EventRequest::Task(TaskSpec { steps: r.steps()? }),
             KIND_TASK_TRAIN => EventRequest::TaskTrain(r.list(16, |r| {
                 let (tag, comm) = (Tag(r.u64()?), CommId(r.u32()?));
                 Ok(TrainCar { tag, comm, spec: TaskSpec { steps: r.steps()? } })
             })?),
-            KIND_SUBMIT_TRAIN => EventRequest::SubmitTrain { buffers: r.buffers()? },
             KIND_RELAY_RECV => EventRequest::RelayRecv {
                 buffer: BufferId(r.u64()?),
                 total_bytes: r.u64()?,
@@ -715,7 +655,8 @@ pub struct TaskStamps {
     /// When the handler picked the event up (gate hand-off complete).
     pub recv_us: u64,
     /// When the task's data-movement steps (receives, awaits, allocs)
-    /// finished and the kernel was ready to run.
+    /// finished and the kernel was ready to run — for a task without a
+    /// kernel, when its last step finished.
     pub deps_us: u64,
     /// When the kernel body started.
     pub exec_start_us: u64,
@@ -1016,14 +957,14 @@ mod tests {
 
     #[test]
     fn all_event_kinds_round_trip() {
-        round_trip(EventRequest::Alloc { buffer: BufferId(7), size: 1024 });
         for count in [0, 1, 300] {
-            round_trip(EventRequest::Delete { buffers: (0..count).map(BufferId).collect() });
+            let steps = (0..count).map(|b| TaskStep::Delete { buffer: BufferId(b) }).collect();
+            round_trip(EventRequest::Task(TaskSpec { steps }));
         }
-        round_trip(EventRequest::Submit { buffer: BufferId(1) });
-        round_trip(EventRequest::Retrieve { buffer: BufferId(2) });
+        round_trip(EventRequest::Task(TaskSpec {
+            steps: vec![TaskStep::Retrieve { buffer: BufferId(2) }],
+        }));
         round_trip(EventRequest::ExchangeSend { buffer: BufferId(3), to: 5 });
-        round_trip(EventRequest::ExchangeRecv { buffer: BufferId(3), from: 2 });
         round_trip(EventRequest::Task(TaskSpec {
             steps: vec![TaskStep::Execute {
                 kernel: KernelId(9),
@@ -1051,6 +992,7 @@ mod tests {
                 TaskStep::Push { buffer: BufferId(4), to: 2, tag: Tag(40), comm: CommId(1) },
                 TaskStep::Claim { buffer: BufferId(5), from: 3, tag: Tag(41), comm: CommId(0) },
                 TaskStep::Discard { from: 3, tag: Tag(u64::MAX), comm: CommId(u32::MAX) },
+                TaskStep::Retrieve { buffer: BufferId(u64::MAX) },
             ],
         }));
     }
@@ -1078,23 +1020,26 @@ mod tests {
         ]));
     }
 
+    /// A prefetch train is a task of `RecvFromHead` steps.
     #[test]
     fn submit_train_round_trips_and_rejects_truncation() {
-        round_trip(EventRequest::SubmitTrain { buffers: vec![] });
-        round_trip(EventRequest::SubmitTrain {
-            buffers: vec![BufferId(3), BufferId(1), BufferId(u64::MAX)],
-        });
+        let train = |buffers: &[u64]| {
+            let steps = buffers.iter().map(|&b| TaskStep::RecvFromHead { buffer: BufferId(b) });
+            EventRequest::Task(TaskSpec { steps: steps.collect() })
+        };
+        round_trip(train(&[]));
+        round_trip(train(&[3, 1, u64::MAX]));
         let n = EventNotification {
-            request: EventRequest::SubmitTrain { buffers: vec![BufferId(5), BufferId(6)] },
+            request: train(&[5, 6]),
             tag: Tag(20),
             comm: CommId(1),
             timed: false,
         };
         let bytes = n.encode();
-        for cut in 1..=16 {
+        for cut in 1..bytes.len() {
             assert!(EventNotification::decode(&bytes[..bytes.len() - cut]).is_err());
         }
-        assert_eq!(n.request.name(), "submit-train");
+        assert_eq!(n.request.name(), "task");
     }
 
     #[test]
@@ -1261,11 +1206,11 @@ mod tests {
     /// A forged element count must not size an allocation: this 18-byte
     /// notification — a task of `u32::MAX` steps — used to abort the process
     /// reserving 128 GiB before reading a single step. The same holds for a
-    /// delete of `u32::MAX` buffers, and for a task whose one real step — a
-    /// push, a claim, a discard — claims 4 billion siblings.
+    /// train of `u32::MAX` cars, and for a task whose one real step — a
+    /// push, a claim, a discard, a retrieve — claims 4 billion siblings.
     #[test]
     fn a_forged_element_count_is_a_truncation_error_not_an_allocation() {
-        for kind in [KIND_TASK, KIND_DELETE] {
+        for kind in [KIND_TASK, KIND_TASK_TRAIN] {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&7u64.to_le_bytes()); // tag
             bytes.extend_from_slice(&0u32.to_le_bytes()); // comm
@@ -1279,6 +1224,7 @@ mod tests {
             TaskStep::Push { buffer: BufferId(3), to: 2, tag, comm },
             TaskStep::Claim { buffer: BufferId(3), from: 1, tag, comm },
             TaskStep::Discard { from: 1, tag, comm },
+            TaskStep::Retrieve { buffer: BufferId(3) },
         ] {
             let task = EventRequest::Task(TaskSpec { steps: vec![step] });
             let mut bytes = EventNotification { request: task, tag, comm, timed: false }.encode();
@@ -1321,7 +1267,7 @@ mod tests {
             let buffer = BufferId(rng.next_u64());
             let node = rng.range_usize(0, 1 << 20);
             let (tag, comm) = (Tag(rng.next_u64()), CommId(rng.next_u64() as u32));
-            match rng.range(0, 9) {
+            match rng.range(0, 10) {
                 0 => TaskStep::RecvFromHead { buffer },
                 1 => TaskStep::RecvFromWorker { buffer, from: node },
                 2 => TaskStep::AwaitLocal { buffer, timeout_ms: rng.next_u64() },
@@ -1330,6 +1276,7 @@ mod tests {
                 5 => TaskStep::Push { buffer, to: node, tag, comm },
                 6 => TaskStep::Claim { buffer, from: node, tag, comm },
                 7 => TaskStep::Discard { from: node, tag, comm },
+                8 => TaskStep::Retrieve { buffer },
                 _ => TaskStep::Execute { kernel: KernelId(node), buffers: arb_buffers(rng) },
             }
         };
@@ -1345,18 +1292,24 @@ mod tests {
         (0..rng.range(0, 5)).map(|_| child(rng)).collect()
     }
 
-    /// A notification of wire kind `kind` (every kind from 1 to 15 but 7
-    /// exists).
+    /// Every wire kind there is.
+    const KINDS: [u8; 8] = [
+        KIND_EXCHANGE_SEND,
+        KIND_SHUTDOWN,
+        KIND_KILL,
+        KIND_TASK,
+        KIND_TASK_TRAIN,
+        KIND_RESET,
+        KIND_RELAY_RECV,
+        KIND_RELAY_FEED,
+    ];
+
+    /// A notification of wire kind `kind`, one of [`KINDS`].
     fn arb_notification(rng: &mut Rng, kind: u8) -> EventNotification {
         let buffer = BufferId(rng.next_u64());
         let node = rng.range_usize(0, 1 << 20);
         let request = match kind {
-            KIND_ALLOC => EventRequest::Alloc { buffer, size: rng.next_u64() },
-            KIND_DELETE => EventRequest::Delete { buffers: arb_buffers(rng) },
-            KIND_SUBMIT => EventRequest::Submit { buffer },
-            KIND_RETRIEVE => EventRequest::Retrieve { buffer },
             KIND_EXCHANGE_SEND => EventRequest::ExchangeSend { buffer, to: node },
-            KIND_EXCHANGE_RECV => EventRequest::ExchangeRecv { buffer, from: node },
             KIND_SHUTDOWN => EventRequest::Shutdown,
             KIND_KILL => EventRequest::Kill,
             KIND_TASK => EventRequest::Task(TaskSpec { steps: arb_steps(rng) }),
@@ -1369,7 +1322,6 @@ mod tests {
                 EventRequest::TaskTrain((0..rng.range(0, 4)).map(|_| car(rng)).collect())
             }
             KIND_RESET => EventRequest::Reset,
-            KIND_SUBMIT_TRAIN => EventRequest::SubmitTrain { buffers: arb_buffers(rng) },
             KIND_RELAY_RECV => EventRequest::RelayRecv {
                 buffer,
                 total_bytes: rng.next_u64(),
@@ -1468,7 +1420,7 @@ mod tests {
     fn seeded_fuzz_every_message_round_trips_and_rejects_corruption() {
         for seed in 0..1_000 {
             let rng = &mut Rng::new(seed);
-            for kind in (KIND_ALLOC..=KIND_RELAY_FEED).filter(|&kind| kind != 7) {
+            for kind in KINDS {
                 let n = arb_notification(rng, kind);
                 check_codec(rng, &n, 0, EventNotification::encode, EventNotification::decode);
             }
@@ -1553,7 +1505,7 @@ mod tests {
     #[test]
     fn truncated_notification_is_an_error() {
         let n = EventNotification {
-            request: EventRequest::Alloc { buffer: BufferId(7), size: 1024 },
+            request: EventRequest::ExchangeSend { buffer: BufferId(7), to: 1024 },
             tag: Tag(1),
             comm: CommId(0),
             timed: false,
@@ -1575,9 +1527,12 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] = 99;
         assert!(EventNotification::decode(&bytes).is_err());
-        // 7 named the bare `Execute` event, which is gone.
-        bytes[last] = 7;
-        assert!(EventNotification::decode(&bytes).is_err());
+        // The retired single-purpose events (`Alloc`, `Delete`, `Submit`,
+        // `Retrieve`, `ExchangeRecv`, `Execute`, `SubmitTrain`) are gone.
+        for retired in [1, 2, 3, 4, 6, 7, 13] {
+            bytes[last] = retired;
+            assert!(EventNotification::decode(&bytes).is_err(), "kind {retired}");
+        }
     }
 
     #[test]
@@ -1619,7 +1574,11 @@ mod tests {
         assert_eq!(EventRequest::Shutdown.name(), "shutdown");
         assert_eq!(EventRequest::TaskTrain(vec![]).name(), "task-train");
         assert_eq!(EventRequest::Reset.name(), "reset");
-        assert_eq!(EventRequest::Retrieve { buffer: BufferId(0) }.name(), "retrieve");
+        assert_eq!(
+            EventRequest::ExchangeSend { buffer: BufferId(0), to: 1 }.name(),
+            "exchange-send"
+        );
+        assert_eq!(EventRequest::Kill.name(), "kill");
         assert_eq!(EventRequest::Task(TaskSpec { steps: vec![] }).name(), "task");
     }
 }

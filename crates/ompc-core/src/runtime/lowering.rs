@@ -3,13 +3,16 @@
 //! transport (`runtime/mpi.rs`) delivers.
 //!
 //! [`Lowering::lower`] turns a task plus the [`DataManager`]'s residency
-//! state into the wire vocabulary the workers speak:
+//! state into the wire vocabulary the workers speak — every region task
+//! that moves bytes becomes one [`Composite`], a car of its node's train:
 //!
-//! * a target task becomes a [`Composite`] — `Delete`* / `RecvFromHead` /
-//!   `RecvFromWorker` / `Claim` / `AwaitLocal` / `Alloc` / `Execute` /
-//!   `Push`* steps with their payload frames and exchange-send requests;
-//! * an enter/exit-data task becomes one [`DataEvent`] (`Submit`,
-//!   `ExchangeRecv`+`ExchangeSend`, `Alloc`, `Retrieve`);
+//! * a target task: `Delete`* / `RecvFromHead` / `RecvFromWorker` / `Claim`
+//!   / `AwaitLocal` / `Alloc` / `Execute` / `Push`* steps with their payload
+//!   frames and exchange sources;
+//! * an enter-data task: `Delete`* then a `RecvFromHead`, a `RecvFromWorker`
+//!   (its source told an `ExchangeSend`), or an `Alloc`;
+//! * an exit-data task: one `Retrieve`, on the node the bytes come from,
+//!   whose reply is the buffer;
 //! * a host task (flushed and run right here, outside every lock), a no-op
 //!   data task, or a task bound for a dead node is [`Lowered::Done`];
 //! * a target task reading bytes another owner has on the wire towards its
@@ -31,11 +34,11 @@
 //! alone, and a reader of a copy somebody else has on the wire never plans
 //! a second transfer. Who that somebody is decides where the reader waits:
 //!
-//! * an earlier task (or data event) **of this execution** has queued the
-//!   receive ahead of the reader on the same node — the reader's composite
-//!   carries an `AwaitLocal` step, and the worker waits for that very
-//!   receive to land or fail (first-in-first-out on the node, so even one
-//!   handler thread cannot deadlock on it);
+//! * an earlier car **of this execution** has queued the receive ahead of
+//!   the reader on the same node (cars depart in lowering order) — the
+//!   reader's composite carries an `AwaitLocal` step, and the worker waits
+//!   for that very receive to land or fail (first-in-first-out on the node,
+//!   so even one handler thread cannot deadlock on it);
 //! * **anyone else** — another tenant, an async enter-data, prefetch or
 //!   broadcast ticket — has no event queued ahead of it there: the reader
 //!   parks on the head, booking nothing, and fails at once with the
@@ -43,11 +46,12 @@
 //!   invalidated on the wire.
 //!
 //! What the lowering owns, per region and shared by its tasks, is the
-//! **deferred deletes** — stale and released copies ride the next composite
-//! to their node as `Delete` prologue steps — and the **pushes** nobody
-//! claimed yet, which end unclaimed when a later write, a recovery, a death
-//! or the end of the run leaves them no reader; [`Lowering::flush_deletes`]
-//! sends each live node what is left of both, in one event.
+//! **deferred deletes** — stale and released copies ride the next target or
+//! enter-data car to their node as `Delete` prologue steps — and the
+//! **pushes** nobody claimed yet, which end unclaimed when a later write, a
+//! recovery, a death or the end of the run leaves them no reader;
+//! [`Lowering::flush_deletes`] sends each live node what is left of both, in
+//! one task.
 //!
 //! A host payload is the registry's own [`Bytes`] handle — the buffer *is*
 //! the frame: forwarded to k nodes it is one allocation held k + 1 times,
@@ -64,8 +68,8 @@ use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
 use crate::data_manager::{Booking, DataManager, Owner, TransferReason, TransferState, HEAD_NODE};
-use crate::event::{EventSystem, ReplyChannel, TypedReply};
-use crate::protocol::{EventRequest, Reply, TaskStep};
+use crate::event::{Composite, EventSystem, TypedReply};
+use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_mpi::{Bytes, CommId, Tag};
@@ -113,9 +117,10 @@ impl DataPath {
         self.commit(from, buffer, data, t0, how)
     }
 
-    /// The commit half: store the retrieved bytes in the host registry and
-    /// record the retrieve. A kernel may have resized the device copy; the
-    /// observed size keeps this and every later transfer-log entry truthful.
+    /// The commit half: store the retrieved bytes in the host registry,
+    /// record the retrieve, and count it as one data movement. A kernel may
+    /// have resized the device copy; the observed size keeps this and every
+    /// later transfer-log entry truthful.
     fn commit(
         &self,
         from: NodeId,
@@ -131,6 +136,7 @@ impl DataPath {
             dm.observe_size(buffer, bytes);
             dm.record_retrieve_in(how.region, buffer)?;
         }
+        self.events.counters().record_data(bytes);
         if self.telemetry.spans_enabled() {
             let span = Span::new(how.phase, HEAD_NODE, t0, monotonic_us())
                 .bytes(bytes)
@@ -145,35 +151,13 @@ impl DataPath {
     }
 }
 
-/// A target task in wire form: the ordered steps the executing node
-/// performs, plus what the head must put on the wire for them.
-#[derive(Default)]
-pub(crate) struct Composite {
-    pub(crate) steps: Vec<TaskStep>,
-    /// Host payloads for the `RecvFromHead` steps, in step order: the
-    /// registry's own handles.
-    pub(crate) payloads: Vec<Bytes>,
-    /// Per `RecvFromWorker` step, in step order: the source node, the
-    /// exchange-send request it must be told, and the bytes it will move.
-    pub(crate) exchanges: Vec<(NodeId, EventRequest, u64)>,
-}
-
-/// The single event an enter/exit-data task lowers to.
-pub(crate) enum DataEvent {
-    Submit { node: NodeId, buffer: BufferId, frame: Bytes },
-    Exchange { from: NodeId, to: NodeId, buffer: BufferId },
-    Alloc { node: NodeId, buffer: BufferId, size: u64 },
-    Retrieve { from: NodeId, buffer: BufferId },
-}
-
 /// What [`Lowering::lower`] made of a task.
 pub(crate) enum Lowered {
     /// Nothing to deliver: the task is complete.
     Done,
-    /// Deliver the composite to the task's node; retire with its reply.
+    /// Deliver the composite to [`Record::node`] as a car; retire with its
+    /// reply.
     Task(Composite, Record),
-    /// [`Lowering::post`] the event; retire with its reply.
-    Event(DataEvent, Record),
     /// Another owner has these inputs on the wire towards the task's node:
     /// nothing was booked — lower the task again once
     /// [`Lowering::awaited`] says so.
@@ -182,31 +166,37 @@ pub(crate) enum Lowered {
 
 /// What the head must settle when a lowered task's reply arrives.
 pub(crate) struct Record {
-    /// The node the task's effects land on (for an exit-data retrieval, the
-    /// node the bytes come from).
+    /// The node the car goes to and its effects land on (for an exit-data
+    /// retrieval, the node the bytes come from).
     node: NodeId,
+    /// Buffers whose inbound transfer to `node` this task has booked.
+    owned: Vec<BufferId>,
+    /// Deferred deletes attached as prologue steps.
+    deletes: Vec<BufferId>,
     kind: RecordKind,
+}
+
+impl Record {
+    /// The node the car goes to: the task's own, or for an exit-data task
+    /// the node the bytes come from.
+    pub(crate) fn node(&self) -> NodeId {
+        self.node
+    }
 }
 
 enum RecordKind {
     Target {
-        /// Buffers whose inbound transfer to `node` this task has booked.
-        owned: Vec<BufferId>,
         /// Pushes it claimed (their buffers are in `owned`).
         claims: Vec<Push>,
         /// Buffers the task writes.
         writes: Vec<BufferId>,
-        /// Deferred deletes attached as prologue steps.
-        deletes: Vec<BufferId>,
         /// Copies its composite pushes, booked when it succeeds.
         pushes: Vec<Push>,
     },
-    /// `booked`: the copy is a booking of this task's (finished with the
-    /// reply) rather than a replica to record on success (an alloc).
-    /// `cancelled_delete`: the inbound copy superseded a deferred delete of
-    /// the same pair, which is owed again if it never lands.
-    EnterData { buffer: BufferId, booked: bool, cancelled_delete: bool },
-    /// The reply payload is the buffer contents; `release` the device copies
+    /// The transfer is in `owned` — or, for an alloc, `replica` is the copy
+    /// to record on success.
+    EnterData { replica: Option<BufferId> },
+    /// The reply's body is the buffer contents; `release` the device copies
     /// afterwards unless the buffer is keep-resident.
     ExitData { buffer: BufferId, release: bool },
 }
@@ -250,6 +240,16 @@ struct State {
     unclaimed: BTreeMap<(BufferId, NodeId), Push>,
     /// Pushes sent that nobody will claim, owed a drop ([`Lowering::flush_deletes`]).
     discards: Vec<Push>,
+}
+
+/// Deferred maintenance rides along: the deletes queued for `node` since its
+/// last car become `work`'s prologue steps — ordered before any receive of
+/// the same buffer, costing no extra round trip. Returns them.
+fn take_deletes(state: &mut State, node: NodeId, work: &mut Composite) -> Vec<BufferId> {
+    let deletes: Vec<BufferId> =
+        state.deferred_deletes.remove(&node).unwrap_or_default().into_iter().collect();
+    work.steps.splice(0..0, deletes.iter().map(|&buffer| TaskStep::Delete { buffer }));
+    deletes
 }
 
 /// The lowering of one region execution. `state` is taken before the data
@@ -344,11 +344,12 @@ impl Lowering {
     }
 
     /// Residency-aware distribution: source from the current latest holder —
-    /// a submit from the host for a fresh mapping, a worker-to-worker
+    /// a receive from the host for a fresh mapping, a worker-to-worker
     /// forward when the latest version lives on another worker, and **no
     /// transfer at all** when the buffer is already present or already on
     /// its way (OpenMP present-table semantics: re-entering mapped data does
-    /// not copy; the first reader awaits a booked transfer).
+    /// not copy; the first reader awaits a booked transfer). The car takes
+    /// the node's deferred deletes ahead of its receive, as a target car does.
     fn lower_enter(
         &self,
         tid: usize,
@@ -357,7 +358,8 @@ impl Lowering {
         map: MapType,
     ) -> OmpcResult<Lowered> {
         let mut state = self.state.lock();
-        let (event, booked) = match map {
+        let mut work = Composite::default();
+        let (owned, replica) = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
                 let owner = Owner::Region(self.region);
                 let reason = TransferReason::EnterData;
@@ -365,10 +367,11 @@ impl Lowering {
                 match booking {
                     Booking::Present | Booking::Await => return Ok(Lowered::Done),
                     Booking::Move(plan) if plan.from != HEAD_NODE => {
-                        (DataEvent::Exchange { from: plan.from, to: node, buffer }, true)
+                        let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
+                        work.recv_from_worker(buffer, plan.from, bytes);
                     }
                     Booking::Move(_) => match self.host_payload(buffer, tid) {
-                        Ok(frame) => (DataEvent::Submit { node, buffer, frame }, true),
+                        Ok(frame) => work.recv_from_head(buffer, frame),
                         Err(e) => {
                             let failed = Err(e.clone());
                             let _ = self.finish(&mut self.path.dm.lock(), node, &[buffer], &failed);
@@ -376,20 +379,18 @@ impl Lowering {
                         }
                     },
                 }
+                (vec![buffer], None)
             }
             MapType::Alloc if !self.path.dm.lock().is_present(buffer, node) => {
                 let size = self.path.buffers.size_of(buffer)? as u64;
-                (DataEvent::Alloc { node, buffer, size }, false)
+                work.steps.push(TaskStep::Alloc { buffer, size });
+                (Vec::new(), Some(buffer))
             }
             MapType::Alloc | MapType::From | MapType::Release => return Ok(Lowered::Done),
         };
-        // The incoming copy supersedes whatever stale bytes a deferred
-        // delete was going to free; a single event cannot carry the delete
-        // ahead of itself, so it is cancelled instead.
-        let cancelled_delete =
-            state.deferred_deletes.get_mut(&node).is_some_and(|set| set.remove(&buffer));
-        let kind = RecordKind::EnterData { buffer, booked, cancelled_delete };
-        Ok(Lowered::Event(event, Record { node, kind }))
+        let deletes = take_deletes(&mut state, node, &mut work);
+        let kind = RecordKind::EnterData { replica };
+        Ok(Lowered::Task(work, Record { node, owned, deletes, kind }))
     }
 
     /// A read-only plan: the latest-on-head commit (and its log entry)
@@ -414,8 +415,13 @@ impl Lowering {
         };
         match from {
             Some(from) => {
+                let work =
+                    Composite { steps: vec![TaskStep::Retrieve { buffer }], ..Default::default() };
                 let kind = RecordKind::ExitData { buffer, release: !keep_resident };
-                Lowered::Event(DataEvent::Retrieve { from, buffer }, Record { node: from, kind })
+                Lowered::Task(
+                    work,
+                    Record { node: from, owned: Vec::new(), deletes: Vec::new(), kind },
+                )
             }
             None => {
                 if !keep_resident {
@@ -459,12 +465,7 @@ impl Lowering {
         let pushes = self.plan_pushes(&state, &dm, tid, node);
         drop(dm);
         let Inputs { mut work, owned, claims } = inputs;
-        // Deferred maintenance rides along: the deletes queued for this node
-        // since its last task become prologue steps — ordered before any
-        // receive of the same buffer, costing no extra round-trip.
-        let deletes: Vec<BufferId> =
-            state.deferred_deletes.remove(&node).unwrap_or_default().into_iter().collect();
-        work.steps.splice(0..0, deletes.iter().map(|&buffer| TaskStep::Delete { buffer }));
+        let deletes = take_deletes(&mut state, node, &mut work);
         let buffers = task.dependences.iter().map(|d| d.buffer).collect();
         work.steps.push(TaskStep::Execute { kernel, buffers });
         let push =
@@ -472,8 +473,8 @@ impl Lowering {
         work.steps.extend(pushes.iter().map(push));
         let writes =
             task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer).collect();
-        let kind = RecordKind::Target { owned, claims, writes, deletes, pushes };
-        let record = Record { node, kind };
+        let kind = RecordKind::Target { claims, writes, pushes };
+        let record = Record { node, owned, deletes, kind };
         match planned {
             Ok(()) => Ok(Lowered::Task(work, record)),
             Err(error) => {
@@ -584,15 +585,11 @@ impl Lowering {
             Booking::Move(plan) => plan,
         };
         inputs.owned.push(buffer);
-        let work = &mut inputs.work;
         if plan.from == HEAD_NODE {
-            work.payloads.push(self.host_payload(buffer, tid)?);
-            work.steps.push(TaskStep::RecvFromHead { buffer });
+            inputs.work.recv_from_head(buffer, self.host_payload(buffer, tid)?);
         } else {
             let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
-            let request = EventRequest::ExchangeSend { buffer, to: node };
-            work.exchanges.push((plan.from, request, bytes));
-            work.steps.push(TaskStep::RecvFromWorker { buffer, from: plan.from });
+            inputs.work.recv_from_worker(buffer, plan.from, bytes);
         }
         Ok(())
     }
@@ -609,35 +606,6 @@ impl Lowering {
             tel.record(span.bytes(frame.len() as u64));
         }
         Ok(frame)
-    }
-
-    /// Put a data task's single event on the wire; the caller awaits (or
-    /// probes) the returned channel and retires the task with the reply. A
-    /// distribution records an `EnterData` span for the time on the wire.
-    pub(crate) fn post(&self, task: usize, event: DataEvent) -> OmpcResult<ReplyChannel> {
-        let events = &self.path.events;
-        let t0 = self.path.telemetry.start();
-        let (node, from, bytes, posted) = match event {
-            DataEvent::Alloc { node, buffer, size } => {
-                return events.post(node, EventRequest::Alloc { buffer, size }, false);
-            }
-            DataEvent::Retrieve { from, buffer } => {
-                return events.post(from, EventRequest::Retrieve { buffer }, false);
-            }
-            DataEvent::Submit { node, buffer, frame } => {
-                let bytes = frame.len();
-                (node, HEAD_NODE, bytes, events.post_submit(node, buffer, frame))
-            }
-            DataEvent::Exchange { from, to, buffer } => {
-                let bytes = self.path.buffers.size_of(buffer).unwrap_or(0);
-                (to, from, bytes, events.post_exchange(from, to, buffer))
-            }
-        };
-        if posted.is_ok() && self.path.telemetry.spans_enabled() {
-            let span = self.span(SpanPhase::EnterData, node, t0, task);
-            self.path.telemetry.record(span.bytes(bytes as u64).from(from).detail("EnterData"));
-        }
-        posted
     }
 
     /// Finish this region's bookings of `buffers` towards `node` with
@@ -659,7 +627,7 @@ impl Lowering {
     }
 
     /// Settle a delivered task with its typed reply (the retrieved buffer
-    /// of an exit-data event; the worker's stamps, when the event was timed).
+    /// of an exit-data car; the worker's stamps, when the car was timed).
     pub(crate) fn retire(&self, task: usize, record: Record, reply: TypedReply) -> OmpcResult<()> {
         let Reply { body, stamps, .. } = match reply {
             Ok(reply) => reply,
@@ -670,26 +638,32 @@ impl Lowering {
         };
         let tel = &self.path.telemetry;
         let t0 = tel.start();
-        let Record { node, kind } = record;
+        let Record { node, owned, kind, .. } = record;
         if let Some(s) = stamps {
             let attempt = tel.attempt(task);
-            for (phase, start, end) in [
+            // A car without a kernel ships no compute span.
+            let kernel = matches!(kind, RecordKind::Target { .. }).then_some((
+                SpanPhase::Compute,
+                s.exec_start_us,
+                s.exec_end_us,
+            ));
+            let worker = [
                 (SpanPhase::WorkerRecv, s.recv_us, s.recv_us),
                 (SpanPhase::WorkerAwait, s.recv_us, s.deps_us),
-                (SpanPhase::Compute, s.exec_start_us, s.exec_end_us),
-            ] {
+            ];
+            for (phase, start, end) in worker.into_iter().chain(kernel) {
                 tel.record(Span::new(phase, node, start, end).task(task).attempt(attempt));
             }
         }
         match kind {
-            RecordKind::Target { owned, writes, pushes, .. } => {
+            RecordKind::Target { writes, pushes, .. } => {
                 let mut state = self.state.lock();
                 let mut dm = self.path.dm.lock();
                 self.finish(&mut dm, node, &owned, &Ok(()))?;
                 // Nobody may claim a version this task supersedes any more.
                 self.end_pushes(&mut state, &mut dm, None, |p| writes.contains(&p.buffer));
                 // The copy on `node` is now the only valid one; the stale
-                // ones are freed by the next composite headed their way.
+                // ones are freed by the next car headed their way.
                 for buffer in writes {
                     for stale in dm.record_write(buffer, node)? {
                         if stale != HEAD_NODE && !dm.is_failed(stale) {
@@ -699,11 +673,10 @@ impl Lowering {
                 }
                 self.book_pushes(&mut state, &mut dm, pushes);
             }
-            RecordKind::EnterData { buffer, booked, .. } => {
+            RecordKind::EnterData { replica } => {
                 let mut dm = self.path.dm.lock();
-                if booked {
-                    self.finish(&mut dm, node, &[buffer], &Ok(()))?;
-                } else {
+                self.finish(&mut dm, node, &owned, &Ok(()))?;
+                if let Some(buffer) = replica {
                     dm.record_replica(buffer, node)?;
                 }
             }
@@ -785,30 +758,15 @@ impl Lowering {
     /// and whoever awaits one of them fails with `error` — a killed source keeps its blame —
     /// instead of blocking. A copy it claimed is owed a drop, in case no step took it.
     fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
-        let Record { node, kind } = record;
+        let Record { node, owned, deletes, kind } = record;
         let mut dm = self.path.dm.lock();
-        let failed = Err(error.clone());
-        let mut owed = Vec::new();
-        match kind {
-            RecordKind::Target { owned, claims, deletes, .. } => {
-                let _ = self.finish(&mut dm, node, &owned, &failed);
-                state.discards.extend(claims);
-                if unsent {
-                    owed = deletes;
-                }
-            }
-            RecordKind::EnterData { buffer, booked, cancelled_delete } => {
-                if booked {
-                    let _ = self.finish(&mut dm, node, &[buffer], &failed);
-                }
-                if cancelled_delete {
-                    owed.push(buffer);
-                }
-            }
-            RecordKind::ExitData { .. } => {}
+        let _ = self.finish(&mut dm, node, &owned, &Err(error.clone()));
+        if let RecordKind::Target { claims, .. } = kind {
+            state.discards.extend(claims);
         }
-        if !owed.is_empty() && !dm.is_failed(node) {
-            state.deferred_deletes.entry(node).or_default().extend(owed);
+        // A car that reached the worker ran its deletes first: they cannot fail.
+        if unsent && !deletes.is_empty() && !dm.is_failed(node) {
+            state.deferred_deletes.entry(node).or_default().extend(deletes);
         }
     }
 
@@ -825,7 +783,7 @@ impl Lowering {
     }
 
     /// The end of the run: every push still unclaimed is over, and each live node gets one
-    /// event ([`super::delete_device_copies`]) with the deletes no composite carried and the
+    /// task ([`super::delete_device_copies`]) with the deletes no car carried and the
     /// drops of the copies nobody claimed. Dead nodes are skipped — their memory died with
     /// them. Every live node is attempted; what a node did not acknowledge stays owed to it,
     /// and the first error is returned.
@@ -913,7 +871,8 @@ mod tests {
     /// A lowering over a four-rank world whose worker ranks never run:
     /// nothing is ever delivered, so each test observes the lowering alone.
     /// Buffer `a` is 32 host bytes; tasks 0–1 read it, task 2 updates it,
-    /// tasks 3–6 read that version and task 3 also allocates an output.
+    /// tasks 3–6 read that version and task 3 also allocates an output;
+    /// tasks [`ENTER`] and [`EXIT`] map it to and from the device.
     struct Fixture {
         _world: World,
         low: Lowering,
@@ -937,6 +896,10 @@ mod tests {
         for label in ["r3", "r4", "r5"] {
             graph.add_task(kind.clone(), vec![Dependence::input(a)], label);
         }
+        let enter = TaskKind::EnterData { buffer: a, map: MapType::To };
+        graph.add_task(enter, vec![Dependence::output(a)], "enter");
+        let exit = TaskKind::ExitData { buffer: a, map: MapType::From };
+        graph.add_task(exit, vec![Dependence::inout(a)], "exit");
         let path = DataPath {
             events: Arc::new(EventSystem::new(world.communicator(0))),
             buffers,
@@ -948,6 +911,10 @@ mod tests {
         let low = Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
         Fixture { _world: world, low, a }
     }
+
+    /// The fixture's enter-data and exit-data tasks.
+    const ENTER: usize = 7;
+    const EXIT: usize = 8;
 
     fn lower_task(low: &Lowering, task: usize, node: NodeId) -> (Composite, Record) {
         match low.lower(task, node).unwrap() {
@@ -1036,6 +1003,20 @@ mod tests {
         channel.send(HEAD_NODE, notification.tag, EventReply::Err(error).encode()).unwrap();
     }
 
+    /// Deliver a lowered car to worker `node` as a task of its own, let the
+    /// worker handle it against `memory`, and retire the task with its reply.
+    fn deliver(
+        low: &Lowering,
+        world: &World,
+        (task, node): (usize, NodeId),
+        (work, record): (Composite, Record),
+        memory: &crate::worker::DeviceMemory,
+    ) -> OmpcResult<()> {
+        let channel = low.path.events.post_task(node, work).unwrap();
+        serve(world, node, memory);
+        low.retire(task, record, low.path.events.await_reply(&channel))
+    }
+
     #[test]
     fn a_buffer_is_one_allocation_from_the_registry_to_device_memory_and_back() {
         let Fixture { low, a, _world: world } = &fixture();
@@ -1043,29 +1024,82 @@ mod tests {
         let host = path.buffers.share(*a).unwrap();
         let memories = [crate::worker::DeviceMemory::new(), crate::worker::DeviceMemory::new()];
 
-        // Head → both workers: one allocation, held three times.
+        // Head → both workers, an enter car each: one allocation, held
+        // three times.
         for (node, memory) in [1, 2].into_iter().zip(&memories) {
-            let frame = low.host_payload(*a, 0).unwrap();
-            let channel = low.post(0, DataEvent::Submit { node, buffer: *a, frame }).unwrap();
-            serve(world, node, memory);
-            path.events.await_reply(&channel).unwrap();
+            let (work, record) = lower_task(low, ENTER, node);
+            assert!(matches!(&work.steps[..], [TaskStep::RecvFromHead { buffer }] if buffer == a));
+            assert!(work.payloads[0].same_allocation(&host));
+            deliver(low, world, (ENTER, node), (work, record), memory).unwrap();
         }
         for memory in &memories {
             assert!(memory.get(*a).unwrap().same_allocation(&host));
         }
+        assert_eq!(path.dm.lock().holders(*a), vec![HEAD_NODE, 1, 2]);
 
-        // Worker → head: the registry ends up holding the worker's
-        // allocation, whatever the kernel there made of the buffer.
+        // Worker → head, an exit car: the registry ends up holding the
+        // worker's allocation, whatever the kernel there made of the buffer.
         let produced = Bytes::from(vec![9u8; 48]);
         memories[0].store(*a, produced.clone());
-        let how = Commit { region: 1, phase: SpanPhase::ExitData, task: None, detail: "identity" };
-        std::thread::scope(|scope| {
-            scope.spawn(|| serve(world, 1, &memories[0]));
-            path.retrieve_and_commit(1, *a, &how).unwrap();
-        });
+        path.dm.lock().record_write(*a, 1).unwrap();
+        let (work, record) = lower_task(low, EXIT, 1);
+        assert_eq!(work.steps, vec![TaskStep::Retrieve { buffer: *a }]);
+        deliver(low, world, (EXIT, 1), (work, record), &memories[0]).unwrap();
         assert!(path.buffers.share(*a).unwrap().same_allocation(&produced));
         assert_eq!(path.buffers.get(*a).unwrap(), vec![9u8; 48]);
         assert_eq!(&host[..], &[7u8; 32][..], "earlier holders keep the version they took");
+        // Each payload and the retrieval are one data movement apiece.
+        let counters = path.events.counters();
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!((count(&counters.data_events), count(&counters.bytes_moved)), (3, 32 + 32 + 48));
+    }
+
+    #[test]
+    fn an_enter_car_carries_the_delete_it_owes_ahead_of_its_receive() {
+        let Fixture { low, a, .. } = &fixture();
+        let owed = |low: &Lowering| low.state.lock().deferred_deletes.get(&1).cloned();
+        let stale = || low.state.lock().deferred_deletes.entry(1).or_default().insert(*a);
+        stale();
+        let (work, record) = lower_task(low, ENTER, 1);
+        let expected = vec![TaskStep::Delete { buffer: *a }, TaskStep::RecvFromHead { buffer: *a }];
+        assert_eq!(work.steps, expected, "one composite, the delete ahead of the receive");
+        assert_eq!(owed(low), None);
+
+        // The car reached the worker, which deleted first, and failed: its
+        // booking is rolled back, and nothing stale is left to owe.
+        let boom = OmpcError::Communication("payload lost".into());
+        assert_eq!(low.retire(ENTER, record, Err(boom.clone())), Err(boom));
+        assert!(low.path.dm.lock().transfer_log().is_empty());
+        assert_eq!(inflight_entries(low), 0);
+        assert_eq!(owed(low), None);
+
+        // A car whose train never departed owes its deletes again, as a
+        // target car does.
+        stale();
+        let (work, record) = lower_task(low, ENTER, 1);
+        assert_eq!(work.steps, expected);
+        low.abandon(record, &OmpcError::Communication("never sent".into()));
+        assert_eq!(owed(low), Some([*a].into_iter().collect()));
+        assert_eq!(inflight_entries(low), 0);
+    }
+
+    #[test]
+    fn an_exit_car_goes_to_the_node_the_bytes_come_from() {
+        let Fixture { low, a, .. } = &fixture();
+        // The latest version was written on node 2; pinned node 1 holds it too.
+        {
+            let mut dm = low.path.dm.lock();
+            dm.record_write(*a, 2).unwrap();
+            dm.record_replica(*a, 1).unwrap();
+        }
+        let (work, record) = lower_task(low, EXIT, 1);
+        assert_eq!(work.steps, vec![TaskStep::Retrieve { buffer: *a }]);
+        assert!(work.returns_data(), "its reply is the buffer");
+        assert_eq!(record.node(), 2, "trained to the source, not the pinned node");
+        // A reply without the buffer is a typed error, and commits nothing.
+        let err = low.retire(EXIT, record, Ok(Reply::default())).unwrap_err();
+        assert!(matches!(err, OmpcError::Internal(_)), "{err:?}");
+        assert_eq!(low.path.dm.lock().retrieve_source(*a), Some(2));
     }
 
     #[test]
@@ -1204,16 +1238,17 @@ mod tests {
             matches!(&flushed, Err(OmpcError::RemoteEvent { node: 1, error, .. }) if **error == OmpcError::NodeFailure(1)),
             "the error is node 1's: {flushed:?}"
         );
-        assert!(memory.is_empty(), "node 2's copies went in one event all the same");
+        assert!(memory.is_empty(), "node 2's copies went in one task all the same");
         let owed = |node| low.state.lock().deferred_deletes.get(&node).cloned();
         assert_eq!(owed(1), Some([*a].into_iter().collect()), "node 1 is still owed its delete");
         assert_eq!(owed(2), None);
 
-        // Once the node is declared dead nothing is owed or sent any more.
+        // Once the node is declared dead nothing is owed or sent any more:
+        // the first flush's task per node are all the tasks there are.
         low.path.dm.lock().fail_node(1).unwrap();
         assert_eq!(low.flush_deletes(), Ok(()));
         assert!(low.state.lock().deferred_deletes.is_empty());
-        assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 1);
+        assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 2);
     }
 
     /// Task 2's update of `a` on node 1 is read by tasks 3 and 4 on node 2,
@@ -1424,7 +1459,7 @@ mod tests {
 
     #[test]
     fn one_end_of_run_event_per_node_carries_its_deletes_and_its_drops() {
-        use crate::protocol::TaskSpec;
+        use crate::protocol::{EventRequest, TaskSpec};
         use crate::worker::DeviceMemory;
         let Fixture { low, a, _world: world } = &fixture();
         let a = *a;

@@ -18,7 +18,7 @@
 //! * [`ExecutionBackend`] — the trait a backend implements to execute what
 //!   the core decides. [`SimBackend`] wraps the `ompc-sim` discrete-event
 //!   engine. On a real cluster, `lowering` turns each dispatched task into
-//!   device operations once — steps, single data events, the bookkeeping to
+//!   device operations once — the steps of one car, the bookkeeping to
 //!   retire or roll back — and [`MpiBackend`], the one transport, carries
 //!   them as one composite tagged message over the `ompc-mpi` world and
 //!   picks completions off the region execution's own channel (the paper's
@@ -49,10 +49,10 @@ pub use telemetry::{
 use crate::buffer::BufferRegistry;
 use crate::config::OmpcConfig;
 use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE};
-use crate::event::EventSystem;
+use crate::event::{Composite, EventSystem};
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
-use crate::protocol::{EventRequest, TaskSpec, TaskStep};
+use crate::protocol::TaskStep;
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_sched::Platform;
@@ -64,12 +64,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// pre-residency runtime did.
 pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 
-/// Free device copies, one `Delete` event per node: every node's event is
-/// posted before any reply is awaited, so a release costs one round trip
-/// however many nodes and buffers it covers. Each node is attempted; the
-/// nodes that did not acknowledge come back with their error, so the caller
-/// can keep owing them. A node also owed `Discard` steps gets one `Task` of
-/// `Delete` steps and those instead. At [`TelemetryLevel::Spans`] every event leaves an
+/// Free device copies, one task of `Delete` steps — then any `Discard`
+/// steps the node is owed — per node: every node's task is posted before any
+/// reply is awaited, so a release costs one round trip however many nodes
+/// and buffers it covers. Each node is attempted; the nodes that did not
+/// acknowledge come back with their error, so the caller can keep owing
+/// them. At [`TelemetryLevel::Spans`] every task leaves an
 /// [`SpanPhase::ExitData`] span on its node, the buffer count as its detail.
 pub(crate) fn delete_device_copies(
     events: &EventSystem,
@@ -81,12 +81,9 @@ pub(crate) fn delete_device_copies(
     let mut posted = Vec::new();
     for (node, buffers, discards) in owed.into_iter().filter(|(_, b, d)| b.len() + d.len() > 0) {
         let count = buffers.len();
-        let deletes = buffers.iter().map(|&buffer| TaskStep::Delete { buffer });
-        let request = match discards.is_empty() {
-            true => EventRequest::Delete { buffers },
-            false => EventRequest::Task(TaskSpec { steps: deletes.chain(discards).collect() }),
-        };
-        match events.post(node, request, false) {
+        let deletes = buffers.into_iter().map(|buffer| TaskStep::Delete { buffer });
+        let work = Composite { steps: deletes.chain(discards).collect(), ..Composite::default() };
+        match events.post_task(node, work) {
             Ok(channel) => posted.push((channel, count)),
             Err(error) => failed.push((node, error)),
         }
@@ -107,8 +104,8 @@ pub(crate) fn delete_device_copies(
 /// Release every device copy of `buffers` (device-level exit-data
 /// semantics) — the one way a mapping ends on the head: drop the buffers
 /// from the data manager under one lock, then free the copies with one
-/// event per live holder ([`delete_device_copies`]). Dead holders are
-/// skipped — their memory died with them, and a delete event would only
+/// task per live holder ([`delete_device_copies`]). Dead holders are
+/// skipped — their memory died with them, and a delete would only
 /// bounce off the zombie gate. The buffers are forgotten whatever the
 /// workers answer; the first node's error is returned.
 pub(crate) fn release_device_copies(

@@ -1,7 +1,8 @@
 //! The message-passing transport — the one real-cluster transport: every
-//! lowered target task travels to its worker node as **one composite event
-//! over `ompc-mpi`**, ready tasks bound for the same node in one dispatch
-//! window ride together as a **task train**, and completions come home on
+//! lowered region task — target, enter-data or exit-data — travels to its
+//! worker node as **one composite event over `ompc-mpi`**, ready tasks
+//! bound for the same node in one dispatch window ride together as a
+//! **task train**, and completions come home on
 //! the region execution's **own completion channel** — the paper's
 //! head/worker split (§4.2) with no head thread blocked per in-flight task
 //! and no per-task probe loop.
@@ -15,16 +16,17 @@
 //! last step finished — success or a typed error naming the node and event.
 //!
 //! **Waiting for someone else's bytes.** An `AwaitLocal` step only ever
-//! names a receive an earlier car or data event of this execution queued
-//! ahead of it on the same node, so the worker resolves it in arrival
-//! order. A task whose input another owner has on the wire (another
-//! tenant, an async or prefetch ticket) is *parked* here instead: nothing is
-//! booked or sent, the completion loop keeps running, and the task is
-//! lowered again — or failed with the transfer's own error — once the
-//! lowering says the booking is over.
+//! names a receive an earlier car of this execution queued ahead of it on
+//! the same node — cars depart in lowering order — so the worker resolves
+//! it in arrival order. A task whose input another owner has on the wire
+//! (another tenant, an async or prefetch ticket) is *parked* here instead:
+//! nothing is booked or sent, the completion loop keeps running, and the
+//! task is lowered again — or failed with the transfer's own error — once
+//! the lowering says the booking is over.
 //!
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
-//! send a target task immediately. It buffers the car per destination node,
+//! send a task immediately. It buffers the car per destination node — the
+//! lowering's, which for an exit-data task is the node the bytes come from —
 //! and the train departs when the dispatch window closes (the core calls
 //! `await_completions`). Every departure is one [`EventRequest::TaskTrain`],
 //! a train of one car included. Each car keeps its own reply channel, so
@@ -39,16 +41,16 @@
 //! work proportional to messages arrived, not tasks outstanding. Concurrent
 //! region executions need no demultiplexer: no two share a channel, and the
 //! mailbox's matching hands each notice to the one driver waiting for it.
-//! Data events (the single enter/exit-data events the lowering posts) carry
-//! no notice; while one is outstanding, or a task is parked, the wait is cut
-//! every `PROBE_INTERVAL` to probe again.
+//! Only while a task is parked is the wait cut every `PROBE_INTERVAL` to
+//! look at the bookings it awaits again.
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`] remains the
 //! last-resort bound on a reply that can never arrive.
 //!
 //! Tag layout: new-event notifications travel on the reserved
-//! [`crate::protocol::CONTROL_TAG`]; every task, every completion channel and
-//! every data or maintenance event owns a device-unique tag drawn from the
-//! [`EventSystem`]'s one counter, so concurrent events cannot cross-talk.
+//! [`crate::protocol::CONTROL_TAG`]; every car, every completion channel and
+//! every maintenance task owns a device-unique tag drawn from the
+//! [`crate::event::EventSystem`]'s one counter, so concurrent events cannot
+//! cross-talk.
 //!
 //! Fault tolerance needs nothing transport-specific: a killed worker's
 //! zombie gate refuses every car of a later train individually — an error
@@ -56,24 +58,21 @@
 //! stale failure the core restarts, never a hang.
 
 use super::fault::LostBuffer;
-use super::lowering::{Composite, Lowered, Lowering, Record};
+use super::lowering::{Lowered, Lowering, Record};
 use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
-use crate::event::{EventSystem, ReplyChannel, TypedReply};
-use crate::protocol::{
-    CompletionNotice, EventNotification, EventRequest, Reply, TaskSpec, TrainCar,
-};
+use crate::event::{Composite, ReplyChannel};
+use crate::protocol::{CompletionNotice, EventNotification, EventRequest, TaskSpec, TrainCar};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{CommId, Communicator, Message, MpiError, Tag};
+use ompc_mpi::{CommId, Communicator, MpiError, Tag};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// How long the completion wait runs before probing again while a *data*
-/// event (enter/exit transfer) is outstanding — those carry no completion
-/// notice, so their reply channels are still probed — or a task is parked
-/// on another owner's booking. Small enough to keep single-transfer latency
-/// negligible, large enough not to spin a core.
+/// How long the completion wait runs before looking again while a task is
+/// parked on another owner's booking (which finishes on the head, with no
+/// message to wake the driver). Small enough to keep the parked task's
+/// latency negligible, large enough not to spin a core.
 const PROBE_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Bound on each reply wait while draining outstanding tasks after a failed
@@ -81,36 +80,11 @@ const PROBE_INTERVAL: Duration = Duration::from_micros(100);
 /// configured.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Where a dispatched task's reply will arrive.
-enum ReplyLane {
-    /// A composite task: the reply sits on the car's exclusive channel,
-    /// followed by a completion notice on the execution's channel.
-    Noticed { node: NodeId, tag: Tag, comm: CommId },
-    /// A data event: no notice, its channel is probed.
-    Probed(ReplyChannel),
-}
-
-impl ReplyLane {
-    fn address(&self) -> (NodeId, Tag, CommId) {
-        match self {
-            ReplyLane::Noticed { node, tag, comm } => (*node, *tag, *comm),
-            ReplyLane::Probed(channel) => (channel.node, channel.tag, channel.comm),
-        }
-    }
-
-    /// The typed reply `msg`, received on this lane, carries.
-    fn reply(&self, events: &EventSystem, msg: Message) -> TypedReply {
-        match self {
-            // A car's events were counted when its train departed.
-            ReplyLane::Noticed { .. } => Reply::from_parts(&msg.data, msg.body, false),
-            ReplyLane::Probed(channel) => events.accept_reply(channel, msg),
-        }
-    }
-}
-
-/// One dispatched task whose reply the completion loop is waiting for.
+/// One dispatched car whose reply the completion loop is waiting for: the
+/// reply sits on the car's exclusive channel, followed by a completion
+/// notice on the execution's channel.
 struct Pending {
-    lane: ReplyLane,
+    channel: ReplyChannel,
     record: Record,
 }
 
@@ -124,7 +98,7 @@ struct ParkedTask {
     since: u64,
 }
 
-/// One lowered target task waiting for its train to depart.
+/// One lowered task waiting for its train to depart.
 struct BufferedCar {
     /// Core task id.
     task: usize,
@@ -178,11 +152,11 @@ struct MpiDriver<'c> {
     /// Locally produced events (tasks the lowering completed or failed on
     /// the head) awaiting the next `await_completions`.
     ready: VecDeque<TaskEvent>,
-    /// Lowered target tasks buffered per destination node, departing
+    /// Lowered tasks buffered per destination node, departing
     /// together as one [`EventRequest::TaskTrain`] when the dispatch
     /// window closes.
     trains: BTreeMap<NodeId, Vec<BufferedCar>>,
-    /// Event tag → core task id for outstanding target tasks: the index a
+    /// Event tag → core task id for outstanding cars: the index a
     /// [`CompletionNotice`] is resolved through.
     notice_tasks: HashMap<u64, usize>,
     /// Tasks waiting on the head for other owners' bookings.
@@ -231,23 +205,19 @@ impl<'c> MpiDriver<'c> {
             self.fail_unsent_train(tasks, &error);
         }
         let timeout = events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
-        for (task, p) in std::mem::take(&mut self.pending) {
-            let (node, tag, comm) = p.lane.address();
+        for (task, Pending { channel, record }) in std::mem::take(&mut self.pending) {
+            let ReplyChannel { node, tag, comm, .. } = channel;
             let received = events
                 .communicator()
                 .on(comm)
-                .and_then(|channel| channel.recv_timeout(Some(node), Some(tag), timeout));
+                .and_then(|lane| lane.recv_timeout(Some(node), Some(tag), timeout));
             match received {
                 Ok(msg) => {
                     // A car posts its one notice right after its reply.
-                    if matches!(p.lane, ReplyLane::Noticed { .. }) {
-                        let _ =
-                            self.notices.recv_timeout(Some(node), Some(self.notice_tag), timeout);
-                    }
-                    let reply = p.lane.reply(events, msg);
-                    let _ = self.lowering.retire(task, p.record, reply);
+                    let _ = self.notices.recv_timeout(Some(node), Some(self.notice_tag), timeout);
+                    let _ = self.lowering.retire(task, record, channel.reply(msg));
                 }
-                Err(error) => self.lowering.abandon(p.record, &error.into()),
+                Err(error) => self.lowering.abandon(record, &error.into()),
             }
         }
         // Notices of cars abandoned after their train's envelope went out.
@@ -297,8 +267,7 @@ impl<'c> MpiDriver<'c> {
 
     /// Emit one train's messages: a single notification carrying every
     /// car's recipe, its envelope naming this execution's completion
-    /// channel, then each car's payloads and exchange notifications on the
-    /// car's own channel.
+    /// channel, then each car's frames on the car's own channel.
     ///
     /// Counters are accumulated locally and committed only once the whole
     /// train is on the wire: a train that fails mid-send is failed as a
@@ -336,30 +305,17 @@ impl<'c> MpiDriver<'c> {
         for car in cars {
             recorded.push(None);
             let send_start = tel.start();
-            let mut car_bytes = 0u64;
-            let channel = events.communicator().on(car.comm)?;
-            for frame in car.work.payloads {
-                let bytes = frame.len() as u64;
-                channel.send_with_body(node, car.tag, Vec::new(), frame)?;
-                car_bytes += bytes;
-                recorded.push(Some(bytes));
-            }
-            for (src, request, bytes) in car.work.exchanges {
-                events.notify(
-                    src,
-                    &EventNotification { request, tag: car.tag, comm: car.comm, timed: false },
-                )?;
-                car_bytes += bytes;
-                recorded.push(Some(bytes));
-            }
+            let Composite { payloads, exchanges, .. } = car.work;
+            let frames = events.send_frames(node, car.tag, car.comm, payloads, exchanges)?;
             if timed {
                 tel.record(
                     Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
                         .task(car.task)
                         .attempt(tel.attempt(car.task))
-                        .bytes(car_bytes),
+                        .bytes(frames.iter().sum()),
                 );
             }
+            recorded.extend(frames.into_iter().map(Some));
         }
         // Whole train on the wire: commit the per-car accounting.
         for bytes in recorded {
@@ -374,23 +330,22 @@ impl<'c> MpiDriver<'c> {
     fn fail_unsent_train(&mut self, tasks: Vec<usize>, error: &OmpcError) {
         for task in tasks {
             if let Some(p) = self.pending.remove(&task) {
-                let (_, tag, _) = p.lane.address();
-                self.notice_tasks.remove(&tag.0);
+                self.notice_tasks.remove(&p.channel.tag.0);
                 self.lowering.abandon(p.record, error);
             }
             self.ready.push_back(TaskEvent::Failed { task, error: error.clone() });
         }
     }
 
-    /// Receive the reply waiting on `pending`'s lane and retire the task
+    /// Receive the reply waiting on `pending`'s channel and retire the task
     /// with it. Records a head-side `Reply` span covering the decode.
     fn finish(&mut self, task: usize, pending: Pending) -> OmpcResult<TaskEvent> {
         let events = &self.lowering.path.events;
         let tel = &self.lowering.path.telemetry;
-        let (node, tag, comm) = pending.lane.address();
+        let ReplyChannel { node, tag, comm, .. } = pending.channel;
         let msg = events.communicator().on(comm)?.recv(Some(node), Some(tag))?;
         let t0 = tel.start();
-        let reply = pending.lane.reply(events, msg);
+        let reply = pending.channel.reply(msg);
         if tel.spans_enabled() {
             tel.record(
                 Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
@@ -422,29 +377,11 @@ impl<'c> MpiDriver<'c> {
     }
 
     /// One pass of the completion loop: resolve every notice that has
-    /// already arrived on the completion channel, then probe the reply
-    /// channels of the outstanding *data* events (which carry no notice) —
-    /// O(messages arrived) + O(data events), never O(tasks in flight).
+    /// already arrived on the completion channel — O(messages arrived),
+    /// never O(tasks in flight).
     fn poll_replies(&mut self, out: &mut Vec<TaskEvent>) -> OmpcResult<()> {
         while let Some(msg) = self.notices.try_recv(None, Some(self.notice_tag)) {
             self.on_notice(&msg.data, out)?;
-        }
-        let comm = self.lowering.path.events.communicator();
-        let arrived: Vec<usize> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| match &p.lane {
-                ReplyLane::Noticed { .. } => false,
-                ReplyLane::Probed(ch) => {
-                    comm.on(ch.comm).is_ok_and(|c| c.iprobe(Some(ch.node), Some(ch.tag)).is_some())
-                }
-            })
-            .map(|(&task, _)| task)
-            .collect();
-        for task in arrived {
-            if let Some(p) = self.pending.remove(&task) {
-                out.push(self.finish(task, p)?);
-            }
         }
         Ok(())
     }
@@ -455,25 +392,17 @@ impl ExecutionBackend for MpiDriver<'_> {
         let lowering = self.lowering;
         match lowering.lower(task, node) {
             Ok(Lowered::Done) => self.ready.push_back(TaskEvent::Completed(task)),
-            // Target tasks are *buffered* on their node's train, not sent —
-            // the train departs when the window closes.
+            // Cars are *buffered* on their node's train, not sent — the
+            // train departs when the window closes. The node is the
+            // lowering's: an exit-data car goes where the bytes are.
             Ok(Lowered::Task(work, record)) => {
+                let node = record.node();
                 let (tag, comm) = lowering.path.events.open_channel();
+                let channel = ReplyChannel { node, tag, comm, data_bearing: work.returns_data() };
                 self.notice_tasks.insert(tag.0, task);
                 self.trains.entry(node).or_default().push(BufferedCar { task, tag, comm, work });
-                let lane = ReplyLane::Noticed { node, tag, comm };
-                self.pending.insert(task, Pending { lane, record });
+                self.pending.insert(task, Pending { channel, record });
             }
-            Ok(Lowered::Event(event, record)) => match lowering.post(task, event) {
-                Ok(channel) => {
-                    let lane = ReplyLane::Probed(channel);
-                    self.pending.insert(task, Pending { lane, record });
-                }
-                Err(error) => {
-                    let outcome = lowering.retire(task, record, Err(error));
-                    self.ready.push_back(event_of(task, outcome));
-                }
-            },
             Ok(Lowered::Parked(awaiting)) => {
                 let since = lowering.path.telemetry.start();
                 self.parked.push(ParkedTask { task, node, awaiting, since });
@@ -519,11 +448,8 @@ impl ExecutionBackend for MpiDriver<'_> {
             }
             // One receive on the completion channel: a notice wakes it at
             // once. It is bounded by the reply deadline and — only while a
-            // data event, which posts no notice, is outstanding or a task is
-            // parked — by the probe interval.
-            let probing = !self.parked.is_empty()
-                || self.pending.values().any(|p| matches!(p.lane, ReplyLane::Probed(_)));
-            let mut wait = if probing { PROBE_INTERVAL } else { Duration::MAX };
+            // task is parked — by the probe interval.
+            let mut wait = if self.parked.is_empty() { Duration::MAX } else { PROBE_INTERVAL };
             if let Some(deadline) = deadline {
                 wait = wait.min(deadline.saturating_duration_since(Instant::now()));
             }
@@ -692,9 +618,10 @@ mod tests {
     fn mid_train_send_failure_commits_no_counters_until_the_retry_lands() {
         use super::{BufferedCar, MpiDriver};
         use crate::buffer::BufferRegistry;
+        use crate::event::Composite;
         use crate::event::EventSystem;
         use crate::kernel::KernelRegistry;
-        use crate::runtime::lowering::{Composite, DataPath, Lowering};
+        use crate::runtime::lowering::{DataPath, Lowering};
         use crate::runtime::telemetry::Telemetry;
         use crate::task::RegionGraph;
         use crate::worker::worker_main;
@@ -1054,6 +981,21 @@ mod tests {
             let record = device.run_workload(&chain, &spread).unwrap();
             assert_eq!(record.transfer_count(), 3, "run {run}");
             assert!(drained(&device), "run {run}");
+        }
+        // Fifty regions whose enter-data and exit-data tasks are cars too.
+        let plus_one = device.register_kernel_fn("plus-one", 1e-6, |args| {
+            let v = args.as_f64s(0)[0];
+            args.set_f64s(1, &[v + 1.0]);
+        });
+        for run in 0..50 {
+            let mut region = device.target_region();
+            let a = region.map_to_f64s(&[f64::from(run)]);
+            let out = region.map_alloc(8);
+            region.target(plus_one, vec![Dependence::input(a), Dependence::output(out)]);
+            region.map_from(out);
+            region.run().unwrap();
+            assert_eq!(device.buffer_f64s(out).unwrap(), vec![f64::from(run) + 1.0]);
+            assert!(drained(&device), "region {run}");
         }
         device.shutdown();
     }

@@ -97,8 +97,6 @@ pub enum SpanPhase {
     Reply,
     /// Head node: the execution core retiring a completed task.
     Retire,
-    /// Data path: host → cluster movement for an enter-data / input plan.
-    EnterData,
     /// Data path: cluster → host retrieval for an exit-data `map(from:)`.
     ExitData,
     /// Data path: lazy host flush of a device-resident buffer outside any
@@ -140,7 +138,6 @@ impl SpanPhase {
             SpanPhase::Compute => "compute",
             SpanPhase::Reply => "reply",
             SpanPhase::Retire => "retire",
-            SpanPhase::EnterData => "enter_data",
             SpanPhase::ExitData => "exit_data",
             SpanPhase::HostFlush => "host_flush",
             SpanPhase::TrainFlush => "train_flush",
@@ -165,7 +162,6 @@ impl SpanPhase {
             | SpanPhase::WorkerRecv
             | SpanPhase::WorkerAwait
             | SpanPhase::Reply
-            | SpanPhase::EnterData
             | SpanPhase::ExitData
             | SpanPhase::HostFlush
             | SpanPhase::TrainFlush
@@ -174,7 +170,7 @@ impl SpanPhase {
             | SpanPhase::Chunk => AttributionBucket::Wire,
             // A reader blocked on an in-flight transfer is scheduling
             // slack, not wire work: the bytes were already attributed to
-            // the transfer's own prefetch / enter-data span. Likewise a
+            // the transfer's own prefetch / send span. Likewise a
             // region queued at the admission gate.
             SpanPhase::AwaitInflight | SpanPhase::Admission => AttributionBucket::Scheduling,
             SpanPhase::Compute => AttributionBucket::Compute,

@@ -108,15 +108,11 @@ impl DeviceMemory {
 
     /// Number the receives of an event the gate accepted, in step order: a
     /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker` /
-    /// `Claim` step, a `Submit`, an `ExchangeRecv`), and per `AwaitLocal` step the
-    /// generation of the newest receive of its buffer accepted before it.
-    /// Only the gate calls this, in arrival order, so "before" means
-    /// "queued ahead on this node".
+    /// `Claim` step), and per `AwaitLocal` step the generation of the newest
+    /// receive of its buffer accepted before it. Only the gate calls this,
+    /// in arrival order, so "before" means "queued ahead on this node".
     pub(crate) fn accept(&self, request: &EventRequest) -> Vec<u64> {
         match request {
-            EventRequest::Submit { buffer } | EventRequest::ExchangeRecv { buffer, .. } => {
-                vec![self.state.lock().announce(*buffer)]
-            }
             EventRequest::Task(spec) => self.number(&spec.steps),
             EventRequest::TaskTrain(cars) => {
                 self.number(cars.iter().flat_map(|car| &car.spec.steps))
@@ -319,61 +315,6 @@ fn take_push(comm: &Communicator, from: NodeId, tag: Tag, cid: CommId) -> OmpcRe
 /// awaits, consumed in step order.
 type Generations = std::vec::IntoIter<u64>;
 
-/// Compute the outcome (reply or error) of one head-replying event.
-///
-/// `recv_us` is the handler-entry timestamp when the head asked for a timed
-/// reply (`notification.timed`), `None` otherwise — no clock is read for
-/// untimed events. A task returns the captured [`TaskStamps`] in its reply.
-fn event_outcome(
-    channel: &Communicator,
-    memory: &DeviceMemory,
-    kernels: &KernelRegistry,
-    request: EventRequest,
-    generations: &mut Generations,
-    tag: Tag,
-    recv_us: Option<u64>,
-) -> OmpcResult<Reply> {
-    match request {
-        EventRequest::Alloc { buffer, size } => {
-            memory.store(buffer, Bytes::zeroed(size as usize));
-            Ok(Reply::default())
-        }
-        EventRequest::Delete { buffers } => {
-            // Absent buffers are fine (the copy may never have landed).
-            for buffer in buffers {
-                memory.remove(buffer);
-            }
-            Ok(Reply::default())
-        }
-        EventRequest::Submit { buffer } => {
-            let generation = generations.next().unwrap_or_default();
-            memory.land(buffer, generation, recv_payload(channel, tag))?;
-            Ok(Reply::default())
-        }
-        EventRequest::Retrieve { buffer } => memory.resident(buffer).map(Reply::data),
-        EventRequest::ExchangeRecv { buffer, from } => {
-            let generation = generations.next().unwrap_or_default();
-            let data = recv_forward(channel, from, tag);
-            let inline = data.as_ref().map_or(0, |d| d.len() as u64).to_le_bytes().to_vec();
-            memory.land(buffer, generation, data)?;
-            Ok(Reply { inline, ..Reply::default() })
-        }
-        EventRequest::Task(spec) => {
-            let stamps = run_task_steps(channel, memory, kernels, spec, generations, tag, recv_us)?;
-            Ok(Reply { stamps, ..Reply::default() })
-        }
-        EventRequest::Reset => {
-            memory.clear();
-            Ok(Reply::default())
-        }
-        // `handle_event` answers these itself; one arriving here is a bug
-        // the head should hear about, not a dead handler thread.
-        other => {
-            Err(OmpcError::Internal(format!("{} is not a single-reply head event", other.name())))
-        }
-    }
-}
-
 /// Send one collective frame — frame index in the header, `chunk` as the
 /// body — to every listed child on the child's own relay channel. The
 /// children share the one chunk.
@@ -519,10 +460,12 @@ fn execute_kernel(
     Ok(())
 }
 
-/// Execute the steps of a composite [`EventRequest::Task`] in order. The
-/// first failing step aborts the task; the caller replies with the error,
-/// and the receives the task did not get to are landed as failed with it,
-/// so whoever awaits their bytes replies the same error.
+/// Execute the steps of a composite [`EventRequest::Task`] in order and
+/// make its reply: the buffer of its [`TaskStep::Retrieve`] step as the body,
+/// if it has one. The first failing step aborts the task; the caller
+/// replies with the error, and the receives the task did not get to are
+/// landed as failed with it, so whoever awaits their bytes replies the same
+/// error.
 ///
 /// With `recv_us` set (the head asked for a timed reply), the worker stamps
 /// the moment the data steps finished (`deps_us` — everything before it is
@@ -536,13 +479,14 @@ fn run_task_steps(
     generations: &mut Generations,
     tag: Tag,
     recv_us: Option<u64>,
-) -> OmpcResult<Option<TaskStamps>> {
+) -> OmpcResult<Reply> {
     let mut stamps = recv_us.map(|recv_us| TaskStamps {
         recv_us,
         deps_us: recv_us,
         exec_start_us: recv_us,
         exec_end_us: recv_us,
     });
+    let (mut body, mut kernel_ran) = (None, false);
     let mut steps = spec.steps.into_iter();
     while let Some(step) = steps.next() {
         let ran = match step {
@@ -576,6 +520,7 @@ fn run_task_steps(
                 Ok(())
             }
             TaskStep::Execute { kernel, buffers } => {
+                kernel_ran = true;
                 if let Some(s) = stamps.as_mut() {
                     let now = monotonic_us();
                     s.deps_us = now;
@@ -587,6 +532,9 @@ fn run_task_steps(
                 }
                 executed
             }
+            TaskStep::Retrieve { buffer } => memory.resident(buffer).map(|data| {
+                body = Some(data);
+            }),
             TaskStep::Push { buffer, to, tag, comm } => {
                 // The reader hears any failure: the error sent, or its claim's.
                 let data = memory.resident(buffer).map(Reply::data);
@@ -604,7 +552,11 @@ fn run_task_steps(
             return Err(error);
         }
     }
-    Ok(stamps)
+    // Without a kernel, the data steps end with the task.
+    if let Some(s) = stamps.as_mut().filter(|_| !kernel_ran) {
+        s.deps_us = monotonic_us();
+    }
+    Ok(Reply { body, stamps, ..Reply::default() })
 }
 
 /// Land every receive among `steps` — a task's steps it will never run —
@@ -672,17 +624,6 @@ fn run_event(
             // hangs on a half-completed exchange.
             send_reply(&channel, to, tag, memory.resident(buffer).map(Reply::data))
         }
-        EventRequest::SubmitTrain { buffers } => {
-            // A prefetch train: the payloads stream in order on the train's
-            // own channel (non-overtaking per sender/channel/tag), stored
-            // as they arrive, answered by one typed reply for the whole
-            // train.
-            let stored = buffers.into_iter().try_for_each(|buffer| {
-                memory.store(buffer, recv_payload(&channel, tag)?);
-                Ok(())
-            });
-            send_reply(&channel, HEAD_RANK, tag, stored.map(|()| Reply::default()))
-        }
         EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
             let received = relay_recv_frames(
                 comm,
@@ -728,17 +669,47 @@ fn run_event(
                     car_recv_us,
                 );
                 let ok = ran.is_ok();
-                let reply = ran.map(|stamps| Reply { stamps, ..Reply::default() });
-                result = result.and(send_reply(&car_channel, HEAD_RANK, car.tag, reply));
+                result = result.and(send_reply(&car_channel, HEAD_RANK, car.tag, ran));
                 post_completion(&channel, tag, car.tag, ok);
             }
             result
         }
-        request => {
-            let outcome =
-                event_outcome(&channel, memory, kernels, request, &mut generations, tag, recv_us);
-            send_reply(&channel, HEAD_RANK, tag, outcome)
+        EventRequest::Task(spec) => {
+            let ran =
+                run_task_steps(&channel, memory, kernels, spec, &mut generations, tag, recv_us);
+            send_reply(&channel, HEAD_RANK, tag, ran)
         }
+        EventRequest::Reset => {
+            memory.clear();
+            send_reply(&channel, HEAD_RANK, tag, Ok(Reply::default()))
+        }
+    }
+}
+
+/// Whether the gate runs `request` itself instead of handing it to the
+/// pool: only what can never block it — sending, touching device memory,
+/// or receiving what the head sends right behind the notification. A `Task`
+/// runs on the gate unless one of its steps waits on a peer, another
+/// handler or a kernel; the sending half of a forward, a relay feed (its
+/// copy is resident by construction) and a reset run there too. This is the
+/// analogue of the paper's handlers re-enqueueing events that still have
+/// pending I/O, so a small handler pool cannot deadlock on two opposing
+/// forwards.
+fn runs_on_gate(request: &EventRequest) -> bool {
+    let waits = |step: &TaskStep| {
+        matches!(
+            step,
+            TaskStep::RecvFromWorker { .. }
+                | TaskStep::AwaitLocal { .. }
+                | TaskStep::Execute { .. }
+        )
+    };
+    match request {
+        EventRequest::Task(spec) => !spec.steps.iter().any(waits),
+        EventRequest::ExchangeSend { .. }
+        | EventRequest::RelayFeed { .. }
+        | EventRequest::Reset => true,
+        _ => false,
     }
 }
 
@@ -808,13 +779,10 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
         drop(rx);
 
         // Gate loop: receive notifications and enqueue their destination
-        // part into the local event queue. Events that can never block
-        // (alloc, delete, retrieve, the sending half of an exchange) are
-        // executed inline by the gate thread — the analogue of the paper's
-        // handlers re-enqueueing events that still have pending I/O — so a
-        // small handler pool cannot deadlock on two opposing exchanges.
-        // The loop ends when the world shuts down or every peer terminated
-        // (recv fails), or when a shutdown event arrives.
+        // part into the local event queue, or run it right here when it can
+        // never block ([`runs_on_gate`]). The loop ends when the world shuts
+        // down or every peer terminated (recv fails), or when a shutdown
+        // event arrives.
         //
         // A node without a single handler thread cannot run an event: it
         // refuses every one, as a killed node does.
@@ -835,23 +803,7 @@ pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_thr
                 let _ = refuse_event(&comm, &notification);
                 continue;
             }
-            // A prefetch train is inline too: its payloads are sent eagerly
-            // right after the envelope, so the receives are bounded.
-            // RelayFeed is inline for the same reason as ExchangeSend: it
-            // only sends (the local copy is resident by construction), so
-            // it can never block the gate. RelayRecv stays pooled — it
-            // waits on inbound frames, exactly like the receiving half of
-            // an exchange.
-            let inline = matches!(
-                notification.request,
-                EventRequest::Alloc { .. }
-                    | EventRequest::Delete { .. }
-                    | EventRequest::Retrieve { .. }
-                    | EventRequest::ExchangeSend { .. }
-                    | EventRequest::SubmitTrain { .. }
-                    | EventRequest::RelayFeed { .. }
-                    | EventRequest::Reset
-            );
+            let inline = runs_on_gate(&notification.request);
             // Receives are numbered here, in arrival order: an `AwaitLocal`
             // step names the newest receive of its buffer queued ahead of
             // it, whichever handler ends up running either.
@@ -878,6 +830,12 @@ mod tests {
     /// A task of one `Execute` step: how a kernel runs.
     fn kernel_task(kernel: KernelId, buffers: Vec<BufferId>) -> EventRequest {
         EventRequest::Task(TaskSpec { steps: vec![TaskStep::Execute { kernel, buffers }] })
+    }
+
+    /// An untimed notification of a task of `steps` on `(tag, comm)`.
+    fn steps_on(steps: Vec<TaskStep>, tag: u64, comm: CommId) -> EventNotification {
+        let request = EventRequest::Task(TaskSpec { steps });
+        EventNotification { request, tag: Tag(tag), comm, timed: false }
     }
 
     #[test]
@@ -913,13 +871,8 @@ mod tests {
         let comm = CommId(1);
         let payload = ompc_mpi::typed::f64s_to_bytes(&[1.0, 2.0]).into();
         head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), payload).unwrap();
-        handle_event(
-            &worker,
-            &memory,
-            &kernels,
-            EventNotification { request: EventRequest::Submit { buffer }, tag, comm, timed: false },
-        )
-        .unwrap();
+        let submit = steps_on(vec![TaskStep::RecvFromHead { buffer }], tag.0, comm);
+        handle_event(&worker, &memory, &kernels, submit).unwrap();
         // The typed Ok reply arrived at the head.
         let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
         assert_eq!(EventReply::decode(&msg.data).unwrap(), EventReply::Ok(Vec::new()));
@@ -943,43 +896,30 @@ mod tests {
 
         // Retrieve the result.
         let tag3 = Tag(12);
-        handle_event(
-            &worker,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::Retrieve { buffer },
-                tag: tag3,
-                comm,
-                timed: false,
-            },
-        )
-        .unwrap();
+        let retrieve = steps_on(vec![TaskStep::Retrieve { buffer }], tag3.0, comm);
+        handle_event(&worker, &memory, &kernels, retrieve).unwrap();
         let msg = head.on(comm).unwrap().recv(Some(1), Some(tag3)).unwrap();
-        // A retrieve's reply is the buffer: nothing inline, the data as body.
+        // A retrieve's reply is the buffer: nothing inline, the resident
+        // allocation itself as the body.
         let data = Reply::from_parts(&msg.data, msg.body, true).unwrap().body.unwrap();
         assert_eq!(ompc_mpi::typed::bytes_to_f64s(&data).unwrap(), vec![3.0, 6.0]);
+        assert!(data.same_allocation(&memory.get(buffer).unwrap()));
     }
 
     #[test]
     fn retrieve_of_missing_buffer_is_an_error() {
         let world = World::new(2);
+        let head = world.communicator(0);
         let worker = world.communicator(1);
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
-        let err = handle_event(
-            &worker,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::Retrieve { buffer: BufferId(5) },
-                tag: Tag(1),
-                comm: CommId(0),
-                timed: false,
-            },
-        )
-        .unwrap_err();
+        let retrieve = steps_on(vec![TaskStep::Retrieve { buffer: BufferId(5) }], 1, CommId(0));
+        let err = handle_event(&worker, &memory, &kernels, retrieve).unwrap_err();
         assert_eq!(err, OmpcError::UnknownBuffer(BufferId(5)));
+        // The head hears the error, not an empty buffer.
+        let msg = head.recv(Some(1), Some(Tag(1))).unwrap();
+        let replied = Reply::from_parts(&msg.data, msg.body, true).unwrap_err();
+        assert_eq!(replied.root_cause(), &OmpcError::UnknownBuffer(BufferId(5)));
     }
 
     #[test]
@@ -1024,18 +964,9 @@ mod tests {
             let kernels = KernelRegistry::new();
             move || {
                 let mem2 = DeviceMemory::new();
-                handle_event(
-                    &w2,
-                    &mem2,
-                    &kernels,
-                    EventNotification {
-                        request: EventRequest::ExchangeRecv { buffer, from: 1 },
-                        tag,
-                        comm,
-                        timed: false,
-                    },
-                )
-                .unwrap();
+                let recv =
+                    steps_on(vec![TaskStep::RecvFromWorker { buffer, from: 1 }], tag.0, comm);
+                handle_event(&w2, &mem2, &kernels, recv).unwrap();
                 mem2.get(buffer)
             }
         });
@@ -1055,10 +986,10 @@ mod tests {
         // The receiver's resident bytes *are* the sender's allocation.
         let sent = mem1.get(buffer).unwrap();
         assert!(received.is_some_and(|r| r.same_allocation(&sent) && r[..] == [7, 8, 9]));
-        // The head got a typed acknowledgement carrying the byte count.
+        // The head got the receiving task's one typed reply, and nothing else.
         let ack = head.recv(Some(2), Some(tag)).unwrap();
-        let payload = EventReply::decode(&ack.data).unwrap().into_result().unwrap();
-        assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 3);
+        assert_eq!(Reply::from_parts(&ack.data, ack.body, false), Ok(Reply::default()));
+        assert_eq!(head.mailbox_stats().queued, 0);
         let _ = mem2;
     }
 
@@ -1082,14 +1013,8 @@ mod tests {
             memory.store(BufferId(id), vec![id as u8; 8].into());
         }
         // Buffer 9 never landed here: absent buffers are fine.
-        let buffers = vec![BufferId(0), BufferId(9), BufferId(2), BufferId(3)];
-        let delete = EventNotification {
-            request: EventRequest::Delete { buffers },
-            tag: Tag(5),
-            comm: CommId(0),
-            timed: false,
-        };
-        handle_event(&worker, &memory, &kernels, delete).unwrap();
+        let deletes = [0, 9, 2, 3].map(|b| TaskStep::Delete { buffer: BufferId(b) });
+        handle_event(&worker, &memory, &kernels, steps_on(deletes.to_vec(), 5, CommId(0))).unwrap();
         assert_eq!(memory.len(), 1);
         assert!(memory.contains(BufferId(1)), "an unlisted buffer stays");
         let msg = head.recv(Some(1), Some(Tag(5))).unwrap();
@@ -1142,10 +1067,11 @@ mod tests {
         assert!(!now[0].same_allocation(&fresh) && !now[1].same_allocation(&fresh));
         assert!(fresh.len() == N && fresh.iter().all(|&byte| byte == 0));
 
-        // The event-level alloc (map(alloc:)) does replace what is there.
-        let alloc = EventRequest::Alloc { buffer: ids[0], size: 16 };
-        let notification = EventNotification { request: alloc, ..task(Vec::new()) };
-        handle_event(&worker, &memory, &kernels, notification).unwrap();
+        // An enter car's alloc (map(alloc:)) behind the delete of a stale
+        // copy replaces what was there.
+        let alloc = TaskStep::Alloc { buffer: ids[0], size: 16 };
+        let delete = TaskStep::Delete { buffer: ids[0] };
+        handle_event(&worker, &memory, &kernels, task(vec![delete, alloc])).unwrap();
         assert_eq!(memory.get(ids[0]).unwrap(), Bytes::from(vec![0u8; 16]));
     }
 
@@ -1263,19 +1189,6 @@ mod tests {
     }
 
     #[test]
-    fn an_event_the_single_reply_path_cannot_answer_is_a_typed_error() {
-        let world = World::new(2);
-        let worker = world.communicator(1);
-        let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
-        let request =
-            EventRequest::RelayFeed { buffer: BufferId(0), chunk_bytes: 0, children: vec![] };
-        let mut generations = memory.accept(&request).into_iter();
-        let outcome =
-            event_outcome(&worker, &memory, &kernels, request, &mut generations, Tag(3), None);
-        assert!(matches!(outcome, Err(OmpcError::Internal(m)) if m.contains("relay-feed")));
-    }
-
-    #[test]
     fn handler_error_is_replied_to_the_head_not_dropped() {
         let world = World::new(2);
         let head = world.communicator(0);
@@ -1325,17 +1238,9 @@ mod tests {
             move || {
                 let mem2 = DeviceMemory::new();
                 let kernels = KernelRegistry::new();
-                handle_event(
-                    &w2,
-                    &mem2,
-                    &kernels,
-                    EventNotification {
-                        request: EventRequest::ExchangeRecv { buffer, from: 1 },
-                        tag,
-                        comm,
-                        timed: false,
-                    },
-                )
+                let recv =
+                    steps_on(vec![TaskStep::RecvFromWorker { buffer, from: 1 }], tag.0, comm);
+                handle_event(&w2, &mem2, &kernels, recv)
             }
         });
         let mem1 = DeviceMemory::new();
@@ -1523,6 +1428,7 @@ mod tests {
         }
     }
 
+    /// A prefetch train: a task of `RecvFromHead` steps.
     #[test]
     fn submit_train_stores_payloads_in_order_and_replies_once() {
         let world = World::with_communicators(2, 2);
@@ -1535,18 +1441,8 @@ mod tests {
         // Payloads ride the train's own channel, in the listed order.
         head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), vec![1, 1].into()).unwrap();
         head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), vec![2, 2, 2].into()).unwrap();
-        handle_event(
-            &worker,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::SubmitTrain { buffers: vec![BufferId(4), BufferId(9)] },
-                tag,
-                comm,
-                timed: false,
-            },
-        )
-        .unwrap();
+        let recvs = [4, 9].map(|b| TaskStep::RecvFromHead { buffer: BufferId(b) });
+        handle_event(&worker, &memory, &kernels, steps_on(recvs.to_vec(), tag.0, comm)).unwrap();
         assert_eq!(memory.get(BufferId(4)), Some(vec![1, 1].into()));
         assert_eq!(memory.get(BufferId(9)), Some(vec![2, 2, 2].into()));
         // One typed reply for the whole train, and nothing else.
@@ -1570,12 +1466,7 @@ mod tests {
             timed: false,
         };
         head.send(1, CONTROL_TAG, kill.encode()).unwrap();
-        let train = EventNotification {
-            request: EventRequest::SubmitTrain { buffers: vec![BufferId(7)] },
-            tag: Tag(91),
-            comm: CommId(1),
-            timed: false,
-        };
+        let train = steps_on(vec![TaskStep::RecvFromHead { buffer: BufferId(7) }], 91, CommId(1));
         head.send(1, CONTROL_TAG, train.encode()).unwrap();
         let msg = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(91))).unwrap();
         let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
@@ -1857,7 +1748,8 @@ mod tests {
             head.send(1, CONTROL_TAG, n.encode()).unwrap();
         };
         // Before the kill: a normal alloc completes with an Ok reply.
-        send(EventRequest::Alloc { buffer: BufferId(1), size: 8 }, 100);
+        let alloc = TaskStep::Alloc { buffer: BufferId(1), size: 8 };
+        send(EventRequest::Task(TaskSpec { steps: vec![alloc] }), 100);
         let msg = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(100))).unwrap();
         assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
 
@@ -1872,6 +1764,80 @@ mod tests {
         // Shutdown still terminates the gate loop.
         send(EventRequest::Shutdown, 103);
         worker.join().unwrap();
+    }
+
+    /// The gate answers a task none of whose steps can block while the only
+    /// handler is held in a kernel; a task with an `AwaitLocal` step waits
+    /// for the pool. No clock decides: the gate runs notifications in order,
+    /// so once a later gate task has replied, an inline reply of the awaiting
+    /// task would already be in the head's mailbox.
+    #[test]
+    fn the_gate_answers_data_tasks_while_its_only_handler_is_held_in_a_kernel() {
+        use std::sync::Barrier;
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::with_communicators(2, 2);
+            let head = world.communicator(0);
+            let kernels = Arc::new(KernelRegistry::new());
+            let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+            let hold = {
+                let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+                kernels.register_fn("hold", 1e-6, move |_| {
+                    entered.wait();
+                    release.wait();
+                })
+            };
+            let worker = {
+                let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
+                std::thread::spawn(move || worker_main(comm, kernels, 1))
+            };
+            let comm = CommId(1);
+            let lane = head.on(comm).unwrap();
+            let notify = |n: EventNotification| head.send(1, CONTROL_TAG, n.encode()).unwrap();
+            let reply = |tag: u64, data_bearing: bool| {
+                let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+                Reply::from_parts(&msg.data, msg.body, data_bearing)
+            };
+            let (a, b) = (BufferId(1), BufferId(2));
+
+            notify(steps_on(vec![TaskStep::Execute { kernel: hold, buffers: vec![] }], 10, comm));
+            entered.wait();
+
+            // A copy "pushed" to the worker, the payload of `a`, and one task
+            // that lands `a`, deletes `b`, drops the push and retrieves `a`.
+            let payload = Bytes::from(vec![3u8; 8]);
+            let (header, body) = Reply::data(payload.clone()).into_parts();
+            lane.send_with_body(1, Tag(99), header, body.unwrap()).unwrap();
+            lane.send_with_body(1, Tag(11), Vec::new(), payload.clone()).unwrap();
+            let steps = vec![
+                TaskStep::RecvFromHead { buffer: a },
+                TaskStep::Delete { buffer: b },
+                TaskStep::Discard { from: 0, tag: Tag(99), comm },
+                TaskStep::Retrieve { buffer: a },
+            ];
+            notify(steps_on(steps, 11, comm));
+            let retrieved = reply(11, true).unwrap().body.unwrap();
+            assert!(retrieved.same_allocation(&payload), "the reply is the resident allocation");
+            assert_eq!(world.communicator(1).mailbox_stats().queued, 0, "the push was dropped");
+
+            // A task awaiting `a` goes to the pool, behind the held kernel.
+            let awaiting = TaskStep::AwaitLocal { buffer: a, timeout_ms: u64::MAX };
+            notify(steps_on(vec![awaiting], 12, comm));
+            notify(steps_on(vec![TaskStep::Delete { buffer: b }], 13, comm));
+            reply(13, false).unwrap();
+            assert!(lane.try_recv(Some(1), Some(Tag(12))).is_none(), "the await ran on the gate");
+            release.wait();
+            for tag in [10, 12] {
+                reply(tag, false).unwrap();
+            }
+            let shutdown = EventNotification {
+                request: EventRequest::Shutdown,
+                tag: Tag(14),
+                comm,
+                timed: false,
+            };
+            notify(shutdown);
+            worker.join().unwrap();
+        });
     }
 
     /// An `AwaitLocal` step waits for the receive queued ahead of it, not
@@ -1916,7 +1882,10 @@ mod tests {
         let b = BufferId(3);
 
         // Version 1 is resident.
-        notify(EventRequest::Submit { buffer: b }, 10);
+        notify(
+            EventRequest::Task(TaskSpec { steps: vec![TaskStep::RecvFromHead { buffer: b }] }),
+            10,
+        );
         lane.send_with_body(1, Tag(10), Vec::new(), payload(1.0)).unwrap();
         reply(10).unwrap();
 

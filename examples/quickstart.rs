@@ -44,7 +44,7 @@ fn main() {
     let result = device.buffer_f64s(a).expect("buffer must exist");
     println!("A after foo/bar on the cluster : {result:?}");
     println!("target tasks executed          : {}", report.target_tasks);
-    println!("data events (submit/exchange)  : {}", report.data_events);
+    println!("data movements                 : {}", report.data_events);
     println!("bytes moved between nodes      : {}", report.bytes_moved);
     println!("schedule time                  : {:?}", report.schedule_time);
     println!("execution time                 : {:?}", report.execution_time);
