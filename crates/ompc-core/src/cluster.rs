@@ -112,7 +112,7 @@ type WarmKey = (usize, u32, usize, Option<u64>);
 /// world, the shared kernel table (cleared on adoption — the fat binary is
 /// re-populated by the new lifetime's registrations), the event system (its
 /// tag counter continues, keeping tags device-unique across lifetimes), and
-/// the gate-thread handles.
+/// the worker threads' handles.
 struct WarmWorkers {
     world: World,
     kernels: Arc<KernelRegistry>,
@@ -124,7 +124,7 @@ struct WarmWorkers {
 /// small-run overhead to cluster start-up; with
 /// [`OmpcConfig::warm_worker_keepalive`] a shut-down device parks its
 /// healthy workers here instead of joining them, and the next compatible
-/// device adopts them for a near-zero start-up. Parked gate threads persist
+/// device adopts them for a near-zero start-up. Parked event pools persist
 /// until adopted or process exit.
 static WARM_WORKERS: Mutex<Vec<(WarmKey, WarmWorkers)>> = Mutex::new(Vec::new());
 
@@ -1927,6 +1927,34 @@ mod tests {
         let k = device.register_kernel_fn("noop", 1e-6, |_| {});
         region.target(k, vec![Dependence::inout(a)]);
         assert_eq!(region.run().unwrap_err(), OmpcError::ShutDown);
+    }
+
+    /// A cold shutdown ends every worker's event pool through its mailbox:
+    /// no receive is left posted on any rank, and nobody woke for nothing.
+    #[test]
+    fn a_cold_shutdown_leaves_no_receive_posted_on_any_rank() {
+        let config = OmpcConfig {
+            warm_worker_keepalive: false,
+            event_handler_threads: 3,
+            ..OmpcConfig::small()
+        };
+        let mut device = ClusterDevice::with_config(2, config);
+        let mut graph = ompc_sched::TaskGraph::new();
+        for task in 0..8 {
+            graph.add_task(1e-4);
+            if task > 0 {
+                graph.add_edge(task - 1, task, 64);
+            }
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![64; 8]);
+        let plan = RuntimePlan { assignment: (0..8).map(|task| 1 + task % 2).collect(), window: 4 };
+        device.run_workload(&workload, &plan).unwrap();
+        device.shutdown();
+        let stats = device.mailbox_stats();
+        assert_eq!(stats.len(), 3);
+        for (rank, rank_stats) in stats.iter().enumerate() {
+            assert_eq!((rank_stats.posted, rank_stats.empty_wakeups), (0, 0), "rank {rank}");
+        }
     }
 
     /// A region task whose input an async ticket has on the wire waits on

@@ -2,7 +2,7 @@
 //!
 //! Every operation on a worker node is an *event*: the head allocates a
 //! fresh tag, picks a communicator round-robin, sends a new-event
-//! notification to the destination's gate thread, exchanges any payload
+//! notification to the destination's event pool, exchanges any payload
 //! messages on the `(tag, communicator)` channel, and finally waits for the
 //! **typed reply** ([`crate::protocol::EventReply`]) on that same channel.
 //! Because the tag is unique per event and shared only with the

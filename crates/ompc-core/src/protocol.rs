@@ -48,7 +48,8 @@
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Tag};
 
-/// Tag reserved for new-event notifications received by the gate thread —
+/// Tag reserved for new-event notifications, received by a worker's idle
+/// event-pool members —
 /// the only reserved tag: every other channel, a region execution's
 /// completion channel included, is an event channel.
 pub const CONTROL_TAG: Tag = Tag(0);

@@ -86,8 +86,8 @@ pub enum SpanPhase {
     Serialize,
     /// Head node: pushing a task's frames onto the wire.
     Send,
-    /// Worker: between the gate thread receiving the event and the handler
-    /// starting on it (queueing + handler hand-off).
+    /// Worker: the moment an event-pool member starts on the event, after
+    /// any wait in the pool's FIFO of blocking jobs.
     WorkerRecv,
     /// Worker: awaiting the task's input payloads / forwarded dependences.
     WorkerAwait,

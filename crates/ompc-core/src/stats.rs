@@ -56,7 +56,7 @@ impl RegionReport {
 /// remaining components of the Fig. 7(a) overhead breakdown.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceReport {
-    /// Time from device creation to all worker gate threads being ready.
+    /// Time from device creation to all worker event pools being ready.
     pub startup_time: Duration,
     /// Time from the shutdown request to all worker threads having joined.
     pub shutdown_time: Duration,

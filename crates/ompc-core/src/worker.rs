@@ -1,5 +1,6 @@
-//! The worker-node runtime: device memory, the gate thread, and the event
-//! handler pool (the destination side of the event system, paper §4.2).
+//! The worker-node runtime: device memory and the event pool whose idle
+//! members receive the notifications they run (the destination side of the
+//! event system, paper §4.2).
 //!
 //! Every event ends in exactly one typed reply
 //! ([`crate::protocol::EventReply`]) on the event's exclusive channel:
@@ -25,10 +26,11 @@ use crate::protocol::{
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use ompc_mpi::RecvGroup;
 use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The head node's rank in the world communicator.
@@ -43,10 +45,10 @@ const RELAY_FRAME_TIMEOUT_MS: u64 = 60_000;
 
 /// A worker node's local buffer storage (its "device memory"): one shared
 /// handle per resident buffer, and the arrival book of the receives the
-/// gate accepted.
+/// event pool accepted.
 ///
-/// The gate numbers every receive it accepts with a fresh *generation*; the
-/// handler that performs the receive *lands* it — the bytes stored, or the
+/// The pool numbers every receive it accepts with a fresh *generation*; the
+/// member that performs the receive *lands* it — the bytes stored, or the
 /// failure recorded. An `AwaitLocal` step waits for the newest receive of
 /// its buffer accepted before it, not for the buffer's presence: a stale
 /// copy a deferred delete has not freed yet is resident too, and must never
@@ -67,7 +69,7 @@ struct MemoryState {
     generation: u64,
 }
 
-/// The receives of one buffer the gate accepted.
+/// The receives of one buffer the event pool accepted.
 #[derive(Debug, Default)]
 struct Arrivals {
     /// Generation of the newest accepted receive.
@@ -106,11 +108,12 @@ impl DeviceMemory {
         self.state.lock().buffers.insert(id.0, data);
     }
 
-    /// Number the receives of an event the gate accepted, in step order: a
+    /// Number the receives of an event the pool accepted, in step order: a
     /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker` /
     /// `Claim` step), and per `AwaitLocal` step the generation of the newest
-    /// receive of its buffer accepted before it. Only the gate calls this,
-    /// in arrival order, so "before" means "queued ahead on this node".
+    /// receive of its buffer accepted before it. The pool calls this under
+    /// its lock, in match order, so "before" means "queued ahead on this
+    /// node".
     pub(crate) fn accept(&self, request: &EventRequest) -> Vec<u64> {
         match request {
             EventRequest::Task(spec) => self.number(&spec.steps),
@@ -586,10 +589,10 @@ fn abandon_steps(
 
 /// Handle one event on the worker side, always producing exactly one typed
 /// reply (to the head node, or to the exchange receiver for the sending
-/// half). Returns the handler's own outcome so tests and the gate loop can
+/// half). Returns the handler's own outcome so tests and the pool can
 /// observe failures; the same error has already been sent as the reply.
 /// Exposed for unit testing; normal use is through [`worker_main`], whose
-/// gate accepts the event and whose handler runs it.
+/// event pool accepts the event and runs it.
 pub fn handle_event(
     comm: &Communicator,
     memory: &DeviceMemory,
@@ -600,7 +603,7 @@ pub fn handle_event(
     run_event(comm, memory, kernels, notification, generations)
 }
 
-/// Run one event the gate accepted with `generations`
+/// Run one event the pool accepted with `generations`
 /// ([`DeviceMemory::accept`]).
 fn run_event(
     comm: &Communicator,
@@ -616,7 +619,7 @@ fn run_event(
     // reply — an untimed event costs no clock read on the worker.
     let recv_us = notification.timed.then(monotonic_us);
     match notification.request {
-        EventRequest::Shutdown | EventRequest::Kill => Ok(()), // gate-loop concerns
+        EventRequest::Shutdown | EventRequest::Kill => Ok(()), // the pool's concerns
         EventRequest::ExchangeSend { buffer, to } => {
             // The sending half's "reply" goes to the receiver: the resident
             // handle as the body on success, the error otherwise. The
@@ -686,15 +689,15 @@ fn run_event(
     }
 }
 
-/// Whether the gate runs `request` itself instead of handing it to the
-/// pool: only what can never block it — sending, touching device memory,
-/// or receiving what the head sends right behind the notification. A `Task`
-/// runs on the gate unless one of its steps waits on a peer, another
-/// handler or a kernel; the sending half of a forward, a relay feed (its
-/// copy is resident by construction) and a reset run there too. This is the
-/// analogue of the paper's handlers re-enqueueing events that still have
-/// pending I/O, so a small handler pool cannot deadlock on two opposing
-/// forwards.
+/// Whether `request` runs at once on the member that accepted it instead of
+/// joining the pool's FIFO of blocking jobs: only what can never block it —
+/// sending, touching device memory, or receiving what the head sends right
+/// behind the notification. A `Task` runs at once unless one of its steps
+/// waits on a peer, another member or a kernel; the sending half of a
+/// forward, a relay feed (its copy is resident by construction) and a reset
+/// run at once too. This is the analogue of the paper's handlers
+/// re-enqueueing events that still have pending I/O, so a small pool cannot
+/// deadlock on two opposing forwards.
 fn runs_on_gate(request: &EventRequest) -> bool {
     let waits = |step: &TaskStep| {
         matches!(
@@ -739,8 +742,164 @@ fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcRe
     Ok(())
 }
 
-/// The worker-node main loop: a gate thread receiving new-event
-/// notifications and a pool of event-handler threads executing them.
+/// An accepted notification: the event and the generations
+/// [`DeviceMemory::accept`] gave its receives.
+type Job = (EventNotification, Vec<u64>);
+
+/// What the members of a worker's event pool share, under the pool's lock.
+#[derive(Debug, Default)]
+struct PoolState {
+    /// Match index of the next notification to accept.
+    next: u64,
+    /// Notifications matched ahead of `next`, by match index: their members
+    /// woke before the members matched earlier did.
+    early: BTreeMap<u64, Message>,
+    /// Accepted notifications that cannot block, to run at once.
+    ready: VecDeque<Job>,
+    /// Accepted notifications that may block, in match order.
+    blocking: VecDeque<Job>,
+    /// Members with a receive posted that they have not come back from.
+    posted: usize,
+    /// Set by a `Kill`: every notification matched afterwards is refused.
+    dead: bool,
+    /// Set by a `Shutdown` or a failed receive: nothing more is received,
+    /// and the members leave once the queues are drained.
+    closed: bool,
+}
+
+/// A worker node's event pool (paper §4.2's gate and handler pool in one):
+/// every idle member posts its own receive on [`CONTROL_TAG`], so the mailbox
+/// hands each notification straight to the thread that runs it.
+///
+/// The pool's rule: under its lock and strictly in match-index order, a
+/// member accepts each notification — decodes it, handles `Shutdown`, `Kill`
+/// and the dead flag, numbers its receives and classifies it with
+/// [`runs_on_gate`]. What cannot block runs at once, on the member that took
+/// it; the rest joins a FIFO whose head runs only while another member is
+/// posted. So one member is always receiving, and at most one fewer than the
+/// pool's members — the node's handler threads — run blocking jobs at once.
+struct Pool<'a> {
+    comm: &'a Communicator,
+    memory: &'a DeviceMemory,
+    kernels: &'a KernelRegistry,
+    /// The receives the idle members post: most recent first, numbered at
+    /// match.
+    group: RecvGroup,
+    state: Mutex<PoolState>,
+    /// Signalled when notifications were accepted: a member matched ahead
+    /// of its turn waits here for the members matched before it.
+    turn: Condvar,
+}
+
+impl<'a> Pool<'a> {
+    fn new(comm: &'a Communicator, memory: &'a DeviceMemory, kernels: &'a KernelRegistry) -> Self {
+        Self {
+            comm,
+            memory,
+            kernels,
+            group: RecvGroup::new(),
+            state: Mutex::default(),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// One member's life: run what is ready, otherwise post a receive and
+    /// accept what it is handed, until the pool is closed and drained.
+    fn serve(&self) {
+        let mut state = self.state.lock();
+        loop {
+            let blocking_may_run = state.posted > 0 || state.closed;
+            let job = match state.ready.pop_front() {
+                Some(job) => Some(job),
+                None if blocking_may_run => state.blocking.pop_front(),
+                None => None,
+            };
+            if let Some((notification, generations)) = job {
+                drop(state);
+                // Errors on individual events must not end the member; the
+                // head receives them as error replies on the event channel.
+                let _ = run_event(self.comm, self.memory, self.kernels, notification, generations);
+                state = self.state.lock();
+                continue;
+            }
+            if state.closed {
+                return;
+            }
+            let Ok(receive) = self.comm.irecv_in(None, Some(CONTROL_TAG), &self.group) else {
+                self.close(&mut state);
+                continue;
+            };
+            state.posted += 1;
+            drop(state);
+            let matched = receive.wait();
+            state = self.state.lock();
+            state.posted -= 1;
+            match matched {
+                Ok((message, index)) => {
+                    self.arrive(&mut state, index, message);
+                    // Accepted by whoever's turn it was: our job is queued,
+                    // and we are awake to run it.
+                    while state.next <= index {
+                        self.turn.wait(&mut state);
+                    }
+                }
+                // The world shut down, every peer terminated, or the group
+                // was closed.
+                Err(_) => self.close(&mut state),
+            }
+        }
+    }
+
+    /// Hand the pool notification `index` and accept, in match order, every
+    /// notification whose turn has come.
+    fn arrive(&self, state: &mut PoolState, index: u64, message: Message) {
+        state.early.insert(index, message);
+        while let Some(message) = state.early.remove(&state.next) {
+            state.next += 1;
+            self.accept(state, message);
+        }
+        // Free when no member waits for its turn, the common case.
+        self.turn.notify_all();
+    }
+
+    /// The in-order work on one notification.
+    fn accept(&self, state: &mut PoolState, message: Message) {
+        if state.closed {
+            return;
+        }
+        let Ok(notification) = EventNotification::decode(&message.data) else { return };
+        match notification.request {
+            EventRequest::Shutdown => return self.close(state),
+            EventRequest::Kill => {
+                state.dead = true;
+                return;
+            }
+            _ => {}
+        }
+        if state.dead {
+            let _ = refuse_event(self.comm, &notification);
+            return;
+        }
+        // Numbered here, in match order: an `AwaitLocal` step names the
+        // newest receive of its buffer matched ahead of it, whichever member
+        // ends up running either.
+        let generations = self.memory.accept(&notification.request);
+        match runs_on_gate(&notification.request) {
+            true => state.ready.push_back((notification, generations)),
+            false => state.blocking.push_back((notification, generations)),
+        }
+    }
+
+    /// Receive nothing more: release every posted member. What was accepted
+    /// still runs.
+    fn close(&self, state: &mut PoolState) {
+        state.closed = true;
+        self.comm.close_group(&self.group);
+    }
+}
+
+/// The worker-node main loop: an event pool of `handler_threads + 1`
+/// members (at least two), this thread one of them.
 ///
 /// Returns when a shutdown event is received (normal termination) or when
 /// the communication substrate reports that the peers are gone. A kill
@@ -750,74 +909,33 @@ fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcRe
 /// instead of being executed — peers observe the failure immediately
 /// rather than hanging, and no further effects land on the dead node.
 pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_threads: usize) {
-    let memory = Arc::new(DeviceMemory::new());
-    let (tx, rx) = crossbeam::channel::unbounded::<(EventNotification, Vec<u64>)>();
+    run_pool(&comm, &kernels, handler_threads.max(1));
+}
 
+/// Serve `comm` with this thread and up to `extra_members` more.
+fn run_pool(comm: &Communicator, kernels: &KernelRegistry, extra_members: usize) {
+    let memory = DeviceMemory::new();
+    let pool = Pool::new(comm, &memory, kernels);
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for i in 0..handler_threads.max(1) {
-            let rx = rx.clone();
-            let comm = comm.clone();
-            let memory = Arc::clone(&memory);
-            let kernels = Arc::clone(&kernels);
-            let spawned = std::thread::Builder::new()
-                .name(format!("ompc-handler-{}-{}", comm.rank(), i))
-                .spawn_scoped(scope, move || {
-                    while let Ok((notification, generations)) = rx.recv() {
-                        // Errors on individual events must not kill the
-                        // handler pool; the head node receives them as
-                        // error replies on the event channel.
-                        let _ = run_event(&comm, &memory, &kernels, notification, generations);
-                    }
-                });
-            match spawned {
-                Ok(handle) => handles.push(handle),
-                // The node serves with the handlers it has.
+        let mut spawned = 0;
+        for i in 0..extra_members {
+            let pool = &pool;
+            let member = std::thread::Builder::new()
+                .name(format!("ompc-member-{}-{i}", comm.rank()))
+                .spawn_scoped(scope, move || pool.serve());
+            match member {
+                Ok(_) => spawned += 1,
+                // The node serves with the members it has.
                 Err(_) => break,
             }
         }
-        drop(rx);
-
-        // Gate loop: receive notifications and enqueue their destination
-        // part into the local event queue, or run it right here when it can
-        // never block ([`runs_on_gate`]). The loop ends when the world shuts
-        // down or every peer terminated (recv fails), or when a shutdown
-        // event arrives.
-        //
-        // A node without a single handler thread cannot run an event: it
-        // refuses every one, as a killed node does.
-        let mut dead = handles.is_empty();
-        while let Ok(msg) = comm.recv(None, Some(CONTROL_TAG)) {
-            let Ok(notification) = EventNotification::decode(&msg.data) else {
-                continue;
-            };
-            match notification.request {
-                EventRequest::Shutdown => break,
-                EventRequest::Kill => {
-                    dead = true;
-                    continue;
-                }
-                _ => {}
-            }
-            if dead {
-                let _ = refuse_event(&comm, &notification);
-                continue;
-            }
-            let inline = runs_on_gate(&notification.request);
-            // Receives are numbered here, in arrival order: an `AwaitLocal`
-            // step names the newest receive of its buffer queued ahead of
-            // it, whichever handler ends up running either.
-            let generations = memory.accept(&notification.request);
-            if inline {
-                let _ = run_event(&comm, &memory, &kernels, notification, generations);
-            } else if tx.send((notification, generations)).is_err() {
-                break;
-            }
+        // Alone, a member could never run a task that blocks while it is
+        // also the one receiving: the node refuses every event, as a killed
+        // node does.
+        if spawned == 0 {
+            pool.state.lock().dead = true;
         }
-        drop(tx);
-        for h in handles {
-            let _ = h.join();
-        }
+        pool.serve();
     });
 }
 
@@ -1924,5 +2042,219 @@ mod tests {
 
         notify(EventRequest::Shutdown, 40);
         worker.join().unwrap();
+    }
+
+    /// Let `notifications.len()` idle members take `notifications`: one
+    /// receive of the pool's group posted per notification, then the head
+    /// sends them in order. Returns each message with its match index, in
+    /// match order (the member posted last took the first).
+    fn taken_by_members(
+        head: &Communicator,
+        pool: &Pool<'_>,
+        notifications: Vec<EventNotification>,
+    ) -> Vec<(Message, u64)> {
+        let posted: Vec<_> = notifications
+            .iter()
+            .map(|_| pool.comm.irecv_in(None, Some(CONTROL_TAG), &pool.group).unwrap())
+            .collect();
+        for n in &notifications {
+            head.send(pool.comm.rank(), CONTROL_TAG, n.encode()).unwrap();
+        }
+        let mut taken: Vec<_> = posted.into_iter().map(|p| p.wait().unwrap()).collect();
+        taken.sort_by_key(|&(_, index)| index);
+        taken
+    }
+
+    /// A notification of a train of single-car trains on channel 1.
+    fn train_of(tag: u64, cars: Vec<(u64, Vec<TaskStep>)>) -> EventNotification {
+        use crate::protocol::TrainCar;
+        let cars = cars
+            .into_iter()
+            .map(|(tag, steps)| TrainCar {
+                tag: Tag(tag),
+                comm: CommId(1),
+                spec: TaskSpec { steps },
+            })
+            .collect();
+        EventNotification {
+            request: EventRequest::TaskTrain(cars),
+            tag: Tag(tag),
+            comm: CommId(1),
+            timed: false,
+        }
+    }
+
+    fn notification(request: EventRequest, tag: u64) -> EventNotification {
+        EventNotification { request, tag: Tag(tag), comm: CommId(0), timed: false }
+    }
+
+    /// A `Kill` is one hand-over in match order: two trains and the kill
+    /// between them are taken by three members, which wake in the reverse
+    /// order. The train matched first runs; every car matched after the
+    /// kill is refused.
+    #[test]
+    fn a_kill_refuses_every_car_matched_after_it_whichever_member_wakes_first() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::with_communicators(2, 2);
+            let (head, worker) = (world.communicator(0), world.communicator(1));
+            let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
+            let pool = Pool::new(&worker, &memory, &kernels);
+            let alloc = |b: u64| vec![TaskStep::Alloc { buffer: BufferId(b), size: 8 }];
+            let before = train_of(70, vec![(71, alloc(71))]);
+            let after = train_of(72, vec![(73, alloc(73)), (74, alloc(74))]);
+            let taken = taken_by_members(
+                &head,
+                &pool,
+                vec![before, notification(EventRequest::Kill, 80), after],
+            );
+            {
+                let mut state = pool.state.lock();
+                for (message, index) in taken.into_iter().rev() {
+                    pool.arrive(&mut state, index, message);
+                }
+                assert_eq!(state.next, 3);
+                let queued: Vec<u64> = state.blocking.iter().map(|(n, _)| n.tag.0).collect();
+                assert_eq!(queued, vec![70], "only the train matched before the kill is accepted");
+            }
+            let lane = head.on(CommId(1)).unwrap();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| pool.serve());
+                }
+                let reply = |tag: u64| {
+                    let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+                    EventReply::decode(&msg.data).unwrap().into_result()
+                };
+                assert!(reply(71).is_ok());
+                for car in [73, 74] {
+                    assert_eq!(reply(car).unwrap_err().root_cause(), &OmpcError::NodeFailure(1));
+                }
+                assert_eq!(notices_on(&lane, Tag(70), 1), vec![(71, true)]);
+                assert_eq!(notices_on(&lane, Tag(72), 2), vec![(73, false), (74, false)]);
+                head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 81).encode())
+                    .unwrap();
+            });
+            assert!(memory.contains(BufferId(71)));
+            assert!(!memory.contains(BufferId(73)) && !memory.contains(BufferId(74)));
+            let stats = worker.mailbox_stats();
+            assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
+            assert_eq!(head.mailbox_stats().queued, 0);
+        });
+    }
+
+    /// Receives are numbered in match order across members: a train with a
+    /// receive and the train whose `AwaitLocal` waits for it are taken by
+    /// two members, the awaiting one waking first. The wait gets the
+    /// receive's generation, so an older version already resident cannot
+    /// satisfy it.
+    #[test]
+    fn a_wait_taken_by_one_member_gets_the_generation_of_a_receive_another_took() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::with_communicators(2, 2);
+            let (head, worker) = (world.communicator(0), world.communicator(1));
+            let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
+            let seen = Arc::new(Mutex::new(None));
+            let read = {
+                let seen = Arc::clone(&seen);
+                kernels
+                    .register_fn("read", 1e-6, move |args| *seen.lock() = Some(args.as_f64s(0)[0]))
+            };
+            let payload = |value: f64| Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[value]));
+            let b = BufferId(3);
+            memory.store(b, payload(1.0));
+            let pool = Pool::new(&worker, &memory, &kernels);
+            let receive = train_of(20, vec![(21, vec![TaskStep::RecvFromHead { buffer: b }])]);
+            let awaiting = TaskStep::AwaitLocal { buffer: b, timeout_ms: u64::MAX };
+            let reading = TaskStep::Execute { kernel: read, buffers: vec![b] };
+            let wait = train_of(30, vec![(31, vec![awaiting, reading])]);
+            let taken = taken_by_members(&head, &pool, vec![receive, wait]);
+            {
+                let mut state = pool.state.lock();
+                for (message, index) in taken.into_iter().rev() {
+                    pool.arrive(&mut state, index, message);
+                }
+                let queued: Vec<(u64, Vec<u64>)> =
+                    state.blocking.iter().map(|(n, g)| (n.tag.0, g.clone())).collect();
+                let received = queued[0].1.clone();
+                assert_eq!(queued, vec![(20, received.clone()), (30, received)]);
+            }
+            let lane = head.on(CommId(1)).unwrap();
+            // Three members: both trains run at once, the wait on its own.
+            std::thread::scope(|scope| {
+                for _ in 0..3 {
+                    scope.spawn(|| pool.serve());
+                }
+                lane.send_with_body(1, Tag(21), Vec::new(), payload(2.0)).unwrap();
+                for tag in [21, 31] {
+                    let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+                    EventReply::decode(&msg.data).unwrap().into_result().unwrap();
+                }
+                head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 40).encode())
+                    .unwrap();
+            });
+            assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the older version");
+            assert_eq!(worker.mailbox_stats().posted, 0);
+        });
+    }
+
+    /// A node that could spawn no member besides its own thread refuses
+    /// every event, and its shutdown still ends it.
+    #[test]
+    fn a_node_that_spawned_no_extra_member_refuses_every_event() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::with_communicators(2, 2);
+            let head = world.communicator(0);
+            let worker = {
+                let comm = world.communicator(1);
+                std::thread::spawn(move || run_pool(&comm, &KernelRegistry::new(), 0))
+            };
+            let alloc = vec![TaskStep::Alloc { buffer: BufferId(1), size: 8 }];
+            let task = notification(EventRequest::Task(TaskSpec { steps: alloc.clone() }), 10);
+            head.send(1, CONTROL_TAG, task.encode()).unwrap();
+            head.send(1, CONTROL_TAG, train_of(11, vec![(12, alloc)]).encode()).unwrap();
+            let refused = |comm: u32, tag: u64| {
+                let msg = head.on(CommId(comm)).unwrap().recv(Some(1), Some(Tag(tag))).unwrap();
+                let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
+                assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "event {tag}");
+            };
+            refused(0, 10);
+            refused(1, 12);
+            assert_eq!(notices_on(&head.on(CommId(1)).unwrap(), Tag(11), 1), vec![(12, false)]);
+            head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
+            worker.join().unwrap();
+            assert_eq!(world.communicator(1).mailbox_stats().posted, 0);
+        });
+    }
+
+    /// Shutdown releases every idle member through the mailbox — no member
+    /// sends the node a message of its own — and leaves nothing posted.
+    #[test]
+    fn shutdown_ends_every_member_without_a_message_to_itself() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::with_communicators(2, 2);
+            let head = world.communicator(0);
+            let kernels = Arc::new(KernelRegistry::new());
+            let noop = kernels.register_fn("noop", 1e-6, |_| {});
+            let worker = {
+                let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
+                std::thread::spawn(move || worker_main(comm, kernels, 3))
+            };
+            let lane = head.on(CommId(1)).unwrap();
+            let alloc = TaskStep::Alloc { buffer: BufferId(1), size: 8 };
+            let execute = TaskStep::Execute { kernel: noop, buffers: vec![BufferId(1)] };
+            // One task that runs at once, one train that joins the FIFO.
+            head.send(1, CONTROL_TAG, steps_on(vec![alloc], 10, CommId(1)).encode()).unwrap();
+            head.send(1, CONTROL_TAG, train_of(11, vec![(12, vec![execute])]).encode()).unwrap();
+            for tag in [10, 12] {
+                let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+                EventReply::decode(&msg.data).unwrap().into_result().unwrap();
+            }
+            assert_eq!(notices_on(&lane, Tag(11), 1), vec![(12, true)]);
+            head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
+            worker.join().unwrap();
+            let stats = world.communicator(1).mailbox_stats();
+            assert_eq!(stats.delivered, 3, "the head's three notifications, nothing else");
+            assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
+        });
     }
 }

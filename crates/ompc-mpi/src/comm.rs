@@ -2,7 +2,7 @@
 
 use crate::bytes::Bytes;
 use crate::error::{MpiError, MpiResult};
-use crate::mailbox::{Mailbox, MailboxStats};
+use crate::mailbox::{Mailbox, MailboxStats, PostedRecv, RecvGroup};
 use crate::message::{Message, MessageEnvelope};
 use crate::types::{CommId, Rank, Status, Tag};
 use crate::world::WorldInner;
@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// A rank's handle on one communicator.
 ///
 /// Clones share the underlying world, so a single rank may hand communicator
-/// handles to several of its threads (the OMPC gate thread and event-handler
+/// handles to several of its threads (the members of an OMPC worker's event
 /// pool do exactly this). All operations are thread-safe.
 #[derive(Debug, Clone)]
 pub struct Communicator {
@@ -110,14 +110,41 @@ impl Communicator {
         Ok(())
     }
 
+    fn check_source(&self, source: Option<Rank>) -> MpiResult<()> {
+        match source {
+            Some(s) if s >= self.world.size => {
+                Err(MpiError::InvalidRank { rank: s, world_size: self.world.size })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Blocking receive matching `(source, tag)`; `None` is a wildcard.
     pub fn recv(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Message> {
-        if let Some(s) = source {
-            if s >= self.world.size {
-                return Err(MpiError::InvalidRank { rank: s, world_size: self.world.size });
-            }
-        }
+        self.check_source(source)?;
         self.own_mailbox().recv(self.comm, source, tag)
+    }
+
+    /// Post a receive of `group` matching `(source, tag)` and return at once
+    /// (`MPI_Irecv`); [`PostedRecv::wait`] yields the message and its match
+    /// index. The most recently posted receive of a group is matched first,
+    /// and the group numbers its matches 0, 1, 2, … in the order this
+    /// rank's mailbox made them. A worker's event pool posts one per idle
+    /// member.
+    pub fn irecv_in(
+        &self,
+        source: Option<Rank>,
+        tag: Option<Tag>,
+        group: &RecvGroup,
+    ) -> MpiResult<PostedRecv> {
+        self.check_source(source)?;
+        Ok(self.own_mailbox().post_grouped(self.comm, source, tag, group))
+    }
+
+    /// Close `group` on this rank's mailbox: every receive it has posted is
+    /// released with [`MpiError::GroupClosed`], and so is every later one.
+    pub fn close_group(&self, group: &RecvGroup) {
+        self.own_mailbox().close_group(group);
     }
 
     /// Blocking receive with an upper bound on the wait; returns
@@ -130,11 +157,7 @@ impl Communicator {
         tag: Option<Tag>,
         timeout: std::time::Duration,
     ) -> MpiResult<Message> {
-        if let Some(s) = source {
-            if s >= self.world.size {
-                return Err(MpiError::InvalidRank { rank: s, world_size: self.world.size });
-            }
-        }
+        self.check_source(source)?;
         self.own_mailbox().recv_timeout(self.comm, source, tag, timeout)
     }
 
@@ -145,8 +168,7 @@ impl Communicator {
     }
 
     /// Blocking probe: wait for a matching message and report its status
-    /// without consuming it. The gate thread uses this with wildcards to
-    /// discover new-event notifications.
+    /// without consuming it.
     pub fn probe(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Status> {
         self.own_mailbox().probe(self.comm, source, tag)
     }

@@ -29,6 +29,9 @@ pub enum MpiError {
     /// the OMPC event system as a last-resort guard against a lost reply
     /// (e.g. a worker thread that died without answering).
     Timeout { source: Option<Rank>, tag: Option<Tag> },
+    /// A grouped receive was released, or refused, because its group was
+    /// closed; carries the rank whose mailbox the group served.
+    GroupClosed(Rank),
 }
 
 impl fmt::Display for MpiError {
@@ -59,6 +62,7 @@ impl fmt::Display for MpiError {
                 }
                 write!(f, ")")
             }
+            MpiError::GroupClosed(r) => write!(f, "receive group closed (rank {r})"),
         }
     }
 }

@@ -7,8 +7,9 @@
 //! * point-to-point messages matched on `(communicator, source, destination,
 //!   tag)` with non-overtaking order per matched triple, each a small header
 //!   plus at most one shared [`Bytes`] body that is delivered without a copy,
-//! * buffered sends and blocking, bounded, or non-blocking receives,
-//! * message probing (used by the gate thread to discover new events), and
+//! * buffered sends and blocking, bounded, or non-blocking receives, and
+//!   grouped posted receives (`MPI_Irecv` / `MPI_Wait`) numbered at match,
+//! * message probing, and
 //! * multiple communicators mapped round-robin to independent progress
 //!   channels (the paper maps them to hardware Virtual Communication
 //!   Interfaces).
@@ -55,7 +56,7 @@ pub mod world;
 pub use bytes::Bytes;
 pub use comm::Communicator;
 pub use error::{MpiError, MpiResult};
-pub use mailbox::MailboxStats;
+pub use mailbox::{MailboxStats, PostedRecv, RecvGroup};
 pub use message::{Message, MessageEnvelope};
 pub use types::{CommId, Rank, Status, Tag, ANY_SOURCE, ANY_TAG};
 pub use world::World;

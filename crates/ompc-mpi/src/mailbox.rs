@@ -7,11 +7,18 @@
 //!   for the first envelope matching its `(communicator, source, tag)`
 //!   pattern. Only when nothing matches does it post a waiter record — its
 //!   pattern plus a parker of its own — and go to sleep on that parker.
-//! * A delivery first scans the posted list, in posting order. A matching
+//! * A delivery first scans the posted list, front to back. A matching
 //!   receive is handed the message itself and woken — that one thread, after
 //!   the mailbox lock is released. When no posted receive matches, the
 //!   envelope joins the unexpected queue and **nobody is woken**: no thread
 //!   is waiting for it, so there is no system call to make.
+//! * A *grouped* receive ([`Mailbox::post_grouped`], the `MPI_Irecv` /
+//!   `MPI_Wait` pair) belongs to a [`RecvGroup`]: the pool of threads that
+//!   take turns receiving one stream. It returns at once with a
+//!   [`PostedRecv`] handle, is posted at the **front** of the list — the most
+//!   recently idle thread is matched first — and is numbered, the moment it
+//!   is matched, with its group's next *match index*. Closing the group
+//!   releases every receive it has posted.
 //!
 //! Both steps run under the one mailbox lock, which keeps the invariant that
 //! no posted receive matches any queued envelope. That is the MPI
@@ -19,6 +26,10 @@
 //! and tag are matched by exactly the same patterns, so the second can be
 //! handed to a posted receive only if the first is no longer queued — it was
 //! received before.
+//!
+//! Plain receives are posted at the back, so among themselves they are
+//! matched in posting order; a grouped receive overtakes every receive posted
+//! before it.
 //!
 //! A blocking probe posts the same kind of record; a delivery gives every
 //! matching probe the message's status and leaves the message for the first
@@ -29,7 +40,7 @@ use crate::message::{Message, MessageEnvelope};
 use crate::types::{CommId, Rank, Status, Tag};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,27 +81,94 @@ impl Pattern {
     }
 }
 
-/// A posted receive (`T = Message`) or probe (`T = Status`): the pattern it
-/// waits for, the slot its outcome is put in, and the parker of the one
-/// thread blocked on it.
+/// A message and the match index of the receive that took it in its
+/// [`RecvGroup`] (0 for a receive of no group).
+type Matched = (Message, u64);
+
+/// The receives a pool of threads posts in turn on one mailbox (see
+/// [`Mailbox::post_grouped`]). Clones are handles on the same group, which
+/// serves one rank's mailbox.
+#[derive(Debug, Clone, Default)]
+pub struct RecvGroup(Arc<GroupState>);
+
+#[derive(Debug, Default)]
+struct GroupState {
+    /// Receives of the group matched so far: the next match index. Taken
+    /// under the mailbox lock, in the order the mailbox matches.
+    matched: AtomicU64,
+    /// Set under the mailbox lock by [`Mailbox::close_group`].
+    closed: AtomicBool,
+}
+
+impl RecvGroup {
+    /// A new, open group whose first match index is 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn take_index(&self) -> u64 {
+        self.0.matched.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn is(&self, other: &RecvGroup) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// A posted receive (`T = Matched`) or probe (`T = Status`): the pattern it
+/// waits for, the group of a grouped receive, the slot its outcome is put in,
+/// and the parker of the one thread blocked on it.
 #[derive(Debug)]
 struct Waiter<T> {
     pattern: Pattern,
+    group: Option<RecvGroup>,
     outcome: Mutex<Option<MpiResult<T>>>,
     parked: Condvar,
 }
 
 impl<T> Waiter<T> {
+    fn new(pattern: Pattern, group: Option<RecvGroup>, outcome: Option<MpiResult<T>>) -> Arc<Self> {
+        Arc::new(Self { pattern, group, outcome: Mutex::new(outcome), parked: Condvar::new() })
+    }
+
     /// Fill the slot. Called with the mailbox lock held and the record
     /// already off the posted list, so each waiter is completed once.
     fn complete(&self, outcome: MpiResult<T>) {
         *self.outcome.lock() = Some(outcome);
     }
+
+    /// Hand `message` to this receive, numbered in its group.
+    fn take(&self, message: Message) -> Matched {
+        (message, self.group.as_ref().map_or(0, RecvGroup::take_index))
+    }
+}
+
+/// A grouped receive posted with [`Mailbox::post_grouped`] — the request of
+/// an `MPI_Irecv`. It keeps its place in the mailbox until a message, a close
+/// or the closing of its group completes it; [`PostedRecv::wait`] is the
+/// `MPI_Wait` that collects the outcome.
+#[derive(Debug)]
+#[must_use = "a posted receive is matched whether or not anybody waits on it"]
+pub struct PostedRecv {
+    mailbox: Arc<Mailbox>,
+    waiter: Arc<Waiter<Matched>>,
+}
+
+impl PostedRecv {
+    /// Block until the receive is completed: the message and its match index
+    /// in the group, or the typed error that released it —
+    /// [`MpiError::GroupClosed`], [`MpiError::Finalized`] or
+    /// [`MpiError::PeerTerminated`].
+    pub fn wait(self) -> MpiResult<Matched> {
+        let Pattern { source, tag, .. } = self.waiter.pattern;
+        // Without a deadline the park returns only with an outcome.
+        self.mailbox.park(&self.waiter, None).unwrap_or(Err(MpiError::Timeout { source, tag }))
+    }
 }
 
 /// Wake the threads of completed waiters. Called after the mailbox lock is
 /// released, so a woken thread never runs into it.
-fn wake<T>(completed: &[Arc<Waiter<T>>]) {
+fn wake<'a, T: 'a>(completed: impl IntoIterator<Item = &'a Arc<Waiter<T>>>) {
     for waiter in completed {
         waiter.parked.notify_one();
     }
@@ -122,10 +200,11 @@ struct MailboxInner {
     /// Messages that arrived before a matching receive was posted, in
     /// arrival order.
     unexpected: VecDeque<MessageEnvelope>,
-    /// Blocked receives no queued message matched, in posting order.
-    receives: Vec<Arc<Waiter<Message>>>,
+    /// Blocked receives no queued message matched: grouped receives at the
+    /// front, most recent first, then plain receives in posting order.
+    receives: VecDeque<Arc<Waiter<Matched>>>,
     /// Blocked probes no queued message matched.
-    probes: Vec<Arc<Waiter<Status>>>,
+    probes: VecDeque<Arc<Waiter<Status>>>,
     /// Set once the world is shutting down; pending receives fail instead of
     /// blocking forever.
     shutdown: bool,
@@ -136,6 +215,11 @@ struct MailboxInner {
     delivered: u64,
     woken: u64,
     unexpected_high_water: usize,
+}
+
+/// The scan of a plain receive: the first queued match, with no match index.
+fn take_plain(inner: &mut MailboxInner, pattern: Pattern) -> Option<Matched> {
+    inner.take_message(pattern).map(|message| (message, 0))
 }
 
 impl MailboxInner {
@@ -206,9 +290,9 @@ impl Mailbox {
             .receives
             .iter()
             .position(|receive| receive.pattern.admits(&envelope))
-            .map(|idx| inner.receives.remove(idx));
+            .and_then(|idx| inner.receives.remove(idx));
         match &receive {
-            Some(receive) => receive.complete(Ok(envelope.into_message())),
+            Some(receive) => receive.complete(Ok(receive.take(envelope.into_message()))),
             None => {
                 inner.unexpected.push_back(envelope);
                 inner.unexpected_high_water =
@@ -218,7 +302,7 @@ impl Mailbox {
         inner.woken += probes.len() as u64 + u64::from(receive.is_some());
         drop(inner);
         wake(&probes);
-        wake(receive.as_slice());
+        wake(&receive);
     }
 
     /// Record that a peer rank has finished executing. Used to fail blocked
@@ -254,6 +338,27 @@ impl Mailbox {
         wake(&probes);
     }
 
+    /// Close `group`: every receive it has posted here is taken off the list
+    /// and released with [`MpiError::GroupClosed`], and every later
+    /// [`Mailbox::post_grouped`] in it fails at once with the same error.
+    /// Receives of no group, or of another group, are not touched.
+    pub fn close_group(&self, group: &RecvGroup) {
+        let mut inner = self.inner.lock();
+        group.0.closed.store(true, Ordering::Relaxed);
+        let mut released = Vec::new();
+        inner.receives.retain(|receive| {
+            let member = receive.group.as_ref().is_some_and(|g| g.is(group));
+            if member {
+                receive.complete(Err(MpiError::GroupClosed(self.owner)));
+                released.push(Arc::clone(receive));
+            }
+            !member
+        });
+        inner.woken += released.len() as u64;
+        drop(inner);
+        wake(&released);
+    }
+
     /// The mailbox's traffic counters.
     pub fn stats(&self) -> MailboxStats {
         let inner = self.inner.lock();
@@ -284,7 +389,41 @@ impl Mailbox {
     /// receive is still unmatched (the message can never arrive).
     pub fn recv(&self, comm: CommId, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Message> {
         let pattern = Pattern { comm, source, tag };
-        self.wait(pattern, None, MailboxInner::take_message, |inner| &mut inner.receives)
+        self.wait(pattern, None, take_plain, |inner| &mut inner.receives)
+            .map(|(message, _)| message)
+    }
+
+    /// Post a receive of `group` and return at once (`MPI_Irecv`): the
+    /// first queued message that matches is taken now; otherwise the receive
+    /// is posted at the front of the list, ahead of every receive posted
+    /// before it. Either way the message is numbered with the group's next
+    /// match index under the mailbox lock, so match indices run 0, 1, 2, …
+    /// in the order the messages were matched — for one source on one
+    /// communicator and tag, their arrival order. A closed group, or a
+    /// closed mailbox with nothing queued that matches, completes the
+    /// receive at once with its typed error.
+    pub fn post_grouped(
+        self: &Arc<Self>,
+        comm: CommId,
+        source: Option<Rank>,
+        tag: Option<Tag>,
+        group: &RecvGroup,
+    ) -> PostedRecv {
+        let pattern = Pattern { comm, source, tag };
+        let mut inner = self.inner.lock();
+        let now = if group.0.closed.load(Ordering::Relaxed) {
+            Some(Err(MpiError::GroupClosed(self.owner)))
+        } else if let Some(message) = inner.take_message(pattern) {
+            Some(Ok((message, group.take_index())))
+        } else {
+            inner.closed().map(|closed| Err(closed.error(self.owner, pattern)))
+        };
+        let posted = now.is_none();
+        let waiter = Waiter::new(pattern, Some(group.clone()), now);
+        if posted {
+            inner.receives.push_front(Arc::clone(&waiter));
+        }
+        PostedRecv { mailbox: Arc::clone(self), waiter }
     }
 
     /// [`Mailbox::recv`] with an upper bound on the wait: returns
@@ -301,7 +440,8 @@ impl Mailbox {
         timeout: Duration,
     ) -> MpiResult<Message> {
         let pattern = Pattern { comm, source, tag };
-        self.wait(pattern, Some(timeout), MailboxInner::take_message, |inner| &mut inner.receives)
+        self.wait(pattern, Some(timeout), take_plain, |inner| &mut inner.receives)
+            .map(|(message, _)| message)
     }
 
     /// Non-blocking probe: status of the first matching message, without
@@ -331,7 +471,7 @@ impl Mailbox {
         pattern: Pattern,
         timeout: Option<Duration>,
         scan: fn(&mut MailboxInner, Pattern) -> Option<T>,
-        posted: fn(&mut MailboxInner) -> &mut Vec<Arc<Waiter<T>>>,
+        posted: fn(&mut MailboxInner) -> &mut VecDeque<Arc<Waiter<T>>>,
     ) -> MpiResult<T> {
         let timed_out = MpiError::Timeout { source: pattern.source, tag: pattern.tag };
         // A time-out too long to represent is no time-out.
@@ -344,9 +484,8 @@ impl Mailbox {
             if let Some(closed) = inner.closed() {
                 return Err(closed.error(self.owner, pattern));
             }
-            let waiter =
-                Arc::new(Waiter { pattern, outcome: Mutex::new(None), parked: Condvar::new() });
-            posted(&mut inner).push(Arc::clone(&waiter));
+            let waiter = Waiter::new(pattern, None, None);
+            posted(&mut inner).push_back(Arc::clone(&waiter));
             waiter
         };
         if let Some(outcome) = self.park(&waiter, deadline) {
@@ -607,6 +746,114 @@ mod tests {
         // A time-out too long for the clock to represent waits like `recv`.
         let m = mb.recv_timeout(CommId(0), Some(1), Some(Tag(1)), Duration::MAX).unwrap();
         assert_eq!(m.data, vec![5]);
+    }
+
+    /// A pool member: post a receive of `group` and wait on it, again and
+    /// again, until the group or the mailbox is closed. Returns every
+    /// `(match index, payload)` it took and the error that released it.
+    fn member(
+        mb: &Arc<Mailbox>,
+        group: &RecvGroup,
+    ) -> thread::JoinHandle<(Vec<(u64, u64)>, MpiError)> {
+        let (mb, group) = (Arc::clone(mb), group.clone());
+        thread::spawn(move || {
+            let mut took = Vec::new();
+            loop {
+                match mb.post_grouped(CommId(0), None, Some(Tag(1)), &group).wait() {
+                    Ok((m, index)) => {
+                        took.push((index, u64::from_le_bytes(m.data[..].try_into().unwrap())))
+                    }
+                    Err(released) => return (took, released),
+                }
+            }
+        })
+    }
+
+    #[test]
+    fn concurrent_grouped_receives_are_numbered_in_arrival_order_without_a_gap() {
+        const MESSAGES: u64 = 10_000;
+        ompc_testutil::with_timeout(Duration::from_secs(120), || {
+            let mb = Mailbox::new(0, 2);
+            let group = RecvGroup::new();
+            let members: Vec<_> = (0..4).map(|_| member(&mb, &group)).collect();
+            for seq in 0..MESSAGES {
+                mb.deliver(env(1, 1, 0, seq, seq.to_le_bytes().to_vec()));
+            }
+            // No clock: every message is taken once the queue is empty and
+            // all four members are posted again.
+            while mb.stats().queued > 0 || mb.stats().posted < 4 {
+                thread::yield_now();
+            }
+            mb.close_group(&group);
+            let mut took = Vec::new();
+            for m in members {
+                let (mine, released) = m.join().unwrap();
+                assert_eq!(released, MpiError::GroupClosed(0));
+                took.extend(mine);
+            }
+            took.sort_unstable();
+            let expected: Vec<(u64, u64)> = (0..MESSAGES).map(|seq| (seq, seq)).collect();
+            assert!(took == expected, "match indices are not the arrival order, gap-free");
+            let stats = mb.stats();
+            assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
+        });
+    }
+
+    #[test]
+    fn the_most_recently_posted_grouped_receive_is_matched_first() {
+        let mb = Mailbox::new(0, 2);
+        let group = RecvGroup::new();
+        let post = || mb.post_grouped(CommId(0), Some(1), Some(Tag(1)), &group);
+        // A plain receive posted first is overtaken by the group's.
+        let plain = recv_in_thread(&mb, 1);
+        until_posted(&mb, 1);
+        let (first, second) = (post(), post());
+        assert_eq!(mb.stats().posted, 3);
+        for seq in 0..3u8 {
+            mb.deliver(env(1, 1, 0, seq as u64, vec![seq]));
+        }
+        let data = |(m, index): (Message, u64)| (m.data[0], index);
+        assert_eq!(data(second.wait().unwrap()), (0, 0), "the latest poster goes first");
+        assert_eq!(data(first.wait().unwrap()), (1, 1));
+        assert_eq!(plain.join().unwrap().unwrap().data, vec![2]);
+        // A message already queued is taken at posting, with the next index.
+        mb.deliver(env(1, 1, 0, 3, vec![3]));
+        assert_eq!(data(post().wait().unwrap()), (3, 2));
+        let stats = mb.stats();
+        assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
+    }
+
+    #[test]
+    fn closing_the_group_or_the_mailbox_releases_every_posted_member() {
+        for shutdown in [false, true] {
+            let mb = Mailbox::new(0, 2);
+            let group = RecvGroup::new();
+            let members: Vec<_> = (0..4).map(|_| member(&mb, &group)).collect();
+            // A plain receive on the same tag is not the group's to release.
+            let plain = recv_in_thread(&mb, 1);
+            until_posted(&mb, 5);
+            if shutdown {
+                mb.shutdown();
+            } else {
+                mb.close_group(&group);
+            }
+            let expected = match shutdown {
+                true => MpiError::Finalized(0),
+                false => MpiError::GroupClosed(0),
+            };
+            for m in members {
+                assert_eq!(m.join().unwrap(), (Vec::new(), expected.clone()));
+            }
+            let later = mb.post_grouped(CommId(0), None, None, &group).wait();
+            assert_eq!(later.map(|(m, _)| m.data), Err(expected));
+            if !shutdown {
+                assert_eq!(mb.stats().posted, 1, "the plain receive stays posted");
+                mb.deliver(env(1, 1, 0, 0, vec![7]));
+            }
+            assert_eq!(plain.join().unwrap().map(|m| m.data).ok(), (!shutdown).then(|| vec![7]));
+            let stats = mb.stats();
+            assert_eq!((stats.posted, stats.empty_wakeups), (0, 0), "shutdown: {shutdown}");
+        }
     }
 
     /// One seeded run of the hand-off stress: `close` ends it either by
