@@ -870,7 +870,7 @@ impl ClusterDevice {
         }
         let Some(world) = self.world.take() else { return false };
         // The adopting lifetime starts with an empty head mailbox: a late
-        // leftover of a failed run (a reply or notice on some execution's
+        // leftover of a failed run (a reply on some execution's
         // device-unique channel) must not leak into it as a stale message.
         let head = self.events.communicator();
         for comm in (0..head.num_communicators()).filter_map(|c| head.on(CommId(c)).ok()) {
@@ -1563,15 +1563,13 @@ impl ClusterDevice {
             .collect();
         let mut region = RegionGraph::new();
         for t in 0..workload.len() {
-            let mut deps = vec![Dependence::output(buffers[t])];
-            for &pred in workload.graph.predecessors(t) {
-                deps.push(Dependence::input(buffers[pred]));
-            }
-            region.add_task(
-                TaskKind::Target { kernel: noop, cost_hint: workload.graph.tasks()[t].cost },
-                deps,
-                format!("w{t}"),
-            );
+            let preds = workload.graph.predecessors(t);
+            let mut deps = Vec::with_capacity(1 + preds.len());
+            deps.push(Dependence::output(buffers[t]));
+            deps.extend(preds.iter().map(|&pred| Dependence::input(buffers[pred])));
+            // Unlabelled: the task's index is its name in both graphs.
+            let kind = TaskKind::Target { kernel: noop, cost_hint: workload.graph.tasks()[t].cost };
+            region.add_task(kind, deps, String::new());
         }
         // Workload runs pass the same admission gate and get their own
         // region epoch (transfer-log and telemetry namespace) — a

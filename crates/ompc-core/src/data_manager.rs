@@ -645,8 +645,10 @@ impl DataManager {
     }
 
     /// Record that a task executing on `node` wrote `buffer`: the copy on
-    /// `node` becomes the only valid one. Returns the nodes whose copies
-    /// became stale (and should be deleted), excluding `node` itself. A
+    /// `node` becomes the only valid one. Returns the worker nodes whose
+    /// copies became stale (and should be deleted), excluding `node` itself
+    /// — the host's copy is never deleted, and a buffer only the host held
+    /// leaves nothing to return. A
     /// movement towards `node` still booked as in flight has evidently
     /// arrived — the task ran on its bytes — and is resolved here; one
     /// towards another node keeps its owner and lands on a copy that is no
@@ -659,7 +661,7 @@ impl DataManager {
         }
         let epoch = self.epoch;
         let loc = self.buffers.get_mut(&buffer).ok_or(OmpcError::UnknownBuffer(buffer))?;
-        let stale: Vec<NodeId> = loc.holders().filter(|&n| n != node).collect();
+        let stale = loc.holders().filter(|&n| n != node && n != HEAD_NODE).collect();
         let arrived = loc.moving(node);
         loc.copies.retain_mut(|copy| {
             copy.held = copy.node == node;
@@ -737,17 +739,19 @@ impl DataManager {
 
     /// Remove the buffer from the data manager entirely (exit data with
     /// `map(release:)`), returning the worker nodes that still held copies
-    /// and must free them. Ends keep-resident status, and every movement of
-    /// the buffer still in flight: its bytes have nothing to land in, so
-    /// its ticket stops waiting for it.
-    pub fn remove(&mut self, buffer: BufferId) -> Vec<NodeId> {
-        let Some(loc) = self.buffers.remove(&buffer) else { return Vec::new() };
-        for copy in &loc.copies {
+    /// and must free them — read off the removed entry itself, which owns
+    /// them. Ends keep-resident status, and every movement of the buffer
+    /// still in flight: its bytes have nothing to land in, so its ticket
+    /// stops waiting for it.
+    pub fn remove(&mut self, buffer: BufferId) -> impl Iterator<Item = NodeId> {
+        let copies = self.buffers.remove(&buffer).map(|loc| loc.copies).unwrap_or_default();
+        for copy in &copies {
             if let Some(Pending::Moving(owner)) = copy.pending {
                 Self::settle(&mut self.tickets, owner, Ok(()));
             }
         }
-        loc.holders().filter(|&n| n != HEAD_NODE).collect()
+        let holder = |copy: Replica| (copy.held && copy.node != HEAD_NODE).then_some(copy.node);
+        copies.into_iter().filter_map(holder)
     }
 
     /// Declare worker `node` failed: every copy it held becomes invalid, its
@@ -851,7 +855,7 @@ mod tests {
         let plan = dm.plan_input(a, 1).unwrap();
         assert_eq!(plan, Some(TransferPlan { from: HEAD_NODE, to: 1, buffer: a }));
         let stale = dm.record_write(a, 1).unwrap();
-        assert_eq!(stale, vec![HEAD_NODE]);
+        assert!(stale.is_empty(), "the host's copy is stale, but never deleted");
         assert_eq!(dm.latest(a), Some(1));
 
         // bar (inout A) on node 2: input forwarded worker-to-worker.
@@ -865,7 +869,7 @@ mod tests {
         assert_eq!(dm.retrieve_source(a), Some(2));
         dm.record_retrieve(a).unwrap();
         assert_eq!(dm.latest(a), Some(HEAD_NODE));
-        let free = dm.remove(a);
+        let free: Vec<NodeId> = dm.remove(a).collect();
         assert_eq!(free, vec![2]);
         assert!(dm.is_empty());
 
@@ -1015,7 +1019,7 @@ mod tests {
     #[test]
     fn remove_unknown_buffer_is_empty() {
         let mut dm = DataManager::new();
-        assert!(dm.remove(BufferId(9)).is_empty());
+        assert_eq!(dm.remove(BufferId(9)).next(), None);
         assert!(dm.holders(BufferId(9)).is_empty());
         assert!(!dm.is_registered(BufferId(9)));
     }
@@ -1117,7 +1121,7 @@ mod tests {
         dm.plan_input(b, 1).unwrap();
         dm.record_write(b, 1).unwrap();
         assert!(dm.is_resident(b), "writes keep residency");
-        dm.remove(b);
+        assert_eq!(dm.remove(b).collect::<Vec<_>>(), vec![1], "the copy to free");
         assert!(!dm.is_resident(b), "release ends residency");
     }
 

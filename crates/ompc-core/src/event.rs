@@ -16,8 +16,10 @@
 //! buffer.
 //!
 //! Every head→worker buffer operation is one [`EventRequest::Task`] of
-//! [`TaskStep`]s — a region task as a car of a train (`runtime/mpi.rs`), a
-//! release, a flush, a prefetch or a forward on its own (`post_task`).
+//! [`TaskStep`]s — a region task as a car of a train (`runtime/mpi.rs`),
+//! whose reply comes home on its region execution's completion channel
+//! instead, or a release, a flush, a prefetch or a forward on its own
+//! (`post_task`).
 //!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler
 //! failures (unregistered kernels, missing buffers, killed nodes) come back
@@ -63,6 +65,39 @@ impl EventCounters {
     pub(crate) fn record_data(&self, bytes: u64) {
         self.data_events.fetch_add(1, Ordering::Relaxed);
         self.bytes_moved.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// `tasks` tasks on the wire, and the `frames` that followed them: an
+    /// event each, and a data movement per frame.
+    pub(crate) fn record_tasks(&self, tasks: u64, frames: Frames) {
+        self.events.fetch_add(tasks + frames.count, Ordering::Relaxed);
+        if frames.count > 0 {
+            self.data_events.fetch_add(frames.count, Ordering::Relaxed);
+            self.bytes_moved.fetch_add(frames.bytes, Ordering::Relaxed);
+        }
+    }
+}
+
+/// What frames put on the wire behind tasks: how many, and the bytes they
+/// move ([`EventSystem::send_frames`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frames {
+    pub(crate) count: u64,
+    pub(crate) bytes: u64,
+}
+
+impl Frames {
+    /// One more frame, of `bytes`.
+    fn add(&mut self, bytes: u64) {
+        self.count += 1;
+        self.bytes += bytes;
+    }
+}
+
+impl std::ops::AddAssign for Frames {
+    fn add_assign(&mut self, other: Frames) {
+        self.count += other.count;
+        self.bytes += other.bytes;
     }
 }
 
@@ -173,10 +208,7 @@ impl EventSystem {
         let Composite { steps, payloads, exchanges } = work;
         let channel = self.post(node, EventRequest::Task(TaskSpec { steps }))?;
         let frames = self.send_frames(node, channel.tag, channel.comm, payloads, exchanges)?;
-        self.counters.record(None);
-        for bytes in frames {
-            self.counters.record(Some(bytes));
-        }
+        self.counters.record_tasks(1, frames);
         Ok(ReplyChannel { data_bearing, ..channel })
     }
 
@@ -184,9 +216,9 @@ impl EventSystem {
     /// `(tag, comm)`: each host payload, then each source's `ExchangeSend`.
     /// A failure of a *sending* half travels through the receiver (the
     /// sender forwards its error envelope instead of the data), so the head
-    /// never hangs on a half-completed forward. Returns the bytes each frame
-    /// moves, in order, for the caller to count once the whole task — or
-    /// train — is on the wire.
+    /// never hangs on a half-completed forward. Returns what the frames
+    /// moved, for the caller to count once the whole task — or train — is on
+    /// the wire.
     pub(crate) fn send_frames(
         &self,
         node: NodeId,
@@ -194,19 +226,19 @@ impl EventSystem {
         comm: CommId,
         payloads: Vec<Bytes>,
         exchanges: Vec<(NodeId, BufferId, u64)>,
-    ) -> OmpcResult<Vec<u64>> {
+    ) -> OmpcResult<Frames> {
         let lane = self.comm.on(comm)?;
-        let mut moved = Vec::with_capacity(payloads.len() + exchanges.len());
+        let mut frames = Frames::default();
         for payload in payloads {
-            moved.push(payload.len() as u64);
+            frames.add(payload.len() as u64);
             lane.send_with_body(node, tag, Vec::new(), payload)?;
         }
         for (from, buffer, bytes) in exchanges {
             let request = EventRequest::ExchangeSend { buffer, to: node };
             self.notify(from, &EventNotification { request, tag, comm, timed: false })?;
-            moved.push(bytes);
+            frames.add(bytes);
         }
-        Ok(moved)
+        Ok(frames)
     }
 
     /// Block (bounded by the reply timeout) for the typed reply on
@@ -337,6 +369,15 @@ mod tests {
         assert_eq!(c.events.load(Ordering::Relaxed), 3);
         assert_eq!(c.data_events.load(Ordering::Relaxed), 2);
         assert_eq!(c.bytes_moved.load(Ordering::Relaxed), 150);
+        // Two tasks and three frames behind them, counted at once.
+        let mut frames = Frames::default();
+        [8, 16].into_iter().for_each(|bytes| frames.add(bytes));
+        frames += Frames { count: 1, bytes: 4 };
+        c.record_tasks(2, frames);
+        c.record_tasks(1, Frames::default());
+        assert_eq!(c.events.load(Ordering::Relaxed), 3 + 5 + 1);
+        assert_eq!(c.data_events.load(Ordering::Relaxed), 2 + 3);
+        assert_eq!(c.bytes_moved.load(Ordering::Relaxed), 150 + 28);
     }
 
     #[test]

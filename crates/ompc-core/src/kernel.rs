@@ -46,10 +46,18 @@ impl<'a> KernelArgs<'a> {
         Self { buffers: buffers.into_iter().map(|(id, data)| (id, Arg::Lent(data))).collect() }
     }
 
-    /// Build the argument pack over a worker's resident copies.
-    pub(crate) fn resident(buffers: Vec<(BufferId, Bytes)>) -> Self {
-        let borrowed = |(id, bytes)| (id, Arg::Resident { bytes, written: false });
-        Self { buffers: buffers.into_iter().map(borrowed).collect() }
+    /// Build the argument pack over a worker's resident copies: `resident`
+    /// gives each of `ids` its handle, or the error that keeps the kernel
+    /// from running.
+    pub(crate) fn resident<E>(
+        ids: &[BufferId],
+        mut resident: impl FnMut(BufferId) -> Result<Bytes, E>,
+    ) -> Result<Self, E> {
+        let mut buffers = Vec::with_capacity(ids.len());
+        for &id in ids {
+            buffers.push((id, Arg::Resident { bytes: resident(id)?, written: false }));
+        }
+        Ok(Self { buffers })
     }
 
     /// The resident arguments the kernel wrote, with their new contents.
@@ -269,8 +277,10 @@ mod tests {
     #[test]
     fn resident_arguments_copy_on_write_and_report_only_what_was_written() {
         let shared: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![i as u8; 16])).collect();
-        let ids = (0..4).map(BufferId);
-        let mut args = KernelArgs::resident(ids.zip(shared.iter().cloned()).collect());
+        let ids: Vec<BufferId> = (0..4).map(BufferId).collect();
+        let lookup = |id: BufferId| Ok::<_, ()>(shared[id.0 as usize].clone());
+        let mut args = KernelArgs::resident(&ids, lookup).unwrap();
+        assert_eq!(KernelArgs::resident(&ids, |_| Err::<Bytes, _>("gone")).unwrap_err(), "gone");
         // Reading borrows the resident allocation itself.
         assert_eq!(args.bytes(0).as_ptr(), shared[0].as_ptr());
         assert_eq!(args.as_u64s(0).len(), 2);

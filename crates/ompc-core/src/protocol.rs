@@ -16,11 +16,11 @@
 //!
 //! Every head→worker buffer operation is an [`EventRequest::Task`] of
 //! [`TaskStep`]s. A region task travels as a car of an
-//! [`EventRequest::TaskTrain`]; after
-//! each car's reply the worker also posts a [`CompletionNotice`] on the
-//! train envelope's own `(tag, communicator)` — the completion channel of the
-//! region execution that sent the train, an event channel like any other.
-//! [`CONTROL_TAG`] is the only reserved tag.
+//! [`EventRequest::TaskTrain`], and a car's one typed reply is also its
+//! completion notice: the worker sends it on the train envelope's own
+//! `(tag, communicator)` — the completion channel of the region execution
+//! that sent the train, an event channel like any other — led by the car's
+//! tag ([`car_reply_header`]). [`CONTROL_TAG`] is the only reserved tag.
 //!
 //! ## Header and body
 //!
@@ -31,9 +31,10 @@
 //!
 //! | message | header | body |
 //! |---|---|---|
-//! | notification, completion notice | the encoding | — |
+//! | notification | the encoding | — |
 //! | reply without data ([`Reply::from_parts`], `data_bearing = false`) | [`EventReply`] (status, stamps, inline acknowledgement) | — |
 //! | reply that *is* the data (a task with a [`TaskStep::Retrieve`]; the sending half of a forward, a [`TaskStep::Push`]) | `EventReply::Ok` with nothing inline | the buffer |
+//! | a train car's reply, on the completion channel | the car's tag `u64`, then its [`EventReply`] ([`split_car_reply`]) | the reply's body, if it has one |
 //! | host payload (one per [`TaskStep::RecvFromHead`]) | empty ([`payload_body`]) | the buffer |
 //! | collective frame ([`relay_frame_header`] / [`decode_relay_parts`]) | frame index `u64` | the chunk |
 //!
@@ -73,9 +74,9 @@ pub enum EventRequest {
     /// Run one whole task — its steps in order — on the destination node,
     /// producing a single reply when every step has finished — that reply
     /// and nothing else. Every head→worker buffer operation is one: a region
-    /// task as the car of a [`TaskTrain`], which the worker answers the same
-    /// way plus a completion notice; a release, a flush, a prefetch or a
-    /// forward on its own.
+    /// task as the car of a [`TaskTrain`], whose one reply goes to the
+    /// train's completion channel; a release, a flush, a prefetch or a
+    /// forward on its own, replying on its own channel.
     ///
     /// [`TaskTrain`]: EventRequest::TaskTrain
     Task(TaskSpec),
@@ -83,13 +84,13 @@ pub enum EventRequest {
     /// tagged message (a *task train*) — how the
     /// [`crate::runtime::MpiBackend`] sends every target task, a train of
     /// one car included. The worker runs the cars strictly in order but
-    /// replies **per car** on each car's own exclusive `(tag, communicator)`
-    /// channel, exactly as if the cars had arrived as individual [`Task`]
-    /// notifications: the typed error protocol, zombie-gate refusals, and
-    /// fault blame all stay per task. After each car's reply — or its
-    /// refusal, on a killed node — the worker posts a [`CompletionNotice`]
-    /// on the envelope's own `(tag, communicator)`: the completion channel
-    /// of the region execution that sent the train.
+    /// replies **per car**, exactly as if the cars had arrived as individual
+    /// [`Task`] notifications: the typed error protocol, zombie-gate
+    /// refusals, and fault blame all stay per task. Each car's reply — or
+    /// its refusal, on a killed node — is one message on the envelope's own
+    /// `(tag, communicator)`, the completion channel of the region execution
+    /// that sent the train, its header led by the car's tag
+    /// ([`car_reply_header`]).
     ///
     /// [`Task`]: EventRequest::Task
     TaskTrain(Vec<TrainCar>),
@@ -214,13 +215,14 @@ pub fn payload_body(header: &[u8], body: Option<Bytes>) -> OmpcResult<Bytes> {
 }
 
 /// One car of an [`EventRequest::TaskTrain`]: a complete composite task
-/// with its own exclusive reply channel. Payloads for the car's
-/// [`TaskStep::RecvFromHead`] steps travel on the car's `(tag, comm)`
-/// channel — not the train's envelope channel — so batching changes only
-/// how the *notification* travels, never the per-task message discipline.
+/// with its own exclusive channel. Payloads for the car's
+/// [`TaskStep::RecvFromHead`] steps and the frames of its forwards travel on
+/// the car's `(tag, comm)` channel; its reply goes to the train's
+/// completion channel, led by the car's tag, which names the car there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrainCar {
-    /// Tag of the car's exclusive channel (reply and payloads).
+    /// Tag of the car's exclusive channel (payloads and forwards), and the
+    /// name its reply carries.
     pub tag: Tag,
     /// Communicator of the car's exclusive channel.
     pub comm: CommId,
@@ -327,7 +329,10 @@ struct Writer(Vec<u8>);
 
 impl Writer {
     fn new() -> Self {
-        Self(Vec::with_capacity(64))
+        Self::with_capacity(64)
+    }
+    fn with_capacity(bytes: usize) -> Self {
+        Self(Vec::with_capacity(bytes))
     }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
@@ -461,6 +466,24 @@ const STEP_CLAIM: u8 = 8;
 const STEP_DISCARD: u8 = 9;
 const STEP_RETRIEVE: u8 = 10;
 
+/// Bytes [`encode_step`] writes for `step`.
+fn step_len(step: &TaskStep) -> usize {
+    match step {
+        TaskStep::RecvFromHead { .. } | TaskStep::Delete { .. } | TaskStep::Retrieve { .. } => 9,
+        TaskStep::RecvFromWorker { .. } | TaskStep::AwaitLocal { .. } | TaskStep::Alloc { .. } => {
+            17
+        }
+        TaskStep::Execute { buffers, .. } => 13 + 8 * buffers.len(),
+        TaskStep::Discard { .. } => 21,
+        TaskStep::Push { .. } | TaskStep::Claim { .. } => 29,
+    }
+}
+
+/// Bytes a step count and `steps` take on the wire.
+fn steps_len(steps: &[TaskStep]) -> usize {
+    4 + steps.iter().map(step_len).sum::<usize>()
+}
+
 /// A worker, then a `(tag, communicator)` channel.
 fn encode_channel(w: &mut Writer, node: NodeId, tag: Tag, comm: CommId) {
     w.u64(node as u64);
@@ -543,9 +566,25 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
 }
 
 impl EventNotification {
+    /// Bytes [`EventNotification::encode`] writes: the encoding is sized
+    /// before it is written, so it is one allocation.
+    fn encoded_len(&self) -> usize {
+        let children = |children: &[RelayChild]| 4 + 16 * children.len();
+        14 + match &self.request {
+            EventRequest::ExchangeSend { .. } => 16,
+            EventRequest::Task(spec) => steps_len(&spec.steps),
+            EventRequest::TaskTrain(cars) => {
+                4 + cars.iter().map(|car| 12 + steps_len(&car.spec.steps)).sum::<usize>()
+            }
+            EventRequest::RelayRecv { children: c, .. } => 24 + children(c),
+            EventRequest::RelayFeed { children: c, .. } => 16 + children(c),
+            EventRequest::Reset | EventRequest::Shutdown | EventRequest::Kill => 0,
+        }
+    }
+
     /// Serialize the notification for transmission on the control tag.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.encoded_len());
         w.u64(self.tag.0);
         w.u32(self.comm.0);
         w.u8(self.timed as u8);
@@ -805,6 +844,11 @@ impl EventReply {
     /// Serialize for transmission on the event channel.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
+        self.write(&mut w);
+        w.0
+    }
+
+    fn write(&self, w: &mut Writer) {
         match self {
             EventReply::Ok(payload) => {
                 w.u8(REPLY_OK);
@@ -812,15 +856,14 @@ impl EventReply {
             }
             EventReply::OkTimed(stamps, payload) => {
                 w.u8(REPLY_OK_TIMED);
-                stamps.encode(&mut w);
+                stamps.encode(w);
                 w.bytes(payload);
             }
             EventReply::Err(error) => {
                 w.u8(REPLY_ERR);
-                encode_error(&mut w, error);
+                encode_error(w, error);
             }
         }
-        w.0
     }
 
     /// Parse a reply received on an event channel.
@@ -876,11 +919,23 @@ impl Reply {
 
     /// Split into the message parts: the [`EventReply`] header and the body.
     pub fn into_parts(self) -> (Vec<u8>, Option<Bytes>) {
+        let (header, body) = self.into_event_reply();
+        (header.encode(), body)
+    }
+
+    /// [`Reply::into_parts`] for the reply of train car `car`: the header is
+    /// [`car_reply_header`].
+    pub fn into_car_parts(self, car: Tag) -> (Vec<u8>, Option<Bytes>) {
+        let (header, body) = self.into_event_reply();
+        (car_reply_header(car, &header), body)
+    }
+
+    fn into_event_reply(self) -> (EventReply, Option<Bytes>) {
         let header = match self.stamps {
             Some(stamps) => EventReply::OkTimed(stamps, self.inline),
             None => EventReply::Ok(self.inline),
         };
-        (header.encode(), self.body)
+        (header, self.body)
     }
 
     /// Decode a received reply. `data_bearing` is what the origin asked for:
@@ -899,44 +954,28 @@ impl Reply {
     }
 }
 
-/// The compact notice a worker posts on a task train's envelope channel —
-/// the completion channel of the region execution that sent it — after
-/// sending a car's reply: just the finished car's event tag and its
-/// outcome. The reply itself (payload or typed error) is already sitting in
-/// the head's mailbox on the car's exclusive channel — sends are eager — so
-/// the head turns a notice into the full reply with one guaranteed-ready
-/// receive instead of probing every in-flight task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompletionNotice {
-    /// Event tag of the finished composite task.
-    pub tag: Tag,
-    /// Whether the task's reply is `Ok` (informational; the reply is
-    /// authoritative).
-    pub ok: bool,
+/// The header of a train car's one reply, which is also its completion
+/// notice: the car's tag, then the car's [`EventReply`]. The worker sends it
+/// on the train envelope's `(tag, communicator)` — the completion channel of
+/// the region execution that sent the train — with the reply's body, if it
+/// has one, as the message body, so the head resolves a car with one
+/// receive on one channel, whatever the outcome.
+pub fn car_reply_header(car: Tag, reply: &EventReply) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u64(car.0);
+    reply.write(&mut w);
+    w.0
 }
 
-impl CompletionNotice {
-    /// Serialize for transmission on a completion channel.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u64(self.tag.0);
-        w.u8(self.ok as u8);
-        w.0
-    }
-
-    /// Parse a notice received on a completion channel.
-    pub fn decode(data: &[u8]) -> OmpcResult<Self> {
-        let mut r = Reader::new(data);
-        let tag = Tag(r.u64()?);
-        let ok = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(OmpcError::Internal(format!("unknown notice status {other}")));
-            }
-        };
-        Ok(Self { tag, ok })
-    }
+/// Take a car's reply header apart: the car's tag, and the [`EventReply`]
+/// header after it — for [`Reply::from_parts`], once the tag has said which
+/// car, and so which reply shape, it is. A header too short to hold the tag
+/// is an error.
+pub fn split_car_reply(header: &[u8]) -> OmpcResult<(Tag, &[u8])> {
+    let (tag, reply) = header
+        .split_first_chunk::<8>()
+        .ok_or_else(|| OmpcError::Internal(format!("car reply of {} bytes", header.len())))?;
+    Ok((Tag(u64::from_le_bytes(*tag)), reply))
 }
 
 #[cfg(test)]
@@ -1131,19 +1170,52 @@ mod tests {
         }
     }
 
+    /// A car's reply, taken apart as the head does: the tag, then the reply.
+    fn decode_car_reply(header: &[u8]) -> OmpcResult<(Tag, EventReply)> {
+        let (car, reply) = split_car_reply(header)?;
+        Ok((car, EventReply::decode(reply)?))
+    }
+
+    fn encode_car_reply((car, reply): &(Tag, EventReply)) -> Vec<u8> {
+        car_reply_header(*car, reply)
+    }
+
     #[test]
-    fn completion_notices_round_trip_and_reject_garbage() {
-        for notice in [
-            CompletionNotice { tag: Tag(2), ok: true },
-            CompletionNotice { tag: Tag(u64::MAX), ok: false },
+    fn car_replies_round_trip_and_reject_garbage() {
+        let failed = OmpcError::RemoteEvent {
+            node: 2,
+            event: 7,
+            error: Box::new(OmpcError::NodeFailure(2)),
+        };
+        for frame in [
+            (Tag(2), EventReply::Ok(Vec::new())),
+            (Tag(u64::MAX), EventReply::Err(failed)),
+            (Tag(9), EventReply::OkTimed(TaskStamps::default(), vec![1, 2])),
         ] {
-            assert_eq!(CompletionNotice::decode(&notice.encode()).unwrap(), notice);
+            let header = encode_car_reply(&frame);
+            assert_eq!(header[..8], frame.0 .0.to_le_bytes(), "the tag leads");
+            assert_eq!(header[8..], frame.1.encode(), "the reply follows unchanged");
+            assert_eq!(decode_car_reply(&header).unwrap(), frame);
         }
-        assert!(CompletionNotice::decode(&[]).is_err());
-        assert!(CompletionNotice::decode(&[0; 8]).is_err());
-        let mut bad = CompletionNotice { tag: Tag(1), ok: true }.encode();
+        // Shorter than its tag: an error, not a panic, whatever is there.
+        for len in 0..8 {
+            assert!(split_car_reply(&[7; 8][..len]).is_err(), "{len} bytes");
+        }
+        // A tag and nothing after it, or an unknown status, is no reply.
+        assert!(decode_car_reply(&[0; 8]).is_err());
+        let mut bad = encode_car_reply(&(Tag(1), EventReply::Ok(Vec::new())));
         bad[8] = 7;
-        assert!(CompletionNotice::decode(&bad).is_err());
+        assert!(decode_car_reply(&bad).is_err());
+        // The two-part shape: a data-bearing car's body rides beside the
+        // header, and `from_parts` still checks it against the car.
+        let body = Bytes::from(vec![5u8; 3]);
+        let (header, sent) = Reply::data(body.clone()).into_car_parts(Tag(4));
+        let (car, reply) = split_car_reply(&header).unwrap();
+        assert_eq!(car, Tag(4));
+        let reply = Reply::from_parts(reply, sent.clone(), true).unwrap();
+        assert!(reply.body.is_some_and(|b| b.same_allocation(&body)));
+        assert!(Reply::from_parts(&header[8..], sent, false).is_err(), "a body it takes none of");
+        assert!(Reply::from_parts(&header[8..], None, true).is_err(), "its body missing");
     }
 
     #[test]
@@ -1202,6 +1274,12 @@ mod tests {
         assert!(EventReply::decode(&[9]).is_err());
         let err = EventReply::Err(OmpcError::Internal("x".to_string())).encode();
         assert!(EventReply::decode(&err[..err.len() - 1]).is_err());
+        // A car's reply cut anywhere, its tag included, is no reply.
+        let car = (Tag(6), EventReply::Err(OmpcError::Internal("x".to_string())));
+        let bytes = encode_car_reply(&car);
+        for cut in 0..bytes.len() {
+            assert!(decode_car_reply(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     /// A forged element count must not size an allocation: this 18-byte
@@ -1232,6 +1310,11 @@ mod tests {
             bytes[14..18].copy_from_slice(&u32::MAX.to_le_bytes()); // the step count
             assert!(matches!(EventNotification::decode(&bytes), Err(OmpcError::Internal(_))));
         }
+        // A car's reply whose error text claims 4 GiB.
+        let lost = EventReply::Err(OmpcError::Communication("lost".into()));
+        let mut bytes = car_reply_header(tag, &lost);
+        bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes()); // tag, status, code, length
+        assert!(matches!(decode_car_reply(&bytes), Err(OmpcError::Internal(_))));
     }
 
     /// `levels` nested remote-event errors around a `ShutDown`, as a reply.
@@ -1424,6 +1507,7 @@ mod tests {
             for kind in KINDS {
                 let n = arb_notification(rng, kind);
                 check_codec(rng, &n, 0, EventNotification::encode, EventNotification::decode);
+                assert_eq!(n.encode().len(), n.encoded_len(), "sized as written: {n:?}");
             }
             for code in ERR_UNKNOWN_BUFFER..=ERR_REMOTE_EVENT {
                 let reply = EventReply::Err(arb_error(rng, code));
@@ -1440,9 +1524,11 @@ mod tests {
                 [EventReply::Ok(payload.clone()), EventReply::OkTimed(stamps, payload.clone())]
             {
                 check_codec(rng, &reply, payload.len(), EventReply::encode, EventReply::decode);
+                let car = (Tag(rng.next_u64()), reply);
+                check_codec(rng, &car, payload.len(), encode_car_reply, decode_car_reply);
             }
-            let notice = CompletionNotice { tag: Tag(rng.next_u64()), ok: rng.range(0, 2) == 1 };
-            check_codec(rng, &notice, 0, CompletionNotice::encode, CompletionNotice::decode);
+            let car = (Tag(rng.next_u64()), EventReply::Err(arb_error(rng, ERR_REMOTE_EVENT)));
+            check_codec(rng, &car, 0, encode_car_reply, decode_car_reply);
             let frame = (rng.next_u64(), payload.clone());
             let encode = |(index, payload): &(u64, Vec<u8>)| encode_relay_frame(*index, payload);
             check_codec(rng, &frame, frame.1.len(), encode, decode_relay_frame);
@@ -1459,6 +1545,16 @@ mod tests {
                     |header: &[u8]| Reply::from_parts(header, reply.body.clone(), data_bearing);
                 let tail = reply.inline.len();
                 check_codec(rng, reply, tail, |r| r.clone().into_parts().0, decode);
+                // The same reply as a train car's, the body beside the tag.
+                let car = (Tag(rng.next_u64()), reply.clone());
+                let encode = |(tag, r): &(Tag, Reply)| r.clone().into_car_parts(*tag).0;
+                let decode = |header: &[u8]| {
+                    let (tag, header) = split_car_reply(header)?;
+                    Ok((tag, Reply::from_parts(header, reply.body.clone(), data_bearing)?))
+                };
+                check_codec(rng, &car, tail, encode, decode);
+                let (_, sent) = reply.clone().into_car_parts(car.0);
+                assert!(sent.is_some_and(|b| b.same_allocation(&body)) == data_bearing);
                 let (header, sent) = reply.clone().into_parts();
                 assert!(sent.is_some_and(|b| b.same_allocation(&body)) == data_bearing);
                 // The body is there when the origin expects none, or missing

@@ -185,11 +185,10 @@ impl Record {
 }
 
 enum RecordKind {
+    /// What it writes is read off the graph when it retires.
     Target {
         /// Pushes it claimed (their buffers are in `owned`).
         claims: Vec<Push>,
-        /// Buffers the task writes.
-        writes: Vec<BufferId>,
         /// Copies its composite pushes, booked when it succeeds.
         pushes: Vec<Push>,
     },
@@ -213,7 +212,6 @@ struct Push {
 }
 
 /// A target task's inputs as planned.
-#[derive(Default)]
 struct Inputs {
     work: Composite,
     owned: Vec<BufferId>,
@@ -444,7 +442,6 @@ impl Lowering {
         // exercises the reply path end to end.
         let kernel =
             if self.config.fault_plan.has_task_error(tid) { POISONED_KERNEL } else { kernel };
-        let mut inputs = Inputs::default();
         let mut state = self.state.lock();
         // Plan the whole task under one acquisition of the data manager: a
         // co-located reader lowered later either sees our booking (and
@@ -461,8 +458,17 @@ impl Lowering {
                 return Ok(Lowered::Parked(awaiting));
             }
         }
-        let planned = self.plan_inputs(&mut state, &mut dm, tid, node, task, &mut inputs);
         let pushes = self.plan_pushes(&state, &dm, tid, node);
+        // The composite's one allocation: the deletes it carries, a step per
+        // dependence at most, the kernel and the pushes.
+        let owed = state.deferred_deletes.get(&node).map_or(0, BTreeSet::len);
+        let steps = owed + task.dependences.len() + 1 + pushes.len();
+        let mut inputs = Inputs {
+            work: Composite { steps: Vec::with_capacity(steps), ..Composite::default() },
+            owned: Vec::new(),
+            claims: Vec::new(),
+        };
+        let planned = self.plan_inputs(&mut state, &mut dm, tid, node, task, &mut inputs);
         drop(dm);
         let Inputs { mut work, owned, claims } = inputs;
         let deletes = take_deletes(&mut state, node, &mut work);
@@ -471,10 +477,7 @@ impl Lowering {
         let push =
             |p: &Push| TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag, comm: p.comm };
         work.steps.extend(pushes.iter().map(push));
-        let writes =
-            task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer).collect();
-        let kind = RecordKind::Target { claims, writes, pushes };
-        let record = Record { node, owned, deletes, kind };
+        let record = Record { node, owned, deletes, kind: RecordKind::Target { claims, pushes } };
         match planned {
             Ok(()) => Ok(Lowered::Task(work, record)),
             Err(error) => {
@@ -512,18 +515,23 @@ impl Lowering {
         Ok(())
     }
 
-    /// Where task `tid` on `node` pushes what it writes, each on a fresh channel.
+    /// Where task `tid` on `node` pushes what it writes, by destination and
+    /// buffer, each on a fresh channel.
     fn plan_pushes(&self, state: &State, dm: &DataManager, tid: usize, node: NodeId) -> Vec<Push> {
         let target =
             |&(b, r): &(BufferId, TaskId)| self.graph.task(r).kind.is_target().then_some((r.0, b));
         let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
-        let targets: BTreeSet<_> =
-            super::push_targets(readers, node, &state.assignment, dm).collect();
-        let channel = |(to, buffer)| {
-            let (tag, comm) = self.path.events.open_channel();
-            Push { producer: TaskId(tid), buffer, from: node, to, tag, comm }
-        };
-        targets.into_iter().map(channel).collect()
+        // Channels are opened once the pushes are sorted and unique.
+        let (tag, comm) = (Tag(0), CommId(0));
+        let push = |(to, buffer)| Push { producer: TaskId(tid), buffer, from: node, to, tag, comm };
+        let mut pushes: Vec<Push> =
+            super::push_targets(readers, node, &state.assignment, dm).map(push).collect();
+        pushes.sort_unstable_by_key(|p| (p.to, p.buffer));
+        pushes.dedup_by_key(|p| (p.to, p.buffer));
+        for push in &mut pushes {
+            (push.tag, push.comm) = self.path.events.open_channel();
+        }
+        pushes
     }
 
     /// Whether someone other than this execution has `buffer` on the wire
@@ -656,17 +664,21 @@ impl Lowering {
             }
         }
         match kind {
-            RecordKind::Target { writes, pushes, .. } => {
+            RecordKind::Target { pushes, .. } => {
+                let writes = || {
+                    let deps = self.graph.task(TaskId(task)).dependences.iter();
+                    deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer)
+                };
                 let mut state = self.state.lock();
                 let mut dm = self.path.dm.lock();
                 self.finish(&mut dm, node, &owned, &Ok(()))?;
                 // Nobody may claim a version this task supersedes any more.
-                self.end_pushes(&mut state, &mut dm, None, |p| writes.contains(&p.buffer));
+                self.end_pushes(&mut state, &mut dm, None, |p| writes().any(|b| b == p.buffer));
                 // The copy on `node` is now the only valid one; the stale
                 // ones are freed by the next car headed their way.
-                for buffer in writes {
+                for buffer in writes() {
                     for stale in dm.record_write(buffer, node)? {
-                        if stale != HEAD_NODE && !dm.is_failed(stale) {
+                        if !dm.is_failed(stale) {
                             state.deferred_deletes.entry(stale).or_default().insert(buffer);
                         }
                     }
@@ -734,13 +746,16 @@ impl Lowering {
         dead: Option<NodeId>,
         over: impl Fn(&Push) -> bool,
     ) {
-        let nobody = || OmpcError::Communication("no reader claimed the push".into());
-        let (State { unclaimed, discards, .. }, failed) =
-            (state, Err(dead.map_or_else(nobody, OmpcError::NodeFailure)));
+        // Made only for a push that ends: most calls end none.
+        let failed = || match dead {
+            Some(node) => Err(OmpcError::NodeFailure(node)),
+            None => Err(OmpcError::Communication("no reader claimed the push".into())),
+        };
+        let State { unclaimed, discards, .. } = state;
         unclaimed.retain(|_, push| {
             let end = over(push);
             if end {
-                let _ = self.finish(dm, push.to, &[push.buffer], &failed);
+                let _ = self.finish(dm, push.to, &[push.buffer], &failed());
                 discards.push(*push);
             }
             !end

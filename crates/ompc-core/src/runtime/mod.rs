@@ -53,7 +53,7 @@ use crate::event::{Composite, EventSystem};
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
 use crate::protocol::TaskStep;
-use crate::task::{RegionGraph, TaskKind};
+use crate::task::{Csr, RegionGraph, TaskKind};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_sched::Platform;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -159,7 +159,7 @@ pub trait TaskDag {
     /// Number of direct predecessors of `task`.
     fn predecessor_count(&self, task: usize) -> usize;
     /// Direct successors of `task`, in deterministic order.
-    fn successor_ids(&self, task: usize) -> Vec<usize>;
+    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_;
 }
 
 impl TaskDag for ompc_sched::TaskGraph {
@@ -169,8 +169,8 @@ impl TaskDag for ompc_sched::TaskGraph {
     fn predecessor_count(&self, task: usize) -> usize {
         self.predecessors(task).len()
     }
-    fn successor_ids(&self, task: usize) -> Vec<usize> {
-        self.successors(task).to_vec()
+    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.successors(task).iter().copied()
     }
 }
 
@@ -181,8 +181,8 @@ impl TaskDag for RegionGraph {
     fn predecessor_count(&self, task: usize) -> usize {
         self.predecessors(TaskId(task)).len()
     }
-    fn successor_ids(&self, task: usize) -> Vec<usize> {
-        self.successors(TaskId(task)).iter().map(|t| t.0).collect()
+    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.successors(TaskId(task)).iter().map(|t| t.0)
     }
 }
 
@@ -193,7 +193,7 @@ impl TaskDag for WorkloadGraph {
     fn predecessor_count(&self, task: usize) -> usize {
         self.graph.predecessor_count(task)
     }
-    fn successor_ids(&self, task: usize) -> Vec<usize> {
+    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         self.graph.successor_ids(task)
     }
 }
@@ -612,8 +612,10 @@ enum TaskState {
 pub struct RuntimeCore {
     assignment: Vec<NodeId>,
     window: usize,
-    successors: Vec<Vec<usize>>,
-    predecessors: Vec<Vec<usize>>,
+    /// The graph's edges both ways, flat: two allocations each however many
+    /// tasks there are.
+    successors: Csr<usize>,
+    predecessors: Csr<usize>,
     preds_remaining: Vec<usize>,
     state: Vec<TaskState>,
     /// Node each in-flight task was actually dispatched to (stale-completion
@@ -656,13 +658,9 @@ impl RuntimeCore {
         let total = dag.task_count();
         let preds_remaining: Vec<usize> = (0..total).map(|t| dag.predecessor_count(t)).collect();
         let ready: VecDeque<usize> = (0..total).filter(|&t| preds_remaining[t] == 0).collect();
-        let successors: Vec<Vec<usize>> = (0..total).map(|t| dag.successor_ids(t)).collect();
-        let mut predecessors: Vec<Vec<usize>> = vec![Vec::new(); total];
-        for (task, succs) in successors.iter().enumerate() {
-            for &s in succs {
-                predecessors[s].push(task);
-            }
-        }
+        let edges = (0..total).flat_map(|t| dag.successor_ids(t).map(move |s| (t, s)));
+        let successors = Csr::group(total, edges.clone());
+        let predecessors = Csr::group(total, edges.map(|(t, s)| (s, t)));
         let state: Vec<TaskState> = (0..total)
             .map(|t| if preds_remaining[t] == 0 { TaskState::Ready } else { TaskState::Blocked })
             .collect();
@@ -919,8 +917,8 @@ impl RuntimeCore {
 
     /// Put a restarted task back into the dependence machinery.
     fn reset_to_pending(&mut self, task: usize) {
-        let unmet =
-            self.predecessors[task].iter().filter(|&&p| self.state[p] != TaskState::Done).count();
+        let predecessors = self.predecessors.get(task).iter();
+        let unmet = predecessors.filter(|&&p| self.state[p] != TaskState::Done).count();
         self.preds_remaining[task] = unmet;
         if unmet == 0 {
             self.state[task] = TaskState::Ready;
@@ -982,8 +980,7 @@ impl RuntimeCore {
         self.in_flight -= 1;
         self.completed += 1;
         self.completion_order.push(task);
-        for i in 0..self.successors[task].len() {
-            let succ = self.successors[task][i];
+        for &succ in self.successors.get(task) {
             if self.state[succ] != TaskState::Blocked {
                 continue;
             }
@@ -1173,7 +1170,7 @@ mod tests {
         );
         assert_eq!(region.task_count(), 2);
         assert_eq!(region.predecessor_count(1), 1);
-        assert_eq!(region.successor_ids(0), vec![1]);
+        assert_eq!(region.successor_ids(0).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -29,22 +29,22 @@
 //! lowering's, which for an exit-data task is the node the bytes come from —
 //! and the train departs when the dispatch window closes (the core calls
 //! `await_completions`). Every departure is one [`EventRequest::TaskTrain`],
-//! a train of one car included. Each car keeps its own reply channel, so
-//! per-task typed errors, zombie-gate refusals, and fault blame survive
-//! batching unchanged.
+//! a train of one car included. Each car keeps its own channel for its
+//! payloads and forwards, and its reply names it, so per-task typed errors,
+//! zombie-gate refusals, and fault blame survive batching unchanged.
 //!
 //! **A completion channel per region execution**: the driver opens one
 //! `(tag, communicator)` channel when the execution starts, and every train
-//! envelope names it. After each car's typed reply the worker posts a compact
-//! [`CompletionNotice`] there, so the head waits with one posted receive on
-//! its own channel and then takes the noticed car's already-delivered reply —
-//! work proportional to messages arrived, not tasks outstanding. Concurrent
-//! region executions need no demultiplexer: no two share a channel, and the
-//! mailbox's matching hands each notice to the one driver waiting for it.
-//! Only while a task is parked is the wait cut every `PROBE_INTERVAL` to
-//! look at the bookings it awaits again.
-//! [`crate::config::OmpcConfig::event_reply_timeout_ms`] remains the
-//! last-resort bound on a reply that can never arrive.
+//! envelope names it. Each car's one typed reply arrives there, led by the
+//! car's tag ([`crate::protocol::car_reply_header`]) — the reply *is* the
+//! completion notice — so the head waits with one posted receive on its
+//! own channel and resolves a car with the one message: work proportional
+//! to messages arrived, not tasks outstanding. Concurrent region executions
+//! need no demultiplexer: no two share a channel, and the mailbox's matching
+//! hands each reply to the one driver waiting for it. Only while a task is
+//! parked is the wait cut every `PROBE_INTERVAL` to look at the bookings it
+//! awaits again. [`crate::config::OmpcConfig::event_reply_timeout_ms`]
+//! remains the last-resort bound on a reply that can never arrive.
 //!
 //! Tag layout: new-event notifications travel on the reserved
 //! [`crate::protocol::CONTROL_TAG`]; every car, every completion channel and
@@ -53,20 +53,22 @@
 //! cross-talk.
 //!
 //! Fault tolerance needs nothing transport-specific: a killed worker's
-//! zombie gate refuses every car of a later train individually — an error
-//! reply and a notice each — so a launch onto a dead node degrades into a
-//! stale failure the core restarts, never a hang.
+//! zombie gate refuses every car of a later train individually — one error
+//! reply each — so a launch onto a dead node degrades into a stale failure
+//! the core restarts, never a hang.
 
 use super::fault::LostBuffer;
 use super::lowering::{Lowered, Lowering, Record};
 use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
-use crate::event::{Composite, ReplyChannel};
-use crate::protocol::{CompletionNotice, EventNotification, EventRequest, TaskSpec, TrainCar};
+use crate::event::{Composite, Frames};
+use crate::protocol::{
+    split_car_reply, EventNotification, EventRequest, Reply, TaskSpec, TrainCar,
+};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{CommId, Communicator, MpiError, Tag};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use ompc_mpi::{CommId, Communicator, Message, MpiError, Tag};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// How long the completion wait runs before looking again while a task is
@@ -75,16 +77,18 @@ use std::time::{Duration, Instant};
 /// latency negligible, large enough not to spin a core.
 const PROBE_INTERVAL: Duration = Duration::from_micros(100);
 
-/// Bound on each reply wait while draining outstanding tasks after a failed
-/// run, when no [`crate::config::OmpcConfig::event_reply_timeout_ms`] is
-/// configured.
+/// Bound on draining the cars still outstanding after a failed run, when no
+/// [`crate::config::OmpcConfig::event_reply_timeout_ms`] is configured.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// One dispatched car whose reply the completion loop is waiting for: the
-/// reply sits on the car's exclusive channel, followed by a completion
-/// notice on the execution's channel.
-struct Pending {
-    channel: ReplyChannel,
+/// One car on the wire: its reply comes home on the execution's completion
+/// channel, led by the car's tag.
+struct Outstanding {
+    tag: Tag,
+    /// Core task id.
+    task: usize,
+    /// Whether the reply is the data ([`Composite::returns_data`]).
+    data_bearing: bool,
     record: Record,
 }
 
@@ -102,7 +106,8 @@ struct ParkedTask {
 struct BufferedCar {
     /// Core task id.
     task: usize,
-    /// The car's exclusive reply channel.
+    /// The car's exclusive channel, for its payloads and forwards; the tag
+    /// also names its reply.
     tag: Tag,
     comm: CommId,
     work: Composite,
@@ -123,7 +128,7 @@ impl MpiBackend {
     }
 
     /// Drive `core` to completion. After the run (successful or not) every
-    /// outstanding task reply, notice and unclaimed push is drained, so no
+    /// outstanding car's reply and every unclaimed push is drained, so no
     /// stale message bleeds into a later region execution.
     pub fn execute(&self, core: &mut RuntimeCore) -> OmpcResult<()> {
         let mut driver = MpiDriver::new(&self.lowering)?;
@@ -144,21 +149,22 @@ impl MpiBackend {
 struct MpiDriver<'c> {
     lowering: &'c Lowering,
     /// This execution's completion channel: the head's handle on its
-    /// communicator, and its tag. Every train envelope names it.
-    notices: Communicator,
-    notice_tag: Tag,
-    /// Outstanding tasks, keyed by core task id.
-    pending: BTreeMap<usize, Pending>,
+    /// communicator, and its tag. Every train envelope names it, and every
+    /// car's reply arrives on it.
+    completions: Communicator,
+    completion_tag: Tag,
+    /// The cars on the wire, by ascending tag — the index a reply is
+    /// resolved through. Tags are drawn in launch order, so a launch
+    /// appends.
+    outstanding: Vec<Outstanding>,
     /// Locally produced events (tasks the lowering completed or failed on
     /// the head) awaiting the next `await_completions`.
     ready: VecDeque<TaskEvent>,
     /// Lowered tasks buffered per destination node, departing
     /// together as one [`EventRequest::TaskTrain`] when the dispatch
-    /// window closes.
+    /// window closes. A node's list is emptied, not dropped, by each
+    /// departure.
     trains: BTreeMap<NodeId, Vec<BufferedCar>>,
-    /// Event tag → core task id for outstanding cars: the index a
-    /// [`CompletionNotice`] is resolved through.
-    notice_tasks: HashMap<u64, usize>,
     /// Tasks waiting on the head for other owners' bookings.
     parked: Vec<ParkedTask>,
 }
@@ -175,53 +181,53 @@ impl<'c> MpiDriver<'c> {
     /// A driver for one region execution, with its completion channel open.
     fn new(lowering: &'c Lowering) -> OmpcResult<Self> {
         let events = &lowering.path.events;
-        let (notice_tag, comm) = events.open_channel();
+        let (completion_tag, comm) = events.open_channel();
         Ok(Self {
             lowering,
-            notices: events.communicator().on(comm)?,
-            notice_tag,
-            pending: BTreeMap::new(),
+            completions: events.communicator().on(comm)?,
+            completion_tag,
+            outstanding: Vec::new(),
             ready: VecDeque::new(),
             trains: BTreeMap::new(),
-            notice_tasks: HashMap::new(),
             parked: Vec::new(),
         })
     }
 
-    /// Wait (bounded) for every outstanding reply — and each car's notice —
-    /// after a failed run and settle its task, then empty the completion
-    /// channel, so nothing bleeds into a later region execution: no reply
-    /// left in a mailbox, no booking left on the wire for a later region to
-    /// await.
+    /// Settle every car still outstanding after a failed run, then empty the
+    /// completion channel, so nothing bleeds into a later region execution:
+    /// no reply left in a mailbox, no booking left on the wire for a later
+    /// region to await. Every reply comes on the one channel, so this is one
+    /// receive loop under one deadline — the reply time-out, or
+    /// `DRAIN_TIMEOUT` when none is configured — and the cars still
+    /// outstanding when it passes are abandoned, however many there are.
     fn drain_outstanding(&mut self) {
-        let events = &self.lowering.path.events;
         // Trains that never departed reached no worker: fail their cars
-        // locally. (The pushed ready events die with the driver — the run
-        // is already over.)
-        for (_, cars) in std::mem::take(&mut self.trains) {
-            let tasks = cars.iter().map(|c| c.task).collect();
-            let error =
-                OmpcError::Communication("run aborted before the task train departed".into());
-            self.fail_unsent_train(tasks, &error);
+        // locally. (The events pushed to `ready`, and those of the replies
+        // below, die with the driver — the run is already over.)
+        let never_left =
+            OmpcError::Communication("run aborted before the task train departed".into());
+        let mut trains = std::mem::take(&mut self.trains);
+        for cars in trains.values_mut() {
+            self.fail_unsent_train(cars, &never_left);
+            cars.clear();
         }
-        let timeout = events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
-        for (task, Pending { channel, record }) in std::mem::take(&mut self.pending) {
-            let ReplyChannel { node, tag, comm, .. } = channel;
-            let received = events
-                .communicator()
-                .on(comm)
-                .and_then(|lane| lane.recv_timeout(Some(node), Some(tag), timeout));
-            match received {
-                Ok(msg) => {
-                    // A car posts its one notice right after its reply.
-                    let _ = self.notices.recv_timeout(Some(node), Some(self.notice_tag), timeout);
-                    let _ = self.lowering.retire(task, record, channel.reply(msg));
+        let timeout = self.lowering.path.events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
+        let deadline = Instant::now().checked_add(timeout);
+        while !self.outstanding.is_empty() {
+            let wait =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            match self.completions.recv_timeout(None, Some(self.completion_tag), wait) {
+                Ok(msg) => drop(self.on_reply(msg)),
+                Err(error) => {
+                    let error = OmpcError::from(error);
+                    for car in std::mem::take(&mut self.outstanding) {
+                        self.lowering.abandon(car.record, &error);
+                    }
                 }
-                Err(error) => self.lowering.abandon(record, &error.into()),
             }
         }
-        // Notices of cars abandoned after their train's envelope went out.
-        while self.notices.try_recv(None, Some(self.notice_tag)).is_some() {}
+        // Replies of cars abandoned after their train's envelope went out.
+        while self.completions.try_recv(None, Some(self.completion_tag)).is_some() {}
     }
 
     /// Lower again every parked task whose awaited bookings are over, or
@@ -257,12 +263,14 @@ impl<'c> MpiDriver<'c> {
     /// [`MpiDriver::fail_unsent_train`] and surface as per-task failures
     /// through `ready`.
     fn flush_trains(&mut self) {
-        for (node, cars) in std::mem::take(&mut self.trains) {
-            let tasks = cars.iter().map(|c| c.task).collect();
+        let mut trains = std::mem::take(&mut self.trains);
+        for (&node, cars) in trains.iter_mut().filter(|(_, cars)| !cars.is_empty()) {
             if let Err(error) = self.send_train(node, cars) {
-                self.fail_unsent_train(tasks, &error);
+                self.fail_unsent_train(cars, &error);
             }
+            cars.clear();
         }
+        self.trains = trains;
     }
 
     /// Emit one train's messages: a single notification carrying every
@@ -276,7 +284,7 @@ impl<'c> MpiDriver<'c> {
     /// that preceded the failure. Committing after the last send keeps
     /// per-task accounting identical however tasks are packed into trains
     /// and across retries.
-    fn send_train(&mut self, node: NodeId, mut cars: Vec<BufferedCar>) -> OmpcResult<()> {
+    fn send_train(&mut self, node: NodeId, cars: &mut [BufferedCar]) -> OmpcResult<()> {
         let events = &self.lowering.path.events;
         let tel = &self.lowering.path.telemetry;
         let timed = tel.spans_enabled();
@@ -289,7 +297,7 @@ impl<'c> MpiDriver<'c> {
                 spec: TaskSpec { steps: std::mem::take(&mut car.work.steps) },
             })
             .collect();
-        let (tag, comm) = (self.notice_tag, self.notices.comm_id());
+        let (tag, comm) = (self.completion_tag, self.completions.comm_id());
         let request = EventRequest::TaskTrain(spec_cars);
         events.notify(node, &EventNotification { request, tag, comm, timed })?;
         if timed {
@@ -301,89 +309,74 @@ impl<'c> MpiDriver<'c> {
                     .detail(format!("node {node}, {} car(s)", cars.len())),
             );
         }
-        let mut recorded: Vec<Option<u64>> = Vec::new();
-        for car in cars {
-            recorded.push(None);
+        let mut sent = Frames::default();
+        for car in cars.iter_mut() {
             let send_start = tel.start();
-            let Composite { payloads, exchanges, .. } = car.work;
+            let payloads = std::mem::take(&mut car.work.payloads);
+            let exchanges = std::mem::take(&mut car.work.exchanges);
             let frames = events.send_frames(node, car.tag, car.comm, payloads, exchanges)?;
             if timed {
                 tel.record(
                     Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
                         .task(car.task)
                         .attempt(tel.attempt(car.task))
-                        .bytes(frames.iter().sum()),
+                        .bytes(frames.bytes),
                 );
             }
-            recorded.extend(frames.into_iter().map(Some));
+            sent += frames;
         }
         // Whole train on the wire: commit the per-car accounting.
-        for bytes in recorded {
-            events.counters().record(bytes);
-        }
+        events.counters().record_tasks(cars.len() as u64, sent);
         Ok(())
     }
 
-    /// The train carrying `tasks` never departed: let the lowering roll
+    /// The outstanding car named `tag`, taken off the index.
+    fn take_outstanding(&mut self, tag: Tag) -> Option<Outstanding> {
+        let at = self.outstanding.binary_search_by_key(&tag, |car| car.tag).ok()?;
+        Some(self.outstanding.remove(at))
+    }
+
+    /// The train carrying `cars` never departed: let the lowering roll
     /// each launch back and report each car as a failed task (the core owns
     /// the propagate-vs-restart policy).
-    fn fail_unsent_train(&mut self, tasks: Vec<usize>, error: &OmpcError) {
-        for task in tasks {
-            if let Some(p) = self.pending.remove(&task) {
-                self.notice_tasks.remove(&p.channel.tag.0);
-                self.lowering.abandon(p.record, error);
+    fn fail_unsent_train(&mut self, cars: &[BufferedCar], error: &OmpcError) {
+        for car in cars {
+            if let Some(outstanding) = self.take_outstanding(car.tag) {
+                self.lowering.abandon(outstanding.record, error);
             }
-            self.ready.push_back(TaskEvent::Failed { task, error: error.clone() });
+            self.ready.push_back(TaskEvent::Failed { task: car.task, error: error.clone() });
         }
     }
 
-    /// Receive the reply waiting on `pending`'s channel and retire the task
-    /// with it. Records a head-side `Reply` span covering the decode.
-    fn finish(&mut self, task: usize, pending: Pending) -> OmpcResult<TaskEvent> {
-        let events = &self.lowering.path.events;
+    /// Resolve one car's reply, received on the completion channel: the tag
+    /// leading it names the car, whose task is retired with the reply.
+    /// Records a head-side `Reply` span covering the decode. Replies of cars
+    /// abandoned after their envelope went out, and a header too short to
+    /// name a car, are discarded.
+    fn on_reply(&mut self, msg: Message) -> Option<TaskEvent> {
         let tel = &self.lowering.path.telemetry;
-        let ReplyChannel { node, tag, comm, .. } = pending.channel;
-        let msg = events.communicator().on(comm)?.recv(Some(node), Some(tag))?;
         let t0 = tel.start();
-        let reply = pending.channel.reply(msg);
+        let (tag, header) = split_car_reply(&msg.data).ok()?;
+        let car = self.take_outstanding(tag)?;
+        let reply = Reply::from_parts(header, msg.body, car.data_bearing);
         if tel.spans_enabled() {
             tel.record(
                 Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
-                    .task(task)
-                    .attempt(tel.attempt(task))
-                    .from(node),
+                    .task(car.task)
+                    .attempt(tel.attempt(car.task))
+                    .from(car.record.node()),
             );
         }
-        Ok(event_of(task, self.lowering.retire(task, pending.record, reply)))
+        Some(event_of(car.task, self.lowering.retire(car.task, car.record, reply)))
     }
 
-    /// Resolve one completion notice: look up the noticed task, receive its
-    /// already-delivered typed reply, and retire it. Unknown tags (notices
-    /// of cars abandoned after their envelope went out) and undecodable
-    /// notices are discarded.
-    fn on_notice(&mut self, data: &[u8], out: &mut Vec<TaskEvent>) -> OmpcResult<()> {
-        let Ok(notice) = CompletionNotice::decode(data) else {
-            return Ok(());
-        };
-        let Some(task) = self.notice_tasks.remove(&notice.tag.0) else {
-            return Ok(());
-        };
-        // The worker sends the typed reply before posting the notice and
-        // the transport delivers eagerly, so the receive cannot block.
-        if let Some(p) = self.pending.remove(&task) {
-            out.push(self.finish(task, p)?);
-        }
-        Ok(())
-    }
-
-    /// One pass of the completion loop: resolve every notice that has
+    /// One pass of the completion loop: resolve every reply that has
     /// already arrived on the completion channel — O(messages arrived),
     /// never O(tasks in flight).
-    fn poll_replies(&mut self, out: &mut Vec<TaskEvent>) -> OmpcResult<()> {
-        while let Some(msg) = self.notices.try_recv(None, Some(self.notice_tag)) {
-            self.on_notice(&msg.data, out)?;
+    fn poll_replies(&mut self, out: &mut Vec<TaskEvent>) {
+        while let Some(msg) = self.completions.try_recv(None, Some(self.completion_tag)) {
+            out.extend(self.on_reply(msg));
         }
-        Ok(())
     }
 }
 
@@ -396,12 +389,11 @@ impl ExecutionBackend for MpiDriver<'_> {
             // train departs when the window closes. The node is the
             // lowering's: an exit-data car goes where the bytes are.
             Ok(Lowered::Task(work, record)) => {
-                let node = record.node();
                 let (tag, comm) = lowering.path.events.open_channel();
-                let channel = ReplyChannel { node, tag, comm, data_bearing: work.returns_data() };
-                self.notice_tasks.insert(tag.0, task);
-                self.trains.entry(node).or_default().push(BufferedCar { task, tag, comm, work });
-                self.pending.insert(task, Pending { channel, record });
+                let data_bearing = work.returns_data();
+                let train = self.trains.entry(record.node()).or_default();
+                train.push(BufferedCar { task, tag, comm, work });
+                self.outstanding.push(Outstanding { tag, task, data_bearing, record });
             }
             Ok(Lowered::Parked(awaiting)) => {
                 let since = lowering.path.telemetry.start();
@@ -428,11 +420,11 @@ impl ExecutionBackend for MpiDriver<'_> {
             self.flush_trains();
             events.extend(self.ready.drain(..));
             // Whatever already arrived rides along without waiting.
-            self.poll_replies(&mut events)?;
+            self.poll_replies(&mut events);
             if !events.is_empty() {
                 return Ok(events);
             }
-            if self.pending.is_empty() && self.parked.is_empty() {
+            if self.outstanding.is_empty() && self.parked.is_empty() {
                 return Err(OmpcError::Internal(
                     "mpi backend awaited completions with nothing outstanding".to_string(),
                 ));
@@ -443,18 +435,18 @@ impl ExecutionBackend for MpiDriver<'_> {
             if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return Err(OmpcError::Communication(format!(
                     "timed out waiting for the replies of {} outstanding task event(s)",
-                    self.pending.len() + self.parked.len()
+                    self.outstanding.len() + self.parked.len()
                 )));
             }
-            // One receive on the completion channel: a notice wakes it at
+            // One receive on the completion channel: a reply wakes it at
             // once. It is bounded by the reply deadline and — only while a
             // task is parked — by the probe interval.
             let mut wait = if self.parked.is_empty() { Duration::MAX } else { PROBE_INTERVAL };
             if let Some(deadline) = deadline {
                 wait = wait.min(deadline.saturating_duration_since(Instant::now()));
             }
-            match self.notices.recv_timeout(None, Some(self.notice_tag), wait) {
-                Ok(msg) => self.on_notice(&msg.data, &mut events)?,
+            match self.completions.recv_timeout(None, Some(self.completion_tag), wait) {
+                Ok(msg) => events.extend(self.on_reply(msg)),
                 Err(MpiError::Timeout { .. }) => {}
                 Err(error) => return Err(error.into()),
             }
@@ -676,7 +668,7 @@ mod tests {
 
         let err = driver.send_train(
             1,
-            vec![
+            &mut [
                 car(0, events.open_channel(), Some(vec![7u8; 16])),
                 car(1, (events.open_channel().0, CommId(99)), None),
             ],
@@ -687,7 +679,7 @@ mod tests {
         driver
             .send_train(
                 1,
-                vec![
+                &mut [
                     car(0, events.open_channel(), Some(vec![7u8; 16])),
                     car(1, events.open_channel(), None),
                 ],
@@ -701,6 +693,94 @@ mod tests {
 
         let _ = events.shutdown(1);
         let _ = worker.join();
+    }
+
+    /// Cars stuck on a node that never answers cost the drain one reply
+    /// time-out in all, not one each: four cars to a rank nobody serves,
+    /// with a 150 ms time-out, are abandoned together once it passes —
+    /// every booking withdrawn, nothing left in the head's mailbox.
+    #[test]
+    fn the_drain_waits_out_one_deadline_for_every_car_of_a_silent_node() {
+        use super::MpiDriver;
+        use crate::buffer::BufferRegistry;
+        use crate::data_manager::{DataManager, TransferState};
+        use crate::event::EventSystem;
+        use crate::runtime::lowering::{DataPath, Lowering};
+        use crate::runtime::telemetry::Telemetry;
+        use crate::runtime::ExecutionBackend;
+        use crate::task::{RegionGraph, TaskKind};
+        use crate::types::{BufferId, KernelId};
+        use ompc_mpi::World;
+        use parking_lot::{Condvar, Mutex};
+        use std::collections::HashMap;
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let world = World::with_communicators(2, 2);
+        let timeout = Duration::from_millis(150);
+        let events =
+            Arc::new(EventSystem::with_reply_timeout(world.communicator(0), Some(timeout)));
+        let (buffers, mut dm, mut graph) =
+            (BufferRegistry::new(), DataManager::new(), RegionGraph::new());
+        let inputs: Vec<BufferId> = (0..4).map(|_| buffers.register(vec![1u8; 8])).collect();
+        for &input in &inputs {
+            dm.register_host_buffer(input, 8);
+            let kind = TaskKind::Target { kernel: KernelId(0), cost_hint: 1e-6 };
+            graph.add_task(kind, vec![Dependence::input(input)], "reader");
+        }
+        let path = DataPath {
+            events,
+            buffers: Arc::new(buffers),
+            dm: Arc::new(Mutex::new(dm)),
+            telemetry: Telemetry::off(),
+        };
+        let config = OmpcConfig { event_reply_timeout_ms: Some(150), ..mpi_config() };
+        let cv = Arc::new(Condvar::new());
+        let lowering =
+            Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
+        let in_flight = || {
+            let dm = lowering.path.dm.lock();
+            let moving =
+                |&&b: &&BufferId| matches!(dm.transfer_state(b, 1), TransferState::InFlight(_));
+            inputs.iter().filter(moving).count()
+        };
+
+        let mut driver = MpiDriver::new(&lowering).unwrap();
+        for task in 0..4 {
+            driver.launch(task, 1).unwrap();
+        }
+        driver.flush_trains();
+        assert_eq!((driver.outstanding.len(), in_flight()), (4, 4));
+        let t0 = Instant::now();
+        driver.drain_outstanding();
+        let took = t0.elapsed();
+        assert!(took >= timeout && took < 2 * timeout, "the drain took {took:?}");
+        assert!(driver.outstanding.is_empty());
+        assert_eq!(in_flight(), 0, "every booking is abandoned");
+        assert_eq!(world.communicator(0).mailbox_stats().queued, 0);
+    }
+
+    /// A car costs the head one message — its reply, which is its completion
+    /// notice. The run's only other messages are the replies of its
+    /// end-of-run tasks: one release per worker holding outputs.
+    #[test]
+    fn each_car_costs_the_head_exactly_one_message() {
+        const CARS: usize = 24;
+        let mut device = ClusterDevice::with_config(2, mpi_config());
+        let mut graph = ompc_sched::TaskGraph::new();
+        for _ in 0..CARS {
+            graph.add_task(1e-4);
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![16; CARS]);
+        let plan = RuntimePlan { assignment: (0..CARS).map(|t| t % 2 + 1).collect(), window: 4 };
+        let head = |device: &ClusterDevice| device.mailbox_stats()[0];
+        let before = head(&device).delivered;
+        device.run_workload(&workload, &plan).unwrap();
+        let releases = 2;
+        let after = head(&device);
+        assert_eq!(after.delivered - before, (CARS + releases) as u64, "{after:?}");
+        assert_eq!(after.queued, 0);
+        device.shutdown();
     }
 
     /// A reader awaiting a receive an earlier car of its execution queued
@@ -838,7 +918,7 @@ mod tests {
     }
 
     /// Two concurrently admitted regions with a train on both workers at
-    /// the same time: the mailbox's matching alone hands every notice to the
+    /// the same time: the mailbox's matching alone hands every car reply to the
     /// driver that owns it — both regions come out byte-correct and the head
     /// never wakes up for a message that is not its own.
     #[test]
@@ -943,7 +1023,7 @@ mod tests {
         device.shutdown();
     }
 
-    /// Every reply, notice and push of every execution is taken, on every
+    /// Every reply and push of every execution is taken, on every
     /// rank: no mailbox keeps a message after a run whose multi-car train
     /// failed mid-way, after a run that failed between a push and its claim,
     /// or after any of fifty successful runs whose forwards are all pushes.

@@ -184,7 +184,8 @@ impl<'w> SimBackend<'w> {
                 // this first leg (the completion carries them), so several
                 // staged inputs of one task can be in flight at once.
                 let Completion::Transfer { bytes, .. } = completion else {
-                    unreachable!("stage token on a non-transfer completion")
+                    let what = format!("stage token {token:#x} on a non-transfer completion");
+                    return Err(OmpcError::Internal(what));
                 };
                 let node = self.node_of[task];
                 self.engine.issue(|ctx| {
@@ -240,7 +241,7 @@ impl<'w> SimBackend<'w> {
                     self.phase_done = true;
                 }
             }
-            _ => unreachable!("unknown token kind {kind:#x}"),
+            _ => return Err(OmpcError::Internal(format!("unknown token kind {kind:#x}"))),
         }
         Ok(None)
     }

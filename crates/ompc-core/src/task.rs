@@ -14,6 +14,8 @@
 
 use crate::types::{BufferId, Dependence, KernelId, MapType, TaskId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// What a task does when it runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,22 +99,108 @@ pub struct TargetTask {
     pub label: String,
 }
 
-#[derive(Debug, Default, Clone)]
+/// Lists grouped by task in two allocations — compressed sparse rows: task
+/// `t`'s list is `items[start[t]..start[t + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// `entries` — `(task, item)` pairs of `tasks` tasks — grouped by task,
+    /// each task's items in the order `entries` yields them.
+    pub(crate) fn group(tasks: usize, entries: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut start = vec![0; tasks + 1];
+        for (task, _) in entries.clone() {
+            start[task + 1] += 1;
+        }
+        for task in 0..tasks {
+            start[task + 1] += start[task];
+        }
+        // Every slot is written below; the first item only fills them.
+        let mut items = match entries.clone().next() {
+            Some((_, first)) => vec![first; start[tasks]],
+            None => Vec::new(),
+        };
+        // Each task's cursor is its start; once every item is placed it
+        // has moved on to the next task's start, and the whole table moves
+        // back by one.
+        for (task, item) in entries {
+            items[start[task]] = item;
+            start[task] += 1;
+        }
+        start.copy_within(0..tasks, 1);
+        start[0] = 0;
+        Self { start, items }
+    }
+
+    /// Task `task`'s list.
+    pub(crate) fn get(&self, task: usize) -> &[T] {
+        &self.items[self.start[task]..self.start[task + 1]]
+    }
+}
+
+/// Hashes a buffer id with one multiplication (Fibonacci hashing): ids are
+/// dense counters, not adversarial input.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+#[derive(Debug, Default, Clone, Copy)]
 struct BufferState {
     last_writer: Option<TaskId>,
-    readers_since_write: Vec<TaskId>,
+    /// The newest reader since that write, as an index into
+    /// [`RegionGraph::since_write`].
+    newest_reader: Option<usize>,
+}
+
+/// Who follows a task, built once the graph is queried.
+#[derive(Debug, Clone)]
+struct Followers {
+    successors: Csr<TaskId>,
+    /// Per task, every `(buffer, reader)` reading a version it wrote.
+    readers: Csr<(BufferId, TaskId)>,
 }
 
 /// The dependence graph of one target region.
+///
+/// Appending a task costs no allocation of its own: every list lives in a
+/// few flat vectors that grow by doubling. A task's predecessors are known
+/// when it is added; its successors and the readers of what it writes are
+/// grouped per task ([`Csr`]) the first time anybody asks, after the last
+/// task was added.
 #[derive(Debug, Default, Clone)]
 pub struct RegionGraph {
     tasks: Vec<TargetTask>,
     edges: Vec<TaskEdge>,
-    successors: Vec<Vec<TaskId>>,
-    predecessors: Vec<Vec<TaskId>>,
-    /// Per task, every `(buffer, reader)` reading a version it wrote.
-    readers: Vec<Vec<(BufferId, TaskId)>>,
-    buffer_state: HashMap<BufferId, BufferState>,
+    /// Every task's predecessors, task after task; task `t`'s end where
+    /// `pred_end[t]` says.
+    predecessors: Vec<TaskId>,
+    pred_end: Vec<usize>,
+    /// `(writer, buffer, reader)` for every read of a version, in program
+    /// order.
+    reads: Vec<(TaskId, BufferId, TaskId)>,
+    buffer_state: HashMap<BufferId, BufferState, BuildHasherDefault<IdHasher>>,
+    /// Every read since some write: the reader, and the entry of the reader
+    /// of the same buffer before it.
+    since_write: Vec<(TaskId, Option<usize>)>,
+    /// The edges of the task being added, kept for the next one.
+    scratch: Vec<TaskEdge>,
+    followers: OnceLock<Followers>,
 }
 
 impl RegionGraph {
@@ -129,47 +217,32 @@ impl RegionGraph {
         label: impl Into<String>,
     ) -> TaskId {
         let id = TaskId(self.tasks.len());
-        self.successors.push(Vec::new());
-        self.predecessors.push(Vec::new());
-        self.readers.push(Vec::new());
-
         // Collect edges first to avoid duplicated edges when a task both
         // reads and writes the same buffer.
-        let mut new_edges: Vec<TaskEdge> = Vec::new();
+        let mut new_edges = std::mem::take(&mut self.scratch);
         for dep in &dependences {
             let state = self.buffer_state.entry(dep.buffer).or_default();
+            let edge = |from, kind| TaskEdge { from, to: id, buffer: dep.buffer, kind };
             if dep.dep_type.reads() {
                 if let Some(writer) = state.last_writer {
-                    self.readers[writer.0].push((dep.buffer, id));
-                    new_edges.push(TaskEdge {
-                        from: writer,
-                        to: id,
-                        buffer: dep.buffer,
-                        kind: EdgeKind::Flow,
-                    });
+                    self.reads.push((writer, dep.buffer, id));
+                    new_edges.push(edge(writer, EdgeKind::Flow));
                 }
             }
             if dep.dep_type.writes() {
-                for &reader in &state.readers_since_write {
+                let mut newest = state.newest_reader;
+                while let Some(at) = newest {
+                    let (reader, before) = self.since_write[at];
                     if reader != id {
-                        new_edges.push(TaskEdge {
-                            from: reader,
-                            to: id,
-                            buffer: dep.buffer,
-                            kind: EdgeKind::Anti,
-                        });
+                        new_edges.push(edge(reader, EdgeKind::Anti));
                     }
+                    newest = before;
                 }
                 if let Some(writer) = state.last_writer {
                     // Only add an output edge if we did not already add a
                     // flow edge from the same writer.
                     if !dep.dep_type.reads() {
-                        new_edges.push(TaskEdge {
-                            from: writer,
-                            to: id,
-                            buffer: dep.buffer,
-                            kind: EdgeKind::Output,
-                        });
+                        new_edges.push(edge(writer, EdgeKind::Output));
                     }
                 }
             }
@@ -179,31 +252,43 @@ impl RegionGraph {
             let state = self.buffer_state.entry(dep.buffer).or_default();
             if dep.dep_type.writes() {
                 state.last_writer = Some(id);
-                state.readers_since_write.clear();
+                state.newest_reader = None;
             }
             if dep.dep_type.reads() && !dep.dep_type.writes() {
-                state.readers_since_write.push(id);
+                self.since_write.push((id, state.newest_reader));
+                state.newest_reader = Some(self.since_write.len() - 1);
             }
         }
 
         // Deduplicate edges between the same pair of tasks, preferring flow
-        // edges (they carry data-movement information).
-        new_edges.sort_by_key(|e| {
-            (e.from.0, matches!(e.kind, EdgeKind::Flow).then_some(0).unwrap_or(1))
-        });
-        let mut seen: Vec<TaskId> = Vec::new();
-        for edge in new_edges {
-            if seen.contains(&edge.from) {
-                continue;
+        // edges (they carry data-movement information): sorted, the edges
+        // from one task are neighbours, its flow edge first.
+        new_edges.sort_by_key(|e| (e.from.0, !matches!(e.kind, EdgeKind::Flow)));
+        let mut last = None;
+        for edge in new_edges.drain(..) {
+            if last.replace(edge.from) != Some(edge.from) {
+                self.predecessors.push(edge.from);
+                self.edges.push(edge);
             }
-            seen.push(edge.from);
-            self.successors[edge.from.0].push(id);
-            self.predecessors[id.0].push(edge.from);
-            self.edges.push(edge);
         }
+        self.pred_end.push(self.predecessors.len());
+        self.scratch = new_edges;
+        self.followers = OnceLock::new();
 
         self.tasks.push(TargetTask { id, kind, dependences, label: label.into() });
         id
+    }
+
+    fn followers(&self) -> &Followers {
+        self.followers.get_or_init(|| {
+            let successors = self.edges.iter().map(|e| (e.from.0, e.to));
+            let readers =
+                self.reads.iter().map(|&(writer, buffer, reader)| (writer.0, (buffer, reader)));
+            Followers {
+                successors: Csr::group(self.len(), successors),
+                readers: Csr::group(self.len(), readers),
+            }
+        })
     }
 
     /// All tasks in program order.
@@ -233,17 +318,18 @@ impl RegionGraph {
 
     /// Direct successors of a task.
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
-        &self.successors[id.0]
+        self.followers().successors.get(id.0)
     }
 
     /// Direct predecessors of a task.
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        &self.predecessors[id.0]
+        let start = id.0.checked_sub(1).map_or(0, |before| self.pred_end[before]);
+        &self.predecessors[start..self.pred_end[id.0]]
     }
 
     /// Every `(buffer, reader)` of a version `writer` wrote ([`Self::edges`]: one per pair).
     pub fn readers_of(&self, writer: TaskId) -> &[(BufferId, TaskId)] {
-        &self.readers[writer.0]
+        self.followers().readers.get(writer.0)
     }
 
     /// Flow edges into `id`: the buffers whose data the task consumes and
@@ -258,12 +344,12 @@ impl RegionGraph {
 
     /// Tasks with no predecessors.
     pub fn roots(&self) -> Vec<TaskId> {
-        (0..self.len()).map(TaskId).filter(|t| self.predecessors[t.0].is_empty()).collect()
+        (0..self.len()).map(TaskId).filter(|&t| self.predecessors(t).is_empty()).collect()
     }
 
     /// Tasks with no successors.
     pub fn sinks(&self) -> Vec<TaskId> {
-        (0..self.len()).map(TaskId).filter(|t| self.successors[t.0].is_empty()).collect()
+        (0..self.len()).map(TaskId).filter(|&t| self.successors(t).is_empty()).collect()
     }
 
     /// Program order is always a valid topological order because edges only
@@ -446,6 +532,28 @@ mod tests {
         assert_eq!(g.readers_of(w0), &[(a, r0), (a, w1)]);
         assert_eq!(g.readers_of(w1), &[(a, r1)]);
         assert!(g.readers_of(r0).is_empty() && g.readers_of(r1).is_empty());
+    }
+
+    #[test]
+    fn grouped_lists_keep_the_order_their_entries_came_in() {
+        let entries = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd'), (3, 'e')];
+        let lists = Csr::group(4, entries.iter().copied());
+        let got: Vec<&[char]> = (0..4).map(|task| lists.get(task)).collect();
+        assert_eq!(got, [&['b', 'd'][..], &[], &['a', 'c'], &['e']]);
+        let none = Csr::<char>::group(3, std::iter::empty());
+        assert!((0..3).all(|task| none.get(task).is_empty()));
+    }
+
+    #[test]
+    fn a_task_added_after_a_query_is_in_the_next_answer() {
+        let mut g = RegionGraph::new();
+        let a = BufferId(0);
+        let kind = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let w = g.add_task(kind(), vec![Dependence::output(a)], "w");
+        assert!(g.successors(w).is_empty() && g.readers_of(w).is_empty());
+        let r = g.add_task(kind(), vec![Dependence::input(a)], "r");
+        assert_eq!((g.successors(w), g.readers_of(w)), (&[r][..], &[(a, r)][..]));
+        assert_eq!(g.predecessors(r), &[w]);
     }
 
     #[test]

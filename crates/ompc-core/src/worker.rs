@@ -3,7 +3,8 @@
 //! event system, paper §4.2).
 //!
 //! Every event ends in exactly one typed reply
-//! ([`crate::protocol::EventReply`]) on the event's exclusive channel:
+//! ([`crate::protocol::EventReply`]) on the event's exclusive channel — a
+//! train car's on its train's completion channel, led by the car's tag:
 //! `Ok(payload)` on success or `Err` carrying the originating node and
 //! event tag when the handler failed — the head node never blocks on an
 //! event whose handler errored. A [`EventRequest::Kill`] (failure
@@ -20,14 +21,13 @@
 
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
-    decode_relay_parts, payload_body, relay_frame_count, relay_frame_header, CompletionNotice,
+    car_reply_header, decode_relay_parts, payload_body, relay_frame_count, relay_frame_header,
     EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskSpec, TaskStamps, TaskStep,
     CONTROL_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::RecvGroup;
-use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
+use ompc_mpi::{Bytes, CommId, Communicator, Message, PostedRecv, RecvGroup, Tag};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -264,30 +264,42 @@ fn as_remote(node: NodeId, tag: Tag, error: OmpcError) -> OmpcError {
     }
 }
 
-/// Send an event's one typed reply to `dest` on its channel: the reply's
-/// header and body on success, the error — attributed to this node and
-/// event — otherwise. Returns the handler's own outcome.
+/// Send an event's one typed reply to `dest` on `(channel, tag)`: the
+/// reply's header and body on success, the error — attributed to this node
+/// and event — otherwise. The reply of train car `car` travels on the train
+/// envelope's channel, its header led by the car's tag
+/// ([`car_reply_header`]) and its error attributed to the car. Returns the
+/// handler's own outcome.
 fn send_reply(
     channel: &Communicator,
     dest: usize,
     tag: Tag,
+    car: Option<Tag>,
     outcome: OmpcResult<Reply>,
 ) -> OmpcResult<()> {
-    match outcome {
+    let (header, body, outcome) = match outcome {
         Ok(reply) => {
-            let (header, body) = reply.into_parts();
-            match body {
-                Some(body) => channel.send_with_body(dest, tag, header, body)?,
-                None => channel.send(dest, tag, header)?,
-            }
-            Ok(())
+            let (header, body) = match car {
+                Some(car) => reply.into_car_parts(car),
+                None => reply.into_parts(),
+            };
+            (header, body, Ok(()))
         }
         Err(error) => {
-            let remote = as_remote(channel.rank(), tag, error.clone());
-            channel.send(dest, tag, EventReply::Err(remote).encode())?;
-            Err(error)
+            let event = car.unwrap_or(tag);
+            let failed = EventReply::Err(as_remote(channel.rank(), event, error.clone()));
+            let header = match car {
+                Some(car) => car_reply_header(car, &failed),
+                None => failed.encode(),
+            };
+            (header, None, Err(error))
         }
+    };
+    match body {
+        Some(body) => channel.send_with_body(dest, tag, header, body)?,
+        None => channel.send(dest, tag, header)?,
     }
+    outcome
 }
 
 /// Receive the host payload message that follows a notification on its
@@ -428,16 +440,6 @@ fn relay_recv_frames(
     Ok(())
 }
 
-/// Post a compact completion notice for a finished (or refused) train car
-/// on the train envelope's `(tag, comm)` — the completion channel of the
-/// region execution that sent it. Sent strictly *after* the car's typed
-/// reply: sends are eager, so by the time the head receives the notice the
-/// reply is already in its mailbox.
-fn post_completion(envelope: &Communicator, envelope_tag: Tag, car: Tag, ok: bool) {
-    let notice = CompletionNotice { tag: car, ok };
-    let _ = envelope.send(HEAD_RANK, envelope_tag, notice.encode());
-}
-
 /// Run `kernel` against the node's device copies of `buffers`.
 ///
 /// The kernel borrows the resident handles (see [`KernelArgs`]): nothing is
@@ -452,9 +454,7 @@ fn execute_kernel(
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
     let k = kernels.get(kernel).ok_or(OmpcError::UnknownKernel(kernel))?;
-    let resident: OmpcResult<Vec<(BufferId, Bytes)>> =
-        buffers.iter().map(|&b| memory.resident(b).map(|bytes| (b, bytes))).collect();
-    let mut args = KernelArgs::resident(resident?);
+    let mut args = KernelArgs::resident(buffers, |buffer| memory.resident(buffer))?;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.execute(&mut args)))
         .map_err(|_| OmpcError::Internal(format!("kernel '{}' panicked", k.name())))?;
     for (id, data) in args.into_written() {
@@ -541,7 +541,7 @@ fn run_task_steps(
             TaskStep::Push { buffer, to, tag, comm } => {
                 // The reader hears any failure: the error sent, or its claim's.
                 let data = memory.resident(buffer).map(Reply::data);
-                let _ = channel.on(comm).map(|lane| send_reply(&lane, to, tag, data));
+                let _ = channel.on(comm).map(|lane| send_reply(&lane, to, tag, None, data));
                 Ok(())
             }
             TaskStep::Discard { from, tag, comm } => {
@@ -625,7 +625,7 @@ fn run_event(
             // handle as the body on success, the error otherwise. The
             // receiver propagates a failure to the head, so the head never
             // hangs on a half-completed exchange.
-            send_reply(&channel, to, tag, memory.resident(buffer).map(Reply::data))
+            send_reply(&channel, to, tag, None, memory.resident(buffer).map(Reply::data))
         }
         EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
             let received = relay_recv_frames(
@@ -641,20 +641,21 @@ fn run_event(
             // The ack carries the delivered byte count, like an exchange
             // acknowledgement.
             let ack = Reply { inline: total_bytes.to_le_bytes().to_vec(), ..Reply::default() };
-            send_reply(&channel, HEAD_RANK, tag, received.map(|()| ack))
+            send_reply(&channel, HEAD_RANK, tag, None, received.map(|()| ack))
         }
         EventRequest::RelayFeed { buffer, chunk_bytes, children } => {
             let fed = memory
                 .resident(buffer)
                 .and_then(|data| send_relay_frames(comm, &data, chunk_bytes, &children));
-            send_reply(&channel, HEAD_RANK, tag, fed.map(|()| Reply::default()))
+            send_reply(&channel, HEAD_RANK, tag, None, fed.map(|()| Reply::default()))
         }
         EventRequest::TaskTrain(cars) => {
-            // Run the cars strictly in order, replying per car on each
-            // car's own exclusive channel — a failed car replies its typed
-            // error and the train keeps rolling (tasks are independent;
-            // the head's per-task blame machinery decides what a failure
-            // means) — and noticing each car on the envelope's channel. The
+            // Run the cars strictly in order, each car's payloads and
+            // forwards on its own channel and its one reply on the
+            // envelope's — the completion channel of the execution that
+            // sent the train. A failed car replies its typed error and the
+            // train keeps rolling (tasks are independent; the head's
+            // per-task blame machinery decides what a failure means). The
             // first car error is this handler's own outcome.
             let mut result = Ok(());
             for car in cars {
@@ -671,20 +672,18 @@ fn run_event(
                     car.tag,
                     car_recv_us,
                 );
-                let ok = ran.is_ok();
-                result = result.and(send_reply(&car_channel, HEAD_RANK, car.tag, ran));
-                post_completion(&channel, tag, car.tag, ok);
+                result = result.and(send_reply(&channel, HEAD_RANK, tag, Some(car.tag), ran));
             }
             result
         }
         EventRequest::Task(spec) => {
             let ran =
                 run_task_steps(&channel, memory, kernels, spec, &mut generations, tag, recv_us);
-            send_reply(&channel, HEAD_RANK, tag, ran)
+            send_reply(&channel, HEAD_RANK, tag, None, ran)
         }
         EventRequest::Reset => {
             memory.clear();
-            send_reply(&channel, HEAD_RANK, tag, Ok(Reply::default()))
+            send_reply(&channel, HEAD_RANK, tag, None, Ok(Reply::default()))
         }
     }
 }
@@ -718,17 +717,15 @@ fn runs_on_gate(request: &EventRequest) -> bool {
 
 /// Refuse an event on a killed node: reply with the node's failure instead
 /// of executing anything, so no peer ever blocks on a dead node. Every car
-/// of a task train is refused individually — an error reply on the car's
-/// own channel and a notice on the envelope's, exactly as the handler would
-/// answer a failed car.
+/// of a task train is refused individually, with the one reply on the
+/// envelope's channel the handler would send for a failed car.
 fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcResult<()> {
     let node = comm.rank();
     let channel = comm.on(notification.comm)?;
     if let EventRequest::TaskTrain(cars) = &notification.request {
         for car in cars {
-            let error = as_remote(node, car.tag, OmpcError::NodeFailure(node));
-            comm.on(car.comm)?.send(HEAD_RANK, car.tag, EventReply::Err(error).encode())?;
-            post_completion(&channel, notification.tag, car.tag, false);
+            let error = EventReply::Err(as_remote(node, car.tag, OmpcError::NodeFailure(node)));
+            channel.send(HEAD_RANK, notification.tag, car_reply_header(car.tag, &error))?;
         }
         return Ok(());
     }
@@ -803,9 +800,11 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// One member's life: run what is ready, otherwise post a receive and
+    /// One member's life: run what is ready, otherwise post its receive and
     /// accept what it is handed, until the pool is closed and drained.
     fn serve(&self) {
+        // The member's own receive, posted again each time it is idle.
+        let mut receive: Option<PostedRecv> = None;
         let mut state = self.state.lock();
         loop {
             let blocking_may_run = state.posted > 0 || state.closed;
@@ -825,13 +824,21 @@ impl<'a> Pool<'a> {
             if state.closed {
                 return;
             }
-            let Ok(receive) = self.comm.irecv_in(None, Some(CONTROL_TAG), &self.group) else {
+            let posted = match receive.take() {
+                Some(mut posted) => {
+                    posted.restart();
+                    Ok(posted)
+                }
+                None => self.comm.irecv_in(None, Some(CONTROL_TAG), &self.group),
+            };
+            let Ok(posted) = posted else {
                 self.close(&mut state);
                 continue;
             };
+            let posted = receive.insert(posted);
             state.posted += 1;
             drop(state);
-            let matched = receive.wait();
+            let matched = posted.wait();
             state = self.state.lock();
             state.posted -= 1;
             match matched {
@@ -1433,16 +1440,26 @@ mod tests {
         assert_eq!(head.mailbox_stats().queued, 7, "one reply per task, nothing else");
     }
 
-    /// The next `cars` completion notices from worker 1 on a train
-    /// envelope's channel: the car tags and outcomes, in arrival order.
-    fn notices_on(channel: &Communicator, tag: Tag, cars: usize) -> Vec<(u64, bool)> {
+    /// The next `cars` car replies from worker 1 on a train envelope's
+    /// channel: each car's tag and outcome, in arrival order.
+    fn car_replies_on(
+        channel: &Communicator,
+        tag: Tag,
+        cars: usize,
+    ) -> Vec<(u64, OmpcResult<Vec<u8>>)> {
         (0..cars)
             .map(|_| {
                 let msg = channel.recv(Some(1), Some(tag)).unwrap();
-                let notice = CompletionNotice::decode(&msg.data).unwrap();
-                (notice.tag.0, notice.ok)
+                let (car, reply) = crate::protocol::split_car_reply(&msg.data).unwrap();
+                (car.0, EventReply::decode(reply).unwrap().into_result())
             })
             .collect()
+    }
+
+    /// [`car_replies_on`], each outcome reduced to whether it succeeded.
+    fn outcomes_on(channel: &Communicator, tag: Tag, cars: usize) -> Vec<(u64, bool)> {
+        let replies = car_replies_on(channel, tag, cars);
+        replies.into_iter().map(|(car, reply)| (car, reply.is_ok())).collect()
     }
 
     #[test]
@@ -1498,25 +1515,30 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, OmpcError::UnknownKernel(KernelId(99)), "first car error is the outcome");
 
-        // Per-car replies on each car's own channel.
-        let ok = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(50))).unwrap();
-        assert!(EventReply::decode(&ok.data).unwrap().into_result().is_ok());
-        let bad_reply = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(51))).unwrap();
-        let bad_err = EventReply::decode(&bad_reply.data).unwrap().into_result().unwrap_err();
+        // One reply per car on the envelope's channel, in car order, with
+        // per-car outcomes — and nothing anywhere else.
+        let envelope = head.on(envelope_comm).unwrap();
+        let replies = car_replies_on(&envelope, envelope_tag, 2);
+        assert_eq!(replies[0], (50, Ok(Vec::new())));
+        let (bad_car, bad_reply) = &replies[1];
+        let bad_err = bad_reply.as_ref().unwrap_err();
+        assert_eq!(*bad_car, 51);
         assert_eq!(bad_err.origin_node(), Some(1), "blame stays per task inside a train");
-        assert_eq!(bad_err.root_cause(), &OmpcError::UnknownKernel(KernelId(99)));
+        assert_eq!(
+            bad_err,
+            &OmpcError::RemoteEvent {
+                node: 1,
+                event: 51,
+                error: Box::new(OmpcError::UnknownKernel(KernelId(99)))
+            }
+        );
+        assert_eq!(head.mailbox_stats().queued, 0);
         // The failed car did not abort the train: the good car executed.
         assert_eq!(
             memory.get(BufferId(1)),
             Some(ompc_mpi::typed::f64s_to_bytes(&[2.0]).into()),
             "earlier cars execute regardless of later failures"
         );
-
-        // Two completion notices on the envelope's channel, in car order,
-        // with per-car outcomes — and nothing anywhere else.
-        let envelope = head.on(envelope_comm).unwrap();
-        assert_eq!(notices_on(&envelope, envelope_tag, 2), vec![(50, true), (51, false)]);
-        assert_eq!(head.mailbox_stats().queued, 0);
     }
 
     #[test]
@@ -1831,16 +1853,15 @@ mod tests {
         };
         head.send(1, CONTROL_TAG, train.encode()).unwrap();
 
-        for tag in [71u64, 72] {
-            let msg =
-                head.on(CommId((tag % 2) as u32)).unwrap().recv(Some(1), Some(Tag(tag))).unwrap();
-            let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
-            assert_eq!(err.origin_node(), Some(1), "car {tag}");
-            assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "car {tag}");
-        }
-        // One refusal notice per car on the envelope's channel, in car order.
+        // One refusal per car on the envelope's channel, in car order.
         let envelope = head.on(envelope_comm).unwrap();
-        assert_eq!(notices_on(&envelope, envelope_tag, 2), vec![(71, false), (72, false)]);
+        let replies = car_replies_on(&envelope, envelope_tag, 2);
+        assert_eq!(replies.iter().map(|(car, _)| *car).collect::<Vec<_>>(), vec![71, 72]);
+        for (car, reply) in replies {
+            let err = reply.unwrap_err();
+            assert_eq!(err.origin_node(), Some(1), "car {car}");
+            assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "car {car}");
+        }
         let shutdown = EventNotification {
             request: EventRequest::Shutdown,
             tag: Tag(73),
@@ -1996,6 +2017,12 @@ mod tests {
             let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
             Reply::from_parts(&msg.data, msg.body, false)
         };
+        // The next car reply of train `train`: the car's tag and its outcome.
+        let car_reply = |train: u64| {
+            let msg = lane.recv(Some(1), Some(Tag(train))).unwrap();
+            let (car, header) = crate::protocol::split_car_reply(&msg.data).unwrap();
+            (car.0, Reply::from_parts(header, msg.body, false).is_ok())
+        };
         let payload = |value: f64| Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[value]));
         let b = BufferId(3);
 
@@ -2031,13 +2058,14 @@ mod tests {
             ]),
             30,
         );
+        // Both meetings are over once their replies are in: the reader is
+        // next on train 2.
+        assert_eq!((car_reply(20), car_reply(30)), ((21, true), (31, true)));
         let early =
-            lane.recv_timeout(Some(1), Some(Tag(32)), std::time::Duration::from_millis(500));
+            lane.recv_timeout(Some(1), Some(Tag(30)), std::time::Duration::from_millis(500));
         assert!(early.is_err(), "the reader replied before its receive landed: {:?}", *seen.lock());
         lane.send_with_body(1, Tag(22), Vec::new(), payload(2.0)).unwrap();
-        for tag in [21, 22, 31, 32] {
-            reply(tag).unwrap();
-        }
+        assert_eq!((car_reply(20), car_reply(30)), ((22, true), (32, true)));
         assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the older version");
 
         notify(EventRequest::Shutdown, 40);
@@ -2060,7 +2088,7 @@ mod tests {
         for n in &notifications {
             head.send(pool.comm.rank(), CONTROL_TAG, n.encode()).unwrap();
         }
-        let mut taken: Vec<_> = posted.into_iter().map(|p| p.wait().unwrap()).collect();
+        let mut taken: Vec<_> = posted.into_iter().map(|mut p| p.wait().unwrap()).collect();
         taken.sort_by_key(|&(_, index)| index);
         taken
     }
@@ -2121,16 +2149,12 @@ mod tests {
                 for _ in 0..2 {
                     scope.spawn(|| pool.serve());
                 }
-                let reply = |tag: u64| {
-                    let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
-                    EventReply::decode(&msg.data).unwrap().into_result()
-                };
-                assert!(reply(71).is_ok());
-                for car in [73, 74] {
-                    assert_eq!(reply(car).unwrap_err().root_cause(), &OmpcError::NodeFailure(1));
+                assert_eq!(car_replies_on(&lane, Tag(70), 1), vec![(71, Ok(Vec::new()))]);
+                let refused = car_replies_on(&lane, Tag(72), 2);
+                assert_eq!(refused.iter().map(|(car, _)| *car).collect::<Vec<_>>(), vec![73, 74]);
+                for (_, reply) in refused {
+                    assert_eq!(reply.unwrap_err().root_cause(), &OmpcError::NodeFailure(1));
                 }
-                assert_eq!(notices_on(&lane, Tag(70), 1), vec![(71, true)]);
-                assert_eq!(notices_on(&lane, Tag(72), 2), vec![(73, false), (74, false)]);
                 head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 81).encode())
                     .unwrap();
             });
@@ -2185,10 +2209,8 @@ mod tests {
                     scope.spawn(|| pool.serve());
                 }
                 lane.send_with_body(1, Tag(21), Vec::new(), payload(2.0)).unwrap();
-                for tag in [21, 31] {
-                    let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
-                    EventReply::decode(&msg.data).unwrap().into_result().unwrap();
-                }
+                assert_eq!(outcomes_on(&lane, Tag(20), 1), vec![(21, true)]);
+                assert_eq!(outcomes_on(&lane, Tag(30), 1), vec![(31, true)]);
                 head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 40).encode())
                     .unwrap();
             });
@@ -2218,8 +2240,8 @@ mod tests {
                 assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "event {tag}");
             };
             refused(0, 10);
-            refused(1, 12);
-            assert_eq!(notices_on(&head.on(CommId(1)).unwrap(), Tag(11), 1), vec![(12, false)]);
+            let (car, reply) = car_replies_on(&head.on(CommId(1)).unwrap(), Tag(11), 1).remove(0);
+            assert_eq!((car, reply.unwrap_err().root_cause()), (12, &OmpcError::NodeFailure(1)));
             head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
             worker.join().unwrap();
             assert_eq!(world.communicator(1).mailbox_stats().posted, 0);
@@ -2245,11 +2267,9 @@ mod tests {
             // One task that runs at once, one train that joins the FIFO.
             head.send(1, CONTROL_TAG, steps_on(vec![alloc], 10, CommId(1)).encode()).unwrap();
             head.send(1, CONTROL_TAG, train_of(11, vec![(12, vec![execute])]).encode()).unwrap();
-            for tag in [10, 12] {
-                let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
-                EventReply::decode(&msg.data).unwrap().into_result().unwrap();
-            }
-            assert_eq!(notices_on(&lane, Tag(11), 1), vec![(12, true)]);
+            let msg = lane.recv(Some(1), Some(Tag(10))).unwrap();
+            EventReply::decode(&msg.data).unwrap().into_result().unwrap();
+            assert_eq!(outcomes_on(&lane, Tag(11), 1), vec![(12, true)]);
             head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
             worker.join().unwrap();
             let stats = world.communicator(1).mailbox_stats();

@@ -127,10 +127,11 @@ impl Communicator {
 
     /// Post a receive of `group` matching `(source, tag)` and return at once
     /// (`MPI_Irecv`); [`PostedRecv::wait`] yields the message and its match
-    /// index. The most recently posted receive of a group is matched first,
-    /// and the group numbers its matches 0, 1, 2, … in the order this
-    /// rank's mailbox made them. A worker's event pool posts one per idle
-    /// member.
+    /// index, and [`PostedRecv::restart`] posts it again. The most recently
+    /// posted receive of a group is matched first, and the group numbers its
+    /// matches 0, 1, 2, … in the order this rank's mailbox made them. A
+    /// worker's event pool keeps one per member, posted whenever the member
+    /// is idle.
     pub fn irecv_in(
         &self,
         source: Option<Rank>,

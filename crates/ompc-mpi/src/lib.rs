@@ -8,7 +8,8 @@
 //!   tag)` with non-overtaking order per matched triple, each a small header
 //!   plus at most one shared [`Bytes`] body that is delivered without a copy,
 //! * buffered sends and blocking, bounded, or non-blocking receives, and
-//!   grouped posted receives (`MPI_Irecv` / `MPI_Wait`) numbered at match,
+//!   grouped posted receives (`MPI_Irecv` / `MPI_Wait`, reposted with
+//!   `MPI_Start` as a persistent request) numbered at match,
 //! * message probing, and
 //! * multiple communicators mapped round-robin to independent progress
 //!   channels (the paper maps them to hardware Virtual Communication

@@ -127,8 +127,8 @@ struct Waiter<T> {
 }
 
 impl<T> Waiter<T> {
-    fn new(pattern: Pattern, group: Option<RecvGroup>, outcome: Option<MpiResult<T>>) -> Arc<Self> {
-        Arc::new(Self { pattern, group, outcome: Mutex::new(outcome), parked: Condvar::new() })
+    fn new(pattern: Pattern, group: Option<RecvGroup>) -> Arc<Self> {
+        Arc::new(Self { pattern, group, outcome: Mutex::new(None), parked: Condvar::new() })
     }
 
     /// Fill the slot. Called with the mailbox lock held and the record
@@ -146,23 +146,48 @@ impl<T> Waiter<T> {
 /// A grouped receive posted with [`Mailbox::post_grouped`] — the request of
 /// an `MPI_Irecv`. It keeps its place in the mailbox until a message, a close
 /// or the closing of its group completes it; [`PostedRecv::wait`] is the
-/// `MPI_Wait` that collects the outcome.
+/// `MPI_Wait` that collects the outcome, and [`PostedRecv::restart`] the
+/// `MPI_Start` that posts the same receive again, as a persistent request.
 #[derive(Debug)]
 #[must_use = "a posted receive is matched whether or not anybody waits on it"]
 pub struct PostedRecv {
     mailbox: Arc<Mailbox>,
     waiter: Arc<Waiter<Matched>>,
+    /// Posted, and not waited on since.
+    posted: bool,
 }
 
 impl PostedRecv {
     /// Block until the receive is completed: the message and its match index
     /// in the group, or the typed error that released it —
     /// [`MpiError::GroupClosed`], [`MpiError::Finalized`] or
-    /// [`MpiError::PeerTerminated`].
-    pub fn wait(self) -> MpiResult<Matched> {
+    /// [`MpiError::PeerTerminated`]. A receive not posted again since it was
+    /// last waited on can never complete: [`MpiError::Timeout`] at once.
+    pub fn wait(&mut self) -> MpiResult<Matched> {
         let Pattern { source, tag, .. } = self.waiter.pattern;
+        let never = Err(MpiError::Timeout { source, tag });
+        if !std::mem::take(&mut self.posted) {
+            return never;
+        }
         // Without a deadline the park returns only with an outcome.
-        self.mailbox.park(&self.waiter, None).unwrap_or(Err(MpiError::Timeout { source, tag }))
+        self.mailbox.park(&self.waiter, None).unwrap_or(never)
+    }
+
+    /// Post the receive again, as [`Mailbox::post_grouped`] posted it: at
+    /// the front of the list, numbered at match. A no-op while it is still
+    /// posted. The receive keeps its record — a pool member posting over and
+    /// over allocates nothing — unless the delivery that completed it last
+    /// still holds it, when a fresh one takes its place.
+    pub fn restart(&mut self) {
+        if self.posted {
+            return;
+        }
+        if Arc::get_mut(&mut self.waiter).is_none() {
+            let Waiter { pattern, group, .. } = &*self.waiter;
+            self.waiter = Waiter::new(*pattern, group.clone());
+        }
+        self.mailbox.post(&self.waiter);
+        self.posted = true;
     }
 }
 
@@ -409,21 +434,28 @@ impl Mailbox {
         tag: Option<Tag>,
         group: &RecvGroup,
     ) -> PostedRecv {
-        let pattern = Pattern { comm, source, tag };
+        let waiter = Waiter::new(Pattern { comm, source, tag }, Some(group.clone()));
+        self.post(&waiter);
+        PostedRecv { mailbox: Arc::clone(self), waiter, posted: true }
+    }
+
+    /// Post the grouped receive `waiter`, whose slot is empty: complete it
+    /// at once when its group is closed, a queued message matches or the
+    /// mailbox is closed, and put it at the front of the list otherwise.
+    fn post(&self, waiter: &Arc<Waiter<Matched>>) {
+        let pattern = waiter.pattern;
         let mut inner = self.inner.lock();
-        let now = if group.0.closed.load(Ordering::Relaxed) {
+        let now = if waiter.group.as_ref().is_some_and(|g| g.0.closed.load(Ordering::Relaxed)) {
             Some(Err(MpiError::GroupClosed(self.owner)))
         } else if let Some(message) = inner.take_message(pattern) {
-            Some(Ok((message, group.take_index())))
+            Some(Ok(waiter.take(message)))
         } else {
             inner.closed().map(|closed| Err(closed.error(self.owner, pattern)))
         };
-        let posted = now.is_none();
-        let waiter = Waiter::new(pattern, Some(group.clone()), now);
-        if posted {
-            inner.receives.push_front(Arc::clone(&waiter));
+        match now {
+            Some(outcome) => waiter.complete(outcome),
+            None => inner.receives.push_front(Arc::clone(waiter)),
         }
-        PostedRecv { mailbox: Arc::clone(self), waiter }
     }
 
     /// [`Mailbox::recv`] with an upper bound on the wait: returns
@@ -484,7 +516,7 @@ impl Mailbox {
             if let Some(closed) = inner.closed() {
                 return Err(closed.error(self.owner, pattern));
             }
-            let waiter = Waiter::new(pattern, None, None);
+            let waiter = Waiter::new(pattern, None);
             posted(&mut inner).push_back(Arc::clone(&waiter));
             waiter
         };
@@ -758,15 +790,47 @@ mod tests {
         let (mb, group) = (Arc::clone(mb), group.clone());
         thread::spawn(move || {
             let mut took = Vec::new();
+            let mut receive = mb.post_grouped(CommId(0), None, Some(Tag(1)), &group);
             loop {
-                match mb.post_grouped(CommId(0), None, Some(Tag(1)), &group).wait() {
+                match receive.wait() {
                     Ok((m, index)) => {
                         took.push((index, u64::from_le_bytes(m.data[..].try_into().unwrap())))
                     }
                     Err(released) => return (took, released),
                 }
+                receive.restart();
             }
         })
+    }
+
+    #[test]
+    fn a_restarted_receive_reuses_its_record_and_is_matched_like_a_new_one() {
+        let mb = Mailbox::new(0, 2);
+        let group = RecvGroup::new();
+        let mut receive = mb.post_grouped(CommId(0), Some(1), Some(Tag(1)), &group);
+        let record = Arc::as_ptr(&receive.waiter);
+        receive.restart();
+        assert_eq!(mb.stats().posted, 1, "restarting a posted receive posts nothing more");
+        mb.deliver(env(1, 1, 0, 0, vec![0]));
+        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![0], 0)));
+        let never = Err(MpiError::Timeout { source: Some(1), tag: Some(Tag(1)) });
+        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), never, "waited on already");
+        // Posted again, it overtakes a plain receive and takes the next
+        // index, in the record it had.
+        let plain = recv_in_thread(&mb, 1);
+        until_posted(&mb, 1);
+        receive.restart();
+        assert_eq!(Arc::as_ptr(&receive.waiter), record, "no new record");
+        mb.deliver(env(1, 1, 0, 1, vec![1]));
+        mb.deliver(env(1, 1, 0, 2, vec![2]));
+        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![1], 1)));
+        assert_eq!(plain.join().unwrap().unwrap().data, vec![2]);
+        // A message already queued is taken at the restart.
+        mb.deliver(env(1, 1, 0, 3, vec![3]));
+        receive.restart();
+        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![3], 2)));
+        let stats = mb.stats();
+        assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
     }
 
     #[test]
@@ -807,7 +871,7 @@ mod tests {
         // A plain receive posted first is overtaken by the group's.
         let plain = recv_in_thread(&mb, 1);
         until_posted(&mb, 1);
-        let (first, second) = (post(), post());
+        let (mut first, mut second) = (post(), post());
         assert_eq!(mb.stats().posted, 3);
         for seq in 0..3u8 {
             mb.deliver(env(1, 1, 0, seq as u64, vec![seq]));
