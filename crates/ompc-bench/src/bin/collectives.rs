@@ -20,10 +20,9 @@ fn main() {
     let fanouts = workload.fanouts(smoke);
 
     eprintln!(
-        "# Collective distribution: {} KiB shared payload, {} KiB frames, {} MiB/s \
-         emulated links, fanouts {:?}",
+        "# Collective distribution: {} KiB shared payload, {} MiB/s emulated links, \
+         fanouts {:?}",
         workload.payload_len * 8 / 1024,
-        workload.chunk_kib,
         workload.link_mib_per_s,
         fanouts,
     );
@@ -62,7 +61,7 @@ fn main() {
     println!(
         "\nThe star sources every copy from the head, so its link carries k full \
          payloads; the binomial tree drains the head after ceil(log2(k+1)) copies \
-         and recipients relay the rest in pipelined frames. Byte columns are the \
+         and recipients forward the rest, one round at a time. Byte columns are the \
          region's logged wire bytes for the shared buffer — exact, not modelled. \
          Results are byte-checked across modes."
     );

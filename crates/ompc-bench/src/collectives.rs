@@ -1,8 +1,9 @@
 //! The collective data-movement figure: one shared read-only buffer
 //! distributed to k reader nodes in a single planning step, star
 //! (`collective_min_fanout = 0`, every copy sourced from the head) against
-//! the binomial broadcast tree (`collective_min_fanout = 2`, chunked
-//! relays), as the fanout sweeps upward on the real cluster.
+//! the binomial broadcast tree (`collective_min_fanout = 2`, rounds of
+//! worker-to-worker forwards), as the fanout sweeps upward on the real
+//! cluster.
 //!
 //! The figure the paper's §4.2 event system motivates: with k head-sourced
 //! sends the head link carries k full payloads back to back, while the
@@ -26,8 +27,6 @@ pub struct CollectiveWorkload {
     pub max_fanout: usize,
     /// Shared payload length in doubles (8 bytes each).
     pub payload_len: usize,
-    /// Frame size of the chunked tree stream, in KiB.
-    pub chunk_kib: usize,
     /// Emulated per-node link bandwidth in MiB/s
     /// ([`OmpcConfig::emulated_link_mib_per_s`], applied to star and tree
     /// alike). The in-process substrate delivers at memcpy speed, where no
@@ -43,24 +42,12 @@ impl CollectiveWorkload {
     /// (slow enough that wire time dominates the host's copy costs even on
     /// a small CI box), fanouts 2/4/8.
     pub fn smoke() -> Self {
-        Self {
-            max_fanout: 8,
-            payload_len: 1 << 17,
-            chunk_kib: 128,
-            link_mib_per_s: 256,
-            repeats: 3,
-        }
+        Self { max_fanout: 8, payload_len: 1 << 17, link_mib_per_s: 256, repeats: 3 }
     }
 
     /// The full figure: 2 MiB payload, fanouts 2..=8.
     pub fn full() -> Self {
-        Self {
-            max_fanout: 8,
-            payload_len: 1 << 18,
-            chunk_kib: 128,
-            link_mib_per_s: 256,
-            repeats: 3,
-        }
+        Self { max_fanout: 8, payload_len: 1 << 18, link_mib_per_s: 256, repeats: 3 }
     }
 
     /// The fanouts one run of the figure sweeps.
@@ -101,7 +88,6 @@ fn run_distribution(
     let config = OmpcConfig {
         backend,
         collective_min_fanout: if tree { 2 } else { 0 },
-        collective_chunk_kib: if tree { workload.chunk_kib } else { 0 },
         emulated_link_mib_per_s: workload.link_mib_per_s,
         ..OmpcConfig::small()
     };
@@ -233,7 +219,6 @@ mod tests {
         let workload = CollectiveWorkload {
             max_fanout: 4,
             payload_len: 1 << 10,
-            chunk_kib: 4,
             link_mib_per_s: 0,
             repeats: 1,
         };

@@ -191,9 +191,10 @@ impl Drop for RegionLease<'_> {
 /// let a = region.map_to_f64s(&[1.0, 2.0, 3.0]);
 /// region.target(scale, vec![Dependence::inout(a)]);
 /// region.map_from(a);
-/// region.run().unwrap();
-/// assert_eq!(device.buffer_f64s(a).unwrap(), vec![2.0, 4.0, 6.0]);
+/// region.run()?;
+/// assert_eq!(device.buffer_f64s(a)?, vec![2.0, 4.0, 6.0]);
 /// device.shutdown();
+/// # Ok::<(), ompc_core::types::OmpcError>(())
 /// ```
 pub struct ClusterDevice {
     /// The communication world; `None` only after its workers were parked
@@ -246,6 +247,10 @@ pub struct ClusterDevice {
 impl ClusterDevice {
     /// Spawn a cluster with `num_workers` worker nodes (plus the implicit
     /// head node) using the default configuration.
+    ///
+    /// # Panics
+    ///
+    /// As [`ClusterDevice::with_config`].
     pub fn spawn(num_workers: usize) -> Self {
         Self::with_config(num_workers, OmpcConfig::small())
     }
@@ -255,6 +260,11 @@ impl ClusterDevice {
     /// parked by an earlier lifetime's [`ClusterDevice::shutdown`] is
     /// adopted instead of spawning fresh workers — the dominant start-up
     /// cost of small runs (Fig. 7(a)) drops to a registry reset.
+    ///
+    /// # Panics
+    ///
+    /// When `num_workers` is zero, or when the OS refuses a worker node's
+    /// thread: a device without its workers could run nothing.
     pub fn with_config(num_workers: usize, config: OmpcConfig) -> Self {
         assert!(num_workers > 0, "the cluster needs at least one worker node");
         // A world needs at least one communicator; a zero knob means "the
@@ -284,12 +294,11 @@ impl ClusterDevice {
                     let comm = world.communicator(node);
                     let kernels = Arc::clone(&kernels);
                     let handler_threads = config.event_handler_threads;
-                    worker_handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("ompc-worker-{node}"))
-                            .spawn(move || worker_main(comm, kernels, handler_threads))
-                            .expect("failed to spawn worker node thread"),
-                    );
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("ompc-worker-{node}"))
+                        .spawn(move || worker_main(comm, kernels, handler_threads));
+                    assert!(spawned.is_ok(), "cannot spawn worker node {node}: {spawned:?}");
+                    worker_handles.extend(spawned);
                 }
                 let events = Arc::new(EventSystem::with_reply_timeout(
                     world.communicator(HEAD_NODE),
@@ -377,14 +386,15 @@ impl ClusterDevice {
     /// for _ in 0..3 {
     ///     let mut region = device.target_region();
     ///     region.target(bump, vec![Dependence::inout(a)]);
-    ///     region.run().unwrap();
+    ///     region.run()?;
     /// }
     /// // The host copy is flushed lazily: reading the buffer retrieves
     /// // the device-resident latest version.
-    /// assert_eq!(device.buffer_f64s(a).unwrap(), vec![4.0, 5.0]);
+    /// assert_eq!(device.buffer_f64s(a)?, vec![4.0, 5.0]);
     /// // Ending the mapping releases the device copies.
-    /// device.exit_data(a).unwrap();
+    /// device.exit_data(a)?;
     /// device.shutdown();
+    /// # Ok::<(), ompc_core::types::OmpcError>(())
     /// ```
     ///
     /// # Panics
@@ -421,6 +431,10 @@ impl ClusterDevice {
     /// in-flight transfer in place** instead of re-submitting it, and a
     /// reader scheduled onto a different node than predicted just pays one
     /// extra hop (prediction misses cost bandwidth, never correctness).
+    ///
+    /// # Panics
+    ///
+    /// When the device has been shut down, as [`ClusterDevice::enter_data`].
     pub fn enter_data_async(&self, data: Vec<u8>) -> (BufferId, Ticket) {
         assert!(!self.shut_down, "enter_data_async on a shut-down ClusterDevice");
         let bytes = data.len() as u64;
@@ -907,7 +921,9 @@ impl ClusterDevice {
         let mut reports = Vec::with_capacity(parts.len());
         for i in 0..parts.len() {
             self.prefetch_ahead(&parts, i);
-            let (graph, host_fns) = parts[i].take().expect("pipeline region executed twice");
+            let Some((graph, host_fns)) = parts[i].take() else {
+                return Err(OmpcError::Internal(format!("pipeline region {i} executed twice")));
+            };
             if graph.is_empty() {
                 reports.push(RegionReport::default());
                 continue;
@@ -1196,13 +1212,7 @@ impl ClusterDevice {
             };
             let destinations: Vec<NodeId> = dests.iter().filter_map(booked).collect();
             if !destinations.is_empty() {
-                trees.push(BroadcastSpec {
-                    buffer,
-                    bytes,
-                    source,
-                    destinations,
-                    chunk_bytes: self.config.collective_chunk_bytes() as u64,
-                });
+                trees.push(BroadcastSpec { buffer, bytes, source, destinations });
             }
         }
         trees
@@ -1538,9 +1548,10 @@ impl ClusterDevice {
     ///
     /// let mut device = ClusterDevice::spawn(2);
     /// let plan = RuntimePlan { assignment: vec![1, 1, 2], window: 4 };
-    /// let record = device.run_workload(&workload, &plan).unwrap();
+    /// let record = device.run_workload(&workload, &plan)?;
     /// assert_eq!(record.completion_order, vec![0, 1, 2]);
     /// device.shutdown();
+    /// # Ok::<(), ompc_core::types::OmpcError>(())
     /// ```
     pub fn run_workload(
         &self,
@@ -2167,6 +2178,80 @@ mod tests {
                 .map(|t| (t.from, t.to))
                 .collect();
             assert_eq!(forwards_of_b, vec![(1, 2)], "the update's push alone reaches worker 2");
+            device.shutdown();
+        });
+    }
+
+    /// A broadcast tree that breaks leaves nothing behind. The first tree's
+    /// relay was killed behind the head's back, and the second tree's source
+    /// is that dead worker. Every destination ends with its own typed
+    /// outcome, no booking stays in flight, and no live rank holds a stray
+    /// message: only the dead relay keeps the one payload it refused.
+    #[test]
+    fn a_broken_tree_leaves_typed_failures_no_booking_and_no_stray_message() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let config = OmpcConfig {
+                collective_min_fanout: 2,
+                warm_worker_keepalive: false,
+                ..OmpcConfig::small()
+            };
+            let mut device = ClusterDevice::with_config(4, config);
+            let read = device.register_kernel_fn("read", 1e-6, |_| {});
+            let write = device.register_kernel_fn("write", 1e-6, |args| args.set_f64s(0, &[7.0]));
+            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
+            let a = device.enter_data(vec![1u8; 4096]);
+            let b = device.enter_data_f64s(&[0.0]);
+            // `b`'s latest version is written on worker 1, which then dies.
+            let mut writer = RegionGraph::new();
+            writer.add_task(target(write), vec![Dependence::output(b)], String::new());
+            let region = device.dm.lock().begin_region();
+            let plan = RuntimePlan { assignment: vec![1], window: 4 };
+            let telemetry = device.telemetry.scoped(region);
+            device
+                .execute_planned(Arc::new(writer), HashMap::new(), &plan, region, &telemetry)
+                .unwrap();
+            assert_eq!(device.dm.lock().latest(b), Some(1));
+            device.events.kill(1).unwrap();
+
+            // One tree per buffer, read on every worker not holding it.
+            let broadcast = |buffer: BufferId, readers: &[NodeId]| {
+                let mut graph = RegionGraph::new();
+                for _ in readers {
+                    graph.add_task(target(read), vec![Dependence::input(buffer)], String::new());
+                }
+                let region = device.dm.lock().begin_region();
+                let trees = device.book_broadcasts(&graph, readers, |_| Owner::Region(region));
+                let [spec] = &trees[..] else { panic!("one tree: {trees:?}") };
+                let bookings = ClusterDevice::tree_bookings(spec);
+                let outcomes = ClusterDevice::run_broadcast_tree(&device.data_path(), spec.clone());
+                ClusterDevice::resolve(
+                    &device.dm,
+                    &device.inflight_cv,
+                    &bookings,
+                    outcomes.clone(),
+                );
+                let log = device.dm.lock().take_transfer_log_in(region);
+                let edges: Vec<(NodeId, NodeId)> = log.iter().map(|t| (t.from, t.to)).collect();
+                (outcomes, edges)
+            };
+            // Head → 1 is refused; 2 and 4 are head-fed; 3, orphaned by 1,
+            // is re-fed by 2.
+            let (outcomes, edges) = broadcast(a, &[1, 2, 3, 4]);
+            assert_eq!(outcomes[0].as_ref().unwrap_err().origin_node(), Some(1), "{outcomes:?}");
+            assert!(outcomes[1..].iter().all(Result::is_ok), "{outcomes:?}");
+            assert_eq!(edges, vec![(0, 2), (2, 3), (0, 4)]);
+            // Nobody can feed `b`: each destination fails, naming the source.
+            let (outcomes, edges) = broadcast(b, &[2, 3, 4]);
+            for outcome in &outcomes {
+                assert_eq!(outcome.as_ref().unwrap_err().origin_node(), Some(1), "{outcomes:?}");
+            }
+            assert!(edges.is_empty(), "{edges:?}");
+
+            let dm = device.dm.lock();
+            assert!(!dm.buffer_in_flight(a) && !dm.buffer_in_flight(b));
+            drop(dm);
+            let queued: Vec<usize> = device.mailbox_stats().iter().map(|s| s.queued).collect();
+            assert_eq!(queued, vec![0, 1, 0, 0, 0]);
             device.shutdown();
         });
     }

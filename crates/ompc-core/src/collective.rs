@@ -1,69 +1,49 @@
-//! Collective data movement: binomial broadcast trees with chunked,
-//! pipelined payload frames.
+//! Collective data movement: binomial broadcast trees, shipped as rounds of
+//! ordinary forwards.
 //!
 //! When one buffer must reach `k ≥ collective_min_fanout` destinations in a
 //! single planning step, shipping it as `k` independent point-to-point
 //! transfers serializes `k` full copies on the source's link. This module
-//! plans a **binomial tree** over `[source, dest₀, dest₁, …]` instead: the
-//! source feeds `⌈log₂(k+1)⌉` subtree roots and every interior recipient
-//! fans the payload onward to its own children via the worker-to-worker
-//! relay events ([`crate::protocol::EventRequest::RelayRecv`] /
-//! [`crate::protocol::EventRequest::RelayFeed`]), so the source link
-//! carries `O(log k)` copies while the remaining hops ride otherwise idle
-//! worker links in parallel.
+//! plans a **binomial tree** over `[source, dest₀, dest₁, …]` instead. In
+//! round `r` every holder of a copy feeds its binomial child for that round,
+//! so the tree reaches all `k` destinations in `⌈log₂(k+1)⌉` rounds, the
+//! source's link carries that many copies, and the remaining hops ride
+//! otherwise idle worker links in parallel.
 //!
-//! Underneath, payloads stream as **chunked frames**
-//! ([`crate::protocol::relay_frame_header`] plus the chunk as the message
-//! body, size [`crate::config::OmpcConfig::collective_chunk_kib`]): a relay
-//! forwards chunk *i* the moment it arrives, while chunk *i+1* is still on
-//! the wire towards it, overlapping receive, store, and fan-out down the
-//! whole tree. Every chunk is a view of the source's allocation and every
-//! relay passes on the handle it received, so the tree moves one block of
-//! memory however many nodes it reaches.
+//! A feed is the very event a prefetch or a forward is: one
+//! [`crate::protocol::EventRequest::Task`] on the child — a
+//! `RecvFromHead` step when the head feeds, a `RecvFromWorker` step with the
+//! parent told its `ExchangeSend` when a worker does. The head posts one
+//! round's feeds, then awaits their replies; the round is over when every
+//! reply is in. Each payload is the handle its feeder holds, so the tree
+//! moves one block of memory however many nodes it reaches.
 //!
 //! ## Delivery tracking and failure healing
 //!
-//! One broadcast opens an exclusive event channel per destination; every
-//! destination acknowledges its full reassembled payload (or reports a
-//! typed error) on its own channel, so the head resolves the tree
-//! **per-destination** — exactly the granularity the in-flight ticket
-//! table needs. When a relay node refuses its event (killed by the fault
-//! plan, or a real failure surfaced by its gate), only its *undelivered
-//! subtree* is affected: the dead node never forwarded a frame, so its
-//! planned children are simply re-fed ("rescued") from a surviving
-//! recipient that already acknowledged the payload — delivered nodes are
-//! never re-sent, and the transfer log records the rescue edge that
-//! actually carried the bytes. If no recipient has the payload yet and
-//! nothing else can deliver one (every pending destination sits under an
-//! orphaned subtree), the source itself re-feeds the orphans directly.
-//!
-//! Receivers are duplicate-tolerant (frames are indexed and re-delivery is
-//! ignored), so a rescue may safely replay the whole stream.
+//! Every feed is answered by its child, so the head resolves the tree
+//! **per destination** — exactly the granularity the in-flight ticket table
+//! needs — and each delivery names the edge that actually carried it. A
+//! failed feed says whose fault it was. A dead parent refuses its
+//! `ExchangeSend` by sending its error to the receiver, which replies with
+//! it: an error naming the parent drops the parent from the holders, and
+//! its child stays pending. A later round re-feeds that child from a worker
+//! that already holds a copy — from the source only when no worker does.
+//! Any other error fails that destination. Delivered nodes are never fed
+//! twice.
 
 use crate::data_manager::HEAD_NODE;
-use crate::event::EventSystem;
-use crate::protocol::{EventNotification, EventRequest, RelayChild, Reply};
+use crate::event::{Composite, EventSystem, ReplyChannel};
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
-use crate::types::{BufferId, NodeId, OmpcError};
-use ompc_mpi::{Bytes, CommId, Tag};
-use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
-
-/// Fallback bound on a whole broadcast when the device has no configured
-/// event-reply timeout. Generous: a tree of large chunked payloads is
-/// many sequential wire hops.
-const DEFAULT_BROADCAST_TIMEOUT: Duration = Duration::from_secs(90);
-
-/// Pause between delivery-probe sweeps. Short: the sweep is cheap iprobes,
-/// and every sleep is pure latency on the broadcast's critical path.
-const POLL_SLEEP: Duration = Duration::from_micros(50);
+use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use ompc_mpi::Bytes;
+use std::collections::BTreeSet;
 
 /// Where a broadcast's payload comes from.
 #[derive(Debug, Clone)]
 pub enum BroadcastSource {
-    /// The head streams the frames itself, out of this handle.
+    /// The head sends the payload itself, out of this handle.
     Head(Bytes),
-    /// A worker holding the buffer is driven through a `RelayFeed` event.
+    /// A worker holding the buffer forwards it.
     Worker(NodeId),
 }
 
@@ -88,8 +68,6 @@ pub struct BroadcastSpec {
     pub source: BroadcastSource,
     /// Nodes that must receive a copy; none of them holds one yet.
     pub destinations: Vec<NodeId>,
-    /// Frame size for the pipelined stream (0 = one whole-buffer frame).
-    pub chunk_bytes: u64,
 }
 
 /// One confirmed delivery: `to` acknowledged the full payload, fed by
@@ -143,19 +121,57 @@ pub fn binomial_parent(index: usize) -> usize {
     index & !(1usize << (usize::BITS - 1 - index.leading_zeros()))
 }
 
-/// A feed dispatched towards orphaned (or root) destinations, whose reply
-/// must be drained and whose failure orphans the slots it was feeding.
-struct FeedInFlight {
-    /// Node performing the feed ([`HEAD_NODE`] feeds send no event and are
-    /// never tracked here).
-    feeder: NodeId,
-    tag: Tag,
-    comm: CommId,
-    /// Tree slots this feed was carrying frames towards.
-    fed: Vec<usize>,
+/// The feeds of round `round` of a broadcast, as `(feeder, fed)` tree-slot
+/// pairs. `holders` hold a live copy (slot 0 is the source) and `pending`
+/// still wait for one.
+///
+/// First the tree's own edges: every holder `i < 2^round` feeds its child
+/// `i + 2^round`. Then every pending slot whose planned round has come and
+/// that no edge feeds — its parent failed or was dropped — is re-fed by a
+/// holder idle this round: a worker holder, or the source only when no
+/// worker holds a copy. No holder feeds twice in one round.
+fn round_edges(
+    round: u32,
+    holders: &BTreeSet<usize>,
+    pending: &BTreeSet<usize>,
+) -> Vec<(usize, usize)> {
+    let step = 1usize.checked_shl(round).unwrap_or(usize::MAX);
+    let mut edges: Vec<(usize, usize)> = (holders.iter())
+        .filter(|&&slot| slot < step)
+        .filter_map(|&slot| Some((slot, slot.checked_add(step)?)))
+        .filter(|(_, child)| pending.contains(child))
+        .collect();
+    let feeding: BTreeSet<usize> = edges.iter().map(|&(from, _)| from).collect();
+    let fed: BTreeSet<usize> = edges.iter().map(|&(_, to)| to).collect();
+    let workers_hold = holders.iter().any(|&slot| slot != 0);
+    let idle = (holders.iter().copied())
+        .filter(|slot| !feeding.contains(slot) && (*slot != 0 || !workers_hold));
+    let orphans = (pending.iter().copied())
+        .filter(|slot| !fed.contains(slot) && slot.checked_shr(round).unwrap_or(0) <= 1);
+    edges.extend(idle.zip(orphans));
+    edges
 }
 
-/// Execute `spec` as a binomial broadcast.
+/// Put one feed of `spec`'s payload on the wire: a task on `to` that
+/// receives it from `from` — from the head's own handle, or as a forward
+/// from a worker holding a copy.
+fn feed(
+    events: &EventSystem,
+    spec: &BroadcastSpec,
+    from: NodeId,
+    to: NodeId,
+) -> OmpcResult<ReplyChannel> {
+    let mut work = Composite::default();
+    match &spec.source {
+        BroadcastSource::Head(payload) if from == HEAD_NODE => {
+            work.recv_from_head(spec.buffer, payload.clone());
+        }
+        _ => work.recv_from_worker(spec.buffer, from, spec.bytes),
+    }
+    events.post_task(to, work)
+}
+
+/// Execute `spec` as a binomial broadcast, round by round.
 ///
 /// Blocks until every destination either acknowledged its copy or failed;
 /// per-destination outcomes are reported in the returned
@@ -168,338 +184,65 @@ pub(crate) fn run_broadcast(
     spec: &BroadcastSpec,
 ) -> BroadcastOutcome {
     let mut outcome = BroadcastOutcome::default();
-    if spec.destinations.is_empty() {
-        return outcome;
-    }
-    let size = 1 + spec.destinations.len();
-    let source = spec.source.node();
-    let node_of = |slot: usize| -> NodeId {
-        if slot == 0 {
-            source
-        } else {
-            spec.destinations[slot - 1]
-        }
+    let node_of = |slot: usize| match slot {
+        0 => spec.source.node(),
+        _ => spec.destinations[slot - 1],
     };
-    let started = Instant::now();
-    let t0 = telemetry.start();
-    let deadline = events.reply_timeout().unwrap_or(DEFAULT_BROADCAST_TIMEOUT);
-
-    // One exclusive reply channel per destination: the tree is resolved
-    // per-destination on these.
-    let channels: Vec<(Tag, CommId)> = (1..size).map(|_| events.open_channel()).collect();
-    let child_of = |slot: usize| -> RelayChild {
-        let (tag, comm) = channels[slot - 1];
-        RelayChild { node: node_of(slot), tag, comm }
-    };
-
-    // Dispatch every destination's RelayRecv first; mailboxes buffer any
-    // frame that races ahead of its notification.
-    let mut pending: BTreeMap<usize, ()> = BTreeMap::new();
-    let mut planned_parent: BTreeMap<usize, NodeId> = BTreeMap::new();
-    let mut orphans: BTreeSet<usize> = BTreeSet::new();
-    for slot in 1..size {
-        planned_parent.insert(slot, node_of(binomial_parent(slot)));
-        let (tag, comm) = channels[slot - 1];
-        let children: Vec<RelayChild> =
-            binomial_children(slot, size).into_iter().map(child_of).collect();
-        let notified = events.notify(
-            node_of(slot),
-            &EventNotification {
-                request: EventRequest::RelayRecv {
-                    buffer: spec.buffer,
-                    total_bytes: spec.bytes,
-                    chunk_bytes: spec.chunk_bytes,
-                    children,
-                },
-                tag,
-                comm,
-                timed: false,
-            },
-        );
-        match notified {
-            Ok(()) => {
-                pending.insert(slot, ());
-            }
-            Err(e) => outcome.failed.push((node_of(slot), e)),
-        }
-    }
-    // A destination whose notification never left orphans its planned
-    // children (they will receive no frames from it).
-    for slot in 1..size {
-        if !pending.contains_key(&slot) {
-            for child in binomial_children(slot, size) {
-                if pending.contains_key(&child) {
-                    orphans.insert(child);
-                }
-            }
-        }
-    }
-
-    // Feed the subtree roots from the source.
-    let root_slots: Vec<usize> =
-        binomial_children(0, size).into_iter().filter(|slot| pending.contains_key(slot)).collect();
-    let root_children: Vec<RelayChild> = root_slots.iter().map(|&slot| child_of(slot)).collect();
-    let mut feeds: Vec<FeedInFlight> = Vec::new();
-    let mut feed_failed: Option<OmpcError> = None;
-    match &spec.source {
-        BroadcastSource::Head(payload) => {
-            let tc = telemetry.start();
-            let sent = crate::worker::send_relay_frames(
-                events.communicator(),
-                payload,
-                spec.chunk_bytes,
-                &root_children,
-            );
-            if telemetry.spans_enabled() {
-                telemetry.record(
-                    Span::new(SpanPhase::Chunk, HEAD_NODE, tc, monotonic_us())
-                        .bytes(spec.bytes * root_children.len() as u64)
-                        .detail("head-stream"),
-                );
-            }
-            if let Err(e) = sent {
-                feed_failed = Some(e);
-            }
-        }
-        BroadcastSource::Worker(feeder) => {
-            match dispatch_feed(events, spec, *feeder, &root_children) {
-                Ok(mut feed) => {
-                    feed.fed = root_slots.clone();
-                    feeds.push(feed);
-                }
-                Err(e) => feed_failed = Some(e),
-            }
-        }
-    }
-    if feed_failed.is_some() {
-        // The roots got nothing; they are orphans until someone re-feeds
-        // them (which, with no delivered recipient, only the source could —
-        // and the source feed just failed, so they will fail below).
-        orphans.extend(root_slots.iter().copied());
-    }
-
-    // Resolve deliveries, heal orphaned subtrees.
+    let mut holders: BTreeSet<usize> = BTreeSet::from([0]);
+    let mut pending: BTreeSet<usize> = (1..=spec.destinations.len()).collect();
+    // Why the last dropped holder dropped out: what the destinations left
+    // without any holder fail with.
+    let mut lost = None;
+    let mut round = 0;
     while !pending.is_empty() {
-        let mut progressed = false;
-        // 1. Collect per-destination acknowledgements.
-        let arrived: Vec<usize> = pending
-            .keys()
-            .copied()
-            .filter(|&slot| {
-                let (tag, comm) = channels[slot - 1];
-                events
-                    .communicator()
-                    .on(comm)
-                    .ok()
-                    .and_then(|c| c.iprobe(Some(node_of(slot)), Some(tag)))
-                    .is_some()
-            })
+        if holders.is_empty() {
+            let error = lost.unwrap_or_else(|| {
+                OmpcError::Communication(format!("no holder of {} is left", spec.buffer))
+            });
+            outcome.failed.extend(pending.iter().map(|&slot| (node_of(slot), error.clone())));
+            break;
+        }
+        let mut edges = round_edges(round, &holders, &pending);
+        round += 1;
+        // The head's own payload goes out last: a paced send sleeps in the
+        // posting thread, and the workers' forwards should not wait for it.
+        edges.sort_by_key(|&(from, _)| node_of(from) == HEAD_NODE);
+        let t0 = telemetry.start();
+        let posted: Vec<_> = (edges.into_iter())
+            .map(|(from, to)| (from, to, feed(events, spec, node_of(from), node_of(to))))
             .collect();
-        for slot in arrived {
-            let (tag, comm) = channels[slot - 1];
-            let node = node_of(slot);
-            let reply = events
-                .communicator()
-                .on(comm)
-                .and_then(|c| c.recv(Some(node), Some(tag)))
-                .map_err(|e| OmpcError::Communication(e.to_string()))
-                .and_then(|msg| Reply::from_parts(&msg.data, msg.body, false));
-            pending.remove(&slot);
-            orphans.remove(&slot);
-            progressed = true;
-            match reply {
+        for (from, to, channel) in posted {
+            let (parent, child) = (node_of(from), node_of(to));
+            match channel.and_then(|channel| events.await_reply(&channel)) {
                 Ok(_) => {
-                    let from = planned_parent[&slot];
-                    events.counters().record(Some(spec.bytes));
+                    pending.remove(&to);
+                    holders.insert(to);
                     if telemetry.spans_enabled() {
                         telemetry.record(
-                            Span::new(SpanPhase::Relay, node, t0, monotonic_us())
+                            Span::new(SpanPhase::Relay, child, t0, monotonic_us())
                                 .bytes(spec.bytes)
-                                .from(from)
+                                .from(parent)
                                 .detail("deliver"),
                         );
                     }
-                    outcome.delivered.push(DeliveredEdge { to: node, from, bytes: spec.bytes });
+                    outcome.delivered.push(DeliveredEdge {
+                        to: child,
+                        from: parent,
+                        bytes: spec.bytes,
+                    });
                 }
-                Err(e) => {
-                    // The refusal (or failure) means this node forwarded
-                    // nothing: its still-pending planned children are
-                    // orphans to be re-fed from a survivor.
-                    for child in binomial_children(slot, size) {
-                        if pending.contains_key(&child) {
-                            orphans.insert(child);
-                        }
-                    }
-                    outcome.failed.push((node, e));
+                Err(error) if error.origin_node() == Some(parent) => {
+                    holders.remove(&from);
+                    lost = Some(error);
                 }
-            }
-        }
-        // 2. Collect feed outcomes; a failed feed orphans what it carried.
-        let mut kept = Vec::new();
-        for feed in feeds.drain(..) {
-            let probed = events
-                .communicator()
-                .on(feed.comm)
-                .ok()
-                .and_then(|c| c.iprobe(Some(feed.feeder), Some(feed.tag)));
-            if probed.is_none() {
-                kept.push(feed);
-                continue;
-            }
-            progressed = true;
-            let reply = events
-                .communicator()
-                .on(feed.comm)
-                .and_then(|c| c.recv(Some(feed.feeder), Some(feed.tag)))
-                .map_err(|e| OmpcError::Communication(e.to_string()))
-                .and_then(|msg| Reply::from_parts(&msg.data, msg.body, false));
-            if reply.is_err() {
-                for slot in feed.fed {
-                    if pending.contains_key(&slot) {
-                        orphans.insert(slot);
-                    }
+                Err(error) => {
+                    pending.remove(&to);
+                    outcome.failed.push((child, error));
                 }
             }
-        }
-        feeds = kept;
-        // 3. Rescue orphans: replay the stream from a recipient that
-        // already holds the payload (delivered nodes are never re-sent —
-        // receivers drop duplicate frames, and the rescue only targets the
-        // orphans' own channels). Waiting is fine while some live subtree
-        // can still produce a first delivery; when nothing can (every
-        // pending slot sits under an orphan), the source re-feeds directly.
-        if !orphans.is_empty() {
-            let rescue_children: Vec<RelayChild> =
-                orphans.iter().map(|&slot| child_of(slot)).collect();
-            let fed: Vec<usize> = orphans.iter().copied().collect();
-            if let Some(rescuer) = outcome.delivered.first().map(|e| e.to) {
-                match dispatch_feed(events, spec, rescuer, &rescue_children) {
-                    Ok(mut feed) => {
-                        feed.fed = fed.clone();
-                        for &slot in &fed {
-                            planned_parent.insert(slot, rescuer);
-                        }
-                        feeds.push(feed);
-                        orphans.clear();
-                        progressed = true;
-                    }
-                    Err(_) => {
-                        // The rescuer became unreachable; try again next
-                        // sweep (possibly with a different rescuer).
-                    }
-                }
-            } else if orphan_closure(&orphans, &pending, size) >= pending.len() {
-                // No delivery exists anywhere and none can happen: only the
-                // source still holds the bytes.
-                let fed_ok = match &spec.source {
-                    BroadcastSource::Head(payload) => crate::worker::send_relay_frames(
-                        events.communicator(),
-                        payload,
-                        spec.chunk_bytes,
-                        &rescue_children,
-                    )
-                    .map(|()| None),
-                    BroadcastSource::Worker(feeder) => {
-                        dispatch_feed(events, spec, *feeder, &rescue_children).map(|mut feed| {
-                            feed.fed = fed.clone();
-                            Some(feed)
-                        })
-                    }
-                };
-                match fed_ok {
-                    Ok(feed) => {
-                        for &slot in &fed {
-                            planned_parent.insert(slot, source);
-                        }
-                        feeds.extend(feed);
-                        orphans.clear();
-                        progressed = true;
-                    }
-                    Err(e) => {
-                        // The source itself is gone: everything pending is
-                        // undeliverable.
-                        for slot in std::mem::take(&mut pending).into_keys() {
-                            outcome.failed.push((node_of(slot), e.clone()));
-                        }
-                        orphans.clear();
-                    }
-                }
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        if started.elapsed() > deadline {
-            for slot in std::mem::take(&mut pending).into_keys() {
-                outcome.failed.push((
-                    node_of(slot),
-                    OmpcError::Communication(format!(
-                        "collective broadcast of {} timed out towards node {}",
-                        spec.buffer,
-                        node_of(slot)
-                    )),
-                ));
-            }
-            break;
-        }
-        if !progressed {
-            std::thread::sleep(POLL_SLEEP);
-        }
-    }
-
-    // Drain outstanding feed acknowledgements so no stray reply lingers in
-    // the head's mailbox. Feeds towards already-resolved destinations
-    // finish promptly (or time out and are abandoned).
-    for feed in feeds {
-        if let Ok(channel) = events.communicator().on(feed.comm) {
-            let _ = channel.recv_timeout(Some(feed.feeder), Some(feed.tag), Duration::from_secs(5));
         }
     }
     outcome
-}
-
-/// Ask `feeder` (a worker holding the payload) to stream the broadcast
-/// frames towards `children`.
-fn dispatch_feed(
-    events: &EventSystem,
-    spec: &BroadcastSpec,
-    feeder: NodeId,
-    children: &[RelayChild],
-) -> Result<FeedInFlight, OmpcError> {
-    let (tag, comm) = events.open_channel();
-    events.notify(
-        feeder,
-        &EventNotification {
-            request: EventRequest::RelayFeed {
-                buffer: spec.buffer,
-                chunk_bytes: spec.chunk_bytes,
-                children: children.to_vec(),
-            },
-            tag,
-            comm,
-            timed: false,
-        },
-    )?;
-    Ok(FeedInFlight { feeder, tag, comm, fed: Vec::new() })
-}
-
-/// Size of the orphan closure: the orphans plus every still-pending slot
-/// that (transitively) depends on an orphan for its frames.
-fn orphan_closure(orphans: &BTreeSet<usize>, pending: &BTreeMap<usize, ()>, size: usize) -> usize {
-    let mut closure: BTreeSet<usize> = orphans.clone();
-    loop {
-        let mut grew = false;
-        for &slot in closure.clone().iter() {
-            for child in binomial_children(slot, size) {
-                if pending.contains_key(&child) && closure.insert(child) {
-                    grew = true;
-                }
-            }
-        }
-        if !grew {
-            return closure.iter().filter(|s| pending.contains_key(s)).count();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -560,14 +303,73 @@ mod tests {
         assert_eq!(binomial_children(0, 9).len(), 4);
     }
 
+    /// Run the round schedule over `k` destinations to the end, every feed
+    /// delivering except those into a slot of `failed`, and return each
+    /// round's feeds.
+    fn schedule(k: usize, failed: &[usize]) -> Vec<Vec<(usize, usize)>> {
+        let size = k + 1;
+        let mut holders = BTreeSet::from([0]);
+        let mut pending: BTreeSet<usize> = (1..size).collect();
+        let mut rounds = Vec::new();
+        while !pending.is_empty() {
+            let edges = round_edges(rounds.len() as u32, &holders, &pending);
+            for &(_, to) in &edges {
+                pending.remove(&to);
+                if !failed.contains(&to) {
+                    holders.insert(to);
+                }
+            }
+            rounds.push(edges);
+            assert!(rounds.len() <= 2 * size, "{k} destinations never finish: {rounds:?}");
+        }
+        rounds
+    }
+
     #[test]
-    fn orphan_closure_counts_dependent_subtrees() {
-        // p = 9; slot 1 orphaned ⇒ 3, 5, 7 depend on it.
-        let pending: BTreeMap<usize, ()> = (1..9).map(|s| (s, ())).collect();
-        let orphans: BTreeSet<usize> = [1].into_iter().collect();
-        assert_eq!(orphan_closure(&orphans, &pending, 9), 4);
-        // With the rest delivered, the closure covers all of pending.
-        let pending: BTreeMap<usize, ()> = [1, 3, 5, 7].into_iter().map(|s| (s, ())).collect();
-        assert_eq!(orphan_closure(&orphans, &pending, 9), 4);
+    fn rounds_follow_the_tree_and_rescue_orphans_from_worker_holders() {
+        for k in 1..=16usize {
+            let rounds = schedule(k, &[]);
+            // ⌈log₂(k+1)⌉ rounds, each slot fed once, by its binomial parent.
+            assert_eq!(rounds.len(), (usize::BITS - k.leading_zeros()) as usize, "k = {k}");
+            let mut fed = BTreeSet::new();
+            for edges in &rounds {
+                let feeders: BTreeSet<usize> = edges.iter().map(|&(from, _)| from).collect();
+                assert_eq!(
+                    feeders.len(),
+                    edges.len(),
+                    "a holder fed twice in one round: {edges:?}"
+                );
+                for &(from, to) in edges {
+                    assert_eq!(from, binomial_parent(to), "k = {k}: {edges:?}");
+                    assert!(fed.insert(to), "slot {to} fed twice");
+                }
+            }
+            assert_eq!(fed, (1..=k).collect(), "k = {k}");
+
+            // Slot 1 fails: its orphans are re-fed by a worker holder, never
+            // by the head, and still no holder feeds twice in one round.
+            let rounds = schedule(k, &[1]);
+            let orphans = binomial_children(1, k + 1);
+            let all: Vec<(usize, usize)> = rounds.concat();
+            for orphan in &orphans {
+                let feeds: Vec<usize> =
+                    all.iter().filter(|&&(_, to)| to == *orphan).map(|&(from, _)| from).collect();
+                assert_eq!(feeds.len(), 1, "k = {k}: orphan {orphan} fed by {feeds:?}");
+                assert!(feeds[0] != 0 && feeds[0] != 1, "k = {k}: orphan {orphan}: {rounds:?}");
+            }
+            for edges in &rounds {
+                let feeders: BTreeSet<usize> = edges.iter().map(|&(from, _)| from).collect();
+                assert_eq!(
+                    feeders.len(),
+                    edges.len(),
+                    "a holder fed twice in one round: {edges:?}"
+                );
+            }
+        }
+        // The fault-tolerance scenario, k = 4: slot 3 waits out the round in
+        // which its parent would have fed it, then slot 2 feeds it.
+        assert_eq!(schedule(4, &[1]), vec![vec![(0, 1)], vec![(0, 2)], vec![(0, 4), (2, 3)]]);
+        // With no worker holder left, the source re-feeds the orphan itself.
+        assert_eq!(schedule(3, &[1, 2]), vec![vec![(0, 1)], vec![(0, 2)], vec![(0, 3)]]);
     }
 }

@@ -182,27 +182,19 @@ pub struct OmpcConfig {
     /// [`crate::runtime::RunRecord`]. `0` is treated as `1`.
     pub max_concurrent_regions: usize,
     /// Minimum destination count at which a one-to-many distribution is
-    /// planned as a **binomial broadcast tree** of worker-to-worker relays
+    /// planned as a **binomial broadcast tree** of worker-to-worker forwards
     /// instead of a star of independent source-sourced sends. When a single
     /// planning step (a region's read-only input set, an async enter-data
     /// booking, or a prefetch train) must place one buffer on `k`
     /// destinations and `k >= collective_min_fanout`, the source sends
-    /// O(log k) copies and interior recipients fan the payload onward, so
-    /// the source link stops serializing `k` wire trips. `0` (the default)
-    /// disables collectives entirely; any distribution below the threshold
-    /// is planned exactly as before, byte-identical transfer logs included.
+    /// O(log k) copies and every recipient forwards the payload onward in
+    /// the next rounds, so the source link stops serializing `k` wire
+    /// trips. `0` (the default) disables collectives entirely; any
+    /// distribution below the threshold is planned exactly as before,
+    /// byte-identical transfer logs included.
     /// Only the real backends honour the knob — the simulated backend keeps
     /// its analytic star model.
     pub collective_min_fanout: usize,
-    /// Frame size, in KiB, of the chunked payload stream used by collective
-    /// broadcast trees. With a positive value a relayed buffer travels as a
-    /// pipeline of frames — an interior relay forwards frame `i` to its
-    /// children while frame `i + 1` is still on the wire to it — overlapping
-    /// serialization, transmission, and fan-out along the tree. `0` (the
-    /// default) sends each relayed buffer as a single whole-buffer frame.
-    /// Ignored outside collective distributions; point-to-point transfers
-    /// are never chunked.
-    pub collective_chunk_kib: usize,
     /// Opt-in wire emulation for benchmarking: when positive, every rank's
     /// outbound messages serialize through a per-rank egress budget of this
     /// many MiB/s, so `k` concurrent sends from one node genuinely queue on
@@ -241,7 +233,6 @@ impl Default for OmpcConfig {
             prefetch_depth: 1,
             max_concurrent_regions: 1,
             collective_min_fanout: 0,
-            collective_chunk_kib: 0,
             emulated_link_mib_per_s: 0,
             telemetry: TelemetryLevel::Off,
         }
@@ -266,7 +257,6 @@ impl OmpcConfig {
             prefetch_depth: 1,
             max_concurrent_regions: 1,
             collective_min_fanout: 0,
-            collective_chunk_kib: 0,
             emulated_link_mib_per_s: 0,
             telemetry: TelemetryLevel::Off,
         }
@@ -295,12 +285,6 @@ impl OmpcConfig {
             0 => None,
             n => Some(n.max(2)),
         }
-    }
-
-    /// The collective frame size in bytes: `0` means each relayed buffer
-    /// travels as one whole-buffer frame.
-    pub fn collective_chunk_bytes(&self) -> usize {
-        self.collective_chunk_kib.saturating_mul(1024)
     }
 }
 
@@ -439,7 +423,6 @@ mod tests {
             prefetch_depth: 1,
             max_concurrent_regions: 1,
             collective_min_fanout: 0,
-            collective_chunk_kib: 0,
             emulated_link_mib_per_s: 0,
             telemetry: TelemetryLevel::Off,
         };
@@ -464,18 +447,12 @@ mod tests {
         // plans every distribution as the historical star.
         assert_eq!(OmpcConfig::default().collective_min_fanout, 0);
         assert_eq!(OmpcConfig::small().collective_min_fanout, 0);
-        assert_eq!(OmpcConfig::default().collective_chunk_kib, 0);
-        assert_eq!(OmpcConfig::small().collective_chunk_kib, 0);
         assert_eq!(OmpcConfig::default().collective_threshold(), None);
         // A one-destination tree is meaningless; the threshold clamps to 2.
         let c = OmpcConfig { collective_min_fanout: 1, ..OmpcConfig::small() };
         assert_eq!(c.collective_threshold(), Some(2));
         let c = OmpcConfig { collective_min_fanout: 4, ..OmpcConfig::small() };
         assert_eq!(c.collective_threshold(), Some(4));
-        // Chunk size resolves KiB -> bytes; zero means whole-buffer frames.
-        assert_eq!(OmpcConfig::default().collective_chunk_bytes(), 0);
-        let c = OmpcConfig { collective_chunk_kib: 64, ..OmpcConfig::small() };
-        assert_eq!(c.collective_chunk_bytes(), 64 * 1024);
     }
 
     #[test]

@@ -53,13 +53,6 @@ pub struct EventCounters {
 }
 
 impl EventCounters {
-    pub(crate) fn record(&self, data_bytes: Option<u64>) {
-        self.events.fetch_add(1, Ordering::Relaxed);
-        if let Some(bytes) = data_bytes {
-            self.record_data(bytes);
-        }
-    }
-
     /// One data movement, and no event: all a booked push or a committed
     /// retrieval records.
     pub(crate) fn record_data(&self, bytes: u64) {
@@ -270,8 +263,8 @@ impl EventSystem {
     /// Communicators are chosen round-robin by tag, mirroring the paper's
     /// mapping of events onto MPICH virtual communication interfaces. Also
     /// used by the message-passing `MpiBackend` — for its train cars and
-    /// each region execution's completion channel — and by the collectives,
-    /// so every event shares one device-unique tag space.
+    /// each region execution's completion channel — so every event shares
+    /// one device-unique tag space.
     pub(crate) fn open_channel(&self) -> (Tag, CommId) {
         let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
         let comm = CommId((tag % u64::from(self.comm.num_communicators())) as u32);
@@ -363,9 +356,9 @@ mod tests {
     #[test]
     fn counters_record_events_and_bytes() {
         let c = EventCounters::default();
-        c.record(None);
-        c.record(Some(100));
-        c.record(Some(50));
+        c.record_tasks(3, Frames::default());
+        c.record_data(100);
+        c.record_data(50);
         assert_eq!(c.events.load(Ordering::Relaxed), 3);
         assert_eq!(c.data_events.load(Ordering::Relaxed), 2);
         assert_eq!(c.bytes_moved.load(Ordering::Relaxed), 150);

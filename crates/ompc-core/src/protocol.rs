@@ -36,15 +36,14 @@
 //! | reply that *is* the data (a task with a [`TaskStep::Retrieve`]; the sending half of a forward, a [`TaskStep::Push`]) | `EventReply::Ok` with nothing inline | the buffer |
 //! | a train car's reply, on the completion channel | the car's tag `u64`, then its [`EventReply`] ([`split_car_reply`]) | the reply's body, if it has one |
 //! | host payload (one per [`TaskStep::RecvFromHead`]) | empty ([`payload_body`]) | the buffer |
-//! | collective frame ([`relay_frame_header`] / [`decode_relay_parts`]) | frame index `u64` | the chunk |
 //!
 //! Every receiver states which shape it expects, and a message of the wrong
 //! shape — a data reply without its body, a body where none belongs, a
-//! frame header that is not exactly an index — is a typed error, never an
-//! empty buffer. Byte counts (`Status::len`, link pacing) are header plus
-//! body, which is exactly the length of the single-part frames
-//! ([`encode_relay_frame`], an [`EventReply`] with the data inline) these
-//! shapes replaced; the runtime no longer builds either for bulk data.
+//! header on a payload — is a typed error, never an empty buffer. Byte
+//! counts (`Status::len`, link pacing) are header plus body, which is
+//! exactly the length of the single-part frames ([`encode_relay_frame`], an
+//! [`EventReply`] with the data inline) these shapes replaced; the runtime
+//! no longer builds either for bulk data.
 
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Tag};
@@ -62,8 +61,8 @@ pub const FIRST_EVENT_TAG: u64 = 3;
 /// The action a new event asks the destination node to perform. What a
 /// libomptarget device plugin must implement — alloc, delete, submit,
 /// retrieve, exchange, execute — are the [`TaskStep`]s of a [`Task`]; the
-/// other kinds are the sending half of a worker-to-worker forward, the
-/// collective relays, and the worker's own lifecycle.
+/// other kinds are the sending half of a worker-to-worker forward and the
+/// worker's own lifecycle.
 ///
 /// [`Task`]: EventRequest::Task
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,23 +93,6 @@ pub enum EventRequest {
     ///
     /// [`Task`]: EventRequest::Task
     TaskTrain(Vec<TrainCar>),
-    /// Receive one buffer as a chunked collective payload stream and relay
-    /// each frame onward: the node receives `[frame index u64][payload]`
-    /// frames on the event's exclusive channel **from any source** (the
-    /// planned parent, or a rescue source after a relay died), stores the
-    /// reassembled buffer, and forwards every newly seen frame to each
-    /// listed child on the child's own event channel — so an interior node
-    /// of a broadcast tree fans frame `i` onward while frame `i + 1` is
-    /// still inbound. Duplicate frames (possible during re-sourcing) are
-    /// forwarded at most once and written at most once; one typed reply to
-    /// the head acknowledges the fully assembled buffer.
-    RelayRecv { buffer: BufferId, total_bytes: u64, chunk_bytes: u64, children: Vec<RelayChild> },
-    /// Stream a locally resident buffer as collective payload frames to the
-    /// listed children (the feeding half of a worker-sourced broadcast tree,
-    /// and the rescue path when a relay died: the head points a surviving
-    /// holder at the orphaned recipients). Replies once all frames are on
-    /// the wire.
-    RelayFeed { buffer: BufferId, chunk_bytes: u64, children: Vec<RelayChild> },
     /// Clear the worker's device memory and acknowledge: the head issues
     /// this between workloads when recycling warm workers, so a parked
     /// worker pool starts the next device lifetime from an empty state.
@@ -133,8 +115,6 @@ impl EventRequest {
             EventRequest::ExchangeSend { .. } => "exchange-send",
             EventRequest::Task(_) => "task",
             EventRequest::TaskTrain(_) => "task-train",
-            EventRequest::RelayRecv { .. } => "relay-recv",
-            EventRequest::RelayFeed { .. } => "relay-feed",
             EventRequest::Reset => "reset",
             EventRequest::Shutdown => "shutdown",
             EventRequest::Kill => "kill",
@@ -142,36 +122,9 @@ impl EventRequest {
     }
 }
 
-/// One downstream edge of a collective broadcast tree: where an
-/// [`EventRequest::RelayRecv`] / [`EventRequest::RelayFeed`] node forwards
-/// payload frames. The child's `(tag, comm)` is the **child's own** relay
-/// event channel — frames from the parent and frames from a rescue source
-/// land on the same exclusive channel, which is what lets a re-sourced
-/// recipient stay oblivious to the failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelayChild {
-    /// Destination node of the forwarded frames.
-    pub node: NodeId,
-    /// Tag of the child's relay event channel.
-    pub tag: Tag,
-    /// Communicator of the child's relay event channel.
-    pub comm: CommId,
-}
-
-/// Number of frames a collective payload of `total_bytes` travels as:
-/// `chunk_bytes == 0` means one whole-buffer frame, and a zero-length
-/// buffer still travels as one (empty) frame so the receive loop always
-/// terminates on a frame count.
-pub fn relay_frame_count(total_bytes: u64, chunk_bytes: u64) -> u64 {
-    if chunk_bytes == 0 || total_bytes == 0 {
-        1
-    } else {
-        total_bytes.div_ceil(chunk_bytes)
-    }
-}
-
-/// Serialize one frame of a chunked collective payload stream:
-/// `[frame index u64 LE][payload bytes]`.
+/// Serialize one single-part frame: `[frame index u64 LE][payload bytes]`.
+/// Off the data path; kept only because the perf ledger's
+/// `protocol.relay_frame_mib_s` row names it, and deleted with that row.
 pub fn encode_relay_frame(index: u64, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
     out.extend_from_slice(&index.to_le_bytes());
@@ -179,29 +132,14 @@ pub fn encode_relay_frame(index: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Parse one collective payload frame into `(frame index, payload)`.
+/// Parse one [`encode_relay_frame`] frame into `(frame index, payload)`.
+/// Off the data path; kept only because the perf ledger's
+/// `protocol.relay_frame_mib_s` row names it, and deleted with that row.
 pub fn decode_relay_frame(data: &[u8]) -> OmpcResult<(u64, Vec<u8>)> {
     let (index, payload) = data
         .split_first_chunk::<8>()
         .ok_or_else(|| OmpcError::Internal("truncated relay frame".to_string()))?;
     Ok((u64::from_le_bytes(*index), payload.to_vec()))
-}
-
-/// Header of one two-part collective frame: the frame index. The chunk
-/// travels as the message body.
-pub fn relay_frame_header(index: u64) -> Vec<u8> {
-    index.to_le_bytes().to_vec()
-}
-
-/// Parse a two-part collective frame into `(frame index, chunk)`. The
-/// header must be exactly the index and the chunk must be there: a header
-/// that also carries bytes inline, or a frame without a body, is an error.
-pub fn decode_relay_parts(header: &[u8], body: Option<Bytes>) -> OmpcResult<(u64, Bytes)> {
-    let index: [u8; 8] = header.try_into().map_err(|_| {
-        OmpcError::Internal(format!("relay frame header of {} bytes, not 8", header.len()))
-    })?;
-    let chunk = body.ok_or_else(|| OmpcError::Internal("relay frame without a body".into()))?;
-    Ok((u64::from_le_bytes(index), chunk))
 }
 
 /// The buffer a host payload message carries: an empty header and the
@@ -430,30 +368,14 @@ impl<'a> Reader<'a> {
 
 // 1–4, 6 and 13 were the single-purpose `Alloc`, `Delete`, `Submit`,
 // `Retrieve`, `ExchangeRecv` and `SubmitTrain` events, and 7 a bare `Execute`:
-// each is a step of a `Task` now.
+// each is a step of a `Task` now. 14 and 15 were the collective relays: a
+// broadcast tree is rounds of ordinary forwards now.
 const KIND_EXCHANGE_SEND: u8 = 5;
 const KIND_SHUTDOWN: u8 = 8;
 const KIND_KILL: u8 = 9;
 const KIND_TASK: u8 = 10;
 const KIND_TASK_TRAIN: u8 = 11;
 const KIND_RESET: u8 = 12;
-const KIND_RELAY_RECV: u8 = 14;
-const KIND_RELAY_FEED: u8 = 15;
-
-fn encode_children(w: &mut Writer, children: &[RelayChild]) {
-    w.u32(children.len() as u32);
-    for child in children {
-        w.u32(child.node as u32);
-        w.u64(child.tag.0);
-        w.u32(child.comm.0);
-    }
-}
-
-fn decode_children(r: &mut Reader<'_>) -> OmpcResult<Vec<RelayChild>> {
-    r.list(16, |r| {
-        Ok(RelayChild { node: r.u32()? as NodeId, tag: Tag(r.u64()?), comm: CommId(r.u32()?) })
-    })
-}
 
 const STEP_RECV_FROM_HEAD: u8 = 1;
 const STEP_RECV_FROM_WORKER: u8 = 2;
@@ -569,15 +491,12 @@ impl EventNotification {
     /// Bytes [`EventNotification::encode`] writes: the encoding is sized
     /// before it is written, so it is one allocation.
     fn encoded_len(&self) -> usize {
-        let children = |children: &[RelayChild]| 4 + 16 * children.len();
         14 + match &self.request {
             EventRequest::ExchangeSend { .. } => 16,
             EventRequest::Task(spec) => steps_len(&spec.steps),
             EventRequest::TaskTrain(cars) => {
                 4 + cars.iter().map(|car| 12 + steps_len(&car.spec.steps)).sum::<usize>()
             }
-            EventRequest::RelayRecv { children: c, .. } => 24 + children(c),
-            EventRequest::RelayFeed { children: c, .. } => 16 + children(c),
             EventRequest::Reset | EventRequest::Shutdown | EventRequest::Kill => 0,
         }
     }
@@ -612,19 +531,6 @@ impl EventNotification {
                         encode_step(&mut w, step);
                     }
                 }
-            }
-            EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
-                w.u8(KIND_RELAY_RECV);
-                w.u64(buffer.0);
-                w.u64(*total_bytes);
-                w.u64(*chunk_bytes);
-                encode_children(&mut w, children);
-            }
-            EventRequest::RelayFeed { buffer, chunk_bytes, children } => {
-                w.u8(KIND_RELAY_FEED);
-                w.u64(buffer.0);
-                w.u64(*chunk_bytes);
-                encode_children(&mut w, children);
             }
             EventRequest::Reset => {
                 w.u8(KIND_RESET);
@@ -661,17 +567,6 @@ impl EventNotification {
                 let (tag, comm) = (Tag(r.u64()?), CommId(r.u32()?));
                 Ok(TrainCar { tag, comm, spec: TaskSpec { steps: r.steps()? } })
             })?),
-            KIND_RELAY_RECV => EventRequest::RelayRecv {
-                buffer: BufferId(r.u64()?),
-                total_bytes: r.u64()?,
-                chunk_bytes: r.u64()?,
-                children: decode_children(&mut r)?,
-            },
-            KIND_RELAY_FEED => EventRequest::RelayFeed {
-                buffer: BufferId(r.u64()?),
-                chunk_bytes: r.u64()?,
-                children: decode_children(&mut r)?,
-            },
             KIND_RESET => EventRequest::Reset,
             KIND_SHUTDOWN => EventRequest::Shutdown,
             KIND_KILL => EventRequest::Kill,
@@ -777,9 +672,9 @@ fn encode_error(w: &mut Writer, error: &OmpcError) {
 }
 
 /// Deepest [`OmpcError::RemoteEvent`] nesting a reply may carry. The runtime
-/// wraps an error once per hop it travels (handler, exchange receiver, tree
-/// relay), so real replies nest a handful deep; the bound keeps a forged
-/// one from recursing the decoder off its stack.
+/// wraps an error once per hop it travels (handler, exchange receiver), so
+/// real replies nest a handful deep; the bound keeps a forged one from
+/// recursing the decoder off its stack.
 const MAX_ERROR_NESTING: usize = 32;
 
 fn decode_error(r: &mut Reader<'_>, depth: usize) -> OmpcResult<OmpcError> {
@@ -1083,57 +978,6 @@ mod tests {
     }
 
     #[test]
-    fn relay_events_round_trip_and_reject_truncation() {
-        round_trip(EventRequest::RelayRecv {
-            buffer: BufferId(5),
-            total_bytes: 1 << 20,
-            chunk_bytes: 64 * 1024,
-            children: vec![],
-        });
-        round_trip(EventRequest::RelayFeed {
-            buffer: BufferId(2),
-            chunk_bytes: 0,
-            children: vec![RelayChild { node: 3, tag: Tag(91), comm: CommId(1) }],
-        });
-        let n = EventNotification {
-            request: EventRequest::RelayRecv {
-                buffer: BufferId(7),
-                total_bytes: 4096,
-                chunk_bytes: 1024,
-                children: vec![
-                    RelayChild { node: 2, tag: Tag(40), comm: CommId(0) },
-                    RelayChild { node: 4, tag: Tag(41), comm: CommId(1) },
-                ],
-            },
-            tag: Tag(39),
-            comm: CommId(1),
-            timed: false,
-        };
-        let bytes = n.encode();
-        assert_eq!(EventNotification::decode(&bytes).unwrap(), n);
-        for cut in 1..bytes.len() {
-            assert!(EventNotification::decode(&bytes[..bytes.len() - cut]).is_err());
-        }
-        let f = EventNotification {
-            request: EventRequest::RelayFeed {
-                buffer: BufferId(7),
-                chunk_bytes: 1024,
-                children: vec![RelayChild { node: 2, tag: Tag(40), comm: CommId(0) }],
-            },
-            tag: Tag(44),
-            comm: CommId(0),
-            timed: false,
-        };
-        let bytes = f.encode();
-        assert_eq!(EventNotification::decode(&bytes).unwrap(), f);
-        for cut in 1..bytes.len() {
-            assert!(EventNotification::decode(&bytes[..bytes.len() - cut]).is_err());
-        }
-        assert_eq!(n.request.name(), "relay-recv");
-        assert_eq!(f.request.name(), "relay-feed");
-    }
-
-    #[test]
     fn relay_frames_round_trip_and_count_correctly() {
         let frame = encode_relay_frame(3, &[9, 8, 7]);
         assert_eq!(decode_relay_frame(&frame).unwrap(), (3, vec![9, 8, 7]));
@@ -1143,13 +987,8 @@ mod tests {
         // Anything shorter than the index header is rejected.
         assert!(decode_relay_frame(&frame[..7]).is_err());
         assert!(decode_relay_frame(&[]).is_err());
-        // Frame counts: whole-buffer when unchunked, ceil-div otherwise,
-        // and always at least one so receivers terminate.
-        assert_eq!(relay_frame_count(1 << 20, 0), 1);
-        assert_eq!(relay_frame_count(0, 4096), 1);
-        assert_eq!(relay_frame_count(4096, 4096), 1);
-        assert_eq!(relay_frame_count(4097, 4096), 2);
-        assert_eq!(relay_frame_count(3 * 4096, 4096), 3);
+        // A frame counts its index and its payload, and nothing else.
+        assert_eq!((frame.len(), empty.len()), (8 + 3, 8));
     }
 
     #[test]
@@ -1367,26 +1206,9 @@ mod tests {
         (0..rng.range(0, 5)).map(|_| step(rng)).collect()
     }
 
-    fn arb_children(rng: &mut Rng) -> Vec<RelayChild> {
-        let child = |rng: &mut Rng| RelayChild {
-            node: rng.range_usize(0, 1 << 20),
-            tag: Tag(rng.next_u64()),
-            comm: CommId(rng.next_u64() as u32),
-        };
-        (0..rng.range(0, 5)).map(|_| child(rng)).collect()
-    }
-
     /// Every wire kind there is.
-    const KINDS: [u8; 8] = [
-        KIND_EXCHANGE_SEND,
-        KIND_SHUTDOWN,
-        KIND_KILL,
-        KIND_TASK,
-        KIND_TASK_TRAIN,
-        KIND_RESET,
-        KIND_RELAY_RECV,
-        KIND_RELAY_FEED,
-    ];
+    const KINDS: [u8; 6] =
+        [KIND_EXCHANGE_SEND, KIND_SHUTDOWN, KIND_KILL, KIND_TASK, KIND_TASK_TRAIN, KIND_RESET];
 
     /// A notification of wire kind `kind`, one of [`KINDS`].
     fn arb_notification(rng: &mut Rng, kind: u8) -> EventNotification {
@@ -1406,17 +1228,6 @@ mod tests {
                 EventRequest::TaskTrain((0..rng.range(0, 4)).map(|_| car(rng)).collect())
             }
             KIND_RESET => EventRequest::Reset,
-            KIND_RELAY_RECV => EventRequest::RelayRecv {
-                buffer,
-                total_bytes: rng.next_u64(),
-                chunk_bytes: rng.next_u64(),
-                children: arb_children(rng),
-            },
-            KIND_RELAY_FEED => EventRequest::RelayFeed {
-                buffer,
-                chunk_bytes: rng.next_u64(),
-                children: arb_children(rng),
-            },
             other => panic!("no event kind {other}"),
         };
         EventNotification {
@@ -1574,19 +1385,6 @@ mod tests {
                 assert!(Reply::from_parts(&failed, None, data_bearing).is_err());
             }
 
-            let index = rng.next_u64();
-            let header = relay_frame_header(index);
-            let (i, chunk) = decode_relay_parts(&header, Some(body.clone())).unwrap();
-            assert!(i == index && chunk.same_allocation(&body));
-            assert!(decode_relay_parts(&header, None).is_err(), "a frame without its chunk");
-            // A header that is not exactly the index disagrees with its
-            // body: truncated, or an old single-part frame beside a body.
-            for cut in 0..header.len() {
-                assert!(decode_relay_parts(&header[..cut], Some(body.clone())).is_err());
-            }
-            let inline_too = encode_relay_frame(index, &[0]);
-            assert!(decode_relay_parts(&inline_too, Some(body.clone())).is_err());
-
             assert!(payload_body(&[], Some(body.clone())).unwrap().same_allocation(&body));
             assert!(payload_body(&[], None).is_err(), "a payload message without its payload");
             assert!(payload_body(&[0], Some(body)).is_err(), "a header on a raw payload");
@@ -1625,8 +1423,9 @@ mod tests {
         bytes[last] = 99;
         assert!(EventNotification::decode(&bytes).is_err());
         // The retired single-purpose events (`Alloc`, `Delete`, `Submit`,
-        // `Retrieve`, `ExchangeRecv`, `Execute`, `SubmitTrain`) are gone.
-        for retired in [1, 2, 3, 4, 6, 7, 13] {
+        // `Retrieve`, `ExchangeRecv`, `Execute`, `SubmitTrain`) and the two
+        // collective relay kinds are gone.
+        for retired in [1, 2, 3, 4, 6, 7, 13, 14, 15] {
             bytes[last] = retired;
             assert!(EventNotification::decode(&bytes).is_err(), "kind {retired}");
         }

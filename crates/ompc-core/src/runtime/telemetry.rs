@@ -110,14 +110,10 @@ pub enum SpanPhase {
     /// A reader blocking on a transfer still in flight (first use of an
     /// async enter-data buffer, or a flush waiting out a concurrent one).
     AwaitInflight,
-    /// Collective data movement: one delivered edge of a broadcast tree
-    /// (the span's `from`/`node` are the edge's endpoints; `detail` notes a
-    /// re-sourced rescue edge).
+    /// Collective data movement: one delivered edge of a broadcast tree,
+    /// over the round that carried it (the span's `from`/`node` are the
+    /// edge's endpoints).
     Relay,
-    /// Collective data movement: the head streaming the chunked payload
-    /// frames of one broadcast into the tree (`bytes` is the payload, and
-    /// `detail` records the frame count).
-    Chunk,
     /// Fault recovery: replanning survivors after a node failure.
     Replan,
     /// Head node: a region waiting in the admission queue for a concurrent
@@ -144,7 +140,6 @@ impl SpanPhase {
             SpanPhase::Prefetch => "prefetch",
             SpanPhase::AwaitInflight => "await_inflight",
             SpanPhase::Relay => "relay",
-            SpanPhase::Chunk => "chunk",
             SpanPhase::Replan => "replan",
             SpanPhase::Admission => "admission",
         }
@@ -166,8 +161,7 @@ impl SpanPhase {
             | SpanPhase::HostFlush
             | SpanPhase::TrainFlush
             | SpanPhase::Prefetch
-            | SpanPhase::Relay
-            | SpanPhase::Chunk => AttributionBucket::Wire,
+            | SpanPhase::Relay => AttributionBucket::Wire,
             // A reader blocked on an in-flight transfer is scheduling
             // slack, not wire work: the bytes were already attributed to
             // the transfer's own prefetch / send span. Likewise a
@@ -848,7 +842,5 @@ mod tests {
         assert_eq!(SpanPhase::Admission.bucket(), AttributionBucket::Scheduling);
         assert_eq!(SpanPhase::Relay.name(), "relay");
         assert_eq!(SpanPhase::Relay.bucket(), AttributionBucket::Wire);
-        assert_eq!(SpanPhase::Chunk.name(), "chunk");
-        assert_eq!(SpanPhase::Chunk.bucket(), AttributionBucket::Wire);
     }
 }

@@ -181,7 +181,7 @@ struct Followers {
 /// Appending a task costs no allocation of its own: every list lives in a
 /// few flat vectors that grow by doubling. A task's predecessors are known
 /// when it is added; its successors and the readers of what it writes are
-/// grouped per task ([`Csr`]) the first time anybody asks, after the last
+/// grouped per task (`Csr`) the first time anybody asks, after the last
 /// task was added.
 #[derive(Debug, Default, Clone)]
 pub struct RegionGraph {

@@ -15,15 +15,13 @@
 //! Buffers are held, received and sent as shared [`Bytes`] handles: a
 //! payload that arrives is stored as the allocation the sender held, a
 //! forward, a push or a retrieve sends the resident handle as the message
-//! body, a relay passes on the chunk it received, and kernels borrow their
-//! inputs ([`KernelArgs`]). The one place a worker copies payload bytes is the
-//! re-assembly of a *chunked* collective stream.
+//! body, and kernels borrow their inputs ([`KernelArgs`]): no handler
+//! copies a payload.
 
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
-    car_reply_header, decode_relay_parts, payload_body, relay_frame_count, relay_frame_header,
-    EventNotification, EventReply, EventRequest, RelayChild, Reply, TaskSpec, TaskStamps, TaskStep,
-    CONTROL_TAG,
+    car_reply_header, payload_body, EventNotification, EventReply, EventRequest, Reply, TaskSpec,
+    TaskStamps, TaskStep, CONTROL_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
@@ -35,13 +33,6 @@ use std::sync::Arc;
 
 /// The head node's rank in the world communicator.
 const HEAD_RANK: usize = 0;
-
-/// Upper bound on any single wait for the next frame of a collective
-/// payload stream. The head's rescue machinery re-sources an orphaned
-/// recipient long before this fires (it reacts to the dead relay's typed
-/// refusal); the bound is the last line of defence turning a frame that can
-/// never arrive into a typed error instead of a hang.
-const RELAY_FRAME_TIMEOUT_MS: u64 = 60_000;
 
 /// A worker node's local buffer storage (its "device memory"): one shared
 /// handle per resident buffer, and the arrival book of the receives the
@@ -330,116 +321,6 @@ fn take_push(comm: &Communicator, from: NodeId, tag: Tag, cid: CommId) -> OmpcRe
 /// awaits, consumed in step order.
 type Generations = std::vec::IntoIter<u64>;
 
-/// Send one collective frame — frame index in the header, `chunk` as the
-/// body — to every listed child on the child's own relay channel. The
-/// children share the one chunk.
-fn fan_out(
-    comm: &Communicator,
-    children: &[RelayChild],
-    index: u64,
-    chunk: &Bytes,
-) -> OmpcResult<()> {
-    for child in children {
-        let frame = relay_frame_header(index);
-        comm.on(child.comm)?.send_with_body(child.node, child.tag, frame, chunk.clone())?;
-    }
-    Ok(())
-}
-
-/// Bytes frame `index` of a `total_bytes` stream cut every `chunk_bytes`
-/// carries (`chunk_bytes == 0`: the one frame carries everything).
-fn frame_len(index: u64, total_bytes: u64, chunk_bytes: u64) -> u64 {
-    match chunk_bytes {
-        0 => total_bytes,
-        _ => total_bytes.saturating_sub(index * chunk_bytes).min(chunk_bytes),
-    }
-}
-
-/// Stream `data` to every listed child as collective frames, each chunk a
-/// view of `data`'s allocation. Frames go out breadth-first — frame `i`
-/// reaches every child before frame `i + 1` — so the whole tree's pipelines
-/// fill together. Used by the feeding half of a worker-sourced broadcast
-/// ([`EventRequest::RelayFeed`]) and by the head node when it is itself the
-/// tree source.
-pub(crate) fn send_relay_frames(
-    comm: &Communicator,
-    data: &Bytes,
-    chunk_bytes: u64,
-    children: &[RelayChild],
-) -> OmpcResult<()> {
-    let total = data.len() as u64;
-    for index in 0..relay_frame_count(total, chunk_bytes) {
-        let start = (index * chunk_bytes) as usize;
-        let end = start + frame_len(index, total, chunk_bytes) as usize;
-        fan_out(comm, children, index, &data.slice(start..end))?;
-    }
-    Ok(())
-}
-
-/// Receive one buffer as collective payload frames and relay each frame
-/// onward: frames are accepted **from any source** (planned parent or a
-/// rescue feeder), kept once, and forwarded once to every child the moment
-/// they first arrive — so this node fans frame `i` onward while frame
-/// `i + 1` is still inbound. Duplicate frames (normal during re-sourcing,
-/// when a rescue feeder replays the whole stream) are ignored.
-///
-/// Forwarding passes the received chunk's handle on. A stream of one frame
-/// is stored as it arrived; only a chunked one is re-assembled — copied —
-/// into the buffer.
-#[allow(clippy::too_many_arguments)]
-fn relay_recv_frames(
-    comm: &Communicator,
-    channel: &Communicator,
-    memory: &DeviceMemory,
-    buffer: BufferId,
-    total_bytes: u64,
-    chunk_bytes: u64,
-    children: &[RelayChild],
-    tag: Tag,
-) -> OmpcResult<()> {
-    let frames = relay_frame_count(total_bytes, chunk_bytes) as usize;
-    let mut chunks: Vec<Option<Bytes>> = vec![None; frames];
-    let mut remaining = frames;
-    while remaining > 0 {
-        let msg = channel
-            .recv_timeout(None, Some(tag), std::time::Duration::from_millis(RELAY_FRAME_TIMEOUT_MS))
-            .map_err(|e| {
-                OmpcError::Communication(format!("waiting for a collective frame of {buffer}: {e}"))
-            })?;
-        let (index, chunk) = decode_relay_parts(&msg.data, msg.body)?;
-        let Some(slot) = chunks.get_mut(index as usize) else {
-            return Err(OmpcError::Internal(format!(
-                "collective frame index {index} out of range for {frames} frames of {buffer}"
-            )));
-        };
-        if slot.is_some() {
-            continue;
-        }
-        let expected = frame_len(index, total_bytes, chunk_bytes);
-        if chunk.len() as u64 != expected {
-            return Err(OmpcError::Internal(format!(
-                "collective frame {index} of {buffer} carried {} bytes, expected {expected}",
-                chunk.len()
-            )));
-        }
-        fan_out(comm, children, index, &chunk)?;
-        *slot = Some(chunk);
-        remaining -= 1;
-    }
-    let data = match &chunks[..] {
-        [Some(whole)] => whole.clone(),
-        _ => {
-            let mut assembled = Vec::with_capacity(total_bytes as usize);
-            for chunk in chunks.iter().flatten() {
-                assembled.extend_from_slice(chunk);
-            }
-            assembled.into()
-        }
-    };
-    memory.store(buffer, data);
-    Ok(())
-}
-
 /// Run `kernel` against the node's device copies of `buffers`.
 ///
 /// The kernel borrows the resident handles (see [`KernelArgs`]): nothing is
@@ -627,28 +508,6 @@ fn run_event(
             // hangs on a half-completed exchange.
             send_reply(&channel, to, tag, None, memory.resident(buffer).map(Reply::data))
         }
-        EventRequest::RelayRecv { buffer, total_bytes, chunk_bytes, children } => {
-            let received = relay_recv_frames(
-                comm,
-                &channel,
-                memory,
-                buffer,
-                total_bytes,
-                chunk_bytes,
-                &children,
-                tag,
-            );
-            // The ack carries the delivered byte count, like an exchange
-            // acknowledgement.
-            let ack = Reply { inline: total_bytes.to_le_bytes().to_vec(), ..Reply::default() };
-            send_reply(&channel, HEAD_RANK, tag, None, received.map(|()| ack))
-        }
-        EventRequest::RelayFeed { buffer, chunk_bytes, children } => {
-            let fed = memory
-                .resident(buffer)
-                .and_then(|data| send_relay_frames(comm, &data, chunk_bytes, &children));
-            send_reply(&channel, HEAD_RANK, tag, None, fed.map(|()| Reply::default()))
-        }
         EventRequest::TaskTrain(cars) => {
             // Run the cars strictly in order, each car's payloads and
             // forwards on its own channel and its one reply on the
@@ -693,8 +552,7 @@ fn run_event(
 /// sending, touching device memory, or receiving what the head sends right
 /// behind the notification. A `Task` runs at once unless one of its steps
 /// waits on a peer, another member or a kernel; the sending half of a
-/// forward, a relay feed (its copy is resident by construction) and a reset
-/// run at once too. This is the analogue of the paper's handlers
+/// forward and a reset run at once too. This is the analogue of the paper's handlers
 /// re-enqueueing events that still have pending I/O, so a small pool cannot
 /// deadlock on two opposing forwards.
 fn runs_on_gate(request: &EventRequest) -> bool {
@@ -708,9 +566,7 @@ fn runs_on_gate(request: &EventRequest) -> bool {
     };
     match request {
         EventRequest::Task(spec) => !spec.steps.iter().any(waits),
-        EventRequest::ExchangeSend { .. }
-        | EventRequest::RelayFeed { .. }
-        | EventRequest::Reset => true,
+        EventRequest::ExchangeSend { .. } | EventRequest::Reset => true,
         _ => false,
     }
 }
@@ -1624,175 +1480,45 @@ mod tests {
         assert_eq!(head.mailbox_stats().queued, 0);
     }
 
+    /// A broadcast round's rescue, as the child sees it: a dead parent refuses
+    /// its half of the forward by sending its error to the child, whose task
+    /// fails naming the parent; the next round's forward from another holder
+    /// lands the holder's own allocation.
     #[test]
-    fn relay_recv_reassembles_chunks_forwards_once_and_replies_bytes() {
-        // Head (rank 0) streams a 10-byte buffer to w1 in 4-byte frames,
-        // out of order and with a duplicate; w1 relays every distinct frame
-        // to w2's relay channel exactly once.
-        let world = World::with_communicators(3, 2);
-        let head = world.communicator(0);
-        let w1 = world.communicator(1);
-        let w2 = world.communicator(2);
-        let memory = DeviceMemory::new();
-        let kernels = KernelRegistry::new();
-        let buffer = BufferId(3);
-        let data = Bytes::from((0..10).collect::<Vec<u8>>());
-        let tag = Tag(30);
-        let comm = CommId(1);
-        let child = RelayChild { node: 2, tag: Tag(31), comm: CommId(0) };
-
-        let ch = head.on(comm).unwrap();
-        // Frame 0 twice: the duplicate is ignored, not re-forwarded.
-        for i in [1u64, 0, 0, 2] {
-            let start = (i * 4) as usize;
-            let chunk = data.slice(start..(start + 4).min(10));
-            ch.send_with_body(1, tag, relay_frame_header(i), chunk).unwrap();
-        }
-
-        handle_event(
-            &w1,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::RelayRecv {
-                    buffer,
-                    total_bytes: 10,
-                    chunk_bytes: 4,
-                    children: vec![child],
-                },
-                tag,
-                comm,
-                timed: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(memory.get(buffer), Some(data.clone()));
-
-        // The head's ack carries the delivered byte count.
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
-        let payload = EventReply::decode(&msg.data).unwrap().into_result().unwrap();
-        assert_eq!(u64::from_le_bytes(payload[..8].try_into().unwrap()), 10);
-
-        // w2 received each distinct frame exactly once, in arrival order.
-        let child_ch = w2.on(child.comm).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..3 {
-            let msg = child_ch.recv(Some(1), Some(child.tag)).unwrap();
-            let (index, chunk) = decode_relay_parts(&msg.data, msg.body).unwrap();
-            assert!(chunk.same_allocation(&data), "a relay forwards the chunk it received");
-            got.push(index);
-        }
-        assert_eq!(got, vec![1, 0, 2]);
-        assert!(child_ch.iprobe(Some(1), Some(child.tag)).is_none(), "duplicate was forwarded");
-    }
-
-    #[test]
-    fn relay_feed_streams_resident_buffer_and_replies() {
-        let world = World::with_communicators(3, 2);
-        let head = world.communicator(0);
-        let w1 = world.communicator(1);
-        let w2 = world.communicator(2);
-        let memory = DeviceMemory::new();
-        let kernels = KernelRegistry::new();
-        let buffer = BufferId(8);
-        memory.store(buffer, vec![5; 10].into());
-        let tag = Tag(60);
-        let child = RelayChild { node: 2, tag: Tag(61), comm: CommId(1) };
-        handle_event(
-            &w1,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::RelayFeed { buffer, chunk_bytes: 4, children: vec![child] },
-                tag,
-                comm: CommId(0),
-                timed: false,
-            },
-        )
-        .unwrap();
-        let msg = head.on(CommId(0)).unwrap().recv(Some(1), Some(tag)).unwrap();
-        assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
-        let child_ch = w2.on(child.comm).unwrap();
-        let mut rebuilt = vec![0u8; 10];
-        for want in 0..3u64 {
-            let msg = child_ch.recv(Some(1), Some(child.tag)).unwrap();
-            assert_eq!(msg.data.len(), 8, "the header is the frame index alone");
-            let (i, payload) = decode_relay_parts(&msg.data, msg.body).unwrap();
-            assert!(
-                payload.same_allocation(&memory.get(buffer).unwrap()),
-                "a chunk is a view of the resident buffer"
-            );
-            assert_eq!(i, want, "frames stream in index order");
-            rebuilt[(i * 4) as usize..(i * 4) as usize + payload.len()].copy_from_slice(&payload);
-        }
-        assert_eq!(rebuilt, vec![5; 10]);
-
-        // A missing buffer is a typed error, not a hang downstream.
-        let err = handle_event(
-            &w1,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::RelayFeed {
-                    buffer: BufferId(99),
-                    chunk_bytes: 0,
-                    children: vec![],
-                },
-                tag: Tag(62),
-                comm: CommId(0),
-                timed: false,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, OmpcError::UnknownBuffer(BufferId(99)));
-        let msg = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(62))).unwrap();
-        assert!(EventReply::decode(&msg.data).unwrap().into_result().is_err());
-    }
-
-    #[test]
-    fn relay_recv_accepts_frames_from_a_rescue_source() {
-        // The planned parent sends one frame and dies; a rescue feeder
-        // replays the whole stream from another rank. The receiver ignores
-        // the replayed duplicate and assembles the rest — oblivious to the
-        // failure, as the re-sourcing contract requires.
+    fn a_forward_refused_by_a_dead_parent_names_it_and_another_holder_refeeds_the_child() {
         let world = World::with_communicators(4, 2);
-        let head = world.communicator(0);
-        let parent = world.communicator(2);
-        let rescuer = world.communicator(3);
-        let w1 = world.communicator(1);
-        let memory = DeviceMemory::new();
-        let kernels = KernelRegistry::new();
-        let buffer = BufferId(4);
-        let data = Bytes::from((10..18).collect::<Vec<u8>>());
-        let tag = Tag(70);
-        let comm = CommId(1);
-        let frame = |from: &Communicator, i: u64| {
-            let chunk = data.slice((i * 4) as usize..(i * 4) as usize + 4);
-            from.on(comm).unwrap().send_with_body(1, tag, relay_frame_header(i), chunk).unwrap();
+        let (head, child, parent, holder) = (
+            world.communicator(0),
+            world.communicator(1),
+            world.communicator(2),
+            world.communicator(3),
+        );
+        let (memory, held, kernels) =
+            (DeviceMemory::new(), DeviceMemory::new(), KernelRegistry::new());
+        let (buffer, comm) = (BufferId(4), CommId(1));
+        held.store(buffer, vec![10, 11, 12].into());
+        let send = |to, tag| EventNotification {
+            request: EventRequest::ExchangeSend { buffer, to },
+            tag: Tag(tag),
+            comm,
+            timed: false,
         };
-        frame(&parent, 0);
-        frame(&rescuer, 0);
-        frame(&rescuer, 1);
-        handle_event(
-            &w1,
-            &memory,
-            &kernels,
-            EventNotification {
-                request: EventRequest::RelayRecv {
-                    buffer,
-                    total_bytes: 8,
-                    chunk_bytes: 4,
-                    children: vec![],
-                },
-                tag,
-                comm,
-                timed: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(memory.get(buffer), Some(data));
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
-        assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
+        let recv = |from, tag| steps_on(vec![TaskStep::RecvFromWorker { buffer, from }], tag, comm);
+
+        refuse_event(&parent, &send(1, 70)).unwrap();
+        let err = handle_event(&child, &memory, &kernels, recv(2, 70)).unwrap_err();
+        assert_eq!((err.origin_node(), err.root_cause()), (Some(2), &OmpcError::NodeFailure(2)));
+        let msg = head.on(comm).unwrap().recv(Some(1), Some(Tag(70))).unwrap();
+        let reply = Reply::from_parts(&msg.data, msg.body, false).unwrap_err();
+        assert_eq!(reply.origin_node(), Some(2), "the head hears the parent named: {reply:?}");
+        assert!(!memory.contains(buffer));
+
+        handle_event(&holder, &held, &kernels, send(1, 71)).unwrap();
+        handle_event(&child, &memory, &kernels, recv(3, 71)).unwrap();
+        assert!(memory.get(buffer).unwrap().same_allocation(&held.get(buffer).unwrap()));
+        let msg = head.on(comm).unwrap().recv(Some(1), Some(Tag(71))).unwrap();
+        assert_eq!(Reply::from_parts(&msg.data, msg.body, false), Ok(Reply::default()));
+        assert!([head, child].iter().all(|rank| rank.mailbox_stats().queued == 0));
     }
 
     #[test]

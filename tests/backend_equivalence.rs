@@ -404,7 +404,7 @@ fn async_enter_data_matrix_is_equivalent() {
 }
 
 /// Collective distribution is a data-*movement* optimisation only: with
-/// broadcast trees on or off (and with or without chunked frames), the
+/// broadcast trees on or off, the
 /// cluster must produce the same region assignment, the same outputs, and
 /// the same distribution *set* — each destination receives
 /// the shared buffer exactly once, with the same size and reason — while
@@ -419,13 +419,11 @@ fn collective_distribution_matrix_is_equivalent() {
     /// assignment, the region's transfer log, and the four outputs.
     fn collective_script(
         fanout: usize,
-        chunk_kib: usize,
         window: usize,
     ) -> (Vec<usize>, Vec<TransferRecord>, Vec<f64>, BufferId) {
         let workers = 4;
         let config = OmpcConfig {
             collective_min_fanout: fanout,
-            collective_chunk_kib: chunk_kib,
             max_inflight_tasks: window,
             ..OmpcConfig::small()
         };
@@ -466,7 +464,7 @@ fn collective_distribution_matrix_is_equivalent() {
 
     with_timeout(WATCHDOG, || {
         for (window, strict) in [(1usize, true), (4, false)] {
-            let baseline = collective_script(0, 0, window);
+            let baseline = collective_script(0, window);
             let (_, ref base_transfers, _, shared) = baseline;
             // The star baseline sources every copy of the shared buffer
             // from the head node — the serialization the tree removes.
@@ -482,9 +480,9 @@ fn collective_distribution_matrix_is_equivalent() {
             );
             assert_eq!(star_head_edges, 4, "window {window}: a star is head-sourced");
 
-            for (fanout, chunk_kib) in [(0usize, 0usize), (9, 1), (2, 0), (2, 1)] {
-                let got = collective_script(fanout, chunk_kib, window);
-                let tag = format!("window {window} fanout {fanout} chunk {chunk_kib}");
+            for fanout in [0usize, 9, 2] {
+                let got = collective_script(fanout, window);
+                let tag = format!("window {window} fanout {fanout}");
                 assert_eq!(baseline.0, got.0, "{tag}: region assignment");
                 assert_eq!(baseline.2, got.2, "{tag}: task outputs");
                 let collective_on = fanout > 0 && fanout <= 4;

@@ -633,7 +633,6 @@ fn relay_node_death_mid_broadcast_rescues_the_undelivered_subtree() {
         let collective_config = |plan: FaultPlan| OmpcConfig {
             enter_data_async: true,
             collective_min_fanout: 2,
-            collective_chunk_kib: 1,
             max_inflight_tasks: 8,
             ..fault_config(plan)
         };

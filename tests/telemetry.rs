@@ -9,9 +9,17 @@ use ompc::prelude::*;
 use ompc::sched::TaskGraph;
 use ompc_testutil::with_timeout;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WATCHDOG: Duration = Duration::from_secs(120);
+
+/// Spin until `started` is 2 µs old: a kernel body that outlasts one tick of
+/// the µs span clock, so its compute span can never read 0.
+fn outlast_a_clock_tick(started: Instant) {
+    while started.elapsed() < Duration::from_micros(2) {
+        std::hint::spin_loop();
+    }
+}
 
 fn spans_config() -> OmpcConfig {
     OmpcConfig { telemetry: TelemetryLevel::Spans, ..OmpcConfig::small() }
@@ -23,12 +31,16 @@ fn spans_config() -> OmpcConfig {
 fn run_chain(config: OmpcConfig) -> (Vec<f64>, RunRecord) {
     let mut device = ClusterDevice::with_config(2, config);
     let plus_one = device.register_kernel_fn("plus-one", 1e-5, |args| {
+        let started = Instant::now();
         let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
         args.set_f64s(0, &v);
+        outlast_a_clock_tick(started);
     });
     let times_ten = device.register_kernel_fn("times-ten", 1e-5, |args| {
+        let started = Instant::now();
         let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x * 10.0).collect();
         args.set_f64s(0, &v);
+        outlast_a_clock_tick(started);
     });
     let mut region = device.target_region();
     let a = region.map_to_f64s(&[1.0, 2.0, 3.0, 4.0]);
