@@ -1,4 +1,4 @@
-//! # ompc-bench — the paper's figures and three feature figures
+//! # ompc-bench — the paper's figures and two feature figures
 //!
 //! One function per figure of the paper's evaluation (§6), all on the
 //! simulated cluster:
@@ -20,12 +20,10 @@
 //!   and 2 injected worker failures vs. the failure-free run, with
 //!   re-execution counts and heartbeat detection latency.
 //!
-//! Plus the only harness of three features the perf ledger (`benchmark/`)
+//! Plus the only harness of two features the perf ledger (`benchmark/`)
 //! has no row for yet, each on the real backends; their exit codes depend
 //! on deterministic facts only, wall times are printed:
 //!
-//! * [`run_prefetch`] — cross-region prefetch: the resident Awave survey
-//!   with per-shot observed-traces payloads at varying prefetch depths.
 //! * [`run_multitenant`] — concurrent admission: K client surveys sharing
 //!   one device while `max_concurrent_regions` sweeps from strictly serial
 //!   to fully overlapped.
@@ -37,7 +35,7 @@
 //! shutdown, telemetry attribution, residency transfer counts — is a row of
 //! the perf ledger, not a figure here.
 //!
-//! Each function returns plain records so the nine binaries can print the
+//! Each function returns plain records so the eight binaries can print the
 //! rows and write them to `results/*.json`.
 
 pub mod ablation;
@@ -45,7 +43,6 @@ pub mod collectives;
 pub mod fault;
 pub mod figures;
 pub mod multitenant;
-pub mod prefetch;
 pub mod report;
 pub mod runtimes;
 
@@ -59,6 +56,5 @@ pub use figures::{
     ScalabilityRow,
 };
 pub use multitenant::{run_multitenant, MultitenantRow, MultitenantWorkload};
-pub use prefetch::{run_prefetch, PrefetchRow, PrefetchSurvey};
 pub use report::{geometric_mean, render_table, rows_to_json_pretty, speedup_summary, JsonRow};
 pub use runtimes::{run_all_runtimes, RuntimeKind, RuntimeMeasurement};

@@ -13,10 +13,9 @@ use crate::collective::{run_broadcast, BroadcastSource, BroadcastSpec};
 use crate::config::BackendKind;
 use crate::config::OmpcConfig;
 use crate::data_manager::{
-    Booking, DataManager, Owner, Ticket, TransferPlan, TransferReason, TransferState, HEAD_NODE,
-    UNATTRIBUTED,
+    Booking, DataManager, TransferReason, TransferState, HEAD_NODE, UNATTRIBUTED,
 };
-use crate::event::{Composite, EventSystem};
+use crate::event::EventSystem;
 use crate::kernel::{Kernel, KernelArgs, KernelRegistry};
 use crate::model::WorkloadGraph;
 use crate::region::TargetRegion;
@@ -38,63 +37,6 @@ use std::time::Instant;
 
 /// A host-task body: runs on the head node with access to the host buffers.
 pub type HostFn = Arc<dyn Fn(&BufferRegistry) + Send + Sync>;
-
-/// One job of the async data path: a closure that carries its own
-/// bookkeeping, so the pool only has to run it.
-type TransferJob = Box<dyn FnOnce() + Send>;
-
-/// The async data path's background thread (async enter-data, cross-region
-/// prefetch, double-buffered flushes): spawned on the first job, fed jobs in
-/// order, joined by [`TransferPool::drain`] at device shutdown.
-#[derive(Default)]
-struct TransferPool(Mutex<TransferThread>);
-
-#[derive(Default)]
-enum TransferThread {
-    #[default]
-    Idle,
-    Running(crossbeam::channel::Sender<TransferJob>, JoinHandle<()>),
-    /// Drained at shutdown: submissions fail from then on.
-    Drained,
-}
-
-impl TransferPool {
-    /// Queue one job, spawning the thread first if need be; fails once the
-    /// pool has been drained.
-    fn submit(&self, job: TransferJob) -> OmpcResult<()> {
-        let mut thread = self.0.lock();
-        if matches!(*thread, TransferThread::Idle) {
-            let (tx, rx) = crossbeam::channel::unbounded::<TransferJob>();
-            let handle = std::thread::Builder::new()
-                .name("ompc-transfer".to_string())
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // A panicking job must not take the thread with it:
-                        // every later job would strand in the queue.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                    }
-                })
-                .map_err(|e| {
-                    OmpcError::Internal(format!("cannot spawn the transfer thread: {e}"))
-                })?;
-            *thread = TransferThread::Running(tx, handle);
-        }
-        match &*thread {
-            TransferThread::Running(tx, _) => tx.send(job).map_err(|_| OmpcError::ShutDown),
-            _ => Err(OmpcError::ShutDown),
-        }
-    }
-
-    /// Refuse new jobs, let the queued ones finish, and join the thread.
-    /// Idempotent.
-    fn drain(&self) {
-        let thread = std::mem::replace(&mut *self.0.lock(), TransferThread::Drained);
-        if let TransferThread::Running(tx, handle) = thread {
-            drop(tx);
-            let _ = handle.join();
-        }
-    }
-}
 
 /// How a device-level lazy flush is committed: outside any region, as a
 /// `HostFlush` span with the given detail.
@@ -207,19 +149,10 @@ pub struct ClusterDevice {
     config: OmpcConfig,
     num_workers: usize,
     worker_handles: Vec<JoinHandle<()>>,
-    /// The asynchronous data path's own thread (async enter-data,
-    /// cross-region prefetch, double-buffered flushes): a region task
-    /// waiting for one of its transfers parks on the head while the job
-    /// moves the bytes.
-    transfer_pool: TransferPool,
-    /// Paired with `dm`'s mutex; notified whenever an async data-path job
-    /// resolves an in-flight entry. First readers, concurrent flushes, and
-    /// ticket awaiters block here.
-    inflight_cv: Arc<Condvar>,
-    /// Test-only freeze gate for async transfer jobs (see
-    /// [`ClusterDevice::debug_hold_async_transfers`]). Its condvar pairs
-    /// with its *own* mutex, never with `dm`'s.
-    async_hold: Arc<(Mutex<bool>, Condvar)>,
+    /// Paired with `dm`'s mutex; notified whenever a lazy host flush
+    /// resolves the head's in-flight copy. Concurrent flushes of one buffer
+    /// block here.
+    inflight_cv: Condvar,
     report: Mutex<DeviceReport>,
     /// Admission control for concurrent region executions: FIFO over
     /// arrival order, at most [`OmpcConfig::max_concurrent_regions`]
@@ -321,9 +254,7 @@ impl ClusterDevice {
             config,
             num_workers,
             worker_handles,
-            transfer_pool: TransferPool::default(),
-            inflight_cv: Arc::new(Condvar::new()),
-            async_hold: Arc::new((Mutex::new(false), Condvar::new())),
+            inflight_cv: Condvar::new(),
             report: Mutex::new(DeviceReport { startup_time, ..DeviceReport::default() }),
             admission: Mutex::default(),
             admission_cv: Condvar::new(),
@@ -404,9 +335,6 @@ impl ClusterDevice {
     /// error from a later region.
     pub fn enter_data(&self, data: Vec<u8>) -> BufferId {
         assert!(!self.shut_down, "enter_data on a shut-down ClusterDevice");
-        if self.config.enter_data_async {
-            return self.enter_data_async(data).0;
-        }
         let bytes = data.len() as u64;
         let buffer = self.buffers.register(data);
         let mut dm = self.dm.lock();
@@ -420,254 +348,21 @@ impl ClusterDevice {
         self.enter_data(ompc_mpi::typed::f64s_to_bytes(values))
     }
 
-    /// [`ClusterDevice::enter_data`] that starts distributing the data
-    /// **immediately**: the destination is predicted by scheduling a
-    /// synthetic single-reader region against the current residency view,
-    /// the movement is booked in the data manager's in-flight table, and a
-    /// dedicated transfer pool pushes the bytes while the caller keeps
-    /// building (or running) regions. Returns the buffer plus a
-    /// [`Ticket`]; awaiting it ([`ClusterDevice::await_transfer`]) is
-    /// optional — the first region task that reads the buffer **awaits the
-    /// in-flight transfer in place** instead of re-submitting it, and a
-    /// reader scheduled onto a different node than predicted just pays one
-    /// extra hop (prediction misses cost bandwidth, never correctness).
-    ///
-    /// # Panics
-    ///
-    /// When the device has been shut down, as [`ClusterDevice::enter_data`].
-    pub fn enter_data_async(&self, data: Vec<u8>) -> (BufferId, Ticket) {
-        assert!(!self.shut_down, "enter_data_async on a shut-down ClusterDevice");
-        let bytes = data.len() as u64;
-        let buffer = self.buffers.register(data);
-        let ticket = {
-            let mut dm = self.dm.lock();
-            dm.register_host_buffer(buffer, bytes);
-            dm.mark_resident(buffer);
-            dm.open_ticket()
-        };
-        // `Input`, not `EnterData`: the synchronous path distributes a
-        // device-resident mapping lazily through the first reader's own
-        // booking, so the async record must carry the same reason for the
-        // transfer plans to compare byte-identical.
-        if let Some(node) = self.predict_first_reader(buffer) {
-            let booked =
-                self.dm.lock().book(Owner::Ticket(ticket), buffer, node, TransferReason::Input);
-            if let Ok(Booking::Move(plan)) = booked {
-                self.spawn_transfer_job(plan, "async enter-data");
-            }
-        }
-        (buffer, ticket)
-    }
-
-    /// Convenience: [`ClusterDevice::enter_data_async`] for `f64`s.
-    pub fn enter_data_async_f64s(&self, values: &[f64]) -> (BufferId, Ticket) {
-        self.enter_data_async(ompc_mpi::typed::f64s_to_bytes(values))
-    }
-
-    /// Block until every transfer booked under `ticket` has resolved and
-    /// return the batch outcome. Unknown (or already awaited) tickets read
-    /// as completed.
-    pub fn await_transfer(&self, ticket: Ticket) -> OmpcResult<()> {
-        let mut dm = self.dm.lock();
-        loop {
-            match dm.ticket_result(ticket) {
-                Some(outcome) => return outcome,
-                None => self.inflight_cv.wait(&mut dm),
-            }
-        }
-    }
-
-    /// Start bringing the host copy of `buffer` up to date **without
-    /// blocking**: the retrieval runs on the transfer pool and overlaps
-    /// whatever the caller does next (the double-buffered flush of the
-    /// async data path). Returns a [`Ticket`]; a concurrent
-    /// [`ClusterDevice::buffer_data`] of the same buffer waits for this
-    /// retrieval instead of scheduling a second one. When a retrieval of
-    /// the buffer is already in flight its ticket is returned instead of
-    /// booking a duplicate.
-    pub fn flush_async(&self, buffer: BufferId) -> OmpcResult<Ticket> {
-        if self.shut_down {
-            return Err(OmpcError::ShutDown);
-        }
-        let (from, ticket) = {
-            let mut dm = self.dm.lock();
-            if !dm.is_registered(buffer) {
-                return Ok(dm.open_ticket());
-            }
-            if let TransferState::InFlight(Owner::Ticket(t)) = dm.transfer_state(buffer, HEAD_NODE)
-            {
-                return Ok(t);
-            }
-            let ticket = dm.open_ticket();
-            match dm.begin_inflight_retrieve(buffer, ticket) {
-                Some(from) => (from, ticket),
-                // The host already holds the latest version.
-                None => return Ok(ticket),
-            }
-        };
-        self.spawn_async_job(vec![(buffer, HEAD_NODE)], move |path| {
-            vec![path.retrieve_and_commit(from, buffer, &host_flush("double-buffered flush"))]
-        });
-        Ok(ticket)
-    }
-
-    /// Test hook: freeze every async transfer job before it touches the
-    /// wire (`true`), or release them (`false`). Lets fault-tolerance tests
-    /// deterministically arrange "the destination dies while the prefetch
-    /// is in flight" without racing the wire.
-    #[doc(hidden)]
-    pub fn debug_hold_async_transfers(&self, hold: bool) {
-        let (lock, cv) = &*self.async_hold;
-        *lock.lock() = hold;
-        if !hold {
-            cv.notify_all();
-        }
-    }
-
-    /// Predict which worker the first reader of `buffer` will be scheduled
-    /// onto, by planning a synthetic single-reader region against the
-    /// current residency view — the same scheduler the real region will
-    /// consult, so for single-reader shapes the prediction is exact.
-    fn predict_first_reader(&self, buffer: BufferId) -> Option<NodeId> {
-        let alive = self.alive_workers();
-        if alive.is_empty() {
-            return None;
-        }
-        let mut probe = RegionGraph::new();
-        probe.add_task(
-            TaskKind::Target { kernel: KernelId(0), cost_hint: 1e-6 },
-            vec![Dependence::input(buffer)],
-            "async-enter-data probe".to_string(),
-        );
-        let residency = self.dm.lock().latest_on_workers();
-        let assignment = RuntimePlan::region_assignment_on(
-            &probe,
-            &self.buffers,
-            &Platform::cluster(alive.len()),
-            &self.config,
-            &alive,
-            &residency,
-        );
-        assignment.first().copied().filter(|&n| n != HEAD_NODE)
-    }
-
-    /// Block while the test-only hold gate is closed.
-    fn wait_hold(hold: &(Mutex<bool>, Condvar)) {
-        let (lock, cv) = hold;
-        let mut held = lock.lock();
-        while *held {
-            cv.wait(&mut held);
-        }
-    }
-
     /// Finish `bookings` — `(buffer, node)` pairs this caller booked in the
     /// data manager — each with its outcome (one per booking, in order), and
-    /// wake every waiter. A buffer released meanwhile has nothing left to
-    /// finish.
-    fn resolve(
-        dm: &Mutex<DataManager>,
-        cv: &Condvar,
-        bookings: &[(BufferId, NodeId)],
-        outcomes: Vec<OmpcResult<()>>,
-    ) {
-        let mut dm = dm.lock();
+    /// wake every flush waiting on the table. A buffer released meanwhile has
+    /// nothing left to finish.
+    fn resolve(&self, bookings: &[(BufferId, NodeId)], outcomes: Vec<OmpcResult<()>>) {
+        let mut dm = self.dm.lock();
         for (&(buffer, node), outcome) in bookings.iter().zip(outcomes) {
             let _ = dm.finish(buffer, node, outcome);
         }
         drop(dm);
-        cv.notify_all();
+        self.inflight_cv.notify_all();
     }
 
-    /// Run `job` on the transfer pool on behalf of `bookings` and resolve
-    /// each with the outcome the job returns for it. If the pool is already
-    /// drained (device shutting down) the bookings are resolved as failed
-    /// immediately, so no waiter ever blocks on a job that will not run.
-    fn spawn_async_job(
-        &self,
-        bookings: Vec<(BufferId, NodeId)>,
-        job: impl FnOnce(&DataPath) -> Vec<OmpcResult<()>> + Send + 'static,
-    ) {
-        let path = self.data_path();
-        let cv = Arc::clone(&self.inflight_cv);
-        let hold = Arc::clone(&self.async_hold);
-        let queued = bookings.clone();
-        let submitted = self.transfer_pool.submit(Box::new(move || {
-            Self::wait_hold(&hold);
-            let outcomes = job(&path);
-            Self::resolve(&path.dm, &cv, &queued, outcomes);
-        }));
-        if submitted.is_err() {
-            let outcomes = bookings.iter().map(|_| Err(OmpcError::ShutDown)).collect();
-            Self::resolve(&self.dm, &self.inflight_cv, &bookings, outcomes);
-        }
-    }
-
-    /// Submit one booked async movement to the transfer pool: push it over
-    /// the wire and record a `Prefetch` span for the overlap.
-    fn spawn_transfer_job(&self, plan: TransferPlan, detail: &'static str) {
-        self.spawn_async_job(vec![(plan.buffer, plan.to)], move |path| {
-            vec![Self::run_prefetch(path, plan.from, plan.to, &[plan.buffer], detail)]
-        });
-    }
-
-    /// Submit one per-node prefetch *train*: one task of a `RecvFromHead`
-    /// per buffer, every payload streaming back-to-back on its channel and
-    /// the worker answering once, so a k-buffer prefetch costs one
-    /// round-trip instead of k. All-or-nothing: a failed train rolls back
-    /// every booking it carried.
-    fn spawn_train_job(&self, node: NodeId, plans: Vec<TransferPlan>) {
-        let buffers: Vec<BufferId> = plans.iter().map(|p| p.buffer).collect();
-        let bookings = buffers.iter().map(|&b| (b, node)).collect();
-        self.spawn_async_job(bookings, move |path| {
-            let outcome = Self::run_prefetch(path, HEAD_NODE, node, &buffers, "prefetch train");
-            vec![outcome; buffers.len()]
-        });
-    }
-
-    /// Body of an async movement of `buffers` from `from` to `to`: one task
-    /// on `to` of a `RecvFromHead` per buffer from the head, or a
-    /// `RecvFromWorker` per buffer from a worker, each source told its
-    /// `ExchangeSend`.
-    fn run_prefetch(
-        path: &DataPath,
-        from: NodeId,
-        to: NodeId,
-        buffers: &[BufferId],
-        detail: &'static str,
-    ) -> OmpcResult<()> {
-        // The destination may have died while the job sat in the queue (or
-        // behind the hold gate): fail without touching the wire, so the
-        // bookings roll back deterministically.
-        if path.dm.lock().is_failed(to) {
-            return Err(OmpcError::NodeFailure(to));
-        }
-        let t0 = path.telemetry.start();
-        let (mut work, mut total) = (Composite::default(), 0);
-        for &buffer in buffers {
-            if from == HEAD_NODE {
-                let data = path.buffers.share(buffer)?;
-                total += data.len() as u64;
-                work.recv_from_head(buffer, data);
-            } else {
-                let bytes = path.buffers.size_of(buffer).unwrap_or(0) as u64;
-                total += bytes;
-                work.recv_from_worker(buffer, from, bytes);
-            }
-        }
-        path.events.run_task(to, work)?;
-        if path.telemetry.spans_enabled() {
-            path.telemetry.record(
-                Span::new(SpanPhase::Prefetch, to, t0, monotonic_us())
-                    .bytes(total)
-                    .from(from)
-                    .detail(detail),
-            );
-        }
-        Ok(())
-    }
-
-    /// The device's data-path machinery, as its jobs and region executions
-    /// take it.
+    /// The device's data-path machinery, as its flushes and region
+    /// executions take it.
     fn data_path(&self) -> DataPath {
         DataPath {
             events: Arc::clone(&self.events),
@@ -699,11 +394,10 @@ impl ClusterDevice {
     ///
     /// Concurrent flushes of one buffer are **serialized through the
     /// in-flight table**: the first reader books the retrieval, later
-    /// readers (and [`ClusterDevice::flush_async`] jobs) wait for it to
-    /// land instead of scheduling a second retrieve of the same bytes —
-    /// the fix for the latent double-flush.
+    /// readers wait for it to land instead of scheduling a second retrieve
+    /// of the same bytes — the fix for the latent double-flush.
     fn flush_to_host(&self, buffer: BufferId) -> OmpcResult<()> {
-        let (from, ticket) = {
+        let from = {
             let mut dm = self.dm.lock();
             if !dm.is_registered(buffer) {
                 return Ok(());
@@ -723,21 +417,14 @@ impl ClusterDevice {
                     );
                 }
             }
-            let ticket = dm.open_ticket();
-            match dm.begin_inflight_retrieve(buffer, ticket) {
-                Some(from) => (from, ticket),
-                None => {
-                    // The host already holds the latest version (possibly
-                    // because the retrieval we just waited for landed it).
-                    let _ = dm.ticket_result(ticket);
-                    return Ok(());
-                }
-            }
+            // `None`: the host already holds the latest version (possibly
+            // because the retrieval we just waited for landed it).
+            let Some(from) = dm.begin_inflight_retrieve(buffer) else { return Ok(()) };
+            from
         };
         let outcome =
             self.data_path().retrieve_and_commit(from, buffer, &host_flush("lazy host flush"));
-        Self::resolve(&self.dm, &self.inflight_cv, &[(buffer, HEAD_NODE)], vec![outcome.clone()]);
-        let _ = self.dm.lock().ticket_result(ticket);
+        self.resolve(&[(buffer, HEAD_NODE)], vec![outcome.clone()]);
         outcome
     }
 
@@ -832,9 +519,8 @@ impl ClusterDevice {
         (1..=self.num_workers).filter(|&n| !dm.is_failed(n)).collect()
     }
 
-    /// Shut the cluster down: the transfer pool drains (in-flight jobs
-    /// finish, its thread is joined), then workers receive shutdown events
-    /// and their threads are joined. With
+    /// Shut the cluster down: workers receive shutdown events and their
+    /// threads are joined. With
     /// [`OmpcConfig::warm_worker_keepalive`], a healthy worker pool is
     /// *parked* for the next compatible device lifetime instead of joined:
     /// every device memory is cleared by a reset round-trip and the event
@@ -847,11 +533,6 @@ impl ClusterDevice {
         }
         self.shut_down = true;
         let start = Instant::now();
-        // Release the test-only hold gate and drain the async data path: an
-        // in-flight prefetch must land (or fail fast) before the workers go
-        // away.
-        self.debug_hold_async_transfers(false);
-        self.transfer_pool.drain();
         if self.config.warm_worker_keepalive && self.try_park_workers() {
             self.report.lock().shutdown_time = start.elapsed();
             return;
@@ -903,149 +584,6 @@ impl ClusterDevice {
         true
     }
 
-    /// Execute a queue of regions back to back with **cross-region
-    /// prefetch**: while region *i* computes, the enter-data inputs of up
-    /// to [`OmpcConfig::prefetch_depth`] queued regions stream to their
-    /// predicted workers on the dedicated transfer pool, so region *i+1*
-    /// starts with its data already resident (or in flight, in which case
-    /// its first readers await instead of re-submitting). Returns one
-    /// [`RegionReport`] per region, in order; the first error aborts the
-    /// pipeline (transfers already in flight for later regions resolve on
-    /// their own and are rolled back or adopted by whatever runs next).
-    pub fn run_pipeline(&self, regions: Vec<TargetRegion<'_>>) -> OmpcResult<Vec<RegionReport>> {
-        if self.shut_down {
-            return Err(OmpcError::ShutDown);
-        }
-        let mut parts: Vec<Option<(RegionGraph, HashMap<usize, HostFn>)>> =
-            regions.into_iter().map(|r| Some(r.into_parts())).collect();
-        let mut reports = Vec::with_capacity(parts.len());
-        for i in 0..parts.len() {
-            self.prefetch_ahead(&parts, i);
-            let Some((graph, host_fns)) = parts[i].take() else {
-                return Err(OmpcError::Internal(format!("pipeline region {i} executed twice")));
-            };
-            if graph.is_empty() {
-                reports.push(RegionReport::default());
-                continue;
-            }
-            reports.push(self.execute_region(graph, host_fns)?);
-        }
-        Ok(reports)
-    }
-
-    /// Plan and launch the prefetches that may overlap region `next` (the
-    /// one about to execute): for each queued region within
-    /// `prefetch_depth`, stream its enter-data / first-read inputs to the
-    /// worker its consuming task is predicted to run on.
-    ///
-    /// Planning rules:
-    /// - **hazards**: any buffer still touched by an earlier queued region
-    ///   (including the one about to run) is skipped — its contents or
-    ///   residency will change before the target region consumes it;
-    /// - **never duplicate**: a buffer whose latest version is already
-    ///   worker-resident, or already in flight, is skipped;
-    /// - **destination**: the consuming task's node in the target region's
-    ///   schedule, planned against the current residency view (prefetch
-    ///   only adds holders, never changes who holds the latest version, so
-    ///   the real run's schedule sees the same pins);
-    /// - **failure**: a booking towards a node that dies before (or while)
-    ///   the bytes move is rolled back by the job itself and the consuming
-    ///   region re-sources from the survivors.
-    fn prefetch_ahead(&self, parts: &[Option<(RegionGraph, HashMap<usize, HostFn>)>], next: usize) {
-        let depth = self.config.prefetch_depth;
-        if depth == 0 || next >= parts.len() {
-            return;
-        }
-        let alive = self.alive_workers();
-        if alive.is_empty() {
-            return;
-        }
-        let graph_buffers = |graph: &RegionGraph| -> BTreeSet<BufferId> {
-            graph.tasks().iter().flat_map(|t| t.dependences.iter().map(|d| d.buffer)).collect()
-        };
-        let mut hazards: BTreeSet<BufferId> = match &parts[next] {
-            Some((graph, _)) => graph_buffers(graph),
-            None => BTreeSet::new(),
-        };
-        let platform = Platform::cluster(alive.len());
-        let mut singles: Vec<TransferPlan> = Vec::new();
-        let mut train_batches: BTreeMap<NodeId, Vec<TransferPlan>> = BTreeMap::new();
-        let end = parts.len().min(next + 1 + depth);
-        for part in parts.iter().take(end).skip(next + 1) {
-            let Some((graph, _)) = part else { continue };
-            // The first entering or reading task per buffer decides the
-            // prefetch reason and destination.
-            let mut cands: BTreeMap<BufferId, (usize, TransferReason)> = BTreeMap::new();
-            for task in graph.tasks() {
-                match &task.kind {
-                    TaskKind::EnterData { buffer, map } => {
-                        if matches!(map, MapType::To | MapType::ToFrom | MapType::ToResident) {
-                            cands.entry(*buffer).or_insert((task.id.0, TransferReason::EnterData));
-                        }
-                    }
-                    TaskKind::Target { .. } => {
-                        for dep in &task.dependences {
-                            if dep.dep_type.reads() {
-                                cands
-                                    .entry(dep.buffer)
-                                    .or_insert((task.id.0, TransferReason::Input));
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if !cands.is_empty() {
-                let residency = self.dm.lock().latest_on_workers();
-                let assignment = RuntimePlan::region_assignment_on(
-                    graph,
-                    &self.buffers,
-                    &platform,
-                    &self.config,
-                    &alive,
-                    &residency,
-                );
-                let mut dm = self.dm.lock();
-                let ticket = dm.open_ticket();
-                for (buffer, (task, reason)) in cands {
-                    if hazards.contains(&buffer) {
-                        continue;
-                    }
-                    let Some(&node) = assignment.get(task) else { continue };
-                    if node == HEAD_NODE {
-                        continue;
-                    }
-                    if !dm.is_registered(buffer) {
-                        let bytes = self.buffers.size_of(buffer).unwrap_or(0) as u64;
-                        dm.register_host_buffer(buffer, bytes);
-                    }
-                    if dm.retrieve_source(buffer).is_some() || dm.buffer_in_flight(buffer) {
-                        continue;
-                    }
-                    let Ok(Booking::Move(plan)) =
-                        dm.book(Owner::Ticket(ticket), buffer, node, reason)
-                    else {
-                        continue;
-                    };
-                    // Prefetches from the head batch into per-node trains;
-                    // everything else moves as an individual async job.
-                    if plan.from == HEAD_NODE {
-                        train_batches.entry(node).or_default().push(plan);
-                    } else {
-                        singles.push(plan);
-                    }
-                }
-            }
-            hazards.extend(graph_buffers(graph));
-        }
-        for plan in singles {
-            self.spawn_transfer_job(plan, "cross-region prefetch");
-        }
-        for (node, plans) in train_batches {
-            self.spawn_train_job(node, plans);
-        }
-    }
-
     /// Block until this caller is admitted: FIFO over arrival order, at
     /// most [`OmpcConfig::max_concurrent_regions`] regions inside at once.
     /// Records an `Admission` span on the device recorder when the caller
@@ -1071,56 +609,6 @@ impl ClusterDevice {
             );
         }
         RegionLease { device: self, region: UNATTRIBUTED }
-    }
-
-    /// Stream this region's `map(to:)` inputs through the asynchronous
-    /// prefetch engine ([`OmpcConfig::enter_data_async`]): each enter-data
-    /// payload is booked in the in-flight table and pushed by the transfer
-    /// pool while the backend spins up, so the consuming tasks await an
-    /// already-moving transfer instead of submitting it inline. The
-    /// booking carries the same reason and source the synchronous path
-    /// would plan, and `execute_planned` adopts the deferred records into
-    /// this region's namespace — the transfer plans stay byte-identical.
-    fn stream_region_inputs(&self, graph: &RegionGraph, assignment: &[NodeId]) {
-        // With collectives enabled, a buffer this region distributes to
-        // k ≥ `collective_min_fanout` destinations is booked as ONE
-        // broadcast tree under one shared ticket — waiters still resolve
-        // per-destination through the in-flight table — and rides a single
-        // transfer-pool job. Everything else (and everything when the knob
-        // is off) follows the exact per-plan path below.
-        let trees = self.book_broadcasts(graph, assignment, |dm| Owner::Ticket(dm.open_ticket()));
-        let broadcast_buffers: BTreeSet<BufferId> = trees.iter().map(|spec| spec.buffer).collect();
-        for spec in trees {
-            let bookings = Self::tree_bookings(&spec);
-            self.spawn_async_job(bookings, move |path| Self::run_broadcast_tree(path, spec));
-        }
-        let mut jobs: Vec<TransferPlan> = Vec::new();
-        {
-            let mut dm = self.dm.lock();
-            let ticket = dm.open_ticket();
-            for task in graph.tasks() {
-                let TaskKind::EnterData { buffer, map } = task.kind else { continue };
-                if !matches!(map, MapType::To | MapType::ToFrom | MapType::ToResident) {
-                    continue;
-                }
-                if broadcast_buffers.contains(&buffer) {
-                    continue;
-                }
-                let Some(&node) = assignment.get(task.id.0) else { continue };
-                if node == HEAD_NODE {
-                    continue;
-                }
-                let reason = TransferReason::EnterData;
-                if let Ok(Booking::Move(plan)) =
-                    dm.book(Owner::Ticket(ticket), buffer, node, reason)
-                {
-                    jobs.push(plan);
-                }
-            }
-        }
-        for plan in jobs {
-            self.spawn_transfer_job(plan, "streamed enter-data");
-        }
     }
 
     /// The one-to-many distribution demand of a planned region: for every
@@ -1174,22 +662,21 @@ impl ClusterDevice {
 
     /// Book every one-to-many distribution of a planned region that reaches
     /// [`OmpcConfig::collective_min_fanout`] destinations in this planning
-    /// step as one broadcast tree, each destination a booking of `owner`'s
-    /// (asked once per tree). Everything below the threshold is left exactly
-    /// to the per-task star machinery, byte-identically to the
-    /// collectives-off path.
+    /// step as one broadcast tree, each destination a booking of `region`'s.
+    /// Everything below the threshold is left exactly to the per-task star
+    /// machinery, byte-identically to the collectives-off path.
     fn book_broadcasts(
         &self,
         graph: &RegionGraph,
         assignment: &[NodeId],
-        mut owner: impl FnMut(&mut DataManager) -> Owner,
+        region: u64,
     ) -> Vec<BroadcastSpec> {
         let Some(threshold) = self.config.collective_threshold() else { return Vec::new() };
         let mut trees = Vec::new();
         let mut dm = self.dm.lock();
         for (buffer, mut dests) in Self::collective_destinations(graph, assignment) {
-            // Whoever has the buffer on the wire already owns its movement;
-            // this region's readers resolve through the in-flight table.
+            // Whoever has the buffer on the wire already owns its movement
+            // (another tenant); this region's readers park on it.
             if !dm.is_registered(buffer) || dm.buffer_in_flight(buffer) {
                 continue;
             }
@@ -1206,9 +693,9 @@ impl ClusterDevice {
                 Some(node) => (dm.bytes_of(buffer), BroadcastSource::Worker(node)),
                 None => continue,
             };
-            let owner = owner(&mut dm);
             let booked = |(&node, &reason): (&NodeId, &TransferReason)| {
-                matches!(dm.book(owner, buffer, node, reason), Ok(Booking::Move(_))).then_some(node)
+                matches!(dm.book(region, buffer, node, reason), Ok(Booking::Move(_)))
+                    .then_some(node)
             };
             let destinations: Vec<NodeId> = dests.iter().filter_map(booked).collect();
             if !destinations.is_empty() {
@@ -1226,9 +713,8 @@ impl ClusterDevice {
     /// Ship one booked broadcast tree and repoint the record of every edge
     /// that was fed by a different node than booked (tree relays, rescues).
     /// Returns each destination's outcome, in `spec.destinations` order, for
-    /// its booking to be finished with — a tree's waiters resolve
-    /// per-destination, and a failed destination is rolled back and
-    /// re-sourced by the per-task machinery.
+    /// its booking to be finished with — a failed destination is rolled back
+    /// and re-sourced by the per-task machinery.
     fn run_broadcast_tree(path: &DataPath, spec: BroadcastSpec) -> Vec<OmpcResult<()>> {
         let outcome = run_broadcast(&path.events, &path.telemetry, &spec);
         let source = spec.source.node();
@@ -1366,12 +852,6 @@ impl ClusterDevice {
                     .detail(format!("{} task(s), {} alive worker(s)", graph.len(), alive.len())),
             );
         }
-        // Region-level map(to:) inputs stream through the async prefetch
-        // engine while the backend starts up.
-        if self.config.enter_data_async {
-            self.stream_region_inputs(&graph, &plan.assignment);
-        }
-
         let exec_start = Instant::now();
         let record =
             self.execute_planned(Arc::clone(&graph), host_fns, &plan, region, &telemetry)?;
@@ -1449,33 +929,19 @@ impl ClusterDevice {
         // `buffer_data`) belong to no run; clear the device-level
         // namespace — and only it, an overlapped region's in-progress log
         // lives in its own namespace and must survive untouched — so this
-        // run's record contains exactly its own transfers. Then adopt the
-        // deferred records of async transfers (async enter-data /
-        // cross-region prefetch / streamed map-to inputs) whose buffers
-        // this region consumes: the record reports them exactly where the
-        // synchronous path would have planned them, keeping async and sync
-        // transfer plans comparable. Bookings for other (later) regions
-        // stay deferred.
-        {
-            let mut dm = self.dm.lock();
-            dm.take_transfer_log_in(UNATTRIBUTED);
-            let consumed: BTreeSet<BufferId> =
-                graph.tasks().iter().flat_map(|t| t.dependences.iter().map(|d| d.buffer)).collect();
-            dm.adopt_deferred_for(&consumed, region);
-        }
+        // run's record contains exactly its own transfers.
+        self.dm.lock().take_transfer_log_in(UNATTRIBUTED);
         let path = DataPath { telemetry: Arc::clone(telemetry), ..self.data_path() };
         // Collective pre-distribution: one-to-many read-only inputs ship
         // as binomial broadcast trees, synchronously, before the first task
-        // dispatches (no-op unless `collective_min_fanout` is set;
-        // async-booked buffers are skipped — their broadcast already rides
-        // the transfer pool). Booked, shipped and finished exactly like the
-        // async trees, only by this region and on this thread.
+        // dispatches (no-op unless `collective_min_fanout` is set; a buffer
+        // another tenant has on the wire is skipped). Booked, shipped and
+        // finished by this region, on this thread.
         if !matches!(self.config.backend, BackendKind::Sim) {
-            let owner = Owner::Region(region);
-            for spec in self.book_broadcasts(&graph, &plan.assignment, |_| owner) {
+            for spec in self.book_broadcasts(&graph, &plan.assignment, region) {
                 let bookings = Self::tree_bookings(&spec);
                 let outcomes = Self::run_broadcast_tree(&path, spec);
-                Self::resolve(&self.dm, &self.inflight_cv, &bookings, outcomes);
+                self.resolve(&bookings, outcomes);
             }
         }
         let mut core = match faults {
@@ -1483,9 +949,8 @@ impl ClusterDevice {
             None => RuntimeCore::new(graph.as_ref(), plan),
         };
         core.set_telemetry(Arc::clone(telemetry));
-        let cv = Arc::clone(&self.inflight_cv);
         let result =
-            Lowering::new(path, cv, region, graph, host_fns, &self.config).and_then(|lowering| {
+            Lowering::new(path, region, graph, host_fns, &self.config).and_then(|lowering| {
                 match self.config.backend {
                 BackendKind::Threaded | BackendKind::Mpi => {
                     MpiBackend::new(lowering).execute(&mut core)
@@ -1508,7 +973,7 @@ impl ClusterDevice {
         // data-path spans plus worker stamps shipped home in the replies)
         // so each record owns exactly its own timeline, then append
         // whatever accumulated on the device recorder since the last
-        // drain (async prefetch jobs, admission waits). Empty unless the
+        // drain (admission waits, lazy flushes). Empty unless the
         // device runs at `TelemetryLevel::Spans`.
         record.spans = telemetry.take_spans();
         record.spans.extend(self.telemetry.take_spans());
@@ -1966,48 +1431,107 @@ mod tests {
         }
     }
 
-    /// A region task whose input an async ticket has on the wire waits on
-    /// the head — nothing of it reaches a worker — and when the ticket's
-    /// transfer fails (here: refused by a worker killed behind the head's
-    /// back), the task fails at once with that very error.
+    /// Another tenant's booking parks a reader on the head: nothing of it
+    /// reaches a worker. Region A books an enter-data car towards a worker
+    /// killed behind the head's back, and A's host task holds A's driver, so
+    /// the booking stays in flight. Region B's reader of that buffer on that
+    /// worker parks, and when A's car is refused it fails at once with A's
+    /// own error; B's kernel never runs.
     #[test]
-    fn a_failed_ticket_fails_the_task_parked_on_it_at_once() {
+    fn a_failed_booking_of_another_tenant_fails_the_task_parked_on_it_at_once() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            let config = OmpcConfig { warm_worker_keepalive: false, ..OmpcConfig::small() };
+            let config = OmpcConfig {
+                max_concurrent_regions: 2,
+                warm_worker_keepalive: false,
+                ..OmpcConfig::small()
+            };
             let mut device = ClusterDevice::with_config(1, config);
             let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let read = {
                 let ran = Arc::clone(&ran);
                 device.register_kernel_fn("read", 1e-6, move |_| ran.store(true, Ordering::SeqCst))
             };
-            device.debug_hold_async_transfers(true);
-            let (buffer, ticket) = device.enter_data_async_f64s(&[1.0, 2.0]);
+            let buffer = device.enter_data_f64s(&[1.0, 2.0]);
             device.events.kill(1).unwrap();
 
-            // The reader is dispatched — and parks on the ticket — before the
-            // host task, whose body lets the held ticket fail and waits for
-            // it: by the time the driver looks at its parked reader again,
-            // the booking is over.
+            // Each region's host task follows its data task: A's holds A's
+            // driver until B's reader has parked on A's booking, B's reports
+            // that it has.
             let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
-            let (failed_tx, failed_rx) = std::sync::mpsc::channel::<()>();
-            let (parked_tx, failed_rx) = (Mutex::new(parked_tx), Mutex::new(failed_rx));
-            let mut region = device.target_region();
-            region.target(read, vec![Dependence::input(buffer)]);
-            region.host_task(vec![], move |_| {
-                let _ = parked_tx.lock().send(());
-                let _ = failed_rx.lock().recv();
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+            let release_rx = Mutex::new(release_rx);
+            let host = TaskKind::Host { cost_hint: 1e-6 };
+            let enter = TaskKind::EnterData { buffer, map: MapType::To };
+            let mut a = RegionGraph::new();
+            a.add_task(enter, vec![Dependence::output(buffer)], "enter");
+            a.add_task(host.clone(), vec![], "hold");
+            let hold: HostFn = Arc::new(move |_| {
+                let _ = release_rx.lock().recv();
             });
-            let (ticket_error, run_error) = std::thread::scope(|scope| {
-                let run = scope.spawn(move || region.run().unwrap_err());
+            let mut b = RegionGraph::new();
+            let reader = TaskKind::Target { kernel: read, cost_hint: 1e-6 };
+            b.add_task(reader, vec![Dependence::input(buffer)], "reader");
+            b.add_task(host, vec![], "parked");
+            let parked: HostFn = Arc::new(move |_| {
+                let _ = parked_tx.send(());
+            });
+            let run = |graph: RegionGraph, host_fn: HostFn| {
+                let region = device.dm.lock().begin_region();
+                let telemetry = device.telemetry.scoped(region);
+                let plan = RuntimePlan { assignment: vec![1, HEAD_NODE], window: 4 };
+                let host_fns = HashMap::from([(1, host_fn)]);
+                device.execute_planned(Arc::new(graph), host_fns, &plan, region, &telemetry)
+            };
+            let (a_error, b_error) = std::thread::scope(|scope| {
+                let a = scope.spawn(|| run(a, hold).unwrap_err());
+                // A's booking is made before its host task runs.
+                while !device.dm.lock().buffer_in_flight(buffer) {
+                    std::thread::yield_now();
+                }
+                let b = scope.spawn(|| run(b, parked).unwrap_err());
                 parked_rx.recv().unwrap();
-                device.debug_hold_async_transfers(false);
-                let ticket_error = device.await_transfer(ticket).unwrap_err();
-                failed_tx.send(()).unwrap();
-                (ticket_error, run.join().unwrap())
+                release_tx.send(()).unwrap();
+                (a.join().unwrap(), b.join().unwrap())
             });
-            assert_eq!(ticket_error.origin_node(), Some(1), "{ticket_error:?}");
-            assert_eq!(run_error, ticket_error, "the task fails with the ticket's own error");
+            assert_eq!(a_error.origin_node(), Some(1), "{a_error:?}");
+            assert_eq!(b_error, a_error, "the parked task fails with the booking's own error");
             assert!(!ran.load(Ordering::SeqCst), "the parked task never reached the worker");
+            device.shutdown();
+        });
+    }
+
+    /// The latent double-flush stays fixed: threads reading one
+    /// worker-held buffer at once are serialized through the in-flight
+    /// table onto one retrieve, and all of them read the same bytes.
+    #[test]
+    fn concurrent_flushes_schedule_exactly_one_retrieve() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let mut device = ClusterDevice::with_config(2, OmpcConfig::small());
+            let sum = device.register_kernel_fn("sum", 1e-6, |args| {
+                let total: f64 = args.as_f64s(0).iter().sum();
+                args.set_f64s(1, &[total]);
+            });
+            let input = device.enter_data_f64s(&[4.0, 5.0]);
+            let mut region = device.target_region();
+            let out = region.map_alloc(8);
+            region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
+            region.run().unwrap();
+            // `out` now lives on a worker and the host copy is stale.
+            device.take_unattributed_transfers();
+            let reads: Vec<Vec<u8>> = std::thread::scope(|scope| {
+                let readers: Vec<_> =
+                    (0..4).map(|_| scope.spawn(|| device.buffer_data(out).unwrap())).collect();
+                readers.into_iter().map(|reader| reader.join().unwrap()).collect()
+            });
+            assert!(reads.windows(2).all(|w| w[0] == w[1]), "racing readers saw different bytes");
+            assert_eq!(device.buffer_f64s(out).unwrap(), vec![9.0]);
+            let retrieves: Vec<_> = device
+                .take_unattributed_transfers()
+                .into_iter()
+                .filter(|t| t.buffer == out)
+                .collect();
+            assert_eq!(retrieves.len(), 1, "concurrent host reads double-flushed: {retrieves:?}");
+            assert_eq!(retrieves[0].reason, TransferReason::Retrieve);
             device.shutdown();
         });
     }
@@ -2220,16 +1744,11 @@ mod tests {
                     graph.add_task(target(read), vec![Dependence::input(buffer)], String::new());
                 }
                 let region = device.dm.lock().begin_region();
-                let trees = device.book_broadcasts(&graph, readers, |_| Owner::Region(region));
+                let trees = device.book_broadcasts(&graph, readers, region);
                 let [spec] = &trees[..] else { panic!("one tree: {trees:?}") };
                 let bookings = ClusterDevice::tree_bookings(spec);
                 let outcomes = ClusterDevice::run_broadcast_tree(&device.data_path(), spec.clone());
-                ClusterDevice::resolve(
-                    &device.dm,
-                    &device.inflight_cv,
-                    &bookings,
-                    outcomes.clone(),
-                );
+                device.resolve(&bookings, outcomes.clone());
                 let log = device.dm.lock().take_transfer_log_in(region);
                 let edges: Vec<(NodeId, NodeId)> = log.iter().map(|t| (t.from, t.to)).collect();
                 (outcomes, edges)
@@ -2252,6 +1771,82 @@ mod tests {
             drop(dm);
             let queued: Vec<usize> = device.mailbox_stats().iter().map(|s| s.queued).collect();
             assert_eq!(queued, vec![0, 1, 0, 0, 0]);
+            device.shutdown();
+        });
+    }
+
+    /// A broadcast relay dead before pre-distribution: the tree's orphaned
+    /// subtree is rescued from a surviving recipient, the dead relay's
+    /// booking rolls back, and the region — whose fault plan silences the
+    /// relay — recovers the failure-free bytes. Four readers on four
+    /// workers make one tree: the head feeds 1, 2 and 4, and 1 relays to 3.
+    /// Worker 1 is killed behind the head's back, and a chain on worker 2
+    /// keeps every reader waiting until the heartbeat has declared it.
+    #[test]
+    fn a_relay_dead_before_pre_distribution_is_rescued_and_the_region_recovers() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            const CHAIN: usize = 8;
+            let config = OmpcConfig {
+                collective_min_fanout: 2,
+                fault_plan: FaultPlan::none().fail_at_millis(1, 0),
+                warm_worker_keepalive: false,
+                ..OmpcConfig::small()
+            };
+            let mut device = ClusterDevice::with_config(4, config);
+            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
+                let v = args.as_f64s(0)[0];
+                args.set_f64s(0, &[v + 1.0]);
+            });
+            let scale = device.register_kernel_fn("scale", 1e-6, |args| {
+                let total: f64 = args.as_f64s(0).iter().sum();
+                let value = total * args.as_f64s(1)[0] + args.as_f64s(2)[0];
+                args.set_f64s(3, &[value]);
+            });
+            let values: Vec<f64> = (0..1024).map(f64::from).collect();
+            let shared = device.enter_data_f64s(&values);
+            let c = device.enter_data_f64s(&[0.0]);
+            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
+            let mut graph = RegionGraph::new();
+            for _ in 0..CHAIN {
+                graph.add_task(target(bump), vec![Dependence::inout(c)], "chain");
+            }
+            let mut outs = Vec::new();
+            for factor in 1..=4 {
+                let factor = device.enter_data_f64s(&[f64::from(factor)]);
+                let out = device.enter_data_f64s(&[0.0]);
+                let deps = vec![
+                    Dependence::input(shared),
+                    Dependence::input(factor),
+                    Dependence::input(c),
+                    Dependence::output(out),
+                ];
+                graph.add_task(target(scale), deps, "reader");
+                outs.push(out);
+            }
+            let assignment = [vec![2; CHAIN], vec![1, 2, 3, 4]].concat();
+            let plan = RuntimePlan { assignment, window: 4 };
+            device.events.kill(1).unwrap();
+            let region = device.dm.lock().begin_region();
+            let telemetry = device.telemetry.scoped(region);
+            let record = device
+                .execute_planned(Arc::new(graph), HashMap::new(), &plan, region, &telemetry)
+                .unwrap();
+
+            let total: f64 = values.iter().sum();
+            for (factor, &out) in (1..=4).zip(&outs) {
+                let clean = total * f64::from(factor) + CHAIN as f64;
+                assert_eq!(device.buffer_f64s(out).unwrap(), vec![clean], "reader {factor}");
+            }
+            assert_eq!(record.failures.len(), 1, "{:?}", record.failures);
+            assert_eq!(record.failures[0].node, 1);
+            // Every survivor received the payload exactly once, the dead
+            // relay's edge rolled back, the orphan was re-fed by a surviving
+            // recipient and the head-fed roots kept their edges.
+            let edges: Vec<(NodeId, NodeId, u64)> = (record.transfers.iter())
+                .filter(|t| t.buffer == shared)
+                .map(|t| (t.from, t.to, t.bytes))
+                .collect();
+            assert_eq!(edges, vec![(0, 2, 8192), (2, 3, 8192), (0, 4, 8192)]);
             device.shutdown();
         });
     }

@@ -10,7 +10,7 @@
 //! source's link carries that many copies, and the remaining hops ride
 //! otherwise idle worker links in parallel.
 //!
-//! A feed is the very event a prefetch or a forward is: one
+//! A feed is the very event a forward is: one
 //! [`crate::protocol::EventRequest::Task`] on the child — a
 //! `RecvFromHead` step when the head feeds, a `RecvFromWorker` step with the
 //! parent told its `ExchangeSend` when a worker does. The head posts one
@@ -21,8 +21,8 @@
 //! ## Delivery tracking and failure healing
 //!
 //! Every feed is answered by its child, so the head resolves the tree
-//! **per destination** — exactly the granularity the in-flight ticket table
-//! needs — and each delivery names the edge that actually carried it. A
+//! **per destination** — exactly the granularity of the in-flight table,
+//! where each destination is a booking of its own — and each delivery names the edge that actually carried it. A
 //! failed feed says whose fault it was. A dead parent refuses its
 //! `ExchangeSend` by sending its error to the receiver, which replies with
 //! it: an error naming the parent drops the parent from the holders, and

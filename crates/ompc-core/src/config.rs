@@ -151,24 +151,6 @@ pub struct OmpcConfig {
     /// down cold. Enabled by default; disable for tests that count spawned
     /// threads across device lifetimes.
     pub warm_worker_keepalive: bool,
-    /// Start the transfers of [`crate::cluster::ClusterDevice::enter_data`]
-    /// asynchronously: `enter_data` (and the `_f64s` variant) books the
-    /// distribution in the [`crate::data_manager::DataManager`] in-flight
-    /// table, hands it to the device's async transfer engine, and returns
-    /// immediately; the first reader — a region task or a host read —
-    /// awaits the in-flight entry instead of re-submitting. The explicit
-    /// `enter_data_async` entry points always run asynchronously and return
-    /// a ticket regardless of this knob. Disabled by default: `enter_data`
-    /// blocks until the data landed, the historical behaviour.
-    pub enter_data_async: bool,
-    /// How many queued target regions ahead of the running one the
-    /// cross-region prefetcher ([`crate::cluster::ClusterDevice::run_pipeline`])
-    /// may stream enter-data inputs for while earlier regions compute
-    /// (the §4.4 pipelined-dispatch extension to the data path). `0`
-    /// disables prefetch: queued regions distribute their inputs only when
-    /// they start. Prefetches never duplicate resident copies and roll
-    /// back onto survivors when a target node dies mid-flight.
-    pub prefetch_depth: usize,
     /// How many independent target regions the device admits into execution
     /// at once. `1` (the default) serializes regions exactly as before:
     /// each `execute_region` call runs alone and produces byte-identical
@@ -184,9 +166,8 @@ pub struct OmpcConfig {
     /// Minimum destination count at which a one-to-many distribution is
     /// planned as a **binomial broadcast tree** of worker-to-worker forwards
     /// instead of a star of independent source-sourced sends. When a single
-    /// planning step (a region's read-only input set, an async enter-data
-    /// booking, or a prefetch train) must place one buffer on `k`
-    /// destinations and `k >= collective_min_fanout`, the source sends
+    /// planning step (a region's read-only input set) must place one buffer
+    /// on `k` destinations and `k >= collective_min_fanout`, the source sends
     /// O(log k) copies and every recipient forwards the payload onward in
     /// the next rounds, so the source link stops serializing `k` wire
     /// trips. `0` (the default) disables collectives entirely; any
@@ -229,8 +210,6 @@ impl Default for OmpcConfig {
             replan_on_failure: false,
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
-            enter_data_async: false,
-            prefetch_depth: 1,
             max_concurrent_regions: 1,
             collective_min_fanout: 0,
             emulated_link_mib_per_s: 0,
@@ -253,8 +232,6 @@ impl OmpcConfig {
             replan_on_failure: false,
             event_reply_timeout_ms: Some(60_000),
             warm_worker_keepalive: true,
-            enter_data_async: false,
-            prefetch_depth: 1,
             max_concurrent_regions: 1,
             collective_min_fanout: 0,
             emulated_link_mib_per_s: 0,
@@ -380,12 +357,6 @@ mod tests {
         // Telemetry is off by default: no clock reads, empty span streams.
         assert_eq!(OmpcConfig::default().telemetry, crate::runtime::TelemetryLevel::Off);
         assert_eq!(OmpcConfig::small().telemetry, crate::runtime::TelemetryLevel::Off);
-        // enter_data stays blocking unless opted in; the pipeline prefetches
-        // one region ahead by default.
-        assert!(!OmpcConfig::default().enter_data_async);
-        assert!(!OmpcConfig::small().enter_data_async);
-        assert_eq!(OmpcConfig::default().prefetch_depth, 1);
-        assert_eq!(OmpcConfig::small().prefetch_depth, 1);
         // Regions are serialized unless the client opts into concurrency;
         // a zero limit is clamped so the device always admits someone.
         assert_eq!(OmpcConfig::default().max_concurrent_regions, 1);
@@ -419,8 +390,6 @@ mod tests {
             replan_on_failure: false,
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
-            enter_data_async: false,
-            prefetch_depth: 1,
             max_concurrent_regions: 1,
             collective_min_fanout: 0,
             emulated_link_mib_per_s: 0,

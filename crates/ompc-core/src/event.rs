@@ -7,8 +7,8 @@
 //! **typed reply** ([`crate::protocol::EventReply`]) on that same channel.
 //! Because the tag is unique per event and shared only with the
 //! destination, concurrent events cannot cross-talk even though several
-//! head threads (region executions, the async data path) issue them at the
-//! same time.
+//! head threads (concurrent region executions, lazy host flushes) issue them
+//! at the same time.
 //!
 //! Payloads move as shared [`Bytes`] handles in both directions: a host
 //! payload puts the caller's handle on the wire as the message body, and a
@@ -18,7 +18,7 @@
 //! Every head→worker buffer operation is one [`EventRequest::Task`] of
 //! [`TaskStep`]s — a region task as a car of a train (`runtime/mpi.rs`),
 //! whose reply comes home on its region execution's completion channel
-//! instead, or a release, a flush, a prefetch or a forward on its own
+//! instead, or a release, a flush or a broadcast feed on its own
 //! (`post_task`).
 //!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler

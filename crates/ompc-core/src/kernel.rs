@@ -112,6 +112,12 @@ impl<'a> KernelArgs<'a> {
     }
 
     /// Interpret the `idx`-th buffer as little-endian `f64`s.
+    ///
+    /// # Panics
+    ///
+    /// When the buffer's length is not a multiple of 8 bytes. On a worker
+    /// the panic is caught by the kernel's executor and replied as a typed
+    /// error naming the kernel; the device copies stay as they were.
     pub fn as_f64s(&self, idx: usize) -> Vec<f64> {
         ompc_mpi::typed::bytes_to_f64s(self.bytes(idx))
             .expect("buffer is not a whole number of f64")
@@ -123,6 +129,11 @@ impl<'a> KernelArgs<'a> {
     }
 
     /// Interpret the `idx`-th buffer as little-endian `u64`s.
+    ///
+    /// # Panics
+    ///
+    /// As [`KernelArgs::as_f64s`], for a length that is not a multiple of 8
+    /// bytes.
     pub fn as_u64s(&self, idx: usize) -> Vec<u64> {
         ompc_mpi::typed::bytes_to_u64s(self.bytes(idx))
             .expect("buffer is not a whole number of u64")

@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::buffer::BufferRegistry;
     pub use crate::cluster::ClusterDevice;
     pub use crate::config::{BackendKind, OmpcConfig, OverheadModel, SchedulerKind};
-    pub use crate::data_manager::{DataManager, Ticket, TransferReason, TransferRecord};
+    pub use crate::data_manager::{DataManager, TransferReason, TransferRecord};
     pub use crate::kernel::{FnKernel, Kernel, KernelArgs, KernelRegistry};
     pub use crate::model::WorkloadGraph;
     pub use crate::region::TargetRegion;

@@ -185,13 +185,6 @@ impl<'d> TargetRegion<'d> {
     pub fn run_recorded(self) -> OmpcResult<(RegionReport, RunRecord)> {
         self.device.execute_region_recorded(self.graph, self.host_fns)
     }
-
-    /// Decompose the builder into its graph and host-task table, for
-    /// pipelined execution ([`ClusterDevice::run_pipeline`]) where the
-    /// device wants to inspect queued regions before running them.
-    pub(crate) fn into_parts(self) -> (RegionGraph, HashMap<usize, HostFn>) {
-        (self.graph, self.host_fns)
-    }
 }
 
 #[cfg(test)]

@@ -39,11 +39,10 @@
 //!   reader's composite carries an `AwaitLocal` step, and the worker waits
 //!   for that very receive to land or fail (first-in-first-out on the node,
 //!   so even one handler thread cannot deadlock on it);
-//! * **anyone else** — another tenant, an async enter-data, prefetch or
-//!   broadcast ticket — has no event queued ahead of it there: the reader
-//!   parks on the head, booking nothing, and fails at once with the
-//!   transfer's own error, or is planned afresh when the booking was
-//!   invalidated on the wire.
+//! * **another tenant** — a region admitted beside this one — has no event
+//!   queued ahead of it there: the reader parks on the head, booking
+//!   nothing, and fails at once with the transfer's own error, or is
+//!   planned afresh when the booking was invalidated on the wire.
 //!
 //! What the lowering owns, per region and shared by its tasks, is the
 //! **deferred deletes** — stale and released copies ride the next target or
@@ -67,14 +66,14 @@ use super::RuntimePlan;
 use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
-use crate::data_manager::{Booking, DataManager, Owner, TransferReason, TransferState, HEAD_NODE};
+use crate::data_manager::{Booking, DataManager, TransferReason, TransferState, HEAD_NODE};
 use crate::event::{Composite, EventSystem, TypedReply};
 use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_mpi::{Bytes, CommId, Tag};
 use ompc_sched::Platform;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -254,9 +253,6 @@ fn take_deletes(state: &mut State, node: NodeId, work: &mut Composite) -> Vec<Bu
 /// manager, never after.
 pub(crate) struct Lowering {
     pub(super) path: DataPath,
-    /// Paired with the data manager's mutex: notified whenever anyone — a
-    /// task of any region, an async data-path job — finishes a booking.
-    inflight_cv: Arc<Condvar>,
     /// Transfer-log namespace of this execution: the region epoch issued at
     /// admission.
     pub(super) region: u64,
@@ -271,7 +267,6 @@ impl Lowering {
     /// naming a task the graph does not have.
     pub(crate) fn new(
         path: DataPath,
-        inflight_cv: Arc<Condvar>,
         region: u64,
         graph: Arc<RegionGraph>,
         host_fns: HashMap<usize, HostFn>,
@@ -280,7 +275,6 @@ impl Lowering {
         config.fault_plan.validate_task_errors(graph.len())?;
         Ok(Self {
             path,
-            inflight_cv,
             region,
             graph,
             host_fns,
@@ -359,9 +353,8 @@ impl Lowering {
         let mut work = Composite::default();
         let (owned, replica) = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
-                let owner = Owner::Region(self.region);
                 let reason = TransferReason::EnterData;
-                let booking = self.path.dm.lock().book(owner, buffer, node, reason)?;
+                let booking = self.path.dm.lock().book(self.region, buffer, node, reason)?;
                 match booking {
                     Booking::Present | Booking::Await => return Ok(Lowered::Done),
                     Booking::Move(plan) if plan.from != HEAD_NODE => {
@@ -447,9 +440,9 @@ impl Lowering {
         // co-located reader lowered later either sees our booking (and
         // awaits the arrival) or plans its own transfer.
         let mut dm = self.path.dm.lock();
-        // Only somebody else's booking parks a task: with no ticket in flight
-        // and no other region admitted beside this one, there is none.
-        if self.config.admission_limit() > 1 || dm.tickets_in_flight() {
+        // Only another tenant's booking parks a task: with no other region
+        // admitted beside this one, there is none.
+        if self.config.admission_limit() > 1 {
             let awaiting: Vec<BufferId> = (task.dependences.iter())
                 .filter(|d| d.dep_type.reads() && self.foreign_inflight(&dm, d.buffer, node))
                 .map(|d| d.buffer)
@@ -534,13 +527,13 @@ impl Lowering {
         pushes
     }
 
-    /// Whether someone other than this execution has `buffer` on the wire
-    /// towards `node`: a task reading it cannot await the bytes on the
-    /// worker, where no event of theirs is queued ahead of it.
+    /// Whether another region execution has `buffer` on the wire towards
+    /// `node`: a task reading it cannot await the bytes on the worker, where
+    /// no event of theirs is queued ahead of it.
     fn foreign_inflight(&self, dm: &DataManager, buffer: BufferId, node: NodeId) -> bool {
         matches!(
             dm.transfer_state(buffer, node),
-            TransferState::InFlight(owner) if owner != Owner::Region(self.region)
+            TransferState::InFlight(region) if region != self.region
         )
     }
 
@@ -579,7 +572,7 @@ impl Lowering {
     ) -> OmpcResult<()> {
         // The booking is made at lowering time: a later co-located reader
         // must await the arrival even though the bytes have not left yet.
-        let plan = match dm.book(Owner::Region(self.region), buffer, node, TransferReason::Input)? {
+        let plan = match dm.book(self.region, buffer, node, TransferReason::Input)? {
             Booking::Present => return Ok(()),
             // The first reader of a pushed copy claims it, later ones await.
             Booking::Await if inputs.claim(state, buffer, node) => return Ok(()),
@@ -617,8 +610,7 @@ impl Lowering {
     }
 
     /// Finish this region's bookings of `buffers` towards `node` with
-    /// `outcome` — every one of them, whatever the table makes of each —
-    /// and wake whoever awaits them.
+    /// `outcome` — every one of them, whatever the table makes of each.
     fn finish(
         &self,
         dm: &mut DataManager,
@@ -627,11 +619,7 @@ impl Lowering {
         outcome: &OmpcResult<()>,
     ) -> OmpcResult<()> {
         let finished = buffers.iter().map(|&buffer| dm.finish(buffer, node, outcome.clone()));
-        let all = finished.fold(Ok(()), OmpcResult::and);
-        if !buffers.is_empty() {
-            self.inflight_cv.notify_all();
-        }
-        all
+        finished.fold(Ok(()), OmpcResult::and)
     }
 
     /// Settle a delivered task with its typed reply (the retrieved buffer
@@ -715,10 +703,10 @@ impl Lowering {
     /// each, but no event. One from a dead producer, one whose node hosts no reader of it any
     /// more (a recovery moved them) and one the table refuses are dropped.
     fn book_pushes(&self, state: &mut State, dm: &mut DataManager, pushes: Vec<Push>) {
-        let (owner, input) = (Owner::Region(self.region), TransferReason::Input);
+        let (region, input) = (self.region, TransferReason::Input);
         for push in pushes {
             let bookable = !dm.is_failed(push.from) && self.read_at(&state.assignment, &push);
-            let booking = bookable.then(|| dm.book(owner, push.buffer, push.to, input));
+            let booking = bookable.then(|| dm.book(region, push.buffer, push.to, input));
             if let Some(Ok(Booking::Move(_))) = booking {
                 let bytes = self.path.buffers.size_of(push.buffer).unwrap_or(0) as u64;
                 self.path.events.counters().record_data(bytes);
@@ -921,9 +909,8 @@ mod tests {
             dm: Arc::new(Mutex::new(dm)),
             telemetry: Telemetry::off(),
         };
-        let cv = Arc::new(Condvar::new());
         let config = OmpcConfig::small();
-        let low = Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
+        let low = Lowering::new(path, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
         Fixture { _world: world, low, a }
     }
 
@@ -1157,10 +1144,9 @@ mod tests {
         let Fixture { low, a, .. } = &fixture();
         // A tenant of a device admitting two regions at once.
         let tenant = |region| {
-            let cv = Arc::clone(&low.inflight_cv);
             let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
             let graph = Arc::clone(&low.graph);
-            Lowering::new(low.path.clone(), cv, region, graph, HashMap::new(), &config).unwrap()
+            Lowering::new(low.path.clone(), region, graph, HashMap::new(), &config).unwrap()
         };
         let second = tenant(2);
         let (work, owner) = lower_task(low, 0, 1);
@@ -1399,7 +1385,7 @@ mod tests {
         let dm = low.path.dm.lock();
         let failed = TransferState::Invalid(Some(OmpcError::NodeFailure(1)));
         assert_eq!(dm.transfer_state(a, 3), failed);
-        assert_eq!(dm.transfer_state(a, 2), TransferState::InFlight(Owner::Region(1)));
+        assert_eq!(dm.transfer_state(a, 2), TransferState::InFlight(1));
         assert!(dm.transfer_log().iter().all(|t| t.to != 3));
         drop(dm);
         assert!(low.state.lock().unclaimed.is_empty());

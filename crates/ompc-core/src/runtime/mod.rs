@@ -345,8 +345,8 @@ impl RuntimePlan {
                     {
                         assignment[task.id.0] = assignment[succ.0];
                     } else if let Some(holder) = resident_pin(task) {
-                        // No consumer in this region (a prefetch / re-enter
-                        // of resident data): stay where the data already is.
+                        // No consumer in this region (a re-enter of
+                        // resident data): stay where the data already is.
                         assignment[task.id.0] = holder;
                     }
                 }

@@ -18,8 +18,8 @@
 //! **Waiting for someone else's bytes.** An `AwaitLocal` step only ever
 //! names a receive an earlier car of this execution queued ahead of it on
 //! the same node — cars depart in lowering order — so the worker resolves
-//! it in arrival order. A task whose input another owner has on the wire
-//! (another tenant, an async or prefetch ticket) is *parked* here instead:
+//! it in arrival order. A task whose input another tenant has on the wire
+//! (a region admitted beside this one) is *parked* here instead:
 //! nothing is booked or sent, the completion loop keeps running, and the
 //! task is lowered again — or failed with the transfer's own error — once
 //! the lowering says the booking is over.
@@ -618,7 +618,6 @@ mod tests {
         use crate::task::RegionGraph;
         use crate::worker::worker_main;
         use ompc_mpi::{Bytes, CommId, Tag, World};
-        use parking_lot::Condvar;
         use std::collections::HashMap;
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
@@ -637,15 +636,9 @@ mod tests {
             dm: Arc::default(),
             telemetry: Telemetry::off(),
         };
-        let lowering = Lowering::new(
-            path,
-            Arc::new(Condvar::new()),
-            1,
-            Arc::new(RegionGraph::new()),
-            HashMap::new(),
-            &mpi_config(),
-        )
-        .unwrap();
+        let lowering =
+            Lowering::new(path, 1, Arc::new(RegionGraph::new()), HashMap::new(), &mpi_config())
+                .unwrap();
         let mut driver = MpiDriver::new(&lowering).unwrap();
         let snapshot = || {
             let c = events.counters();
@@ -711,7 +704,7 @@ mod tests {
         use crate::task::{RegionGraph, TaskKind};
         use crate::types::{BufferId, KernelId};
         use ompc_mpi::World;
-        use parking_lot::{Condvar, Mutex};
+        use parking_lot::Mutex;
         use std::collections::HashMap;
         use std::sync::Arc;
         use std::time::{Duration, Instant};
@@ -735,9 +728,7 @@ mod tests {
             telemetry: Telemetry::off(),
         };
         let config = OmpcConfig { event_reply_timeout_ms: Some(150), ..mpi_config() };
-        let cv = Arc::new(Condvar::new());
-        let lowering =
-            Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
+        let lowering = Lowering::new(path, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
         let in_flight = || {
             let dm = lowering.path.dm.lock();
             let moving =
@@ -801,7 +792,7 @@ mod tests {
         use crate::task::{RegionGraph, TaskKind};
         use crate::worker::worker_main;
         use ompc_mpi::World;
-        use parking_lot::{Condvar, Mutex};
+        use parking_lot::Mutex;
         use std::collections::HashMap;
         use std::sync::Arc;
 
@@ -837,9 +828,8 @@ mod tests {
                 telemetry: Telemetry::off(),
             };
             let config = OmpcConfig { event_reply_timeout_ms: None, ..mpi_config() };
-            let cv = Arc::new(Condvar::new());
             let lowering =
-                Lowering::new(path, cv, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
+                Lowering::new(path, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
 
             // The owner forwards `a` from node 2, the reader awaits that
             // receive — in two trains on node 1, so that with two handler

@@ -20,7 +20,7 @@ use super::push_targets;
 use super::{ExecutionBackend, RuntimePlan, TaskEvent};
 use crate::config::{OmpcConfig, OverheadModel};
 use crate::data_manager::{
-    Booking, DataManager, Owner, TransferReason, TransferRecord, HEAD_NODE, UNATTRIBUTED,
+    Booking, DataManager, TransferReason, TransferRecord, HEAD_NODE, UNATTRIBUTED,
 };
 use crate::heartbeat::Millis;
 use crate::model::WorkloadGraph;
@@ -258,7 +258,7 @@ impl<'w> SimBackend<'w> {
                         buf: u64,
                         bytes: u64,
                         reason: TransferReason| {
-            match dm.book(Owner::Region(UNATTRIBUTED), BufferId(buf), node, reason)? {
+            match dm.book(UNATTRIBUTED, BufferId(buf), node, reason)? {
                 // We own this transfer; the booking makes later co-located
                 // consumers wait for the arrival instead of racing past it.
                 Booking::Move(plan) => transfers.push((plan.from, bytes, buf)),

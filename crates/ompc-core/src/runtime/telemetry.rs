@@ -104,11 +104,8 @@ pub enum SpanPhase {
     HostFlush,
     /// MPI backend: flushing a buffered task train onto the wire.
     TrainFlush,
-    /// Data path: streaming a queued region's enter-data inputs (or an
-    /// async `enter_data` distribution) while earlier work computes.
-    Prefetch,
-    /// A reader blocking on a transfer still in flight (first use of an
-    /// async enter-data buffer, or a flush waiting out a concurrent one).
+    /// A reader blocking on a transfer still in flight (a task parked on
+    /// another tenant's booking, or a flush waiting out a concurrent one).
     AwaitInflight,
     /// Collective data movement: one delivered edge of a broadcast tree,
     /// over the round that carried it (the span's `from`/`node` are the
@@ -137,7 +134,6 @@ impl SpanPhase {
             SpanPhase::ExitData => "exit_data",
             SpanPhase::HostFlush => "host_flush",
             SpanPhase::TrainFlush => "train_flush",
-            SpanPhase::Prefetch => "prefetch",
             SpanPhase::AwaitInflight => "await_inflight",
             SpanPhase::Relay => "relay",
             SpanPhase::Replan => "replan",
@@ -160,11 +156,10 @@ impl SpanPhase {
             | SpanPhase::ExitData
             | SpanPhase::HostFlush
             | SpanPhase::TrainFlush
-            | SpanPhase::Prefetch
             | SpanPhase::Relay => AttributionBucket::Wire,
             // A reader blocked on an in-flight transfer is scheduling
             // slack, not wire work: the bytes were already attributed to
-            // the transfer's own prefetch / send span. Likewise a
+            // the transfer's own send span. Likewise a
             // region queued at the admission gate.
             SpanPhase::AwaitInflight | SpanPhase::Admission => AttributionBucket::Scheduling,
             SpanPhase::Compute => AttributionBucket::Compute,
@@ -834,8 +829,6 @@ mod tests {
         assert_eq!(SpanPhase::Serialize.bucket().name(), "serialization");
         assert_eq!(SpanPhase::TrainFlush.bucket(), AttributionBucket::Wire);
         assert_eq!(SpanPhase::Replan.bucket(), AttributionBucket::Scheduling);
-        assert_eq!(SpanPhase::Prefetch.name(), "prefetch");
-        assert_eq!(SpanPhase::Prefetch.bucket(), AttributionBucket::Wire);
         assert_eq!(SpanPhase::AwaitInflight.name(), "await_inflight");
         assert_eq!(SpanPhase::AwaitInflight.bucket(), AttributionBucket::Scheduling);
         assert_eq!(SpanPhase::Admission.name(), "admission");

@@ -1424,7 +1424,7 @@ mod tests {
         }
     }
 
-    /// A prefetch train: a task of `RecvFromHead` steps.
+    /// A task of several `RecvFromHead` steps.
     #[test]
     fn submit_train_stores_payloads_in_order_and_replies_once() {
         let world = World::with_communicators(2, 2);

@@ -3,7 +3,7 @@
 //! real message-passing cluster must make identical scheduling and
 //! dispatch decisions — the acceptance bar of the unified `RuntimeCore` /
 //! `ExecutionBackend` design — and the cluster's data-path optimisations
-//! (task trains, async enter-data, broadcast trees) may change how bytes
+//! (task trains, broadcast trees) may change how bytes
 //! move, never what moves where. The sweeps run under ompc-testutil's 120 s
 //! watchdog so a protocol hang fails fast.
 
@@ -308,99 +308,6 @@ fn window_is_honored_and_bottleneck_reproduces() {
     let plan = RuntimePlan::for_workload(&workload, &platform, &config);
     let record = device_record(3, &config, &workload, &plan);
     assert!(record.peak_in_flight <= 2);
-}
-
-/// Asynchronous enter-data is a data-*timing* optimisation only: with
-/// `enter_data_async` on, the cluster must produce the same region
-/// assignments, the same outputs, and the same per-region transfer plans as
-/// the synchronous reference — exact order at a serial window, set equality
-/// at a wide one. This mirrors the task-train
-/// batching matrix above: the async data path may overlap transfers with
-/// anything, but it may never change what moves where.
-#[test]
-fn async_enter_data_matrix_is_equivalent() {
-    /// Run the seeded enter/consume script: interleaved device-level
-    /// enter-data calls (async when the flag is on) and single-reader
-    /// regions consuming the entered buffers oldest first.
-    fn enter_data_script(
-        window: usize,
-        enter_async: bool,
-        seed: u64,
-    ) -> (Vec<Vec<usize>>, Vec<Vec<TransferRecord>>, Vec<f64>) {
-        let mut rng = Rng::new(seed);
-        let workers = rng.range(2, 4) as usize;
-        let config = OmpcConfig {
-            enter_data_async: enter_async,
-            max_inflight_tasks: window,
-            ..OmpcConfig::small()
-        };
-        let mut device = ClusterDevice::with_config(workers, config);
-        let sum = device.register_kernel_fn("sum", 1e-6, |args| {
-            let total: f64 = args.as_f64s(0).iter().sum();
-            args.set_f64s(1, &[total]);
-        });
-        let mut pending: Vec<BufferId> = Vec::new();
-        let mut assignments = Vec::new();
-        let mut transfers = Vec::new();
-        let mut outputs = Vec::new();
-        let mut consume = |device: &ClusterDevice, input: BufferId| {
-            let mut region = device.target_region();
-            let out = region.map_alloc(8);
-            region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
-            region.map_from(out);
-            region.run().unwrap();
-            let record = device.last_run_record().unwrap();
-            assignments.push(record.assignment);
-            transfers.push(record.transfers);
-            outputs.push(device.buffer_f64s(out).unwrap()[0]);
-        };
-        for _ in 0..10 {
-            if rng.range(0, 2) == 0 || pending.is_empty() {
-                let len = rng.range(1, 6) as usize;
-                let vals: Vec<f64> =
-                    (0..len).map(|i| rng.range(0, 100) as f64 + i as f64).collect();
-                // Routed through `enter_data_async` when the flag is on;
-                // the first region reader awaits the in-flight transfer.
-                pending.push(device.enter_data_f64s(&vals));
-            } else {
-                let input = pending.remove(0);
-                consume(&device, input);
-            }
-        }
-        while !pending.is_empty() {
-            let input = pending.remove(0);
-            consume(&device, input);
-        }
-        device.shutdown();
-        (assignments, transfers, outputs)
-    }
-
-    with_timeout(WATCHDOG, || {
-        for seed in 0..4u64 {
-            for (window, strict) in [(1usize, true), (4, false)] {
-                let baseline = enter_data_script(window, false, seed);
-                let got = enter_data_script(window, true, seed);
-                let tag = format!("seed {seed} window {window}");
-                assert_eq!(baseline.0, got.0, "{tag}: region assignments");
-                assert_eq!(baseline.2, got.2, "{tag}: region outputs");
-                if strict {
-                    assert_eq!(baseline.1, got.1, "{tag}: per-region transfer plan (exact order)");
-                } else {
-                    let sort = |regions: &[Vec<TransferRecord>]| -> Vec<Vec<TransferRecord>> {
-                        regions
-                            .iter()
-                            .map(|r| {
-                                let mut r = r.clone();
-                                r.sort_by_key(|t| (t.buffer, t.from, t.to, t.bytes));
-                                r
-                            })
-                            .collect()
-                    };
-                    assert_eq!(sort(&baseline.1), sort(&got.1), "{tag}: per-region transfer set");
-                }
-            }
-        }
-    });
 }
 
 /// Collective distribution is a data-*movement* optimisation only: with

@@ -514,246 +514,3 @@ fn node_death_during_overlapped_regions_blames_only_the_victim_tenant() {
         );
     });
 }
-
-/// The async data path's failure interaction: a node dies while an
-/// `enter_data_async` transfer towards it is still in flight. The booking
-/// must roll back — the ticket reports the failure instead of hanging —
-/// the next consumer re-sources the bytes from a survivor, and the aborted
-/// movement is withdrawn from the transfer accounting so nothing is
-/// double-counted. The device's hold gate freezes the transfer job
-/// deterministically while the fault fires.
-#[test]
-fn prefetch_in_flight_node_death_rolls_back_and_resources() {
-    with_timeout(WATCHDOG, || {
-        // Probe run, fault-free: a single-reader region has exactly the
-        // shape of the async entry point's prediction probe, so its
-        // placement IS the predicted destination — the node to kill.
-        let register_sum = |device: &ClusterDevice| {
-            device.register_kernel_fn("sum", 1e-6, |args| {
-                let total: f64 = args.as_f64s(0).iter().sum();
-                args.set_f64s(1, &[total]);
-            })
-        };
-        let victim = {
-            let mut device = ClusterDevice::with_config(2, fault_config(FaultPlan::none()));
-            let sum = register_sum(&device);
-            let input = device.enter_data_f64s(&[7.0, 8.0, 9.0]);
-            let mut region = device.target_region();
-            let out = region.map_alloc(8);
-            region.target(sum, vec![Dependence::input(input), Dependence::output(out)]);
-            region.run().unwrap();
-            let record = device.last_run_record().unwrap();
-            let node = *record.assignment.iter().find(|&&n| n >= 1).unwrap();
-            device.shutdown();
-            node
-        };
-
-        // Real run: freeze the wire, book the async enter-data towards the
-        // predicted victim, then kill the victim under a sacrificial
-        // region that never touches the in-flight buffer.
-        let plan = FaultPlan::none().fail_after_completions(victim, 1);
-        let mut device = ClusterDevice::with_config(2, fault_config(plan));
-        let sum = register_sum(&device);
-        let bump = device.register_kernel_fn("bump", 1e-5, |args| {
-            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-            args.set_f64s(0, &v);
-        });
-        device.debug_hold_async_transfers(true);
-        let (buffer, ticket) = device.enter_data_async_f64s(&[7.0, 8.0, 9.0]);
-
-        let mut region = device.target_region();
-        for _ in 0..4 {
-            let b = region.map_to_f64s(&[1.0]);
-            region.target(bump, vec![Dependence::inout(b)]);
-            region.map_from(b);
-        }
-        region.run().unwrap();
-        let record = device.last_run_record().unwrap();
-        assert_eq!(record.failures.len(), 1, "the victim must die during the sacrifice");
-        assert_eq!(record.failures[0].node, victim);
-
-        // Release the frozen job: it observes the death and rolls the
-        // booking back without touching the wire; the ticket reports the
-        // failure instead of blocking forever.
-        device.debug_hold_async_transfers(false);
-        let error =
-            device.await_transfer(ticket).expect_err("a prefetch towards a dead node must fail");
-        assert_eq!(
-            error.origin_node(),
-            Some(victim),
-            "the rollback must blame the dead node, got {error:?}"
-        );
-
-        // The consuming region re-sources the bytes from the survivors:
-        // correct result, exactly one Input transfer of the buffer — the
-        // aborted movement is not in the log, so nothing double-counts.
-        device.take_unattributed_transfers();
-        let mut region = device.target_region();
-        let out = region.map_alloc(8);
-        region.target(sum, vec![Dependence::input(buffer), Dependence::output(out)]);
-        region.map_from(out);
-        region.run().unwrap();
-        assert_eq!(device.buffer_f64s(out).unwrap(), vec![24.0]);
-        let record = device.last_run_record().unwrap();
-        let moved: Vec<&TransferRecord> =
-            record.transfers.iter().filter(|t| t.buffer == buffer).collect();
-        assert_eq!(
-            moved.len(),
-            1,
-            "the buffer must cross the wire exactly once after the rollback: {moved:?}"
-        );
-        assert_eq!(moved[0].reason, TransferReason::Input);
-        assert_eq!(moved[0].bytes, 24, "three f64s");
-        assert!(
-            moved[0].to != victim && moved[0].from != victim,
-            "re-sourcing must avoid the dead node: {:?}",
-            moved[0]
-        );
-        assert!(
-            device.take_unattributed_transfers().iter().all(|t| t.buffer != buffer),
-            "no stray transfer record of the aborted prefetch may remain"
-        );
-        device.shutdown();
-    });
-}
-
-/// A relay node dying mid-broadcast: with collectives on, a region's
-/// shared input is booked as ONE binomial tree over four destinations —
-/// the lowest-numbered destination is the tree's only interior relay,
-/// responsible for forwarding the payload to one subtree child. The
-/// device's hold gate freezes the broadcast job while the wall-clock
-/// fault kills that relay; on release, the relay's gate refuses its
-/// event, and the broadcast must rescue exactly the undelivered subtree
-/// from a recipient that already acknowledged the payload — delivered
-/// nodes are not re-sent, the dead node's booking rolls back, and the
-/// region's log records the true per-edge bytes, rescue edge included.
-#[test]
-fn relay_node_death_mid_broadcast_rescues_the_undelivered_subtree() {
-    with_timeout(WATCHDOG, || {
-        let collective_config = |plan: FaultPlan| OmpcConfig {
-            enter_data_async: true,
-            collective_min_fanout: 2,
-            max_inflight_tasks: 8,
-            ..fault_config(plan)
-        };
-        let register_scale = |device: &ClusterDevice| {
-            device.register_kernel_fn("scale", 1e-2, |args| {
-                let total: f64 = args.as_f64s(0).iter().sum();
-                let factor = args.as_f64s(1)[0];
-                args.set_f64s(2, &[total * factor]);
-            })
-        };
-        // The broadcast region: one shared 8 KiB read-only input, four
-        // readers with private factors. Returns the shared buffer, the
-        // outputs, and the run record.
-        let run_broadcast_region =
-            |device: &ClusterDevice, scale: KernelId| -> (BufferId, Vec<f64>, RunRecord) {
-                let mut region = device.target_region();
-                let vals: Vec<f64> = (0..1024).map(|i| i as f64).collect();
-                let shared = region.map_to_f64s(&vals);
-                let mut outs = Vec::new();
-                for i in 0..4 {
-                    let factor = region.map_to_f64s(&[(i + 1) as f64]);
-                    let out = region.map_alloc(8);
-                    region.target(
-                        scale,
-                        vec![
-                            Dependence::input(shared),
-                            Dependence::input(factor),
-                            Dependence::output(out),
-                        ],
-                    );
-                    region.map_from(out);
-                    outs.push(out);
-                }
-                region.run().unwrap();
-                let record = device.last_run_record().unwrap();
-                let outputs = outs.iter().map(|&o| device.buffer_f64s(o).unwrap()[0]).collect();
-                (shared, outputs, record)
-            };
-        let total: f64 = (0..1024).map(|i| i as f64).sum();
-        let clean: Vec<f64> = (1..=4).map(|i| total * i as f64).collect();
-
-        // Probe, fault-free: discover the tree. The booking iterates
-        // destinations in ascending node order, so over destinations
-        // [d0, d1, d2, d3] the head feeds d0, d1, d3 and the relay d0
-        // feeds d2 — d0 is the node whose death orphans a subtree.
-        let dests: Vec<usize> = {
-            let mut device = ClusterDevice::with_config(4, collective_config(FaultPlan::none()));
-            let scale = register_scale(&device);
-            let (shared, outputs, record) = run_broadcast_region(&device, scale);
-            device.shutdown();
-            assert_eq!(outputs, clean, "probe outputs");
-            let edges: Vec<&TransferRecord> =
-                record.transfers.iter().filter(|t| t.buffer == shared).collect();
-            let mut dests: Vec<usize> = edges.iter().map(|t| t.to).collect();
-            dests.sort_unstable();
-            assert_eq!(
-                dests,
-                vec![1, 2, 3, 4],
-                "the script must reach all four workers in one planning step: {edges:?}"
-            );
-            let relayed: Vec<&&TransferRecord> = edges.iter().filter(|t| t.from != 0).collect();
-            assert_eq!(relayed.len(), 1, "probe: one relay edge: {edges:?}");
-            assert_eq!(
-                (relayed[0].from, relayed[0].to),
-                (dests[0], dests[2]),
-                "probe: the lowest destination relays to its binomial child: {edges:?}"
-            );
-            dests
-        };
-        let (victim, orphan) = (dests[0], dests[2]);
-
-        // Real run: freeze the broadcast job and kill the relay on its
-        // first completion. With every data-carrying task parked on a held
-        // booking, the only runnable work on the victim is its reader's
-        // alloc task — which retires within milliseconds of admission, so
-        // the trigger fires while the broadcast is still frozen.
-        let plan = FaultPlan::none().fail_after_completions(victim, 1);
-        let mut device = ClusterDevice::with_config(4, collective_config(plan));
-        let scale = register_scale(&device);
-        device.debug_hold_async_transfers(true);
-        let (shared, outputs, record) = std::thread::scope(|scope| {
-            let device_ref = &device;
-            let run = scope.spawn(move || run_broadcast_region(device_ref, scale));
-            // The kill fires at the victim's first retirement; the ring
-            // heartbeat declares the silent relay a few periods later.
-            // Release the frozen tree only after the death has landed.
-            std::thread::sleep(Duration::from_millis(700));
-            device_ref.debug_hold_async_transfers(false);
-            run.join().unwrap()
-        });
-        device.shutdown();
-
-        assert_eq!(outputs, clean, "the region must recover the failure-free bytes");
-        assert_eq!(record.failures.len(), 1, "exactly one declared failure");
-        assert_eq!(record.failures[0].node, victim);
-
-        let edges: Vec<&TransferRecord> =
-            record.transfers.iter().filter(|t| t.buffer == shared).collect();
-        // The dead relay's booking rolled back; every survivor received
-        // the payload exactly once (no re-sends), with exact wire bytes.
-        let mut delivered_to: Vec<usize> = edges.iter().map(|t| t.to).collect();
-        delivered_to.sort_unstable();
-        assert_eq!(
-            delivered_to,
-            dests.iter().copied().filter(|&n| n != victim).collect::<Vec<_>>(),
-            "survivors exactly once, victim rolled back: {edges:?}"
-        );
-        assert!(
-            edges.iter().all(|t| t.bytes == 8192),
-            "each edge carries the full 8 KiB payload: {edges:?}"
-        );
-        // The orphaned subtree was re-sourced from a surviving recipient —
-        // not from the head, and certainly not from the corpse.
-        let rescue = edges.iter().find(|t| t.to == orphan).expect("the orphan was delivered");
-        assert!(
-            rescue.from != 0 && rescue.from != victim && delivered_to.contains(&rescue.from),
-            "the rescue edge must come from a surviving recipient: {rescue:?}"
-        );
-        // The head-fed subtree roots kept their planned edges.
-        for t in edges.iter().filter(|t| t.to != orphan) {
-            assert_eq!(t.from, 0, "direct subtree roots stay head-fed: {t:?}");
-        }
-    });
-}
