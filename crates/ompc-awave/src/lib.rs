@@ -22,9 +22,10 @@
 //!   Marmousi-like velocity grids;
 //! * [`WaveField`] / [`propagate`] — an 8th-order-in-space,
 //!   2nd-order-in-time acoustic finite-difference propagator with sponge
-//!   boundaries, one ghost-bordered stencil for every cell (see [`wave`]);
-//! * [`rtm_shot`] / [`migrate`] — single-shot RTM and multi-shot image
-//!   stacking;
+//!   boundaries, one ghost-bordered stencil for every cell, built for AVX2
+//!   too, with identical bits (see [`wave`]);
+//! * [`rtm_shot`] / [`migrate`] — single-shot RTM, imaging the source field
+//!   as it goes, and multi-shot image stacking;
 //! * [`workload`] — the abstract shot-per-node workload used to reproduce
 //!   Fig. 7(b) on the simulated cluster, and helpers to run real shots on
 //!   a [`ompc_core::cluster::ClusterDevice`] over whichever backend it was

@@ -79,12 +79,17 @@ impl RtmImage {
 ///
 /// 1. model the "observed" receiver data by propagating the source through
 ///    the true velocity model;
-/// 2. propagate the same source through the smoothed migration model,
-///    storing snapshots of the down-going field;
-/// 3. propagate the time-reversed observed data from the receiver line
-///    through the migration model (the up-going / adjoint field);
-/// 4. cross-correlate the two fields at matching times (the imaging
-///    condition) and accumulate into the image.
+/// 2. propagate the time-reversed observed data from the receiver line
+///    through the smoothed migration model (the up-going / adjoint field),
+///    storing its snapshots;
+/// 3. propagate the source through the migration model (the down-going
+///    field) and, every `snapshot_every` steps, cross-correlate it with the
+///    adjoint snapshot of the matching time (the imaging condition) into
+///    the image.
+///
+/// The source field is imaged as it goes, in forward time order as if its
+/// snapshots had been stored, so only the adjoint snapshots are held: half
+/// the snapshot memory of storing both fields.
 pub fn rtm_shot(model: &VelocityModel, shot: Shot, params: &RtmParams) -> RtmImage {
     let migration_model = model.smoothed(params.smoothing_passes);
     let mut prop = PropagationParams::for_model(model, params.nt);
@@ -94,16 +99,10 @@ pub fn rtm_shot(model: &VelocityModel, shot: Shot, params: &RtmParams) -> RtmIma
     // 1. Observed data in the true model.
     let observed = propagate(model, &prop, |_, _| {});
 
-    // 2. Source (forward) field in the migration model, with snapshots.
-    let mut forward_prop = prop.clone();
-    forward_prop.snapshot_every = params.snapshot_every;
-    // Use the migration model's (possibly different) stable dt only if it
-    // is stricter; both models share h so the true model's dt is already
-    // safe because smoothing cannot increase the maximum velocity.
-    let forward = propagate(&migration_model, &forward_prop, |_, _| {});
-
-    // 3. Adjoint field: inject the time-reversed traces at the receiver
-    //    line while propagating through the migration model.
+    // 2. Adjoint field: inject the time-reversed traces at the receiver
+    //    line while propagating through the migration model. Both models
+    //    share h and smoothing cannot raise the maximum velocity, so the
+    //    true model's dt is safe in the migration model too.
     let mut adjoint_prop = prop.clone();
     adjoint_prop.wavelet = vec![0.0; params.nt];
     adjoint_prop.snapshot_every = params.snapshot_every;
@@ -118,22 +117,24 @@ pub fn rtm_shot(model: &VelocityModel, shot: Shot, params: &RtmParams) -> RtmIma
         }
     });
 
-    // 4. Imaging condition: correlate forward(t) with adjoint(nt - t).
+    // 3. Source field, correlated with adjoint(nt - t) as it goes.
     let mut image = RtmImage::zeros(model.nx, model.nz);
-    for (k, fwd) in forward.snapshots.iter().enumerate() {
-        let step = forward.snapshot_steps[k];
+    let every = params.snapshot_every;
+    propagate(&migration_model, &prop, |step, fwd: &mut WaveField| {
+        if every == 0 || step % every != 0 {
+            return;
+        }
         // The adjoint snapshot taken at iteration `it` holds the receiver
         // field at reversed time nt - 1 - it; to correlate at forward time
         // `step` we need the adjoint snapshot with it = nt - 1 - step.
-        let adj_it = nt - 1 - step;
-        let Some(pos) = adjoint.snapshot_steps.iter().position(|&s| s >= adj_it) else {
-            continue;
+        let Some(pos) = adjoint.snapshot_steps.iter().position(|&s| s >= nt - 1 - step) else {
+            return;
         };
-        let adj = &adjoint.snapshots[pos];
-        for (i, v) in image.values.iter_mut().enumerate() {
-            *v += fwd.values[i] * adj.values[i];
+        let adj = &adjoint.snapshots[pos].values;
+        for (v, (f, a)) in image.values.iter_mut().zip(fwd.values.iter().zip(adj)) {
+            *v += f * a;
         }
-    }
+    });
     image
 }
 
@@ -156,6 +157,92 @@ mod tests {
 
     fn quick_params() -> RtmParams {
         RtmParams { nt: 160, snapshot_every: 4, smoothing_passes: 4 }
+    }
+
+    // The shot as it was before the source field was imaged on the fly:
+    // the source and adjoint fields both store their snapshots and are
+    // correlated afterwards. Kept verbatim as the reference the streaming
+    // shot must match bit for bit.
+    fn reference_rtm_shot(model: &VelocityModel, shot: Shot, params: &RtmParams) -> RtmImage {
+        let migration_model = model.smoothed(params.smoothing_passes);
+        let mut prop = PropagationParams::for_model(model, params.nt);
+        prop.source = (shot.source_x, shot.source_z);
+        prop.snapshot_every = 0;
+
+        // 1. Observed data in the true model.
+        let observed = propagate(model, &prop, |_, _| {});
+
+        // 2. Source (forward) field in the migration model, with snapshots.
+        let mut forward_prop = prop.clone();
+        forward_prop.snapshot_every = params.snapshot_every;
+        // Use the migration model's (possibly different) stable dt only if it
+        // is stricter; both models share h so the true model's dt is already
+        // safe because smoothing cannot increase the maximum velocity.
+        let forward = propagate(&migration_model, &forward_prop, |_, _| {});
+
+        // 3. Adjoint field: inject the time-reversed traces at the receiver
+        //    line while propagating through the migration model.
+        let mut adjoint_prop = prop.clone();
+        adjoint_prop.wavelet = vec![0.0; params.nt];
+        adjoint_prop.snapshot_every = params.snapshot_every;
+        let nt = params.nt;
+        let receiver_depth = prop.receiver_depth;
+        let traces = observed.traces;
+        let adjoint = propagate(&migration_model, &adjoint_prop, |it, field: &mut WaveField| {
+            let reversed = nt - 1 - it;
+            let row = &traces[reversed];
+            for (ix, &amp) in row.iter().enumerate() {
+                field.values[receiver_depth * field.nx + ix] += amp;
+            }
+        });
+
+        // 4. Imaging condition: correlate forward(t) with adjoint(nt - t).
+        let mut image = RtmImage::zeros(model.nx, model.nz);
+        for (k, fwd) in forward.snapshots.iter().enumerate() {
+            let step = forward.snapshot_steps[k];
+            // The adjoint snapshot taken at iteration `it` holds the receiver
+            // field at reversed time nt - 1 - it; to correlate at forward time
+            // `step` we need the adjoint snapshot with it = nt - 1 - step.
+            let adj_it = nt - 1 - step;
+            let Some(pos) = adjoint.snapshot_steps.iter().position(|&s| s >= adj_it) else {
+                continue;
+            };
+            let adj = &adjoint.snapshots[pos];
+            for (i, v) in image.values.iter_mut().enumerate() {
+                *v += fwd.values[i] * adj.values[i];
+            }
+        }
+        image
+    }
+
+    #[test]
+    fn streaming_shot_matches_the_stored_snapshot_reference_bit_for_bit() {
+        // An nt that is not a multiple of 4, and decimations from every step
+        // to none at all, through one (`nt`) and past the end (`nt + 1`).
+        let nt = 90;
+        let bits =
+            |image: &RtmImage| -> Vec<u64> { image.values.iter().map(|v| v.to_bits()).collect() };
+        for kind in [ModelKind::SigsbeeLike, ModelKind::MarmousiLike, ModelKind::Constant] {
+            for (nx, nz) in [(29, 17), (40, 40)] {
+                let model = VelocityModel::generate(kind, nx, nz, 20.0);
+                for source_x in [0, nx - 1, nx / 2] {
+                    let shot = Shot { source_x, source_z: 2 };
+                    for snapshot_every in [0, 1, 3, 4, nt, nt + 1] {
+                        let params = RtmParams { nt, snapshot_every, smoothing_passes: 2 };
+                        let case = format!("{kind:?} {nx}x{nz}, {shot:?}, every {snapshot_every}");
+                        let got = rtm_shot(&model, shot, &params);
+                        let want = reference_rtm_shot(&model, shot, &params);
+                        assert_eq!((got.nx, got.nz), (want.nx, want.nz), "{case}");
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                        // The comparison means something only where the
+                        // image carries signal.
+                        if [1, 3, 4].contains(&snapshot_every) {
+                            assert!(got.values.iter().any(|&v| v != 0.0), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
