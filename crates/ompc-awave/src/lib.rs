@@ -22,8 +22,9 @@
 //!   Marmousi-like velocity grids;
 //! * [`WaveField`] / [`propagate`] — an 8th-order-in-space,
 //!   2nd-order-in-time acoustic finite-difference propagator with sponge
-//!   boundaries, one ghost-bordered stencil for every cell, built for AVX2
-//!   too, with identical bits (see [`wave`]);
+//!   boundaries, stepping a [`GhostField`] that keeps the live field inside
+//!   its ghost border; one stencil for every cell, built portable, for AVX2
+//!   and for AVX-512F, with identical bits (see [`wave`]);
 //! * [`rtm_shot`] / [`migrate`] — single-shot RTM, imaging the source field
 //!   as it goes, and multi-shot image stacking;
 //! * [`workload`] — the abstract shot-per-node workload used to reproduce
@@ -38,7 +39,7 @@ pub mod workload;
 
 pub use rtm::{migrate, rtm_shot, RtmImage, RtmParams, Shot};
 pub use velocity::{ModelKind, VelocityModel};
-pub use wave::{propagate, ricker_wavelet, PropagationParams, WaveField};
+pub use wave::{propagate, ricker_wavelet, GhostField, PropagationParams, WaveField};
 pub use workload::{
     awave_workload, estimate_shot_cost, run_shots_on_cluster, run_shots_resident,
     run_shots_resident_traced, AwaveWorkloadConfig,

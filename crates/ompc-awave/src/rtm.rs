@@ -1,7 +1,7 @@
 //! Reverse Time Migration: single-shot imaging and multi-shot stacking.
 
 use crate::velocity::VelocityModel;
-use crate::wave::{propagate, PropagationParams, WaveField};
+use crate::wave::{propagate, GhostField, PropagationParams};
 
 /// One seismic experiment: a source position whose echoes are recorded by
 /// the surface receiver line.
@@ -109,18 +109,18 @@ pub fn rtm_shot(model: &VelocityModel, shot: Shot, params: &RtmParams) -> RtmIma
     let nt = params.nt;
     let receiver_depth = prop.receiver_depth;
     let traces = observed.traces;
-    let adjoint = propagate(&migration_model, &adjoint_prop, |it, field: &mut WaveField| {
+    let adjoint = propagate(&migration_model, &adjoint_prop, |it, field: &mut GhostField| {
         let reversed = nt - 1 - it;
-        let row = &traces[reversed];
-        for (ix, &amp) in row.iter().enumerate() {
-            field.values[receiver_depth * field.nx + ix] += amp;
+        for (v, &amp) in field.row_mut(receiver_depth).iter_mut().zip(&traces[reversed]) {
+            *v += amp;
         }
     });
 
     // 3. Source field, correlated with adjoint(nt - t) as it goes.
-    let mut image = RtmImage::zeros(model.nx, model.nz);
+    let nx = model.nx;
+    let mut image = RtmImage::zeros(nx, model.nz);
     let every = params.snapshot_every;
-    propagate(&migration_model, &prop, |step, fwd: &mut WaveField| {
+    propagate(&migration_model, &prop, |step, fwd: &mut GhostField| {
         if every == 0 || step % every != 0 {
             return;
         }
@@ -131,8 +131,11 @@ pub fn rtm_shot(model: &VelocityModel, shot: Shot, params: &RtmParams) -> RtmIma
             return;
         };
         let adj = &adjoint.snapshots[pos].values;
-        for (v, (f, a)) in image.values.iter_mut().zip(fwd.values.iter().zip(adj)) {
-            *v += f * a;
+        let rows = image.values.chunks_exact_mut(nx).zip(adj.chunks_exact(nx));
+        for (iz, (image, adj)) in rows.enumerate() {
+            for (v, (f, a)) in image.iter_mut().zip(fwd.row(iz).iter().zip(adj)) {
+                *v += f * a;
+            }
         }
     });
     image
@@ -188,11 +191,11 @@ mod tests {
         let nt = params.nt;
         let receiver_depth = prop.receiver_depth;
         let traces = observed.traces;
-        let adjoint = propagate(&migration_model, &adjoint_prop, |it, field: &mut WaveField| {
+        let adjoint = propagate(&migration_model, &adjoint_prop, |it, field: &mut GhostField| {
             let reversed = nt - 1 - it;
             let row = &traces[reversed];
             for (ix, &amp) in row.iter().enumerate() {
-                field.values[receiver_depth * field.nx + ix] += amp;
+                field.row_mut(receiver_depth)[ix] += amp;
             }
         });
 

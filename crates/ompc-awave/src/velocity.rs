@@ -96,7 +96,14 @@ impl VelocityModel {
     /// Rebuild a model from its raw grid (the inverse of
     /// [`VelocityModel::values`]) — used by cluster kernels that receive
     /// the model as a mapped buffer instead of a captured closure value.
+    /// Unlike [`VelocityModel::generate`] it takes grids down to 1×1.
+    ///
+    /// # Panics
+    ///
+    /// If the grid is empty (`nx` or `nz` is 0) or `velocities` does not
+    /// hold `nx × nz` values.
     pub fn from_values(nx: usize, nz: usize, h: f64, velocities: Vec<f64>) -> Self {
+        assert!(nx > 0 && nz > 0, "velocity grid {nx}x{nz} is empty");
         assert_eq!(velocities.len(), nx * nz, "velocity grid must be nx × nz");
         Self { nx, nz, h, velocities }
     }
@@ -210,5 +217,11 @@ mod tests {
     #[should_panic(expected = "at least 8x8")]
     fn tiny_models_are_rejected() {
         VelocityModel::generate(ModelKind::Constant, 4, 4, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "velocity grid 0x4 is empty")]
+    fn empty_grids_are_rejected() {
+        VelocityModel::from_values(0, 4, 10.0, Vec::new());
     }
 }

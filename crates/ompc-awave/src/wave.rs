@@ -2,8 +2,8 @@
 //! 2nd order in time, with sponge absorbing boundaries.
 //!
 //! Every cell takes the same stencil. Off the grid the field repeats its
-//! nearest edge value, so once per step [`propagate`] copies the field into
-//! a buffer with a 4-cell ghost border holding those repeated values and
+//! nearest edge value, so [`propagate`] keeps each live field inside a
+//! 4-cell ghost border holding those repeated values (a [`GhostField`]) and
 //! reads it without clamps. An unclamped read of the ghost border *is* the
 //! clamped read `field[min(max(i ± k, 0), n - 1)]`, and the update adds its
 //! terms in the same order for every cell (centre, then for each offset the
@@ -11,12 +11,18 @@
 //! last bit to those of a per-cell loop that clamps each read. The sponge
 //! factor and `v²·dt²` of each cell are computed once per propagation.
 //!
-//! The update is one body built twice: as it is, for any host, and with
-//! AVX2 enabled, four lanes wide. The platform picks the build once per
+//! Only the border is ever rewritten. A step writes the new field's
+//! interior, adds the source and whatever `inject` adds, and only then
+//! refreshes the border from the edge cells: `inject` may write an edge
+//! cell, and the next step must read the edge as `inject` left it.
+//!
+//! The update is one body built three times: as it is, for any host; with
+//! AVX2 enabled, four lanes wide; and with AVX-512F enabled, eight lanes
+//! wide. The platform picks the widest build the CPU runs, once per
 //! propagation; no setting does. The builds cannot differ in a bit: a lane
-//! is the same IEEE operation as its scalar twin, Rust never contracts
-//! `a * b + c` into a fused multiply-add, FMA is not enabled, and both add
-//! the terms in the same order.
+//! is the same IEEE operation as its scalar twin, every build adds the
+//! terms in the same order, and Rust never contracts `a * b + c` into a
+//! fused multiply-add, not even where `avx512f` implies the FMA feature.
 
 use crate::velocity::VelocityModel;
 
@@ -123,23 +129,87 @@ pub struct PropagationResult {
     pub snapshot_steps: Vec<usize>,
 }
 
-/// Copy `field` into `ghost`, an `(nx + 2·HALO) × (nz + 2·HALO)` grid whose
-/// border cells repeat the nearest edge value of `field`.
-fn fill_ghost(ghost: &mut [f64], field: &[f64], nx: usize, nz: usize) {
-    for (gz, row) in ghost.chunks_exact_mut(nx + 2 * HALO).enumerate() {
-        let src = &field[(gz.clamp(HALO, HALO + nz - 1) - HALO) * nx..][..nx];
-        row[..HALO].fill(src[0]);
-        row[HALO..HALO + nx].copy_from_slice(src);
-        row[HALO + nx..].fill(src[nx - 1]);
+/// A field on the model grid kept inside a `HALO`-cell ghost border whose
+/// cells repeat the nearest edge value: `(nx + 8) × (nz + 8)` values,
+/// row-major with `x` fastest, the grid's rows in the middle. This is the
+/// layout [`propagate`] steps in and hands to its `inject` callback.
+#[derive(Debug, Clone)]
+pub struct GhostField {
+    nx: usize,
+    nz: usize,
+    values: Vec<f64>,
+}
+
+impl GhostField {
+    fn zeros(nx: usize, nz: usize) -> Self {
+        Self { nx, nz, values: vec![0.0; (nx + 2 * HALO) * (nz + 2 * HALO)] }
+    }
+
+    /// Grid width.
+    pub fn nx(&self) -> usize {
+        self.nx
+    }
+
+    /// Grid depth.
+    pub fn nz(&self) -> usize {
+        self.nz
+    }
+
+    fn row_start(&self, iz: usize) -> usize {
+        assert!(iz < self.nz, "row {iz} is off a grid of depth {}", self.nz);
+        (iz + HALO) * (self.nx + 2 * HALO) + HALO
+    }
+
+    /// Row `iz` of the grid, without its border.
+    pub fn row(&self, iz: usize) -> &[f64] {
+        &self.values[self.row_start(iz)..][..self.nx]
+    }
+
+    /// Row `iz` of the grid, without its border, to write.
+    pub fn row_mut(&mut self, iz: usize) -> &mut [f64] {
+        let start = self.row_start(iz);
+        &mut self.values[start..][..self.nx]
+    }
+
+    /// The grid without its border, as a snapshot.
+    pub fn to_field(&self) -> WaveField {
+        let mut values = Vec::with_capacity(self.nx * self.nz);
+        for iz in 0..self.nz {
+            values.extend_from_slice(self.row(iz));
+        }
+        WaveField { nx: self.nx, nz: self.nz, values }
+    }
+
+    /// Rewrite the border from the edge cells: the `HALO` cells at each end
+    /// of every grid row, then the `HALO` rows above and below the grid from
+    /// the first and last padded rows (corners included).
+    fn refresh_border(&mut self) {
+        let (nx, gx) = (self.nx, self.nx + 2 * HALO);
+        for row in self.values.chunks_exact_mut(gx).skip(HALO).take(self.nz) {
+            let (first, last) = (row[HALO], row[HALO + nx - 1]);
+            row[..HALO].fill(first);
+            row[HALO + nx..].fill(last);
+        }
+        let (top, grid) = self.values.split_at_mut(HALO * gx);
+        let (grid, bottom) = grid.split_at_mut(self.nz * gx);
+        for row in top.chunks_exact_mut(gx) {
+            row.copy_from_slice(&grid[..gx]);
+        }
+        for row in bottom.chunks_exact_mut(gx) {
+            row.copy_from_slice(&grid[grid.len() - gx..]);
+        }
     }
 }
 
-/// One time step of every cell. Each row reads nine named slices across and
-/// eight down, all re-sliced to `nx`, so no index check is left per cell.
+/// One time step of every cell: the interior of `next` from `curr`, whose
+/// border is current, and `prev`. All three are padded grids of
+/// `nx + 2·HALO` values a row; `damp` and `coef` are not. Each row reads
+/// nine named slices across and eight down, all re-sliced to `nx`, so no
+/// index check is left per cell.
 #[inline(always)]
 fn step_cells(
     next: &mut [f64],
-    ghost: &[f64],
+    curr: &[f64],
     prev: &[f64],
     damp: &[f64],
     coef: &[f64],
@@ -148,18 +218,19 @@ fn step_cells(
 ) {
     let gx = nx + 2 * HALO;
     let [c0, c1, c2, c3, c4] = FD_COEFFS;
-    let rows = next.chunks_exact_mut(nx).zip(prev.chunks_exact(nx));
+    let rows = next.chunks_exact_mut(gx).zip(prev.chunks_exact(gx)).skip(HALO);
     let consts = damp.chunks_exact(nx).zip(coef.chunks_exact(nx));
     for (iz, ((out, prev), (damp, coef))) in rows.zip(consts).enumerate() {
-        // Ghost rows iz..=iz + 2·HALO hold field rows iz - HALO..=iz + HALO.
-        let band = &ghost[iz * gx..(iz + 2 * HALO + 1) * gx];
+        // Padded rows iz..=iz + 2·HALO hold grid rows iz - HALO..=iz + HALO.
+        let band = &curr[iz * gx..(iz + 2 * HALO + 1) * gx];
         let across = |dx: usize| &band[HALO * gx + dx..][..nx];
         let down = |dz: usize| &band[dz * gx + HALO..][..nx];
         let (w4, w3, w2, w1, c) = (across(0), across(1), across(2), across(3), across(4));
         let (e1, e2, e3, e4) = (across(5), across(6), across(7), across(8));
         let (n4, n3, n2, n1) = (down(0), down(1), down(2), down(3));
         let (s1, s2, s3, s4) = (down(5), down(6), down(7), down(8));
-        let (out, prev, damp, coef) = (&mut out[..nx], &prev[..nx], &damp[..nx], &coef[..nx]);
+        let (out, prev) = (&mut out[HALO..][..nx], &prev[HALO..][..nx]);
+        let (damp, coef) = (&damp[..nx], &coef[..nx]);
         for ix in 0..nx {
             let centre = c[ix];
             let mut lap = 2.0 * c0 * centre;
@@ -181,17 +252,52 @@ fn step_cells(
 #[target_feature(enable = "avx2")]
 fn step_avx2(
     next: &mut [f64],
-    ghost: &[f64],
+    curr: &[f64],
     prev: &[f64],
     damp: &[f64],
     coef: &[f64],
     nx: usize,
     inv_h2: f64,
 ) {
-    step_cells(next, ghost, prev, damp, coef, nx, inv_h2);
+    step_cells(next, curr, prev, damp, coef, nx, inv_h2);
 }
 
-type Step = fn(&mut [f64], &[f64], &[f64], &[f64], &[f64], usize, f64);
+/// [`step_cells`] built with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn step_avx512(
+    next: &mut [f64],
+    curr: &[f64],
+    prev: &[f64],
+    damp: &[f64],
+    coef: &[f64],
+    nx: usize,
+    inv_h2: f64,
+) {
+    step_cells(next, curr, prev, damp, coef, nx, inv_h2);
+}
+
+/// A build of [`step_cells`].
+///
+/// # Safety
+///
+/// The CPU must have every target feature the build is compiled with.
+type Step = unsafe fn(&mut [f64], &[f64], &[f64], &[f64], &[f64], usize, f64);
+
+/// The widest build of [`step_cells`] this CPU runs: AVX-512F, AVX2 or
+/// portable.
+fn widest_step() -> Step {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return step_avx512;
+        }
+        if is_x86_feature_detected!("avx2") {
+            return step_avx2;
+        }
+    }
+    step_cells
+}
 
 fn sponge_factor(ix: usize, iz: usize, nx: usize, nz: usize) -> f64 {
     let dist = ix.min(nx - 1 - ix).min(iz.min(nz - 1 - iz));
@@ -206,17 +312,22 @@ fn sponge_factor(ix: usize, iz: usize, nx: usize, nz: usize) -> f64 {
 /// Propagate a source (or an arbitrary time-dependent boundary injection)
 /// through `model`.
 ///
-/// `inject` is called once per time step *after* the finite-difference
-/// update and may add energy anywhere in the field — the forward pass
-/// injects the source wavelet, the adjoint pass of RTM injects the
-/// time-reversed receiver traces.
+/// Each time step updates every cell and adds the source wavelet, then
+/// calls `inject` with the step index and the new field, to which it may
+/// add energy anywhere — the adjoint pass of RTM injects the time-reversed
+/// receiver traces, and its source pass reads the field to image it.
+/// `inject` reaches the grid's rows ([`GhostField::row`],
+/// [`GhostField::row_mut`]), never the border: the border is refreshed
+/// after `inject` returns, so an edge cell it writes is what the next
+/// step's off-grid reads see. Traces and snapshots record the field as
+/// `inject` left it.
 pub fn propagate<F>(
     model: &VelocityModel,
     params: &PropagationParams,
     mut inject: F,
 ) -> PropagationResult
 where
-    F: FnMut(usize, &mut WaveField),
+    F: FnMut(usize, &mut GhostField),
 {
     let (nx, nz) = (model.nx, model.nz);
     assert!(
@@ -230,40 +341,29 @@ where
     let damp: Vec<f64> =
         (0..nz).flat_map(|iz| (0..nx).map(move |ix| sponge_factor(ix, iz, nx, nz))).collect();
     let coef: Vec<f64> = model.values().iter().map(|v| v * v * params.dt * params.dt).collect();
-    let gx = nx + 2 * HALO;
-    let mut ghost = vec![0.0; gx * (nz + 2 * HALO)];
-    let mut prev = WaveField::zeros(nx, nz);
-    let mut curr = WaveField::zeros(nx, nz);
-    let mut next = WaveField::zeros(nx, nz);
+    let mut prev = GhostField::zeros(nx, nz);
+    let mut curr = GhostField::zeros(nx, nz);
+    let mut next = GhostField::zeros(nx, nz);
     let mut traces = Vec::with_capacity(params.nt);
     let mut snapshots = Vec::new();
     let mut snapshot_steps = Vec::new();
-    // The AVX2 build of the stencil where the CPU has AVX2, else the portable one.
-    let step: Step = step_cells;
-    #[cfg(target_arch = "x86_64")]
-    let step: Step = if is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU has just been checked to support AVX2.
-        |next, ghost, prev, damp, coef, nx, inv_h2| unsafe {
-            step_avx2(next, ghost, prev, damp, coef, nx, inv_h2)
-        }
-    } else {
-        step
-    };
+    let step = widest_step();
 
     for it in 0..params.nt {
-        fill_ghost(&mut ghost, &curr.values, nx, nz);
-        step(&mut next.values, &ghost, &prev.values, &damp, &coef, nx, inv_h2);
+        // SAFETY: `widest_step` picked a build this CPU has the features of.
+        unsafe { step(&mut next.values, &curr.values, &prev.values, &damp, &coef, nx, inv_h2) };
         // Source injection (scaled like a body force).
         if let Some(&w) = params.wavelet.get(it) {
             let (sx, sz) = params.source;
             let v = model.at(sx, sz);
-            next.values[sz * nx + sx] += w * v * v * params.dt * params.dt;
+            next.row_mut(sz)[sx] += w * v * v * params.dt * params.dt;
         }
         inject(it, &mut next);
+        next.refresh_border();
 
-        traces.push((0..nx).map(|ix| next.at(ix, params.receiver_depth)).collect());
+        traces.push(next.row(params.receiver_depth).to_vec());
         if params.snapshot_every > 0 && it % params.snapshot_every == 0 {
-            snapshots.push(next.clone());
+            snapshots.push(next.to_field());
             snapshot_steps.push(it);
         }
         std::mem::swap(&mut prev, &mut curr);
@@ -404,14 +504,19 @@ mod tests {
                 params.wavelet =
                     (0..nt - [0, 25][s % 2]).map(|_| 2.0 * unit(&mut rng) - 1.0).collect();
                 // Writes cells on the border: corners and every edge in turn.
-                let inject = |it: usize, field: &mut WaveField| {
-                    let (lx, lz) = (field.nx - 1, field.nz - 1);
-                    let cell = [(0, 0), (lx, lz), (it % field.nx, 0), (lx, it % field.nz)][it % 4];
-                    field.values[cell.1 * field.nx + cell.0] += 0.25 - (it % 7) as f64 * 0.1;
+                let kick = |it: usize| {
+                    let cell = [(0, 0), (lx, lz), (it % nx, 0), (lx, it % nz)][it % 4];
+                    (cell, 0.25 - (it % 7) as f64 * 0.1)
                 };
                 let case = format!("model {m} ({nx}x{nz}), source {source:?}, nt {nt}");
-                let want = reference_propagate(model, &params, inject);
-                let got = propagate(model, &params, inject);
+                let want = reference_propagate(model, &params, |it, field: &mut WaveField| {
+                    let ((x, z), amount) = kick(it);
+                    field.values[z * field.nx + x] += amount;
+                });
+                let got = propagate(model, &params, |it, field: &mut GhostField| {
+                    let ((x, z), amount) = kick(it);
+                    field.row_mut(z)[x] += amount;
+                });
                 assert_eq!(got.traces.len(), nt, "{case}");
                 for (it, (g, w)) in got.traces.iter().zip(&want.traces).enumerate() {
                     assert_eq!(bits(g), bits(w), "{case}: trace of step {it}");
@@ -429,31 +534,74 @@ mod tests {
     }
 
     #[test]
-    fn the_avx2_and_portable_steps_agree_bit_for_bit() {
+    fn every_build_of_the_step_agrees_bit_for_bit() {
+        let mut builds: Vec<(&str, Step)> = Vec::new();
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            let mut rng = Rng::new(35);
-            // Odd widths leave a remainder after the last full vector.
-            for (nx, nz) in [(1, 1), (1, 9), (3, 4), (5, 2), (13, 7), (96, 11), (97, 5), (97, 96)] {
-                let mut random = |n: usize, lo: f64, span: f64| -> Vec<f64> {
-                    (0..n).map(|_| lo + span * unit(&mut rng)).collect()
-                };
-                let ghost = random((nx + 2 * HALO) * (nz + 2 * HALO), -1.0, 2.0);
-                let prev = random(nx * nz, -1.0, 2.0);
-                let damp = random(nx * nz, 0.9, 0.1);
-                let coef = random(nx * nz, 0.0, 4e-3);
-                let inv_h2 = 1.0 / (10.0 + unit(&mut rng)).powi(2);
-                let mut portable = vec![0.0; nx * nz];
-                let mut avx2 = vec![f64::NAN; nx * nz];
-                step_cells(&mut portable, &ghost, &prev, &damp, &coef, nx, inv_h2);
-                // SAFETY: the CPU has just been checked to support AVX2.
-                unsafe { step_avx2(&mut avx2, &ghost, &prev, &damp, &coef, nx, inv_h2) };
-                assert_eq!(bits(&avx2), bits(&portable), "{nx}x{nz}");
-                assert!(portable.iter().all(|&v| v != 0.0), "{nx}x{nz}");
+        for (name, build, present) in [
+            ("AVX2", step_avx2 as Step, is_x86_feature_detected!("avx2")),
+            ("AVX-512F", step_avx512 as Step, is_x86_feature_detected!("avx512f")),
+        ] {
+            if present {
+                builds.push((name, build));
+            } else {
+                println!("skipped: this host has no {name} build to compare");
             }
-            return;
         }
-        println!("skipped: this host has no AVX2 build to compare");
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("skipped: this host has no vector build to compare");
+
+        let mut rng = Rng::new(36);
+        // Widths around 4 and 8 lanes leave every remainder after the last
+        // full vector of either build.
+        let shapes = [(1, 1), (3, 9), (5, 4), (7, 2), (9, 7), (13, 3), (15, 5), (17, 8)];
+        for (nx, nz) in shapes.into_iter().chain([(96, 11), (97, 5), (97, 96)]) {
+            let padded = (nx + 2 * HALO) * (nz + 2 * HALO);
+            let mut random = |n: usize, lo: f64, span: f64| -> Vec<f64> {
+                (0..n).map(|_| lo + span * unit(&mut rng)).collect()
+            };
+            let curr = random(padded, -1.0, 2.0);
+            let prev = random(padded, -1.0, 2.0);
+            let damp = random(nx * nz, 0.9, 0.1);
+            let coef = random(nx * nz, 0.0, 4e-3);
+            let inv_h2 = 1.0 / (10.0 + unit(&mut rng)).powi(2);
+            // The border of `next` is left alone, so it stays NaN in every build.
+            let mut portable = vec![f64::NAN; padded];
+            step_cells(&mut portable, &curr, &prev, &damp, &coef, nx, inv_h2);
+            let untouched = portable.iter().filter(|v| v.is_nan()).count();
+            assert_eq!(untouched, padded - nx * nz, "{nx}x{nz}");
+            assert!(portable.iter().all(|&v| v != 0.0), "{nx}x{nz}");
+            for &(name, build) in &builds {
+                let mut vector = vec![f64::NAN; padded];
+                // SAFETY: only the builds this CPU has the features of were kept.
+                unsafe { build(&mut vector, &curr, &prev, &damp, &coef, nx, inv_h2) };
+                assert_eq!(bits(&vector), bits(&portable), "{name}, {nx}x{nz}");
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_border_repeats_the_nearest_edge_value() {
+        for (nx, nz) in [(1, 1), (2, 3), (9, 1), (11, 6)] {
+            let mut field = GhostField::zeros(nx, nz);
+            for iz in 0..nz {
+                for (ix, v) in field.row_mut(iz).iter_mut().enumerate() {
+                    *v = (iz * nx + ix + 1) as f64;
+                }
+            }
+            field.refresh_border();
+            let gx = nx + 2 * HALO;
+            for (gz, row) in field.values.chunks_exact(gx).enumerate() {
+                for (gxi, &v) in row.iter().enumerate() {
+                    let iz = gz.clamp(HALO, HALO + nz - 1) - HALO;
+                    let ix = gxi.clamp(HALO, HALO + nx - 1) - HALO;
+                    assert_eq!(v, (iz * nx + ix + 1) as f64, "{nx}x{nz} at ({gxi}, {gz})");
+                }
+            }
+            assert_eq!(
+                field.to_field().values,
+                (1..=nx * nz).map(|v| v as f64).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -539,7 +687,7 @@ mod tests {
         assert!(quiet.traces.iter().all(|row| row.iter().all(|&v| v == 0.0)));
         let noisy = propagate(&model, &params, |it, field| {
             if it == 5 {
-                field.values[30 * 60 + 30] += 1.0;
+                field.row_mut(30)[30] += 1.0;
             }
         });
         assert!(noisy.traces.iter().any(|row| row.iter().any(|&v| v != 0.0)));

@@ -41,9 +41,15 @@ impl AwaveWorkloadConfig {
 
 /// Estimate the compute cost (seconds) of migrating one shot on one node:
 /// three propagations (observed data, forward field, adjoint field) of
-/// `nt` steps over an `nx × nz` grid, at roughly 60 floating-point
-/// operations per grid point per step and an effective node throughput of
-/// 10 GFLOP/s for this memory-bound stencil.
+/// `nt` steps over an `nx × nz` grid, at 60 floating-point operations per
+/// grid point per step and an effective node throughput of 10 GFLOP/s.
+///
+/// Both numbers are one calibration constant (167 Mcell/s per
+/// propagation), not a count: the propagator does 32 flops per cell-step
+/// (25 for the Laplacian, 7 for the time update) and runs faster than
+/// this on a vector build. The constant sets the simulated survey's task
+/// costs and the HEFT hints of real shots, so it is left as it is until
+/// the simulator is calibrated against measured spans.
 pub fn estimate_shot_cost(nx: usize, nz: usize, nt: usize) -> f64 {
     let flops = 3.0 * nx as f64 * nz as f64 * nt as f64 * 60.0;
     flops / 10.0e9

@@ -8,8 +8,14 @@
 //! return the same [`Schedule`] — same processor, bit-equal start and finish
 //! for every task — on a seeded sweep of DAGs built to reach the corners
 //! the fast paths cut: parallel edges, zero-cost tasks sharing a start time,
-//! pinned tasks, heterogeneous speeds, reserved load, exact ties.
+//! pinned tasks, heterogeneous speeds, reserved load, exact ties — and on
+//! region-shaped graphs, converted from a runtime `RegionGraph` as the
+//! runtime plans them. Every HEFT schedule must also pass `validate`.
 
+use ompc::runtime::model::region_to_sched;
+use ompc::runtime::{
+    BufferId, BufferRegistry, Dependence, KernelId, MapType, RegionGraph, TaskKind,
+};
 use ompc::sched::{
     EagerScheduler, HeftScheduler, MinMinScheduler, Placement, Platform, RoundRobinScheduler,
     Schedule, Scheduler, TaskGraph,
@@ -308,18 +314,7 @@ fn arbitrary_case(seed: u64) -> Case {
         }
     }
 
-    let speeds: Vec<f64> = if rng.range(0, 2) == 0 {
-        vec![1.0; procs]
-    } else {
-        (0..procs).map(|_| [0.5, 1.0, 1.5, 2.0, 4.0][rng.range_usize(0, 5)]).collect()
-    };
-    // A positive latency keeps upward ranks strictly decreasing along
-    // edges; with zero latency equal ranks fall back to the id order, which
-    // the generated edges respect.
-    let latency = [0.0, 3e-6, 1e-3, 0.25][rng.range_usize(0, 4)];
-    let bandwidth = [1e6, 1e9, 12.5e9][rng.range_usize(0, 3)];
-    let platform = Platform { speeds, latency, bandwidth };
-
+    let platform = arbitrary_platform(&mut rng, procs);
     let load = match rng.range(0, 3) {
         0 => Vec::new(),
         1 => vec![0.0; procs],
@@ -330,14 +325,74 @@ fn arbitrary_case(seed: u64) -> Case {
     Case { graph, platform, load }
 }
 
+/// Speeds, latency and bandwidth of `procs` processors, drawn from `rng`.
+fn arbitrary_platform(rng: &mut Rng, procs: usize) -> Platform {
+    let speeds: Vec<f64> = if rng.range(0, 2) == 0 {
+        vec![1.0; procs]
+    } else {
+        (0..procs).map(|_| [0.5, 1.0, 1.5, 2.0, 4.0][rng.range_usize(0, 5)]).collect()
+    };
+    // A positive latency keeps upward ranks strictly decreasing along
+    // edges; with zero latency equal ranks fall back to the id order, which
+    // the generated edges respect.
+    let latency = [0.0, 3e-6, 1e-3, 0.25][rng.range_usize(0, 4)];
+    let bandwidth = [1e6, 1e9, 12.5e9][rng.range_usize(0, 3)];
+    Platform { speeds, latency, bandwidth }
+}
+
+/// Draw a region the way a target region records one and convert it with
+/// `region_to_sched`, as the runtime does before planning: enter-data tasks
+/// for most buffers, then targets that read, write or update one to three
+/// of them (so several targets read some buffers), then exit-data tasks.
+/// The data tasks cost nothing, and anti and output edges carry no bytes.
+fn region_case(seed: u64) -> Case {
+    let mut rng = Rng::new(seed);
+    let procs = rng.range_usize(1, 17);
+    let registry = BufferRegistry::new();
+    // Lazily zeroed: registering a buffer allocates nothing.
+    let buffers: Vec<BufferId> = (0..rng.range_usize(1, 9))
+        .map(|_| registry.register_uninit(rng.range_usize(8, 64 << 20)))
+        .collect();
+    let mut region = RegionGraph::new();
+    for &buffer in &buffers {
+        if rng.range(0, 4) != 0 {
+            let kind = TaskKind::EnterData { buffer, map: MapType::To };
+            region.add_task(kind, vec![Dependence::output(buffer)], "enter");
+        }
+    }
+    for k in 0..rng.range_usize(1, 41) {
+        let deps = (0..rng.range(1, 4))
+            .map(|_| {
+                let buffer = buffers[rng.range_usize(0, buffers.len())];
+                match rng.range(0, 5) {
+                    0 => Dependence::output(buffer),
+                    1 => Dependence::inout(buffer),
+                    _ => Dependence::input(buffer),
+                }
+            })
+            .collect();
+        let cost_hint = match rng.range(0, 6) {
+            0 => 0.0,
+            _ => rng.range(1, 2_000_000) as f64 * 1e-6,
+        };
+        region.add_task(TaskKind::Target { kernel: KernelId(k), cost_hint }, deps, "target");
+    }
+    for &buffer in &buffers {
+        if rng.range(0, 4) != 0 {
+            let kind = TaskKind::ExitData { buffer, map: MapType::From };
+            region.add_task(kind, vec![Dependence::input(buffer)], "exit");
+        }
+    }
+    let graph = region_to_sched(&region, &registry);
+    let platform = arbitrary_platform(&mut rng, procs);
+    let load = (0..procs).map(|_| rng.range(0, 5_000_000) as f64 * 1e-6).collect();
+    Case { graph, platform, load }
+}
+
 fn assert_all_schedulers_match(graph: &TaskGraph, platform: &Platform, load: &[f64], what: &str) {
     let heft = HeftScheduler::new().schedule_with_load(graph, platform, load);
     assert_eq!(heft, reference::heft(graph, platform, load), "{what}: HEFT differs");
-    // A zero-length task may share its start with a longer one, which
-    // `validate` reads as an overlap; check the graphs that have none.
-    if graph.tasks().iter().all(|t| t.cost > 0.0) {
-        heft.validate(graph, platform).unwrap_or_else(|e| panic!("{what}: HEFT invalid: {e}"));
-    }
+    heft.validate(graph, platform).unwrap_or_else(|e| panic!("{what}: HEFT invalid: {e}"));
     assert_eq!(
         RoundRobinScheduler::new().schedule(graph, platform),
         reference::round_robin(graph, platform),
@@ -380,6 +435,30 @@ fn schedulers_match_the_reference_on_a_seeded_sweep() {
         ("non-zero load", loaded),
     ] {
         assert!(count >= 100, "only {count} of {CASES} cases had {name}");
+    }
+}
+
+#[test]
+fn region_shaped_graphs_match_the_reference_with_and_without_load() {
+    const CASES: u64 = 200;
+    let (mut fan_out, mut zero_cost_targets) = (0, 0);
+    for seed in 0..CASES {
+        let Case { graph, platform, load } = region_case(seed);
+        assert_all_schedulers_match(&graph, &platform, &[], &format!("region seed {seed}"));
+        let what = format!("region seed {seed}, loaded");
+        assert_all_schedulers_match(&graph, &platform, &load, &what);
+
+        // A task whose output several others read (flow edges carry bytes).
+        let readers =
+            |t: usize| graph.edges().iter().filter(|e| e.from == t && e.bytes > 0).count();
+        fan_out += usize::from((0..graph.len()).any(|t| readers(t) >= 2));
+        zero_cost_targets +=
+            usize::from(graph.tasks().iter().any(|t| t.cost == 0.0 && t.label == "target"));
+    }
+    for (name, count) in
+        [("a buffer read by several tasks", fan_out), ("zero-cost targets", zero_cost_targets)]
+    {
+        assert!(count >= CASES as usize / 4, "only {count} of {CASES} regions had {name}");
     }
 }
 
