@@ -4,9 +4,11 @@
 //!
 //! Usage: `cargo run --release -p ompc-bench --bin multitenant [--smoke]`
 //!
-//! `--smoke` shrinks the workload for CI. The process fails only if an
-//! admission limit changes a tenant's results; the throughput win is the
-//! printed `vs serial` column.
+//! Each limit is timed over alternated rounds and reported as the median
+//! and interquartile range of its rounds; `faster` counts the rounds it beat
+//! the serial run of the same round. `--smoke` shrinks the workload for CI.
+//! The process fails only if an admission limit changes a tenant's results;
+//! the throughput win is the printed `vs serial` column (ratio of medians).
 
 use ompc_bench::{render_table, rows_to_json_pretty, run_multitenant, MultitenantWorkload};
 
@@ -16,8 +18,13 @@ fn main() {
     let limits: &[usize] = &[1, 2, workload.clients];
 
     eprintln!(
-        "# Multi-tenant admission: {} clients x {} regions, {} ms service time, {} workers",
-        workload.clients, workload.regions_per_client, workload.service_ms, workload.workers,
+        "# Multi-tenant admission: {} clients x {} regions, {} ms service time, {} workers, \
+         {} alternated rounds",
+        workload.clients,
+        workload.regions_per_client,
+        workload.service_ms,
+        workload.workers,
+        workload.rounds,
     );
     let rows = run_multitenant(workload, limits);
 
@@ -25,9 +32,11 @@ fn main() {
         "limit".to_string(),
         "clients".to_string(),
         "regions".to_string(),
-        "seconds".to_string(),
+        "median s".to_string(),
+        "IQR s".to_string(),
         "regions/s".to_string(),
         "vs serial".to_string(),
+        "faster".to_string(),
     ];
     let serial = rows.iter().find(|r| r.limit == 1).map(|r| r.regions_per_second);
     let table: Vec<Vec<String>> = rows
@@ -37,9 +46,11 @@ fn main() {
                 r.limit.to_string(),
                 r.clients.to_string(),
                 r.regions.to_string(),
-                format!("{:.4}", r.seconds),
+                format!("{:.4}", r.median_s),
+                format!("{:.4}-{:.4}", r.q1_s, r.q3_s),
                 format!("{:.1}", r.regions_per_second),
                 format!("{:.2}x", r.regions_per_second / serial.unwrap_or(f64::NAN)),
+                format!("{}/{}", r.faster_than_first, r.rounds),
             ]
         })
         .collect();

@@ -1,4 +1,4 @@
-//! # ompc-bench — the paper's figures and two feature figures
+//! # ompc-bench — the paper's figures and one feature figure
 //!
 //! One function per figure of the paper's evaluation (§6), all on the
 //! simulated cluster:
@@ -20,26 +20,21 @@
 //!   and 2 injected worker failures vs. the failure-free run, with
 //!   re-execution counts and heartbeat detection latency.
 //!
-//! Plus the only harness of two features the perf ledger (`benchmark/`)
-//! has no row for yet, each on the real backends; their exit codes depend
-//! on deterministic facts only, wall times are printed:
-//!
-//! * [`run_multitenant`] — concurrent admission: K client surveys sharing
-//!   one device while `max_concurrent_regions` sweeps from strictly serial
-//!   to fully overlapped.
-//! * [`run_collectives`] — collective data movement: star vs binomial-tree
-//!   distribution of one shared buffer to k readers, with exact logged
-//!   head-link and total wire bytes.
+//! Plus [`run_multitenant`], the only harness of a feature the perf ledger
+//! (`benchmark/`) has no row for yet, on the real backend: concurrent
+//! admission, K client surveys sharing one device while
+//! `max_concurrent_regions` sweeps from strictly serial to fully overlapped.
+//! Its exit code depends on deterministic facts only; wall times are
+//! printed.
 //!
 //! Everything else about performance — dispatch cost per task, spawn and
 //! shutdown, telemetry attribution, residency transfer counts — is a row of
 //! the perf ledger, not a figure here.
 //!
-//! Each function returns plain records so the eight binaries can print the
+//! Each function returns plain records so the seven binaries can print the
 //! rows and write them to `results/*.json`.
 
 pub mod ablation;
-pub mod collectives;
 pub mod fault;
 pub mod figures;
 pub mod multitenant;
@@ -47,9 +42,6 @@ pub mod report;
 pub mod runtimes;
 
 pub use ablation::{run_ablation, AblationRow};
-pub use collectives::{
-    collectives_gate_failures, run_collectives, CollectiveRow, CollectiveWorkload,
-};
 pub use fault::{run_fault_overhead, FaultRow};
 pub use figures::{
     run_awave, run_ccr, run_overhead, run_scalability, AwaveRow, CcrRow, OverheadRow,

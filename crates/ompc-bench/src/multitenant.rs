@@ -11,10 +11,14 @@
 //! holds its node; at a limit ≥ 2 overlapped tenants are planned around
 //! each other's in-flight load onto distinct workers and their service
 //! times overlap — the aggregate regions-per-second figure this module
-//! reports. Results are byte-checked across limits (the run panics on a
-//! difference): admission is a throughput knob, never a results knob.
+//! reports. The limits are measured in alternated rounds, each running
+//! every limit once in a rotating order, and every row reports the median
+//! and interquartile range of its rounds, plus how many rounds it beat the
+//! serial run of the same round. Results are byte-checked across limits
+//! (the run panics on a difference): admission is a throughput knob, never
+//! a results knob.
 
-use crate::report::JsonRow;
+use crate::report::{quartiles, JsonRow};
 use ompc_core::prelude::*;
 use ompc_json::Json;
 use std::time::{Duration, Instant};
@@ -32,8 +36,8 @@ pub struct MultitenantWorkload {
     pub payload_len: usize,
     /// Worker nodes (one per client, so full overlap is feasible).
     pub workers: usize,
-    /// Timed repetitions per admission limit; the fastest is reported.
-    pub repeats: usize,
+    /// Alternated rounds; each times every admission limit once.
+    pub rounds: usize,
 }
 
 impl MultitenantWorkload {
@@ -46,7 +50,7 @@ impl MultitenantWorkload {
             service_ms: 4,
             payload_len: 1 << 10,
             workers: 3,
-            repeats: 3,
+            rounds: 10,
         }
     }
 
@@ -58,7 +62,7 @@ impl MultitenantWorkload {
             service_ms: 5,
             payload_len: 1 << 12,
             workers: 4,
-            repeats: 3,
+            rounds: 10,
         }
     }
 }
@@ -72,10 +76,19 @@ pub struct MultitenantRow {
     pub clients: usize,
     /// Total regions executed across all clients.
     pub regions: usize,
-    /// Wall time of the whole run in seconds (best of the repeat count).
-    pub seconds: f64,
-    /// Aggregate throughput in regions per second.
+    /// Median wall time of the whole run over the rounds, in seconds.
+    pub median_s: f64,
+    /// First quartile of the wall time, in seconds.
+    pub q1_s: f64,
+    /// Third quartile of the wall time, in seconds.
+    pub q3_s: f64,
+    /// Aggregate throughput at the median wall time, in regions per second.
     pub regions_per_second: f64,
+    /// Rounds in which this limit ran faster than the sweep's first limit
+    /// (the serial baseline) of the same round.
+    pub faster_than_first: usize,
+    /// Rounds measured.
+    pub rounds: usize,
 }
 
 /// The deterministic per-region payload of one client.
@@ -139,34 +152,49 @@ fn run_tenants(workload: MultitenantWorkload, limit: usize) -> (Vec<Vec<f64>>, f
     (outputs, seconds)
 }
 
-/// The multi-tenant figure: every admission limit, best-of-repeats timing.
-/// Panics if any limit changes any client's results — overlapped admission
-/// must be observationally identical to serial admission.
+/// The multi-tenant figure: every admission limit, timed in alternated
+/// rounds (round `r` starts the sweep at limit `r mod n`), reported as the
+/// median and quartiles of its rounds. Panics if any limit changes any
+/// client's results — overlapped admission must be observationally
+/// identical to serial admission.
 pub fn run_multitenant(workload: MultitenantWorkload, limits: &[usize]) -> Vec<MultitenantRow> {
-    let mut rows = Vec::new();
+    let rounds = workload.rounds.max(1);
+    let mut seconds = vec![Vec::with_capacity(rounds); limits.len()];
     let mut reference: Option<Vec<Vec<f64>>> = None;
-    for &limit in limits {
-        let mut best = f64::INFINITY;
-        for _ in 0..workload.repeats.max(1) {
-            let (outputs, seconds) = run_tenants(workload, limit);
+    for round in 0..rounds {
+        for at in (0..limits.len()).map(|i| (i + round) % limits.len()) {
+            let (outputs, wall) = run_tenants(workload, limits[at]);
             match &reference {
                 None => reference = Some(outputs),
-                Some(want) => {
-                    assert_eq!(want, &outputs, "admission limit {limit} changed a tenant's results")
-                }
+                Some(want) => assert_eq!(
+                    want, &outputs,
+                    "admission limit {} changed a tenant's results",
+                    limits[at]
+                ),
             }
-            best = best.min(seconds);
+            seconds[at].push(wall);
         }
-        let regions = workload.clients * workload.regions_per_client;
-        rows.push(MultitenantRow {
-            limit,
-            clients: workload.clients,
-            regions,
-            seconds: best,
-            regions_per_second: regions as f64 / best,
-        });
     }
-    rows
+    let regions = workload.clients * workload.regions_per_client;
+    let first = seconds.first().cloned().unwrap_or_default();
+    limits
+        .iter()
+        .zip(&seconds)
+        .map(|(&limit, walls)| {
+            let (q1_s, median_s, q3_s) = quartiles(walls);
+            MultitenantRow {
+                limit,
+                clients: workload.clients,
+                regions,
+                median_s,
+                q1_s,
+                q3_s,
+                regions_per_second: regions as f64 / median_s,
+                faster_than_first: walls.iter().zip(&first).filter(|(w, f)| w < f).count(),
+                rounds,
+            }
+        })
+        .collect()
 }
 
 impl JsonRow for MultitenantRow {
@@ -175,8 +203,12 @@ impl JsonRow for MultitenantRow {
             ("limit", Json::usize(self.limit)),
             ("clients", Json::usize(self.clients)),
             ("regions", Json::usize(self.regions)),
-            ("seconds", Json::num(self.seconds)),
+            ("median_s", Json::num(self.median_s)),
+            ("q1_s", Json::num(self.q1_s)),
+            ("q3_s", Json::num(self.q3_s)),
             ("regions_per_second", Json::num(self.regions_per_second)),
+            ("faster_than_first", Json::usize(self.faster_than_first)),
+            ("rounds", Json::usize(self.rounds)),
         ])
     }
 }
@@ -193,13 +225,15 @@ mod tests {
             service_ms: 1,
             payload_len: 64,
             workers: 2,
-            repeats: 1,
+            rounds: 2,
         };
         let rows = run_multitenant(workload, &[1, 2]);
         assert_eq!(rows.len(), 2);
         for row in &rows {
-            assert_eq!(row.regions, 4);
-            assert!(row.seconds > 0.0 && row.regions_per_second > 0.0);
+            assert_eq!((row.regions, row.rounds), (4, 2));
+            assert!(0.0 < row.q1_s && row.q1_s <= row.median_s && row.median_s <= row.q3_s);
+            assert!(row.regions_per_second > 0.0);
         }
+        assert_eq!(rows[0].faster_than_first, 0, "the serial run never beats itself");
     }
 }

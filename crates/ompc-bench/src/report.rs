@@ -24,6 +24,20 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
+/// First quartile, median and third quartile of `values`, linearly
+/// interpolated between order statistics (all `NaN` for an empty slice).
+pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let Some(last) = sorted.len().checked_sub(1) else { return f64::NAN };
+        let x = p * last as f64;
+        let (lo, hi) = (sorted[x.floor() as usize], sorted[x.ceil() as usize]);
+        lo + (hi - lo) * x.fract()
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
 /// Render an ASCII table: a header row followed by data rows, columns
 /// padded to their widest cell.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
@@ -77,6 +91,14 @@ mod tests {
         assert_eq!(geometric_mean(&[]), 0.0);
         assert!((geometric_mean(&[4.0, 1.0]) - 2.0).abs() < 1e-12);
         assert!((geometric_mean(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0, 5.0]), (2.0, 3.0, 4.0));
+        assert_eq!(quartiles(&[2.0, 1.0]), (1.25, 1.5, 1.75));
+        assert_eq!(quartiles(&[7.0]), (7.0, 7.0, 7.0));
+        assert!(quartiles(&[]).1.is_nan());
     }
 
     #[test]

@@ -9,12 +9,9 @@
 //! logic.
 
 use crate::buffer::BufferRegistry;
-use crate::collective::{run_broadcast, BroadcastSource, BroadcastSpec};
 use crate::config::BackendKind;
 use crate::config::OmpcConfig;
-use crate::data_manager::{
-    Booking, DataManager, TransferReason, TransferState, HEAD_NODE, UNATTRIBUTED,
-};
+use crate::data_manager::{DataManager, TransferState, HEAD_NODE, UNATTRIBUTED};
 use crate::event::EventSystem;
 use crate::kernel::{Kernel, KernelArgs, KernelRegistry};
 use crate::model::WorkloadGraph;
@@ -25,12 +22,12 @@ use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::runtime::{MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan};
 use crate::stats::{DeviceReport, RegionReport};
 use crate::task::{RegionGraph, TaskKind};
-use crate::types::{BufferId, Dependence, KernelId, MapType, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, Dependence, KernelId, NodeId, OmpcError, OmpcResult};
 use crate::worker::worker_main;
 use ompc_mpi::{CommId, World};
 use ompc_sched::Platform;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -240,9 +237,6 @@ impl ClusterDevice {
                 (world, kernels, events, worker_handles)
             }
         };
-        // Applied to warm-adopted worlds too: the previous lifetime may
-        // have paced (or not paced) its links differently.
-        world.set_link_bandwidth(config.emulated_link_mib_per_s as u64 * 1024 * 1024);
         let startup_time = start.elapsed();
         let telemetry = Telemetry::new(config.telemetry);
         Self {
@@ -348,19 +342,6 @@ impl ClusterDevice {
         self.enter_data(ompc_mpi::typed::f64s_to_bytes(values))
     }
 
-    /// Finish `bookings` — `(buffer, node)` pairs this caller booked in the
-    /// data manager — each with its outcome (one per booking, in order), and
-    /// wake every flush waiting on the table. A buffer released meanwhile has
-    /// nothing left to finish.
-    fn resolve(&self, bookings: &[(BufferId, NodeId)], outcomes: Vec<OmpcResult<()>>) {
-        let mut dm = self.dm.lock();
-        for (&(buffer, node), outcome) in bookings.iter().zip(outcomes) {
-            let _ = dm.finish(buffer, node, outcome);
-        }
-        drop(dm);
-        self.inflight_cv.notify_all();
-    }
-
     /// The device's data-path machinery, as its flushes and region
     /// executions take it.
     fn data_path(&self) -> DataPath {
@@ -424,7 +405,9 @@ impl ClusterDevice {
         };
         let outcome =
             self.data_path().retrieve_and_commit(from, buffer, &host_flush("lazy host flush"));
-        self.resolve(&[(buffer, HEAD_NODE)], vec![outcome.clone()]);
+        // A buffer released meanwhile has nothing left to finish.
+        let _ = self.dm.lock().finish(buffer, HEAD_NODE, outcome.clone());
+        self.inflight_cv.notify_all();
         outcome
     }
 
@@ -609,124 +592,6 @@ impl ClusterDevice {
             );
         }
         RegionLease { device: self, region: UNATTRIBUTED }
-    }
-
-    /// The one-to-many distribution demand of a planned region: for every
-    /// buffer that no task of the region writes, the worker nodes that will
-    /// need a copy — enter-data placements (classified
-    /// [`TransferReason::EnterData`]) and readers of target tasks
-    /// ([`TransferReason::Input`]; enter-data wins when a node is both).
-    fn collective_destinations(
-        graph: &RegionGraph,
-        assignment: &[NodeId],
-    ) -> BTreeMap<BufferId, BTreeMap<NodeId, TransferReason>> {
-        // Only *kernel* writes disqualify a buffer: a target task writing
-        // it mid-region invalidates pre-distributed copies. The synthetic
-        // output dependence an enter-data task carries for ordering is the
-        // very distribution step the broadcast replaces.
-        let written: BTreeSet<BufferId> = graph
-            .tasks()
-            .iter()
-            .filter(|t| matches!(t.kind, TaskKind::Target { .. }))
-            .flat_map(|t| t.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer))
-            .collect();
-        let mut wanted: BTreeMap<BufferId, BTreeMap<NodeId, TransferReason>> = BTreeMap::new();
-        for task in graph.tasks() {
-            let Some(&node) = assignment.get(task.id.0) else { continue };
-            if node == HEAD_NODE {
-                continue;
-            }
-            match &task.kind {
-                TaskKind::EnterData { buffer, map }
-                    if matches!(map, MapType::To | MapType::ToFrom | MapType::ToResident)
-                        && !written.contains(buffer) =>
-                {
-                    wanted.entry(*buffer).or_default().insert(node, TransferReason::EnterData);
-                }
-                TaskKind::Target { .. } => {
-                    for dep in &task.dependences {
-                        if dep.dep_type.reads() && !written.contains(&dep.buffer) {
-                            wanted
-                                .entry(dep.buffer)
-                                .or_default()
-                                .entry(node)
-                                .or_insert(TransferReason::Input);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        wanted
-    }
-
-    /// Book every one-to-many distribution of a planned region that reaches
-    /// [`OmpcConfig::collective_min_fanout`] destinations in this planning
-    /// step as one broadcast tree, each destination a booking of `region`'s.
-    /// Everything below the threshold is left exactly to the per-task star
-    /// machinery, byte-identically to the collectives-off path.
-    fn book_broadcasts(
-        &self,
-        graph: &RegionGraph,
-        assignment: &[NodeId],
-        region: u64,
-    ) -> Vec<BroadcastSpec> {
-        let Some(threshold) = self.config.collective_threshold() else { return Vec::new() };
-        let mut trees = Vec::new();
-        let mut dm = self.dm.lock();
-        for (buffer, mut dests) in Self::collective_destinations(graph, assignment) {
-            // Whoever has the buffer on the wire already owns its movement
-            // (another tenant); this region's readers park on it.
-            if !dm.is_registered(buffer) || dm.buffer_in_flight(buffer) {
-                continue;
-            }
-            dests.retain(|&node, _| !dm.is_present(buffer, node) && !dm.is_failed(node));
-            if dests.len() < threshold {
-                continue;
-            }
-            // A head-sourced tree streams the registry's own allocation.
-            let (bytes, source) = match dm.latest(buffer) {
-                Some(HEAD_NODE) => match self.buffers.share(buffer) {
-                    Ok(payload) => (payload.len() as u64, BroadcastSource::Head(payload)),
-                    Err(_) => continue,
-                },
-                Some(node) => (dm.bytes_of(buffer), BroadcastSource::Worker(node)),
-                None => continue,
-            };
-            let booked = |(&node, &reason): (&NodeId, &TransferReason)| {
-                matches!(dm.book(region, buffer, node, reason), Ok(Booking::Move(_)))
-                    .then_some(node)
-            };
-            let destinations: Vec<NodeId> = dests.iter().filter_map(booked).collect();
-            if !destinations.is_empty() {
-                trees.push(BroadcastSpec { buffer, bytes, source, destinations });
-            }
-        }
-        trees
-    }
-
-    /// The bookings of one tree: a copy of its buffer per destination.
-    fn tree_bookings(spec: &BroadcastSpec) -> Vec<(BufferId, NodeId)> {
-        spec.destinations.iter().map(|&node| (spec.buffer, node)).collect()
-    }
-
-    /// Ship one booked broadcast tree and repoint the record of every edge
-    /// that was fed by a different node than booked (tree relays, rescues).
-    /// Returns each destination's outcome, in `spec.destinations` order, for
-    /// its booking to be finished with — a failed destination is rolled back
-    /// and re-sourced by the per-task machinery.
-    fn run_broadcast_tree(path: &DataPath, spec: BroadcastSpec) -> Vec<OmpcResult<()>> {
-        let outcome = run_broadcast(&path.events, &path.telemetry, &spec);
-        let source = spec.source.node();
-        let mut dm = path.dm.lock();
-        for edge in outcome.delivered.iter().filter(|edge| edge.from != source) {
-            dm.retarget(spec.buffer, edge.to, edge.from);
-        }
-        let outcome_of = |node: &NodeId| match outcome.failed.iter().find(|(n, _)| n == node) {
-            Some((_, error)) => Err(error.clone()),
-            None => Ok(()),
-        };
-        spec.destinations.iter().map(outcome_of).collect()
     }
 
     /// Execute a region graph through the unified execution core. Called by
@@ -932,18 +797,6 @@ impl ClusterDevice {
         // run's record contains exactly its own transfers.
         self.dm.lock().take_transfer_log_in(UNATTRIBUTED);
         let path = DataPath { telemetry: Arc::clone(telemetry), ..self.data_path() };
-        // Collective pre-distribution: one-to-many read-only inputs ship
-        // as binomial broadcast trees, synchronously, before the first task
-        // dispatches (no-op unless `collective_min_fanout` is set; a buffer
-        // another tenant has on the wire is skipped). Booked, shipped and
-        // finished by this region, on this thread.
-        if !matches!(self.config.backend, BackendKind::Sim) {
-            for spec in self.book_broadcasts(&graph, &plan.assignment, region) {
-                let bookings = Self::tree_bookings(&spec);
-                let outcomes = Self::run_broadcast_tree(&path, spec);
-                self.resolve(&bookings, outcomes);
-            }
-        }
         let mut core = match faults {
             Some(faults) => RuntimeCore::with_faults(graph.as_ref(), plan, faults),
             None => RuntimeCore::new(graph.as_ref(), plan),
@@ -1112,7 +965,8 @@ impl Drop for ClusterDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Dependence;
+    use crate::data_manager::TransferReason;
+    use crate::types::MapType;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -1702,151 +1556,6 @@ mod tests {
                 .map(|t| (t.from, t.to))
                 .collect();
             assert_eq!(forwards_of_b, vec![(1, 2)], "the update's push alone reaches worker 2");
-            device.shutdown();
-        });
-    }
-
-    /// A broadcast tree that breaks leaves nothing behind. The first tree's
-    /// relay was killed behind the head's back, and the second tree's source
-    /// is that dead worker. Every destination ends with its own typed
-    /// outcome, no booking stays in flight, and no live rank holds a stray
-    /// message: only the dead relay keeps the one payload it refused.
-    #[test]
-    fn a_broken_tree_leaves_typed_failures_no_booking_and_no_stray_message() {
-        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            let config = OmpcConfig {
-                collective_min_fanout: 2,
-                warm_worker_keepalive: false,
-                ..OmpcConfig::small()
-            };
-            let mut device = ClusterDevice::with_config(4, config);
-            let read = device.register_kernel_fn("read", 1e-6, |_| {});
-            let write = device.register_kernel_fn("write", 1e-6, |args| args.set_f64s(0, &[7.0]));
-            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
-            let a = device.enter_data(vec![1u8; 4096]);
-            let b = device.enter_data_f64s(&[0.0]);
-            // `b`'s latest version is written on worker 1, which then dies.
-            let mut writer = RegionGraph::new();
-            writer.add_task(target(write), vec![Dependence::output(b)], String::new());
-            let region = device.dm.lock().begin_region();
-            let plan = RuntimePlan { assignment: vec![1], window: 4 };
-            let telemetry = device.telemetry.scoped(region);
-            device
-                .execute_planned(Arc::new(writer), HashMap::new(), &plan, region, &telemetry)
-                .unwrap();
-            assert_eq!(device.dm.lock().latest(b), Some(1));
-            device.events.kill(1).unwrap();
-
-            // One tree per buffer, read on every worker not holding it.
-            let broadcast = |buffer: BufferId, readers: &[NodeId]| {
-                let mut graph = RegionGraph::new();
-                for _ in readers {
-                    graph.add_task(target(read), vec![Dependence::input(buffer)], String::new());
-                }
-                let region = device.dm.lock().begin_region();
-                let trees = device.book_broadcasts(&graph, readers, region);
-                let [spec] = &trees[..] else { panic!("one tree: {trees:?}") };
-                let bookings = ClusterDevice::tree_bookings(spec);
-                let outcomes = ClusterDevice::run_broadcast_tree(&device.data_path(), spec.clone());
-                device.resolve(&bookings, outcomes.clone());
-                let log = device.dm.lock().take_transfer_log_in(region);
-                let edges: Vec<(NodeId, NodeId)> = log.iter().map(|t| (t.from, t.to)).collect();
-                (outcomes, edges)
-            };
-            // Head → 1 is refused; 2 and 4 are head-fed; 3, orphaned by 1,
-            // is re-fed by 2.
-            let (outcomes, edges) = broadcast(a, &[1, 2, 3, 4]);
-            assert_eq!(outcomes[0].as_ref().unwrap_err().origin_node(), Some(1), "{outcomes:?}");
-            assert!(outcomes[1..].iter().all(Result::is_ok), "{outcomes:?}");
-            assert_eq!(edges, vec![(0, 2), (2, 3), (0, 4)]);
-            // Nobody can feed `b`: each destination fails, naming the source.
-            let (outcomes, edges) = broadcast(b, &[2, 3, 4]);
-            for outcome in &outcomes {
-                assert_eq!(outcome.as_ref().unwrap_err().origin_node(), Some(1), "{outcomes:?}");
-            }
-            assert!(edges.is_empty(), "{edges:?}");
-
-            let dm = device.dm.lock();
-            assert!(!dm.buffer_in_flight(a) && !dm.buffer_in_flight(b));
-            drop(dm);
-            let queued: Vec<usize> = device.mailbox_stats().iter().map(|s| s.queued).collect();
-            assert_eq!(queued, vec![0, 1, 0, 0, 0]);
-            device.shutdown();
-        });
-    }
-
-    /// A broadcast relay dead before pre-distribution: the tree's orphaned
-    /// subtree is rescued from a surviving recipient, the dead relay's
-    /// booking rolls back, and the region — whose fault plan silences the
-    /// relay — recovers the failure-free bytes. Four readers on four
-    /// workers make one tree: the head feeds 1, 2 and 4, and 1 relays to 3.
-    /// Worker 1 is killed behind the head's back, and a chain on worker 2
-    /// keeps every reader waiting until the heartbeat has declared it.
-    #[test]
-    fn a_relay_dead_before_pre_distribution_is_rescued_and_the_region_recovers() {
-        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            const CHAIN: usize = 8;
-            let config = OmpcConfig {
-                collective_min_fanout: 2,
-                fault_plan: FaultPlan::none().fail_at_millis(1, 0),
-                warm_worker_keepalive: false,
-                ..OmpcConfig::small()
-            };
-            let mut device = ClusterDevice::with_config(4, config);
-            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
-                let v = args.as_f64s(0)[0];
-                args.set_f64s(0, &[v + 1.0]);
-            });
-            let scale = device.register_kernel_fn("scale", 1e-6, |args| {
-                let total: f64 = args.as_f64s(0).iter().sum();
-                let value = total * args.as_f64s(1)[0] + args.as_f64s(2)[0];
-                args.set_f64s(3, &[value]);
-            });
-            let values: Vec<f64> = (0..1024).map(f64::from).collect();
-            let shared = device.enter_data_f64s(&values);
-            let c = device.enter_data_f64s(&[0.0]);
-            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
-            let mut graph = RegionGraph::new();
-            for _ in 0..CHAIN {
-                graph.add_task(target(bump), vec![Dependence::inout(c)], "chain");
-            }
-            let mut outs = Vec::new();
-            for factor in 1..=4 {
-                let factor = device.enter_data_f64s(&[f64::from(factor)]);
-                let out = device.enter_data_f64s(&[0.0]);
-                let deps = vec![
-                    Dependence::input(shared),
-                    Dependence::input(factor),
-                    Dependence::input(c),
-                    Dependence::output(out),
-                ];
-                graph.add_task(target(scale), deps, "reader");
-                outs.push(out);
-            }
-            let assignment = [vec![2; CHAIN], vec![1, 2, 3, 4]].concat();
-            let plan = RuntimePlan { assignment, window: 4 };
-            device.events.kill(1).unwrap();
-            let region = device.dm.lock().begin_region();
-            let telemetry = device.telemetry.scoped(region);
-            let record = device
-                .execute_planned(Arc::new(graph), HashMap::new(), &plan, region, &telemetry)
-                .unwrap();
-
-            let total: f64 = values.iter().sum();
-            for (factor, &out) in (1..=4).zip(&outs) {
-                let clean = total * f64::from(factor) + CHAIN as f64;
-                assert_eq!(device.buffer_f64s(out).unwrap(), vec![clean], "reader {factor}");
-            }
-            assert_eq!(record.failures.len(), 1, "{:?}", record.failures);
-            assert_eq!(record.failures[0].node, 1);
-            // Every survivor received the payload exactly once, the dead
-            // relay's edge rolled back, the orphan was re-fed by a surviving
-            // recipient and the head-fed roots kept their edges.
-            let edges: Vec<(NodeId, NodeId, u64)> = (record.transfers.iter())
-                .filter(|t| t.buffer == shared)
-                .map(|t| (t.from, t.to, t.bytes))
-                .collect();
-            assert_eq!(edges, vec![(0, 2, 8192), (2, 3, 8192), (0, 4, 8192)]);
             device.shutdown();
         });
     }

@@ -163,26 +163,6 @@ pub struct OmpcConfig {
     /// keeps its own transfer-log namespace, telemetry scope, and
     /// [`crate::runtime::RunRecord`]. `0` is treated as `1`.
     pub max_concurrent_regions: usize,
-    /// Minimum destination count at which a one-to-many distribution is
-    /// planned as a **binomial broadcast tree** of worker-to-worker forwards
-    /// instead of a star of independent source-sourced sends. When a single
-    /// planning step (a region's read-only input set) must place one buffer
-    /// on `k` destinations and `k >= collective_min_fanout`, the source sends
-    /// O(log k) copies and every recipient forwards the payload onward in
-    /// the next rounds, so the source link stops serializing `k` wire
-    /// trips. `0` (the default) disables collectives entirely; any
-    /// distribution below the threshold is planned exactly as before,
-    /// byte-identical transfer logs included.
-    /// Only the real backends honour the knob — the simulated backend keeps
-    /// its analytic star model.
-    pub collective_min_fanout: usize,
-    /// Opt-in wire emulation for benchmarking: when positive, every rank's
-    /// outbound messages serialize through a per-rank egress budget of this
-    /// many MiB/s, so `k` concurrent sends from one node genuinely queue on
-    /// its link the way they would on a single NIC. `0` (the default)
-    /// delivers at memcpy speed with no pacing. Purely a wall-clock model:
-    /// delivery order, transfer plans, logs, and outputs are unaffected.
-    pub emulated_link_mib_per_s: usize,
     /// How much the runtime records about its own execution (see
     /// [`crate::runtime::telemetry`]). [`TelemetryLevel::Off`] (the
     /// default) reaches no clock read and leaves
@@ -211,8 +191,6 @@ impl Default for OmpcConfig {
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
             max_concurrent_regions: 1,
-            collective_min_fanout: 0,
-            emulated_link_mib_per_s: 0,
             telemetry: TelemetryLevel::Off,
         }
     }
@@ -233,8 +211,6 @@ impl OmpcConfig {
             event_reply_timeout_ms: Some(60_000),
             warm_worker_keepalive: true,
             max_concurrent_regions: 1,
-            collective_min_fanout: 0,
-            emulated_link_mib_per_s: 0,
             telemetry: TelemetryLevel::Off,
         }
     }
@@ -250,18 +226,6 @@ impl OmpcConfig {
     /// its first client.
     pub fn admission_limit(&self) -> usize {
         self.max_concurrent_regions.max(1)
-    }
-
-    /// The effective collective threshold: `None` when broadcast trees are
-    /// disabled ([`OmpcConfig::collective_min_fanout`] of `0`), otherwise
-    /// the minimum destination count, clamped to at least `2` — a
-    /// one-destination "tree" is definitionally the existing point-to-point
-    /// path and must stay byte-identical to it.
-    pub fn collective_threshold(&self) -> Option<usize> {
-        match self.collective_min_fanout {
-            0 => None,
-            n => Some(n.max(2)),
-        }
     }
 }
 
@@ -391,8 +355,6 @@ mod tests {
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
             max_concurrent_regions: 1,
-            collective_min_fanout: 0,
-            emulated_link_mib_per_s: 0,
             telemetry: TelemetryLevel::Off,
         };
         assert_eq!(config, OmpcConfig::default());
@@ -410,18 +372,38 @@ mod tests {
         assert_eq!(overheads, OverheadModel::default());
     }
 
+    /// The knob budget, pinned: `OmpcConfig` has eleven settings, each
+    /// bound by name with no `..`, so a twelfth cannot be added without
+    /// editing this test.
     #[test]
-    fn collective_knobs_default_off_and_resolve() {
-        // Broadcast trees are strictly opt-in: the default configuration
-        // plans every distribution as the historical star.
-        assert_eq!(OmpcConfig::default().collective_min_fanout, 0);
-        assert_eq!(OmpcConfig::small().collective_min_fanout, 0);
-        assert_eq!(OmpcConfig::default().collective_threshold(), None);
-        // A one-destination tree is meaningless; the threshold clamps to 2.
-        let c = OmpcConfig { collective_min_fanout: 1, ..OmpcConfig::small() };
-        assert_eq!(c.collective_threshold(), Some(2));
-        let c = OmpcConfig { collective_min_fanout: 4, ..OmpcConfig::small() };
-        assert_eq!(c.collective_threshold(), Some(4));
+    fn the_knob_budget_is_eleven_settings() {
+        let OmpcConfig {
+            backend,
+            event_handler_threads,
+            max_inflight_tasks,
+            num_communicators,
+            scheduler,
+            fault_plan,
+            replan_on_failure,
+            event_reply_timeout_ms,
+            warm_worker_keepalive,
+            max_concurrent_regions,
+            telemetry,
+        } = OmpcConfig::default();
+        let knobs: [&dyn std::fmt::Debug; 11] = [
+            &backend,
+            &event_handler_threads,
+            &max_inflight_tasks,
+            &num_communicators,
+            &scheduler,
+            &fault_plan,
+            &replan_on_failure,
+            &event_reply_timeout_ms,
+            &warm_worker_keepalive,
+            &max_concurrent_regions,
+            &telemetry,
+        ];
+        assert_eq!(knobs.len(), 11);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!
 //! "Are the bytes of buffer *b* really on node *n* yet?" has one answer,
 //! kept here per copy. Every way bytes get promised to a node — a target
-//! task's input, an enter-data task, a producer's push, a broadcast edge —
+//! task's input, an enter-data task, a producer's push —
 //! is one [`DataManager::book`] by a region execution, which answers
 //! *present*, *await the existing owner* or *move from X* (holder and
 //! transfer record written optimistically), and one [`DataManager::finish`],
@@ -464,18 +464,6 @@ impl DataManager {
         let log = self.logs.get_mut(&region)?;
         let at = log.iter().rposition(|t| t.buffer == buffer && t.to == to)?;
         Some((log, at))
-    }
-
-    /// Repoint the source of the record booked towards `(buffer, to)`, whose
-    /// movement is still in flight — used when a broadcast delivers the
-    /// bytes from a different node than the booked one (a tree relay, or the
-    /// rescuer when the planned parent died), so the record reports the
-    /// edge that actually carried the payload.
-    pub fn retarget(&mut self, buffer: BufferId, to: NodeId, new_from: NodeId) {
-        let region = self.buffers.get(&buffer).and_then(|loc| loc.moving(to));
-        if let Some((log, at)) = region.and_then(|region| self.booked_record(region, buffer, to)) {
-            log[at].from = new_from;
-        }
     }
 
     /// Book a lazy host flush of `buffer`, marking `(buffer, HEAD_NODE)` in
@@ -1148,40 +1136,6 @@ mod tests {
         // Device-level plans book like everybody else.
         assert_eq!(dm.plan_input(c, 4), Ok(None));
         assert!(dm.plan_input(c, 2).unwrap().is_some());
-    }
-
-    #[test]
-    fn broadcast_deliveries_log_true_per_edge_bytes() {
-        let mut dm = DataManager::new();
-        let b = BufferId(0);
-        dm.register_host_buffer(b, 64);
-        let enter = TransferReason::EnterData;
-        // Binomial distribution head→1, head→2, 1→3: every destination is
-        // booked from the source, the relayed edge is repointed at its real
-        // feeder, each delivery is finished on its own.
-        for node in [1, 2, 3] {
-            assert!(matches!(dm.book(7, b, node, enter), Ok(Booking::Move(_))));
-        }
-        dm.retarget(b, 3, 1);
-        // Duplicate delivery (rescue replays) must not double-log.
-        assert_eq!(dm.book(7, b, 3, enter), Ok(Booking::Await));
-        for node in [1, 2, 3] {
-            dm.finish(b, node, Ok(())).unwrap();
-        }
-        assert_eq!(dm.book(7, b, 3, enter), Ok(Booking::Present));
-        let mut holders = dm.holders(b);
-        holders.sort_unstable();
-        assert_eq!(holders, vec![HEAD_NODE, 1, 2, 3]);
-        let log = dm.take_transfer_log_in(7);
-        assert_eq!(log.len(), 3);
-        assert!(log.iter().all(|t| t.bytes == 64 && t.reason == TransferReason::EnterData));
-        assert_eq!(log.iter().filter(|t| t.from == HEAD_NODE).count(), 2);
-        assert_eq!(log.iter().filter(|t| t.from == 1 && t.to == 3).count(), 1);
-        // A dead destination is never logged or remembered.
-        dm.fail_node(4).unwrap();
-        assert_eq!(dm.book(7, b, 4, TransferReason::Input), Ok(Booking::Present));
-        assert!(!dm.is_present(b, 4));
-        assert!(dm.take_transfer_log_in(7).is_empty());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! Every head→worker buffer operation is one [`EventRequest::Task`] of
 //! [`TaskStep`]s — a region task as a car of a train (`runtime/mpi.rs`),
 //! whose reply comes home on its region execution's completion channel
-//! instead, or a release, a flush or a broadcast feed on its own
-//! (`post_task`).
+//! instead, or a release or a flush on its own (`post_task`).
 //!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler
 //! failures (unregistered kernels, missing buffers, killed nodes) come back

@@ -64,7 +64,6 @@
 
 pub mod buffer;
 pub mod cluster;
-pub mod collective;
 pub mod config;
 pub mod data_manager;
 pub mod event;

@@ -74,8 +74,8 @@ pub enum EventRequest {
     /// producing a single reply when every step has finished — that reply
     /// and nothing else. Every head→worker buffer operation is one: a region
     /// task as the car of a [`TaskTrain`], whose one reply goes to the
-    /// train's completion channel; a release, a flush or a broadcast feed
-    /// on its own, replying on its own channel.
+    /// train's completion channel; a release or a flush on its own,
+    /// replying on its own channel.
     ///
     /// [`TaskTrain`]: EventRequest::TaskTrain
     Task(TaskSpec),

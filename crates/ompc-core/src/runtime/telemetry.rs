@@ -107,10 +107,6 @@ pub enum SpanPhase {
     /// A reader blocking on a transfer still in flight (a task parked on
     /// another tenant's booking, or a flush waiting out a concurrent one).
     AwaitInflight,
-    /// Collective data movement: one delivered edge of a broadcast tree,
-    /// over the round that carried it (the span's `from`/`node` are the
-    /// edge's endpoints).
-    Relay,
     /// Fault recovery: replanning survivors after a node failure.
     Replan,
     /// Head node: a region waiting in the admission queue for a concurrent
@@ -135,7 +131,6 @@ impl SpanPhase {
             SpanPhase::HostFlush => "host_flush",
             SpanPhase::TrainFlush => "train_flush",
             SpanPhase::AwaitInflight => "await_inflight",
-            SpanPhase::Relay => "relay",
             SpanPhase::Replan => "replan",
             SpanPhase::Admission => "admission",
         }
@@ -155,8 +150,7 @@ impl SpanPhase {
             | SpanPhase::Reply
             | SpanPhase::ExitData
             | SpanPhase::HostFlush
-            | SpanPhase::TrainFlush
-            | SpanPhase::Relay => AttributionBucket::Wire,
+            | SpanPhase::TrainFlush => AttributionBucket::Wire,
             // A reader blocked on an in-flight transfer is scheduling
             // slack, not wire work: the bytes were already attributed to
             // the transfer's own send span. Likewise a
@@ -833,7 +827,5 @@ mod tests {
         assert_eq!(SpanPhase::AwaitInflight.bucket(), AttributionBucket::Scheduling);
         assert_eq!(SpanPhase::Admission.name(), "admission");
         assert_eq!(SpanPhase::Admission.bucket(), AttributionBucket::Scheduling);
-        assert_eq!(SpanPhase::Relay.name(), "relay");
-        assert_eq!(SpanPhase::Relay.bucket(), AttributionBucket::Wire);
     }
 }

@@ -1480,10 +1480,10 @@ mod tests {
         assert_eq!(head.mailbox_stats().queued, 0);
     }
 
-    /// A broadcast round's rescue, as the child sees it: a dead parent refuses
-    /// its half of the forward by sending its error to the child, whose task
-    /// fails naming the parent; the next round's forward from another holder
-    /// lands the holder's own allocation.
+    /// A forward from a dead holder, as the receiver sees it: the dead parent
+    /// refuses its half of the forward by sending its error to the child,
+    /// whose task fails naming the parent; a second forward from another
+    /// holder lands that holder's own allocation.
     #[test]
     fn a_forward_refused_by_a_dead_parent_names_it_and_another_holder_refeeds_the_child() {
         let world = World::with_communicators(4, 2);

@@ -3,8 +3,7 @@
 //! real message-passing cluster must make identical scheduling and
 //! dispatch decisions — the acceptance bar of the unified `RuntimeCore` /
 //! `ExecutionBackend` design — and the cluster's data-path optimisations
-//! (task trains, broadcast trees) may change how bytes
-//! move, never what moves where. The sweeps run under ompc-testutil's 120 s
+//! (task trains) may change how bytes move, never what moves where. The sweeps run under ompc-testutil's 120 s
 //! watchdog so a protocol hang fails fast.
 
 use ompc::prelude::*;
@@ -310,30 +309,20 @@ fn window_is_honored_and_bottleneck_reproduces() {
     assert!(record.peak_in_flight <= 2);
 }
 
-/// Collective distribution is a data-*movement* optimisation only: with
-/// broadcast trees on or off, the
-/// cluster must produce the same region assignment, the same outputs, and
-/// the same distribution *set* — each destination receives
-/// the shared buffer exactly once, with the same size and reason — while
-/// below-threshold and disabled configurations stay byte-identical to the
-/// star baseline. The tree's visible signature is the head link: a star
-/// sources every copy from the head, a binomial tree only ⌈log₂(k+1)⌉ of
-/// them.
+/// A shared read-only input is a star from the head: consumed by one task
+/// on each of four workers, it reaches every worker exactly once, each copy
+/// sourced from the head node. A second run of the same region makes the
+/// same decisions: the same assignment and outputs, and the same transfer
+/// log — exact, source included, at a serial window, and the same record
+/// set at a wide one.
 #[test]
-fn collective_distribution_matrix_is_equivalent() {
+fn a_shared_input_is_a_head_star_and_reruns_plan_it_identically() {
     /// One shared read-only 8 KiB input consumed by four target tasks
     /// (each with a private scale factor), returning the region
     /// assignment, the region's transfer log, and the four outputs.
-    fn collective_script(
-        fanout: usize,
-        window: usize,
-    ) -> (Vec<usize>, Vec<TransferRecord>, Vec<f64>, BufferId) {
+    fn shared_input_script(window: usize) -> (Vec<usize>, Vec<TransferRecord>, Vec<f64>, BufferId) {
         let workers = 4;
-        let config = OmpcConfig {
-            collective_min_fanout: fanout,
-            max_inflight_tasks: window,
-            ..OmpcConfig::small()
-        };
+        let config = OmpcConfig { max_inflight_tasks: window, ..OmpcConfig::small() };
         let mut device = ClusterDevice::with_config(workers, config);
         let scale = device.register_kernel_fn("scale", 1e-2, |args| {
             let total: f64 = args.as_f64s(0).iter().sum();
@@ -361,77 +350,33 @@ fn collective_distribution_matrix_is_equivalent() {
         (record.assignment, record.transfers, outputs, shared)
     }
 
-    /// The distribution surface a tree may legally reshape: who received
-    /// which buffer, how many bytes, and why — but not from where.
-    fn distribution(transfers: &[TransferRecord]) -> Vec<(BufferId, usize, u64, TransferReason)> {
-        let mut d: Vec<_> = transfers.iter().map(|t| (t.buffer, t.to, t.bytes, t.reason)).collect();
-        d.sort_unstable();
-        d
-    }
-
     with_timeout(WATCHDOG, || {
         for (window, strict) in [(1usize, true), (4, false)] {
-            let baseline = collective_script(0, window);
-            let (_, ref base_transfers, _, shared) = baseline;
-            // The star baseline sources every copy of the shared buffer
-            // from the head node — the serialization the tree removes.
-            let star_head_edges =
-                base_transfers.iter().filter(|t| t.buffer == shared && t.from == 0).count();
-            let shared_dests: std::collections::BTreeSet<usize> =
-                base_transfers.iter().filter(|t| t.buffer == shared).map(|t| t.to).collect();
+            let first = shared_input_script(window);
+            let (_, ref transfers, _, shared) = first;
+            let mut copies: Vec<(usize, usize)> =
+                (transfers.iter()).filter(|t| t.buffer == shared).map(|t| (t.from, t.to)).collect();
+            copies.sort_unstable();
             assert_eq!(
-                shared_dests.len(),
-                4,
-                "window {window}: the script must spread the shared buffer to all four \
-                 workers for the matrix to exercise a fanout-4 step: {base_transfers:?}"
+                copies,
+                vec![(0, 1), (0, 2), (0, 3), (0, 4)],
+                "window {window}: one head-sourced copy per worker: {transfers:?}"
             );
-            assert_eq!(star_head_edges, 4, "window {window}: a star is head-sourced");
 
-            for fanout in [0usize, 9, 2] {
-                let got = collective_script(fanout, window);
-                let tag = format!("window {window} fanout {fanout}");
-                assert_eq!(baseline.0, got.0, "{tag}: region assignment");
-                assert_eq!(baseline.2, got.2, "{tag}: task outputs");
-                let collective_on = fanout > 0 && fanout <= 4;
-                if !collective_on {
-                    // Disabled or below threshold: the plan must be
-                    // byte-identical to the star baseline — exact
-                    // records (source included) at a serial window,
-                    // the exact record set at a wide one.
-                    if strict {
-                        assert_eq!(baseline.1, got.1, "{tag}: transfer log (exact)");
-                    } else {
-                        let sort = |mut v: Vec<TransferRecord>| {
-                            v.sort_by_key(|t| (t.buffer, t.from, t.to, t.bytes));
-                            v
-                        };
-                        assert_eq!(
-                            sort(baseline.1.clone()),
-                            sort(got.1.clone()),
-                            "{tag}: transfer-record set"
-                        );
-                    }
-                    continue;
-                }
-                // Tree mode: same distribution set (every destination
-                // exactly once, same bytes, same reason)...
+            let again = shared_input_script(window);
+            assert_eq!(first.0, again.0, "window {window}: region assignment");
+            assert_eq!(first.2, again.2, "window {window}: task outputs");
+            if strict {
+                assert_eq!(first.1, again.1, "window {window}: transfer log (exact)");
+            } else {
+                let sort = |mut v: Vec<TransferRecord>| {
+                    v.sort_by_key(|t| (t.buffer, t.from, t.to, t.bytes));
+                    v
+                };
                 assert_eq!(
-                    distribution(&baseline.1),
-                    distribution(&got.1),
-                    "{tag}: distribution set"
-                );
-                // ...but the head link now carries ⌈log₂ 5⌉ = 3 copies
-                // instead of 4, and the remaining edge rides a
-                // worker-to-worker relay.
-                let head_edges = got.1.iter().filter(|t| t.buffer == shared && t.from == 0).count();
-                let relay_edges: Vec<&TransferRecord> =
-                    got.1.iter().filter(|t| t.buffer == shared && t.from != 0).collect();
-                assert_eq!(head_edges, 3, "{tag}: tree head-link copies: {:?}", got.1);
-                assert_eq!(relay_edges.len(), 1, "{tag}: one relay edge: {:?}", got.1);
-                assert!(
-                    shared_dests.contains(&relay_edges[0].from),
-                    "{tag}: the relay edge must be fed by a fellow recipient: {:?}",
-                    relay_edges[0]
+                    sort(first.1.clone()),
+                    sort(again.1.clone()),
+                    "window {window}: transfer-record set"
                 );
             }
         }
