@@ -1,9 +1,8 @@
 //! Host-side buffer registry: the head node's view of every mapped buffer.
 
-use crate::types::{BufferId, OmpcError, OmpcResult};
+use crate::types::{BufferId, IdMap, OmpcError, OmpcResult};
 use ompc_mpi::Bytes;
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// The head node's storage for mapped buffers.
 ///
@@ -18,7 +17,7 @@ use std::collections::HashMap;
 /// its own — copies.
 #[derive(Debug, Default)]
 pub struct BufferRegistry {
-    buffers: RwLock<HashMap<u64, Bytes>>,
+    buffers: RwLock<IdMap<u64, Bytes>>,
     next: RwLock<u64>,
 }
 

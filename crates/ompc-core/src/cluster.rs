@@ -22,7 +22,7 @@ use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::runtime::{MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan};
 use crate::stats::{DeviceReport, RegionReport};
 use crate::task::{RegionGraph, TaskKind};
-use crate::types::{BufferId, Dependence, KernelId, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, Dependence, IdMap, KernelId, NodeId, OmpcError, OmpcResult};
 use crate::worker::worker_main;
 use ompc_mpi::{CommId, World};
 use ompc_sched::Platform;
@@ -161,7 +161,7 @@ pub struct ClusterDevice {
     /// seeded with ([`RuntimePlan::region_assignment_with_load`]), so
     /// tenants spread across the shared workers instead of piling onto
     /// the serially-optimal nodes.
-    inflight_load: Mutex<HashMap<u64, HashMap<NodeId, f64>>>,
+    inflight_load: Mutex<IdMap<u64, IdMap<NodeId, f64>>>,
     /// Decision record of the most recent region / workload execution,
     /// including any failure and recovery events.
     last_record: Mutex<Option<RunRecord>>,
@@ -252,7 +252,7 @@ impl ClusterDevice {
             report: Mutex::new(DeviceReport { startup_time, ..DeviceReport::default() }),
             admission: Mutex::default(),
             admission_cv: Condvar::new(),
-            inflight_load: Mutex::new(HashMap::new()),
+            inflight_load: Mutex::new(IdMap::default()),
             last_record: Mutex::new(None),
             workload_kernel: std::sync::OnceLock::new(),
             telemetry,
@@ -698,7 +698,7 @@ impl ClusterDevice {
         // Reserve this region's own estimated compute per worker for the
         // benefit of the next admitted tenant; released with the lease.
         {
-            let mut reserved: HashMap<NodeId, f64> = HashMap::new();
+            let mut reserved: IdMap<NodeId, f64> = IdMap::default();
             for task in graph.tasks() {
                 if let TaskKind::Target { cost_hint, .. } = task.kind {
                     if let Some(&node) = plan.assignment.get(task.id.0) {
@@ -936,7 +936,7 @@ impl ClusterDevice {
         // compare directly. The stored last_run_record is rewritten too —
         // both views of the run, successful or failed, must name the same
         // buffers.
-        let index_of: HashMap<BufferId, u64> =
+        let index_of: IdMap<BufferId, u64> =
             buffers.iter().enumerate().map(|(t, &b)| (b, t as u64)).collect();
         let remap = |record: &mut RunRecord| {
             for transfer in &mut record.transfers {

@@ -58,7 +58,7 @@
 //! needs one of them transparently re-sources it from a surviving replica
 //! or from the host version.
 
-use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The head node's id; the host copy of a buffer lives there.
@@ -240,7 +240,7 @@ impl BufferLocations {
 /// Location tracking and forwarding decisions for every mapped buffer.
 #[derive(Debug, Clone, Default)]
 pub struct DataManager {
-    buffers: BTreeMap<BufferId, BufferLocations>,
+    buffers: IdMap<BufferId, BufferLocations>,
     /// Nodes that have been declared failed: their copies are gone, their
     /// writes are ignored, and they are never chosen as a transfer source.
     failed: BTreeSet<NodeId>,
@@ -636,6 +636,7 @@ impl DataManager {
                 }
             }
         }
+        lost.sort_unstable();
         Ok(lost)
     }
 
@@ -919,6 +920,22 @@ mod tests {
         // Lineage restarts from the head node's pre-offload image.
         assert_eq!(dm.latest(b), Some(HEAD_NODE));
         assert!(dm.holders(b).is_empty());
+    }
+
+    /// The table is hashed, so its order is not the ids' order: the lost
+    /// list is sorted, whatever order the buffers were registered in.
+    #[test]
+    fn lost_buffers_are_reported_in_ascending_id_order() {
+        let mut dm = DataManager::new();
+        let ids: Vec<BufferId> = (0..64).rev().map(|n| BufferId(n * 3)).collect();
+        for &b in &ids {
+            dm.register_host_buffer(b, 8);
+            dm.plan_input(b, 2).unwrap();
+            dm.record_write(b, 2).unwrap();
+        }
+        let lost = dm.fail_node(2).unwrap();
+        let ascending: Vec<BufferId> = ids.iter().rev().copied().collect();
+        assert_eq!(lost, ascending);
     }
 
     #[test]

@@ -24,10 +24,10 @@ use crate::data_manager::{
 };
 use crate::heartbeat::Millis;
 use crate::model::WorkloadGraph;
-use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
 use ompc_sched::Platform;
 use ompc_sim::{ClusterConfig, Completion, Engine, SimStats, SimTime, Token};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 const TOK_STARTUP: u64 = 1 << 48;
 const TOK_SCHEDULE: u64 = 2 << 48;
@@ -89,7 +89,7 @@ pub struct SimBackend<'w> {
     /// as in flight, keyed by `(buffer, destination)`: a consumer whose
     /// shared input is already on the wire must not start computing until
     /// the bytes arrive — the simulated analogue of an `AwaitLocal` step.
-    arrivals: HashMap<(u64, NodeId), Vec<usize>>,
+    arrivals: IdMap<(u64, NodeId), Vec<usize>>,
     phase_done: bool,
     retrievals_pending: usize,
     schedule_time: SimTime,
@@ -125,7 +125,7 @@ impl<'w> SimBackend<'w> {
             dm,
             pending_inputs: vec![0; total],
             queued_inputs: vec![VecDeque::new(); total],
-            arrivals: HashMap::new(),
+            arrivals: IdMap::default(),
             phase_done: false,
             retrievals_pending: 0,
             schedule_time,
@@ -254,7 +254,7 @@ impl<'w> SimBackend<'w> {
         let mut transfers: Vec<(NodeId, u64, u64)> = Vec::new();
         let mut awaited = 0usize;
         let mut need = |dm: &mut DataManager,
-                        arrivals: &mut HashMap<(u64, NodeId), Vec<usize>>,
+                        arrivals: &mut IdMap<(u64, NodeId), Vec<usize>>,
                         buf: u64,
                         bytes: u64,
                         reason: TransferReason| {

@@ -12,9 +12,7 @@
 //! HEFT scheduler at the implicit barrier, and then retires tasks as their
 //! dependences are satisfied (paper §3.1 and §4.4).
 
-use crate::types::{BufferId, Dependence, KernelId, MapType, TaskId};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::types::{BufferId, Dependence, IdMap, KernelId, MapType, TaskId};
 use std::sync::OnceLock;
 
 /// What a task does when it runs.
@@ -141,25 +139,6 @@ impl<T: Copy> Csr<T> {
     }
 }
 
-/// Hashes a buffer id with one multiplication (Fibonacci hashing): ids are
-/// dense counters, not adversarial input.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
-
 #[derive(Debug, Default, Clone, Copy)]
 struct BufferState {
     last_writer: Option<TaskId>,
@@ -194,7 +173,7 @@ pub struct RegionGraph {
     /// `(writer, buffer, reader)` for every read of a version, in program
     /// order.
     reads: Vec<(TaskId, BufferId, TaskId)>,
-    buffer_state: HashMap<BufferId, BufferState, BuildHasherDefault<IdHasher>>,
+    buffer_state: IdMap<BufferId, BufferState>,
     /// Every read since some write: the reader, and the entry of the reader
     /// of the same buffer before it.
     since_write: Vec<(TaskId, Option<usize>)>,

@@ -1,6 +1,41 @@
 //! Identifiers and small enums shared across the runtime.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes ids with one multiplication per word (Fibonacci hashing): buffer,
+/// task, node and region ids are dense counters, not adversarial input.
+/// Each word folds into the running state, so a composite key such as
+/// `(buffer, node)` hashes every field; a one-word key hashes to `n · φ`.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    /// 2⁶⁴ / φ, odd: multiplying by it is a bijection that spreads dense
+    /// counters over the high bits.
+    const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(Self::PHI);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+}
+
+/// A hash table keyed by ids, hashed by [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Identifier of a cluster node. Node 0 is always the head node; worker
 /// nodes are 1..=N.
@@ -256,6 +291,45 @@ mod tests {
         assert!(OmpcError::NodeFailure(2).to_string().contains("node 2"));
         let e: OmpcError = ompc_mpi::MpiError::Finalized(0).into();
         assert!(matches!(e, OmpcError::Communication(_)));
+    }
+
+    fn id_hash(key: impl std::hash::Hash) -> u64 {
+        let mut hasher = IdHasher::default();
+        key.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn a_one_word_key_hashes_to_n_times_phi() {
+        for n in [0u64, 1, 2, 41, u64::MAX] {
+            assert_eq!(id_hash(n), n.wrapping_mul(IdHasher::PHI));
+            assert_eq!(id_hash(BufferId(n)), n.wrapping_mul(IdHasher::PHI));
+        }
+    }
+
+    #[test]
+    fn composite_keys_hash_every_field() {
+        for n in [0usize, 1, 7] {
+            assert_ne!(id_hash((3u64, n)), id_hash((4u64, n)));
+            assert_ne!(id_hash((BufferId(0), n)), id_hash((BufferId(1), n)));
+        }
+        let mut keys = std::collections::HashSet::new();
+        for buffer in 0..1024u64 {
+            for node in 0..4usize {
+                keys.insert(id_hash((BufferId(buffer), node)));
+            }
+        }
+        assert_eq!(keys.len(), 4096, "distinct (buffer, node) keys collided");
+    }
+
+    #[test]
+    fn write_usize_is_write_u64() {
+        for x in [0usize, 1, 63, usize::MAX] {
+            let (mut a, mut b) = (IdHasher::default(), IdHasher::default());
+            a.write_usize(x);
+            b.write_u64(x as u64);
+            assert_eq!(a.finish(), b.finish());
+        }
     }
 
     #[test]

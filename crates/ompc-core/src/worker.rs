@@ -24,11 +24,11 @@ use crate::protocol::{
     TaskStamps, TaskStep, CONTROL_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
-use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Communicator, Message, PostedRecv, RecvGroup, Tag};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 /// The head node's rank in the world communicator.
@@ -53,9 +53,9 @@ pub struct DeviceMemory {
 
 #[derive(Debug, Default)]
 struct MemoryState {
-    buffers: HashMap<u64, Bytes>,
+    buffers: IdMap<u64, Bytes>,
     /// Per buffer with an accepted receive still to land, or a failed one.
-    arrivals: HashMap<u64, Arrivals>,
+    arrivals: IdMap<u64, Arrivals>,
     /// Last generation handed out: generations are unique per node.
     generation: u64,
 }

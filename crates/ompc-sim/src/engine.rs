@@ -14,7 +14,7 @@ use crate::resources::{CorePool, FifoServer, NicChannels};
 use crate::stats::{NodeStats, SimStats};
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Opaque correlation value chosen by the simulation process; it is returned
 /// unchanged in the matching [`Completion`].
@@ -63,7 +63,9 @@ pub enum Command {
 
 /// The interface through which a [`SimProcess`] reads the clock and issues
 /// commands. Commands are buffered and applied by the engine after the
-/// callback returns, in issue order.
+/// callback returns, in issue order. The buffer is the engine's own, lent
+/// for the callback and handed back empty, so issuing allocates nothing
+/// once it has grown to the longest burst.
 #[derive(Debug)]
 pub struct SimContext {
     now: SimTime,
@@ -71,10 +73,6 @@ pub struct SimContext {
 }
 
 impl SimContext {
-    fn new(now: SimTime) -> Self {
-        Self { now, commands: Vec::new() }
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -103,10 +101,6 @@ impl SimContext {
     /// Stop the simulation.
     pub fn stop(&mut self) {
         self.commands.push(Command::Stop);
-    }
-
-    fn take_commands(&mut self) -> Vec<Command> {
-        std::mem::take(&mut self.commands)
     }
 }
 
@@ -174,8 +168,13 @@ pub struct Engine {
     seq: u64,
     cores: Vec<CorePool>,
     nics: Vec<NicChannels>,
-    activities: HashMap<u64, Activity>,
-    next_activity: u64,
+    /// Every activity in progress, indexed by its id: a slab whose slots
+    /// are reused, so it never grows past the peak number in progress.
+    activities: Vec<Option<Activity>>,
+    /// Ids of the empty slots of `activities`.
+    free_activities: Vec<u64>,
+    /// The command buffer lent to each [`SimContext`].
+    commands: Vec<Command>,
     node_stats: Vec<NodeStats>,
     events_processed: u64,
     stopped: bool,
@@ -196,8 +195,9 @@ impl Engine {
             seq: 0,
             cores,
             nics,
-            activities: HashMap::new(),
-            next_activity: 0,
+            activities: Vec::new(),
+            free_activities: Vec::new(),
+            commands: Vec::new(),
             node_stats,
             events_processed: 0,
             stopped: false,
@@ -221,14 +221,27 @@ impl Engine {
     }
 
     fn new_activity(&mut self, activity: Activity) -> u64 {
-        let id = self.next_activity;
-        self.next_activity += 1;
-        self.activities.insert(id, activity);
-        id
+        match self.free_activities.pop() {
+            Some(id) => {
+                self.activities[id as usize] = Some(activity);
+                id
+            }
+            None => {
+                self.activities.push(Some(activity));
+                self.activities.len() as u64 - 1
+            }
+        }
     }
 
-    fn apply_commands(&mut self, commands: Vec<Command>) {
-        for cmd in commands {
+    /// The activity `id`, its slot freed for the next one.
+    fn take_activity(&mut self, id: u64) -> Option<Activity> {
+        let activity = self.activities.get_mut(id as usize)?.take()?;
+        self.free_activities.push(id);
+        Some(activity)
+    }
+
+    fn apply_commands(&mut self, commands: &mut Vec<Command>) {
+        for cmd in commands.drain(..) {
             match cmd {
                 Command::Compute { node, duration, token } => {
                     assert!(node < self.config.nodes, "compute on unknown node {node}");
@@ -269,7 +282,7 @@ impl Engine {
     fn handle(&mut self, event: Internal) -> Option<Completion> {
         match event {
             Internal::ComputeDone { activity } => {
-                let act = self.activities.remove(&activity).expect("unknown compute activity");
+                let act = self.take_activity(activity).expect("unknown compute activity");
                 let (node, duration) = match act.kind {
                     ActivityKind::Compute { node, duration } => (node, duration),
                     _ => unreachable!("activity kind mismatch"),
@@ -285,7 +298,8 @@ impl Engine {
                 Some(Completion::Compute { node, token: act.token })
             }
             Internal::SerializeDone { activity } => {
-                let act = self.activities.get(&activity).expect("unknown transfer activity");
+                let act = self.activities.get(activity as usize).and_then(Option::as_ref);
+                let act = act.expect("unknown transfer activity");
                 let ActivityKind::Transfer { src, bytes, serialize, .. } = act.kind else {
                     unreachable!("activity kind mismatch")
                 };
@@ -303,7 +317,7 @@ impl Engine {
                 None
             }
             Internal::Arrival { activity } => {
-                let act = self.activities.remove(&activity).expect("unknown arrival activity");
+                let act = self.take_activity(activity).expect("unknown arrival activity");
                 let (src, dst, bytes) = match act.kind {
                     ActivityKind::Transfer { src, dst, bytes, .. } => (src, dst, bytes),
                     _ => unreachable!("activity kind mismatch"),
@@ -312,7 +326,7 @@ impl Engine {
             }
             Internal::TimerFired { token } => Some(Completion::Timer { token }),
             Internal::RuntimeDone { activity } => {
-                let act = self.activities.remove(&activity).expect("unknown runtime activity");
+                let act = self.take_activity(activity).expect("unknown runtime activity");
                 let ActivityKind::Runtime { node } = act.kind else {
                     unreachable!("activity kind mismatch")
                 };
@@ -325,10 +339,11 @@ impl Engine {
     /// external drivers (e.g. the OMPC execution backend in `ompc-core`)
     /// use to inject work between calls to [`Engine::next_completion`].
     pub fn issue(&mut self, build: impl FnOnce(&mut SimContext)) {
-        let mut ctx = SimContext::new(self.now);
+        let mut ctx = SimContext { now: self.now, commands: std::mem::take(&mut self.commands) };
         build(&mut ctx);
-        let commands = ctx.take_commands();
-        self.apply_commands(commands);
+        let mut commands = ctx.commands;
+        self.apply_commands(&mut commands);
+        self.commands = commands;
     }
 
     /// Advance virtual time to the next completion and return it, or `None`
@@ -353,10 +368,7 @@ impl Engine {
     pub fn run<P: SimProcess>(&mut self, process: &mut P) -> SimTime {
         self.issue(|ctx| process.init(ctx));
         while let Some(completion) = self.next_completion() {
-            let mut ctx = SimContext::new(self.now);
-            process.on_completion(completion, &mut ctx);
-            let commands = ctx.take_commands();
-            self.apply_commands(commands);
+            self.issue(|ctx| process.on_completion(completion, ctx));
         }
         self.now
     }
@@ -412,6 +424,21 @@ mod tests {
             node: NodeConfig { cores: 4 },
             network: NetworkConfig::infiniband(),
         }
+    }
+
+    /// Every round frees its compute activity before it issues the send,
+    /// and the send's before the next compute: one activity is ever in
+    /// progress, so one slot serves all 20 000 of them.
+    #[test]
+    fn the_activity_table_never_grows_past_peak_concurrency() {
+        let mut engine = Engine::new(two_node_config());
+        let mut proc = PingPong { remaining: 10_000, transfers_seen: 0 };
+        engine.run(&mut proc);
+        assert_eq!(proc.transfers_seen, 10_000);
+        assert_eq!(engine.activities.len(), 1, "the ids were not reused");
+        assert!(engine.activities.iter().all(Option::is_none));
+        assert_eq!(engine.free_activities, vec![0]);
+        assert_eq!(engine.finish().nodes[1].tasks_executed, 10_000);
     }
 
     #[test]

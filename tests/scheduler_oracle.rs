@@ -13,6 +13,7 @@
 //! runtime plans them. Every HEFT schedule must also pass `validate`.
 
 use ompc::runtime::model::region_to_sched;
+use ompc::runtime::runtime::sim::sim_platform;
 use ompc::runtime::{
     BufferId, BufferRegistry, Dependence, KernelId, MapType, RegionGraph, TaskKind,
 };
@@ -20,6 +21,7 @@ use ompc::sched::{
     EagerScheduler, HeftScheduler, MinMinScheduler, Placement, Platform, RoundRobinScheduler,
     Schedule, Scheduler, TaskGraph,
 };
+use ompc::sim::ClusterConfig;
 use ompc::taskbench::{generate_workload, DependencePattern, TaskBenchConfig};
 use ompc_testutil::Rng;
 
@@ -485,4 +487,54 @@ fn figure5_graphs_at_16_nodes_match_the_reference() {
         let platform = Platform::cluster(15);
         assert_all_schedulers_match(&workload.graph, &platform, &[], &format!("{pattern:?}"));
     }
+}
+
+/// The paper-scale plan the perf ledger times: fig. 5 Stencil-1D and FFT at
+/// 64 nodes (63 processors) on the simulated cluster's platform, every task
+/// cost the figure's nominal one jittered by ±10 % from a seed. Most of the
+/// 63 candidates of a task are pruned here, so this is where a prune that
+/// dropped a winner would show.
+#[test]
+fn figure5_graphs_at_64_nodes_with_seeded_costs_match_the_reference_heft() {
+    let platform = sim_platform(&ClusterConfig::santos_dumont(64));
+    assert_eq!(platform.num_procs(), 63);
+    for (seed, pattern) in [(44, DependencePattern::Stencil1D), (45, DependencePattern::Fft)] {
+        let config = TaskBenchConfig::figure5(pattern, 64);
+        let base = generate_workload(&config);
+        let mut rng = Rng::new(seed);
+        let mut graph = TaskGraph::new();
+        for task in base.graph.tasks() {
+            let jitter = 0.9 + 0.2 * rng.range(0, 1 << 20) as f64 / (1 << 20) as f64;
+            graph.add_task_full(config.task_duration_secs() * jitter, task.pinned, String::new());
+        }
+        for edge in base.graph.edges() {
+            graph.add_edge(edge.from, edge.to, edge.bytes);
+        }
+        let heft = HeftScheduler::new().schedule(&graph, &platform);
+        assert_eq!(heft, reference::heft(&graph, &platform, &[]), "{pattern:?}: HEFT differs");
+        heft.validate(&graph, &platform).unwrap_or_else(|e| panic!("{pattern:?}: invalid: {e}"));
+    }
+}
+
+/// Exact ties everywhere: every processor carries the same reserved load,
+/// so each task of a fork finishes at the same time on every processor not
+/// yet used. The strict comparison keeps the first candidate, so task `k`
+/// lands on processor `k` — and a pruned candidate is never a tied one
+/// that should have won.
+#[test]
+fn when_every_candidate_ties_the_lowest_index_wins() {
+    let procs = 8;
+    let mut graph = TaskGraph::new();
+    for _ in 0..procs {
+        graph.add_task(0.25);
+    }
+    let platform = Platform::cluster(procs);
+    let load = vec![0.5; procs];
+    let heft = HeftScheduler::new().schedule_with_load(&graph, &platform, &load);
+    assert_eq!(heft, reference::heft(&graph, &platform, &load));
+    for t in 0..procs {
+        assert_eq!(heft.proc_of(t), t, "task {t}");
+        assert_eq!((heft.placement(t).start, heft.placement(t).finish), (0.5, 0.75));
+    }
+    assert_all_schedulers_match(&graph, &platform, &load, "all tied");
 }
