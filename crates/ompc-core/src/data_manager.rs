@@ -260,6 +260,12 @@ impl DataManager {
         Self::default()
     }
 
+    /// Create an empty data manager with room for `buffers` buffers.
+    pub fn with_capacity(buffers: usize) -> Self {
+        let buffers = IdMap::with_capacity_and_hasher(buffers, Default::default());
+        Self { buffers, ..Self::default() }
+    }
+
     /// Start a new region epoch. Called once per region execution by the
     /// owning device; entries registered or written from now on carry the
     /// new epoch.
@@ -654,7 +660,12 @@ impl DataManager {
     /// drain). The execution core attaches this to its
     /// [`crate::runtime::RunRecord`].
     pub fn take_transfer_log(&mut self) -> Vec<TransferRecord> {
-        std::mem::take(&mut self.logs).into_values().flatten().collect()
+        let logs = std::mem::take(&mut self.logs);
+        if logs.len() == 1 {
+            // One namespace (always, in the simulator): hand its log over.
+            return logs.into_values().next().unwrap_or_default();
+        }
+        logs.into_values().flatten().collect()
     }
 
     /// Drain one region's transfer-log namespace, leaving the others (and

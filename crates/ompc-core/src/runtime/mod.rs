@@ -53,9 +53,9 @@ use crate::event::{Composite, EventSystem};
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
 use crate::protocol::TaskStep;
-use crate::task::{Csr, RegionGraph, TaskKind};
+use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult, TaskId};
-use ompc_sched::Platform;
+use ompc_sched::{Csr, Platform};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The residency view consulted by region planning: every buffer whose

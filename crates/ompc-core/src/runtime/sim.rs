@@ -105,7 +105,7 @@ impl<'w> SimBackend<'w> {
     ) -> Self {
         let total = workload.len();
         assert!((total as u64) < TOK_SUB_MASK, "simulated workloads are limited to 2^24 tasks");
-        let mut dm = DataManager::new();
+        let mut dm = DataManager::with_capacity(total);
         dm.begin_region();
         for t in 0..total {
             // Roots consume an input of their output size distributed from

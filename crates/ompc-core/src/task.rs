@@ -13,6 +13,7 @@
 //! dependences are satisfied (paper §3.1 and §4.4).
 
 use crate::types::{BufferId, Dependence, IdMap, KernelId, MapType, TaskId};
+use ompc_sched::Csr;
 use std::sync::OnceLock;
 
 /// What a task does when it runs.
@@ -97,48 +98,6 @@ pub struct TargetTask {
     pub label: String,
 }
 
-/// Lists grouped by task in two allocations — compressed sparse rows: task
-/// `t`'s list is `items[start[t]..start[t + 1]]`.
-#[derive(Debug, Clone)]
-pub(crate) struct Csr<T> {
-    start: Vec<usize>,
-    items: Vec<T>,
-}
-
-impl<T: Copy> Csr<T> {
-    /// `entries` — `(task, item)` pairs of `tasks` tasks — grouped by task,
-    /// each task's items in the order `entries` yields them.
-    pub(crate) fn group(tasks: usize, entries: impl Iterator<Item = (usize, T)> + Clone) -> Self {
-        let mut start = vec![0; tasks + 1];
-        for (task, _) in entries.clone() {
-            start[task + 1] += 1;
-        }
-        for task in 0..tasks {
-            start[task + 1] += start[task];
-        }
-        // Every slot is written below; the first item only fills them.
-        let mut items = match entries.clone().next() {
-            Some((_, first)) => vec![first; start[tasks]],
-            None => Vec::new(),
-        };
-        // Each task's cursor is its start; once every item is placed it
-        // has moved on to the next task's start, and the whole table moves
-        // back by one.
-        for (task, item) in entries {
-            items[start[task]] = item;
-            start[task] += 1;
-        }
-        start.copy_within(0..tasks, 1);
-        start[0] = 0;
-        Self { start, items }
-    }
-
-    /// Task `task`'s list.
-    pub(crate) fn get(&self, task: usize) -> &[T] {
-        &self.items[self.start[task]..self.start[task + 1]]
-    }
-}
-
 #[derive(Debug, Default, Clone, Copy)]
 struct BufferState {
     last_writer: Option<TaskId>,
@@ -160,7 +119,7 @@ struct Followers {
 /// Appending a task costs no allocation of its own: every list lives in a
 /// few flat vectors that grow by doubling. A task's predecessors are known
 /// when it is added; its successors and the readers of what it writes are
-/// grouped per task (`Csr`) the first time anybody asks, after the last
+/// grouped per task ([`Csr`]) the first time anybody asks, after the last
 /// task was added.
 #[derive(Debug, Default, Clone)]
 pub struct RegionGraph {
@@ -511,16 +470,6 @@ mod tests {
         assert_eq!(g.readers_of(w0), &[(a, r0), (a, w1)]);
         assert_eq!(g.readers_of(w1), &[(a, r1)]);
         assert!(g.readers_of(r0).is_empty() && g.readers_of(r1).is_empty());
-    }
-
-    #[test]
-    fn grouped_lists_keep_the_order_their_entries_came_in() {
-        let entries = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd'), (3, 'e')];
-        let lists = Csr::group(4, entries.iter().copied());
-        let got: Vec<&[char]> = (0..4).map(|task| lists.get(task)).collect();
-        assert_eq!(got, [&['b', 'd'][..], &[], &['a', 'c'], &['e']]);
-        let none = Csr::<char>::group(3, std::iter::empty());
-        assert!((0..3).all(|task| none.get(task).is_empty()));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The abstract task graph consumed by the schedulers.
 
+use crate::csr::Csr;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// A schedulable task.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,21 +45,72 @@ pub struct SchedEdge {
 
 /// A directed acyclic task graph.
 ///
-/// The adjacency is weighted: next to every entry of `successors[t]` /
-/// `predecessors[t]` sits the total bytes flowing between that pair of
-/// tasks, so the schedulers and runtimes read an edge's weight where they
-/// read its endpoint instead of searching the edge list for it.
+/// The graph stores what it was given, its tasks and its edge list; adding
+/// either costs no allocation of its own. The adjacency is grouped from the
+/// edge list into compressed sparse rows ([`Csr`]) the first time anybody
+/// asks, and any later `add_*` drops it to be grouped again. Each row lists
+/// a task's neighbours in the order their edges were added, one entry per
+/// edge.
+///
+/// The adjacency is weighted: next to every entry of a successor or
+/// predecessor row sits the total bytes flowing between that pair of tasks
+/// (parallel edges each carry the pair's sum), so the schedulers and
+/// runtimes read an edge's weight where they read its endpoint instead of
+/// searching the edge list for it.
 #[derive(Debug, Clone, Default)]
 pub struct TaskGraph {
     tasks: Vec<SchedTask>,
     edges: Vec<SchedEdge>,
-    successors: Vec<Vec<usize>>,
-    predecessors: Vec<Vec<usize>>,
-    /// `successor_bytes[t][i]` is the total bytes on all edges
-    /// `t -> successors[t][i]`; parallel edges each carry the pair's sum.
-    successor_bytes: Vec<Vec<u64>>,
-    /// Likewise for `predecessors[t][i] -> t`.
-    predecessor_bytes: Vec<Vec<u64>>,
+    adjacency: OnceLock<Adjacency>,
+}
+
+/// Both directions of the edge list, grouped per task.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    successors: Csr<usize>,
+    /// Laid out alongside `successors`: the pair's total bytes.
+    successor_bytes: Vec<u64>,
+    predecessors: Csr<usize>,
+    /// Laid out alongside `predecessors`.
+    predecessor_bytes: Vec<u64>,
+}
+
+impl Adjacency {
+    fn new(tasks: usize, edges: &[SchedEdge]) -> Self {
+        let (successors, successor_bytes) = Self::weighted(tasks, edges, |e| e.from, |e| e.to);
+        let (predecessors, predecessor_bytes) = Self::weighted(tasks, edges, |e| e.to, |e| e.from);
+        Self { successors, successor_bytes, predecessors, predecessor_bytes }
+    }
+
+    /// Each task's `other` ends, grouped by `row`, and alongside them the
+    /// bytes between the pair summed over every edge joining it.
+    fn weighted(
+        tasks: usize,
+        edges: &[SchedEdge],
+        row: impl Fn(&SchedEdge) -> usize,
+        other: impl Fn(&SchedEdge) -> usize,
+    ) -> (Csr<usize>, Vec<u64>) {
+        // Grouped as edge indices first, then each index replaced by the
+        // neighbour it names.
+        let mut lists = Csr::group(tasks, edges.iter().enumerate().map(|(i, e)| (row(e), i)));
+        let items = lists.items_mut();
+        let mut bytes: Vec<u64> = items.iter().map(|&i| edges[i].bytes).collect();
+        items.iter_mut().for_each(|i| *i = other(&edges[*i]));
+        // Per row, the pair totals accumulate in `sum` and are read back to
+        // every entry of the pair; the row then clears what it touched.
+        let mut sum = vec![0u64; tasks];
+        for task in 0..tasks {
+            let (list, span) = (lists.get(task), lists.span(task));
+            for (&n, &b) in list.iter().zip(&bytes[span.clone()]) {
+                sum[n] += b;
+            }
+            for (&n, b) in list.iter().zip(&mut bytes[span]) {
+                *b = sum[n];
+            }
+            list.iter().for_each(|&n| sum[n] = 0);
+        }
+        (lists, bytes)
+    }
 }
 
 impl TaskGraph {
@@ -75,10 +128,7 @@ impl TaskGraph {
     pub fn add_task_full(&mut self, cost: f64, pinned: Option<usize>, label: String) -> usize {
         let id = self.tasks.len();
         self.tasks.push(SchedTask { id, cost, pinned, label });
-        self.successors.push(Vec::new());
-        self.predecessors.push(Vec::new());
-        self.successor_bytes.push(Vec::new());
-        self.predecessor_bytes.push(Vec::new());
+        self.adjacency.take();
         id
     }
 
@@ -93,21 +143,12 @@ impl TaskGraph {
         assert_ne!(from, to, "self-dependence on task {from}");
         let idx = self.edges.len();
         self.edges.push(SchedEdge { from, to, bytes });
-        // A parallel edge raises the pair's total on every entry the pair
-        // already has, so each adjacency entry always carries the sum.
-        let before = self.pair_bytes(from, to);
-        let total = before.unwrap_or(0) + bytes;
-        if before.is_some_and(|b| b != total) {
-            let entries = self.successors[from].iter().zip(&mut self.successor_bytes[from]);
-            entries.filter(|(&s, _)| s == to).for_each(|(_, b)| *b = total);
-            let entries = self.predecessors[to].iter().zip(&mut self.predecessor_bytes[to]);
-            entries.filter(|(&p, _)| p == from).for_each(|(_, b)| *b = total);
-        }
-        self.successors[from].push(to);
-        self.successor_bytes[from].push(total);
-        self.predecessors[to].push(from);
-        self.predecessor_bytes[to].push(total);
+        self.adjacency.take();
         idx
+    }
+
+    fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| Adjacency::new(self.tasks.len(), &self.edges))
     }
 
     /// All tasks, indexed by id.
@@ -132,12 +173,12 @@ impl TaskGraph {
 
     /// Ids of the direct successors of `task`.
     pub fn successors(&self, task: usize) -> &[usize] {
-        &self.successors[task]
+        self.adjacency().successors.get(task)
     }
 
     /// Ids of the direct predecessors of `task`.
     pub fn predecessors(&self, task: usize) -> &[usize] {
-        &self.predecessors[task]
+        self.adjacency().predecessors.get(task)
     }
 
     /// The incoming edges of `task` as `(predecessor, bytes)`, one item per
@@ -146,13 +187,17 @@ impl TaskGraph {
     /// a pair joined by parallel edges appears once per edge, each time
     /// with the sum.
     pub fn in_edges(&self, task: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.predecessors[task].iter().copied().zip(self.predecessor_bytes[task].iter().copied())
+        let adjacency = self.adjacency();
+        let bytes = &adjacency.predecessor_bytes[adjacency.predecessors.span(task)];
+        adjacency.predecessors.get(task).iter().copied().zip(bytes.iter().copied())
     }
 
     /// The outgoing edges of `task` as `(successor, bytes)`; the mirror of
     /// [`TaskGraph::in_edges`].
     pub fn out_edges(&self, task: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.successors[task].iter().copied().zip(self.successor_bytes[task].iter().copied())
+        let adjacency = self.adjacency();
+        let bytes = &adjacency.successor_bytes[adjacency.successors.span(task)];
+        adjacency.successors.get(task).iter().copied().zip(bytes.iter().copied())
     }
 
     /// Bytes on the edge `from -> to` (summed if parallel edges exist),
@@ -164,39 +209,34 @@ impl TaskGraph {
     /// [`TaskGraph::in_edges`] / [`TaskGraph::out_edges`] instead of calling
     /// this once per neighbour.
     pub fn edge_bytes(&self, from: usize, to: usize) -> u64 {
-        self.pair_bytes(from, to).unwrap_or(0)
-    }
-
-    /// Total bytes between `from` and `to`, `None` when no edge joins them.
-    fn pair_bytes(&self, from: usize, to: usize) -> Option<u64> {
-        let found = if self.successors[from].len() <= self.predecessors[to].len() {
+        let found = if self.successors(from).len() <= self.predecessors(to).len() {
             self.out_edges(from).find(|&(s, _)| s == to)
         } else {
             self.in_edges(to).find(|&(p, _)| p == from)
         };
-        found.map(|(_, bytes)| bytes)
+        found.map_or(0, |(_, bytes)| bytes)
     }
 
     /// Tasks with no predecessors.
     pub fn roots(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&t| self.predecessors[t].is_empty()).collect()
+        (0..self.len()).filter(|&t| self.predecessors(t).is_empty()).collect()
     }
 
     /// Tasks with no successors.
     pub fn sinks(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&t| self.successors[t].is_empty()).collect()
+        (0..self.len()).filter(|&t| self.successors(t).is_empty()).collect()
     }
 
     /// A topological order of the task ids, or `None` if the graph contains
     /// a cycle.
     pub fn topological_order(&self) -> Option<Vec<usize>> {
-        let mut indegree: Vec<usize> =
-            (0..self.len()).map(|t| self.predecessors[t].len()).collect();
+        let Adjacency { successors, predecessors, .. } = self.adjacency();
+        let mut indegree: Vec<usize> = (0..self.len()).map(|t| predecessors.get(t).len()).collect();
         let mut queue: VecDeque<usize> = (0..self.len()).filter(|&t| indegree[t] == 0).collect();
         let mut order = Vec::with_capacity(self.len());
         while let Some(t) = queue.pop_front() {
             order.push(t);
-            for &s in &self.successors[t] {
+            for &s in successors.get(t) {
                 indegree[s] -= 1;
                 if indegree[s] == 0 {
                     queue.push_back(s);
@@ -353,5 +393,130 @@ mod tests {
             }
         }
         assert_eq!(g.edge_bytes(2, 0), 0);
+    }
+
+    /// The graph as it was kept before it was stored flat: one `Vec` per
+    /// task and direction, patched edge by edge so that every entry of a
+    /// pair carries the pair's running total.
+    #[derive(Default)]
+    struct Incremental {
+        successors: Vec<Vec<usize>>,
+        predecessors: Vec<Vec<usize>>,
+        successor_bytes: Vec<Vec<u64>>,
+        predecessor_bytes: Vec<Vec<u64>>,
+    }
+
+    impl Incremental {
+        fn add_task(&mut self) {
+            self.successors.push(Vec::new());
+            self.predecessors.push(Vec::new());
+            self.successor_bytes.push(Vec::new());
+            self.predecessor_bytes.push(Vec::new());
+        }
+
+        fn add_edge(&mut self, from: usize, to: usize, bytes: u64) {
+            let before = self.edge_bytes(from, to);
+            let total = before.unwrap_or(0) + bytes;
+            if before.is_some_and(|b| b != total) {
+                let entries = self.successors[from].iter().zip(&mut self.successor_bytes[from]);
+                entries.filter(|(&s, _)| s == to).for_each(|(_, b)| *b = total);
+                let entries = self.predecessors[to].iter().zip(&mut self.predecessor_bytes[to]);
+                entries.filter(|(&p, _)| p == from).for_each(|(_, b)| *b = total);
+            }
+            self.successors[from].push(to);
+            self.successor_bytes[from].push(total);
+            self.predecessors[to].push(from);
+            self.predecessor_bytes[to].push(total);
+        }
+
+        fn edge_bytes(&self, from: usize, to: usize) -> Option<u64> {
+            let at = self.successors[from].iter().position(|&s| s == to)?;
+            Some(self.successor_bytes[from][at])
+        }
+
+        fn topological_order(&self) -> Option<Vec<usize>> {
+            let n = self.successors.len();
+            let mut indegree: Vec<usize> = self.predecessors.iter().map(Vec::len).collect();
+            let mut queue: VecDeque<usize> = (0..n).filter(|&t| indegree[t] == 0).collect();
+            let mut order = Vec::new();
+            while let Some(t) = queue.pop_front() {
+                order.push(t);
+                for &s in &self.successors[t] {
+                    indegree[s] -= 1;
+                    if indegree[s] == 0 {
+                        queue.push_back(s);
+                    }
+                }
+            }
+            (order.len() == n).then_some(order)
+        }
+    }
+
+    fn assert_same(g: &TaskGraph, reference: &Incremental) {
+        let n = g.len();
+        for t in 0..n {
+            assert_eq!(g.successors(t), reference.successors[t], "successors of {t}");
+            assert_eq!(g.predecessors(t), reference.predecessors[t], "predecessors of {t}");
+            let out: Vec<(usize, u64)> = reference.successors[t]
+                .iter()
+                .copied()
+                .zip(reference.successor_bytes[t].iter().copied())
+                .collect();
+            assert_eq!(g.out_edges(t).collect::<Vec<_>>(), out, "out edges of {t}");
+            let incoming: Vec<(usize, u64)> = reference.predecessors[t]
+                .iter()
+                .copied()
+                .zip(reference.predecessor_bytes[t].iter().copied())
+                .collect();
+            assert_eq!(g.in_edges(t).collect::<Vec<_>>(), incoming, "in edges of {t}");
+            for to in 0..n {
+                let want = reference.edge_bytes(t, to).unwrap_or(0);
+                assert_eq!(g.edge_bytes(t, to), want, "bytes {t} -> {to}");
+            }
+        }
+        let roots: Vec<usize> = (0..n).filter(|&t| reference.predecessors[t].is_empty()).collect();
+        let sinks: Vec<usize> = (0..n).filter(|&t| reference.successors[t].is_empty()).collect();
+        assert_eq!(g.roots(), roots);
+        assert_eq!(g.sinks(), sinks);
+        assert_eq!(g.topological_order(), reference.topological_order());
+    }
+
+    /// Random graphs with parallel and zero-byte edges, some cyclic, each
+    /// queried half-built, then extended and queried again: the flat graph
+    /// answers every query as the incremental one did.
+    #[test]
+    fn the_flat_graph_answers_as_the_incremental_one_did() {
+        for seed in 0..240u64 {
+            let mut rng = ompc_testutil::Rng::new(seed);
+            let (mut g, mut reference) = (TaskGraph::new(), Incremental::default());
+            let cyclic = seed % 8 == 7;
+            for round in 0..2 {
+                for _ in 0..rng.range_usize(round, 24) {
+                    g.add_task(1.0);
+                    reference.add_task();
+                }
+                let n = g.len();
+                if n < 2 {
+                    continue;
+                }
+                for _ in 0..rng.range_usize(0, 3 * n) {
+                    let (a, b) = (rng.range_usize(0, n), rng.range_usize(0, n));
+                    if a == b {
+                        continue;
+                    }
+                    let (from, to) = if cyclic || a < b { (a, b) } else { (b, a) };
+                    let bytes = match rng.range(0, 3) {
+                        0 => 0,
+                        _ => rng.range(1, 1 << 20),
+                    };
+                    // Half the pairs come back as parallel edges.
+                    for _ in 0..rng.range(1, 3) {
+                        g.add_edge(from, to, bytes);
+                        reference.add_edge(from, to, bytes);
+                    }
+                }
+                assert_same(&g, &reference);
+            }
+        }
     }
 }

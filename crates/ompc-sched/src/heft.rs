@@ -34,7 +34,27 @@ use crate::Scheduler;
 ///   later processor that is no faster and offers no earlier ready time
 ///   ends here, at the cost of one comparison (on fig. 5 Stencil-1D and FFT at 64 nodes,
 ///   15 % and 21 % of all candidates);
-/// * each remaining candidate's slot search finds the first busy interval
+/// * a remaining candidate on whose processor no gap can hold the task is
+///   placed in `O(1)`, at `max(ready, tail)`, from two numbers kept per
+///   processor in flat arrays: the latest finish `T` of its intervals
+///   (its tail) and an upper bound `G` on its widest gap (from time 0 to
+///   the first interval, and from each interval's running latest finish
+///   to the next one's start). Recording an interval keeps `G` an upper
+///   bound: inside the timeline the new interval splits a gap and only
+///   narrows the gaps after it, and appended it adds one gap. The test is
+///   `G + 2·10⁻¹⁵ + (T + d)·2⁻⁵⁰ < d` for a task of duration `d`. The walk
+///   below fits the task in a gap opening at `r` before a start `s` only if
+///   `fl(c + d) <= fl(s + ε)`, `ε = 10⁻¹⁵`, for a candidate `c >= r`
+///   (`c = ready >= 0` before the first interval). With unit roundoff
+///   `u = 2⁻⁵³`, `s − r <= G + uT` and `0 <= r, s <= T`, that needs
+///   `d <= G + ε(1 + u) + u(3T + d)`, below the margin by more than the
+///   rounding of the test itself, so a task the test passes fits no gap,
+///   and the walk would have returned its end value, `max(ready, T)`.
+///   The bound is off (`G = ∞`) once an interval that is not
+///   `0 <= start <= finish < ∞` was recorded. On fig. 5 Stencil-1D and
+///   FFT at 64 nodes, with their ≈ 50 ms tasks, every candidate the prune
+///   leaves is placed this way;
+/// * every other candidate's slot search finds the first busy interval
 ///   of its processor's timeline that ends after the ready time by
 ///   galloping back from the last interval (1, 2, 4, … from the end) and
 ///   binary-searching the bracket, then walks forward only over the gaps
@@ -58,35 +78,61 @@ struct Interval {
     reach: f64,
 }
 
-/// The busy intervals of one processor, sorted by start time.
-#[derive(Debug, Clone, Default)]
-struct Timeline {
-    busy: Vec<Interval>,
+/// The busy intervals of every processor, each processor's sorted by start
+/// time, and per processor the two numbers that place a task fitting no
+/// gap without looking at its intervals.
+#[derive(Debug)]
+struct Timelines {
+    busy: Vec<Vec<Interval>>,
+    /// Per processor, the latest finish of any of its intervals, 0 while it
+    /// has none.
+    tail: Vec<f64>,
+    /// Per processor, an upper bound on its widest gap: from time 0 to its
+    /// first interval, and from each interval's `reach` to the next
+    /// interval's start. Infinite once an interval that is not
+    /// `0 <= start <= finish < ∞` was recorded, which turns the bound off.
+    widest_gap: Vec<f64>,
 }
 
-impl Timeline {
-    /// Earliest start at or after `ready` of a task of `duration` seconds
-    /// (insertion policy).
-    fn earliest_slot(&self, ready: f64, duration: f64) -> f64 {
+impl Timelines {
+    fn new(procs: usize) -> Self {
+        Self { busy: vec![Vec::new(); procs], tail: vec![0.0; procs], widest_gap: vec![0.0; procs] }
+    }
+
+    /// Earliest start on `proc` at or after `ready >= 0` of a task of
+    /// `duration` seconds (insertion policy).
+    fn earliest_slot(&self, proc: usize, ready: f64, duration: f64) -> f64 {
+        // No gap holds the task, so it goes after everything (see the
+        // "Complexity" section of [`HeftScheduler`] for the margin).
+        let tail = self.tail[proc];
+        let margin = 2e-15 + (tail + duration) * SLOT_MARGIN_ULPS;
+        if self.widest_gap[proc] + margin < duration {
+            return ready.max(tail);
+        }
+        Self::search(&self.busy[proc], ready, duration)
+    }
+
+    /// The insertion policy over the intervals `busy` of one processor.
+    fn search(busy: &[Interval], ready: f64, duration: f64) -> f64 {
         // Intervals that end by `ready` can neither delay the task nor
         // bound a gap it could use before a later interval would. Tasks
         // arrive close to time order, so the first one that does is near
         // the end: gallop back from the last interval (n−1, n−2, n−4, …)
         // to bracket it, then binary-search inside the bracket.
         let ended = |iv: &Interval| iv.reach <= ready;
-        let (mut lo, mut hi) = (0, self.busy.len());
+        let (mut lo, mut hi) = (0, busy.len());
         let mut step = 1;
-        while step <= self.busy.len() {
-            let probe = self.busy.len() - step;
-            if ended(&self.busy[probe]) {
+        while step <= busy.len() {
+            let probe = busy.len() - step;
+            if ended(&busy[probe]) {
                 lo = probe + 1;
                 break;
             }
             hi = probe;
             step *= 2;
         }
-        let first = lo + self.busy[lo..hi].partition_point(ended);
-        Self::first_fit(&self.busy[first..], ready, duration)
+        let first = lo + busy[lo..hi].partition_point(ended);
+        Self::first_fit(&busy[first..], ready, duration)
     }
 
     /// The insertion policy itself: the first gap between consecutive
@@ -102,23 +148,38 @@ impl Timeline {
         candidate
     }
 
-    /// Record `[start, finish]` as busy, after any interval with the same
-    /// start.
-    fn insert(&mut self, start: f64, finish: f64) {
-        let pos = self.busy.partition_point(|iv| iv.start <= start);
-        let reach = match pos.checked_sub(1) {
-            Some(prev) => finish.max(self.busy[prev].reach),
-            None => finish,
-        };
-        self.busy.insert(pos, Interval { start, finish, reach });
-        for iv in &mut self.busy[pos + 1..] {
+    /// Record `[start, finish]` as busy on `proc`, after any interval with
+    /// the same start.
+    fn insert(&mut self, proc: usize, start: f64, finish: f64) {
+        let busy = &mut self.busy[proc];
+        let pos = busy.partition_point(|iv| iv.start <= start);
+        let before = pos.checked_sub(1).map(|prev| busy[prev].reach);
+        let reach = before.map_or(finish, |before| finish.max(before));
+        busy.insert(pos, Interval { start, finish, reach });
+        for iv in &mut busy[pos + 1..] {
             if iv.reach >= reach {
                 break;
             }
             iv.reach = reach;
         }
+        // The gap the interval opens behind what precedes it. Inside the
+        // timeline it splits a gap at most this wide into two narrower
+        // ones and the `reach` it raises only narrows later gaps, so the
+        // bound never grows there; appended, it adds this one gap.
+        let gap = start - before.unwrap_or(0.0);
+        let widest = &mut self.widest_gap[proc];
+        *widest = if 0.0 <= start && start <= finish && finish < f64::INFINITY {
+            widest.max(gap)
+        } else {
+            f64::INFINITY
+        };
+        self.tail[proc] = self.tail[proc].max(finish);
     }
 }
+
+/// The relative part of the slot margin, `2^-50`: eight units of f64
+/// rounding (see the "Complexity" section of [`HeftScheduler`]).
+const SLOT_MARGIN_ULPS: f64 = 1.0 / (1u64 << 50) as f64;
 
 impl HeftScheduler {
     /// Create a HEFT scheduler.
@@ -163,10 +224,10 @@ impl Scheduler for HeftScheduler {
         order.sort_by(|&a, &b| ranks[b].total_cmp(&ranks[a]).then(a.cmp(&b)));
 
         let mut placements = vec![Placement { proc: 0, start: 0.0, finish: 0.0 }; graph.len()];
-        let mut timelines = vec![Timeline::default(); procs];
-        for (timeline, &reserved) in timelines.iter_mut().zip(load) {
+        let mut timelines = Timelines::new(procs);
+        for (p, &reserved) in load.iter().enumerate().take(procs) {
             if reserved > 0.0 {
-                timeline.insert(0.0, reserved);
+                timelines.insert(p, 0.0, reserved);
             }
         }
         // Scratch, reset after each task: the latest finish among the
@@ -218,7 +279,7 @@ impl Scheduler for HeftScheduler {
                 if best.is_some_and(|(bf, _, _)| ready + duration >= bf - 1e-15) {
                     continue;
                 }
-                let start = timelines[p].earliest_slot(ready, duration);
+                let start = timelines.earliest_slot(p, ready, duration);
                 let finish = start + duration;
                 if best.is_none_or(|(bf, _, _)| finish < bf - 1e-15) {
                     best = Some((finish, start, p));
@@ -226,7 +287,7 @@ impl Scheduler for HeftScheduler {
             }
             let (finish, start, proc) = best.expect("at least one candidate processor");
             placements[t] = Placement { proc, start, finish };
-            timelines[proc].insert(start, finish);
+            timelines.insert(proc, start, finish);
             for &pred in graph.predecessors(t) {
                 local_ready[placements[pred].proc] = f64::NEG_INFINITY;
             }
@@ -244,8 +305,31 @@ mod tests {
     use super::*;
 
     /// The insertion policy applied to the whole timeline, no search.
-    fn slot_by_full_walk(timeline: &Timeline, ready: f64, duration: f64) -> f64 {
-        Timeline::first_fit(&timeline.busy, ready, duration)
+    fn slot_by_full_walk(timeline: &Timelines, ready: f64, duration: f64) -> f64 {
+        Timelines::first_fit(&timeline.busy[0], ready, duration)
+    }
+
+    fn assert_slot(timeline: &Timelines, ready: f64, duration: f64) {
+        assert_eq!(
+            timeline.earliest_slot(0, ready, duration),
+            slot_by_full_walk(timeline, ready, duration),
+            "ready {ready}, duration {duration} on {:?}",
+            timeline.busy[0]
+        );
+    }
+
+    /// The widest gap of the one timeline, computed as the bound defines
+    /// it, and the time each gap opens at.
+    fn gaps(timeline: &Timelines) -> (f64, Vec<f64>) {
+        let mut opens = Vec::new();
+        let mut widest = 0.0f64;
+        let mut before = 0.0;
+        for iv in &timeline.busy[0] {
+            widest = widest.max(iv.start - before);
+            opens.push(before);
+            before = iv.reach;
+        }
+        (widest, opens)
     }
 
     #[test]
@@ -268,26 +352,72 @@ mod tests {
             (0.0, 3.0),
             (6.0, 2.5),
         ];
-        let mut timeline = Timeline::default();
+        let mut timeline = Timelines::new(1);
         for (ready, duration) in requests {
-            let start = timeline.earliest_slot(ready, duration);
+            let start = timeline.earliest_slot(0, ready, duration);
             assert_eq!(start, slot_by_full_walk(&timeline, ready, duration));
-            timeline.insert(start, start + duration);
-            assert!(timeline.busy.windows(2).all(|w| w[0].start <= w[1].start));
-            assert!(timeline.busy.windows(2).all(|w| w[0].reach <= w[1].reach));
+            timeline.insert(0, start, start + duration);
+            let busy = &timeline.busy[0];
+            assert!(busy.windows(2).all(|w| w[0].start <= w[1].start));
+            assert!(busy.windows(2).all(|w| w[0].reach <= w[1].reach));
             for probe in [0.0, 1.0, one_ulp_past_1, 1.5, 2.0, 6.0, 7.0, 12.0] {
                 for d in [0.0, 0.25, 1.0, 6.0] {
-                    assert_eq!(
-                        timeline.earliest_slot(probe, d),
-                        slot_by_full_walk(&timeline, probe, d),
-                        "ready {probe}, duration {d} on {:?}",
-                        timeline.busy
-                    );
+                    assert_slot(&timeline, probe, d);
                 }
             }
         }
-        let finishes: Vec<f64> = timeline.busy.iter().map(|iv| iv.finish).collect();
+        let finishes: Vec<f64> = timeline.busy[0].iter().map(|iv| iv.finish).collect();
         assert!(finishes.windows(2).any(|w| w[0] > w[1]), "the case under test: {finishes:?}");
+    }
+
+    /// Random timelines built the way HEFT builds them, on time scales from
+    /// the tolerance's to the fig. 5 runs', probed with tasks as wide as the
+    /// widest gap, one ulp and one tolerance either side of it, from where
+    /// each gap opens: the slot without a search must be the walk's.
+    #[test]
+    fn the_slot_a_gap_bound_decides_is_the_full_walks_on_random_timelines() {
+        let (mut decided, mut probes) = (0usize, 0usize);
+        for seed in 0..200u64 {
+            let mut rng = ompc_testutil::Rng::new(seed);
+            let scale = [1.0, 0.05, 1e-13, 1e3][seed as usize % 4];
+            let draw = |rng: &mut ompc_testutil::Rng| rng.range(0, 1 << 12) as f64 / 256.0;
+            let mut timeline = Timelines::new(1);
+            if rng.range(0, 3) == 0 {
+                timeline.insert(0, 0.0, draw(&mut rng) * scale);
+            }
+            for _ in 0..rng.range_usize(1, 30) {
+                let ready = draw(&mut rng) * scale;
+                let duration = match rng.range(0, 4) {
+                    0 => 0.0,
+                    _ => draw(&mut rng) * scale / 4.0,
+                };
+                let start = timeline.earliest_slot(0, ready, duration);
+                assert_eq!(start, slot_by_full_walk(&timeline, ready, duration));
+                timeline.insert(0, start, start + duration);
+
+                let (widest, opens) = gaps(&timeline);
+                let bound = timeline.widest_gap[0];
+                assert!(bound >= widest, "bound {bound} below the widest gap {widest}");
+                let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+                let down = |x: f64| if x > 0.0 { f64::from_bits(x.to_bits() - 1) } else { x };
+                let mut durations = Vec::new();
+                for g in [widest, bound] {
+                    durations.extend([g, up(g), down(g), g + 1e-15, (g - 1e-15).max(0.0)]);
+                    durations.extend([up(g + 1e-15), g + 2e-15, g * 1.5]);
+                }
+                let mut readies = opens.clone();
+                readies.extend([0.0, ready, timeline.tail[0], draw(&mut rng) * scale]);
+                for &d in &durations {
+                    for &r in &readies {
+                        let tail = timeline.tail[0];
+                        decided += usize::from(bound + 2e-15 + (tail + d) * SLOT_MARGIN_ULPS < d);
+                        probes += 1;
+                        assert_slot(&timeline, r, d);
+                    }
+                }
+            }
+        }
+        assert!(decided * 20 > probes, "the bound decided {decided} of {probes} probes");
     }
 
     /// The 10-task graph from the original HEFT paper, with uniform

@@ -23,12 +23,14 @@
 //! assignment plus estimated start/finish times — which the runtime then
 //! executes dynamically as dependences are satisfied.
 
+pub mod csr;
 pub mod graph;
 pub mod heft;
 pub mod list;
 pub mod platform;
 pub mod schedule;
 
+pub use csr::Csr;
 pub use graph::{SchedEdge, SchedTask, TaskGraph};
 pub use heft::HeftScheduler;
 pub use list::{EagerScheduler, MinMinScheduler, RoundRobinScheduler};

@@ -516,6 +516,46 @@ fn figure5_graphs_at_64_nodes_with_seeded_costs_match_the_reference_heft() {
     }
 }
 
+/// The same paper-scale plan admitted next to in-flight work: each of the 63
+/// processors carries a seeded reserved load, none, shorter than a task or
+/// several tasks long. The reserved intervals are part of every timeline
+/// from the start, so they are part of the gap bound that lets HEFT place a
+/// task without searching a timeline.
+#[test]
+fn figure5_graphs_at_64_nodes_with_reserved_load_match_the_reference_heft() {
+    let platform = sim_platform(&ClusterConfig::santos_dumont(64));
+    for (seed, pattern) in [(46, DependencePattern::Stencil1D), (47, DependencePattern::Fft)] {
+        let config = TaskBenchConfig::figure5(pattern, 64);
+        let base = generate_workload(&config);
+        let mut rng = Rng::new(seed);
+        let mut graph = TaskGraph::new();
+        for task in base.graph.tasks() {
+            let jitter = 0.9 + 0.2 * rng.range(0, 1 << 20) as f64 / (1 << 20) as f64;
+            graph.add_task_full(config.task_duration_secs() * jitter, task.pinned, String::new());
+        }
+        for edge in base.graph.edges() {
+            graph.add_edge(edge.from, edge.to, edge.bytes);
+        }
+        let task = config.task_duration_secs();
+        let load: Vec<f64> = (0..platform.num_procs())
+            .map(|_| match rng.range(0, 4) {
+                0 => 0.0,
+                1 => task * rng.range(1, 1 << 10) as f64 / (1 << 10) as f64,
+                _ => task * rng.range(1, 8 << 10) as f64 / (1 << 10) as f64,
+            })
+            .collect();
+        assert!(load.contains(&0.0) && load.iter().any(|&l| l > 0.0));
+        let heft = HeftScheduler::new().schedule_with_load(&graph, &platform, &load);
+        assert_eq!(heft, reference::heft(&graph, &platform, &load), "{pattern:?}: HEFT differs");
+        heft.validate(&graph, &platform).unwrap_or_else(|e| panic!("{pattern:?}: invalid: {e}"));
+        for t in 0..graph.len() {
+            let at = heft.placement(t);
+            let inside = at.finish > at.start && at.start < load[at.proc];
+            assert!(!inside, "{pattern:?}: task {t} inside a reservation");
+        }
+    }
+}
+
 /// Exact ties everywhere: every processor carries the same reserved load,
 /// so each task of a fork finishes at the same time on every processor not
 /// yet used. The strict comparison keeps the first candidate, so task `k`
