@@ -108,10 +108,13 @@ pub struct OmpcConfig {
     /// one OpenMP thread blocks per in-flight `target nowait` region, so the
     /// paper's runtime keeps at most its 48 hidden-helper threads' worth in
     /// flight — the limitation it identifies as the main scalability
-    /// bottleneck (§7) — and the default reproduces that limit. No head
-    /// thread blocks per task here, so the window is only a number:
-    /// `usize::MAX` lifts the limit — the "fully asynchronous libomptarget"
-    /// fix the paper proposes as future work — and `0` is treated as `1`.
+    /// bottleneck (§7) — and the default reproduces that limit, as does
+    /// [`OmpcConfig::small`]. No head thread blocks per task here, so the
+    /// window is only a number: it bounds how many cars a dispatch round
+    /// packs into each node's train, and `usize::MAX` lifts the limit — the
+    /// "fully asynchronous libomptarget" fix the paper proposes as future
+    /// work, which did not measure faster than 48 on the perf ledger's
+    /// dispatch graph. `0` is treated as `1`.
     pub max_inflight_tasks: usize,
     /// Number of MPI communicators created at start-up and used round-robin
     /// by the event system. `0` is treated as `1`.
@@ -198,12 +201,17 @@ impl Default for OmpcConfig {
 
 impl OmpcConfig {
     /// A configuration sized for small in-process tests: few threads, few
-    /// communicators.
+    /// communicators. It dispatches at the paper's window of 48, as the
+    /// default does: no head thread blocks per task here, so a small window
+    /// only splits the trains — four tasks in flight over two workers leave
+    /// under two cars per train and a context switch per task — and no
+    /// larger window was measured faster on the perf ledger's dispatch
+    /// graph.
     pub fn small() -> Self {
         Self {
             backend: BackendKind::Mpi,
             event_handler_threads: 1,
-            max_inflight_tasks: 4,
+            max_inflight_tasks: 48,
             num_communicators: 2,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
@@ -411,7 +419,7 @@ mod tests {
         let c = OmpcConfig::default();
         assert_eq!(c.inflight_window(), 48);
         assert!(c.num_communicators >= 1);
-        assert_eq!(OmpcConfig::small().inflight_window(), 4);
+        assert_eq!(OmpcConfig::small().inflight_window(), 48);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`].
 
 use crate::protocol::{
-    EventNotification, EventRequest, Reply, TaskSpec, TaskStep, CONTROL_TAG, FIRST_EVENT_TAG,
+    EventNotification, EventRequest, Reply, TaskSpec, TaskStep, TrainFrame, CONTROL_TAG,
+    FIRST_EVENT_TAG,
 };
-use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -93,8 +94,14 @@ impl std::ops::AddAssign for Frames {
     }
 }
 
+/// A forward a task's car receives: the node to tell its `ExchangeSend`, the
+/// buffer, and the bytes it will move.
+pub(crate) type Exchange = (NodeId, BufferId, u64);
+
 /// A task in wire form: the ordered steps the executing node performs, plus
-/// what the head must put on the wire for them.
+/// what the head must put on the wire for them — a release or a flush, sent
+/// on its own ([`EventSystem::post_task`]). A region task is a car of its
+/// node's [`Train`] instead, written straight into the train's frame.
 #[derive(Default)]
 pub(crate) struct Composite {
     pub(crate) steps: Vec<TaskStep>,
@@ -103,26 +110,183 @@ pub(crate) struct Composite {
     pub(crate) payloads: Vec<Bytes>,
     /// Per `RecvFromWorker` step, in step order: the node to tell its
     /// `ExchangeSend`, the buffer, and the bytes it will move.
-    pub(crate) exchanges: Vec<(NodeId, BufferId, u64)>,
+    pub(crate) exchanges: Vec<Exchange>,
 }
 
 impl Composite {
+    /// Whether the task's reply is the data: its body is the buffer of a
+    /// [`TaskStep::Retrieve`] step.
+    pub(crate) fn returns_data(&self) -> bool {
+        self.steps.iter().any(|step| matches!(step, TaskStep::Retrieve { .. }))
+    }
+}
+
+/// One car of a [`Train`]: the task it carries, its exclusive channel, and
+/// where its frames end in the train's lists.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Car {
+    /// Core task id.
+    pub(crate) task: usize,
+    /// The car's channel, for its payloads and forwards; the tag also names
+    /// its reply.
+    pub(crate) tag: Tag,
+    pub(crate) comm: CommId,
+    payloads: usize,
+    exchanges: usize,
+}
+
+/// One node's next task train, written as its cars are lowered
+/// ([`CarWriter`]): the notification frame, and car by car what follows it
+/// on the car's own channel — host payloads, and the sources to tell their
+/// `ExchangeSend`. A departure empties the lists and keeps their room.
+#[derive(Default)]
+pub(crate) struct Train {
+    frame: Option<TrainFrame>,
+    /// The longest frame this train has sent: the next one starts that big.
+    longest: usize,
+    cars: Vec<Car>,
+    payloads: Vec<Bytes>,
+    exchanges: Vec<Exchange>,
+}
+
+impl Train {
+    /// The cars written so far, in lowering order.
+    pub(crate) fn cars(&self) -> &[Car] {
+        &self.cars
+    }
+
+    /// Each car with the frames that follow it on its channel.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = (&Car, &[Bytes], &[Exchange])> + '_ {
+        let mut from = (0, 0);
+        self.cars.iter().map(move |car| {
+            let (payloads, exchanges) = std::mem::replace(&mut from, (car.payloads, car.exchanges));
+            (car, &self.payloads[payloads..car.payloads], &self.exchanges[exchanges..car.exchanges])
+        })
+    }
+
+    /// The finished notification, leaving the train to start a fresh frame
+    /// with its next car.
+    pub(crate) fn take_frame(&mut self) -> Vec<u8> {
+        let frame = self.frame.take().map_or_else(Vec::new, TrainFrame::finish);
+        self.longest = self.longest.max(frame.len());
+        frame
+    }
+
+    /// Forget every car: the train departed, or never will.
+    pub(crate) fn clear(&mut self) {
+        self.frame = None;
+        self.cars.clear();
+        self.payloads.clear();
+        self.exchanges.clear();
+    }
+}
+
+/// The trains of one region execution, one per node, and the envelope every
+/// frame names: the execution's completion channel, and whether its cars are
+/// timed.
+pub(crate) struct Trains {
+    tag: Tag,
+    comm: CommId,
+    timed: bool,
+    /// By node id.
+    by_node: Vec<Train>,
+}
+
+impl Trains {
+    /// Trains whose envelope names the completion channel `(tag, comm)`.
+    pub(crate) fn new(tag: Tag, comm: CommId, timed: bool) -> Self {
+        Self { tag, comm, timed, by_node: Vec::new() }
+    }
+
+    /// Every train, leaving empty ones under the same envelope in their
+    /// place.
+    pub(crate) fn take(&mut self) -> Self {
+        let by_node = std::mem::take(&mut self.by_node);
+        Self { by_node, ..*self }
+    }
+
+    /// Start the next car of `node`'s train.
+    pub(crate) fn car(&mut self, node: NodeId) -> CarWriter<'_> {
+        if self.by_node.len() <= node {
+            self.by_node.resize_with(node + 1, Train::default);
+        }
+        let (tag, comm, timed) = (self.tag, self.comm, self.timed);
+        let Train { frame, longest, cars, payloads, exchanges } = &mut self.by_node[node];
+        let frame = frame.get_or_insert_with(|| TrainFrame::new(tag, comm, timed, *longest));
+        frame.begin_car();
+        CarWriter { frame, cars, payloads, exchanges, data_bearing: false, committed: false }
+    }
+
+    /// Every train with a car, by ascending node.
+    pub(crate) fn loaded(&mut self) -> impl Iterator<Item = (NodeId, &mut Train)> + '_ {
+        self.by_node.iter_mut().enumerate().filter(|(_, train)| !train.cars.is_empty())
+    }
+}
+
+/// A car being lowered: each step goes straight into its train's frame. It
+/// joins the train when [`CarWriter::commit`] names its task and channel;
+/// dropped before that, it leaves the train as it found it.
+pub(crate) struct CarWriter<'t> {
+    frame: &'t mut TrainFrame,
+    cars: &'t mut Vec<Car>,
+    payloads: &'t mut Vec<Bytes>,
+    exchanges: &'t mut Vec<Exchange>,
+    data_bearing: bool,
+    committed: bool,
+}
+
+impl CarWriter<'_> {
+    /// Append a step. A [`TaskStep::Retrieve`] makes the reply the data.
+    pub(crate) fn step(&mut self, step: &TaskStep) {
+        self.data_bearing |= matches!(step, TaskStep::Retrieve { .. });
+        self.frame.step(step);
+    }
+
+    /// Run `kernel` against `buffers`.
+    pub(crate) fn execute(
+        &mut self,
+        kernel: KernelId,
+        buffers: impl ExactSizeIterator<Item = BufferId>,
+    ) {
+        self.frame.execute(kernel, buffers);
+    }
+
     /// Receive `buffer` from the head: `data` follows the notification.
     pub(crate) fn recv_from_head(&mut self, buffer: BufferId, data: Bytes) {
         self.payloads.push(data);
-        self.steps.push(TaskStep::RecvFromHead { buffer });
+        self.step(&TaskStep::RecvFromHead { buffer });
     }
 
     /// Receive `buffer` — `bytes` of it — from worker `from`.
     pub(crate) fn recv_from_worker(&mut self, buffer: BufferId, from: NodeId, bytes: u64) {
         self.exchanges.push((from, buffer, bytes));
-        self.steps.push(TaskStep::RecvFromWorker { buffer, from });
+        self.step(&TaskStep::RecvFromWorker { buffer, from });
     }
 
-    /// Whether the task's reply is the data: its body is the buffer of a
+    /// Whether the car's reply is the data: its body is the buffer of a
     /// [`TaskStep::Retrieve`] step.
     pub(crate) fn returns_data(&self) -> bool {
-        self.steps.iter().any(|step| matches!(step, TaskStep::Retrieve { .. }))
+        self.data_bearing
+    }
+
+    /// The car joins its train as task `task`'s, on the channel `(tag, comm)`.
+    pub(crate) fn commit(mut self, task: usize, tag: Tag, comm: CommId) {
+        self.frame.end_car(tag, comm);
+        let (payloads, exchanges) = (self.payloads.len(), self.exchanges.len());
+        self.cars.push(Car { task, tag, comm, payloads, exchanges });
+        self.committed = true;
+    }
+}
+
+impl Drop for CarWriter<'_> {
+    fn drop(&mut self) {
+        if self.committed {
+            return;
+        }
+        self.frame.abandon_car();
+        let last = self.cars.last();
+        self.payloads.truncate(last.map_or(0, |car| car.payloads));
+        self.exchanges.truncate(last.map_or(0, |car| car.exchanges));
     }
 }
 
@@ -199,7 +363,7 @@ impl EventSystem {
         let data_bearing = work.returns_data();
         let Composite { steps, payloads, exchanges } = work;
         let channel = self.post(node, EventRequest::Task(TaskSpec { steps }))?;
-        let frames = self.send_frames(node, channel.tag, channel.comm, payloads, exchanges)?;
+        let frames = self.send_frames(node, channel.tag, channel.comm, &payloads, &exchanges)?;
         self.counters.record_tasks(1, frames);
         Ok(ReplyChannel { data_bearing, ..channel })
     }
@@ -216,16 +380,16 @@ impl EventSystem {
         node: NodeId,
         tag: Tag,
         comm: CommId,
-        payloads: Vec<Bytes>,
-        exchanges: Vec<(NodeId, BufferId, u64)>,
+        payloads: &[Bytes],
+        exchanges: &[Exchange],
     ) -> OmpcResult<Frames> {
         let lane = self.comm.on(comm)?;
         let mut frames = Frames::default();
         for payload in payloads {
             frames.add(payload.len() as u64);
-            lane.send_with_body(node, tag, Vec::new(), payload)?;
+            lane.send_with_body(node, tag, Vec::new(), payload.clone())?;
         }
-        for (from, buffer, bytes) in exchanges {
+        for &(from, buffer, bytes) in exchanges {
             let request = EventRequest::ExchangeSend { buffer, to: node };
             self.notify(from, &EventNotification { request, tag, comm, timed: false })?;
             frames.add(bytes);
@@ -282,7 +446,13 @@ impl EventSystem {
     }
 
     pub(crate) fn notify(&self, node: NodeId, notification: &EventNotification) -> OmpcResult<()> {
-        self.comm.send(node, CONTROL_TAG, notification.encode())?;
+        self.send_notification(node, notification.encode())
+    }
+
+    /// Send `node` an encoded notification — a train's frame, written as its
+    /// cars were lowered.
+    pub(crate) fn send_notification(&self, node: NodeId, frame: Vec<u8>) -> OmpcResult<()> {
+        self.comm.send(node, CONTROL_TAG, frame)?;
         Ok(())
     }
 
@@ -323,6 +493,22 @@ impl EventSystem {
     /// Tell `node` to leave its gate loop and terminate.
     pub fn shutdown(&self, node: NodeId) -> OmpcResult<()> {
         self.post(node, EventRequest::Shutdown).map(|_| ())
+    }
+}
+
+#[cfg(test)]
+impl Trains {
+    /// The one car of `node`'s train, read back out of the frame: a test's
+    /// view of a lowered car. The train is emptied.
+    pub(crate) fn only_car(&mut self, node: NodeId) -> OmpcResult<Composite> {
+        let train = &mut self.by_node[node];
+        let request = EventNotification::decode(&train.take_frame())?.request;
+        let EventRequest::TaskTrain(mut cars) = request else { panic!("not a train: {request:?}") };
+        assert_eq!(cars.len(), 1, "one car");
+        let steps = cars.pop().map(|car| car.spec.steps).unwrap_or_default();
+        let (payloads, exchanges) = (train.payloads.clone(), train.exchanges.clone());
+        train.clear();
+        Ok(Composite { steps, payloads, exchanges })
     }
 }
 

@@ -263,6 +263,7 @@ pub struct EventNotification {
     pub timed: bool,
 }
 
+#[derive(Debug)]
 struct Writer(Vec<u8>);
 
 impl Writer {
@@ -289,11 +290,19 @@ impl Writer {
         self.0.extend_from_slice(b);
     }
     /// A `u32` count and that many buffer ids ([`Reader::buffers`] reads it).
-    fn buffers(&mut self, buffers: &[BufferId]) {
+    fn buffers(&mut self, buffers: impl ExactSizeIterator<Item = BufferId>) {
         self.u32(buffers.len() as u32);
         for b in buffers {
             self.u64(b.0);
         }
+    }
+    /// Overwrite the `u32` written at `at`.
+    fn patch_u32(&mut self, at: usize, v: u32) {
+        self.0[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+    /// Overwrite the `u64` written at `at`.
+    fn patch_u64(&mut self, at: usize, v: u64) {
+        self.0[at..at + 8].copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -439,9 +448,7 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
             w.u64(buffer.0);
         }
         TaskStep::Execute { kernel, buffers } => {
-            w.u8(STEP_EXECUTE);
-            w.u64(kernel.0 as u64);
-            w.buffers(buffers);
+            encode_execute(w, *kernel, buffers.iter().copied())
         }
         TaskStep::Push { buffer, to: node, tag, comm }
         | TaskStep::Claim { buffer, from: node, tag, comm } => {
@@ -454,6 +461,17 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
             encode_channel(w, *from, *tag, *comm);
         }
     }
+}
+
+/// A [`TaskStep::Execute`] step, its buffers read off an iterator.
+fn encode_execute(
+    w: &mut Writer,
+    kernel: KernelId,
+    buffers: impl ExactSizeIterator<Item = BufferId>,
+) {
+    w.u8(STEP_EXECUTE);
+    w.u64(kernel.0 as u64);
+    w.buffers(buffers);
 }
 
 fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
@@ -524,9 +542,7 @@ impl EventNotification {
                 w.u8(KIND_TASK_TRAIN);
                 w.u32(cars.len() as u32);
                 for car in cars {
-                    w.u64(car.tag.0);
-                    w.u32(car.comm.0);
-                    w.u32(car.spec.steps.len() as u32);
+                    encode_car_header(&mut w, car.tag, car.comm, car.spec.steps.len() as u32);
                     for step in &car.spec.steps {
                         encode_step(&mut w, step);
                     }
@@ -575,6 +591,92 @@ impl EventNotification {
             }
         };
         Ok(Self { request, tag, comm, timed })
+    }
+}
+
+/// Where a train's car count sits in its notification: after the envelope's
+/// tag (8 bytes), communicator (4), `timed` flag (1) and kind (1).
+const TRAIN_CARS_AT: usize = 14;
+
+/// What leads each car of a train: its channel, then its step count.
+fn encode_car_header(w: &mut Writer, tag: Tag, comm: CommId, steps: u32) {
+    w.u64(tag.0);
+    w.u32(comm.0);
+    w.u32(steps);
+}
+
+/// An [`EventRequest::TaskTrain`] notification written car by car, as the
+/// head lowers the cars — byte for byte what [`EventNotification::encode`]
+/// writes for the same train, with no [`TrainCar`], step list or buffer list
+/// built on the way. A car's channel and step count are filled in when it is
+/// closed ([`TrainFrame::end_car`]), the car count when the train departs
+/// ([`TrainFrame::finish`]).
+#[derive(Debug)]
+pub(crate) struct TrainFrame {
+    w: Writer,
+    /// Cars closed so far.
+    cars: u32,
+    /// Where the open car's header starts, and the steps written since.
+    car_at: usize,
+    steps: u32,
+}
+
+impl TrainFrame {
+    /// The envelope of a train on the `(tag, comm)` channel, with room for
+    /// `capacity` bytes before the frame grows.
+    pub(crate) fn new(tag: Tag, comm: CommId, timed: bool, capacity: usize) -> Self {
+        let mut w = Writer::with_capacity(capacity.max(TRAIN_CARS_AT + 4));
+        w.u64(tag.0);
+        w.u32(comm.0);
+        w.u8(timed as u8);
+        w.u8(KIND_TASK_TRAIN);
+        w.u32(0);
+        Self { w, cars: 0, car_at: 0, steps: 0 }
+    }
+
+    /// Open the next car: its steps follow.
+    pub(crate) fn begin_car(&mut self) {
+        self.car_at = self.w.0.len();
+        self.steps = 0;
+        encode_car_header(&mut self.w, Tag(0), CommId(0), 0);
+    }
+
+    /// Append a step to the open car.
+    pub(crate) fn step(&mut self, step: &TaskStep) {
+        encode_step(&mut self.w, step);
+        self.steps += 1;
+    }
+
+    /// Append a [`TaskStep::Execute`] of `kernel` on `buffers` to the open
+    /// car, the buffer ids read straight off the iterator.
+    pub(crate) fn execute(
+        &mut self,
+        kernel: KernelId,
+        buffers: impl ExactSizeIterator<Item = BufferId>,
+    ) {
+        encode_execute(&mut self.w, kernel, buffers);
+        self.steps += 1;
+    }
+
+    /// Close the open car, naming its channel `(tag, comm)`.
+    pub(crate) fn end_car(&mut self, tag: Tag, comm: CommId) {
+        let at = self.car_at;
+        self.w.patch_u64(at, tag.0);
+        self.w.patch_u32(at + 8, comm.0);
+        self.w.patch_u32(at + 12, self.steps);
+        self.cars += 1;
+    }
+
+    /// Take the open car back out: the frame is as it was before
+    /// [`TrainFrame::begin_car`].
+    pub(crate) fn abandon_car(&mut self) {
+        self.w.0.truncate(self.car_at);
+    }
+
+    /// The finished notification, its car count filled in.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        self.w.patch_u32(TRAIN_CARS_AT, self.cars);
+        self.w.0
     }
 }
 
@@ -1388,6 +1490,53 @@ mod tests {
             assert!(payload_body(&[], Some(body.clone())).unwrap().same_allocation(&body));
             assert!(payload_body(&[], None).is_err(), "a payload message without its payload");
             assert!(payload_body(&[0], Some(body)).is_err(), "a header on a raw payload");
+        }
+    }
+
+    /// The frame the head writes car by car as it lowers them is the
+    /// notification [`EventNotification::encode`] writes for the same train,
+    /// byte for byte, and decodes back to that train: 600 seeded trains of
+    /// up to six cars of every step kind, timed and not, each written into a
+    /// frame that must grow, a car abandoned half-written along the way.
+    #[test]
+    fn a_train_written_car_by_car_is_the_encoded_notification() {
+        for seed in 0..600 {
+            let rng = &mut Rng::new(seed);
+            let cars: Vec<TrainCar> = (0..rng.range(0, 7))
+                .map(|_| TrainCar {
+                    tag: Tag(rng.next_u64()),
+                    comm: CommId(rng.next_u64() as u32),
+                    spec: TaskSpec { steps: arb_steps(rng) },
+                })
+                .collect();
+            let (tag, comm, timed) =
+                (Tag(rng.next_u64()), CommId(rng.next_u64() as u32), seed % 2 == 1);
+            let write = |frame: &mut TrainFrame, steps: &[TaskStep]| {
+                for step in steps {
+                    match step {
+                        TaskStep::Execute { kernel, buffers } => {
+                            frame.execute(*kernel, buffers.iter().copied())
+                        }
+                        step => frame.step(step),
+                    }
+                }
+            };
+            let mut frame = TrainFrame::new(tag, comm, timed, rng.range_usize(0, 64));
+            let abandoned = rng.range_usize(0, cars.len() + 1);
+            for (at, car) in cars.iter().enumerate() {
+                if at == abandoned {
+                    frame.begin_car();
+                    write(&mut frame, &arb_steps(rng));
+                    frame.abandon_car();
+                }
+                frame.begin_car();
+                write(&mut frame, &car.spec.steps);
+                frame.end_car(car.tag, car.comm);
+            }
+            let n = EventNotification { request: EventRequest::TaskTrain(cars), tag, comm, timed };
+            let bytes = frame.finish();
+            assert_eq!(bytes, n.encode(), "seed {seed}");
+            assert_eq!(EventNotification::decode(&bytes), Ok(n), "seed {seed}");
         }
     }
 

@@ -2,9 +2,10 @@
 //! deciding what moves, §4.2 moving it), which the message-passing
 //! transport (`runtime/mpi.rs`) delivers.
 //!
-//! [`Lowering::lower`] turns a task plus the [`DataManager`]'s residency
+//! [`Lowering::lower_into`] turns a task plus the [`DataManager`]'s residency
 //! state into the wire vocabulary the workers speak — every region task
-//! that moves bytes becomes one [`Composite`], a car of its node's train:
+//! that moves bytes becomes one car of its node's train, its steps written
+//! straight into the train's frame ([`CarWriter`]):
 //!
 //! * a target task: `Delete`* / `RecvFromHead` / `RecvFromWorker` / `Claim`
 //!   / `AwaitLocal` / `Alloc` / `Execute` / `Push`* steps with their payload
@@ -67,7 +68,7 @@ use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
 use crate::data_manager::{Booking, DataManager, TransferReason, TransferState, HEAD_NODE};
-use crate::event::{Composite, EventSystem, TypedReply};
+use crate::event::{CarWriter, EventSystem, Trains, TypedReply};
 use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
@@ -75,6 +76,7 @@ use ompc_mpi::{Bytes, CommId, Tag};
 use ompc_sched::Platform;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The kernel id injected task errors execute against: guaranteed to be
@@ -150,13 +152,13 @@ impl DataPath {
     }
 }
 
-/// What [`Lowering::lower`] made of a task.
-pub(crate) enum Lowered {
+/// What [`Lowering::lower_into`] made of a task.
+pub(crate) enum Lowered<C> {
     /// Nothing to deliver: the task is complete.
     Done,
-    /// Deliver the composite to [`Record::node`] as a car; retire with its
-    /// reply.
-    Task(Composite, Record),
+    /// The car `C`, written into [`Record::node`]'s train: deliver it once
+    /// its channel is open ([`CarWriter::commit`]); retire with its reply.
+    Task(C, Record),
     /// Another owner has these inputs on the wire towards the task's node:
     /// nothing was booked — lower the task again once
     /// [`Lowering::awaited`] says so.
@@ -168,14 +170,26 @@ pub(crate) struct Record {
     /// The node the car goes to and its effects land on (for an exit-data
     /// retrieval, the node the bytes come from).
     node: NodeId,
-    /// Buffers whose inbound transfer to `node` this task has booked.
-    owned: Vec<BufferId>,
+    /// Where this lowering's entries are in the [`Booked`] tables: the
+    /// buffers whose inbound transfer to `node` it booked, the pushes it
+    /// claimed (their buffers are among those), and the copies it pushes,
+    /// booked when it succeeds.
+    owned: Range<usize>,
+    claims: Range<usize>,
+    pushes: Range<usize>,
     /// Deferred deletes attached as prologue steps.
     deletes: Vec<BufferId>,
     kind: RecordKind,
 }
 
 impl Record {
+    /// The record of a car to `node` that booked nothing and carries no
+    /// delete.
+    fn new(node: NodeId, kind: RecordKind) -> Self {
+        let (owned, claims, pushes, deletes) = (0..0, 0..0, 0..0, Vec::new());
+        Self { node, owned, claims, pushes, deletes, kind }
+    }
+
     /// The node the car goes to: the task's own, or for an exit-data task
     /// the node the bytes come from.
     pub(crate) fn node(&self) -> NodeId {
@@ -185,14 +199,9 @@ impl Record {
 
 enum RecordKind {
     /// What it writes is read off the graph when it retires.
-    Target {
-        /// Pushes it claimed (their buffers are in `owned`).
-        claims: Vec<Push>,
-        /// Copies its composite pushes, booked when it succeeds.
-        pushes: Vec<Push>,
-    },
-    /// The transfer is in `owned` — or, for an alloc, `replica` is the copy
-    /// to record on success.
+    Target,
+    /// The transfer is owned — or, for an alloc, `replica` is the copy to
+    /// record on success.
     EnterData { replica: Option<BufferId> },
     /// The reply's body is the buffer contents; `release` the device copies
     /// afterwards unless the buffer is keep-resident.
@@ -210,23 +219,26 @@ struct Push {
     comm: CommId,
 }
 
-/// A target task's inputs as planned.
-struct Inputs {
-    work: Composite,
+/// What the lowerings of this execution booked, appended as each task is
+/// lowered: the inbound transfers it owns, the pushes it claims and the
+/// copies it pushes. A task is lowered under one lock, so its entries are
+/// contiguous and its [`Record`] keeps only where they are: lowering a task
+/// allocates nothing, and the tables grow by doubling.
+#[derive(Default)]
+struct Booked {
     owned: Vec<BufferId>,
     claims: Vec<Push>,
+    pushes: Vec<Push>,
 }
 
-impl Inputs {
-    /// Claim the unclaimed push of `buffer` to `node`, if there is one.
-    fn claim(&mut self, state: &mut State, buffer: BufferId, node: NodeId) -> bool {
-        let Some(push) = state.unclaimed.remove(&(buffer, node)) else { return false };
-        let Push { from, tag, comm, .. } = push;
-        self.work.steps.push(TaskStep::Claim { buffer, from, tag, comm });
-        self.owned.push(buffer);
-        self.claims.push(push);
-        true
-    }
+/// Claim for `car` the unclaimed push of `buffer` to `node`, if there is one.
+fn claim(state: &mut State, car: &mut CarWriter, buffer: BufferId, node: NodeId) -> bool {
+    let Some(push) = state.unclaimed.remove(&(buffer, node)) else { return false };
+    let Push { from, tag, comm, .. } = push;
+    car.step(&TaskStep::Claim { buffer, from, tag, comm });
+    state.booked.owned.push(buffer);
+    state.booked.claims.push(push);
+    true
 }
 
 #[derive(Default)]
@@ -237,15 +249,20 @@ struct State {
     unclaimed: BTreeMap<(BufferId, NodeId), Push>,
     /// Pushes sent that nobody will claim, owed a drop ([`Lowering::flush_deletes`]).
     discards: Vec<Push>,
+    booked: Booked,
+    /// Where [`Lowering::plan_pushes`] sorts a producer's pushes.
+    scratch: Vec<Push>,
 }
 
 /// Deferred maintenance rides along: the deletes queued for `node` since its
-/// last car become `work`'s prologue steps — ordered before any receive of
-/// the same buffer, costing no extra round trip. Returns them.
-fn take_deletes(state: &mut State, node: NodeId, work: &mut Composite) -> Vec<BufferId> {
+/// last car become `car`'s first steps — ordered before any receive of the
+/// same buffer, costing no extra round trip. Returns them.
+fn take_deletes(state: &mut State, node: NodeId, car: &mut CarWriter) -> Vec<BufferId> {
     let deletes: Vec<BufferId> =
         state.deferred_deletes.remove(&node).unwrap_or_default().into_iter().collect();
-    work.steps.splice(0..0, deletes.iter().map(|&buffer| TaskStep::Delete { buffer }));
+    for &buffer in &deletes {
+        car.step(&TaskStep::Delete { buffer });
+    }
     deletes
 }
 
@@ -288,10 +305,16 @@ impl Lowering {
         Span::new(phase, node, t0, monotonic_us()).task(task).attempt(attempt)
     }
 
-    /// Lower task `tid`, assigned to `node`. `Err` is a head-side task
-    /// failure (a rejected plan, a failed host flush, a panicking host
-    /// body) with nothing left to roll back.
-    pub(crate) fn lower(&self, tid: usize, node: NodeId) -> OmpcResult<Lowered> {
+    /// Lower task `tid`, assigned to `node`, writing its car into the train
+    /// of the node it goes to. `Err` is a head-side task failure (a
+    /// rejected plan, a failed host flush, a panicking host body) with
+    /// nothing left to roll back.
+    pub(crate) fn lower_into<'t>(
+        &self,
+        tid: usize,
+        node: NodeId,
+        trains: &'t mut Trains,
+    ) -> OmpcResult<Lowered<CarWriter<'t>>> {
         if node != HEAD_NODE && self.path.dm.lock().is_failed(node) {
             // The failure injector killed this node: the task completes as
             // a no-op whose (stale) completion the core discards and
@@ -302,9 +325,11 @@ impl Lowering {
         match &task.kind {
             TaskKind::Host { .. } => self.run_host_task(tid, task).map(|()| Lowered::Done),
             TaskKind::EnterData { .. } if node == HEAD_NODE => Ok(Lowered::Done),
-            TaskKind::EnterData { buffer, map } => self.lower_enter(tid, node, *buffer, *map),
-            TaskKind::ExitData { buffer, map } => Ok(self.lower_exit(node, *buffer, *map)),
-            TaskKind::Target { kernel, .. } => self.lower_target(tid, node, task, *kernel),
+            TaskKind::EnterData { buffer, map } => {
+                self.lower_enter(tid, node, *buffer, *map, trains)
+            }
+            TaskKind::ExitData { buffer, map } => Ok(self.lower_exit(node, *buffer, *map, trains)),
+            TaskKind::Target { kernel, .. } => self.lower_target(tid, node, task, *kernel, trains),
         }
     }
 
@@ -342,16 +367,22 @@ impl Lowering {
     /// its way (OpenMP present-table semantics: re-entering mapped data does
     /// not copy; the first reader awaits a booked transfer). The car takes
     /// the node's deferred deletes ahead of its receive, as a target car does.
-    fn lower_enter(
+    fn lower_enter<'t>(
         &self,
         tid: usize,
         node: NodeId,
         buffer: BufferId,
         map: MapType,
-    ) -> OmpcResult<Lowered> {
+        trains: &'t mut Trains,
+    ) -> OmpcResult<Lowered<CarWriter<'t>>> {
+        /// The one step the car carries after its deletes.
+        enum Input {
+            Head(Bytes),
+            Worker(NodeId, u64),
+            Alloc(u64),
+        }
         let mut state = self.state.lock();
-        let mut work = Composite::default();
-        let (owned, replica) = match map {
+        let input = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
                 let reason = TransferReason::EnterData;
                 let booking = self.path.dm.lock().book(self.region, buffer, node, reason)?;
@@ -359,10 +390,10 @@ impl Lowering {
                     Booking::Present | Booking::Await => return Ok(Lowered::Done),
                     Booking::Move(plan) if plan.from != HEAD_NODE => {
                         let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
-                        work.recv_from_worker(buffer, plan.from, bytes);
+                        Input::Worker(plan.from, bytes)
                     }
                     Booking::Move(_) => match self.host_payload(buffer, tid) {
-                        Ok(frame) => work.recv_from_head(buffer, frame),
+                        Ok(frame) => Input::Head(frame),
                         Err(e) => {
                             let failed = Err(e.clone());
                             let _ = self.finish(&mut self.path.dm.lock(), node, &[buffer], &failed);
@@ -370,24 +401,47 @@ impl Lowering {
                         }
                     },
                 }
-                (vec![buffer], None)
             }
             MapType::Alloc if !self.path.dm.lock().is_present(buffer, node) => {
-                let size = self.path.buffers.size_of(buffer)? as u64;
-                work.steps.push(TaskStep::Alloc { buffer, size });
-                (Vec::new(), Some(buffer))
+                Input::Alloc(self.path.buffers.size_of(buffer)? as u64)
             }
             MapType::Alloc | MapType::From | MapType::Release => return Ok(Lowered::Done),
         };
-        let deletes = take_deletes(&mut state, node, &mut work);
+        let mut car = trains.car(node);
+        let deletes = take_deletes(&mut state, node, &mut car);
+        let from = state.booked.owned.len();
+        let replica = match input {
+            Input::Head(frame) => {
+                car.recv_from_head(buffer, frame);
+                None
+            }
+            Input::Worker(from, bytes) => {
+                car.recv_from_worker(buffer, from, bytes);
+                None
+            }
+            Input::Alloc(size) => {
+                car.step(&TaskStep::Alloc { buffer, size });
+                Some(buffer)
+            }
+        };
+        if replica.is_none() {
+            state.booked.owned.push(buffer);
+        }
+        let owned = from..state.booked.owned.len();
         let kind = RecordKind::EnterData { replica };
-        Ok(Lowered::Task(work, Record { node, owned, deletes, kind }))
+        Ok(Lowered::Task(car, Record { owned, deletes, ..Record::new(node, kind) }))
     }
 
     /// A read-only plan: the latest-on-head commit (and its log entry)
     /// happens in [`Lowering::retire`] once the bytes arrived, so a source
     /// that dies mid-retrieval leaves the location state truthful.
-    fn lower_exit(&self, node: NodeId, buffer: BufferId, map: MapType) -> Lowered {
+    fn lower_exit<'t>(
+        &self,
+        node: NodeId,
+        buffer: BufferId,
+        map: MapType,
+        trains: &'t mut Trains,
+    ) -> Lowered<CarWriter<'t>> {
         let (from, keep_resident) = {
             let dm = self.path.dm.lock();
             let copies = map.copies_from_device();
@@ -406,13 +460,10 @@ impl Lowering {
         };
         match from {
             Some(from) => {
-                let work =
-                    Composite { steps: vec![TaskStep::Retrieve { buffer }], ..Default::default() };
+                let mut car = trains.car(from);
+                car.step(&TaskStep::Retrieve { buffer });
                 let kind = RecordKind::ExitData { buffer, release: !keep_resident };
-                Lowered::Task(
-                    work,
-                    Record { node: from, owned: Vec::new(), deletes: Vec::new(), kind },
-                )
+                Lowered::Task(car, Record::new(from, kind))
             }
             None => {
                 if !keep_resident {
@@ -423,13 +474,14 @@ impl Lowering {
         }
     }
 
-    fn lower_target(
+    fn lower_target<'t>(
         &self,
         tid: usize,
         node: NodeId,
         task: &TargetTask,
         kernel: KernelId,
-    ) -> OmpcResult<Lowered> {
+        trains: &'t mut Trains,
+    ) -> OmpcResult<Lowered<CarWriter<'t>>> {
         // Injected task error (fault plan): execute a deliberately
         // unregistered kernel so a genuine worker-side handler error
         // exercises the reply path end to end.
@@ -451,31 +503,29 @@ impl Lowering {
                 return Ok(Lowered::Parked(awaiting));
             }
         }
-        let pushes = self.plan_pushes(&state, &dm, tid, node);
-        // The composite's one allocation: the deletes it carries, a step per
-        // dependence at most, the kernel and the pushes.
-        let owed = state.deferred_deletes.get(&node).map_or(0, BTreeSet::len);
-        let steps = owed + task.dependences.len() + 1 + pushes.len();
-        let mut inputs = Inputs {
-            work: Composite { steps: Vec::with_capacity(steps), ..Composite::default() },
-            owned: Vec::new(),
-            claims: Vec::new(),
-        };
-        let planned = self.plan_inputs(&mut state, &mut dm, tid, node, task, &mut inputs);
+        let pushes = self.plan_pushes(&mut state, &dm, tid, node);
+        // The car: the deletes it carries, a step per dependence at most, the
+        // kernel and the pushes.
+        let mut car = trains.car(node);
+        let deletes = take_deletes(&mut state, node, &mut car);
+        let (owned, claims) = (state.booked.owned.len(), state.booked.claims.len());
+        let planned = self.plan_inputs(&mut state, &mut dm, tid, node, task, &mut car);
         drop(dm);
-        let Inputs { mut work, owned, claims } = inputs;
-        let deletes = take_deletes(&mut state, node, &mut work);
-        let buffers = task.dependences.iter().map(|d| d.buffer).collect();
-        work.steps.push(TaskStep::Execute { kernel, buffers });
-        let push =
-            |p: &Push| TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag, comm: p.comm };
-        work.steps.extend(pushes.iter().map(push));
-        let record = Record { node, owned, deletes, kind: RecordKind::Target { claims, pushes } };
+        let owned = owned..state.booked.owned.len();
+        let claims = claims..state.booked.claims.len();
+        car.execute(kernel, task.dependences.iter().map(|d| d.buffer));
+        for p in &state.booked.pushes[pushes.clone()] {
+            car.step(&TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag, comm: p.comm });
+        }
+        let record =
+            Record { owned, claims, pushes, deletes, ..Record::new(node, RecordKind::Target) };
         match planned {
-            Ok(()) => Ok(Lowered::Task(work, record)),
+            Ok(()) => Ok(Lowered::Task(car, record)),
             Err(error) => {
-                // A rejected plan (an unknown buffer) aborts the task;
-                // resolve what was already booked so its waiters error out.
+                // A rejected plan (an unknown buffer) aborts the task: its
+                // car leaves the train, and what was already booked is
+                // resolved so its waiters error out.
+                drop(car);
                 self.roll_back(&mut state, record, &error, true);
                 Err(error)
             }
@@ -492,39 +542,49 @@ impl Lowering {
         tid: usize,
         node: NodeId,
         task: &TargetTask,
-        inputs: &mut Inputs,
+        car: &mut CarWriter,
     ) -> OmpcResult<()> {
         for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
-            self.plan_read(state, dm, tid, node, dep.buffer, inputs)?;
+            self.plan_read(state, dm, tid, node, dep.buffer, car)?;
         }
         // Write-only outputs: make sure storage exists on the node — an unclaimed copy
         // pushed here will do. It becomes the buffer's one holder when the write is recorded.
         for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
-            if !inputs.claim(state, dep.buffer, node) && !dm.is_present(dep.buffer, node) {
+            if !claim(state, car, dep.buffer, node) && !dm.is_present(dep.buffer, node) {
                 let size = self.path.buffers.size_of(dep.buffer)? as u64;
-                inputs.work.steps.push(TaskStep::Alloc { buffer: dep.buffer, size });
+                car.step(&TaskStep::Alloc { buffer: dep.buffer, size });
             }
         }
         Ok(())
     }
 
     /// Where task `tid` on `node` pushes what it writes, by destination and
-    /// buffer, each on a fresh channel.
-    fn plan_pushes(&self, state: &State, dm: &DataManager, tid: usize, node: NodeId) -> Vec<Push> {
+    /// buffer, each on a fresh channel: sorted in the scratch list, then
+    /// appended to the [`Booked`] pushes. Returns where they are.
+    fn plan_pushes(
+        &self,
+        state: &mut State,
+        dm: &DataManager,
+        tid: usize,
+        node: NodeId,
+    ) -> Range<usize> {
         let target =
             |&(b, r): &(BufferId, TaskId)| self.graph.task(r).kind.is_target().then_some((r.0, b));
         let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
         // Channels are opened once the pushes are sorted and unique.
         let (tag, comm) = (Tag(0), CommId(0));
         let push = |(to, buffer)| Push { producer: TaskId(tid), buffer, from: node, to, tag, comm };
-        let mut pushes: Vec<Push> =
-            super::push_targets(readers, node, &state.assignment, dm).map(push).collect();
-        pushes.sort_unstable_by_key(|p| (p.to, p.buffer));
-        pushes.dedup_by_key(|p| (p.to, p.buffer));
-        for push in &mut pushes {
-            (push.tag, push.comm) = self.path.events.open_channel();
-        }
-        pushes
+        let State { assignment, booked, scratch, .. } = state;
+        scratch.clear();
+        scratch.extend(super::push_targets(readers, node, assignment, dm).map(push));
+        scratch.sort_unstable_by_key(|p| (p.to, p.buffer));
+        scratch.dedup_by_key(|p| (p.to, p.buffer));
+        let from = booked.pushes.len();
+        booked.pushes.extend(scratch.iter().map(|push| {
+            let (tag, comm) = self.path.events.open_channel();
+            Push { tag, comm, ..*push }
+        }));
+        from..booked.pushes.len()
     }
 
     /// Whether another region execution has `buffer` on the wire towards
@@ -568,29 +628,29 @@ impl Lowering {
         tid: usize,
         node: NodeId,
         buffer: BufferId,
-        inputs: &mut Inputs,
+        car: &mut CarWriter,
     ) -> OmpcResult<()> {
         // The booking is made at lowering time: a later co-located reader
         // must await the arrival even though the bytes have not left yet.
         let plan = match dm.book(self.region, buffer, node, TransferReason::Input)? {
             Booking::Present => return Ok(()),
             // The first reader of a pushed copy claims it, later ones await.
-            Booking::Await if inputs.claim(state, buffer, node) => return Ok(()),
+            Booking::Await if claim(state, car, buffer, node) => return Ok(()),
             Booking::Await => {
                 // The receive lands or fails by itself; the reply time-out
                 // is only the last resort.
                 let timeout_ms = self.config.event_reply_timeout_ms.unwrap_or(u64::MAX);
-                inputs.work.steps.push(TaskStep::AwaitLocal { buffer, timeout_ms });
+                car.step(&TaskStep::AwaitLocal { buffer, timeout_ms });
                 return Ok(());
             }
             Booking::Move(plan) => plan,
         };
-        inputs.owned.push(buffer);
+        state.booked.owned.push(buffer);
         if plan.from == HEAD_NODE {
-            inputs.work.recv_from_head(buffer, self.host_payload(buffer, tid)?);
+            car.recv_from_head(buffer, self.host_payload(buffer, tid)?);
         } else {
             let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
-            inputs.work.recv_from_worker(buffer, plan.from, bytes);
+            car.recv_from_worker(buffer, plan.from, bytes);
         }
         Ok(())
     }
@@ -634,11 +694,11 @@ impl Lowering {
         };
         let tel = &self.path.telemetry;
         let t0 = tel.start();
-        let Record { node, owned, kind, .. } = record;
+        let Record { node, owned, pushes, kind, .. } = record;
         if let Some(s) = stamps {
             let attempt = tel.attempt(task);
             // A car without a kernel ships no compute span.
-            let kernel = matches!(kind, RecordKind::Target { .. }).then_some((
+            let kernel = matches!(kind, RecordKind::Target).then_some((
                 SpanPhase::Compute,
                 s.exec_start_us,
                 s.exec_end_us,
@@ -652,14 +712,14 @@ impl Lowering {
             }
         }
         match kind {
-            RecordKind::Target { pushes, .. } => {
+            RecordKind::Target => {
                 let writes = || {
                     let deps = self.graph.task(TaskId(task)).dependences.iter();
                     deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer)
                 };
                 let mut state = self.state.lock();
                 let mut dm = self.path.dm.lock();
-                self.finish(&mut dm, node, &owned, &Ok(()))?;
+                self.finish(&mut dm, node, &state.booked.owned[owned], &Ok(()))?;
                 // Nobody may claim a version this task supersedes any more.
                 self.end_pushes(&mut state, &mut dm, None, |p| writes().any(|b| b == p.buffer));
                 // The copy on `node` is now the only valid one; the stale
@@ -674,8 +734,9 @@ impl Lowering {
                 self.book_pushes(&mut state, &mut dm, pushes);
             }
             RecordKind::EnterData { replica } => {
+                let state = self.state.lock();
                 let mut dm = self.path.dm.lock();
-                self.finish(&mut dm, node, &owned, &Ok(()))?;
+                self.finish(&mut dm, node, &state.booked.owned[owned], &Ok(()))?;
                 if let Some(buffer) = replica {
                     dm.record_replica(buffer, node)?;
                 }
@@ -702,9 +763,10 @@ impl Lowering {
     /// Book a succeeded producer's pushes as its readers' input transfers: a data movement
     /// each, but no event. One from a dead producer, one whose node hosts no reader of it any
     /// more (a recovery moved them) and one the table refuses are dropped.
-    fn book_pushes(&self, state: &mut State, dm: &mut DataManager, pushes: Vec<Push>) {
+    fn book_pushes(&self, state: &mut State, dm: &mut DataManager, pushes: Range<usize>) {
         let (region, input) = (self.region, TransferReason::Input);
-        for push in pushes {
+        for at in pushes {
+            let push = state.booked.pushes[at];
             let bookable = !dm.is_failed(push.from) && self.read_at(&state.assignment, &push);
             let booking = bookable.then(|| dm.book(region, push.buffer, push.to, input));
             if let Some(Ok(Booking::Move(_))) = booking {
@@ -761,12 +823,11 @@ impl Lowering {
     /// and whoever awaits one of them fails with `error` — a killed source keeps its blame —
     /// instead of blocking. A copy it claimed is owed a drop, in case no step took it.
     fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
-        let Record { node, owned, deletes, kind } = record;
+        let Record { node, owned, claims, deletes, .. } = record;
         let mut dm = self.path.dm.lock();
-        let _ = self.finish(&mut dm, node, &owned, &Err(error.clone()));
-        if let RecordKind::Target { claims, .. } = kind {
-            state.discards.extend(claims);
-        }
+        let State { booked, discards, .. } = state;
+        let _ = self.finish(&mut dm, node, &booked.owned[owned], &Err(error.clone()));
+        discards.extend_from_slice(&booked.claims[claims]);
         // A car that reached the worker ran its deletes first: they cannot fail.
         if unsent && !deletes.is_empty() && !dm.is_failed(node) {
             state.deferred_deletes.entry(node).or_default().extend(deletes);
@@ -861,6 +922,27 @@ impl Lowering {
             alive_workers,
             &residency,
         )
+    }
+}
+
+#[cfg(test)]
+use crate::event::Composite;
+
+#[cfg(test)]
+impl Lowering {
+    /// [`Lowering::lower_into`] a train of its own, and the car read back
+    /// out of its frame: a test's view of one lowered task.
+    pub(crate) fn lower(&self, tid: usize, node: NodeId) -> OmpcResult<Lowered<Composite>> {
+        let mut trains = Trains::new(Tag(0), CommId(0), false);
+        let record = match self.lower_into(tid, node, &mut trains)? {
+            Lowered::Task(car, record) => {
+                car.commit(tid, Tag(0), CommId(0));
+                record
+            }
+            Lowered::Done => return Ok(Lowered::Done),
+            Lowered::Parked(awaiting) => return Ok(Lowered::Parked(awaiting)),
+        };
+        Ok(Lowered::Task(trains.only_car(record.node())?, record))
     }
 }
 

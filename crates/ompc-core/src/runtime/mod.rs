@@ -431,14 +431,16 @@ pub trait ExecutionBackend {
     fn assign(&mut self, assignment: &[NodeId]);
 
     /// Wait until at least one launched task has produced an outcome and
-    /// return the events in completion order. When a completion's node has
+    /// append the events, in completion order, to `events` — a list the core
+    /// owns, hands over empty and reuses every round, so the completion
+    /// stream costs the head no allocation. When a completion's node has
     /// been killed by the failure injector, it is *stale*: the core
     /// discards the result and requeues the task instead of retiring it.
     /// A [`TaskEvent::Failed`] whose blamed node is dead is handled the
     /// same way; any other failure propagates. `Err` from this method is
     /// reserved for backend-level breakdowns (a broken transport, a stalled
     /// engine) that abort the run outright.
-    fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>>;
+    fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()>;
 
     /// Drain results and shut down. Called once, after every task retired.
     fn epilogue(&mut self) -> OmpcResult<()> {
@@ -714,14 +716,17 @@ impl RuntimeCore {
         backend.prologue()?;
         backend.assign(&self.assignment);
         self.fill_window(backend)?;
+        // The completion stream, one list for the whole run: emptied as each
+        // round is handled, so no round sees another's events.
+        let mut events = Vec::new();
         while self.completed < self.total {
-            let events = backend.await_completions()?;
+            backend.await_completions(&mut events)?;
             if events.is_empty() {
                 return Err(OmpcError::Internal(
                     "execution backend reported no progress".to_string(),
                 ));
             }
-            for event in events {
+            for event in events.drain(..) {
                 self.on_event(event, backend)?;
             }
             if self.faults.is_some() {
@@ -1053,8 +1058,9 @@ mod tests {
             self.running.push(task);
             Ok(())
         }
-        fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-            Ok(self.running.pop().map(TaskEvent::Completed).into_iter().collect())
+        fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+            events.extend(self.running.pop().map(TaskEvent::Completed));
+            Ok(())
         }
         fn epilogue(&mut self) -> OmpcResult<()> {
             self.epilogues += 1;
@@ -1143,14 +1149,54 @@ mod tests {
             fn launch(&mut self, _: usize, _: NodeId) -> OmpcResult<()> {
                 Ok(())
             }
-            fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-                Ok(Vec::new())
+            fn await_completions(&mut self, _: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+                Ok(())
             }
         }
         let w = diamond();
         let mut core = RuntimeCore::new(&w, &plan_with_window(&w, 2));
         let err = core.execute(&mut Stalled).unwrap_err();
         assert!(matches!(err, OmpcError::Internal(_)));
+    }
+
+    /// The core hands every round an empty list and handles only what that
+    /// round appended: a backend appending one completion per round runs the
+    /// graph to its end, and one that stops appending is stalled — the
+    /// no-progress error, not a replay of the round before.
+    #[test]
+    fn the_reused_event_list_carries_nothing_into_the_next_round() {
+        struct Appending {
+            running: Vec<usize>,
+            rounds: usize,
+            stall_after: usize,
+        }
+        impl ExecutionBackend for Appending {
+            fn assign(&mut self, _: &[NodeId]) {}
+
+            fn launch(&mut self, task: usize, _: NodeId) -> OmpcResult<()> {
+                self.running.push(task);
+                Ok(())
+            }
+            fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+                assert!(events.is_empty(), "round {} was handed {events:?}", self.rounds);
+                self.rounds += 1;
+                if self.rounds <= self.stall_after {
+                    events.extend(self.running.pop().map(TaskEvent::Completed));
+                }
+                Ok(())
+            }
+        }
+        let w = diamond();
+        let mut backend = Appending { running: Vec::new(), rounds: 0, stall_after: usize::MAX };
+        let mut core = RuntimeCore::new(&w, &plan_with_window(&w, 2));
+        core.execute(&mut backend).unwrap();
+        assert_eq!((core.completed(), backend.rounds), (4, 4));
+
+        let mut stalled = Appending { running: Vec::new(), rounds: 0, stall_after: 1 };
+        let mut core = RuntimeCore::new(&w, &plan_with_window(&w, 2));
+        let err = core.execute(&mut stalled).unwrap_err();
+        assert_eq!(err, OmpcError::Internal("execution backend reported no progress".into()));
+        assert_eq!((core.completed(), stalled.rounds), (1, 2));
     }
 
     #[test]
@@ -1356,8 +1402,8 @@ mod tests {
             self.ran_on.insert(task, node);
             self.inner.launch(task, node)
         }
-        fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-            self.inner.await_completions()
+        fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+            self.inner.await_completions(events)
         }
         fn invalidate_node(&mut self, node: NodeId) -> Vec<LostBuffer> {
             self.invalidated.push(node);
@@ -1431,14 +1477,14 @@ mod tests {
             self.running.push(task);
             Ok(())
         }
-        fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-            let Some(task) = self.running.pop() else { return Ok(Vec::new()) };
-            if task == self.fail_task {
-                if let Some(error) = self.error.take() {
-                    return Ok(vec![TaskEvent::Failed { task, error }]);
-                }
-            }
-            Ok(vec![TaskEvent::Completed(task)])
+        fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+            let Some(task) = self.running.pop() else { return Ok(()) };
+            let error = if task == self.fail_task { self.error.take() } else { None };
+            events.push(match error {
+                Some(error) => TaskEvent::Failed { task, error },
+                None => TaskEvent::Completed(task),
+            });
+            Ok(())
         }
     }
 

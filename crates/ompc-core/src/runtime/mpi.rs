@@ -25,13 +25,14 @@
 //! the lowering says the booking is over.
 //!
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
-//! send a task immediately. It buffers the car per destination node — the
-//! lowering's, which for an exit-data task is the node the bytes come from —
-//! and the train departs when the dispatch window closes (the core calls
-//! `await_completions`). Every departure is one [`EventRequest::TaskTrain`],
-//! a train of one car included. Each car keeps its own channel for its
-//! payloads and forwards, and its reply names it, so per-task typed errors,
-//! zombie-gate refusals, and fault blame survive batching unchanged.
+//! send a task immediately. The lowering writes the car into its destination
+//! node's train — the node the bytes come from, for an exit-data task —
+//! straight into the frame the train will depart as, and the train departs
+//! when the dispatch window closes (the core calls `await_completions`).
+//! Every departure is one [`crate::protocol::EventRequest::TaskTrain`]
+//! notification, a train of one car included. Each car keeps its own channel
+//! for its payloads and forwards, and its reply names it, so per-task typed
+//! errors, zombie-gate refusals, and fault blame survive batching unchanged.
 //!
 //! **A completion channel per region execution**: the driver opens one
 //! `(tag, communicator)` channel when the execution starts, and every train
@@ -62,13 +63,11 @@ use super::lowering::{Lowered, Lowering, Record};
 use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
-use crate::event::{Composite, Frames};
-use crate::protocol::{
-    split_car_reply, EventNotification, EventRequest, Reply, TaskSpec, TrainCar,
-};
+use crate::event::{Car, Frames, Train, Trains};
+use crate::protocol::{split_car_reply, Reply};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{CommId, Communicator, Message, MpiError, Tag};
-use std::collections::{BTreeMap, VecDeque};
+use ompc_mpi::{Communicator, Message, MpiError, Tag};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// How long the completion wait runs before looking again while a task is
@@ -87,7 +86,8 @@ struct Outstanding {
     tag: Tag,
     /// Core task id.
     task: usize,
-    /// Whether the reply is the data ([`Composite::returns_data`]).
+    /// Whether the reply is the data
+    /// ([`crate::event::CarWriter::returns_data`]).
     data_bearing: bool,
     record: Record,
 }
@@ -100,17 +100,6 @@ struct ParkedTask {
     awaiting: Vec<BufferId>,
     /// When it parked, for its `AwaitInflight` span.
     since: u64,
-}
-
-/// One lowered task waiting for its train to depart.
-struct BufferedCar {
-    /// Core task id.
-    task: usize,
-    /// The car's exclusive channel, for its payloads and forwards; the tag
-    /// also names its reply.
-    tag: Tag,
-    comm: CommId,
-    work: Composite,
 }
 
 /// Executes a region graph through composite task messages over `ompc-mpi`.
@@ -143,9 +132,8 @@ impl MpiBackend {
 }
 
 /// The [`ExecutionBackend`] face of the message-passing head: `launch`
-/// lowers one task and buffers its car on its node's train,
-/// `await_completions` flushes the trains and waits on the execution's
-/// completion channel.
+/// lowers one task into its node's train, `await_completions` sends the
+/// trains and waits on the execution's completion channel.
 struct MpiDriver<'c> {
     lowering: &'c Lowering,
     /// This execution's completion channel: the head's handle on its
@@ -160,11 +148,10 @@ struct MpiDriver<'c> {
     /// Locally produced events (tasks the lowering completed or failed on
     /// the head) awaiting the next `await_completions`.
     ready: VecDeque<TaskEvent>,
-    /// Lowered tasks buffered per destination node, departing
-    /// together as one [`EventRequest::TaskTrain`] when the dispatch
-    /// window closes. A node's list is emptied, not dropped, by each
-    /// departure.
-    trains: BTreeMap<NodeId, Vec<BufferedCar>>,
+    /// Each node's next train, its cars written as they are lowered,
+    /// departing when the dispatch window closes. A departure empties a
+    /// train and keeps its room.
+    trains: Trains,
     /// Tasks waiting on the head for other owners' bookings.
     parked: Vec<ParkedTask>,
 }
@@ -182,13 +169,14 @@ impl<'c> MpiDriver<'c> {
     fn new(lowering: &'c Lowering) -> OmpcResult<Self> {
         let events = &lowering.path.events;
         let (completion_tag, comm) = events.open_channel();
+        let timed = lowering.path.telemetry.spans_enabled();
         Ok(Self {
             lowering,
             completions: events.communicator().on(comm)?,
             completion_tag,
             outstanding: Vec::new(),
             ready: VecDeque::new(),
-            trains: BTreeMap::new(),
+            trains: Trains::new(completion_tag, comm, timed),
             parked: Vec::new(),
         })
     }
@@ -206,10 +194,8 @@ impl<'c> MpiDriver<'c> {
         // below, die with the driver — the run is already over.)
         let never_left =
             OmpcError::Communication("run aborted before the task train departed".into());
-        let mut trains = std::mem::take(&mut self.trains);
-        for cars in trains.values_mut() {
-            self.fail_unsent_train(cars, &never_left);
-            cars.clear();
+        for (_, train) in self.trains.take().loaded() {
+            self.fail_unsent_train(train.cars(), &never_left);
         }
         let timeout = self.lowering.path.events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
         let deadline = Instant::now().checked_add(timeout);
@@ -259,23 +245,23 @@ impl<'c> MpiDriver<'c> {
         Ok(())
     }
 
-    /// Send every buffered train; failures fall back on
+    /// Send every loaded train; failures fall back on
     /// [`MpiDriver::fail_unsent_train`] and surface as per-task failures
     /// through `ready`.
     fn flush_trains(&mut self) {
-        let mut trains = std::mem::take(&mut self.trains);
-        for (&node, cars) in trains.iter_mut().filter(|(_, cars)| !cars.is_empty()) {
-            if let Err(error) = self.send_train(node, cars) {
-                self.fail_unsent_train(cars, &error);
+        let mut trains = self.trains.take();
+        for (node, train) in trains.loaded() {
+            if let Err(error) = self.send_train(node, train) {
+                self.fail_unsent_train(train.cars(), &error);
             }
-            cars.clear();
+            train.clear();
         }
         self.trains = trains;
     }
 
-    /// Emit one train's messages: a single notification carrying every
-    /// car's recipe, its envelope naming this execution's completion
-    /// channel, then each car's frames on the car's own channel.
+    /// Emit one train's messages: its frame — every car's recipe, the
+    /// envelope naming this execution's completion channel — then each car's
+    /// frames on the car's own channel.
     ///
     /// Counters are accumulated locally and committed only once the whole
     /// train is on the wire: a train that fails mid-send is failed as a
@@ -284,36 +270,24 @@ impl<'c> MpiDriver<'c> {
     /// that preceded the failure. Committing after the last send keeps
     /// per-task accounting identical however tasks are packed into trains
     /// and across retries.
-    fn send_train(&mut self, node: NodeId, cars: &mut [BufferedCar]) -> OmpcResult<()> {
+    fn send_train(&self, node: NodeId, train: &mut Train) -> OmpcResult<()> {
         let events = &self.lowering.path.events;
         let tel = &self.lowering.path.telemetry;
         let timed = tel.spans_enabled();
         let t0 = tel.start();
-        let spec_cars = cars
-            .iter_mut()
-            .map(|car| TrainCar {
-                tag: car.tag,
-                comm: car.comm,
-                spec: TaskSpec { steps: std::mem::take(&mut car.work.steps) },
-            })
-            .collect();
-        let (tag, comm) = (self.completion_tag, self.completions.comm_id());
-        let request = EventRequest::TaskTrain(spec_cars);
-        events.notify(node, &EventNotification { request, tag, comm, timed })?;
+        events.send_notification(node, train.take_frame())?;
         if timed {
             // The envelope notification only: the cars' own frames get
             // per-task `Send` spans below, so the buckets never count the
             // same microsecond twice.
             tel.record(
                 Span::new(SpanPhase::TrainFlush, HEAD_NODE, t0, monotonic_us())
-                    .detail(format!("node {node}, {} car(s)", cars.len())),
+                    .detail(format!("node {node}, {} car(s)", train.cars().len())),
             );
         }
         let mut sent = Frames::default();
-        for car in cars.iter_mut() {
+        for (car, payloads, exchanges) in train.frames() {
             let send_start = tel.start();
-            let payloads = std::mem::take(&mut car.work.payloads);
-            let exchanges = std::mem::take(&mut car.work.exchanges);
             let frames = events.send_frames(node, car.tag, car.comm, payloads, exchanges)?;
             if timed {
                 tel.record(
@@ -326,7 +300,7 @@ impl<'c> MpiDriver<'c> {
             sent += frames;
         }
         // Whole train on the wire: commit the per-car accounting.
-        events.counters().record_tasks(cars.len() as u64, sent);
+        events.counters().record_tasks(train.cars().len() as u64, sent);
         Ok(())
     }
 
@@ -339,7 +313,7 @@ impl<'c> MpiDriver<'c> {
     /// The train carrying `cars` never departed: let the lowering roll
     /// each launch back and report each car as a failed task (the core owns
     /// the propagate-vs-restart policy).
-    fn fail_unsent_train(&mut self, cars: &[BufferedCar], error: &OmpcError) {
+    fn fail_unsent_train(&mut self, cars: &[Car], error: &OmpcError) {
         for car in cars {
             if let Some(outstanding) = self.take_outstanding(car.tag) {
                 self.lowering.abandon(outstanding.record, error);
@@ -383,16 +357,15 @@ impl<'c> MpiDriver<'c> {
 impl ExecutionBackend for MpiDriver<'_> {
     fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()> {
         let lowering = self.lowering;
-        match lowering.lower(task, node) {
+        match lowering.lower_into(task, node, &mut self.trains) {
             Ok(Lowered::Done) => self.ready.push_back(TaskEvent::Completed(task)),
-            // Cars are *buffered* on their node's train, not sent — the
+            // Cars are *written* into their node's train, not sent — the
             // train departs when the window closes. The node is the
             // lowering's: an exit-data car goes where the bytes are.
-            Ok(Lowered::Task(work, record)) => {
+            Ok(Lowered::Task(car, record)) => {
                 let (tag, comm) = lowering.path.events.open_channel();
-                let data_bearing = work.returns_data();
-                let train = self.trains.entry(record.node()).or_default();
-                train.push(BufferedCar { task, tag, comm, work });
+                let data_bearing = car.returns_data();
+                car.commit(task, tag, comm);
                 self.outstanding.push(Outstanding { tag, task, data_bearing, record });
             }
             Ok(Lowered::Parked(awaiting)) => {
@@ -410,8 +383,7 @@ impl ExecutionBackend for MpiDriver<'_> {
         self.lowering.assign(assignment);
     }
 
-    fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
-        let mut events = Vec::new();
+    fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
         let mut deadline = None;
         loop {
             // Parked tasks whose bookings are over join the trains, and the
@@ -420,9 +392,9 @@ impl ExecutionBackend for MpiDriver<'_> {
             self.flush_trains();
             events.extend(self.ready.drain(..));
             // Whatever already arrived rides along without waiting.
-            self.poll_replies(&mut events);
+            self.poll_replies(events);
             if !events.is_empty() {
-                return Ok(events);
+                return Ok(());
             }
             if self.outstanding.is_empty() && self.parked.is_empty() {
                 return Err(OmpcError::Internal(
@@ -608,16 +580,16 @@ mod tests {
     /// counts each car exactly once.
     #[test]
     fn mid_train_send_failure_commits_no_counters_until_the_retry_lands() {
-        use super::{BufferedCar, MpiDriver};
+        use super::MpiDriver;
         use crate::buffer::BufferRegistry;
-        use crate::event::Composite;
-        use crate::event::EventSystem;
+        use crate::event::{EventSystem, Trains};
         use crate::kernel::KernelRegistry;
         use crate::runtime::lowering::{DataPath, Lowering};
         use crate::runtime::telemetry::Telemetry;
         use crate::task::RegionGraph;
+        use crate::types::BufferId;
         use crate::worker::worker_main;
-        use ompc_mpi::{Bytes, CommId, Tag, World};
+        use ompc_mpi::{Bytes, CommId, World};
         use std::collections::HashMap;
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
@@ -639,7 +611,7 @@ mod tests {
         let lowering =
             Lowering::new(path, 1, Arc::new(RegionGraph::new()), HashMap::new(), &mpi_config())
                 .unwrap();
-        let mut driver = MpiDriver::new(&lowering).unwrap();
+        let driver = MpiDriver::new(&lowering).unwrap();
         let snapshot = || {
             let c = events.counters();
             (
@@ -648,36 +620,29 @@ mod tests {
                 c.bytes_moved.load(Ordering::Relaxed),
             )
         };
-        let car = |task: usize, (tag, comm): (Tag, CommId), payload: Option<Vec<u8>>| BufferedCar {
-            task,
-            tag,
-            comm,
-            work: Composite {
-                steps: Vec::new(),
-                payloads: payload.map(Bytes::from).into_iter().collect(),
-                exchanges: Vec::new(),
-            },
+        // A train of two cars on worker 1: the first receives a 16-byte host
+        // payload, the second rides `second` if given.
+        let load = |second: Option<CommId>| {
+            let envelope = (driver.completion_tag, driver.completions.comm_id());
+            let mut trains = Trains::new(envelope.0, envelope.1, false);
+            let mut car = trains.car(1);
+            car.recv_from_head(BufferId(0), Bytes::from(vec![7u8; 16]));
+            let (tag, comm) = events.open_channel();
+            car.commit(0, tag, comm);
+            let (tag, comm) = events.open_channel();
+            trains.car(1).commit(1, tag, second.unwrap_or(comm));
+            trains
+        };
+        let send = |mut trains: Trains| {
+            let (node, train) = trains.loaded().next().unwrap();
+            driver.send_train(node, train)
         };
 
-        let err = driver.send_train(
-            1,
-            &mut [
-                car(0, events.open_channel(), Some(vec![7u8; 16])),
-                car(1, (events.open_channel().0, CommId(99)), None),
-            ],
-        );
+        let err = send(load(Some(CommId(99))));
         assert!(err.is_err(), "a car on a communicator the world lacks must fail the send");
         assert_eq!(snapshot(), (0, 0, 0), "a train that failed mid-send commits nothing");
 
-        driver
-            .send_train(
-                1,
-                &mut [
-                    car(0, events.open_channel(), Some(vec![7u8; 16])),
-                    car(1, events.open_channel(), None),
-                ],
-            )
-            .unwrap();
+        send(load(None)).unwrap();
         assert_eq!(
             snapshot(),
             (3, 1, 16),
@@ -840,8 +805,10 @@ mod tests {
             driver.launch(1, 1).unwrap();
             driver.flush_trains();
             let mut failed = HashMap::new();
+            let mut completions = Vec::new();
             while failed.len() < 2 {
-                for event in driver.await_completions().unwrap() {
+                driver.await_completions(&mut completions).unwrap();
+                for event in completions.drain(..) {
                     match event {
                         TaskEvent::Failed { task, error } => failed.insert(task, error),
                         other => panic!("both cars must fail, got {other:?}"),

@@ -360,7 +360,7 @@ impl ExecutionBackend for SimBackend<'_> {
         self.assignment = assignment.to_vec();
     }
 
-    fn await_completions(&mut self) -> OmpcResult<Vec<TaskEvent>> {
+    fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
         loop {
             let Some(completion) = self.engine.next_completion() else {
                 return Err(OmpcError::Internal(
@@ -371,17 +371,19 @@ impl ExecutionBackend for SimBackend<'_> {
                 // Injected task error (fault plan): model the worker-side
                 // handler failure the real cluster provokes —
                 // a typed error reply attributing the executing node.
-                if self.config.fault_plan.has_task_error(task) {
-                    return Ok(vec![TaskEvent::Failed {
+                events.push(if self.config.fault_plan.has_task_error(task) {
+                    TaskEvent::Failed {
                         task,
                         error: OmpcError::RemoteEvent {
                             node: self.node_of[task],
                             event: task as u64,
                             error: Box::new(OmpcError::UnknownKernel(POISONED_KERNEL)),
                         },
-                    }]);
-                }
-                return Ok(vec![TaskEvent::Completed(task)]);
+                    }
+                } else {
+                    TaskEvent::Completed(task)
+                });
+                return Ok(());
             }
         }
     }

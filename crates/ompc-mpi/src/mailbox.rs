@@ -176,15 +176,13 @@ impl PostedRecv {
     /// Post the receive again, as [`Mailbox::post_grouped`] posted it: at
     /// the front of the list, numbered at match. A no-op while it is still
     /// posted. The receive keeps its record — a pool member posting over and
-    /// over allocates nothing — unless the delivery that completed it last
-    /// still holds it, when a fresh one takes its place.
+    /// over allocates nothing — even while the delivery that completed it
+    /// last still holds it: past the mailbox lock a delivery only wakes the
+    /// record's parker, and a wake that lands after the outcome was collected
+    /// wakes nobody.
     pub fn restart(&mut self) {
         if self.posted {
             return;
-        }
-        if Arc::get_mut(&mut self.waiter).is_none() {
-            let Waiter { pattern, group, .. } = &*self.waiter;
-            self.waiter = Waiter::new(*pattern, group.clone());
         }
         self.mailbox.post(&self.waiter);
         self.posted = true;
@@ -192,10 +190,33 @@ impl PostedRecv {
 }
 
 /// Wake the threads of completed waiters. Called after the mailbox lock is
-/// released, so a woken thread never runs into it.
+/// released, so a woken thread never runs into it. A waiter whose slot is
+/// empty again has collected its outcome already — and, a receive posted
+/// again since, may be parked on the same record for the next one — so it is
+/// left asleep. The slot is read under its lock but the notify made after
+/// it: notified under the lock, the woken thread would preempt the waker on
+/// one CPU only to sleep on that lock again.
 fn wake<'a, T: 'a>(completed: impl IntoIterator<Item = &'a Arc<Waiter<T>>>) {
     for waiter in completed {
-        waiter.parked.notify_one();
+        let undelivered = waiter.outcome.lock().is_some();
+        if undelivered {
+            waiter.parked.notify_one();
+        }
+    }
+}
+
+/// What one delivery completed: the probes it reported to and the receive
+/// it handed the message to, owed their wake-up ([`Wakes::wake`]).
+#[derive(Debug)]
+struct Wakes {
+    probes: Vec<Arc<Waiter<Status>>>,
+    receive: Option<Arc<Waiter<Matched>>>,
+}
+
+impl Wakes {
+    fn wake(self) {
+        wake(&self.probes);
+        wake(&self.receive);
     }
 }
 
@@ -300,6 +321,12 @@ impl Mailbox {
     /// receive it matches and wake that one receiver, or — when no posted
     /// receive matches — queue it and wake nobody.
     pub fn deliver(&self, envelope: MessageEnvelope) {
+        self.match_envelope(envelope).wake();
+    }
+
+    /// The matching half of [`Mailbox::deliver`], under the mailbox lock:
+    /// what it completed is returned to be woken once the lock is released.
+    fn match_envelope(&self, envelope: MessageEnvelope) -> Wakes {
         let mut inner = self.inner.lock();
         inner.delivered += 1;
         let mut probes = Vec::new();
@@ -325,9 +352,7 @@ impl Mailbox {
             }
         }
         inner.woken += probes.len() as u64 + u64::from(receive.is_some());
-        drop(inner);
-        wake(&probes);
-        wake(&receive);
+        Wakes { probes, receive }
     }
 
     /// Record that a peer rank has finished executing. Used to fail blocked
@@ -831,6 +856,53 @@ mod tests {
         assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![3], 2)));
         let stats = mb.stats();
         assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
+    }
+
+    /// A delivering thread preempted at its wake still holds the record of
+    /// the receive it completed while that receive is collected and posted
+    /// again: the receive keeps its record all the same, and the wake that
+    /// lands late finds nobody parked — free, and no empty wake-up.
+    #[test]
+    fn a_receive_posted_again_keeps_its_record_while_its_delivery_still_holds_it() {
+        let mb = Mailbox::new(0, 2);
+        let group = RecvGroup::new();
+        let mut receive = mb.post_grouped(CommId(0), Some(1), Some(Tag(4)), &group);
+        let record = Arc::as_ptr(&receive.waiter);
+        for i in 0..8u8 {
+            let late = mb.match_envelope(env(1, 4, 0, u64::from(i), vec![i]));
+            assert!(late.receive.as_ref().is_some_and(|held| Arc::as_ptr(held) == record));
+            assert_eq!(receive.wait().map(|(m, at)| (m.data, at)), Ok((vec![i], u64::from(i))));
+            receive.restart();
+            assert_eq!(Arc::as_ptr(&receive.waiter), record, "posting again allocated a record");
+            late.wake();
+        }
+        let stats = mb.stats();
+        assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (1, 0, 0));
+    }
+
+    /// The late wake of a delivery whose outcome was collected without a
+    /// park reaches the record while its member is parked on it again, for
+    /// the next message: it leaves the member asleep, and the next delivery
+    /// wakes it with that message — no empty wake-up.
+    #[test]
+    fn a_late_wake_leaves_the_receive_parked_again_on_its_record_asleep() {
+        let mb = Mailbox::new(0, 2);
+        let group = RecvGroup::new();
+        let mut receive = mb.post_grouped(CommId(0), Some(1), Some(Tag(4)), &group);
+        let late = mb.match_envelope(env(1, 4, 0, 0, vec![0]));
+        assert_eq!(receive.wait().map(|(m, at)| (m.data, at)), Ok((vec![0], 0)));
+        receive.restart();
+        let member = thread::spawn(move || receive.wait().map(|(m, at)| (m.data, at)));
+        // The pauses only give the member the time to park, and a member
+        // woken empty-handed the time to count it; nothing depends on them.
+        thread::sleep(Duration::from_millis(20));
+        late.wake();
+        thread::sleep(Duration::from_millis(20));
+        assert!(!member.is_finished());
+        mb.deliver(env(1, 4, 0, 1, vec![1]));
+        assert_eq!(member.join().unwrap(), Ok((vec![1], 1)));
+        let stats = mb.stats();
+        assert_eq!((stats.delivered, stats.woken, stats.empty_wakeups), (2, 2, 0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! allocates beside it.
 //!
 //! Run with `cargo test --release --test alloc_budget -- --nocapture` to
-//! see both figures.
+//! see the head's, the workers' and the process's figures.
 
 use ompc::prelude::*;
 use ompc::sched::{Platform, TaskGraph};
@@ -19,10 +19,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Allocator calls on the head per task, at most.
-const HEAD_BUDGET: f64 = 14.0;
-/// Allocator calls of the whole process per task, at most.
-const PROCESS_BUDGET: f64 = 24.0;
+/// Allocator calls on the head per task, at most: lowering a car writes it
+/// straight into its train's frame, so what is left is the workload's
+/// dependence list, each buffer's copy list, a train's frame and the
+/// completion waits.
+const HEAD_BUDGET: f64 = 3.0;
+/// Allocator calls of the whole process per task, at most: 8.2–8.5 measured
+/// on a 2-vCPU host, plus one.
+const PROCESS_BUDGET: f64 = 9.5;
 
 static PROCESS: AtomicU64 = AtomicU64::new(0);
 
@@ -119,7 +123,10 @@ fn the_dispatch_path_stays_inside_its_allocation_budget() {
     let tasks = (RUNS * workload.len()) as f64;
     let head = (head_after - head_before) as f64 / tasks;
     let process = (process_after - process_before) as f64 / tasks;
-    println!("allocator calls per task: head {head:.2}, process-wide {process:.2}");
+    let workers = process - head;
+    println!(
+        "allocator calls per task: head {head:.2}, workers {workers:.2}, process-wide {process:.2}"
+    );
     assert!(head <= HEAD_BUDGET, "the head makes {head:.2} allocator calls per task");
     assert!(process <= PROCESS_BUDGET, "the process makes {process:.2} allocator calls per task");
 }
