@@ -24,7 +24,7 @@ use crate::stats::{DeviceReport, RegionReport};
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, Dependence, IdMap, KernelId, NodeId, OmpcError, OmpcResult};
 use crate::worker::worker_main;
-use ompc_mpi::{CommId, World};
+use ompc_mpi::World;
 use ompc_sched::Platform;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
@@ -42,10 +42,9 @@ fn host_flush(detail: &'static str) -> Commit {
 }
 
 /// Compatibility key of a parked worker pool: only a device asking for the
-/// same worker count, communicator fan-out, handler threads, and reply
-/// timeout can adopt it — `(num_workers, num_communicators,
-/// event_handler_threads, event_reply_timeout_ms)`.
-type WarmKey = (usize, u32, usize, Option<u64>);
+/// same worker count, handler threads, and reply timeout can adopt it —
+/// `(num_workers, event_handler_threads, event_reply_timeout_ms)`.
+type WarmKey = (usize, usize, Option<u64>);
 
 /// A worker pool kept alive between device lifetimes: the communication
 /// world, the shared kernel table (cleared on adoption — the fat binary is
@@ -68,12 +67,7 @@ struct WarmWorkers {
 static WARM_WORKERS: Mutex<Vec<(WarmKey, WarmWorkers)>> = Mutex::new(Vec::new());
 
 fn warm_key(num_workers: usize, config: &OmpcConfig) -> WarmKey {
-    (
-        num_workers,
-        config.num_communicators,
-        config.event_handler_threads,
-        config.event_reply_timeout_ms,
-    )
+    (num_workers, config.event_handler_threads, config.event_reply_timeout_ms)
 }
 
 fn adopt_warm_workers(key: &WarmKey) -> Option<WarmWorkers> {
@@ -197,10 +191,6 @@ impl ClusterDevice {
     /// thread: a device without its workers could run nothing.
     pub fn with_config(num_workers: usize, config: OmpcConfig) -> Self {
         assert!(num_workers > 0, "the cluster needs at least one worker node");
-        // A world needs at least one communicator; a zero knob means "the
-        // minimum", not a panic. Clamped once here so world construction
-        // and the warm-pool key (here and at shutdown) read the same value.
-        let config = OmpcConfig { num_communicators: config.num_communicators.max(1), ..config };
         let start = Instant::now();
         let adopted = if config.warm_worker_keepalive {
             adopt_warm_workers(&warm_key(num_workers, &config))
@@ -217,7 +207,7 @@ impl ClusterDevice {
                 (warm.world, warm.kernels, warm.events, warm.worker_handles)
             }
             None => {
-                let world = World::with_communicators(num_workers + 1, config.num_communicators);
+                let world = World::new(num_workers + 1);
                 let kernels = Arc::new(KernelRegistry::new());
                 let mut worker_handles = Vec::with_capacity(num_workers);
                 for node in 1..=num_workers {
@@ -551,9 +541,7 @@ impl ClusterDevice {
         // leftover of a failed run (a reply on some execution's
         // device-unique channel) must not leak into it as a stale message.
         let head = self.events.communicator();
-        for comm in (0..head.num_communicators()).filter_map(|c| head.on(CommId(c)).ok()) {
-            while comm.try_recv(None, None).is_some() {}
-        }
+        while head.try_recv(None, None).is_some() {}
         self.events.reset_counters();
         WARM_WORKERS.lock().push((
             warm_key(self.num_workers, &self.config),
@@ -1046,10 +1034,13 @@ mod tests {
 
     #[test]
     fn warm_worker_keepalive_parks_and_adopts_across_lifetimes() {
-        // An unusual (workers, communicators) pair keys this test's pool
+        // An unusual (workers, reply timeout) pair keys this test's pool
         // apart from any other keepalive user in the process.
-        let config =
-            OmpcConfig { warm_worker_keepalive: true, num_communicators: 7, ..OmpcConfig::small() };
+        let config = OmpcConfig {
+            warm_worker_keepalive: true,
+            event_reply_timeout_ms: Some(60_007),
+            ..OmpcConfig::small()
+        };
         let key = warm_key(5, &config);
         let parked = |key: &WarmKey| WARM_WORKERS.lock().iter().filter(|(k, _)| k == key).count();
         let before = parked(&key);
@@ -1100,11 +1091,14 @@ mod tests {
     #[test]
     fn warm_pool_soak_reuses_one_pool_and_never_parks_after_a_failure() {
         use crate::runtime::fault::FaultPlan;
-        // A key no other test in the process uses: 3 workers × 9
-        // communicators. Every lifetime below adopts (or parks into) this
-        // slot and no other.
-        let config =
-            OmpcConfig { warm_worker_keepalive: true, num_communicators: 9, ..OmpcConfig::small() };
+        // A key no other test in the process uses: 3 workers and a reply
+        // timeout of 60 009 ms. Every lifetime below adopts (or parks into)
+        // this slot and no other.
+        let config = OmpcConfig {
+            warm_worker_keepalive: true,
+            event_reply_timeout_ms: Some(60_009),
+            ..OmpcConfig::small()
+        };
         let key = warm_key(3, &config);
         let parked = |key: &WarmKey| WARM_WORKERS.lock().iter().filter(|(k, _)| k == key).count();
         let before = parked(&key);
@@ -1184,16 +1178,16 @@ mod tests {
 
     /// A lifetime whose last MPI region failed with a task error — not a
     /// node failure, so its pool parks — hands the adopting lifetime empty
-    /// mailboxes on every rank, whichever channel a leftover sat on.
+    /// mailboxes on every rank, whichever tag a leftover sat on.
     #[test]
     fn an_adopted_pool_starts_with_empty_mailboxes_after_a_failed_region() {
         use crate::runtime::fault::FaultPlan;
-        // A key no other test in the process uses: 2 workers × 11
-        // communicators.
+        // A key no other test in the process uses: 2 workers and a reply
+        // timeout of 60 011 ms.
         let config = OmpcConfig {
             backend: BackendKind::Mpi,
             warm_worker_keepalive: true,
-            num_communicators: 11,
+            event_reply_timeout_ms: Some(60_011),
             ..OmpcConfig::small()
         };
         let key = warm_key(2, &config);
@@ -1211,15 +1205,9 @@ mod tests {
         let mut d1 = ClusterDevice::with_config(2, failing);
         assert!(d1.run_workload(&workload, &plan).is_err());
         // A late leftover on some execution's channel, as a failed run can
-        // leave behind: a worker's message on a tag of its own, on a
-        // communicator other than the world's.
+        // leave behind: a worker's message on a tag of its own.
         let world = d1.world.as_ref().unwrap();
-        world
-            .communicator(2)
-            .on(CommId(7))
-            .unwrap()
-            .send(HEAD_NODE, ompc_mpi::Tag(1 << 40), vec![1])
-            .unwrap();
+        world.communicator(2).send(HEAD_NODE, ompc_mpi::Tag(1 << 40), vec![1]).unwrap();
         assert_eq!(d1.mailbox_stats()[0].queued, 1);
         d1.shutdown();
         assert_eq!(parked(&key), before + 1, "a task error does not disqualify the pool");

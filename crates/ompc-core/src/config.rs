@@ -116,9 +116,6 @@ pub struct OmpcConfig {
     /// work, which did not measure faster than 48 on the perf ledger's
     /// dispatch graph. `0` is treated as `1`.
     pub max_inflight_tasks: usize,
-    /// Number of MPI communicators created at start-up and used round-robin
-    /// by the event system. `0` is treated as `1`.
-    pub num_communicators: u32,
     /// Static scheduler used at the implicit barrier.
     pub scheduler: SchedulerKind,
     /// Deterministic failure-injection plan honoured by every execution
@@ -146,8 +143,8 @@ pub struct OmpcConfig {
     pub event_reply_timeout_ms: Option<u64>,
     /// Keep the MPI worker loops of a [`crate::cluster::ClusterDevice`]
     /// alive after [`crate::cluster::ClusterDevice::shutdown`] and let the
-    /// next device with the same shape (workers, communicators, handler
-    /// threads) adopt them instead of spawning fresh ones — amortizing the
+    /// next device with the same shape (workers, handler threads, reply
+    /// timeout) adopt them instead of spawning fresh ones — amortizing the
     /// fig. 7(a) startup share across runs. Workers are reset (device
     /// memory cleared, counters zeroed) between lifetimes, and a device
     /// that saw any node failure is never parked — a failed pool is torn
@@ -187,7 +184,6 @@ impl Default for OmpcConfig {
             // OpenMP hidden-helper/worker pool on the head node is what
             // bounds in-flight target regions.
             max_inflight_tasks: 48,
-            num_communicators: 8,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
             replan_on_failure: false,
@@ -200,19 +196,18 @@ impl Default for OmpcConfig {
 }
 
 impl OmpcConfig {
-    /// A configuration sized for small in-process tests: few threads, few
-    /// communicators. It dispatches at the paper's window of 48, as the
-    /// default does: no head thread blocks per task here, so a small window
-    /// only splits the trains — four tasks in flight over two workers leave
-    /// under two cars per train and a context switch per task — and no
-    /// larger window was measured faster on the perf ledger's dispatch
-    /// graph.
+    /// A configuration sized for small in-process tests: one event-handler
+    /// thread per worker, and a bound on every reply wait. It dispatches at
+    /// the paper's window of 48, as the default does: no head thread blocks
+    /// per task here, so a small window only splits the trains — four tasks
+    /// in flight over two workers leave under two cars per train and a
+    /// context switch per task — and no larger window was measured faster on
+    /// the perf ledger's dispatch graph.
     pub fn small() -> Self {
         Self {
             backend: BackendKind::Mpi,
             event_handler_threads: 1,
             max_inflight_tasks: 48,
-            num_communicators: 2,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
             replan_on_failure: false,
@@ -356,7 +351,6 @@ mod tests {
             backend: BackendKind::Mpi,
             event_handler_threads: 2,
             max_inflight_tasks: 48,
-            num_communicators: 8,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
             replan_on_failure: false,
@@ -380,16 +374,15 @@ mod tests {
         assert_eq!(overheads, OverheadModel::default());
     }
 
-    /// The knob budget, pinned: `OmpcConfig` has eleven settings, each
-    /// bound by name with no `..`, so a twelfth cannot be added without
-    /// editing this test.
+    /// The knob budget, pinned: `OmpcConfig` has ten settings, each bound
+    /// by name with no `..`, so an eleventh cannot be added without editing
+    /// this test.
     #[test]
-    fn the_knob_budget_is_eleven_settings() {
+    fn the_knob_budget_is_ten_settings() {
         let OmpcConfig {
             backend,
             event_handler_threads,
             max_inflight_tasks,
-            num_communicators,
             scheduler,
             fault_plan,
             replan_on_failure,
@@ -398,11 +391,10 @@ mod tests {
             max_concurrent_regions,
             telemetry,
         } = OmpcConfig::default();
-        let knobs: [&dyn std::fmt::Debug; 11] = [
+        let knobs: [&dyn std::fmt::Debug; 10] = [
             &backend,
             &event_handler_threads,
             &max_inflight_tasks,
-            &num_communicators,
             &scheduler,
             &fault_plan,
             &replan_on_failure,
@@ -411,14 +403,13 @@ mod tests {
             &max_concurrent_regions,
             &telemetry,
         ];
-        assert_eq!(knobs.len(), 11);
+        assert_eq!(knobs.len(), 10);
     }
 
     #[test]
     fn default_config_enforces_in_flight_limit() {
         let c = OmpcConfig::default();
         assert_eq!(c.inflight_window(), 48);
-        assert!(c.num_communicators >= 1);
         assert_eq!(OmpcConfig::small().inflight_window(), 48);
     }
 

@@ -1,10 +1,10 @@
 //! The origin (head-node) side of the MPI-based event system (paper §4.2).
 //!
 //! Every operation on a worker node is an *event*: the head allocates a
-//! fresh tag, picks a communicator round-robin, sends a new-event
-//! notification to the destination's event pool, exchanges any payload
-//! messages on the `(tag, communicator)` channel, and finally waits for the
-//! **typed reply** ([`crate::protocol::EventReply`]) on that same channel.
+//! fresh tag, sends a new-event notification to the destination's event
+//! pool, exchanges any payload messages on the tag's channel, and finally
+//! waits for the **typed reply** ([`crate::protocol::EventReply`]) on that
+//! same channel.
 //! Because the tag is unique per event and shared only with the
 //! destination, concurrent events cannot cross-talk even though several
 //! head threads (concurrent region executions, lazy host flushes) issue them
@@ -130,7 +130,6 @@ pub(crate) struct Car {
     /// The car's channel, for its payloads and forwards; the tag also names
     /// its reply.
     pub(crate) tag: Tag,
-    pub(crate) comm: CommId,
     payloads: usize,
     exchanges: usize,
 }
@@ -186,16 +185,15 @@ impl Train {
 /// timed.
 pub(crate) struct Trains {
     tag: Tag,
-    comm: CommId,
     timed: bool,
     /// By node id.
     by_node: Vec<Train>,
 }
 
 impl Trains {
-    /// Trains whose envelope names the completion channel `(tag, comm)`.
-    pub(crate) fn new(tag: Tag, comm: CommId, timed: bool) -> Self {
-        Self { tag, comm, timed, by_node: Vec::new() }
+    /// Trains whose envelope names the completion channel `tag`.
+    pub(crate) fn new(tag: Tag, timed: bool) -> Self {
+        Self { tag, timed, by_node: Vec::new() }
     }
 
     /// Every train, leaving empty ones under the same envelope in their
@@ -210,9 +208,9 @@ impl Trains {
         if self.by_node.len() <= node {
             self.by_node.resize_with(node + 1, Train::default);
         }
-        let (tag, comm, timed) = (self.tag, self.comm, self.timed);
+        let (tag, timed) = (self.tag, self.timed);
         let Train { frame, longest, cars, payloads, exchanges } = &mut self.by_node[node];
-        let frame = frame.get_or_insert_with(|| TrainFrame::new(tag, comm, timed, *longest));
+        let frame = frame.get_or_insert_with(|| TrainFrame::new(tag, timed, *longest));
         frame.begin_car();
         CarWriter { frame, cars, payloads, exchanges, data_bearing: false, committed: false }
     }
@@ -269,11 +267,11 @@ impl CarWriter<'_> {
         self.data_bearing
     }
 
-    /// The car joins its train as task `task`'s, on the channel `(tag, comm)`.
-    pub(crate) fn commit(mut self, task: usize, tag: Tag, comm: CommId) {
-        self.frame.end_car(tag, comm);
+    /// The car joins its train as task `task`'s, on the channel `tag`.
+    pub(crate) fn commit(mut self, task: usize, tag: Tag) {
+        self.frame.end_car(tag);
         let (payloads, exchanges) = (self.payloads.len(), self.exchanges.len());
-        self.cars.push(Car { task, tag, comm, payloads, exchanges });
+        self.cars.push(Car { task, tag, payloads, exchanges });
         self.committed = true;
     }
 }
@@ -299,8 +297,6 @@ pub(crate) struct ReplyChannel {
     pub(crate) node: NodeId,
     /// Tag of the event's channel.
     pub(crate) tag: Tag,
-    /// Communicator of the event's channel.
-    pub(crate) comm: CommId,
     /// Whether the reply is the data ([`Composite::returns_data`]).
     pub(crate) data_bearing: bool,
 }
@@ -351,9 +347,9 @@ impl EventSystem {
     /// its exclusive channel, notify `node`, and return the channel its
     /// typed reply will arrive on.
     fn post(&self, node: NodeId, request: EventRequest) -> OmpcResult<ReplyChannel> {
-        let (tag, comm) = self.open_channel();
-        self.notify(node, &EventNotification { request, tag, comm, timed: false })?;
-        Ok(ReplyChannel { node, tag, comm, data_bearing: false })
+        let tag = self.open_channel();
+        self.notify(node, request, tag)?;
+        Ok(ReplyChannel { node, tag, data_bearing: false })
     }
 
     /// Put one [`EventRequest::Task`] on the wire without waiting for it:
@@ -363,13 +359,13 @@ impl EventSystem {
         let data_bearing = work.returns_data();
         let Composite { steps, payloads, exchanges } = work;
         let channel = self.post(node, EventRequest::Task(TaskSpec { steps }))?;
-        let frames = self.send_frames(node, channel.tag, channel.comm, &payloads, &exchanges)?;
+        let frames = self.send_frames(node, channel.tag, &payloads, &exchanges)?;
         self.counters.record_tasks(1, frames);
         Ok(ReplyChannel { data_bearing, ..channel })
     }
 
     /// Send what follows a task's notification to `node` on its channel
-    /// `(tag, comm)`: each host payload, then each source's `ExchangeSend`.
+    /// `tag`: each host payload, then each source's `ExchangeSend`.
     /// A failure of a *sending* half travels through the receiver (the
     /// sender forwards its error envelope instead of the data), so the head
     /// never hangs on a half-completed forward. Returns what the frames
@@ -379,19 +375,16 @@ impl EventSystem {
         &self,
         node: NodeId,
         tag: Tag,
-        comm: CommId,
         payloads: &[Bytes],
         exchanges: &[Exchange],
     ) -> OmpcResult<Frames> {
-        let lane = self.comm.on(comm)?;
         let mut frames = Frames::default();
         for payload in payloads {
             frames.add(payload.len() as u64);
-            lane.send_with_body(node, tag, Vec::new(), payload.clone())?;
+            self.comm.send_with_body(node, tag, Vec::new(), payload.clone())?;
         }
         for &(from, buffer, bytes) in exchanges {
-            let request = EventRequest::ExchangeSend { buffer, to: node };
-            self.notify(from, &EventNotification { request, tag, comm, timed: false })?;
+            self.notify(from, EventRequest::ExchangeSend { buffer, to: node }, tag)?;
             frames.add(bytes);
         }
         Ok(frames)
@@ -403,10 +396,10 @@ impl EventSystem {
     /// timed-out or undeliverable reply is a
     /// [`crate::types::OmpcError::Communication`].
     pub(crate) fn await_reply(&self, channel: &ReplyChannel) -> TypedReply {
-        let lane = self.comm.on(channel.comm)?;
+        let (from, tag) = (Some(channel.node), Some(channel.tag));
         let msg = match self.reply_timeout {
-            Some(timeout) => lane.recv_timeout(Some(channel.node), Some(channel.tag), timeout)?,
-            None => lane.recv(Some(channel.node), Some(channel.tag))?,
+            Some(timeout) => self.comm.recv_timeout(from, tag, timeout)?,
+            None => self.comm.recv(from, tag)?,
         };
         channel.reply(msg)
     }
@@ -422,16 +415,16 @@ impl EventSystem {
         &self.counters
     }
 
-    /// Allocate an exclusive `(tag, communicator)` channel for a new event.
-    /// Communicators are chosen round-robin by tag, mirroring the paper's
-    /// mapping of events onto MPICH virtual communication interfaces. Also
-    /// used by the message-passing `MpiBackend` — for its train cars and
-    /// each region execution's completion channel — so every event shares
-    /// one device-unique tag space.
-    pub(crate) fn open_channel(&self) -> (Tag, CommId) {
-        let tag = self.next_tag.fetch_add(1, Ordering::Relaxed);
-        let comm = CommId((tag % u64::from(self.comm.num_communicators())) as u32);
-        (Tag(tag), comm)
+    /// Allocate an exclusive channel for a new event: a tag no other event
+    /// of the device has used. The paper also spreads events round-robin
+    /// over MPI communicators mapped to MPICH virtual communication
+    /// interfaces; the in-process transport has one mailbox lock per rank,
+    /// so a communicator would separate nothing a tag does not. Also used by
+    /// the message-passing `MpiBackend` — for its train cars and each region
+    /// execution's completion channel — so every event shares one
+    /// device-unique tag space.
+    pub(crate) fn open_channel(&self) -> Tag {
+        Tag(self.next_tag.fetch_add(1, Ordering::Relaxed))
     }
 
     /// The head node's communicator handle, for backends that receive
@@ -445,7 +438,9 @@ impl EventSystem {
         self.reply_timeout
     }
 
-    pub(crate) fn notify(&self, node: NodeId, notification: &EventNotification) -> OmpcResult<()> {
+    /// Notify `node` of an untimed event of `request` on the channel `tag`.
+    fn notify(&self, node: NodeId, request: EventRequest, tag: Tag) -> OmpcResult<()> {
+        let notification = EventNotification { request, tag, comm: CommId::WORLD, timed: false };
         self.send_notification(node, notification.encode())
     }
 
@@ -517,25 +512,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channels_are_unique_and_round_robin_over_communicators() {
-        let world = ompc_mpi::World::with_communicators(2, 4);
+    fn channels_are_unique() {
+        let world = ompc_mpi::World::new(2);
         let es = EventSystem::new(world.communicator(0));
-        let mut tags = Vec::new();
-        let mut comms = Vec::new();
-        for _ in 0..8 {
-            let (tag, comm) = es.open_channel();
-            tags.push(tag);
-            comms.push(comm.0);
-        }
+        let tags: Vec<Tag> = (0..8).map(|_| es.open_channel()).collect();
         let mut unique = tags.clone();
         unique.sort();
         unique.dedup();
         assert_eq!(unique.len(), tags.len(), "event tags must be unique");
-        // All four communicators get used.
-        let mut cs = comms.clone();
-        cs.sort_unstable();
-        cs.dedup();
-        assert_eq!(cs.len(), 4);
     }
 
     #[test]
@@ -562,7 +546,7 @@ mod tests {
     fn a_reply_that_never_comes_fails_at_the_reply_timeout() {
         // Nobody serves rank 1. The head's wait is one sleep that ends at
         // its own deadline: no transport tick wakes it on the way there.
-        let world = ompc_mpi::World::with_communicators(2, 2);
+        let world = ompc_mpi::World::new(2);
         let timeout = Duration::from_millis(120);
         let es = EventSystem::with_reply_timeout(world.communicator(0), Some(timeout));
         let t0 = std::time::Instant::now();

@@ -2,9 +2,12 @@
 //!
 //! Every event starts with a *new-event notification* sent to the
 //! destination node on the reserved control tag. The notification carries
-//! the event kind, its operands, and the `(tag, communicator)` pair that all
-//! subsequent messages of this event will use — this is how the paper's
-//! event system guarantees an exclusive channel per event (§4.2).
+//! the event kind, its operands, and the tag that all subsequent messages of
+//! this event will use — this is how the paper's event system guarantees an
+//! exclusive channel per event (§4.2). The paper also spreads events over
+//! several MPI communicators; the in-process transport has one mailbox lock
+//! per rank, so every channel here is a tag on the world communicator, and
+//! the envelope's communicator field must name [`CommId::WORLD`].
 //!
 //! Every dispatched event also produces exactly one **typed reply** on its
 //! exclusive channel, an [`EventReply`]: `Ok(payload)` on success or
@@ -17,10 +20,10 @@
 //! Every head→worker buffer operation is an [`EventRequest::Task`] of
 //! [`TaskStep`]s. A region task travels as a car of an
 //! [`EventRequest::TaskTrain`], and a car's one typed reply is also its
-//! completion notice: the worker sends it on the train envelope's own
-//! `(tag, communicator)` — the completion channel of the region execution
-//! that sent the train, an event channel like any other — led by the car's
-//! tag ([`car_reply_header`]). [`CONTROL_TAG`] is the only reserved tag.
+//! completion notice: the worker sends it on the train envelope's own tag —
+//! the completion channel of the region execution that sent the train, an
+//! event channel like any other — led by the car's tag
+//! ([`car_reply_header`]). [`CONTROL_TAG`] is the only reserved tag.
 //!
 //! ## Header and body
 //!
@@ -87,9 +90,8 @@ pub enum EventRequest {
     /// [`Task`] notifications: the typed error protocol, zombie-gate
     /// refusals, and fault blame all stay per task. Each car's reply — or
     /// its refusal, on a killed node — is one message on the envelope's own
-    /// `(tag, communicator)`, the completion channel of the region execution
-    /// that sent the train, its header led by the car's tag
-    /// ([`car_reply_header`]).
+    /// tag, the completion channel of the region execution that sent the
+    /// train, its header led by the car's tag ([`car_reply_header`]).
     ///
     /// [`Task`]: EventRequest::Task
     TaskTrain(Vec<TrainCar>),
@@ -155,24 +157,21 @@ pub fn payload_body(header: &[u8], body: Option<Bytes>) -> OmpcResult<Bytes> {
 /// One car of an [`EventRequest::TaskTrain`]: a complete composite task
 /// with its own exclusive channel. Payloads for the car's
 /// [`TaskStep::RecvFromHead`] steps and the frames of its forwards travel on
-/// the car's `(tag, comm)` channel; its reply goes to the train's
-/// completion channel, led by the car's tag, which names the car there.
+/// the car's tag; its reply goes to the train's completion channel, led by
+/// the car's tag, which names the car there.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrainCar {
     /// Tag of the car's exclusive channel (payloads and forwards), and the
     /// name its reply carries.
     pub tag: Tag,
-    /// Communicator of the car's exclusive channel.
-    pub comm: CommId,
     /// The composite task itself.
     pub spec: TaskSpec,
 }
 
 /// One step of a composite [`EventRequest::Task`], executed in order by the
 /// destination node's event handler. Receive steps use the task's exclusive
-/// `(tag, communicator)` channel; because MPI delivery is non-overtaking
-/// per `(source, communicator, tag)`, several receives from the same source
-/// arrive in step order.
+/// tag; because MPI delivery is non-overtaking per `(source, tag)`, several
+/// receives from the same source arrive in step order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskStep {
     /// Receive the contents of `buffer` from the head node on the event
@@ -204,13 +203,13 @@ pub enum TaskStep {
     /// a task with this step is data-bearing ([`Reply::from_parts`]).
     Retrieve { buffer: BufferId },
     /// After the kernel, send the resident `buffer` to worker `to` on the push channel
-    /// `(tag, comm)`, as the sending half of an [`EventRequest::ExchangeSend`] would.
-    Push { buffer: BufferId, to: NodeId, tag: Tag, comm: CommId },
-    /// Receive the copy of `buffer` worker `from` pushed on `(tag, comm)`: queued before the
+    /// `tag`, as the sending half of an [`EventRequest::ExchangeSend`] would.
+    Push { buffer: BufferId, to: NodeId, tag: Tag },
+    /// Receive the copy of `buffer` worker `from` pushed on `tag`: queued before the
     /// head booked it, so the step never waits, and a missing one is a typed error.
-    Claim { buffer: BufferId, from: NodeId, tag: Tag, comm: CommId },
-    /// Drop what worker `from` pushed on `(tag, comm)` and nobody claimed.
-    Discard { from: NodeId, tag: Tag, comm: CommId },
+    Claim { buffer: BufferId, from: NodeId, tag: Tag },
+    /// Drop what worker `from` pushed on `tag` and nobody claimed.
+    Discard { from: NodeId, tag: Tag },
 }
 
 /// The recipe of one composite [`EventRequest::Task`]: the ordered steps
@@ -232,7 +231,7 @@ pub enum TaskStep {
 /// let n = EventNotification {
 ///     request: EventRequest::Task(spec),
 ///     tag: Tag(7),
-///     comm: CommId(0),
+///     comm: CommId::WORLD,
 ///     timed: false,
 /// };
 /// assert_eq!(EventNotification::decode(&n.encode())?, n);
@@ -245,14 +244,16 @@ pub struct TaskSpec {
 }
 
 /// A complete new-event notification: the request plus the exclusive
-/// channel (tag and communicator) the event will use.
+/// channel (its tag) the event will use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventNotification {
     /// What the destination must do.
     pub request: EventRequest,
     /// Tag all messages of this event are matched on.
     pub tag: Tag,
-    /// Communicator all messages of this event travel on.
+    /// Communicator the event travels on: always [`CommId::WORLD`], the
+    /// transport's only one. [`EventNotification::decode`] rejects any
+    /// other.
     pub comm: CommId,
     /// Whether the destination should capture telemetry timestamps while
     /// handling this event and ship them home in the reply (see
@@ -365,8 +366,8 @@ impl<'a> Reader<'a> {
     fn steps(&mut self) -> OmpcResult<Vec<TaskStep>> {
         self.list(9, decode_step)
     }
-    fn channel(&mut self) -> OmpcResult<(NodeId, Tag, CommId)> {
-        Ok((self.u64()? as NodeId, Tag(self.u64()?), CommId(self.u32()?)))
+    fn channel(&mut self) -> OmpcResult<(NodeId, Tag)> {
+        Ok((self.u64()? as NodeId, Tag(self.u64()?)))
     }
     fn rest(&mut self) -> Vec<u8> {
         let rest = self.data.get(self.pos..).unwrap_or_default().to_vec();
@@ -405,8 +406,8 @@ fn step_len(step: &TaskStep) -> usize {
             17
         }
         TaskStep::Execute { buffers, .. } => 13 + 8 * buffers.len(),
-        TaskStep::Discard { .. } => 21,
-        TaskStep::Push { .. } | TaskStep::Claim { .. } => 29,
+        TaskStep::Discard { .. } => 17,
+        TaskStep::Push { .. } | TaskStep::Claim { .. } => 25,
     }
 }
 
@@ -415,11 +416,10 @@ fn steps_len(steps: &[TaskStep]) -> usize {
     4 + steps.iter().map(step_len).sum::<usize>()
 }
 
-/// A worker, then a `(tag, communicator)` channel.
-fn encode_channel(w: &mut Writer, node: NodeId, tag: Tag, comm: CommId) {
+/// A worker, then a channel's tag.
+fn encode_channel(w: &mut Writer, node: NodeId, tag: Tag) {
     w.u64(node as u64);
     w.u64(tag.0);
-    w.u32(comm.0);
 }
 
 fn encode_step(w: &mut Writer, step: &TaskStep) {
@@ -450,15 +450,14 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
         TaskStep::Execute { kernel, buffers } => {
             encode_execute(w, *kernel, buffers.iter().copied())
         }
-        TaskStep::Push { buffer, to: node, tag, comm }
-        | TaskStep::Claim { buffer, from: node, tag, comm } => {
+        TaskStep::Push { buffer, to: node, tag } | TaskStep::Claim { buffer, from: node, tag } => {
             w.u8(if matches!(step, TaskStep::Push { .. }) { STEP_PUSH } else { STEP_CLAIM });
             w.u64(buffer.0);
-            encode_channel(w, *node, *tag, *comm);
+            encode_channel(w, *node, *tag);
         }
-        TaskStep::Discard { from, tag, comm } => {
+        TaskStep::Discard { from, tag } => {
             w.u8(STEP_DISCARD);
-            encode_channel(w, *from, *tag, *comm);
+            encode_channel(w, *from, *tag);
         }
     }
 }
@@ -490,16 +489,16 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
             TaskStep::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffers()? }
         }
         STEP_PUSH => {
-            let (buffer, (to, tag, comm)) = (BufferId(r.u64()?), r.channel()?);
-            TaskStep::Push { buffer, to, tag, comm }
+            let (buffer, (to, tag)) = (BufferId(r.u64()?), r.channel()?);
+            TaskStep::Push { buffer, to, tag }
         }
         STEP_CLAIM => {
-            let (buffer, (from, tag, comm)) = (BufferId(r.u64()?), r.channel()?);
-            TaskStep::Claim { buffer, from, tag, comm }
+            let (buffer, (from, tag)) = (BufferId(r.u64()?), r.channel()?);
+            TaskStep::Claim { buffer, from, tag }
         }
         STEP_DISCARD => {
-            let (from, tag, comm) = r.channel()?;
-            TaskStep::Discard { from, tag, comm }
+            let (from, tag) = r.channel()?;
+            TaskStep::Discard { from, tag }
         }
         other => return Err(OmpcError::Internal(format!("unknown task step kind {other}"))),
     })
@@ -513,7 +512,7 @@ impl EventNotification {
             EventRequest::ExchangeSend { .. } => 16,
             EventRequest::Task(spec) => steps_len(&spec.steps),
             EventRequest::TaskTrain(cars) => {
-                4 + cars.iter().map(|car| 12 + steps_len(&car.spec.steps)).sum::<usize>()
+                4 + cars.iter().map(|car| 8 + steps_len(&car.spec.steps)).sum::<usize>()
             }
             EventRequest::Reset | EventRequest::Shutdown | EventRequest::Kill => 0,
         }
@@ -542,7 +541,7 @@ impl EventNotification {
                 w.u8(KIND_TASK_TRAIN);
                 w.u32(cars.len() as u32);
                 for car in cars {
-                    encode_car_header(&mut w, car.tag, car.comm, car.spec.steps.len() as u32);
+                    encode_car_header(&mut w, car.tag, car.spec.steps.len() as u32);
                     for step in &car.spec.steps {
                         encode_step(&mut w, step);
                     }
@@ -566,6 +565,9 @@ impl EventNotification {
         let mut r = Reader::new(data);
         let tag = Tag(r.u64()?);
         let comm = CommId(r.u32()?);
+        if comm != CommId::WORLD {
+            return Err(OmpcError::Internal(format!("notification on {comm}, not the world's")));
+        }
         let timed = match r.u8()? {
             0 => false,
             1 => true,
@@ -579,9 +581,9 @@ impl EventNotification {
                 EventRequest::ExchangeSend { buffer: BufferId(r.u64()?), to: r.u64()? as NodeId }
             }
             KIND_TASK => EventRequest::Task(TaskSpec { steps: r.steps()? }),
-            KIND_TASK_TRAIN => EventRequest::TaskTrain(r.list(16, |r| {
-                let (tag, comm) = (Tag(r.u64()?), CommId(r.u32()?));
-                Ok(TrainCar { tag, comm, spec: TaskSpec { steps: r.steps()? } })
+            KIND_TASK_TRAIN => EventRequest::TaskTrain(r.list(12, |r| {
+                let tag = Tag(r.u64()?);
+                Ok(TrainCar { tag, spec: TaskSpec { steps: r.steps()? } })
             })?),
             KIND_RESET => EventRequest::Reset,
             KIND_SHUTDOWN => EventRequest::Shutdown,
@@ -598,17 +600,16 @@ impl EventNotification {
 /// tag (8 bytes), communicator (4), `timed` flag (1) and kind (1).
 const TRAIN_CARS_AT: usize = 14;
 
-/// What leads each car of a train: its channel, then its step count.
-fn encode_car_header(w: &mut Writer, tag: Tag, comm: CommId, steps: u32) {
+/// What leads each car of a train: its channel's tag, then its step count.
+fn encode_car_header(w: &mut Writer, tag: Tag, steps: u32) {
     w.u64(tag.0);
-    w.u32(comm.0);
     w.u32(steps);
 }
 
 /// An [`EventRequest::TaskTrain`] notification written car by car, as the
 /// head lowers the cars — byte for byte what [`EventNotification::encode`]
 /// writes for the same train, with no [`TrainCar`], step list or buffer list
-/// built on the way. A car's channel and step count are filled in when it is
+/// built on the way. A car's tag and step count are filled in when it is
 /// closed ([`TrainFrame::end_car`]), the car count when the train departs
 /// ([`TrainFrame::finish`]).
 #[derive(Debug)]
@@ -622,12 +623,12 @@ pub(crate) struct TrainFrame {
 }
 
 impl TrainFrame {
-    /// The envelope of a train on the `(tag, comm)` channel, with room for
+    /// The envelope of a train on the channel `tag`, with room for
     /// `capacity` bytes before the frame grows.
-    pub(crate) fn new(tag: Tag, comm: CommId, timed: bool, capacity: usize) -> Self {
+    pub(crate) fn new(tag: Tag, timed: bool, capacity: usize) -> Self {
         let mut w = Writer::with_capacity(capacity.max(TRAIN_CARS_AT + 4));
         w.u64(tag.0);
-        w.u32(comm.0);
+        w.u32(CommId::WORLD.0);
         w.u8(timed as u8);
         w.u8(KIND_TASK_TRAIN);
         w.u32(0);
@@ -638,7 +639,7 @@ impl TrainFrame {
     pub(crate) fn begin_car(&mut self) {
         self.car_at = self.w.0.len();
         self.steps = 0;
-        encode_car_header(&mut self.w, Tag(0), CommId(0), 0);
+        encode_car_header(&mut self.w, Tag(0), 0);
     }
 
     /// Append a step to the open car.
@@ -658,12 +659,11 @@ impl TrainFrame {
         self.steps += 1;
     }
 
-    /// Close the open car, naming its channel `(tag, comm)`.
-    pub(crate) fn end_car(&mut self, tag: Tag, comm: CommId) {
+    /// Close the open car, naming its channel `tag`.
+    pub(crate) fn end_car(&mut self, tag: Tag) {
         let at = self.car_at;
         self.w.patch_u64(at, tag.0);
-        self.w.patch_u32(at + 8, comm.0);
-        self.w.patch_u32(at + 12, self.steps);
+        self.w.patch_u32(at + 8, self.steps);
         self.cars += 1;
     }
 
@@ -953,7 +953,7 @@ impl Reply {
 
 /// The header of a train car's one reply, which is also its completion
 /// notice: the car's tag, then the car's [`EventReply`]. The worker sends it
-/// on the train envelope's `(tag, communicator)` — the completion channel of
+/// on the train envelope's tag — the completion channel of
 /// the region execution that sent the train — with the reply's body, if it
 /// has one, as the message body, so the head resolves a car with one
 /// receive on one channel, whatever the outcome.
@@ -984,7 +984,7 @@ mod tests {
             let n = EventNotification {
                 request: request.clone(),
                 tag: Tag(42),
-                comm: CommId(3),
+                comm: CommId::WORLD,
                 timed,
             };
             let decoded = EventNotification::decode(&n.encode()).unwrap();
@@ -1026,9 +1026,9 @@ mod tests {
                     kernel: KernelId(7),
                     buffers: vec![BufferId(1), BufferId(2), BufferId(3), BufferId(4)],
                 },
-                TaskStep::Push { buffer: BufferId(4), to: 2, tag: Tag(40), comm: CommId(1) },
-                TaskStep::Claim { buffer: BufferId(5), from: 3, tag: Tag(41), comm: CommId(0) },
-                TaskStep::Discard { from: 3, tag: Tag(u64::MAX), comm: CommId(u32::MAX) },
+                TaskStep::Push { buffer: BufferId(4), to: 2, tag: Tag(40) },
+                TaskStep::Claim { buffer: BufferId(5), from: 3, tag: Tag(41) },
+                TaskStep::Discard { from: 3, tag: Tag(u64::MAX) },
                 TaskStep::Retrieve { buffer: BufferId(u64::MAX) },
             ],
         }));
@@ -1041,7 +1041,6 @@ mod tests {
         round_trip(EventRequest::TaskTrain(vec![
             TrainCar {
                 tag: Tag(11),
-                comm: CommId(1),
                 spec: TaskSpec {
                     steps: vec![
                         TaskStep::RecvFromHead { buffer: BufferId(1) },
@@ -1051,7 +1050,6 @@ mod tests {
             },
             TrainCar {
                 tag: Tag(12),
-                comm: CommId(0),
                 spec: TaskSpec { steps: vec![TaskStep::Alloc { buffer: BufferId(4), size: 64 }] },
             },
         ]));
@@ -1069,7 +1067,7 @@ mod tests {
         let n = EventNotification {
             request: train(&[5, 6]),
             tag: Tag(20),
-            comm: CommId(1),
+            comm: CommId::WORLD,
             timed: false,
         };
         let bytes = n.encode();
@@ -1098,16 +1096,61 @@ mod tests {
         let n = EventNotification {
             request: EventRequest::TaskTrain(vec![TrainCar {
                 tag: Tag(9),
-                comm: CommId(0),
                 spec: TaskSpec { steps: vec![TaskStep::Delete { buffer: BufferId(3) }] },
             }]),
             tag: Tag(9),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         let bytes = n.encode();
         for cut in 1..bytes.len() {
             assert!(EventNotification::decode(&bytes[..bytes.len() - cut]).is_err());
+        }
+    }
+
+    /// Bad input the one-communicator layout owes a typed error: an envelope
+    /// naming a communicator other than the world's, a car header (a tag and
+    /// a step count, 12 bytes) cut short, and a push, claim or discard whose
+    /// channel operand (a node and a tag) is cut short.
+    #[test]
+    fn bad_input_off_the_world_or_cut_short_is_a_typed_error() {
+        let mut train = TrainFrame::new(Tag(4), false, 0);
+        train.begin_car();
+        train.end_car(Tag(5));
+        let train = train.finish();
+        assert_eq!(train.len(), TRAIN_CARS_AT + 4 + 12, "the envelope, a car count, one header");
+        let task = |step| EventRequest::Task(TaskSpec { steps: vec![step] });
+        let notification =
+            |request| EventNotification { request, tag: Tag(3), comm: CommId::WORLD, timed: false };
+        let off_world = |mut bytes: Vec<u8>| {
+            for comm in [1, 7, u32::MAX] {
+                bytes[8..12].copy_from_slice(&u32::to_le_bytes(comm));
+                let decoded = EventNotification::decode(&bytes);
+                assert!(matches!(decoded, Err(OmpcError::Internal(_))), "comm {comm}: {decoded:?}");
+            }
+        };
+        off_world(train.clone());
+        off_world(notification(EventRequest::Shutdown).encode());
+        off_world(notification(task(TaskStep::Delete { buffer: BufferId(1) })).encode());
+        let forged = EventNotification { comm: CommId(2), ..notification(EventRequest::Reset) };
+        assert!(matches!(EventNotification::decode(&forged.encode()), Err(OmpcError::Internal(_))));
+
+        for cut in 1..=12 {
+            let decoded = EventNotification::decode(&train[..train.len() - cut]);
+            assert!(matches!(decoded, Err(OmpcError::Internal(_))), "header cut by {cut}");
+        }
+        let (buffer, tag) = (BufferId(6), Tag(8));
+        for step in [
+            TaskStep::Push { buffer, to: 2, tag },
+            TaskStep::Claim { buffer, from: 1, tag },
+            TaskStep::Discard { from: 1, tag },
+        ] {
+            let bytes = notification(task(step.clone())).encode();
+            assert_eq!(bytes.len(), 18 + step_len(&step), "{step:?}");
+            for cut in 1..=16 {
+                let decoded = EventNotification::decode(&bytes[..bytes.len() - cut]);
+                assert!(matches!(decoded, Err(OmpcError::Internal(_))), "{step:?} cut by {cut}");
+            }
         }
     }
 
@@ -1174,7 +1217,7 @@ mod tests {
                 steps: vec![TaskStep::Alloc { buffer: BufferId(1), size: 64 }],
             }),
             tag: Tag(5),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         let bytes = n.encode();
@@ -1239,11 +1282,11 @@ mod tests {
             assert_eq!(bytes.len(), 18);
             assert!(matches!(EventNotification::decode(&bytes), Err(OmpcError::Internal(_))));
         }
-        let (tag, comm) = (Tag(9), CommId(1));
+        let (tag, comm) = (Tag(9), CommId::WORLD);
         for step in [
-            TaskStep::Push { buffer: BufferId(3), to: 2, tag, comm },
-            TaskStep::Claim { buffer: BufferId(3), from: 1, tag, comm },
-            TaskStep::Discard { from: 1, tag, comm },
+            TaskStep::Push { buffer: BufferId(3), to: 2, tag },
+            TaskStep::Claim { buffer: BufferId(3), from: 1, tag },
+            TaskStep::Discard { from: 1, tag },
             TaskStep::Retrieve { buffer: BufferId(3) },
         ] {
             let task = EventRequest::Task(TaskSpec { steps: vec![step] });
@@ -1291,16 +1334,16 @@ mod tests {
         let step = |rng: &mut Rng| {
             let buffer = BufferId(rng.next_u64());
             let node = rng.range_usize(0, 1 << 20);
-            let (tag, comm) = (Tag(rng.next_u64()), CommId(rng.next_u64() as u32));
+            let tag = Tag(rng.next_u64());
             match rng.range(0, 10) {
                 0 => TaskStep::RecvFromHead { buffer },
                 1 => TaskStep::RecvFromWorker { buffer, from: node },
                 2 => TaskStep::AwaitLocal { buffer, timeout_ms: rng.next_u64() },
                 3 => TaskStep::Alloc { buffer, size: rng.next_u64() },
                 4 => TaskStep::Delete { buffer },
-                5 => TaskStep::Push { buffer, to: node, tag, comm },
-                6 => TaskStep::Claim { buffer, from: node, tag, comm },
-                7 => TaskStep::Discard { from: node, tag, comm },
+                5 => TaskStep::Push { buffer, to: node, tag },
+                6 => TaskStep::Claim { buffer, from: node, tag },
+                7 => TaskStep::Discard { from: node, tag },
                 8 => TaskStep::Retrieve { buffer },
                 _ => TaskStep::Execute { kernel: KernelId(node), buffers: arb_buffers(rng) },
             }
@@ -1324,7 +1367,6 @@ mod tests {
             KIND_TASK_TRAIN => {
                 let car = |rng: &mut Rng| TrainCar {
                     tag: Tag(rng.next_u64()),
-                    comm: CommId(rng.next_u64() as u32),
                     spec: TaskSpec { steps: arb_steps(rng) },
                 };
                 EventRequest::TaskTrain((0..rng.range(0, 4)).map(|_| car(rng)).collect())
@@ -1335,7 +1377,7 @@ mod tests {
         EventNotification {
             request,
             tag: Tag(rng.next_u64()),
-            comm: CommId(rng.next_u64() as u32),
+            comm: CommId::WORLD,
             timed: rng.range(0, 2) == 1,
         }
     }
@@ -1505,12 +1547,10 @@ mod tests {
             let cars: Vec<TrainCar> = (0..rng.range(0, 7))
                 .map(|_| TrainCar {
                     tag: Tag(rng.next_u64()),
-                    comm: CommId(rng.next_u64() as u32),
                     spec: TaskSpec { steps: arb_steps(rng) },
                 })
                 .collect();
-            let (tag, comm, timed) =
-                (Tag(rng.next_u64()), CommId(rng.next_u64() as u32), seed % 2 == 1);
+            let (tag, timed) = (Tag(rng.next_u64()), seed % 2 == 1);
             let write = |frame: &mut TrainFrame, steps: &[TaskStep]| {
                 for step in steps {
                     match step {
@@ -1521,7 +1561,7 @@ mod tests {
                     }
                 }
             };
-            let mut frame = TrainFrame::new(tag, comm, timed, rng.range_usize(0, 64));
+            let mut frame = TrainFrame::new(tag, timed, rng.range_usize(0, 64));
             let abandoned = rng.range_usize(0, cars.len() + 1);
             for (at, car) in cars.iter().enumerate() {
                 if at == abandoned {
@@ -1531,9 +1571,10 @@ mod tests {
                 }
                 frame.begin_car();
                 write(&mut frame, &car.spec.steps);
-                frame.end_car(car.tag, car.comm);
+                frame.end_car(car.tag);
             }
-            let n = EventNotification { request: EventRequest::TaskTrain(cars), tag, comm, timed };
+            let request = EventRequest::TaskTrain(cars);
+            let n = EventNotification { request, tag, comm: CommId::WORLD, timed };
             let bytes = frame.finish();
             assert_eq!(bytes, n.encode(), "seed {seed}");
             assert_eq!(EventNotification::decode(&bytes), Ok(n), "seed {seed}");
@@ -1551,7 +1592,7 @@ mod tests {
         let n = EventNotification {
             request: EventRequest::ExchangeSend { buffer: BufferId(7), to: 1024 },
             tag: Tag(1),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         let bytes = n.encode();
@@ -1564,7 +1605,7 @@ mod tests {
         let mut bytes = EventNotification {
             request: EventRequest::Shutdown,
             tag: Tag(1),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         }
         .encode();
@@ -1585,7 +1626,7 @@ mod tests {
         let n = EventNotification {
             request: EventRequest::Task(TaskSpec { steps: vec![] }),
             tag: Tag(3),
-            comm: CommId(1),
+            comm: CommId::WORLD,
             timed: true,
         };
         let mut bytes = n.encode();

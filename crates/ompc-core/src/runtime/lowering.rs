@@ -72,7 +72,7 @@ use crate::event::{CarWriter, EventSystem, Trains, TypedReply};
 use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
-use ompc_mpi::{Bytes, CommId, Tag};
+use ompc_mpi::{Bytes, Tag};
 use ompc_sched::Platform;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -216,7 +216,6 @@ struct Push {
     from: NodeId,
     to: NodeId,
     tag: Tag,
-    comm: CommId,
 }
 
 /// What the lowerings of this execution booked, appended as each task is
@@ -234,8 +233,8 @@ struct Booked {
 /// Claim for `car` the unclaimed push of `buffer` to `node`, if there is one.
 fn claim(state: &mut State, car: &mut CarWriter, buffer: BufferId, node: NodeId) -> bool {
     let Some(push) = state.unclaimed.remove(&(buffer, node)) else { return false };
-    let Push { from, tag, comm, .. } = push;
-    car.step(&TaskStep::Claim { buffer, from, tag, comm });
+    let Push { from, tag, .. } = push;
+    car.step(&TaskStep::Claim { buffer, from, tag });
     state.booked.owned.push(buffer);
     state.booked.claims.push(push);
     true
@@ -515,7 +514,7 @@ impl Lowering {
         let claims = claims..state.booked.claims.len();
         car.execute(kernel, task.dependences.iter().map(|d| d.buffer));
         for p in &state.booked.pushes[pushes.clone()] {
-            car.step(&TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag, comm: p.comm });
+            car.step(&TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag });
         }
         let record =
             Record { owned, claims, pushes, deletes, ..Record::new(node, RecordKind::Target) };
@@ -572,18 +571,17 @@ impl Lowering {
             |&(b, r): &(BufferId, TaskId)| self.graph.task(r).kind.is_target().then_some((r.0, b));
         let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
         // Channels are opened once the pushes are sorted and unique.
-        let (tag, comm) = (Tag(0), CommId(0));
-        let push = |(to, buffer)| Push { producer: TaskId(tid), buffer, from: node, to, tag, comm };
+        let push =
+            |(to, buffer)| Push { producer: TaskId(tid), buffer, from: node, to, tag: Tag(0) };
         let State { assignment, booked, scratch, .. } = state;
         scratch.clear();
         scratch.extend(super::push_targets(readers, node, assignment, dm).map(push));
         scratch.sort_unstable_by_key(|p| (p.to, p.buffer));
         scratch.dedup_by_key(|p| (p.to, p.buffer));
         let from = booked.pushes.len();
-        booked.pushes.extend(scratch.iter().map(|push| {
-            let (tag, comm) = self.path.events.open_channel();
-            Push { tag, comm, ..*push }
-        }));
+        booked.pushes.extend(
+            scratch.iter().map(|push| Push { tag: self.path.events.open_channel(), ..*push }),
+        );
         from..booked.pushes.len()
     }
 
@@ -865,7 +863,7 @@ impl Lowering {
             owed.retain(|&node, _| !dm.is_failed(node));
         }
         let sent = owed.iter().map(|(&node, (buffers, pushes))| {
-            let discard = |p: &Push| TaskStep::Discard { from: p.from, tag: p.tag, comm: p.comm };
+            let discard = |p: &Push| TaskStep::Discard { from: p.from, tag: p.tag };
             (node, buffers.iter().copied().collect(), pushes.iter().map(discard).collect())
         });
         let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, sent);
@@ -933,10 +931,10 @@ impl Lowering {
     /// [`Lowering::lower_into`] a train of its own, and the car read back
     /// out of its frame: a test's view of one lowered task.
     pub(crate) fn lower(&self, tid: usize, node: NodeId) -> OmpcResult<Lowered<Composite>> {
-        let mut trains = Trains::new(Tag(0), CommId(0), false);
+        let mut trains = Trains::new(Tag(0), false);
         let record = match self.lower_into(tid, node, &mut trains)? {
             Lowered::Task(car, record) => {
-                car.commit(tid, Tag(0), CommId(0));
+                car.commit(tid, Tag(0));
                 record
             }
             Lowered::Done => return Ok(Lowered::Done),
@@ -965,7 +963,7 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let world = World::with_communicators(4, 1);
+        let world = World::new(4);
         let buffers = Arc::new(BufferRegistry::new());
         let a = buffers.register(vec![7u8; 32]);
         let out = buffers.register(vec![0u8; 8]);
@@ -1083,7 +1081,7 @@ mod tests {
             event: notification.tag.0,
             error: Box::new(OmpcError::NodeFailure(rank)),
         };
-        let channel = world.communicator(rank).on(notification.comm).unwrap();
+        let channel = world.communicator(rank);
         channel.send(HEAD_NODE, notification.tag, EventReply::Err(error).encode()).unwrap();
     }
 
@@ -1371,7 +1369,7 @@ mod tests {
             let step =
                 work.steps.iter().find(|s| matches!(s, TaskStep::Push { to, .. } if *to == node));
             match step {
-                Some(&TaskStep::Push { tag, comm, .. }) => (tag, comm),
+                Some(&TaskStep::Push { tag, .. }) => tag,
                 _ => panic!("no push to node {node}"),
             }
         };
@@ -1396,13 +1394,13 @@ mod tests {
         assert!(matches!(&beside.steps[..], [TaskStep::Execute { .. }]), "{:?}", beside.steps);
         // The first reader on node 2 claims the push on its channel ...
         let (first, _record) = lower_task(low, 3, 2);
-        let (tag, comm) = channel_to(2);
+        let tag = channel_to(2);
         assert!(
             matches!(&first.steps[..], [TaskStep::Claim { buffer, from: 1, .. }, TaskStep::Alloc { .. }, TaskStep::Execute { .. }] if *buffer == a),
             "unexpected steps: {:?}",
             first.steps
         );
-        assert_eq!(first.steps[0], TaskStep::Claim { buffer: a, from: 1, tag, comm });
+        assert_eq!(first.steps[0], TaskStep::Claim { buffer: a, from: 1, tag });
         assert!(first.payloads.is_empty() && first.exchanges.is_empty(), "the head sends nothing");
         // ... and the second awaits that receive.
         let (second, _record) = lower_task(low, 4, 2);
@@ -1475,9 +1473,9 @@ mod tests {
     }
 
     /// The channel of the push to `node` among `steps`.
-    fn push_channel(steps: &[TaskStep], node: NodeId) -> (Tag, CommId) {
+    fn push_channel(steps: &[TaskStep], node: NodeId) -> Tag {
         let channel = |step: &TaskStep| match *step {
-            TaskStep::Push { to, tag, comm, .. } if to == node => Some((tag, comm)),
+            TaskStep::Push { to, tag, .. } if to == node => Some(tag),
             _ => None,
         };
         steps.iter().find_map(channel).expect("a push to the node")
@@ -1503,12 +1501,12 @@ mod tests {
         low.retire(2, record, Ok(Reply::default())).unwrap();
         assert_eq!(forwards(low), vec![(1, 2), (1, 3)], "the first pushes' records withdrawn");
         let dropped: Vec<_> = (low.state.lock().discards.iter()).map(|p| (p.to, p.tag)).collect();
-        let first_tag = |node| push_channel(&first.steps, node).0;
+        let first_tag = |node| push_channel(&first.steps, node);
         assert_eq!(dropped, vec![(2, first_tag(2)), (3, first_tag(3))]);
         // The reader claims the version it reads.
         let (reader, _record) = lower_task(low, 3, 2);
-        let (tag, comm) = push_channel(&second.steps, 2);
-        assert_eq!(reader.steps[0], TaskStep::Claim { buffer: a, from: 1, tag, comm });
+        let tag = push_channel(&second.steps, 2);
+        assert_eq!(reader.steps[0], TaskStep::Claim { buffer: a, from: 1, tag });
     }
 
     #[test]
@@ -1567,10 +1565,7 @@ mod tests {
             assert_eq!(low.flush_deletes(), Ok(()));
             (two.join().unwrap(), three.join().unwrap())
         });
-        let discard = |node| {
-            let (tag, comm) = push_channel(&work.steps, node);
-            TaskStep::Discard { from: 1, tag, comm }
-        };
+        let discard = |node| TaskStep::Discard { from: 1, tag: push_channel(&work.steps, node) };
         let task = |steps| EventRequest::Task(TaskSpec { steps });
         assert_eq!(two, task(vec![TaskStep::Delete { buffer: a }, discard(2)]));
         assert_eq!(three, task(vec![discard(3)]));

@@ -10,10 +10,9 @@
 //! The lowering (`runtime/lowering.rs`) decides what a task is; this file
 //! only delivers it. A composite's steps are serialized through the
 //! `protocol` codec and sent as a tagged message; its payloads and exchange
-//! notices ride the task's exclusive `(tag, communicator)` channel
-//! (communicators chosen round-robin by tag, the paper's VCI mapping), and
-//! the worker's handler answers with exactly one typed reply when the
-//! last step finished — success or a typed error naming the node and event.
+//! notices ride the task's exclusive tag, and the worker's handler answers
+//! with exactly one typed reply when the last step finished — success or a
+//! typed error naming the node and event.
 //!
 //! **Waiting for someone else's bytes.** An `AwaitLocal` step only ever
 //! names a receive an earlier car of this execution queued ahead of it on
@@ -34,11 +33,11 @@
 //! for its payloads and forwards, and its reply names it, so per-task typed
 //! errors, zombie-gate refusals, and fault blame survive batching unchanged.
 //!
-//! **A completion channel per region execution**: the driver opens one
-//! `(tag, communicator)` channel when the execution starts, and every train
-//! envelope names it. Each car's one typed reply arrives there, led by the
-//! car's tag ([`crate::protocol::car_reply_header`]) — the reply *is* the
-//! completion notice — so the head waits with one posted receive on its
+//! **A completion channel per region execution**: the driver opens one tag
+//! when the execution starts, and every train envelope names it. Each car's
+//! one typed reply arrives there, led by the car's tag
+//! ([`crate::protocol::car_reply_header`]) — the reply *is* the completion
+//! notice — so the head waits with one posted receive on its
 //! own channel and resolves a car with the one message: work proportional
 //! to messages arrived, not tasks outstanding. Concurrent region executions
 //! need no demultiplexer: no two share a channel, and the mailbox's matching
@@ -120,7 +119,7 @@ impl MpiBackend {
     /// outstanding car's reply and every unclaimed push is drained, so no
     /// stale message bleeds into a later region execution.
     pub fn execute(&self, core: &mut RuntimeCore) -> OmpcResult<()> {
-        let mut driver = MpiDriver::new(&self.lowering)?;
+        let mut driver = MpiDriver::new(&self.lowering);
         let result = core.execute(&mut driver);
         driver.drain_outstanding();
         // On the success path the epilogue already flushed; after a failed
@@ -136,9 +135,9 @@ impl MpiBackend {
 /// trains and waits on the execution's completion channel.
 struct MpiDriver<'c> {
     lowering: &'c Lowering,
-    /// This execution's completion channel: the head's handle on its
-    /// communicator, and its tag. Every train envelope names it, and every
-    /// car's reply arrives on it.
+    /// This execution's completion channel: the head's communicator handle,
+    /// and the channel's tag. Every train envelope names it, and every car's
+    /// reply arrives on it.
     completions: Communicator,
     completion_tag: Tag,
     /// The cars on the wire, by ascending tag — the index a reply is
@@ -166,19 +165,19 @@ fn event_of(task: usize, outcome: OmpcResult<()>) -> TaskEvent {
 
 impl<'c> MpiDriver<'c> {
     /// A driver for one region execution, with its completion channel open.
-    fn new(lowering: &'c Lowering) -> OmpcResult<Self> {
+    fn new(lowering: &'c Lowering) -> Self {
         let events = &lowering.path.events;
-        let (completion_tag, comm) = events.open_channel();
+        let completion_tag = events.open_channel();
         let timed = lowering.path.telemetry.spans_enabled();
-        Ok(Self {
+        Self {
             lowering,
-            completions: events.communicator().on(comm)?,
+            completions: events.communicator().clone(),
             completion_tag,
             outstanding: Vec::new(),
             ready: VecDeque::new(),
-            trains: Trains::new(completion_tag, comm, timed),
+            trains: Trains::new(completion_tag, timed),
             parked: Vec::new(),
-        })
+        }
     }
 
     /// Settle every car still outstanding after a failed run, then empty the
@@ -288,7 +287,7 @@ impl<'c> MpiDriver<'c> {
         let mut sent = Frames::default();
         for (car, payloads, exchanges) in train.frames() {
             let send_start = tel.start();
-            let frames = events.send_frames(node, car.tag, car.comm, payloads, exchanges)?;
+            let frames = events.send_frames(node, car.tag, payloads, exchanges)?;
             if timed {
                 tel.record(
                     Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
@@ -363,9 +362,9 @@ impl ExecutionBackend for MpiDriver<'_> {
             // train departs when the window closes. The node is the
             // lowering's: an exit-data car goes where the bytes are.
             Ok(Lowered::Task(car, record)) => {
-                let (tag, comm) = lowering.path.events.open_channel();
+                let tag = lowering.path.events.open_channel();
                 let data_bearing = car.returns_data();
-                car.commit(task, tag, comm);
+                car.commit(task, tag);
                 self.outstanding.push(Outstanding { tag, task, data_bearing, record });
             }
             Ok(Lowered::Parked(awaiting)) => {
@@ -571,7 +570,7 @@ mod tests {
     }
 
     /// Regression test for the counter drift of re-queued train cars: a
-    /// train that fails mid-send (here: a later car naming a communicator
+    /// train that fails mid-send (here: a later car's forward from a rank
     /// the world does not have, after an earlier car's payload already
     /// went out) is failed as a whole and its cars re-dispatched, so
     /// committing counters interleaved with the sends would count the
@@ -589,12 +588,12 @@ mod tests {
         use crate::task::RegionGraph;
         use crate::types::BufferId;
         use crate::worker::worker_main;
-        use ompc_mpi::{Bytes, CommId, World};
+        use ompc_mpi::{Bytes, World};
         use std::collections::HashMap;
         use std::sync::atomic::Ordering;
         use std::sync::Arc;
 
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let kernels = Arc::new(KernelRegistry::new());
         let worker = {
             let comm = world.communicator(1);
@@ -611,7 +610,7 @@ mod tests {
         let lowering =
             Lowering::new(path, 1, Arc::new(RegionGraph::new()), HashMap::new(), &mpi_config())
                 .unwrap();
-        let driver = MpiDriver::new(&lowering).unwrap();
+        let driver = MpiDriver::new(&lowering);
         let snapshot = || {
             let c = events.counters();
             (
@@ -621,16 +620,17 @@ mod tests {
             )
         };
         // A train of two cars on worker 1: the first receives a 16-byte host
-        // payload, the second rides `second` if given.
-        let load = |second: Option<CommId>| {
-            let envelope = (driver.completion_tag, driver.completions.comm_id());
-            let mut trains = Trains::new(envelope.0, envelope.1, false);
+        // payload, the second a forward from `source` if given.
+        let load = |source: Option<crate::types::NodeId>| {
+            let mut trains = Trains::new(driver.completion_tag, false);
             let mut car = trains.car(1);
             car.recv_from_head(BufferId(0), Bytes::from(vec![7u8; 16]));
-            let (tag, comm) = events.open_channel();
-            car.commit(0, tag, comm);
-            let (tag, comm) = events.open_channel();
-            trains.car(1).commit(1, tag, second.unwrap_or(comm));
+            car.commit(0, events.open_channel());
+            let mut car = trains.car(1);
+            if let Some(from) = source {
+                car.recv_from_worker(BufferId(1), from, 8);
+            }
+            car.commit(1, events.open_channel());
             trains
         };
         let send = |mut trains: Trains| {
@@ -638,8 +638,8 @@ mod tests {
             driver.send_train(node, train)
         };
 
-        let err = send(load(Some(CommId(99))));
-        assert!(err.is_err(), "a car on a communicator the world lacks must fail the send");
+        let err = send(load(Some(99)));
+        assert!(err.is_err(), "a forward from a rank the world lacks must fail the send");
         assert_eq!(snapshot(), (0, 0, 0), "a train that failed mid-send commits nothing");
 
         send(load(None)).unwrap();
@@ -674,7 +674,7 @@ mod tests {
         use std::sync::Arc;
         use std::time::{Duration, Instant};
 
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let timeout = Duration::from_millis(150);
         let events =
             Arc::new(EventSystem::with_reply_timeout(world.communicator(0), Some(timeout)));
@@ -701,7 +701,7 @@ mod tests {
             inputs.iter().filter(moving).count()
         };
 
-        let mut driver = MpiDriver::new(&lowering).unwrap();
+        let mut driver = MpiDriver::new(&lowering);
         for task in 0..4 {
             driver.launch(task, 1).unwrap();
         }
@@ -762,7 +762,7 @@ mod tests {
         use std::sync::Arc;
 
         ompc_testutil::with_timeout(std::time::Duration::from_secs(5), || {
-            let world = World::with_communicators(3, 2);
+            let world = World::new(3);
             let kernels = Arc::new(KernelRegistry::new());
             let noop = kernels.register_fn("noop", 1e-6, |_| {});
             let workers: Vec<_> = [(1, 2), (2, 1)]
@@ -799,7 +799,7 @@ mod tests {
             // The owner forwards `a` from node 2, the reader awaits that
             // receive — in two trains on node 1, so that with two handler
             // threads the reader's wait can run beside the owner's receive.
-            let mut driver = MpiDriver::new(&lowering).unwrap();
+            let mut driver = MpiDriver::new(&lowering);
             driver.launch(0, 1).unwrap();
             driver.flush_trains();
             driver.launch(1, 1).unwrap();

@@ -25,7 +25,7 @@ use crate::protocol::{
 };
 use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
-use ompc_mpi::{Bytes, CommId, Communicator, Message, PostedRecv, RecvGroup, Tag};
+use ompc_mpi::{Bytes, Communicator, Message, PostedRecv, RecvGroup, Tag};
 use parking_lot::{Condvar, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -311,10 +311,10 @@ fn recv_forward(channel: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<By
     forwarded(channel.recv(Some(from), Some(tag))?)
 }
 
-/// Take what `from` pushed on `(tag, cid)`: queued before it was booked.
-fn take_push(comm: &Communicator, from: NodeId, tag: Tag, cid: CommId) -> OmpcResult<Bytes> {
+/// Take what `from` pushed on `tag`: queued before it was booked.
+fn take_push(comm: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<Bytes> {
     let missing = || OmpcError::Internal(format!("nothing pushed by node {from} on {tag:?}"));
-    forwarded(comm.on(cid)?.try_recv(Some(from), Some(tag)).ok_or_else(missing)?)
+    forwarded(comm.try_recv(Some(from), Some(tag)).ok_or_else(missing)?)
 }
 
 /// The generations [`DeviceMemory::accept`] gave an event's receives and
@@ -382,9 +382,9 @@ fn run_task_steps(
                 let generation = generations.next().unwrap_or_default();
                 memory.land(buffer, generation, recv_forward(channel, from, tag))
             }
-            TaskStep::Claim { buffer, from, tag, comm } => {
+            TaskStep::Claim { buffer, from, tag } => {
                 let generation = generations.next().unwrap_or_default();
-                memory.land(buffer, generation, take_push(channel, from, tag, comm))
+                memory.land(buffer, generation, take_push(channel, from, tag))
             }
             TaskStep::AwaitLocal { buffer, timeout_ms } => {
                 let generation = generations.next().unwrap_or_default();
@@ -419,15 +419,15 @@ fn run_task_steps(
             TaskStep::Retrieve { buffer } => memory.resident(buffer).map(|data| {
                 body = Some(data);
             }),
-            TaskStep::Push { buffer, to, tag, comm } => {
+            TaskStep::Push { buffer, to, tag } => {
                 // The reader hears any failure: the error sent, or its claim's.
                 let data = memory.resident(buffer).map(Reply::data);
-                let _ = channel.on(comm).map(|lane| send_reply(&lane, to, tag, None, data));
+                let _ = send_reply(channel, to, tag, None, data);
                 Ok(())
             }
-            TaskStep::Discard { from, tag, comm } => {
+            TaskStep::Discard { from, tag } => {
                 // Whatever was pushed — the bytes or their error — goes.
-                let _ = take_push(channel, from, tag, comm);
+                let _ = take_push(channel, from, tag);
                 Ok(())
             }
         };
@@ -494,7 +494,6 @@ fn run_event(
     generations: Vec<u64>,
 ) -> OmpcResult<()> {
     let mut generations = generations.into_iter();
-    let channel = comm.on(notification.comm)?;
     let tag = notification.tag;
     // Handler-entry timestamp, read only when the head asked for a timed
     // reply — an untimed event costs no clock read on the worker.
@@ -506,7 +505,7 @@ fn run_event(
             // handle as the body on success, the error otherwise. The
             // receiver propagates a failure to the head, so the head never
             // hangs on a half-completed exchange.
-            send_reply(&channel, to, tag, None, memory.resident(buffer).map(Reply::data))
+            send_reply(comm, to, tag, None, memory.resident(buffer).map(Reply::data))
         }
         EventRequest::TaskTrain(cars) => {
             // Run the cars strictly in order, each car's payloads and
@@ -518,12 +517,11 @@ fn run_event(
             // first car error is this handler's own outcome.
             let mut result = Ok(());
             for car in cars {
-                let car_channel = comm.on(car.comm)?;
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
                 let car_recv_us = notification.timed.then(monotonic_us);
                 let ran = run_task_steps(
-                    &car_channel,
+                    comm,
                     memory,
                     kernels,
                     car.spec,
@@ -531,18 +529,17 @@ fn run_event(
                     car.tag,
                     car_recv_us,
                 );
-                result = result.and(send_reply(&channel, HEAD_RANK, tag, Some(car.tag), ran));
+                result = result.and(send_reply(comm, HEAD_RANK, tag, Some(car.tag), ran));
             }
             result
         }
         EventRequest::Task(spec) => {
-            let ran =
-                run_task_steps(&channel, memory, kernels, spec, &mut generations, tag, recv_us);
-            send_reply(&channel, HEAD_RANK, tag, None, ran)
+            let ran = run_task_steps(comm, memory, kernels, spec, &mut generations, tag, recv_us);
+            send_reply(comm, HEAD_RANK, tag, None, ran)
         }
         EventRequest::Reset => {
             memory.clear();
-            send_reply(&channel, HEAD_RANK, tag, None, Ok(Reply::default()))
+            send_reply(comm, HEAD_RANK, tag, None, Ok(Reply::default()))
         }
     }
 }
@@ -577,11 +574,10 @@ fn runs_on_gate(request: &EventRequest) -> bool {
 /// envelope's channel the handler would send for a failed car.
 fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcResult<()> {
     let node = comm.rank();
-    let channel = comm.on(notification.comm)?;
     if let EventRequest::TaskTrain(cars) = &notification.request {
         for car in cars {
             let error = EventReply::Err(as_remote(node, car.tag, OmpcError::NodeFailure(node)));
-            channel.send(HEAD_RANK, notification.tag, car_reply_header(car.tag, &error))?;
+            comm.send(HEAD_RANK, notification.tag, car_reply_header(car.tag, &error))?;
         }
         return Ok(());
     }
@@ -591,7 +587,7 @@ fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcRe
         EventRequest::ExchangeSend { to, .. } => to,
         _ => HEAD_RANK,
     };
-    channel.send(dest, notification.tag, EventReply::Err(error).encode())?;
+    comm.send(dest, notification.tag, EventReply::Err(error).encode())?;
     Ok(())
 }
 
@@ -813,10 +809,9 @@ mod tests {
         EventRequest::Task(TaskSpec { steps: vec![TaskStep::Execute { kernel, buffers }] })
     }
 
-    /// An untimed notification of a task of `steps` on `(tag, comm)`.
-    fn steps_on(steps: Vec<TaskStep>, tag: u64, comm: CommId) -> EventNotification {
-        let request = EventRequest::Task(TaskSpec { steps });
-        EventNotification { request, tag: Tag(tag), comm, timed: false }
+    /// An untimed notification of a task of `steps` on `tag`.
+    fn steps_on(steps: Vec<TaskStep>, tag: u64) -> EventNotification {
+        notification(EventRequest::Task(TaskSpec { steps }), tag)
     }
 
     #[test]
@@ -836,7 +831,7 @@ mod tests {
     fn handle_alloc_submit_execute_retrieve_cycle() {
         // Drive a single worker's event handler directly from the test
         // acting as the head node.
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker = world.communicator(1);
         let memory = DeviceMemory::new();
@@ -849,13 +844,12 @@ mod tests {
         // Submit data.
         let buffer = BufferId(0);
         let tag = Tag(10);
-        let comm = CommId(1);
         let payload = ompc_mpi::typed::f64s_to_bytes(&[1.0, 2.0]).into();
-        head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), payload).unwrap();
-        let submit = steps_on(vec![TaskStep::RecvFromHead { buffer }], tag.0, comm);
+        head.send_with_body(1, tag, Vec::new(), payload).unwrap();
+        let submit = steps_on(vec![TaskStep::RecvFromHead { buffer }], tag.0);
         handle_event(&worker, &memory, &kernels, submit).unwrap();
         // The typed Ok reply arrived at the head.
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
+        let msg = head.recv(Some(1), Some(tag)).unwrap();
         assert_eq!(EventReply::decode(&msg.data).unwrap(), EventReply::Ok(Vec::new()));
 
         // Execute the kernel.
@@ -867,19 +861,19 @@ mod tests {
             EventNotification {
                 request: kernel_task(kid, vec![buffer]),
                 tag: tag2,
-                comm,
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
         .unwrap();
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(tag2)).unwrap();
+        let msg = head.recv(Some(1), Some(tag2)).unwrap();
         assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
 
         // Retrieve the result.
         let tag3 = Tag(12);
-        let retrieve = steps_on(vec![TaskStep::Retrieve { buffer }], tag3.0, comm);
+        let retrieve = steps_on(vec![TaskStep::Retrieve { buffer }], tag3.0);
         handle_event(&worker, &memory, &kernels, retrieve).unwrap();
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(tag3)).unwrap();
+        let msg = head.recv(Some(1), Some(tag3)).unwrap();
         // A retrieve's reply is the buffer: nothing inline, the resident
         // allocation itself as the body.
         let data = Reply::from_parts(&msg.data, msg.body, true).unwrap().body.unwrap();
@@ -894,7 +888,7 @@ mod tests {
         let worker = world.communicator(1);
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
-        let retrieve = steps_on(vec![TaskStep::Retrieve { buffer: BufferId(5) }], 1, CommId(0));
+        let retrieve = steps_on(vec![TaskStep::Retrieve { buffer: BufferId(5) }], 1);
         let err = handle_event(&worker, &memory, &kernels, retrieve).unwrap_err();
         assert_eq!(err, OmpcError::UnknownBuffer(BufferId(5)));
         // The head hears the error, not an empty buffer.
@@ -916,7 +910,7 @@ mod tests {
             EventNotification {
                 request: kernel_task(KernelId(3), vec![]),
                 tag: Tag(1),
-                comm: CommId(0),
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
@@ -926,7 +920,7 @@ mod tests {
 
     #[test]
     fn worker_to_worker_exchange_moves_data_directly() {
-        let world = World::with_communicators(3, 2);
+        let world = World::new(3);
         let head = world.communicator(0);
         let w1 = world.communicator(1);
         let w2 = world.communicator(2);
@@ -937,7 +931,6 @@ mod tests {
         mem1.store(buffer, vec![7, 8, 9].into());
 
         let tag = Tag(20);
-        let comm = CommId(0);
         // Receiving half first (it blocks waiting for the data), then the
         // sending half, run from two threads like real event handlers.
         let recv_thread = std::thread::spawn({
@@ -945,8 +938,7 @@ mod tests {
             let kernels = KernelRegistry::new();
             move || {
                 let mem2 = DeviceMemory::new();
-                let recv =
-                    steps_on(vec![TaskStep::RecvFromWorker { buffer, from: 1 }], tag.0, comm);
+                let recv = steps_on(vec![TaskStep::RecvFromWorker { buffer, from: 1 }], tag.0);
                 handle_event(&w2, &mem2, &kernels, recv).unwrap();
                 mem2.get(buffer)
             }
@@ -958,7 +950,7 @@ mod tests {
             EventNotification {
                 request: EventRequest::ExchangeSend { buffer, to: 2 },
                 tag,
-                comm,
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
@@ -978,7 +970,7 @@ mod tests {
         EventNotification {
             request: kernel_task(kernel, buffers),
             tag: Tag(tag),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         }
     }
@@ -995,7 +987,7 @@ mod tests {
         }
         // Buffer 9 never landed here: absent buffers are fine.
         let deletes = [0, 9, 2, 3].map(|b| TaskStep::Delete { buffer: BufferId(b) });
-        handle_event(&worker, &memory, &kernels, steps_on(deletes.to_vec(), 5, CommId(0))).unwrap();
+        handle_event(&worker, &memory, &kernels, steps_on(deletes.to_vec(), 5)).unwrap();
         assert_eq!(memory.len(), 1);
         assert!(memory.contains(BufferId(1)), "an unlisted buffer stays");
         let msg = head.recv(Some(1), Some(Tag(5))).unwrap();
@@ -1015,7 +1007,7 @@ mod tests {
         let task = |steps| EventNotification {
             request: EventRequest::Task(TaskSpec { steps }),
             tag: Tag(8),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         let allocs = || ids.iter().map(|&buffer| TaskStep::Alloc { buffer, size: N as u64 });
@@ -1130,7 +1122,7 @@ mod tests {
         let forward = EventNotification {
             request: EventRequest::ExchangeSend { buffer, to: 2 },
             tag: Tag(7),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         handle_event(&w1, &memory, &kernels, forward).unwrap();
@@ -1184,7 +1176,7 @@ mod tests {
             EventNotification {
                 request: kernel_task(KernelId(7), vec![]),
                 tag,
-                comm: CommId(0),
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
@@ -1207,20 +1199,18 @@ mod tests {
         // The sending half fails (the buffer was never stored): the sender
         // forwards its error envelope to the receiver, which propagates it
         // to the head — nobody hangs on the half-completed exchange.
-        let world = World::with_communicators(3, 2);
+        let world = World::new(3);
         let head = world.communicator(0);
         let w1 = world.communicator(1);
         let w2 = world.communicator(2);
         let buffer = BufferId(6);
         let tag = Tag(40);
-        let comm = CommId(0);
         let recv_thread = std::thread::spawn({
             let w2 = w2.clone();
             move || {
                 let mem2 = DeviceMemory::new();
                 let kernels = KernelRegistry::new();
-                let recv =
-                    steps_on(vec![TaskStep::RecvFromWorker { buffer, from: 1 }], tag.0, comm);
+                let recv = steps_on(vec![TaskStep::RecvFromWorker { buffer, from: 1 }], tag.0);
                 handle_event(&w2, &mem2, &kernels, recv)
             }
         });
@@ -1233,7 +1223,7 @@ mod tests {
             EventNotification {
                 request: EventRequest::ExchangeSend { buffer, to: 2 },
                 tag,
-                comm,
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
@@ -1248,21 +1238,20 @@ mod tests {
 
     #[test]
     fn a_push_lands_through_its_claim_and_a_failed_kernel_sends_none() {
-        let world = World::with_communicators(3, 2);
+        let world = World::new(3);
         let (head, p, q) = (world.communicator(0), world.communicator(1), world.communicator(2));
         let kernels = KernelRegistry::new();
         let write = kernels.register_fn("write", 1e-6, |args| args.set_f64s(0, &[4.5]));
         let (producer, reader) = (DeviceMemory::new(), DeviceMemory::new());
         let b = BufferId(3);
-        let comm = CommId(1);
         let task = |steps, tag| EventNotification {
             request: EventRequest::Task(TaskSpec { steps }),
             tag: Tag(tag),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
-        let push = |tag| TaskStep::Push { buffer: b, to: 2, tag: Tag(tag), comm };
-        let claim = |tag| TaskStep::Claim { buffer: b, from: 1, tag: Tag(tag), comm };
+        let push = |tag| TaskStep::Push { buffer: b, to: 2, tag: Tag(tag) };
+        let claim = |tag| TaskStep::Claim { buffer: b, from: 1, tag: Tag(tag) };
         let unknown = || TaskStep::Execute { kernel: KernelId(9), buffers: vec![] };
 
         // The producer writes `b` and pushes it on; the claim takes the
@@ -1289,7 +1278,7 @@ mod tests {
         let behind = handle_event(&q, &reader, &kernels, task(vec![unknown(), claim(66)], 69));
         assert!(behind.is_err());
         assert_eq!(q.mailbox_stats().queued, 2);
-        let discard = |tag| TaskStep::Discard { from: 1, tag: Tag(tag), comm };
+        let discard = |tag| TaskStep::Discard { from: 1, tag: Tag(tag) };
         let drops = vec![discard(66), discard(67), discard(66)];
         handle_event(&q, &reader, &kernels, task(drops, 70)).unwrap();
         assert_eq!(q.mailbox_stats().queued, 0, "every pushed copy was taken");
@@ -1321,7 +1310,7 @@ mod tests {
     #[test]
     fn task_train_replies_per_car_and_posts_notices_in_order() {
         use crate::protocol::{TaskSpec, TaskStep, TrainCar};
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker = world.communicator(1);
         let memory = DeviceMemory::new();
@@ -1334,7 +1323,6 @@ mod tests {
         // Car 1 succeeds; car 2 names an unregistered kernel and fails.
         let good = TrainCar {
             tag: Tag(50),
-            comm: CommId(1),
             spec: TaskSpec {
                 steps: vec![
                     TaskStep::RecvFromHead { buffer: BufferId(1) },
@@ -1344,19 +1332,16 @@ mod tests {
         };
         let bad = TrainCar {
             tag: Tag(51),
-            comm: CommId(0),
             spec: TaskSpec {
                 steps: vec![TaskStep::Execute { kernel: KernelId(99), buffers: vec![] }],
             },
         };
         // The good car's payload travels on the car's own channel.
-        head.on(CommId(1))
-            .unwrap()
-            .send_with_body(1, Tag(50), Vec::new(), ompc_mpi::typed::f64s_to_bytes(&[1.0]).into())
+        head.send_with_body(1, Tag(50), Vec::new(), ompc_mpi::typed::f64s_to_bytes(&[1.0]).into())
             .unwrap();
         // The envelope names the completion channel of the execution that
         // sent the train.
-        let (envelope_tag, envelope_comm) = (Tag(49), CommId(1));
+        let envelope_tag = Tag(49);
         let err = handle_event(
             &worker,
             &memory,
@@ -1364,7 +1349,7 @@ mod tests {
             EventNotification {
                 request: EventRequest::TaskTrain(vec![good, bad]),
                 tag: envelope_tag,
-                comm: envelope_comm,
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
@@ -1373,8 +1358,7 @@ mod tests {
 
         // One reply per car on the envelope's channel, in car order, with
         // per-car outcomes — and nothing anywhere else.
-        let envelope = head.on(envelope_comm).unwrap();
-        let replies = car_replies_on(&envelope, envelope_tag, 2);
+        let replies = car_replies_on(&head, envelope_tag, 2);
         assert_eq!(replies[0], (50, Ok(Vec::new())));
         let (bad_car, bad_reply) = &replies[1];
         let bad_err = bad_reply.as_ref().unwrap_err();
@@ -1400,7 +1384,7 @@ mod tests {
     #[test]
     fn a_plain_task_is_answered_by_its_reply_alone() {
         use crate::protocol::{TaskSpec, TaskStep};
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker = world.communicator(1);
         let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
@@ -1414,11 +1398,11 @@ mod tests {
             let task = EventNotification {
                 request: EventRequest::Task(TaskSpec { steps }),
                 tag: Tag(30),
-                comm: CommId(1),
+                comm: CommId::WORLD,
                 timed: false,
             };
             assert_eq!(handle_event(&worker, &memory, &kernels, task).is_ok(), ok);
-            let msg = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(30))).unwrap();
+            let msg = head.recv(Some(1), Some(Tag(30))).unwrap();
             assert_eq!(EventReply::decode(&msg.data).unwrap().into_result().is_ok(), ok);
             assert_eq!(head.mailbox_stats().queued, 0, "a task posts no notice (ok: {ok})");
         }
@@ -1427,29 +1411,28 @@ mod tests {
     /// A task of several `RecvFromHead` steps.
     #[test]
     fn submit_train_stores_payloads_in_order_and_replies_once() {
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker = world.communicator(1);
         let memory = DeviceMemory::new();
         let kernels = KernelRegistry::new();
         let tag = Tag(80);
-        let comm = CommId(0);
         // Payloads ride the train's own channel, in the listed order.
-        head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), vec![1, 1].into()).unwrap();
-        head.on(comm).unwrap().send_with_body(1, tag, Vec::new(), vec![2, 2, 2].into()).unwrap();
+        head.send_with_body(1, tag, Vec::new(), vec![1, 1].into()).unwrap();
+        head.send_with_body(1, tag, Vec::new(), vec![2, 2, 2].into()).unwrap();
         let recvs = [4, 9].map(|b| TaskStep::RecvFromHead { buffer: BufferId(b) });
-        handle_event(&worker, &memory, &kernels, steps_on(recvs.to_vec(), tag.0, comm)).unwrap();
+        handle_event(&worker, &memory, &kernels, steps_on(recvs.to_vec(), tag.0)).unwrap();
         assert_eq!(memory.get(BufferId(4)), Some(vec![1, 1].into()));
         assert_eq!(memory.get(BufferId(9)), Some(vec![2, 2, 2].into()));
         // One typed reply for the whole train, and nothing else.
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(tag)).unwrap();
+        let msg = head.recv(Some(1), Some(tag)).unwrap();
         assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
         assert_eq!(head.mailbox_stats().queued, 0);
     }
 
     #[test]
     fn killed_worker_refuses_a_submit_train_with_one_error_reply() {
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
         let kernels = Arc::new(KernelRegistry::new());
@@ -1458,19 +1441,19 @@ mod tests {
         let kill = EventNotification {
             request: EventRequest::Kill,
             tag: Tag(90),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         head.send(1, CONTROL_TAG, kill.encode()).unwrap();
-        let train = steps_on(vec![TaskStep::RecvFromHead { buffer: BufferId(7) }], 91, CommId(1));
+        let train = steps_on(vec![TaskStep::RecvFromHead { buffer: BufferId(7) }], 91);
         head.send(1, CONTROL_TAG, train.encode()).unwrap();
-        let msg = head.on(CommId(1)).unwrap().recv(Some(1), Some(Tag(91))).unwrap();
+        let msg = head.recv(Some(1), Some(Tag(91))).unwrap();
         let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
         assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1));
         let shutdown = EventNotification {
             request: EventRequest::Shutdown,
             tag: Tag(92),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         head.send(1, CONTROL_TAG, shutdown.encode()).unwrap();
@@ -1486,7 +1469,7 @@ mod tests {
     /// holder lands that holder's own allocation.
     #[test]
     fn a_forward_refused_by_a_dead_parent_names_it_and_another_holder_refeeds_the_child() {
-        let world = World::with_communicators(4, 2);
+        let world = World::new(4);
         let (head, child, parent, holder) = (
             world.communicator(0),
             world.communicator(1),
@@ -1495,20 +1478,20 @@ mod tests {
         );
         let (memory, held, kernels) =
             (DeviceMemory::new(), DeviceMemory::new(), KernelRegistry::new());
-        let (buffer, comm) = (BufferId(4), CommId(1));
+        let buffer = BufferId(4);
         held.store(buffer, vec![10, 11, 12].into());
         let send = |to, tag| EventNotification {
             request: EventRequest::ExchangeSend { buffer, to },
             tag: Tag(tag),
-            comm,
+            comm: CommId::WORLD,
             timed: false,
         };
-        let recv = |from, tag| steps_on(vec![TaskStep::RecvFromWorker { buffer, from }], tag, comm);
+        let recv = |from, tag| steps_on(vec![TaskStep::RecvFromWorker { buffer, from }], tag);
 
         refuse_event(&parent, &send(1, 70)).unwrap();
         let err = handle_event(&child, &memory, &kernels, recv(2, 70)).unwrap_err();
         assert_eq!((err.origin_node(), err.root_cause()), (Some(2), &OmpcError::NodeFailure(2)));
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(Tag(70))).unwrap();
+        let msg = head.recv(Some(1), Some(Tag(70))).unwrap();
         let reply = Reply::from_parts(&msg.data, msg.body, false).unwrap_err();
         assert_eq!(reply.origin_node(), Some(2), "the head hears the parent named: {reply:?}");
         assert!(!memory.contains(buffer));
@@ -1516,7 +1499,7 @@ mod tests {
         handle_event(&holder, &held, &kernels, send(1, 71)).unwrap();
         handle_event(&child, &memory, &kernels, recv(3, 71)).unwrap();
         assert!(memory.get(buffer).unwrap().same_allocation(&held.get(buffer).unwrap()));
-        let msg = head.on(comm).unwrap().recv(Some(1), Some(Tag(71))).unwrap();
+        let msg = head.recv(Some(1), Some(Tag(71))).unwrap();
         assert_eq!(Reply::from_parts(&msg.data, msg.body, false), Ok(Reply::default()));
         assert!([head, child].iter().all(|rank| rank.mailbox_stats().queued == 0));
     }
@@ -1536,7 +1519,7 @@ mod tests {
             EventNotification {
                 request: EventRequest::Reset,
                 tag: Tag(60),
-                comm: CommId(0),
+                comm: CommId::WORLD,
                 timed: false,
             },
         )
@@ -1549,7 +1532,7 @@ mod tests {
     #[test]
     fn killed_worker_refuses_every_train_car_individually() {
         use crate::protocol::{TaskSpec, TaskStep, TrainCar};
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
         let kernels = Arc::new(KernelRegistry::new());
@@ -1558,7 +1541,7 @@ mod tests {
         let kill = EventNotification {
             request: EventRequest::Kill,
             tag: Tag(70),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         head.send(1, CONTROL_TAG, kill.encode()).unwrap();
@@ -1566,22 +1549,20 @@ mod tests {
             .iter()
             .map(|&t| TrainCar {
                 tag: Tag(t),
-                comm: CommId((t % 2) as u32),
                 spec: TaskSpec { steps: vec![TaskStep::Alloc { buffer: BufferId(t), size: 8 }] },
             })
             .collect();
-        let (envelope_tag, envelope_comm) = (Tag(74), CommId(0));
+        let envelope_tag = Tag(74);
         let train = EventNotification {
             request: EventRequest::TaskTrain(cars),
             tag: envelope_tag,
-            comm: envelope_comm,
+            comm: CommId::WORLD,
             timed: false,
         };
         head.send(1, CONTROL_TAG, train.encode()).unwrap();
 
         // One refusal per car on the envelope's channel, in car order.
-        let envelope = head.on(envelope_comm).unwrap();
-        let replies = car_replies_on(&envelope, envelope_tag, 2);
+        let replies = car_replies_on(&head, envelope_tag, 2);
         assert_eq!(replies.iter().map(|(car, _)| *car).collect::<Vec<_>>(), vec![71, 72]);
         for (car, reply) in replies {
             let err = reply.unwrap_err();
@@ -1591,7 +1572,7 @@ mod tests {
         let shutdown = EventNotification {
             request: EventRequest::Shutdown,
             tag: Tag(73),
-            comm: CommId(0),
+            comm: CommId::WORLD,
             timed: false,
         };
         head.send(1, CONTROL_TAG, shutdown.encode()).unwrap();
@@ -1601,27 +1582,31 @@ mod tests {
 
     #[test]
     fn killed_worker_refuses_events_with_error_replies_until_shutdown() {
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
         let kernels = Arc::new(KernelRegistry::new());
         let worker = std::thread::spawn(move || worker_main(worker_comm, kernels, 1));
 
         let send = |req: EventRequest, tag: u64| {
-            let n =
-                EventNotification { request: req, tag: Tag(tag), comm: CommId(0), timed: false };
+            let n = EventNotification {
+                request: req,
+                tag: Tag(tag),
+                comm: CommId::WORLD,
+                timed: false,
+            };
             head.send(1, CONTROL_TAG, n.encode()).unwrap();
         };
         // Before the kill: a normal alloc completes with an Ok reply.
         let alloc = TaskStep::Alloc { buffer: BufferId(1), size: 8 };
         send(EventRequest::Task(TaskSpec { steps: vec![alloc] }), 100);
-        let msg = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(100))).unwrap();
+        let msg = head.recv(Some(1), Some(Tag(100))).unwrap();
         assert!(EventReply::decode(&msg.data).unwrap().into_result().is_ok());
 
         // Kill the node, then try to execute: the event is refused.
         send(EventRequest::Kill, 101);
         send(kernel_task(KernelId(0), vec![]), 102);
-        let msg = head.on(CommId(0)).unwrap().recv(Some(1), Some(Tag(102))).unwrap();
+        let msg = head.recv(Some(1), Some(Tag(102))).unwrap();
         let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
         assert_eq!(err.origin_node(), Some(1));
         assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1));
@@ -1640,7 +1625,7 @@ mod tests {
     fn the_gate_answers_data_tasks_while_its_only_handler_is_held_in_a_kernel() {
         use std::sync::Barrier;
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
-            let world = World::with_communicators(2, 2);
+            let world = World::new(2);
             let head = world.communicator(0);
             let kernels = Arc::new(KernelRegistry::new());
             let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
@@ -1655,41 +1640,39 @@ mod tests {
                 let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
                 std::thread::spawn(move || worker_main(comm, kernels, 1))
             };
-            let comm = CommId(1);
-            let lane = head.on(comm).unwrap();
             let notify = |n: EventNotification| head.send(1, CONTROL_TAG, n.encode()).unwrap();
             let reply = |tag: u64, data_bearing: bool| {
-                let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+                let msg = head.recv(Some(1), Some(Tag(tag))).unwrap();
                 Reply::from_parts(&msg.data, msg.body, data_bearing)
             };
             let (a, b) = (BufferId(1), BufferId(2));
 
-            notify(steps_on(vec![TaskStep::Execute { kernel: hold, buffers: vec![] }], 10, comm));
+            notify(steps_on(vec![TaskStep::Execute { kernel: hold, buffers: vec![] }], 10));
             entered.wait();
 
             // A copy "pushed" to the worker, the payload of `a`, and one task
             // that lands `a`, deletes `b`, drops the push and retrieves `a`.
             let payload = Bytes::from(vec![3u8; 8]);
             let (header, body) = Reply::data(payload.clone()).into_parts();
-            lane.send_with_body(1, Tag(99), header, body.unwrap()).unwrap();
-            lane.send_with_body(1, Tag(11), Vec::new(), payload.clone()).unwrap();
+            head.send_with_body(1, Tag(99), header, body.unwrap()).unwrap();
+            head.send_with_body(1, Tag(11), Vec::new(), payload.clone()).unwrap();
             let steps = vec![
                 TaskStep::RecvFromHead { buffer: a },
                 TaskStep::Delete { buffer: b },
-                TaskStep::Discard { from: 0, tag: Tag(99), comm },
+                TaskStep::Discard { from: 0, tag: Tag(99) },
                 TaskStep::Retrieve { buffer: a },
             ];
-            notify(steps_on(steps, 11, comm));
+            notify(steps_on(steps, 11));
             let retrieved = reply(11, true).unwrap().body.unwrap();
             assert!(retrieved.same_allocation(&payload), "the reply is the resident allocation");
             assert_eq!(world.communicator(1).mailbox_stats().queued, 0, "the push was dropped");
 
             // A task awaiting `a` goes to the pool, behind the held kernel.
             let awaiting = TaskStep::AwaitLocal { buffer: a, timeout_ms: u64::MAX };
-            notify(steps_on(vec![awaiting], 12, comm));
-            notify(steps_on(vec![TaskStep::Delete { buffer: b }], 13, comm));
+            notify(steps_on(vec![awaiting], 12));
+            notify(steps_on(vec![TaskStep::Delete { buffer: b }], 13));
             reply(13, false).unwrap();
-            assert!(lane.try_recv(Some(1), Some(Tag(12))).is_none(), "the await ran on the gate");
+            assert!(head.try_recv(Some(1), Some(Tag(12))).is_none(), "the await ran on the gate");
             release.wait();
             for tag in [10, 12] {
                 reply(tag, false).unwrap();
@@ -1697,7 +1680,7 @@ mod tests {
             let shutdown = EventNotification {
                 request: EventRequest::Shutdown,
                 tag: Tag(14),
-                comm,
+                comm: CommId::WORLD,
                 timed: false,
             };
             notify(shutdown);
@@ -1717,7 +1700,7 @@ mod tests {
     fn a_resident_older_version_never_satisfies_a_wait_for_a_queued_receive() {
         use crate::protocol::{TaskSpec, TaskStep, TrainCar};
         use std::sync::Barrier;
-        let world = World::with_communicators(2, 2);
+        let world = World::new(2);
         let head = world.communicator(0);
         let kernels = Arc::new(KernelRegistry::new());
         let barrier = Arc::new(Barrier::new(2));
@@ -1733,19 +1716,17 @@ mod tests {
             let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
             std::thread::spawn(move || worker_main(comm, kernels, 2))
         };
-        let comm = CommId(1);
-        let lane = head.on(comm).unwrap();
         let notify = |request: EventRequest, tag: u64| {
-            let n = EventNotification { request, tag: Tag(tag), comm, timed: false };
+            let n = EventNotification { request, tag: Tag(tag), comm: CommId::WORLD, timed: false };
             head.send(1, CONTROL_TAG, n.encode()).unwrap();
         };
         let reply = |tag: u64| {
-            let msg = lane.recv(Some(1), Some(Tag(tag))).unwrap();
+            let msg = head.recv(Some(1), Some(Tag(tag))).unwrap();
             Reply::from_parts(&msg.data, msg.body, false)
         };
         // The next car reply of train `train`: the car's tag and its outcome.
         let car_reply = |train: u64| {
-            let msg = lane.recv(Some(1), Some(Tag(train))).unwrap();
+            let msg = head.recv(Some(1), Some(Tag(train))).unwrap();
             let (car, header) = crate::protocol::split_car_reply(&msg.data).unwrap();
             (car.0, Reply::from_parts(header, msg.body, false).is_ok())
         };
@@ -1757,16 +1738,13 @@ mod tests {
             EventRequest::Task(TaskSpec { steps: vec![TaskStep::RecvFromHead { buffer: b }] }),
             10,
         );
-        lane.send_with_body(1, Tag(10), Vec::new(), payload(1.0)).unwrap();
+        head.send_with_body(1, Tag(10), Vec::new(), payload(1.0)).unwrap();
         reply(10).unwrap();
 
         // Train 1: meet, then receive version 2. Train 2: meet, then await
         // that receive and read the buffer.
-        let car = |tag: u64, steps: Vec<TaskStep>| TrainCar {
-            tag: Tag(tag),
-            comm,
-            spec: TaskSpec { steps },
-        };
+        let car =
+            |tag: u64, steps: Vec<TaskStep>| TrainCar { tag: Tag(tag), spec: TaskSpec { steps } };
         let meeting = || TaskStep::Execute { kernel: meet, buffers: vec![] };
         notify(
             EventRequest::TaskTrain(vec![
@@ -1788,9 +1766,9 @@ mod tests {
         // next on train 2.
         assert_eq!((car_reply(20), car_reply(30)), ((21, true), (31, true)));
         let early =
-            lane.recv_timeout(Some(1), Some(Tag(30)), std::time::Duration::from_millis(500));
+            head.recv_timeout(Some(1), Some(Tag(30)), std::time::Duration::from_millis(500));
         assert!(early.is_err(), "the reader replied before its receive landed: {:?}", *seen.lock());
-        lane.send_with_body(1, Tag(22), Vec::new(), payload(2.0)).unwrap();
+        head.send_with_body(1, Tag(22), Vec::new(), payload(2.0)).unwrap();
         assert_eq!((car_reply(20), car_reply(30)), ((22, true), (32, true)));
         assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the older version");
 
@@ -1824,22 +1802,18 @@ mod tests {
         use crate::protocol::TrainCar;
         let cars = cars
             .into_iter()
-            .map(|(tag, steps)| TrainCar {
-                tag: Tag(tag),
-                comm: CommId(1),
-                spec: TaskSpec { steps },
-            })
+            .map(|(tag, steps)| TrainCar { tag: Tag(tag), spec: TaskSpec { steps } })
             .collect();
         EventNotification {
             request: EventRequest::TaskTrain(cars),
             tag: Tag(tag),
-            comm: CommId(1),
+            comm: CommId::WORLD,
             timed: false,
         }
     }
 
     fn notification(request: EventRequest, tag: u64) -> EventNotification {
-        EventNotification { request, tag: Tag(tag), comm: CommId(0), timed: false }
+        EventNotification { request, tag: Tag(tag), comm: CommId::WORLD, timed: false }
     }
 
     /// A `Kill` is one hand-over in match order: two trains and the kill
@@ -1849,7 +1823,7 @@ mod tests {
     #[test]
     fn a_kill_refuses_every_car_matched_after_it_whichever_member_wakes_first() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
-            let world = World::with_communicators(2, 2);
+            let world = World::new(2);
             let (head, worker) = (world.communicator(0), world.communicator(1));
             let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
             let pool = Pool::new(&worker, &memory, &kernels);
@@ -1870,13 +1844,12 @@ mod tests {
                 let queued: Vec<u64> = state.blocking.iter().map(|(n, _)| n.tag.0).collect();
                 assert_eq!(queued, vec![70], "only the train matched before the kill is accepted");
             }
-            let lane = head.on(CommId(1)).unwrap();
             std::thread::scope(|scope| {
                 for _ in 0..2 {
                     scope.spawn(|| pool.serve());
                 }
-                assert_eq!(car_replies_on(&lane, Tag(70), 1), vec![(71, Ok(Vec::new()))]);
-                let refused = car_replies_on(&lane, Tag(72), 2);
+                assert_eq!(car_replies_on(&head, Tag(70), 1), vec![(71, Ok(Vec::new()))]);
+                let refused = car_replies_on(&head, Tag(72), 2);
                 assert_eq!(refused.iter().map(|(car, _)| *car).collect::<Vec<_>>(), vec![73, 74]);
                 for (_, reply) in refused {
                     assert_eq!(reply.unwrap_err().root_cause(), &OmpcError::NodeFailure(1));
@@ -1900,7 +1873,7 @@ mod tests {
     #[test]
     fn a_wait_taken_by_one_member_gets_the_generation_of_a_receive_another_took() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
-            let world = World::with_communicators(2, 2);
+            let world = World::new(2);
             let (head, worker) = (world.communicator(0), world.communicator(1));
             let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
             let seen = Arc::new(Mutex::new(None));
@@ -1928,15 +1901,14 @@ mod tests {
                 let received = queued[0].1.clone();
                 assert_eq!(queued, vec![(20, received.clone()), (30, received)]);
             }
-            let lane = head.on(CommId(1)).unwrap();
             // Three members: both trains run at once, the wait on its own.
             std::thread::scope(|scope| {
                 for _ in 0..3 {
                     scope.spawn(|| pool.serve());
                 }
-                lane.send_with_body(1, Tag(21), Vec::new(), payload(2.0)).unwrap();
-                assert_eq!(outcomes_on(&lane, Tag(20), 1), vec![(21, true)]);
-                assert_eq!(outcomes_on(&lane, Tag(30), 1), vec![(31, true)]);
+                head.send_with_body(1, Tag(21), Vec::new(), payload(2.0)).unwrap();
+                assert_eq!(outcomes_on(&head, Tag(20), 1), vec![(21, true)]);
+                assert_eq!(outcomes_on(&head, Tag(30), 1), vec![(31, true)]);
                 head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 40).encode())
                     .unwrap();
             });
@@ -1950,7 +1922,7 @@ mod tests {
     #[test]
     fn a_node_that_spawned_no_extra_member_refuses_every_event() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
-            let world = World::with_communicators(2, 2);
+            let world = World::new(2);
             let head = world.communicator(0);
             let worker = {
                 let comm = world.communicator(1);
@@ -1960,13 +1932,10 @@ mod tests {
             let task = notification(EventRequest::Task(TaskSpec { steps: alloc.clone() }), 10);
             head.send(1, CONTROL_TAG, task.encode()).unwrap();
             head.send(1, CONTROL_TAG, train_of(11, vec![(12, alloc)]).encode()).unwrap();
-            let refused = |comm: u32, tag: u64| {
-                let msg = head.on(CommId(comm)).unwrap().recv(Some(1), Some(Tag(tag))).unwrap();
-                let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
-                assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1), "event {tag}");
-            };
-            refused(0, 10);
-            let (car, reply) = car_replies_on(&head.on(CommId(1)).unwrap(), Tag(11), 1).remove(0);
+            let msg = head.recv(Some(1), Some(Tag(10))).unwrap();
+            let err = EventReply::decode(&msg.data).unwrap().into_result().unwrap_err();
+            assert_eq!(err.root_cause(), &OmpcError::NodeFailure(1));
+            let (car, reply) = car_replies_on(&head, Tag(11), 1).remove(0);
             assert_eq!((car, reply.unwrap_err().root_cause()), (12, &OmpcError::NodeFailure(1)));
             head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
             worker.join().unwrap();
@@ -1979,7 +1948,7 @@ mod tests {
     #[test]
     fn shutdown_ends_every_member_without_a_message_to_itself() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
-            let world = World::with_communicators(2, 2);
+            let world = World::new(2);
             let head = world.communicator(0);
             let kernels = Arc::new(KernelRegistry::new());
             let noop = kernels.register_fn("noop", 1e-6, |_| {});
@@ -1987,15 +1956,14 @@ mod tests {
                 let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
                 std::thread::spawn(move || worker_main(comm, kernels, 3))
             };
-            let lane = head.on(CommId(1)).unwrap();
             let alloc = TaskStep::Alloc { buffer: BufferId(1), size: 8 };
             let execute = TaskStep::Execute { kernel: noop, buffers: vec![BufferId(1)] };
             // One task that runs at once, one train that joins the FIFO.
-            head.send(1, CONTROL_TAG, steps_on(vec![alloc], 10, CommId(1)).encode()).unwrap();
+            head.send(1, CONTROL_TAG, steps_on(vec![alloc], 10).encode()).unwrap();
             head.send(1, CONTROL_TAG, train_of(11, vec![(12, vec![execute])]).encode()).unwrap();
-            let msg = lane.recv(Some(1), Some(Tag(10))).unwrap();
+            let msg = head.recv(Some(1), Some(Tag(10))).unwrap();
             EventReply::decode(&msg.data).unwrap().into_result().unwrap();
-            assert_eq!(outcomes_on(&lane, Tag(11), 1), vec![(12, true)]);
+            assert_eq!(outcomes_on(&head, Tag(11), 1), vec![(12, true)]);
             head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
             worker.join().unwrap();
             let stats = world.communicator(1).mailbox_stats();

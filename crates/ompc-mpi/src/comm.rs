@@ -4,12 +4,12 @@ use crate::bytes::Bytes;
 use crate::error::{MpiError, MpiResult};
 use crate::mailbox::{Mailbox, MailboxStats, PostedRecv, RecvGroup};
 use crate::message::{Message, MessageEnvelope};
-use crate::types::{CommId, Rank, Status, Tag};
+use crate::types::{Rank, Status, Tag};
 use crate::world::WorldInner;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A rank's handle on one communicator.
+/// A rank's handle on the world communicator.
 ///
 /// Clones share the underlying world, so a single rank may hand communicator
 /// handles to several of its threads (the members of an OMPC worker's event
@@ -18,12 +18,11 @@ use std::sync::Arc;
 pub struct Communicator {
     world: Arc<WorldInner>,
     rank: Rank,
-    comm: CommId,
 }
 
 impl Communicator {
-    pub(crate) fn new(world: Arc<WorldInner>, rank: Rank, comm: CommId) -> Self {
-        Self { world, rank, comm }
+    pub(crate) fn new(world: Arc<WorldInner>, rank: Rank) -> Self {
+        Self { world, rank }
     }
 
     /// This process's rank.
@@ -34,25 +33,6 @@ impl Communicator {
     /// Number of ranks in the world.
     pub fn size(&self) -> usize {
         self.world.size
-    }
-
-    /// Identifier of the communicator this handle operates on.
-    pub fn comm_id(&self) -> CommId {
-        self.comm
-    }
-
-    /// Number of communicators available in the world.
-    pub fn num_communicators(&self) -> u32 {
-        self.world.num_comms
-    }
-
-    /// Return a handle on a different communicator of the same world, used
-    /// by the event system to spread events over independent channels.
-    pub fn on(&self, comm: CommId) -> MpiResult<Communicator> {
-        if comm.0 >= self.world.num_comms {
-            return Err(MpiError::InvalidCommunicator(comm));
-        }
-        Ok(Communicator { world: Arc::clone(&self.world), rank: self.rank, comm })
     }
 
     fn mailbox_of(&self, rank: Rank) -> MpiResult<&Arc<Mailbox>> {
@@ -98,15 +78,7 @@ impl Communicator {
         let len = payload.len() + body.as_ref().map_or(0, |b| b.len());
         self.world.pace_egress(self.rank, len);
         let seq = self.world.rank_states[self.rank].send_seq[dest].fetch_add(1, Ordering::Relaxed);
-        mailbox.deliver(MessageEnvelope {
-            source: self.rank,
-            dest,
-            tag,
-            comm: self.comm,
-            seq,
-            payload,
-            body,
-        });
+        mailbox.deliver(MessageEnvelope { source: self.rank, dest, tag, seq, payload, body });
         Ok(())
     }
 
@@ -122,7 +94,7 @@ impl Communicator {
     /// Blocking receive matching `(source, tag)`; `None` is a wildcard.
     pub fn recv(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Message> {
         self.check_source(source)?;
-        self.own_mailbox().recv(self.comm, source, tag)
+        self.own_mailbox().recv(source, tag)
     }
 
     /// Post a receive of `group` matching `(source, tag)` and return at once
@@ -139,7 +111,7 @@ impl Communicator {
         group: &RecvGroup,
     ) -> MpiResult<PostedRecv> {
         self.check_source(source)?;
-        Ok(self.own_mailbox().post_grouped(self.comm, source, tag, group))
+        Ok(self.own_mailbox().post_grouped(source, tag, group))
     }
 
     /// Close `group` on this rank's mailbox: every receive it has posted is
@@ -159,30 +131,30 @@ impl Communicator {
         timeout: std::time::Duration,
     ) -> MpiResult<Message> {
         self.check_source(source)?;
-        self.own_mailbox().recv_timeout(self.comm, source, tag, timeout)
+        self.own_mailbox().recv_timeout(source, tag, timeout)
     }
 
     /// Non-blocking receive attempt; returns `None` when no matching message
     /// is queued.
     pub fn try_recv(&self, source: Option<Rank>, tag: Option<Tag>) -> Option<Message> {
-        self.own_mailbox().try_recv(self.comm, source, tag)
+        self.own_mailbox().try_recv(source, tag)
     }
 
     /// Blocking probe: wait for a matching message and report its status
     /// without consuming it.
     pub fn probe(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Status> {
-        self.own_mailbox().probe(self.comm, source, tag)
+        self.own_mailbox().probe(source, tag)
     }
 
     /// Non-blocking probe.
     pub fn iprobe(&self, source: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        self.own_mailbox().iprobe(self.comm, source, tag)
+        self.own_mailbox().iprobe(source, tag)
     }
 
-    /// Traffic counters of this rank's mailbox, all communicators together:
-    /// messages delivered, receivers woken, empty wake-ups, the unexpected
-    /// queue's high-water mark and depth, and the receives blocked right
-    /// now. Reads no clock and changes nothing.
+    /// Traffic counters of this rank's mailbox: messages delivered,
+    /// receivers woken, empty wake-ups, the unexpected queue's high-water
+    /// mark and depth, and the receives blocked right now. Reads no clock
+    /// and changes nothing.
     pub fn mailbox_stats(&self) -> MailboxStats {
         self.own_mailbox().stats()
     }
@@ -206,14 +178,6 @@ mod tests {
         let c = w.communicator(0);
         let err = c.send(5, Tag(0), vec![]).unwrap_err();
         assert_eq!(err, MpiError::InvalidRank { rank: 5, world_size: 2 });
-    }
-
-    #[test]
-    fn invalid_communicator_is_reported() {
-        let w = World::with_communicators(2, 2);
-        let c = w.communicator(0);
-        assert!(c.on(CommId(1)).is_ok());
-        assert_eq!(c.on(CommId(7)).unwrap_err(), MpiError::InvalidCommunicator(CommId(7)));
     }
 
     #[test]
@@ -293,16 +257,5 @@ mod tests {
             assert!(t0.elapsed() >= wire, "sent 10 000 bytes in {:?}", t0.elapsed());
             assert_eq!(w.communicator(1).recv(Some(0), Some(Tag(1))).unwrap().len(), 10_000);
         }
-    }
-
-    #[test]
-    fn messages_on_other_communicators_are_invisible() {
-        let w = World::with_communicators(2, 2);
-        let c0 = w.communicator(0).on(CommId(1)).unwrap();
-        let c1_world = w.communicator(1);
-        c0.send(1, Tag(5), vec![9]).unwrap();
-        assert!(c1_world.try_recv(None, None).is_none());
-        let c1_other = c1_world.on(CommId(1)).unwrap();
-        assert_eq!(c1_other.recv(None, None).unwrap().data, vec![9]);
     }
 }

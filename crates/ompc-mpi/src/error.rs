@@ -1,6 +1,6 @@
 //! Error type shared by all substrate operations.
 
-use crate::types::{CommId, Rank, Tag};
+use crate::types::{Rank, Tag};
 use std::fmt;
 
 /// Convenient result alias used across the crate.
@@ -15,8 +15,6 @@ pub type MpiResult<T> = Result<T, MpiError>;
 pub enum MpiError {
     /// The destination or source rank does not exist in the world.
     InvalidRank { rank: Rank, world_size: usize },
-    /// The communicator id has not been created.
-    InvalidCommunicator(CommId),
     /// The world has been shut down (finalized) and no further communication
     /// is possible; carries the rank that observed the shutdown.
     Finalized(Rank),
@@ -40,7 +38,6 @@ impl fmt::Display for MpiError {
             MpiError::InvalidRank { rank, world_size } => {
                 write!(f, "rank {rank} out of range for world of size {world_size}")
             }
-            MpiError::InvalidCommunicator(c) => write!(f, "unknown communicator {c}"),
             MpiError::Finalized(r) => write!(f, "world already finalized (observed by rank {r})"),
             MpiError::PeerTerminated { peer, tag } => match tag {
                 Some(t) => write!(f, "peer rank {peer} terminated while waiting on {t}"),

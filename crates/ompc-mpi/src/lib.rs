@@ -4,16 +4,19 @@
 //! (ICPP 2022) uses MPI as its communication layer and relies on a small,
 //! precise subset of MPI semantics:
 //!
-//! * point-to-point messages matched on `(communicator, source, destination,
-//!   tag)` with non-overtaking order per matched triple, each a small header
-//!   plus at most one shared [`Bytes`] body that is delivered without a copy,
+//! * point-to-point messages on the world communicator, matched on
+//!   `(source, destination, tag)` with non-overtaking order per matched
+//!   triple, each a small header plus at most one shared [`Bytes`] body that
+//!   is delivered without a copy,
 //! * buffered sends and blocking, bounded, or non-blocking receives, and
 //!   grouped posted receives (`MPI_Irecv` / `MPI_Wait`, reposted with
-//!   `MPI_Start` as a persistent request) numbered at match,
-//! * message probing, and
-//! * multiple communicators mapped round-robin to independent progress
-//!   channels (the paper maps them to hardware Virtual Communication
-//!   Interfaces).
+//!   `MPI_Start` as a persistent request) numbered at match, and
+//! * message probing.
+//!
+//! The paper also spreads events over several communicators, mapped to
+//! hardware Virtual Communication Interfaces. Here each rank has one mailbox
+//! under one lock, so a second communicator would only be one more field of
+//! the match key: every channel is a tag instead.
 //!
 //! There is no production-grade MPI binding in the Rust ecosystem that can
 //! run on a laptop without an MPI installation, so this crate implements the
@@ -21,8 +24,7 @@
 //! travel through lock-protected mailboxes. The matching rules follow the
 //! MPI standard closely enough that the event system built on top (see
 //! `ompc-core`) exercises the same correctness-critical logic as the paper's
-//! implementation: tag isolation, wildcard receives, ordered channels and
-//! communicator separation.
+//! implementation: tag isolation, wildcard receives and ordered channels.
 //!
 //! ## Quick example
 //!

@@ -4,9 +4,9 @@
 //! *unexpected-message* queue and a *posted-receive* list:
 //!
 //! * A receive or probe first scans the unexpected queue, in arrival order,
-//!   for the first envelope matching its `(communicator, source, tag)`
-//!   pattern. Only when nothing matches does it post a waiter record — its
-//!   pattern plus a parker of its own — and go to sleep on that parker.
+//!   for the first envelope matching its `(source, tag)` pattern. Only when
+//!   nothing matches does it post a waiter record — its pattern plus a
+//!   parker of its own — and go to sleep on that parker.
 //! * A delivery first scans the posted list, front to back. A matching
 //!   receive is handed the message itself and woken — that one thread, after
 //!   the mailbox lock is released. When no posted receive matches, the
@@ -22,10 +22,10 @@
 //!
 //! Both steps run under the one mailbox lock, which keeps the invariant that
 //! no posted receive matches any queued envelope. That is the MPI
-//! non-overtaking guarantee: two messages from one source on one communicator
-//! and tag are matched by exactly the same patterns, so the second can be
-//! handed to a posted receive only if the first is no longer queued — it was
-//! received before.
+//! non-overtaking guarantee: two messages from one source with one tag are
+//! matched by exactly the same patterns, so the second can be handed to a
+//! posted receive only if the first is no longer queued — it was received
+//! before.
 //!
 //! Plain receives are posted at the back, so among themselves they are
 //! matched in posting order; a grouped receive overtakes every receive posted
@@ -37,7 +37,7 @@
 
 use crate::error::{MpiError, MpiResult};
 use crate::message::{Message, MessageEnvelope};
-use crate::types::{CommId, Rank, Status, Tag};
+use crate::types::{Rank, Status, Tag};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,14 +70,13 @@ pub struct MailboxStats {
 /// What a receive or probe is willing to match; `None` is a wildcard.
 #[derive(Debug, Clone, Copy)]
 struct Pattern {
-    comm: CommId,
     source: Option<Rank>,
     tag: Option<Tag>,
 }
 
 impl Pattern {
     fn admits(&self, envelope: &MessageEnvelope) -> bool {
-        envelope.matches(self.comm, self.source, self.tag)
+        envelope.matches(self.source, self.tag)
     }
 }
 
@@ -423,13 +422,8 @@ impl Mailbox {
     }
 
     /// Non-blocking receive: remove and return the first matching message.
-    pub fn try_recv(
-        &self,
-        comm: CommId,
-        source: Option<Rank>,
-        tag: Option<Tag>,
-    ) -> Option<Message> {
-        self.inner.lock().take_message(Pattern { comm, source, tag })
+    pub fn try_recv(&self, source: Option<Rank>, tag: Option<Tag>) -> Option<Message> {
+        self.inner.lock().take_message(Pattern { source, tag })
     }
 
     /// Blocking receive: wait until a matching message arrives.
@@ -437,8 +431,8 @@ impl Mailbox {
     /// Returns [`MpiError::Finalized`] if the world shuts down first, or
     /// [`MpiError::PeerTerminated`] if every peer has terminated while the
     /// receive is still unmatched (the message can never arrive).
-    pub fn recv(&self, comm: CommId, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Message> {
-        let pattern = Pattern { comm, source, tag };
+    pub fn recv(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Message> {
+        let pattern = Pattern { source, tag };
         self.wait(pattern, None, take_plain, |inner| &mut inner.receives)
             .map(|(message, _)| message)
     }
@@ -448,18 +442,17 @@ impl Mailbox {
     /// is posted at the front of the list, ahead of every receive posted
     /// before it. Either way the message is numbered with the group's next
     /// match index under the mailbox lock, so match indices run 0, 1, 2, …
-    /// in the order the messages were matched — for one source on one
-    /// communicator and tag, their arrival order. A closed group, or a
-    /// closed mailbox with nothing queued that matches, completes the
-    /// receive at once with its typed error.
+    /// in the order the messages were matched — for one source and tag,
+    /// their arrival order. A closed group, or a closed mailbox with nothing
+    /// queued that matches, completes the receive at once with its typed
+    /// error.
     pub fn post_grouped(
         self: &Arc<Self>,
-        comm: CommId,
         source: Option<Rank>,
         tag: Option<Tag>,
         group: &RecvGroup,
     ) -> PostedRecv {
-        let waiter = Waiter::new(Pattern { comm, source, tag }, Some(group.clone()));
+        let waiter = Waiter::new(Pattern { source, tag }, Some(group.clone()));
         self.post(&waiter);
         PostedRecv { mailbox: Arc::clone(self), waiter, posted: true }
     }
@@ -491,26 +484,25 @@ impl Mailbox {
     /// lost.
     pub fn recv_timeout(
         &self,
-        comm: CommId,
         source: Option<Rank>,
         tag: Option<Tag>,
         timeout: Duration,
     ) -> MpiResult<Message> {
-        let pattern = Pattern { comm, source, tag };
+        let pattern = Pattern { source, tag };
         self.wait(pattern, Some(timeout), take_plain, |inner| &mut inner.receives)
             .map(|(message, _)| message)
     }
 
     /// Non-blocking probe: status of the first matching message, without
     /// removing it from the queue.
-    pub fn iprobe(&self, comm: CommId, source: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
-        self.inner.lock().peek_status(Pattern { comm, source, tag })
+    pub fn iprobe(&self, source: Option<Rank>, tag: Option<Tag>) -> Option<Status> {
+        self.inner.lock().peek_status(Pattern { source, tag })
     }
 
     /// Blocking probe: wait until a matching message is available and report
     /// its status without consuming it.
-    pub fn probe(&self, comm: CommId, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Status> {
-        let pattern = Pattern { comm, source, tag };
+    pub fn probe(&self, source: Option<Rank>, tag: Option<Tag>) -> MpiResult<Status> {
+        let pattern = Pattern { source, tag };
         self.wait(
             pattern,
             None,
@@ -594,31 +586,23 @@ mod tests {
     use super::*;
     use std::thread;
 
-    fn env(source: Rank, tag: u64, comm: u32, seq: u64, payload: Vec<u8>) -> MessageEnvelope {
-        MessageEnvelope {
-            source,
-            dest: 0,
-            tag: Tag(tag),
-            comm: CommId(comm),
-            seq,
-            payload,
-            body: None,
-        }
+    fn env(source: Rank, tag: u64, seq: u64, payload: Vec<u8>) -> MessageEnvelope {
+        MessageEnvelope { source, dest: 0, tag: Tag(tag), seq, payload, body: None }
     }
 
     #[test]
     fn try_recv_returns_none_when_empty() {
         let mb = Mailbox::new(0, 2);
-        assert!(mb.try_recv(CommId(0), None, None).is_none());
+        assert!(mb.try_recv(None, None).is_none());
         assert_eq!(mb.stats().queued, 0);
     }
 
     #[test]
     fn delivery_then_matching_receive() {
         let mb = Mailbox::new(0, 2);
-        mb.deliver(env(1, 5, 0, 0, vec![42]));
+        mb.deliver(env(1, 5, 0, vec![42]));
         assert_eq!(mb.stats().queued, 1);
-        let m = mb.try_recv(CommId(0), Some(1), Some(Tag(5))).unwrap();
+        let m = mb.try_recv(Some(1), Some(Tag(5))).unwrap();
         assert_eq!(m.data, vec![42]);
         assert_eq!(mb.stats().queued, 0);
     }
@@ -626,12 +610,12 @@ mod tests {
     #[test]
     fn non_matching_messages_are_left_in_place() {
         let mb = Mailbox::new(0, 3);
-        mb.deliver(env(1, 5, 0, 0, vec![1]));
-        mb.deliver(env(2, 6, 0, 0, vec![2]));
-        let m = mb.try_recv(CommId(0), Some(2), None).unwrap();
+        mb.deliver(env(1, 5, 0, vec![1]));
+        mb.deliver(env(2, 6, 0, vec![2]));
+        let m = mb.try_recv(Some(2), None).unwrap();
         assert_eq!(m.data, vec![2]);
         assert_eq!(mb.stats().queued, 1);
-        let m = mb.try_recv(CommId(0), None, None).unwrap();
+        let m = mb.try_recv(None, None).unwrap();
         assert_eq!(m.data, vec![1]);
     }
 
@@ -639,10 +623,10 @@ mod tests {
     fn arrival_order_preserved_for_same_channel() {
         let mb = Mailbox::new(0, 2);
         for i in 0..10u8 {
-            mb.deliver(env(1, 7, 0, i as u64, vec![i]));
+            mb.deliver(env(1, 7, i as u64, vec![i]));
         }
         for i in 0..10u8 {
-            let m = mb.try_recv(CommId(0), Some(1), Some(Tag(7))).unwrap();
+            let m = mb.try_recv(Some(1), Some(Tag(7))).unwrap();
             assert_eq!(m.data, vec![i]);
         }
     }
@@ -650,8 +634,8 @@ mod tests {
     #[test]
     fn probe_does_not_consume() {
         let mb = Mailbox::new(0, 2);
-        mb.deliver(env(1, 9, 0, 0, vec![1, 2, 3, 4]));
-        let st = mb.iprobe(CommId(0), None, None).unwrap();
+        mb.deliver(env(1, 9, 0, vec![1, 2, 3, 4]));
+        let st = mb.iprobe(None, None).unwrap();
         assert_eq!(st.len, 4);
         assert_eq!(st.source, 1);
         assert_eq!(mb.stats().queued, 1);
@@ -661,9 +645,9 @@ mod tests {
     fn blocking_recv_wakes_on_delivery() {
         let mb = Mailbox::new(0, 2);
         let mb2 = Arc::clone(&mb);
-        let t = thread::spawn(move || mb2.recv(CommId(0), Some(1), Some(Tag(3))).unwrap());
+        let t = thread::spawn(move || mb2.recv(Some(1), Some(Tag(3))).unwrap());
         thread::sleep(Duration::from_millis(20));
-        mb.deliver(env(1, 3, 0, 0, vec![9]));
+        mb.deliver(env(1, 3, 0, vec![9]));
         let m = t.join().unwrap();
         assert_eq!(m.data, vec![9]);
     }
@@ -672,7 +656,7 @@ mod tests {
     fn shutdown_unblocks_receivers_with_error() {
         let mb = Mailbox::new(0, 2);
         let mb2 = Arc::clone(&mb);
-        let t = thread::spawn(move || mb2.recv(CommId(0), None, None));
+        let t = thread::spawn(move || mb2.recv(None, None));
         thread::sleep(Duration::from_millis(20));
         mb.shutdown();
         assert_eq!(t.join().unwrap(), Err(MpiError::Finalized(0)));
@@ -682,19 +666,11 @@ mod tests {
     fn all_peers_terminated_fails_pending_recv() {
         let mb = Mailbox::new(0, 3);
         let mb2 = Arc::clone(&mb);
-        let t = thread::spawn(move || mb2.recv(CommId(0), Some(1), Some(Tag(1))));
+        let t = thread::spawn(move || mb2.recv(Some(1), Some(Tag(1))));
         thread::sleep(Duration::from_millis(20));
         mb.peer_terminated();
         mb.peer_terminated();
         assert!(matches!(t.join().unwrap(), Err(MpiError::PeerTerminated { peer: 1, .. })));
-    }
-
-    #[test]
-    fn communicators_do_not_cross_match() {
-        let mb = Mailbox::new(0, 2);
-        mb.deliver(env(1, 5, 1, 0, vec![7]));
-        assert!(mb.try_recv(CommId(0), Some(1), Some(Tag(5))).is_none());
-        assert!(mb.try_recv(CommId(1), Some(1), Some(Tag(5))).is_some());
     }
 
     /// Spin (no clock) until exactly `n` receives or probes are blocked.
@@ -706,7 +682,7 @@ mod tests {
 
     fn recv_in_thread(mb: &Arc<Mailbox>, tag: u64) -> thread::JoinHandle<MpiResult<Message>> {
         let mb = Arc::clone(mb);
-        thread::spawn(move || mb.recv(CommId(0), Some(1), Some(Tag(tag))))
+        thread::spawn(move || mb.recv(Some(1), Some(Tag(tag))))
     }
 
     #[test]
@@ -717,13 +693,13 @@ mod tests {
         let mb2 = Arc::clone(&mb);
         let a = thread::spawn(move || {
             for i in 0..MESSAGES {
-                let m = mb2.recv(CommId(0), Some(1), Some(Tag(10))).unwrap();
+                let m = mb2.recv(Some(1), Some(Tag(10))).unwrap();
                 assert_eq!(m.data, i.to_le_bytes());
             }
         });
         until_posted(&mb, 3);
         for i in 0..MESSAGES {
-            mb.deliver(env(1, 10, 0, i, i.to_le_bytes().to_vec()));
+            mb.deliver(env(1, 10, i, i.to_le_bytes().to_vec()));
         }
         a.join().unwrap();
         let stats = mb.stats();
@@ -734,8 +710,8 @@ mod tests {
         assert_eq!(stats.empty_wakeups, 0);
         assert_eq!(stats.posted, 2);
         assert!(!b.is_finished() && !c.is_finished());
-        mb.deliver(env(1, 11, 0, 0, vec![11]));
-        mb.deliver(env(1, 12, 0, 0, vec![12]));
+        mb.deliver(env(1, 11, 0, vec![11]));
+        mb.deliver(env(1, 12, 0, vec![12]));
         assert_eq!(b.join().unwrap().unwrap().data, vec![11]);
         assert_eq!(c.join().unwrap().unwrap().data, vec![12]);
         let after = mb.stats();
@@ -747,15 +723,15 @@ mod tests {
         let mb = Mailbox::new(0, 2);
         let waiting = recv_in_thread(&mb, 10);
         until_posted(&mb, 1);
-        mb.deliver(env(1, 99, 0, 0, vec![1]));
-        mb.deliver(env(1, 99, 0, 1, vec![2]));
+        mb.deliver(env(1, 99, 0, vec![1]));
+        mb.deliver(env(1, 99, 1, vec![2]));
         // Nothing below depends on this pause; it only gives an engine that
         // did wake the receiver the time to count it.
         thread::sleep(Duration::from_millis(20));
         let stats = mb.stats();
         assert_eq!((stats.delivered, stats.woken, stats.posted), (2, 0, 1));
         assert_eq!((stats.queued, stats.unexpected_high_water), (2, 2));
-        mb.deliver(env(1, 10, 0, 0, vec![3]));
+        mb.deliver(env(1, 10, 0, vec![3]));
         assert_eq!(waiting.join().unwrap().unwrap().data, vec![3]);
         // Read after the receiver has returned, so an engine that had woken
         // it for the two strangers would have counted that by now.
@@ -768,20 +744,20 @@ mod tests {
     fn a_posted_probe_learns_of_the_message_and_leaves_it_for_a_receive() {
         let mb = Mailbox::new(0, 2);
         let mb2 = Arc::clone(&mb);
-        let probe = thread::spawn(move || mb2.probe(CommId(0), None, Some(Tag(4))));
+        let probe = thread::spawn(move || mb2.probe(None, Some(Tag(4))));
         until_posted(&mb, 1);
-        mb.deliver(env(1, 4, 0, 0, vec![1, 2, 3]));
+        mb.deliver(env(1, 4, 0, vec![1, 2, 3]));
         let status = probe.join().unwrap().unwrap();
         assert_eq!((status.source, status.tag, status.len), (1, Tag(4), 3));
         assert_eq!(mb.stats().queued, 1);
-        assert_eq!(mb.try_recv(CommId(0), Some(1), Some(Tag(4))).unwrap().data, vec![1, 2, 3]);
+        assert_eq!(mb.try_recv(Some(1), Some(Tag(4))).unwrap().data, vec![1, 2, 3]);
         // With a receive posted too, the probe still sees the message and
         // the receive gets it.
         let mb2 = Arc::clone(&mb);
-        let probe = thread::spawn(move || mb2.probe(CommId(0), Some(1), None));
+        let probe = thread::spawn(move || mb2.probe(Some(1), None));
         let recv = recv_in_thread(&mb, 4);
         until_posted(&mb, 2);
-        mb.deliver(env(1, 4, 0, 1, vec![9]));
+        mb.deliver(env(1, 4, 1, vec![9]));
         assert_eq!(probe.join().unwrap().unwrap().len, 1);
         assert_eq!(recv.join().unwrap().unwrap().data, vec![9]);
         assert_eq!((mb.stats().queued, mb.stats().woken), (0, 3));
@@ -791,17 +767,17 @@ mod tests {
     fn a_receive_that_times_out_withdraws_its_posting() {
         let mb = Mailbox::new(0, 2);
         let t0 = Instant::now();
-        let err = mb.recv_timeout(CommId(0), Some(1), Some(Tag(1)), Duration::from_millis(20));
+        let err = mb.recv_timeout(Some(1), Some(Tag(1)), Duration::from_millis(20));
         assert_eq!(err, Err(MpiError::Timeout { source: Some(1), tag: Some(Tag(1)) }));
         assert!(t0.elapsed() >= Duration::from_millis(20));
         assert_eq!(mb.stats().posted, 0);
         // The next message is not handed to the receive that gave up.
-        mb.deliver(env(1, 1, 0, 0, vec![5]));
+        mb.deliver(env(1, 1, 0, vec![5]));
         assert_eq!((mb.stats().queued, mb.stats().woken), (1, 0));
-        let zero = mb.recv_timeout(CommId(0), Some(1), Some(Tag(2)), Duration::ZERO);
+        let zero = mb.recv_timeout(Some(1), Some(Tag(2)), Duration::ZERO);
         assert!(matches!(zero, Err(MpiError::Timeout { .. })));
         // A time-out too long for the clock to represent waits like `recv`.
-        let m = mb.recv_timeout(CommId(0), Some(1), Some(Tag(1)), Duration::MAX).unwrap();
+        let m = mb.recv_timeout(Some(1), Some(Tag(1)), Duration::MAX).unwrap();
         assert_eq!(m.data, vec![5]);
     }
 
@@ -815,7 +791,7 @@ mod tests {
         let (mb, group) = (Arc::clone(mb), group.clone());
         thread::spawn(move || {
             let mut took = Vec::new();
-            let mut receive = mb.post_grouped(CommId(0), None, Some(Tag(1)), &group);
+            let mut receive = mb.post_grouped(None, Some(Tag(1)), &group);
             loop {
                 match receive.wait() {
                     Ok((m, index)) => {
@@ -832,11 +808,11 @@ mod tests {
     fn a_restarted_receive_reuses_its_record_and_is_matched_like_a_new_one() {
         let mb = Mailbox::new(0, 2);
         let group = RecvGroup::new();
-        let mut receive = mb.post_grouped(CommId(0), Some(1), Some(Tag(1)), &group);
+        let mut receive = mb.post_grouped(Some(1), Some(Tag(1)), &group);
         let record = Arc::as_ptr(&receive.waiter);
         receive.restart();
         assert_eq!(mb.stats().posted, 1, "restarting a posted receive posts nothing more");
-        mb.deliver(env(1, 1, 0, 0, vec![0]));
+        mb.deliver(env(1, 1, 0, vec![0]));
         assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![0], 0)));
         let never = Err(MpiError::Timeout { source: Some(1), tag: Some(Tag(1)) });
         assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), never, "waited on already");
@@ -846,12 +822,12 @@ mod tests {
         until_posted(&mb, 1);
         receive.restart();
         assert_eq!(Arc::as_ptr(&receive.waiter), record, "no new record");
-        mb.deliver(env(1, 1, 0, 1, vec![1]));
-        mb.deliver(env(1, 1, 0, 2, vec![2]));
+        mb.deliver(env(1, 1, 1, vec![1]));
+        mb.deliver(env(1, 1, 2, vec![2]));
         assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![1], 1)));
         assert_eq!(plain.join().unwrap().unwrap().data, vec![2]);
         // A message already queued is taken at the restart.
-        mb.deliver(env(1, 1, 0, 3, vec![3]));
+        mb.deliver(env(1, 1, 3, vec![3]));
         receive.restart();
         assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![3], 2)));
         let stats = mb.stats();
@@ -866,10 +842,10 @@ mod tests {
     fn a_receive_posted_again_keeps_its_record_while_its_delivery_still_holds_it() {
         let mb = Mailbox::new(0, 2);
         let group = RecvGroup::new();
-        let mut receive = mb.post_grouped(CommId(0), Some(1), Some(Tag(4)), &group);
+        let mut receive = mb.post_grouped(Some(1), Some(Tag(4)), &group);
         let record = Arc::as_ptr(&receive.waiter);
         for i in 0..8u8 {
-            let late = mb.match_envelope(env(1, 4, 0, u64::from(i), vec![i]));
+            let late = mb.match_envelope(env(1, 4, u64::from(i), vec![i]));
             assert!(late.receive.as_ref().is_some_and(|held| Arc::as_ptr(held) == record));
             assert_eq!(receive.wait().map(|(m, at)| (m.data, at)), Ok((vec![i], u64::from(i))));
             receive.restart();
@@ -888,8 +864,8 @@ mod tests {
     fn a_late_wake_leaves_the_receive_parked_again_on_its_record_asleep() {
         let mb = Mailbox::new(0, 2);
         let group = RecvGroup::new();
-        let mut receive = mb.post_grouped(CommId(0), Some(1), Some(Tag(4)), &group);
-        let late = mb.match_envelope(env(1, 4, 0, 0, vec![0]));
+        let mut receive = mb.post_grouped(Some(1), Some(Tag(4)), &group);
+        let late = mb.match_envelope(env(1, 4, 0, vec![0]));
         assert_eq!(receive.wait().map(|(m, at)| (m.data, at)), Ok((vec![0], 0)));
         receive.restart();
         let member = thread::spawn(move || receive.wait().map(|(m, at)| (m.data, at)));
@@ -899,7 +875,7 @@ mod tests {
         late.wake();
         thread::sleep(Duration::from_millis(20));
         assert!(!member.is_finished());
-        mb.deliver(env(1, 4, 0, 1, vec![1]));
+        mb.deliver(env(1, 4, 1, vec![1]));
         assert_eq!(member.join().unwrap(), Ok((vec![1], 1)));
         let stats = mb.stats();
         assert_eq!((stats.delivered, stats.woken, stats.empty_wakeups), (2, 2, 0));
@@ -913,7 +889,7 @@ mod tests {
             let group = RecvGroup::new();
             let members: Vec<_> = (0..4).map(|_| member(&mb, &group)).collect();
             for seq in 0..MESSAGES {
-                mb.deliver(env(1, 1, 0, seq, seq.to_le_bytes().to_vec()));
+                mb.deliver(env(1, 1, seq, seq.to_le_bytes().to_vec()));
             }
             // No clock: every message is taken once the queue is empty and
             // all four members are posted again.
@@ -939,21 +915,21 @@ mod tests {
     fn the_most_recently_posted_grouped_receive_is_matched_first() {
         let mb = Mailbox::new(0, 2);
         let group = RecvGroup::new();
-        let post = || mb.post_grouped(CommId(0), Some(1), Some(Tag(1)), &group);
+        let post = || mb.post_grouped(Some(1), Some(Tag(1)), &group);
         // A plain receive posted first is overtaken by the group's.
         let plain = recv_in_thread(&mb, 1);
         until_posted(&mb, 1);
         let (mut first, mut second) = (post(), post());
         assert_eq!(mb.stats().posted, 3);
         for seq in 0..3u8 {
-            mb.deliver(env(1, 1, 0, seq as u64, vec![seq]));
+            mb.deliver(env(1, 1, seq as u64, vec![seq]));
         }
         let data = |(m, index): (Message, u64)| (m.data[0], index);
         assert_eq!(data(second.wait().unwrap()), (0, 0), "the latest poster goes first");
         assert_eq!(data(first.wait().unwrap()), (1, 1));
         assert_eq!(plain.join().unwrap().unwrap().data, vec![2]);
         // A message already queued is taken at posting, with the next index.
-        mb.deliver(env(1, 1, 0, 3, vec![3]));
+        mb.deliver(env(1, 1, 3, vec![3]));
         assert_eq!(data(post().wait().unwrap()), (3, 2));
         let stats = mb.stats();
         assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
@@ -980,11 +956,11 @@ mod tests {
             for m in members {
                 assert_eq!(m.join().unwrap(), (Vec::new(), expected.clone()));
             }
-            let later = mb.post_grouped(CommId(0), None, None, &group).wait();
+            let later = mb.post_grouped(None, None, &group).wait();
             assert_eq!(later.map(|(m, _)| m.data), Err(expected));
             if !shutdown {
                 assert_eq!(mb.stats().posted, 1, "the plain receive stays posted");
-                mb.deliver(env(1, 1, 0, 0, vec![7]));
+                mb.deliver(env(1, 1, 0, vec![7]));
             }
             assert_eq!(plain.join().unwrap().map(|m| m.data).ok(), (!shutdown).then(|| vec![7]));
             let stats = mb.stats();
@@ -1002,45 +978,42 @@ mod tests {
         const PRODUCERS: usize = 3;
         const PER_PRODUCER: u64 = 300;
         const TAGS: u64 = 3;
-        const COMMS: u32 = 2;
-        // (communicator, source, tag) patterns: exact, half-wild and wild. The
-        // last two between them match everything, so every message has a taker.
-        let patterns: [(u32, Option<Rank>, Option<u64>); 6] = [
-            (0, Some(1), Some(0)),
-            (0, None, Some(1)),
-            (0, Some(2), None),
-            (1, Some(3), Some(2)),
-            (0, None, None),
-            (1, None, None),
+        // (source, tag) patterns: exact, half-wild and wild. The last two
+        // each match everything, so every message has a taker.
+        let patterns: [(Option<Rank>, Option<u64>); 6] = [
+            (Some(1), Some(0)),
+            (None, Some(1)),
+            (Some(2), None),
+            (Some(3), Some(2)),
+            (None, None),
+            (None, None),
         ];
-        type Key = (Rank, u64, u32);
+        type Key = (Rank, u64);
 
         let mb = Mailbox::new(0, PRODUCERS + 1);
         let received = Arc::new(AtomicUsize::new(0));
         let consumers: Vec<_> = patterns
             .iter()
             .enumerate()
-            .map(|(k, &(comm, source, tag))| {
+            .map(|(k, &(source, tag))| {
                 let (mb, received) = (Arc::clone(&mb), Arc::clone(&received));
-                let (comm, tag) = (CommId(comm), tag.map(Tag));
+                let tag = tag.map(Tag);
                 thread::spawn(move || {
                     let mut rng = Rng::new(seed * 31 + k as u64);
                     let mut got: Vec<(Key, u64)> = Vec::new();
                     let closed = loop {
                         let outcome = match rng.range(0, 4) {
-                            0 => mb
-                                .try_recv(comm, source, tag)
-                                .ok_or(MpiError::Timeout { source, tag }),
-                            1 => mb.recv(comm, source, tag),
+                            0 => mb.try_recv(source, tag).ok_or(MpiError::Timeout { source, tag }),
+                            1 => mb.recv(source, tag),
                             _ => {
                                 let wait = Duration::from_micros(rng.range(0, 200));
-                                mb.recv_timeout(comm, source, tag, wait)
+                                mb.recv_timeout(source, tag, wait)
                             }
                         };
                         match outcome {
                             Ok(m) => {
                                 let seq = u64::from_le_bytes(m.data[..8].try_into().unwrap());
-                                got.push(((m.source(), m.tag().0, m.status.comm.0), seq));
+                                got.push(((m.source(), m.tag().0), seq));
                                 received.fetch_add(1, Ordering::SeqCst);
                             }
                             Err(MpiError::Timeout { .. }) => {}
@@ -1051,12 +1024,12 @@ mod tests {
                 })
             })
             .collect();
-        // A probe that never consumes: it may be woken by any delivery on
-        // communicator 0 and must not take anything away from the receives.
+        // A probe that never consumes: it may be woken by any delivery and
+        // must not take anything away from the receives.
         let prober = {
             let mb = Arc::clone(&mb);
             thread::spawn(move || loop {
-                match mb.probe(CommId(0), None, None) {
+                match mb.probe(None, None) {
                     Ok(status) => assert_eq!(status.len, 8, "seed {seed}"),
                     Err(closed) => break closed,
                 }
@@ -1070,9 +1043,9 @@ mod tests {
                     let mut rng = Rng::new(seed * 17 + source as u64);
                     let mut next: BTreeMap<Key, u64> = BTreeMap::new();
                     for _ in 0..PER_PRODUCER {
-                        let key = (source, rng.range(0, TAGS), rng.range(0, COMMS as u64) as u32);
+                        let key = (source, rng.range(0, TAGS));
                         let seq = next.entry(key).or_default();
-                        mb.deliver(env(source, key.1, key.2, *seq, seq.to_le_bytes().to_vec()));
+                        mb.deliver(env(source, key.1, *seq, seq.to_le_bytes().to_vec()));
                         *seq += 1;
                         if rng.range(0, 8) == 0 {
                             thread::yield_now();
@@ -1100,7 +1073,7 @@ mod tests {
             false => MpiError::PeerTerminated { peer: source.unwrap_or(usize::MAX), tag },
         };
         let mut seen: BTreeSet<(Key, u64)> = BTreeSet::new();
-        for (consumer, &(_, source, tag)) in consumers.into_iter().zip(&patterns) {
+        for (consumer, &(source, tag)) in consumers.into_iter().zip(&patterns) {
             let (got, closed) =
                 consumer.join().unwrap_or_else(|_| panic!("seed {seed}: a consumer panicked"));
             assert_eq!(closed, closed_as(source, tag.map(Tag)), "seed {seed}");

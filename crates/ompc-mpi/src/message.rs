@@ -8,13 +8,13 @@
 //! both parts.
 
 use crate::bytes::Bytes;
-use crate::types::{CommId, Rank, Status, Tag};
+use crate::types::{Rank, Status, Tag};
 
 /// A received message: header and optional body plus the status describing
 /// where it came from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
-    /// Completion information (source, tag, length, communicator).
+    /// Completion information (source, tag, length).
     pub status: Status,
     /// The header bytes — the whole message for anything sent with
     /// [`crate::Communicator::send`].
@@ -56,10 +56,7 @@ pub struct MessageEnvelope {
     pub dest: Rank,
     /// Message tag.
     pub tag: Tag,
-    /// Communicator the message travels on. Messages on different
-    /// communicators never match the same receive.
-    pub comm: CommId,
-    /// Monotonic per-(source, dest, comm) sequence number used to preserve
+    /// Monotonic per-(source, dest) sequence number used to preserve
     /// the MPI non-overtaking guarantee when wildcard receives are posted.
     pub seq: u64,
     /// Header bytes.
@@ -69,12 +66,9 @@ pub struct MessageEnvelope {
 }
 
 impl MessageEnvelope {
-    /// Whether this envelope satisfies a receive posted for `(source, tag)`
-    /// on communicator `comm`. `None` components are wildcards.
-    pub fn matches(&self, comm: CommId, source: Option<Rank>, tag: Option<Tag>) -> bool {
-        if self.comm != comm {
-            return false;
-        }
+    /// Whether this envelope satisfies a receive posted for `(source, tag)`.
+    /// `None` components are wildcards.
+    pub fn matches(&self, source: Option<Rank>, tag: Option<Tag>) -> bool {
         if let Some(s) = source {
             if self.source != s {
                 return false;
@@ -96,7 +90,7 @@ impl MessageEnvelope {
     /// Status that a probe of this envelope would report (payload stays put).
     pub fn probe_status(&self) -> Status {
         let len = self.payload.len() + self.body.as_ref().map_or(0, |b| b.len());
-        Status { source: self.source, tag: self.tag, len, comm: self.comm }
+        Status { source: self.source, tag: self.tag, len }
     }
 }
 
@@ -104,12 +98,11 @@ impl MessageEnvelope {
 mod tests {
     use super::*;
 
-    fn env(source: Rank, tag: u64, comm: u32) -> MessageEnvelope {
+    fn env(source: Rank, tag: u64) -> MessageEnvelope {
         MessageEnvelope {
             source,
             dest: 0,
             tag: Tag(tag),
-            comm: CommId(comm),
             seq: 0,
             payload: vec![1, 2, 3],
             body: None,
@@ -118,40 +111,32 @@ mod tests {
 
     #[test]
     fn exact_match() {
-        let e = env(2, 5, 0);
-        assert!(e.matches(CommId(0), Some(2), Some(Tag(5))));
-        assert!(!e.matches(CommId(0), Some(1), Some(Tag(5))));
-        assert!(!e.matches(CommId(0), Some(2), Some(Tag(6))));
+        let e = env(2, 5);
+        assert!(e.matches(Some(2), Some(Tag(5))));
+        assert!(!e.matches(Some(1), Some(Tag(5))));
+        assert!(!e.matches(Some(2), Some(Tag(6))));
     }
 
     #[test]
     fn wildcard_source_and_tag() {
-        let e = env(2, 5, 0);
-        assert!(e.matches(CommId(0), None, Some(Tag(5))));
-        assert!(e.matches(CommId(0), Some(2), None));
-        assert!(e.matches(CommId(0), None, None));
-    }
-
-    #[test]
-    fn communicator_isolation() {
-        let e = env(2, 5, 1);
-        assert!(!e.matches(CommId(0), None, None));
-        assert!(e.matches(CommId(1), None, None));
+        let e = env(2, 5);
+        assert!(e.matches(None, Some(Tag(5))));
+        assert!(e.matches(Some(2), None));
+        assert!(e.matches(None, None));
     }
 
     #[test]
     fn envelope_to_message_preserves_metadata() {
-        let m = env(3, 9, 2).into_message();
+        let m = env(3, 9).into_message();
         assert_eq!(m.source(), 3);
         assert_eq!(m.tag(), Tag(9));
         assert_eq!(m.len(), 3);
         assert!(!m.is_empty());
-        assert_eq!(m.status.comm, CommId(2));
     }
 
     #[test]
     fn probe_status_reports_length_without_consuming() {
-        let e = env(1, 4, 0);
+        let e = env(1, 4);
         let st = e.probe_status();
         assert_eq!(st.len, 3);
         assert_eq!(e.payload.len(), 3);
@@ -160,7 +145,7 @@ mod tests {
     #[test]
     fn lengths_count_header_plus_body_and_the_body_is_delivered_as_sent() {
         let body = Bytes::from(vec![9u8; 10]);
-        let e = MessageEnvelope { body: Some(body.clone()), ..env(1, 4, 0) };
+        let e = MessageEnvelope { body: Some(body.clone()), ..env(1, 4) };
         assert_eq!(e.probe_status().len, 13);
         let m = e.into_message();
         assert_eq!((m.len(), m.data.len()), (13, 3));

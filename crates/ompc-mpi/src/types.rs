@@ -26,10 +26,10 @@ impl fmt::Display for Tag {
     }
 }
 
-/// Identifier of a communicator. Communicator 0 is the world communicator;
-/// the event system creates additional communicators and selects one per
-/// event in a round-robin fashion, mirroring the paper's use of MPICH
-/// Virtual Communication Interfaces.
+/// Identifier of a communicator. The world communicator is the only one a
+/// [`crate::World`] has: every channel is a tag on it. The id remains as a
+/// field of the OMPC event notification's envelope, which names
+/// [`CommId::WORLD`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CommId(pub u32);
 
@@ -53,8 +53,6 @@ pub struct Status {
     pub tag: Tag,
     /// Payload length in bytes.
     pub len: usize,
-    /// Communicator the message travelled on.
-    pub comm: CommId,
 }
 
 #[cfg(test)]

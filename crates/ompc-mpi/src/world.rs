@@ -2,7 +2,7 @@
 
 use crate::comm::Communicator;
 use crate::mailbox::Mailbox;
-use crate::types::{CommId, Rank};
+use crate::types::Rank;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -26,7 +26,6 @@ pub(crate) struct RankState {
 #[derive(Debug)]
 pub(crate) struct WorldInner {
     pub(crate) size: usize,
-    pub(crate) num_comms: u32,
     pub(crate) mailboxes: Vec<Arc<Mailbox>>,
     pub(crate) rank_states: Vec<RankState>,
     /// Emulated per-rank link bandwidth in bytes per second; `0` (the
@@ -69,7 +68,8 @@ impl WorldInner {
 }
 
 /// A fixed-size set of communicating ranks, analogous to `MPI_COMM_WORLD`
-/// plus the process launcher.
+/// plus the process launcher. The world communicator is its only one: a
+/// channel between two ranks is a tag.
 ///
 /// A world can be used in two ways:
 ///
@@ -84,29 +84,15 @@ pub struct World {
 }
 
 impl World {
-    /// Create a world of `size` ranks with a single (world) communicator.
+    /// Create a world of `size` ranks.
     ///
     /// # Panics
     ///
-    /// When `size` is zero, as [`World::with_communicators`].
+    /// When `size` is zero: a world without a rank is a broken call, not a
+    /// state a run can reach — the cluster device sizes its world from a
+    /// checked worker count.
     pub fn new(size: usize) -> Self {
-        Self::with_communicators(size, 1)
-    }
-
-    /// Create a world of `size` ranks with `num_comms` communicators
-    /// (`CommId(0)` … `CommId(num_comms - 1)`); the OMPC event system uses
-    /// several communicators in a round-robin fashion, mirroring the paper's
-    /// use of MPICH virtual communication interfaces.
-    ///
-    /// # Panics
-    ///
-    /// When `size` or `num_comms` is zero: a world without a rank or a
-    /// communicator is a broken call, not a state a run can reach — the
-    /// cluster device sizes its world from a checked worker count and clamps
-    /// its communicator knob to at least one.
-    pub fn with_communicators(size: usize, num_comms: u32) -> Self {
         assert!(size > 0, "a world needs at least one rank");
-        assert!(num_comms > 0, "a world needs at least one communicator");
         let mailboxes = (0..size).map(|r| Mailbox::new(r, size)).collect();
         let rank_states = (0..size)
             .map(|_| RankState {
@@ -117,7 +103,6 @@ impl World {
         Self {
             inner: Arc::new(WorldInner {
                 size,
-                num_comms,
                 mailboxes,
                 rank_states,
                 link_bytes_per_sec: AtomicU64::new(0),
@@ -140,13 +125,7 @@ impl World {
         self.inner.size
     }
 
-    /// Number of pre-created communicators.
-    pub fn num_communicators(&self) -> u32 {
-        self.inner.num_comms
-    }
-
-    /// Obtain a communicator handle for `rank` on the world communicator
-    /// without spawning a thread.
+    /// Obtain a communicator handle for `rank` without spawning a thread.
     ///
     /// # Panics
     ///
@@ -154,7 +133,7 @@ impl World {
     /// of the world they built, so another one is a broken call.
     pub fn communicator(&self, rank: Rank) -> Communicator {
         assert!(rank < self.inner.size, "rank {rank} out of range");
-        Communicator::new(Arc::clone(&self.inner), rank, CommId::WORLD)
+        Communicator::new(Arc::clone(&self.inner), rank)
     }
 
     /// Spawn one OS thread per rank running `f(comm)` and return the join
@@ -181,7 +160,7 @@ impl World {
                 std::thread::Builder::new()
                     .name(format!("ompc-mpi-rank-{rank}"))
                     .spawn(move || {
-                        let comm = Communicator::new(Arc::clone(&inner), rank, CommId::WORLD);
+                        let comm = Communicator::new(Arc::clone(&inner), rank);
                         let out = f(comm);
                         for (r, mb) in inner.mailboxes.iter().enumerate() {
                             if r != rank {
@@ -213,10 +192,8 @@ mod tests {
     use crate::types::Tag;
 
     #[test]
-    fn world_reports_size_and_comms() {
-        let w = World::with_communicators(4, 8);
-        assert_eq!(w.size(), 4);
-        assert_eq!(w.num_communicators(), 8);
+    fn world_reports_its_size() {
+        assert_eq!(World::new(4).size(), 4);
     }
 
     #[test]

@@ -396,26 +396,3 @@ fn non_finite_or_negative_cost_hints_are_rejected_before_planning() {
         }
     });
 }
-
-#[test]
-fn zero_communicators_is_clamped_to_one_not_a_panic() {
-    with_timeout(WATCHDOG, || {
-        // `num_communicators: 0` used to reach `assert!(num_comms > 0)` in
-        // world construction from `ClusterDevice::with_config`. Like the
-        // other sizing knobs it now means "the minimum": the device spawns,
-        // runs a region, and shuts down.
-        let config = OmpcConfig { num_communicators: 0, ..OmpcConfig::small() };
-        let mut device = ClusterDevice::with_config(2, config);
-        let bump = device.register_kernel_fn("bump", 1e-6, |args| {
-            let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-            args.set_f64s(0, &v);
-        });
-        let mut region = device.target_region();
-        let a = region.map_to_f64s(&[41.0]);
-        region.target(bump, vec![Dependence::inout(a)]);
-        region.map_from(a);
-        region.run().unwrap();
-        assert_eq!(device.buffer_f64s(a).unwrap(), vec![42.0]);
-        device.shutdown();
-    });
-}
