@@ -1,8 +1,9 @@
-//! Ablation studies of the OMPC design choices called out in DESIGN.md:
+//! Ablation studies of the OMPC design choices the paper discusses in §7:
 //! the scheduler, the head-node in-flight limit, worker-to-worker data
 //! forwarding, and the number of NIC channels (virtual communication
 //! interfaces).
 
+use crate::report::{render_table, Figure, JsonRow};
 use ompc_core::prelude::{simulate_ompc, OmpcConfig, OverheadModel, SchedulerKind};
 use ompc_sim::ClusterConfig;
 use ompc_taskbench::{generate_workload, DependencePattern, TaskBenchConfig};
@@ -104,7 +105,31 @@ pub fn run_ablation() -> Vec<AblationRow> {
     rows
 }
 
-impl crate::report::JsonRow for AblationRow {
+/// The ablation figure as printed: one table per study, each variant's time
+/// next to the study's best.
+pub fn figure() -> Figure {
+    let rows = run_ablation();
+    let mut studies: Vec<&str> = rows.iter().map(|r| r.study.as_str()).collect();
+    studies.dedup();
+    let mut text = String::new();
+    for study in studies {
+        let study_rows: Vec<&AblationRow> = rows.iter().filter(|r| r.study == study).collect();
+        let best = study_rows.iter().map(|r| r.seconds).fold(f64::INFINITY, f64::min);
+        let table: Vec<Vec<String>> = study_rows
+            .iter()
+            .map(|r| {
+                let vs_best = format!("{:.2}x", r.seconds / best);
+                vec![r.variant.clone(), format!("{:.3}", r.seconds), vs_best]
+            })
+            .collect();
+        text += &format!("\n## {study}\n");
+        text += &render_table(&["variant", "time (s)", "vs best"], &table);
+    }
+    let title = "Ablation: OMPC design choices on a communication-heavy 16-node stencil";
+    Figure::new(title, text, &rows)
+}
+
+impl JsonRow for AblationRow {
     fn to_json_value(&self) -> ompc_json::Json {
         use ompc_json::Json;
         Json::obj([

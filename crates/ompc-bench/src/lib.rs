@@ -31,8 +31,13 @@
 //! shutdown, telemetry attribution, residency transfer counts — is a row of
 //! the perf ledger, not a figure here.
 //!
-//! Each function returns plain records so the seven binaries can print the
-//! rows and write them to `results/*.json`.
+//! The crate's one binary prints the figures and writes each one's rows to
+//! `results/<name>.json`. `cargo run --release -p ompc-bench` prints the
+//! six deterministic [`FIGURES`] (`fig5`, `fig6`, `fig7a`, `fig7b`,
+//! `ablation`, `fault`) in that order; `-- <name>...` prints only the named
+//! ones, and `-- multitenant [--smoke]` the admission figure. Every
+//! deterministic figure's text is pinned byte for byte by
+//! `tests/figures_golden.rs`.
 
 pub mod ablation;
 pub mod fault;
@@ -48,5 +53,21 @@ pub use figures::{
     ScalabilityRow,
 };
 pub use multitenant::{run_multitenant, MultitenantRow, MultitenantWorkload};
-pub use report::{geometric_mean, render_table, rows_to_json_pretty, speedup_summary, JsonRow};
+pub use report::{Figure, JsonRow};
 pub use runtimes::{run_all_runtimes, RuntimeKind, RuntimeMeasurement};
+
+/// The deterministic figures, in the order the binary prints them.
+pub const FIGURES: [&str; 6] = ["fig5", "fig6", "fig7a", "fig7b", "ablation", "fault"];
+
+/// The deterministic figure called `name`, one of [`FIGURES`].
+pub fn figure(name: &str) -> Option<Figure> {
+    Some(match name {
+        "fig5" => figures::fig5(),
+        "fig6" => figures::fig6(),
+        "fig7a" => figures::fig7a(),
+        "fig7b" => figures::fig7b(),
+        "ablation" => ablation::figure(),
+        "fault" => fault::figure(),
+        _ => return None,
+    })
+}

@@ -18,7 +18,7 @@
 //! (the run panics on a difference): admission is a throughput knob, never
 //! a results knob.
 
-use crate::report::{quartiles, JsonRow};
+use crate::report::{quartiles, render_table, Figure, JsonRow};
 use ompc_core::prelude::*;
 use ompc_json::Json;
 use std::time::{Duration, Instant};
@@ -195,6 +195,48 @@ pub fn run_multitenant(workload: MultitenantWorkload, limits: &[usize]) -> Vec<M
             }
         })
         .collect()
+}
+
+/// The multi-tenant figure as printed, at the CI size when `smoke`: limits
+/// 1, 2 and one per client. Panics if a limit changes a tenant's results.
+pub fn figure(smoke: bool) -> Figure {
+    let workload = if smoke { MultitenantWorkload::smoke() } else { MultitenantWorkload::full() };
+    let rows = run_multitenant(workload, &[1, 2, workload.clients]);
+    let serial = rows.iter().find(|r| r.limit == 1).map(|r| r.regions_per_second);
+    let table: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                r.limit.to_string(),
+                r.clients.to_string(),
+                r.regions.to_string(),
+                format!("{:.4}", r.median_s),
+                format!("{:.4}-{:.4}", r.q1_s, r.q3_s),
+                format!("{:.1}", r.regions_per_second),
+                format!("{:.2}x", r.regions_per_second / serial.unwrap_or(f64::NAN)),
+                format!("{}/{}", r.faster_than_first, r.rounds),
+            ]
+        })
+        .collect();
+    let header =
+        ["limit", "clients", "regions", "median s", "IQR s", "regions/s", "vs serial", "faster"];
+    let text = format!(
+        "\n{}\nAt limit 1 the admission gate serializes the tenants FIFO; at limit >= 2 \
+         overlapped tenants are planned around each other's in-flight load onto distinct \
+         workers, so their service times overlap. Results are byte-checked across limits — \
+         admission is a throughput knob, never a results knob.\n",
+        render_table(&header, &table)
+    );
+    let title = format!(
+        "Multi-tenant admission: {} clients x {} regions, {} ms service time, {} workers, {} \
+         alternated rounds",
+        workload.clients,
+        workload.regions_per_client,
+        workload.service_ms,
+        workload.workers,
+        workload.rounds,
+    );
+    Figure::new(title, text, &rows)
 }
 
 impl JsonRow for MultitenantRow {

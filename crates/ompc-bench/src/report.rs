@@ -1,10 +1,29 @@
-//! Small reporting helpers shared by the figure binaries.
+//! Small reporting helpers shared by the figures.
 
-use crate::runtimes::RuntimeKind;
 use ompc_json::Json;
 
-/// A result row that can render itself as a JSON object, so the figure
-/// binaries can persist machine-readable copies of their tables.
+/// A figure as the `ompc-bench` binary prints it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Figure {
+    /// One line naming the figure and its sizing, printed to stderr.
+    pub title: String,
+    /// The tables exactly as printed on stdout.
+    pub text: String,
+    /// The measured rows as a pretty JSON array, for `results/<name>.json`.
+    pub json: String,
+    /// How many rows `json` holds.
+    pub rows: usize,
+}
+
+impl Figure {
+    /// A figure titled `title` that prints `text` and records `rows`.
+    pub fn new<R: JsonRow>(title: impl Into<String>, text: String, rows: &[R]) -> Self {
+        Self { title: title.into(), text, json: rows_to_json_pretty(rows), rows: rows.len() }
+    }
+}
+
+/// A result row that can render itself as a JSON object, so a figure can
+/// persist a machine-readable copy of its tables.
 pub trait JsonRow {
     /// The row as a JSON value.
     fn to_json_value(&self) -> Json;
@@ -13,15 +32,6 @@ pub trait JsonRow {
 /// Render a slice of rows as a pretty-printed JSON array.
 pub fn rows_to_json_pretty<R: JsonRow>(rows: &[R]) -> String {
     Json::Arr(rows.iter().map(JsonRow::to_json_value).collect()).to_string_pretty()
-}
-
-/// Geometric mean of a slice of positive values (0.0 for an empty slice).
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
 }
 
 /// First quartile, median and third quartile of `values`, linearly
@@ -40,7 +50,8 @@ pub fn quartiles(values: &[f64]) -> (f64, f64, f64) {
 
 /// Render an ASCII table: a header row followed by data rows, columns
 /// padded to their widest cell.
-pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
+pub fn render_table(header: &[impl AsRef<str>], rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_string()).collect();
     let columns = header.len();
     let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for row in rows {
@@ -58,7 +69,7 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
             .join("  ")
     };
     let mut out = String::new();
-    out.push_str(&render_row(header));
+    out.push_str(&render_row(&header));
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (columns - 1)));
     out.push('\n');
@@ -69,29 +80,9 @@ pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Summarize the speedup of OMPC over another runtime across a series of
-/// (ompc_seconds, other_seconds) pairs: returns the mean ratio
-/// `other / ompc` (>1 means OMPC is faster).
-pub fn speedup_summary(pairs: &[(f64, f64)], versus: RuntimeKind) -> String {
-    if pairs.is_empty() {
-        return format!("no data versus {}", versus.name());
-    }
-    let ratios: Vec<f64> =
-        pairs.iter().filter(|(ompc, _)| *ompc > 0.0).map(|(ompc, other)| other / ompc).collect();
-    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
-    format!("mean OMPC speedup vs {}: {:.2}x", versus.name(), mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((geometric_mean(&[4.0, 1.0]) - 2.0).abs() < 1e-12);
-        assert!((geometric_mean(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
-    }
 
     #[test]
     fn quartiles_interpolate_between_order_statistics() {
@@ -116,13 +107,5 @@ mod tests {
         assert!(lines[3].contains("stencil_1d"));
         // All data lines have the same width.
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn speedup_summary_reports_mean_ratio() {
-        let s = speedup_summary(&[(1.0, 2.0), (2.0, 2.0)], RuntimeKind::Charm);
-        assert!(s.contains("1.50x"));
-        assert!(s.contains("Charm++"));
-        assert!(speedup_summary(&[], RuntimeKind::Mpi).contains("no data"));
     }
 }
