@@ -6,7 +6,7 @@
 //! is executed with 0, 1, and 2 deterministically injected worker failures
 //! ([`ompc_core::runtime::fault::FaultPlan`]), and each run reports its
 //! makespan next to the failure-free baseline, the number of re-executed
-//! and replanned tasks, and the heartbeat detection latency.
+//! and moved tasks, and the heartbeat detection latency.
 
 use crate::report::{render_table, Figure, JsonRow};
 use ompc_core::prelude::{simulate_ompc_outcome, FaultPlan, OmpcConfig, OverheadModel};
@@ -27,8 +27,7 @@ pub struct FaultRow {
     pub detected_failures: usize,
     /// Distinct tasks executed more than once by the recovery machinery.
     pub reexecuted_tasks: usize,
-    /// Tasks reassigned during recovery (off the dead node on the fast
-    /// path; possibly between survivors under a full replan).
+    /// Tasks moved off a dead node during recovery.
     pub replanned_tasks: usize,
     /// Mean fault-clock latency (ms) from node death to declaration.
     pub mean_detection_ms: f64,
@@ -37,9 +36,8 @@ pub struct FaultRow {
 /// Run the fault-overhead experiment on a Santos-Dumont-like cluster of
 /// `nodes` nodes (head included; at least 4 so two workers can die and
 /// survivors remain): a `(2·nodes) × 32` Task Bench stencil with 0, 1, and
-/// 2 injected worker failures. Set `replan` to recover with a full HEFT
-/// re-schedule over the survivors instead of round-robin reassignment.
-pub fn run_fault_overhead(nodes: usize, replan: bool) -> Vec<FaultRow> {
+/// 2 injected worker failures.
+pub fn run_fault_overhead(nodes: usize) -> Vec<FaultRow> {
     assert!(nodes >= 4, "the two-failure scenario needs at least 3 workers");
     let tb = TaskBenchConfig::figure5(DependencePattern::Stencil1D, nodes);
     let workload = generate_workload(&tb);
@@ -57,11 +55,7 @@ pub fn run_fault_overhead(nodes: usize, replan: bool) -> Vec<FaultRow> {
         .iter()
         .enumerate()
         .map(|(injected, fault_plan)| {
-            let config = OmpcConfig {
-                fault_plan: fault_plan.clone(),
-                replan_on_failure: replan,
-                ..OmpcConfig::default()
-            };
+            let config = OmpcConfig { fault_plan: fault_plan.clone(), ..OmpcConfig::default() };
             let (result, record) =
                 simulate_ompc_outcome(&workload, &cluster, &config, &overheads, None)
                     .into_result()
@@ -93,10 +87,10 @@ pub fn run_fault_overhead(nodes: usize, replan: bool) -> Vec<FaultRow> {
 }
 
 /// The fault-overhead figure as printed: a 9-node stencil at 0, 1 and 2
-/// injected failures, recovered without a replan.
+/// injected failures.
 pub fn figure() -> Figure {
     const NODES: usize = 9;
-    let rows = run_fault_overhead(NODES, false);
+    let rows = run_fault_overhead(NODES);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -150,7 +144,7 @@ mod tests {
 
     #[test]
     fn failures_cost_time_and_are_all_detected() {
-        let rows = run_fault_overhead(5, false);
+        let rows = run_fault_overhead(5);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].detected_failures, 0);
         assert_eq!(rows[0].overhead_pct, 0.0);
@@ -166,12 +160,5 @@ mod tests {
         }
         // More failures, more damage.
         assert!(rows[2].makespan_s >= rows[1].makespan_s);
-    }
-
-    #[test]
-    fn replanned_recovery_detects_failures_too() {
-        let rows = run_fault_overhead(5, true);
-        assert_eq!(rows[1].detected_failures, 1);
-        assert!(rows[1].replanned_tasks > 0);
     }
 }

@@ -777,7 +777,7 @@ impl ClusterDevice {
             )));
         }
         let faults = FaultState::from_config(&fault_plan, self.num_workers)?
-            .map(|f| f.with_replan(self.config.replan_on_failure).with_prior_failures(&prior_dead));
+            .map(|f| f.with_prior_failures(&prior_dead));
         // Transfers planned between regions (lazy host flushes through
         // `buffer_data`) belong to no run; clear the device-level
         // namespace — and only it, an overlapped region's in-progress log
@@ -1476,74 +1476,6 @@ mod tests {
                 record.transfers
             );
             assert_eq!(device.buffer_f64s(d).unwrap(), vec![12.0]);
-            device.shutdown();
-        });
-    }
-
-    /// A recovery moves the only reader of a pushed version off a live
-    /// worker, and a later version of the buffer is read on that worker: the
-    /// reader there reads the later version, not the push nobody claimed.
-    #[test]
-    fn a_reader_moved_off_a_pushed_copy_leaves_no_stale_push_to_a_later_reader() {
-        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            // Worker 3 dies with its first retirement; the full replan over
-            // workers 1 and 2 is round-robin in topological order, which is
-            // task order here: 1, 2, 1, 2, 1, 2.
-            let config = OmpcConfig {
-                fault_plan: FaultPlan::none().fail_after_completions(3, 1),
-                replan_on_failure: true,
-                scheduler: crate::config::SchedulerKind::RoundRobin,
-                ..OmpcConfig::small()
-            };
-            let mut device = ClusterDevice::with_config(3, config);
-            let bump = device.register_kernel_fn("bump", 1e-6, |args| {
-                let v = args.as_f64s(0)[0];
-                args.set_f64s(0, &[v + 1.0]);
-            });
-            let fill = device.register_kernel_fn("fill", 1e-6, |args| args.set_f64s(0, &[10.0]));
-            let sum = device.register_kernel_fn("sum", 1e-6, |args| {
-                let total = args.as_f64s(0)[0] + args.as_f64s(1)[0];
-                args.set_f64s(2, &[total]);
-            });
-            let copy = device.register_kernel_fn("copy", 1e-6, |args| {
-                let v = args.as_f64s(0)[0];
-                args.set_f64s(1, &[v]);
-            });
-            let [b, x, o1, oy, o2] =
-                [1.0, 0.0, 0.0, 0.0, 0.0].map(|v| device.enter_data_f64s(&[v]));
-            let target = |kernel| TaskKind::Target { kernel, cost_hint: 1e-6 };
-            let mut graph = RegionGraph::new();
-            // The fill dies with worker 3 and runs again after the replan,
-            // so the first reader of the producer's `b` — planned on worker
-            // 2, where the producer pushes it — is lowered only once the
-            // replan moved it to worker 1. The update of `b` then runs on
-            // worker 1 and its reader on worker 2.
-            graph.add_task(target(fill), vec![Dependence::output(x)], "fill");
-            graph.add_task(target(bump), vec![Dependence::inout(b)], "producer");
-            let first = vec![Dependence::input(b), Dependence::input(x), Dependence::output(o1)];
-            graph.add_task(target(sum), first, "first reader");
-            let pad = vec![Dependence::input(o1), Dependence::output(oy)];
-            graph.add_task(target(copy), pad, "pad");
-            graph.add_task(target(bump), vec![Dependence::inout(b)], "update");
-            let later = vec![Dependence::input(b), Dependence::output(o2)];
-            graph.add_task(target(copy), later, "later reader");
-            let plan = RuntimePlan { assignment: vec![3, 1, 2, 1, 1, 2], window: 4 };
-            let region = device.dm.lock().begin_region();
-            let telemetry = device.telemetry.scoped(region);
-            let graph = Arc::new(graph);
-            let record =
-                device.execute_planned(graph, HashMap::new(), &plan, region, &telemetry).unwrap();
-            assert_eq!(record.failures.len(), 1);
-            assert_eq!(record.failures[0].node, 3);
-            assert_eq!(record.assignment, vec![1, 1, 1, 2, 1, 2]);
-            assert_eq!(device.buffer_f64s(o1).unwrap(), vec![12.0]);
-            assert_eq!(device.buffer_f64s(o2).unwrap(), vec![3.0], "the update, not the push");
-            assert_eq!(device.buffer_f64s(b).unwrap(), vec![3.0]);
-            let forwards_of_b: Vec<(NodeId, NodeId)> = (record.transfers.iter())
-                .filter(|t| t.buffer == b && t.from != HEAD_NODE && t.to != HEAD_NODE)
-                .map(|t| (t.from, t.to))
-                .collect();
-            assert_eq!(forwards_of_b, vec![(1, 2)], "the update's push alone reaches worker 2");
             device.shutdown();
         });
     }

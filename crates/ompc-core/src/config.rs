@@ -123,10 +123,6 @@ pub struct OmpcConfig {
     /// ever fails and the fault subsystem stays entirely out of the
     /// dispatch loop.
     pub fault_plan: FaultPlan,
-    /// When a failure is declared, re-run the configured static scheduler
-    /// over the surviving workers instead of the fast round-robin
-    /// [`crate::heartbeat::plan_recovery`] path.
-    pub replan_on_failure: bool,
     /// Upper bound (milliseconds) on any single wait for an event reply —
     /// and on a worker's wait for a transfer queued ahead of a task — or
     /// `None` to wait forever. The event-reply protocol guarantees every
@@ -186,7 +182,6 @@ impl Default for OmpcConfig {
             max_inflight_tasks: 48,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
-            replan_on_failure: false,
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
             max_concurrent_regions: 1,
@@ -210,7 +205,6 @@ impl OmpcConfig {
             max_inflight_tasks: 48,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
-            replan_on_failure: false,
             event_reply_timeout_ms: Some(60_000),
             warm_worker_keepalive: true,
             max_concurrent_regions: 1,
@@ -353,7 +347,6 @@ mod tests {
             max_inflight_tasks: 48,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
-            replan_on_failure: false,
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
             max_concurrent_regions: 1,
@@ -374,36 +367,34 @@ mod tests {
         assert_eq!(overheads, OverheadModel::default());
     }
 
-    /// The knob budget, pinned: `OmpcConfig` has ten settings, each bound
-    /// by name with no `..`, so an eleventh cannot be added without editing
+    /// The knob budget, pinned: `OmpcConfig` has nine settings, each bound
+    /// by name with no `..`, so a tenth cannot be added without editing
     /// this test.
     #[test]
-    fn the_knob_budget_is_ten_settings() {
+    fn the_knob_budget_is_nine_settings() {
         let OmpcConfig {
             backend,
             event_handler_threads,
             max_inflight_tasks,
             scheduler,
             fault_plan,
-            replan_on_failure,
             event_reply_timeout_ms,
             warm_worker_keepalive,
             max_concurrent_regions,
             telemetry,
         } = OmpcConfig::default();
-        let knobs: [&dyn std::fmt::Debug; 10] = [
+        let knobs: [&dyn std::fmt::Debug; 9] = [
             &backend,
             &event_handler_threads,
             &max_inflight_tasks,
             &scheduler,
             &fault_plan,
-            &replan_on_failure,
             &event_reply_timeout_ms,
             &warm_worker_keepalive,
             &max_concurrent_regions,
             &telemetry,
         ];
-        assert_eq!(knobs.len(), 10);
+        assert_eq!(knobs.len(), 9);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the placement of the affected tasks. The monitor is not a standalone
 //! gadget: [`crate::runtime::RuntimeCore`] drives it from the dispatch loop
 //! — virtual time in the simulated backend, a logical per-round clock on
-//! the real cluster — and [`plan_recovery`] is the fast-path
+//! the real cluster — and [`plan_recovery`] is the one recovery
 //! reassignment of the [`crate::runtime::fault`] subsystem.
 
 use crate::types::NodeId;

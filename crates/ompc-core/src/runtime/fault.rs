@@ -23,12 +23,11 @@
 //!   completes nothing: the [`crate::data_manager::DataManager`] discards
 //!   its copies and writes immediately ([`LostBuffer`] lineage), and the
 //!   core requeues every task the backend reports from the dead node. Once
-//!   the monitor declares the failure, the affected tasks are replanned
-//!   onto survivors — round-robin via [`crate::heartbeat::plan_recovery`],
-//!   or a full re-run of the static scheduler over the shrunken platform
-//!   when [`crate::config::OmpcConfig::replan_on_failure`] is set.
+//!   the monitor declares the failure, the dead node's unfinished tasks
+//!   move round-robin onto the survivors
+//!   ([`crate::heartbeat::plan_recovery`]).
 //! * **Observability** — every failure leaves a [`FailureRecord`] (and the
-//!   re-executed / replanned task sets) in [`super::RunRecord`], from which
+//!   re-executed / moved task sets) in [`super::RunRecord`], from which
 //!   `ompc-bench` derives the fault-overhead figure.
 //!
 //! Failures are modelled at the protocol layer: a "dead" node stops
@@ -54,10 +53,9 @@ pub const HEARTBEAT_MISS_THRESHOLD: u32 = 3;
 ///
 /// let plan = FaultPlan::none()
 ///     .fail_after_completions(1, 3) // node 1 dies after its 3rd retirement
-///     .fail_at_millis(2, 50) // node 2 dies at fault-clock 50 ms
-///     .fail_at_wall_millis(3, 10_000); // node 3 dies 10 s into the run
-/// assert_eq!(plan.events.len(), 3);
-/// assert!(matches!(plan.events[2].trigger, FaultTrigger::AtWallMillis(10_000)));
+///     .fail_at_millis(2, 50); // node 2 dies at fault-clock 50 ms
+/// assert_eq!(plan.events.len(), 2);
+/// assert!(matches!(plan.events[1].trigger, FaultTrigger::AtMillis(50)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTrigger {
@@ -81,13 +79,6 @@ pub enum FaultTrigger {
     /// set, which keeps `AfterCompletions` positions identical across all
     /// execution backends even when recovery timing differs.
     AfterCompletions(usize),
-    /// The node dies once this much *real* (wall-clock) time has elapsed
-    /// since the run started — the trigger soak tests use to inject
-    /// failures by elapsed time regardless of how the fault clock advances.
-    /// Inherently non-deterministic with respect to the completion stream;
-    /// prefer the other triggers when both backends must fail at the same
-    /// protocol point.
-    AtWallMillis(Millis),
 }
 
 /// One injected failure: a worker node and its trigger.
@@ -131,14 +122,6 @@ impl FaultPlan {
     /// Add a failure of `node` at fault-clock time `millis`.
     pub fn fail_at_millis(mut self, node: NodeId, millis: Millis) -> Self {
         self.events.push(FaultEvent { node, trigger: FaultTrigger::AtMillis(millis) });
-        self
-    }
-
-    /// Add a failure of `node` once `millis` of real (wall-clock) time have
-    /// elapsed since the run started — for soak tests that inject failures
-    /// by elapsed time.
-    pub fn fail_at_wall_millis(mut self, node: NodeId, millis: Millis) -> Self {
-        self.events.push(FaultEvent { node, trigger: FaultTrigger::AtWallMillis(millis) });
         self
     }
 
@@ -266,24 +249,6 @@ impl FailureInjector {
         });
         fired
     }
-
-    /// Report that `elapsed` milliseconds of real time have passed since
-    /// the run started; returns the nodes whose `AtWallMillis` trigger
-    /// just fired.
-    pub fn advance_wall_clock(&mut self, elapsed: Millis) -> Vec<NodeId> {
-        let silenced = &mut self.silenced;
-        let mut fired = Vec::new();
-        self.pending.retain(|event| match event.trigger {
-            FaultTrigger::AtWallMillis(t) if elapsed >= t => {
-                if silenced.insert(event.node) {
-                    fired.push(event.node);
-                }
-                false
-            }
-            _ => true,
-        });
-        fired
-    }
 }
 
 /// A buffer whose last valid copy died with a node, as reported by a
@@ -320,10 +285,8 @@ impl FailureRecord {
     }
 }
 
-/// One task reassigned during recovery. The round-robin fast path only
-/// moves tasks off the failed node; a full re-schedule
-/// ([`crate::config::OmpcConfig::replan_on_failure`]) may also move
-/// pending tasks between surviving nodes.
+/// One task reassigned during recovery. Recovery only moves unfinished
+/// tasks off the failed node, so `from` is always a failed node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplanEntry {
     /// The task that moved.
@@ -342,9 +305,6 @@ pub struct FaultState {
     pub(crate) monitor: HeartbeatMonitor,
     clock: Millis,
     num_workers: usize,
-    pub(crate) replan_on_failure: bool,
-    /// Real-time epoch of the run, for [`FaultTrigger::AtWallMillis`].
-    wall_start: std::time::Instant,
     /// Nodes the injector has silenced (dead, possibly not yet declared).
     silenced_at: BTreeMap<NodeId, Millis>,
     /// Nodes the monitor has declared failed.
@@ -366,17 +326,9 @@ impl FaultState {
             monitor: HeartbeatMonitor::new(nodes, HEARTBEAT_PERIOD_MS, HEARTBEAT_MISS_THRESHOLD),
             clock: 0,
             num_workers,
-            replan_on_failure: false,
-            wall_start: std::time::Instant::now(),
             silenced_at: BTreeMap::new(),
             declared: BTreeSet::new(),
         }))
-    }
-
-    /// Enable full rescheduling over the survivors on recovery.
-    pub fn with_replan(mut self, replan: bool) -> Self {
-        self.replan_on_failure = replan;
-        self
     }
 
     /// Seed the subsystem with nodes that already failed before this
@@ -423,15 +375,13 @@ impl FaultState {
 
     /// Advance the fault clock one dispatch round — to `backend_now` if the
     /// backend has a clock, by one heartbeat period otherwise — and return
-    /// the nodes whose timed trigger (fault-clock or wall-clock) fired.
+    /// the nodes whose `AtMillis` trigger fired.
     pub(crate) fn advance_round(&mut self, backend_now: Option<Millis>) -> Vec<NodeId> {
         self.clock = match backend_now {
             Some(now) => now.max(self.clock),
             None => self.clock + HEARTBEAT_PERIOD_MS,
         };
-        let mut fired = self.injector.advance_clock(self.clock);
-        let wall_elapsed = self.wall_start.elapsed().as_millis() as Millis;
-        fired.extend(self.injector.advance_wall_clock(wall_elapsed));
+        let fired = self.injector.advance_clock(self.clock);
         for &n in &fired {
             self.silenced_at.insert(n, self.clock);
         }
@@ -506,25 +456,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_trigger_fires_on_elapsed_real_time() {
-        let plan = FaultPlan::none().fail_at_wall_millis(2, 5);
-        let mut injector = FailureInjector::new(&plan, 4);
-        assert!(injector.advance_wall_clock(4).is_empty());
-        assert_eq!(injector.advance_wall_clock(5), vec![2]);
-        assert!(injector.advance_wall_clock(100).is_empty(), "fires only once");
-        // A wall trigger is untouched by fault-clock advances and vice
-        // versa.
-        let plan = FaultPlan::none().fail_at_wall_millis(1, 5).fail_at_millis(3, 5);
-        let mut injector = FailureInjector::new(&plan, 4);
-        assert_eq!(injector.advance_clock(10), vec![3]);
-        assert_eq!(injector.advance_wall_clock(10), vec![1]);
-    }
-
-    #[test]
     fn wall_clock_trigger_fires_through_fault_state_rounds() {
-        // An immediate wall trigger (0 ms) fires on the first round even
-        // though the fault clock is still at its first period.
-        let plan = FaultPlan::none().fail_at_wall_millis(1, 0);
+        // An immediate trigger (0 ms) fires on the first round, where the
+        // logical clock reads one heartbeat period.
+        let plan = FaultPlan::none().fail_at_millis(1, 0);
         let mut state = FaultState::from_config(&plan, 2).unwrap().unwrap();
         let fired = state.advance_round(None);
         assert_eq!(fired, vec![1]);

@@ -63,7 +63,6 @@
 
 use super::fault::LostBuffer;
 use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
-use super::RuntimePlan;
 use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
@@ -73,7 +72,6 @@ use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_mpi::{Bytes, Tag};
-use ompc_sched::Platform;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -208,10 +206,9 @@ enum RecordKind {
     ExitData { buffer: BufferId, release: bool },
 }
 
-/// A copy of `buffer` task `producer` on `from` pushes to `to`, on its own channel.
+/// A copy of `buffer` on `from` pushes to `to`, on its own channel.
 #[derive(Debug, Clone, Copy)]
 struct Push {
-    producer: TaskId,
     buffer: BufferId,
     from: NodeId,
     to: NodeId,
@@ -571,8 +568,7 @@ impl Lowering {
             |&(b, r): &(BufferId, TaskId)| self.graph.task(r).kind.is_target().then_some((r.0, b));
         let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
         // Channels are opened once the pushes are sorted and unique.
-        let push =
-            |(to, buffer)| Push { producer: TaskId(tid), buffer, from: node, to, tag: Tag(0) };
+        let push = |(to, buffer)| Push { buffer, from: node, to, tag: Tag(0) };
         let State { assignment, booked, scratch, .. } = state;
         scratch.clear();
         scratch.extend(super::push_targets(readers, node, assignment, dm).map(push));
@@ -759,13 +755,13 @@ impl Lowering {
     }
 
     /// Book a succeeded producer's pushes as its readers' input transfers: a data movement
-    /// each, but no event. One from a dead producer, one whose node hosts no reader of it any
-    /// more (a recovery moved them) and one the table refuses are dropped.
+    /// each, but no event. One from a dead producer and one the table refuses (a dead
+    /// reader's node among them) are dropped.
     fn book_pushes(&self, state: &mut State, dm: &mut DataManager, pushes: Range<usize>) {
         let (region, input) = (self.region, TransferReason::Input);
         for at in pushes {
             let push = state.booked.pushes[at];
-            let bookable = !dm.is_failed(push.from) && self.read_at(&state.assignment, &push);
+            let bookable = !dm.is_failed(push.from);
             let booking = bookable.then(|| dm.book(region, push.buffer, push.to, input));
             if let Some(Ok(Booking::Move(_))) = booking {
                 let bytes = self.path.buffers.size_of(push.buffer).unwrap_or(0) as u64;
@@ -775,14 +771,6 @@ impl Lowering {
                 state.discards.push(push);
             }
         }
-    }
-
-    /// Whether a reader of the version `push` carries runs on its node under `assignment`.
-    fn read_at(&self, assignment: &[NodeId], push: &Push) -> bool {
-        let readers = self.graph.readers_of(push.producer).iter();
-        readers
-            .filter(|&&(buffer, _)| buffer == push.buffer)
-            .any(|&(_, reader)| assignment.get(reader.0) == Some(&push.to))
     }
 
     /// End the unclaimed pushes `over` picks: each booking finished with an error — `dead`'s
@@ -899,27 +887,11 @@ impl Lowering {
         lost.into_iter().map(|buffer| LostBuffer { buffer, writers: writers_of(buffer) }).collect()
     }
 
-    /// The assignment the core launches by from now on. After a recovery, a
-    /// push whose node hosts no reader of its version any more is over.
+    /// The assignment the core launches by from now on. A recovery moves only the dead
+    /// node's tasks, whose pushes [`Lowering::invalidate_node`] already ended, so every push
+    /// left keeps a reader on its node.
     pub(crate) fn assign(&self, assignment: &[NodeId]) {
-        let (mut state, mut dm) = (self.state.lock(), self.path.dm.lock());
-        self.end_pushes(&mut state, &mut dm, None, |p| !self.read_at(assignment, p));
-        state.assignment = assignment.to_vec();
-    }
-
-    /// Re-run the static scheduler over the survivors, re-pinned against
-    /// the post-failure residency view: the dead node's copies are gone, so
-    /// data tasks follow the surviving holders.
-    pub(crate) fn replan(&self, alive_workers: &[NodeId]) -> Vec<NodeId> {
-        let residency = self.path.dm.lock().latest_on_workers();
-        RuntimePlan::region_assignment_on(
-            &self.graph,
-            &self.path.buffers,
-            &Platform::cluster(alive_workers.len()),
-            &self.config,
-            alive_workers,
-            &residency,
-        )
+        self.state.lock().assignment = assignment.to_vec();
     }
 }
 
@@ -1507,35 +1479,6 @@ mod tests {
         let (reader, _record) = lower_task(low, 3, 2);
         let tag = push_channel(&second.steps, 2);
         assert_eq!(reader.steps[0], TaskStep::Claim { buffer: a, from: 1, tag });
-    }
-
-    #[test]
-    fn a_recovery_that_moves_the_readers_off_a_node_ends_the_push_there() {
-        let Fixture { low, a, .. } = &fixture();
-        low.assign(&READERS_SPREAD);
-        let (work, record) = lower_task(low, 2, 1);
-        assert_eq!(pushes(&work.steps), vec![(*a, 2), (*a, 3)]);
-        // Node 3's reader moves beside the producer before it is done: its
-        // push to node 3 is sent but never booked.
-        let mut moved = READERS_SPREAD;
-        moved[5] = 1;
-        low.assign(&moved);
-        low.retire(2, record, Ok(Reply::default())).unwrap();
-        assert_eq!(forwards(low), vec![(1, 2)]);
-        let dropped = |low: &Lowering| -> Vec<NodeId> {
-            low.state.lock().discards.iter().map(|p| p.to).collect()
-        };
-        assert_eq!(dropped(low), vec![3]);
-        // Node 2's readers move too: the booked push there is over.
-        moved[3] = 1;
-        moved[4] = 3;
-        low.assign(&moved);
-        assert_eq!(forwards(low), Vec::new());
-        assert_eq!(dropped(low), vec![3, 2]);
-        assert!(low.state.lock().unclaimed.is_empty());
-        let nobody = OmpcError::Communication("no reader claimed the push".into());
-        let failed = TransferState::Invalid(Some(nobody));
-        assert_eq!(low.path.dm.lock().transfer_state(*a, 2), failed);
     }
 
     #[test]

@@ -218,68 +218,25 @@ impl RuntimePlan {
         platform: &Platform,
         config: &OmpcConfig,
     ) -> Self {
-        let nodes: Vec<NodeId> = (1..=platform.num_procs()).collect();
-        let assignment = Self::workload_assignment_on(workload, platform, config, &nodes);
-        Self { assignment, window: config.inflight_window() }
-    }
-
-    /// The assignment the configured scheduler produces for `workload` on
-    /// `platform`, with processor `p` mapped to `nodes[p]`. This is how
-    /// fault recovery re-schedules onto the surviving workers: the platform
-    /// shrinks to the survivor count and `nodes` names the survivors.
-    ///
-    /// # Panics
-    ///
-    /// When `nodes` does not name exactly one node per processor of
-    /// `platform` — a broken call, not bad input: every caller derives both
-    /// from one node list.
-    pub fn workload_assignment_on(
-        workload: &WorkloadGraph,
-        platform: &Platform,
-        config: &OmpcConfig,
-        nodes: &[NodeId],
-    ) -> Vec<NodeId> {
-        assert_eq!(platform.num_procs(), nodes.len(), "one node per platform processor");
         let schedule = config.scheduler.build().schedule(&workload.graph, platform);
-        (0..workload.len()).map(|t| nodes[schedule.proc_of(t)]).collect()
-    }
-
-    /// Plan a target region: schedule the region's task graph, then apply
-    /// the paper's §4.4 pinning rules — enter-data tasks follow their first
-    /// target consumer, exit-data tasks follow their *last* target
-    /// predecessor, and host tasks stay on the head node.
-    pub fn for_region(
-        region: &RegionGraph,
-        buffers: &BufferRegistry,
-        num_workers: usize,
-        config: &OmpcConfig,
-    ) -> Self {
-        Self::for_region_on(region, buffers, &Platform::cluster(num_workers), config)
-    }
-
-    /// [`RuntimePlan::for_region`] with an explicit platform model.
-    pub fn for_region_on(
-        region: &RegionGraph,
-        buffers: &BufferRegistry,
-        platform: &Platform,
-        config: &OmpcConfig,
-    ) -> Self {
-        let nodes: Vec<NodeId> = (1..=platform.num_procs()).collect();
-        let assignment = Self::region_assignment_on(
-            region,
-            buffers,
-            platform,
-            config,
-            &nodes,
-            &ResidencyMap::new(),
-        );
+        let assignment = (0..workload.len()).map(|t| schedule.proc_of(t) + 1).collect();
         Self { assignment, window: config.inflight_window() }
     }
 
-    /// The pinned region assignment with processor `p` mapped to
-    /// `nodes[p]` — the region-graph counterpart of
-    /// [`RuntimePlan::workload_assignment_on`], used by the device's region
-    /// planning and by fault recovery.
+    /// Plan a target region: schedule the region's task graph with
+    /// processor `p` mapped to `nodes[p]`, then apply the paper's §4.4
+    /// pinning rules — enter-data tasks follow their first target consumer,
+    /// exit-data tasks follow their *last* target predecessor, and host
+    /// tasks stay on the head node.
+    ///
+    /// `load[p]` is the reserved seconds of processor `p` (the node
+    /// `nodes[p]`), fed to [`ompc_sched::Scheduler::schedule_with_load`] so
+    /// an admitted region's tasks are placed *after* — never inside — the
+    /// work of the regions already running there. This is the incremental
+    /// path of concurrent admission: region K+1 reserves capacity against
+    /// the snapshot instead of re-running HEFT over the union of both
+    /// graphs. An empty (or all-zero) load plans bit-identically to an idle
+    /// cluster.
     ///
     /// `residency` is the device's current cross-region residency view
     /// ([`DataManager::latest_on_workers`]): an enter-data task for a
@@ -288,34 +245,14 @@ impl RuntimePlan {
     /// earlier region), is pinned to the node actually holding the latest
     /// copy, so the assignment record agrees with where the data manager
     /// will find (or leave) the bytes. Pins are only taken from `nodes` —
-    /// a holder excluded from this plan (e.g. not in the survivor set)
-    /// falls back to the scheduler's placement.
-    pub fn region_assignment_on(
-        region: &RegionGraph,
-        buffers: &BufferRegistry,
-        platform: &Platform,
-        config: &OmpcConfig,
-        nodes: &[NodeId],
-        residency: &ResidencyMap,
-    ) -> Vec<NodeId> {
-        Self::region_assignment_with_load(region, buffers, platform, config, nodes, residency, &[])
-    }
-
-    /// [`RuntimePlan::region_assignment_on`] against a cluster already
-    /// carrying in-flight work: `load[p]` is the reserved seconds of
-    /// processor `p` (the node `nodes[p]`), fed to
-    /// [`ompc_sched::Scheduler::schedule_with_load`] so an admitted
-    /// region's tasks are placed *after* — never inside — the work of the
-    /// regions already running there. This is the incremental path of
-    /// concurrent admission: region K+1 reserves capacity against the
-    /// snapshot instead of re-running HEFT over the union of both graphs.
-    /// An empty (or all-zero) load plans bit-identically to
-    /// [`RuntimePlan::region_assignment_on`].
+    /// a holder excluded from this plan (e.g. a dead worker) falls back to
+    /// the scheduler's placement.
     ///
     /// # Panics
     ///
     /// When `nodes` does not name exactly one node per processor of
-    /// `platform`, as [`RuntimePlan::workload_assignment_on`].
+    /// `platform` — a broken call, not bad input: every caller derives both
+    /// from one node list.
     #[allow(clippy::too_many_arguments)]
     pub fn region_assignment_with_load(
         region: &RegionGraph,
@@ -410,7 +347,7 @@ pub enum TaskEvent {
 /// *when* it is dispatched, and whether a failure propagates or restarts
 /// the task.
 ///
-/// The fault-tolerance hooks (`clock_millis`, `invalidate_node`, `replan`)
+/// The fault-tolerance hooks (`clock_millis`, `invalidate_node`)
 /// have no-op defaults: a backend that never runs under a
 /// [`fault::FaultPlan`] can ignore them entirely.
 pub trait ExecutionBackend {
@@ -461,15 +398,6 @@ pub trait ExecutionBackend {
     fn invalidate_node(&mut self, node: NodeId) -> Vec<LostBuffer> {
         let _ = node;
         Vec::new()
-    }
-
-    /// Re-run the static scheduler over the surviving workers and return
-    /// the full new assignment, or `None` to fall back to the round-robin
-    /// [`plan_recovery`] fast path. Only called when
-    /// [`crate::config::OmpcConfig::replan_on_failure`] is set.
-    fn replan(&mut self, alive_workers: &[NodeId]) -> Option<Vec<NodeId>> {
-        let _ = alive_workers;
-        None
     }
 }
 
@@ -851,14 +779,14 @@ impl RuntimeCore {
     }
 
     /// The heartbeat monitor declared `node` failed: record the failure and
-    /// move its tasks onto the surviving workers.
+    /// move its unfinished tasks round-robin onto the surviving workers.
     fn recover_from<B: ExecutionBackend>(
         &mut self,
         node: NodeId,
         backend: &mut B,
     ) -> OmpcResult<()> {
-        let (alive, silenced_at, detected_at, replan) = match &self.faults {
-            Some(f) => (f.alive_workers(), f.silenced_at(node), f.clock(), f.replan_on_failure),
+        let (alive, silenced_at, detected_at) = match &self.faults {
+            Some(f) => (f.alive_workers(), f.silenced_at(node), f.clock()),
             None => {
                 return Err(OmpcError::Internal(format!(
                     "node {node} was declared failed without an active fault subsystem"
@@ -877,26 +805,12 @@ impl RuntimeCore {
             return Err(OmpcError::NodeFailure(node));
         }
         let replan_start = self.telemetry.start();
-        let full_replan = if replan { backend.replan(&alive) } else { None };
-        match full_replan {
-            Some(new_assignment) if new_assignment.len() == self.total => {
-                for (task, &to) in new_assignment.iter().enumerate() {
-                    if !self.may_move(task, node) || to == self.assignment[task] {
-                        continue;
-                    }
-                    self.replanned.push(ReplanEntry { task, from: self.assignment[task], to });
-                    self.assignment[task] = to;
-                }
+        for (task, to) in plan_recovery(&self.assignment, &[node], &alive) {
+            if !self.may_move(task, node) {
+                continue;
             }
-            _ => {
-                for (task, to) in plan_recovery(&self.assignment, &[node], &alive) {
-                    if !self.may_move(task, node) {
-                        continue;
-                    }
-                    self.replanned.push(ReplanEntry { task, from: self.assignment[task], to });
-                    self.assignment[task] = to;
-                }
-            }
+            self.replanned.push(ReplanEntry { task, from: self.assignment[task], to });
+            self.assignment[task] = to;
         }
         backend.assign(&self.assignment);
         if self.telemetry.spans_enabled() {
@@ -1037,6 +951,26 @@ impl RuntimeCore {
 mod tests {
     use super::*;
     use ompc_sched::TaskGraph;
+
+    /// `region`'s plan over an idle cluster of the workers `nodes`.
+    fn plan_region(
+        region: &RegionGraph,
+        buffers: &BufferRegistry,
+        config: &OmpcConfig,
+        nodes: &[NodeId],
+        residency: &ResidencyMap,
+    ) -> Vec<NodeId> {
+        let platform = Platform::cluster(nodes.len());
+        RuntimePlan::region_assignment_with_load(
+            region,
+            buffers,
+            &platform,
+            config,
+            nodes,
+            residency,
+            &[],
+        )
+    }
 
     /// A backend that completes tasks in LIFO order to exercise the core's
     /// windowing independent of any real execution machinery.
@@ -1242,11 +1176,12 @@ mod tests {
             vec![Dependence::inout(a)],
             "exit",
         );
-        let plan = RuntimePlan::for_region(&region, &buffers, 3, &OmpcConfig::small());
-        assert_eq!(plan.assignment[enter.0], plan.assignment[target.0]);
-        assert_eq!(plan.assignment[exit.0], plan.assignment[target.0]);
-        assert_eq!(plan.assignment[host.0], HEAD_NODE);
-        assert!(plan.assignment[target.0] >= 1);
+        let assignment =
+            plan_region(&region, &buffers, &OmpcConfig::small(), &[1, 2, 3], &ResidencyMap::new());
+        assert_eq!(assignment[enter.0], assignment[target.0]);
+        assert_eq!(assignment[exit.0], assignment[target.0]);
+        assert_eq!(assignment[host.0], HEAD_NODE);
+        assert!(assignment[target.0] >= 1);
     }
 
     #[test]
@@ -1281,13 +1216,13 @@ mod tests {
             scheduler: crate::config::SchedulerKind::RoundRobin,
             ..OmpcConfig::small()
         };
-        let plan = RuntimePlan::for_region(&region, &buffers, 2, &config);
+        let assignment = plan_region(&region, &buffers, &config, &[1, 2], &ResidencyMap::new());
         assert_ne!(
-            plan.assignment[first.0], plan.assignment[last.0],
+            assignment[first.0], assignment[last.0],
             "test needs the producers on different nodes"
         );
         assert_eq!(
-            plan.assignment[exit.0], plan.assignment[last.0],
+            assignment[exit.0], assignment[last.0],
             "exit data must follow the last target predecessor"
         );
     }
@@ -1313,38 +1248,19 @@ mod tests {
             "enter",
         );
         let config = OmpcConfig::small();
-        let platform = Platform::cluster(3);
         let nodes: Vec<NodeId> = vec![1, 2, 3];
         let residency: ResidencyMap = [(a, 3)].into_iter().collect();
-        let flush_assignment = RuntimePlan::region_assignment_on(
-            &flush, &buffers, &platform, &config, &nodes, &residency,
-        );
+        let flush_assignment = plan_region(&flush, &buffers, &config, &nodes, &residency);
         assert_eq!(flush_assignment[exit.0], 3, "the exit must follow the resident holder");
-        let enter_assignment = RuntimePlan::region_assignment_on(
-            &prefetch, &buffers, &platform, &config, &nodes, &residency,
-        );
+        let enter_assignment = plan_region(&prefetch, &buffers, &config, &nodes, &residency);
         assert_eq!(enter_assignment[enter.0], 3, "the re-enter must stay where the data is");
         // A holder outside the planned node set falls back to the
         // scheduler's placement instead of pinning to an excluded node.
         let survivors: Vec<NodeId> = vec![1, 2];
-        let degraded = RuntimePlan::region_assignment_on(
-            &flush,
-            &buffers,
-            &Platform::cluster(2),
-            &config,
-            &survivors,
-            &residency,
-        );
+        let degraded = plan_region(&flush, &buffers, &config, &survivors, &residency);
         assert!(survivors.contains(&degraded[exit.0]));
         // With no residency the pinning rules are unchanged.
-        let plain = RuntimePlan::region_assignment_on(
-            &flush,
-            &buffers,
-            &platform,
-            &config,
-            &nodes,
-            &ResidencyMap::new(),
-        );
+        let plain = plan_region(&flush, &buffers, &config, &nodes, &ResidencyMap::new());
         assert!(nodes.contains(&plain[exit.0]));
     }
 

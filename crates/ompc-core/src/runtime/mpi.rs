@@ -433,10 +433,6 @@ impl ExecutionBackend for MpiDriver<'_> {
     fn invalidate_node(&mut self, node: NodeId) -> Vec<LostBuffer> {
         self.lowering.invalidate_node(node)
     }
-
-    fn replan(&mut self, alive_workers: &[NodeId]) -> Option<Vec<NodeId>> {
-        Some(self.lowering.replan(alive_workers))
-    }
 }
 
 #[cfg(test)]

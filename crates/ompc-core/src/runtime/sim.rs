@@ -14,10 +14,10 @@
 //! own rule of who pushes where; a consumer pulls the rest, concurrently —
 //! or, under the two legacy ablations, everything.
 
-use super::fault::LostBuffer;
+use super::fault::{FaultPlan, LostBuffer};
 use super::lowering::POISONED_KERNEL;
 use super::push_targets;
-use super::{ExecutionBackend, RuntimePlan, TaskEvent};
+use super::{ExecutionBackend, TaskEvent};
 use crate::config::{OmpcConfig, OverheadModel};
 use crate::data_manager::{
     Booking, DataManager, TransferReason, TransferRecord, HEAD_NODE, UNATTRIBUTED,
@@ -54,14 +54,9 @@ fn transfer_token(kind: u64, task: usize, buffer: u64) -> Token {
 /// simulated cluster: per-message cost = latency + software overhead,
 /// bandwidth as configured.
 pub fn sim_platform(cluster: &ClusterConfig) -> Platform {
-    network_platform(&cluster.network, cluster.worker_nodes().max(1))
-}
-
-/// [`sim_platform`] over an explicit processor count — the shrunken-
-/// platform variant fault recovery reschedules on.
-fn network_platform(network: &ompc_sim::NetworkConfig, procs: usize) -> Platform {
+    let network = &cluster.network;
     Platform::homogeneous(
-        procs,
+        cluster.worker_nodes().max(1),
         (network.latency + network.per_message_overhead).as_secs_f64(),
         network.bandwidth_bytes_per_sec,
     )
@@ -77,9 +72,8 @@ pub struct SimBackend<'w> {
     node_of: Vec<NodeId>,
     /// The core's assignment, which decides where a producer pushes.
     assignment: Vec<NodeId>,
-    /// Retained configuration, consulted by the fault-recovery `replan`
-    /// hook (scheduler choice).
-    config: OmpcConfig,
+    /// The configured fault plan, consulted for injected task errors.
+    fault_plan: FaultPlan,
     /// Forwarding decisions, driven by the same data-manager logic as the
     /// real cluster; buffer `t` is task `t`'s output.
     dm: DataManager,
@@ -121,7 +115,7 @@ impl<'w> SimBackend<'w> {
             overheads,
             node_of: vec![HEAD_NODE; total],
             assignment: Vec::new(),
-            config: config.clone(),
+            fault_plan: config.fault_plan.clone(),
             dm,
             pending_inputs: vec![0; total],
             queued_inputs: vec![VecDeque::new(); total],
@@ -371,7 +365,7 @@ impl ExecutionBackend for SimBackend<'_> {
                 // Injected task error (fault plan): model the worker-side
                 // handler failure the real cluster provokes —
                 // a typed error reply attributing the executing node.
-                events.push(if self.config.fault_plan.has_task_error(task) {
+                events.push(if self.fault_plan.has_task_error(task) {
                     TaskEvent::Failed {
                         task,
                         error: OmpcError::RemoteEvent {
@@ -401,18 +395,6 @@ impl ExecutionBackend for SimBackend<'_> {
         lost.into_iter()
             .map(|buffer| LostBuffer { buffer, writers: vec![buffer.0 as usize] })
             .collect()
-    }
-
-    fn replan(&mut self, alive_workers: &[NodeId]) -> Option<Vec<NodeId>> {
-        // Re-run the configured static scheduler over the shrunken
-        // platform, mapping processor `p` onto the p-th survivor.
-        let platform = network_platform(&self.engine.config().network, alive_workers.len());
-        Some(RuntimePlan::workload_assignment_on(
-            self.workload,
-            &platform,
-            &self.config,
-            alive_workers,
-        ))
     }
 
     fn epilogue(&mut self) -> OmpcResult<()> {

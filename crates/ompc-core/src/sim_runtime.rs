@@ -160,10 +160,10 @@ impl OmpcSimOutcome {
 ///     &ClusterConfig::santos_dumont(4),
 ///     &OmpcConfig::default(),
 ///     &OverheadModel::default(),
-/// )
-/// .unwrap();
+/// )?;
 /// assert!(result.makespan > ompc_sim::SimTime::ZERO);
 /// assert_eq!(result.stats.total_tasks(), 4);
+/// # Ok::<(), ompc_core::types::OmpcError>(())
 /// ```
 pub fn simulate_ompc(
     workload: &WorkloadGraph,
@@ -222,7 +222,7 @@ pub fn simulate_ompc_outcome(
         }
     };
     let faults = match FaultState::from_config(&config.fault_plan, workers) {
-        Ok(f) => f.map(|f| f.with_replan(config.replan_on_failure)),
+        Ok(f) => f,
         Err(e) => return fail(e),
     };
     let mut core = match faults {
@@ -571,32 +571,6 @@ mod tests {
         // Failures cost time.
         let clean = simulate_ompc(&w, &cluster, &OmpcConfig::default(), &overheads).unwrap();
         assert!(result.makespan > clean.makespan, "recovery must not be free");
-    }
-
-    #[test]
-    fn replan_on_failure_reschedules_over_survivors() {
-        use crate::runtime::fault::FaultPlan;
-        let overheads = OverheadModel::default();
-        let cluster = ClusterConfig::santos_dumont(5);
-        // Independent tasks spread over all workers.
-        let w = wide_workload(16, 0.02, 1 << 12);
-        let config = OmpcConfig {
-            fault_plan: FaultPlan::none().fail_after_completions(1, 1),
-            replan_on_failure: true,
-            max_inflight_tasks: 2,
-            ..OmpcConfig::default()
-        };
-        let (_, record) = recorded(&w, &cluster, &config, &overheads);
-        assert_eq!(record.failures.len(), 1);
-        // Nothing may end up on the dead node except tasks retired before
-        // the failure.
-        for (task, &node) in record.assignment.iter().enumerate() {
-            if node == 1 {
-                let last = record.completion_order.iter().rposition(|&t| t == task);
-                assert!(last.is_some(), "task {task} on the dead node never retired");
-            }
-        }
-        assert!(record.replanned.iter().all(|r| r.to != 1));
     }
 
     #[test]

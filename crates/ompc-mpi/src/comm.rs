@@ -158,13 +158,6 @@ impl Communicator {
     pub fn mailbox_stats(&self) -> MailboxStats {
         self.own_mailbox().stats()
     }
-
-    /// Convenience: send `data` to `dest` and block until a reply with the
-    /// same tag arrives from `dest`.
-    pub fn send_recv(&self, dest: Rank, tag: Tag, data: Vec<u8>) -> MpiResult<Message> {
-        self.send(dest, tag, data)?;
-        self.recv(Some(dest), Some(tag))
-    }
 }
 
 #[cfg(test)]
@@ -178,26 +171,6 @@ mod tests {
         let c = w.communicator(0);
         let err = c.send(5, Tag(0), vec![]).unwrap_err();
         assert_eq!(err, MpiError::InvalidRank { rank: 5, world_size: 2 });
-    }
-
-    #[test]
-    fn send_recv_round_trip_between_threads() {
-        let w = World::new(2);
-        let handles: Vec<_> = w
-            .launch(|c| {
-                if c.rank() == 0 {
-                    let reply = c.send_recv(1, Tag(9), vec![1]).unwrap();
-                    assert_eq!(reply.data, vec![2]);
-                } else {
-                    let m = c.recv(Some(0), Some(Tag(9))).unwrap();
-                    assert_eq!(m.data, vec![1]);
-                    c.send(0, Tag(9), vec![2]).unwrap();
-                }
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
     }
 
     #[test]

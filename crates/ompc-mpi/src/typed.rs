@@ -53,23 +53,6 @@ pub fn bytes_to_u64s(bytes: &[u8]) -> MpiResult<Vec<u64>> {
     Ok(words(bytes, u64::from_le_bytes))
 }
 
-/// Serialize a slice of `u32` values into little-endian bytes.
-pub fn u32s_to_bytes(values: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Deserialize little-endian bytes into `u32` values.
-pub fn bytes_to_u32s(bytes: &[u8]) -> MpiResult<Vec<u32>> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(MpiError::TypeConversion { expected: "u32", len: bytes.len() });
-    }
-    Ok(words(bytes, u32::from_le_bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,16 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn u32_round_trip() {
-        let v = vec![0, 7, u32::MAX];
-        assert_eq!(bytes_to_u32s(&u32s_to_bytes(&v)).unwrap(), v);
-    }
-
-    #[test]
     fn misaligned_payloads_error() {
         assert!(bytes_to_f64s(&[0u8; 7]).is_err());
         assert!(bytes_to_u64s(&[0u8; 9]).is_err());
-        assert!(bytes_to_u32s(&[0u8; 2]).is_err());
     }
 
     // Deterministic seeded sweeps replacing the former proptest round-trip

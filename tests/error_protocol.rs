@@ -279,13 +279,14 @@ fn kernel_panic_is_a_typed_error_on_both_real_backends_and_the_workers_live_on()
 }
 
 #[test]
-fn wall_clock_trigger_kills_a_worker_during_a_long_run() {
+fn clock_trigger_kills_a_worker_at_the_first_heartbeat_round() {
     with_timeout(WATCHDOG, || {
-        // `AtWallMillis(0)` fires on the first heartbeat round of the run:
-        // the victim dies by real elapsed time (the soak-test trigger) and
-        // recovery completes the region on the survivor with correct bytes.
+        // `AtMillis(0)` fires on the first heartbeat round of the run, where
+        // the logical fault clock reads one period: the victim dies before
+        // it retires anything and recovery completes the region on the
+        // survivor with correct bytes.
         let config = OmpcConfig {
-            fault_plan: FaultPlan::none().fail_at_wall_millis(1, 0),
+            fault_plan: FaultPlan::none().fail_at_millis(1, 0),
             ..OmpcConfig::small()
         };
         let mut device = ClusterDevice::with_config(2, config);
