@@ -47,6 +47,15 @@
 //! buffer wait for each other; the owning device pairs one condition
 //! variable with this table's mutex for them.
 //!
+//! The table also decides the fate of what a region execution has on the
+//! wire beyond a booking, each entry carrying its region: the `Push`es no
+//! reader claimed yet, and the drops and deletes it owes a node (`Owed`).
+//! A push ends exactly once — claimed by its first reader, or ended into a
+//! drop by its region's next write of the buffer, a release, a death of
+//! either node (whichever region booked it) or the end of the run. Deletes
+//! ride only their own region's cars: two regions' cars leave in no fixed
+//! order. Nothing is owed to a dead node.
+//!
 //! Every booked movement is also appended to a per-run **transfer log**
 //! ([`TransferRecord`]) that the execution core drains into
 //! [`crate::runtime::RunRecord::transfers`] — residency wins are assertable
@@ -59,6 +68,7 @@
 //! or from the host version.
 
 use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
+use ompc_mpi::Tag;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The head node's id; the host copy of a buffer lives there.
@@ -170,6 +180,22 @@ pub struct TransferRecord {
     pub reason: TransferReason,
 }
 
+/// A producer's copy of `buffer` on `from` pushed to `to`, on its own channel `tag`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Push {
+    pub(crate) buffer: BufferId,
+    pub(crate) from: NodeId,
+    pub(crate) to: NodeId,
+    pub(crate) tag: Tag,
+}
+
+/// What a region execution owes one live node: the copies to delete, the pushes to drop.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Owed {
+    pub(crate) deletes: BTreeSet<BufferId>,
+    pub(crate) drops: Vec<Push>,
+}
+
 #[derive(Debug, Clone)]
 struct BufferLocations {
     /// The copies, ascending by node, one entry each: the state of a copy
@@ -252,6 +278,11 @@ pub struct DataManager {
     /// device-level operations outside any region (`enter_data`, lazy host
     /// flushes); each is drained by [`DataManager::take_transfer_log_in`].
     logs: BTreeMap<u64, Vec<TransferRecord>>,
+    /// Booked pushes awaiting their first reader, by owning region, buffer
+    /// and reader's node.
+    unclaimed: BTreeMap<(u64, BufferId, NodeId), Push>,
+    /// What each region owes each live node, by `(region, node)`.
+    owed: BTreeMap<(u64, NodeId), Owed>,
 }
 
 impl DataManager {
@@ -472,6 +503,79 @@ impl DataManager {
         Some((log, at))
     }
 
+    /// Book `region`'s push of a succeeded producer's output as the input transfer of its
+    /// reader's node, to await that reader's [`DataManager::claim_push`]; `true` when it moves
+    /// bytes. One from a dead producer, or one the table refuses, is owed a drop at once.
+    pub(crate) fn book_push(&mut self, region: u64, push: Push) -> bool {
+        let live = !self.failed.contains(&push.from);
+        let booking = live.then(|| self.book(region, push.buffer, push.to, TransferReason::Input));
+        let booked = matches!(booking, Some(Ok(Booking::Move(_))));
+        if booked {
+            self.unclaimed.insert((region, push.buffer, push.to), push);
+        } else {
+            self.owe(region, push.to, [], [push]);
+        }
+        booked
+    }
+
+    /// Claim `region`'s unclaimed push of `buffer` to `to`, if there is one: the claimant
+    /// owns its booking from now on, and finishes it.
+    pub(crate) fn claim_push(&mut self, region: u64, buffer: BufferId, to: NodeId) -> Option<Push> {
+        self.unclaimed.remove(&(region, buffer, to))
+    }
+
+    /// End the unclaimed pushes `over` picks, by region: each booking finished with an error —
+    /// `dead`'s failure, or that nobody claimed it — and each copy owed a drop.
+    fn end_unclaimed(&mut self, over: impl Fn(u64, &Push) -> bool, dead: Option<NodeId>) {
+        // Made only when a push ends: most calls end none.
+        let ended: Vec<_> =
+            self.unclaimed.iter().filter(|(k, p)| over(k.0, p)).map(|(&key, _)| key).collect();
+        for (region, buffer, to) in ended {
+            let unclaimed = || OmpcError::Communication("no reader claimed the push".into());
+            let error = dead.map_or_else(unclaimed, OmpcError::NodeFailure);
+            let _ = self.finish(buffer, to, Err(error));
+            let push = self.unclaimed.remove(&(region, buffer, to));
+            self.owe(region, to, [], push);
+        }
+    }
+
+    /// Owe `node` `region`'s `deletes` and `drops`, unless it is dead: its memory died with it.
+    pub(crate) fn owe(
+        &mut self,
+        region: u64,
+        node: NodeId,
+        deletes: impl IntoIterator<Item = BufferId>,
+        drops: impl IntoIterator<Item = Push>,
+    ) {
+        let owed = self.owed.entry((region, node)).or_default();
+        owed.deletes.extend(deletes);
+        owed.drops.extend(drops);
+        if self.failed.contains(&node) || owed == &Owed::default() {
+            self.owed.remove(&(region, node));
+        }
+    }
+
+    /// Take the deletes `region` owes `node`, for its next car there: ahead of any receive of
+    /// the same buffer, they cost no extra round trip.
+    pub(crate) fn take_owed_deletes(&mut self, region: u64, node: NodeId) -> Vec<BufferId> {
+        let Some(owed) = self.owed.get_mut(&(region, node)) else { return Vec::new() };
+        let deletes = std::mem::take(&mut owed.deletes).into_iter().collect();
+        if owed.drops.is_empty() {
+            self.owed.remove(&(region, node));
+        }
+        deletes
+    }
+
+    /// The end of `region`'s run: each of its pushes still unclaimed is over, and everything it
+    /// owes is handed over, by node — the deletes no car carried, the drops of the copies
+    /// nobody claimed.
+    pub(crate) fn end_run(&mut self, region: u64) -> Vec<(NodeId, Owed)> {
+        self.end_unclaimed(|owner, _| owner == region, None);
+        let mut owed = self.owed.split_off(&(region, 0));
+        self.owed.append(&mut owed.split_off(&(region + 1, 0)));
+        owed.into_iter().map(|((_, node), owed)| (node, owed)).collect()
+    }
+
     /// Book a lazy host flush of `buffer`, marking `(buffer, HEAD_NODE)` in
     /// flight (in the [`UNATTRIBUTED`] namespace) so a concurrent flush of
     /// the same buffer waits instead of scheduling a second retrieve. Unlike
@@ -538,6 +642,21 @@ impl DataManager {
         Ok(stale)
     }
 
+    /// [`DataManager::record_write`] by a task of `region`: the region's unclaimed pushes of
+    /// the version it supersedes end, and each stale copy is owed a delete.
+    pub(crate) fn record_write_in(
+        &mut self,
+        region: u64,
+        buffer: BufferId,
+        node: NodeId,
+    ) -> OmpcResult<()> {
+        self.end_unclaimed(|owner, p| owner == region && p.buffer == buffer, None);
+        for stale in self.record_write(buffer, node)? {
+            self.owe(region, stale, [buffer], []);
+        }
+        Ok(())
+    }
+
     /// Record that `node` received a read-only replica of `buffer` without
     /// a transfer (an explicit alloc). Not logged — no bytes moved.
     pub fn record_replica(&mut self, buffer: BufferId, node: NodeId) -> OmpcResult<()> {
@@ -600,11 +719,22 @@ impl DataManager {
     /// `map(release:)`), returning the worker nodes that still held copies
     /// and must free them — read off the removed entry itself, which owns
     /// them. Ends keep-resident status, and every movement of the buffer
-    /// still in flight: its bytes have nothing to land in.
+    /// still in flight — every unclaimed push included: its bytes have
+    /// nothing to land in.
     pub fn remove(&mut self, buffer: BufferId) -> impl Iterator<Item = NodeId> {
         let copies = self.buffers.remove(&buffer).map(|loc| loc.copies).unwrap_or_default();
+        // Its unclaimed pushes end too, their bookings gone with the entry.
+        self.end_unclaimed(|_, p| p.buffer == buffer, None);
         let holder = |copy: Replica| (copy.held && copy.node != HEAD_NODE).then_some(copy.node);
         copies.into_iter().filter_map(holder)
+    }
+
+    /// Release every device copy of `buffer` for `region` (exit-data semantics): remove it, and
+    /// owe each holder its delete.
+    pub(crate) fn release_in(&mut self, region: u64, buffer: BufferId) {
+        for holder in self.remove(buffer) {
+            self.owe(region, holder, [buffer], []);
+        }
     }
 
     /// Declare worker `node` failed: every copy it held becomes invalid, its
@@ -617,7 +747,9 @@ impl DataManager {
     /// same way — the next region's plan re-sources them from the host
     /// version or a surviving replica. Movements towards the node stay
     /// booked, so they resolve (as failures, see [`DataManager::finish`])
-    /// instead of wedging their waiters.
+    /// instead of wedging their waiters — except every push to or from the
+    /// node, whichever region booked it: that one ends here, with
+    /// [`OmpcError::NodeFailure`]. Nothing is owed to the node any more.
     pub fn fail_node(&mut self, node: NodeId) -> OmpcResult<Vec<BufferId>> {
         if node == HEAD_NODE {
             return Err(OmpcError::InvalidConfig("the head node cannot be declared failed".into()));
@@ -643,6 +775,8 @@ impl DataManager {
             }
         }
         lost.sort_unstable();
+        self.owed.retain(|&(_, owed_to), _| owed_to != node);
+        self.end_unclaimed(|_, p| p.to == node || p.from == node, Some(node));
         Ok(lost)
     }
 
@@ -689,6 +823,21 @@ impl DataManager {
     /// Whether no buffers are tracked.
     pub fn is_empty(&self) -> bool {
         self.buffers.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl DataManager {
+    /// What `region` owes, by node.
+    pub(crate) fn owed_by(&self, region: u64) -> BTreeMap<NodeId, Owed> {
+        let owed = self.owed.range((region, 0)..=(region, NodeId::MAX));
+        owed.map(|(&(_, node), owed)| (node, owed.clone())).collect()
+    }
+
+    /// `region`'s unclaimed pushes.
+    pub(crate) fn unclaimed_of(&self, region: u64) -> Vec<Push> {
+        let unclaimed = self.unclaimed.iter().filter(|(&(owner, ..), _)| owner == region);
+        unclaimed.map(|(_, &push)| push).collect()
     }
 }
 
@@ -1194,16 +1343,46 @@ mod tests {
         Other(BufferId, NodeId),
         FinishOk(BufferId, NodeId),
         FinishErr(BufferId, NodeId),
+        /// A write by a task of the walk's region.
         Write(BufferId, NodeId),
         Retrieve(BufferId),
         Fail(NodeId),
+        /// A release by the walk's region.
         Remove(BufferId),
+        /// The walk's region books a push of the buffer's latest copy to the
+        /// node, as a producer's retire does.
+        Push(BufferId, NodeId),
+        /// A reader of the walk's region on the node claims its push.
+        Claim(BufferId, NodeId),
+        /// The claimant's car landed: it finishes the booking.
+        Retire(BufferId, NodeId),
+        /// The claimant's car never left: the booking is rolled back and the
+        /// copy owed a drop.
+        Abandon(BufferId, NodeId),
+        /// The end of the walk's region's run.
+        EndRun,
     }
 
-    /// The walk's state: the data manager, whole, and how it got there.
+    impl Op {
+        /// The `(buffer, node)` pair the operation acts on, if it is one.
+        fn pair(self) -> Option<(BufferId, NodeId)> {
+            match self {
+                Op::Plan(b, n) | Op::Other(b, n) | Op::FinishOk(b, n) | Op::FinishErr(b, n) => {
+                    Some((b, n))
+                }
+                Op::Write(b, n) | Op::Push(b, n) | Op::Claim(b, n) => Some((b, n)),
+                Op::Retire(b, n) | Op::Abandon(b, n) => Some((b, n)),
+                Op::Retrieve(_) | Op::Fail(_) | Op::Remove(_) | Op::EndRun => None,
+            }
+        }
+    }
+
+    /// The walk's state: the data manager, whole, the pushes its region
+    /// claimed and has not retired or abandoned, and how it got there.
     #[derive(Debug, Clone)]
     struct Walk {
         dm: DataManager,
+        claims: Vec<Push>,
         trace: Vec<Op>,
     }
 
@@ -1219,7 +1398,7 @@ mod tests {
             for b in WALK_BUFFERS {
                 dm.register_host_buffer(b, 8);
             }
-            Walk { dm, trace: Vec::new() }
+            Walk { dm, claims: Vec::new(), trace: Vec::new() }
         }
 
         fn after(ops: &[Op]) -> Self {
@@ -1238,42 +1417,106 @@ mod tests {
             matches!(self.dm.transfer_state(b, n), TransferState::InFlight(_))
         }
 
+        /// Whether the booking of `(b, n)` is a push's: unclaimed, or
+        /// claimed and not retired or abandoned.
+        fn pushed(&self, b: BufferId, n: NodeId) -> bool {
+            let ours = |p: &Push| (p.buffer, p.to) == (b, n);
+            self.dm.unclaimed.values().any(ours) || self.claims.iter().any(ours)
+        }
+
+        /// Every push that has not ended — unclaimed or claimed — or that
+        /// ended into a drop still owed, by channel.
+        fn pushes(&self) -> Result<BTreeMap<Tag, Push>, String> {
+            let owed = self.dm.owed.values().flat_map(|owed| &owed.drops);
+            let mut pushes = BTreeMap::new();
+            for &p in self.dm.unclaimed.values().chain(&self.claims).chain(owed) {
+                if pushes.insert(p.tag, p).is_some() {
+                    return Err(format!("push {p:?} is in two places at once"));
+                }
+            }
+            Ok(pushes)
+        }
+
+        /// A channel no push of this state uses.
+        fn free_tag(&self) -> Tag {
+            let used = self.pushes().unwrap_or_default();
+            (0..).map(Tag).find(|tag| !used.contains_key(tag)).unwrap_or(Tag(0))
+        }
+
         /// Every operation whose documented precondition holds here: nothing
         /// touches a removed buffer; a booking is finished only while it is
-        /// moving; a task writes only on a live node that is a holder — a
-        /// copy still booked as moving included, that is the proof of
-        /// arrival — and whatever else of the buffer is on the wire.
+        /// moving, and a push's only by its claimant; a task writes only on a
+        /// live node that is a holder — a copy still booked as moving
+        /// included, that is the proof of arrival — and whatever else of the
+        /// buffer is on the wire; a push leaves the buffer's latest worker
+        /// copy for another live worker; a run ends with every car retired.
         fn enabled(&self) -> Vec<Op> {
             let dm = &self.dm;
             let mut ops = Vec::new();
             for b in WALK_BUFFERS.into_iter().filter(|&b| dm.is_registered(b)) {
                 for n in WALK_WORKERS {
                     ops.extend([Op::Plan(b, n), Op::Other(b, n)]);
-                    if self.moving(b, n) {
+                    if self.moving(b, n) && !self.pushed(b, n) {
                         ops.extend([Op::FinishOk(b, n), Op::FinishErr(b, n)]);
                     }
                     if dm.is_present(b, n) && !dm.is_failed(n) {
                         ops.push(Op::Write(b, n));
                     }
+                    let latest = dm.latest(b).unwrap_or(HEAD_NODE);
+                    if latest != HEAD_NODE && latest != n && !dm.is_failed(n) {
+                        ops.push(Op::Push(b, n));
+                    }
+                    if dm.unclaimed.contains_key(&(WALK_REGION, b, n)) {
+                        ops.push(Op::Claim(b, n));
+                    }
                 }
                 ops.extend([Op::Retrieve(b), Op::Remove(b)]);
             }
+            for p in &self.claims {
+                ops.extend([Op::Retire(p.buffer, p.to), Op::Abandon(p.buffer, p.to)]);
+            }
             ops.extend(WALK_WORKERS.into_iter().filter(|&n| !dm.is_failed(n)).map(Op::Fail));
+            if self.claims.is_empty() {
+                ops.push(Op::EndRun);
+            }
             ops
         }
 
+        /// The claim of `(b, n)`, taken off the claimed list.
+        fn take_claim(&mut self, b: BufferId, n: NodeId) -> Push {
+            let at = self.claims.iter().position(|p| (p.buffer, p.to) == (b, n));
+            self.claims.remove(at.expect("a claimed push"))
+        }
+
         fn apply(&mut self, op: Op) {
-            let dm = &mut self.dm;
             let input = TransferReason::Input;
+            let tag = self.free_tag();
+            let dm = &mut self.dm;
             match op {
                 Op::Plan(b, n) => drop(dm.book(WALK_REGION, b, n, input).unwrap()),
                 Op::Other(b, n) => drop(dm.book(OTHER_REGION, b, n, input).unwrap()),
                 Op::FinishOk(b, n) => dm.finish(b, n, Ok(())).unwrap(),
                 Op::FinishErr(b, n) => dm.finish(b, n, Err(boom())).unwrap(),
-                Op::Write(b, n) => drop(dm.record_write(b, n).unwrap()),
+                Op::Write(b, n) => dm.record_write_in(WALK_REGION, b, n).unwrap(),
                 Op::Retrieve(b) => dm.record_retrieve_in(WALK_REGION, b).unwrap(),
                 Op::Fail(n) => drop(dm.fail_node(n).unwrap()),
-                Op::Remove(b) => drop(dm.remove(b)),
+                Op::Remove(b) => dm.release_in(WALK_REGION, b),
+                Op::Push(b, n) => {
+                    let from = dm.latest(b).unwrap();
+                    dm.book_push(WALK_REGION, Push { buffer: b, from, to: n, tag });
+                }
+                Op::Claim(b, n) => self.claims.push(dm.claim_push(WALK_REGION, b, n).unwrap()),
+                // A claim of a buffer released meanwhile finishes nothing.
+                Op::Retire(b, n) => {
+                    self.take_claim(b, n);
+                    let _ = self.dm.finish(b, n, Ok(()));
+                }
+                Op::Abandon(b, n) => {
+                    let push = self.take_claim(b, n);
+                    let _ = self.dm.finish(b, n, Err(boom()));
+                    self.dm.owe(WALK_REGION, n, [], [push]);
+                }
+                Op::EndRun => drop(dm.end_run(WALK_REGION)),
             }
             self.trace.push(op);
         }
@@ -1282,6 +1525,18 @@ mod tests {
         fn records(&self, b: BufferId, n: NodeId) -> usize {
             let all = self.dm.logs.values().flatten();
             all.filter(|t| t.buffer == b && t.to == n).count()
+        }
+
+        /// The unclaimed pushes `last` ends, as `(region, push)`.
+        fn ended_by(&self, last: Op) -> Vec<(u64, Push)> {
+            let unclaimed = self.dm.unclaimed.iter().map(|(&(region, ..), &p)| (region, p));
+            let ends = |&(region, p): &(u64, Push)| match last {
+                Op::Write(b, _) => region == WALK_REGION && p.buffer == b,
+                Op::Fail(n) => p.to == n || p.from == n,
+                Op::EndRun => region == WALK_REGION,
+                _ => false,
+            };
+            unclaimed.filter(ends).collect()
         }
 
         /// The invariants of the residency machine, `self` having been
@@ -1317,24 +1572,96 @@ mod tests {
                     }
                 }
             }
+            // An unclaimed push is its region's booking of its pair, the
+            // newest transfer of the pair in that region's log.
+            for (&(region, b, n), p) in &dm.unclaimed {
+                if (p.buffer, p.to) != (b, n) {
+                    return Err(format!("push {p:?} is filed under ({b}, {n})"));
+                }
+                if dm.transfer_state(b, n) != TransferState::InFlight(region) {
+                    return Err(format!(
+                        "unclaimed push {p:?} of region {region} is not in flight"
+                    ));
+                }
+                let log = dm.logs.get(&region).map(Vec::as_slice).unwrap_or_default();
+                let newest = log.iter().rfind(|t| t.buffer == b && t.to == n);
+                if newest.map(|t| t.from) != Some(p.from) {
+                    return Err(format!("unclaimed push {p:?} has no transfer record"));
+                }
+            }
+            // Nothing is owed to a dead node, and no push to or from one is
+            // left unclaimed.
+            for (&(region, n), owed) in &dm.owed {
+                if dm.failed.contains(&n) || owed == &Owed::default() {
+                    return Err(format!("region {region} owes node {n} {owed:?}"));
+                }
+            }
+            if let Some(p) =
+                dm.unclaimed.values().find(|p| dm.is_failed(p.from) || dm.is_failed(p.to))
+            {
+                return Err(format!("push {p:?} of a dead node is unclaimed"));
+            }
+            // The end of a run leaves nothing owed by its region.
+            if last == Op::EndRun {
+                let left = dm.owed.keys().any(|&(r, _)| r == WALK_REGION);
+                if left || dm.unclaimed.keys().any(|&(r, ..)| r == WALK_REGION) {
+                    return Err("the end of the run left something owed".into());
+                }
+            }
+            // Every push ends exactly once: it is in one place at a time,
+            // it stays there until it is claimed and retired or its drop is
+            // taken, and only a drop to a dead node is forgotten.
+            let (was, is) = (before.pushes()?, self.pushes()?);
+            let claim = |b, n| before.claims.iter().find(|c| (c.buffer, c.to) == (b, n));
+            let vanished = |p: &Push| match last {
+                Op::Retire(b, n) => claim(b, n) == Some(p),
+                Op::Abandon(b, n) => dm.is_failed(n) && claim(b, n) == Some(p),
+                Op::Fail(n) => p.to == n && !before.claims.contains(p),
+                Op::EndRun => {
+                    let owed = before.dm.owed.range((WALK_REGION, 0)..=(WALK_REGION, NodeId::MAX));
+                    let owed = owed.flat_map(|(_, o)| &o.drops).any(|d| d == p);
+                    owed || before.dm.unclaimed_of(WALK_REGION).contains(p)
+                }
+                _ => false,
+            };
+            let mut expected: BTreeMap<Tag, Push> =
+                was.into_iter().filter(|(_, p)| !vanished(p)).collect();
+            if let Op::Push(b, n) = last {
+                let (from, tag) = (before.dm.latest(b).unwrap_or(HEAD_NODE), before.free_tag());
+                expected.insert(tag, Push { buffer: b, from, to: n, tag });
+            }
+            if is != expected {
+                return Err(format!("the pushes went {expected:?} → {is:?}"));
+            }
             // The log is written by `book` and withdrawn by a rolled-back
             // `finish`, one record each, and by nothing else: every record
             // towards a worker is a copy that was booked and not rolled back.
+            let ended = before.ended_by(last);
             for b in WALK_BUFFERS {
                 for n in WALK_WORKERS {
                     let free = before.dm.is_registered(b)
                         && !before.dm.is_failed(n)
                         && !before.dm.is_present(b, n)
                         && !before.moving(b, n);
-                    let expected = match last {
-                        Op::Plan(lb, ln) | Op::Other(lb, ln) if (lb, ln) == (b, n) && free => {
-                            before.records(b, n) + 1
-                        }
-                        Op::FinishErr(lb, ln) if (lb, ln) == (b, n) => before.records(b, n) - 1,
-                        Op::FinishOk(lb, ln) if (lb, ln) == (b, n) && dm.is_failed(n) => {
-                            before.records(b, n) - 1
-                        }
-                        _ => before.records(b, n),
+                    let was = before.records(b, n);
+                    let at = last.pair() == Some((b, n));
+                    let finished = at
+                        && before.moving(b, n)
+                        && match last {
+                            Op::FinishErr(..) | Op::Abandon(..) => true,
+                            Op::FinishOk(..) | Op::Retire(..) => dm.is_failed(n),
+                            _ => false,
+                        };
+                    let rolled_back =
+                        finished || ended.iter().any(|(_, p)| (p.buffer, p.to) == (b, n));
+                    let booked =
+                        at && free && matches!(last, Op::Plan(..) | Op::Other(..) | Op::Push(..));
+                    let Some(expected) =
+                        (was + usize::from(booked)).checked_sub(rolled_back.into())
+                    else {
+                        return Err(format!(
+                            "a rollback of {b} to node {n} with nothing on record"
+                        ));
                     };
                     if self.records(b, n) != expected {
                         return Err(format!(
@@ -1342,7 +1669,10 @@ mod tests {
                             self.records(b, n)
                         ));
                     }
-                    if expected < before.records(b, n)
+                    // A write proves its own node's copy arrived.
+                    let proven = at && matches!(last, Op::Write(..));
+                    if rolled_back
+                        && !proven
                         && !matches!(dm.transfer_state(b, n), TransferState::Invalid(Some(_)))
                     {
                         return Err(format!("rolled-back copy of {b} on node {n} is not invalid"));
@@ -1375,7 +1705,7 @@ mod tests {
                         panic!("{broken} after {:?}", walk.trace);
                     }
                     let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                    format!("{:?}", walk.dm).hash(&mut hasher);
+                    format!("{:?}{:?}", walk.dm, walk.claims).hash(&mut hasher);
                     if seen.insert(hasher.finish()) {
                         next.push(walk);
                     }
@@ -1383,6 +1713,7 @@ mod tests {
             }
             frontier = next;
         }
+        eprintln!("residency walk: {steps} transitions, {} states", seen.len());
         assert!(steps > 10_000, "the walk explored only {steps} transitions");
     }
 

@@ -45,13 +45,11 @@
 //!   nothing, and fails at once with the transfer's own error, or is
 //!   planned afresh when the booking was invalidated on the wire.
 //!
-//! What the lowering owns, per region and shared by its tasks, is the
-//! **deferred deletes** — stale and released copies ride the next target or
-//! enter-data car to their node as `Delete` prologue steps — and the
-//! **pushes** nobody claimed yet, which end unclaimed when a later write, a
-//! recovery, a death or the end of the run leaves them no reader;
-//! [`Lowering::flush_deletes`] sends each live node what is left of both, in
-//! one task.
+//! The pushes nobody claimed yet and what this region owes a node — stale
+//! and released copies to delete, pushes to drop — are the
+//! [`DataManager`]'s. A target or enter-data car takes the deletes its
+//! region owes the node as `Delete` prologue steps, and
+//! [`Lowering::flush_deletes`] sends each live node the rest in one task.
 //!
 //! A host payload is the registry's own [`Bytes`] handle — the buffer *is*
 //! the frame: forwarded to k nodes it is one allocation held k + 1 times,
@@ -66,14 +64,14 @@ use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
-use crate::data_manager::{Booking, DataManager, TransferReason, TransferState, HEAD_NODE};
+use crate::data_manager::{Booking, DataManager, Push, TransferReason, TransferState, HEAD_NODE};
 use crate::event::{CarWriter, EventSystem, Trains, TypedReply};
 use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_mpi::{Bytes, Tag};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -164,11 +162,12 @@ pub(crate) enum Lowered<C> {
 }
 
 /// What the head must settle when a lowered task's reply arrives.
+#[derive(Default)]
 pub(crate) struct Record {
     /// The node the car goes to and its effects land on (for an exit-data
     /// retrieval, the node the bytes come from).
     node: NodeId,
-    /// Where this lowering's entries are in the [`Booked`] tables: the
+    /// Where this lowering's entries are in the [`State`] tables: the
     /// buffers whose inbound transfer to `node` it booked, the pushes it
     /// claimed (their buffers are among those), and the copies it pushes,
     /// booked when it succeeds.
@@ -181,13 +180,6 @@ pub(crate) struct Record {
 }
 
 impl Record {
-    /// The record of a car to `node` that booked nothing and carries no
-    /// delete.
-    fn new(node: NodeId, kind: RecordKind) -> Self {
-        let (owned, claims, pushes, deletes) = (0..0, 0..0, 0..0, Vec::new());
-        Self { node, owned, claims, pushes, deletes, kind }
-    }
-
     /// The node the car goes to: the task's own, or for an exit-data task
     /// the node the bytes come from.
     pub(crate) fn node(&self) -> NodeId {
@@ -195,8 +187,10 @@ impl Record {
     }
 }
 
+#[derive(Default)]
 enum RecordKind {
     /// What it writes is read off the graph when it retires.
+    #[default]
     Target,
     /// The transfer is owned — or, for an alloc, `replica` is the copy to
     /// record on success.
@@ -206,60 +200,32 @@ enum RecordKind {
     ExitData { buffer: BufferId, release: bool },
 }
 
-/// A copy of `buffer` on `from` pushes to `to`, on its own channel.
-#[derive(Debug, Clone, Copy)]
-struct Push {
-    buffer: BufferId,
-    from: NodeId,
-    to: NodeId,
-    tag: Tag,
-}
-
-/// What the lowerings of this execution booked, appended as each task is
-/// lowered: the inbound transfers it owns, the pushes it claims and the
-/// copies it pushes. A task is lowered under one lock, so its entries are
-/// contiguous and its [`Record`] keeps only where they are: lowering a task
-/// allocates nothing, and the tables grow by doubling.
+/// The assignment, and what the lowerings of this execution booked,
+/// appended as each task is lowered: the inbound transfers it owns, the
+/// pushes it claims and the copies it pushes. A task is lowered under one
+/// lock, so its entries are contiguous and its [`Record`] keeps only where
+/// they are: lowering a task allocates nothing, and the tables grow by
+/// doubling.
 #[derive(Default)]
-struct Booked {
+struct State {
+    assignment: Vec<NodeId>,
     owned: Vec<BufferId>,
     claims: Vec<Push>,
     pushes: Vec<Push>,
-}
-
-/// Claim for `car` the unclaimed push of `buffer` to `node`, if there is one.
-fn claim(state: &mut State, car: &mut CarWriter, buffer: BufferId, node: NodeId) -> bool {
-    let Some(push) = state.unclaimed.remove(&(buffer, node)) else { return false };
-    let Push { from, tag, .. } = push;
-    car.step(&TaskStep::Claim { buffer, from, tag });
-    state.booked.owned.push(buffer);
-    state.booked.claims.push(push);
-    true
-}
-
-#[derive(Default)]
-struct State {
-    deferred_deletes: BTreeMap<NodeId, BTreeSet<BufferId>>,
-    assignment: Vec<NodeId>,
-    /// Booked pushes awaiting their first reader, by `(buffer, node)`.
-    unclaimed: BTreeMap<(BufferId, NodeId), Push>,
-    /// Pushes sent that nobody will claim, owed a drop ([`Lowering::flush_deletes`]).
-    discards: Vec<Push>,
-    booked: Booked,
     /// Where [`Lowering::plan_pushes`] sorts a producer's pushes.
     scratch: Vec<Push>,
 }
 
-/// Deferred maintenance rides along: the deletes queued for `node` since its
-/// last car become `car`'s first steps — ordered before any receive of the
-/// same buffer, costing no extra round trip. Returns them.
-fn take_deletes(state: &mut State, node: NodeId, car: &mut CarWriter) -> Vec<BufferId> {
-    let deletes: Vec<BufferId> =
-        state.deferred_deletes.remove(&node).unwrap_or_default().into_iter().collect();
-    for &buffer in &deletes {
-        car.step(&TaskStep::Delete { buffer });
+impl State {
+    /// Take `push`, claimed from the [`DataManager`] for `car`, if there is
+    /// one: its booking is the car's to finish.
+    fn claimed(&mut self, car: &mut CarWriter, push: Option<Push>) -> bool {
+        let Some(push) = push else { return false };
+        car.step(&TaskStep::Claim { buffer: push.buffer, from: push.from, tag: push.tag });
+        self.owned.push(push.buffer);
+        self.claims.push(push);
+        true
     }
-    deletes
 }
 
 /// The lowering of one region execution. `state` is taken before the data
@@ -294,11 +260,6 @@ impl Lowering {
             config: config.clone(),
             state: Mutex::new(State::default()),
         })
-    }
-
-    fn span(&self, phase: SpanPhase, node: NodeId, t0: u64, task: usize) -> Span {
-        let attempt = self.path.telemetry.attempt(task);
-        Span::new(phase, node, t0, monotonic_us()).task(task).attempt(attempt)
     }
 
     /// Lower task `tid`, assigned to `node`, writing its car into the train
@@ -378,11 +339,11 @@ impl Lowering {
             Alloc(u64),
         }
         let mut state = self.state.lock();
+        let mut dm = self.path.dm.lock();
         let input = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
                 let reason = TransferReason::EnterData;
-                let booking = self.path.dm.lock().book(self.region, buffer, node, reason)?;
-                match booking {
+                match dm.book(self.region, buffer, node, reason)? {
                     Booking::Present | Booking::Await => return Ok(Lowered::Done),
                     Booking::Move(plan) if plan.from != HEAD_NODE => {
                         let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
@@ -391,41 +352,35 @@ impl Lowering {
                     Booking::Move(_) => match self.host_payload(buffer, tid) {
                         Ok(frame) => Input::Head(frame),
                         Err(e) => {
-                            let failed = Err(e.clone());
-                            let _ = self.finish(&mut self.path.dm.lock(), node, &[buffer], &failed);
+                            let _ = dm.finish(buffer, node, Err(e.clone()));
                             return Err(e);
                         }
                     },
                 }
             }
-            MapType::Alloc if !self.path.dm.lock().is_present(buffer, node) => {
+            MapType::Alloc if !dm.is_present(buffer, node) => {
                 Input::Alloc(self.path.buffers.size_of(buffer)? as u64)
             }
             MapType::Alloc | MapType::From | MapType::Release => return Ok(Lowered::Done),
         };
         let mut car = trains.car(node);
-        let deletes = take_deletes(&mut state, node, &mut car);
-        let from = state.booked.owned.len();
-        let replica = match input {
-            Input::Head(frame) => {
-                car.recv_from_head(buffer, frame);
-                None
-            }
-            Input::Worker(from, bytes) => {
-                car.recv_from_worker(buffer, from, bytes);
-                None
-            }
-            Input::Alloc(size) => {
-                car.step(&TaskStep::Alloc { buffer, size });
-                Some(buffer)
-            }
-        };
-        if replica.is_none() {
-            state.booked.owned.push(buffer);
+        let deletes = dm.take_owed_deletes(self.region, node);
+        drop(dm);
+        for &buffer in &deletes {
+            car.step(&TaskStep::Delete { buffer });
         }
-        let owned = from..state.booked.owned.len();
+        // A receive is a transfer it owns; an alloc, a copy to record.
+        let replica = matches!(input, Input::Alloc(_)).then_some(buffer);
+        match input {
+            Input::Head(frame) => car.recv_from_head(buffer, frame),
+            Input::Worker(from, bytes) => car.recv_from_worker(buffer, from, bytes),
+            Input::Alloc(size) => car.step(&TaskStep::Alloc { buffer, size }),
+        }
+        let from = state.owned.len();
+        state.owned.extend(replica.is_none().then_some(buffer));
+        let owned = from..state.owned.len();
         let kind = RecordKind::EnterData { replica };
-        Ok(Lowered::Task(car, Record { owned, deletes, ..Record::new(node, kind) }))
+        Ok(Lowered::Task(car, Record { node, owned, deletes, kind, ..Record::default() }))
     }
 
     /// A read-only plan: the latest-on-head commit (and its log entry)
@@ -459,11 +414,11 @@ impl Lowering {
                 let mut car = trains.car(from);
                 car.step(&TaskStep::Retrieve { buffer });
                 let kind = RecordKind::ExitData { buffer, release: !keep_resident };
-                Lowered::Task(car, Record::new(from, kind))
+                Lowered::Task(car, Record { node: from, kind, ..Record::default() })
             }
             None => {
                 if !keep_resident {
-                    self.release(buffer);
+                    self.path.dm.lock().release_in(self.region, buffer);
                 }
                 Lowered::Done
             }
@@ -500,21 +455,24 @@ impl Lowering {
             }
         }
         let pushes = self.plan_pushes(&mut state, &dm, tid, node);
-        // The car: the deletes it carries, a step per dependence at most, the
+        // The car: the deletes it carries — ahead of any receive of the same
+        // buffer, at no extra round trip — a step per dependence at most, the
         // kernel and the pushes.
         let mut car = trains.car(node);
-        let deletes = take_deletes(&mut state, node, &mut car);
-        let (owned, claims) = (state.booked.owned.len(), state.booked.claims.len());
+        let deletes = dm.take_owed_deletes(self.region, node);
+        for &buffer in &deletes {
+            car.step(&TaskStep::Delete { buffer });
+        }
+        let (owned, claims) = (state.owned.len(), state.claims.len());
         let planned = self.plan_inputs(&mut state, &mut dm, tid, node, task, &mut car);
         drop(dm);
-        let owned = owned..state.booked.owned.len();
-        let claims = claims..state.booked.claims.len();
+        let owned = owned..state.owned.len();
+        let claims = claims..state.claims.len();
         car.execute(kernel, task.dependences.iter().map(|d| d.buffer));
-        for p in &state.booked.pushes[pushes.clone()] {
+        for p in &state.pushes[pushes.clone()] {
             car.step(&TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag });
         }
-        let record =
-            Record { owned, claims, pushes, deletes, ..Record::new(node, RecordKind::Target) };
+        let record = Record { node, owned, claims, pushes, deletes, kind: RecordKind::Target };
         match planned {
             Ok(()) => Ok(Lowered::Task(car, record)),
             Err(error) => {
@@ -522,7 +480,7 @@ impl Lowering {
                 // car leaves the train, and what was already booked is
                 // resolved so its waiters error out.
                 drop(car);
-                self.roll_back(&mut state, record, &error, true);
+                self.roll_back(&state, record, &error, true);
                 Err(error)
             }
         }
@@ -546,7 +504,8 @@ impl Lowering {
         // Write-only outputs: make sure storage exists on the node — an unclaimed copy
         // pushed here will do. It becomes the buffer's one holder when the write is recorded.
         for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
-            if !claim(state, car, dep.buffer, node) && !dm.is_present(dep.buffer, node) {
+            let push = dm.claim_push(self.region, dep.buffer, node);
+            if !state.claimed(car, push) && !dm.is_present(dep.buffer, node) {
                 let size = self.path.buffers.size_of(dep.buffer)? as u64;
                 car.step(&TaskStep::Alloc { buffer: dep.buffer, size });
             }
@@ -556,7 +515,7 @@ impl Lowering {
 
     /// Where task `tid` on `node` pushes what it writes, by destination and
     /// buffer, each on a fresh channel: sorted in the scratch list, then
-    /// appended to the [`Booked`] pushes. Returns where they are.
+    /// appended to the booked pushes. Returns where they are.
     fn plan_pushes(
         &self,
         state: &mut State,
@@ -569,16 +528,16 @@ impl Lowering {
         let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
         // Channels are opened once the pushes are sorted and unique.
         let push = |(to, buffer)| Push { buffer, from: node, to, tag: Tag(0) };
-        let State { assignment, booked, scratch, .. } = state;
+        let State { assignment, pushes, scratch, .. } = state;
         scratch.clear();
         scratch.extend(super::push_targets(readers, node, assignment, dm).map(push));
         scratch.sort_unstable_by_key(|p| (p.to, p.buffer));
         scratch.dedup_by_key(|p| (p.to, p.buffer));
-        let from = booked.pushes.len();
-        booked.pushes.extend(
+        let from = pushes.len();
+        pushes.extend(
             scratch.iter().map(|push| Push { tag: self.path.events.open_channel(), ..*push }),
         );
-        from..booked.pushes.len()
+        from..pushes.len()
     }
 
     /// Whether another region execution has `buffer` on the wire towards
@@ -629,7 +588,9 @@ impl Lowering {
         let plan = match dm.book(self.region, buffer, node, TransferReason::Input)? {
             Booking::Present => return Ok(()),
             // The first reader of a pushed copy claims it, later ones await.
-            Booking::Await if claim(state, car, buffer, node) => return Ok(()),
+            Booking::Await if state.claimed(car, dm.claim_push(self.region, buffer, node)) => {
+                return Ok(())
+            }
             Booking::Await => {
                 // The receive lands or fails by itself; the reply time-out
                 // is only the last resort.
@@ -639,7 +600,7 @@ impl Lowering {
             }
             Booking::Move(plan) => plan,
         };
-        state.booked.owned.push(buffer);
+        state.owned.push(buffer);
         if plan.from == HEAD_NODE {
             car.recv_from_head(buffer, self.host_payload(buffer, tid)?);
         } else {
@@ -657,23 +618,10 @@ impl Lowering {
         let t0 = tel.start();
         let frame = self.path.buffers.share(buffer)?;
         if tel.spans_enabled() {
-            let span = self.span(SpanPhase::Serialize, HEAD_NODE, t0, task);
-            tel.record(span.bytes(frame.len() as u64));
+            let span = Span::new(SpanPhase::Serialize, HEAD_NODE, t0, monotonic_us()).task(task);
+            tel.record(span.attempt(tel.attempt(task)).bytes(frame.len() as u64));
         }
         Ok(frame)
-    }
-
-    /// Finish this region's bookings of `buffers` towards `node` with
-    /// `outcome` — every one of them, whatever the table makes of each.
-    fn finish(
-        &self,
-        dm: &mut DataManager,
-        node: NodeId,
-        buffers: &[BufferId],
-        outcome: &OmpcResult<()>,
-    ) -> OmpcResult<()> {
-        let finished = buffers.iter().map(|&buffer| dm.finish(buffer, node, outcome.clone()));
-        finished.fold(Ok(()), OmpcResult::and)
     }
 
     /// Settle a delivered task with its typed reply (the retrieved buffer
@@ -682,7 +630,7 @@ impl Lowering {
         let Reply { body, stamps, .. } = match reply {
             Ok(reply) => reply,
             Err(error) => {
-                self.roll_back(&mut self.state.lock(), record, &error, false);
+                self.roll_back(&self.state.lock(), record, &error, false);
                 return Err(error);
             }
         };
@@ -705,37 +653,33 @@ impl Lowering {
                 tel.record(Span::new(phase, node, start, end).task(task).attempt(attempt));
             }
         }
+        let state = self.state.lock();
+        let mut dm = self.path.dm.lock();
+        // Every booking is finished, whatever the table makes of each.
+        let finished = state.owned[owned].iter().map(|&b| dm.finish(b, node, Ok(())));
+        finished.fold(Ok(()), OmpcResult::and)?;
         match kind {
             RecordKind::Target => {
-                let writes = || {
-                    let deps = self.graph.task(TaskId(task)).dependences.iter();
-                    deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer)
-                };
-                let mut state = self.state.lock();
-                let mut dm = self.path.dm.lock();
-                self.finish(&mut dm, node, &state.booked.owned[owned], &Ok(()))?;
-                // Nobody may claim a version this task supersedes any more.
-                self.end_pushes(&mut state, &mut dm, None, |p| writes().any(|b| b == p.buffer));
-                // The copy on `node` is now the only valid one; the stale
-                // ones are freed by the next car headed their way.
-                for buffer in writes() {
-                    for stale in dm.record_write(buffer, node)? {
-                        if !dm.is_failed(stale) {
-                            state.deferred_deletes.entry(stale).or_default().insert(buffer);
-                        }
+                // The copy on `node` is now the only valid one: the pushes of
+                // the version it supersedes end, the stale copies are freed by
+                // the next car headed their way.
+                let deps = self.graph.task(TaskId(task)).dependences.iter();
+                for buffer in deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer) {
+                    dm.record_write_in(self.region, buffer, node)?;
+                }
+                // Its own pushes are booked as its readers' input transfers:
+                // a data movement each, but no event.
+                for &push in &state.pushes[pushes] {
+                    if dm.book_push(self.region, push) {
+                        let bytes = self.path.buffers.size_of(push.buffer).unwrap_or(0) as u64;
+                        self.path.events.counters().record_data(bytes);
                     }
                 }
-                self.book_pushes(&mut state, &mut dm, pushes);
             }
-            RecordKind::EnterData { replica } => {
-                let state = self.state.lock();
-                let mut dm = self.path.dm.lock();
-                self.finish(&mut dm, node, &state.booked.owned[owned], &Ok(()))?;
-                if let Some(buffer) = replica {
-                    dm.record_replica(buffer, node)?;
-                }
-            }
+            RecordKind::EnterData { replica: Some(buffer) } => dm.record_replica(buffer, node)?,
+            RecordKind::EnterData { replica: None } => {}
             RecordKind::ExitData { buffer, release } => {
+                drop((state, dm));
                 let how = Commit {
                     region: self.region,
                     phase: SpanPhase::ExitData,
@@ -747,136 +691,55 @@ impl Lowering {
                 })?;
                 self.path.commit(node, buffer, data, t0, &how)?;
                 if release {
-                    self.release(buffer);
+                    self.path.dm.lock().release_in(self.region, buffer);
                 }
             }
         }
         Ok(())
     }
 
-    /// Book a succeeded producer's pushes as its readers' input transfers: a data movement
-    /// each, but no event. One from a dead producer and one the table refuses (a dead
-    /// reader's node among them) are dropped.
-    fn book_pushes(&self, state: &mut State, dm: &mut DataManager, pushes: Range<usize>) {
-        let (region, input) = (self.region, TransferReason::Input);
-        for at in pushes {
-            let push = state.booked.pushes[at];
-            let bookable = !dm.is_failed(push.from);
-            let booking = bookable.then(|| dm.book(region, push.buffer, push.to, input));
-            if let Some(Ok(Booking::Move(_))) = booking {
-                let bytes = self.path.buffers.size_of(push.buffer).unwrap_or(0) as u64;
-                self.path.events.counters().record_data(bytes);
-                state.unclaimed.insert((push.buffer, push.to), push);
-            } else {
-                state.discards.push(push);
-            }
-        }
-    }
-
-    /// End the unclaimed pushes `over` picks: each booking finished with an error — `dead`'s
-    /// failure, or that nobody claimed it — its record withdrawn, and each copy owed a drop.
-    fn end_pushes(
-        &self,
-        state: &mut State,
-        dm: &mut DataManager,
-        dead: Option<NodeId>,
-        over: impl Fn(&Push) -> bool,
-    ) {
-        // Made only for a push that ends: most calls end none.
-        let failed = || match dead {
-            Some(node) => Err(OmpcError::NodeFailure(node)),
-            None => Err(OmpcError::Communication("no reader claimed the push".into())),
-        };
-        let State { unclaimed, discards, .. } = state;
-        unclaimed.retain(|_, push| {
-            let end = over(push);
-            if end {
-                let _ = self.finish(dm, push.to, &[push.buffer], &failed());
-                discards.push(*push);
-            }
-            !end
-        });
-    }
-
     /// Roll back a lowering that never reached the wire: as a failed
     /// [`Lowering::retire`], and its attached deletes are owed again.
     pub(crate) fn abandon(&self, record: Record, error: &OmpcError) {
-        self.roll_back(&mut self.state.lock(), record, error, true);
+        self.roll_back(&self.state.lock(), record, error, true);
     }
 
     /// The task never landed its effects: finish its bookings with `error`, so no later
     /// reader skips a transfer the bytes never made (holder and log entry are rolled back)
     /// and whoever awaits one of them fails with `error` — a killed source keeps its blame —
     /// instead of blocking. A copy it claimed is owed a drop, in case no step took it.
-    fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
+    fn roll_back(&self, state: &State, record: Record, error: &OmpcError, unsent: bool) {
         let Record { node, owned, claims, deletes, .. } = record;
         let mut dm = self.path.dm.lock();
-        let State { booked, discards, .. } = state;
-        let _ = self.finish(&mut dm, node, &booked.owned[owned], &Err(error.clone()));
-        discards.extend_from_slice(&booked.claims[claims]);
+        for &buffer in &state.owned[owned] {
+            let _ = dm.finish(buffer, node, Err(error.clone()));
+        }
         // A car that reached the worker ran its deletes first: they cannot fail.
-        if unsent && !deletes.is_empty() && !dm.is_failed(node) {
-            state.deferred_deletes.entry(node).or_default().extend(deletes);
-        }
+        let deletes = if unsent { deletes } else { Vec::new() };
+        dm.owe(self.region, node, deletes, state.claims[claims].iter().copied());
     }
 
-    /// Release every device copy of `buffer` (exit-data semantics): drop it
-    /// from the data manager and queue the delete on every live holder.
-    fn release(&self, buffer: BufferId) {
-        let mut state = self.state.lock();
-        let mut dm = self.path.dm.lock();
-        for holder in dm.remove(buffer) {
-            if !dm.is_failed(holder) {
-                state.deferred_deletes.entry(holder).or_default().insert(buffer);
-            }
-        }
-    }
-
-    /// The end of the run: every push still unclaimed is over, and each live node gets one
-    /// task ([`super::delete_device_copies`]) with the deletes no car carried and the
-    /// drops of the copies nobody claimed. Dead nodes are skipped — their memory died with
-    /// them. Every live node is attempted; what a node did not acknowledge stays owed to it,
-    /// and the first error is returned.
+    /// The end of the run ([`DataManager::end_run`]): each live node gets one task
+    /// ([`super::delete_device_copies`]) with the deletes no car carried and the drops of the
+    /// copies nobody claimed. Every live node is attempted; what a node did not acknowledge
+    /// stays owed to it, and the first error is returned.
     pub(crate) fn flush_deletes(&self) -> OmpcResult<()> {
-        let mut owed: BTreeMap<NodeId, (BTreeSet<BufferId>, Vec<Push>)> = BTreeMap::new();
-        {
-            let (mut state, mut dm) = (self.state.lock(), self.path.dm.lock());
-            self.end_pushes(&mut state, &mut dm, None, |_| true);
-            for (node, buffers) in std::mem::take(&mut state.deferred_deletes) {
-                owed.entry(node).or_default().0 = buffers;
-            }
-            for push in std::mem::take(&mut state.discards) {
-                owed.entry(push.to).or_default().1.push(push);
-            }
-            owed.retain(|&node, _| !dm.is_failed(node));
-        }
-        let sent = owed.iter().map(|(&node, (buffers, pushes))| {
-            let discard = |p: &Push| TaskStep::Discard { from: p.from, tag: p.tag };
-            (node, buffers.iter().copied().collect(), pushes.iter().map(discard).collect())
-        });
-        let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, sent);
-        let mut state = self.state.lock();
-        for (node, _) in &failed {
-            let (buffers, pushes) = owed.remove(node).unwrap_or_default();
-            state.deferred_deletes.entry(*node).or_default().extend(buffers);
-            state.discards.extend(pushes);
+        let owed = self.path.dm.lock().end_run(self.region);
+        let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, &owed);
+        let mut dm = self.path.dm.lock();
+        for (node, owed) in owed.iter().filter(|(node, _)| failed.iter().any(|(n, _)| n == node)) {
+            dm.owe(self.region, *node, owed.deletes.iter().copied(), owed.drops.iter().copied());
         }
         super::first_error(failed)
     }
 
-    /// `node` just died: discard its copies, its pushes and its deferred deletes (they must
-    /// not ride a later composite into the zombie gate), kill the worker's event loop **for
-    /// real** — from now on it refuses every event with an error reply, so peers observe the
-    /// death instead of hanging — and name the writers of every buffer whose only copy was
-    /// lost.
+    /// `node` just died: [`DataManager::fail_node`] drops what was owed to it and ends every
+    /// push to or from it, and the worker's event loop is killed **for real** — from now on
+    /// it refuses every event with an error reply, so peers observe the death instead of
+    /// hanging. Names the writers of every buffer whose only copy was lost.
     pub(crate) fn invalidate_node(&self, node: NodeId) -> Vec<LostBuffer> {
-        let mut state = self.state.lock();
-        state.deferred_deletes.remove(&node);
-        let mut dm = self.path.dm.lock();
         // Only workers are ever declared failed; the head would lose nothing.
-        let lost = dm.fail_node(node).unwrap_or_default();
-        self.end_pushes(&mut state, &mut dm, Some(node), |p| p.to == node || p.from == node);
-        drop((state, dm));
+        let lost = self.path.dm.lock().fail_node(node).unwrap_or_default();
         let _ = self.path.events.kill(node);
         let writers_of = |buffer| {
             let writes = |t: &&TargetTask| {
@@ -975,6 +838,17 @@ mod tests {
             Lowered::Task(work, record) => (work, record),
             _ => panic!("task {task} must lower to a composite"),
         }
+    }
+
+    /// The deletes the fixture's region owes `node`.
+    fn deletes_owed(low: &Lowering, node: NodeId) -> Option<std::collections::BTreeSet<BufferId>> {
+        low.path.dm.lock().owed_by(low.region).remove(&node).map(|owed| owed.deletes)
+    }
+
+    /// The pushes the fixture's region owes a drop, by node.
+    fn drops(low: &Lowering) -> Vec<Push> {
+        let owed = low.path.dm.lock().owed_by(low.region);
+        owed.into_values().flat_map(|owed| owed.drops).collect()
     }
 
     /// Copies of the fixture's two buffers booked as in flight.
@@ -1111,8 +985,8 @@ mod tests {
     #[test]
     fn an_enter_car_carries_the_delete_it_owes_ahead_of_its_receive() {
         let Fixture { low, a, .. } = &fixture();
-        let owed = |low: &Lowering| low.state.lock().deferred_deletes.get(&1).cloned();
-        let stale = || low.state.lock().deferred_deletes.entry(1).or_default().insert(*a);
+        let owed = |low: &Lowering| deletes_owed(low, 1);
+        let stale = || low.path.dm.lock().owe(1, 1, [*a], []);
         stale();
         let (work, record) = lower_task(low, ENTER, 1);
         let expected = vec![TaskStep::Delete { buffer: *a }, TaskStep::RecvFromHead { buffer: *a }];
@@ -1245,7 +1119,7 @@ mod tests {
         let (_, writer) = lower_task(low, 2, 1);
         low.retire(2, writer, Ok(Reply::default())).unwrap();
         assert_eq!(low.path.dm.lock().holders(*a), vec![1]);
-        let owed = |low: &Lowering| low.state.lock().deferred_deletes.get(&2).cloned();
+        let owed = |low: &Lowering| deletes_owed(low, 2);
         assert_eq!(owed(low), Some([*a].into_iter().collect()));
 
         // The next task on node 2 carries the delete ahead of its receive.
@@ -1272,9 +1146,9 @@ mod tests {
         let Fixture { low, a, _world: world } = &fixture();
         let out = BufferId(a.0 + 1);
         {
-            let mut state = low.state.lock();
-            state.deferred_deletes.entry(1).or_default().insert(*a);
-            state.deferred_deletes.entry(2).or_default().extend([*a, out]);
+            let mut dm = low.path.dm.lock();
+            dm.owe(1, 1, [*a], []);
+            dm.owe(1, 2, [*a, out], []);
         }
         let memory = crate::worker::DeviceMemory::new();
         memory.store(*a, vec![7u8; 32].into());
@@ -1292,7 +1166,7 @@ mod tests {
             "the error is node 1's: {flushed:?}"
         );
         assert!(memory.is_empty(), "node 2's copies went in one task all the same");
-        let owed = |node| low.state.lock().deferred_deletes.get(&node).cloned();
+        let owed = |node| deletes_owed(low, node);
         assert_eq!(owed(1), Some([*a].into_iter().collect()), "node 1 is still owed its delete");
         assert_eq!(owed(2), None);
 
@@ -1300,7 +1174,7 @@ mod tests {
         // the first flush's task per node are all the tasks there are.
         low.path.dm.lock().fail_node(1).unwrap();
         assert_eq!(low.flush_deletes(), Ok(()));
-        assert!(low.state.lock().deferred_deletes.is_empty());
+        assert!(low.path.dm.lock().owed_by(1).is_empty());
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 2);
     }
 
@@ -1400,9 +1274,7 @@ mod tests {
         assert_eq!(low.retire(2, record, Err(boom.clone())), Err(boom));
         assert!(low.path.dm.lock().transfer_log().is_empty());
         assert_eq!(inflight_entries(low), 0);
-        let state = low.state.lock();
-        assert!(state.unclaimed.is_empty() && state.discards.is_empty());
-        drop(state);
+        assert!(low.path.dm.lock().unclaimed_of(1).is_empty() && drops(low).is_empty());
         // A reader lowered now fetches the version that is still the latest.
         let (work, _record) = lower_task(low, 3, 2);
         assert!(matches!(work.steps[0], TaskStep::RecvFromHead { buffer } if buffer == *a));
@@ -1415,8 +1287,7 @@ mod tests {
         low.assign(&READERS_SPREAD);
         let (_, record) = lower_task(low, 2, 1);
         low.retire(2, record, Ok(Reply::default())).unwrap();
-        let owed =
-            |low: &Lowering| low.state.lock().discards.iter().map(|p| p.to).collect::<Vec<_>>();
+        let owed = |low: &Lowering| drops(low).iter().map(|p| p.to).collect::<Vec<_>>();
         let (work, record) = lower_task(low, 3, 2);
         assert!(matches!(work.steps[0], TaskStep::Claim { .. }));
         // Its train never departs: the copy it claimed is owed a drop, and
@@ -1440,7 +1311,7 @@ mod tests {
         assert_eq!(dm.transfer_state(a, 2), TransferState::InFlight(1));
         assert!(dm.transfer_log().iter().all(|t| t.to != 3));
         drop(dm);
-        assert!(low.state.lock().unclaimed.is_empty());
+        assert!(low.path.dm.lock().unclaimed_of(1).is_empty());
         assert_eq!(owed(low), vec![2, 3]);
     }
 
@@ -1472,7 +1343,7 @@ mod tests {
         let (second, record) = lower_task(low, 2, 1);
         low.retire(2, record, Ok(Reply::default())).unwrap();
         assert_eq!(forwards(low), vec![(1, 2), (1, 3)], "the first pushes' records withdrawn");
-        let dropped: Vec<_> = (low.state.lock().discards.iter()).map(|p| (p.to, p.tag)).collect();
+        let dropped: Vec<_> = drops(low).iter().map(|p| (p.to, p.tag)).collect();
         let first_tag = |node| push_channel(&first.steps, node);
         assert_eq!(dropped, vec![(2, first_tag(2)), (3, first_tag(3))]);
         // The reader claims the version it reads.
@@ -1490,7 +1361,7 @@ mod tests {
         low.assign(&READERS_SPREAD);
         let (work, record) = lower_task(low, 2, 1);
         low.retire(2, record, Ok(Reply::default())).unwrap();
-        low.state.lock().deferred_deletes.entry(2).or_default().insert(a);
+        low.path.dm.lock().owe(1, 2, [a], []);
         let memory = DeviceMemory::new();
         memory.store(a, vec![7u8; 32].into());
         let kernels = crate::kernel::KernelRegistry::new();
@@ -1514,11 +1385,72 @@ mod tests {
         assert_eq!(three, task(vec![discard(3)]));
         assert!(memory.is_empty());
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 2);
-        let state = low.state.lock();
-        assert!(state.unclaimed.is_empty() && state.discards.is_empty());
-        assert!(state.deferred_deletes.is_empty());
-        drop(state);
+        assert!(low.path.dm.lock().unclaimed_of(1).is_empty() && drops(low).is_empty());
+        assert!(low.path.dm.lock().owed_by(1).is_empty());
         assert_eq!(forwards(low), Vec::new(), "the unclaimed pushes' records are withdrawn");
+    }
+
+    #[test]
+    fn a_region_carries_and_flushes_only_what_it_owes_and_a_death_ends_every_push() {
+        use crate::protocol::{EventRequest, TaskSpec};
+        let Fixture { low, a, _world: world } = &fixture();
+        let (a, out) = (*a, BufferId(a.0 + 1));
+        let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
+        let graph = Arc::clone(&low.graph);
+        let second = Lowering::new(low.path.clone(), 2, graph, HashMap::new(), &config).unwrap();
+        // Region 1's producer pushes `a` from node 1 to nodes 2 and 3; region 2
+        // pushes `out` from node 1 to node 3, and owes node 2 a delete.
+        low.assign(&READERS_SPREAD);
+        let (work, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        let theirs = Push { buffer: out, from: 1, to: 3, tag: Tag(99) };
+        {
+            let mut dm = low.path.dm.lock();
+            dm.record_write(out, 1).unwrap();
+            assert!(dm.book_push(2, theirs));
+            dm.owe(2, 2, [out], []);
+        }
+
+        // Region 1's car to node 2 claims its own push, and carries no delete
+        // of region 2's: the two regions' cars leave in no fixed order.
+        let (car, _record) = lower_task(low, 3, 2);
+        assert!(matches!(car.steps[0], TaskStep::Claim { buffer, .. } if buffer == a));
+        assert!(!car.steps.iter().any(|s| matches!(s, TaskStep::Delete { .. })), "{:?}", car.steps);
+        assert_eq!(deletes_owed(&second, 2), Some([out].into_iter().collect()));
+
+        // Region 1's end of run drops its own unclaimed push to node 3 and
+        // nothing else: region 2's push and delete stay where they are.
+        let request = std::thread::scope(|scope| {
+            let three = scope.spawn(|| {
+                let notification = next_event(world, 3);
+                let (request, comm) = (notification.request.clone(), world.communicator(3));
+                let (memory, kernels) =
+                    (crate::worker::DeviceMemory::new(), crate::kernel::KernelRegistry::new());
+                crate::worker::handle_event(&comm, &memory, &kernels, notification).unwrap();
+                request
+            });
+            assert_eq!(low.flush_deletes(), Ok(()));
+            three.join().unwrap()
+        });
+        let discard = TaskStep::Discard { from: 1, tag: push_channel(&work.steps, 3) };
+        assert_eq!(request, EventRequest::Task(TaskSpec { steps: vec![discard] }));
+        assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 1);
+        assert_eq!(low.path.dm.lock().unclaimed_of(2), vec![theirs]);
+        assert_eq!(low.path.dm.lock().transfer_state(out, 3), TransferState::InFlight(2));
+        assert_eq!(deletes_owed(&second, 2), Some([out].into_iter().collect()));
+
+        // The producer runs again, and node 3 dies before anybody claimed
+        // either region's push there: one death ends both, with its failure.
+        let (_, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+        assert_eq!(low.path.dm.lock().unclaimed_of(1).len(), 1);
+        low.invalidate_node(3);
+        let dm = low.path.dm.lock();
+        let dead = TransferState::Invalid(Some(OmpcError::NodeFailure(3)));
+        assert_eq!((dm.transfer_state(a, 3), dm.transfer_state(out, 3)), (dead.clone(), dead));
+        assert!(dm.unclaimed_of(1).is_empty() && dm.unclaimed_of(2).is_empty());
+        assert!(!dm.owed_by(1).contains_key(&3) && !dm.owed_by(2).contains_key(&3));
+        assert_eq!(dm.owed_by(2).get(&2).map(|owed| owed.deletes.len()), Some(1));
     }
 
     #[test]

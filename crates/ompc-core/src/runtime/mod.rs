@@ -48,7 +48,7 @@ pub use telemetry::{
 
 use crate::buffer::BufferRegistry;
 use crate::config::OmpcConfig;
-use crate::data_manager::{DataManager, TransferReason, TransferRecord, HEAD_NODE};
+use crate::data_manager::{DataManager, Owed, TransferReason, TransferRecord, HEAD_NODE};
 use crate::event::{Composite, EventSystem};
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
@@ -64,28 +64,28 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// pre-residency runtime did.
 pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 
-/// Free device copies, one task of `Delete` steps — then any `Discard`
-/// steps the node is owed — per node: every node's task is posted before any
-/// reply is awaited, so a release costs one round trip however many nodes
-/// and buffers it covers. Each node is attempted; the nodes that did not
-/// acknowledge come back with their error, so the caller can keep owing
-/// them. At [`TelemetryLevel::Spans`] every task leaves an
+/// Free device copies, one task of `Delete` steps — then a `Discard` step
+/// per push the node is owed a drop of — per node: every node's task is
+/// posted before any reply is awaited, so a release costs one round trip
+/// however many nodes and buffers it covers. Each node is attempted; the
+/// nodes that did not acknowledge come back with their error, so the caller
+/// can keep owing them. At [`TelemetryLevel::Spans`] every task leaves an
 /// [`SpanPhase::ExitData`] span on its node, the buffer count as its detail.
 pub(crate) fn delete_device_copies(
     events: &EventSystem,
     telemetry: &Telemetry,
-    owed: impl IntoIterator<Item = (NodeId, Vec<BufferId>, Vec<TaskStep>)>,
+    owed: &[(NodeId, Owed)],
 ) -> Vec<(NodeId, OmpcError)> {
     let t0 = telemetry.start();
     let mut failed = Vec::new();
     let mut posted = Vec::new();
-    for (node, buffers, discards) in owed.into_iter().filter(|(_, b, d)| b.len() + d.len() > 0) {
-        let count = buffers.len();
-        let deletes = buffers.into_iter().map(|buffer| TaskStep::Delete { buffer });
-        let work = Composite { steps: deletes.chain(discards).collect(), ..Composite::default() };
-        match events.post_task(node, work) {
-            Ok(channel) => posted.push((channel, count)),
-            Err(error) => failed.push((node, error)),
+    for (node, owed) in owed {
+        let deletes = owed.deletes.iter().map(|&buffer| TaskStep::Delete { buffer });
+        let drops = owed.drops.iter().map(|p| TaskStep::Discard { from: p.from, tag: p.tag });
+        let work = Composite { steps: deletes.chain(drops).collect(), ..Composite::default() };
+        match events.post_task(*node, work) {
+            Ok(channel) => posted.push((channel, owed.deletes.len())),
+            Err(error) => failed.push((*node, error)),
         }
     }
     for (channel, count) in posted {
@@ -104,30 +104,28 @@ pub(crate) fn delete_device_copies(
 /// Release every device copy of `buffers` (device-level exit-data
 /// semantics) — the one way a mapping ends on the head: drop the buffers
 /// from the data manager under one lock, then free the copies with one
-/// task per live holder ([`delete_device_copies`]). Dead holders are
-/// skipped — their memory died with them, and a delete would only
-/// bounce off the zombie gate. The buffers are forgotten whatever the
-/// workers answer; the first node's error is returned.
+/// task per holder ([`delete_device_copies`]). A dead node is never a
+/// holder — its memory died with it, and a delete would only bounce off
+/// the zombie gate. The buffers are forgotten whatever the workers
+/// answer; the first node's error is returned.
 pub(crate) fn release_device_copies(
     dm: &parking_lot::Mutex<DataManager>,
     events: &EventSystem,
     telemetry: &Telemetry,
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
-    let mut owed: BTreeMap<NodeId, Vec<BufferId>> = BTreeMap::new();
+    let mut owed: BTreeMap<NodeId, Owed> = BTreeMap::new();
     {
-        // `remove` returns only worker-node holders.
+        // `remove` returns only worker-node holders, none of them dead.
         let mut dm = dm.lock();
         for &buffer in buffers {
             for holder in dm.remove(buffer) {
-                if !dm.is_failed(holder) {
-                    owed.entry(holder).or_default().push(buffer);
-                }
+                owed.entry(holder).or_default().deletes.insert(buffer);
             }
         }
     }
-    let owed = owed.into_iter().map(|(node, buffers)| (node, buffers, Vec::new()));
-    first_error(delete_device_copies(events, telemetry, owed))
+    let owed: Vec<_> = owed.into_iter().collect();
+    first_error(delete_device_copies(events, telemetry, &owed))
 }
 
 /// What a release reports when some node did not acknowledge: the first
