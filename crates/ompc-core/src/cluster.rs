@@ -1273,12 +1273,78 @@ mod tests {
         }
     }
 
-    /// Another tenant's booking parks a reader on the head: nothing of it
-    /// reaches a worker. Region A books an enter-data car towards a worker
-    /// killed behind the head's back, and A's host task holds A's driver, so
-    /// the booking stays in flight. Region B's reader of that buffer on that
-    /// worker parks, and when A's car is refused it fails at once with A's
-    /// own error; B's kernel never runs.
+    /// Region A's enter-data car to node 1 is booked while A's driver sits
+    /// in a host task, and region B runs one reader of that buffer there:
+    /// B's car departs A's train ahead of itself and awaits A's receive on
+    /// the worker, so B completes with A's bytes before A is released — with
+    /// one handler thread on the node too, where B's wait queues behind A's
+    /// receive.
+    #[test]
+    fn a_reader_of_another_tenants_booking_completes_while_that_tenant_is_held() {
+        for handlers in [2, 1] {
+            ompc_testutil::with_timeout(std::time::Duration::from_secs(120), move || {
+                let config = OmpcConfig {
+                    max_concurrent_regions: 2,
+                    event_handler_threads: handlers,
+                    ..OmpcConfig::small()
+                };
+                let mut device = ClusterDevice::with_config(1, config);
+                let seen = Arc::new(Mutex::new(Vec::new()));
+                let read = {
+                    let seen = Arc::clone(&seen);
+                    device.register_kernel_fn("read", 1e-6, move |args| {
+                        *seen.lock() = args.as_f64s(0);
+                    })
+                };
+                let buffer = device.enter_data_f64s(&[1.0, 2.0]);
+                let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+                let release_rx = Mutex::new(release_rx);
+                let mut a = RegionGraph::new();
+                let enter = TaskKind::EnterData { buffer, map: MapType::To };
+                a.add_task(enter, vec![Dependence::output(buffer)], "enter");
+                a.add_task(TaskKind::Host { cost_hint: 1e-6 }, vec![], "hold");
+                let hold: HostFn = Arc::new(move |_| {
+                    let _ = release_rx.lock().recv();
+                });
+                let mut b = RegionGraph::new();
+                let reader = TaskKind::Target { kernel: read, cost_hint: 1e-6 };
+                b.add_task(reader, vec![Dependence::input(buffer)], "reader");
+                let run = |graph: RegionGraph, assignment, host_fns| {
+                    let region = device.dm.lock().begin_region();
+                    let telemetry = device.telemetry.scoped(region);
+                    let plan = RuntimePlan { assignment, window: 4 };
+                    device.execute_planned(Arc::new(graph), host_fns, &plan, region, &telemetry)
+                };
+                let (a_result, b_before_release) = std::thread::scope(|scope| {
+                    let a = scope.spawn(|| run(a, vec![1, HEAD_NODE], HashMap::from([(1, hold)])));
+                    // A's booking is made before its host task runs.
+                    while !device.dm.lock().buffer_in_flight(buffer) {
+                        std::thread::yield_now();
+                    }
+                    let (done_tx, done_rx) = std::sync::mpsc::channel();
+                    scope.spawn(move || {
+                        let _ = done_tx.send(run(b, vec![1], HashMap::new()).map(drop));
+                    });
+                    let b = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+                    release_tx.send(()).unwrap();
+                    (a.join().unwrap(), b)
+                });
+                let b_result = b_before_release.expect("B completes before A is released");
+                assert!(b_result.is_ok(), "{handlers} handler(s): {b_result:?}");
+                assert!(a_result.is_ok(), "{handlers} handler(s): {a_result:?}");
+                assert_eq!(*seen.lock(), vec![1.0, 2.0], "B read A's bytes");
+                device.shutdown();
+            });
+        }
+    }
+
+    /// A reader of another tenant's booking towards a dead node fails at
+    /// once, blamed on that node, and never runs. Region A books an
+    /// enter-data car towards a worker killed behind the head's back, and
+    /// A's host task holds A's driver, so the booking stays in flight.
+    /// Region B's reader of that buffer on that worker departs A's train
+    /// ahead of its own car, which awaits A's receive; the node's zombie
+    /// gate refuses both cars, each with its own error reply.
     #[test]
     fn a_failed_booking_of_another_tenant_fails_the_task_parked_on_it_at_once() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
@@ -1297,9 +1363,8 @@ mod tests {
             device.events.kill(1).unwrap();
 
             // Each region's host task follows its data task: A's holds A's
-            // driver until B's reader has parked on A's booking, B's reports
-            // that it has.
-            let (parked_tx, parked_rx) = std::sync::mpsc::channel::<()>();
+            // driver until B's reader is lowered, B's reports that it is.
+            let (lowered_tx, lowered_rx) = std::sync::mpsc::channel::<()>();
             let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
             let release_rx = Mutex::new(release_rx);
             let host = TaskKind::Host { cost_hint: 1e-6 };
@@ -1313,9 +1378,9 @@ mod tests {
             let mut b = RegionGraph::new();
             let reader = TaskKind::Target { kernel: read, cost_hint: 1e-6 };
             b.add_task(reader, vec![Dependence::input(buffer)], "reader");
-            b.add_task(host, vec![], "parked");
-            let parked: HostFn = Arc::new(move |_| {
-                let _ = parked_tx.send(());
+            b.add_task(host, vec![], "lowered");
+            let lowered: HostFn = Arc::new(move |_| {
+                let _ = lowered_tx.send(());
             });
             let run = |graph: RegionGraph, host_fn: HostFn| {
                 let region = device.dm.lock().begin_region();
@@ -1330,14 +1395,16 @@ mod tests {
                 while !device.dm.lock().buffer_in_flight(buffer) {
                     std::thread::yield_now();
                 }
-                let b = scope.spawn(|| run(b, parked).unwrap_err());
-                parked_rx.recv().unwrap();
+                let b = scope.spawn(|| run(b, lowered).unwrap_err());
+                lowered_rx.recv().unwrap();
                 release_tx.send(()).unwrap();
                 (a.join().unwrap(), b.join().unwrap())
             });
-            assert_eq!(a_error.origin_node(), Some(1), "{a_error:?}");
-            assert_eq!(b_error, a_error, "the parked task fails with the booking's own error");
-            assert!(!ran.load(Ordering::SeqCst), "the parked task never reached the worker");
+            for error in [&a_error, &b_error] {
+                assert_eq!(error.origin_node(), Some(1), "{error:?}");
+                assert_eq!(error.root_cause(), &OmpcError::NodeFailure(1), "{error:?}");
+            }
+            assert!(!ran.load(Ordering::SeqCst), "the refused reader never ran");
             device.shutdown();
         });
     }

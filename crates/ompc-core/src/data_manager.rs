@@ -47,14 +47,15 @@
 //! buffer wait for each other; the owning device pairs one condition
 //! variable with this table's mutex for them.
 //!
-//! The table also decides the fate of what a region execution has on the
-//! wire beyond a booking, each entry carrying its region: the `Push`es no
-//! reader claimed yet, and the drops and deletes it owes a node (`Owed`).
-//! A push ends exactly once — claimed by its first reader, or ended into a
-//! drop by its region's next write of the buffer, a release, a death of
-//! either node (whichever region booked it) or the end of the run. Deletes
-//! ride only their own region's cars: two regions' cars leave in no fixed
-//! order. Nothing is owed to a dead node.
+//! The table also decides the fate of what is on the wire beyond a
+//! booking: the `Push`es no reader claimed yet, each with the region that
+//! booked it, and the drops and deletes owed to each node (`Owed`). A push
+//! ends exactly once — claimed by its first reader, whichever region that
+//! reader is of, or ended into a drop by the next write of the buffer, a
+//! release, a death of either node or the end of its region's run. Every
+//! car to a node carries the deletes owed there: cars reach a node in the
+//! order they were lowered, across regions (the device's one train table).
+//! Nothing is owed to a dead node.
 //!
 //! Every booked movement is also appended to a per-run **transfer log**
 //! ([`TransferRecord`]) that the execution core drains into
@@ -189,7 +190,7 @@ pub(crate) struct Push {
     pub(crate) tag: Tag,
 }
 
-/// What a region execution owes one live node: the copies to delete, the pushes to drop.
+/// What is owed to one live node: the copies to delete, the pushes to drop.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Owed {
     pub(crate) deletes: BTreeSet<BufferId>,
@@ -278,11 +279,11 @@ pub struct DataManager {
     /// device-level operations outside any region (`enter_data`, lazy host
     /// flushes); each is drained by [`DataManager::take_transfer_log_in`].
     logs: BTreeMap<u64, Vec<TransferRecord>>,
-    /// Booked pushes awaiting their first reader, by owning region, buffer
-    /// and reader's node.
-    unclaimed: BTreeMap<(u64, BufferId, NodeId), Push>,
-    /// What each region owes each live node, by `(region, node)`.
-    owed: BTreeMap<(u64, NodeId), Owed>,
+    /// Booked pushes awaiting their first reader, by buffer and reader's
+    /// node, each with the region that booked it.
+    unclaimed: BTreeMap<(BufferId, NodeId), (u64, Push)>,
+    /// What is owed to each live node.
+    owed: BTreeMap<NodeId, Owed>,
 }
 
 impl DataManager {
@@ -511,69 +512,68 @@ impl DataManager {
         let booking = live.then(|| self.book(region, push.buffer, push.to, TransferReason::Input));
         let booked = matches!(booking, Some(Ok(Booking::Move(_))));
         if booked {
-            self.unclaimed.insert((region, push.buffer, push.to), push);
+            self.unclaimed.insert((push.buffer, push.to), (region, push));
         } else {
-            self.owe(region, push.to, [], [push]);
+            self.owe(push.to, [], [push]);
         }
         booked
     }
 
-    /// Claim `region`'s unclaimed push of `buffer` to `to`, if there is one: the claimant
-    /// owns its booking from now on, and finishes it.
-    pub(crate) fn claim_push(&mut self, region: u64, buffer: BufferId, to: NodeId) -> Option<Push> {
-        self.unclaimed.remove(&(region, buffer, to))
+    /// Claim the unclaimed push of `buffer` to `to`, if there is one, whichever region booked
+    /// it: the claimant owns its booking from now on, and finishes it.
+    pub(crate) fn claim_push(&mut self, buffer: BufferId, to: NodeId) -> Option<Push> {
+        self.unclaimed.remove(&(buffer, to)).map(|(_, push)| push)
     }
 
-    /// End the unclaimed pushes `over` picks, by region: each booking finished with an error —
-    /// `dead`'s failure, or that nobody claimed it — and each copy owed a drop.
+    /// End the unclaimed pushes `over` picks, by booking region: each booking finished with an
+    /// error — `dead`'s failure, or that nobody claimed it — and each copy owed a drop.
     fn end_unclaimed(&mut self, over: impl Fn(u64, &Push) -> bool, dead: Option<NodeId>) {
         // Made only when a push ends: most calls end none.
-        let ended: Vec<_> =
-            self.unclaimed.iter().filter(|(k, p)| over(k.0, p)).map(|(&key, _)| key).collect();
-        for (region, buffer, to) in ended {
+        let ended: Vec<_> = (self.unclaimed.iter())
+            .filter(|(_, (region, p))| over(*region, p))
+            .map(|(&key, _)| key)
+            .collect();
+        for (buffer, to) in ended {
             let unclaimed = || OmpcError::Communication("no reader claimed the push".into());
             let error = dead.map_or_else(unclaimed, OmpcError::NodeFailure);
             let _ = self.finish(buffer, to, Err(error));
-            let push = self.unclaimed.remove(&(region, buffer, to));
-            self.owe(region, to, [], push);
+            let push = self.unclaimed.remove(&(buffer, to)).map(|(_, push)| push);
+            self.owe(to, [], push);
         }
     }
 
-    /// Owe `node` `region`'s `deletes` and `drops`, unless it is dead: its memory died with it.
+    /// Owe `node` `deletes` and `drops`, unless it is dead: its memory died with it.
     pub(crate) fn owe(
         &mut self,
-        region: u64,
         node: NodeId,
         deletes: impl IntoIterator<Item = BufferId>,
         drops: impl IntoIterator<Item = Push>,
     ) {
-        let owed = self.owed.entry((region, node)).or_default();
+        let owed = self.owed.entry(node).or_default();
         owed.deletes.extend(deletes);
         owed.drops.extend(drops);
         if self.failed.contains(&node) || owed == &Owed::default() {
-            self.owed.remove(&(region, node));
+            self.owed.remove(&node);
         }
     }
 
-    /// Take the deletes `region` owes `node`, for its next car there: ahead of any receive of
-    /// the same buffer, they cost no extra round trip.
-    pub(crate) fn take_owed_deletes(&mut self, region: u64, node: NodeId) -> Vec<BufferId> {
-        let Some(owed) = self.owed.get_mut(&(region, node)) else { return Vec::new() };
+    /// Take the deletes owed to `node`, for the next car there: ahead of any receive of the
+    /// same buffer, they cost no extra round trip.
+    pub(crate) fn take_owed_deletes(&mut self, node: NodeId) -> Vec<BufferId> {
+        let Some(owed) = self.owed.get_mut(&node) else { return Vec::new() };
         let deletes = std::mem::take(&mut owed.deletes).into_iter().collect();
         if owed.drops.is_empty() {
-            self.owed.remove(&(region, node));
+            self.owed.remove(&node);
         }
         deletes
     }
 
-    /// The end of `region`'s run: each of its pushes still unclaimed is over, and everything it
-    /// owes is handed over, by node — the deletes no car carried, the drops of the copies
-    /// nobody claimed.
+    /// The end of `region`'s run: each push it booked that is still unclaimed is over, and
+    /// everything owed is handed over, by node — the deletes no car carried, the drops of the
+    /// copies nobody claimed.
     pub(crate) fn end_run(&mut self, region: u64) -> Vec<(NodeId, Owed)> {
         self.end_unclaimed(|owner, _| owner == region, None);
-        let mut owed = self.owed.split_off(&(region, 0));
-        self.owed.append(&mut owed.split_off(&(region + 1, 0)));
-        owed.into_iter().map(|((_, node), owed)| (node, owed)).collect()
+        std::mem::take(&mut self.owed).into_iter().collect()
     }
 
     /// Book a lazy host flush of `buffer`, marking `(buffer, HEAD_NODE)` in
@@ -642,17 +642,12 @@ impl DataManager {
         Ok(stale)
     }
 
-    /// [`DataManager::record_write`] by a task of `region`: the region's unclaimed pushes of
-    /// the version it supersedes end, and each stale copy is owed a delete.
-    pub(crate) fn record_write_in(
-        &mut self,
-        region: u64,
-        buffer: BufferId,
-        node: NodeId,
-    ) -> OmpcResult<()> {
-        self.end_unclaimed(|owner, p| owner == region && p.buffer == buffer, None);
+    /// [`DataManager::record_write`] by a region task: the unclaimed pushes of the version it
+    /// supersedes end, and each stale copy is owed a delete.
+    pub(crate) fn supersede(&mut self, buffer: BufferId, node: NodeId) -> OmpcResult<()> {
+        self.end_unclaimed(|_, p| p.buffer == buffer, None);
         for stale in self.record_write(buffer, node)? {
-            self.owe(region, stale, [buffer], []);
+            self.owe(stale, [buffer], []);
         }
         Ok(())
     }
@@ -729,11 +724,11 @@ impl DataManager {
         copies.into_iter().filter_map(holder)
     }
 
-    /// Release every device copy of `buffer` for `region` (exit-data semantics): remove it, and
-    /// owe each holder its delete.
-    pub(crate) fn release_in(&mut self, region: u64, buffer: BufferId) {
+    /// Release every device copy of `buffer` (exit-data semantics): remove it, and owe each
+    /// holder its delete.
+    pub(crate) fn release(&mut self, buffer: BufferId) {
         for holder in self.remove(buffer) {
-            self.owe(region, holder, [buffer], []);
+            self.owe(holder, [buffer], []);
         }
     }
 
@@ -748,8 +743,8 @@ impl DataManager {
     /// version or a surviving replica. Movements towards the node stay
     /// booked, so they resolve (as failures, see [`DataManager::finish`])
     /// instead of wedging their waiters — except every push to or from the
-    /// node, whichever region booked it: that one ends here, with
-    /// [`OmpcError::NodeFailure`]. Nothing is owed to the node any more.
+    /// node: that one ends here, with [`OmpcError::NodeFailure`]. Nothing is
+    /// owed to the node any more.
     pub fn fail_node(&mut self, node: NodeId) -> OmpcResult<Vec<BufferId>> {
         if node == HEAD_NODE {
             return Err(OmpcError::InvalidConfig("the head node cannot be declared failed".into()));
@@ -775,7 +770,7 @@ impl DataManager {
             }
         }
         lost.sort_unstable();
-        self.owed.retain(|&(_, owed_to), _| owed_to != node);
+        self.owed.remove(&node);
         self.end_unclaimed(|_, p| p.to == node || p.from == node, Some(node));
         Ok(lost)
     }
@@ -828,16 +823,15 @@ impl DataManager {
 
 #[cfg(test)]
 impl DataManager {
-    /// What `region` owes, by node.
-    pub(crate) fn owed_by(&self, region: u64) -> BTreeMap<NodeId, Owed> {
-        let owed = self.owed.range((region, 0)..=(region, NodeId::MAX));
-        owed.map(|(&(_, node), owed)| (node, owed.clone())).collect()
+    /// What is owed, by node.
+    pub(crate) fn owed(&self) -> BTreeMap<NodeId, Owed> {
+        self.owed.clone()
     }
 
-    /// `region`'s unclaimed pushes.
+    /// The unclaimed pushes `region` booked.
     pub(crate) fn unclaimed_of(&self, region: u64) -> Vec<Push> {
-        let unclaimed = self.unclaimed.iter().filter(|(&(owner, ..), _)| owner == region);
-        unclaimed.map(|(_, &push)| push).collect()
+        let unclaimed = self.unclaimed.values().filter(|&&(owner, _)| owner == region);
+        unclaimed.map(|&(_, push)| push).collect()
     }
 }
 
@@ -1343,17 +1337,17 @@ mod tests {
         Other(BufferId, NodeId),
         FinishOk(BufferId, NodeId),
         FinishErr(BufferId, NodeId),
-        /// A write by a task of the walk's region.
+        /// A write by a region task.
         Write(BufferId, NodeId),
         Retrieve(BufferId),
         Fail(NodeId),
-        /// A release by the walk's region.
+        /// A release at the end of an exit-data task.
         Remove(BufferId),
         /// The walk's region books a push of the buffer's latest copy to the
         /// node, as a producer's retire does.
         Push(BufferId, NodeId),
-        /// A reader of the walk's region on the node claims its push.
-        Claim(BufferId, NodeId),
+        /// A reader of the given region on the node claims the push there.
+        Claim(u64, BufferId, NodeId),
         /// The claimant's car landed: it finishes the booking.
         Retire(BufferId, NodeId),
         /// The claimant's car never left: the booking is rolled back and the
@@ -1370,19 +1364,20 @@ mod tests {
                 Op::Plan(b, n) | Op::Other(b, n) | Op::FinishOk(b, n) | Op::FinishErr(b, n) => {
                     Some((b, n))
                 }
-                Op::Write(b, n) | Op::Push(b, n) | Op::Claim(b, n) => Some((b, n)),
+                Op::Write(b, n) | Op::Push(b, n) | Op::Claim(_, b, n) => Some((b, n)),
                 Op::Retire(b, n) | Op::Abandon(b, n) => Some((b, n)),
                 Op::Retrieve(_) | Op::Fail(_) | Op::Remove(_) | Op::EndRun => None,
             }
         }
     }
 
-    /// The walk's state: the data manager, whole, the pushes its region
-    /// claimed and has not retired or abandoned, and how it got there.
+    /// The walk's state: the data manager, whole, the pushes claimed and
+    /// not retired or abandoned, each with its claimant's region, and how it
+    /// got there.
     #[derive(Debug, Clone)]
     struct Walk {
         dm: DataManager,
-        claims: Vec<Push>,
+        claims: Vec<(u64, Push)>,
         trace: Vec<Op>,
     }
 
@@ -1420,7 +1415,7 @@ mod tests {
         /// Whether the booking of `(b, n)` is a push's: unclaimed, or
         /// claimed and not retired or abandoned.
         fn pushed(&self, b: BufferId, n: NodeId) -> bool {
-            let ours = |p: &Push| (p.buffer, p.to) == (b, n);
+            let ours = |&(_, p): &(u64, Push)| (p.buffer, p.to) == (b, n);
             self.dm.unclaimed.values().any(ours) || self.claims.iter().any(ours)
         }
 
@@ -1428,8 +1423,9 @@ mod tests {
         /// ended into a drop still owed, by channel.
         fn pushes(&self) -> Result<BTreeMap<Tag, Push>, String> {
             let owed = self.dm.owed.values().flat_map(|owed| &owed.drops);
+            let live = self.dm.unclaimed.values().chain(&self.claims).map(|(_, p)| p);
             let mut pushes = BTreeMap::new();
-            for &p in self.dm.unclaimed.values().chain(&self.claims).chain(owed) {
+            for &p in live.chain(owed) {
                 if pushes.insert(p.tag, p).is_some() {
                     return Err(format!("push {p:?} is in two places at once"));
                 }
@@ -1449,7 +1445,8 @@ mod tests {
         /// live node that is a holder — a copy still booked as moving
         /// included, that is the proof of arrival — and whatever else of the
         /// buffer is on the wire; a push leaves the buffer's latest worker
-        /// copy for another live worker; a run ends with every car retired.
+        /// copy for another live worker, and a reader of either region
+        /// claims it; a run ends with every car of its own retired.
         fn enabled(&self) -> Vec<Op> {
             let dm = &self.dm;
             let mut ops = Vec::new();
@@ -1466,17 +1463,17 @@ mod tests {
                     if latest != HEAD_NODE && latest != n && !dm.is_failed(n) {
                         ops.push(Op::Push(b, n));
                     }
-                    if dm.unclaimed.contains_key(&(WALK_REGION, b, n)) {
-                        ops.push(Op::Claim(b, n));
+                    if dm.unclaimed.contains_key(&(b, n)) {
+                        ops.extend([Op::Claim(WALK_REGION, b, n), Op::Claim(OTHER_REGION, b, n)]);
                     }
                 }
                 ops.extend([Op::Retrieve(b), Op::Remove(b)]);
             }
-            for p in &self.claims {
+            for (_, p) in &self.claims {
                 ops.extend([Op::Retire(p.buffer, p.to), Op::Abandon(p.buffer, p.to)]);
             }
             ops.extend(WALK_WORKERS.into_iter().filter(|&n| !dm.is_failed(n)).map(Op::Fail));
-            if self.claims.is_empty() {
+            if self.claims.iter().all(|&(region, _)| region != WALK_REGION) {
                 ops.push(Op::EndRun);
             }
             ops
@@ -1484,8 +1481,8 @@ mod tests {
 
         /// The claim of `(b, n)`, taken off the claimed list.
         fn take_claim(&mut self, b: BufferId, n: NodeId) -> Push {
-            let at = self.claims.iter().position(|p| (p.buffer, p.to) == (b, n));
-            self.claims.remove(at.expect("a claimed push"))
+            let at = self.claims.iter().position(|(_, p)| (p.buffer, p.to) == (b, n));
+            self.claims.remove(at.expect("a claimed push")).1
         }
 
         fn apply(&mut self, op: Op) {
@@ -1497,15 +1494,15 @@ mod tests {
                 Op::Other(b, n) => drop(dm.book(OTHER_REGION, b, n, input).unwrap()),
                 Op::FinishOk(b, n) => dm.finish(b, n, Ok(())).unwrap(),
                 Op::FinishErr(b, n) => dm.finish(b, n, Err(boom())).unwrap(),
-                Op::Write(b, n) => dm.record_write_in(WALK_REGION, b, n).unwrap(),
+                Op::Write(b, n) => dm.supersede(b, n).unwrap(),
                 Op::Retrieve(b) => dm.record_retrieve_in(WALK_REGION, b).unwrap(),
                 Op::Fail(n) => drop(dm.fail_node(n).unwrap()),
-                Op::Remove(b) => dm.release_in(WALK_REGION, b),
+                Op::Remove(b) => dm.release(b),
                 Op::Push(b, n) => {
                     let from = dm.latest(b).unwrap();
                     dm.book_push(WALK_REGION, Push { buffer: b, from, to: n, tag });
                 }
-                Op::Claim(b, n) => self.claims.push(dm.claim_push(WALK_REGION, b, n).unwrap()),
+                Op::Claim(region, b, n) => self.claims.push((region, dm.claim_push(b, n).unwrap())),
                 // A claim of a buffer released meanwhile finishes nothing.
                 Op::Retire(b, n) => {
                     self.take_claim(b, n);
@@ -1514,7 +1511,7 @@ mod tests {
                 Op::Abandon(b, n) => {
                     let push = self.take_claim(b, n);
                     let _ = self.dm.finish(b, n, Err(boom()));
-                    self.dm.owe(WALK_REGION, n, [], [push]);
+                    self.dm.owe(n, [], [push]);
                 }
                 Op::EndRun => drop(dm.end_run(WALK_REGION)),
             }
@@ -1529,9 +1526,9 @@ mod tests {
 
         /// The unclaimed pushes `last` ends, as `(region, push)`.
         fn ended_by(&self, last: Op) -> Vec<(u64, Push)> {
-            let unclaimed = self.dm.unclaimed.iter().map(|(&(region, ..), &p)| (region, p));
+            let unclaimed = self.dm.unclaimed.values().copied();
             let ends = |&(region, p): &(u64, Push)| match last {
-                Op::Write(b, _) => region == WALK_REGION && p.buffer == b,
+                Op::Write(b, _) => p.buffer == b,
                 Op::Fail(n) => p.to == n || p.from == n,
                 Op::EndRun => region == WALK_REGION,
                 _ => false,
@@ -1574,7 +1571,7 @@ mod tests {
             }
             // An unclaimed push is its region's booking of its pair, the
             // newest transfer of the pair in that region's log.
-            for (&(region, b, n), p) in &dm.unclaimed {
+            for (&(b, n), &(region, p)) in &dm.unclaimed {
                 if (p.buffer, p.to) != (b, n) {
                     return Err(format!("push {p:?} is filed under ({b}, {n})"));
                 }
@@ -1591,20 +1588,23 @@ mod tests {
             }
             // Nothing is owed to a dead node, and no push to or from one is
             // left unclaimed.
-            for (&(region, n), owed) in &dm.owed {
+            for (&n, owed) in &dm.owed {
                 if dm.failed.contains(&n) || owed == &Owed::default() {
-                    return Err(format!("region {region} owes node {n} {owed:?}"));
+                    return Err(format!("node {n} is owed {owed:?}"));
                 }
             }
-            if let Some(p) =
-                dm.unclaimed.values().find(|p| dm.is_failed(p.from) || dm.is_failed(p.to))
-            {
+            let dead = |p: &&(u64, Push)| dm.is_failed(p.1.from) || dm.is_failed(p.1.to);
+            if let Some((_, p)) = dm.unclaimed.values().find(dead) {
                 return Err(format!("push {p:?} of a dead node is unclaimed"));
             }
-            // The end of a run leaves nothing owed by its region.
+            // The end of a run leaves nothing owed, no push of its region
+            // unclaimed, and no drop of a push another region claimed.
             if last == Op::EndRun {
-                let left = dm.owed.keys().any(|&(r, _)| r == WALK_REGION);
-                if left || dm.unclaimed.keys().any(|&(r, ..)| r == WALK_REGION) {
+                let theirs = |d: &Push| self.claims.iter().any(|(_, p)| p == d);
+                if dm.owed.values().flat_map(|owed| &owed.drops).any(theirs) {
+                    return Err("the end of the run dropped another region's claim".into());
+                }
+                if !dm.owed.is_empty() || dm.unclaimed.values().any(|&(r, _)| r == WALK_REGION) {
                     return Err("the end of the run left something owed".into());
                 }
             }
@@ -1612,14 +1612,14 @@ mod tests {
             // it stays there until it is claimed and retired or its drop is
             // taken, and only a drop to a dead node is forgotten.
             let (was, is) = (before.pushes()?, self.pushes()?);
-            let claim = |b, n| before.claims.iter().find(|c| (c.buffer, c.to) == (b, n));
+            let claim =
+                |b, n| before.claims.iter().map(|(_, p)| p).find(|c| (c.buffer, c.to) == (b, n));
             let vanished = |p: &Push| match last {
                 Op::Retire(b, n) => claim(b, n) == Some(p),
                 Op::Abandon(b, n) => dm.is_failed(n) && claim(b, n) == Some(p),
-                Op::Fail(n) => p.to == n && !before.claims.contains(p),
+                Op::Fail(n) => p.to == n && !before.claims.iter().any(|(_, c)| c == p),
                 Op::EndRun => {
-                    let owed = before.dm.owed.range((WALK_REGION, 0)..=(WALK_REGION, NodeId::MAX));
-                    let owed = owed.flat_map(|(_, o)| &o.drops).any(|d| d == p);
+                    let owed = before.dm.owed.values().flat_map(|o| &o.drops).any(|d| d == p);
                     owed || before.dm.unclaimed_of(WALK_REGION).contains(p)
                 }
                 _ => false,
@@ -1687,7 +1687,7 @@ mod tests {
     /// length ≤ 6 over 2 buffers × 3 nodes (the head and two workers),
     /// breadth first (so the first counter-example is a shortest one) and
     /// deterministic — no seed. States are deduplicated on their full
-    /// `Debug` image: ~250k transitions over ~55k distinct states.
+    /// `Debug` image.
     #[test]
     fn exhaustive_walk_never_reaches_a_bad_residency_state() {
         use std::hash::{Hash, Hasher};

@@ -20,6 +20,13 @@
 //! whose reply comes home on its region execution's completion channel
 //! instead, or a release or a flush on its own (`post_task`).
 //!
+//! The device's one table of pending trains lives here, behind one lock:
+//! each node's train carries the cars of one region execution, written in
+//! lowering order, and departs before a car of another execution joins it.
+//! So a car reaches its node after every car lowered before it, across every
+//! admitted region, and a reader's wait for another tenant's bytes is an
+//! ordinary `AwaitLocal` on the worker.
+//!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler
 //! failures (unregistered kernels, missing buffers, killed nodes) come back
 //! as [`crate::types::OmpcError::RemoteEvent`] values naming the origin
@@ -28,13 +35,17 @@
 //! that died without answering), every wait is additionally bounded by
 //! [`crate::config::OmpcConfig::event_reply_timeout_ms`].
 
+use crate::data_manager::HEAD_NODE;
 use crate::protocol::{
-    EventNotification, EventRequest, Reply, TaskSpec, TaskStep, TrainFrame, CONTROL_TAG,
-    FIRST_EVENT_TAG,
+    car_reply_header, EventNotification, EventReply, EventRequest, Reply, TaskSpec, TaskStep,
+    TrainFrame, CONTROL_TAG, FIRST_EVENT_TAG,
 };
+use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, CommId, Communicator, Message, Tag};
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Counters describing the event traffic of a device lifetime.
@@ -134,12 +145,23 @@ pub(crate) struct Car {
     exchanges: usize,
 }
 
-/// One node's next task train, written as its cars are lowered
+/// The region execution a train's cars belong to: the completion channel
+/// its envelope names, and the recorder its departure is timed with (its
+/// cars are timed when spans are on).
+#[derive(Clone, Debug)]
+pub(crate) struct Envelope {
+    pub(crate) tag: Tag,
+    pub(crate) telemetry: Arc<Telemetry>,
+}
+
+/// One node's pending task train, written as its cars are lowered
 /// ([`CarWriter`]): the notification frame, and car by car what follows it
 /// on the car's own channel — host payloads, and the sources to tell their
-/// `ExchangeSend`. A departure empties the lists and keeps their room.
-#[derive(Default)]
+/// `ExchangeSend`. Every car is of the execution its envelope names. A
+/// departure empties the lists and keeps their room.
+#[derive(Debug, Default)]
 pub(crate) struct Train {
+    envelope: Option<Envelope>,
     frame: Option<TrainFrame>,
     /// The longest frame this train has sent: the next one starts that big.
     longest: usize,
@@ -149,13 +171,8 @@ pub(crate) struct Train {
 }
 
 impl Train {
-    /// The cars written so far, in lowering order.
-    pub(crate) fn cars(&self) -> &[Car] {
-        &self.cars
-    }
-
     /// Each car with the frames that follow it on its channel.
-    pub(crate) fn frames(&self) -> impl Iterator<Item = (&Car, &[Bytes], &[Exchange])> + '_ {
+    fn frames(&self) -> impl Iterator<Item = (&Car, &[Bytes], &[Exchange])> + '_ {
         let mut from = (0, 0);
         self.cars.iter().map(move |car| {
             let (payloads, exchanges) = std::mem::replace(&mut from, (car.payloads, car.exchanges));
@@ -165,14 +182,15 @@ impl Train {
 
     /// The finished notification, leaving the train to start a fresh frame
     /// with its next car.
-    pub(crate) fn take_frame(&mut self) -> Vec<u8> {
+    fn take_frame(&mut self) -> Vec<u8> {
         let frame = self.frame.take().map_or_else(Vec::new, TrainFrame::finish);
         self.longest = self.longest.max(frame.len());
         frame
     }
 
-    /// Forget every car: the train departed, or never will.
-    pub(crate) fn clear(&mut self) {
+    /// Forget every car: the train departed.
+    fn clear(&mut self) {
+        self.envelope = None;
         self.frame = None;
         self.cars.clear();
         self.payloads.clear();
@@ -180,44 +198,41 @@ impl Train {
     }
 }
 
-/// The trains of one region execution, one per node, and the envelope every
-/// frame names: the execution's completion channel, and whether its cars are
-/// timed.
-pub(crate) struct Trains {
-    tag: Tag,
-    timed: bool,
+/// The train table, locked ([`EventSystem::trains`]): held while a car is
+/// written or a train departs, never while a host task runs.
+pub(crate) struct TrainTable<'e> {
+    events: &'e EventSystem,
     /// By node id.
-    by_node: Vec<Train>,
+    trains: MutexGuard<'e, Vec<Train>>,
 }
 
-impl Trains {
-    /// Trains whose envelope names the completion channel `tag`.
-    pub(crate) fn new(tag: Tag, timed: bool) -> Self {
-        Self { tag, timed, by_node: Vec::new() }
-    }
-
-    /// Every train, leaving empty ones under the same envelope in their
-    /// place.
-    pub(crate) fn take(&mut self) -> Self {
-        let by_node = std::mem::take(&mut self.by_node);
-        Self { by_node, ..*self }
-    }
-
-    /// Start the next car of `node`'s train.
-    pub(crate) fn car(&mut self, node: NodeId) -> CarWriter<'_> {
-        if self.by_node.len() <= node {
-            self.by_node.resize_with(node + 1, Train::default);
+impl TrainTable<'_> {
+    /// Start the next car of `node`'s train, of the execution `envelope`
+    /// names. Another execution's pending train there departs first.
+    pub(crate) fn car(&mut self, node: NodeId, envelope: &Envelope) -> CarWriter<'_> {
+        if self.trains.len() <= node {
+            self.trains.resize_with(node + 1, Train::default);
         }
-        let (tag, timed) = (self.tag, self.timed);
-        let Train { frame, longest, cars, payloads, exchanges } = &mut self.by_node[node];
-        let frame = frame.get_or_insert_with(|| TrainFrame::new(tag, timed, *longest));
+        let train = &mut self.trains[node];
+        if train.envelope.as_ref().is_some_and(|pending| pending.tag != envelope.tag) {
+            self.events.depart(node, train);
+        }
+        let Train { envelope: pending, frame, longest, cars, payloads, exchanges } = train;
+        let Envelope { tag, telemetry } = pending.get_or_insert_with(|| envelope.clone());
+        let frame =
+            frame.get_or_insert_with(|| TrainFrame::new(*tag, telemetry.spans_enabled(), *longest));
         frame.begin_car();
-        CarWriter { frame, cars, payloads, exchanges, data_bearing: false, committed: false }
+        CarWriter { frame, cars, payloads, exchanges, committed: false }
     }
 
-    /// Every train with a car, by ascending node.
-    pub(crate) fn loaded(&mut self) -> impl Iterator<Item = (NodeId, &mut Train)> + '_ {
-        self.by_node.iter_mut().enumerate().filter(|(_, train)| !train.cars.is_empty())
+    /// Depart every pending train of the execution whose completion channel
+    /// is `tag`, by ascending node.
+    pub(crate) fn depart(&mut self, tag: Tag) {
+        for (node, train) in self.trains.iter_mut().enumerate() {
+            if train.envelope.as_ref().is_some_and(|pending| pending.tag == tag) {
+                self.events.depart(node, train);
+            }
+        }
     }
 }
 
@@ -229,14 +244,12 @@ pub(crate) struct CarWriter<'t> {
     cars: &'t mut Vec<Car>,
     payloads: &'t mut Vec<Bytes>,
     exchanges: &'t mut Vec<Exchange>,
-    data_bearing: bool,
     committed: bool,
 }
 
 impl CarWriter<'_> {
-    /// Append a step. A [`TaskStep::Retrieve`] makes the reply the data.
+    /// Append a step.
     pub(crate) fn step(&mut self, step: &TaskStep) {
-        self.data_bearing |= matches!(step, TaskStep::Retrieve { .. });
         self.frame.step(step);
     }
 
@@ -259,12 +272,6 @@ impl CarWriter<'_> {
     pub(crate) fn recv_from_worker(&mut self, buffer: BufferId, from: NodeId, bytes: u64) {
         self.exchanges.push((from, buffer, bytes));
         self.step(&TaskStep::RecvFromWorker { buffer, from });
-    }
-
-    /// Whether the car's reply is the data: its body is the buffer of a
-    /// [`TaskStep::Retrieve`] step.
-    pub(crate) fn returns_data(&self) -> bool {
-        self.data_bearing
     }
 
     /// The car joins its train as task `task`'s, on the channel `tag`.
@@ -324,6 +331,12 @@ pub struct EventSystem {
     counters: EventCounters,
     /// Upper bound on any single reply wait; `None` waits forever.
     reply_timeout: Option<Duration>,
+    /// The device's one train table: each node's pending train, by node id.
+    /// Cars are written in lowering order per node, across every admitted
+    /// region execution, and a train departs before a car of another
+    /// execution joins its node — so a car reaches its node after every car
+    /// lowered before it, whoever lowered that one.
+    trains: Mutex<Vec<Train>>,
 }
 
 impl EventSystem {
@@ -340,7 +353,76 @@ impl EventSystem {
             next_tag: AtomicU64::new(FIRST_EVENT_TAG),
             counters: EventCounters::default(),
             reply_timeout,
+            trains: Mutex::default(),
         }
+    }
+
+    /// The device's train table, locked. Lock order: the table, then a
+    /// lowering's state, then the data manager.
+    pub(crate) fn trains(&self) -> TrainTable<'_> {
+        TrainTable { events: self, trains: self.trains.lock() }
+    }
+
+    /// Send `node`'s train, if it has a car, and empty it. A train that does
+    /// not go out whole has each car answered with the error on its
+    /// execution's completion channel, by the head itself — so the execution
+    /// hears that its car never left, whichever execution's thread departed
+    /// the train.
+    fn depart(&self, node: NodeId, train: &mut Train) {
+        if let Some(Envelope { tag, telemetry }) = train.envelope.take() {
+            if let Err(error) = self.send_train(node, train, &telemetry) {
+                let error = EventReply::Err(error);
+                for car in &train.cars {
+                    let _ = self.comm.send(HEAD_NODE, tag, car_reply_header(car.tag, &error));
+                }
+            }
+        }
+        train.clear();
+    }
+
+    /// Emit one train's messages: its frame — every car's recipe, the
+    /// envelope naming its execution's completion channel — then each car's
+    /// frames on the car's own channel.
+    ///
+    /// Counters are accumulated locally and committed only once the whole
+    /// train is on the wire: a train that fails mid-send is failed as a
+    /// whole and its cars re-dispatched, so recording interleaved with the
+    /// sends would double-count the cars that preceded the failure.
+    /// Committing after the last send keeps per-task accounting identical
+    /// however tasks are packed into trains and across retries.
+    fn send_train(&self, node: NodeId, train: &mut Train, tel: &Telemetry) -> OmpcResult<()> {
+        if train.cars.is_empty() {
+            return Ok(());
+        }
+        let timed = tel.spans_enabled();
+        let t0 = tel.start();
+        self.send_notification(node, train.take_frame())?;
+        if timed {
+            // The envelope notification only: the cars' own frames get
+            // per-task `Send` spans below, so the buckets never count the
+            // same microsecond twice.
+            tel.record(
+                Span::new(SpanPhase::TrainFlush, HEAD_NODE, t0, monotonic_us())
+                    .detail(format!("node {node}, {} car(s)", train.cars.len())),
+            );
+        }
+        let mut sent = Frames::default();
+        for (car, payloads, exchanges) in train.frames() {
+            let send_start = tel.start();
+            let frames = self.send_frames(node, car.tag, payloads, exchanges)?;
+            if timed {
+                tel.record(
+                    Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
+                        .task(car.task)
+                        .attempt(tel.attempt(car.task))
+                        .bytes(frames.bytes),
+                );
+            }
+            sent += frames;
+        }
+        // Whole train on the wire: commit the per-car accounting.
+        self.counters.record_tasks(train.cars.len() as u64, sent);
+        Ok(())
     }
 
     /// Put one untimed event on the wire without waiting for it: allocate
@@ -492,11 +574,11 @@ impl EventSystem {
 }
 
 #[cfg(test)]
-impl Trains {
+impl TrainTable<'_> {
     /// The one car of `node`'s train, read back out of the frame: a test's
     /// view of a lowered car. The train is emptied.
     pub(crate) fn only_car(&mut self, node: NodeId) -> OmpcResult<Composite> {
-        let train = &mut self.by_node[node];
+        let train = &mut self.trains[node];
         let request = EventNotification::decode(&train.take_frame())?.request;
         let EventRequest::TaskTrain(mut cars) = request else { panic!("not a train: {request:?}") };
         assert_eq!(cars.len(), 1, "one car");

@@ -15,11 +15,12 @@
 //! * an exit-data task: one `Retrieve`, on the node the bytes come from,
 //!   whose reply is the buffer;
 //! * a host task (flushed and run right here, outside every lock), a no-op
-//!   data task, or a task bound for a dead node is [`Lowered::Done`];
-//! * a target task reading bytes another owner has on the wire towards its
-//!   node is [`Lowered::Parked`]: nothing is booked, and the transport
-//!   lowers it again once [`Lowering::awaited`] says those bookings are
-//!   over.
+//!   data task, or a task bound for a dead node is no car at all.
+//!
+//! A car is written into the device's one train table
+//! ([`EventSystem::trains`]) in the same critical section as the bookings it
+//! makes, so cars reach a node in the order their bookings were made, across
+//! every admitted region execution.
 //!
 //! Each lowering comes with its bookkeeping [`Record`] — the transfers it
 //! has booked in the [`DataManager`]'s in-flight table, the buffers it
@@ -33,23 +34,18 @@
 //!
 //! Whether bytes are on a node *yet* is the in-flight table's knowledge
 //! alone, and a reader of a copy somebody else has on the wire never plans
-//! a second transfer. Who that somebody is decides where the reader waits:
+//! a second transfer, whichever region that somebody is of: the first
+//! reader of a pushed copy claims the push, and any other reader's car
+//! carries an `AwaitLocal` step. The car that queued the receive reached the
+//! node ahead of the reader's, so the worker waits for that very receive to
+//! land or fail (first-in-first-out on the node, so even one handler thread
+//! cannot deadlock on it).
 //!
-//! * an earlier car **of this execution** has queued the receive ahead of
-//!   the reader on the same node (cars depart in lowering order) — the
-//!   reader's composite carries an `AwaitLocal` step, and the worker waits
-//!   for that very receive to land or fail (first-in-first-out on the node,
-//!   so even one handler thread cannot deadlock on it);
-//! * **another tenant** — a region admitted beside this one — has no event
-//!   queued ahead of it there: the reader parks on the head, booking
-//!   nothing, and fails at once with the transfer's own error, or is
-//!   planned afresh when the booking was invalidated on the wire.
-//!
-//! The pushes nobody claimed yet and what this region owes a node — stale
-//! and released copies to delete, pushes to drop — are the
-//! [`DataManager`]'s. A target or enter-data car takes the deletes its
-//! region owes the node as `Delete` prologue steps, and
-//! [`Lowering::flush_deletes`] sends each live node the rest in one task.
+//! The pushes nobody claimed yet and what is owed to a node — stale and
+//! released copies to delete, pushes to drop — are the [`DataManager`]'s. A
+//! target or enter-data car takes every delete owed to its node as `Delete`
+//! prologue steps, and [`Lowering::flush_deletes`] sends each live node the
+//! rest in one task.
 //!
 //! A host payload is the registry's own [`Bytes`] handle — the buffer *is*
 //! the frame: forwarded to k nodes it is one allocation held k + 1 times,
@@ -64,8 +60,8 @@ use super::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::buffer::BufferRegistry;
 use crate::cluster::HostFn;
 use crate::config::OmpcConfig;
-use crate::data_manager::{Booking, DataManager, Push, TransferReason, TransferState, HEAD_NODE};
-use crate::event::{CarWriter, EventSystem, Trains, TypedReply};
+use crate::data_manager::{Booking, DataManager, Push, TransferReason, HEAD_NODE};
+use crate::event::{CarWriter, Envelope, EventSystem, TypedReply};
 use crate::protocol::{Reply, TaskStep};
 use crate::task::{RegionGraph, TargetTask, TaskKind};
 use crate::types::{BufferId, KernelId, MapType, NodeId, OmpcError, OmpcResult, TaskId};
@@ -148,19 +144,6 @@ impl DataPath {
     }
 }
 
-/// What [`Lowering::lower_into`] made of a task.
-pub(crate) enum Lowered<C> {
-    /// Nothing to deliver: the task is complete.
-    Done,
-    /// The car `C`, written into [`Record::node`]'s train: deliver it once
-    /// its channel is open ([`CarWriter::commit`]); retire with its reply.
-    Task(C, Record),
-    /// Another owner has these inputs on the wire towards the task's node:
-    /// nothing was booked — lower the task again once
-    /// [`Lowering::awaited`] says so.
-    Parked(Vec<BufferId>),
-}
-
 /// What the head must settle when a lowered task's reply arrives.
 #[derive(Default)]
 pub(crate) struct Record {
@@ -184,6 +167,12 @@ impl Record {
     /// the node the bytes come from.
     pub(crate) fn node(&self) -> NodeId {
         self.node
+    }
+
+    /// Whether the car's reply is the data: its body is the buffer of an
+    /// exit-data car's [`TaskStep::Retrieve`] step.
+    pub(crate) fn returns_data(&self) -> bool {
+        matches!(self.kind, RecordKind::ExitData { .. })
     }
 }
 
@@ -228,8 +217,8 @@ impl State {
     }
 }
 
-/// The lowering of one region execution. `state` is taken before the data
-/// manager, never after.
+/// The lowering of one region execution. `state` is taken after the train
+/// table and before the data manager, never the other way round.
 pub(crate) struct Lowering {
     pub(super) path: DataPath,
     /// Transfer-log namespace of this execution: the region epoch issued at
@@ -238,6 +227,9 @@ pub(crate) struct Lowering {
     pub(super) graph: Arc<RegionGraph>,
     host_fns: HashMap<usize, HostFn>,
     pub(super) config: OmpcConfig,
+    /// What every train of this execution's cars names: its completion
+    /// channel, opened with the lowering, and its recorder.
+    pub(super) envelope: Envelope,
     state: Mutex<State>,
 }
 
@@ -252,9 +244,12 @@ impl Lowering {
         config: &OmpcConfig,
     ) -> OmpcResult<Self> {
         config.fault_plan.validate_task_errors(graph.len())?;
+        let tag = path.events.open_channel();
+        let envelope = Envelope { tag, telemetry: Arc::clone(&path.telemetry) };
         Ok(Self {
             path,
             region,
+            envelope,
             graph,
             host_fns,
             config: config.clone(),
@@ -263,31 +258,33 @@ impl Lowering {
     }
 
     /// Lower task `tid`, assigned to `node`, writing its car into the train
-    /// of the node it goes to. `Err` is a head-side task failure (a
-    /// rejected plan, a failed host flush, a panicking host body) with
-    /// nothing left to roll back.
-    pub(crate) fn lower_into<'t>(
-        &self,
-        tid: usize,
-        node: NodeId,
-        trains: &'t mut Trains,
-    ) -> OmpcResult<Lowered<CarWriter<'t>>> {
+    /// of the node it goes to: the car's channel — its reply names it — and
+    /// what to settle with the reply, or `None` when the task is complete
+    /// with no car. `Err` is a head-side task failure (a rejected plan, a
+    /// failed host flush, a panicking host body) with nothing left to roll
+    /// back.
+    pub(crate) fn lower_into(&self, tid: usize, node: NodeId) -> OmpcResult<Option<(Tag, Record)>> {
         if node != HEAD_NODE && self.path.dm.lock().is_failed(node) {
             // The failure injector killed this node: the task completes as
             // a no-op whose (stale) completion the core discards and
             // restarts on a survivor.
-            return Ok(Lowered::Done);
+            return Ok(None);
         }
         let task = self.graph.task(TaskId(tid));
         match &task.kind {
-            TaskKind::Host { .. } => self.run_host_task(tid, task).map(|()| Lowered::Done),
-            TaskKind::EnterData { .. } if node == HEAD_NODE => Ok(Lowered::Done),
-            TaskKind::EnterData { buffer, map } => {
-                self.lower_enter(tid, node, *buffer, *map, trains)
-            }
-            TaskKind::ExitData { buffer, map } => Ok(self.lower_exit(node, *buffer, *map, trains)),
-            TaskKind::Target { kernel, .. } => self.lower_target(tid, node, task, *kernel, trains),
+            TaskKind::Host { .. } => self.run_host_task(tid, task).map(|()| None),
+            TaskKind::EnterData { .. } if node == HEAD_NODE => Ok(None),
+            TaskKind::EnterData { buffer, map } => self.lower_enter(tid, node, *buffer, *map),
+            TaskKind::ExitData { buffer, map } => Ok(self.lower_exit(tid, node, *buffer, *map)),
+            TaskKind::Target { kernel, .. } => self.lower_target(tid, node, task, *kernel),
         }
+    }
+
+    /// `car` joins its train as task `tid`'s, on a channel of its own.
+    fn commit(&self, car: CarWriter, tid: usize) -> Tag {
+        let tag = self.path.events.open_channel();
+        car.commit(tid, tag);
+        tag
     }
 
     /// A host task reads through the head's buffer registry, so every read
@@ -324,27 +321,27 @@ impl Lowering {
     /// its way (OpenMP present-table semantics: re-entering mapped data does
     /// not copy; the first reader awaits a booked transfer). The car takes
     /// the node's deferred deletes ahead of its receive, as a target car does.
-    fn lower_enter<'t>(
+    fn lower_enter(
         &self,
         tid: usize,
         node: NodeId,
         buffer: BufferId,
         map: MapType,
-        trains: &'t mut Trains,
-    ) -> OmpcResult<Lowered<CarWriter<'t>>> {
+    ) -> OmpcResult<Option<(Tag, Record)>> {
         /// The one step the car carries after its deletes.
         enum Input {
             Head(Bytes),
             Worker(NodeId, u64),
             Alloc(u64),
         }
+        let mut trains = self.path.events.trains();
         let mut state = self.state.lock();
         let mut dm = self.path.dm.lock();
         let input = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
                 let reason = TransferReason::EnterData;
                 match dm.book(self.region, buffer, node, reason)? {
-                    Booking::Present | Booking::Await => return Ok(Lowered::Done),
+                    Booking::Present | Booking::Await => return Ok(None),
                     Booking::Move(plan) if plan.from != HEAD_NODE => {
                         let bytes = self.path.buffers.size_of(buffer).unwrap_or(0) as u64;
                         Input::Worker(plan.from, bytes)
@@ -361,10 +358,10 @@ impl Lowering {
             MapType::Alloc if !dm.is_present(buffer, node) => {
                 Input::Alloc(self.path.buffers.size_of(buffer)? as u64)
             }
-            MapType::Alloc | MapType::From | MapType::Release => return Ok(Lowered::Done),
+            MapType::Alloc | MapType::From | MapType::Release => return Ok(None),
         };
-        let mut car = trains.car(node);
-        let deletes = dm.take_owed_deletes(self.region, node);
+        let mut car = trains.car(node, &self.envelope);
+        let deletes = dm.take_owed_deletes(node);
         drop(dm);
         for &buffer in &deletes {
             car.step(&TaskStep::Delete { buffer });
@@ -380,19 +377,21 @@ impl Lowering {
         state.owned.extend(replica.is_none().then_some(buffer));
         let owned = from..state.owned.len();
         let kind = RecordKind::EnterData { replica };
-        Ok(Lowered::Task(car, Record { node, owned, deletes, kind, ..Record::default() }))
+        let record = Record { node, owned, deletes, kind, ..Record::default() };
+        Ok(Some((self.commit(car, tid), record)))
     }
 
     /// A read-only plan: the latest-on-head commit (and its log entry)
     /// happens in [`Lowering::retire`] once the bytes arrived, so a source
     /// that dies mid-retrieval leaves the location state truthful.
-    fn lower_exit<'t>(
+    fn lower_exit(
         &self,
+        tid: usize,
         node: NodeId,
         buffer: BufferId,
         map: MapType,
-        trains: &'t mut Trains,
-    ) -> Lowered<CarWriter<'t>> {
+    ) -> Option<(Tag, Record)> {
+        let mut trains = self.path.events.trains();
         let (from, keep_resident) = {
             let dm = self.path.dm.lock();
             let copies = map.copies_from_device();
@@ -411,55 +410,44 @@ impl Lowering {
         };
         match from {
             Some(from) => {
-                let mut car = trains.car(from);
+                let mut car = trains.car(from, &self.envelope);
                 car.step(&TaskStep::Retrieve { buffer });
                 let kind = RecordKind::ExitData { buffer, release: !keep_resident };
-                Lowered::Task(car, Record { node: from, kind, ..Record::default() })
+                Some((self.commit(car, tid), Record { node: from, kind, ..Record::default() }))
             }
             None => {
                 if !keep_resident {
-                    self.path.dm.lock().release_in(self.region, buffer);
+                    self.path.dm.lock().release(buffer);
                 }
-                Lowered::Done
+                None
             }
         }
     }
 
-    fn lower_target<'t>(
+    fn lower_target(
         &self,
         tid: usize,
         node: NodeId,
         task: &TargetTask,
         kernel: KernelId,
-        trains: &'t mut Trains,
-    ) -> OmpcResult<Lowered<CarWriter<'t>>> {
+    ) -> OmpcResult<Option<(Tag, Record)>> {
         // Injected task error (fault plan): execute a deliberately
         // unregistered kernel so a genuine worker-side handler error
         // exercises the reply path end to end.
         let kernel =
             if self.config.fault_plan.has_task_error(tid) { POISONED_KERNEL } else { kernel };
+        let mut trains = self.path.events.trains();
         let mut state = self.state.lock();
         // Plan the whole task under one acquisition of the data manager: a
-        // co-located reader lowered later either sees our booking (and
-        // awaits the arrival) or plans its own transfer.
+        // co-located reader lowered later — of any region — either sees our
+        // booking (and awaits the arrival) or plans its own transfer.
         let mut dm = self.path.dm.lock();
-        // Only another tenant's booking parks a task: with no other region
-        // admitted beside this one, there is none.
-        if self.config.admission_limit() > 1 {
-            let awaiting: Vec<BufferId> = (task.dependences.iter())
-                .filter(|d| d.dep_type.reads() && self.foreign_inflight(&dm, d.buffer, node))
-                .map(|d| d.buffer)
-                .collect();
-            if !awaiting.is_empty() {
-                return Ok(Lowered::Parked(awaiting));
-            }
-        }
         let pushes = self.plan_pushes(&mut state, &dm, tid, node);
         // The car: the deletes it carries — ahead of any receive of the same
         // buffer, at no extra round trip — a step per dependence at most, the
         // kernel and the pushes.
-        let mut car = trains.car(node);
-        let deletes = dm.take_owed_deletes(self.region, node);
+        let mut car = trains.car(node, &self.envelope);
+        let deletes = dm.take_owed_deletes(node);
         for &buffer in &deletes {
             car.step(&TaskStep::Delete { buffer });
         }
@@ -474,7 +462,7 @@ impl Lowering {
         }
         let record = Record { node, owned, claims, pushes, deletes, kind: RecordKind::Target };
         match planned {
-            Ok(()) => Ok(Lowered::Task(car, record)),
+            Ok(()) => Ok(Some((self.commit(car, tid), record))),
             Err(error) => {
                 // A rejected plan (an unknown buffer) aborts the task: its
                 // car leaves the train, and what was already booked is
@@ -487,8 +475,7 @@ impl Lowering {
     }
 
     /// Plan every input of a task on `node`, and storage for its write-only
-    /// outputs. Another owner's booking of an input never reaches here
-    /// ([`Lowering::foreign_inflight`]).
+    /// outputs.
     fn plan_inputs(
         &self,
         state: &mut State,
@@ -504,7 +491,7 @@ impl Lowering {
         // Write-only outputs: make sure storage exists on the node — an unclaimed copy
         // pushed here will do. It becomes the buffer's one holder when the write is recorded.
         for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
-            let push = dm.claim_push(self.region, dep.buffer, node);
+            let push = dm.claim_push(dep.buffer, node);
             if !state.claimed(car, push) && !dm.is_present(dep.buffer, node) {
                 let size = self.path.buffers.size_of(dep.buffer)? as u64;
                 car.step(&TaskStep::Alloc { buffer: dep.buffer, size });
@@ -540,40 +527,9 @@ impl Lowering {
         from..pushes.len()
     }
 
-    /// Whether another region execution has `buffer` on the wire towards
-    /// `node`: a task reading it cannot await the bytes on the worker, where
-    /// no event of theirs is queued ahead of it.
-    fn foreign_inflight(&self, dm: &DataManager, buffer: BufferId, node: NodeId) -> bool {
-        matches!(
-            dm.transfer_state(buffer, node),
-            TransferState::InFlight(region) if region != self.region
-        )
-    }
-
-    /// Where the bookings a [`Lowered::Parked`] task on `node` awaits stand:
-    /// `None` while another owner still has one of `buffers` on the wire,
-    /// the transfer's own error — blame included — when one failed, and
-    /// `Ok` once the task may be lowered again (the bytes arrived, the
-    /// booking was invalidated on the wire and is planned afresh, or the
-    /// node died and the task lowers to nothing).
-    pub(crate) fn awaited(&self, node: NodeId, buffers: &[BufferId]) -> Option<OmpcResult<()>> {
-        let dm = self.path.dm.lock();
-        if dm.is_failed(node) {
-            return Some(Ok(()));
-        }
-        if buffers.iter().any(|&buffer| self.foreign_inflight(&dm, buffer, node)) {
-            return None;
-        }
-        let failed = buffers.iter().find_map(|&buffer| match dm.transfer_state(buffer, node) {
-            TransferState::Invalid(Some(error)) => Some(error),
-            _ => None,
-        });
-        Some(failed.map_or(Ok(()), Err))
-    }
-
     /// Plan one input of a task on `node`: a receive step this task owns (a
-    /// claim, a transfer), an await of bytes an earlier task of this
-    /// execution has queued ahead of it on the node, or nothing.
+    /// claim, a transfer), an await of bytes an earlier car — of any region
+    /// execution — has queued ahead of it on the node, or nothing.
     fn plan_read(
         &self,
         state: &mut State,
@@ -588,9 +544,7 @@ impl Lowering {
         let plan = match dm.book(self.region, buffer, node, TransferReason::Input)? {
             Booking::Present => return Ok(()),
             // The first reader of a pushed copy claims it, later ones await.
-            Booking::Await if state.claimed(car, dm.claim_push(self.region, buffer, node)) => {
-                return Ok(())
-            }
+            Booking::Await if state.claimed(car, dm.claim_push(buffer, node)) => return Ok(()),
             Booking::Await => {
                 // The receive lands or fails by itself; the reply time-out
                 // is only the last resort.
@@ -665,7 +619,7 @@ impl Lowering {
                 // the next car headed their way.
                 let deps = self.graph.task(TaskId(task)).dependences.iter();
                 for buffer in deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer) {
-                    dm.record_write_in(self.region, buffer, node)?;
+                    dm.supersede(buffer, node)?;
                 }
                 // Its own pushes are booked as its readers' input transfers:
                 // a data movement each, but no event.
@@ -691,7 +645,7 @@ impl Lowering {
                 })?;
                 self.path.commit(node, buffer, data, t0, &how)?;
                 if release {
-                    self.path.dm.lock().release_in(self.region, buffer);
+                    self.path.dm.lock().release(buffer);
                 }
             }
         }
@@ -716,19 +670,24 @@ impl Lowering {
         }
         // A car that reached the worker ran its deletes first: they cannot fail.
         let deletes = if unsent { deletes } else { Vec::new() };
-        dm.owe(self.region, node, deletes, state.claims[claims].iter().copied());
+        dm.owe(node, deletes, state.claims[claims].iter().copied());
     }
 
     /// The end of the run ([`DataManager::end_run`]): each live node gets one task
-    /// ([`super::delete_device_copies`]) with the deletes no car carried and the drops of the
-    /// copies nobody claimed. Every live node is attempted; what a node did not acknowledge
-    /// stays owed to it, and the first error is returned.
+    /// ([`super::delete_device_copies`]) with everything still owed to it — the deletes no
+    /// car carried, the drops of the copies nobody claimed — whichever region it is owed for.
+    /// Every live node is attempted; what a node did not acknowledge stays owed to it, and the
+    /// first error is returned.
     pub(crate) fn flush_deletes(&self) -> OmpcResult<()> {
+        // Taken and posted under the train table: each node's task reaches it behind every car
+        // lowered before it and ahead of every car lowered after, whichever region lowered it.
+        let trains = self.path.events.trains();
         let owed = self.path.dm.lock().end_run(self.region);
-        let failed = super::delete_device_copies(&self.path.events, &self.path.telemetry, &owed);
+        let (events, telemetry) = (&self.path.events, &self.path.telemetry);
+        let failed = super::delete_device_copies(events, telemetry, &owed, Some(trains));
         let mut dm = self.path.dm.lock();
         for (node, owed) in owed.iter().filter(|(node, _)| failed.iter().any(|(n, _)| n == node)) {
-            dm.owe(self.region, *node, owed.deletes.iter().copied(), owed.drops.iter().copied());
+            dm.owe(*node, owed.deletes.iter().copied(), owed.drops.iter().copied());
         }
         super::first_error(failed)
     }
@@ -763,25 +722,22 @@ use crate::event::Composite;
 
 #[cfg(test)]
 impl Lowering {
-    /// [`Lowering::lower_into`] a train of its own, and the car read back
-    /// out of its frame: a test's view of one lowered task.
-    pub(crate) fn lower(&self, tid: usize, node: NodeId) -> OmpcResult<Lowered<Composite>> {
-        let mut trains = Trains::new(Tag(0), false);
-        let record = match self.lower_into(tid, node, &mut trains)? {
-            Lowered::Task(car, record) => {
-                car.commit(tid, Tag(0));
-                record
-            }
-            Lowered::Done => return Ok(Lowered::Done),
-            Lowered::Parked(awaiting) => return Ok(Lowered::Parked(awaiting)),
-        };
-        Ok(Lowered::Task(trains.only_car(record.node())?, record))
+    /// [`Lowering::lower_into`], and the car read back out of its train's
+    /// frame, which is emptied: a test's view of one lowered task.
+    pub(crate) fn lower(
+        &self,
+        tid: usize,
+        node: NodeId,
+    ) -> OmpcResult<Option<(Composite, Record)>> {
+        let Some((_, record)) = self.lower_into(tid, node)? else { return Ok(None) };
+        Ok(Some((self.path.events.trains().only_car(record.node())?, record)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data_manager::TransferState;
     use crate::types::Dependence;
     use ompc_mpi::World;
     use std::sync::atomic::Ordering;
@@ -834,20 +790,17 @@ mod tests {
     const EXIT: usize = 8;
 
     fn lower_task(low: &Lowering, task: usize, node: NodeId) -> (Composite, Record) {
-        match low.lower(task, node).unwrap() {
-            Lowered::Task(work, record) => (work, record),
-            _ => panic!("task {task} must lower to a composite"),
-        }
+        low.lower(task, node).unwrap().expect("a task that lowers to a composite")
     }
 
-    /// The deletes the fixture's region owes `node`.
+    /// The deletes owed to `node`.
     fn deletes_owed(low: &Lowering, node: NodeId) -> Option<std::collections::BTreeSet<BufferId>> {
-        low.path.dm.lock().owed_by(low.region).remove(&node).map(|owed| owed.deletes)
+        low.path.dm.lock().owed().remove(&node).map(|owed| owed.deletes)
     }
 
-    /// The pushes the fixture's region owes a drop, by node.
+    /// The pushes owed a drop, by node.
     fn drops(low: &Lowering) -> Vec<Push> {
-        let owed = low.path.dm.lock().owed_by(low.region);
+        let owed = low.path.dm.lock().owed();
         owed.into_values().flat_map(|owed| owed.drops).collect()
     }
 
@@ -986,7 +939,7 @@ mod tests {
     fn an_enter_car_carries_the_delete_it_owes_ahead_of_its_receive() {
         let Fixture { low, a, .. } = &fixture();
         let owed = |low: &Lowering| deletes_owed(low, 1);
-        let stale = || low.path.dm.lock().owe(1, 1, [*a], []);
+        let stale = || low.path.dm.lock().owe(1, [*a], []);
         stale();
         let (work, record) = lower_task(low, ENTER, 1);
         let expected = vec![TaskStep::Delete { buffer: *a }, TaskStep::RecvFromHead { buffer: *a }];
@@ -1082,13 +1035,17 @@ mod tests {
         ));
 
         // Region 2's reader on the node region 1's bytes are travelling to
-        // awaits them instead of computing on whatever is there now — on the
-        // head, booking nothing: none of its events is queued ahead of the
-        // reader on the node ...
-        let parked = second.lower(1, 1).unwrap();
-        assert!(matches!(&parked, Lowered::Parked(awaiting) if awaiting == &[*a]));
-        assert_eq!(second.awaited(1, &[*a]), None, "region 1's transfer is still on the wire");
+        // awaits them on the worker instead of computing on whatever is
+        // there now, as a reader of region 1 would: region 1's car reaches
+        // the node first. It books nothing ...
+        let (waiter, _record) = lower_task(&second, 1, 1);
+        assert!(
+            matches!(&waiter.steps[..], [TaskStep::AwaitLocal { buffer, .. }, TaskStep::Execute { .. }] if buffer == a),
+            "unexpected steps: {:?}",
+            waiter.steps
+        );
         assert_eq!(low.path.dm.lock().transfer_log().len(), 1, "no second log record");
+        assert_eq!(inflight_entries(low), 1);
         // ... and its reader on another node is an ordinary plan of its own.
         let (work, _record) = lower_task(&second, 0, 2);
         assert!(
@@ -1097,16 +1054,44 @@ mod tests {
             work.steps
         );
 
-        // Region 1's transfer fails: region 2's waiter gets that very error,
-        // and whoever lowers a reader next moves the bytes again.
+        // Region 1's transfer fails: the error stays on the pair (region 2's
+        // waiter hears it from the receive itself, on the worker), and
+        // whoever lowers a reader next moves the bytes again.
         let boom = OmpcError::Communication("link down".into());
         assert_eq!(low.retire(0, owner, Err(boom.clone())), Err(boom.clone()));
-        assert_eq!(second.awaited(1, &[*a]), Some(Err(boom)));
+        assert_eq!(low.path.dm.lock().transfer_state(*a, 1), TransferState::Invalid(Some(boom)));
         let (again, _record) = lower_task(&tenant(3), 0, 1);
         assert!(matches!(
             &again.steps[..],
             [TaskStep::RecvFromHead { .. }, TaskStep::Execute { .. }]
         ));
+    }
+
+    /// Region 2's reader on a node region 1 pushed a copy to claims that
+    /// push: the claimant finishes the booking, and region 1's end of run
+    /// owes a drop only for the push nobody claimed.
+    #[test]
+    fn a_reader_of_another_region_claims_a_push_its_owner_then_owes_no_drop_for() {
+        let Fixture { low, a, .. } = &fixture();
+        let a = *a;
+        let graph = Arc::clone(&low.graph);
+        let second =
+            Lowering::new(low.path.clone(), 2, graph, HashMap::new(), &low.config).unwrap();
+        low.assign(&READERS_SPREAD);
+        let (work, record) = lower_task(low, 2, 1);
+        low.retire(2, record, Ok(Reply::default())).unwrap();
+
+        let (car, claimant) = lower_task(&second, 3, 2);
+        let tag = push_channel(&work.steps, 2);
+        assert_eq!(car.steps[0], TaskStep::Claim { buffer: a, from: 1, tag }, "{:?}", car.steps);
+        assert!(car.payloads.is_empty() && car.exchanges.is_empty(), "the head sends nothing");
+        second.retire(3, claimant, Ok(Reply::default())).unwrap();
+        assert_eq!(low.path.dm.lock().transfer_state(a, 2), TransferState::Resident);
+
+        let owed = low.path.dm.lock().end_run(1);
+        let dropped: Vec<_> = owed.iter().flat_map(|(_, owed)| &owed.drops).map(|p| p.to).collect();
+        assert_eq!(dropped, vec![3], "the claimed push is region 2's, finished");
+        assert_eq!(forwards(low), vec![(1, 2)], "the claimed push stays on record");
     }
 
     #[test]
@@ -1147,8 +1132,8 @@ mod tests {
         let out = BufferId(a.0 + 1);
         {
             let mut dm = low.path.dm.lock();
-            dm.owe(1, 1, [*a], []);
-            dm.owe(1, 2, [*a, out], []);
+            dm.owe(1, [*a], []);
+            dm.owe(2, [*a, out], []);
         }
         let memory = crate::worker::DeviceMemory::new();
         memory.store(*a, vec![7u8; 32].into());
@@ -1174,7 +1159,7 @@ mod tests {
         // the first flush's task per node are all the tasks there are.
         low.path.dm.lock().fail_node(1).unwrap();
         assert_eq!(low.flush_deletes(), Ok(()));
-        assert!(low.path.dm.lock().owed_by(1).is_empty());
+        assert!(low.path.dm.lock().owed().is_empty());
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 2);
     }
 
@@ -1361,7 +1346,7 @@ mod tests {
         low.assign(&READERS_SPREAD);
         let (work, record) = lower_task(low, 2, 1);
         low.retire(2, record, Ok(Reply::default())).unwrap();
-        low.path.dm.lock().owe(1, 2, [a], []);
+        low.path.dm.lock().owe(2, [a], []);
         let memory = DeviceMemory::new();
         memory.store(a, vec![7u8; 32].into());
         let kernels = crate::kernel::KernelRegistry::new();
@@ -1386,12 +1371,12 @@ mod tests {
         assert!(memory.is_empty());
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 2);
         assert!(low.path.dm.lock().unclaimed_of(1).is_empty() && drops(low).is_empty());
-        assert!(low.path.dm.lock().owed_by(1).is_empty());
+        assert!(low.path.dm.lock().owed().is_empty());
         assert_eq!(forwards(low), Vec::new(), "the unclaimed pushes' records are withdrawn");
     }
 
     #[test]
-    fn a_region_carries_and_flushes_only_what_it_owes_and_a_death_ends_every_push() {
+    fn a_node_is_sent_all_it_is_owed_and_a_death_ends_every_push() {
         use crate::protocol::{EventRequest, TaskSpec};
         let Fixture { low, a, _world: world } = &fixture();
         let (a, out) = (*a, BufferId(a.0 + 1));
@@ -1399,7 +1384,8 @@ mod tests {
         let graph = Arc::clone(&low.graph);
         let second = Lowering::new(low.path.clone(), 2, graph, HashMap::new(), &config).unwrap();
         // Region 1's producer pushes `a` from node 1 to nodes 2 and 3; region 2
-        // pushes `out` from node 1 to node 3, and owes node 2 a delete.
+        // pushes `out` from node 1 to node 3, and node 2 is owed a delete of
+        // `out`.
         low.assign(&READERS_SPREAD);
         let (work, record) = lower_task(low, 2, 1);
         low.retire(2, record, Ok(Reply::default())).unwrap();
@@ -1408,18 +1394,23 @@ mod tests {
             let mut dm = low.path.dm.lock();
             dm.record_write(out, 1).unwrap();
             assert!(dm.book_push(2, theirs));
-            dm.owe(2, 2, [out], []);
+            dm.owe(2, [out], []);
         }
 
-        // Region 1's car to node 2 claims its own push, and carries no delete
-        // of region 2's: the two regions' cars leave in no fixed order.
+        // Region 1's car to node 2 claims its push, after the delete owed
+        // there, whichever region's write left it: cars reach a node in the
+        // order they were lowered.
         let (car, _record) = lower_task(low, 3, 2);
-        assert!(matches!(car.steps[0], TaskStep::Claim { buffer, .. } if buffer == a));
-        assert!(!car.steps.iter().any(|s| matches!(s, TaskStep::Delete { .. })), "{:?}", car.steps);
-        assert_eq!(deletes_owed(&second, 2), Some([out].into_iter().collect()));
+        assert!(
+            matches!(car.steps[..], [TaskStep::Delete { buffer: deleted }, TaskStep::Claim { buffer, .. }, ..] if deleted == out && buffer == a),
+            "{:?}",
+            car.steps
+        );
+        assert_eq!(deletes_owed(&second, 2), None);
 
-        // Region 1's end of run drops its own unclaimed push to node 3 and
-        // nothing else: region 2's push and delete stay where they are.
+        // Region 1's end of run ends its own unclaimed push to node 3 and
+        // sends node 3 all it is owed, that push's drop; region 2's push
+        // there stays unclaimed.
         let request = std::thread::scope(|scope| {
             let three = scope.spawn(|| {
                 let notification = next_event(world, 3);
@@ -1437,7 +1428,6 @@ mod tests {
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 1);
         assert_eq!(low.path.dm.lock().unclaimed_of(2), vec![theirs]);
         assert_eq!(low.path.dm.lock().transfer_state(out, 3), TransferState::InFlight(2));
-        assert_eq!(deletes_owed(&second, 2), Some([out].into_iter().collect()));
 
         // The producer runs again, and node 3 dies before anybody claimed
         // either region's push there: one death ends both, with its failure.
@@ -1449,17 +1439,17 @@ mod tests {
         let dead = TransferState::Invalid(Some(OmpcError::NodeFailure(3)));
         assert_eq!((dm.transfer_state(a, 3), dm.transfer_state(out, 3)), (dead.clone(), dead));
         assert!(dm.unclaimed_of(1).is_empty() && dm.unclaimed_of(2).is_empty());
-        assert!(!dm.owed_by(1).contains_key(&3) && !dm.owed_by(2).contains_key(&3));
-        assert_eq!(dm.owed_by(2).get(&2).map(|owed| owed.deletes.len()), Some(1));
+        assert!(!dm.owed().contains_key(&3));
+        // What node 2 is owed — the delete of the copy the rewrite made
+        // stale — outlives node 3.
+        assert_eq!(dm.owed().get(&2).map(|owed| owed.deletes.len()), Some(1));
     }
 
     #[test]
     fn a_task_on_a_dead_node_lowers_to_nothing() {
         let Fixture { low, .. } = &fixture();
         low.path.dm.lock().fail_node(2).unwrap();
-        assert!(matches!(low.lower(0, 2), Ok(Lowered::Done)));
+        assert!(matches!(low.lower(0, 2), Ok(None)));
         assert!(low.path.dm.lock().transfer_log().is_empty());
-        // A task parked towards the dead node waits for nothing any more.
-        assert_eq!(low.awaited(2, &[BufferId(0)]), Some(Ok(())));
     }
 }

@@ -49,7 +49,7 @@ pub use telemetry::{
 use crate::buffer::BufferRegistry;
 use crate::config::OmpcConfig;
 use crate::data_manager::{DataManager, Owed, TransferReason, TransferRecord, HEAD_NODE};
-use crate::event::{Composite, EventSystem};
+use crate::event::{Composite, EventSystem, TrainTable};
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
 use crate::protocol::TaskStep;
@@ -71,10 +71,13 @@ pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 /// nodes that did not acknowledge come back with their error, so the caller
 /// can keep owing them. At [`TelemetryLevel::Spans`] every task leaves an
 /// [`SpanPhase::ExitData`] span on its node, the buffer count as its detail.
+/// `trains`, when given, is the locked train table, released once every
+/// task is posted.
 pub(crate) fn delete_device_copies(
     events: &EventSystem,
     telemetry: &Telemetry,
     owed: &[(NodeId, Owed)],
+    trains: Option<TrainTable>,
 ) -> Vec<(NodeId, OmpcError)> {
     let t0 = telemetry.start();
     let mut failed = Vec::new();
@@ -88,6 +91,7 @@ pub(crate) fn delete_device_copies(
             Err(error) => failed.push((*node, error)),
         }
     }
+    drop(trains);
     for (channel, count) in posted {
         match events.await_reply(&channel) {
             Ok(_) if telemetry.spans_enabled() => telemetry.record(
@@ -125,7 +129,7 @@ pub(crate) fn release_device_copies(
         }
     }
     let owed: Vec<_> = owed.into_iter().collect();
-    first_error(delete_device_copies(events, telemetry, &owed))
+    first_error(delete_device_copies(events, telemetry, &owed, None))
 }
 
 /// What a release reports when some node did not acknowledge: the first

@@ -14,37 +14,38 @@
 //! with exactly one typed reply when the last step finished — success or a
 //! typed error naming the node and event.
 //!
-//! **Waiting for someone else's bytes.** An `AwaitLocal` step only ever
-//! names a receive an earlier car of this execution queued ahead of it on
-//! the same node — cars depart in lowering order — so the worker resolves
-//! it in arrival order. A task whose input another tenant has on the wire
-//! (a region admitted beside this one) is *parked* here instead:
-//! nothing is booked or sent, the completion loop keeps running, and the
-//! task is lowered again — or failed with the transfer's own error — once
-//! the lowering says the booking is over.
+//! **Waiting for someone else's bytes.** An `AwaitLocal` step names a
+//! receive a car queued ahead of it on the same node — this execution's or
+//! another tenant's (a region admitted beside this one): the device keeps
+//! one train table, and a node's pending train departs before a car of
+//! another execution joins it, so cars reach a node in lowering order. The
+//! worker resolves the wait in arrival order; nothing waits on the head.
 //!
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
 //! send a task immediately. The lowering writes the car into its destination
 //! node's train — the node the bytes come from, for an exit-data task —
 //! straight into the frame the train will depart as, and the train departs
-//! when the dispatch window closes (the core calls `await_completions`).
+//! when the dispatch window closes (the core calls `await_completions`), or
+//! earlier, when another execution writes a car to its node. A run that
+//! aborts departs its trains too: a car leaves the table only by departing.
 //! Every departure is one [`crate::protocol::EventRequest::TaskTrain`]
 //! notification, a train of one car included. Each car keeps its own channel
 //! for its payloads and forwards, and its reply names it, so per-task typed
 //! errors, zombie-gate refusals, and fault blame survive batching unchanged.
+//! A train that fails to go out has each car answered with the error by the
+//! head itself, on its own execution's completion channel.
 //!
-//! **A completion channel per region execution**: the driver opens one tag
-//! when the execution starts, and every train envelope names it. Each car's
-//! one typed reply arrives there, led by the car's tag
+//! **A completion channel per region execution**: the lowering opens one
+//! tag when the execution starts, and every train envelope names it. Each
+//! car's one typed reply arrives there, led by the car's tag
 //! ([`crate::protocol::car_reply_header`]) — the reply *is* the completion
 //! notice — so the head waits with one posted receive on its
 //! own channel and resolves a car with the one message: work proportional
 //! to messages arrived, not tasks outstanding. Concurrent region executions
 //! need no demultiplexer: no two share a channel, and the mailbox's matching
-//! hands each reply to the one driver waiting for it. Only while a task is
-//! parked is the wait cut every `PROBE_INTERVAL` to look at the bookings it
-//! awaits again. [`crate::config::OmpcConfig::event_reply_timeout_ms`]
-//! remains the last-resort bound on a reply that can never arrive.
+//! hands each reply to the one driver waiting for it. The wait is cut only
+//! by [`crate::config::OmpcConfig::event_reply_timeout_ms`], the last-resort
+//! bound on a reply that can never arrive.
 //!
 //! Tag layout: new-event notifications travel on the reserved
 //! [`crate::protocol::CONTROL_TAG`]; every car, every completion channel and
@@ -58,22 +59,15 @@
 //! the core restarts, never a hang.
 
 use super::fault::LostBuffer;
-use super::lowering::{Lowered, Lowering, Record};
+use super::lowering::{Lowering, Record};
 use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
-use crate::event::{Car, Frames, Train, Trains};
 use crate::protocol::{split_car_reply, Reply};
-use crate::types::{BufferId, NodeId, OmpcError, OmpcResult};
+use crate::types::{NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Communicator, Message, MpiError, Tag};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-/// How long the completion wait runs before looking again while a task is
-/// parked on another owner's booking (which finishes on the head, with no
-/// message to wake the driver). Small enough to keep the parked task's
-/// latency negligible, large enough not to spin a core.
-const PROBE_INTERVAL: Duration = Duration::from_micros(100);
 
 /// Bound on draining the cars still outstanding after a failed run, when no
 /// [`crate::config::OmpcConfig::event_reply_timeout_ms`] is configured.
@@ -85,20 +79,7 @@ struct Outstanding {
     tag: Tag,
     /// Core task id.
     task: usize,
-    /// Whether the reply is the data
-    /// ([`crate::event::CarWriter::returns_data`]).
-    data_bearing: bool,
     record: Record,
-}
-
-/// A task parked on the head until other owners' bookings of its inputs
-/// are over ([`Lowered::Parked`]).
-struct ParkedTask {
-    task: usize,
-    node: NodeId,
-    awaiting: Vec<BufferId>,
-    /// When it parked, for its `AwaitInflight` span.
-    since: u64,
 }
 
 /// Executes a region graph through composite task messages over `ompc-mpi`.
@@ -131,13 +112,12 @@ impl MpiBackend {
 }
 
 /// The [`ExecutionBackend`] face of the message-passing head: `launch`
-/// lowers one task into its node's train, `await_completions` sends the
-/// trains and waits on the execution's completion channel.
+/// lowers one task into its node's train, `await_completions` departs the
+/// execution's trains and waits on its completion channel.
 struct MpiDriver<'c> {
     lowering: &'c Lowering,
-    /// This execution's completion channel: the head's communicator handle,
-    /// and the channel's tag. Every train envelope names it, and every car's
-    /// reply arrives on it.
+    /// The head's communicator handle, receiving on this execution's
+    /// completion channel: every car's reply arrives there.
     completions: Communicator,
     completion_tag: Tag,
     /// The cars on the wire, by ascending tag — the index a reply is
@@ -147,12 +127,6 @@ struct MpiDriver<'c> {
     /// Locally produced events (tasks the lowering completed or failed on
     /// the head) awaiting the next `await_completions`.
     ready: VecDeque<TaskEvent>,
-    /// Each node's next train, its cars written as they are lowered,
-    /// departing when the dispatch window closes. A departure empties a
-    /// train and keeps its room.
-    trains: Trains,
-    /// Tasks waiting on the head for other owners' bookings.
-    parked: Vec<ParkedTask>,
 }
 
 /// A retired task's outcome as the core's completion-stream entry.
@@ -164,38 +138,34 @@ fn event_of(task: usize, outcome: OmpcResult<()>) -> TaskEvent {
 }
 
 impl<'c> MpiDriver<'c> {
-    /// A driver for one region execution, with its completion channel open.
+    /// A driver for one region execution, on its completion channel.
     fn new(lowering: &'c Lowering) -> Self {
-        let events = &lowering.path.events;
-        let completion_tag = events.open_channel();
-        let timed = lowering.path.telemetry.spans_enabled();
         Self {
             lowering,
-            completions: events.communicator().clone(),
-            completion_tag,
+            completions: lowering.path.events.communicator().clone(),
+            completion_tag: lowering.envelope.tag,
             outstanding: Vec::new(),
             ready: VecDeque::new(),
-            trains: Trains::new(completion_tag, timed),
-            parked: Vec::new(),
         }
+    }
+
+    /// Depart every pending train of this execution.
+    fn flush_trains(&self) {
+        self.lowering.path.events.trains().depart(self.completion_tag);
     }
 
     /// Settle every car still outstanding after a failed run, then empty the
     /// completion channel, so nothing bleeds into a later region execution:
     /// no reply left in a mailbox, no booking left on the wire for a later
-    /// region to await. Every reply comes on the one channel, so this is one
-    /// receive loop under one deadline — the reply time-out, or
-    /// `DRAIN_TIMEOUT` when none is configured — and the cars still
-    /// outstanding when it passes are abandoned, however many there are.
+    /// region to await. Trains still pending depart first — another
+    /// tenant's car may await a receive one of them carries. Every reply
+    /// comes on the one channel, so this is one receive loop under one
+    /// deadline — the reply time-out, or `DRAIN_TIMEOUT` when none is
+    /// configured — and the cars still outstanding when it passes are
+    /// abandoned, however many there are. (The events of the replies die
+    /// with the driver: the run is already over.)
     fn drain_outstanding(&mut self) {
-        // Trains that never departed reached no worker: fail their cars
-        // locally. (The events pushed to `ready`, and those of the replies
-        // below, die with the driver — the run is already over.)
-        let never_left =
-            OmpcError::Communication("run aborted before the task train departed".into());
-        for (_, train) in self.trains.take().loaded() {
-            self.fail_unsent_train(train.cars(), &never_left);
-        }
+        self.flush_trains();
         let timeout = self.lowering.path.events.reply_timeout().unwrap_or(DRAIN_TIMEOUT);
         let deadline = Instant::now().checked_add(timeout);
         while !self.outstanding.is_empty() {
@@ -215,162 +185,54 @@ impl<'c> MpiDriver<'c> {
         while self.completions.try_recv(None, Some(self.completion_tag)).is_some() {}
     }
 
-    /// Lower again every parked task whose awaited bookings are over, or
-    /// fail it with the transfer's own error. It may park again.
-    fn unpark(&mut self) -> OmpcResult<()> {
-        if self.parked.is_empty() {
-            return Ok(());
-        }
-        let tel = &self.lowering.path.telemetry;
-        let (resolved, waiting): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
-            .into_iter()
-            .map(|p| (self.lowering.awaited(p.node, &p.awaiting), p))
-            .partition(|(outcome, _)| outcome.is_some());
-        self.parked = waiting.into_iter().map(|(_, p)| p).collect();
-        for (outcome, p) in resolved {
-            if tel.spans_enabled() {
-                tel.record(
-                    Span::new(SpanPhase::AwaitInflight, p.node, p.since, monotonic_us())
-                        .task(p.task)
-                        .attempt(tel.attempt(p.task))
-                        .detail("first reader awaits another owner's transfer"),
-                );
-            }
-            match outcome {
-                Some(Err(error)) => self.ready.push_back(TaskEvent::Failed { task: p.task, error }),
-                _ => self.launch(p.task, p.node)?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Send every loaded train; failures fall back on
-    /// [`MpiDriver::fail_unsent_train`] and surface as per-task failures
-    /// through `ready`.
-    fn flush_trains(&mut self) {
-        let mut trains = self.trains.take();
-        for (node, train) in trains.loaded() {
-            if let Err(error) = self.send_train(node, train) {
-                self.fail_unsent_train(train.cars(), &error);
-            }
-            train.clear();
-        }
-        self.trains = trains;
-    }
-
-    /// Emit one train's messages: its frame — every car's recipe, the
-    /// envelope naming this execution's completion channel — then each car's
-    /// frames on the car's own channel.
-    ///
-    /// Counters are accumulated locally and committed only once the whole
-    /// train is on the wire: a train that fails mid-send is failed as a
-    /// whole by [`MpiDriver::fail_unsent_train`] and its cars re-dispatched,
-    /// so recording interleaved with the sends would double-count the cars
-    /// that preceded the failure. Committing after the last send keeps
-    /// per-task accounting identical however tasks are packed into trains
-    /// and across retries.
-    fn send_train(&self, node: NodeId, train: &mut Train) -> OmpcResult<()> {
-        let events = &self.lowering.path.events;
-        let tel = &self.lowering.path.telemetry;
-        let timed = tel.spans_enabled();
-        let t0 = tel.start();
-        events.send_notification(node, train.take_frame())?;
-        if timed {
-            // The envelope notification only: the cars' own frames get
-            // per-task `Send` spans below, so the buckets never count the
-            // same microsecond twice.
-            tel.record(
-                Span::new(SpanPhase::TrainFlush, HEAD_NODE, t0, monotonic_us())
-                    .detail(format!("node {node}, {} car(s)", train.cars().len())),
-            );
-        }
-        let mut sent = Frames::default();
-        for (car, payloads, exchanges) in train.frames() {
-            let send_start = tel.start();
-            let frames = events.send_frames(node, car.tag, payloads, exchanges)?;
-            if timed {
-                tel.record(
-                    Span::new(SpanPhase::Send, HEAD_NODE, send_start, monotonic_us())
-                        .task(car.task)
-                        .attempt(tel.attempt(car.task))
-                        .bytes(frames.bytes),
-                );
-            }
-            sent += frames;
-        }
-        // Whole train on the wire: commit the per-car accounting.
-        events.counters().record_tasks(train.cars().len() as u64, sent);
-        Ok(())
-    }
-
     /// The outstanding car named `tag`, taken off the index.
     fn take_outstanding(&mut self, tag: Tag) -> Option<Outstanding> {
         let at = self.outstanding.binary_search_by_key(&tag, |car| car.tag).ok()?;
         Some(self.outstanding.remove(at))
     }
 
-    /// The train carrying `cars` never departed: let the lowering roll
-    /// each launch back and report each car as a failed task (the core owns
-    /// the propagate-vs-restart policy).
-    fn fail_unsent_train(&mut self, cars: &[Car], error: &OmpcError) {
-        for car in cars {
-            if let Some(outstanding) = self.take_outstanding(car.tag) {
-                self.lowering.abandon(outstanding.record, error);
-            }
-            self.ready.push_back(TaskEvent::Failed { task: car.task, error: error.clone() });
-        }
-    }
-
     /// Resolve one car's reply, received on the completion channel: the tag
-    /// leading it names the car, whose task is retired with the reply.
-    /// Records a head-side `Reply` span covering the decode. Replies of cars
-    /// abandoned after their envelope went out, and a header too short to
-    /// name a car, are discarded.
+    /// leading it names the car, whose task is retired with the reply — or,
+    /// when the head itself answered because the car's train failed to go
+    /// out, rolled back as a car that never reached its node. Records a
+    /// head-side `Reply` span covering the decode. Replies of cars abandoned
+    /// after their envelope went out, and a header too short to name a car,
+    /// are discarded.
     fn on_reply(&mut self, msg: Message) -> Option<TaskEvent> {
         let tel = &self.lowering.path.telemetry;
         let t0 = tel.start();
         let (tag, header) = split_car_reply(&msg.data).ok()?;
-        let car = self.take_outstanding(tag)?;
-        let reply = Reply::from_parts(header, msg.body, car.data_bearing);
-        if tel.spans_enabled() {
-            tel.record(
-                Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
-                    .task(car.task)
-                    .attempt(tel.attempt(car.task))
-                    .from(car.record.node()),
-            );
-        }
-        Some(event_of(car.task, self.lowering.retire(car.task, car.record, reply)))
-    }
-
-    /// One pass of the completion loop: resolve every reply that has
-    /// already arrived on the completion channel — O(messages arrived),
-    /// never O(tasks in flight).
-    fn poll_replies(&mut self, out: &mut Vec<TaskEvent>) {
-        while let Some(msg) = self.completions.try_recv(None, Some(self.completion_tag)) {
-            out.extend(self.on_reply(msg));
-        }
+        let Outstanding { task, record, .. } = self.take_outstanding(tag)?;
+        let from_head = msg.source() == HEAD_NODE;
+        let outcome = match Reply::from_parts(header, msg.body, record.returns_data()) {
+            Err(error) if from_head => {
+                self.lowering.abandon(record, &error);
+                Err(error)
+            }
+            reply => {
+                if tel.spans_enabled() {
+                    tel.record(
+                        Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
+                            .task(task)
+                            .attempt(tel.attempt(task))
+                            .from(record.node()),
+                    );
+                }
+                self.lowering.retire(task, record, reply)
+            }
+        };
+        Some(event_of(task, outcome))
     }
 }
 
 impl ExecutionBackend for MpiDriver<'_> {
     fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()> {
-        let lowering = self.lowering;
-        match lowering.lower_into(task, node, &mut self.trains) {
-            Ok(Lowered::Done) => self.ready.push_back(TaskEvent::Completed(task)),
-            // Cars are *written* into their node's train, not sent — the
-            // train departs when the window closes. The node is the
-            // lowering's: an exit-data car goes where the bytes are.
-            Ok(Lowered::Task(car, record)) => {
-                let tag = lowering.path.events.open_channel();
-                let data_bearing = car.returns_data();
-                car.commit(task, tag);
-                self.outstanding.push(Outstanding { tag, task, data_bearing, record });
-            }
-            Ok(Lowered::Parked(awaiting)) => {
-                let since = lowering.path.telemetry.start();
-                self.parked.push(ParkedTask { task, node, awaiting, since });
-            }
+        // The car is *written* into its node's train, not sent — the train
+        // departs when the window closes. The node is the lowering's: an
+        // exit-data car goes where the bytes are.
+        match self.lowering.lower_into(task, node) {
+            Ok(Some((tag, record))) => self.outstanding.push(Outstanding { tag, task, record }),
+            Ok(None) => self.ready.push_back(TaskEvent::Completed(task)),
             // Head-side failures are task failures, not backend breakdowns:
             // the core owns the propagate-vs-restart policy.
             Err(error) => self.ready.push_back(TaskEvent::Failed { task, error }),
@@ -383,42 +245,36 @@ impl ExecutionBackend for MpiDriver<'_> {
     }
 
     fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
-        let mut deadline = None;
+        // The dispatch window is closed: this execution's trains depart now.
+        self.flush_trains();
+        events.extend(self.ready.drain(..));
+        if self.outstanding.is_empty() && events.is_empty() {
+            return Err(OmpcError::Internal(
+                "mpi backend awaited completions with nothing outstanding".to_string(),
+            ));
+        }
+        let timeout = self.lowering.path.events.reply_timeout();
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         loop {
-            // Parked tasks whose bookings are over join the trains, and the
-            // dispatch window is closed: every buffered train departs now.
-            self.unpark()?;
-            self.flush_trains();
-            events.extend(self.ready.drain(..));
             // Whatever already arrived rides along without waiting.
-            self.poll_replies(events);
+            while let Some(msg) = self.completions.try_recv(None, Some(self.completion_tag)) {
+                events.extend(self.on_reply(msg));
+            }
             if !events.is_empty() {
                 return Ok(());
             }
-            if self.outstanding.is_empty() && self.parked.is_empty() {
-                return Err(OmpcError::Internal(
-                    "mpi backend awaited completions with nothing outstanding".to_string(),
-                ));
-            }
-            let deadline = *deadline.get_or_insert_with(|| {
-                self.lowering.path.events.reply_timeout().map(|t| Instant::now() + t)
-            });
-            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
-                return Err(OmpcError::Communication(format!(
-                    "timed out waiting for the replies of {} outstanding task event(s)",
-                    self.outstanding.len() + self.parked.len()
-                )));
-            }
-            // One receive on the completion channel: a reply wakes it at
-            // once. It is bounded by the reply deadline and — only while a
-            // task is parked — by the probe interval.
-            let mut wait = if self.parked.is_empty() { Duration::MAX } else { PROBE_INTERVAL };
-            if let Some(deadline) = deadline {
-                wait = wait.min(deadline.saturating_duration_since(Instant::now()));
-            }
+            // One receive on the completion channel: a reply wakes it at once,
+            // and only the reply deadline cuts it.
+            let wait =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             match self.completions.recv_timeout(None, Some(self.completion_tag), wait) {
                 Ok(msg) => events.extend(self.on_reply(msg)),
-                Err(MpiError::Timeout { .. }) => {}
+                Err(MpiError::Timeout { .. }) => {
+                    return Err(OmpcError::Communication(format!(
+                        "timed out waiting for the replies of {} outstanding task event(s)",
+                        self.outstanding.len()
+                    )))
+                }
                 Err(error) => return Err(error.into()),
             }
         }
@@ -439,6 +295,7 @@ impl ExecutionBackend for MpiDriver<'_> {
 mod tests {
     use crate::cluster::ClusterDevice;
     use crate::config::{BackendKind, OmpcConfig};
+    use crate::protocol::Reply;
     use crate::runtime::fault::FaultPlan;
     use crate::runtime::RuntimePlan;
     use crate::types::{Dependence, OmpcError};
@@ -572,13 +429,15 @@ mod tests {
     /// committing counters interleaved with the sends would count the
     /// already-sent cars twice. Accounting must commit only at a
     /// successful flush — the failed attempt counts nothing, the retry
-    /// counts each car exactly once.
+    /// counts each car exactly once. The failed departure answers each car
+    /// with the send's error on the completion channel, from the head.
     #[test]
     fn mid_train_send_failure_commits_no_counters_until_the_retry_lands() {
         use super::MpiDriver;
         use crate::buffer::BufferRegistry;
-        use crate::event::{EventSystem, Trains};
+        use crate::event::EventSystem;
         use crate::kernel::KernelRegistry;
+        use crate::protocol::split_car_reply;
         use crate::runtime::lowering::{DataPath, Lowering};
         use crate::runtime::telemetry::Telemetry;
         use crate::task::RegionGraph;
@@ -616,29 +475,30 @@ mod tests {
             )
         };
         // A train of two cars on worker 1: the first receives a 16-byte host
-        // payload, the second a forward from `source` if given.
-        let load = |source: Option<crate::types::NodeId>| {
-            let mut trains = Trains::new(driver.completion_tag, false);
-            let mut car = trains.car(1);
+        // payload, the second a forward from `source` if given. It departs.
+        let send = |source: Option<crate::types::NodeId>| {
+            let mut trains = events.trains();
+            let mut car = trains.car(1, &lowering.envelope);
             car.recv_from_head(BufferId(0), Bytes::from(vec![7u8; 16]));
             car.commit(0, events.open_channel());
-            let mut car = trains.car(1);
+            let mut car = trains.car(1, &lowering.envelope);
             if let Some(from) = source {
                 car.recv_from_worker(BufferId(1), from, 8);
             }
             car.commit(1, events.open_channel());
-            trains
-        };
-        let send = |mut trains: Trains| {
-            let (node, train) = trains.loaded().next().unwrap();
-            driver.send_train(node, train)
+            trains.depart(driver.completion_tag);
         };
 
-        let err = send(load(Some(99)));
-        assert!(err.is_err(), "a forward from a rank the world lacks must fail the send");
+        send(Some(99));
         assert_eq!(snapshot(), (0, 0, 0), "a train that failed mid-send commits nothing");
+        for _ in 0..2 {
+            let answer = driver.completions.try_recv(Some(0), Some(driver.completion_tag));
+            let answer = answer.expect("each car is answered by the head");
+            let (_, header) = split_car_reply(&answer.data).unwrap();
+            assert!(Reply::from_parts(header, None, false).is_err(), "with the send's error");
+        }
 
-        send(load(None)).unwrap();
+        send(None);
         assert_eq!(
             snapshot(),
             (3, 1, 16),

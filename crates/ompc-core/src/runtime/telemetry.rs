@@ -104,8 +104,8 @@ pub enum SpanPhase {
     HostFlush,
     /// MPI backend: flushing a buffered task train onto the wire.
     TrainFlush,
-    /// A reader blocking on a transfer still in flight (a task parked on
-    /// another tenant's booking, or a flush waiting out a concurrent one).
+    /// A lazy host flush waiting out a concurrent flush of the same buffer
+    /// (a reader on a worker awaits its bytes there, in its car).
     AwaitInflight,
     /// Fault recovery: replanning survivors after a node failure.
     Replan,
