@@ -2,7 +2,7 @@
 
 use crate::types::{BufferId, IdMap, OmpcError, OmpcResult};
 use ompc_mpi::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 /// The head node's storage for mapped buffers.
 ///
@@ -15,10 +15,17 @@ use parking_lot::RwLock;
 /// the transport, and a retrieved buffer is stored as the allocation the
 /// worker sent. Only [`BufferRegistry::get`] — a caller asking for bytes of
 /// its own — copies.
+///
+/// The registry keeps the largest zero block ([`Bytes::zeroed`]) it handed
+/// out until the device shuts down: a region's `map(alloc:)` buffers, and
+/// the workers' storage for outputs nothing transferred in, view the block
+/// the region before them used instead of allocating and zero-filling a
+/// fresh one each time.
 #[derive(Debug, Default)]
 pub struct BufferRegistry {
     buffers: RwLock<IdMap<u64, Bytes>>,
     next: RwLock<u64>,
+    zeros: Mutex<Option<Bytes>>,
 }
 
 impl BufferRegistry {
@@ -43,9 +50,29 @@ impl BufferRegistry {
 
     /// Register a zero-filled buffer of `size` bytes (the `map(alloc:)`
     /// analogue). The slot is a view of the shared zero block
-    /// ([`Bytes::zeroed`]): no memory is allocated or filled for it.
+    /// ([`Bytes::zeroed`]): no memory is allocated or filled for it while
+    /// the block the registry keeps is large enough.
     pub fn register_uninit(&self, size: usize) -> BufferId {
-        self.register_shared(Bytes::zeroed(size))
+        let zeros = {
+            let mut kept = self.zeros.lock();
+            match kept.as_ref() {
+                Some(block) if block.len() >= size => block.slice(0..size),
+                _ => kept.insert(Bytes::zeroed(size)).clone(),
+            }
+        };
+        self.register_shared(zeros)
+    }
+
+    /// Let go of the zero block the registry keeps: it is freed with the
+    /// last view of it still in use.
+    pub(crate) fn release_zeros(&self) {
+        self.zeros.lock().take();
+    }
+
+    /// The zero block the registry keeps, if any.
+    #[cfg(test)]
+    pub(crate) fn kept_zeros(&self) -> Option<Bytes> {
+        self.zeros.lock().clone()
     }
 
     /// Size in bytes of a buffer.

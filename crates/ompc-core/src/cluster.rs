@@ -499,12 +499,14 @@ impl ClusterDevice {
     /// every device memory is cleared by a reset round-trip and the event
     /// counters restart, so adoption is indistinguishable from a cold start
     /// except for the missing spawn cost. Pools that saw a node failure are
-    /// never parked. Called automatically on drop.
+    /// never parked. The zero block the buffer registry keeps for
+    /// `map(alloc:)` buffers is let go. Called automatically on drop.
     pub fn shutdown(&mut self) {
         if self.shut_down {
             return;
         }
         self.shut_down = true;
+        self.buffers.release_zeros();
         let start = Instant::now();
         if self.config.warm_worker_keepalive && self.try_park_workers() {
             self.report.lock().shutdown_time = start.elapsed();
@@ -1243,6 +1245,34 @@ mod tests {
         let k = device.register_kernel_fn("noop", 1e-6, |_| {});
         region.target(k, vec![Dependence::inout(a)]);
         assert_eq!(region.run().unwrap_err(), OmpcError::ShutDown);
+    }
+
+    /// The zero block outlives the region that asked for it: every buffer of
+    /// the first `run_workload` is released with its run, yet the registry
+    /// still keeps their block, the second run's buffers view the very same
+    /// allocation, and shutdown lets it go.
+    #[test]
+    fn consecutive_workloads_share_one_zero_block_until_shutdown() {
+        let mut device = ClusterDevice::spawn(2);
+        let mut graph = ompc_sched::TaskGraph::new();
+        for task in 0..4 {
+            graph.add_task(1e-6);
+            if task > 0 {
+                graph.add_edge(task - 1, task, 4096);
+            }
+        }
+        let workload = crate::model::WorkloadGraph::new(graph, vec![4096; 4]);
+        let plan = RuntimePlan { assignment: vec![1, 2, 1, 2], window: 4 };
+        assert!(device.buffers.kept_zeros().is_none(), "nothing is kept before it is asked for");
+        device.run_workload(&workload, &plan).unwrap();
+        assert!(device.buffers.is_empty(), "the run released its buffers");
+        let first = device.buffers.kept_zeros().expect("the block outlives the run");
+        assert!(first.len() >= 4096 && first.iter().all(|&byte| byte == 0));
+        device.run_workload(&workload, &plan).unwrap();
+        let second = device.buffers.kept_zeros().unwrap();
+        assert!(second.same_allocation(&first), "the second run viewed the first run's block");
+        device.shutdown();
+        assert!(device.buffers.kept_zeros().is_none(), "shutdown lets the block go");
     }
 
     /// A cold shutdown ends every worker's event pool through its mailbox:

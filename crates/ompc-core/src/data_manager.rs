@@ -506,15 +506,17 @@ impl DataManager {
 
     /// Book `region`'s push of a succeeded producer's output as the input transfer of its
     /// reader's node, to await that reader's [`DataManager::claim_push`]; `true` when it moves
-    /// bytes. One from a dead producer, or one the table refuses, is owed a drop at once.
-    pub(crate) fn book_push(&mut self, region: u64, push: Push) -> bool {
+    /// bytes. One from a dead producer, or one the table refuses, is owed a drop at once. A
+    /// push a reader `claimed` before its producer retired — its claim is on the node already
+    /// — is that reader's booking at once, and is owed nothing: the claim takes its message.
+    pub(crate) fn book_push(&mut self, region: u64, push: Push, claimed: bool) -> bool {
         let live = !self.failed.contains(&push.from);
         let booking = live.then(|| self.book(region, push.buffer, push.to, TransferReason::Input));
         let booked = matches!(booking, Some(Ok(Booking::Move(_))));
-        if booked {
-            self.unclaimed.insert((push.buffer, push.to), (region, push));
-        } else {
-            self.owe(push.to, [], [push]);
+        match (claimed, booked) {
+            (true, _) => {}
+            (false, true) => drop(self.unclaimed.insert((push.buffer, push.to), (region, push))),
+            (false, false) => self.owe(push.to, [], [push]),
         }
         booked
     }
@@ -643,11 +645,20 @@ impl DataManager {
     }
 
     /// [`DataManager::record_write`] by a region task: the unclaimed pushes of the version it
-    /// supersedes end, and each stale copy is owed a delete.
-    pub(crate) fn supersede(&mut self, buffer: BufferId, node: NodeId) -> OmpcResult<()> {
+    /// supersedes end, and each stale copy is owed a delete — except on the nodes `claimed`
+    /// names, where a claim of a newer version is on the node already: a delete riding a later
+    /// car could run after that claim landed. The claim overwrites the stale copy instead.
+    pub(crate) fn supersede(
+        &mut self,
+        buffer: BufferId,
+        node: NodeId,
+        claimed: &[NodeId],
+    ) -> OmpcResult<()> {
         self.end_unclaimed(|_, p| p.buffer == buffer, None);
         for stale in self.record_write(buffer, node)? {
-            self.owe(stale, [buffer], []);
+            if !claimed.contains(&stale) {
+                self.owe(stale, [buffer], []);
+            }
         }
         Ok(())
     }
@@ -1494,13 +1505,13 @@ mod tests {
                 Op::Other(b, n) => drop(dm.book(OTHER_REGION, b, n, input).unwrap()),
                 Op::FinishOk(b, n) => dm.finish(b, n, Ok(())).unwrap(),
                 Op::FinishErr(b, n) => dm.finish(b, n, Err(boom())).unwrap(),
-                Op::Write(b, n) => dm.supersede(b, n).unwrap(),
+                Op::Write(b, n) => dm.supersede(b, n, &[]).unwrap(),
                 Op::Retrieve(b) => dm.record_retrieve_in(WALK_REGION, b).unwrap(),
                 Op::Fail(n) => drop(dm.fail_node(n).unwrap()),
                 Op::Remove(b) => dm.release(b),
                 Op::Push(b, n) => {
                     let from = dm.latest(b).unwrap();
-                    dm.book_push(WALK_REGION, Push { buffer: b, from, to: n, tag });
+                    dm.book_push(WALK_REGION, Push { buffer: b, from, to: n, tag }, false);
                 }
                 Op::Claim(region, b, n) => self.claims.push((region, dm.claim_push(b, n).unwrap())),
                 // A claim of a buffer released meanwhile finishes nothing.

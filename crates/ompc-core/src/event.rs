@@ -143,6 +143,7 @@ pub(crate) struct Car {
     pub(crate) tag: Tag,
     payloads: usize,
     exchanges: usize,
+    pushes: usize,
 }
 
 /// The region execution a train's cars belong to: the completion channel
@@ -157,8 +158,9 @@ pub(crate) struct Envelope {
 /// One node's pending task train, written as its cars are lowered
 /// ([`CarWriter`]): the notification frame, and car by car what follows it
 /// on the car's own channel — host payloads, and the sources to tell their
-/// `ExchangeSend`. Every car is of the execution its envelope names. A
-/// departure empties the lists and keeps their room.
+/// `ExchangeSend` — and the push channels its cars promise a message on.
+/// Every car is of the execution its envelope names. A departure empties
+/// the lists and keeps their room.
 #[derive(Debug, Default)]
 pub(crate) struct Train {
     envelope: Option<Envelope>,
@@ -168,6 +170,8 @@ pub(crate) struct Train {
     cars: Vec<Car>,
     payloads: Vec<Bytes>,
     exchanges: Vec<Exchange>,
+    /// Each push step's destination and channel.
+    pushes: Vec<(NodeId, Tag)>,
 }
 
 impl Train {
@@ -195,6 +199,7 @@ impl Train {
         self.cars.clear();
         self.payloads.clear();
         self.exchanges.clear();
+        self.pushes.clear();
     }
 }
 
@@ -217,12 +222,12 @@ impl TrainTable<'_> {
         if train.envelope.as_ref().is_some_and(|pending| pending.tag != envelope.tag) {
             self.events.depart(node, train);
         }
-        let Train { envelope: pending, frame, longest, cars, payloads, exchanges } = train;
+        let Train { envelope: pending, frame, longest, cars, payloads, exchanges, pushes } = train;
         let Envelope { tag, telemetry } = pending.get_or_insert_with(|| envelope.clone());
         let frame =
             frame.get_or_insert_with(|| TrainFrame::new(*tag, telemetry.spans_enabled(), *longest));
         frame.begin_car();
-        CarWriter { frame, cars, payloads, exchanges, committed: false }
+        CarWriter { frame, cars, payloads, exchanges, pushes, committed: false }
     }
 
     /// Depart every pending train of the execution whose completion channel
@@ -244,6 +249,7 @@ pub(crate) struct CarWriter<'t> {
     cars: &'t mut Vec<Car>,
     payloads: &'t mut Vec<Bytes>,
     exchanges: &'t mut Vec<Exchange>,
+    pushes: &'t mut Vec<(NodeId, Tag)>,
     committed: bool,
 }
 
@@ -274,11 +280,18 @@ impl CarWriter<'_> {
         self.step(&TaskStep::RecvFromWorker { buffer, from });
     }
 
+    /// Push `buffer` to worker `to` on the channel `tag` once the kernel ran.
+    pub(crate) fn push(&mut self, buffer: BufferId, to: NodeId, tag: Tag) {
+        self.pushes.push((to, tag));
+        self.step(&TaskStep::Push { buffer, to, tag });
+    }
+
     /// The car joins its train as task `task`'s, on the channel `tag`.
     pub(crate) fn commit(mut self, task: usize, tag: Tag) {
         self.frame.end_car(tag);
-        let (payloads, exchanges) = (self.payloads.len(), self.exchanges.len());
-        self.cars.push(Car { task, tag, payloads, exchanges });
+        let (payloads, exchanges, pushes) =
+            (self.payloads.len(), self.exchanges.len(), self.pushes.len());
+        self.cars.push(Car { task, tag, payloads, exchanges, pushes });
         self.committed = true;
     }
 }
@@ -292,6 +305,7 @@ impl Drop for CarWriter<'_> {
         let last = self.cars.last();
         self.payloads.truncate(last.map_or(0, |car| car.payloads));
         self.exchanges.truncate(last.map_or(0, |car| car.exchanges));
+        self.pushes.truncate(last.map_or(0, |car| car.pushes));
     }
 }
 
@@ -367,7 +381,8 @@ impl EventSystem {
     /// not go out whole has each car answered with the error on its
     /// execution's completion channel, by the head itself — so the execution
     /// hears that its car never left, whichever execution's thread departed
-    /// the train.
+    /// the train — and one whose notification never left sends each push
+    /// its cars promised the error too, so no claim of one waits for it.
     fn depart(&self, node: NodeId, train: &mut Train) {
         if let Some(Envelope { tag, telemetry }) = train.envelope.take() {
             if let Err(error) = self.send_train(node, train, &telemetry) {
@@ -396,7 +411,15 @@ impl EventSystem {
         }
         let timed = tel.spans_enabled();
         let t0 = tel.start();
-        self.send_notification(node, train.take_frame())?;
+        if let Err(error) = self.send_notification(node, train.take_frame()) {
+            // No car reaches the node, so none pushes: the head sends each push's one
+            // message, the error, in its place.
+            let failed = EventReply::Err(error.clone()).encode();
+            for &(to, tag) in &train.pushes {
+                let _ = self.comm.send(to, tag, failed.clone());
+            }
+            return Err(error);
+        }
         if timed {
             // The envelope notification only: the cars' own frames get
             // per-task `Send` spans below, so the buckets never count the

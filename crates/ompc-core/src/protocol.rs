@@ -183,11 +183,11 @@ pub enum TaskStep {
     /// an [`EventRequest::ExchangeSend`], so a dead or failed source
     /// surfaces as a typed error in this task's reply instead of a hang.
     RecvFromWorker { buffer: BufferId, from: NodeId },
-    /// Wait for the newest receive (or claim) of `buffer` the worker accepted
-    /// before this task — an earlier car of the same region execution owns
-    /// the transfer — to land, and fail with that receive's
-    /// error if it failed. A stale copy already resident never satisfies
-    /// the wait. `timeout_ms` is only a last-resort bound (`u64::MAX`: none).
+    /// Wait for the newest receive, claim or local write ([`TaskStep::Wrote`])
+    /// of `buffer` the worker accepted before this task — an earlier car owns
+    /// it — to land, and fail with its error if it failed. A stale copy
+    /// already resident never satisfies the wait. `timeout_ms` is only a
+    /// last-resort bound (`u64::MAX`: none).
     AwaitLocal { buffer: BufferId, timeout_ms: u64 },
     /// Ensure `size` zeroed bytes of device memory exist for `buffer` (a
     /// write-only output that nothing transferred in).
@@ -203,13 +203,19 @@ pub enum TaskStep {
     /// a task with this step is data-bearing ([`Reply::from_parts`]).
     Retrieve { buffer: BufferId },
     /// After the kernel, send the resident `buffer` to worker `to` on the push channel
-    /// `tag`, as the sending half of an [`EventRequest::ExchangeSend`] would.
+    /// `tag`, as the sending half of an [`EventRequest::ExchangeSend`] would. A car that
+    /// fails before it gets here sends its error on the channel instead: every push
+    /// channel carries exactly one message.
     Push { buffer: BufferId, to: NodeId, tag: Tag },
-    /// Receive the copy of `buffer` worker `from` pushed on `tag`: queued before the
-    /// head booked it, so the step never waits, and a missing one is a typed error.
-    Claim { buffer: BufferId, from: NodeId, tag: Tag },
-    /// Drop what worker `from` pushed on `tag` and nobody claimed.
-    Discard { from: NodeId, tag: Tag },
+    /// Receive the copy of `buffer` pushed on `tag`, waiting until it lands: the bytes, or
+    /// the error of the producer's car (or of the head, or of the producer's dead node) that
+    /// will never send them. The channel names the push, so its sender is not named.
+    Claim { buffer: BufferId, tag: Tag },
+    /// Drop what was pushed on `tag` and nobody claimed.
+    Discard { tag: Tag },
+    /// The `Execute` before this step wrote `buffer`: the new version has landed, and an
+    /// `AwaitLocal` of a car behind this one waits for it — or for the car's error.
+    Wrote { buffer: BufferId },
 }
 
 /// The recipe of one composite [`EventRequest::Task`]: the ordered steps
@@ -366,9 +372,6 @@ impl<'a> Reader<'a> {
     fn steps(&mut self) -> OmpcResult<Vec<TaskStep>> {
         self.list(9, decode_step)
     }
-    fn channel(&mut self) -> OmpcResult<(NodeId, Tag)> {
-        Ok((self.u64()? as NodeId, Tag(self.u64()?)))
-    }
     fn rest(&mut self) -> Vec<u8> {
         let rest = self.data.get(self.pos..).unwrap_or_default().to_vec();
         self.pos = self.data.len();
@@ -397,17 +400,22 @@ const STEP_PUSH: u8 = 7;
 const STEP_CLAIM: u8 = 8;
 const STEP_DISCARD: u8 = 9;
 const STEP_RETRIEVE: u8 = 10;
+const STEP_WROTE: u8 = 11;
 
 /// Bytes [`encode_step`] writes for `step`.
 fn step_len(step: &TaskStep) -> usize {
     match step {
-        TaskStep::RecvFromHead { .. } | TaskStep::Delete { .. } | TaskStep::Retrieve { .. } => 9,
-        TaskStep::RecvFromWorker { .. } | TaskStep::AwaitLocal { .. } | TaskStep::Alloc { .. } => {
-            17
-        }
+        TaskStep::RecvFromHead { .. }
+        | TaskStep::Delete { .. }
+        | TaskStep::Retrieve { .. }
+        | TaskStep::Wrote { .. }
+        | TaskStep::Discard { .. } => 9,
+        TaskStep::RecvFromWorker { .. }
+        | TaskStep::AwaitLocal { .. }
+        | TaskStep::Alloc { .. }
+        | TaskStep::Claim { .. } => 17,
         TaskStep::Execute { buffers, .. } => 13 + 8 * buffers.len(),
-        TaskStep::Discard { .. } => 17,
-        TaskStep::Push { .. } | TaskStep::Claim { .. } => 25,
+        TaskStep::Push { .. } => 25,
     }
 }
 
@@ -417,11 +425,6 @@ fn steps_len(steps: &[TaskStep]) -> usize {
 }
 
 /// A worker, then a channel's tag.
-fn encode_channel(w: &mut Writer, node: NodeId, tag: Tag) {
-    w.u64(node as u64);
-    w.u64(tag.0);
-}
-
 fn encode_step(w: &mut Writer, step: &TaskStep) {
     match step {
         TaskStep::RecvFromHead { buffer } => {
@@ -443,21 +446,33 @@ fn encode_step(w: &mut Writer, step: &TaskStep) {
             w.u64(buffer.0);
             w.u64(*size);
         }
-        TaskStep::Delete { buffer } | TaskStep::Retrieve { buffer } => {
-            w.u8(if matches!(step, TaskStep::Delete { .. }) { STEP_DELETE } else { STEP_RETRIEVE });
+        TaskStep::Delete { buffer }
+        | TaskStep::Retrieve { buffer }
+        | TaskStep::Wrote { buffer } => {
+            w.u8(match step {
+                TaskStep::Delete { .. } => STEP_DELETE,
+                TaskStep::Retrieve { .. } => STEP_RETRIEVE,
+                _ => STEP_WROTE,
+            });
             w.u64(buffer.0);
         }
         TaskStep::Execute { kernel, buffers } => {
             encode_execute(w, *kernel, buffers.iter().copied())
         }
-        TaskStep::Push { buffer, to: node, tag } | TaskStep::Claim { buffer, from: node, tag } => {
-            w.u8(if matches!(step, TaskStep::Push { .. }) { STEP_PUSH } else { STEP_CLAIM });
+        TaskStep::Push { buffer, to, tag } => {
+            w.u8(STEP_PUSH);
             w.u64(buffer.0);
-            encode_channel(w, *node, *tag);
+            w.u64(*to as u64);
+            w.u64(tag.0);
         }
-        TaskStep::Discard { from, tag } => {
+        TaskStep::Claim { buffer, tag } => {
+            w.u8(STEP_CLAIM);
+            w.u64(buffer.0);
+            w.u64(tag.0);
+        }
+        TaskStep::Discard { tag } => {
             w.u8(STEP_DISCARD);
-            encode_channel(w, *from, *tag);
+            w.u64(tag.0);
         }
     }
 }
@@ -485,21 +500,16 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
         STEP_ALLOC => TaskStep::Alloc { buffer: BufferId(r.u64()?), size: r.u64()? },
         STEP_DELETE => TaskStep::Delete { buffer: BufferId(r.u64()?) },
         STEP_RETRIEVE => TaskStep::Retrieve { buffer: BufferId(r.u64()?) },
+        STEP_WROTE => TaskStep::Wrote { buffer: BufferId(r.u64()?) },
         STEP_EXECUTE => {
             TaskStep::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffers()? }
         }
         STEP_PUSH => {
-            let (buffer, (to, tag)) = (BufferId(r.u64()?), r.channel()?);
+            let (buffer, to, tag) = (BufferId(r.u64()?), r.u64()? as NodeId, Tag(r.u64()?));
             TaskStep::Push { buffer, to, tag }
         }
-        STEP_CLAIM => {
-            let (buffer, (from, tag)) = (BufferId(r.u64()?), r.channel()?);
-            TaskStep::Claim { buffer, from, tag }
-        }
-        STEP_DISCARD => {
-            let (from, tag) = r.channel()?;
-            TaskStep::Discard { from, tag }
-        }
+        STEP_CLAIM => TaskStep::Claim { buffer: BufferId(r.u64()?), tag: Tag(r.u64()?) },
+        STEP_DISCARD => TaskStep::Discard { tag: Tag(r.u64()?) },
         other => return Err(OmpcError::Internal(format!("unknown task step kind {other}"))),
     })
 }
@@ -1027,8 +1037,9 @@ mod tests {
                     buffers: vec![BufferId(1), BufferId(2), BufferId(3), BufferId(4)],
                 },
                 TaskStep::Push { buffer: BufferId(4), to: 2, tag: Tag(40) },
-                TaskStep::Claim { buffer: BufferId(5), from: 3, tag: Tag(41) },
-                TaskStep::Discard { from: 3, tag: Tag(u64::MAX) },
+                TaskStep::Claim { buffer: BufferId(5), tag: Tag(41) },
+                TaskStep::Wrote { buffer: BufferId(4) },
+                TaskStep::Discard { tag: Tag(u64::MAX) },
                 TaskStep::Retrieve { buffer: BufferId(u64::MAX) },
             ],
         }));
@@ -1110,8 +1121,8 @@ mod tests {
 
     /// Bad input the one-communicator layout owes a typed error: an envelope
     /// naming a communicator other than the world's, a car header (a tag and
-    /// a step count, 12 bytes) cut short, and a push, claim or discard whose
-    /// channel operand (a node and a tag) is cut short.
+    /// a step count, 12 bytes) cut short, and a push, claim or discard cut
+    /// short inside its operands.
     #[test]
     fn bad_input_off_the_world_or_cut_short_is_a_typed_error() {
         let mut train = TrainFrame::new(Tag(4), false, 0);
@@ -1142,12 +1153,12 @@ mod tests {
         let (buffer, tag) = (BufferId(6), Tag(8));
         for step in [
             TaskStep::Push { buffer, to: 2, tag },
-            TaskStep::Claim { buffer, from: 1, tag },
-            TaskStep::Discard { from: 1, tag },
+            TaskStep::Claim { buffer, tag },
+            TaskStep::Discard { tag },
         ] {
             let bytes = notification(task(step.clone())).encode();
             assert_eq!(bytes.len(), 18 + step_len(&step), "{step:?}");
-            for cut in 1..=16 {
+            for cut in 1..step_len(&step) {
                 let decoded = EventNotification::decode(&bytes[..bytes.len() - cut]);
                 assert!(matches!(decoded, Err(OmpcError::Internal(_))), "{step:?} cut by {cut}");
             }
@@ -1270,7 +1281,7 @@ mod tests {
     /// notification — a task of `u32::MAX` steps — used to abort the process
     /// reserving 128 GiB before reading a single step. The same holds for a
     /// train of `u32::MAX` cars, and for a task whose one real step — a
-    /// push, a claim, a discard, a retrieve — claims 4 billion siblings.
+    /// push, a claim, a discard, a retrieve, a write landed — claims 4 billion siblings.
     #[test]
     fn a_forged_element_count_is_a_truncation_error_not_an_allocation() {
         for kind in [KIND_TASK, KIND_TASK_TRAIN] {
@@ -1285,9 +1296,10 @@ mod tests {
         let (tag, comm) = (Tag(9), CommId::WORLD);
         for step in [
             TaskStep::Push { buffer: BufferId(3), to: 2, tag },
-            TaskStep::Claim { buffer: BufferId(3), from: 1, tag },
-            TaskStep::Discard { from: 1, tag },
+            TaskStep::Claim { buffer: BufferId(3), tag },
+            TaskStep::Discard { tag },
             TaskStep::Retrieve { buffer: BufferId(3) },
+            TaskStep::Wrote { buffer: BufferId(3) },
         ] {
             let task = EventRequest::Task(TaskSpec { steps: vec![step] });
             let mut bytes = EventNotification { request: task, tag, comm, timed: false }.encode();
@@ -1335,16 +1347,17 @@ mod tests {
             let buffer = BufferId(rng.next_u64());
             let node = rng.range_usize(0, 1 << 20);
             let tag = Tag(rng.next_u64());
-            match rng.range(0, 10) {
+            match rng.range(0, 11) {
                 0 => TaskStep::RecvFromHead { buffer },
                 1 => TaskStep::RecvFromWorker { buffer, from: node },
                 2 => TaskStep::AwaitLocal { buffer, timeout_ms: rng.next_u64() },
                 3 => TaskStep::Alloc { buffer, size: rng.next_u64() },
                 4 => TaskStep::Delete { buffer },
                 5 => TaskStep::Push { buffer, to: node, tag },
-                6 => TaskStep::Claim { buffer, from: node, tag },
-                7 => TaskStep::Discard { from: node, tag },
+                6 => TaskStep::Claim { buffer, tag },
+                7 => TaskStep::Discard { tag },
                 8 => TaskStep::Retrieve { buffer },
+                9 => TaskStep::Wrote { buffer },
                 _ => TaskStep::Execute { kernel: KernelId(node), buffers: arb_buffers(rng) },
             }
         };

@@ -41,6 +41,16 @@
 //! land or fail (first-in-first-out on the node, so even one handler thread
 //! cannot deadlock on it).
 //!
+//! A reader lowered before its producer retired — the core dispatches one
+//! once its producers' cars are launched — reads a version the data
+//! manager does not know yet. The lowering keeps the writes it lowered and
+//! has not retired: beside its producer the reader awaits the producer's
+//! write (`AwaitLocal`, the producer's car announcing it with a `Wrote`
+//! step), elsewhere it claims the push the producer's car already carries
+//! and a second reader there awaits that claim. The producer's retire
+//! attaches the push's booking to the claim, and owes no delete to a node a
+//! claim of a newer version is already queued on.
+//!
 //! The pushes nobody claimed yet and what is owed to a node — stale and
 //! released copies to delete, pushes to drop — are the [`DataManager`]'s. A
 //! target or enter-data car takes every delete owed to its node as `Delete`
@@ -147,6 +157,8 @@ impl DataPath {
 /// What the head must settle when a lowered task's reply arrives.
 #[derive(Default)]
 pub(crate) struct Record {
+    /// The task lowered.
+    task: usize,
     /// The node the car goes to and its effects land on (for an exit-data
     /// retrieval, the node the bytes come from).
     node: NodeId,
@@ -201,8 +213,27 @@ struct State {
     owned: Vec<BufferId>,
     claims: Vec<Push>,
     pushes: Vec<Push>,
+    /// Per push, whether a reader lowered before its producer retired has
+    /// claimed it: its claim is on the reader's node, and the producer's
+    /// retire attaches the booking to it.
+    claimed_early: Vec<bool>,
+    /// The writes lowered and not retired yet, oldest first: what a reader
+    /// lowered meanwhile awaits on its worker.
+    writes: Vec<Write>,
     /// Where [`Lowering::plan_pushes`] sorts a producer's pushes.
     scratch: Vec<Push>,
+    /// Where a retire lists the nodes a newer version is claimed on.
+    claimed_on: Vec<NodeId>,
+}
+
+/// A write of `buffer` on `node` by a task that is lowered and has not
+/// retired, with where its pushes are in [`State::pushes`].
+#[derive(Clone, Copy)]
+struct Write {
+    buffer: BufferId,
+    task: usize,
+    node: NodeId,
+    pushes: (usize, usize),
 }
 
 impl State {
@@ -210,10 +241,29 @@ impl State {
     /// one: its booking is the car's to finish.
     fn claimed(&mut self, car: &mut CarWriter, push: Option<Push>) -> bool {
         let Some(push) = push else { return false };
-        car.step(&TaskStep::Claim { buffer: push.buffer, from: push.from, tag: push.tag });
+        car.step(&TaskStep::Claim { buffer: push.buffer, tag: push.tag });
         self.owned.push(push.buffer);
         self.claims.push(push);
         true
+    }
+
+    /// The push on channel `tag` of a write not retired yet, by its place in
+    /// [`State::pushes`].
+    fn pending_push(&self, tag: Tag) -> Option<usize> {
+        let mut pending = self.writes.iter().flat_map(|w| w.pushes.0..w.pushes.1);
+        pending.find(|&at| self.pushes[at].tag == tag)
+    }
+
+    /// Every node a claim of a version of `buffer` not retired yet is on, into
+    /// [`State::claimed_on`].
+    fn list_claimed_on(&mut self, buffer: BufferId) {
+        let State { writes, pushes, claimed_early, claimed_on, .. } = self;
+        claimed_on.clear();
+        for w in writes.iter().filter(|w| w.buffer == buffer) {
+            let claimed = (w.pushes.0..w.pushes.1).filter(|&at| claimed_early[at]);
+            claimed_on
+                .extend(claimed.map(|at| pushes[at]).filter(|p| p.buffer == buffer).map(|p| p.to));
+        }
     }
 }
 
@@ -263,13 +313,11 @@ impl Lowering {
     /// with no car. `Err` is a head-side task failure (a rejected plan, a
     /// failed host flush, a panicking host body) with nothing left to roll
     /// back.
+    ///
+    /// A task bound for a node the failure injector killed completes as a
+    /// no-op whose (stale) completion the core discards and restarts on a
+    /// survivor: each lowering checks under the lock it plans with.
     pub(crate) fn lower_into(&self, tid: usize, node: NodeId) -> OmpcResult<Option<(Tag, Record)>> {
-        if node != HEAD_NODE && self.path.dm.lock().is_failed(node) {
-            // The failure injector killed this node: the task completes as
-            // a no-op whose (stale) completion the core discards and
-            // restarts on a survivor.
-            return Ok(None);
-        }
         let task = self.graph.task(TaskId(tid));
         match &task.kind {
             TaskKind::Host { .. } => self.run_host_task(tid, task).map(|()| None),
@@ -337,6 +385,9 @@ impl Lowering {
         let mut trains = self.path.events.trains();
         let mut state = self.state.lock();
         let mut dm = self.path.dm.lock();
+        if dm.is_failed(node) {
+            return Ok(None);
+        }
         let input = match map {
             MapType::To | MapType::ToFrom | MapType::ToResident => {
                 let reason = TransferReason::EnterData;
@@ -377,7 +428,7 @@ impl Lowering {
         state.owned.extend(replica.is_none().then_some(buffer));
         let owned = from..state.owned.len();
         let kind = RecordKind::EnterData { replica };
-        let record = Record { node, owned, deletes, kind, ..Record::default() };
+        let record = Record { task: tid, node, owned, deletes, kind, ..Record::default() };
         Ok(Some((self.commit(car, tid), record)))
     }
 
@@ -394,6 +445,9 @@ impl Lowering {
         let mut trains = self.path.events.trains();
         let (from, keep_resident) = {
             let dm = self.path.dm.lock();
+            if dm.is_failed(node) {
+                return None;
+            }
             let copies = map.copies_from_device();
             let from = copies.then(|| dm.retrieve_source(buffer)).flatten();
             // §4.4 consistency: the exit task is pinned to its last target
@@ -413,7 +467,8 @@ impl Lowering {
                 let mut car = trains.car(from, &self.envelope);
                 car.step(&TaskStep::Retrieve { buffer });
                 let kind = RecordKind::ExitData { buffer, release: !keep_resident };
-                Some((self.commit(car, tid), Record { node: from, kind, ..Record::default() }))
+                let record = Record { task: tid, node: from, kind, ..Record::default() };
+                Some((self.commit(car, tid), record))
             }
             None => {
                 if !keep_resident {
@@ -442,6 +497,9 @@ impl Lowering {
         // co-located reader lowered later — of any region — either sees our
         // booking (and awaits the arrival) or plans its own transfer.
         let mut dm = self.path.dm.lock();
+        if dm.is_failed(node) {
+            return Ok(None);
+        }
         let pushes = self.plan_pushes(&mut state, &dm, tid, node);
         // The car: the deletes it carries — ahead of any receive of the same
         // buffer, at no extra round trip — a step per dependence at most, the
@@ -457,21 +515,43 @@ impl Lowering {
         let owned = owned..state.owned.len();
         let claims = claims..state.claims.len();
         car.execute(kernel, task.dependences.iter().map(|d| d.buffer));
-        for p in &state.pushes[pushes.clone()] {
-            car.step(&TaskStep::Push { buffer: p.buffer, to: p.to, tag: p.tag });
+        let written = task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer);
+        // A reader beside it may be lowered before it retires: it awaits the write.
+        for buffer in written.clone().filter(|&b| self.read_on(&state, tid, b, node)) {
+            car.step(&TaskStep::Wrote { buffer });
         }
-        let record = Record { node, owned, claims, pushes, deletes, kind: RecordKind::Target };
+        for p in &state.pushes[pushes.clone()] {
+            car.push(p.buffer, p.to, p.tag);
+        }
+        let kind = RecordKind::Target;
+        let record = Record { task: tid, node, owned, claims, pushes, deletes, kind };
         match planned {
-            Ok(()) => Ok(Some((self.commit(car, tid), record))),
+            Ok(()) => {
+                let pushes = (record.pushes.start, record.pushes.end);
+                let writes = written.map(|buffer| Write { buffer, task: tid, node, pushes });
+                state.writes.extend(writes);
+                Ok(Some((self.commit(car, tid), record)))
+            }
             Err(error) => {
                 // A rejected plan (an unknown buffer) aborts the task: its
-                // car leaves the train, and what was already booked is
-                // resolved so its waiters error out.
+                // car leaves the train, pushing nothing, and what was already
+                // booked is resolved so its waiters error out.
                 drop(car);
-                self.roll_back(&state, record, &error, true);
+                let pushes = record.pushes.end..record.pushes.end;
+                self.roll_back(&mut state, Record { pushes, ..record }, &error, true);
                 Err(error)
             }
         }
+    }
+
+    /// Whether a target task assigned to `node` reads the version of `buffer` task `tid`
+    /// writes.
+    fn read_on(&self, state: &State, tid: usize, buffer: BufferId, node: NodeId) -> bool {
+        let readers = self.graph.readers_of(TaskId(tid)).iter();
+        let beside = |&&(b, r): &&(BufferId, TaskId)| {
+            b == buffer && state.assignment.get(r.0) == Some(&node)
+        };
+        readers.filter(beside).any(|&(_, r)| self.graph.task(r).kind.is_target())
     }
 
     /// Plan every input of a task on `node`, and storage for its write-only
@@ -493,7 +573,10 @@ impl Lowering {
         for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
             let push = dm.claim_push(dep.buffer, node);
             if !state.claimed(car, push) && !dm.is_present(dep.buffer, node) {
-                let size = self.path.buffers.size_of(dep.buffer)? as u64;
+                let size = match dm.is_registered(dep.buffer) {
+                    true => dm.bytes_of(dep.buffer),
+                    false => self.path.buffers.size_of(dep.buffer)? as u64,
+                };
                 car.step(&TaskStep::Alloc { buffer: dep.buffer, size });
             }
         }
@@ -515,7 +598,7 @@ impl Lowering {
         let readers = self.graph.readers_of(TaskId(tid)).iter().filter_map(target);
         // Channels are opened once the pushes are sorted and unique.
         let push = |(to, buffer)| Push { buffer, from: node, to, tag: Tag(0) };
-        let State { assignment, pushes, scratch, .. } = state;
+        let State { assignment, pushes, claimed_early, scratch, .. } = state;
         scratch.clear();
         scratch.extend(super::push_targets(readers, node, assignment, dm).map(push));
         scratch.sort_unstable_by_key(|p| (p.to, p.buffer));
@@ -524,6 +607,7 @@ impl Lowering {
         pushes.extend(
             scratch.iter().map(|push| Push { tag: self.path.events.open_channel(), ..*push }),
         );
+        claimed_early.resize(pushes.len(), false);
         from..pushes.len()
     }
 
@@ -539,6 +623,33 @@ impl Lowering {
         buffer: BufferId,
         car: &mut CarWriter,
     ) -> OmpcResult<()> {
+        // The receive lands or fails by itself; the reply time-out is only
+        // the last resort.
+        let timeout_ms = self.config.event_reply_timeout_ms.unwrap_or(u64::MAX);
+        let await_local = TaskStep::AwaitLocal { buffer, timeout_ms };
+        // A version lowered and not retired is the one it reads: the table
+        // knows nothing of it yet, the producer's car and its pushes do.
+        if let Some(&write) = state.writes.iter().rev().find(|w| w.buffer == buffer) {
+            if write.node == node {
+                car.step(&await_local);
+                return Ok(());
+            }
+            let at = (write.pushes.0..write.pushes.1)
+                .find(|&at| (state.pushes[at].buffer, state.pushes[at].to) == (buffer, node))
+                .ok_or_else(|| {
+                    OmpcError::Internal(format!(
+                        "task {} pushes no copy of {buffer} to node {node}",
+                        write.task
+                    ))
+                })?;
+            // The first reader claims the push, the next ones await that claim.
+            if std::mem::replace(&mut state.claimed_early[at], true) {
+                car.step(&await_local);
+            } else {
+                state.claimed(car, Some(state.pushes[at]));
+            }
+            return Ok(());
+        }
         // The booking is made at lowering time: a later co-located reader
         // must await the arrival even though the bytes have not left yet.
         let plan = match dm.book(self.region, buffer, node, TransferReason::Input)? {
@@ -546,10 +657,7 @@ impl Lowering {
             // The first reader of a pushed copy claims it, later ones await.
             Booking::Await if state.claimed(car, dm.claim_push(buffer, node)) => return Ok(()),
             Booking::Await => {
-                // The receive lands or fails by itself; the reply time-out
-                // is only the last resort.
-                let timeout_ms = self.config.event_reply_timeout_ms.unwrap_or(u64::MAX);
-                car.step(&TaskStep::AwaitLocal { buffer, timeout_ms });
+                car.step(&await_local);
                 return Ok(());
             }
             Booking::Move(plan) => plan,
@@ -584,7 +692,7 @@ impl Lowering {
         let Reply { body, stamps, .. } = match reply {
             Ok(reply) => reply,
             Err(error) => {
-                self.roll_back(&self.state.lock(), record, &error, false);
+                self.roll_back(&mut self.state.lock(), record, &error, false);
                 return Err(error);
             }
         };
@@ -607,7 +715,7 @@ impl Lowering {
                 tel.record(Span::new(phase, node, start, end).task(task).attempt(attempt));
             }
         }
-        let state = self.state.lock();
+        let mut state = self.state.lock();
         let mut dm = self.path.dm.lock();
         // Every booking is finished, whatever the table makes of each.
         let finished = state.owned[owned].iter().map(|&b| dm.finish(b, node, Ok(())));
@@ -616,19 +724,22 @@ impl Lowering {
             RecordKind::Target => {
                 // The copy on `node` is now the only valid one: the pushes of
                 // the version it supersedes end, the stale copies are freed by
-                // the next car headed their way.
+                // the next car headed their way — but where a newer version's
+                // claim is on the node already, which overwrites them.
                 let deps = self.graph.task(TaskId(task)).dependences.iter();
                 for buffer in deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer) {
-                    dm.supersede(buffer, node)?;
+                    state.list_claimed_on(buffer);
+                    dm.supersede(buffer, node, &state.claimed_on)?;
                 }
                 // Its own pushes are booked as its readers' input transfers:
                 // a data movement each, but no event.
-                for &push in &state.pushes[pushes] {
-                    if dm.book_push(self.region, push) {
-                        let bytes = self.path.buffers.size_of(push.buffer).unwrap_or(0) as u64;
-                        self.path.events.counters().record_data(bytes);
+                for at in pushes {
+                    let push = state.pushes[at];
+                    if dm.book_push(self.region, push, state.claimed_early[at]) {
+                        self.path.events.counters().record_data(dm.bytes_of(push.buffer));
                     }
                 }
+                state.writes.retain(|w| w.task != task);
             }
             RecordKind::EnterData { replica: Some(buffer) } => dm.record_replica(buffer, node)?,
             RecordKind::EnterData { replica: None } => {}
@@ -655,22 +766,38 @@ impl Lowering {
     /// Roll back a lowering that never reached the wire: as a failed
     /// [`Lowering::retire`], and its attached deletes are owed again.
     pub(crate) fn abandon(&self, record: Record, error: &OmpcError) {
-        self.roll_back(&self.state.lock(), record, error, true);
+        self.roll_back(&mut self.state.lock(), record, error, true);
     }
 
     /// The task never landed its effects: finish its bookings with `error`, so no later
     /// reader skips a transfer the bytes never made (holder and log entry are rolled back)
     /// and whoever awaits one of them fails with `error` — a killed source keeps its blame —
-    /// instead of blocking. A copy it claimed is owed a drop, in case no step took it.
-    fn roll_back(&self, state: &State, record: Record, error: &OmpcError, unsent: bool) {
-        let Record { node, owned, claims, deletes, .. } = record;
+    /// instead of blocking. A copy it claimed is owed a drop, in case no step took it, unless
+    /// the car never left and its producer has not retired: that push is unclaimed again. Each
+    /// of its own pushes no early claim takes is owed a drop too: its one message — the bytes,
+    /// the car's error or the head's — is on the reader's node, or will be.
+    fn roll_back(&self, state: &mut State, record: Record, error: &OmpcError, unsent: bool) {
+        let Record { task, node, owned, claims, pushes, deletes, kind } = record;
         let mut dm = self.path.dm.lock();
         for &buffer in &state.owned[owned] {
             let _ = dm.finish(buffer, node, Err(error.clone()));
         }
         // A car that reached the worker ran its deletes first: they cannot fail.
         let deletes = if unsent { deletes } else { Vec::new() };
-        dm.owe(node, deletes, state.claims[claims].iter().copied());
+        dm.owe(node, deletes, []);
+        for at in claims {
+            let claim = state.claims[at];
+            match state.pending_push(claim.tag).filter(|_| unsent) {
+                Some(push) => state.claimed_early[push] = false,
+                None => dm.owe(node, [], [claim]),
+            }
+        }
+        for at in pushes.filter(|&at| !state.claimed_early[at]) {
+            dm.owe(state.pushes[at].to, [], [state.pushes[at]]);
+        }
+        if matches!(kind, RecordKind::Target) {
+            state.writes.retain(|w| w.task != task);
+        }
     }
 
     /// The end of the run ([`DataManager::end_run`]): each live node gets one task
@@ -1083,7 +1210,7 @@ mod tests {
 
         let (car, claimant) = lower_task(&second, 3, 2);
         let tag = push_channel(&work.steps, 2);
-        assert_eq!(car.steps[0], TaskStep::Claim { buffer: a, from: 1, tag }, "{:?}", car.steps);
+        assert_eq!(car.steps[0], TaskStep::Claim { buffer: a, tag }, "{:?}", car.steps);
         assert!(car.payloads.is_empty() && car.exchanges.is_empty(), "the head sends nothing");
         second.retire(3, claimant, Ok(Reply::default())).unwrap();
         assert_eq!(low.path.dm.lock().transfer_state(a, 2), TransferState::Resident);
@@ -1188,11 +1315,12 @@ mod tests {
                 [
                     TaskStep::RecvFromHead { .. },
                     TaskStep::Execute { .. },
+                    TaskStep::Wrote { buffer },
                     TaskStep::Push { .. },
                     TaskStep::Push { .. }
-                ]
+                ] if *buffer == a
             ),
-            "the pushes end the composite: {:?}",
+            "the write lands for task 6 beside it, the pushes end the composite: {:?}",
             work.steps
         );
         assert_eq!(pushes(&work.steps), vec![(a, 2), (a, 3)], "one per remote reader node");
@@ -1227,11 +1355,11 @@ mod tests {
         let (first, _record) = lower_task(low, 3, 2);
         let tag = channel_to(2);
         assert!(
-            matches!(&first.steps[..], [TaskStep::Claim { buffer, from: 1, .. }, TaskStep::Alloc { .. }, TaskStep::Execute { .. }] if *buffer == a),
+            matches!(&first.steps[..], [TaskStep::Claim { buffer, .. }, TaskStep::Alloc { .. }, TaskStep::Execute { .. }] if *buffer == a),
             "unexpected steps: {:?}",
             first.steps
         );
-        assert_eq!(first.steps[0], TaskStep::Claim { buffer: a, from: 1, tag });
+        assert_eq!(first.steps[0], TaskStep::Claim { buffer: a, tag });
         assert!(first.payloads.is_empty() && first.exchanges.is_empty(), "the head sends nothing");
         // ... and the second awaits that receive.
         let (second, _record) = lower_task(low, 4, 2);
@@ -1241,7 +1369,7 @@ mod tests {
             second.steps
         );
         let (third_node, _record) = lower_task(low, 5, 3);
-        assert!(matches!(third_node.steps[0], TaskStep::Claim { from: 1, .. }));
+        assert!(matches!(third_node.steps[0], TaskStep::Claim { .. }));
         assert_eq!(low.path.dm.lock().transfer_log().len(), 3, "no reader books a transfer");
     }
 
@@ -1259,7 +1387,12 @@ mod tests {
         assert_eq!(low.retire(2, record, Err(boom.clone())), Err(boom));
         assert!(low.path.dm.lock().transfer_log().is_empty());
         assert_eq!(inflight_entries(low), 0);
-        assert!(low.path.dm.lock().unclaimed_of(1).is_empty() && drops(low).is_empty());
+        assert!(low.path.dm.lock().unclaimed_of(1).is_empty());
+        // Each push carried the car's error in place of the bytes: nobody
+        // claims it, so it is owed a drop.
+        let dropped: Vec<_> = drops(low).iter().map(|p| (p.to, p.tag)).collect();
+        let tags = |node| push_channel(&work.steps, node);
+        assert_eq!(dropped, vec![(2, tags(2)), (3, tags(3))]);
         // A reader lowered now fetches the version that is still the latest.
         let (work, _record) = lower_task(low, 3, 2);
         assert!(matches!(work.steps[0], TaskStep::RecvFromHead { buffer } if buffer == *a));
@@ -1334,7 +1467,7 @@ mod tests {
         // The reader claims the version it reads.
         let (reader, _record) = lower_task(low, 3, 2);
         let tag = push_channel(&second.steps, 2);
-        assert_eq!(reader.steps[0], TaskStep::Claim { buffer: a, from: 1, tag });
+        assert_eq!(reader.steps[0], TaskStep::Claim { buffer: a, tag });
     }
 
     #[test]
@@ -1364,7 +1497,7 @@ mod tests {
             assert_eq!(low.flush_deletes(), Ok(()));
             (two.join().unwrap(), three.join().unwrap())
         });
-        let discard = |node| TaskStep::Discard { from: 1, tag: push_channel(&work.steps, node) };
+        let discard = |node| TaskStep::Discard { tag: push_channel(&work.steps, node) };
         let task = |steps| EventRequest::Task(TaskSpec { steps });
         assert_eq!(two, task(vec![TaskStep::Delete { buffer: a }, discard(2)]));
         assert_eq!(three, task(vec![discard(3)]));
@@ -1393,7 +1526,7 @@ mod tests {
         {
             let mut dm = low.path.dm.lock();
             dm.record_write(out, 1).unwrap();
-            assert!(dm.book_push(2, theirs));
+            assert!(dm.book_push(2, theirs, false));
             dm.owe(2, [out], []);
         }
 
@@ -1423,7 +1556,7 @@ mod tests {
             assert_eq!(low.flush_deletes(), Ok(()));
             three.join().unwrap()
         });
-        let discard = TaskStep::Discard { from: 1, tag: push_channel(&work.steps, 3) };
+        let discard = TaskStep::Discard { tag: push_channel(&work.steps, 3) };
         assert_eq!(request, EventRequest::Task(TaskSpec { steps: vec![discard] }));
         assert_eq!(low.path.events.counters().events.load(Ordering::Relaxed), 1);
         assert_eq!(low.path.dm.lock().unclaimed_of(2), vec![theirs]);

@@ -84,7 +84,7 @@ pub(crate) fn delete_device_copies(
     let mut posted = Vec::new();
     for (node, owed) in owed {
         let deletes = owed.deletes.iter().map(|&buffer| TaskStep::Delete { buffer });
-        let drops = owed.drops.iter().map(|p| TaskStep::Discard { from: p.from, tag: p.tag });
+        let drops = owed.drops.iter().map(|p| TaskStep::Discard { tag: p.tag });
         let work = Composite { steps: deletes.chain(drops).collect(), ..Composite::default() };
         match events.post_task(*node, work) {
             Ok(channel) => posted.push((channel, owed.deletes.len())),
@@ -118,17 +118,26 @@ pub(crate) fn release_device_copies(
     telemetry: &Telemetry,
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
-    let mut owed: BTreeMap<NodeId, Owed> = BTreeMap::new();
+    // `remove` returns only worker-node holders, none of them dead. A few
+    // nodes hold many buffers: each node's list is gathered in `buffers`'
+    // order, then becomes its set at once.
+    let mut held: Vec<(NodeId, Vec<BufferId>)> = Vec::new();
     {
-        // `remove` returns only worker-node holders, none of them dead.
         let mut dm = dm.lock();
         for &buffer in buffers {
             for holder in dm.remove(buffer) {
-                owed.entry(holder).or_default().deletes.insert(buffer);
+                match held.iter_mut().find(|(node, _)| *node == holder) {
+                    Some((_, list)) => list.push(buffer),
+                    None => held.push((holder, vec![buffer])),
+                }
             }
         }
     }
-    let owed: Vec<_> = owed.into_iter().collect();
+    held.sort_unstable_by_key(|&(node, _)| node);
+    let owed: Vec<(NodeId, Owed)> = held
+        .into_iter()
+        .map(|(node, list)| (node, Owed { deletes: list.into_iter().collect(), ..Owed::default() }))
+        .collect();
     first_error(delete_device_copies(events, telemetry, &owed, None))
 }
 
@@ -162,6 +171,14 @@ pub trait TaskDag {
     fn predecessor_count(&self, task: usize) -> usize;
     /// Direct successors of `task`, in deterministic order.
     fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_;
+    /// Whether `task` may be dispatched while its direct predecessor `pred` is
+    /// in flight, to wait on its worker for what `pred` writes: both are
+    /// target tasks and every dependence between them is a flow one. Never,
+    /// unless the graph says so.
+    fn may_wait_on_worker(&self, pred: usize, task: usize) -> bool {
+        let _ = (pred, task);
+        false
+    }
 }
 
 impl TaskDag for ompc_sched::TaskGraph {
@@ -185,6 +202,11 @@ impl TaskDag for RegionGraph {
     }
     fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         self.successors(TaskId(task)).iter().map(|t| t.0)
+    }
+    fn may_wait_on_worker(&self, pred: usize, task: usize) -> bool {
+        let (pred, task) = (TaskId(pred), TaskId(task));
+        let target = |t| self.task(t).kind.is_target();
+        target(pred) && target(task) && self.is_flow_only(pred, task)
     }
 }
 
@@ -369,6 +391,17 @@ pub trait ExecutionBackend {
     /// The assignment launches follow: given before the first, and after each recovery.
     fn assign(&mut self, assignment: &[NodeId]);
 
+    /// Whether the car `launch` just wrote for `task` holds its consumers on
+    /// their workers: a consumer dispatched before `task` retires waits there,
+    /// on its own node, for what `task` writes — so the core may dispatch
+    /// `task`'s flow-dependent target successors at once. Never by default:
+    /// the simulator models the paper's runtime, where the head releases
+    /// every dependent task.
+    fn holds_car(&self, task: usize) -> bool {
+        let _ = task;
+        false
+    }
+
     /// Wait until at least one launched task has produced an outcome and
     /// append the events, in completion order, to `events` — a list the core
     /// owns, hands over empty and reuses every round, so the completion
@@ -524,7 +557,8 @@ impl RunRecord {
 enum TaskState {
     /// Waiting for predecessors.
     Blocked,
-    /// All predecessors retired; queued for dispatch.
+    /// All predecessors retired — or each one not retired is a producer whose
+    /// car holds this task on its worker — queued for dispatch.
     Ready,
     /// Dispatched to the backend, completion pending.
     InFlight,
@@ -540,15 +574,28 @@ enum TaskState {
 /// reports their completion, and — when a [`fault::FaultPlan`] is active —
 /// drives failure injection, heartbeat detection, and task recovery from
 /// the same loop.
+///
+/// A task is dispatched once its predecessors retired — or, on a backend
+/// whose cars hold their consumers ([`ExecutionBackend::holds_car`]) and
+/// with no fault plan active, once each predecessor not retired is a target
+/// task already launched that it depends on through flow dependences only
+/// ([`TaskDag::may_wait_on_worker`]): it then waits on its worker, not on
+/// the head. Anti- and output-dependence predecessors, data and host tasks
+/// keep the retired-first rule.
 #[derive(Debug)]
 pub struct RuntimeCore {
     assignment: Vec<NodeId>,
     window: usize,
     /// The graph's edges both ways, flat: two allocations each however many
-    /// tasks there are.
-    successors: Csr<usize>,
+    /// tasks there are. A successor carries whether it may wait on its
+    /// worker for the task ([`TaskDag::may_wait_on_worker`]).
+    successors: Csr<(usize, bool)>,
     predecessors: Csr<usize>,
-    preds_remaining: Vec<usize>,
+    /// Per task, the predecessors it cannot wait on its worker for: those
+    /// not retired, less the ones whose launched car holds it. Zero is ready.
+    blockers: Vec<usize>,
+    /// Per task, whether its launched car holds its consumers.
+    holds: Vec<bool>,
     state: Vec<TaskState>,
     /// Node each in-flight task was actually dispatched to (stale-completion
     /// detection must not consult `assignment`, which recovery rewrites).
@@ -588,20 +635,25 @@ impl RuntimeCore {
 
     fn build(dag: &impl TaskDag, plan: &RuntimePlan, faults: Option<FaultState>) -> Self {
         let total = dag.task_count();
-        let preds_remaining: Vec<usize> = (0..total).map(|t| dag.predecessor_count(t)).collect();
-        let ready: VecDeque<usize> = (0..total).filter(|&t| preds_remaining[t] == 0).collect();
-        let edges = (0..total).flat_map(|t| dag.successor_ids(t).map(move |s| (t, s)));
-        let successors = Csr::group(total, edges.clone());
-        let predecessors = Csr::group(total, edges.map(|(t, s)| (s, t)));
+        let blockers: Vec<usize> = (0..total).map(|t| dag.predecessor_count(t)).collect();
+        let ready: VecDeque<usize> = (0..total).filter(|&t| blockers[t] == 0).collect();
+        // Each edge once, with whether its consumer may wait on its worker.
+        let edges: Vec<(usize, usize, bool)> = (0..total)
+            .flat_map(|t| dag.successor_ids(t).map(move |s| (t, s)))
+            .map(|(t, s)| (t, s, dag.may_wait_on_worker(t, s)))
+            .collect();
+        let successors = Csr::group(total, edges.iter().map(|&(t, s, waits)| (t, (s, waits))));
+        let predecessors = Csr::group(total, edges.iter().map(|&(t, s, _)| (s, t)));
         let state: Vec<TaskState> = (0..total)
-            .map(|t| if preds_remaining[t] == 0 { TaskState::Ready } else { TaskState::Blocked })
+            .map(|t| if blockers[t] == 0 { TaskState::Ready } else { TaskState::Blocked })
             .collect();
         Self {
             assignment: plan.assignment.clone(),
             window: plan.window.max(1),
             successors,
             predecessors,
-            preds_remaining,
+            blockers,
+            holds: vec![false; total],
             state,
             dispatched_on: vec![HEAD_NODE; total],
             ready,
@@ -840,7 +892,8 @@ impl RuntimeCore {
     fn reset_to_pending(&mut self, task: usize) {
         let predecessors = self.predecessors.get(task).iter();
         let unmet = predecessors.filter(|&&p| self.state[p] != TaskState::Done).count();
-        self.preds_remaining[task] = unmet;
+        // Recovery runs with a fault plan, when no car holds a consumer.
+        self.blockers[task] = unmet;
         if unmet == 0 {
             self.state[task] = TaskState::Ready;
             self.ready.push_back(task);
@@ -883,6 +936,18 @@ impl RuntimeCore {
                 );
             }
             backend.launch(task, self.assignment[task])?;
+            if self.faults.is_none() && backend.holds_car(task) {
+                self.holds[task] = true;
+                for &(succ, waits) in self.successors.get(task) {
+                    if waits && self.state[succ] == TaskState::Blocked {
+                        self.blockers[succ] -= 1;
+                        if self.blockers[succ] == 0 {
+                            self.state[succ] = TaskState::Ready;
+                            self.ready.push_back(succ);
+                        }
+                    }
+                }
+            }
         }
         Ok(())
     }
@@ -901,12 +966,15 @@ impl RuntimeCore {
         self.in_flight -= 1;
         self.completed += 1;
         self.completion_order.push(task);
-        for &succ in self.successors.get(task) {
+        for &(succ, waits) in self.successors.get(task) {
             if self.state[succ] != TaskState::Blocked {
                 continue;
             }
-            self.preds_remaining[succ] = self.preds_remaining[succ].saturating_sub(1);
-            if self.preds_remaining[succ] == 0 {
+            // A consumer its car held stopped counting it at its launch.
+            if !(waits && self.holds[task]) {
+                self.blockers[succ] = self.blockers[succ].saturating_sub(1);
+            }
+            if self.blockers[succ] == 0 {
                 self.state[succ] = TaskState::Ready;
                 self.ready.push_back(succ);
             }
@@ -1133,6 +1201,74 @@ mod tests {
         let err = core.execute(&mut stalled).unwrap_err();
         assert_eq!(err, OmpcError::Internal("execution backend reported no progress".into()));
         assert_eq!((core.completed(), stalled.rounds), (1, 2));
+    }
+
+    /// A backend whose every car holds its consumers, completing launched
+    /// tasks oldest first.
+    #[derive(Default)]
+    struct Holding {
+        running: VecDeque<usize>,
+        launched: Vec<usize>,
+    }
+
+    impl ExecutionBackend for Holding {
+        fn assign(&mut self, _: &[NodeId]) {}
+
+        fn launch(&mut self, task: usize, _: NodeId) -> OmpcResult<()> {
+            self.running.push_back(task);
+            self.launched.push(task);
+            Ok(())
+        }
+        fn holds_car(&self, _: usize) -> bool {
+            true
+        }
+        fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+            events.extend(self.running.pop_front().map(TaskEvent::Completed));
+            Ok(())
+        }
+    }
+
+    /// On a backend whose cars hold their consumers, a flow-dependent target
+    /// reader is dispatched once its producer is, while a writer of the
+    /// buffer waits until every reader of the version it supersedes has
+    /// retired: an anti dependence is never waited on on a worker. So are a
+    /// host task and an active fault plan.
+    #[test]
+    fn a_writer_is_dispatched_only_after_every_reader_of_the_previous_version_retired() {
+        use crate::types::{BufferId, Dependence, KernelId};
+        let a = BufferId(0);
+        let target = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let mut region = RegionGraph::new();
+        let producer = region.add_task(target(), vec![Dependence::output(a)], "p").0;
+        let readers = [1, 2].map(|_| region.add_task(target(), vec![Dependence::input(a)], "r").0);
+        let writer = region.add_task(target(), vec![Dependence::output(a)], "w").0;
+        let host =
+            region.add_task(TaskKind::Host { cost_hint: 0.0 }, vec![Dependence::input(a)], "h").0;
+        let plan = RuntimePlan { assignment: vec![1; 5], window: 8 };
+        let mut core = RuntimeCore::new(&region, &plan);
+        let mut backend = Holding::default();
+        core.execute(&mut backend).unwrap();
+        let record = core.record();
+        let completed = |t| record.completion_order.iter().position(|&x| x == t).unwrap();
+        let dispatched = |t| record.dispatch_order.iter().position(|&x| x == t).unwrap();
+        assert_eq!(&record.dispatch_order[..3], &[producer, readers[0], readers[1]]);
+        assert_eq!(record.peak_in_flight, 3, "the readers were held behind the producer");
+        // Before the writer was dispatched, both readers had retired.
+        assert!(readers.iter().all(|&r| completed(r) < dispatched(writer)), "{record:?}");
+        assert!(completed(writer) < dispatched(host), "{record:?}");
+        assert!(is_topological_in(&record.completion_order, &region));
+
+        // With a fault plan active, every task waits for its producers.
+        let faults = FaultState::from_config(&FaultPlan::none().fail_after_completions(1, 99), 1);
+        let mut core = RuntimeCore::with_faults(&region, &plan, faults.unwrap().unwrap());
+        core.execute(&mut Holding::default()).unwrap();
+        assert_eq!(core.record().peak_in_flight, 2, "only the two readers ran side by side");
+    }
+
+    /// Whether `order` lists every task after its predecessors.
+    fn is_topological_in(order: &[usize], region: &RegionGraph) -> bool {
+        let at = |t: usize| order.iter().position(|&x| x == t);
+        (0..region.len()).all(|t| region.predecessors(TaskId(t)).iter().all(|p| at(p.0) < at(t)))
     }
 
     #[test]

@@ -15,11 +15,19 @@
 //! typed error naming the node and event.
 //!
 //! **Waiting for someone else's bytes.** An `AwaitLocal` step names a
-//! receive a car queued ahead of it on the same node — this execution's or
-//! another tenant's (a region admitted beside this one): the device keeps
-//! one train table, and a node's pending train departs before a car of
-//! another execution joins it, so cars reach a node in lowering order. The
-//! worker resolves the wait in arrival order; nothing waits on the head.
+//! receive or a write a car queued ahead of it on the same node — this
+//! execution's or another tenant's (a region admitted beside this one): the
+//! device keeps one train table, and a node's pending train departs before a
+//! car of another execution joins it, so cars reach a node in lowering
+//! order. The worker resolves the wait in arrival order; nothing waits on
+//! the head.
+//!
+//! **Held cars.** A car holds its consumers ([`ExecutionBackend::holds_car`]):
+//! the core dispatches a flow-dependent consumer once its producers' cars
+//! are launched, and the consumer's car waits on its worker — for the
+//! producer's write beside it, or for the push it claims. Its reply may come
+//! home before its producer's; it is parked and settled right after that
+//! one, so replies retire in dependence order.
 //!
 //! **Task trains** (§7: per-task messaging overhead): `launch` does not
 //! send a task immediately. The lowering writes the car into its destination
@@ -64,7 +72,7 @@ use super::telemetry::{monotonic_us, Span, SpanPhase};
 use super::{ExecutionBackend, RuntimeCore, TaskEvent};
 use crate::data_manager::HEAD_NODE;
 use crate::protocol::{split_car_reply, Reply};
-use crate::types::{NodeId, OmpcError, OmpcResult};
+use crate::types::{NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_mpi::{Communicator, Message, MpiError, Tag};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -124,6 +132,14 @@ struct MpiDriver<'c> {
     /// resolved through. Tags are drawn in launch order, so a launch
     /// appends.
     outstanding: Vec<Outstanding>,
+    /// Per task of the graph: whether its car is outstanding, and how many of
+    /// its predecessors' cars were when it was launched — and still are.
+    unsettled: Vec<bool>,
+    waits: Vec<usize>,
+    /// Replies that came home before a predecessor's, with their task: each
+    /// is settled right after the last of them, so the data manager sees the
+    /// producer's retire before its consumer's.
+    parked: Vec<(usize, Message)>,
     /// Locally produced events (tasks the lowering completed or failed on
     /// the head) awaiting the next `await_completions`.
     ready: VecDeque<TaskEvent>,
@@ -140,11 +156,15 @@ fn event_of(task: usize, outcome: OmpcResult<()>) -> TaskEvent {
 impl<'c> MpiDriver<'c> {
     /// A driver for one region execution, on its completion channel.
     fn new(lowering: &'c Lowering) -> Self {
+        let tasks = lowering.graph.len();
         Self {
             lowering,
             completions: lowering.path.events.communicator().clone(),
             completion_tag: lowering.envelope.tag,
             outstanding: Vec::new(),
+            unsettled: vec![false; tasks],
+            waits: vec![0; tasks],
+            parked: Vec::new(),
             ready: VecDeque::new(),
         }
     }
@@ -172,12 +192,13 @@ impl<'c> MpiDriver<'c> {
             let wait =
                 deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             match self.completions.recv_timeout(None, Some(self.completion_tag), wait) {
-                Ok(msg) => drop(self.on_reply(msg)),
+                Ok(msg) => self.on_reply(msg, &mut Vec::new()),
                 Err(error) => {
                     let error = OmpcError::from(error);
                     for car in std::mem::take(&mut self.outstanding) {
                         self.lowering.abandon(car.record, &error);
                     }
+                    self.parked.clear();
                 }
             }
         }
@@ -185,43 +206,79 @@ impl<'c> MpiDriver<'c> {
         while self.completions.try_recv(None, Some(self.completion_tag)).is_some() {}
     }
 
-    /// The outstanding car named `tag`, taken off the index.
-    fn take_outstanding(&mut self, tag: Tag) -> Option<Outstanding> {
-        let at = self.outstanding.binary_search_by_key(&tag, |car| car.tag).ok()?;
-        Some(self.outstanding.remove(at))
+    /// Where the outstanding car named `tag` is in the index.
+    fn find_outstanding(&self, tag: Tag) -> Option<usize> {
+        self.outstanding.binary_search_by_key(&tag, |car| car.tag).ok()
     }
 
-    /// Resolve one car's reply, received on the completion channel: the tag
-    /// leading it names the car, whose task is retired with the reply — or,
-    /// when the head itself answered because the car's train failed to go
-    /// out, rolled back as a car that never reached its node. Records a
-    /// head-side `Reply` span covering the decode. Replies of cars abandoned
-    /// after their envelope went out, and a header too short to name a car,
-    /// are discarded.
-    fn on_reply(&mut self, msg: Message) -> Option<TaskEvent> {
+    /// Take one car's reply, received on the completion channel: the tag
+    /// leading it names the car, whose task is settled ([`MpiDriver::settle`])
+    /// and its event appended to `events` — unless a predecessor's car is
+    /// still outstanding, in which case the reply waits for that one's, and
+    /// is settled right after it. Replies of cars abandoned after their
+    /// envelope went out, and a header too short to name a car, are
+    /// discarded.
+    fn on_reply(&mut self, msg: Message, events: &mut Vec<TaskEvent>) {
+        let Some(at) =
+            split_car_reply(&msg.data).ok().and_then(|(tag, _)| self.find_outstanding(tag))
+        else {
+            return;
+        };
+        let task = self.outstanding[at].task;
+        if self.waits[task] > 0 {
+            self.parked.push((task, msg));
+        } else {
+            self.settle(at, msg, events);
+        }
+    }
+
+    /// Settle the outstanding car at `at` with its reply `msg`: its task is
+    /// retired with the reply — or, when the head itself answered because the
+    /// car's train failed to go out, rolled back as a car that never reached
+    /// its node — and its event appended to `events`; then every parked reply
+    /// that waited for it last, each after the one before. Records a
+    /// head-side `Reply` span covering the decode.
+    fn settle(&mut self, at: usize, msg: Message, events: &mut Vec<TaskEvent>) {
         let tel = &self.lowering.path.telemetry;
         let t0 = tel.start();
-        let (tag, header) = split_car_reply(&msg.data).ok()?;
-        let Outstanding { task, record, .. } = self.take_outstanding(tag)?;
+        let Outstanding { task, record, .. } = self.outstanding.remove(at);
+        self.unsettled[task] = false;
         let from_head = msg.source() == HEAD_NODE;
-        let outcome = match Reply::from_parts(header, msg.body, record.returns_data()) {
-            Err(error) if from_head => {
-                self.lowering.abandon(record, &error);
-                Err(error)
-            }
-            reply => {
-                if tel.spans_enabled() {
-                    tel.record(
-                        Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
-                            .task(task)
-                            .attempt(tel.attempt(task))
-                            .from(record.node()),
-                    );
+        let header = split_car_reply(&msg.data).map(|(_, header)| header);
+        let outcome =
+            match header.and_then(|h| Reply::from_parts(h, msg.body, record.returns_data())) {
+                Err(error) if from_head => {
+                    self.lowering.abandon(record, &error);
+                    Err(error)
                 }
-                self.lowering.retire(task, record, reply)
+                reply => {
+                    if tel.spans_enabled() {
+                        tel.record(
+                            Span::new(SpanPhase::Reply, HEAD_NODE, t0, monotonic_us())
+                                .task(task)
+                                .attempt(tel.attempt(task))
+                                .from(record.node()),
+                        );
+                    }
+                    self.lowering.retire(task, record, reply)
+                }
+            };
+        events.push(event_of(task, outcome));
+        let graph = &self.lowering.graph;
+        for succ in graph.successors(TaskId(task)).iter().map(|t| t.0) {
+            if self.waits[succ] == 0 {
+                continue;
             }
-        };
-        Some(event_of(task, outcome))
+            self.waits[succ] -= 1;
+            let parked = self.parked.iter().position(|&(t, _)| t == succ);
+            if let Some(parked) = parked.filter(|_| self.waits[succ] == 0) {
+                let (_, msg) = self.parked.swap_remove(parked);
+                let tag = split_car_reply(&msg.data).map(|(tag, _)| tag);
+                if let Some(at) = tag.ok().and_then(|tag| self.find_outstanding(tag)) {
+                    self.settle(at, msg, events);
+                }
+            }
+        }
     }
 }
 
@@ -231,7 +288,12 @@ impl ExecutionBackend for MpiDriver<'_> {
         // departs when the window closes. The node is the lowering's: an
         // exit-data car goes where the bytes are.
         match self.lowering.lower_into(task, node) {
-            Ok(Some((tag, record))) => self.outstanding.push(Outstanding { tag, task, record }),
+            Ok(Some((tag, record))) => {
+                let preds = self.lowering.graph.predecessors(TaskId(task));
+                self.waits[task] = preds.iter().filter(|p| self.unsettled[p.0]).count();
+                self.unsettled[task] = true;
+                self.outstanding.push(Outstanding { tag, task, record });
+            }
             Ok(None) => self.ready.push_back(TaskEvent::Completed(task)),
             // Head-side failures are task failures, not backend breakdowns:
             // the core owns the propagate-vs-restart policy.
@@ -242,6 +304,13 @@ impl ExecutionBackend for MpiDriver<'_> {
 
     fn assign(&mut self, assignment: &[NodeId]) {
         self.lowering.assign(assignment);
+    }
+
+    /// A car holds its consumers: each waits on its node for the bytes — its
+    /// producer's write beside it, or the push it claims — and its reply is
+    /// settled after its producers'.
+    fn holds_car(&self, task: usize) -> bool {
+        self.outstanding.last().is_some_and(|car| car.task == task)
     }
 
     fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
@@ -258,7 +327,7 @@ impl ExecutionBackend for MpiDriver<'_> {
         loop {
             // Whatever already arrived rides along without waiting.
             while let Some(msg) = self.completions.try_recv(None, Some(self.completion_tag)) {
-                events.extend(self.on_reply(msg));
+                self.on_reply(msg, events);
             }
             if !events.is_empty() {
                 return Ok(());
@@ -268,7 +337,7 @@ impl ExecutionBackend for MpiDriver<'_> {
             let wait =
                 deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
             match self.completions.recv_timeout(None, Some(self.completion_tag), wait) {
-                Ok(msg) => events.extend(self.on_reply(msg)),
+                Ok(msg) => self.on_reply(msg, events),
                 Err(MpiError::Timeout { .. }) => {
                     return Err(OmpcError::Communication(format!(
                         "timed out waiting for the replies of {} outstanding task event(s)",
@@ -686,6 +755,235 @@ mod tests {
         });
     }
 
+    /// A device of `handlers.len()` workers, worker `n` with `handlers[n - 1]`
+    /// handler threads, run by hand: its data path over `kernels`, with no
+    /// reply time-out, so a wait nothing ends hangs the test's watchdog.
+    struct Held {
+        world: ompc_mpi::World,
+        workers: Vec<std::thread::JoinHandle<()>>,
+        path: crate::runtime::lowering::DataPath,
+    }
+
+    impl Held {
+        fn new(
+            handlers: &[usize],
+            kernels: &std::sync::Arc<crate::kernel::KernelRegistry>,
+        ) -> Self {
+            use crate::event::EventSystem;
+            use std::sync::Arc;
+            let world = ompc_mpi::World::new(handlers.len() + 1);
+            let workers = (1..)
+                .zip(handlers)
+                .map(|(rank, &handlers)| {
+                    let (comm, kernels) = (world.communicator(rank), Arc::clone(kernels));
+                    std::thread::spawn(move || crate::worker::worker_main(comm, kernels, handlers))
+                })
+                .collect();
+            let path = crate::runtime::lowering::DataPath {
+                events: Arc::new(EventSystem::with_reply_timeout(world.communicator(0), None)),
+                buffers: Arc::default(),
+                dm: Arc::default(),
+                telemetry: crate::runtime::telemetry::Telemetry::off(),
+            };
+            Self { world, workers, path }
+        }
+
+        /// A host buffer of `values`, known to the data manager.
+        fn buffer(&self, values: &[f64]) -> crate::types::BufferId {
+            let buffer = self.path.buffers.register(ompc_mpi::typed::f64s_to_bytes(values));
+            self.path.dm.lock().register_host_buffer(buffer, 8 * values.len() as u64);
+            buffer
+        }
+
+        /// The lowering of `graph` with no reply time-out, as region 1.
+        fn lowering(&self, graph: crate::task::RegionGraph) -> crate::runtime::lowering::Lowering {
+            let config = OmpcConfig { event_reply_timeout_ms: None, ..mpi_config() };
+            let (path, graph) = (self.path.clone(), std::sync::Arc::new(graph));
+            crate::runtime::lowering::Lowering::new(path, 1, graph, Default::default(), &config)
+                .unwrap()
+        }
+
+        /// Shut every worker down and wait for it.
+        fn shut_down(self) {
+            for node in 1..=self.workers.len() {
+                let _ = self.path.events.shutdown(node);
+            }
+            for worker in self.workers {
+                let _ = worker.join();
+            }
+            drop(self.world);
+        }
+    }
+
+    /// The next `count` events of `driver`, in the order it reports them.
+    fn next_events(driver: &mut super::MpiDriver<'_>, count: usize) -> Vec<super::TaskEvent> {
+        use crate::runtime::ExecutionBackend;
+        let mut events = Vec::new();
+        while events.len() < count {
+            let mut round = Vec::new();
+            driver.await_completions(&mut round).unwrap();
+            events.append(&mut round);
+        }
+        events
+    }
+
+    fn target(kernel: crate::types::KernelId) -> crate::task::TaskKind {
+        crate::task::TaskKind::Target { kernel, cost_hint: 1e-6 }
+    }
+
+    /// A producer whose kernel fails sends its error down the push its
+    /// reader, held on another worker, claims: the reader replies the
+    /// producer's very error, after the producer, and a run of the two fails
+    /// with that error.
+    #[test]
+    fn a_held_reader_replies_the_error_of_its_failed_producer() {
+        use super::{MpiBackend, MpiDriver, TaskEvent};
+        use crate::runtime::{ExecutionBackend, RuntimeCore};
+        use crate::types::KernelId;
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let kernels = std::sync::Arc::new(crate::kernel::KernelRegistry::new());
+            let noop = kernels.register_fn("noop", 1e-6, |_| {});
+            let held = Held::new(&[1, 1], &kernels);
+            let (a, out) = (held.buffer(&[0.0]), held.buffer(&[0.0]));
+            let graph = || {
+                let mut graph = crate::task::RegionGraph::new();
+                graph.add_task(target(KernelId(424_242)), vec![Dependence::output(a)], "producer");
+                let read = vec![Dependence::input(a), Dependence::output(out)];
+                graph.add_task(target(noop), read, "reader");
+                graph
+            };
+            let lowering = held.lowering(graph());
+            let mut driver = MpiDriver::new(&lowering);
+            driver.assign(&[1, 2]);
+            driver.launch(0, 1).unwrap();
+            assert!(driver.holds_car(0), "a target car holds its consumers");
+            driver.launch(1, 2).unwrap();
+            let events = next_events(&mut driver, 2);
+            let (producer, reader) = match &events[..] {
+                [TaskEvent::Failed { task: 0, error: p }, TaskEvent::Failed { task: 1, error: r }] => {
+                    (p.clone(), r.clone())
+                }
+                other => panic!("both fail, the producer first: {other:?}"),
+            };
+            assert_eq!(producer.root_cause(), &OmpcError::UnknownKernel(KernelId(424_242)));
+            assert_eq!(reader, producer, "the reader replies the producer's error");
+            drop(driver);
+            assert_eq!(lowering.flush_deletes(), Ok(()));
+
+            // The same two tasks as a run: it fails with the producer's error.
+            let lowering = held.lowering(graph());
+            let plan = crate::runtime::RuntimePlan { assignment: vec![1, 2], window: 4 };
+            let mut core = RuntimeCore::new(lowering.graph.as_ref(), &plan);
+            let err = MpiBackend::new(lowering).execute(&mut core).unwrap_err();
+            assert_eq!(err.root_cause(), &OmpcError::UnknownKernel(KernelId(424_242)));
+            assert_eq!(
+                core.record().dispatch_order,
+                vec![0, 1],
+                "the reader was held, not awaited"
+            );
+            let stats = held.world.communicator(2).mailbox_stats();
+            assert_eq!(stats.queued, 0, "every push channel's one message was taken");
+            held.shut_down();
+        });
+    }
+
+    /// The reader's node holds the version its producer supersedes: the
+    /// producer's retire owes it no delete — its first reader's claim is
+    /// already on the node — so a second reader there, lowered after the
+    /// producer retired and before the first reader did, reads the new
+    /// bytes the claim landed.
+    #[test]
+    fn a_reader_lowered_after_its_producer_retired_reads_what_the_early_claim_landed() {
+        use super::{MpiDriver, TaskEvent};
+        use crate::runtime::ExecutionBackend;
+        use std::sync::{Arc, Barrier, Mutex};
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let kernels = Arc::new(crate::kernel::KernelRegistry::new());
+            let fill = kernels.register_fn("fill", 1e-6, |args| args.set_f64s(0, &[1.0]));
+            let bump = kernels.register_fn("bump", 1e-6, |args| {
+                let v = args.as_f64s(0)[0];
+                args.set_f64s(0, &[v + 1.0]);
+            });
+            let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let (e, r, s) = (Arc::clone(&entered), Arc::clone(&release), Arc::clone(&seen));
+            let hold = kernels.register_fn("hold", 1e-6, move |args| {
+                s.lock().unwrap().push(args.as_f64s(0)[0]);
+                e.wait();
+                r.wait();
+            });
+            let s = Arc::clone(&seen);
+            let read = kernels.register_fn("read", 1e-6, move |args| {
+                s.lock().unwrap().push(args.as_f64s(0)[0]);
+            });
+            let held = Held::new(&[1, 1], &kernels);
+            let a = held.buffer(&[0.0]);
+            let mut graph = crate::task::RegionGraph::new();
+            graph.add_task(target(fill), vec![Dependence::output(a)], "version 1, on node 2");
+            graph.add_task(target(bump), vec![Dependence::inout(a)], "version 2, on node 1");
+            graph.add_task(target(hold), vec![Dependence::input(a)], "first reader");
+            graph.add_task(target(read), vec![Dependence::input(a)], "second reader");
+            let lowering = held.lowering(graph);
+            let mut driver = MpiDriver::new(&lowering);
+            driver.assign(&[2, 1, 2, 2]);
+            driver.launch(0, 2).unwrap();
+            assert_eq!(next_events(&mut driver, 1), vec![TaskEvent::Completed(0)]);
+            // The producer, and its first reader held on node 2.
+            driver.launch(1, 1).unwrap();
+            driver.launch(2, 2).unwrap();
+            assert_eq!(next_events(&mut driver, 1), vec![TaskEvent::Completed(1)]);
+            entered.wait();
+            assert!(lowering.path.dm.lock().owed().is_empty(), "no delete for node 2");
+            // The second reader, lowered while the first is still running.
+            driver.launch(3, 2).unwrap();
+            driver.flush_trains();
+            release.wait();
+            let events = next_events(&mut driver, 2);
+            assert_eq!(events, vec![TaskEvent::Completed(2), TaskEvent::Completed(3)]);
+            assert_eq!(*seen.lock().unwrap(), vec![2.0, 2.0], "both readers read version 2");
+            drop(driver);
+            assert_eq!(lowering.flush_deletes(), Ok(()));
+            held.shut_down();
+        });
+    }
+
+    /// The producer's node is killed — by another tenant's fault plan, say:
+    /// this execution runs with none — before its car arrives: the zombie
+    /// gate refuses the car and sends the node's failure down its push, so
+    /// the reader held on another worker replies `NodeFailure`, not a hang.
+    #[test]
+    fn a_held_reader_of_a_killed_producer_replies_its_node_failure() {
+        use super::{MpiDriver, TaskEvent};
+        use crate::runtime::ExecutionBackend;
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let kernels = std::sync::Arc::new(crate::kernel::KernelRegistry::new());
+            let noop = kernels.register_fn("noop", 1e-6, |_| {});
+            let held = Held::new(&[1, 1], &kernels);
+            let (a, out) = (held.buffer(&[0.0]), held.buffer(&[0.0]));
+            let mut graph = crate::task::RegionGraph::new();
+            graph.add_task(target(noop), vec![Dependence::output(a)], "producer");
+            let read = vec![Dependence::input(a), Dependence::output(out)];
+            graph.add_task(target(noop), read, "reader");
+            let lowering = held.lowering(graph);
+            held.path.events.kill(1).unwrap();
+            let mut driver = MpiDriver::new(&lowering);
+            driver.assign(&[1, 2]);
+            driver.launch(0, 1).unwrap();
+            driver.launch(1, 2).unwrap();
+            let events = next_events(&mut driver, 2);
+            assert!(matches!(events[0], TaskEvent::Failed { task: 0, .. }), "{events:?}");
+            for event in &events {
+                let TaskEvent::Failed { error, .. } = event else { panic!("{events:?}") };
+                assert_eq!(
+                    (error.origin_node(), error.root_cause()),
+                    (Some(1), &OmpcError::NodeFailure(1))
+                );
+            }
+            drop(driver);
+            held.shut_down();
+        });
+    }
+
     #[test]
     fn unregistered_kernel_is_a_typed_error_not_a_hang() {
         let mut device = ClusterDevice::with_config(2, mpi_config());
@@ -799,7 +1097,8 @@ mod tests {
     }
 
     /// Task 0 on worker 1 writes what task 2 on worker 2 reads, and task 1
-    /// — in the same train as task 0, after it — fails: the run ends after
+    /// on worker 1, dispatched after task 0 retired and before task 2 — one
+    /// task in flight at a time, so no car is held — fails: the run ends after
     /// task 0's push to worker 2 was booked and before task 2 could claim
     /// it. `device` must have been built with task 1's injected error.
     fn fail_between_push_and_claim(device: &ClusterDevice) -> OmpcError {
@@ -808,9 +1107,8 @@ mod tests {
             graph.add_task(1e-4);
         }
         graph.add_edge(0, 2, 64);
-        graph.add_edge(1, 2, 64);
         let workload = crate::model::WorkloadGraph::new(graph, vec![64; 3]);
-        let plan = RuntimePlan { assignment: vec![1, 1, 2], window: 4 };
+        let plan = RuntimePlan { assignment: vec![1, 1, 2], window: 1 };
         device.run_workload(&workload, &plan).unwrap_err()
     }
 

@@ -129,6 +129,9 @@ pub struct RegionGraph {
     /// `pred_end[t]` says.
     predecessors: Vec<TaskId>,
     pred_end: Vec<usize>,
+    /// Per entry of `predecessors`, whether every dependence on it is a flow
+    /// one: a kept edge's kind is `Flow` when any of the pair's is.
+    flow_only: Vec<bool>,
     /// `(writer, buffer, reader)` for every read of a version, in program
     /// order.
     reads: Vec<(TaskId, BufferId, TaskId)>,
@@ -204,9 +207,13 @@ impl RegionGraph {
         new_edges.sort_by_key(|e| (e.from.0, !matches!(e.kind, EdgeKind::Flow)));
         let mut last = None;
         for edge in new_edges.drain(..) {
+            let flow = edge.kind == EdgeKind::Flow;
             if last.replace(edge.from) != Some(edge.from) {
                 self.predecessors.push(edge.from);
+                self.flow_only.push(flow);
                 self.edges.push(edge);
+            } else if let Some(only) = self.flow_only.last_mut() {
+                *only &= flow;
             }
         }
         self.pred_end.push(self.predecessors.len());
@@ -263,6 +270,15 @@ impl RegionGraph {
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
         let start = id.0.checked_sub(1).map_or(0, |before| self.pred_end[before]);
         &self.predecessors[start..self.pred_end[id.0]]
+    }
+
+    /// Whether every dependence of `task` on its direct predecessor `pred` is a
+    /// flow (read-after-write) one: no anti or output dependence orders the
+    /// pair as well. `false` when `pred` is no direct predecessor.
+    pub(crate) fn is_flow_only(&self, pred: TaskId, task: TaskId) -> bool {
+        let start = task.0.checked_sub(1).map_or(0, |before| self.pred_end[before]);
+        let preds = self.predecessors(task).iter().zip(&self.flow_only[start..]);
+        preds.filter(|&(&p, _)| p == pred).any(|(_, &only)| only)
     }
 
     /// Every `(buffer, reader)` of a version `writer` wrote ([`Self::edges`]: one per pair).
@@ -432,6 +448,26 @@ mod tests {
         );
         assert_eq!(g.roots().len(), 2);
         assert!(g.edges().is_empty());
+    }
+
+    /// A pair ordered by a flow dependence is flow-only unless an anti or
+    /// output dependence orders it too, whichever edge the graph keeps.
+    #[test]
+    fn a_pair_is_flow_only_unless_another_dependence_orders_it() {
+        let mut g = RegionGraph::new();
+        let (a, b) = (BufferId(0), BufferId(1));
+        let kind = TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let p = g.add_task(kind.clone(), vec![Dependence::output(a), Dependence::input(b)], "p");
+        let flow = g.add_task(kind.clone(), vec![Dependence::input(a)], "flow");
+        let both =
+            g.add_task(kind.clone(), vec![Dependence::input(a), Dependence::output(b)], "both");
+        let inout = g.add_task(kind, vec![Dependence::inout(a)], "inout");
+        assert!(g.is_flow_only(p, flow));
+        assert!(!g.is_flow_only(p, both), "an anti dependence on `b` orders the pair too");
+        assert_eq!(g.edges().iter().find(|e| e.to == both).map(|e| e.kind), Some(EdgeKind::Flow));
+        assert!(
+            g.is_flow_only(p, inout) && !g.is_flow_only(flow, inout) && !g.is_flow_only(flow, p)
+        );
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! forward, a push or a retrieve sends the resident handle as the message
 //! body, and kernels borrow their inputs ([`KernelArgs`]): no handler
 //! copies a payload.
+//!
+//! A car may wait here for what another car sends — a claim for its push,
+//! an await for a receive or a write queued ahead of it — so every push
+//! channel carries exactly one message: the bytes, or the error of the car
+//! that will never send them (its failure, or the node's, refused by the
+//! zombie gate). A train's pushes and replies leave together, when the
+//! train ends or a car would wait: one delivery wakes each receiver once.
 
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
@@ -35,41 +42,42 @@ use std::sync::Arc;
 const HEAD_RANK: usize = 0;
 
 /// A worker node's local buffer storage (its "device memory"): one shared
-/// handle per resident buffer, and the arrival book of the receives the
+/// handle per resident buffer, and the arrival book of the versions the
 /// event pool accepted.
 ///
-/// The pool numbers every receive it accepts with a fresh *generation*; the
-/// member that performs the receive *lands* it — the bytes stored, or the
-/// failure recorded. An `AwaitLocal` step waits for the newest receive of
-/// its buffer accepted before it, not for the buffer's presence: a stale
-/// copy a deferred delete has not freed yet is resident too, and must never
-/// satisfy the wait.
+/// The pool numbers every version it accepts with a fresh *generation*: a
+/// receive, a claim, and a local write a car announces ([`TaskStep::Wrote`]).
+/// The member that performs the receive or the write *lands* it — the bytes
+/// stored, or the failure recorded. An `AwaitLocal` step waits for the newest
+/// version of its buffer accepted before it, not for the buffer's presence: a
+/// stale copy a deferred delete has not freed yet is resident too, and must
+/// never satisfy the wait.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
     state: Mutex<MemoryState>,
-    /// Signalled whenever an accepted receive lands.
+    /// Signalled whenever an accepted version lands.
     landed: parking_lot::Condvar,
 }
 
 #[derive(Debug, Default)]
 struct MemoryState {
     buffers: IdMap<u64, Bytes>,
-    /// Per buffer with an accepted receive still to land, or a failed one.
+    /// Per buffer with an accepted version still to land, or a failed one.
     arrivals: IdMap<u64, Arrivals>,
+    /// Every accepted version that has not landed, as `(buffer, generation)`
+    /// — a claim and the write of the car that claimed it, say: a few at a
+    /// time, so a list whose room is kept.
+    pending: Vec<(u64, u64)>,
     /// Last generation handed out: generations are unique per node.
     generation: u64,
 }
 
-/// The receives of one buffer the event pool accepted.
+/// The versions of one buffer the event pool accepted.
 #[derive(Debug, Default)]
 struct Arrivals {
-    /// Generation of the newest accepted receive.
+    /// Generation of the newest accepted version.
     newest: u64,
-    /// The accepted receive that has not landed yet. The head books one
-    /// movement of a copy at a time, so there is at most one; a newer one
-    /// supersedes it.
-    pending: Option<u64>,
-    /// The newest receive that failed, with its error: what its waiters
+    /// The newest version that failed, with its error: what its waiters
     /// reply.
     failed: Option<(u64, OmpcError)>,
 }
@@ -79,12 +87,17 @@ impl MemoryState {
         self.generation += 1;
         let arrivals = self.arrivals.entry(buffer.0).or_default();
         arrivals.newest = self.generation;
-        arrivals.pending = Some(self.generation);
+        self.pending.push((buffer.0, self.generation));
         self.generation
     }
 
     fn newest(&self, buffer: BufferId) -> u64 {
         self.arrivals.get(&buffer.0).map_or(0, |arrivals| arrivals.newest)
+    }
+
+    /// Whether version `generation` of `buffer` is still to land.
+    fn is_pending(&self, buffer: BufferId, generation: u64) -> bool {
+        self.pending.contains(&(buffer.0, generation))
     }
 }
 
@@ -99,12 +112,12 @@ impl DeviceMemory {
         self.state.lock().buffers.insert(id.0, data);
     }
 
-    /// Number the receives of an event the pool accepted, in step order: a
+    /// Number the versions of an event the pool accepted, in step order: a
     /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker` /
-    /// `Claim` step), and per `AwaitLocal` step the generation of the newest
-    /// receive of its buffer accepted before it. The pool calls this under
-    /// its lock, in match order, so "before" means "queued ahead on this
-    /// node".
+    /// `Claim` step) and per local write (`Wrote`), and per `AwaitLocal`
+    /// step the generation of the newest version of its buffer accepted
+    /// before it. The pool calls this under its lock, in match order, so
+    /// "before" means "queued ahead on this node".
     pub(crate) fn accept(&self, request: &EventRequest) -> Vec<u64> {
         match request {
             EventRequest::Task(spec) => self.number(&spec.steps),
@@ -123,7 +136,8 @@ impl DeviceMemory {
             match *step {
                 TaskStep::RecvFromHead { buffer }
                 | TaskStep::RecvFromWorker { buffer, .. }
-                | TaskStep::Claim { buffer, .. } => generations.push(state.announce(buffer)),
+                | TaskStep::Claim { buffer, .. }
+                | TaskStep::Wrote { buffer } => generations.push(state.announce(buffer)),
                 TaskStep::AwaitLocal { buffer, .. } => generations.push(state.newest(buffer)),
                 _ => {}
             }
@@ -131,25 +145,28 @@ impl DeviceMemory {
         generations
     }
 
-    /// Land the accepted receive `generation` of `id`: store the bytes, or
-    /// record the failure for the receive's waiters. Returns the receive's
-    /// own outcome.
+    /// Land the accepted version `generation` of `id`: store the bytes of a
+    /// receive (a write has stored its own), or record the failure for the
+    /// version's waiters. Returns the version's own outcome.
     pub(crate) fn land(
         &self,
         id: BufferId,
         generation: u64,
-        outcome: OmpcResult<Bytes>,
+        outcome: OmpcResult<Option<Bytes>>,
     ) -> OmpcResult<()> {
         let mut guard = self.state.lock();
         let state = &mut *guard;
         let result = outcome.map(|data| {
-            state.buffers.insert(id.0, data);
+            if let Some(data) = data {
+                state.buffers.insert(id.0, data);
+            }
         });
+        if let Some(at) = state.pending.iter().position(|&pending| pending == (id.0, generation)) {
+            state.pending.swap_remove(at);
+        }
+        let more = state.pending.iter().any(|&(buffer, _)| buffer == id.0);
         if let Entry::Occupied(mut entry) = state.arrivals.entry(id.0) {
             let arrivals = entry.get_mut();
-            if arrivals.pending == Some(generation) {
-                arrivals.pending = None;
-            }
             match &result {
                 Err(error) => arrivals.failed = Some((generation, error.clone())),
                 Ok(()) if arrivals.failed.as_ref().is_some_and(|(g, _)| *g < generation) => {
@@ -157,7 +174,7 @@ impl DeviceMemory {
                 }
                 Ok(()) => {}
             }
-            if arrivals.pending.is_none() && arrivals.failed.is_none() {
+            if !more && arrivals.failed.is_none() {
                 entry.remove();
             }
         }
@@ -166,27 +183,38 @@ impl DeviceMemory {
         result
     }
 
-    /// Block until the accepted receive `generation` of `id` has landed,
+    /// Block until the accepted version `generation` of `id` has landed,
     /// and fail with its error if it failed. `timeout` is a last-resort
-    /// bound (one too large to represent waits forever): the receive is
+    /// bound (one too large to represent waits forever): the version is
     /// queued ahead of the waiter on this node, so it lands (or fails)
     /// without anybody's help.
+    /// `before_waiting` runs, unlocked, the first time the version is found
+    /// still to land.
     pub(crate) fn await_landing(
         &self,
         id: BufferId,
         generation: u64,
         timeout: std::time::Duration,
+        before_waiting: impl FnOnce(),
     ) -> OmpcResult<()> {
-        let deadline = std::time::Instant::now().checked_add(timeout);
         let mut state = self.state.lock();
+        if state.is_pending(id, generation) {
+            drop(state);
+            before_waiting();
+            state = self.state.lock();
+        }
+        // Read the clock only to wait: a version that landed costs none.
+        let mut deadline = None;
         loop {
-            let arrivals = state.arrivals.get(&id.0);
-            if arrivals.is_none_or(|a| a.pending != Some(generation)) {
+            if !state.is_pending(id, generation) {
+                let arrivals = state.arrivals.get(&id.0);
                 return match arrivals.and_then(|a| a.failed.as_ref()) {
                     Some((g, error)) if *g == generation => Err(error.clone()),
                     _ => Ok(()),
                 };
             }
+            let deadline =
+                *deadline.get_or_insert_with(|| std::time::Instant::now().checked_add(timeout));
             match deadline {
                 None => self.landed.wait(&mut state),
                 Some(deadline) => {
@@ -219,6 +247,12 @@ impl DeviceMemory {
         self.state.lock().buffers.remove(&id.0).is_some()
     }
 
+    /// Store zeroed storage of `size` bytes for `id` unless it is resident.
+    fn alloc(&self, id: BufferId, size: u64) {
+        let mut state = self.state.lock();
+        state.buffers.entry(id.0).or_insert_with(|| Bytes::zeroed(size as usize));
+    }
+
     /// Whether the buffer is present.
     pub fn contains(&self, id: BufferId) -> bool {
         self.state.lock().buffers.contains_key(&id.0)
@@ -240,6 +274,7 @@ impl DeviceMemory {
         let mut state = self.state.lock();
         state.buffers.clear();
         state.arrivals.clear();
+        state.pending.clear();
         drop(state);
         self.landed.notify_all();
     }
@@ -255,48 +290,86 @@ fn as_remote(node: NodeId, tag: Tag, error: OmpcError) -> OmpcError {
     }
 }
 
-/// Send an event's one typed reply to `dest` on `(channel, tag)`: the
-/// reply's header and body on success, the error — attributed to this node
-/// and event — otherwise. The reply of train car `car` travels on the train
-/// envelope's channel, its header led by the car's tag
-/// ([`car_reply_header`]) and its error attributed to the car. Returns the
-/// handler's own outcome.
-fn send_reply(
-    channel: &Communicator,
-    dest: usize,
-    tag: Tag,
-    car: Option<Tag>,
-    outcome: OmpcResult<Reply>,
-) -> OmpcResult<()> {
-    let (header, body, outcome) = match outcome {
-        Ok(reply) => {
-            let (header, body) = match car {
-                Some(car) => reply.into_car_parts(car),
-                None => reply.into_parts(),
-            };
-            (header, body, Ok(()))
-        }
-        Err(error) => {
-            let event = car.unwrap_or(tag);
-            let failed = EventReply::Err(as_remote(channel.rank(), event, error.clone()));
-            let header = match car {
-                Some(car) => car_reply_header(car, &failed),
-                None => failed.encode(),
-            };
-            (header, None, Err(error))
-        }
-    };
-    match body {
-        Some(body) => channel.send_with_body(dest, tag, header, body)?,
-        None => channel.send(dest, tag, header)?,
+/// What an event sends — each push, each train car's reply — held back
+/// until the event ends or one of its steps would wait: then one delivery
+/// ([`Communicator::send_all`]) hands every receiver all of it before waking
+/// any, instead of waking a peer or the head, which on a shared CPU runs at
+/// once, message by message.
+struct Outbox<'c> {
+    channel: &'c Communicator,
+    messages: Vec<(usize, Tag, Vec<u8>, Option<Bytes>)>,
+}
+
+impl<'c> Outbox<'c> {
+    /// An outbox with room for `messages` before it grows.
+    fn new(channel: &'c Communicator, messages: usize) -> Self {
+        Self { channel, messages: Vec::with_capacity(messages) }
     }
-    outcome
+
+    /// Queue an event's one typed reply to `dest` on `tag`: the reply's
+    /// header and body on success, the error — attributed to this node and
+    /// event — otherwise. The reply of train car `car` travels on the train
+    /// envelope's channel, its header led by the car's tag
+    /// ([`car_reply_header`]) and its error attributed to the car. Returns
+    /// the handler's own outcome.
+    fn reply(
+        &mut self,
+        dest: usize,
+        tag: Tag,
+        car: Option<Tag>,
+        outcome: OmpcResult<Reply>,
+    ) -> OmpcResult<()> {
+        let (header, body, outcome) = match outcome {
+            Ok(reply) => {
+                let (header, body) = match car {
+                    Some(car) => reply.into_car_parts(car),
+                    None => reply.into_parts(),
+                };
+                (header, body, Ok(()))
+            }
+            Err(error) => {
+                let event = car.unwrap_or(tag);
+                let failed = EventReply::Err(as_remote(self.channel.rank(), event, error.clone()));
+                let header = match car {
+                    Some(car) => car_reply_header(car, &failed),
+                    None => failed.encode(),
+                };
+                (header, None, Err(error))
+            }
+        };
+        self.messages.push((dest, tag, header, body));
+        outcome
+    }
+
+    /// Send what is queued. A delivery fails only when the world is going
+    /// away, and then nobody is left to tell.
+    fn flush(&mut self) {
+        if !self.messages.is_empty() {
+            let _ = self.channel.send_all(self.messages.drain(..));
+        }
+    }
+
+    /// The next message on `(source, tag)`: what is queued is sent first if
+    /// the step has to wait for it.
+    fn recv(&mut self, source: Option<NodeId>, tag: Tag) -> OmpcResult<Message> {
+        if let Some(msg) = self.channel.try_recv(source, Some(tag)) {
+            return Ok(msg);
+        }
+        self.flush();
+        Ok(self.channel.recv(source, Some(tag))?)
+    }
+}
+
+impl Drop for Outbox<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 /// Receive the host payload message that follows a notification on its
 /// channel.
-fn recv_payload(channel: &Communicator, tag: Tag) -> OmpcResult<Bytes> {
-    let msg = channel.recv(Some(HEAD_RANK), Some(tag))?;
+fn recv_payload(outbox: &mut Outbox, tag: Tag) -> OmpcResult<Bytes> {
+    let msg = outbox.recv(Some(HEAD_RANK), tag)?;
     payload_body(&msg.data, msg.body)
 }
 
@@ -306,15 +379,21 @@ fn forwarded(msg: Message) -> OmpcResult<Bytes> {
     reply.body.ok_or_else(|| OmpcError::Internal("forward without its data".to_string()))
 }
 
-/// Receive what the sending half of a worker-to-worker forward transmits.
-fn recv_forward(channel: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<Bytes> {
-    forwarded(channel.recv(Some(from), Some(tag))?)
-}
-
-/// Take what `from` pushed on `tag`: queued before it was booked.
-fn take_push(comm: &Communicator, from: NodeId, tag: Tag) -> OmpcResult<Bytes> {
-    let missing = || OmpcError::Internal(format!("nothing pushed by node {from} on {tag:?}"));
-    forwarded(comm.try_recv(Some(from), Some(tag)).ok_or_else(missing)?)
+/// Send `error`, attributed to this node and the car on `car`, down every push channel of
+/// `steps` in place of the bytes: a claim of the push hears it instead of waiting for bytes
+/// that never come.
+fn fail_pushes<'a>(
+    outbox: &mut Outbox,
+    steps: impl IntoIterator<Item = &'a TaskStep>,
+    car: Tag,
+    error: &OmpcError,
+) {
+    let error = as_remote(outbox.channel.rank(), car, error.clone());
+    for step in steps {
+        if let TaskStep::Push { to, tag, .. } = *step {
+            let _ = outbox.reply(to, tag, None, Err(error.clone()));
+        }
+    }
 }
 
 /// The generations [`DeviceMemory::accept`] gave an event's receives and
@@ -335,7 +414,11 @@ fn execute_kernel(
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
     let k = kernels.get(kernel).ok_or(OmpcError::UnknownKernel(kernel))?;
-    let mut args = KernelArgs::resident(buffers, |buffer| memory.resident(buffer))?;
+    let mut args = {
+        let state = memory.state.lock();
+        let resident = |b: BufferId| state.buffers.get(&b.0).cloned();
+        KernelArgs::resident(buffers, |b| resident(b).ok_or(OmpcError::UnknownBuffer(b)))?
+    };
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.execute(&mut args)))
         .map_err(|_| OmpcError::Internal(format!("kernel '{}' panicked", k.name())))?;
     for (id, data) in args.into_written() {
@@ -356,7 +439,7 @@ fn execute_kernel(
 /// dependency/transfer wait) and the kernel-execution window; without it no
 /// clock is ever read.
 fn run_task_steps(
-    channel: &Communicator,
+    outbox: &mut Outbox,
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
     spec: TaskSpec,
@@ -376,31 +459,43 @@ fn run_task_steps(
         let ran = match step {
             TaskStep::RecvFromHead { buffer } => {
                 let generation = generations.next().unwrap_or_default();
-                memory.land(buffer, generation, recv_payload(channel, tag))
+                memory.land(buffer, generation, recv_payload(outbox, tag).map(Some))
             }
             TaskStep::RecvFromWorker { buffer, from } => {
                 let generation = generations.next().unwrap_or_default();
-                memory.land(buffer, generation, recv_forward(channel, from, tag))
+                let forward = outbox.recv(Some(from), tag).and_then(forwarded);
+                memory.land(buffer, generation, forward.map(Some))
             }
-            TaskStep::Claim { buffer, from, tag } => {
+            TaskStep::Claim { buffer, tag } => {
+                // What was pushed on the push's own channel — the bytes, or the
+                // error of the producer's car, its dead node or the head.
                 let generation = generations.next().unwrap_or_default();
-                memory.land(buffer, generation, take_push(channel, from, tag))
+                let pushed = outbox.recv(None, tag).and_then(forwarded);
+                memory.land(buffer, generation, pushed.map(Some))
+            }
+            TaskStep::Wrote { buffer } => {
+                let generation = generations.next().unwrap_or_default();
+                memory.land(buffer, generation, Ok(None))
             }
             TaskStep::AwaitLocal { buffer, timeout_ms } => {
                 let generation = generations.next().unwrap_or_default();
                 let timeout = std::time::Duration::from_millis(timeout_ms);
-                memory.await_landing(buffer, generation, timeout)
+                memory.await_landing(buffer, generation, timeout, || outbox.flush())
             }
             TaskStep::Alloc { buffer, size } => {
-                if !memory.contains(buffer) {
-                    memory.store(buffer, Bytes::zeroed(size as usize));
-                }
+                memory.alloc(buffer, size);
                 Ok(())
             }
             TaskStep::Delete { buffer } => {
                 // Deferred head-side maintenance riding this task; absent
-                // buffers are fine (the copy may never have landed).
-                memory.remove(buffer);
+                // buffers are fine (the copy may never have landed). The
+                // deletes that follow go under the same lock.
+                let mut state = memory.state.lock();
+                state.buffers.remove(&buffer.0);
+                while let Some(TaskStep::Delete { buffer }) = steps.as_slice().first() {
+                    state.buffers.remove(&buffer.0);
+                    steps.next();
+                }
                 Ok(())
             }
             TaskStep::Execute { kernel, buffers } => {
@@ -422,17 +517,18 @@ fn run_task_steps(
             TaskStep::Push { buffer, to, tag } => {
                 // The reader hears any failure: the error sent, or its claim's.
                 let data = memory.resident(buffer).map(Reply::data);
-                let _ = send_reply(channel, to, tag, None, data);
+                let _ = outbox.reply(to, tag, None, data);
                 Ok(())
             }
-            TaskStep::Discard { from, tag } => {
-                // Whatever was pushed — the bytes or their error — goes.
-                let _ = take_push(channel, from, tag);
+            TaskStep::Discard { tag } => {
+                // Whatever was pushed — the bytes or their error — goes. The car that
+                // pushed it has replied, so it is here, if a claim did not take it.
+                let _ = outbox.channel.try_recv(None, Some(tag));
                 Ok(())
             }
         };
         if let Err(error) = ran {
-            abandon_steps(memory, steps, generations, &error);
+            abandon_steps(outbox, memory, steps, generations, tag, &error);
             return Err(error);
         }
     }
@@ -443,20 +539,28 @@ fn run_task_steps(
     Ok(Reply { body, stamps, ..Reply::default() })
 }
 
-/// Land every receive among `steps` — a task's steps it will never run —
-/// as failed with `error`, keeping `generations` in step. No push leaves,
-/// and a claimed copy stays queued for the head's [`TaskStep::Discard`].
+/// Land every receive and write among `steps` — a task's steps it will never
+/// run — as failed with `error`, attributed to the car on `car`, keeping
+/// `generations` in step: whoever awaits one of them replies the car's very
+/// error. Each push sends that error in place of its bytes, and a claimed copy
+/// stays queued for the head's [`TaskStep::Discard`].
 fn abandon_steps(
+    outbox: &mut Outbox,
     memory: &DeviceMemory,
-    steps: impl Iterator<Item = TaskStep>,
+    steps: std::vec::IntoIter<TaskStep>,
     generations: &mut Generations,
+    car: Tag,
     error: &OmpcError,
 ) {
+    let steps = steps.as_slice();
+    fail_pushes(outbox, steps, car, error);
+    let error = as_remote(outbox.channel.rank(), car, error.clone());
     for step in steps {
-        match step {
+        match *step {
             TaskStep::RecvFromHead { buffer }
             | TaskStep::RecvFromWorker { buffer, .. }
-            | TaskStep::Claim { buffer, .. } => {
+            | TaskStep::Claim { buffer, .. }
+            | TaskStep::Wrote { buffer } => {
                 let generation = generations.next().unwrap_or_default();
                 let _ = memory.land(buffer, generation, Err(error.clone()));
             }
@@ -505,7 +609,7 @@ fn run_event(
             // handle as the body on success, the error otherwise. The
             // receiver propagates a failure to the head, so the head never
             // hangs on a half-completed exchange.
-            send_reply(comm, to, tag, None, memory.resident(buffer).map(Reply::data))
+            Outbox::new(comm, 1).reply(to, tag, None, memory.resident(buffer).map(Reply::data))
         }
         EventRequest::TaskTrain(cars) => {
             // Run the cars strictly in order, each car's payloads and
@@ -515,13 +619,17 @@ fn run_event(
             // train keeps rolling (tasks are independent; the head's
             // per-task blame machinery decides what a failure means). The
             // first car error is this handler's own outcome.
+            // The cars' pushes and replies leave together, when the train
+            // ends or a car would wait.
             let mut result = Ok(());
+            // A reply per car, and about as many pushes.
+            let mut outbox = Outbox::new(comm, 2 * cars.len());
             for car in cars {
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
                 let car_recv_us = notification.timed.then(monotonic_us);
                 let ran = run_task_steps(
-                    comm,
+                    &mut outbox,
                     memory,
                     kernels,
                     car.spec,
@@ -529,17 +637,19 @@ fn run_event(
                     car.tag,
                     car_recv_us,
                 );
-                result = result.and(send_reply(comm, HEAD_RANK, tag, Some(car.tag), ran));
+                result = result.and(outbox.reply(HEAD_RANK, tag, Some(car.tag), ran));
             }
             result
         }
         EventRequest::Task(spec) => {
-            let ran = run_task_steps(comm, memory, kernels, spec, &mut generations, tag, recv_us);
-            send_reply(comm, HEAD_RANK, tag, None, ran)
+            let mut outbox = Outbox::new(comm, 1);
+            let ran =
+                run_task_steps(&mut outbox, memory, kernels, spec, &mut generations, tag, recv_us);
+            outbox.reply(HEAD_RANK, tag, None, ran)
         }
         EventRequest::Reset => {
             memory.clear();
-            send_reply(comm, HEAD_RANK, tag, None, Ok(Reply::default()))
+            Outbox::new(comm, 1).reply(HEAD_RANK, tag, None, Ok(Reply::default()))
         }
     }
 }
@@ -558,6 +668,7 @@ fn runs_on_gate(request: &EventRequest) -> bool {
             step,
             TaskStep::RecvFromWorker { .. }
                 | TaskStep::AwaitLocal { .. }
+                | TaskStep::Claim { .. }
                 | TaskStep::Execute { .. }
         )
     };
@@ -571,17 +682,24 @@ fn runs_on_gate(request: &EventRequest) -> bool {
 /// Refuse an event on a killed node: reply with the node's failure instead
 /// of executing anything, so no peer ever blocks on a dead node. Every car
 /// of a task train is refused individually, with the one reply on the
-/// envelope's channel the handler would send for a failed car.
+/// envelope's channel the handler would send for a failed car, after the
+/// failure went down each of its push channels in place of the bytes.
 fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcResult<()> {
     let node = comm.rank();
+    let dead = OmpcError::NodeFailure(node);
+    let mut outbox = Outbox::new(comm, 0);
     if let EventRequest::TaskTrain(cars) = &notification.request {
         for car in cars {
-            let error = EventReply::Err(as_remote(node, car.tag, OmpcError::NodeFailure(node)));
-            comm.send(HEAD_RANK, notification.tag, car_reply_header(car.tag, &error))?;
+            fail_pushes(&mut outbox, &car.spec.steps, car.tag, &dead);
+            let _ = outbox.reply(HEAD_RANK, notification.tag, Some(car.tag), Err(dead.clone()));
         }
         return Ok(());
     }
-    let error = as_remote(node, notification.tag, OmpcError::NodeFailure(node));
+    if let EventRequest::Task(spec) = &notification.request {
+        fail_pushes(&mut outbox, &spec.steps, notification.tag, &dead);
+    }
+    outbox.flush();
+    let error = as_remote(node, notification.tag, dead);
     let dest = match notification.request {
         // The exchange receiver is the peer waiting on the sending half.
         EventRequest::ExchangeSend { to, .. } => to,
@@ -1236,53 +1354,71 @@ mod tests {
         assert_eq!(forwarded.root_cause(), &OmpcError::UnknownBuffer(buffer));
     }
 
+    /// Every push channel carries exactly one message, and a claim waits for
+    /// it: a claim posted before its producer ran lands the producer's own
+    /// allocation; a producer whose kernel fails sends its error down the
+    /// push channel, and the claim replies that very error; a claim behind a
+    /// failed step leaves its message for a discard.
     #[test]
-    fn a_push_lands_through_its_claim_and_a_failed_kernel_sends_none() {
-        let world = World::new(3);
-        let (head, p, q) = (world.communicator(0), world.communicator(1), world.communicator(2));
-        let kernels = KernelRegistry::new();
-        let write = kernels.register_fn("write", 1e-6, |args| args.set_f64s(0, &[4.5]));
-        let (producer, reader) = (DeviceMemory::new(), DeviceMemory::new());
-        let b = BufferId(3);
-        let task = |steps, tag| EventNotification {
-            request: EventRequest::Task(TaskSpec { steps }),
-            tag: Tag(tag),
-            comm: CommId::WORLD,
-            timed: false,
-        };
-        let push = |tag| TaskStep::Push { buffer: b, to: 2, tag: Tag(tag) };
-        let claim = |tag| TaskStep::Claim { buffer: b, from: 1, tag: Tag(tag) };
-        let unknown = || TaskStep::Execute { kernel: KernelId(9), buffers: vec![] };
+    fn a_push_lands_through_its_claim_and_a_failed_kernel_sends_its_error() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::new(3);
+            let (head, p, q) =
+                (world.communicator(0), world.communicator(1), world.communicator(2));
+            let kernels = KernelRegistry::new();
+            let write = kernels.register_fn("write", 1e-6, |args| args.set_f64s(0, &[4.5]));
+            let (producer, reader) = (DeviceMemory::new(), DeviceMemory::new());
+            let b = BufferId(3);
+            let task = |steps, tag| EventNotification {
+                request: EventRequest::Task(TaskSpec { steps }),
+                tag: Tag(tag),
+                comm: CommId::WORLD,
+                timed: false,
+            };
+            let push = |tag| TaskStep::Push { buffer: b, to: 2, tag: Tag(tag) };
+            let claim = |tag| TaskStep::Claim { buffer: b, tag: Tag(tag) };
+            let unknown = || TaskStep::Execute { kernel: KernelId(9), buffers: vec![] };
 
-        // The producer writes `b` and pushes it on; the claim takes the
-        // resident allocation itself, already queued.
-        let alloc = TaskStep::Alloc { buffer: b, size: 8 };
-        let execute = TaskStep::Execute { kernel: write, buffers: vec![b] };
-        handle_event(&p, &producer, &kernels, task(vec![alloc, execute, push(60)], 61)).unwrap();
-        handle_event(&q, &reader, &kernels, task(vec![claim(60)], 62)).unwrap();
-        let landed = reader.get(b).unwrap();
-        assert!(landed.same_allocation(&producer.get(b).unwrap()));
-        assert_eq!(ompc_mpi::typed::bytes_to_f64s(&landed).unwrap(), vec![4.5]);
+            // The claim is on the reader before the producer writes `b` and
+            // pushes it on: it waits, and takes the resident allocation itself.
+            let alloc = TaskStep::Alloc { buffer: b, size: 8 };
+            let execute = TaskStep::Execute { kernel: write, buffers: vec![b] };
+            std::thread::scope(|scope| {
+                let claimed =
+                    scope.spawn(|| handle_event(&q, &reader, &kernels, task(vec![claim(60)], 62)));
+                let produced = vec![alloc, execute, TaskStep::Wrote { buffer: b }, push(60)];
+                handle_event(&p, &producer, &kernels, task(produced, 61)).unwrap();
+                claimed.join().unwrap().unwrap();
+            });
+            let landed = reader.get(b).unwrap();
+            assert!(landed.same_allocation(&producer.get(b).unwrap()));
+            assert_eq!(ompc_mpi::typed::bytes_to_f64s(&landed).unwrap(), vec![4.5]);
 
-        // A failed kernel never reaches its push, and a claim of nothing is
-        // an error, not a wait.
-        let failed = handle_event(&p, &producer, &kernels, task(vec![unknown(), push(63)], 64));
-        assert_eq!(failed, Err(OmpcError::UnknownKernel(KernelId(9))));
-        assert_eq!(q.mailbox_stats().queued, 0, "a failed kernel sends no push");
-        let nothing = handle_event(&q, &reader, &kernels, task(vec![claim(63)], 65));
-        assert!(matches!(nothing, Err(OmpcError::Internal(_))), "{nothing:?}");
+            // A failed kernel never reaches its push: its error goes in its
+            // place, and the claim replies it, blame and all.
+            let failed = handle_event(&p, &producer, &kernels, task(vec![unknown(), push(63)], 64));
+            assert_eq!(failed, Err(OmpcError::UnknownKernel(KernelId(9))));
+            assert_eq!(q.mailbox_stats().queued, 1, "the error is the push channel's one message");
+            let heard = handle_event(&q, &reader, &kernels, task(vec![claim(63)], 65)).unwrap_err();
+            let producers = OmpcError::RemoteEvent {
+                node: 1,
+                event: 64,
+                error: Box::new(OmpcError::UnknownKernel(KernelId(9))),
+            };
+            assert_eq!(heard, producers);
 
-        // A claim behind a failed step leaves its copy queued; a discard
-        // drops it, one nobody claimed, and one of nothing.
-        handle_event(&p, &producer, &kernels, task(vec![push(66), push(67)], 68)).unwrap();
-        let behind = handle_event(&q, &reader, &kernels, task(vec![unknown(), claim(66)], 69));
-        assert!(behind.is_err());
-        assert_eq!(q.mailbox_stats().queued, 2);
-        let discard = |tag| TaskStep::Discard { from: 1, tag: Tag(tag) };
-        let drops = vec![discard(66), discard(67), discard(66)];
-        handle_event(&q, &reader, &kernels, task(drops, 70)).unwrap();
-        assert_eq!(q.mailbox_stats().queued, 0, "every pushed copy was taken");
-        assert_eq!(head.mailbox_stats().queued, 7, "one reply per task, nothing else");
+            // A claim behind a failed step leaves its copy queued; a discard
+            // drops it, one nobody claimed, and one of nothing.
+            handle_event(&p, &producer, &kernels, task(vec![push(66), push(67)], 68)).unwrap();
+            let behind = handle_event(&q, &reader, &kernels, task(vec![unknown(), claim(66)], 69));
+            assert!(behind.is_err());
+            assert_eq!(q.mailbox_stats().queued, 2);
+            let discard = |tag| TaskStep::Discard { tag: Tag(tag) };
+            let drops = vec![discard(66), discard(67), discard(66)];
+            handle_event(&q, &reader, &kernels, task(drops, 70)).unwrap();
+            assert_eq!(q.mailbox_stats().queued, 0, "every pushed copy was taken");
+            assert_eq!(head.mailbox_stats().queued, 7, "one reply per task, nothing else");
+        });
     }
 
     /// The next `cars` car replies from worker 1 on a train envelope's
@@ -1659,7 +1795,7 @@ mod tests {
             let steps = vec![
                 TaskStep::RecvFromHead { buffer: a },
                 TaskStep::Delete { buffer: b },
-                TaskStep::Discard { from: 0, tag: Tag(99) },
+                TaskStep::Discard { tag: Tag(99) },
                 TaskStep::Retrieve { buffer: a },
             ];
             notify(steps_on(steps, 11));
@@ -1774,6 +1910,87 @@ mod tests {
 
         notify(EventRequest::Shutdown, 40);
         worker.join().unwrap();
+    }
+
+    /// A reader held on its producer's node awaits the producer's write, not
+    /// the buffer's presence: with two handler threads it runs beside the
+    /// producer, and a stale copy of the version the write supersedes is
+    /// resident all along. The producer's kernel holds until the head has
+    /// given the reader every chance to reply early (a bound on the wrong
+    /// behaviour only — the right one needs no clock).
+    #[test]
+    fn a_reader_held_beside_its_producer_waits_for_the_write_not_a_stale_copy() {
+        use crate::protocol::{TaskSpec, TaskStep, TrainCar};
+        use std::sync::Barrier;
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::new(2);
+            let head = world.communicator(0);
+            let kernels = Arc::new(KernelRegistry::new());
+            let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+            let write = {
+                let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+                kernels.register_fn("write", 1e-6, move |args| {
+                    entered.wait();
+                    release.wait();
+                    args.set_f64s(0, &[2.0]);
+                })
+            };
+            let seen = Arc::new(Mutex::new(None));
+            let read = {
+                let seen = Arc::clone(&seen);
+                kernels
+                    .register_fn("read", 1e-6, move |args| *seen.lock() = Some(args.as_f64s(0)[0]))
+            };
+            let worker = {
+                let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
+                std::thread::spawn(move || worker_main(comm, kernels, 2))
+            };
+            let notify = |request: EventRequest, tag: u64| {
+                let n =
+                    EventNotification { request, tag: Tag(tag), comm: CommId::WORLD, timed: false };
+                head.send(1, CONTROL_TAG, n.encode()).unwrap();
+            };
+            let car_reply = |train: u64| {
+                let msg = head.recv(Some(1), Some(Tag(train))).unwrap();
+                let (car, header) = crate::protocol::split_car_reply(&msg.data).unwrap();
+                (car.0, Reply::from_parts(header, msg.body, false).is_ok())
+            };
+            let b = BufferId(3);
+            // Version 1 is resident.
+            let version_1 = Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[1.0]));
+            let (header, body) = Reply::data(version_1).into_parts();
+            head.send_with_body(1, Tag(9), header, body.unwrap()).unwrap();
+            let claim = TaskStep::Claim { buffer: b, tag: Tag(9) };
+            notify(EventRequest::Task(TaskSpec { steps: vec![claim] }), 10);
+            car_reply_plain(&head, 10);
+
+            // Train 1: the producer writes version 2. Train 2: the reader,
+            // held until that write lands.
+            let car = |tag: u64, steps| TrainCar { tag: Tag(tag), spec: TaskSpec { steps } };
+            let produce = vec![
+                TaskStep::Execute { kernel: write, buffers: vec![b] },
+                TaskStep::Wrote { buffer: b },
+            ];
+            notify(EventRequest::TaskTrain(vec![car(21, produce)]), 20);
+            let awaiting = TaskStep::AwaitLocal { buffer: b, timeout_ms: u64::MAX };
+            let reading = TaskStep::Execute { kernel: read, buffers: vec![b] };
+            notify(EventRequest::TaskTrain(vec![car(31, vec![awaiting, reading])]), 30);
+            entered.wait();
+            let early =
+                head.recv_timeout(Some(1), Some(Tag(30)), std::time::Duration::from_millis(300));
+            assert!(early.is_err(), "the reader replied before the write: {:?}", *seen.lock());
+            release.wait();
+            assert_eq!((car_reply(20), car_reply(30)), ((21, true), (31, true)));
+            assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the stale copy");
+            notify(EventRequest::Shutdown, 40);
+            worker.join().unwrap();
+        });
+    }
+
+    /// The one reply of a plain task on `tag`, which must succeed.
+    fn car_reply_plain(head: &Communicator, tag: u64) {
+        let msg = head.recv(Some(1), Some(Tag(tag))).unwrap();
+        Reply::from_parts(&msg.data, msg.body, false).unwrap();
     }
 
     /// Let `notifications.len()` idle members take `notifications`: one
@@ -1958,11 +2175,14 @@ mod tests {
             };
             let alloc = TaskStep::Alloc { buffer: BufferId(1), size: 8 };
             let execute = TaskStep::Execute { kernel: noop, buffers: vec![BufferId(1)] };
-            // One task that runs at once, one train that joins the FIFO.
+            // One task that runs at once, one train that joins the FIFO. The
+            // train's kernel reads what the task allocates, and another member
+            // may pick the train up while the task still runs: it is sent once
+            // the task replied.
             head.send(1, CONTROL_TAG, steps_on(vec![alloc], 10).encode()).unwrap();
-            head.send(1, CONTROL_TAG, train_of(11, vec![(12, vec![execute])]).encode()).unwrap();
             let msg = head.recv(Some(1), Some(Tag(10))).unwrap();
             EventReply::decode(&msg.data).unwrap().into_result().unwrap();
+            head.send(1, CONTROL_TAG, train_of(11, vec![(12, vec![execute])]).encode()).unwrap();
             assert_eq!(outcomes_on(&head, Tag(11), 1), vec![(12, true)]);
             head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 13).encode()).unwrap();
             worker.join().unwrap();

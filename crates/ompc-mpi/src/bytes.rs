@@ -11,15 +11,19 @@
 //! A buffer nobody has written yet is not memory of its own either:
 //! [`Bytes::zeroed`] is a view of one process-wide block of zeros, and only
 //! [`Bytes::make_mut`] — a writer that wants the old contents — turns it
-//! into a private allocation.
+//! into a private allocation. The block lives as long as some view of it
+//! does; a holder that keeps one view for good (a device's buffer registry
+//! keeps the largest it handed out) keeps every later request of no more
+//! bytes from allocating and zero-filling it again.
 
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 
 /// The block every live [`Bytes::zeroed`] view shares. Held weakly: the
-/// views keep it alive, so it is never larger than the largest zero view
-/// still in use and is freed with the last of them.
+/// views keep it alive — a view kept for good keeps it for good — so it is
+/// never larger than the largest zero view still in use and is freed with
+/// the last of them.
 static ZEROS: Mutex<Weak<Vec<u8>>> = Mutex::new(Weak::new());
 
 /// The slot is only ever replaced whole, so a panic while it was held
@@ -49,6 +53,7 @@ impl Bytes {
     /// `len` zero bytes, as a view of the process-wide zero block: costs no
     /// allocation and no fill while a block of at least `len` bytes is alive
     /// (a larger request replaces the block; views of the old one keep it).
+    /// Keep one view to keep the block: it is freed with the last of them.
     /// The block is never written — [`Bytes::make_mut`] on a view of it
     /// hands out a fresh zeroed vector instead.
     ///

@@ -67,6 +67,40 @@ impl Communicator {
         self.send_parts(dest, tag, header, Some(body))
     }
 
+    /// Send `messages` — each a destination, a tag, a header and an optional
+    /// body, as [`Communicator::send_with_body`] takes them — as one
+    /// delivery: every message is in its mailbox before any receiver it
+    /// completes is woken, so a receiver woken by one finds the others there
+    /// already instead of preempting the sender between two sends. Stops at
+    /// the first bad rank; what was delivered before it is woken all the
+    /// same.
+    pub fn send_all(
+        &self,
+        messages: impl IntoIterator<Item = (Rank, Tag, Vec<u8>, Option<Bytes>)>,
+    ) -> MpiResult<()> {
+        // Most batches wake one receiver, the head: it needs no list.
+        let (mut first, mut wakes) = (None, Vec::new());
+        let mut sent = Ok(());
+        for (dest, tag, payload, body) in messages {
+            match self.envelope(dest, tag, payload, body) {
+                Ok((mailbox, envelope)) => {
+                    let wake = mailbox.deliver_unwoken(envelope);
+                    match first {
+                        _ if wake.is_empty() => {}
+                        None => first = Some(wake),
+                        Some(_) => wakes.push(wake),
+                    }
+                }
+                Err(error) => {
+                    sent = Err(error);
+                    break;
+                }
+            }
+        }
+        first.into_iter().chain(wakes).for_each(|wake| wake.wake());
+        sent
+    }
+
     fn send_parts(
         &self,
         dest: Rank,
@@ -74,12 +108,24 @@ impl Communicator {
         payload: Vec<u8>,
         body: Option<Bytes>,
     ) -> MpiResult<()> {
+        let (mailbox, envelope) = self.envelope(dest, tag, payload, body)?;
+        mailbox.deliver(envelope);
+        Ok(())
+    }
+
+    /// The message to `dest`, sequenced and paced, with the mailbox it goes to.
+    fn envelope(
+        &self,
+        dest: Rank,
+        tag: Tag,
+        payload: Vec<u8>,
+        body: Option<Bytes>,
+    ) -> MpiResult<(&Arc<Mailbox>, MessageEnvelope)> {
         let mailbox = self.mailbox_of(dest)?;
         let len = payload.len() + body.as_ref().map_or(0, |b| b.len());
         self.world.pace_egress(self.rank, len);
         let seq = self.world.rank_states[self.rank].send_seq[dest].fetch_add(1, Ordering::Relaxed);
-        mailbox.deliver(MessageEnvelope { source: self.rank, dest, tag, seq, payload, body });
-        Ok(())
+        Ok((mailbox, MessageEnvelope { source: self.rank, dest, tag, seq, payload, body }))
     }
 
     fn check_source(&self, source: Option<Rank>) -> MpiResult<()> {
@@ -171,6 +217,42 @@ mod tests {
         let c = w.communicator(0);
         let err = c.send(5, Tag(0), vec![]).unwrap_err();
         assert_eq!(err, MpiError::InvalidRank { rank: 5, world_size: 2 });
+    }
+
+    /// One delivery of several messages: a receive posted for the first is
+    /// woken only once all of them are in their mailboxes, a body arrives as
+    /// the allocation sent, and a bad rank stops the batch after what was
+    /// already delivered.
+    #[test]
+    fn a_batch_is_delivered_whole_before_its_receivers_wake() {
+        let w = World::new(3);
+        let (c0, c1) = (w.communicator(0), w.communicator(1));
+        let body = Bytes::from(vec![7u8; 64]);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                let first = c1.recv(Some(0), Some(Tag(1))).unwrap();
+                (first, c1.try_recv(Some(0), Some(Tag(2))))
+            });
+            while c1.mailbox_stats().posted == 0 {
+                std::thread::yield_now();
+            }
+            let batch = [
+                (1, Tag(1), vec![1], None),
+                (1, Tag(2), vec![2], Some(body.clone())),
+                (2, Tag(3), vec![3], None),
+            ];
+            c0.send_all(batch).unwrap();
+            let (first, second) = waiter.join().unwrap();
+            assert_eq!(first.data, vec![1]);
+            let second = second.expect("the second message was there when the first woke");
+            assert!(second.body.is_some_and(|b| b.same_allocation(&body)));
+        });
+        assert_eq!(w.communicator(2).try_recv(Some(0), Some(Tag(3))).unwrap().data, vec![3]);
+        let bad =
+            [(1, Tag(4), vec![4], None), (9, Tag(5), vec![], None), (1, Tag(6), vec![], None)];
+        assert_eq!(c0.send_all(bad), Err(MpiError::InvalidRank { rank: 9, world_size: 3 }));
+        assert!(c1.try_recv(Some(0), Some(Tag(4))).is_some());
+        assert!(c1.try_recv(Some(0), Some(Tag(6))).is_none(), "nothing after the bad rank");
     }
 
     #[test]

@@ -207,13 +207,18 @@ fn wake<'a, T: 'a>(completed: impl IntoIterator<Item = &'a Arc<Waiter<T>>>) {
 /// What one delivery completed: the probes it reported to and the receive
 /// it handed the message to, owed their wake-up ([`Wakes::wake`]).
 #[derive(Debug)]
-struct Wakes {
+pub(crate) struct Wakes {
     probes: Vec<Arc<Waiter<Status>>>,
     receive: Option<Arc<Waiter<Matched>>>,
 }
 
 impl Wakes {
-    fn wake(self) {
+    /// Whether the delivery completed nobody: most find no receiver posted.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.probes.is_empty() && self.receive.is_none()
+    }
+
+    pub(crate) fn wake(self) {
         wake(&self.probes);
         wake(&self.receive);
     }
@@ -321,6 +326,12 @@ impl Mailbox {
     /// receive matches — queue it and wake nobody.
     pub fn deliver(&self, envelope: MessageEnvelope) {
         self.match_envelope(envelope).wake();
+    }
+
+    /// [`Mailbox::deliver`] without the wake-up: the caller owes it, once
+    /// every message of its batch is delivered.
+    pub(crate) fn deliver_unwoken(&self, envelope: MessageEnvelope) -> Wakes {
+        self.match_envelope(envelope)
     }
 
     /// The matching half of [`Mailbox::deliver`], under the mailbox lock:

@@ -24,6 +24,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// dependence list, each buffer's copy list, a train's frame and the
 /// completion waits.
 const HEAD_BUDGET: f64 = 3.0;
+/// Allocator calls on the workers per task (the process less the head), at
+/// most: each car's steps and its `Execute` buffer list decode into fresh
+/// lists, each reply and push header is a vector of its own, and so is each
+/// train's outbox. Held cars must not grow it unseen: 5.42–6.46 in 130 runs
+/// (release and debug, idle and beside a busy loop) on a 2-vCPU host, plus
+/// 0.3.
+const WORKER_BUDGET: f64 = 6.76;
 /// Allocator calls of the whole process per task, at most: 8.2–8.5 measured
 /// on a 2-vCPU host, plus one.
 const PROCESS_BUDGET: f64 = 9.5;
@@ -128,5 +135,6 @@ fn the_dispatch_path_stays_inside_its_allocation_budget() {
         "allocator calls per task: head {head:.2}, workers {workers:.2}, process-wide {process:.2}"
     );
     assert!(head <= HEAD_BUDGET, "the head makes {head:.2} allocator calls per task");
+    assert!(workers <= WORKER_BUDGET, "the workers make {workers:.2} allocator calls per task");
     assert!(process <= PROCESS_BUDGET, "the process makes {process:.2} allocator calls per task");
 }

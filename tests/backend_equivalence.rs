@@ -133,7 +133,12 @@ fn backends_agree_on_assignment_and_completion_order() {
 
 /// With a wide window the cluster's completion order becomes timing
 /// dependent, but both backends must still execute every task exactly once
-/// in a dependence-respecting order, under the configured window bound.
+/// in a dependence-respecting order, under the configured window bound. The
+/// orders differ by design too: the cluster dispatches a flow-dependent
+/// consumer as soon as its producers' cars are launched, to wait on its
+/// worker, where the simulator waits for them to retire — so the cluster's
+/// completion order is another topological order, and its transfer *set*
+/// is the simulator's.
 #[test]
 fn backends_respect_dependences_under_wide_windows() {
     with_timeout(WATCHDOG, || {
@@ -195,8 +200,10 @@ fn backends_respect_dependences_under_wide_windows() {
 /// Task-train batching is a message-*packaging* optimisation only: the
 /// cluster, which always batches, must produce the decisions the simulator
 /// predicts — strict equality of dispatch and completion orders at a serial
-/// window, set-equality of the transfer plan (and a dependence-respecting
-/// completion permutation) at a wide window — the same way on every run.
+/// window, where no car can hold a consumer, set-equality of the transfer
+/// plan (and a dependence-respecting completion permutation, which held
+/// consumers make the cluster's own) at a wide window — the same way on
+/// every run.
 #[test]
 fn task_train_matrix_is_equivalent_three_ways() {
     with_timeout(WATCHDOG, || {

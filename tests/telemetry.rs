@@ -290,6 +290,44 @@ fn overlapped_regions_render_as_separate_trace_rows() {
     });
 }
 
+/// The attribution closes: the busy buckets plus the idle time account for
+/// the wall window of every node with a span, within 2 %, on a
+/// dispatch-shaped graph — Stencil-1D, 8 points × 32 steps, the points split
+/// four and four over two workers so every step crosses — whose consumers
+/// are held on their workers: held cars move time from the head's
+/// completion wait into worker `WorkerAwait` spans, and nothing may be
+/// counted twice or lost on the way.
+#[test]
+fn attribution_closes_over_a_run_whose_cars_are_held() {
+    with_timeout(WATCHDOG, || {
+        let (points, steps): (usize, usize) = (8, 32);
+        let mut g = TaskGraph::new();
+        for _ in 0..points * steps {
+            g.add_task(1e-5);
+        }
+        for step in 1..steps {
+            for point in 0..points {
+                for from in point.saturating_sub(1)..=(point + 1).min(points - 1) {
+                    g.add_edge((step - 1) * points + from, step * points + point, 16);
+                }
+            }
+        }
+        let workload = WorkloadGraph::new(g, vec![16; points * steps]);
+        let halves = (0..points * steps).map(|t| if t % points < points / 2 { 1 } else { 2 });
+        let plan = RuntimePlan { assignment: halves.collect(), window: 48 };
+        let mut device = ClusterDevice::with_config(2, spans_config());
+        let record = device.run_workload(&workload, &plan).unwrap();
+        device.shutdown();
+        assert!(record.peak_in_flight > points, "no car was held: {}", record.peak_in_flight);
+        let a = record.attribution();
+        let busy = a.scheduling_us + a.serialization_us + a.wire_us + a.compute_us;
+        let nodes: std::collections::BTreeSet<usize> =
+            record.spans.iter().map(|s| s.node).collect();
+        let closure = (busy + a.idle_us) as f64 / (a.wall_us as f64 * nodes.len() as f64);
+        assert!((0.98..=1.02).contains(&closure), "closure {closure:.4} over {nodes:?}: {a:?}");
+    });
+}
+
 #[test]
 fn chrome_trace_export_is_valid_for_a_real_run() {
     with_timeout(WATCHDOG, || {
