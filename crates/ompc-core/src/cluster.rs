@@ -42,9 +42,9 @@ fn host_flush(detail: &'static str) -> Commit {
 }
 
 /// Compatibility key of a parked worker pool: only a device asking for the
-/// same worker count, handler threads, and reply timeout can adopt it —
-/// `(num_workers, event_handler_threads, event_reply_timeout_ms)`.
-type WarmKey = (usize, usize, Option<u64>);
+/// same worker count and reply timeout can adopt it —
+/// `(num_workers, event_reply_timeout_ms)`.
+type WarmKey = (usize, Option<u64>);
 
 /// A worker pool kept alive between device lifetimes: the communication
 /// world, the shared kernel table (cleared on adoption — the fat binary is
@@ -67,7 +67,7 @@ struct WarmWorkers {
 static WARM_WORKERS: Mutex<Vec<(WarmKey, WarmWorkers)>> = Mutex::new(Vec::new());
 
 fn warm_key(num_workers: usize, config: &OmpcConfig) -> WarmKey {
-    (num_workers, config.event_handler_threads, config.event_reply_timeout_ms)
+    (num_workers, config.event_reply_timeout_ms)
 }
 
 fn adopt_warm_workers(key: &WarmKey) -> Option<WarmWorkers> {
@@ -213,10 +213,9 @@ impl ClusterDevice {
                 for node in 1..=num_workers {
                     let comm = world.communicator(node);
                     let kernels = Arc::clone(&kernels);
-                    let handler_threads = config.event_handler_threads;
                     let spawned = std::thread::Builder::new()
                         .name(format!("ompc-worker-{node}"))
-                        .spawn(move || worker_main(comm, kernels, handler_threads));
+                        .spawn(move || worker_main(comm, kernels));
                     assert!(spawned.is_ok(), "cannot spawn worker node {node}: {spawned:?}");
                     worker_handles.extend(spawned);
                 }
@@ -1279,11 +1278,7 @@ mod tests {
     /// no receive is left posted on any rank, and nobody woke for nothing.
     #[test]
     fn a_cold_shutdown_leaves_no_receive_posted_on_any_rank() {
-        let config = OmpcConfig {
-            warm_worker_keepalive: false,
-            event_handler_threads: 3,
-            ..OmpcConfig::small()
-        };
+        let config = OmpcConfig { warm_worker_keepalive: false, ..OmpcConfig::small() };
         let mut device = ClusterDevice::with_config(2, config);
         let mut graph = ompc_sched::TaskGraph::new();
         for task in 0..8 {
@@ -1305,67 +1300,60 @@ mod tests {
 
     /// Region A's enter-data car to node 1 is booked while A's driver sits
     /// in a host task, and region B runs one reader of that buffer there:
-    /// B's car departs A's train ahead of itself and awaits A's receive on
-    /// the worker, so B completes with A's bytes before A is released — with
-    /// one handler thread on the node too, where B's wait queues behind A's
-    /// receive.
+    /// B's car departs A's train ahead of itself and queues behind A's
+    /// receive on the worker's lane, so B completes with A's bytes before A
+    /// is released.
     #[test]
     fn a_reader_of_another_tenants_booking_completes_while_that_tenant_is_held() {
-        for handlers in [2, 1] {
-            ompc_testutil::with_timeout(std::time::Duration::from_secs(120), move || {
-                let config = OmpcConfig {
-                    max_concurrent_regions: 2,
-                    event_handler_threads: handlers,
-                    ..OmpcConfig::small()
-                };
-                let mut device = ClusterDevice::with_config(1, config);
-                let seen = Arc::new(Mutex::new(Vec::new()));
-                let read = {
-                    let seen = Arc::clone(&seen);
-                    device.register_kernel_fn("read", 1e-6, move |args| {
-                        *seen.lock() = args.as_f64s(0);
-                    })
-                };
-                let buffer = device.enter_data_f64s(&[1.0, 2.0]);
-                let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-                let release_rx = Mutex::new(release_rx);
-                let mut a = RegionGraph::new();
-                let enter = TaskKind::EnterData { buffer, map: MapType::To };
-                a.add_task(enter, vec![Dependence::output(buffer)], "enter");
-                a.add_task(TaskKind::Host { cost_hint: 1e-6 }, vec![], "hold");
-                let hold: HostFn = Arc::new(move |_| {
-                    let _ = release_rx.lock().recv();
-                });
-                let mut b = RegionGraph::new();
-                let reader = TaskKind::Target { kernel: read, cost_hint: 1e-6 };
-                b.add_task(reader, vec![Dependence::input(buffer)], "reader");
-                let run = |graph: RegionGraph, assignment, host_fns| {
-                    let region = device.dm.lock().begin_region();
-                    let telemetry = device.telemetry.scoped(region);
-                    let plan = RuntimePlan { assignment, window: 4 };
-                    device.execute_planned(Arc::new(graph), host_fns, &plan, region, &telemetry)
-                };
-                let (a_result, b_before_release) = std::thread::scope(|scope| {
-                    let a = scope.spawn(|| run(a, vec![1, HEAD_NODE], HashMap::from([(1, hold)])));
-                    // A's booking is made before its host task runs.
-                    while !device.dm.lock().buffer_in_flight(buffer) {
-                        std::thread::yield_now();
-                    }
-                    let (done_tx, done_rx) = std::sync::mpsc::channel();
-                    scope.spawn(move || {
-                        let _ = done_tx.send(run(b, vec![1], HashMap::new()).map(drop));
-                    });
-                    let b = done_rx.recv_timeout(std::time::Duration::from_secs(30));
-                    release_tx.send(()).unwrap();
-                    (a.join().unwrap(), b)
-                });
-                let b_result = b_before_release.expect("B completes before A is released");
-                assert!(b_result.is_ok(), "{handlers} handler(s): {b_result:?}");
-                assert!(a_result.is_ok(), "{handlers} handler(s): {a_result:?}");
-                assert_eq!(*seen.lock(), vec![1.0, 2.0], "B read A's bytes");
-                device.shutdown();
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
+            let mut device = ClusterDevice::with_config(1, config);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let read = {
+                let seen = Arc::clone(&seen);
+                device.register_kernel_fn("read", 1e-6, move |args| {
+                    *seen.lock() = args.as_f64s(0);
+                })
+            };
+            let buffer = device.enter_data_f64s(&[1.0, 2.0]);
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+            let release_rx = Mutex::new(release_rx);
+            let mut a = RegionGraph::new();
+            let enter = TaskKind::EnterData { buffer, map: MapType::To };
+            a.add_task(enter, vec![Dependence::output(buffer)], "enter");
+            a.add_task(TaskKind::Host { cost_hint: 1e-6 }, vec![], "hold");
+            let hold: HostFn = Arc::new(move |_| {
+                let _ = release_rx.lock().recv();
             });
-        }
+            let mut b = RegionGraph::new();
+            let reader = TaskKind::Target { kernel: read, cost_hint: 1e-6 };
+            b.add_task(reader, vec![Dependence::input(buffer)], "reader");
+            let run = |graph: RegionGraph, assignment, host_fns| {
+                let region = device.dm.lock().begin_region();
+                let telemetry = device.telemetry.scoped(region);
+                let plan = RuntimePlan { assignment, window: 4 };
+                device.execute_planned(Arc::new(graph), host_fns, &plan, region, &telemetry)
+            };
+            let (a_result, b_before_release) = std::thread::scope(|scope| {
+                let a = scope.spawn(|| run(a, vec![1, HEAD_NODE], HashMap::from([(1, hold)])));
+                // A's booking is made before its host task runs.
+                while !device.dm.lock().buffer_in_flight(buffer) {
+                    std::thread::yield_now();
+                }
+                let (done_tx, done_rx) = std::sync::mpsc::channel();
+                scope.spawn(move || {
+                    let _ = done_tx.send(run(b, vec![1], HashMap::new()).map(drop));
+                });
+                let b = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+                release_tx.send(()).unwrap();
+                (a.join().unwrap(), b)
+            });
+            let b_result = b_before_release.expect("B completes before A is released");
+            assert!(b_result.is_ok(), "{b_result:?}");
+            assert!(a_result.is_ok(), "{a_result:?}");
+            assert_eq!(*seen.lock(), vec![1.0, 2.0], "B read A's bytes");
+            device.shutdown();
+        });
     }
 
     /// A reader of another tenant's booking towards a dead node fails at

@@ -100,8 +100,6 @@ pub struct OmpcConfig {
     /// named [`BackendKind::Threaded`]). The simulated backend is selected
     /// through the `simulate_ompc*` entry points instead.
     pub backend: BackendKind,
-    /// Number of event-handler threads per worker node (paper §4.2).
-    pub event_handler_threads: usize,
     /// Size of the pipelined dispatch window: how many target tasks the
     /// unified execution core keeps in flight at once, overlapping their
     /// input forwarding with other tasks' compute. In LLVM's libomptarget
@@ -123,8 +121,7 @@ pub struct OmpcConfig {
     /// ever fails and the fault subsystem stays entirely out of the
     /// dispatch loop.
     pub fault_plan: FaultPlan,
-    /// Upper bound (milliseconds) on any single wait for an event reply —
-    /// and on a worker's wait for a transfer queued ahead of a task — or
+    /// Upper bound (milliseconds) on any single wait for an event reply, or
     /// `None` to wait forever. The event-reply protocol guarantees every
     /// event is answered — success or typed error — so this is a last line
     /// of defence against a reply that can never arrive (e.g. a worker
@@ -134,14 +131,13 @@ pub struct OmpcConfig {
     /// arbitrarily long — and set to 60 s in [`OmpcConfig::small`], the
     /// test configuration, where kernels are tiny and a lost reply should
     /// fail the suite fast. When enabling it for production runs, budget
-    /// for the slowest kernel plus queueing delay on the worker's handler
-    /// pool.
+    /// for the slowest kernel plus queueing delay on the worker's lane.
     pub event_reply_timeout_ms: Option<u64>,
     /// Keep the MPI worker loops of a [`crate::cluster::ClusterDevice`]
     /// alive after [`crate::cluster::ClusterDevice::shutdown`] and let the
-    /// next device with the same shape (workers, handler threads, reply
-    /// timeout) adopt them instead of spawning fresh ones — amortizing the
-    /// fig. 7(a) startup share across runs. Workers are reset (device
+    /// next device with the same shape (workers, reply timeout) adopt them
+    /// instead of spawning fresh ones — amortizing the fig. 7(a) startup
+    /// share across runs. Workers are reset (device
     /// memory cleared, counters zeroed) between lifetimes, and a device
     /// that saw any node failure is never parked — a failed pool is torn
     /// down cold. Enabled by default; disable for tests that count spawned
@@ -175,7 +171,6 @@ impl Default for OmpcConfig {
     fn default() -> Self {
         Self {
             backend: BackendKind::Mpi,
-            event_handler_threads: 2,
             // The paper's nodes have 24 cores / 48 hardware threads; the
             // OpenMP hidden-helper/worker pool on the head node is what
             // bounds in-flight target regions.
@@ -191,17 +186,15 @@ impl Default for OmpcConfig {
 }
 
 impl OmpcConfig {
-    /// A configuration sized for small in-process tests: one event-handler
-    /// thread per worker, and a bound on every reply wait. It dispatches at
-    /// the paper's window of 48, as the default does: no head thread blocks
-    /// per task here, so a small window only splits the trains — four tasks
-    /// in flight over two workers leave under two cars per train and a
-    /// context switch per task — and no larger window was measured faster on
-    /// the perf ledger's dispatch graph.
+    /// A configuration sized for small in-process tests: a bound on every
+    /// reply wait. It dispatches at the paper's window of 48, as the default
+    /// does: no head thread blocks per task here, so a small window only
+    /// splits the trains — four tasks in flight over two workers leave under
+    /// two cars per train and a context switch per task — and no larger
+    /// window was measured faster on the perf ledger's dispatch graph.
     pub fn small() -> Self {
         Self {
             backend: BackendKind::Mpi,
-            event_handler_threads: 1,
             max_inflight_tasks: 48,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
@@ -343,7 +336,6 @@ mod tests {
     fn every_setting_is_written_out_and_matches_the_defaults() {
         let config = OmpcConfig {
             backend: BackendKind::Mpi,
-            event_handler_threads: 2,
             max_inflight_tasks: 48,
             scheduler: SchedulerKind::Heft,
             fault_plan: FaultPlan::default(),
@@ -367,14 +359,13 @@ mod tests {
         assert_eq!(overheads, OverheadModel::default());
     }
 
-    /// The knob budget, pinned: `OmpcConfig` has nine settings, each bound
-    /// by name with no `..`, so a tenth cannot be added without editing
+    /// The knob budget, pinned: `OmpcConfig` has eight settings, each bound
+    /// by name with no `..`, so a ninth cannot be added without editing
     /// this test.
     #[test]
-    fn the_knob_budget_is_nine_settings() {
+    fn the_knob_budget_is_eight_settings() {
         let OmpcConfig {
             backend,
-            event_handler_threads,
             max_inflight_tasks,
             scheduler,
             fault_plan,
@@ -383,9 +374,8 @@ mod tests {
             max_concurrent_regions,
             telemetry,
         } = OmpcConfig::default();
-        let knobs: [&dyn std::fmt::Debug; 9] = [
+        let knobs: [&dyn std::fmt::Debug; 8] = [
             &backend,
-            &event_handler_threads,
             &max_inflight_tasks,
             &scheduler,
             &fault_plan,
@@ -394,7 +384,7 @@ mod tests {
             &max_concurrent_regions,
             &telemetry,
         ];
-        assert_eq!(knobs.len(), 9);
+        assert_eq!(knobs.len(), 8);
     }
 
     #[test]

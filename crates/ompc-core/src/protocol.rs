@@ -183,11 +183,12 @@ pub enum TaskStep {
     /// an [`EventRequest::ExchangeSend`], so a dead or failed source
     /// surfaces as a typed error in this task's reply instead of a hang.
     RecvFromWorker { buffer: BufferId, from: NodeId },
-    /// Wait for the newest receive, claim or local write ([`TaskStep::Wrote`])
-    /// of `buffer` the worker accepted before this task — an earlier car owns
-    /// it — to land, and fail with its error if it failed. A stale copy
-    /// already resident never satisfies the wait. `timeout_ms` is only a
-    /// last-resort bound (`u64::MAX`: none).
+    /// Read the newest receive, claim or local write ([`TaskStep::Wrote`]) of
+    /// `buffer` queued ahead of this task on the worker — an earlier car owns
+    /// it — and fail with its error if it failed. The worker's one lane runs
+    /// that version first, so the step never waits, and a stale copy already
+    /// resident never stands in for it. The worker reads no `timeout_ms`; the
+    /// head writes `u64::MAX`, and the field stays for the wire format.
     AwaitLocal { buffer: BufferId, timeout_ms: u64 },
     /// Ensure `size` zeroed bytes of device memory exist for `buffer` (a
     /// write-only output that nothing transferred in).

@@ -623,10 +623,9 @@ impl Lowering {
         buffer: BufferId,
         car: &mut CarWriter,
     ) -> OmpcResult<()> {
-        // The receive lands or fails by itself; the reply time-out is only
-        // the last resort.
-        let timeout_ms = self.config.event_reply_timeout_ms.unwrap_or(u64::MAX);
-        let await_local = TaskStep::AwaitLocal { buffer, timeout_ms };
+        // The version it names runs ahead of it on the node's lane, so the
+        // worker never waits and reads no bound.
+        let await_local = TaskStep::AwaitLocal { buffer, timeout_ms: u64::MAX };
         // A version lowered and not retired is the one it reads: the table
         // knows nothing of it yet, the producer's car and its pushes do.
         if let Some(&write) = state.writes.iter().rev().find(|w| w.buffer == buffer) {

@@ -522,7 +522,7 @@ mod tests {
         let worker = {
             let comm = world.communicator(1);
             let kernels = Arc::clone(&kernels);
-            std::thread::spawn(move || worker_main(comm, kernels, 1))
+            std::thread::spawn(move || worker_main(comm, kernels))
         };
         let events = Arc::new(EventSystem::with_reply_timeout(world.communicator(0), None));
         let path = DataPath {
@@ -690,11 +690,11 @@ mod tests {
             let world = World::new(3);
             let kernels = Arc::new(KernelRegistry::new());
             let noop = kernels.register_fn("noop", 1e-6, |_| {});
-            let workers: Vec<_> = [(1, 2), (2, 1)]
+            let workers: Vec<_> = [1, 2]
                 .into_iter()
-                .map(|(rank, handlers)| {
+                .map(|rank| {
                     let (comm, kernels) = (world.communicator(rank), Arc::clone(&kernels));
-                    std::thread::spawn(move || worker_main(comm, kernels, handlers))
+                    std::thread::spawn(move || worker_main(comm, kernels))
                 })
                 .collect();
             let events = Arc::new(EventSystem::with_reply_timeout(world.communicator(0), None));
@@ -722,8 +722,8 @@ mod tests {
                 Lowering::new(path, 1, Arc::new(graph), HashMap::new(), &config).unwrap();
 
             // The owner forwards `a` from node 2, the reader awaits that
-            // receive — in two trains on node 1, so that with two handler
-            // threads the reader's wait can run beside the owner's receive.
+            // receive — in two trains on node 1, the reader's queued behind
+            // the owner's on the node's lane.
             let mut driver = MpiDriver::new(&lowering);
             driver.launch(0, 1).unwrap();
             driver.flush_trains();
@@ -755,9 +755,9 @@ mod tests {
         });
     }
 
-    /// A device of `handlers.len()` workers, worker `n` with `handlers[n - 1]`
-    /// handler threads, run by hand: its data path over `kernels`, with no
-    /// reply time-out, so a wait nothing ends hangs the test's watchdog.
+    /// A device of `workers` workers run by hand: its data path over
+    /// `kernels`, with no reply time-out, so a wait nothing ends hangs the
+    /// test's watchdog.
     struct Held {
         world: ompc_mpi::World,
         workers: Vec<std::thread::JoinHandle<()>>,
@@ -765,18 +765,14 @@ mod tests {
     }
 
     impl Held {
-        fn new(
-            handlers: &[usize],
-            kernels: &std::sync::Arc<crate::kernel::KernelRegistry>,
-        ) -> Self {
+        fn new(workers: usize, kernels: &std::sync::Arc<crate::kernel::KernelRegistry>) -> Self {
             use crate::event::EventSystem;
             use std::sync::Arc;
-            let world = ompc_mpi::World::new(handlers.len() + 1);
-            let workers = (1..)
-                .zip(handlers)
-                .map(|(rank, &handlers)| {
+            let world = ompc_mpi::World::new(workers + 1);
+            let workers = (1..=workers)
+                .map(|rank| {
                     let (comm, kernels) = (world.communicator(rank), Arc::clone(kernels));
-                    std::thread::spawn(move || crate::worker::worker_main(comm, kernels, handlers))
+                    std::thread::spawn(move || crate::worker::worker_main(comm, kernels))
                 })
                 .collect();
             let path = crate::runtime::lowering::DataPath {
@@ -843,7 +839,7 @@ mod tests {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
             let kernels = std::sync::Arc::new(crate::kernel::KernelRegistry::new());
             let noop = kernels.register_fn("noop", 1e-6, |_| {});
-            let held = Held::new(&[1, 1], &kernels);
+            let held = Held::new(2, &kernels);
             let (a, out) = (held.buffer(&[0.0]), held.buffer(&[0.0]));
             let graph = || {
                 let mut graph = crate::task::RegionGraph::new();
@@ -916,7 +912,7 @@ mod tests {
             let read = kernels.register_fn("read", 1e-6, move |args| {
                 s.lock().unwrap().push(args.as_f64s(0)[0]);
             });
-            let held = Held::new(&[1, 1], &kernels);
+            let held = Held::new(2, &kernels);
             let a = held.buffer(&[0.0]);
             let mut graph = crate::task::RegionGraph::new();
             graph.add_task(target(fill), vec![Dependence::output(a)], "version 1, on node 2");
@@ -958,7 +954,7 @@ mod tests {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
             let kernels = std::sync::Arc::new(crate::kernel::KernelRegistry::new());
             let noop = kernels.register_fn("noop", 1e-6, |_| {});
-            let held = Held::new(&[1, 1], &kernels);
+            let held = Held::new(2, &kernels);
             let (a, out) = (held.buffer(&[0.0]), held.buffer(&[0.0]));
             let mut graph = crate::task::RegionGraph::new();
             graph.add_task(target(noop), vec![Dependence::output(a)], "producer");
@@ -1031,55 +1027,61 @@ mod tests {
     /// Two concurrently admitted regions with a train on both workers at
     /// the same time: the mailbox's matching alone hands every car reply to the
     /// driver that owns it — both regions come out byte-correct and the head
-    /// never wakes up for a message that is not its own.
+    /// never wakes up for a message that is not its own. Region A's first
+    /// kernel on each worker holds that worker's lane until region B's trains
+    /// have reached both workers, so all four trains are queued at once.
     #[test]
     fn overlapped_regions_each_receive_their_own_completions() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::{Arc, Barrier};
         ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            let config = OmpcConfig {
-                max_concurrent_regions: 2,
-                event_handler_threads: 2,
-                max_inflight_tasks: 8,
-                ..mpi_config()
-            };
+            let config =
+                OmpcConfig { max_concurrent_regions: 2, max_inflight_tasks: 8, ..mpi_config() };
             let mut device = ClusterDevice::with_config(2, config);
-            // The first car of each of the four trains (two regions × two
-            // workers) waits here for the other three, so all four trains
-            // are on the workers at once.
-            let (barrier, started) = (Arc::new(Barrier::new(4)), AtomicUsize::new(0));
-            let bump = device.register_kernel_fn("bump", 1e-3, move |args| {
-                if started.fetch_add(1, Ordering::SeqCst) < 4 {
-                    barrier.wait();
-                }
-                let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
-                args.set_f64s(0, &v);
-            });
-            let runs = std::thread::scope(|scope| {
-                let clients: Vec<_> = [0.0, 100.0]
-                    .map(|base| {
-                        let device = &device;
-                        scope.spawn(move || {
-                            let mut region = device.target_region();
-                            let values: Vec<f64> = (0..4).map(|i| base + f64::from(i)).collect();
-                            let buffers: Vec<_> =
-                                values.iter().map(|&v| region.map_to_f64s(&[v])).collect();
-                            let tasks: Vec<_> = buffers
-                                .iter()
-                                .map(|&b| region.target(bump, vec![Dependence::inout(b)]))
-                                .collect();
-                            for &b in &buffers {
-                                region.map_from(b);
-                            }
-                            let (_, record) = region.run_recorded().unwrap();
-                            let nodes: Vec<_> =
-                                tasks.iter().map(|t| record.assignment[t.0]).collect();
-                            (values, buffers, nodes)
-                        })
-                    })
-                    .into_iter()
+            // The first two kernels — one on each worker, since a lane runs
+            // one at a time — hold until the test releases them.
+            let (entered, release) = (Arc::new(Barrier::new(3)), Arc::new(Barrier::new(3)));
+            let bump = {
+                let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+                let started = AtomicUsize::new(0);
+                device.register_kernel_fn("bump", 1e-3, move |args| {
+                    if started.fetch_add(1, Ordering::SeqCst) < 2 {
+                        entered.wait();
+                        release.wait();
+                    }
+                    let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+                    args.set_f64s(0, &v);
+                })
+            };
+            let client = |base: f64| {
+                let mut region = device.target_region();
+                let values: Vec<f64> = (0..4).map(|i| base + f64::from(i)).collect();
+                let buffers: Vec<_> = values.iter().map(|&v| region.map_to_f64s(&[v])).collect();
+                let tasks: Vec<_> = buffers
+                    .iter()
+                    .map(|&b| region.target(bump, vec![Dependence::inout(b)]))
                     .collect();
-                clients.into_iter().map(|client| client.join().unwrap()).collect::<Vec<_>>()
+                for &b in &buffers {
+                    region.map_from(b);
+                }
+                let (_, record) = region.run_recorded().unwrap();
+                let nodes: Vec<_> = tasks.iter().map(|t| record.assignment[t.0]).collect();
+                (values, buffers, nodes)
+            };
+            // Notifications handed to each worker's receiving member so far.
+            let woken = || -> Vec<u64> {
+                device.mailbox_stats()[1..].iter().map(|stats| stats.woken).collect()
+            };
+            let runs = std::thread::scope(|scope| {
+                let a = scope.spawn(|| client(0.0));
+                entered.wait();
+                let before = woken();
+                let b = scope.spawn(|| client(100.0));
+                while woken().iter().zip(&before).any(|(now, then)| now <= then) {
+                    std::thread::yield_now();
+                }
+                release.wait();
+                [a, b].map(|client| client.join().unwrap())
             });
             for (values, buffers, nodes) in runs {
                 assert!(

@@ -18,12 +18,12 @@
 //! body, and kernels borrow their inputs ([`KernelArgs`]): no handler
 //! copies a payload.
 //!
-//! A car may wait here for what another car sends — a claim for its push,
-//! an await for a receive or a write queued ahead of it — so every push
-//! channel carries exactly one message: the bytes, or the error of the car
-//! that will never send them (its failure, or the node's, refused by the
-//! zombie gate). A train's pushes and replies leave together, when the
-//! train ends or a car would wait: one delivery wakes each receiver once.
+//! A car may wait here for what a car on another node sends — a claim for
+//! its push — so every push channel carries exactly one message: the bytes,
+//! or the error of the car that will never send them (its failure, or the
+//! node's, refused by the zombie gate). A train's pushes and replies leave
+//! together, when the train ends or a car would wait: one delivery wakes
+//! each receiver once.
 
 use crate::kernel::{KernelArgs, KernelRegistry};
 use crate::protocol::{
@@ -34,7 +34,6 @@ use crate::runtime::telemetry::monotonic_us;
 use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, Communicator, Message, PostedRecv, RecvGroup, Tag};
 use parking_lot::{Condvar, Mutex};
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -42,63 +41,25 @@ use std::sync::Arc;
 const HEAD_RANK: usize = 0;
 
 /// A worker node's local buffer storage (its "device memory"): one shared
-/// handle per resident buffer, and the arrival book of the versions the
-/// event pool accepted.
+/// handle per resident buffer, and the failure of each buffer whose last
+/// receive or write failed.
 ///
-/// The pool numbers every version it accepts with a fresh *generation*: a
-/// receive, a claim, and a local write a car announces ([`TaskStep::Wrote`]).
-/// The member that performs the receive or the write *lands* it — the bytes
-/// stored, or the failure recorded. An `AwaitLocal` step waits for the newest
-/// version of its buffer accepted before it, not for the buffer's presence: a
-/// stale copy a deferred delete has not freed yet is resident too, and must
-/// never satisfy the wait.
+/// A receive, a claim and a local write a car marks ([`TaskStep::Wrote`])
+/// each *land* a version of their buffer — the bytes stored, or the failure
+/// recorded. Every event that lands a version runs on the node's one lane,
+/// in match order, so the version an `AwaitLocal` step names has landed
+/// before the step runs: the step only reads whether it failed.
 #[derive(Debug, Default)]
 pub struct DeviceMemory {
     state: Mutex<MemoryState>,
-    /// Signalled whenever an accepted version lands.
-    landed: parking_lot::Condvar,
 }
 
 #[derive(Debug, Default)]
 struct MemoryState {
     buffers: IdMap<u64, Bytes>,
-    /// Per buffer with an accepted version still to land, or a failed one.
-    arrivals: IdMap<u64, Arrivals>,
-    /// Every accepted version that has not landed, as `(buffer, generation)`
-    /// — a claim and the write of the car that claimed it, say: a few at a
-    /// time, so a list whose room is kept.
-    pending: Vec<(u64, u64)>,
-    /// Last generation handed out: generations are unique per node.
-    generation: u64,
-}
-
-/// The versions of one buffer the event pool accepted.
-#[derive(Debug, Default)]
-struct Arrivals {
-    /// Generation of the newest accepted version.
-    newest: u64,
-    /// The newest version that failed, with its error: what its waiters
-    /// reply.
-    failed: Option<(u64, OmpcError)>,
-}
-
-impl MemoryState {
-    fn announce(&mut self, buffer: BufferId) -> u64 {
-        self.generation += 1;
-        let arrivals = self.arrivals.entry(buffer.0).or_default();
-        arrivals.newest = self.generation;
-        self.pending.push((buffer.0, self.generation));
-        self.generation
-    }
-
-    fn newest(&self, buffer: BufferId) -> u64 {
-        self.arrivals.get(&buffer.0).map_or(0, |arrivals| arrivals.newest)
-    }
-
-    /// Whether version `generation` of `buffer` is still to land.
-    fn is_pending(&self, buffer: BufferId, generation: u64) -> bool {
-        self.pending.contains(&(buffer.0, generation))
-    }
+    /// Per buffer whose last landed version failed, the error: what its
+    /// readers reply.
+    failed: IdMap<u64, OmpcError>,
 }
 
 impl DeviceMemory {
@@ -112,123 +73,30 @@ impl DeviceMemory {
         self.state.lock().buffers.insert(id.0, data);
     }
 
-    /// Number the versions of an event the pool accepted, in step order: a
-    /// fresh generation per receive (a `RecvFromHead` / `RecvFromWorker` /
-    /// `Claim` step) and per local write (`Wrote`), and per `AwaitLocal`
-    /// step the generation of the newest version of its buffer accepted
-    /// before it. The pool calls this under its lock, in match order, so
-    /// "before" means "queued ahead on this node".
-    pub(crate) fn accept(&self, request: &EventRequest) -> Vec<u64> {
-        match request {
-            EventRequest::Task(spec) => self.number(&spec.steps),
-            EventRequest::TaskTrain(cars) => {
-                self.number(cars.iter().flat_map(|car| &car.spec.steps))
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// [`DeviceMemory::accept`] for the steps of a task or a train.
-    fn number<'a>(&self, steps: impl IntoIterator<Item = &'a TaskStep>) -> Vec<u64> {
+    /// Land a version of `id`: store the bytes of a receive (a write has
+    /// stored its own), or record the failure for the version's readers.
+    /// Returns the version's own outcome.
+    pub(crate) fn land(&self, id: BufferId, outcome: OmpcResult<Option<Bytes>>) -> OmpcResult<()> {
         let mut state = self.state.lock();
-        let mut generations = Vec::new();
-        for step in steps {
-            match *step {
-                TaskStep::RecvFromHead { buffer }
-                | TaskStep::RecvFromWorker { buffer, .. }
-                | TaskStep::Claim { buffer, .. }
-                | TaskStep::Wrote { buffer } => generations.push(state.announce(buffer)),
-                TaskStep::AwaitLocal { buffer, .. } => generations.push(state.newest(buffer)),
-                _ => {}
+        match outcome {
+            Ok(data) => {
+                if let Some(data) = data {
+                    state.buffers.insert(id.0, data);
+                }
+                state.failed.remove(&id.0);
+                Ok(())
+            }
+            Err(error) => {
+                state.failed.insert(id.0, error.clone());
+                Err(error)
             }
         }
-        generations
     }
 
-    /// Land the accepted version `generation` of `id`: store the bytes of a
-    /// receive (a write has stored its own), or record the failure for the
-    /// version's waiters. Returns the version's own outcome.
-    pub(crate) fn land(
-        &self,
-        id: BufferId,
-        generation: u64,
-        outcome: OmpcResult<Option<Bytes>>,
-    ) -> OmpcResult<()> {
-        let mut guard = self.state.lock();
-        let state = &mut *guard;
-        let result = outcome.map(|data| {
-            if let Some(data) = data {
-                state.buffers.insert(id.0, data);
-            }
-        });
-        if let Some(at) = state.pending.iter().position(|&pending| pending == (id.0, generation)) {
-            state.pending.swap_remove(at);
-        }
-        let more = state.pending.iter().any(|&(buffer, _)| buffer == id.0);
-        if let Entry::Occupied(mut entry) = state.arrivals.entry(id.0) {
-            let arrivals = entry.get_mut();
-            match &result {
-                Err(error) => arrivals.failed = Some((generation, error.clone())),
-                Ok(()) if arrivals.failed.as_ref().is_some_and(|(g, _)| *g < generation) => {
-                    arrivals.failed = None;
-                }
-                Ok(()) => {}
-            }
-            if !more && arrivals.failed.is_none() {
-                entry.remove();
-            }
-        }
-        drop(guard);
-        self.landed.notify_all();
-        result
-    }
-
-    /// Block until the accepted version `generation` of `id` has landed,
-    /// and fail with its error if it failed. `timeout` is a last-resort
-    /// bound (one too large to represent waits forever): the version is
-    /// queued ahead of the waiter on this node, so it lands (or fails)
-    /// without anybody's help.
-    /// `before_waiting` runs, unlocked, the first time the version is found
-    /// still to land.
-    pub(crate) fn await_landing(
-        &self,
-        id: BufferId,
-        generation: u64,
-        timeout: std::time::Duration,
-        before_waiting: impl FnOnce(),
-    ) -> OmpcResult<()> {
-        let mut state = self.state.lock();
-        if state.is_pending(id, generation) {
-            drop(state);
-            before_waiting();
-            state = self.state.lock();
-        }
-        // Read the clock only to wait: a version that landed costs none.
-        let mut deadline = None;
-        loop {
-            if !state.is_pending(id, generation) {
-                let arrivals = state.arrivals.get(&id.0);
-                return match arrivals.and_then(|a| a.failed.as_ref()) {
-                    Some((g, error)) if *g == generation => Err(error.clone()),
-                    _ => Ok(()),
-                };
-            }
-            let deadline =
-                *deadline.get_or_insert_with(|| std::time::Instant::now().checked_add(timeout));
-            match deadline {
-                None => self.landed.wait(&mut state),
-                Some(deadline) => {
-                    let now = std::time::Instant::now();
-                    if now >= deadline {
-                        return Err(OmpcError::Internal(format!(
-                            "task step timed out waiting for {id} to arrive from a co-scheduled \
-                             transfer"
-                        )));
-                    }
-                    let _ = self.landed.wait_for(&mut state, deadline - now);
-                }
-            }
-        }
+    /// The outcome of the last version of `id` that landed: its error if it
+    /// failed.
+    fn landed(&self, id: BufferId) -> OmpcResult<()> {
+        self.state.lock().failed.get(&id.0).map_or(Ok(()), |error| Err(error.clone()))
     }
 
     /// A handle on the resident contents of a buffer — the allocation
@@ -268,15 +136,12 @@ impl DeviceMemory {
         self.len() == 0
     }
 
-    /// Drop every resident buffer and every arrival record (warm-worker
+    /// Drop every resident buffer and every failure record (warm-worker
     /// recycling between device lifetimes).
     pub fn clear(&self) {
         let mut state = self.state.lock();
         state.buffers.clear();
-        state.arrivals.clear();
-        state.pending.clear();
-        drop(state);
-        self.landed.notify_all();
+        state.failed.clear();
     }
 }
 
@@ -396,10 +261,6 @@ fn fail_pushes<'a>(
     }
 }
 
-/// The generations [`DeviceMemory::accept`] gave an event's receives and
-/// awaits, consumed in step order.
-type Generations = std::vec::IntoIter<u64>;
-
 /// Run `kernel` against the node's device copies of `buffers`.
 ///
 /// The kernel borrows the resident handles (see [`KernelArgs`]): nothing is
@@ -443,7 +304,6 @@ fn run_task_steps(
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
     spec: TaskSpec,
-    generations: &mut Generations,
     tag: Tag,
     recv_us: Option<u64>,
 ) -> OmpcResult<Reply> {
@@ -458,30 +318,21 @@ fn run_task_steps(
     while let Some(step) = steps.next() {
         let ran = match step {
             TaskStep::RecvFromHead { buffer } => {
-                let generation = generations.next().unwrap_or_default();
-                memory.land(buffer, generation, recv_payload(outbox, tag).map(Some))
+                memory.land(buffer, recv_payload(outbox, tag).map(Some))
             }
             TaskStep::RecvFromWorker { buffer, from } => {
-                let generation = generations.next().unwrap_or_default();
                 let forward = outbox.recv(Some(from), tag).and_then(forwarded);
-                memory.land(buffer, generation, forward.map(Some))
+                memory.land(buffer, forward.map(Some))
             }
             TaskStep::Claim { buffer, tag } => {
                 // What was pushed on the push's own channel — the bytes, or the
                 // error of the producer's car, its dead node or the head.
-                let generation = generations.next().unwrap_or_default();
                 let pushed = outbox.recv(None, tag).and_then(forwarded);
-                memory.land(buffer, generation, pushed.map(Some))
+                memory.land(buffer, pushed.map(Some))
             }
-            TaskStep::Wrote { buffer } => {
-                let generation = generations.next().unwrap_or_default();
-                memory.land(buffer, generation, Ok(None))
-            }
-            TaskStep::AwaitLocal { buffer, timeout_ms } => {
-                let generation = generations.next().unwrap_or_default();
-                let timeout = std::time::Duration::from_millis(timeout_ms);
-                memory.await_landing(buffer, generation, timeout, || outbox.flush())
-            }
+            TaskStep::Wrote { buffer } => memory.land(buffer, Ok(None)),
+            // The version it names ran ahead of it on the lane.
+            TaskStep::AwaitLocal { buffer, .. } => memory.landed(buffer),
             TaskStep::Alloc { buffer, size } => {
                 memory.alloc(buffer, size);
                 Ok(())
@@ -528,7 +379,7 @@ fn run_task_steps(
             }
         };
         if let Err(error) = ran {
-            abandon_steps(outbox, memory, steps, generations, tag, &error);
+            abandon_steps(outbox, memory, steps, tag, &error);
             return Err(error);
         }
     }
@@ -540,15 +391,14 @@ fn run_task_steps(
 }
 
 /// Land every receive and write among `steps` — a task's steps it will never
-/// run — as failed with `error`, attributed to the car on `car`, keeping
-/// `generations` in step: whoever awaits one of them replies the car's very
-/// error. Each push sends that error in place of its bytes, and a claimed copy
-/// stays queued for the head's [`TaskStep::Discard`].
+/// run — as failed with `error`, attributed to the car on `car`: whoever
+/// awaits one of them replies the car's very error. Each push sends that
+/// error in place of its bytes, and a claimed copy stays queued for the
+/// head's [`TaskStep::Discard`].
 fn abandon_steps(
     outbox: &mut Outbox,
     memory: &DeviceMemory,
     steps: std::vec::IntoIter<TaskStep>,
-    generations: &mut Generations,
     car: Tag,
     error: &OmpcError,
 ) {
@@ -561,11 +411,7 @@ fn abandon_steps(
             | TaskStep::RecvFromWorker { buffer, .. }
             | TaskStep::Claim { buffer, .. }
             | TaskStep::Wrote { buffer } => {
-                let generation = generations.next().unwrap_or_default();
-                let _ = memory.land(buffer, generation, Err(error.clone()));
-            }
-            TaskStep::AwaitLocal { .. } => {
-                generations.next();
+                let _ = memory.land(buffer, Err(error.clone()));
             }
             _ => {}
         }
@@ -584,20 +430,6 @@ pub fn handle_event(
     kernels: &KernelRegistry,
     notification: EventNotification,
 ) -> OmpcResult<()> {
-    let generations = memory.accept(&notification.request);
-    run_event(comm, memory, kernels, notification, generations)
-}
-
-/// Run one event the pool accepted with `generations`
-/// ([`DeviceMemory::accept`]).
-fn run_event(
-    comm: &Communicator,
-    memory: &DeviceMemory,
-    kernels: &KernelRegistry,
-    notification: EventNotification,
-    generations: Vec<u64>,
-) -> OmpcResult<()> {
-    let mut generations = generations.into_iter();
     let tag = notification.tag;
     // Handler-entry timestamp, read only when the head asked for a timed
     // reply — an untimed event costs no clock read on the worker.
@@ -628,23 +460,15 @@ fn run_event(
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
                 let car_recv_us = notification.timed.then(monotonic_us);
-                let ran = run_task_steps(
-                    &mut outbox,
-                    memory,
-                    kernels,
-                    car.spec,
-                    &mut generations,
-                    car.tag,
-                    car_recv_us,
-                );
+                let ran =
+                    run_task_steps(&mut outbox, memory, kernels, car.spec, car.tag, car_recv_us);
                 result = result.and(outbox.reply(HEAD_RANK, tag, Some(car.tag), ran));
             }
             result
         }
         EventRequest::Task(spec) => {
             let mut outbox = Outbox::new(comm, 1);
-            let ran =
-                run_task_steps(&mut outbox, memory, kernels, spec, &mut generations, tag, recv_us);
+            let ran = run_task_steps(&mut outbox, memory, kernels, spec, tag, recv_us);
             outbox.reply(HEAD_RANK, tag, None, ran)
         }
         EventRequest::Reset => {
@@ -655,25 +479,27 @@ fn run_event(
 }
 
 /// Whether `request` runs at once on the member that accepted it instead of
-/// joining the pool's FIFO of blocking jobs: only what can never block it —
-/// sending, touching device memory, or receiving what the head sends right
-/// behind the notification. A `Task` runs at once unless one of its steps
-/// waits on a peer, another member or a kernel; the sending half of a
-/// forward and a reset run at once too. This is the analogue of the paper's handlers
-/// re-enqueueing events that still have pending I/O, so a small pool cannot
+/// joining the node's lane: only what can never block it and lands no
+/// version — sending, allocating, deleting, retrieving. A `Task` runs at once
+/// unless one of its steps waits on the head, a peer or a kernel, lands a
+/// version or reads whether one landed; the sending half of a forward and a
+/// reset run at once too. This is the analogue of the paper's handlers
+/// re-enqueueing events that still have pending I/O, so the lane cannot
 /// deadlock on two opposing forwards.
 fn runs_on_gate(request: &EventRequest) -> bool {
-    let waits = |step: &TaskStep| {
+    let on_lane = |step: &TaskStep| {
         matches!(
             step,
-            TaskStep::RecvFromWorker { .. }
-                | TaskStep::AwaitLocal { .. }
+            TaskStep::RecvFromHead { .. }
+                | TaskStep::RecvFromWorker { .. }
                 | TaskStep::Claim { .. }
+                | TaskStep::Wrote { .. }
+                | TaskStep::AwaitLocal { .. }
                 | TaskStep::Execute { .. }
         )
     };
     match request {
-        EventRequest::Task(spec) => !spec.steps.iter().any(waits),
+        EventRequest::Task(spec) => !spec.steps.iter().any(on_lane),
         EventRequest::ExchangeSend { .. } | EventRequest::Reset => true,
         _ => false,
     }
@@ -709,10 +535,6 @@ fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcRe
     Ok(())
 }
 
-/// An accepted notification: the event and the generations
-/// [`DeviceMemory::accept`] gave its receives.
-type Job = (EventNotification, Vec<u64>);
-
 /// What the members of a worker's event pool share, under the pool's lock.
 #[derive(Debug, Default)]
 struct PoolState {
@@ -722,11 +544,11 @@ struct PoolState {
     /// woke before the members matched earlier did.
     early: BTreeMap<u64, Message>,
     /// Accepted notifications that cannot block, to run at once.
-    ready: VecDeque<Job>,
-    /// Accepted notifications that may block, in match order.
-    blocking: VecDeque<Job>,
-    /// Members with a receive posted that they have not come back from.
-    posted: usize,
+    ready: VecDeque<EventNotification>,
+    /// The lane: accepted notifications that may block, in match order.
+    blocking: VecDeque<EventNotification>,
+    /// Whether a member runs the lane's job.
+    running: bool,
     /// Set by a `Kill`: every notification matched afterwards is refused.
     dead: bool,
     /// Set by a `Shutdown` or a failed receive: nothing more is received,
@@ -734,17 +556,18 @@ struct PoolState {
     closed: bool,
 }
 
-/// A worker node's event pool (paper §4.2's gate and handler pool in one):
-/// every idle member posts its own receive on [`CONTROL_TAG`], so the mailbox
-/// hands each notification straight to the thread that runs it.
+/// A worker node's event pool (paper §4.2's gate and handler in one): two
+/// members, each idle one posting its own receive on [`CONTROL_TAG`], so the
+/// mailbox hands each notification straight to the thread that runs it.
 ///
 /// The pool's rule: under its lock and strictly in match-index order, a
 /// member accepts each notification — decodes it, handles `Shutdown`, `Kill`
-/// and the dead flag, numbers its receives and classifies it with
-/// [`runs_on_gate`]. What cannot block runs at once, on the member that took
-/// it; the rest joins a FIFO whose head runs only while another member is
-/// posted. So one member is always receiving, and at most one fewer than the
-/// pool's members — the node's handler threads — run blocking jobs at once.
+/// and the dead flag, and classifies it with [`runs_on_gate`]. What cannot
+/// block runs at once, on the member that took it; the rest joins the node's
+/// one lane, whose jobs run one at a time in match order, also while a
+/// closed pool drains. So while one member runs the lane the other receives,
+/// and every version a lane job lands has landed before the jobs matched
+/// after it run.
 struct Pool<'a> {
     comm: &'a Communicator,
     memory: &'a DeviceMemory,
@@ -770,25 +593,27 @@ impl<'a> Pool<'a> {
         }
     }
 
-    /// One member's life: run what is ready, otherwise post its receive and
-    /// accept what it is handed, until the pool is closed and drained.
+    /// One member's life: run what is ready or the lane's next job if the
+    /// lane is free, otherwise post its receive and accept what it is
+    /// handed, until the pool is closed and drained.
     fn serve(&self) {
         // The member's own receive, posted again each time it is idle.
         let mut receive: Option<PostedRecv> = None;
         let mut state = self.state.lock();
         loop {
-            let blocking_may_run = state.posted > 0 || state.closed;
             let job = match state.ready.pop_front() {
-                Some(job) => Some(job),
-                None if blocking_may_run => state.blocking.pop_front(),
+                Some(notification) => Some((notification, false)),
+                None if !state.running => state.blocking.pop_front().map(|n| (n, true)),
                 None => None,
             };
-            if let Some((notification, generations)) = job {
+            if let Some((notification, lane)) = job {
+                state.running |= lane;
                 drop(state);
                 // Errors on individual events must not end the member; the
                 // head receives them as error replies on the event channel.
-                let _ = run_event(self.comm, self.memory, self.kernels, notification, generations);
+                let _ = handle_event(self.comm, self.memory, self.kernels, notification);
                 state = self.state.lock();
+                state.running &= !lane;
                 continue;
             }
             if state.closed {
@@ -806,11 +631,9 @@ impl<'a> Pool<'a> {
                 continue;
             };
             let posted = receive.insert(posted);
-            state.posted += 1;
             drop(state);
             let matched = posted.wait();
             state = self.state.lock();
-            state.posted -= 1;
             match matched {
                 Ok((message, index)) => {
                     self.arrive(&mut state, index, message);
@@ -857,13 +680,9 @@ impl<'a> Pool<'a> {
             let _ = refuse_event(self.comm, &notification);
             return;
         }
-        // Numbered here, in match order: an `AwaitLocal` step names the
-        // newest receive of its buffer matched ahead of it, whichever member
-        // ends up running either.
-        let generations = self.memory.accept(&notification.request);
         match runs_on_gate(&notification.request) {
-            true => state.ready.push_back((notification, generations)),
-            false => state.blocking.push_back((notification, generations)),
+            true => state.ready.push_back(notification),
+            false => state.blocking.push_back(notification),
         }
     }
 
@@ -875,8 +694,8 @@ impl<'a> Pool<'a> {
     }
 }
 
-/// The worker-node main loop: an event pool of `handler_threads + 1`
-/// members (at least two), this thread one of them.
+/// The worker-node main loop: an event pool of two members, this thread one
+/// of them.
 ///
 /// Returns when a shutdown event is received (normal termination) or when
 /// the communication substrate reports that the peers are gone. A kill
@@ -885,31 +704,24 @@ impl<'a> Pool<'a> {
 /// but every event notified afterwards is refused with an error reply
 /// instead of being executed — peers observe the failure immediately
 /// rather than hanging, and no further effects land on the dead node.
-pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>, handler_threads: usize) {
-    run_pool(&comm, &kernels, handler_threads.max(1));
+pub fn worker_main(comm: Communicator, kernels: Arc<KernelRegistry>) {
+    run_pool(&comm, &kernels, true);
 }
 
-/// Serve `comm` with this thread and up to `extra_members` more.
-fn run_pool(comm: &Communicator, kernels: &KernelRegistry, extra_members: usize) {
+/// Serve `comm` with this thread and, if `second` holds and the OS grants
+/// it, a second member.
+fn run_pool(comm: &Communicator, kernels: &KernelRegistry, second: bool) {
     let memory = DeviceMemory::new();
     let pool = Pool::new(comm, &memory, kernels);
     std::thread::scope(|scope| {
-        let mut spawned = 0;
-        for i in 0..extra_members {
-            let pool = &pool;
-            let member = std::thread::Builder::new()
-                .name(format!("ompc-member-{}-{i}", comm.rank()))
-                .spawn_scoped(scope, move || pool.serve());
-            match member {
-                Ok(_) => spawned += 1,
-                // The node serves with the members it has.
-                Err(_) => break,
-            }
-        }
-        // Alone, a member could never run a task that blocks while it is
-        // also the one receiving: the node refuses every event, as a killed
-        // node does.
-        if spawned == 0 {
+        let member = second.then(|| {
+            std::thread::Builder::new()
+                .name(format!("ompc-member-{}", comm.rank()))
+                .spawn_scoped(scope, || pool.serve())
+        });
+        // Alone, a member could never run the lane while it is also the one
+        // receiving: the node refuses every event, as a killed node does.
+        if !matches!(member, Some(Ok(_))) {
             pool.state.lock().dead = true;
         }
         pool.serve();
@@ -1572,7 +1384,7 @@ mod tests {
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
         let kernels = Arc::new(KernelRegistry::new());
-        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels, 1));
+        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels));
 
         let kill = EventNotification {
             request: EventRequest::Kill,
@@ -1672,7 +1484,7 @@ mod tests {
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
         let kernels = Arc::new(KernelRegistry::new());
-        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels, 1));
+        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels));
 
         let kill = EventNotification {
             request: EventRequest::Kill,
@@ -1722,7 +1534,7 @@ mod tests {
         let head = world.communicator(0);
         let worker_comm = world.communicator(1);
         let kernels = Arc::new(KernelRegistry::new());
-        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels, 1));
+        let worker = std::thread::spawn(move || worker_main(worker_comm, kernels));
 
         let send = |req: EventRequest, tag: u64| {
             let n = EventNotification {
@@ -1752,11 +1564,11 @@ mod tests {
         worker.join().unwrap();
     }
 
-    /// The gate answers a task none of whose steps can block while the only
-    /// handler is held in a kernel; a task with an `AwaitLocal` step waits
-    /// for the pool. No clock decides: the gate runs notifications in order,
-    /// so once a later gate task has replied, an inline reply of the awaiting
-    /// task would already be in the head's mailbox.
+    /// The gate answers a task none of whose steps can block while the lane
+    /// is held in a kernel; a task that awaits a buffer or receives one waits
+    /// for the lane. No clock decides: the gate runs notifications in order,
+    /// so once a later gate task has replied, an inline reply of a lane task
+    /// would already be in the head's mailbox.
     #[test]
     fn the_gate_answers_data_tasks_while_its_only_handler_is_held_in_a_kernel() {
         use std::sync::Barrier;
@@ -1774,26 +1586,28 @@ mod tests {
             };
             let worker = {
                 let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
-                std::thread::spawn(move || worker_main(comm, kernels, 1))
+                std::thread::spawn(move || worker_main(comm, kernels))
             };
             let notify = |n: EventNotification| head.send(1, CONTROL_TAG, n.encode()).unwrap();
             let reply = |tag: u64, data_bearing: bool| {
                 let msg = head.recv(Some(1), Some(Tag(tag))).unwrap();
                 Reply::from_parts(&msg.data, msg.body, data_bearing)
             };
-            let (a, b) = (BufferId(1), BufferId(2));
+            let (a, b, c) = (BufferId(1), BufferId(2), BufferId(3));
 
+            // `a` lands before the lane is held.
+            let payload = Bytes::from(vec![3u8; 8]);
+            notify(steps_on(vec![TaskStep::RecvFromHead { buffer: a }], 9));
+            head.send_with_body(1, Tag(9), Vec::new(), payload.clone()).unwrap();
+            reply(9, false).unwrap();
             notify(steps_on(vec![TaskStep::Execute { kernel: hold, buffers: vec![] }], 10));
             entered.wait();
 
-            // A copy "pushed" to the worker, the payload of `a`, and one task
-            // that lands `a`, deletes `b`, drops the push and retrieves `a`.
-            let payload = Bytes::from(vec![3u8; 8]);
+            // A copy "pushed" to the worker, and one task that deletes `b`,
+            // drops the push and retrieves `a`.
             let (header, body) = Reply::data(payload.clone()).into_parts();
             head.send_with_body(1, Tag(99), header, body.unwrap()).unwrap();
-            head.send_with_body(1, Tag(11), Vec::new(), payload.clone()).unwrap();
             let steps = vec![
-                TaskStep::RecvFromHead { buffer: a },
                 TaskStep::Delete { buffer: b },
                 TaskStep::Discard { tag: Tag(99) },
                 TaskStep::Retrieve { buffer: a },
@@ -1803,119 +1617,81 @@ mod tests {
             assert!(retrieved.same_allocation(&payload), "the reply is the resident allocation");
             assert_eq!(world.communicator(1).mailbox_stats().queued, 0, "the push was dropped");
 
-            // A task awaiting `a` goes to the pool, behind the held kernel.
+            // A task awaiting `a` and one receiving `c` go to the lane, behind
+            // the held kernel.
             let awaiting = TaskStep::AwaitLocal { buffer: a, timeout_ms: u64::MAX };
             notify(steps_on(vec![awaiting], 12));
-            notify(steps_on(vec![TaskStep::Delete { buffer: b }], 13));
-            reply(13, false).unwrap();
-            assert!(head.try_recv(Some(1), Some(Tag(12))).is_none(), "the await ran on the gate");
+            notify(steps_on(vec![TaskStep::RecvFromHead { buffer: c }], 13));
+            head.send_with_body(1, Tag(13), Vec::new(), payload.clone()).unwrap();
+            notify(steps_on(vec![TaskStep::Delete { buffer: b }], 14));
+            reply(14, false).unwrap();
+            for tag in [12, 13] {
+                assert!(head.try_recv(Some(1), Some(Tag(tag))).is_none(), "{tag} ran on the gate");
+            }
             release.wait();
-            for tag in [10, 12] {
+            for tag in [10, 12, 13] {
                 reply(tag, false).unwrap();
             }
-            let shutdown = EventNotification {
-                request: EventRequest::Shutdown,
-                tag: Tag(14),
-                comm: CommId::WORLD,
-                timed: false,
-            };
-            notify(shutdown);
+            notify(notification(EventRequest::Shutdown, 15));
             worker.join().unwrap();
         });
     }
 
-    /// An `AwaitLocal` step waits for the receive queued ahead of it, not
-    /// for the buffer's presence: with two handler threads a wait can run
-    /// while the receive it names is still pending, and a stale copy of an
-    /// older version already resident must not satisfy it. A kernel barrier
-    /// puts each handler on one train; the head then holds the receive's
-    /// payload back until the waiting reader has had every chance to reply
-    /// early (a bound on the wrong behaviour only — the right one needs no
-    /// clock, since the reader can only reply after the payload landed).
+    /// An `AwaitLocal` step reads the receive queued ahead of it, not
+    /// whatever is resident: a stale copy of an older version must not
+    /// satisfy it. The reader's train queues behind the receive's on the
+    /// lane, and the head holds the receive's payload back until the reader
+    /// has had every chance to reply early (a bound on the wrong behaviour
+    /// only — the right one needs no clock, since the reader can only reply
+    /// after the payload landed).
     #[test]
     fn a_resident_older_version_never_satisfies_a_wait_for_a_queued_receive() {
-        use crate::protocol::{TaskSpec, TaskStep, TrainCar};
-        use std::sync::Barrier;
-        let world = World::new(2);
-        let head = world.communicator(0);
-        let kernels = Arc::new(KernelRegistry::new());
-        let barrier = Arc::new(Barrier::new(2));
-        let meet = kernels.register_fn("meet", 1e-6, move |_| {
-            barrier.wait();
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::new(2);
+            let head = world.communicator(0);
+            let kernels = Arc::new(KernelRegistry::new());
+            let seen = Arc::new(Mutex::new(None));
+            let read = {
+                let seen = Arc::clone(&seen);
+                kernels
+                    .register_fn("read", 1e-6, move |args| *seen.lock() = Some(args.as_f64s(0)[0]))
+            };
+            let worker = {
+                let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
+                std::thread::spawn(move || worker_main(comm, kernels))
+            };
+            let notify = |n: EventNotification| head.send(1, CONTROL_TAG, n.encode()).unwrap();
+            let payload = |value: f64| Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[value]));
+            let b = BufferId(3);
+
+            // Version 1 is resident.
+            notify(steps_on(vec![TaskStep::RecvFromHead { buffer: b }], 10));
+            head.send_with_body(1, Tag(10), Vec::new(), payload(1.0)).unwrap();
+            car_reply_plain(&head, 10);
+
+            // Train 1 receives version 2; train 2 awaits that receive and
+            // reads the buffer.
+            notify(train_of(20, vec![(21, vec![TaskStep::RecvFromHead { buffer: b }])]));
+            let awaiting = TaskStep::AwaitLocal { buffer: b, timeout_ms: u64::MAX };
+            let reading = TaskStep::Execute { kernel: read, buffers: vec![b] };
+            notify(train_of(30, vec![(31, vec![awaiting, reading])]));
+            let early =
+                head.recv_timeout(Some(1), Some(Tag(30)), std::time::Duration::from_millis(300));
+            assert!(early.is_err(), "the reader ran before its receive: {:?}", *seen.lock());
+            head.send_with_body(1, Tag(21), Vec::new(), payload(2.0)).unwrap();
+            assert_eq!(outcomes_on(&head, Tag(20), 1), vec![(21, true)]);
+            assert_eq!(outcomes_on(&head, Tag(30), 1), vec![(31, true)]);
+            assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the older version");
+
+            notify(notification(EventRequest::Shutdown, 40));
+            worker.join().unwrap();
         });
-        let seen = Arc::new(Mutex::new(None));
-        let read = {
-            let seen = Arc::clone(&seen);
-            kernels.register_fn("read", 1e-6, move |args| *seen.lock() = Some(args.as_f64s(0)[0]))
-        };
-        let worker = {
-            let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
-            std::thread::spawn(move || worker_main(comm, kernels, 2))
-        };
-        let notify = |request: EventRequest, tag: u64| {
-            let n = EventNotification { request, tag: Tag(tag), comm: CommId::WORLD, timed: false };
-            head.send(1, CONTROL_TAG, n.encode()).unwrap();
-        };
-        let reply = |tag: u64| {
-            let msg = head.recv(Some(1), Some(Tag(tag))).unwrap();
-            Reply::from_parts(&msg.data, msg.body, false)
-        };
-        // The next car reply of train `train`: the car's tag and its outcome.
-        let car_reply = |train: u64| {
-            let msg = head.recv(Some(1), Some(Tag(train))).unwrap();
-            let (car, header) = crate::protocol::split_car_reply(&msg.data).unwrap();
-            (car.0, Reply::from_parts(header, msg.body, false).is_ok())
-        };
-        let payload = |value: f64| Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[value]));
-        let b = BufferId(3);
-
-        // Version 1 is resident.
-        notify(
-            EventRequest::Task(TaskSpec { steps: vec![TaskStep::RecvFromHead { buffer: b }] }),
-            10,
-        );
-        head.send_with_body(1, Tag(10), Vec::new(), payload(1.0)).unwrap();
-        reply(10).unwrap();
-
-        // Train 1: meet, then receive version 2. Train 2: meet, then await
-        // that receive and read the buffer.
-        let car =
-            |tag: u64, steps: Vec<TaskStep>| TrainCar { tag: Tag(tag), spec: TaskSpec { steps } };
-        let meeting = || TaskStep::Execute { kernel: meet, buffers: vec![] };
-        notify(
-            EventRequest::TaskTrain(vec![
-                car(21, vec![meeting()]),
-                car(22, vec![TaskStep::RecvFromHead { buffer: b }]),
-            ]),
-            20,
-        );
-        let awaiting = TaskStep::AwaitLocal { buffer: b, timeout_ms: u64::MAX };
-        let reading = TaskStep::Execute { kernel: read, buffers: vec![b] };
-        notify(
-            EventRequest::TaskTrain(vec![
-                car(31, vec![meeting()]),
-                car(32, vec![awaiting, reading]),
-            ]),
-            30,
-        );
-        // Both meetings are over once their replies are in: the reader is
-        // next on train 2.
-        assert_eq!((car_reply(20), car_reply(30)), ((21, true), (31, true)));
-        let early =
-            head.recv_timeout(Some(1), Some(Tag(30)), std::time::Duration::from_millis(500));
-        assert!(early.is_err(), "the reader replied before its receive landed: {:?}", *seen.lock());
-        head.send_with_body(1, Tag(22), Vec::new(), payload(2.0)).unwrap();
-        assert_eq!((car_reply(20), car_reply(30)), ((22, true), (32, true)));
-        assert_eq!(*seen.lock(), Some(2.0), "the wait was satisfied by the older version");
-
-        notify(EventRequest::Shutdown, 40);
-        worker.join().unwrap();
     }
 
     /// A reader held on its producer's node awaits the producer's write, not
-    /// the buffer's presence: with two handler threads it runs beside the
-    /// producer, and a stale copy of the version the write supersedes is
-    /// resident all along. The producer's kernel holds until the head has
+    /// the buffer's presence: it queues behind the producer on the lane, and
+    /// a stale copy of the version the write supersedes is resident all
+    /// along. The producer's kernel holds until the head has
     /// given the reader every chance to reply early (a bound on the wrong
     /// behaviour only — the right one needs no clock).
     #[test]
@@ -1943,7 +1719,7 @@ mod tests {
             };
             let worker = {
                 let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
-                std::thread::spawn(move || worker_main(comm, kernels, 2))
+                std::thread::spawn(move || worker_main(comm, kernels))
             };
             let notify = |request: EventRequest, tag: u64| {
                 let n =
@@ -2058,7 +1834,7 @@ mod tests {
                     pool.arrive(&mut state, index, message);
                 }
                 assert_eq!(state.next, 3);
-                let queued: Vec<u64> = state.blocking.iter().map(|(n, _)| n.tag.0).collect();
+                let queued: Vec<u64> = state.blocking.iter().map(|n| n.tag.0).collect();
                 assert_eq!(queued, vec![70], "only the train matched before the kill is accepted");
             }
             std::thread::scope(|scope| {
@@ -2082,13 +1858,13 @@ mod tests {
         });
     }
 
-    /// Receives are numbered in match order across members: a train with a
-    /// receive and the train whose `AwaitLocal` waits for it are taken by
-    /// two members, the awaiting one waking first. The wait gets the
-    /// receive's generation, so an older version already resident cannot
-    /// satisfy it.
+    /// The lane runs in match order across members: a train with a receive
+    /// and the train whose `AwaitLocal` reads it are taken by two members,
+    /// the awaiting one waking first. The lane still holds the receive's
+    /// train first, so an older version already resident cannot satisfy the
+    /// wait.
     #[test]
-    fn a_wait_taken_by_one_member_gets_the_generation_of_a_receive_another_took() {
+    fn a_wait_taken_by_one_member_runs_after_a_receive_another_took() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
             let world = World::new(2);
             let (head, worker) = (world.communicator(0), world.communicator(1));
@@ -2113,14 +1889,11 @@ mod tests {
                 for (message, index) in taken.into_iter().rev() {
                     pool.arrive(&mut state, index, message);
                 }
-                let queued: Vec<(u64, Vec<u64>)> =
-                    state.blocking.iter().map(|(n, g)| (n.tag.0, g.clone())).collect();
-                let received = queued[0].1.clone();
-                assert_eq!(queued, vec![(20, received.clone()), (30, received)]);
+                let queued: Vec<u64> = state.blocking.iter().map(|n| n.tag.0).collect();
+                assert_eq!(queued, vec![20, 30], "the lane holds the trains in match order");
             }
-            // Three members: both trains run at once, the wait on its own.
             std::thread::scope(|scope| {
-                for _ in 0..3 {
+                for _ in 0..2 {
                     scope.spawn(|| pool.serve());
                 }
                 head.send_with_body(1, Tag(21), Vec::new(), payload(2.0)).unwrap();
@@ -2143,7 +1916,7 @@ mod tests {
             let head = world.communicator(0);
             let worker = {
                 let comm = world.communicator(1);
-                std::thread::spawn(move || run_pool(&comm, &KernelRegistry::new(), 0))
+                std::thread::spawn(move || run_pool(&comm, &KernelRegistry::new(), false))
             };
             let alloc = vec![TaskStep::Alloc { buffer: BufferId(1), size: 8 }];
             let task = notification(EventRequest::Task(TaskSpec { steps: alloc.clone() }), 10);
@@ -2171,7 +1944,7 @@ mod tests {
             let noop = kernels.register_fn("noop", 1e-6, |_| {});
             let worker = {
                 let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
-                std::thread::spawn(move || worker_main(comm, kernels, 3))
+                std::thread::spawn(move || worker_main(comm, kernels))
             };
             let alloc = TaskStep::Alloc { buffer: BufferId(1), size: 8 };
             let execute = TaskStep::Execute { kernel: noop, buffers: vec![BufferId(1)] };
@@ -2189,6 +1962,108 @@ mod tests {
             let stats = world.communicator(1).mailbox_stats();
             assert_eq!(stats.delivered, 3, "the head's three notifications, nothing else");
             assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
+        });
+    }
+
+    /// One lane per node: two regions' trains of kernels are taken by two
+    /// members, and a `Shutdown` closes the pool while the first kernel
+    /// holds the lane and both trains are queued. The member that took the
+    /// shutdown leaves, the lane drains on its own, and a shared counter
+    /// shows at most one kernel running at any moment.
+    #[test]
+    fn one_lane_runs_one_kernel_at_a_time_also_while_a_closed_pool_drains() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::new(2);
+            let (head, worker) = (world.communicator(0), world.communicator(1));
+            let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
+            let (running, most, calls) =
+                (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)), AtomicUsize::new(0));
+            let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+            let count = {
+                let (running, most) = (Arc::clone(&running), Arc::clone(&most));
+                let (entered, release) = (Arc::clone(&entered), Arc::clone(&release));
+                kernels.register_fn("count", 1e-6, move |_| {
+                    most.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                        entered.wait();
+                        release.wait();
+                    } else {
+                        std::thread::sleep(std::time::Duration::from_millis(2));
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                })
+            };
+            let kernel = || vec![TaskStep::Execute { kernel: count, buffers: vec![] }];
+            let pool = Pool::new(&worker, &memory, &kernels);
+            std::thread::scope(|scope| {
+                let members = [scope.spawn(|| pool.serve()), scope.spawn(|| pool.serve())];
+                let trains = [(20, [21, 22, 23]), (30, [31, 32, 33])];
+                for (tag, cars) in trains {
+                    let cars = cars.iter().map(|&car| (car, kernel())).collect();
+                    head.send(1, CONTROL_TAG, train_of(tag, cars).encode()).unwrap();
+                }
+                entered.wait();
+                head.send(1, CONTROL_TAG, notification(EventRequest::Shutdown, 40).encode())
+                    .unwrap();
+                // The member that is not on the lane leaves once the pool is
+                // closed: it may run nothing that is queued.
+                while !members.iter().any(|member| member.is_finished()) {
+                    std::thread::yield_now();
+                }
+                assert!(pool.state.lock().closed);
+                release.wait();
+                for (tag, cars) in trains {
+                    let replied = outcomes_on(&head, Tag(tag), 3);
+                    assert_eq!(replied, cars.map(|car| (car, true)).to_vec());
+                }
+            });
+            assert_eq!(most.load(Ordering::SeqCst), 1, "two kernels ran at once");
+            assert_eq!(worker.mailbox_stats().posted, 0);
+        });
+    }
+
+    /// A standalone receive joins the lane: a train queued behind it that
+    /// awaits the buffer reads the received bytes, not the zeros resident
+    /// before, though the head holds the payload back until the train has
+    /// had every chance to reply early (a bound on the wrong behaviour only).
+    #[test]
+    fn a_train_awaiting_a_standalone_receive_reads_the_received_bytes() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(60), || {
+            let world = World::new(2);
+            let head = world.communicator(0);
+            let kernels = Arc::new(KernelRegistry::new());
+            let seen = Arc::new(Mutex::new(None));
+            let read = {
+                let seen = Arc::clone(&seen);
+                kernels
+                    .register_fn("read", 1e-6, move |args| *seen.lock() = Some(args.as_f64s(0)[0]))
+            };
+            let worker = {
+                let (comm, kernels) = (world.communicator(1), Arc::clone(&kernels));
+                std::thread::spawn(move || worker_main(comm, kernels))
+            };
+            let notify = |n: EventNotification| head.send(1, CONTROL_TAG, n.encode()).unwrap();
+            let b = BufferId(5);
+            notify(steps_on(vec![TaskStep::Alloc { buffer: b, size: 8 }], 9));
+            car_reply_plain(&head, 9);
+
+            notify(steps_on(vec![TaskStep::RecvFromHead { buffer: b }], 10));
+            let awaiting = TaskStep::AwaitLocal { buffer: b, timeout_ms: u64::MAX };
+            let reading = TaskStep::Execute { kernel: read, buffers: vec![b] };
+            notify(train_of(20, vec![(21, vec![awaiting, reading])]));
+            let early =
+                head.recv_timeout(Some(1), Some(Tag(20)), std::time::Duration::from_millis(300));
+            assert!(early.is_err(), "the train ran before the receive: {:?}", *seen.lock());
+            let bytes = Bytes::from(ompc_mpi::typed::f64s_to_bytes(&[2.0]));
+            head.send_with_body(1, Tag(10), Vec::new(), bytes).unwrap();
+            car_reply_plain(&head, 10);
+            assert_eq!(outcomes_on(&head, Tag(20), 1), vec![(21, true)]);
+            assert_eq!(*seen.lock(), Some(2.0), "the train read the zeros");
+
+            notify(notification(EventRequest::Shutdown, 30));
+            worker.join().unwrap();
         });
     }
 }

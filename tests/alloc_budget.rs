@@ -27,13 +27,14 @@ const HEAD_BUDGET: f64 = 3.0;
 /// Allocator calls on the workers per task (the process less the head), at
 /// most: each car's steps and its `Execute` buffer list decode into fresh
 /// lists, each reply and push header is a vector of its own, and so is each
-/// train's outbox. Held cars must not grow it unseen: 5.42–6.46 in 130 runs
-/// (release and debug, idle and beside a busy loop) on a 2-vCPU host, plus
-/// 0.3.
-const WORKER_BUDGET: f64 = 6.76;
-/// Allocator calls of the whole process per task, at most: 8.2–8.5 measured
-/// on a 2-vCPU host, plus one.
-const PROCESS_BUDGET: f64 = 9.5;
+/// train's outbox. With one lane per worker: 5.10–5.47 in 50 idle release
+/// runs on a 2-vCPU host (5.11–5.36 in 30 release runs beside a busy loop,
+/// 5.16–5.26 in 35 debug runs), plus 0.3.
+const WORKER_BUDGET: f64 = 5.77;
+/// Allocator calls of the whole process per task, at most: 7.46–8.01 in the
+/// same 50 idle release runs (7.47–7.84 beside a busy loop, 7.53–7.70 in
+/// debug), plus 0.3.
+const PROCESS_BUDGET: f64 = 8.31;
 
 static PROCESS: AtomicU64 = AtomicU64::new(0);
 
