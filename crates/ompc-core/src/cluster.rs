@@ -1529,6 +1529,7 @@ mod tests {
                 args.set_f64s(0, &[v + 1.0]);
             });
             let fill = device.register_kernel_fn("fill", 1e-6, |args| args.set_f64s(0, &[10.0]));
+            let read = device.register_kernel_fn("read", 1e-6, |_| {});
             let sum = device.register_kernel_fn("sum", 1e-6, |args| {
                 let total = args.as_f64s(0)[0] + args.as_f64s(1)[0];
                 args.set_f64s(2, &[total]);
@@ -1539,14 +1540,17 @@ mod tests {
             // The producer, on worker 1, pushes `b` to the reader's worker 2
             // as soon as it is done. The fill follows it (it overwrites what
             // the producer reads), and worker 2 dies with the fill's
-            // retirement — before the reader, which reads the fill too, is
-            // ever lowered.
+            // retirement. A late reader of `d` on worker 1, whose car the
+            // fill's holds, retires after the death, and the reader (which
+            // writes `d`) is dispatched only then: its push is unclaimed
+            // when the node dies.
             let producer = vec![Dependence::inout(b), Dependence::input(c)];
             graph.add_task(target(bump), producer, "producer");
             graph.add_task(target(fill), vec![Dependence::output(c)], "fill");
+            graph.add_task(target(read), vec![Dependence::input(c), Dependence::input(d)], "late");
             let reader = vec![Dependence::input(b), Dependence::input(c), Dependence::output(d)];
             graph.add_task(target(sum), reader, "reader");
-            let plan = RuntimePlan { assignment: vec![1, 2, 2], window: 4 };
+            let plan = RuntimePlan { assignment: vec![1, 2, 1, 2], window: 4 };
             let region = device.dm.lock().begin_region();
             let telemetry = device.telemetry.scoped(region);
             let graph = Arc::new(graph);
@@ -1554,7 +1558,7 @@ mod tests {
                 device.execute_planned(graph, HashMap::new(), &plan, region, &telemetry).unwrap();
             assert_eq!(record.failures.len(), 1);
             assert_eq!(record.failures[0].node, 2);
-            assert_eq!(record.assignment, vec![1, 1, 1], "the fill and the reader moved");
+            assert_eq!(record.assignment, vec![1, 1, 1, 1], "the fill and the reader moved");
             assert!(
                 record.transfers.iter().all(|t| t.buffer != b || t.to != 2),
                 "the push to the dead node is withdrawn: {:?}",
@@ -1562,6 +1566,176 @@ mod tests {
             );
             assert_eq!(device.buffer_f64s(d).unwrap(), vec![12.0]);
             device.shutdown();
+        });
+    }
+
+    /// The kernels of the held-car death tests: `inc` writes its first
+    /// buffer plus one into its last; `read` writes nothing. On a device with
+    /// a fault plan, `slow` runs `inc` 100 ms late, and `late` runs it only
+    /// once worker 2 was failed and 100 ms more have passed.
+    #[derive(Clone, Copy)]
+    struct DeathKernels {
+        inc: KernelId,
+        read: KernelId,
+        slow: KernelId,
+        late: KernelId,
+    }
+
+    /// `build`'s region over four device buffers, each entered as 0.0, run
+    /// with `assignment` at window 4 on two workers, worker 2 dying after
+    /// its `after`-th retirement — and with no fault plan. The faulty run's
+    /// record, once the bytes of all four buffers were found equal in both
+    /// runs.
+    fn held_cars_across_a_death(
+        after: usize,
+        assignment: Vec<NodeId>,
+        build: impl Fn(DeathKernels, [BufferId; 4]) -> RegionGraph,
+    ) -> RunRecord {
+        let run = |fault_plan: FaultPlan| {
+            let faulty = !fault_plan.is_empty();
+            let mut device =
+                ClusterDevice::with_config(2, OmpcConfig { fault_plan, ..OmpcConfig::small() });
+            let inc = |args: &mut KernelArgs<'_>| {
+                let v = args.as_f64s(0)[0];
+                args.set_f64s(args.len() - 1, &[v + 1.0]);
+            };
+            let pause = move || {
+                if faulty {
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                }
+            };
+            let dm = Arc::clone(&device.dm);
+            let kernels = DeathKernels {
+                inc: device.register_kernel_fn("inc", 1e-6, inc),
+                read: device.register_kernel_fn("read", 1e-6, |_| {}),
+                slow: device.register_kernel_fn("slow", 1e-6, move |args| {
+                    pause();
+                    inc(args);
+                }),
+                late: device.register_kernel_fn("late", 1e-6, move |args| {
+                    while faulty && !dm.lock().is_failed(2) {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    pause();
+                    inc(args);
+                }),
+            };
+            let buffers = [0; 4].map(|_| device.enter_data_f64s(&[0.0]));
+            let plan = RuntimePlan { assignment: assignment.clone(), window: 4 };
+            let region = device.dm.lock().begin_region();
+            let telemetry = device.telemetry.scoped(region);
+            let graph = Arc::new(build(kernels, buffers));
+            let record =
+                device.execute_planned(graph, HashMap::new(), &plan, region, &telemetry).unwrap();
+            let bytes: Vec<Vec<f64>> =
+                buffers.iter().map(|&b| device.buffer_f64s(b).unwrap()).collect();
+            device.shutdown();
+            (record, bytes)
+        };
+        let (_, clean) = run(FaultPlan::none());
+        let (record, bytes) = run(FaultPlan::none().fail_after_completions(2, after));
+        assert_eq!(bytes, clean, "{record:?}");
+        assert_eq!(record.failures.len(), 1, "{record:?}");
+        record
+    }
+
+    fn death_target(kernel: KernelId) -> TaskKind {
+        TaskKind::Target { kernel, cost_hint: 1e-6 }
+    }
+
+    /// Worker 2 dies with the retirement of the slow X while P, queued behind
+    /// X there, waits in its kernel for the death, and C, P's consumer held on
+    /// worker 1, awaits the push of P's `a` — on the node where Q read the
+    /// version P supersedes. P's car, on the node before the kill, runs and
+    /// pushes: C retires with those bytes, and P, whose completion is stale,
+    /// runs again from the version Q read, not from what C's claim landed.
+    #[test]
+    fn a_held_consumer_of_a_producer_on_a_dying_node_leaves_the_bytes_of_a_clean_run() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let assignment = vec![1, 2, 2, 1];
+            let record = held_cars_across_a_death(1, assignment, |k, [x, a, out, q]| {
+                let mut graph = RegionGraph::new();
+                let read = vec![Dependence::input(a), Dependence::output(q)];
+                graph.add_task(death_target(k.inc), read, "Q");
+                graph.add_task(death_target(k.slow), vec![Dependence::inout(x)], "X");
+                graph.add_task(death_target(k.late), vec![Dependence::inout(a)], "P");
+                let read = vec![Dependence::input(a), Dependence::output(out)];
+                graph.add_task(death_target(k.inc), read, "C");
+                graph
+            });
+            let dispatches = |t| record.dispatch_order.iter().filter(|&&x| x == t).count();
+            assert_eq!(record.dispatch_order[2..4], [2, 3], "C was held behind P: {record:?}");
+            assert!(record.reexecuted.contains(&2) && dispatches(3) == 1, "{record:?}");
+        });
+    }
+
+    /// P, on worker 2, writes `a`; X, also on worker 2, reads it (held
+    /// beside P) and retires second, and worker 2 dies with it while C, held
+    /// on worker 1, is still in its kernel with the push of `a` landed: that
+    /// copy does not survive the node it came from, so lineage runs P again
+    /// from the head's image, not from C's copy.
+    #[test]
+    fn a_copy_still_landing_from_a_dying_node_does_not_survive_it() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let record = held_cars_across_a_death(2, vec![2, 1, 2], |k, [a, out, x, _]| {
+                let mut graph = RegionGraph::new();
+                graph.add_task(death_target(k.inc), vec![Dependence::inout(a)], "P");
+                let read = vec![Dependence::input(a), Dependence::output(out)];
+                graph.add_task(death_target(k.slow), read, "C");
+                let read = vec![Dependence::input(a), Dependence::output(x)];
+                graph.add_task(death_target(k.inc), read, "X");
+                graph
+            });
+            assert!(record.reexecuted.contains(&0), "{record:?}");
+        });
+    }
+
+    /// C, held behind P on worker 1, sits on worker 2, which dies with the
+    /// retirement of X, the reader of what C overwrites: C is launched onto
+    /// the dead node while P's car is in flight, its completion is stale,
+    /// and it is ready again at once — dispatched until the death is
+    /// declared, then run on the survivor beside P.
+    #[test]
+    fn a_held_consumer_on_the_dying_node_runs_on_the_survivor() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let record = held_cars_across_a_death(1, vec![1, 2, 2], |k, [a, out, _, _]| {
+                let mut graph = RegionGraph::new();
+                graph.add_task(death_target(k.late), vec![Dependence::inout(a)], "P");
+                graph.add_task(death_target(k.read), vec![Dependence::input(out)], "X");
+                let read = vec![Dependence::input(a), Dependence::output(out)];
+                graph.add_task(death_target(k.inc), read, "C");
+                graph
+            });
+            let dispatches = |t| record.dispatch_order.iter().filter(|&&x| x == t).count();
+            assert_eq!(record.assignment, vec![1, 2, 1], "C moved to the survivor");
+            assert_eq!(record.reexecuted, vec![2], "{record:?}");
+            assert!(dispatches(2) > 1, "C was dispatched onto the dead node: {record:?}");
+        });
+    }
+
+    /// P, on worker 2, writes `a` and `b`; C, held behind it on worker 1,
+    /// reads `a` and is still in its kernel when worker 2 dies with P's
+    /// retirement. `b`, read by nobody yet, died with the node: lineage runs
+    /// P again after C was launched, and R, P's other reader (kept back by an
+    /// anti dependence on C), reads the new `b`.
+    #[test]
+    fn lineage_reruns_a_producer_after_its_held_consumer_was_launched() {
+        ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
+            let record = held_cars_across_a_death(1, vec![2, 1, 1], |k, [a, b, z, out]| {
+                let mut graph = RegionGraph::new();
+                let write = vec![Dependence::inout(a), Dependence::output(b)];
+                graph.add_task(death_target(k.inc), write, "P");
+                let read =
+                    vec![Dependence::input(a), Dependence::input(z), Dependence::output(out)];
+                graph.add_task(death_target(k.late), read, "C");
+                let read_b = vec![Dependence::input(b), Dependence::output(z)];
+                graph.add_task(death_target(k.inc), read_b, "R");
+                graph
+            });
+            let dispatches = |t| record.dispatch_order.iter().filter(|&&x| x == t).count();
+            assert_eq!(record.dispatch_order[..2], [0, 1], "C was held behind P");
+            assert!(dispatches(0) > 1 && dispatches(1) == 1, "{record:?}");
+            assert_eq!(record.reexecuted, vec![0], "lineage ran P again, alone");
         });
     }
 

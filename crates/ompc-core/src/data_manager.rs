@@ -232,6 +232,23 @@ impl BufferLocations {
         self.slot(node).ok().map(|at| &self.copies[at])
     }
 
+    /// `node` holds no copy any more. When it held the latest version, the
+    /// latest moves to a copy that has arrived — a copy still on the wire is
+    /// no survivor, whoever booked it: its bytes may have been coming from
+    /// `node` — or, when none has, back to the head's pre-offload image.
+    /// Whether the latest version was lost.
+    fn drop_copy(&mut self, node: NodeId) -> bool {
+        if self.holds(node) {
+            self.update(node, |copy| copy.held = false);
+        }
+        if self.latest != node {
+            return false;
+        }
+        let arrived = |copy: &&Replica| copy.held && copy.pending.is_none();
+        self.latest = self.copies.iter().find(arrived).map_or(HEAD_NODE, |copy| copy.node);
+        self.latest == HEAD_NODE
+    }
+
     fn holds(&self, node: NodeId) -> bool {
         self.copy(node).is_some_and(|copy| copy.held)
     }
@@ -763,27 +780,47 @@ impl DataManager {
         self.failed.insert(node);
         let mut lost = Vec::new();
         for (&buffer, loc) in self.buffers.iter_mut() {
-            if loc.holds(node) {
-                loc.update(node, |copy| copy.held = false);
-            }
-            if loc.latest == node {
-                // A copy still on the wire is no survivor, whoever booked
-                // it: its bytes may have been coming from the node that
-                // just died.
-                let arrived = |copy: &&Replica| copy.held && copy.pending.is_none();
-                match loc.copies.iter().find(arrived).map(|copy| copy.node) {
-                    Some(survivor) => loc.latest = survivor,
-                    None => {
-                        loc.latest = HEAD_NODE;
-                        lost.push(buffer);
-                    }
-                }
+            if loc.drop_copy(node) {
+                lost.push(buffer);
             }
         }
         lost.sort_unstable();
         self.owed.remove(&node);
         self.end_unclaimed(|_, p| p.to == node || p.from == node, Some(node));
         Ok(lost)
+    }
+
+    /// End every copy of `buffer` still on the wire, with `dead`'s failure:
+    /// the buffer's latest version was lost with `dead`, so each carries
+    /// bytes of a version the table no longer has.
+    pub(crate) fn end_moving(&mut self, buffer: BufferId, dead: NodeId) {
+        let Some(loc) = self.buffers.get(&buffer) else { return };
+        let moving: Vec<NodeId> = (loc.copies.iter())
+            .filter(|copy| matches!(copy.pending, Some(Pending::Moving(_))))
+            .map(|copy| copy.node)
+            .collect();
+        for node in moving {
+            let _ = self.finish(buffer, node, Err(OmpcError::NodeFailure(dead)));
+        }
+    }
+
+    /// `dead` is dying, and a reader on `node` claimed a push of `buffer` from
+    /// it before the write it copies retired: the copy on `node` stops
+    /// counting — when that write is still `pending` (its claim overwrites
+    /// what `node` held with a version the table will never record), or when
+    /// the version it copies is still the latest, on `dead` (the core may
+    /// run its writer again: the latest is lost with the node). When `node`
+    /// held the latest, it moves as on a death. Whether the buffer lost its
+    /// latest version.
+    pub(crate) fn drop_claimed(
+        &mut self,
+        buffer: BufferId,
+        node: NodeId,
+        dead: NodeId,
+        pending: bool,
+    ) -> bool {
+        let Some(loc) = self.buffers.get_mut(&buffer) else { return false };
+        (pending || loc.latest == dead) && loc.drop_copy(node)
     }
 
     /// Whether `node` has been declared failed.

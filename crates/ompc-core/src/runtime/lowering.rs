@@ -821,10 +821,38 @@ impl Lowering {
     /// `node` just died: [`DataManager::fail_node`] drops what was owed to it and ends every
     /// push to or from it, and the worker's event loop is killed **for real** — from now on
     /// it refuses every event with an error reply, so peers observe the death instead of
-    /// hanging. Names the writers of every buffer whose only copy was lost.
+    /// hanging. First, the copy each early claim of a push from it landed stops counting
+    /// ([`DataManager::drop_claimed`]): the core retires a held consumer's producer after the
+    /// claim landed, so the producer's completion may yet be stale. Every copy of a lost
+    /// buffer still on the wire ends ([`DataManager::end_moving`]): its bytes are of the
+    /// version the node took with it. Names the writers of every buffer whose only copy was
+    /// lost.
     pub(crate) fn invalidate_node(&self, node: NodeId) -> Vec<LostBuffer> {
+        let state = self.state.lock();
+        let mut dm = self.path.dm.lock();
+        let mut lost = Vec::new();
+        let claimed = state
+            .pushes
+            .iter()
+            .enumerate()
+            .filter(|&(at, p)| p.from == node && state.claimed_early[at]);
+        for (at, push) in claimed {
+            let pending = state
+                .writes
+                .iter()
+                .any(|w| w.node == node && (w.pushes.0..w.pushes.1).contains(&at));
+            if dm.drop_claimed(push.buffer, push.to, node, pending) {
+                lost.push(push.buffer);
+            }
+        }
         // Only workers are ever declared failed; the head would lose nothing.
-        let lost = self.path.dm.lock().fail_node(node).unwrap_or_default();
+        lost.extend(dm.fail_node(node).unwrap_or_default());
+        lost.sort_unstable();
+        lost.dedup();
+        for &buffer in &lost {
+            dm.end_moving(buffer, node);
+        }
+        drop((state, dm));
         let _ = self.path.events.kill(node);
         let writers_of = |buffer| {
             let writes = |t: &&TargetTask| {
@@ -1419,13 +1447,13 @@ mod tests {
         );
 
         // The producer's node dies: the push nobody claimed yet is over —
-        // its record withdrawn, its copy owed a drop too — while the pull is
-        // its reader's to finish.
+        // its record withdrawn, its copy owed a drop too — and so is the
+        // pull, whose bytes are of the version the node took with it.
         low.invalidate_node(1);
         let dm = low.path.dm.lock();
         let failed = TransferState::Invalid(Some(OmpcError::NodeFailure(1)));
         assert_eq!(dm.transfer_state(a, 3), failed);
-        assert_eq!(dm.transfer_state(a, 2), TransferState::InFlight(1));
+        assert_eq!(dm.transfer_state(a, 2), failed);
         assert!(dm.transfer_log().iter().all(|t| t.to != 3));
         drop(dm);
         assert!(low.path.dm.lock().unclaimed_of(1).is_empty());

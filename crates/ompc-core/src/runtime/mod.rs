@@ -160,15 +160,13 @@ pub(crate) fn push_targets<'a, T: 'a>(
     readers.into_iter().filter_map(node_of).filter(remote)
 }
 
-/// A dependence DAG as seen by the execution core: dense task ids, counted
-/// predecessors, listed successors. Implemented by the scheduler's
-/// `TaskGraph` (simulated workloads) and the runtime's [`RegionGraph`]
-/// (target regions on the real cluster), so one dispatch loop drives both.
+/// A dependence DAG as seen by the execution core: dense task ids and
+/// listed successors. Implemented by the scheduler's `TaskGraph` (simulated
+/// workloads) and the runtime's [`RegionGraph`] (target regions on the real
+/// cluster), so one dispatch loop drives both.
 pub trait TaskDag {
     /// Number of tasks.
     fn task_count(&self) -> usize;
-    /// Number of direct predecessors of `task`.
-    fn predecessor_count(&self, task: usize) -> usize;
     /// Direct successors of `task`, in deterministic order.
     fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_;
     /// Whether `task` may be dispatched while its direct predecessor `pred` is
@@ -185,9 +183,6 @@ impl TaskDag for ompc_sched::TaskGraph {
     fn task_count(&self) -> usize {
         self.len()
     }
-    fn predecessor_count(&self, task: usize) -> usize {
-        self.predecessors(task).len()
-    }
     fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         self.successors(task).iter().copied()
     }
@@ -196,9 +191,6 @@ impl TaskDag for ompc_sched::TaskGraph {
 impl TaskDag for RegionGraph {
     fn task_count(&self) -> usize {
         self.len()
-    }
-    fn predecessor_count(&self, task: usize) -> usize {
-        self.predecessors(TaskId(task)).len()
     }
     fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         self.successors(TaskId(task)).iter().map(|t| t.0)
@@ -213,9 +205,6 @@ impl TaskDag for RegionGraph {
 impl TaskDag for WorkloadGraph {
     fn task_count(&self) -> usize {
         self.graph.task_count()
-    }
-    fn predecessor_count(&self, task: usize) -> usize {
-        self.graph.predecessor_count(task)
     }
     fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
         self.graph.successor_ids(task)
@@ -394,9 +383,11 @@ pub trait ExecutionBackend {
     /// Whether the car `launch` just wrote for `task` holds its consumers on
     /// their workers: a consumer dispatched before `task` retires waits there,
     /// on its own node, for what `task` writes — so the core may dispatch
-    /// `task`'s flow-dependent target successors at once. Never by default:
-    /// the simulator models the paper's runtime, where the head releases
-    /// every dependent task.
+    /// `task`'s flow-dependent target successors at once. Asked at every
+    /// launch, with or without a fault plan; the car holds nothing once its
+    /// node dies or the core restarts it. Never by default: the simulator
+    /// models the paper's runtime, where the head releases every dependent
+    /// task.
     fn holds_car(&self, task: usize) -> bool {
         let _ = task;
         false
@@ -575,13 +566,14 @@ enum TaskState {
 /// drives failure injection, heartbeat detection, and task recovery from
 /// the same loop.
 ///
-/// A task is dispatched once its predecessors retired — or, on a backend
-/// whose cars hold their consumers ([`ExecutionBackend::holds_car`]) and
-/// with no fault plan active, once each predecessor not retired is a target
-/// task already launched that it depends on through flow dependences only
-/// ([`TaskDag::may_wait_on_worker`]): it then waits on its worker, not on
-/// the head. Anti- and output-dependence predecessors, data and host tasks
-/// keep the retired-first rule.
+/// A task is dispatched once no predecessor blocks it. A predecessor blocks
+/// it until it retires — unless it is a target task in flight on a live
+/// node, whose car holds its consumers ([`ExecutionBackend::holds_car`]),
+/// and the task depends on it through flow dependences only
+/// ([`TaskDag::may_wait_on_worker`]): the task then waits on its worker, not
+/// on the head. Anti- and output-dependence predecessors, data and host tasks
+/// keep the retired-first rule. The rule is the same with and without a
+/// fault plan; every blocker count goes through it.
 #[derive(Debug)]
 pub struct RuntimeCore {
     assignment: Vec<NodeId>,
@@ -591,10 +583,12 @@ pub struct RuntimeCore {
     /// worker for the task ([`TaskDag::may_wait_on_worker`]).
     successors: Csr<(usize, bool)>,
     predecessors: Csr<usize>,
-    /// Per task, the predecessors it cannot wait on its worker for: those
-    /// not retired, less the ones whose launched car holds it. Zero is ready.
+    /// Per blocked or ready task, how many of its predecessors block it
+    /// ([`RuntimeCore::blocks`]). Zero is ready.
     blockers: Vec<usize>,
-    /// Per task, whether its launched car holds its consumers.
+    /// Per task, whether its in-flight car holds its consumers: set at each
+    /// launch, cleared when the task retires or restarts or its node is
+    /// killed.
     holds: Vec<bool>,
     state: Vec<TaskState>,
     /// Node each in-flight task was actually dispatched to (stale-completion
@@ -635,8 +629,6 @@ impl RuntimeCore {
 
     fn build(dag: &impl TaskDag, plan: &RuntimePlan, faults: Option<FaultState>) -> Self {
         let total = dag.task_count();
-        let blockers: Vec<usize> = (0..total).map(|t| dag.predecessor_count(t)).collect();
-        let ready: VecDeque<usize> = (0..total).filter(|&t| blockers[t] == 0).collect();
         // Each edge once, with whether its consumer may wait on its worker.
         let edges: Vec<(usize, usize, bool)> = (0..total)
             .flat_map(|t| dag.successor_ids(t).map(move |s| (t, s)))
@@ -644,19 +636,16 @@ impl RuntimeCore {
             .collect();
         let successors = Csr::group(total, edges.iter().map(|&(t, s, waits)| (t, (s, waits))));
         let predecessors = Csr::group(total, edges.iter().map(|&(t, s, _)| (s, t)));
-        let state: Vec<TaskState> = (0..total)
-            .map(|t| if blockers[t] == 0 { TaskState::Ready } else { TaskState::Blocked })
-            .collect();
-        Self {
+        let mut core = Self {
             assignment: plan.assignment.clone(),
             window: plan.window.max(1),
             successors,
             predecessors,
-            blockers,
+            blockers: vec![0; total],
             holds: vec![false; total],
-            state,
+            state: vec![TaskState::Blocked; total],
             dispatched_on: vec![HEAD_NODE; total],
-            ready,
+            ready: VecDeque::new(),
             in_flight: 0,
             completed: 0,
             total,
@@ -669,7 +658,9 @@ impl RuntimeCore {
             reexecuted: BTreeSet::new(),
             replanned: Vec::new(),
             telemetry: Telemetry::off(),
-        }
+        };
+        core.rebuild_ready();
+        core
     }
 
     /// Install a span recorder: the core records a `Dispatch` span per
@@ -710,6 +701,8 @@ impl RuntimeCore {
             }
             for event in events.drain(..) {
                 self.on_event(event, backend)?;
+                #[cfg(test)]
+                self.assert_counted();
             }
             if self.faults.is_some() {
                 self.poll_heartbeats(backend)?;
@@ -816,6 +809,11 @@ impl RuntimeCore {
     /// and un-retire the lineage of every buffer that died with it, so the
     /// producers re-execute from the head node's pre-offload image.
     fn kill_node<B: ExecutionBackend>(&mut self, node: NodeId, backend: &mut B) {
+        // A car on the dead node holds no consumer any more: the rebuild below
+        // counts them blocked again.
+        for task in (0..self.total).filter(|&t| self.dispatched_on[t] == node) {
+            self.holds[task] = false;
+        }
         let lost = backend.invalidate_node(node);
         let mut lineage = 0usize;
         for buffer in &lost {
@@ -888,17 +886,69 @@ impl RuntimeCore {
         }
     }
 
-    /// Put a restarted task back into the dependence machinery.
+    /// Put a restarted task back into the dependence machinery: its blockers
+    /// are counted afresh, and a consumer its car held is blocked again.
     fn reset_to_pending(&mut self, task: usize) {
-        let predecessors = self.predecessors.get(task).iter();
-        let unmet = predecessors.filter(|&&p| self.state[p] != TaskState::Done).count();
-        // Recovery runs with a fault plan, when no car holds a consumer.
-        self.blockers[task] = unmet;
-        if unmet == 0 {
-            self.state[task] = TaskState::Ready;
+        self.blockers[task] = self.count_blockers(task);
+        let ready = self.blockers[task] == 0;
+        self.set_state(task, if ready { TaskState::Ready } else { TaskState::Blocked }, false);
+        if ready {
             self.ready.push_back(task);
-        } else {
-            self.state[task] = TaskState::Blocked;
+        }
+    }
+
+    /// Whether `pred` still blocks a consumer whose edge from it `waits`
+    /// ([`TaskDag::may_wait_on_worker`]): it has not retired, and it is not an
+    /// in-flight car on a live node that holds the consumer on its worker.
+    fn blocks(&self, pred: usize, waits: bool) -> bool {
+        match self.state[pred] {
+            TaskState::Done => false,
+            TaskState::InFlight => !(waits && self.holds[pred]),
+            TaskState::Blocked | TaskState::Ready => true,
+        }
+    }
+
+    /// How many of `task`'s predecessors block it. Whether the edge from one
+    /// waits is looked up only for one in flight.
+    fn count_blockers(&self, task: usize) -> usize {
+        let in_flight = |pred: usize| self.state[pred] == TaskState::InFlight;
+        let waits =
+            |pred: usize| in_flight(pred) && self.successors.get(pred).contains(&(task, true));
+        self.predecessors.get(task).iter().filter(|&&pred| self.blocks(pred, waits(pred))).count()
+    }
+
+    /// Move `task` to `state`, its car holding its consumers or not, and move
+    /// each blocked or ready consumer's count by what that changes in whether
+    /// `task` blocks it: one no longer blocked may become ready, one blocked
+    /// again leaves the ready queue.
+    fn set_state(&mut self, task: usize, state: TaskState, holds: bool) {
+        let blocking = |core: &Self| [false, true].map(|waits| core.blocks(task, waits));
+        let before = blocking(self);
+        (self.state[task], self.holds[task]) = (state, holds);
+        let after = blocking(self);
+        if before == after {
+            return;
+        }
+        for &(succ, waits) in self.successors.get(task) {
+            let (was, is) = (before[usize::from(waits)], after[usize::from(waits)]);
+            match self.state[succ] {
+                _ if was == is => {}
+                TaskState::Blocked if is => self.blockers[succ] += 1,
+                TaskState::Blocked => {
+                    self.blockers[succ] -= 1;
+                    if self.blockers[succ] == 0 {
+                        self.state[succ] = TaskState::Ready;
+                        self.ready.push_back(succ);
+                    }
+                }
+                TaskState::Ready if is => {
+                    (self.state[succ], self.blockers[succ]) = (TaskState::Blocked, 1);
+                    self.ready.retain(|&t| t != succ);
+                }
+                // A ready task has no blocker to lose, and in-flight and
+                // retired ones are not counted.
+                TaskState::Ready | TaskState::InFlight | TaskState::Done => {}
+            }
         }
     }
 
@@ -919,7 +969,6 @@ impl RuntimeCore {
             let start = self.telemetry.start();
             let Some(task) = self.ready.pop_front() else { break };
             debug_assert_eq!(self.state[task], TaskState::Ready);
-            self.state[task] = TaskState::InFlight;
             self.dispatched_on[task] = self.assignment[task];
             self.in_flight += 1;
             self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
@@ -936,18 +985,9 @@ impl RuntimeCore {
                 );
             }
             backend.launch(task, self.assignment[task])?;
-            if self.faults.is_none() && backend.holds_car(task) {
-                self.holds[task] = true;
-                for &(succ, waits) in self.successors.get(task) {
-                    if waits && self.state[succ] == TaskState::Blocked {
-                        self.blockers[succ] -= 1;
-                        if self.blockers[succ] == 0 {
-                            self.state[succ] = TaskState::Ready;
-                            self.ready.push_back(succ);
-                        }
-                    }
-                }
-            }
+            self.set_state(task, TaskState::InFlight, backend.holds_car(task));
+            #[cfg(test)]
+            self.assert_counted();
         }
         Ok(())
     }
@@ -962,23 +1002,10 @@ impl RuntimeCore {
                     .attempt(self.telemetry.attempt(task)),
             );
         }
-        self.state[task] = TaskState::Done;
         self.in_flight -= 1;
         self.completed += 1;
         self.completion_order.push(task);
-        for &(succ, waits) in self.successors.get(task) {
-            if self.state[succ] != TaskState::Blocked {
-                continue;
-            }
-            // A consumer its car held stopped counting it at its launch.
-            if !(waits && self.holds[task]) {
-                self.blockers[succ] = self.blockers[succ].saturating_sub(1);
-            }
-            if self.blockers[succ] == 0 {
-                self.state[succ] = TaskState::Ready;
-                self.ready.push_back(succ);
-            }
-        }
+        self.set_state(task, TaskState::Done, false);
     }
 
     /// Node each task executes on.
@@ -1231,10 +1258,10 @@ mod tests {
     /// On a backend whose cars hold their consumers, a flow-dependent target
     /// reader is dispatched once its producer is, while a writer of the
     /// buffer waits until every reader of the version it supersedes has
-    /// retired: an anti dependence is never waited on on a worker. So are a
-    /// host task and an active fault plan.
+    /// retired: an anti dependence is never waited on on a worker, and
+    /// neither is a host task. A fault plan changes none of it.
     #[test]
-    fn a_writer_is_dispatched_only_after_every_reader_of_the_previous_version_retired() {
+    fn readers_are_held_and_a_writer_waits_for_them_with_or_without_a_fault_plan() {
         use crate::types::{BufferId, Dependence, KernelId};
         let a = BufferId(0);
         let target = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
@@ -1245,24 +1272,386 @@ mod tests {
         let host =
             region.add_task(TaskKind::Host { cost_hint: 0.0 }, vec![Dependence::input(a)], "h").0;
         let plan = RuntimePlan { assignment: vec![1; 5], window: 8 };
-        let mut core = RuntimeCore::new(&region, &plan);
-        let mut backend = Holding::default();
+        let faults = || {
+            let plan = FaultPlan::none().fail_after_completions(1, 99);
+            FaultState::from_config(&plan, 1).unwrap().unwrap()
+        };
+        let cores =
+            [RuntimeCore::new(&region, &plan), RuntimeCore::with_faults(&region, &plan, faults())];
+        for mut core in cores {
+            core.execute(&mut Holding::default()).unwrap();
+            let record = core.record();
+            let completed = |t| record.completion_order.iter().position(|&x| x == t).unwrap();
+            let dispatched = |t| record.dispatch_order.iter().position(|&x| x == t).unwrap();
+            assert_eq!(&record.dispatch_order[..3], &[producer, readers[0], readers[1]]);
+            assert_eq!(record.peak_in_flight, 3, "the readers were held behind the producer");
+            // Before the writer was dispatched, both readers had retired.
+            assert!(readers.iter().all(|&r| completed(r) < dispatched(writer)), "{record:?}");
+            assert!(completed(writer) < dispatched(host), "{record:?}");
+            assert!(is_topological_in(&record.completion_order, &region));
+        }
+    }
+
+    /// A backend whose every car holds its consumers and which completes, each
+    /// round, the first task of `order` in flight — each of them once — or
+    /// else the oldest in flight. It reports whatever it completes, also from
+    /// a dead node: the core tells such a completion stale.
+    struct Scripted {
+        order: Vec<usize>,
+        running: VecDeque<usize>,
+    }
+
+    impl ExecutionBackend for Scripted {
+        fn assign(&mut self, _: &[NodeId]) {}
+
+        fn launch(&mut self, task: usize, _: NodeId) -> OmpcResult<()> {
+            self.running.push_back(task);
+            Ok(())
+        }
+        fn holds_car(&self, _: usize) -> bool {
+            true
+        }
+        fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+            let next = self.order.iter().position(|t| self.running.contains(t));
+            let task = match next {
+                Some(at) => Some(self.order.remove(at)),
+                None => self.running.front().copied(),
+            };
+            self.running.retain(|&t| Some(t) != task);
+            events.extend(task.map(TaskEvent::Completed));
+            Ok(())
+        }
+    }
+
+    /// P writes `a` on worker 1, X is unrelated on worker 2, and C reads `a`
+    /// on `consumer`; worker 2 dies with X's retirement, and the backend
+    /// completes X, then C, then P. The record of a run that retired every
+    /// task.
+    fn held_consumer_beside_a_death(consumer: NodeId, window: usize) -> RunRecord {
+        use crate::types::{BufferId, Dependence, KernelId};
+        let (a, x) = (BufferId(0), BufferId(1));
+        let target = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let mut region = RegionGraph::new();
+        region.add_task(target(), vec![Dependence::output(a)], "P");
+        region.add_task(target(), vec![Dependence::output(x)], "X");
+        region.add_task(target(), vec![Dependence::input(a)], "C");
+        let plan = RuntimePlan { assignment: vec![1, 2, consumer], window };
+        let faults = FaultPlan::none().fail_after_completions(2, 1);
+        let faults = FaultState::from_config(&faults, 2).unwrap().unwrap();
+        let mut core = RuntimeCore::with_faults(&region, &plan, faults);
+        let mut backend = Scripted { order: vec![1, 2, 0], running: VecDeque::new() };
         core.execute(&mut backend).unwrap();
         let record = core.record();
-        let completed = |t| record.completion_order.iter().position(|&x| x == t).unwrap();
-        let dispatched = |t| record.dispatch_order.iter().position(|&x| x == t).unwrap();
-        assert_eq!(&record.dispatch_order[..3], &[producer, readers[0], readers[1]]);
-        assert_eq!(record.peak_in_flight, 3, "the readers were held behind the producer");
-        // Before the writer was dispatched, both readers had retired.
-        assert!(readers.iter().all(|&r| completed(r) < dispatched(writer)), "{record:?}");
-        assert!(completed(writer) < dispatched(host), "{record:?}");
-        assert!(is_topological_in(&record.completion_order, &region));
+        assert_eq!(core.completed(), 3, "{record:?}");
+        record
+    }
 
-        // With a fault plan active, every task waits for its producers.
-        let faults = FaultState::from_config(&FaultPlan::none().fail_after_completions(1, 99), 1);
-        let mut core = RuntimeCore::with_faults(&region, &plan, faults.unwrap().unwrap());
-        core.execute(&mut Holding::default()).unwrap();
-        assert_eq!(core.record().peak_in_flight, 2, "only the two readers ran side by side");
+    /// C is held on the dying worker: its stale completion comes while its
+    /// producer's car is still in flight and holds it, so C is ready again
+    /// at once — not blocked behind P, whose retirement will not count it.
+    #[test]
+    fn a_held_consumer_on_a_dying_node_is_not_blocked_again_by_its_stale_completion() {
+        let record = held_consumer_beside_a_death(2, 8);
+        assert_eq!(record.reexecuted, vec![2], "C restarted: {record:?}");
+        assert_eq!(record.assignment, vec![1, 2, 1], "C moved to the survivor");
+        assert_eq!(record.peak_in_flight, 3, "C was held behind P");
+    }
+
+    /// C is held on P's live worker but still queued when worker 2 dies: the
+    /// death's recount leaves it ready, since P's car still holds it.
+    #[test]
+    fn a_death_does_not_block_a_ready_held_consumer_again() {
+        let record = held_consumer_beside_a_death(1, 2);
+        assert!(record.reexecuted.is_empty(), "{record:?}");
+        assert_eq!(record.dispatch_order, vec![0, 1, 2]);
+        assert_eq!(record.completion_order, vec![1, 2, 0], "C retired as scripted");
+    }
+
+    impl RuntimeCore {
+        /// Every blocked or ready task's count is a recount through
+        /// [`RuntimeCore::blocks`]; a task is ready exactly when nothing
+        /// blocks it, and queued exactly when ready. Checked after every event
+        /// and every launch of a unit test's run.
+        pub(super) fn assert_counted(&self) {
+            let mut queued = vec![0usize; self.total];
+            for &task in &self.ready {
+                queued[task] += 1;
+            }
+            for (task, &queued) in queued.iter().enumerate() {
+                let ready = self.state[task] == TaskState::Ready;
+                assert_eq!(queued, usize::from(ready), "task {task} queued as it is ready");
+                if matches!(self.state[task], TaskState::Blocked | TaskState::Ready) {
+                    assert_eq!(self.blockers[task], self.count_blockers(task), "task {task}");
+                    assert_eq!(ready, self.blockers[task] == 0, "task {task} ready when unblocked");
+                }
+            }
+        }
+    }
+
+    /// The choices of one path of an exhaustive walk: those a script fixed,
+    /// then the first option at every later step, each with how many options
+    /// there were.
+    #[derive(Default)]
+    struct Walk {
+        script: Vec<usize>,
+        taken: Vec<(usize, usize)>,
+    }
+
+    impl Walk {
+        /// Pick one of `options` (at least one).
+        fn choose(&mut self, options: usize) -> usize {
+            let pick = self.script.get(self.taken.len()).copied().unwrap_or(0);
+            assert!(pick < options, "a replayed path took another turn");
+            self.taken.push((pick, options));
+            pick
+        }
+
+        /// The script of the next path, depth first, or `None` when this one
+        /// was the last.
+        fn next(mut self) -> Option<Vec<usize>> {
+            while let Some((pick, options)) = self.taken.pop() {
+                if pick + 1 < options {
+                    let mut script: Vec<usize> = self.taken.iter().map(|&(p, _)| p).collect();
+                    script.push(pick + 1);
+                    return Some(script);
+                }
+            }
+            None
+        }
+    }
+
+    /// A backend whose cars hold their consumers, as the MPI driver's do, and
+    /// which lets a [`Walk`] choose which launched task reports next:
+    /// - one on a node `invalidate_node` killed, at any time — its
+    ///   completion is stale;
+    /// - one that reads what a task on a node killed meanwhile wrote, or held
+    ///   by a car that failed, failing with that node's failure, as it comes
+    ///   down the push it claims or the pull it posted;
+    /// - any other once each of its predecessors retired or completed after
+    ///   holding it (the bytes of that attempt are on its worker);
+    /// - a reply of a car launched on a live node never before those of the
+    ///   cars that held it, as the driver parks it.
+    ///
+    /// A car launched on a dead node holds nothing. A task's buffer dies
+    /// with its node until one of its consumers retired: the task is then
+    /// the lineage the core re-executes. At every launch it checks the one
+    /// dispatch rule from outside: each predecessor retired, or is a car in
+    /// flight on a live node that holds the task through flow dependences.
+    struct Walker<'w> {
+        walk: &'w mut Walk,
+        dag: &'w RegionGraph,
+        running: Vec<usize>,
+        node: Vec<NodeId>,
+        /// Per task, the cars in flight that held it at its launch.
+        held_by: Vec<Vec<usize>>,
+        /// Per task, the dead node whose failure comes down its claim.
+        doomed: Vec<Option<NodeId>>,
+        retired: Vec<bool>,
+        dead: Vec<NodeId>,
+    }
+
+    impl<'w> Walker<'w> {
+        fn new(walk: &'w mut Walk, dag: &'w RegionGraph) -> Self {
+            let total = dag.len();
+            Self {
+                walk,
+                dag,
+                running: Vec::new(),
+                node: vec![HEAD_NODE; total],
+                held_by: vec![Vec::new(); total],
+                doomed: vec![None; total],
+                retired: vec![false; total],
+                dead: Vec::new(),
+            }
+        }
+
+        fn preds(&self, task: usize) -> impl Iterator<Item = usize> + '_ {
+            self.dag.predecessors(TaskId(task)).iter().map(|p| p.0)
+        }
+
+        fn may_report(&self, task: usize) -> bool {
+            let stale = self.dead.contains(&self.node[task]) || self.doomed[task].is_some();
+            let held_by = &self.held_by[task];
+            let parked = held_by.iter().any(|p| self.running.contains(p));
+            let fed = |p: usize| self.retired[p] || held_by.contains(&p);
+            !parked && (stale || self.preds(task).all(fed))
+        }
+
+        /// `car` did not complete on a live node: each task it holds gets
+        /// `dead`'s failure.
+        fn doom_held_by(&mut self, car: usize, dead: NodeId) {
+            for &task in &self.running {
+                if self.held_by[task].contains(&car) {
+                    self.doomed[task] = Some(dead);
+                }
+            }
+        }
+    }
+
+    impl ExecutionBackend for Walker<'_> {
+        fn assign(&mut self, _: &[NodeId]) {}
+
+        fn launch(&mut self, task: usize, node: NodeId) -> OmpcResult<()> {
+            for pred in self.preds(task) {
+                let holds = self.running.contains(&pred)
+                    && !self.dead.contains(&self.node[pred])
+                    && self.dag.may_wait_on_worker(pred, task);
+                assert!(self.retired[pred] || holds, "task {task} dispatched before {pred}");
+            }
+            let held_by: Vec<usize> =
+                self.preds(task).filter(|p| self.running.contains(p)).collect();
+            // A task launched onto a dead node answers at once, unparked.
+            self.held_by[task] = if self.dead.contains(&node) { Vec::new() } else { held_by };
+            (self.node[task], self.doomed[task]) = (node, None);
+            self.running.push(task);
+            Ok(())
+        }
+        fn holds_car(&self, task: usize) -> bool {
+            !self.dead.contains(&self.node[task])
+        }
+        fn await_completions(&mut self, events: &mut Vec<TaskEvent>) -> OmpcResult<()> {
+            let options: Vec<usize> =
+                self.running.iter().copied().filter(|&t| self.may_report(t)).collect();
+            if options.is_empty() {
+                return Ok(());
+            }
+            let task = options[self.walk.choose(options.len())];
+            self.running.retain(|&t| t != task);
+            let node = self.node[task];
+            let failed = match self.doomed[task] {
+                _ if self.dead.contains(&node) => Some(node),
+                doomed => doomed,
+            };
+            match failed {
+                Some(dead) => self.doom_held_by(task, dead),
+                None => self.retired[task] = true,
+            }
+            events.push(match self.doomed[task] {
+                Some(dead) if failed != Some(node) => {
+                    TaskEvent::Failed { task, error: OmpcError::NodeFailure(dead) }
+                }
+                _ => TaskEvent::Completed(task),
+            });
+            Ok(())
+        }
+        fn invalidate_node(&mut self, node: NodeId) -> Vec<LostBuffer> {
+            self.dead.push(node);
+            for at in 0..self.running.len() {
+                let task = self.running[at];
+                if self.preds(task).any(|p| self.node[p] == node) {
+                    self.doomed[task] = Some(node);
+                }
+            }
+            let dag = self.dag;
+            let lost: Vec<usize> = (0..dag.len())
+                .filter(|&t| self.retired[t] && self.node[t] == node)
+                .filter(|&t| !dag.successors(TaskId(t)).iter().any(|s| self.retired[s.0]))
+                .collect();
+            for &task in &lost {
+                self.retired[task] = false;
+            }
+            let buffer = |task| LostBuffer { buffer: BufferId(task as u64), writers: vec![task] };
+            lost.into_iter().map(buffer).collect()
+        }
+    }
+
+    /// Walk the core over every order a [`Walker`] may report `region`'s
+    /// completions in, for every placement of its first `targets` tasks on
+    /// two workers (the rest run on the head), at windows 2, 3 and 8, with no
+    /// death or with a worker dying after each of its retirements. Every path
+    /// retires every task, its first and its last retirements in dependence
+    /// order, and every blocker count equals a recount after every event
+    /// ([`RuntimeCore::assert_counted`]). Returns how many paths it walked,
+    /// and through how many declared deaths.
+    fn walk_every_order(region: &RegionGraph, targets: usize) -> (usize, usize) {
+        let edges: Vec<(usize, usize)> =
+            (0..region.len()).flat_map(|t| region.successor_ids(t).map(move |s| (t, s))).collect();
+        let (mut paths, mut deaths) = (0, 0);
+        for placement in 0..1usize << targets {
+            let assignment: Vec<NodeId> = (0..region.len())
+                .map(|t| if t < targets { 1 + (placement >> t & 1) } else { HEAD_NODE })
+                .collect();
+            let on = |node| assignment.iter().filter(|&&n| n == node).count();
+            let deaths_after = [1, 2].into_iter().flat_map(|node| {
+                (1..=on(node)).map(move |k| FaultPlan::none().fail_after_completions(node, k))
+            });
+            for faults in std::iter::once(FaultPlan::none()).chain(deaths_after) {
+                for window in [2, 3, 8] {
+                    let plan = RuntimePlan { assignment: assignment.clone(), window };
+                    let mut script = Some(Vec::new());
+                    while let Some(fixed) = script {
+                        let mut walk = Walk { script: fixed, taken: Vec::new() };
+                        let mut core = match FaultState::from_config(&faults, 2).unwrap() {
+                            Some(state) => RuntimeCore::with_faults(region, &plan, state),
+                            None => RuntimeCore::new(region, &plan),
+                        };
+                        let result = core.execute(&mut Walker::new(&mut walk, region));
+                        let record = core.record();
+                        let path = format!("{assignment:?} {window} {faults:?} {:?}", walk.taken);
+                        assert_eq!(result, Ok(()), "{path}");
+                        assert_eq!(core.completed(), region.len(), "{path}");
+                        let order = &record.completion_order;
+                        let first = |t: usize| order.iter().position(|&x| x == t);
+                        let last = |t: usize| order.iter().rposition(|&x| x == t);
+                        let ordered = |at: &dyn Fn(usize) -> Option<usize>| {
+                            edges.iter().all(|&(p, s)| at(p) < at(s))
+                        };
+                        assert!(ordered(&first) && ordered(&last), "{record:?} {path}");
+                        paths += 1;
+                        deaths += usize::from(!record.failures.is_empty());
+                        script = walk.next();
+                    }
+                }
+            }
+        }
+        (paths, deaths)
+    }
+
+    /// The core walked over a region of four target tasks and a host sink:
+    /// P writes `a`, C reads it (a flow edge a car holds) and `c`, W then
+    /// writes `c` (an anti edge), X is unrelated, and the sink reads all
+    /// three buffers.
+    #[test]
+    fn the_core_retires_every_task_in_every_order_a_holding_backend_reports() {
+        use crate::types::{Dependence, KernelId};
+        let (a, c, d) = (BufferId(0), BufferId(1), BufferId(2));
+        let target = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let mut region = RegionGraph::new();
+        region.add_task(target(), vec![Dependence::output(a)], "P");
+        region.add_task(target(), vec![Dependence::input(a), Dependence::input(c)], "C");
+        region.add_task(target(), vec![Dependence::output(c)], "W");
+        region.add_task(target(), vec![Dependence::output(d)], "X");
+        let sink = vec![Dependence::input(a), Dependence::input(c), Dependence::input(d)];
+        region.add_task(TaskKind::Host { cost_hint: 0.0 }, sink, "H");
+        let edges: Vec<(usize, usize, bool)> = (0..5)
+            .flat_map(|t| region.successor_ids(t).map(move |s| (t, s)))
+            .map(|(t, s)| (t, s, region.may_wait_on_worker(t, s)))
+            .collect();
+        let expected = [(0, 1, true), (0, 4, false), (1, 2, false), (2, 4, false), (3, 4, false)];
+        assert_eq!(edges, expected, "one flow edge a car holds, one anti edge, a sink");
+        let (paths, deaths) = walk_every_order(&region, 4);
+        assert!(paths > 10_000 && deaths > 0, "{paths} paths, {deaths} through a death");
+    }
+
+    /// The same walk over a chain of held cars — P writes `a`, C reads it and
+    /// writes `b`, D reads `b` — an unrelated X, whose retirement can kill a
+    /// node while P runs there, and a host sink: a consumer whose own car
+    /// holds a consumer can be restarted, and the one it held blocked again.
+    #[test]
+    fn the_core_retires_a_chain_of_held_cars_in_every_order() {
+        use crate::types::{Dependence, KernelId};
+        let [a, b, e, x] = [0, 1, 2, 3].map(BufferId);
+        let target = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        let mut region = RegionGraph::new();
+        region.add_task(target(), vec![Dependence::output(a)], "P");
+        region.add_task(target(), vec![Dependence::input(a), Dependence::output(b)], "C");
+        region.add_task(target(), vec![Dependence::input(b), Dependence::output(e)], "D");
+        region.add_task(target(), vec![Dependence::output(x)], "X");
+        let sink = vec![Dependence::input(e), Dependence::input(x)];
+        region.add_task(TaskKind::Host { cost_hint: 0.0 }, sink, "H");
+        assert!(region.may_wait_on_worker(0, 1) && region.may_wait_on_worker(1, 2));
+        let (paths, deaths) = walk_every_order(&region, 4);
+        assert!(paths > 1_000 && deaths > 0, "{paths} paths, {deaths} through a death");
     }
 
     /// Whether `order` lists every task after its predecessors.
@@ -1287,7 +1676,7 @@ mod tests {
             "c",
         );
         assert_eq!(region.task_count(), 2);
-        assert_eq!(region.predecessor_count(1), 1);
+        assert!(region.may_wait_on_worker(0, 1), "a target reader of a target write");
         assert_eq!(region.successor_ids(0).collect::<Vec<_>>(), vec![1]);
     }
 

@@ -943,8 +943,8 @@ mod tests {
         });
     }
 
-    /// The producer's node is killed — by another tenant's fault plan, say:
-    /// this execution runs with none — before its car arrives: the zombie
+    /// The producer's node is killed from outside this execution — by
+    /// another tenant's fault plan, say — before its car arrives: the zombie
     /// gate refuses the car and sends the node's failure down its push, so
     /// the reader held on another worker replies `NodeFailure`, not a hang.
     #[test]

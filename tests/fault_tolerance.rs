@@ -161,6 +161,56 @@ fn mpi_region_survives_a_mid_region_failure_with_identical_buffers() {
     });
 }
 
+/// A producer and its reader on a two-worker device, on device-resident
+/// buffers (a region of these two tasks alone), optionally killing `victim`
+/// right after its `kill_after`-th task completion: `b = a + 1`, then
+/// `c = 10 b`. The reader depends on the producer through a flow dependence
+/// only, so the core dispatches it once the producer's car is launched —
+/// with or without a fault plan. Returns `c` and the run record.
+fn run_held_pair(fault: Option<(usize, usize)>) -> (Vec<f64>, RunRecord) {
+    let plan = match fault {
+        Some((victim, kill_after)) => FaultPlan::none().fail_after_completions(victim, kill_after),
+        None => FaultPlan::none(),
+    };
+    let mut device = ClusterDevice::with_config(2, fault_config(plan));
+    let plus_one = device.register_kernel_fn("plus-one", 1e-5, |args| {
+        let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x + 1.0).collect();
+        args.set_f64s(1, &v);
+    });
+    let times_ten = device.register_kernel_fn("times-ten", 1e-5, |args| {
+        let v: Vec<f64> = args.as_f64s(0).iter().map(|x| x * 10.0).collect();
+        args.set_f64s(1, &v);
+    });
+    let a = device.enter_data_f64s(&[1.0, 2.0, 3.0, 4.0]);
+    let [b, c] = [0; 2].map(|_| device.enter_data_f64s(&[0.0; 4]));
+    let mut region = device.target_region();
+    region.target(plus_one, vec![Dependence::input(a), Dependence::output(b)]);
+    region.target(times_ten, vec![Dependence::input(b), Dependence::output(c)]);
+    region.run().unwrap();
+    let result = device.buffer_f64s(c).unwrap();
+    let record = device.last_run_record().expect("the device executed a region");
+    device.shutdown();
+    (result, record)
+}
+
+/// One dispatch rule under a fault plan: in a run whose producer's node
+/// dies right after the producer retired, the reader was dispatched before
+/// the producer retired — two tasks in flight in a region of two where one
+/// depends on the other — and the bytes are those of a failure-free run.
+#[test]
+fn a_held_reader_survives_the_death_of_its_producers_node() {
+    with_timeout(WATCHDOG, || {
+        let (clean, clean_record) = run_held_pair(None);
+        assert_eq!(clean, vec![20.0, 30.0, 40.0, 50.0]);
+        assert_eq!(clean_record.peak_in_flight, 2, "{clean_record:?}");
+        let (recovered, record) = run_held_pair(Some((clean_record.assignment[0], 1)));
+        assert_eq!(recovered, clean, "recovery must reproduce the failure-free bytes");
+        assert_eq!(record.failures.len(), 1, "{record:?}");
+        assert_eq!(record.peak_in_flight, 2, "the reader was held behind its producer");
+        assert!(record.reexecuted.contains(&0), "the producer's output died with it");
+    });
+}
+
 /// Per-task blame inside a task train: one broken car must not poison its
 /// siblings. With a single worker, a wide-open window and device-resident
 /// inputs (no enter-data task for a target to wait behind), every task of
