@@ -2,6 +2,11 @@
 //! the scheduler, the head-node in-flight limit, worker-to-worker data
 //! forwarding, and the number of NIC channels (virtual communication
 //! interfaces).
+//!
+//! The scheduler study runs on the Task Bench shapes where the choice
+//! shows: fig. 6's FFT at CCR 0.5 on 16 nodes, and fig. 5's FFT at
+//! 64 nodes and Stencil-1D at 32 nodes — the last one where HEFT loses. The
+//! other three run fig. 6's Stencil-1D at CCR 1.0 on 16 nodes.
 
 use crate::report::{render_table, Figure, JsonRow};
 use ompc_core::prelude::{simulate_ompc, OmpcConfig, OverheadModel, SchedulerKind};
@@ -32,8 +37,20 @@ fn measure(
         .as_secs_f64()
 }
 
-/// Run every ablation on a communication-heavy 16-node stencil workload
-/// (the regime where the design choices matter most).
+/// The scheduler study's shapes, each with its name as printed and its node
+/// count.
+fn scheduler_shapes() -> [(&'static str, TaskBenchConfig, usize); 3] {
+    use DependencePattern::{Fft, Stencil1D};
+    [
+        ("fig. 6 fft, CCR 0.5, 16 nodes", TaskBenchConfig::figure6(Fft, 0.5), 16),
+        ("fig. 5 fft, 64 nodes", TaskBenchConfig::figure5(Fft, 64), 64),
+        ("fig. 5 stencil_1d, 32 nodes", TaskBenchConfig::figure5(Stencil1D, 32), 32),
+    ]
+}
+
+/// Run every ablation: the scheduler on three Task Bench shapes where the
+/// choice shows, the rest on a communication-heavy 16-node stencil (the
+/// regime where those design choices matter most).
 pub fn run_ablation() -> Vec<AblationRow> {
     let nodes = 16;
     let cluster = ClusterConfig::santos_dumont(nodes);
@@ -42,18 +59,16 @@ pub fn run_ablation() -> Vec<AblationRow> {
     let mut rows = Vec::new();
 
     // 1. Scheduler choice.
-    for scheduler in [
-        SchedulerKind::Heft,
-        SchedulerKind::MinMin,
-        SchedulerKind::RoundRobin,
-        SchedulerKind::Eager,
-    ] {
-        let config = OmpcConfig { scheduler, ..OmpcConfig::default() };
-        rows.push(AblationRow {
-            study: "scheduler".to_string(),
-            variant: scheduler.name().to_string(),
-            seconds: measure(&config, &overheads, &cluster, &tb),
-        });
+    for (shape, tb, nodes) in scheduler_shapes() {
+        let cluster = ClusterConfig::santos_dumont(nodes);
+        for scheduler in [SchedulerKind::Heft, SchedulerKind::MinMin, SchedulerKind::RoundRobin] {
+            let config = OmpcConfig { scheduler, ..OmpcConfig::default() };
+            rows.push(AblationRow {
+                study: format!("scheduler: {shape}"),
+                variant: scheduler.name().to_string(),
+                seconds: measure(&config, &overheads, &cluster, &tb),
+            });
+        }
     }
 
     // 2. Head-node in-flight window (the libomptarget blocked-thread bound,
@@ -125,7 +140,8 @@ pub fn figure() -> Figure {
         text += &format!("\n## {study}\n");
         text += &render_table(&["variant", "time (s)", "vs best"], &table);
     }
-    let title = "Ablation: OMPC design choices on a communication-heavy 16-node stencil";
+    let title = "Ablation: OMPC design choices (schedulers on three Task Bench shapes, the rest \
+                 on a communication-heavy 16-node stencil)";
     Figure::new(title, text, &rows)
 }
 
@@ -156,8 +172,22 @@ mod tests {
         let rows = run_ablation();
         assert!(rows.iter().all(|r| r.seconds > 0.0));
 
-        // HEFT beats communication-oblivious round robin (paper §4.4).
-        assert!(time_of(&rows, "scheduler", "heft") <= time_of(&rows, "scheduler", "round-robin"));
+        // HEFT beats communication-oblivious round robin (paper §4.4) on
+        // fig. 6's FFT at CCR 0.5.
+        let fft = "scheduler: fig. 6 fft, CCR 0.5, 16 nodes";
+        assert!(time_of(&rows, fft, "heft") < time_of(&rows, fft, "round-robin"));
+        // Every scheduler shape tells at least two schedulers apart, as
+        // printed: a study where all tie shows nothing.
+        for (shape, _, _) in scheduler_shapes() {
+            let study = format!("scheduler: {shape}");
+            let mut times: Vec<String> = (rows.iter().filter(|r| r.study == study))
+                .map(|r| format!("{:.3}", r.seconds))
+                .collect();
+            assert_eq!(times.len(), 3, "{study}: one row per scheduler");
+            times.sort();
+            times.dedup();
+            assert!(times.len() >= 2, "{study}: every scheduler prints {times:?}");
+        }
         // Worker-to-worker forwarding beats staging through the head node
         // (paper §4.3: "dramatically improving performance").
         assert!(

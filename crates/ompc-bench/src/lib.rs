@@ -13,9 +13,9 @@
 //!   from 1K to 100M iterations.
 //! * [`run_awave`] — Fig. 7(b): Awave weak-scaling speedup on Sigsbee-like
 //!   and Marmousi-like surveys, one shot per worker node.
-//! * [`run_ablation`] — the §7 design-choice studies: scheduler choice,
-//!   head-node in-flight limit, worker-to-worker forwarding, and NIC
-//!   channel count.
+//! * [`run_ablation`] — the §7 design-choice studies: scheduler choice (on
+//!   three Task Bench shapes where it shows), head-node in-flight limit,
+//!   worker-to-worker forwarding, and NIC channel count.
 //! * [`run_fault_overhead`] — the §3.1 resilience cost: makespan at 0, 1,
 //!   and 2 injected worker failures vs. the failure-free run, with
 //!   re-execution counts and heartbeat detection latency.

@@ -4,7 +4,7 @@
 
 use crate::runtime::fault::FaultPlan;
 use crate::runtime::telemetry::TelemetryLevel;
-use ompc_sched::{EagerScheduler, HeftScheduler, MinMinScheduler, RoundRobinScheduler, Scheduler};
+use ompc_sched::{HeftScheduler, MinMinScheduler, RoundRobinScheduler, Scheduler};
 use ompc_sim::SimTime;
 
 /// Which [`crate::runtime::ExecutionBackend`] the unified execution core
@@ -50,8 +50,6 @@ pub enum SchedulerKind {
     RoundRobin,
     /// Min-min list scheduling (ablation baseline).
     MinMin,
-    /// Work-stealing-like eager placement (ablation baseline).
-    Eager,
 }
 
 impl SchedulerKind {
@@ -61,7 +59,6 @@ impl SchedulerKind {
             SchedulerKind::Heft => Box::new(HeftScheduler::new()),
             SchedulerKind::RoundRobin => Box::new(RoundRobinScheduler::new()),
             SchedulerKind::MinMin => Box::new(MinMinScheduler::new()),
-            SchedulerKind::Eager => Box::new(EagerScheduler::new()),
         }
     }
 
@@ -71,7 +68,6 @@ impl SchedulerKind {
             SchedulerKind::Heft => "heft",
             SchedulerKind::RoundRobin => "round-robin",
             SchedulerKind::MinMin => "min-min",
-            SchedulerKind::Eager => "eager",
         }
     }
 }
@@ -286,12 +282,7 @@ mod tests {
 
     #[test]
     fn scheduler_kinds_build_their_scheduler() {
-        for kind in [
-            SchedulerKind::Heft,
-            SchedulerKind::RoundRobin,
-            SchedulerKind::MinMin,
-            SchedulerKind::Eager,
-        ] {
+        for kind in [SchedulerKind::Heft, SchedulerKind::RoundRobin, SchedulerKind::MinMin] {
             let s = kind.build();
             assert_eq!(s.name(), kind.name());
         }

@@ -771,8 +771,10 @@ impl DataManager {
     /// version or a surviving replica. Movements towards the node stay
     /// booked, so they resolve (as failures, see [`DataManager::finish`])
     /// instead of wedging their waiters — except every push to or from the
-    /// node: that one ends here, with [`OmpcError::NodeFailure`]. Nothing is
-    /// owed to the node any more.
+    /// node, and every copy of a lost buffer still on the wire, wherever it
+    /// goes: those end here, with [`OmpcError::NodeFailure`] (a lost
+    /// buffer's copies carry bytes of the version the node took with it).
+    /// Nothing is owed to the node any more.
     pub fn fail_node(&mut self, node: NodeId) -> OmpcResult<Vec<BufferId>> {
         if node == HEAD_NODE {
             return Err(OmpcError::InvalidConfig("the head node cannot be declared failed".into()));
@@ -787,13 +789,16 @@ impl DataManager {
         lost.sort_unstable();
         self.owed.remove(&node);
         self.end_unclaimed(|_, p| p.to == node || p.from == node, Some(node));
+        for &buffer in &lost {
+            self.end_moving(buffer, node);
+        }
         Ok(lost)
     }
 
     /// End every copy of `buffer` still on the wire, with `dead`'s failure:
     /// the buffer's latest version was lost with `dead`, so each carries
     /// bytes of a version the table no longer has.
-    pub(crate) fn end_moving(&mut self, buffer: BufferId, dead: NodeId) {
+    fn end_moving(&mut self, buffer: BufferId, dead: NodeId) {
         let Some(loc) = self.buffers.get(&buffer) else { return };
         let moving: Vec<NodeId> = (loc.copies.iter())
             .filter(|copy| matches!(copy.pending, Some(Pending::Moving(_))))
@@ -810,8 +815,9 @@ impl DataManager {
     /// what `node` held with a version the table will never record), or when
     /// the version it copies is still the latest, on `dead` (the core may
     /// run its writer again: the latest is lost with the node). When `node`
-    /// held the latest, it moves as on a death. Whether the buffer lost its
-    /// latest version.
+    /// held the latest, it moves as on a death, and a lost latest ends the
+    /// buffer's copies on the wire as [`DataManager::fail_node`] does.
+    /// Whether the buffer lost its latest version.
     pub(crate) fn drop_claimed(
         &mut self,
         buffer: BufferId,
@@ -820,7 +826,11 @@ impl DataManager {
         pending: bool,
     ) -> bool {
         let Some(loc) = self.buffers.get_mut(&buffer) else { return false };
-        (pending || loc.latest == dead) && loc.drop_copy(node)
+        let lost = (pending || loc.latest == dead) && loc.drop_copy(node);
+        if lost {
+            self.end_moving(buffer, dead);
+        }
+        lost
     }
 
     /// Whether `node` has been declared failed.
@@ -1684,7 +1694,13 @@ mod tests {
             // The log is written by `book` and withdrawn by a rolled-back
             // `finish`, one record each, and by nothing else: every record
             // towards a worker is a copy that was booked and not rolled back.
+            // A death that loses a buffer's latest version (it falls back to
+            // the host image) rolls back every copy of it on the wire.
             let ended = before.ended_by(last);
+            let lost = |b| match last {
+                Op::Fail(d) => before.dm.latest(b) == Some(d) && dm.latest(b) == Some(HEAD_NODE),
+                _ => false,
+            };
             for b in WALK_BUFFERS {
                 for n in WALK_WORKERS {
                     let free = before.dm.is_registered(b)
@@ -1700,8 +1716,9 @@ mod tests {
                             Op::FinishOk(..) | Op::Retire(..) => dm.is_failed(n),
                             _ => false,
                         };
-                    let rolled_back =
-                        finished || ended.iter().any(|(_, p)| (p.buffer, p.to) == (b, n));
+                    let rolled_back = finished
+                        || ended.iter().any(|(_, p)| (p.buffer, p.to) == (b, n))
+                        || lost(b) && before.moving(b, n);
                     let booked =
                         at && free && matches!(last, Op::Plan(..) | Op::Other(..) | Op::Push(..));
                     let Some(expected) =
@@ -1781,6 +1798,26 @@ mod tests {
         // A restarted reader on node 2 moves real bytes, from the host image.
         let plan = TransferPlan { from: HEAD_NODE, to: 2, buffer: b };
         assert_eq!(walk.dm.book(WALK_REGION, b, 2, input), Ok(Booking::Move(plan)));
+    }
+
+    /// The simulator's death path is `fail_node` alone: a copy still coming
+    /// from the node that took the latest version with it ends there, and its
+    /// late arrival makes no holder.
+    #[test]
+    fn a_death_that_loses_the_latest_ends_its_copies_on_the_wire() {
+        let mut dm = DataManager::new();
+        let b = BufferId(0);
+        dm.register_host_buffer(b, 8);
+        dm.plan_input(b, 1).unwrap();
+        dm.record_write(b, 1).unwrap();
+        dm.plan_input(b, 2).unwrap();
+        assert_eq!(dm.fail_node(1), Ok(vec![b]));
+        let failure = Some(OmpcError::NodeFailure(1));
+        assert_eq!(dm.transfer_state(b, 2), TransferState::Invalid(failure));
+        assert!(dm.transfer_log().iter().all(|t| t.to != 2), "the copy's record is withdrawn");
+        dm.finish(b, 2, Ok(())).unwrap();
+        assert!(dm.holders(b).is_empty());
+        assert_eq!(dm.latest(b), Some(HEAD_NODE));
     }
 
     /// The second: a write racing a moving booking of the same buffer used

@@ -823,10 +823,9 @@ impl Lowering {
     /// it refuses every event with an error reply, so peers observe the death instead of
     /// hanging. First, the copy each early claim of a push from it landed stops counting
     /// ([`DataManager::drop_claimed`]): the core retires a held consumer's producer after the
-    /// claim landed, so the producer's completion may yet be stale. Every copy of a lost
-    /// buffer still on the wire ends ([`DataManager::end_moving`]): its bytes are of the
-    /// version the node took with it. Names the writers of every buffer whose only copy was
-    /// lost.
+    /// claim landed, so the producer's completion may yet be stale. Either ends every copy of
+    /// a buffer it loses that is still on the wire. Names the writers of every buffer whose
+    /// only copy was lost.
     pub(crate) fn invalidate_node(&self, node: NodeId) -> Vec<LostBuffer> {
         let state = self.state.lock();
         let mut dm = self.path.dm.lock();
@@ -849,9 +848,6 @@ impl Lowering {
         lost.extend(dm.fail_node(node).unwrap_or_default());
         lost.sort_unstable();
         lost.dedup();
-        for &buffer in &lost {
-            dm.end_moving(buffer, node);
-        }
         drop((state, dm));
         let _ = self.path.events.kill(node);
         let writers_of = |buffer| {

@@ -11,11 +11,12 @@
 //!   oblivious; a lower bound on scheduling intelligence.
 //! * [`MinMinScheduler`] — classic list scheduling by minimum completion
 //!   time.
-//! * [`EagerScheduler`] — a static approximation of LLVM OpenMP's
-//!   work-stealing behaviour: every ready task goes to the processor that
-//!   becomes idle first, ignoring where its input data lives. Used in the
-//!   ablation study to show why work stealing is a poor fit for multi-node
-//!   execution (paper §4.4's motivation).
+//!
+//! The ablation figure compares the three on Task Bench shapes where the
+//! choice shows: fig. 6's FFT at CCR 0.5 on 16 nodes (HEFT and min-min
+//! ahead of round-robin), fig. 5's FFT at 64 nodes (min-min, then HEFT, then
+//! round-robin) and fig. 5's Stencil-1D at 32 nodes, where HEFT trails the
+//! other two.
 //!
 //! The scheduler operates on a [`TaskGraph`] of abstract tasks (costs in
 //! seconds, edges weighted in bytes) and a [`Platform`] describing processor
@@ -33,7 +34,7 @@ pub mod schedule;
 pub use csr::Csr;
 pub use graph::{SchedEdge, SchedTask, TaskGraph};
 pub use heft::HeftScheduler;
-pub use list::{EagerScheduler, MinMinScheduler, RoundRobinScheduler};
+pub use list::{MinMinScheduler, RoundRobinScheduler};
 pub use platform::Platform;
 pub use schedule::{Placement, Schedule};
 

@@ -50,6 +50,9 @@ impl RoundRobinScheduler {
 }
 
 impl Scheduler for RoundRobinScheduler {
+    /// # Panics
+    ///
+    /// If `graph` has a cycle.
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Schedule {
         let order = graph.topological_order().expect("scheduling requires a DAG");
         let mut placements = vec![Placement { proc: 0, start: 0.0, finish: 0.0 }; graph.len()];
@@ -87,6 +90,9 @@ impl MinMinScheduler {
 }
 
 impl Scheduler for MinMinScheduler {
+    /// # Panics
+    ///
+    /// If `graph` has a cycle: no task is ready while some are unplaced.
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Schedule {
         let n = graph.len();
         let mut placements = vec![Placement { proc: 0, start: 0.0, finish: 0.0 }; n];
@@ -97,7 +103,6 @@ impl Scheduler for MinMinScheduler {
         let mut scheduled = 0usize;
 
         while scheduled < n {
-            assert!(!ready.is_empty(), "min-min requires a DAG");
             // For each ready task find its best (earliest completion) proc.
             let mut best: Option<(f64, usize, usize)> = None; // (finish, task, proc)
             for &t in &ready {
@@ -113,7 +118,7 @@ impl Scheduler for MinMinScheduler {
                     }
                 }
             }
-            let (_, task, proc) = best.expect("non-empty ready set");
+            let (_, task, proc) = best.expect("min-min requires a DAG");
             place_append(graph, platform, &mut placements, &mut avail, task, proc);
             done[task] = true;
             scheduled += 1;
@@ -130,50 +135,6 @@ impl Scheduler for MinMinScheduler {
 
     fn name(&self) -> &'static str {
         "min-min"
-    }
-}
-
-/// A static stand-in for dynamic work stealing: each task (in topological
-/// order) goes to the processor that becomes idle first, with no regard for
-/// where its inputs live. Data then has to chase the task around the
-/// cluster — exactly the behaviour the paper argues makes work stealing
-/// unsuitable across nodes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EagerScheduler;
-
-impl EagerScheduler {
-    /// Create an eager (work-stealing-like) scheduler.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Scheduler for EagerScheduler {
-    fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Schedule {
-        let order = graph.topological_order().expect("scheduling requires a DAG");
-        let mut placements = vec![Placement { proc: 0, start: 0.0, finish: 0.0 }; graph.len()];
-        let mut avail = vec![0.0f64; platform.num_procs()];
-        for &t in &order {
-            let proc = match graph.tasks()[t].pinned {
-                Some(p) => p,
-                None => {
-                    // Earliest-idle processor, ties broken by index.
-                    let mut best = 0usize;
-                    for p in 1..platform.num_procs() {
-                        if avail[p] < avail[best] - 1e-15 {
-                            best = p;
-                        }
-                    }
-                    best
-                }
-            };
-            place_append(graph, platform, &mut placements, &mut avail, t, proc);
-        }
-        Schedule::new(placements)
-    }
-
-    fn name(&self) -> &'static str {
-        "eager"
     }
 }
 
@@ -208,7 +169,6 @@ mod tests {
             Box::new(HeftScheduler::new()),
             Box::new(RoundRobinScheduler::new()),
             Box::new(MinMinScheduler::new()),
-            Box::new(EagerScheduler::new()),
         ]
     }
 
@@ -264,21 +224,6 @@ mod tests {
             let schedule = s.schedule(&g, &p);
             assert_eq!(schedule.proc_of(pinned), 0, "{} ignored pinning", s.name());
         }
-    }
-
-    #[test]
-    fn eager_spreads_independent_tasks_evenly() {
-        let mut g = TaskGraph::new();
-        for _ in 0..8 {
-            g.add_task(1.0);
-        }
-        let p = Platform::cluster(4);
-        let s = EagerScheduler::new().schedule(&g, &p);
-        s.validate(&g, &p).unwrap();
-        for proc in 0..4 {
-            assert_eq!(s.tasks_on(proc).len(), 2);
-        }
-        assert!((s.makespan() - 2.0).abs() < 1e-9);
     }
 
     #[test]

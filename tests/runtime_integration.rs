@@ -135,7 +135,7 @@ fn results_are_placement_independent() {
     let reference = run(1, SchedulerKind::Heft);
     assert_eq!(reference, vec![24.0, 48.0, 72.0]);
     for workers in [2, 4] {
-        for scheduler in [SchedulerKind::Heft, SchedulerKind::RoundRobin, SchedulerKind::Eager] {
+        for scheduler in [SchedulerKind::Heft, SchedulerKind::RoundRobin, SchedulerKind::MinMin] {
             assert_eq!(run(workers, scheduler), reference);
         }
     }

@@ -3,7 +3,7 @@
 //! `reference` below is the planner as it stood before the weighted
 //! adjacency and the searched timelines: HEFT that recomputes every
 //! candidate's ready time from scratch and walks each busy timeline from
-//! its first interval, and the three list schedulers, all reading edge
+//! its first interval, and the two list schedulers, all reading edge
 //! weights by summing `TaskGraph::edges()`. The production schedulers must
 //! return the same [`Schedule`] — same processor, bit-equal start and finish
 //! for every task — on a seeded sweep of DAGs built to reach the corners
@@ -18,8 +18,8 @@ use ompc::runtime::{
     BufferId, BufferRegistry, Dependence, KernelId, MapType, RegionGraph, TaskKind,
 };
 use ompc::sched::{
-    EagerScheduler, HeftScheduler, MinMinScheduler, Placement, Platform, RoundRobinScheduler,
-    Schedule, Scheduler, TaskGraph,
+    HeftScheduler, MinMinScheduler, Placement, Platform, RoundRobinScheduler, Schedule, Scheduler,
+    TaskGraph,
 };
 use ompc::sim::ClusterConfig;
 use ompc::taskbench::{generate_workload, DependencePattern, TaskBenchConfig};
@@ -219,29 +219,6 @@ mod reference {
         }
         Schedule::new(placements)
     }
-
-    pub fn eager(graph: &TaskGraph, platform: &Platform) -> Schedule {
-        let edge = EdgeBytes::of(graph);
-        let order = graph.topological_order().expect("scheduling requires a DAG");
-        let mut placements = vec![Placement { proc: 0, start: 0.0, finish: 0.0 }; graph.len()];
-        let mut avail = vec![0.0f64; platform.num_procs()];
-        for &t in &order {
-            let proc = match graph.tasks()[t].pinned {
-                Some(p) => p,
-                None => {
-                    let mut best = 0usize;
-                    for p in 1..platform.num_procs() {
-                        if avail[p] < avail[best] - 1e-15 {
-                            best = p;
-                        }
-                    }
-                    best
-                }
-            };
-            place_append(graph, &edge, platform, &mut placements, &mut avail, t, proc);
-        }
-        Schedule::new(placements)
-    }
 }
 
 /// One generated scheduling problem.
@@ -404,11 +381,6 @@ fn assert_all_schedulers_match(graph: &TaskGraph, platform: &Platform, load: &[f
         MinMinScheduler::new().schedule(graph, platform),
         reference::min_min(graph, platform),
         "{what}: min-min differs"
-    );
-    assert_eq!(
-        EagerScheduler::new().schedule(graph, platform),
-        reference::eager(graph, platform),
-        "{what}: eager differs"
     );
 }
 
