@@ -212,11 +212,11 @@ pub fn run_shots_resident_traced(
             format!("shot@{}", shot.source_x),
         );
         region.map_from(image);
-        region.run()?;
-        if let Some(record) = device.last_run_record() {
-            model_transfers += record.buffer_transfers(model_buffer).len();
-            records.push(record);
-        }
+        // This region's own record: a device-wide "last record" may belong
+        // to another client's region running on the same device.
+        let (_, record) = region.run_recorded()?;
+        model_transfers += record.buffer_transfers(model_buffer).len();
+        records.push(record);
         let values = device.buffer_f64s(image)?;
         stacked.stack(&RtmImage { nx, nz, values });
     }
@@ -303,6 +303,48 @@ mod tests {
             assert!(
                 (a - b).abs() <= 1e-9 * b.abs().max(1.0),
                 "resident cluster image diverged from the sequential reference"
+            );
+        }
+    }
+
+    /// Two clients survey on one device at once: each client's records are
+    /// its own regions', so no buffer appears in both clients' records, and
+    /// each client counts only its own model's moves.
+    #[test]
+    fn concurrent_surveys_each_keep_their_own_records() {
+        use ompc_core::types::BufferId;
+        use std::collections::HashSet;
+        let model = VelocityModel::generate(ModelKind::SigsbeeLike, 16, 16, 20.0);
+        let params = RtmParams { nt: 24, snapshot_every: 4, smoothing_passes: 1 };
+        let shots: Vec<Shot> = (2..14).map(|x| Shot { source_x: x, source_z: 2 }).collect();
+        let mut device = ClusterDevice::spawn(2);
+        let workers = device.num_workers();
+        let surveys: Vec<(usize, Vec<RunRecord>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    let (device, model, shots, params) = (&device, &model, &shots, &params);
+                    scope.spawn(move || {
+                        let (_, moves, records) =
+                            run_shots_resident_traced(device, model, shots, params).unwrap();
+                        (moves, records)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        device.shutdown();
+        let named: Vec<HashSet<BufferId>> = surveys
+            .iter()
+            .map(|(_, records)| {
+                records.iter().flat_map(|r| &r.transfers).map(|t| t.buffer).collect()
+            })
+            .collect();
+        assert!(named[0].is_disjoint(&named[1]), "a client's records name the other's buffers");
+        for (moves, records) in &surveys {
+            assert_eq!(records.len(), shots.len());
+            assert!(
+                (1..=workers).contains(moves),
+                "model moved {moves} times on {workers} workers"
             );
         }
     }

@@ -22,10 +22,9 @@
 //!
 //! Plus [`run_multitenant`], the only harness of a feature the perf ledger
 //! (`benchmark/`) has no row for yet, on the real backend: concurrent
-//! admission, K client surveys sharing one device while
-//! `max_concurrent_regions` sweeps from strictly serial to fully overlapped.
-//! Its exit code depends on deterministic facts only; wall times are
-//! printed.
+//! regions, K client surveys sharing one device, once taking turns (the
+//! harness runs one region at a time) and once overlapped. Its exit code
+//! depends on deterministic facts only; wall times are printed.
 //!
 //! Everything else about performance — dispatch cost per task, spawn and
 //! shutdown, telemetry attribution, residency transfer counts — is a row of
@@ -35,7 +34,7 @@
 //! `results/<name>.json`. `cargo run --release -p ompc-bench` prints the
 //! six deterministic [`FIGURES`] (`fig5`, `fig6`, `fig7a`, `fig7b`,
 //! `ablation`, `fault`) in that order; `-- <name>...` prints only the named
-//! ones, and `-- multitenant [--smoke]` the admission figure. Every
+//! ones, and `-- multitenant [--smoke]` the multi-tenant figure. Every
 //! deterministic figure's text is pinned byte for byte by
 //! `tests/figures_golden.rs`.
 
@@ -52,7 +51,7 @@ pub use figures::{
     run_awave, run_ccr, run_overhead, run_scalability, AwaveRow, CcrRow, OverheadRow,
     ScalabilityRow,
 };
-pub use multitenant::{run_multitenant, MultitenantRow, MultitenantWorkload};
+pub use multitenant::{run_multitenant, MultitenantRow, MultitenantWorkload, TenancyMode};
 pub use report::{Figure, JsonRow};
 pub use runtimes::{run_all_runtimes, RuntimeKind, RuntimeMeasurement};
 

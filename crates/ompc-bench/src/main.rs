@@ -5,7 +5,7 @@
 //!
 //! With no figure named, prints the six deterministic figures (`fig5`,
 //! `fig6`, `fig7a`, `fig7b`, `ablation`, `fault`). `multitenant` times the
-//! admission figure on the real backend; `--smoke` shrinks it for CI and is
+//! multi-tenant figure on the real backend; `--smoke` shrinks it for CI and is
 //! the only flag.
 
 use ompc_bench::{figure, multitenant, FIGURES};

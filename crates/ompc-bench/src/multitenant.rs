@@ -1,26 +1,26 @@
-//! The multi-tenant admission figure: aggregate throughput of K
-//! independent client surveys sharing one device, as the admission limit
-//! (`OmpcConfig::max_concurrent_regions`) sweeps from strictly serial to
-//! fully overlapped.
+//! The multi-tenant figure: aggregate throughput of K independent client
+//! surveys sharing one device, taking turns or overlapped.
 //!
 //! Each client is a small latency-bound survey: every region offloads one
 //! kernel whose service time holds its worker for a fixed interval (the
 //! regime where an offloaded region waits on the accelerator, not the head
-//! CPU). At `max_concurrent_regions = 1` the admission gate serializes the
-//! tenants, so the device's other workers idle while one tenant's kernel
-//! holds its node; at a limit ≥ 2 overlapped tenants are planned around
-//! each other's in-flight load onto distinct workers and their service
-//! times overlap — the aggregate regions-per-second figure this module
-//! reports. The limits are measured in alternated rounds, each running
-//! every limit once in a rotating order, and every row reports the median
-//! and interquartile range of its rounds, plus how many rounds it beat the
-//! serial run of the same round. Results are byte-checked across limits
-//! (the run panics on a difference): admission is a throughput knob, never
-//! a results knob.
+//! CPU). In the "turns" row the harness holds one lock around each region,
+//! so the tenants run one region at a time and the device's other workers
+//! idle while one tenant's kernel holds its node. In the "overlapped" row
+//! the device runs every region at once, as it does for any concurrent
+//! callers: each tenant is planned around the others' in-flight load onto
+//! distinct workers and their service times overlap — the aggregate
+//! regions-per-second figure this module reports. The two modes are
+//! measured in alternated rounds, each running both once in a rotating
+//! order, and every row reports the median and interquartile range of its
+//! rounds, plus how many rounds it beat the turns run of the same round.
+//! Results are byte-checked across modes (the run panics on a difference):
+//! overlap changes throughput, never results.
 
 use crate::report::{quartiles, render_table, Figure, JsonRow};
 use ompc_core::prelude::*;
 use ompc_json::Json;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Problem dimensions of the multi-tenant workload.
@@ -36,7 +36,7 @@ pub struct MultitenantWorkload {
     pub payload_len: usize,
     /// Worker nodes (one per client, so full overlap is feasible).
     pub workers: usize,
-    /// Alternated rounds; each times every admission limit once.
+    /// Alternated rounds; each times both modes once.
     pub rounds: usize,
 }
 
@@ -67,11 +67,33 @@ impl MultitenantWorkload {
     }
 }
 
+/// How the tenants share the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TenancyMode {
+    /// One region at a time: the harness serializes the tenants' regions.
+    Turns,
+    /// Every region runs as soon as its tenant calls it.
+    Overlapped,
+}
+
+impl TenancyMode {
+    /// Both modes, the baseline first.
+    pub const ALL: [TenancyMode; 2] = [TenancyMode::Turns, TenancyMode::Overlapped];
+
+    /// Name used in the table and the JSON rows.
+    pub fn name(self) -> &'static str {
+        match self {
+            TenancyMode::Turns => "turns",
+            TenancyMode::Overlapped => "overlapped",
+        }
+    }
+}
+
 /// One point of the multi-tenant figure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultitenantRow {
-    /// Admission limit measured (`max_concurrent_regions`).
-    pub limit: usize,
+    /// How the tenants shared the device.
+    pub mode: TenancyMode,
     /// Client threads sharing the device.
     pub clients: usize,
     /// Total regions executed across all clients.
@@ -84,9 +106,9 @@ pub struct MultitenantRow {
     pub q3_s: f64,
     /// Aggregate throughput at the median wall time, in regions per second.
     pub regions_per_second: f64,
-    /// Rounds in which this limit ran faster than the sweep's first limit
-    /// (the serial baseline) of the same round.
-    pub faster_than_first: usize,
+    /// Rounds in which this mode ran faster than the turns run of the same
+    /// round.
+    pub faster_than_turns: usize,
     /// Rounds measured.
     pub rounds: usize,
 }
@@ -96,15 +118,10 @@ fn client_payload(client: usize, round: usize, len: usize) -> Vec<f64> {
     (0..len).map(|i| ((i * 3 + client * 7 + round * 11) % 100) as f64 * 1e-2).collect()
 }
 
-/// Run the whole K-tenant workload once at one admission limit, returning
-/// (per-client output sums in client order, wall seconds).
-fn run_tenants(workload: MultitenantWorkload, limit: usize) -> (Vec<Vec<f64>>, f64) {
-    let config = OmpcConfig {
-        backend: BackendKind::Mpi,
-        max_concurrent_regions: limit,
-        ..OmpcConfig::small()
-    };
-    let mut device = ClusterDevice::with_config(workload.workers, config);
+/// Run the whole K-tenant workload once in one mode, returning (per-client
+/// output sums in client order, wall seconds).
+fn run_tenants(workload: MultitenantWorkload, mode: TenancyMode) -> (Vec<Vec<f64>>, f64) {
+    let mut device = ClusterDevice::spawn(workload.workers);
     let service = Duration::from_millis(workload.service_ms);
     let kernel = device.register_kernel_fn(
         "tenant-survey",
@@ -118,14 +135,17 @@ fn run_tenants(workload: MultitenantWorkload, limit: usize) -> (Vec<Vec<f64>>, f
         },
     );
 
+    let turn = Mutex::new(());
     let start = Instant::now();
     let outputs: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workload.clients)
             .map(|client| {
-                let device = &device;
+                let (device, turn) = (&device, &turn);
                 scope.spawn(move || {
                     (0..workload.regions_per_client)
                         .map(|round| {
+                            let _turn = (mode == TenancyMode::Turns)
+                                .then(|| turn.lock().expect("tenant turn"));
                             let mut region = device.target_region();
                             let input = region.map_to_f64s(&client_payload(
                                 client,
@@ -152,83 +172,81 @@ fn run_tenants(workload: MultitenantWorkload, limit: usize) -> (Vec<Vec<f64>>, f
     (outputs, seconds)
 }
 
-/// The multi-tenant figure: every admission limit, timed in alternated
-/// rounds (round `r` starts the sweep at limit `r mod n`), reported as the
-/// median and quartiles of its rounds. Panics if any limit changes any
-/// client's results — overlapped admission must be observationally
-/// identical to serial admission.
-pub fn run_multitenant(workload: MultitenantWorkload, limits: &[usize]) -> Vec<MultitenantRow> {
+/// The multi-tenant figure: both modes, timed in alternated rounds (round
+/// `r` starts with mode `r mod 2`), reported as the median and quartiles of
+/// their rounds. Panics if overlap changes any client's results — an
+/// overlapped run must be observationally identical to one in turns.
+pub fn run_multitenant(workload: MultitenantWorkload) -> Vec<MultitenantRow> {
+    let modes = TenancyMode::ALL;
     let rounds = workload.rounds.max(1);
-    let mut seconds = vec![Vec::with_capacity(rounds); limits.len()];
+    let mut seconds = vec![Vec::with_capacity(rounds); modes.len()];
     let mut reference: Option<Vec<Vec<f64>>> = None;
     for round in 0..rounds {
-        for at in (0..limits.len()).map(|i| (i + round) % limits.len()) {
-            let (outputs, wall) = run_tenants(workload, limits[at]);
+        for at in (0..modes.len()).map(|i| (i + round) % modes.len()) {
+            let (outputs, wall) = run_tenants(workload, modes[at]);
             match &reference {
                 None => reference = Some(outputs),
-                Some(want) => assert_eq!(
-                    want, &outputs,
-                    "admission limit {} changed a tenant's results",
-                    limits[at]
-                ),
+                Some(want) => {
+                    assert_eq!(want, &outputs, "{} changed a tenant's results", modes[at].name())
+                }
             }
             seconds[at].push(wall);
         }
     }
     let regions = workload.clients * workload.regions_per_client;
-    let first = seconds.first().cloned().unwrap_or_default();
-    limits
+    let turns = seconds[0].clone();
+    modes
         .iter()
         .zip(&seconds)
-        .map(|(&limit, walls)| {
+        .map(|(&mode, walls)| {
             let (q1_s, median_s, q3_s) = quartiles(walls);
             MultitenantRow {
-                limit,
+                mode,
                 clients: workload.clients,
                 regions,
                 median_s,
                 q1_s,
                 q3_s,
                 regions_per_second: regions as f64 / median_s,
-                faster_than_first: walls.iter().zip(&first).filter(|(w, f)| w < f).count(),
+                faster_than_turns: walls.iter().zip(&turns).filter(|(w, t)| w < t).count(),
                 rounds,
             }
         })
         .collect()
 }
 
-/// The multi-tenant figure as printed, at the CI size when `smoke`: limits
-/// 1, 2 and one per client. Panics if a limit changes a tenant's results.
+/// The multi-tenant figure as printed, at the CI size when `smoke`.
+/// Panics if overlap changes a tenant's results.
 pub fn figure(smoke: bool) -> Figure {
     let workload = if smoke { MultitenantWorkload::smoke() } else { MultitenantWorkload::full() };
-    let rows = run_multitenant(workload, &[1, 2, workload.clients]);
-    let serial = rows.iter().find(|r| r.limit == 1).map(|r| r.regions_per_second);
+    let rows = run_multitenant(workload);
+    let turns = rows[0].regions_per_second;
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.limit.to_string(),
+                r.mode.name().to_string(),
                 r.clients.to_string(),
                 r.regions.to_string(),
                 format!("{:.4}", r.median_s),
                 format!("{:.4}-{:.4}", r.q1_s, r.q3_s),
                 format!("{:.1}", r.regions_per_second),
-                format!("{:.2}x", r.regions_per_second / serial.unwrap_or(f64::NAN)),
-                format!("{}/{}", r.faster_than_first, r.rounds),
+                format!("{:.2}x", r.regions_per_second / turns),
+                format!("{}/{}", r.faster_than_turns, r.rounds),
             ]
         })
         .collect();
     let header =
-        ["limit", "clients", "regions", "median s", "IQR s", "regions/s", "vs serial", "faster"];
+        ["mode", "clients", "regions", "median s", "IQR s", "regions/s", "vs turns", "faster"];
     let text = format!(
-        "\n{}\nAt limit 1 the admission gate serializes the tenants FIFO; at limit >= 2 \
-         overlapped tenants are planned around each other's in-flight load onto distinct \
-         workers, so their service times overlap. Results are byte-checked across limits — \
-         admission is a throughput knob, never a results knob.\n",
+        "\n{}\nIn turns the harness runs one region at a time; overlapped, the device runs \
+         every tenant's region at once, planned around the others' in-flight load onto \
+         distinct workers, so their service times overlap. Results are byte-checked across \
+         modes — overlap changes throughput, never results.\n",
         render_table(&header, &table)
     );
     let title = format!(
-        "Multi-tenant admission: {} clients x {} regions, {} ms service time, {} workers, {} \
+        "Multi-tenant regions: {} clients x {} regions, {} ms service time, {} workers, {} \
          alternated rounds",
         workload.clients,
         workload.regions_per_client,
@@ -242,14 +260,14 @@ pub fn figure(smoke: bool) -> Figure {
 impl JsonRow for MultitenantRow {
     fn to_json_value(&self) -> Json {
         Json::obj([
-            ("limit", Json::usize(self.limit)),
+            ("mode", Json::str(self.mode.name())),
             ("clients", Json::usize(self.clients)),
             ("regions", Json::usize(self.regions)),
             ("median_s", Json::num(self.median_s)),
             ("q1_s", Json::num(self.q1_s)),
             ("q3_s", Json::num(self.q3_s)),
             ("regions_per_second", Json::num(self.regions_per_second)),
-            ("faster_than_first", Json::usize(self.faster_than_first)),
+            ("faster_than_turns", Json::usize(self.faster_than_turns)),
             ("rounds", Json::usize(self.rounds)),
         ])
     }
@@ -260,7 +278,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn multitenant_rows_are_result_stable_across_limits() {
+    fn multitenant_rows_are_result_stable_across_modes() {
         let workload = MultitenantWorkload {
             clients: 2,
             regions_per_client: 2,
@@ -269,13 +287,14 @@ mod tests {
             workers: 2,
             rounds: 2,
         };
-        let rows = run_multitenant(workload, &[1, 2]);
+        let rows = run_multitenant(workload);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert_eq!((row.regions, row.rounds), (4, 2));
             assert!(0.0 < row.q1_s && row.q1_s <= row.median_s && row.median_s <= row.q3_s);
             assert!(row.regions_per_second > 0.0);
         }
-        assert_eq!(rows[0].faster_than_first, 0, "the serial run never beats itself");
+        assert_eq!(rows[0].mode, TenancyMode::Turns);
+        assert_eq!(rows[0].faster_than_turns, 0, "the turns run never beats itself");
     }
 }

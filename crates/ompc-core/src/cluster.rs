@@ -9,7 +9,6 @@
 //! logic.
 
 use crate::buffer::BufferRegistry;
-use crate::config::BackendKind;
 use crate::config::OmpcConfig;
 use crate::data_manager::{DataManager, TransferState, HEAD_NODE, UNATTRIBUTED};
 use crate::event::EventSystem;
@@ -76,26 +75,9 @@ fn adopt_warm_workers(key: &WarmKey) -> Option<WarmWorkers> {
     Some(pool.swap_remove(idx).1)
 }
 
-/// FIFO turnstile for concurrent region executions: callers of
-/// [`ClusterDevice::execute_region`] / [`ClusterDevice::run_workload`] are
-/// admitted strictly in arrival order, at most
-/// [`OmpcConfig::max_concurrent_regions`] inside at once — a small region
-/// can queue behind a large one but can never be starved by later
-/// arrivals.
-#[derive(Default)]
-struct AdmissionGate {
-    /// Regions currently admitted (inside an execution).
-    running: usize,
-    /// Next arrival ticket to hand out.
-    next_ticket: u64,
-    /// The arrival ticket currently first in line.
-    serving: u64,
-}
-
-/// What an admitted region holds until its execution finishes: the
-/// admission slot, and — once planning registered it — the per-node load
-/// reservation that seeds later tenants' schedules. Dropping the lease,
-/// on success or error, releases both and wakes the admission queue.
+/// What a running region holds until its execution finishes: the per-node
+/// load reservation that seeds overlapped tenants' schedules, once planning
+/// registered it. Dropping the lease, on success or error, releases it.
 struct RegionLease<'d> {
     device: &'d ClusterDevice,
     region: u64,
@@ -104,8 +86,6 @@ struct RegionLease<'d> {
 impl Drop for RegionLease<'_> {
     fn drop(&mut self) {
         self.device.inflight_load.lock().remove(&self.region);
-        self.device.admission.lock().running -= 1;
-        self.device.admission_cv.notify_all();
     }
 }
 
@@ -145,13 +125,8 @@ pub struct ClusterDevice {
     /// block here.
     inflight_cv: Condvar,
     report: Mutex<DeviceReport>,
-    /// Admission control for concurrent region executions: FIFO over
-    /// arrival order, at most [`OmpcConfig::max_concurrent_regions`]
-    /// inside at once. Paired with `admission_cv`.
-    admission: Mutex<AdmissionGate>,
-    admission_cv: Condvar,
-    /// Estimated per-node compute seconds still in flight per admitted
-    /// region: the reservation the next admitted region's schedule is
+    /// Estimated per-node compute seconds still in flight per running
+    /// region: the reservation the next region's schedule is
     /// seeded with ([`RuntimePlan::region_assignment_with_load`]), so
     /// tenants spread across the shared workers instead of piling onto
     /// the serially-optimal nodes.
@@ -239,8 +214,6 @@ impl ClusterDevice {
             worker_handles,
             inflight_cv: Condvar::new(),
             report: Mutex::new(DeviceReport { startup_time, ..DeviceReport::default() }),
-            admission: Mutex::default(),
-            admission_cv: Condvar::new(),
             inflight_load: Mutex::new(IdMap::default()),
             last_record: Mutex::new(None),
             workload_kernel: std::sync::OnceLock::new(),
@@ -556,39 +529,12 @@ impl ClusterDevice {
         true
     }
 
-    /// Block until this caller is admitted: FIFO over arrival order, at
-    /// most [`OmpcConfig::max_concurrent_regions`] regions inside at once.
-    /// Records an `Admission` span on the device recorder when the caller
-    /// actually waited.
-    fn admit(&self) -> RegionLease<'_> {
-        let limit = self.config.admission_limit();
-        let t0 = self.telemetry.start();
-        let mut gate = self.admission.lock();
-        let ticket = gate.next_ticket;
-        gate.next_ticket += 1;
-        let mut waited = false;
-        while gate.serving != ticket || gate.running >= limit {
-            waited = true;
-            self.admission_cv.wait(&mut gate);
-        }
-        gate.serving += 1;
-        gate.running += 1;
-        drop(gate);
-        if waited && self.telemetry.spans_enabled() {
-            self.telemetry.record(
-                Span::new(SpanPhase::Admission, HEAD_NODE, t0, monotonic_us())
-                    .detail(format!("admission limit {limit}")),
-            );
-        }
-        RegionLease { device: self, region: UNATTRIBUTED }
-    }
-
     /// Execute a region graph through the unified execution core. Called by
     /// [`TargetRegion::run`]. Safe to call from multiple client threads at
-    /// once: callers pass the admission gate in arrival order, each
-    /// execution gets its own region epoch (the namespace of its transfer
-    /// log and telemetry spans), and the scheduler places each admitted
-    /// region against the load the earlier tenants still hold.
+    /// once: every caller starts at once, each execution gets its own region
+    /// epoch (the namespace of its transfer log and telemetry spans), and
+    /// the scheduler places each region against the load the earlier
+    /// tenants still hold.
     pub(crate) fn execute_region(
         &self,
         graph: RegionGraph,
@@ -612,7 +558,7 @@ impl ClusterDevice {
         if graph.is_empty() {
             return Ok((RegionReport::default(), RunRecord::default()));
         }
-        // The planner orders tasks by their cost estimates, and admission
+        // The planner orders tasks by their cost estimates, and the lease
         // reserves them as load for the next tenant: a NaN, infinite or
         // negative hint is a caller error, rejected before either sees it.
         let mut hints = graph.tasks().iter().map(|task| (task, task.kind.cost_hint()));
@@ -623,7 +569,6 @@ impl ClusterDevice {
             )));
         }
         let graph = Arc::new(graph);
-        let mut lease = self.admit();
         let sched_start = Instant::now();
         // Plan over the workers that are still alive: a node declared
         // failed in an earlier region stays excommunicated for the rest of
@@ -657,17 +602,16 @@ impl ClusterDevice {
             }
             (region, dm.latest_on_workers())
         };
-        lease.region = region;
+        let _lease = RegionLease { device: self, region };
         // Region-scoped telemetry: every span this execution records
         // carries the region id, so overlapped tenants render as separate
         // timeline rows and never interleave their span vectors.
         let telemetry = self.telemetry.scoped(region);
         let sched_t0 = telemetry.start();
-        // Seed the schedule with the compute the admitted-but-unfinished
-        // regions already reserved on each worker: an incremental
-        // admission-time placement instead of a full HEFT re-run over all
-        // tenants. Serial executions see an empty table and plan exactly
-        // as before.
+        // Seed the schedule with the compute the unfinished regions
+        // already reserved on each worker: an incremental placement
+        // instead of a full HEFT re-run over all tenants. Serial executions
+        // see an empty table and plan exactly as before.
         let load: Vec<f64> = {
             let table = self.inflight_load.lock();
             alive.iter().map(|n| table.values().filter_map(|per| per.get(n)).sum()).collect()
@@ -685,7 +629,7 @@ impl ClusterDevice {
             window: self.config.inflight_window(),
         };
         // Reserve this region's own estimated compute per worker for the
-        // benefit of the next admitted tenant; released with the lease.
+        // benefit of the next tenant; released with the lease.
         {
             let mut reserved: IdMap<NodeId, f64> = IdMap::default();
             for task in graph.tasks() {
@@ -791,19 +735,8 @@ impl ClusterDevice {
             None => RuntimeCore::new(graph.as_ref(), plan),
         };
         core.set_telemetry(Arc::clone(telemetry));
-        let result =
-            Lowering::new(path, region, graph, host_fns, &self.config).and_then(|lowering| {
-                match self.config.backend {
-                BackendKind::Threaded | BackendKind::Mpi => {
-                    MpiBackend::new(lowering).execute(&mut core)
-                }
-                BackendKind::Sim => Err(OmpcError::InvalidConfig(
-                    "a ClusterDevice cannot drive the simulated backend; use the simulate_ompc* \
-                     entry points instead"
-                        .to_string(),
-                )),
-            }
-            });
+        let result = Lowering::new(path, region, graph, host_fns, &self.config)
+            .and_then(|lowering| MpiBackend::new(lowering).execute(&mut core));
         let mut record = core.record();
         // The data manager logged every transfer this run planned under
         // its region namespace (including any planned for work that later
@@ -815,8 +748,8 @@ impl ClusterDevice {
         // data-path spans plus worker stamps shipped home in the replies)
         // so each record owns exactly its own timeline, then append
         // whatever accumulated on the device recorder since the last
-        // drain (admission waits, lazy flushes). Empty unless the
-        // device runs at `TelemetryLevel::Spans`.
+        // drain (lazy flushes). Empty unless the device runs at
+        // `TelemetryLevel::Spans`.
         record.spans = telemetry.take_spans();
         record.spans.extend(self.telemetry.take_spans());
         *self.last_record.lock() = Some(record.clone());
@@ -889,10 +822,9 @@ impl ClusterDevice {
             let kind = TaskKind::Target { kernel: noop, cost_hint: workload.graph.tasks()[t].cost };
             region.add_task(kind, deps, String::new());
         }
-        // Workload runs pass the same admission gate and get their own
-        // region epoch (transfer-log and telemetry namespace) — a
-        // run_workload call is one more tenant over the shared workers.
-        let mut lease = self.admit();
+        // Workload runs get their own region epoch (transfer-log and
+        // telemetry namespace) — a run_workload call is one more tenant
+        // over the shared workers.
         let epoch = {
             let mut dm = self.dm.lock();
             let epoch = dm.begin_region();
@@ -903,7 +835,7 @@ impl ClusterDevice {
             }
             epoch
         };
-        lease.region = epoch;
+        let lease = RegionLease { device: self, region: epoch };
         let telemetry = self.telemetry.scoped(epoch);
         let record =
             self.execute_planned(Arc::new(region), HashMap::new(), plan, epoch, &telemetry);
@@ -1186,7 +1118,6 @@ mod tests {
         // A key no other test in the process uses: 2 workers and a reply
         // timeout of 60 011 ms.
         let config = OmpcConfig {
-            backend: BackendKind::Mpi,
             warm_worker_keepalive: true,
             event_reply_timeout_ms: Some(60_011),
             ..OmpcConfig::small()
@@ -1306,7 +1237,7 @@ mod tests {
     #[test]
     fn a_reader_of_another_tenants_booking_completes_while_that_tenant_is_held() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
+            let config = OmpcConfig::small();
             let mut device = ClusterDevice::with_config(1, config);
             let seen = Arc::new(Mutex::new(Vec::new()));
             let read = {
@@ -1366,11 +1297,7 @@ mod tests {
     #[test]
     fn a_failed_booking_of_another_tenant_fails_the_task_parked_on_it_at_once() {
         ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            let config = OmpcConfig {
-                max_concurrent_regions: 2,
-                warm_worker_keepalive: false,
-                ..OmpcConfig::small()
-            };
+            let config = OmpcConfig { warm_worker_keepalive: false, ..OmpcConfig::small() };
             let mut device = ClusterDevice::with_config(1, config);
             let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
             let read = {

@@ -7,9 +7,11 @@ use crate::runtime::telemetry::TelemetryLevel;
 use ompc_sched::{HeftScheduler, MinMinScheduler, RoundRobinScheduler, Scheduler};
 use ompc_sim::SimTime;
 
-/// Which [`crate::runtime::ExecutionBackend`] the unified execution core
-/// drives. Both share every scheduling, windowing, forwarding, and recovery
-/// decision; they differ only in *how* dispatched tasks execute.
+/// Which transport a [`crate::cluster::ClusterDevice`] drives. Both values
+/// name the one real-cluster transport, [`crate::runtime::MpiBackend`]; the
+/// simulated backend ([`crate::runtime::SimBackend`]) has no value here,
+/// because a real device has no cost model to simulate against — the
+/// `simulate_ompc*` entry points select it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// Another name for [`BackendKind::Mpi`]: the same transport, kept
@@ -22,12 +24,6 @@ pub enum BackendKind {
     /// head thread blocks per in-flight task. The default.
     #[default]
     Mpi,
-    /// [`crate::runtime::SimBackend`]: the deterministic virtual cluster.
-    /// Selected implicitly by the `simulate_ompc*` functions; a
-    /// [`crate::cluster::ClusterDevice`] rejects it with
-    /// [`crate::types::OmpcError::InvalidConfig`] because a real device
-    /// has no cost model to simulate against.
-    Sim,
 }
 
 impl BackendKind {
@@ -36,7 +32,6 @@ impl BackendKind {
         match self {
             BackendKind::Threaded => "threaded",
             BackendKind::Mpi => "mpi",
-            BackendKind::Sim => "sim",
         }
     }
 }
@@ -139,18 +134,6 @@ pub struct OmpcConfig {
     /// down cold. Enabled by default; disable for tests that count spawned
     /// threads across device lifetimes.
     pub warm_worker_keepalive: bool,
-    /// How many independent target regions the device admits into execution
-    /// at once. `1` (the default) serializes regions exactly as before:
-    /// each `execute_region` call runs alone and produces byte-identical
-    /// records, reports, and transfer plans to the historical behaviour.
-    /// Raising it lets that many clients run concurrently over the shared
-    /// workers and residency table — admission is strictly FIFO
-    /// (a huge region cannot starve the small ones queued behind it; they
-    /// were admitted in arrival order), each admitted region plans against
-    /// a load snapshot of the regions already in flight, and every region
-    /// keeps its own transfer-log namespace, telemetry scope, and
-    /// [`crate::runtime::RunRecord`]. `0` is treated as `1`.
-    pub max_concurrent_regions: usize,
     /// How much the runtime records about its own execution (see
     /// [`crate::runtime::telemetry`]). [`TelemetryLevel::Off`] (the
     /// default) reaches no clock read and leaves
@@ -159,7 +142,7 @@ pub struct OmpcConfig {
     /// stream on both real backends, exportable as a Chrome-trace timeline
     /// and foldable into an overhead attribution. Spans are observational:
     /// dispatch orders, completion orders, and transfer plans are identical
-    /// at every level.
+    /// at either level.
     pub telemetry: TelemetryLevel,
 }
 
@@ -175,7 +158,6 @@ impl Default for OmpcConfig {
             fault_plan: FaultPlan::default(),
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
-            max_concurrent_regions: 1,
             telemetry: TelemetryLevel::Off,
         }
     }
@@ -196,7 +178,6 @@ impl OmpcConfig {
             fault_plan: FaultPlan::default(),
             event_reply_timeout_ms: Some(60_000),
             warm_worker_keepalive: true,
-            max_concurrent_regions: 1,
             telemetry: TelemetryLevel::Off,
         }
     }
@@ -205,13 +186,6 @@ impl OmpcConfig {
     /// backend: [`OmpcConfig::max_inflight_tasks`], at least one task.
     pub fn inflight_window(&self) -> usize {
         self.max_inflight_tasks.max(1)
-    }
-
-    /// The effective admission limit: how many regions may execute at once.
-    /// `0` is clamped to `1` — a device that admits nothing would deadlock
-    /// its first client.
-    pub fn admission_limit(&self) -> usize {
-        self.max_concurrent_regions.max(1)
     }
 }
 
@@ -293,7 +267,6 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::Mpi);
         assert_eq!(BackendKind::Threaded.name(), "threaded");
         assert_eq!(BackendKind::Mpi.name(), "mpi");
-        assert_eq!(BackendKind::Sim.name(), "sim");
         assert_eq!(OmpcConfig::default().backend, BackendKind::Mpi);
         assert_eq!(OmpcConfig::small().backend, BackendKind::Mpi);
         // Warm-worker keepalive is on by default.
@@ -302,19 +275,6 @@ mod tests {
         // Telemetry is off by default: no clock reads, empty span streams.
         assert_eq!(OmpcConfig::default().telemetry, crate::runtime::TelemetryLevel::Off);
         assert_eq!(OmpcConfig::small().telemetry, crate::runtime::TelemetryLevel::Off);
-        // Regions are serialized unless the client opts into concurrency;
-        // a zero limit is clamped so the device always admits someone.
-        assert_eq!(OmpcConfig::default().max_concurrent_regions, 1);
-        assert_eq!(OmpcConfig::small().max_concurrent_regions, 1);
-        assert_eq!(OmpcConfig::default().admission_limit(), 1);
-        assert_eq!(
-            OmpcConfig { max_concurrent_regions: 0, ..OmpcConfig::small() }.admission_limit(),
-            1
-        );
-        assert_eq!(
-            OmpcConfig { max_concurrent_regions: 4, ..OmpcConfig::small() }.admission_limit(),
-            4
-        );
     }
 
     /// The knob audit, pinned: both structs are built with every field
@@ -332,7 +292,6 @@ mod tests {
             fault_plan: FaultPlan::default(),
             event_reply_timeout_ms: None,
             warm_worker_keepalive: true,
-            max_concurrent_regions: 1,
             telemetry: TelemetryLevel::Off,
         };
         assert_eq!(config, OmpcConfig::default());
@@ -350,11 +309,11 @@ mod tests {
         assert_eq!(overheads, OverheadModel::default());
     }
 
-    /// The knob budget, pinned: `OmpcConfig` has eight settings, each bound
-    /// by name with no `..`, so a ninth cannot be added without editing
+    /// The knob budget, pinned: `OmpcConfig` has seven settings, each bound
+    /// by name with no `..`, so an eighth cannot be added without editing
     /// this test.
     #[test]
-    fn the_knob_budget_is_eight_settings() {
+    fn the_knob_budget_is_seven_settings() {
         let OmpcConfig {
             backend,
             max_inflight_tasks,
@@ -362,20 +321,18 @@ mod tests {
             fault_plan,
             event_reply_timeout_ms,
             warm_worker_keepalive,
-            max_concurrent_regions,
             telemetry,
         } = OmpcConfig::default();
-        let knobs: [&dyn std::fmt::Debug; 8] = [
+        let knobs: [&dyn std::fmt::Debug; 7] = [
             &backend,
             &max_inflight_tasks,
             &scheduler,
             &fault_plan,
             &event_reply_timeout_ms,
             &warm_worker_keepalive,
-            &max_concurrent_regions,
             &telemetry,
         ];
-        assert_eq!(knobs.len(), 8);
+        assert_eq!(knobs.len(), 7);
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub const HEAD_NODE: NodeId = 0;
 /// The transfer-log namespace of device-level operations performed outside
 /// any region execution (`enter_data`, lazy host flushes). Region epochs
 /// start at 1 ([`DataManager::begin_region`]), so 0 can never collide with
-/// an admitted region.
+/// a region execution.
 pub const UNATTRIBUTED: u64 = 0;
 
 /// What [`DataManager::book`] answered.
@@ -291,7 +291,7 @@ pub struct DataManager {
     /// Monotonic region counter; see [`DataManager::begin_region`].
     epoch: u64,
     /// Transfer logs, namespaced by the region epoch that planned each
-    /// movement so concurrently admitted regions never interleave (or
+    /// movement so concurrent regions never interleave (or
     /// steal) each other's records. Namespace [`UNATTRIBUTED`] (0) holds
     /// device-level operations outside any region (`enter_data`, lazy host
     /// flushes); each is drained by [`DataManager::take_transfer_log_in`].
@@ -1391,7 +1391,7 @@ mod tests {
     enum Op {
         /// `book` as the walk's region.
         Plan(BufferId, NodeId),
-        /// `book` as a second region admitted beside it.
+        /// `book` as a second region running beside it.
         Other(BufferId, NodeId),
         FinishOk(BufferId, NodeId),
         FinishErr(BufferId, NodeId),

@@ -24,7 +24,7 @@
 //! each node's train carries the cars of one region execution, written in
 //! lowering order, and departs before a car of another execution joins it.
 //! So a car reaches its node after every car lowered before it, across every
-//! admitted region, and a reader's wait for another tenant's bytes is an
+//! running region, and a reader's wait for another tenant's bytes is an
 //! ordinary `AwaitLocal` on the worker.
 //!
 //! A reply is either `Ok(payload)` or `Err(OmpcError)`: worker-side handler
@@ -346,7 +346,7 @@ pub struct EventSystem {
     /// Upper bound on any single reply wait; `None` waits forever.
     reply_timeout: Option<Duration>,
     /// The device's one train table: each node's pending train, by node id.
-    /// Cars are written in lowering order per node, across every admitted
+    /// Cars are written in lowering order per node, across every running
     /// region execution, and a train departs before a car of another
     /// execution joins its node — so a car reaches its node after every car
     /// lowered before it, whoever lowered that one.

@@ -20,7 +20,7 @@
 //! A car is written into the device's one train table
 //! ([`EventSystem::trains`]) in the same critical section as the bookings it
 //! makes, so cars reach a node in the order their bookings were made, across
-//! every admitted region execution.
+//! every running region execution.
 //!
 //! Each lowering comes with its bookkeeping [`Record`] — the transfers it
 //! has booked in the [`DataManager`]'s in-flight table, the buffers it
@@ -271,8 +271,8 @@ impl State {
 /// table and before the data manager, never the other way round.
 pub(crate) struct Lowering {
     pub(super) path: DataPath,
-    /// Transfer-log namespace of this execution: the region epoch issued at
-    /// admission.
+    /// Transfer-log namespace of this execution: the region epoch issued
+    /// when it started.
     pub(super) region: u64,
     pub(super) graph: Arc<RegionGraph>,
     host_fns: HashMap<usize, HostFn>,
@@ -1171,9 +1171,9 @@ mod tests {
     #[test]
     fn a_reader_of_another_region_awaits_a_colocated_transfer_too() {
         let Fixture { low, a, .. } = &fixture();
-        // A tenant of a device admitting two regions at once.
+        // A second tenant of the same device.
         let tenant = |region| {
-            let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
+            let config = OmpcConfig::small();
             let graph = Arc::clone(&low.graph);
             Lowering::new(low.path.clone(), region, graph, HashMap::new(), &config).unwrap()
         };
@@ -1536,7 +1536,7 @@ mod tests {
         use crate::protocol::{EventRequest, TaskSpec};
         let Fixture { low, a, _world: world } = &fixture();
         let (a, out) = (*a, BufferId(a.0 + 1));
-        let config = OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() };
+        let config = OmpcConfig::small();
         let graph = Arc::clone(&low.graph);
         let second = Lowering::new(low.path.clone(), 2, graph, HashMap::new(), &config).unwrap();
         // Region 1's producer pushes `a` from node 1 to nodes 2 and 3; region 2

@@ -244,9 +244,9 @@ impl RuntimePlan {
     ///
     /// `load[p]` is the reserved seconds of processor `p` (the node
     /// `nodes[p]`), fed to [`ompc_sched::Scheduler::schedule_with_load`] so
-    /// an admitted region's tasks are placed *after* — never inside — the
+    /// a new region's tasks are placed *after* — never inside — the
     /// work of the regions already running there. This is the incremental
-    /// path of concurrent admission: region K+1 reserves capacity against
+    /// path of concurrent regions: region K+1 reserves capacity against
     /// the snapshot instead of re-running HEFT over the union of both
     /// graphs. An empty (or all-zero) load plans bit-identically to an idle
     /// cluster.

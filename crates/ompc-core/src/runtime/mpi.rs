@@ -16,7 +16,7 @@
 //!
 //! **Waiting for someone else's bytes.** An `AwaitLocal` step names a
 //! receive or a write a car queued ahead of it on the same node — this
-//! execution's or another tenant's (a region admitted beside this one): the
+//! execution's or another tenant's (a region running beside this one): the
 //! device keeps one train table, and a node's pending train departs before a
 //! car of another execution joins it, so cars reach a node in lowering
 //! order. The worker resolves the wait in arrival order; nothing waits on
@@ -1024,7 +1024,7 @@ mod tests {
         });
     }
 
-    /// Two concurrently admitted regions with a train on both workers at
+    /// Two concurrent regions with a train on both workers at
     /// the same time: the mailbox's matching alone hands every car reply to the
     /// driver that owns it — both regions come out byte-correct and the head
     /// never wakes up for a message that is not its own. Region A's first
@@ -1035,8 +1035,7 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::{Arc, Barrier};
         ompc_testutil::with_timeout(std::time::Duration::from_secs(120), || {
-            let config =
-                OmpcConfig { max_concurrent_regions: 2, max_inflight_tasks: 8, ..mpi_config() };
+            let config = OmpcConfig { max_inflight_tasks: 8, ..mpi_config() };
             let mut device = ClusterDevice::with_config(2, config);
             // The first two kernels — one on each worker, since a lane runs
             // one at a time — hold until the test releases them.
@@ -1191,19 +1190,5 @@ mod tests {
             assert!(drained(&device), "region {run}");
         }
         device.shutdown();
-    }
-
-    #[test]
-    fn sim_backend_kind_is_rejected_by_the_device() {
-        let device = ClusterDevice::with_config(
-            1,
-            OmpcConfig { backend: BackendKind::Sim, ..OmpcConfig::small() },
-        );
-        let noop = device.register_kernel_fn("noop", 1e-6, |_| {});
-        let mut region = device.target_region();
-        let a = region.map_to_f64s(&[1.0]);
-        region.target(noop, vec![Dependence::inout(a)]);
-        let err = region.run().unwrap_err();
-        assert!(matches!(err, OmpcError::InvalidConfig(_)), "got {err:?}");
     }
 }

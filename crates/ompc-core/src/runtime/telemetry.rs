@@ -55,20 +55,16 @@ pub enum TelemetryLevel {
     /// Record nothing beyond the seed behaviour: no clock reads, no spans.
     #[default]
     Off,
-    /// Keep only the existing [`crate::event::EventCounters`] aggregates
-    /// (events, data events, bytes moved) — still no clock reads.
-    Counters,
     /// Record a full lifecycle [`Span`] stream, exportable as a Chrome
     /// trace timeline and foldable into an overhead attribution.
     Spans,
 }
 
 impl TelemetryLevel {
-    /// Stable lowercase name (`off` / `counters` / `spans`).
+    /// Stable lowercase name (`off` / `spans`).
     pub fn name(self) -> &'static str {
         match self {
             TelemetryLevel::Off => "off",
-            TelemetryLevel::Counters => "counters",
             TelemetryLevel::Spans => "spans",
         }
     }
@@ -109,9 +105,6 @@ pub enum SpanPhase {
     AwaitInflight,
     /// Fault recovery: replanning survivors after a node failure.
     Replan,
-    /// Head node: a region waiting in the admission queue for a concurrent
-    /// execution slot ([`crate::config::OmpcConfig::max_concurrent_regions`]).
-    Admission,
 }
 
 impl SpanPhase {
@@ -132,7 +125,6 @@ impl SpanPhase {
             SpanPhase::TrainFlush => "train_flush",
             SpanPhase::AwaitInflight => "await_inflight",
             SpanPhase::Replan => "replan",
-            SpanPhase::Admission => "admission",
         }
     }
 
@@ -153,9 +145,8 @@ impl SpanPhase {
             | SpanPhase::TrainFlush => AttributionBucket::Wire,
             // A reader blocked on an in-flight transfer is scheduling
             // slack, not wire work: the bytes were already attributed to
-            // the transfer's own send span. Likewise a
-            // region queued at the admission gate.
-            SpanPhase::AwaitInflight | SpanPhase::Admission => AttributionBucket::Scheduling,
+            // the transfer's own send span.
+            SpanPhase::AwaitInflight => AttributionBucket::Scheduling,
             SpanPhase::Compute => AttributionBucket::Compute,
         }
     }
@@ -825,7 +816,5 @@ mod tests {
         assert_eq!(SpanPhase::Replan.bucket(), AttributionBucket::Scheduling);
         assert_eq!(SpanPhase::AwaitInflight.name(), "await_inflight");
         assert_eq!(SpanPhase::AwaitInflight.bucket(), AttributionBucket::Scheduling);
-        assert_eq!(SpanPhase::Admission.name(), "admission");
-        assert_eq!(SpanPhase::Admission.bucket(), AttributionBucket::Scheduling);
     }
 }

@@ -8,7 +8,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegionReport {
     /// The region epoch the data manager assigned this execution (the
-    /// tenant id under concurrent admission); `0` only for the default
+    /// tenant id of concurrent regions); `0` only for the default
     /// report of an empty region, which never entered the data manager.
     pub region: u64,
     /// Time spent building and statically scheduling the task graph.

@@ -210,7 +210,7 @@ impl Scheduler for HeftScheduler {
     /// HEFT over a platform carrying in-flight load: each processor's
     /// reserved seconds become a synthetic busy interval `[0, load[p]]`, so
     /// the insertion policy places new tasks after (never inside) the work
-    /// already admitted there. Zero entries reserve nothing, which keeps
+    /// already placed there. Zero entries reserve nothing, which keeps
     /// the produced schedule bit-identical to [`Scheduler::schedule`] when
     /// no region is in flight.
     fn schedule_with_load(&self, graph: &TaskGraph, platform: &Platform, load: &[f64]) -> Schedule {

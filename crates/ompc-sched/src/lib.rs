@@ -45,12 +45,12 @@ pub trait Scheduler {
     fn schedule(&self, graph: &TaskGraph, platform: &Platform) -> Schedule;
 
     /// Incremental variant: schedule `graph` on a platform whose processors
-    /// already carry `load[p]` seconds of in-flight work (admitted regions
+    /// already carry `load[p]` seconds of in-flight work (running regions
     /// that have not finished yet). A processor's reserved load occupies its
     /// timeline from time zero, so new tasks slot in *after* (or around) the
-    /// work already committed — admitting region K+1 reserves capacity
+    /// work already committed — starting region K+1 reserves capacity
     /// against the in-flight snapshot instead of re-running the scheduler
-    /// over every admitted graph. The default ignores the load (schedulers
+    /// over every running graph. The default ignores the load (schedulers
     /// that model no timeline, e.g. round-robin, behave identically either
     /// way); an all-zero or empty `load` must degrade to
     /// [`Scheduler::schedule`] exactly.

@@ -5,11 +5,12 @@
 //! byte-identical to running the same clients serially — under seeded
 //! interleavings, inside ompc-testutil's 120 s watchdog.
 //!
-//! What the identity tests deliberately do *not* compare: telemetry spans
-//! and the [`RegionReport`] event-counter deltas (`data_events`,
-//! `bytes_moved`). Those are global-counter snapshots and interleave under
-//! overlap by design — see ARCHITECTURE.md, "Concurrent regions and
-//! admission control".
+//! The identity covers each client's [`RegionReport`] accounting too:
+//! `data_events` and `bytes_moved` are summed from the region's own
+//! namespaced transfer log, so they are exact under overlap. What the
+//! identity tests deliberately do *not* compare is telemetry spans, whose
+//! timestamps differ from run to run — see ARCHITECTURE.md, "Concurrent
+//! regions".
 
 use ompc::prelude::*;
 use ompc_testutil::{with_timeout, Rng};
@@ -29,6 +30,9 @@ struct ClientOutcome {
     completion_order: Vec<usize>,
     /// `(client-local buffer index, from, to, bytes, reason)`, sorted.
     transfers: Vec<(usize, NodeId, NodeId, u64, String)>,
+    /// The region report's transfer count and byte total.
+    data_events: usize,
+    bytes_moved: u64,
 }
 
 /// Normalize a record's transfer log against the client's own buffers.
@@ -75,6 +79,8 @@ fn run_client(
         assignment: record.assignment.clone(),
         completion_order: record.completion_order.clone(),
         transfers: normalize_transfers(&record, &[input, mid, out]),
+        data_events: report.data_events,
+        bytes_moved: report.bytes_moved,
     };
     (report.region, outcome)
 }
@@ -90,19 +96,15 @@ fn register_kernels(device: &ClusterDevice) -> (KernelId, KernelId) {
     (sum, double)
 }
 
-fn config_for(clients: usize) -> OmpcConfig {
-    OmpcConfig {
-        max_concurrent_regions: clients,
-        // A serial dispatch window keeps each region's completion order
-        // deterministic, so the serial-vs-concurrent comparison is exact.
-        max_inflight_tasks: 1,
-        ..OmpcConfig::small()
-    }
+/// A serial dispatch window keeps each region's completion order
+/// deterministic, so the serial-vs-concurrent comparison is exact.
+fn serial_window() -> OmpcConfig {
+    OmpcConfig { max_inflight_tasks: 1, ..OmpcConfig::small() }
 }
 
 /// Run `clients` on one device, serially in client order.
 fn serial_outcomes(workers: usize, clients: &[Vec<f64>]) -> Vec<ClientOutcome> {
-    let mut device = ClusterDevice::with_config(workers, config_for(1));
+    let mut device = ClusterDevice::with_config(workers, serial_window());
     let (sum, double) = register_kernels(&device);
     let outcomes: Vec<ClientOutcome> =
         clients.iter().map(|vals| run_client(&device, sum, double, vals).1).collect();
@@ -110,14 +112,14 @@ fn serial_outcomes(workers: usize, clients: &[Vec<f64>]) -> Vec<ClientOutcome> {
     outcomes
 }
 
-/// Run `clients` on one device concurrently (one thread per client, all
-/// admitted at once), returning per-client `(region id, outcome)`.
+/// Run `clients` on one device concurrently (one thread per client),
+/// returning per-client `(region id, outcome)`.
 fn concurrent_outcomes(
     workers: usize,
     clients: &[Vec<f64>],
     stagger_us: &[u64],
 ) -> Vec<(u64, ClientOutcome)> {
-    let mut device = ClusterDevice::with_config(workers, config_for(clients.len()));
+    let mut device = ClusterDevice::with_config(workers, serial_window());
     let (sum, double) = register_kernels(&device);
     let mut results: Vec<Option<(u64, ClientOutcome)>> = vec![None; clients.len()];
     std::thread::scope(|scope| {
@@ -186,53 +188,13 @@ fn seeded_interleavings_match_serial() {
     });
 }
 
-/// With `max_concurrent_regions: 1` the admission gate serializes eager
-/// clients FIFO: all of them complete, with distinct region epochs, and
-/// the device-level epoch counter advances once per client.
-#[test]
-fn admission_gate_serializes_when_limit_is_one() {
-    with_timeout(WATCHDOG, || {
-        let clients: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64 + 1.0]).collect();
-        let mut device = ClusterDevice::with_config(
-            1,
-            OmpcConfig { max_concurrent_regions: 1, ..config_for(1) },
-        );
-        let (sum, double) = register_kernels(&device);
-        let mut results: Vec<(u64, ClientOutcome)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = clients
-                .iter()
-                .map(|vals| {
-                    let device = &device;
-                    scope.spawn(move || run_client(device, sum, double, vals))
-                })
-                .collect();
-            for handle in handles {
-                results.push(handle.join().unwrap());
-            }
-        });
-        let epoch = device.region_epoch();
-        device.shutdown();
-        assert_eq!(epoch, clients.len() as u64);
-        let mut regions: Vec<u64> = results.iter().map(|(r, _)| *r).collect();
-        regions.sort_unstable();
-        assert_eq!(regions, vec![1, 2, 3]);
-        for (i, (_, outcome)) in results.iter().enumerate() {
-            assert_eq!(outcome.output, vec![2.0 * clients[i][0]]);
-        }
-    });
-}
-
 /// Load-aware incremental scheduling: while region 1's long kernel holds
-/// worker 1, an overlapped region admitted mid-flight must see region 1's
+/// worker 1, an overlapped region started mid-flight must see region 1's
 /// reserved load and place its own kernel on the *other* worker.
 #[test]
 fn overlapped_region_is_planned_around_inflight_load() {
     with_timeout(WATCHDOG, || {
-        let mut device = ClusterDevice::with_config(
-            2,
-            OmpcConfig { max_concurrent_regions: 2, ..OmpcConfig::small() },
-        );
+        let mut device = ClusterDevice::spawn(2);
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let started_tx = std::sync::Mutex::new(started_tx);
@@ -282,7 +244,7 @@ fn overlapped_region_is_planned_around_inflight_load() {
 #[test]
 fn overlapped_tenants_share_settled_resident_buffer() {
     with_timeout(WATCHDOG, || {
-        let mut device = ClusterDevice::with_config(1, config_for(2));
+        let mut device = ClusterDevice::with_config(1, serial_window());
         let sum = device.register_kernel_fn("sum", 1e-6, |args| {
             let total: f64 = args.as_f64s(0).iter().sum();
             args.set_f64s(1, &[total]);

@@ -437,7 +437,7 @@ fn device_stays_usable_after_a_failure_in_an_earlier_region() {
     device.shutdown();
 }
 
-/// Fault recovery under concurrent admission: a node dies while two
+/// Fault recovery under concurrent regions: a node dies while two
 /// tenants are overlapped on one device. Only the tenant with tasks on
 /// the victim is blamed and replanned; the untouched tenant's record
 /// stays clean (no failures, no re-executions, no replans, no task on
@@ -445,7 +445,7 @@ fn device_stays_usable_after_a_failure_in_an_earlier_region() {
 #[test]
 fn node_death_during_overlapped_regions_blames_only_the_victim_tenant() {
     with_timeout(WATCHDOG, || {
-        // Probe, fault-free: tenant A admitted first on an idle
+        // Probe, fault-free: tenant A started first on an idle
         // three-worker device; deterministic HEFT places its chain on
         // the same node the real run will use — the victim.
         let run_tenant_a =
@@ -474,12 +474,11 @@ fn node_death_during_overlapped_regions_blames_only_the_victim_tenant() {
         };
 
         // Real run: the victim dies after tenant A's enter-data and
-        // first kernel retire there; tenant B is admitted mid-flight
+        // first kernel retire there; tenant B starts mid-flight
         // (the first kernel signals through the channel before the
         // death is declared) and planned around A's reserved load.
         let plan = FaultPlan::none().fail_after_completions(victim, 2);
-        let config = OmpcConfig { max_concurrent_regions: 2, ..fault_config(plan) };
-        let mut device = ClusterDevice::with_config(3, config);
+        let mut device = ClusterDevice::with_config(3, fault_config(plan));
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
         let started_tx = std::sync::Mutex::new(started_tx);
         let chain = device.register_kernel_fn("chain", 10.0, move |args| {

@@ -488,7 +488,7 @@ fn figure5_graphs_at_64_nodes_with_seeded_costs_match_the_reference_heft() {
     }
 }
 
-/// The same paper-scale plan admitted next to in-flight work: each of the 63
+/// The same paper-scale plan started next to in-flight work: each of the 63
 /// processors carries a seeded reserved load, none, shorter than a task or
 /// several tasks long. The reserved intervals are part of every timeline
 /// from the start, so they are part of the gap bound that lets HEFT place a

@@ -229,8 +229,7 @@ fn telemetry_off_is_observationally_identical_on_both_real_backends() {
 #[test]
 fn overlapped_regions_render_as_separate_trace_rows() {
     with_timeout(WATCHDOG, || {
-        let config = OmpcConfig { max_concurrent_regions: 2, ..spans_config() };
-        let mut device = ClusterDevice::with_config(2, config);
+        let mut device = ClusterDevice::with_config(2, spans_config());
         let sum = device.register_kernel_fn("sum", 1e-6, |args| {
             let total: f64 = args.as_f64s(0).iter().sum();
             args.set_f64s(1, &[total]);
