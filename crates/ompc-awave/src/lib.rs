@@ -23,8 +23,9 @@
 //! * [`WaveField`] / [`propagate`] — an 8th-order-in-space,
 //!   2nd-order-in-time acoustic finite-difference propagator with sponge
 //!   boundaries, stepping a [`GhostField`] that keeps the live field inside
-//!   its ghost border; one stencil for every cell, built portable, for AVX2
-//!   and for AVX-512F, with identical bits (see [`wave`]);
+//!   its ghost border; one stencil for every cell, swept four rows a pass
+//!   that share their band rows' loads, built portable, for AVX2 and for
+//!   AVX-512F, with identical bits (see [`wave`]);
 //! * [`rtm_shot`] / [`migrate`] — single-shot RTM, imaging the source field
 //!   as it goes, and multi-shot image stacking;
 //! * [`workload`] — the abstract shot-per-node workload used to reproduce
