@@ -21,7 +21,7 @@ use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::runtime::{MpiBackend, ResidencyMap, RunRecord, RuntimeCore, RuntimePlan};
 use crate::stats::{DeviceReport, RegionReport};
 use crate::task::{RegionGraph, TaskKind};
-use crate::types::{BufferId, Dependence, IdMap, KernelId, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, IdMap, KernelId, NodeId, OmpcError, OmpcResult};
 use crate::worker::worker_main;
 use ompc_mpi::World;
 use ompc_sched::Platform;
@@ -588,7 +588,7 @@ impl ClusterDevice {
             let mut dm = self.dm.lock();
             let region = dm.begin_region();
             for task in graph.tasks() {
-                for dep in &task.dependences {
+                for dep in graph.dependences(task.id) {
                     if !dm.is_registered(dep.buffer) {
                         let bytes = self.buffers.size_of(dep.buffer).unwrap_or(0) as u64;
                         dm.register_host_buffer(dep.buffer, bytes);
@@ -812,16 +812,7 @@ impl ClusterDevice {
             .iter()
             .map(|&bytes| self.buffers.register_uninit(bytes as usize))
             .collect();
-        let mut region = RegionGraph::new();
-        for t in 0..workload.len() {
-            let preds = workload.graph.predecessors(t);
-            let mut deps = Vec::with_capacity(1 + preds.len());
-            deps.push(Dependence::output(buffers[t]));
-            deps.extend(preds.iter().map(|&pred| Dependence::input(buffers[pred])));
-            // Unlabelled: the task's index is its name in both graphs.
-            let kind = TaskKind::Target { kernel: noop, cost_hint: workload.graph.tasks()[t].cost };
-            region.add_task(kind, deps, String::new());
-        }
+        let region = workload.region(noop, &buffers);
         // Workload runs get their own region epoch (transfer-log and
         // telemetry namespace) — a run_workload call is one more tenant
         // over the shared workers.
@@ -887,6 +878,7 @@ impl Drop for ClusterDevice {
 mod tests {
     use super::*;
     use crate::data_manager::TransferReason;
+    use crate::types::Dependence;
     use crate::types::MapType;
     use std::sync::atomic::{AtomicU64, Ordering};
 

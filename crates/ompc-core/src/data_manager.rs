@@ -197,6 +197,11 @@ pub(crate) struct Owed {
     pub(crate) drops: Vec<Push>,
 }
 
+/// The worker holding `copy`, if it is held on a worker.
+fn worker_copy(copy: &Replica) -> Option<NodeId> {
+    (copy.held && copy.node != HEAD_NODE).then_some(copy.node)
+}
+
 #[derive(Debug, Clone)]
 struct BufferLocations {
     /// The copies, ascending by node, one entry each: the state of a copy
@@ -215,11 +220,10 @@ struct BufferLocations {
 }
 
 impl BufferLocations {
-    fn starting_on(node: NodeId, bytes: u64, epoch: u64) -> Self {
-        // Room for the usual few (the host's copy, a worker's or two) at
-        // once: growing from one entry is a second allocation for nearly
-        // every buffer.
-        let mut copies = Vec::with_capacity(4);
+    /// A buffer whose one copy is on `node`, its list of copies written in
+    /// `copies`: a list a removed buffer left behind, whatever it held.
+    fn starting_on(node: NodeId, bytes: u64, epoch: u64, mut copies: Vec<Replica>) -> Self {
+        copies.clear();
         copies.push(Replica { node, held: true, pending: None });
         Self { copies, latest: node, bytes, resident: false, epoch }
     }
@@ -301,6 +305,9 @@ pub struct DataManager {
     unclaimed: BTreeMap<(BufferId, NodeId), (u64, Push)>,
     /// What is owed to each live node.
     owed: BTreeMap<NodeId, Owed>,
+    /// The copy lists of removed buffers, for the next buffers registered:
+    /// never more than the most buffers ever registered at once.
+    spare_copies: Vec<Vec<Replica>>,
 }
 
 impl DataManager {
@@ -336,7 +343,7 @@ impl DataManager {
     /// Register a buffer whose initial (host) copy lives on the head node.
     /// `bytes` is the nominal mapped size used for transfer accounting.
     pub fn register_host_buffer(&mut self, buffer: BufferId, bytes: u64) {
-        self.buffers.insert(buffer, BufferLocations::starting_on(HEAD_NODE, bytes, self.epoch));
+        self.register(buffer, HEAD_NODE, bytes);
     }
 
     /// Register a buffer that is allocated directly on `node` without a
@@ -344,7 +351,20 @@ impl DataManager {
     /// declared failed.
     pub fn register_device_buffer(&mut self, buffer: BufferId, node: NodeId, bytes: u64) {
         if !self.failed.contains(&node) {
-            self.buffers.insert(buffer, BufferLocations::starting_on(node, bytes, self.epoch));
+            self.register(buffer, node, bytes);
+        }
+    }
+
+    /// Start `buffer`'s entry with its one copy on `node`, in the copy list
+    /// of a removed buffer if there is one.
+    fn register(&mut self, buffer: BufferId, node: NodeId, bytes: u64) {
+        // Room for the usual few (the host's copy, a worker's or two) at
+        // once: growing from one entry is a second allocation for nearly
+        // every buffer.
+        let copies = self.spare_copies.pop().unwrap_or_else(|| Vec::with_capacity(4));
+        let entry = BufferLocations::starting_on(node, bytes, self.epoch, copies);
+        if let Some(replaced) = self.buffers.insert(buffer, entry) {
+            self.spare_copies.push(replaced.copies);
         }
     }
 
@@ -744,20 +764,31 @@ impl DataManager {
     /// them. Ends keep-resident status, and every movement of the buffer
     /// still in flight — every unclaimed push included: its bytes have
     /// nothing to land in.
-    pub fn remove(&mut self, buffer: BufferId) -> impl Iterator<Item = NodeId> {
-        let copies = self.buffers.remove(&buffer).map(|loc| loc.copies).unwrap_or_default();
-        // Its unclaimed pushes end too, their bookings gone with the entry.
-        self.end_unclaimed(|_, p| p.buffer == buffer, None);
-        let holder = |copy: Replica| (copy.held && copy.node != HEAD_NODE).then_some(copy.node);
-        copies.into_iter().filter_map(holder)
+    pub fn remove(&mut self, buffer: BufferId) -> impl Iterator<Item = NodeId> + '_ {
+        let copies = self.take_entry(buffer);
+        let at = self.spare_copies.len();
+        self.spare_copies.extend(copies);
+        self.spare_copies[at..].iter().flatten().filter_map(worker_copy)
     }
 
     /// Release every device copy of `buffer` (exit-data semantics): remove it, and owe each
     /// holder its delete.
     pub(crate) fn release(&mut self, buffer: BufferId) {
-        for holder in self.remove(buffer) {
+        let copies = self.take_entry(buffer);
+        for holder in copies.iter().flatten().filter_map(worker_copy) {
             self.owe(holder, [buffer], []);
         }
+        self.spare_copies.extend(copies);
+    }
+
+    /// Take `buffer`'s entry out, its unclaimed pushes ending with it: the
+    /// list of its copies, for the caller to read and then leave to the
+    /// next buffer registered.
+    fn take_entry(&mut self, buffer: BufferId) -> Option<Vec<Replica>> {
+        let copies = self.buffers.remove(&buffer).map(|loc| loc.copies);
+        // Its unclaimed pushes end too, their bookings gone with the entry.
+        self.end_unclaimed(|_, p| p.buffer == buffer, None);
+        copies
     }
 
     /// Declare worker `node` failed: every copy it held becomes invalid, its
@@ -899,6 +930,54 @@ mod tests {
 
     fn boom() -> OmpcError {
         OmpcError::Internal("wire".to_string())
+    }
+
+    /// A removed buffer's copy list serves the next buffer registered,
+    /// emptied: the newcomer holds its own first copy and nothing of what the
+    /// removed one held, had on the wire or saw fail — whichever way it was
+    /// removed, registered or replaced.
+    #[test]
+    fn a_buffer_registered_after_a_removal_holds_only_its_own_first_copy() {
+        let mut dm = DataManager::new();
+        let (a, b) = (BufferId(1), BufferId(2));
+        // Everything a copy list can hold: copies on the head and on 1, one
+        // on the wire to 2, a failed movement towards 3.
+        let busy = |dm: &mut DataManager, buffer| {
+            dm.register_host_buffer(buffer, 64);
+            dm.plan_input(buffer, 1).unwrap();
+            dm.finish(buffer, 1, Ok(())).unwrap();
+            dm.plan_input(buffer, 2).unwrap();
+            dm.plan_input(buffer, 3).unwrap();
+            dm.finish(buffer, 3, Err(boom())).unwrap();
+            assert_eq!(dm.holders(buffer), vec![HEAD_NODE, 1, 2]);
+        };
+        let only_on = |dm: &DataManager, buffer, node: NodeId| {
+            assert_eq!(dm.holders(buffer), vec![node], "{buffer}");
+            assert_eq!(dm.latest(buffer), Some(node));
+            assert!(!dm.buffer_in_flight(buffer));
+            for other in (0..4).filter(|&other| other != node) {
+                assert_eq!(dm.transfer_state(buffer, other), TransferState::Invalid(None));
+            }
+        };
+
+        busy(&mut dm, a);
+        assert_eq!(dm.remove(a).collect::<Vec<_>>(), vec![1, 2]);
+        dm.register_host_buffer(b, 8);
+        only_on(&dm, b, HEAD_NODE);
+        assert_eq!(dm.bytes_of(b), 8);
+
+        busy(&mut dm, a);
+        dm.release(a);
+        dm.register_device_buffer(a, 2, 16);
+        only_on(&dm, a, 2);
+
+        // Registering a buffer again replaces its entry and keeps the list.
+        busy(&mut dm, b);
+        dm.register_host_buffer(b, 4);
+        only_on(&dm, b, HEAD_NODE);
+        dm.register_host_buffer(BufferId(9), 4);
+        only_on(&dm, BufferId(9), HEAD_NODE);
+        assert_eq!(dm.spare_copies.len(), 0, "every list in use again");
     }
 
     #[test]

@@ -37,8 +37,8 @@
 
 use crate::data_manager::HEAD_NODE;
 use crate::protocol::{
-    car_reply_header, EventNotification, EventReply, EventRequest, Reply, TaskSpec, TaskStep,
-    TrainFrame, CONTROL_TAG, FIRST_EVENT_TAG,
+    car_reply_header, EventNotification, EventReply, EventRequest, Reply, SentFrames, TaskSpec,
+    TaskStep, TrainFrame, CONTROL_TAG, FIRST_EVENT_TAG,
 };
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
@@ -165,8 +165,10 @@ pub(crate) struct Envelope {
 pub(crate) struct Train {
     envelope: Option<Envelope>,
     frame: Option<TrainFrame>,
-    /// The longest frame this train has sent: the next one starts that big.
-    longest: usize,
+    /// What the next frame is written in: the room of a frame sent before.
+    room: Vec<u8>,
+    /// The frames sent, to be written again once the node let go of them.
+    sent: SentFrames,
     cars: Vec<Car>,
     payloads: Vec<Bytes>,
     exchanges: Vec<Exchange>,
@@ -186,10 +188,11 @@ impl Train {
 
     /// The finished notification, leaving the train to start a fresh frame
     /// with its next car.
-    fn take_frame(&mut self) -> Vec<u8> {
-        let frame = self.frame.take().map_or_else(Vec::new, TrainFrame::finish);
-        self.longest = self.longest.max(frame.len());
-        frame
+    fn take_frame(&mut self) -> Bytes {
+        if let Some(frame) = self.frame.take() {
+            self.room = frame.finish();
+        }
+        self.sent.send(&mut self.room)
     }
 
     /// Forget every car: the train departed.
@@ -222,10 +225,11 @@ impl TrainTable<'_> {
         if train.envelope.as_ref().is_some_and(|pending| pending.tag != envelope.tag) {
             self.events.depart(node, train);
         }
-        let Train { envelope: pending, frame, longest, cars, payloads, exchanges, pushes } = train;
+        let Train { envelope: pending, frame, room, cars, payloads, exchanges, pushes, .. } = train;
         let Envelope { tag, telemetry } = pending.get_or_insert_with(|| envelope.clone());
-        let frame =
-            frame.get_or_insert_with(|| TrainFrame::new(*tag, telemetry.spans_enabled(), *longest));
+        let frame = frame.get_or_insert_with(|| {
+            TrainFrame::new(*tag, telemetry.spans_enabled(), std::mem::take(room))
+        });
         frame.begin_car();
         CarWriter { frame, cars, payloads, exchanges, pushes, committed: false }
     }
@@ -551,7 +555,11 @@ impl EventSystem {
 
     /// Send `node` an encoded notification — a train's frame, written as its
     /// cars were lowered.
-    pub(crate) fn send_notification(&self, node: NodeId, frame: Vec<u8>) -> OmpcResult<()> {
+    pub(crate) fn send_notification(
+        &self,
+        node: NodeId,
+        frame: impl Into<Bytes>,
+    ) -> OmpcResult<()> {
         self.comm.send(node, CONTROL_TAG, frame)?;
         Ok(())
     }

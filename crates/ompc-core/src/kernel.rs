@@ -40,32 +40,50 @@ pub struct KernelArgs<'a> {
     buffers: Vec<(BufferId, Arg<'a>)>,
 }
 
+/// The storage a worker's lane lends one kernel after another to hold its
+/// arguments: after the first few kernels, building an argument pack
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ArgSlots(Vec<(BufferId, Arg<'static>)>);
+
+impl KernelArgs<'static> {
+    /// Build the argument pack over a worker's resident copies, in `slots`:
+    /// `resident` gives each of `ids` its handle, or the error that keeps
+    /// the kernel from running.
+    pub(crate) fn resident<E>(
+        slots: &mut ArgSlots,
+        ids: impl Iterator<Item = BufferId>,
+        mut resident: impl FnMut(BufferId) -> Result<Bytes, E>,
+    ) -> Result<Self, E> {
+        let mut args = Self { buffers: std::mem::take(&mut slots.0) };
+        for id in ids {
+            match resident(id) {
+                Ok(bytes) => args.buffers.push((id, Arg::Resident { bytes, written: false })),
+                Err(error) => {
+                    args.finish(slots, |_, _| {});
+                    return Err(error);
+                }
+            }
+        }
+        Ok(args)
+    }
+
+    /// Hand each resident argument the kernel wrote, with its new contents,
+    /// to `store`, and the storage back to `slots`, empty.
+    pub(crate) fn finish(mut self, slots: &mut ArgSlots, mut store: impl FnMut(BufferId, Bytes)) {
+        for (id, arg) in self.buffers.drain(..) {
+            if let Arg::Resident { bytes, written: true } = arg {
+                store(id, bytes);
+            }
+        }
+        slots.0 = self.buffers;
+    }
+}
+
 impl<'a> KernelArgs<'a> {
     /// Build the argument pack from (id, storage) pairs.
     pub fn new(buffers: Vec<(BufferId, &'a mut Vec<u8>)>) -> Self {
         Self { buffers: buffers.into_iter().map(|(id, data)| (id, Arg::Lent(data))).collect() }
-    }
-
-    /// Build the argument pack over a worker's resident copies: `resident`
-    /// gives each of `ids` its handle, or the error that keeps the kernel
-    /// from running.
-    pub(crate) fn resident<E>(
-        ids: &[BufferId],
-        mut resident: impl FnMut(BufferId) -> Result<Bytes, E>,
-    ) -> Result<Self, E> {
-        let mut buffers = Vec::with_capacity(ids.len());
-        for &id in ids {
-            buffers.push((id, Arg::Resident { bytes: resident(id)?, written: false }));
-        }
-        Ok(Self { buffers })
-    }
-
-    /// The resident arguments the kernel wrote, with their new contents.
-    pub(crate) fn into_written(self) -> impl Iterator<Item = (BufferId, Bytes)> + use<'a> {
-        self.buffers.into_iter().filter_map(|(id, arg)| match arg {
-            Arg::Resident { bytes, written: true } => Some((id, bytes)),
-            _ => None,
-        })
     }
 
     /// Number of buffers passed to the kernel.
@@ -290,8 +308,11 @@ mod tests {
         let shared: Vec<Bytes> = (0..4).map(|i| Bytes::from(vec![i as u8; 16])).collect();
         let ids: Vec<BufferId> = (0..4).map(BufferId).collect();
         let lookup = |id: BufferId| Ok::<_, ()>(shared[id.0 as usize].clone());
-        let mut args = KernelArgs::resident(&ids, lookup).unwrap();
-        assert_eq!(KernelArgs::resident(&ids, |_| Err::<Bytes, _>("gone")).unwrap_err(), "gone");
+        let mut slots = ArgSlots::default();
+        let gone =
+            KernelArgs::resident(&mut slots, ids.iter().copied(), |_| Err::<Bytes, _>("gone"));
+        assert_eq!(gone.unwrap_err(), "gone");
+        let mut args = KernelArgs::resident(&mut slots, ids.iter().copied(), lookup).unwrap();
         // Reading borrows the resident allocation itself.
         assert_eq!(args.bytes(0).as_ptr(), shared[0].as_ptr());
         assert_eq!(args.as_u64s(0).len(), 2);
@@ -306,10 +327,16 @@ mod tests {
         args.set_u64s(2, &[7]);
         assert_eq!(args.as_u64s(2), vec![7]);
         assert_eq!(&shared[2][..], &[2u8; 16][..]);
-        let written: Vec<(BufferId, Bytes)> = args.into_written().collect();
+        let mut written: Vec<(BufferId, Bytes)> = Vec::new();
+        args.finish(&mut slots, |id, data| written.push((id, data)));
         let ids: Vec<BufferId> = written.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, vec![BufferId(1), BufferId(2)], "read-only arguments are not stored back");
         assert_eq!(&written[0].1[..2], &[9, 9]);
+        // The storage goes back to the slots, empty, for the next kernel.
+        assert!(slots.0.is_empty() && slots.0.capacity() >= 4);
+        let at = slots.0.as_ptr();
+        let args = KernelArgs::resident(&mut slots, ids.into_iter(), lookup).unwrap();
+        assert_eq!((args.len(), args.buffers.as_ptr()), (2, at), "the same storage, reused");
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 use crate::buffer::BufferRegistry;
 use crate::task::{EdgeKind, RegionGraph, TaskKind};
+use crate::types::{BufferId, Dependence, KernelId};
 use ompc_sched::TaskGraph;
 
 /// An abstract workload: a schedulable task graph plus the number of bytes
@@ -44,6 +45,23 @@ impl WorkloadGraph {
     /// Total compute seconds across all tasks.
     pub fn total_compute(&self) -> f64 {
         self.graph.total_cost()
+    }
+
+    /// The workload as a region of `kernel` target tasks, as
+    /// [`crate::cluster::ClusterDevice::run_workload`] runs it: task `t`
+    /// writes `outputs[t]` and reads the output of each of its
+    /// predecessors, its cost hint the task's cost. Unlabelled: the task's
+    /// index is its name in both graphs. Each task's dependences go
+    /// straight into the region graph's flat table.
+    pub fn region(&self, kernel: KernelId, outputs: &[BufferId]) -> RegionGraph {
+        let mut region = RegionGraph::new();
+        for (t, task) in self.graph.tasks().iter().enumerate() {
+            let inputs = self.graph.predecessors(t).iter().map(|&pred| outputs[pred]);
+            let deps = std::iter::once(Dependence::output(outputs[t]))
+                .chain(inputs.map(Dependence::input));
+            region.add_task(TaskKind::Target { kernel, cost_hint: task.cost }, deps, String::new());
+        }
+        region
     }
 }
 

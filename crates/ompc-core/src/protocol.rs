@@ -172,8 +172,12 @@ pub struct TrainCar {
 /// destination node's event handler. Receive steps use the task's exclusive
 /// tag; because MPI delivery is non-overtaking per `(source, tag)`, several
 /// receives from the same source arrive in step order.
+///
+/// `B` is how an [`TaskStep::Execute`] holds its buffers: a list the encoder
+/// writes, or — on a worker, which reads each step in place — the ids as
+/// they lie in the frame the step came in.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TaskStep {
+pub enum TaskStep<B = Vec<BufferId>> {
     /// Receive the contents of `buffer` from the head node on the event
     /// channel (the head sends the payload right after the notification).
     RecvFromHead { buffer: BufferId },
@@ -199,7 +203,7 @@ pub enum TaskStep {
     /// steps instead of paying one synchronous event round-trip each.
     Delete { buffer: BufferId },
     /// Run `kernel` against the listed device buffers.
-    Execute { kernel: KernelId, buffers: Vec<BufferId> },
+    Execute { kernel: KernelId, buffers: B },
     /// Send the resident `buffer` home as the task's reply body: the reply of
     /// a task with this step is data-bearing ([`Reply::from_parts`]).
     Retrieve { buffer: BufferId },
@@ -218,6 +222,51 @@ pub enum TaskStep {
     /// `AwaitLocal` of a car behind this one waits for it — or for the car's error.
     Wrote { buffer: BufferId },
 }
+
+impl TaskStep<BufferIds<'_>> {
+    /// The step with its buffer ids collected into a list: the encoder's form.
+    pub(crate) fn into_owned(self) -> TaskStep {
+        match self {
+            TaskStep::RecvFromHead { buffer } => TaskStep::RecvFromHead { buffer },
+            TaskStep::RecvFromWorker { buffer, from } => TaskStep::RecvFromWorker { buffer, from },
+            TaskStep::AwaitLocal { buffer, timeout_ms } => {
+                TaskStep::AwaitLocal { buffer, timeout_ms }
+            }
+            TaskStep::Alloc { buffer, size } => TaskStep::Alloc { buffer, size },
+            TaskStep::Delete { buffer } => TaskStep::Delete { buffer },
+            TaskStep::Execute { kernel, buffers } => {
+                TaskStep::Execute { kernel, buffers: buffers.collect() }
+            }
+            TaskStep::Retrieve { buffer } => TaskStep::Retrieve { buffer },
+            TaskStep::Push { buffer, to, tag } => TaskStep::Push { buffer, to, tag },
+            TaskStep::Claim { buffer, tag } => TaskStep::Claim { buffer, tag },
+            TaskStep::Discard { tag } => TaskStep::Discard { tag },
+            TaskStep::Wrote { buffer } => TaskStep::Wrote { buffer },
+        }
+    }
+}
+
+/// The buffers of an [`TaskStep::Execute`] read in place: the ids as they
+/// lie in the frame, eight bytes each, read one by one as the step is run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BufferIds<'a>(&'a [u8]);
+
+impl Iterator for BufferIds<'_> {
+    type Item = BufferId;
+
+    fn next(&mut self) -> Option<BufferId> {
+        let (id, rest) = self.0.split_first_chunk::<8>()?;
+        self.0 = rest;
+        Some(BufferId(u64::from_le_bytes(*id)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.len() / 8;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for BufferIds<'_> {}
 
 /// The recipe of one composite [`EventRequest::Task`]: the ordered steps
 /// the destination node performs before sending the task's single typed
@@ -314,28 +363,35 @@ impl Writer {
     }
 }
 
+/// What a read past the end of a message is.
+#[cold]
+fn truncated() -> OmpcError {
+    OmpcError::Internal("truncated notification".to_string())
+}
+
+#[derive(Debug, Clone)]
 struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+    /// What is left to read.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
+        Self { rest: data }
     }
-    /// The next `n` bytes. Every read goes through here, so a length field
-    /// taken off the wire can never index (or add) past the message.
+    /// The next `n` bytes. Every read goes through here or
+    /// [`Reader::take_array`], so a length field taken off the wire can
+    /// never index (or add) past the message.
     fn take(&mut self, n: usize) -> OmpcResult<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&end| end <= self.data.len());
-        let end = end.ok_or_else(|| OmpcError::Internal("truncated notification".to_string()))?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        let (taken, rest) = self.rest.split_at_checked(n).ok_or_else(truncated)?;
+        self.rest = rest;
+        Ok(taken)
     }
     /// The next `N` bytes as an array: a fixed-width field.
     fn take_array<const N: usize>(&mut self) -> OmpcResult<[u8; N]> {
-        let bytes = self.take(N)?;
-        bytes.try_into().map_err(|_| OmpcError::Internal("truncated notification".to_string()))
+        let (taken, rest) = self.rest.split_first_chunk::<N>().ok_or_else(truncated)?;
+        self.rest = rest;
+        Ok(*taken)
     }
     fn u8(&mut self) -> OmpcResult<u8> {
         Ok(self.take(1)?[0])
@@ -351,32 +407,21 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.take(len)?.to_vec())
             .map_err(|_| OmpcError::Internal("non-UTF-8 string in reply".to_string()))
     }
-    /// A `u32` element count and that many elements, each at least
-    /// `min_bytes` long on the wire. Room is reserved only for as many as
-    /// the rest of the message could hold: a forged count is a truncation
-    /// error at the first missing element, never an allocation.
-    fn list<T>(
-        &mut self,
-        min_bytes: usize,
-        mut element: impl FnMut(&mut Self) -> OmpcResult<T>,
-    ) -> OmpcResult<Vec<T>> {
+    /// A `u32` count and that many buffer ids, left in place: a count the
+    /// rest of the message cannot back is a truncation error.
+    fn buffer_ids(&mut self) -> OmpcResult<BufferIds<'a>> {
         let n = self.u32()? as usize;
-        let mut elements = Vec::with_capacity(n.min((self.data.len() - self.pos) / min_bytes));
-        for _ in 0..n {
-            elements.push(element(self)?);
-        }
-        Ok(elements)
+        let bytes = n.checked_mul(8).ok_or_else(truncated)?;
+        Ok(BufferIds(self.take(bytes)?))
     }
-    fn buffers(&mut self) -> OmpcResult<Vec<BufferId>> {
-        self.list(8, |r| Ok(BufferId(r.u64()?)))
-    }
-    fn steps(&mut self) -> OmpcResult<Vec<TaskStep>> {
-        self.list(9, decode_step)
+    /// How many more elements of at least `min_bytes` each the rest of the
+    /// message could hold: the room a decoder may reserve for a count read
+    /// off the wire, so a forged count is never an allocation.
+    fn room(&self, min_bytes: usize) -> usize {
+        self.rest.len() / min_bytes
     }
     fn rest(&mut self) -> Vec<u8> {
-        let rest = self.data.get(self.pos..).unwrap_or_default().to_vec();
-        self.pos = self.data.len();
-        rest
+        std::mem::take(&mut self.rest).to_vec()
     }
 }
 
@@ -489,7 +534,7 @@ fn encode_execute(
     w.buffers(buffers);
 }
 
-fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
+fn decode_step<'a>(r: &mut Reader<'a>) -> OmpcResult<TaskStep<BufferIds<'a>>> {
     Ok(match r.u8()? {
         STEP_RECV_FROM_HEAD => TaskStep::RecvFromHead { buffer: BufferId(r.u64()?) },
         STEP_RECV_FROM_WORKER => {
@@ -503,7 +548,7 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
         STEP_RETRIEVE => TaskStep::Retrieve { buffer: BufferId(r.u64()?) },
         STEP_WROTE => TaskStep::Wrote { buffer: BufferId(r.u64()?) },
         STEP_EXECUTE => {
-            TaskStep::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffers()? }
+            TaskStep::Execute { kernel: KernelId(r.u64()? as usize), buffers: r.buffer_ids()? }
         }
         STEP_PUSH => {
             let (buffer, to, tag) = (BufferId(r.u64()?), r.u64()? as NodeId, Tag(r.u64()?));
@@ -511,8 +556,212 @@ fn decode_step(r: &mut Reader<'_>) -> OmpcResult<TaskStep> {
         }
         STEP_CLAIM => TaskStep::Claim { buffer: BufferId(r.u64()?), tag: Tag(r.u64()?) },
         STEP_DISCARD => TaskStep::Discard { tag: Tag(r.u64()?) },
-        other => return Err(OmpcError::Internal(format!("unknown task step kind {other}"))),
+        other => return Err(unknown_step(other)),
     })
+}
+
+/// Move past one step, checked as [`decode_step`] checks it — a known kind,
+/// every operand there — but with nothing decoded: how a car is passed
+/// over to reach the next one.
+fn skip_step(r: &mut Reader<'_>) -> OmpcResult<()> {
+    let operands = match r.u8()? {
+        STEP_RECV_FROM_HEAD | STEP_DELETE | STEP_RETRIEVE | STEP_WROTE | STEP_DISCARD => 8,
+        STEP_RECV_FROM_WORKER | STEP_AWAIT_LOCAL | STEP_ALLOC | STEP_CLAIM => 16,
+        STEP_PUSH => 24,
+        STEP_EXECUTE => {
+            r.u64()?;
+            r.buffer_ids()?;
+            0
+        }
+        other => return Err(unknown_step(other)),
+    };
+    r.take(operands).map(drop)
+}
+
+#[cold]
+fn unknown_step(kind: u8) -> OmpcError {
+    OmpcError::Internal(format!("unknown task step kind {kind}"))
+}
+
+/// The steps of a task or of a train car, read in place from the frame they
+/// came in: each is decoded when it is reached, with the bounded reads of
+/// the rest of the decoder, and nothing is collected. A step that cannot be
+/// read is the last item, an error; [`Notice::read`] has read every step of
+/// its frame once already, so a frame it accepted yields none.
+#[derive(Debug, Clone)]
+pub(crate) struct Steps<'a> {
+    r: Reader<'a>,
+    left: u32,
+}
+
+impl<'a> Steps<'a> {
+    /// The step count at `r`, and the steps after it; `r` is left on the
+    /// first step.
+    fn at(r: &mut Reader<'a>) -> OmpcResult<Self> {
+        let left = r.u32()?;
+        Ok(Self { r: r.clone(), left })
+    }
+
+    /// [`Steps::at`], every step checked: `r` is left past the last one.
+    fn past(r: &mut Reader<'a>) -> OmpcResult<Self> {
+        let steps = Self::at(r)?;
+        for _ in 0..steps.left {
+            skip_step(r)?;
+        }
+        Ok(steps)
+    }
+
+    /// Room to reserve for the steps left: never more than the frame backs.
+    fn room(&self) -> usize {
+        (self.left as usize).min(self.r.room(9))
+    }
+}
+
+impl<'a> Iterator for Steps<'a> {
+    type Item = OmpcResult<TaskStep<BufferIds<'a>>>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let step = decode_step(&mut self.r);
+        if step.is_err() {
+            self.left = 0;
+        }
+        Some(step)
+    }
+}
+
+/// The cars of a train, read in place from its frame: each car's tag and
+/// its [`Steps`]. As [`Steps`], a car that cannot be read is the last item.
+#[derive(Debug, Clone)]
+pub(crate) struct Cars<'a> {
+    r: Reader<'a>,
+    left: u32,
+}
+
+impl<'a> Iterator for Cars<'a> {
+    type Item = OmpcResult<(Tag, Steps<'a>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.left = self.left.checked_sub(1)?;
+        let r = &mut self.r;
+        let car = r.u64().and_then(|tag| Ok((Tag(tag), Steps::past(r)?)));
+        if car.is_err() {
+            self.left = 0;
+        }
+        Some(car)
+    }
+}
+
+/// What a [`Notice`] asks: the kinds of [`EventRequest`], with the steps of
+/// a task and the cars of a train left in the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// [`EventRequest::ExchangeSend`].
+    ExchangeSend { buffer: BufferId, to: NodeId },
+    /// [`EventRequest::Task`]: its steps are [`Notice::steps`].
+    Task,
+    /// [`EventRequest::TaskTrain`]: its cars are [`Notice::cars`].
+    TaskTrain,
+    /// [`EventRequest::Reset`].
+    Reset,
+    /// [`EventRequest::Shutdown`].
+    Shutdown,
+    /// [`EventRequest::Kill`].
+    Kill,
+}
+
+/// A notification read in place — the one decoder of the control tag. The
+/// envelope is decoded; the steps of a task and the cars of a train are read
+/// once, to the last byte, and left where they lie: [`Notice::steps`] and
+/// [`Notice::cars`] read them again from the same frame, and nothing is
+/// allocated either time. A frame [`Notice::read`] accepts is one
+/// [`EventNotification::decode`] accepts, step for step: that decoder
+/// collects what this one reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Notice {
+    /// Tag all messages of the event are matched on.
+    pub(crate) tag: Tag,
+    /// [`EventNotification::timed`].
+    pub(crate) timed: bool,
+    /// What the destination must do.
+    pub(crate) request: Request,
+    /// Where the request's operands start in the frame.
+    body: usize,
+}
+
+impl Notice {
+    /// Read the notification `frame` holds, checking every byte of it.
+    pub(crate) fn read(frame: &[u8]) -> OmpcResult<Self> {
+        let mut r = Reader::new(frame);
+        let tag = Tag(r.u64()?);
+        let comm = CommId(r.u32()?);
+        if comm != CommId::WORLD {
+            return Err(OmpcError::Internal(format!("notification on {comm}, not the world's")));
+        }
+        let timed = match r.u8()? {
+            0 => false,
+            1 => true,
+            other => {
+                return Err(OmpcError::Internal(format!("unknown timed flag {other}")));
+            }
+        };
+        let kind = r.u8()?;
+        let body = frame.len() - r.rest.len();
+        let request = match kind {
+            KIND_EXCHANGE_SEND => {
+                Request::ExchangeSend { buffer: BufferId(r.u64()?), to: r.u64()? as NodeId }
+            }
+            KIND_TASK => {
+                Steps::past(&mut r)?;
+                Request::Task
+            }
+            KIND_TASK_TRAIN => {
+                let mut cars = Cars { left: r.u32()?, r };
+                for car in cars.by_ref() {
+                    car?;
+                }
+                Request::TaskTrain
+            }
+            KIND_RESET => Request::Reset,
+            KIND_SHUTDOWN => Request::Shutdown,
+            KIND_KILL => Request::Kill,
+            other => {
+                return Err(OmpcError::Internal(format!("unknown event kind {other}")));
+            }
+        };
+        Ok(Self { tag, timed, request, body })
+    }
+
+    /// The steps of a task, read again from `frame`, the bytes this notice
+    /// was read from; no steps for any other request.
+    pub(crate) fn steps<'a>(&self, frame: &'a [u8]) -> OmpcResult<Steps<'a>> {
+        let mut r = Reader::new(frame.get(self.body..).unwrap_or_default());
+        match self.request {
+            Request::Task => Steps::at(&mut r),
+            _ => Ok(Steps { r, left: 0 }),
+        }
+    }
+
+    /// The cars of a train, read again from `frame`, the bytes this notice
+    /// was read from; no cars for any other request.
+    pub(crate) fn cars<'a>(&self, frame: &'a [u8]) -> OmpcResult<Cars<'a>> {
+        let mut r = Reader::new(frame.get(self.body..).unwrap_or_default());
+        let left = match self.request {
+            Request::TaskTrain => r.u32()?,
+            _ => 0,
+        };
+        Ok(Cars { r, left })
+    }
+}
+
+/// The steps `steps` reads, collected: the encoder's list.
+fn owned_steps(steps: Steps<'_>) -> OmpcResult<Vec<TaskStep>> {
+    let mut owned = Vec::with_capacity(steps.room());
+    for step in steps {
+        owned.push(step?.into_owned());
+    }
+    Ok(owned)
 }
 
 impl EventNotification {
@@ -571,39 +820,30 @@ impl EventNotification {
         w.0
     }
 
-    /// Parse a notification received on the control tag.
+    /// Parse a notification received on the control tag: what the
+    /// in-place reader a worker runs reads, collected into the encoder's
+    /// lists.
     pub fn decode(data: &[u8]) -> OmpcResult<Self> {
-        let mut r = Reader::new(data);
-        let tag = Tag(r.u64()?);
-        let comm = CommId(r.u32()?);
-        if comm != CommId::WORLD {
-            return Err(OmpcError::Internal(format!("notification on {comm}, not the world's")));
-        }
-        let timed = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(OmpcError::Internal(format!("unknown timed flag {other}")));
+        let notice = Notice::read(data)?;
+        let request = match notice.request {
+            Request::ExchangeSend { buffer, to } => EventRequest::ExchangeSend { buffer, to },
+            Request::Task => {
+                EventRequest::Task(TaskSpec { steps: owned_steps(notice.steps(data)?)? })
             }
+            Request::TaskTrain => {
+                let cars = notice.cars(data)?;
+                let mut owned = Vec::with_capacity((cars.left as usize).min(cars.r.room(12)));
+                for car in cars {
+                    let (tag, steps) = car?;
+                    owned.push(TrainCar { tag, spec: TaskSpec { steps: owned_steps(steps)? } });
+                }
+                EventRequest::TaskTrain(owned)
+            }
+            Request::Reset => EventRequest::Reset,
+            Request::Shutdown => EventRequest::Shutdown,
+            Request::Kill => EventRequest::Kill,
         };
-        let kind = r.u8()?;
-        let request = match kind {
-            KIND_EXCHANGE_SEND => {
-                EventRequest::ExchangeSend { buffer: BufferId(r.u64()?), to: r.u64()? as NodeId }
-            }
-            KIND_TASK => EventRequest::Task(TaskSpec { steps: r.steps()? }),
-            KIND_TASK_TRAIN => EventRequest::TaskTrain(r.list(12, |r| {
-                let tag = Tag(r.u64()?);
-                Ok(TrainCar { tag, spec: TaskSpec { steps: r.steps()? } })
-            })?),
-            KIND_RESET => EventRequest::Reset,
-            KIND_SHUTDOWN => EventRequest::Shutdown,
-            KIND_KILL => EventRequest::Kill,
-            other => {
-                return Err(OmpcError::Internal(format!("unknown event kind {other}")));
-            }
-        };
-        Ok(Self { request, tag, comm, timed })
+        Ok(Self { request, tag: notice.tag, comm: CommId::WORLD, timed: notice.timed })
     }
 }
 
@@ -634,10 +874,12 @@ pub(crate) struct TrainFrame {
 }
 
 impl TrainFrame {
-    /// The envelope of a train on the channel `tag`, with room for
-    /// `capacity` bytes before the frame grows.
-    pub(crate) fn new(tag: Tag, timed: bool, capacity: usize) -> Self {
-        let mut w = Writer::with_capacity(capacity.max(TRAIN_CARS_AT + 4));
+    /// The envelope of a train on the channel `tag`, written into `data`
+    /// (emptied first): a train's frame reuses the room of the frames sent
+    /// before it.
+    pub(crate) fn new(tag: Tag, timed: bool, mut data: Vec<u8>) -> Self {
+        data.clear();
+        let mut w = Writer(data);
         w.u64(tag.0);
         w.u32(CommId::WORLD.0);
         w.u8(timed as u8);
@@ -688,6 +930,41 @@ impl TrainFrame {
     pub(crate) fn finish(mut self) -> Vec<u8> {
         self.w.patch_u32(TRAIN_CARS_AT, self.cars);
         self.w.0
+    }
+}
+
+/// How many frames a sender keeps to write again.
+const KEPT_FRAMES: usize = 8;
+
+/// The frames a sender writes its messages into and sends as [`Bytes`] —
+/// a head node's trains to one worker, or the headers of a worker's
+/// deliveries — each written again once every receiver has let go of it, so
+/// a steady stream of messages allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct SentFrames {
+    /// Frames sent, some maybe still held by their receivers.
+    sent: Vec<Bytes>,
+}
+
+impl SentFrames {
+    /// What `data` holds, as a frame to send: moved into a sent frame nobody
+    /// holds any more, whose emptied vector `data` becomes, room and all —
+    /// or, while every frame kept is still held, copied into a new frame of
+    /// just its size, `data` emptied: a frame a receiver holds on to (a push
+    /// nobody claims yet) then pins no more memory than its headers.
+    pub(crate) fn send(&mut self, data: &mut Vec<u8>) -> Bytes {
+        for frame in &mut self.sent {
+            if let Some(free) = frame.reclaim() {
+                std::mem::swap(free, data);
+                return frame.clone();
+            }
+        }
+        let frame = Bytes::from(data.to_vec());
+        data.clear();
+        if self.sent.len() < KEPT_FRAMES {
+            self.sent.push(frame.clone());
+        }
+        frame
     }
 }
 
@@ -927,18 +1204,20 @@ impl Reply {
 
     /// Split into the message parts: the [`EventReply`] header and the body.
     pub fn into_parts(self) -> (Vec<u8>, Option<Bytes>) {
-        let (header, body) = self.into_event_reply();
+        let (header, body) = self.into_header();
         (header.encode(), body)
     }
 
     /// [`Reply::into_parts`] for the reply of train car `car`: the header is
     /// [`car_reply_header`].
     pub fn into_car_parts(self, car: Tag) -> (Vec<u8>, Option<Bytes>) {
-        let (header, body) = self.into_event_reply();
+        let (header, body) = self.into_header();
         (car_reply_header(car, &header), body)
     }
 
-    fn into_event_reply(self) -> (EventReply, Option<Bytes>) {
+    /// The [`EventReply`] the header carries, and the body beside it: the
+    /// parts [`write_reply_header`] writes a header of.
+    pub fn into_header(self) -> (EventReply, Option<Bytes>) {
         let header = match self.stamps {
             Some(stamps) => EventReply::OkTimed(stamps, self.inline),
             None => EventReply::Ok(self.inline),
@@ -969,10 +1248,23 @@ impl Reply {
 /// has one, as the message body, so the head resolves a car with one
 /// receive on one channel, whatever the outcome.
 pub fn car_reply_header(car: Tag, reply: &EventReply) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.u64(car.0);
+    let mut header = Vec::with_capacity(64);
+    write_reply_header(&mut header, Some(car), reply);
+    header
+}
+
+/// Append the header of an event's reply to `out`: the [`EventReply`], led
+/// by the car's tag when it is the reply of train car `car` — exactly the
+/// bytes [`EventReply::encode`] or [`car_reply_header`] return. A worker
+/// writes the headers of one delivery into one frame this way, and sends
+/// each as a slice of it.
+pub fn write_reply_header(out: &mut Vec<u8>, car: Option<Tag>, reply: &EventReply) {
+    let mut w = Writer(std::mem::take(out));
+    if let Some(car) = car {
+        w.u64(car.0);
+    }
     reply.write(&mut w);
-    w.0
+    *out = w.0;
 }
 
 /// Take a car's reply header apart: the car's tag, and the [`EventReply`]
@@ -987,7 +1279,7 @@ pub fn split_car_reply(header: &[u8]) -> OmpcResult<(Tag, &[u8])> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn round_trip(request: EventRequest) {
@@ -1120,13 +1412,15 @@ mod tests {
         }
     }
 
-    /// Bad input the one-communicator layout owes a typed error: an envelope
-    /// naming a communicator other than the world's, a car header (a tag and
-    /// a step count, 12 bytes) cut short, and a push, claim or discard cut
-    /// short inside its operands.
+    /// Bad input the one-communicator layout owes a typed error, from the
+    /// owned decoder and the reader a worker runs alike: an envelope naming
+    /// a communicator other than the world's, a car header (a tag and a step
+    /// count, 12 bytes) cut short, a push, claim or discard cut short inside
+    /// its operands, a train cut short inside its second car, and an
+    /// `Execute` whose buffer count overruns the frame.
     #[test]
     fn bad_input_off_the_world_or_cut_short_is_a_typed_error() {
-        let mut train = TrainFrame::new(Tag(4), false, 0);
+        let mut train = TrainFrame::new(Tag(4), false, Vec::new());
         train.begin_car();
         train.end_car(Tag(5));
         let train = train.finish();
@@ -1137,7 +1431,7 @@ mod tests {
         let off_world = |mut bytes: Vec<u8>| {
             for comm in [1, 7, u32::MAX] {
                 bytes[8..12].copy_from_slice(&u32::to_le_bytes(comm));
-                let decoded = EventNotification::decode(&bytes);
+                let decoded = decode_both(&bytes);
                 assert!(matches!(decoded, Err(OmpcError::Internal(_))), "comm {comm}: {decoded:?}");
             }
         };
@@ -1145,10 +1439,10 @@ mod tests {
         off_world(notification(EventRequest::Shutdown).encode());
         off_world(notification(task(TaskStep::Delete { buffer: BufferId(1) })).encode());
         let forged = EventNotification { comm: CommId(2), ..notification(EventRequest::Reset) };
-        assert!(matches!(EventNotification::decode(&forged.encode()), Err(OmpcError::Internal(_))));
+        assert!(matches!(decode_both(&forged.encode()), Err(OmpcError::Internal(_))));
 
         for cut in 1..=12 {
-            let decoded = EventNotification::decode(&train[..train.len() - cut]);
+            let decoded = decode_both(&train[..train.len() - cut]);
             assert!(matches!(decoded, Err(OmpcError::Internal(_))), "header cut by {cut}");
         }
         let (buffer, tag) = (BufferId(6), Tag(8));
@@ -1160,10 +1454,71 @@ mod tests {
             let bytes = notification(task(step.clone())).encode();
             assert_eq!(bytes.len(), 18 + step_len(&step), "{step:?}");
             for cut in 1..step_len(&step) {
-                let decoded = EventNotification::decode(&bytes[..bytes.len() - cut]);
+                let decoded = decode_both(&bytes[..bytes.len() - cut]);
                 assert!(matches!(decoded, Err(OmpcError::Internal(_))), "{step:?} cut by {cut}");
             }
         }
+
+        // A train cut short anywhere inside its second car: the first car
+        // is whole, and still the frame is refused.
+        let execute = TaskStep::Execute { kernel: KernelId(1), buffers: vec![buffer, BufferId(7)] };
+        let cars = vec![
+            TrainCar { tag: Tag(5), spec: TaskSpec { steps: vec![TaskStep::Delete { buffer }] } },
+            TrainCar {
+                tag: Tag(6),
+                spec: TaskSpec { steps: vec![TaskStep::Wrote { buffer }, execute.clone()] },
+            },
+        ];
+        let bytes = notification(EventRequest::TaskTrain(cars)).encode();
+        let second = TRAIN_CARS_AT + 4 + 12 + 9;
+        assert_eq!(bytes.len(), second + 12 + 9 + step_len(&execute), "the second car's bounds");
+        for end in second..bytes.len() {
+            let decoded = decode_both(&bytes[..end]);
+            assert!(matches!(decoded, Err(OmpcError::Internal(_))), "second car cut at {end}");
+        }
+        // An `Execute` whose buffer count claims more ids than the frame holds.
+        let mut bytes = notification(task(execute)).encode();
+        assert_eq!(bytes.len(), 18 + 13 + 16, "a step count, then kind, kernel, count and ids");
+        for count in [3, 1 << 20, u32::MAX] {
+            bytes[27..31].copy_from_slice(&u32::to_le_bytes(count));
+            let decoded = decode_both(&bytes);
+            assert!(matches!(decoded, Err(OmpcError::Internal(_))), "{count} buffers: {decoded:?}");
+        }
+    }
+
+    /// [`EventNotification::decode`], checked against the reader a worker
+    /// runs: [`Notice::read`] refuses exactly the frames it refuses, with an
+    /// `Internal` error, and a frame both accept reads again in place — the
+    /// steps of its task, or of each car of its train — as the very steps it
+    /// decodes.
+    fn decode_both(bytes: &[u8]) -> OmpcResult<EventNotification> {
+        let decoded = EventNotification::decode(bytes);
+        let notice = Notice::read(bytes);
+        let owned = |steps: Steps<'_>| -> Vec<TaskStep> {
+            steps.map(|step| step.unwrap().into_owned()).collect()
+        };
+        match (&notice, &decoded) {
+            (Err(OmpcError::Internal(_)), Err(_)) => {}
+            (Ok(notice), Ok(n)) => {
+                assert_eq!((notice.tag, notice.timed), (n.tag, n.timed));
+                let (steps, cars) = (notice.steps(bytes).unwrap(), notice.cars(bytes).unwrap());
+                match &n.request {
+                    EventRequest::Task(spec) => assert_eq!(owned(steps), spec.steps),
+                    EventRequest::TaskTrain(train) => {
+                        let read: Vec<TrainCar> = cars
+                            .map(|car| {
+                                let (tag, steps) = car.unwrap();
+                                TrainCar { tag, spec: TaskSpec { steps: owned(steps) } }
+                            })
+                            .collect();
+                        assert_eq!(&read, train);
+                    }
+                    _ => assert_eq!(steps.count() + cars.count(), 0),
+                }
+            }
+            _ => panic!("reader and decoder disagree on {bytes:?}: {notice:?}, {decoded:?}"),
+        }
+        decoded
     }
 
     /// A car's reply, taken apart as the head does: the tag, then the reply.
@@ -1396,6 +1751,13 @@ mod tests {
         }
     }
 
+    /// A task or a train of seeded steps of every kind, timed or not: what a
+    /// worker reads in place.
+    pub(crate) fn arb_task_or_train(rng: &mut Rng) -> EventNotification {
+        let kind = [KIND_TASK, KIND_TASK_TRAIN][rng.range_usize(0, 2)];
+        arb_notification(rng, kind)
+    }
+
     /// An error of wire code `code` (1 to 9), nested errors included.
     fn arb_error(rng: &mut Rng, code: u8) -> OmpcError {
         let text = |rng: &mut Rng| {
@@ -1475,7 +1837,7 @@ mod tests {
             let rng = &mut Rng::new(seed);
             for kind in KINDS {
                 let n = arb_notification(rng, kind);
-                check_codec(rng, &n, 0, EventNotification::encode, EventNotification::decode);
+                check_codec(rng, &n, 0, EventNotification::encode, decode_both);
                 assert_eq!(n.encode().len(), n.encoded_len(), "sized as written: {n:?}");
             }
             for code in ERR_UNKNOWN_BUFFER..=ERR_REMOTE_EVENT {
@@ -1575,7 +1937,7 @@ mod tests {
                     }
                 }
             };
-            let mut frame = TrainFrame::new(tag, timed, rng.range_usize(0, 64));
+            let mut frame = TrainFrame::new(tag, timed, Vec::with_capacity(rng.range_usize(0, 64)));
             let abandoned = rng.range_usize(0, cars.len() + 1);
             for (at, car) in cars.iter().enumerate() {
                 if at == abandoned {

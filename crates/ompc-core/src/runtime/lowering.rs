@@ -340,7 +340,7 @@ impl Lowering {
     /// the host-side analogue of the input transfers a target task plans.
     /// Graph dependences order this after the producing task's completion.
     fn run_host_task(&self, tid: usize, task: &TargetTask) -> OmpcResult<()> {
-        for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
+        for dep in self.graph.dependences(task.id).iter().filter(|d| d.dep_type.reads()) {
             // A host-only buffer (never mapped to the device) has no
             // residency entry and nothing to flush.
             let from = self.path.dm.lock().retrieve_source(dep.buffer);
@@ -514,8 +514,9 @@ impl Lowering {
         drop(dm);
         let owned = owned..state.owned.len();
         let claims = claims..state.claims.len();
-        car.execute(kernel, task.dependences.iter().map(|d| d.buffer));
-        let written = task.dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer);
+        let dependences = self.graph.dependences(task.id);
+        car.execute(kernel, dependences.iter().map(|d| d.buffer));
+        let written = dependences.iter().filter(|d| d.dep_type.writes()).map(|d| d.buffer);
         // A reader beside it may be lowered before it retires: it awaits the write.
         for buffer in written.clone().filter(|&b| self.read_on(&state, tid, b, node)) {
             car.step(&TaskStep::Wrote { buffer });
@@ -565,12 +566,12 @@ impl Lowering {
         task: &TargetTask,
         car: &mut CarWriter,
     ) -> OmpcResult<()> {
-        for dep in task.dependences.iter().filter(|d| d.dep_type.reads()) {
+        for dep in self.graph.dependences(task.id).iter().filter(|d| d.dep_type.reads()) {
             self.plan_read(state, dm, tid, node, dep.buffer, car)?;
         }
         // Write-only outputs: make sure storage exists on the node — an unclaimed copy
         // pushed here will do. It becomes the buffer's one holder when the write is recorded.
-        for dep in task.dependences.iter().filter(|d| !d.dep_type.reads()) {
+        for dep in self.graph.dependences(task.id).iter().filter(|d| !d.dep_type.reads()) {
             let push = dm.claim_push(dep.buffer, node);
             if !state.claimed(car, push) && !dm.is_present(dep.buffer, node) {
                 let size = match dm.is_registered(dep.buffer) {
@@ -725,7 +726,7 @@ impl Lowering {
                 // the version it supersedes end, the stale copies are freed by
                 // the next car headed their way — but where a newer version's
                 // claim is on the node already, which overwrites them.
-                let deps = self.graph.task(TaskId(task)).dependences.iter();
+                let deps = self.graph.dependences(TaskId(task)).iter();
                 for buffer in deps.filter(|d| d.dep_type.writes()).map(|d| d.buffer) {
                     state.list_claimed_on(buffer);
                     dm.supersede(buffer, node, &state.claimed_on)?;
@@ -810,7 +811,8 @@ impl Lowering {
         let trains = self.path.events.trains();
         let owed = self.path.dm.lock().end_run(self.region);
         let (events, telemetry) = (&self.path.events, &self.path.telemetry);
-        let failed = super::delete_device_copies(events, telemetry, &owed, Some(trains));
+        let tasks = owed.iter().map(|(node, owed)| (*node, super::delete_steps(owed)));
+        let failed = super::delete_device_copies(events, telemetry, tasks, Some(trains));
         let mut dm = self.path.dm.lock();
         for (node, owed) in owed.iter().filter(|(node, _)| failed.iter().any(|(n, _)| n == node)) {
             dm.owe(*node, owed.deletes.iter().copied(), owed.drops.iter().copied());
@@ -852,7 +854,8 @@ impl Lowering {
         let _ = self.path.events.kill(node);
         let writers_of = |buffer| {
             let writes = |t: &&TargetTask| {
-                t.dependences.iter().any(|d| d.buffer == buffer && d.dep_type.writes())
+                let deps = self.graph.dependences(t.id);
+                deps.iter().any(|d| d.buffer == buffer && d.dep_type.writes())
             };
             self.graph.tasks().iter().filter(writes).map(|t| t.id.0).collect()
         };

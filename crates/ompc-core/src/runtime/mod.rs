@@ -64,31 +64,29 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// pre-residency runtime did.
 pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 
-/// Free device copies, one task of `Delete` steps — then a `Discard` step
-/// per push the node is owed a drop of — per node: every node's task is
-/// posted before any reply is awaited, so a release costs one round trip
-/// however many nodes and buffers it covers. Each node is attempted; the
-/// nodes that did not acknowledge come back with their error, so the caller
-/// can keep owing them. At [`TelemetryLevel::Spans`] every task leaves an
-/// [`SpanPhase::ExitData`] span on its node, the buffer count as its detail.
-/// `trains`, when given, is the locked train table, released once every
-/// task is posted.
+/// Free device copies, one task per node — its `Delete` steps, then a
+/// `Discard` step per push the node is owed a drop of ([`delete_steps`]):
+/// every node's task is posted before any reply is awaited, so a release
+/// costs one round trip however many nodes and buffers it covers. Each node
+/// is attempted; the nodes that did not acknowledge come back with their
+/// error, so the caller can keep owing them. At [`TelemetryLevel::Spans`]
+/// every task leaves an [`SpanPhase::ExitData`] span on its node, the buffer
+/// count as its detail. `trains`, when given, is the locked train table,
+/// released once every task is posted.
 pub(crate) fn delete_device_copies(
     events: &EventSystem,
     telemetry: &Telemetry,
-    owed: &[(NodeId, Owed)],
+    tasks: impl IntoIterator<Item = (NodeId, Vec<TaskStep>)>,
     trains: Option<TrainTable>,
 ) -> Vec<(NodeId, OmpcError)> {
     let t0 = telemetry.start();
     let mut failed = Vec::new();
     let mut posted = Vec::new();
-    for (node, owed) in owed {
-        let deletes = owed.deletes.iter().map(|&buffer| TaskStep::Delete { buffer });
-        let drops = owed.drops.iter().map(|p| TaskStep::Discard { tag: p.tag });
-        let work = Composite { steps: deletes.chain(drops).collect(), ..Composite::default() };
-        match events.post_task(*node, work) {
-            Ok(channel) => posted.push((channel, owed.deletes.len())),
-            Err(error) => failed.push((*node, error)),
+    for (node, steps) in tasks {
+        let count = steps.iter().filter(|step| matches!(step, TaskStep::Delete { .. })).count();
+        match events.post_task(node, Composite { steps, ..Composite::default() }) {
+            Ok(channel) => posted.push((channel, count)),
+            Err(error) => failed.push((node, error)),
         }
     }
     drop(trains);
@@ -105,6 +103,14 @@ pub(crate) fn delete_device_copies(
     failed
 }
 
+/// The steps of the task that frees what `owed` lists on a node: each
+/// delete, then a `Discard` per drop.
+pub(crate) fn delete_steps(owed: &Owed) -> Vec<TaskStep> {
+    let deletes = owed.deletes.iter().map(|&buffer| TaskStep::Delete { buffer });
+    let drops = owed.drops.iter().map(|p| TaskStep::Discard { tag: p.tag });
+    deletes.chain(drops).collect()
+}
+
 /// Release every device copy of `buffers` (device-level exit-data
 /// semantics) — the one way a mapping ends on the head: drop the buffers
 /// from the data manager under one lock, then free the copies with one
@@ -118,27 +124,27 @@ pub(crate) fn release_device_copies(
     telemetry: &Telemetry,
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
-    // `remove` returns only worker-node holders, none of them dead. A few
-    // nodes hold many buffers: each node's list is gathered in `buffers`'
-    // order, then becomes its set at once.
-    let mut held: Vec<(NodeId, Vec<BufferId>)> = Vec::new();
+    // `remove` returns only worker-node holders, none of them dead, each
+    // once. A few nodes hold many buffers: each node's deletes are written
+    // in `buffers`' order.
+    let mut tasks: Vec<(NodeId, Vec<TaskStep>)> = Vec::new();
     {
         let mut dm = dm.lock();
         for &buffer in buffers {
             for holder in dm.remove(buffer) {
-                match held.iter_mut().find(|(node, _)| *node == holder) {
-                    Some((_, list)) => list.push(buffer),
-                    None => held.push((holder, vec![buffer])),
-                }
+                let at = match tasks.iter().position(|&(node, _)| node == holder) {
+                    Some(at) => at,
+                    None => {
+                        tasks.push((holder, Vec::new()));
+                        tasks.len() - 1
+                    }
+                };
+                tasks[at].1.push(TaskStep::Delete { buffer });
             }
         }
     }
-    held.sort_unstable_by_key(|&(node, _)| node);
-    let owed: Vec<(NodeId, Owed)> = held
-        .into_iter()
-        .map(|(node, list)| (node, Owed { deletes: list.into_iter().collect(), ..Owed::default() }))
-        .collect();
-    first_error(delete_device_copies(events, telemetry, &owed, None))
+    tasks.sort_unstable_by_key(|&(node, _)| node);
+    first_error(delete_device_copies(events, telemetry, tasks, None))
 }
 
 /// What a release reports when some node did not acknowledge: the first

@@ -85,15 +85,14 @@ pub struct TaskEdge {
     pub kind: EdgeKind,
 }
 
-/// A node of the region graph.
+/// A node of the region graph. Its `depend` clauses are
+/// [`RegionGraph::dependences`].
 #[derive(Debug, Clone)]
 pub struct TargetTask {
     /// Dense task id (position in the region).
     pub id: TaskId,
     /// What the task does.
     pub kind: TaskKind,
-    /// Its `depend` clauses.
-    pub dependences: Vec<Dependence>,
     /// Trace label.
     pub label: String,
 }
@@ -117,18 +116,19 @@ struct Followers {
 /// The dependence graph of one target region.
 ///
 /// Appending a task costs no allocation of its own: every list lives in a
-/// few flat vectors that grow by doubling. A task's predecessors are known
-/// when it is added; its successors and the readers of what it writes are
-/// grouped per task ([`Csr`]) the first time anybody asks, after the last
-/// task was added.
+/// few flat vectors that grow by doubling. A task's `depend` clauses and
+/// its predecessors are known when it is added, and are appended to flat
+/// tables ([`Csr`]) list after list; its successors and the readers of what
+/// it writes are grouped per task the first time anybody asks, after the
+/// last task was added.
 #[derive(Debug, Default, Clone)]
 pub struct RegionGraph {
     tasks: Vec<TargetTask>,
+    /// Every task's `depend` clauses, task after task.
+    dependences: Csr<Dependence>,
     edges: Vec<TaskEdge>,
-    /// Every task's predecessors, task after task; task `t`'s end where
-    /// `pred_end[t]` says.
-    predecessors: Vec<TaskId>,
-    pred_end: Vec<usize>,
+    /// Every task's predecessors, task after task.
+    predecessors: Csr<TaskId>,
     /// Per entry of `predecessors`, whether every dependence on it is a flow
     /// one: a kept edge's kind is `Flow` when any of the pair's is.
     flow_only: Vec<bool>,
@@ -150,18 +150,23 @@ impl RegionGraph {
         Self::default()
     }
 
-    /// Append a task, deriving its dependence edges from `dependences`.
+    /// Append a task, deriving its dependence edges from `dependences`,
+    /// which go straight into the graph's flat table.
     pub fn add_task(
         &mut self,
         kind: TaskKind,
-        dependences: Vec<Dependence>,
+        dependences: impl IntoIterator<Item = Dependence>,
         label: impl Into<String>,
     ) -> TaskId {
         let id = TaskId(self.tasks.len());
+        for dep in dependences {
+            self.dependences.push(dep);
+        }
+        let dependences = self.dependences.open_list();
         // Collect edges first to avoid duplicated edges when a task both
         // reads and writes the same buffer.
         let mut new_edges = std::mem::take(&mut self.scratch);
-        for dep in &dependences {
+        for dep in dependences {
             let state = self.buffer_state.entry(dep.buffer).or_default();
             let edge = |from, kind| TaskEdge { from, to: id, buffer: dep.buffer, kind };
             if dep.dep_type.reads() {
@@ -189,7 +194,7 @@ impl RegionGraph {
             }
         }
         // Update buffer states after computing edges.
-        for dep in &dependences {
+        for dep in dependences {
             let state = self.buffer_state.entry(dep.buffer).or_default();
             if dep.dep_type.writes() {
                 state.last_writer = Some(id);
@@ -216,11 +221,12 @@ impl RegionGraph {
                 *only &= flow;
             }
         }
-        self.pred_end.push(self.predecessors.len());
+        self.dependences.end_list();
+        self.predecessors.end_list();
         self.scratch = new_edges;
         self.followers = OnceLock::new();
 
-        self.tasks.push(TargetTask { id, kind, dependences, label: label.into() });
+        self.tasks.push(TargetTask { id, kind, label: label.into() });
         id
     }
 
@@ -266,18 +272,22 @@ impl RegionGraph {
         self.followers().successors.get(id.0)
     }
 
+    /// A task's `depend` clauses, in the order it declared them.
+    pub fn dependences(&self, id: TaskId) -> &[Dependence] {
+        self.dependences.get(id.0)
+    }
+
     /// Direct predecessors of a task.
     pub fn predecessors(&self, id: TaskId) -> &[TaskId] {
-        let start = id.0.checked_sub(1).map_or(0, |before| self.pred_end[before]);
-        &self.predecessors[start..self.pred_end[id.0]]
+        self.predecessors.get(id.0)
     }
 
     /// Whether every dependence of `task` on its direct predecessor `pred` is a
     /// flow (read-after-write) one: no anti or output dependence orders the
     /// pair as well. `false` when `pred` is no direct predecessor.
     pub(crate) fn is_flow_only(&self, pred: TaskId, task: TaskId) -> bool {
-        let start = task.0.checked_sub(1).map_or(0, |before| self.pred_end[before]);
-        let preds = self.predecessors(task).iter().zip(&self.flow_only[start..]);
+        let preds =
+            self.predecessors(task).iter().zip(&self.flow_only[self.predecessors.span(task.0)]);
         preds.filter(|&(&p, _)| p == pred).any(|(_, &only)| only)
     }
 

@@ -7,10 +7,10 @@
 //! train car's on its train's completion channel, led by the car's tag:
 //! `Ok(payload)` on success or `Err` carrying the originating node and
 //! event tag when the handler failed — the head node never blocks on an
-//! event whose handler errored. A [`EventRequest::Kill`] (failure
+//! event whose handler errored. A [`crate::protocol::EventRequest::Kill`] (failure
 //! injection) kills the event loop for real: the node stops executing
 //! events and refuses every later one with an error reply until the final
-//! [`EventRequest::Shutdown`].
+//! [`crate::protocol::EventRequest::Shutdown`].
 //!
 //! Buffers are held, received and sent as shared [`Bytes`] handles: a
 //! payload that arrives is stored as the allocation the sender held, a
@@ -25,16 +25,17 @@
 //! together, when the train ends or a car would wait: one delivery wakes
 //! each receiver once.
 
-use crate::kernel::{KernelArgs, KernelRegistry};
+use crate::kernel::{ArgSlots, KernelArgs, KernelRegistry};
 use crate::protocol::{
-    car_reply_header, payload_body, EventNotification, EventReply, EventRequest, Reply, TaskSpec,
-    TaskStamps, TaskStep, CONTROL_TAG,
+    payload_body, write_reply_header, BufferIds, EventNotification, EventReply, Notice, Reply,
+    Request, SentFrames, Steps, TaskStamps, TaskStep, CONTROL_TAG,
 };
 use crate::runtime::telemetry::monotonic_us;
-use crate::types::{BufferId, IdMap, NodeId, OmpcError, OmpcResult};
+use crate::types::{BufferId, IdMap, KernelId, NodeId, OmpcError, OmpcResult};
 use ompc_mpi::{Bytes, Communicator, Message, PostedRecv, RecvGroup, Tag};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The head node's rank in the world communicator.
@@ -155,6 +156,29 @@ fn as_remote(node: NodeId, tag: Tag, error: OmpcError) -> OmpcError {
     }
 }
 
+/// What a lane keeps of its outbox from one event to the next: the queue,
+/// the headers of the queued messages, written one after another, and the
+/// frames earlier deliveries sent them in. Each delivery's headers go out
+/// as one frame, and each message carries a slice of it.
+#[derive(Debug, Default)]
+struct Queue {
+    /// What is queued: destination, tag, the header's place in `headers`,
+    /// and the body.
+    messages: Vec<(usize, Tag, Range<usize>, Option<Bytes>)>,
+    headers: Vec<u8>,
+    frames: SentFrames,
+}
+
+/// What a lane reuses from one event to the next: its outbox's queue and
+/// frames, and the slots its kernels' arguments are lent in. A member takes
+/// one for each event it runs, so an event in the steady state allocates
+/// nothing for either.
+#[derive(Debug, Default)]
+struct Lane {
+    queue: Queue,
+    args: ArgSlots,
+}
+
 /// What an event sends — each push, each train car's reply — held back
 /// until the event ends or one of its steps would wait: then one delivery
 /// ([`Communicator::send_all`]) hands every receiver all of it before waking
@@ -162,21 +186,20 @@ fn as_remote(node: NodeId, tag: Tag, error: OmpcError) -> OmpcError {
 /// once, message by message.
 struct Outbox<'c> {
     channel: &'c Communicator,
-    messages: Vec<(usize, Tag, Vec<u8>, Option<Bytes>)>,
+    queue: &'c mut Queue,
 }
 
 impl<'c> Outbox<'c> {
-    /// An outbox with room for `messages` before it grows.
-    fn new(channel: &'c Communicator, messages: usize) -> Self {
-        Self { channel, messages: Vec::with_capacity(messages) }
+    fn new(channel: &'c Communicator, queue: &'c mut Queue) -> Self {
+        Self { channel, queue }
     }
 
     /// Queue an event's one typed reply to `dest` on `tag`: the reply's
     /// header and body on success, the error — attributed to this node and
     /// event — otherwise. The reply of train car `car` travels on the train
     /// envelope's channel, its header led by the car's tag
-    /// ([`car_reply_header`]) and its error attributed to the car. Returns
-    /// the handler's own outcome.
+    /// ([`crate::protocol::car_reply_header`]) and its error attributed to
+    /// the car. Returns the handler's own outcome.
     fn reply(
         &mut self,
         dest: usize,
@@ -184,33 +207,35 @@ impl<'c> Outbox<'c> {
         car: Option<Tag>,
         outcome: OmpcResult<Reply>,
     ) -> OmpcResult<()> {
-        let (header, body, outcome) = match outcome {
+        let (reply, body, outcome) = match outcome {
             Ok(reply) => {
-                let (header, body) = match car {
-                    Some(car) => reply.into_car_parts(car),
-                    None => reply.into_parts(),
-                };
-                (header, body, Ok(()))
+                let (reply, body) = reply.into_header();
+                (reply, body, Ok(()))
             }
             Err(error) => {
                 let event = car.unwrap_or(tag);
-                let failed = EventReply::Err(as_remote(self.channel.rank(), event, error.clone()));
-                let header = match car {
-                    Some(car) => car_reply_header(car, &failed),
-                    None => failed.encode(),
-                };
-                (header, None, Err(error))
+                let failed = as_remote(self.channel.rank(), event, error.clone());
+                (EventReply::Err(failed), None, Err(error))
             }
         };
-        self.messages.push((dest, tag, header, body));
+        let headers = &mut self.queue.headers;
+        let at = headers.len();
+        write_reply_header(headers, car, &reply);
+        let header = at..headers.len();
+        self.queue.messages.push((dest, tag, header, body));
         outcome
     }
 
     /// Send what is queued. A delivery fails only when the world is going
     /// away, and then nobody is left to tell.
     fn flush(&mut self) {
-        if !self.messages.is_empty() {
-            let _ = self.channel.send_all(self.messages.drain(..));
+        let Queue { messages, headers, frames } = &mut *self.queue;
+        if !messages.is_empty() {
+            let frame = frames.send(headers);
+            let sent = messages
+                .drain(..)
+                .map(|(dest, tag, header, body)| (dest, tag, frame.slice(header), body));
+            let _ = self.channel.send_all(sent);
         }
     }
 
@@ -247,21 +272,17 @@ fn forwarded(msg: Message) -> OmpcResult<Bytes> {
 /// Send `error`, attributed to this node and the car on `car`, down every push channel of
 /// `steps` in place of the bytes: a claim of the push hears it instead of waiting for bytes
 /// that never come.
-fn fail_pushes<'a>(
-    outbox: &mut Outbox,
-    steps: impl IntoIterator<Item = &'a TaskStep>,
-    car: Tag,
-    error: &OmpcError,
-) {
+fn fail_pushes(outbox: &mut Outbox, steps: Steps<'_>, car: Tag, error: &OmpcError) {
     let error = as_remote(outbox.channel.rank(), car, error.clone());
-    for step in steps {
-        if let TaskStep::Push { to, tag, .. } = *step {
+    for step in steps.flatten() {
+        if let TaskStep::Push { to, tag, .. } = step {
             let _ = outbox.reply(to, tag, None, Err(error.clone()));
         }
     }
 }
 
-/// Run `kernel` against the node's device copies of `buffers`.
+/// Run `kernel` against the node's device copies of `buffers`, its
+/// arguments held in the lane's `slots`.
 ///
 /// The kernel borrows the resident handles (see [`KernelArgs`]): nothing is
 /// copied in, and only what it wrote is stored back, when it returns. A
@@ -271,29 +292,32 @@ fn fail_pushes<'a>(
 fn execute_kernel(
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
-    kernel: crate::types::KernelId,
-    buffers: &[BufferId],
+    slots: &mut ArgSlots,
+    kernel: KernelId,
+    buffers: BufferIds<'_>,
 ) -> OmpcResult<()> {
     let k = kernels.get(kernel).ok_or(OmpcError::UnknownKernel(kernel))?;
     let mut args = {
         let state = memory.state.lock();
         let resident = |b: BufferId| state.buffers.get(&b.0).cloned();
-        KernelArgs::resident(buffers, |b| resident(b).ok_or(OmpcError::UnknownBuffer(b)))?
+        KernelArgs::resident(slots, buffers, |b| resident(b).ok_or(OmpcError::UnknownBuffer(b)))?
     };
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.execute(&mut args)))
-        .map_err(|_| OmpcError::Internal(format!("kernel '{}' panicked", k.name())))?;
-    for (id, data) in args.into_written() {
-        memory.store(id, data);
-    }
-    Ok(())
+    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.execute(&mut args)));
+    let commit = ran.is_ok();
+    args.finish(slots, |id, data| {
+        if commit {
+            memory.store(id, data);
+        }
+    });
+    ran.map_err(|_| OmpcError::Internal(format!("kernel '{}' panicked", k.name())))
 }
 
-/// Execute the steps of a composite [`EventRequest::Task`] in order and
-/// make its reply: the buffer of its [`TaskStep::Retrieve`] step as the body,
-/// if it has one. The first failing step aborts the task; the caller
-/// replies with the error, and the receives the task did not get to are
-/// landed as failed with it, so whoever awaits their bytes replies the same
-/// error.
+/// Execute the steps of a composite [`crate::protocol::EventRequest::Task`] in order, read
+/// in place from the frame they came in, and make its reply: the buffer of
+/// its [`TaskStep::Retrieve`] step as the body, if it has one. The first
+/// failing step aborts the task; the caller replies with the error, and the
+/// receives the task did not get to are landed as failed with it, so
+/// whoever awaits their bytes replies the same error.
 ///
 /// With `recv_us` set (the head asked for a timed reply), the worker stamps
 /// the moment the data steps finished (`deps_us` — everything before it is
@@ -303,7 +327,8 @@ fn run_task_steps(
     outbox: &mut Outbox,
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
-    spec: TaskSpec,
+    args: &mut ArgSlots,
+    mut steps: Steps<'_>,
     tag: Tag,
     recv_us: Option<u64>,
 ) -> OmpcResult<Reply> {
@@ -314,64 +339,65 @@ fn run_task_steps(
         exec_end_us: recv_us,
     });
     let (mut body, mut kernel_ran) = (None, false);
-    let mut steps = spec.steps.into_iter();
     while let Some(step) = steps.next() {
         let ran = match step {
-            TaskStep::RecvFromHead { buffer } => {
+            Err(error) => Err(error),
+            Ok(TaskStep::RecvFromHead { buffer }) => {
                 memory.land(buffer, recv_payload(outbox, tag).map(Some))
             }
-            TaskStep::RecvFromWorker { buffer, from } => {
+            Ok(TaskStep::RecvFromWorker { buffer, from }) => {
                 let forward = outbox.recv(Some(from), tag).and_then(forwarded);
                 memory.land(buffer, forward.map(Some))
             }
-            TaskStep::Claim { buffer, tag } => {
+            Ok(TaskStep::Claim { buffer, tag }) => {
                 // What was pushed on the push's own channel — the bytes, or the
                 // error of the producer's car, its dead node or the head.
                 let pushed = outbox.recv(None, tag).and_then(forwarded);
                 memory.land(buffer, pushed.map(Some))
             }
-            TaskStep::Wrote { buffer } => memory.land(buffer, Ok(None)),
+            Ok(TaskStep::Wrote { buffer }) => memory.land(buffer, Ok(None)),
             // The version it names ran ahead of it on the lane.
-            TaskStep::AwaitLocal { buffer, .. } => memory.landed(buffer),
-            TaskStep::Alloc { buffer, size } => {
+            Ok(TaskStep::AwaitLocal { buffer, .. }) => memory.landed(buffer),
+            Ok(TaskStep::Alloc { buffer, size }) => {
                 memory.alloc(buffer, size);
                 Ok(())
             }
-            TaskStep::Delete { buffer } => {
+            Ok(TaskStep::Delete { buffer }) => {
                 // Deferred head-side maintenance riding this task; absent
                 // buffers are fine (the copy may never have landed). The
                 // deletes that follow go under the same lock.
                 let mut state = memory.state.lock();
                 state.buffers.remove(&buffer.0);
-                while let Some(TaskStep::Delete { buffer }) = steps.as_slice().first() {
+                let mut ahead = steps.clone();
+                while let Some(Ok(TaskStep::Delete { buffer })) = ahead.next() {
                     state.buffers.remove(&buffer.0);
-                    steps.next();
+                    steps = ahead.clone();
                 }
                 Ok(())
             }
-            TaskStep::Execute { kernel, buffers } => {
+            Ok(TaskStep::Execute { kernel, buffers }) => {
                 kernel_ran = true;
                 if let Some(s) = stamps.as_mut() {
                     let now = monotonic_us();
                     s.deps_us = now;
                     s.exec_start_us = now;
                 }
-                let executed = execute_kernel(memory, kernels, kernel, &buffers);
+                let executed = execute_kernel(memory, kernels, args, kernel, buffers);
                 if let Some(s) = stamps.as_mut() {
                     s.exec_end_us = monotonic_us();
                 }
                 executed
             }
-            TaskStep::Retrieve { buffer } => memory.resident(buffer).map(|data| {
+            Ok(TaskStep::Retrieve { buffer }) => memory.resident(buffer).map(|data| {
                 body = Some(data);
             }),
-            TaskStep::Push { buffer, to, tag } => {
+            Ok(TaskStep::Push { buffer, to, tag }) => {
                 // The reader hears any failure: the error sent, or its claim's.
                 let data = memory.resident(buffer).map(Reply::data);
                 let _ = outbox.reply(to, tag, None, data);
                 Ok(())
             }
-            TaskStep::Discard { tag } => {
+            Ok(TaskStep::Discard { tag }) => {
                 // Whatever was pushed — the bytes or their error — goes. The car that
                 // pushed it has replied, so it is here, if a claim did not take it.
                 let _ = outbox.channel.try_recv(None, Some(tag));
@@ -398,15 +424,14 @@ fn run_task_steps(
 fn abandon_steps(
     outbox: &mut Outbox,
     memory: &DeviceMemory,
-    steps: std::vec::IntoIter<TaskStep>,
+    steps: Steps<'_>,
     car: Tag,
     error: &OmpcError,
 ) {
-    let steps = steps.as_slice();
-    fail_pushes(outbox, steps, car, error);
+    fail_pushes(outbox, steps.clone(), car, error);
     let error = as_remote(outbox.channel.rank(), car, error.clone());
-    for step in steps {
-        match *step {
+    for step in steps.flatten() {
+        match step {
             TaskStep::RecvFromHead { buffer }
             | TaskStep::RecvFromWorker { buffer, .. }
             | TaskStep::Claim { buffer, .. }
@@ -418,32 +443,57 @@ fn abandon_steps(
     }
 }
 
+/// A notification a member accepted: the frame it came in, and what
+/// [`Notice::read`] read of it there. Its steps and cars are read again, in
+/// place, when it runs.
+#[derive(Debug)]
+struct Event {
+    frame: Bytes,
+    notice: Notice,
+}
+
 /// Handle one event on the worker side, always producing exactly one typed
 /// reply (to the head node, or to the exchange receiver for the sending
 /// half). Returns the handler's own outcome so tests and the pool can
 /// observe failures; the same error has already been sent as the reply.
 /// Exposed for unit testing; normal use is through [`worker_main`], whose
-/// event pool accepts the event and runs it.
+/// event pool accepts the event and runs it from the frame it came in.
 pub fn handle_event(
     comm: &Communicator,
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
     notification: EventNotification,
 ) -> OmpcResult<()> {
-    let tag = notification.tag;
+    let frame = Bytes::from(notification.encode());
+    let notice = Notice::read(&frame)?;
+    run_event(comm, memory, kernels, &mut Lane::default(), &Event { frame, notice })
+}
+
+/// Run an accepted event with what `lane` lends it.
+fn run_event(
+    comm: &Communicator,
+    memory: &DeviceMemory,
+    kernels: &KernelRegistry,
+    lane: &mut Lane,
+    event: &Event,
+) -> OmpcResult<()> {
+    let Event { frame, notice } = event;
+    let tag = notice.tag;
     // Handler-entry timestamp, read only when the head asked for a timed
     // reply — an untimed event costs no clock read on the worker.
-    let recv_us = notification.timed.then(monotonic_us);
-    match notification.request {
-        EventRequest::Shutdown | EventRequest::Kill => Ok(()), // the pool's concerns
-        EventRequest::ExchangeSend { buffer, to } => {
+    let recv_us = notice.timed.then(monotonic_us);
+    let mut outbox = Outbox::new(comm, &mut lane.queue);
+    let args = &mut lane.args;
+    match notice.request {
+        Request::Shutdown | Request::Kill => Ok(()), // the pool's concerns
+        Request::ExchangeSend { buffer, to } => {
             // The sending half's "reply" goes to the receiver: the resident
             // handle as the body on success, the error otherwise. The
             // receiver propagates a failure to the head, so the head never
             // hangs on a half-completed exchange.
-            Outbox::new(comm, 1).reply(to, tag, None, memory.resident(buffer).map(Reply::data))
+            outbox.reply(to, tag, None, memory.resident(buffer).map(Reply::data))
         }
-        EventRequest::TaskTrain(cars) => {
+        Request::TaskTrain => {
             // Run the cars strictly in order, each car's payloads and
             // forwards on its own channel and its one reply on the
             // envelope's — the completion channel of the execution that
@@ -454,31 +504,31 @@ pub fn handle_event(
             // The cars' pushes and replies leave together, when the train
             // ends or a car would wait.
             let mut result = Ok(());
-            // A reply per car, and about as many pushes.
-            let mut outbox = Outbox::new(comm, 2 * cars.len());
-            for car in cars {
+            for car in notice.cars(frame)? {
+                let (car, steps) = car?;
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
-                let car_recv_us = notification.timed.then(monotonic_us);
+                let car_recv_us = notice.timed.then(monotonic_us);
                 let ran =
-                    run_task_steps(&mut outbox, memory, kernels, car.spec, car.tag, car_recv_us);
-                result = result.and(outbox.reply(HEAD_RANK, tag, Some(car.tag), ran));
+                    run_task_steps(&mut outbox, memory, kernels, args, steps, car, car_recv_us);
+                result = result.and(outbox.reply(HEAD_RANK, tag, Some(car), ran));
             }
             result
         }
-        EventRequest::Task(spec) => {
-            let mut outbox = Outbox::new(comm, 1);
-            let ran = run_task_steps(&mut outbox, memory, kernels, spec, tag, recv_us);
+        Request::Task => {
+            let ran = notice.steps(frame).and_then(|steps| {
+                run_task_steps(&mut outbox, memory, kernels, args, steps, tag, recv_us)
+            });
             outbox.reply(HEAD_RANK, tag, None, ran)
         }
-        EventRequest::Reset => {
+        Request::Reset => {
             memory.clear();
-            Outbox::new(comm, 1).reply(HEAD_RANK, tag, None, Ok(Reply::default()))
+            outbox.reply(HEAD_RANK, tag, None, Ok(Reply::default()))
         }
     }
 }
 
-/// Whether `request` runs at once on the member that accepted it instead of
+/// Whether `event` runs at once on the member that accepted it instead of
 /// joining the node's lane: only what can never block it and lands no
 /// version — sending, allocating, deleting, retrieving. A `Task` runs at once
 /// unless one of its steps waits on the head, a peer or a kernel, lands a
@@ -486,8 +536,8 @@ pub fn handle_event(
 /// reset run at once too. This is the analogue of the paper's handlers
 /// re-enqueueing events that still have pending I/O, so the lane cannot
 /// deadlock on two opposing forwards.
-fn runs_on_gate(request: &EventRequest) -> bool {
-    let on_lane = |step: &TaskStep| {
+fn runs_on_gate(event: &Event) -> bool {
+    let on_lane = |step: TaskStep<BufferIds<'_>>| {
         matches!(
             step,
             TaskStep::RecvFromHead { .. }
@@ -498,9 +548,11 @@ fn runs_on_gate(request: &EventRequest) -> bool {
                 | TaskStep::Execute { .. }
         )
     };
-    match request {
-        EventRequest::Task(spec) => !spec.steps.iter().any(on_lane),
-        EventRequest::ExchangeSend { .. } | EventRequest::Reset => true,
+    match event.notice.request {
+        Request::Task => {
+            event.notice.steps(&event.frame).is_ok_and(|steps| !steps.flatten().any(on_lane))
+        }
+        Request::ExchangeSend { .. } | Request::Reset => true,
         _ => false,
     }
 }
@@ -510,28 +562,28 @@ fn runs_on_gate(request: &EventRequest) -> bool {
 /// of a task train is refused individually, with the one reply on the
 /// envelope's channel the handler would send for a failed car, after the
 /// failure went down each of its push channels in place of the bytes.
-fn refuse_event(comm: &Communicator, notification: &EventNotification) -> OmpcResult<()> {
+fn refuse_event(comm: &Communicator, event: &Event) -> OmpcResult<()> {
+    let Event { frame, notice } = event;
     let node = comm.rank();
     let dead = OmpcError::NodeFailure(node);
-    let mut outbox = Outbox::new(comm, 0);
-    if let EventRequest::TaskTrain(cars) = &notification.request {
-        for car in cars {
-            fail_pushes(&mut outbox, &car.spec.steps, car.tag, &dead);
-            let _ = outbox.reply(HEAD_RANK, notification.tag, Some(car.tag), Err(dead.clone()));
+    let mut queue = Queue::default();
+    let mut outbox = Outbox::new(comm, &mut queue);
+    if notice.request == Request::TaskTrain {
+        for (car, steps) in notice.cars(frame)?.flatten() {
+            fail_pushes(&mut outbox, steps, car, &dead);
+            let _ = outbox.reply(HEAD_RANK, notice.tag, Some(car), Err(dead.clone()));
         }
         return Ok(());
     }
-    if let EventRequest::Task(spec) = &notification.request {
-        fail_pushes(&mut outbox, &spec.steps, notification.tag, &dead);
-    }
+    fail_pushes(&mut outbox, notice.steps(frame)?, notice.tag, &dead);
     outbox.flush();
-    let error = as_remote(node, notification.tag, dead);
-    let dest = match notification.request {
+    let error = as_remote(node, notice.tag, dead);
+    let dest = match notice.request {
         // The exchange receiver is the peer waiting on the sending half.
-        EventRequest::ExchangeSend { to, .. } => to,
+        Request::ExchangeSend { to, .. } => to,
         _ => HEAD_RANK,
     };
-    comm.send(dest, notification.tag, EventReply::Err(error).encode())?;
+    comm.send(dest, notice.tag, EventReply::Err(error).encode())?;
     Ok(())
 }
 
@@ -544,9 +596,11 @@ struct PoolState {
     /// woke before the members matched earlier did.
     early: BTreeMap<u64, Message>,
     /// Accepted notifications that cannot block, to run at once.
-    ready: VecDeque<EventNotification>,
+    ready: VecDeque<Event>,
     /// The lane: accepted notifications that may block, in match order.
-    blocking: VecDeque<EventNotification>,
+    blocking: VecDeque<Event>,
+    /// What the members running no event leave for the next one to reuse.
+    lanes: Vec<Lane>,
     /// Whether a member runs the lane's job.
     running: bool,
     /// Set by a `Kill`: every notification matched afterwards is refused.
@@ -606,14 +660,17 @@ impl<'a> Pool<'a> {
                 None if !state.running => state.blocking.pop_front().map(|n| (n, true)),
                 None => None,
             };
-            if let Some((notification, lane)) = job {
+            if let Some((event, lane)) = job {
                 state.running |= lane;
+                let mut reused = state.lanes.pop().unwrap_or_default();
                 drop(state);
                 // Errors on individual events must not end the member; the
                 // head receives them as error replies on the event channel.
-                let _ = handle_event(self.comm, self.memory, self.kernels, notification);
+                let _ = run_event(self.comm, self.memory, self.kernels, &mut reused, &event);
+                drop(event);
                 state = self.state.lock();
                 state.running &= !lane;
+                state.lanes.push(reused);
                 continue;
             }
             if state.closed {
@@ -667,22 +724,23 @@ impl<'a> Pool<'a> {
         if state.closed {
             return;
         }
-        let Ok(notification) = EventNotification::decode(&message.data) else { return };
-        match notification.request {
-            EventRequest::Shutdown => return self.close(state),
-            EventRequest::Kill => {
+        let Ok(notice) = Notice::read(&message.data) else { return };
+        match notice.request {
+            Request::Shutdown => return self.close(state),
+            Request::Kill => {
                 state.dead = true;
                 return;
             }
             _ => {}
         }
+        let event = Event { frame: message.data, notice };
         if state.dead {
-            let _ = refuse_event(self.comm, &notification);
+            let _ = refuse_event(self.comm, &event);
             return;
         }
-        match runs_on_gate(&notification.request) {
-            true => state.ready.push_back(notification),
-            false => state.blocking.push_back(notification),
+        match runs_on_gate(&event) {
+            true => state.ready.push_back(event),
+            false => state.blocking.push_back(event),
         }
     }
 
@@ -699,7 +757,7 @@ impl<'a> Pool<'a> {
 ///
 /// Returns when a shutdown event is received (normal termination) or when
 /// the communication substrate reports that the peers are gone. A kill
-/// event ([`EventRequest::Kill`], failure injection) ends the node's
+/// event ([`crate::protocol::EventRequest::Kill`], failure injection) ends the node's
 /// useful life early: events already accepted still complete (and reply),
 /// but every event notified afterwards is refused with an error reply
 /// instead of being executed — peers observe the failure immediately
@@ -731,7 +789,7 @@ fn run_pool(comm: &Communicator, kernels: &KernelRegistry, second: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::KernelId;
+    use crate::protocol::{EventRequest, TaskSpec};
     use ompc_mpi::{CommId, Tag, World};
 
     /// A task of one `Execute` step: how a kernel runs.
@@ -1436,7 +1494,7 @@ mod tests {
         };
         let recv = |from, tag| steps_on(vec![TaskStep::RecvFromWorker { buffer, from }], tag);
 
-        refuse_event(&parent, &send(1, 70)).unwrap();
+        refuse_event(&parent, &accepted(send(1, 70))).unwrap();
         let err = handle_event(&child, &memory, &kernels, recv(2, 70)).unwrap_err();
         assert_eq!((err.origin_node(), err.root_cause()), (Some(2), &OmpcError::NodeFailure(2)));
         let msg = head.recv(Some(1), Some(Tag(70))).unwrap();
@@ -1809,6 +1867,104 @@ mod tests {
         EventNotification { request, tag: Tag(tag), comm: CommId::WORLD, timed: false }
     }
 
+    /// `notification` as a member accepts it: its frame, read in place.
+    fn accepted(notification: EventNotification) -> Event {
+        let frame = Bytes::from(notification.encode());
+        Event { notice: Notice::read(&frame).unwrap(), frame }
+    }
+
+    /// The request `event` holds, its steps read in place from its frame.
+    fn read_back(event: &Event) -> EventRequest {
+        use crate::protocol::TrainCar;
+        let Event { frame, notice } = event;
+        let owned = |steps: Steps<'_>| steps.map(|step| step.unwrap().into_owned()).collect();
+        match notice.request {
+            Request::Task => {
+                EventRequest::Task(TaskSpec { steps: owned(notice.steps(frame).unwrap()) })
+            }
+            Request::TaskTrain => {
+                let cars = notice.cars(frame).unwrap().map(|car| {
+                    let (tag, steps) = car.unwrap();
+                    TrainCar { tag, spec: TaskSpec { steps: owned(steps) } }
+                });
+                EventRequest::TaskTrain(cars.collect())
+            }
+            Request::ExchangeSend { buffer, to } => EventRequest::ExchangeSend { buffer, to },
+            Request::Reset => EventRequest::Reset,
+            Request::Shutdown => EventRequest::Shutdown,
+            Request::Kill => EventRequest::Kill,
+        }
+    }
+
+    /// Accept refuses every frame the owned decoder refuses — nothing is
+    /// queued, so no car runs, nothing lands and nobody hears a reply — and
+    /// queues every frame it decodes with the very steps it decodes, car by
+    /// car, read in place from the frame: 300 seeded tasks and trains of
+    /// every step kind, each cut at every length and with bits flipped, then
+    /// a train cut short inside its second car and an `Execute` whose buffer
+    /// count overruns the frame.
+    #[test]
+    fn accept_refuses_what_the_decoder_refuses_and_reads_in_place_what_it_decodes() {
+        let world = World::new(2);
+        let (head, worker) = (world.communicator(0), world.communicator(1));
+        let (memory, kernels) = (DeviceMemory::new(), KernelRegistry::new());
+        let pool = Pool::new(&worker, &memory, &kernels);
+        let (mut refused, mut queued) = (0, 0);
+        let mut check = |bytes: &[u8]| {
+            let mut state = pool.state.lock();
+            let (index, len) = (state.next, bytes.len());
+            let status = ompc_mpi::Status { source: 0, tag: CONTROL_TAG, len };
+            let message = Message { status, data: Bytes::from(bytes.to_vec()), body: None };
+            pool.arrive(&mut state, index, message);
+            let event = state.ready.pop_front().or_else(|| state.blocking.pop_front());
+            assert!(state.ready.is_empty() && state.blocking.is_empty());
+            // A flipped bit may make a shutdown or a kill: the next frame is
+            // accepted all the same.
+            (state.closed, state.dead) = (false, false);
+            match (EventNotification::decode(bytes), event) {
+                (Err(_), None) => refused += 1,
+                (Ok(n), None) => {
+                    assert!(matches!(n.request, EventRequest::Shutdown | EventRequest::Kill))
+                }
+                (Ok(n), Some(event)) => {
+                    assert_eq!((event.notice.tag, event.notice.timed), (n.tag, n.timed));
+                    assert_eq!(read_back(&event), n.request, "read in place as decoded");
+                    queued += 1;
+                }
+                (Err(error), Some(_)) => panic!("accepted a frame the decoder refuses: {error}"),
+            }
+        };
+        for seed in 0..300 {
+            let rng = &mut ompc_testutil::Rng::new(seed);
+            let bytes = crate::protocol::tests::arb_task_or_train(rng).encode();
+            for end in 0..=bytes.len() {
+                check(&bytes[..end]);
+            }
+            for _ in 0..4 {
+                let mut flipped = bytes.clone();
+                flipped[rng.range_usize(0, bytes.len())] ^= 1 << rng.range(0, 8);
+                check(&flipped);
+            }
+        }
+        let (b, execute) = (BufferId(6), |n| TaskStep::Execute { kernel: KernelId(1), buffers: n });
+        let two = train_of(
+            4,
+            vec![(5, vec![TaskStep::Delete { buffer: b }]), (6, vec![execute(vec![b, b])])],
+        );
+        let bytes = two.encode();
+        let second = 14 + 4 + 12 + 9;
+        for end in second..bytes.len() {
+            check(&bytes[..end]);
+        }
+        let mut bytes = steps_on(vec![execute(vec![b, b])], 7).encode();
+        bytes[27..31].copy_from_slice(&u32::to_le_bytes(3));
+        check(&bytes);
+        assert!(EventNotification::decode(&bytes).is_err(), "the count overruns the frame");
+        assert!(refused > 10_000 && queued > 1_000, "{refused} refused, {queued} queued");
+        assert!(memory.is_empty(), "nothing landed");
+        assert_eq!(head.mailbox_stats().delivered, 0, "nobody was answered");
+    }
+
     /// A `Kill` is one hand-over in match order: two trains and the kill
     /// between them are taken by three members, which wake in the reverse
     /// order. The train matched first runs; every car matched after the
@@ -1834,7 +1990,7 @@ mod tests {
                     pool.arrive(&mut state, index, message);
                 }
                 assert_eq!(state.next, 3);
-                let queued: Vec<u64> = state.blocking.iter().map(|n| n.tag.0).collect();
+                let queued: Vec<u64> = state.blocking.iter().map(|n| n.notice.tag.0).collect();
                 assert_eq!(queued, vec![70], "only the train matched before the kill is accepted");
             }
             std::thread::scope(|scope| {
@@ -1889,7 +2045,7 @@ mod tests {
                 for (message, index) in taken.into_iter().rev() {
                     pool.arrive(&mut state, index, message);
                 }
-                let queued: Vec<u64> = state.blocking.iter().map(|n| n.tag.0).collect();
+                let queued: Vec<u64> = state.blocking.iter().map(|n| n.notice.tag.0).collect();
                 assert_eq!(queued, vec![20, 30], "the lane holds the trains in match order");
             }
             std::thread::scope(|scope| {

@@ -121,6 +121,20 @@ impl Bytes {
         // Unique by now, so this hands the vector out without cloning it.
         Arc::make_mut(&mut self.buf)
     }
+
+    /// The vector of this handle, emptied for new contents, when it views
+    /// all of its allocation and nobody else holds any of it; `None` while
+    /// someone does. A writer that sends slices of a frame writes the next
+    /// frame into the same allocation once every receiver has let go, and
+    /// so allocates nothing.
+    pub fn reclaim(&mut self) -> Option<&mut Vec<u8>> {
+        if self.window.is_some() {
+            return None;
+        }
+        let data = Arc::get_mut(&mut self.buf)?;
+        data.clear();
+        Some(data)
+    }
 }
 
 impl From<Vec<u8>> for Bytes {
@@ -153,6 +167,12 @@ impl PartialEq for Bytes {
 }
 
 impl Eq for Bytes {}
+
+impl PartialEq<Vec<u8>> for Bytes {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self[..] == other[..]
+    }
+}
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -220,6 +240,28 @@ mod tests {
         // the vector handed out must be exactly the viewed bytes.
         let mut part = Bytes::from(vec![0u8, 1, 2, 3]).slice(1..3);
         assert_eq!(part.make_mut(), &vec![1u8, 2]);
+    }
+
+    /// A frame is written again in its own allocation only once nobody
+    /// holds any of it: a slice still held, or a second handle, keeps it.
+    #[test]
+    fn a_frame_is_reclaimed_only_when_nobody_else_holds_it() {
+        let mut frame = Bytes::from(Vec::new());
+        frame.reclaim().expect("a new frame is nobody else's").extend_from_slice(&[1, 2, 3, 4]);
+        let at = frame.as_ptr();
+        let header = frame.slice(1..3);
+        assert!(frame.reclaim().is_none(), "a slice is still held");
+        assert_eq!(header, vec![2u8, 3]);
+        drop(header);
+        let copy = frame.clone();
+        assert!(frame.reclaim().is_none(), "another handle is still held");
+        drop(copy);
+        assert!(frame.clone().slice(0..2).reclaim().is_none(), "a slice never reclaims");
+        let data = frame.reclaim().expect("nobody else holds the frame");
+        assert!(data.is_empty() && data.capacity() >= 4, "emptied, its allocation kept");
+        data.push(9);
+        assert_eq!((frame.as_ptr(), &frame[..]), (at, &[9u8][..]));
+        assert!(Bytes::zeroed(8).reclaim().is_none(), "the zero block is nobody's to write");
     }
 
     /// Every assertion on the zero block lives in this one test: the block

@@ -48,9 +48,10 @@ impl Communicator {
 
     /// Buffered (eager) send: the payload is moved into the destination
     /// mailbox and the call returns immediately, like `MPI_Send` with an
-    /// eager protocol.
-    pub fn send(&self, dest: Rank, tag: Tag, data: Vec<u8>) -> MpiResult<()> {
-        self.send_parts(dest, tag, data, None)
+    /// eager protocol. A `Vec<u8>` becomes the message's [`Bytes`] header
+    /// without a copy.
+    pub fn send(&self, dest: Rank, tag: Tag, data: impl Into<Bytes>) -> MpiResult<()> {
+        self.send_parts(dest, tag, data.into(), None)
     }
 
     /// [`Communicator::send`] a two-part message: a small `header` plus a
@@ -61,10 +62,10 @@ impl Communicator {
         &self,
         dest: Rank,
         tag: Tag,
-        header: Vec<u8>,
+        header: impl Into<Bytes>,
         body: Bytes,
     ) -> MpiResult<()> {
-        self.send_parts(dest, tag, header, Some(body))
+        self.send_parts(dest, tag, header.into(), Some(body))
     }
 
     /// Send `messages` — each a destination, a tag, a header and an optional
@@ -73,10 +74,11 @@ impl Communicator {
     /// completes is woken, so a receiver woken by one finds the others there
     /// already instead of preempting the sender between two sends. Stops at
     /// the first bad rank; what was delivered before it is woken all the
-    /// same.
+    /// same. The headers may be slices of one frame the sender wrote them
+    /// all into: each is delivered as the handle given, no byte copied.
     pub fn send_all(
         &self,
-        messages: impl IntoIterator<Item = (Rank, Tag, Vec<u8>, Option<Bytes>)>,
+        messages: impl IntoIterator<Item = (Rank, Tag, Bytes, Option<Bytes>)>,
     ) -> MpiResult<()> {
         // Most batches wake one receiver, the head: it needs no list.
         let (mut first, mut wakes) = (None, Vec::new());
@@ -105,7 +107,7 @@ impl Communicator {
         &self,
         dest: Rank,
         tag: Tag,
-        payload: Vec<u8>,
+        payload: Bytes,
         body: Option<Bytes>,
     ) -> MpiResult<()> {
         let (mailbox, envelope) = self.envelope(dest, tag, payload, body)?;
@@ -118,7 +120,7 @@ impl Communicator {
         &self,
         dest: Rank,
         tag: Tag,
-        payload: Vec<u8>,
+        payload: Bytes,
         body: Option<Bytes>,
     ) -> MpiResult<(&Arc<Mailbox>, MessageEnvelope)> {
         let mailbox = self.mailbox_of(dest)?;
@@ -237,9 +239,9 @@ mod tests {
                 std::thread::yield_now();
             }
             let batch = [
-                (1, Tag(1), vec![1], None),
-                (1, Tag(2), vec![2], Some(body.clone())),
-                (2, Tag(3), vec![3], None),
+                (1, Tag(1), vec![1].into(), None),
+                (1, Tag(2), vec![2].into(), Some(body.clone())),
+                (2, Tag(3), vec![3].into(), None),
             ];
             c0.send_all(batch).unwrap();
             let (first, second) = waiter.join().unwrap();
@@ -249,7 +251,7 @@ mod tests {
         });
         assert_eq!(w.communicator(2).try_recv(Some(0), Some(Tag(3))).unwrap().data, vec![3]);
         let bad =
-            [(1, Tag(4), vec![4], None), (9, Tag(5), vec![], None), (1, Tag(6), vec![], None)];
+            [4, 5, 6].map(|n| (if n == 5 { 9 } else { 1 }, Tag(n), vec![n as u8].into(), None));
         assert_eq!(c0.send_all(bad), Err(MpiError::InvalidRank { rank: 9, world_size: 3 }));
         assert!(c1.try_recv(Some(0), Some(Tag(4))).is_some());
         assert!(c1.try_recv(Some(0), Some(Tag(6))).is_none(), "nothing after the bad rank");

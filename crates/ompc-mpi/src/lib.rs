@@ -38,7 +38,7 @@
 //!             comm.send(1, Tag(7), b"hello".to_vec()).unwrap();
 //!         } else {
 //!             let msg = comm.recv(Some(0), Some(Tag(7))).unwrap();
-//!             assert_eq!(msg.data, b"hello");
+//!             assert_eq!(&msg.data[..], b"hello");
 //!         }
 //!     })
 //!     .collect();
@@ -77,7 +77,7 @@ mod tests {
                     comm.send(1, Tag(7), b"hello".to_vec()).unwrap();
                 } else {
                     let msg = comm.recv(Some(0), Some(Tag(7))).unwrap();
-                    assert_eq!(msg.data, b"hello");
+                    assert_eq!(&msg.data[..], b"hello");
                 }
             })
             .collect();

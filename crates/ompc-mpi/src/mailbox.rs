@@ -598,7 +598,7 @@ mod tests {
     use std::thread;
 
     fn env(source: Rank, tag: u64, seq: u64, payload: Vec<u8>) -> MessageEnvelope {
-        MessageEnvelope { source, dest: 0, tag: Tag(tag), seq, payload, body: None }
+        MessageEnvelope { source, dest: 0, tag: Tag(tag), seq, payload: payload.into(), body: None }
     }
 
     #[test]
@@ -705,7 +705,7 @@ mod tests {
         let a = thread::spawn(move || {
             for i in 0..MESSAGES {
                 let m = mb2.recv(Some(1), Some(Tag(10))).unwrap();
-                assert_eq!(m.data, i.to_le_bytes());
+                assert_eq!(m.data[..], i.to_le_bytes());
             }
         });
         until_posted(&mb, 3);
@@ -824,9 +824,9 @@ mod tests {
         receive.restart();
         assert_eq!(mb.stats().posted, 1, "restarting a posted receive posts nothing more");
         mb.deliver(env(1, 1, 0, vec![0]));
-        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![0], 0)));
+        assert_eq!(receive.wait().map(|(m, i)| (m.data.to_vec(), i)), Ok((vec![0], 0)));
         let never = Err(MpiError::Timeout { source: Some(1), tag: Some(Tag(1)) });
-        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), never, "waited on already");
+        assert_eq!(receive.wait().map(|(m, i)| (m.data.to_vec(), i)), never, "waited on already");
         // Posted again, it overtakes a plain receive and takes the next
         // index, in the record it had.
         let plain = recv_in_thread(&mb, 1);
@@ -835,12 +835,12 @@ mod tests {
         assert_eq!(Arc::as_ptr(&receive.waiter), record, "no new record");
         mb.deliver(env(1, 1, 1, vec![1]));
         mb.deliver(env(1, 1, 2, vec![2]));
-        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![1], 1)));
+        assert_eq!(receive.wait().map(|(m, i)| (m.data.to_vec(), i)), Ok((vec![1], 1)));
         assert_eq!(plain.join().unwrap().unwrap().data, vec![2]);
         // A message already queued is taken at the restart.
         mb.deliver(env(1, 1, 3, vec![3]));
         receive.restart();
-        assert_eq!(receive.wait().map(|(m, i)| (m.data, i)), Ok((vec![3], 2)));
+        assert_eq!(receive.wait().map(|(m, i)| (m.data.to_vec(), i)), Ok((vec![3], 2)));
         let stats = mb.stats();
         assert_eq!((stats.posted, stats.queued, stats.empty_wakeups), (0, 0, 0));
     }
@@ -858,7 +858,10 @@ mod tests {
         for i in 0..8u8 {
             let late = mb.match_envelope(env(1, 4, u64::from(i), vec![i]));
             assert!(late.receive.as_ref().is_some_and(|held| Arc::as_ptr(held) == record));
-            assert_eq!(receive.wait().map(|(m, at)| (m.data, at)), Ok((vec![i], u64::from(i))));
+            assert_eq!(
+                receive.wait().map(|(m, at)| (m.data.to_vec(), at)),
+                Ok((vec![i], u64::from(i)))
+            );
             receive.restart();
             assert_eq!(Arc::as_ptr(&receive.waiter), record, "posting again allocated a record");
             late.wake();
@@ -877,9 +880,9 @@ mod tests {
         let group = RecvGroup::new();
         let mut receive = mb.post_grouped(Some(1), Some(Tag(4)), &group);
         let late = mb.match_envelope(env(1, 4, 0, vec![0]));
-        assert_eq!(receive.wait().map(|(m, at)| (m.data, at)), Ok((vec![0], 0)));
+        assert_eq!(receive.wait().map(|(m, at)| (m.data.to_vec(), at)), Ok((vec![0], 0)));
         receive.restart();
-        let member = thread::spawn(move || receive.wait().map(|(m, at)| (m.data, at)));
+        let member = thread::spawn(move || receive.wait().map(|(m, at)| (m.data.to_vec(), at)));
         // The pauses only give the member the time to park, and a member
         // woken empty-handed the time to count it; nothing depends on them.
         thread::sleep(Duration::from_millis(20));
@@ -968,12 +971,15 @@ mod tests {
                 assert_eq!(m.join().unwrap(), (Vec::new(), expected.clone()));
             }
             let later = mb.post_grouped(None, None, &group).wait();
-            assert_eq!(later.map(|(m, _)| m.data), Err(expected));
+            assert_eq!(later.map(|(m, _)| m.data.to_vec()), Err(expected));
             if !shutdown {
                 assert_eq!(mb.stats().posted, 1, "the plain receive stays posted");
                 mb.deliver(env(1, 1, 0, vec![7]));
             }
-            assert_eq!(plain.join().unwrap().map(|m| m.data).ok(), (!shutdown).then(|| vec![7]));
+            assert_eq!(
+                plain.join().unwrap().map(|m| m.data.to_vec()).ok(),
+                (!shutdown).then(|| vec![7])
+            );
             let stats = mb.stats();
             assert_eq!((stats.posted, stats.empty_wakeups), (0, 0), "shutdown: {shutdown}");
         }

@@ -1,11 +1,12 @@
 //! Message envelope and the matching rules used by the mailboxes.
 //!
-//! A message has two parts: a small owned header (`data`) and at most one
-//! shared [`Bytes`] body. Control traffic is header only; bulk payloads
-//! travel as the body, so a sender never assembles a frame around them and a
-//! receiver never takes one apart — the body handle that was sent is the
-//! body handle that is received. Lengths ([`Status::len`], link pacing) count
-//! both parts.
+//! A message has two parts: a small header (`data`) and at most one shared
+//! [`Bytes`] body. Control traffic is header only; bulk payloads travel as
+//! the body, so a sender never assembles a frame around them and a receiver
+//! never takes one apart — the body handle that was sent is the body handle
+//! that is received. The header is a [`Bytes`] too, so several messages can
+//! carry slices of one frame their sender wrote all their headers into.
+//! Lengths ([`Status::len`], link pacing) count both parts.
 
 use crate::bytes::Bytes;
 use crate::types::{Rank, Status, Tag};
@@ -18,7 +19,7 @@ pub struct Message {
     pub status: Status,
     /// The header bytes — the whole message for anything sent with
     /// [`crate::Communicator::send`].
-    pub data: Vec<u8>,
+    pub data: Bytes,
     /// The shared body, when the message was sent with
     /// [`crate::Communicator::send_with_body`].
     pub body: Option<Bytes>,
@@ -60,7 +61,7 @@ pub struct MessageEnvelope {
     /// the MPI non-overtaking guarantee when wildcard receives are posted.
     pub seq: u64,
     /// Header bytes.
-    pub payload: Vec<u8>,
+    pub payload: Bytes,
     /// Shared body, if any.
     pub body: Option<Bytes>,
 }
@@ -104,7 +105,7 @@ mod tests {
             dest: 0,
             tag: Tag(tag),
             seq: 0,
-            payload: vec![1, 2, 3],
+            payload: vec![1, 2, 3].into(),
             body: None,
         }
     }

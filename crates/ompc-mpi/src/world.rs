@@ -256,7 +256,7 @@ mod tests {
             w.communicator((r + 1) % 3).send(r, Tag(1), vec![r as u8]).unwrap();
         }
         for (r, h) in ranks.into_iter().enumerate() {
-            assert_eq!(h.join().unwrap(), Ok(vec![r as u8]));
+            assert_eq!(h.join().unwrap().map(|data| data.to_vec()), Ok(vec![r as u8]));
             assert_eq!((stats(r).woken, stats(r).empty_wakeups), (1, 0), "rank {r}");
         }
     }

@@ -5,11 +5,47 @@
 ///
 /// The task graphs of both layers keep their adjacency this way: the
 /// scheduler's [`crate::TaskGraph`], and in `ompc-core` the region graph and
-/// the dispatch core's view of whichever graph it runs.
+/// the dispatch core's view of whichever graph it runs. A table is grouped
+/// at once from its entries ([`Csr::group`]), or built list after list as
+/// tasks arrive ([`Csr::push`], [`Csr::end_list`]).
 #[derive(Debug, Clone)]
 pub struct Csr<T> {
     start: Vec<usize>,
     items: Vec<T>,
+}
+
+impl<T> Default for Csr<T> {
+    /// No lists.
+    fn default() -> Self {
+        Self { start: Vec::new(), items: Vec::new() }
+    }
+}
+
+impl<T> Csr<T> {
+    /// Append `item` to the list being built: the next task's.
+    pub fn push(&mut self, item: T) {
+        self.items.push(item);
+    }
+
+    /// Close the list being built: what was pushed since the last list was
+    /// closed is the next task's list.
+    pub fn end_list(&mut self) {
+        if self.start.is_empty() {
+            self.start.push(0);
+        }
+        self.start.push(self.items.len());
+    }
+
+    /// Where task `task`'s list sits in the flat table: a table of the same
+    /// length laid out alongside this one holds the task's entries there.
+    pub fn span(&self, task: usize) -> std::ops::Range<usize> {
+        self.start[task]..self.start[task + 1]
+    }
+
+    /// The items pushed since the last list was closed.
+    pub fn open_list(&self) -> &[T] {
+        &self.items[self.start.last().copied().unwrap_or(0)..]
+    }
 }
 
 impl<T: Copy> Csr<T> {
@@ -42,13 +78,7 @@ impl<T: Copy> Csr<T> {
 
     /// Task `task`'s list.
     pub fn get(&self, task: usize) -> &[T] {
-        &self.items[self.start[task]..self.start[task + 1]]
-    }
-
-    /// Where task `task`'s list sits in the flat table: a table of the same
-    /// length laid out alongside this one holds the task's entries there.
-    pub(crate) fn span(&self, task: usize) -> std::ops::Range<usize> {
-        self.start[task]..self.start[task + 1]
+        &self.items[self.span(task)]
     }
 
     /// Every list, task after task.
@@ -70,5 +100,26 @@ mod tests {
         assert_eq!(lists.span(2), 2..4);
         let none = Csr::<char>::group(3, std::iter::empty());
         assert!((0..3).all(|task| none.get(task).is_empty()));
+    }
+
+    #[test]
+    fn lists_built_one_after_another_read_as_the_grouped_ones() {
+        let entries = [(0, 'b'), (0, 'd'), (2, 'a'), (2, 'c'), (3, 'e')];
+        let mut built = Csr::default();
+        for task in 0..4 {
+            entries.iter().filter(|&&(t, _)| t == task).for_each(|&(_, item)| built.push(item));
+            if task == 3 {
+                assert_eq!(built.open_list(), &['e']);
+            }
+            built.end_list();
+        }
+        assert!(built.open_list().is_empty());
+        let grouped = Csr::group(4, entries.iter().copied());
+        for task in 0..4 {
+            assert_eq!(
+                (built.get(task), built.span(task)),
+                (grouped.get(task), grouped.span(task))
+            );
+        }
     }
 }

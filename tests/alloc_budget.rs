@@ -1,6 +1,8 @@
-//! The dispatch path's allocation budget: how many times the allocator is
-//! called per task while the 2 048-task dispatch graph (Stencil-1D, 8 points
-//! × 256 steps, 16-byte outputs) runs under its HEFT plan on two workers.
+//! The allocation budget of a task's round trip: how many times the
+//! allocator is called per task while two Task Bench graphs run under their
+//! HEFT plans on two workers — the 2 048-task dispatch graph (Stencil-1D,
+//! 8 points × 256 steps, 16-byte outputs) and the data graph (Stencil-1D,
+//! 4 points × 16 steps, 1 MiB outputs).
 //!
 //! This binary installs its own counting global allocator, which counts
 //! every `alloc`, `alloc_zeroed` and `realloc` call both per thread and
@@ -19,22 +21,33 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Allocator calls on the head per task, at most: lowering a car writes it
-/// straight into its train's frame, so what is left is the workload's
-/// dependence list, each buffer's copy list, a train's frame and the
-/// completion waits.
-const HEAD_BUDGET: f64 = 3.0;
-/// Allocator calls on the workers per task (the process less the head), at
-/// most: each car's steps and its `Execute` buffer list decode into fresh
-/// lists, each reply and push header is a vector of its own, and so is each
-/// train's outbox. With one lane per worker: 5.10–5.47 in 50 idle release
-/// runs on a 2-vCPU host (5.11–5.36 in 30 release runs beside a busy loop,
-/// 5.16–5.26 in 35 debug runs), plus 0.3.
-const WORKER_BUDGET: f64 = 5.77;
-/// Allocator calls of the whole process per task, at most: 7.46–8.01 in the
-/// same 50 idle release runs (7.47–7.84 beside a busy loop, 7.53–7.70 in
-/// debug), plus 0.3.
-const PROCESS_BUDGET: f64 = 8.31;
+/// Allocator calls on the head per task of the dispatch graph, at most:
+/// lowering a car writes it straight into its train's frame, a frame the
+/// node has let go of; a task's dependences go into the region graph's flat
+/// table; a buffer's copy list is one a removed buffer left. What is left is
+/// the completion waits, the region's own tables and the release of the
+/// run's buffers. 0.14–0.25 in 40 idle release runs on a 2-vCPU host
+/// (0.14–0.29 in 20 release runs beside a busy loop, 0.14–0.15 in 10 debug
+/// runs), plus 0.3.
+const HEAD_BUDGET: f64 = 0.59;
+/// Allocator calls on the workers per task of the dispatch graph (the
+/// process less the head), at most: each car's steps are read in place from
+/// the train's frame, its kernel's arguments are lent in the lane's slots,
+/// and a delivery's headers go out as slices of one frame the lane writes
+/// again once its receivers let go. What is left is the waits. 0.11–0.16
+/// in the same 40 idle release runs (0.08–0.17 beside a busy loop,
+/// 0.08–0.10 in debug), plus 0.3.
+const WORKER_BUDGET: f64 = 0.47;
+/// Allocator calls of the whole process per task of the dispatch graph, at
+/// most: 0.26–0.41 in the same 40 idle release runs (0.22–0.45 beside a
+/// busy loop, 0.22–0.25 in debug), plus 0.3.
+const PROCESS_BUDGET: f64 = 0.75;
+/// Allocator calls of the whole process per task of the data graph, at
+/// most: a region of 64 tasks regrows its per-region tables from empty, so
+/// the head pays ≈ 2.9 calls a task here. 3.06–3.31 in the same 40 idle
+/// release runs (2.94–3.33 beside a busy loop, 3.07–3.17 in debug), plus
+/// 0.3.
+const DATA_PROCESS_BUDGET: f64 = 3.63;
 
 static PROCESS: AtomicU64 = AtomicU64::new(0);
 
@@ -87,16 +100,17 @@ fn calls() -> (u64, u64) {
     (THREAD.with(Cell::get), PROCESS.load(Ordering::Relaxed))
 }
 
-/// The dispatch graph with cost hints of 10 µs ± 10 %, so HEFT uses both
+/// A Task Bench Stencil-1D graph of `width` × `steps` tasks with outputs of
+/// `bytes`, its cost hints `nominal` seconds ± 10 %, so HEFT uses both
 /// workers.
-fn dispatch_graph() -> WorkloadGraph {
-    let base =
-        generate_workload(&TaskBenchConfig::new(DependencePattern::Stencil1D, 8, 256, 0, 16));
+fn stencil(width: usize, steps: usize, bytes: u64, nominal: f64) -> WorkloadGraph {
+    let config = TaskBenchConfig::new(DependencePattern::Stencil1D, width, steps, 0, bytes);
+    let base = generate_workload(&config);
     let mut rng = ompc_testutil::Rng::new(7001);
     let mut graph = TaskGraph::new();
     for task in base.graph.tasks() {
         graph.add_task_full(
-            1e-5 * (0.9 + 0.2 * rng.range(0, 1000) as f64 / 1000.0),
+            nominal * (0.9 + 0.2 * rng.range(0, 1000) as f64 / 1000.0),
             None,
             task.label.clone(),
         );
@@ -107,16 +121,16 @@ fn dispatch_graph() -> WorkloadGraph {
     WorkloadGraph::new(graph, base.output_bytes)
 }
 
-#[test]
-fn the_dispatch_path_stays_inside_its_allocation_budget() {
+/// `(head, workers, process)` allocator calls per task of `workload`, over
+/// five runs on one device after two to warm it up.
+fn calls_per_task(workload: &WorkloadGraph) -> (f64, f64, f64) {
     const WARM_UP: usize = 2;
     const RUNS: usize = 5;
-    let workload = dispatch_graph();
     let config = OmpcConfig::small();
     let mut device = ClusterDevice::with_config(2, config.clone());
     let run = || {
-        let plan = RuntimePlan::for_workload(&workload, &Platform::cluster(2), &config);
-        let record = device.run_workload(&workload, &plan).unwrap();
+        let plan = RuntimePlan::for_workload(workload, &Platform::cluster(2), &config);
+        let record = device.run_workload(workload, &plan).unwrap();
         assert_eq!(record.completion_order.len(), workload.len());
     };
     for _ in 0..WARM_UP {
@@ -131,11 +145,27 @@ fn the_dispatch_path_stays_inside_its_allocation_budget() {
     let tasks = (RUNS * workload.len()) as f64;
     let head = (head_after - head_before) as f64 / tasks;
     let process = (process_after - process_before) as f64 / tasks;
-    let workers = process - head;
+    (head, process - head, process)
+}
+
+#[test]
+fn the_dispatch_path_stays_inside_its_allocation_budget() {
+    let (head, workers, process) = calls_per_task(&stencil(8, 256, 16, 1e-5));
     println!(
-        "allocator calls per task: head {head:.2}, workers {workers:.2}, process-wide {process:.2}"
+        "dispatch graph, allocator calls per task: head {head:.2}, workers {workers:.2}, \
+         process-wide {process:.2}"
     );
     assert!(head <= HEAD_BUDGET, "the head makes {head:.2} allocator calls per task");
     assert!(workers <= WORKER_BUDGET, "the workers make {workers:.2} allocator calls per task");
     assert!(process <= PROCESS_BUDGET, "the process makes {process:.2} allocator calls per task");
+
+    let (head, workers, process) = calls_per_task(&stencil(4, 16, 1 << 20, 1e-3));
+    println!(
+        "data graph, allocator calls per task: head {head:.2}, workers {workers:.2}, \
+         process-wide {process:.2}"
+    );
+    assert!(
+        process <= DATA_PROCESS_BUDGET,
+        "the process makes {process:.2} allocator calls per task of the data graph"
+    );
 }

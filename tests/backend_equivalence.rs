@@ -7,6 +7,7 @@
 //! watchdog so a protocol hang fails fast.
 
 use ompc::prelude::*;
+use ompc::runtime::task::EdgeKind;
 use ompc::sched::{Platform, TaskGraph};
 use ompc::sim::ClusterConfig;
 use ompc_testutil::{with_timeout, Rng};
@@ -388,4 +389,144 @@ fn a_shared_input_is_a_head_star_and_reruns_plan_it_identically() {
             }
         }
     });
+}
+
+/// What a region graph must say of `deps`, its tasks' `depend` clauses in
+/// program order, by the OpenMP rules read naively, task after task: each
+/// task's predecessors, each with whether flow dependences alone order the
+/// pair, and each writer's `(buffer, reader)` for every read of a version it
+/// wrote.
+#[allow(clippy::type_complexity)]
+fn naive_dependences(
+    deps: &[Vec<Dependence>],
+) -> (Vec<Vec<(TaskId, bool)>>, Vec<Vec<(BufferId, TaskId)>>) {
+    let writes =
+        |t: usize, b: BufferId| deps[t].iter().any(|d| d.buffer == b && d.dep_type.writes());
+    let reads_only = |t: usize, b: BufferId| {
+        deps[t].iter().any(|d| d.buffer == b && d.dep_type.reads() && !d.dep_type.writes())
+    };
+    let mut preds: Vec<Vec<(TaskId, bool)>> = vec![Vec::new(); deps.len()];
+    let mut readers: Vec<Vec<(BufferId, TaskId)>> = vec![Vec::new(); deps.len()];
+    for (t, clauses) in deps.iter().enumerate() {
+        let mut edges = Vec::new();
+        for d in clauses {
+            let writer = (0..t).rev().find(|&w| writes(w, d.buffer));
+            if let (true, Some(w)) = (d.dep_type.reads(), writer) {
+                edges.push((w, true));
+                readers[w].push((d.buffer, TaskId(t)));
+            }
+            if d.dep_type.writes() {
+                let since = writer.map_or(0, |w| w + 1);
+                edges.extend((since..t).filter(|&r| reads_only(r, d.buffer)).map(|r| (r, false)));
+                if let (false, Some(w)) = (d.dep_type.reads(), writer) {
+                    edges.push((w, false));
+                }
+            }
+        }
+        edges.sort_unstable();
+        for (from, flow) in edges {
+            match preds[t].last_mut() {
+                Some((last, only)) if last.0 == from => *only &= flow,
+                _ => preds[t].push((TaskId(from), flow)),
+            }
+        }
+    }
+    (preds, readers)
+}
+
+/// `region` says of its tasks what `deps` say by [`naive_dependences`]: the
+/// same `depend` clauses task by task, the same predecessors, one edge per
+/// pair — a flow edge exactly when a flow dependence orders the pair, the
+/// only kind when flow dependences alone do — and the same readers of each
+/// version.
+fn assert_region_says(region: &RegionGraph, deps: &[Vec<Dependence>], what: &str) {
+    let (preds, readers) = naive_dependences(deps);
+    assert_eq!(region.len(), deps.len(), "{what}");
+    let mut kinds: Vec<Vec<(TaskId, bool, bool)>> = vec![Vec::new(); deps.len()];
+    for edge in region.edges() {
+        kinds[edge.to.0].push((edge.from, edge.kind == EdgeKind::Flow, false));
+    }
+    for t in 0..deps.len() {
+        let id = TaskId(t);
+        assert_eq!(region.dependences(id), &deps[t][..], "{what}: task {t}'s clauses");
+        let want: Vec<TaskId> = preds[t].iter().map(|&(p, _)| p).collect();
+        let mut got = region.predecessors(id).to_vec();
+        got.sort_unstable();
+        assert_eq!(got, want, "{what}: task {t}'s predecessors");
+        let mut edges = kinds[t].clone();
+        edges.sort_unstable_by_key(|&(from, ..)| from);
+        assert_eq!(edges.len(), want.len(), "{what}: one edge per pair into task {t}");
+        for ((from, flow, _), &(_, only)) in edges.iter().zip(&preds[t]) {
+            let any_flow = deps[t].iter().any(|d| {
+                d.dep_type.reads()
+                    && (0..t).rev().find(|&w| {
+                        deps[w].iter().any(|c| c.buffer == d.buffer && c.dep_type.writes())
+                    }) == Some(from.0)
+            });
+            assert_eq!(*flow, any_flow, "{what}: kind of {from:?} -> {t}");
+            assert!(!only || *flow, "{what}: {from:?} -> {t} is flow only");
+        }
+        let mut got = region.readers_of(id).to_vec();
+        got.sort_unstable();
+        let mut want = readers[t].clone();
+        want.sort_unstable();
+        assert_eq!(got, want, "{what}: readers of task {t}'s versions");
+    }
+}
+
+/// Every region this suite runs, built through the region graph's flat
+/// tables — each workload as `run_workload` materializes it, and the shared
+/// input region through `TargetRegion` — says what its dependences say: the
+/// flat tables neither lose a clause nor carry one over to the next task.
+#[test]
+fn every_region_of_this_suite_has_the_edges_and_readers_its_dependences_say() {
+    let seeds = (0..10u64).chain(1000..1006).chain(2000..2006);
+    for seed in seeds {
+        let workload = random_workload(&mut Rng::new(seed));
+        let outputs: Vec<BufferId> =
+            (0..workload.len() as u64).map(|t| BufferId(100 + t)).collect();
+        let region = workload.region(KernelId(0), &outputs);
+        let deps: Vec<Vec<Dependence>> = (0..workload.len())
+            .map(|t| {
+                let inputs =
+                    workload.graph.predecessors(t).iter().map(|&p| Dependence::input(outputs[p]));
+                std::iter::once(Dependence::output(outputs[t])).chain(inputs).collect()
+            })
+            .collect();
+        assert_region_says(&region, &deps, &format!("seed {seed}"));
+        // The flow edges are the workload's own.
+        let mut flows: Vec<(usize, usize)> = (region.edges().iter())
+            .filter(|e| e.kind == EdgeKind::Flow)
+            .map(|e| (e.from.0, e.to.0))
+            .collect();
+        let mut edges: Vec<(usize, usize)> =
+            workload.graph.edges().iter().map(|e| (e.from, e.to)).collect();
+        flows.sort_unstable();
+        edges.sort_unstable();
+        assert_eq!(flows, edges, "seed {seed}: flow edges");
+    }
+
+    let mut device = ClusterDevice::spawn(2);
+    let scale = device.register_kernel_fn("scale", 1e-2, |_| {});
+    let mut region = device.target_region();
+    let shared = region.map_to_f64s(&[1.0; 16]);
+    let mut passed = Vec::new();
+    for i in 0..4 {
+        let factor = region.map_to_f64s(&[(i + 1) as f64]);
+        let out = region.map_alloc(8);
+        let deps =
+            vec![Dependence::input(shared), Dependence::input(factor), Dependence::output(out)];
+        passed.push(deps.clone());
+        region.target(scale, deps);
+        region.map_from(out);
+    }
+    let graph = region.graph();
+    let deps: Vec<Vec<Dependence>> =
+        (0..graph.len()).map(|t| graph.dependences(TaskId(t)).to_vec()).collect();
+    let targets = graph.tasks().iter().filter(|task| task.kind.is_target());
+    let held: Vec<Vec<Dependence>> = targets.map(|task| deps[task.id.0].clone()).collect();
+    assert_eq!(held, passed, "each target's clauses, as passed");
+    assert_region_says(graph, &deps, "shared input region");
+    drop(region);
+    device.shutdown();
 }

@@ -349,7 +349,7 @@ fn region_case(seed: u64) -> Case {
                     _ => Dependence::input(buffer),
                 }
             })
-            .collect();
+            .collect::<Vec<_>>();
         let cost_hint = match rng.range(0, 6) {
             0 => 0.0,
             _ => rng.range(1, 2_000_000) as f64 * 1e-6,
