@@ -2,7 +2,7 @@
 
 use crate::types::{BufferId, IdMap, OmpcError, OmpcResult};
 use ompc_mpi::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 /// The head node's storage for mapped buffers.
 ///
@@ -21,11 +21,43 @@ use parking_lot::{Mutex, RwLock};
 /// the workers' storage for outputs nothing transferred in, view the block
 /// the region before them used instead of allocating and zero-filling a
 /// fresh one each time.
+///
+/// Everything sits behind one lock, taken once per call: a run registers
+/// all its outputs ([`BufferRegistry::register_uninit_all`]) and removes
+/// them ([`BufferRegistry::remove_all`]) under one hold each, and the
+/// per-buffer calls are the same code over one buffer. No other lock is
+/// ever taken while it is held.
 #[derive(Debug, Default)]
 pub struct BufferRegistry {
-    buffers: RwLock<IdMap<u64, Bytes>>,
-    next: RwLock<u64>,
-    zeros: Mutex<Option<Bytes>>,
+    slots: Mutex<Slots>,
+}
+
+/// What the registry's lock guards.
+#[derive(Debug, Default)]
+struct Slots {
+    buffers: IdMap<u64, Bytes>,
+    /// The id the next buffer registered gets.
+    next: u64,
+    /// The largest zero block handed out, kept until shutdown.
+    zeros: Option<Bytes>,
+}
+
+impl Slots {
+    fn insert(&mut self, data: Bytes) -> BufferId {
+        let id = self.next;
+        self.next += 1;
+        self.buffers.insert(id, data);
+        BufferId(id)
+    }
+
+    /// A zero block of at least `size` bytes: the one kept, or a new one
+    /// kept in its place.
+    fn zeros(&mut self, size: usize) -> Bytes {
+        match &self.zeros {
+            Some(block) if block.len() >= size => block.clone(),
+            _ => self.zeros.insert(Bytes::zeroed(size)).clone(),
+        }
+    }
 }
 
 impl BufferRegistry {
@@ -41,11 +73,7 @@ impl BufferRegistry {
 
     /// [`BufferRegistry::register`] from a shared handle.
     pub(crate) fn register_shared(&self, data: Bytes) -> BufferId {
-        let mut next = self.next.write();
-        let id = *next;
-        *next += 1;
-        self.buffers.write().insert(id, data);
-        BufferId(id)
+        self.slots.lock().insert(data)
     }
 
     /// Register a zero-filled buffer of `size` bytes (the `map(alloc:)`
@@ -53,31 +81,41 @@ impl BufferRegistry {
     /// ([`Bytes::zeroed`]): no memory is allocated or filled for it while
     /// the block the registry keeps is large enough.
     pub fn register_uninit(&self, size: usize) -> BufferId {
-        let zeros = {
-            let mut kept = self.zeros.lock();
-            match kept.as_ref() {
-                Some(block) if block.len() >= size => block.slice(0..size),
-                _ => kept.insert(Bytes::zeroed(size)).clone(),
-            }
-        };
-        self.register_shared(zeros)
+        let mut slots = self.slots.lock();
+        let zeros = slots.zeros(size);
+        slots.insert(zeros.slice(0..size))
+    }
+
+    /// [`BufferRegistry::register_uninit`] for each of `sizes`, under one
+    /// hold of the lock: the ids are consecutive, in the order of `sizes`,
+    /// and the zero block is grown at most once, to the largest size.
+    pub fn register_uninit_all(&self, sizes: impl Iterator<Item = usize> + Clone) -> Vec<BufferId> {
+        let Some(largest) = sizes.clone().max() else { return Vec::new() };
+        let mut slots = self.slots.lock();
+        let zeros = slots.zeros(largest);
+        sizes.map(|size| slots.insert(zeros.slice(0..size))).collect()
     }
 
     /// Let go of the zero block the registry keeps: it is freed with the
     /// last view of it still in use.
     pub(crate) fn release_zeros(&self) {
-        self.zeros.lock().take();
+        self.slots.lock().zeros.take();
     }
 
     /// The zero block the registry keeps, if any.
     #[cfg(test)]
     pub(crate) fn kept_zeros(&self) -> Option<Bytes> {
-        self.zeros.lock().clone()
+        self.slots.lock().zeros.clone()
     }
 
     /// Size in bytes of a buffer.
     pub fn size_of(&self, id: BufferId) -> OmpcResult<usize> {
-        self.buffers.read().get(&id.0).map(|data| data.len()).ok_or(OmpcError::UnknownBuffer(id))
+        self.slots
+            .lock()
+            .buffers
+            .get(&id.0)
+            .map(|data| data.len())
+            .ok_or(OmpcError::UnknownBuffer(id))
     }
 
     /// Copy out the current host contents of a buffer.
@@ -88,7 +126,7 @@ impl BufferRegistry {
     /// The current host contents of a buffer as a shared handle on the
     /// registry's own allocation — what the data path puts on the wire.
     pub(crate) fn share(&self, id: BufferId) -> OmpcResult<Bytes> {
-        self.buffers.read().get(&id.0).cloned().ok_or(OmpcError::UnknownBuffer(id))
+        self.slots.lock().buffers.get(&id.0).cloned().ok_or(OmpcError::UnknownBuffer(id))
     }
 
     /// Replace the host contents of a buffer.
@@ -100,7 +138,7 @@ impl BufferRegistry {
     /// `map(tofrom:)` data returns from the cluster: the registry keeps the
     /// allocation the worker sent).
     pub(crate) fn set_shared(&self, id: BufferId, data: Bytes) -> OmpcResult<()> {
-        match self.buffers.write().get_mut(&id.0) {
+        match self.slots.lock().buffers.get_mut(&id.0) {
             Some(slot) => {
                 *slot = data;
                 Ok(())
@@ -111,17 +149,31 @@ impl BufferRegistry {
 
     /// Remove a buffer entirely (after `map(release:)` / exit data).
     pub fn remove(&self, id: BufferId) -> OmpcResult<()> {
-        self.buffers.write().remove(&id.0).map(drop).ok_or(OmpcError::UnknownBuffer(id))
+        self.remove_all(&[id])
+    }
+
+    /// [`BufferRegistry::remove`] each of `ids`, under one hold of the
+    /// lock; the first unknown id is the error, after every known one is
+    /// gone.
+    pub fn remove_all(&self, ids: &[BufferId]) -> OmpcResult<()> {
+        let mut slots = self.slots.lock();
+        let mut unknown = None;
+        for &id in ids {
+            if slots.buffers.remove(&id.0).is_none() {
+                unknown.get_or_insert(id);
+            }
+        }
+        unknown.map_or(Ok(()), |id| Err(OmpcError::UnknownBuffer(id)))
     }
 
     /// Whether the buffer exists.
     pub fn contains(&self, id: BufferId) -> bool {
-        self.buffers.read().contains_key(&id.0)
+        self.slots.lock().buffers.contains_key(&id.0)
     }
 
     /// Number of registered buffers.
     pub fn len(&self) -> usize {
-        self.buffers.read().len()
+        self.slots.lock().buffers.len()
     }
 
     /// Whether the registry is empty.
@@ -180,6 +232,44 @@ mod tests {
         assert!(reg.share(a).unwrap().same_allocation(&back));
         assert_eq!(&shared[..], &[1u8; 64][..]);
         assert_eq!(reg.share(BufferId(9)).unwrap_err(), OmpcError::UnknownBuffer(BufferId(9)));
+    }
+
+    /// Registered in bulk, each buffer is a zero view of its own size under
+    /// its own id, the ids consecutive and ascending after those before;
+    /// the kept block is the largest ever asked for, and removing them in
+    /// bulk empties the registry.
+    #[test]
+    fn bulk_registration_views_the_largest_block_and_bulk_removal_empties() {
+        let reg = BufferRegistry::new();
+        assert!(reg.register_uninit_all(std::iter::empty()).is_empty());
+        assert!(reg.kept_zeros().is_none(), "nothing asked for, nothing kept");
+        let before = reg.register_uninit(8);
+        let sizes = [16usize, 0, 4096, 64, 4096, 1];
+        let ids = reg.register_uninit_all(sizes.iter().copied());
+        let block = reg.kept_zeros().expect("a block is kept");
+        assert_eq!(block.len(), 4096, "the largest size asked for");
+        for (k, (&id, &size)) in ids.iter().zip(&sizes).enumerate() {
+            assert_eq!(id, BufferId(before.0 + 1 + k as u64), "consecutive, ascending");
+            let view = reg.share(id).unwrap();
+            assert_eq!((view.len(), reg.size_of(id).unwrap()), (size, size));
+            assert!(view.iter().all(|&byte| byte == 0));
+            assert!(size == 0 || view.same_allocation(&block), "a view of the kept block");
+        }
+        // Smaller asks view the kept block; a larger one replaces it.
+        let small = reg.register_uninit_all([100, 200].into_iter());
+        assert!(reg.share(small[1]).unwrap().same_allocation(&block));
+        let large = reg.register_uninit_all([1, 1 << 16].into_iter());
+        assert_eq!(reg.kept_zeros().unwrap().len(), 1 << 16, "the largest ever asked for");
+        assert!(reg.share(ids[2]).unwrap().same_allocation(&block), "earlier views keep theirs");
+
+        reg.remove_all(&ids).unwrap();
+        assert_eq!(reg.len(), 5);
+        assert!(ids.iter().all(|&id| !reg.contains(id)));
+        let rest: Vec<BufferId> = [before].iter().chain(&small).chain(&large).copied().collect();
+        reg.remove_all(&rest).unwrap();
+        assert!(reg.is_empty());
+        let ghost = BufferId(1 << 40);
+        assert_eq!(reg.remove_all(&[ghost]).unwrap_err(), OmpcError::UnknownBuffer(ghost));
     }
 
     #[test]

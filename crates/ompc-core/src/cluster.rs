@@ -807,11 +807,10 @@ impl ClusterDevice {
         let noop = *self
             .workload_kernel
             .get_or_init(|| self.kernels.register_fn("workload-task", 1e-6, |_| {}));
-        let buffers: Vec<BufferId> = workload
-            .output_bytes
-            .iter()
-            .map(|&bytes| self.buffers.register_uninit(bytes as usize))
-            .collect();
+        // One hold of the registry each way: the outputs are registered
+        // together, consecutive ids from `buffers[0]`, and removed together.
+        let sizes = workload.output_bytes.iter().map(|&bytes| bytes as usize);
+        let buffers = self.buffers.register_uninit_all(sizes);
         let region = workload.region(noop, &buffers);
         // Workload runs get their own region epoch (transfer-log and
         // telemetry namespace) — a run_workload call is one more tenant
@@ -819,10 +818,9 @@ impl ClusterDevice {
         let epoch = {
             let mut dm = self.dm.lock();
             let epoch = dm.begin_region();
-            for (t, &buffer) in buffers.iter().enumerate() {
-                if !dm.is_registered(buffer) {
-                    dm.register_host_buffer(buffer, workload.output_bytes[t]);
-                }
+            // Fresh ids: nothing registered them yet.
+            for (&buffer, &bytes) in buffers.iter().zip(&workload.output_bytes) {
+                dm.register_host_buffer(buffer, bytes);
             }
             epoch
         };
@@ -838,21 +836,20 @@ impl ClusterDevice {
         // declaring it dead — its memory is gone either way — so a failed
         // release never turns a finished run into an error.
         let _ = crate::runtime::release_device_copies(&self.dm, &self.events, &telemetry, &buffers);
-        for &buffer in &buffers {
-            let _ = self.buffers.remove(buffer);
-        }
+        let _ = self.buffers.remove_all(&buffers);
         let teardown_spans = telemetry.take_spans();
         // De-materialize the transfer records: buffer `t` of the workload
         // coordinate system is task `t`'s output (the convention the
         // simulated backend records in), so cross-backend transfer sets
         // compare directly. The stored last_run_record is rewritten too —
         // both views of the run, successful or failed, must name the same
-        // buffers.
-        let index_of: IdMap<BufferId, u64> =
-            buffers.iter().enumerate().map(|(t, &b)| (b, t as u64)).collect();
+        // buffers. The outputs' ids are consecutive, so `t` is an offset.
+        let first = buffers.first().map_or(0, |buffer| buffer.0);
+        let task_of =
+            |buffer: BufferId| buffer.0.checked_sub(first).filter(|&t| t < buffers.len() as u64);
         let remap = |record: &mut RunRecord| {
             for transfer in &mut record.transfers {
-                if let Some(&t) = index_of.get(&transfer.buffer) {
+                if let Some(t) = task_of(transfer.buffer) {
                     transfer.buffer = BufferId(t);
                 }
             }
@@ -1195,6 +1192,53 @@ mod tests {
         assert!(second.same_allocation(&first), "the second run viewed the first run's block");
         device.shutdown();
         assert!(device.buffers.kept_zeros().is_none(), "shutdown lets the block go");
+    }
+
+    /// Three runs of different shapes and output sizes on one device — a
+    /// chain, a fan-out and fan-in, a stencil — each complete every task
+    /// and leave nothing behind: no registry slot, no data-manager entry,
+    /// and no copy of any of the run's buffers on either worker.
+    #[test]
+    fn consecutive_runs_of_different_shapes_leave_nothing_behind() {
+        let workload = |tasks: usize, edges: &[(usize, usize)], bytes: u64| {
+            let mut graph = ompc_sched::TaskGraph::new();
+            for _ in 0..tasks {
+                graph.add_task(1e-5);
+            }
+            for &(from, to) in edges {
+                graph.add_edge(from, to, bytes);
+            }
+            WorkloadGraph::new(graph, vec![bytes; tasks])
+        };
+        let chain: Vec<(usize, usize)> = (1..6).map(|t| (t - 1, t)).collect();
+        let fan: Vec<(usize, usize)> = (1..9).flat_map(|t| [(0, t), (t, 9)]).collect();
+        let stencil: Vec<(usize, usize)> =
+            (4..16).flat_map(|t| [(t - 4, t), (t - 4 - (t % 4 > 0) as usize, t)]).collect();
+        let runs =
+            [workload(6, &chain, 4096), workload(10, &fan, 64), workload(16, &stencil, 256 << 10)];
+        let config = OmpcConfig::small();
+        let mut device = ClusterDevice::with_config(2, config.clone());
+        for (k, workload) in runs.iter().enumerate() {
+            // The run's buffers are the ids between two registered around it.
+            let before = device.buffers.register(Vec::new());
+            let plan = RuntimePlan::for_workload(workload, &Platform::cluster(2), &config);
+            let record = device.run_workload(workload, &plan).unwrap();
+            let after = device.buffers.register(Vec::new());
+            let mut completed = record.completion_order.clone();
+            completed.sort_unstable();
+            assert_eq!(completed, (0..workload.len()).collect::<Vec<_>>(), "run {k}");
+            assert_eq!(after.0 - before.0 - 1, workload.len() as u64, "run {k}: one buffer a task");
+            device.buffers.remove_all(&[before, after]).unwrap();
+            assert!(device.buffers.is_empty(), "run {k}: the registry is empty");
+            assert!(device.dm.lock().is_empty(), "run {k}: the data manager is empty");
+            for buffer in (before.0 + 1..after.0).map(BufferId) {
+                for worker in 1..=2 {
+                    let copy = device.events.retrieve(worker, buffer);
+                    assert!(copy.is_err(), "run {k}: worker {worker} still holds {buffer}");
+                }
+            }
+        }
+        device.shutdown();
     }
 
     /// A cold shutdown ends every worker's event pool through its mailbox:

@@ -765,30 +765,41 @@ impl DataManager {
     /// still in flight — every unclaimed push included: its bytes have
     /// nothing to land in.
     pub fn remove(&mut self, buffer: BufferId) -> impl Iterator<Item = NodeId> + '_ {
-        let copies = self.take_entry(buffer);
         let at = self.spare_copies.len();
-        self.spare_copies.extend(copies);
+        self.remove_all(&[buffer], |_, _| {});
         self.spare_copies[at..].iter().flatten().filter_map(worker_copy)
+    }
+
+    /// [`DataManager::remove`] each of `buffers`: `holder(buffer, node)` for
+    /// each worker node that still held a copy, buffer after buffer in
+    /// `buffers`' order, and the unclaimed pushes of all of them ended in
+    /// one pass.
+    pub fn remove_all(&mut self, buffers: &[BufferId], mut holder: impl FnMut(BufferId, NodeId)) {
+        for &buffer in buffers {
+            if let Some(copies) = self.take_entry(buffer) {
+                copies.iter().filter_map(worker_copy).for_each(|node| holder(buffer, node));
+                self.spare_copies.push(copies);
+            }
+        }
+        self.end_unclaimed(|_, p| buffers.contains(&p.buffer), None);
     }
 
     /// Release every device copy of `buffer` (exit-data semantics): remove it, and owe each
     /// holder its delete.
     pub(crate) fn release(&mut self, buffer: BufferId) {
         let copies = self.take_entry(buffer);
+        self.end_unclaimed(|_, p| p.buffer == buffer, None);
         for holder in copies.iter().flatten().filter_map(worker_copy) {
             self.owe(holder, [buffer], []);
         }
         self.spare_copies.extend(copies);
     }
 
-    /// Take `buffer`'s entry out, its unclaimed pushes ending with it: the
-    /// list of its copies, for the caller to read and then leave to the
-    /// next buffer registered.
+    /// Take `buffer`'s entry out: the list of its copies, for the caller to
+    /// read and then leave to the next buffer registered. Its unclaimed
+    /// pushes are the caller's to end: their bookings go with the entry.
     fn take_entry(&mut self, buffer: BufferId) -> Option<Vec<Replica>> {
-        let copies = self.buffers.remove(&buffer).map(|loc| loc.copies);
-        // Its unclaimed pushes end too, their bookings gone with the entry.
-        self.end_unclaimed(|_, p| p.buffer == buffer, None);
-        copies
+        self.buffers.remove(&buffer).map(|loc| loc.copies)
     }
 
     /// Declare worker `node` failed: every copy it held becomes invalid, its

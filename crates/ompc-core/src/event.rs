@@ -37,8 +37,8 @@
 
 use crate::data_manager::HEAD_NODE;
 use crate::protocol::{
-    car_reply_header, EventNotification, EventReply, EventRequest, Reply, SentFrames, TaskSpec,
-    TaskStep, TrainFrame, CONTROL_TAG, FIRST_EVENT_TAG,
+    car_reply_header, EventNotification, EventReply, EventRequest, Reply, SentFrames, TaskFrame,
+    TaskSpec, TaskStep, TrainFrame, CONTROL_TAG, FIRST_EVENT_TAG,
 };
 use crate::runtime::telemetry::{monotonic_us, Span, SpanPhase, Telemetry};
 use crate::types::{BufferId, KernelId, NodeId, OmpcError, OmpcResult};
@@ -471,6 +471,16 @@ impl EventSystem {
         let frames = self.send_frames(node, channel.tag, &payloads, &exchanges)?;
         self.counters.record_tasks(1, frames);
         Ok(ReplyChannel { data_bearing, ..channel })
+    }
+
+    /// Put a task written straight into its frame on the wire without
+    /// waiting for it, counted as [`EventSystem::post_task`] counts a task
+    /// that sends no frames behind it.
+    pub(crate) fn post_frame(&self, node: NodeId, frame: TaskFrame) -> OmpcResult<ReplyChannel> {
+        let tag = self.open_channel();
+        self.send_notification(node, frame.finish(tag))?;
+        self.counters.record_tasks(1, Frames::default());
+        Ok(ReplyChannel { node, tag, data_bearing: false })
     }
 
     /// Send what follows a task's notification to `node` on its channel

@@ -52,9 +52,11 @@ impl WorkloadGraph {
     /// writes `outputs[t]` and reads the output of each of its
     /// predecessors, its cost hint the task's cost. Unlabelled: the task's
     /// index is its name in both graphs. Each task's dependences go
-    /// straight into the region graph's flat table.
+    /// straight into the region graph's flat table, each table sized for the
+    /// whole workload up front.
     pub fn region(&self, kernel: KernelId, outputs: &[BufferId]) -> RegionGraph {
-        let mut region = RegionGraph::new();
+        let edges = self.graph.edges().len();
+        let mut region = RegionGraph::with_capacity(self.len(), self.len() + edges, edges);
         for (t, task) in self.graph.tasks().iter().enumerate() {
             let inputs = self.graph.predecessors(t).iter().map(|&pred| outputs[pred]);
             let deps = std::iter::once(Dependence::output(outputs[t]))

@@ -346,7 +346,7 @@ impl Writer {
     fn bytes(&mut self, b: &[u8]) {
         self.0.extend_from_slice(b);
     }
-    /// A `u32` count and that many buffer ids ([`Reader::buffers`] reads it).
+    /// A `u32` count and that many buffer ids ([`Reader::buffer_ids`] reads it).
     fn buffers(&mut self, buffers: impl ExactSizeIterator<Item = BufferId>) {
         self.u32(buffers.len() as u32);
         for b in buffers {
@@ -561,10 +561,12 @@ fn decode_step<'a>(r: &mut Reader<'a>) -> OmpcResult<TaskStep<BufferIds<'a>>> {
 }
 
 /// Move past one step, checked as [`decode_step`] checks it — a known kind,
-/// every operand there — but with nothing decoded: how a car is passed
-/// over to reach the next one.
-fn skip_step(r: &mut Reader<'_>) -> OmpcResult<()> {
-    let operands = match r.u8()? {
+/// every operand there — but with nothing decoded: how a frame is checked
+/// at accept, and how what a reader left of a car is passed over to reach
+/// the next one. Returns the step's kind.
+fn skip_step(r: &mut Reader<'_>) -> OmpcResult<u8> {
+    let kind = r.u8()?;
+    let operands = match kind {
         STEP_RECV_FROM_HEAD | STEP_DELETE | STEP_RETRIEVE | STEP_WROTE | STEP_DISCARD => 8,
         STEP_RECV_FROM_WORKER | STEP_AWAIT_LOCAL | STEP_ALLOC | STEP_CLAIM => 16,
         STEP_PUSH => 24,
@@ -575,7 +577,22 @@ fn skip_step(r: &mut Reader<'_>) -> OmpcResult<()> {
         }
         other => return Err(unknown_step(other)),
     };
-    r.take(operands).map(drop)
+    r.take(operands).map(|_| kind)
+}
+
+/// Whether a step of this kind may block its task or lands a version: a
+/// receive, a claim, an await, a write's record or a kernel
+/// ([`Notice::blocks`]).
+fn blocks(kind: u8) -> bool {
+    matches!(
+        kind,
+        STEP_RECV_FROM_HEAD
+            | STEP_RECV_FROM_WORKER
+            | STEP_CLAIM
+            | STEP_WROTE
+            | STEP_AWAIT_LOCAL
+            | STEP_EXECUTE
+    )
 }
 
 #[cold]
@@ -586,8 +603,9 @@ fn unknown_step(kind: u8) -> OmpcError {
 /// The steps of a task or of a train car, read in place from the frame they
 /// came in: each is decoded when it is reached, with the bounded reads of
 /// the rest of the decoder, and nothing is collected. A step that cannot be
-/// read is the last item, an error; [`Notice::read`] has read every step of
-/// its frame once already, so a frame it accepted yields none.
+/// read is the last item, an error, and nothing after it in the frame can
+/// be read either; [`Notice::read`] has read every step of its frame once
+/// already, so a frame it accepted yields none.
 #[derive(Debug, Clone)]
 pub(crate) struct Steps<'a> {
     r: Reader<'a>,
@@ -602,13 +620,14 @@ impl<'a> Steps<'a> {
         Ok(Self { r: r.clone(), left })
     }
 
-    /// [`Steps::at`], every step checked: `r` is left past the last one.
-    fn past(r: &mut Reader<'a>) -> OmpcResult<Self> {
-        let steps = Self::at(r)?;
-        for _ in 0..steps.left {
-            skip_step(r)?;
+    /// Move `r` past the step count at `r` and every step after it, each
+    /// checked: whether any of them [`blocks`].
+    fn past(r: &mut Reader<'a>) -> OmpcResult<bool> {
+        let mut any = false;
+        for _ in 0..r.u32()? {
+            any |= blocks(skip_step(r)?);
         }
-        Ok(steps)
+        Ok(any)
     }
 
     /// Room to reserve for the steps left: never more than the frame backs.
@@ -626,30 +645,59 @@ impl<'a> Iterator for Steps<'a> {
         let step = decode_step(&mut self.r);
         if step.is_err() {
             self.left = 0;
+            self.r.rest = &[];
         }
         Some(step)
     }
 }
 
 /// The cars of a train, read in place from its frame: each car's tag and
-/// its [`Steps`]. As [`Steps`], a car that cannot be read is the last item.
+/// its [`Steps`], checked at accept ([`Notice::read`]) and read as the car
+/// runs. The next car is read from where the car before it ends: a reader
+/// that ran the car ([`Cars::next_car`]) has read it to its end, and only
+/// what it left — the rest of a car that failed part-way — is skipped. As
+/// [`Steps`], a car that cannot be read is the last item.
 #[derive(Debug, Clone)]
 pub(crate) struct Cars<'a> {
-    r: Reader<'a>,
+    /// The car read last; at first, no steps before the first car.
+    car: Steps<'a>,
     left: u32,
+}
+
+impl<'a> Cars<'a> {
+    /// The next car's tag, and its steps for the caller to read on from:
+    /// the car after it starts where the caller leaves them.
+    pub(crate) fn next_car(&mut self) -> Option<OmpcResult<(Tag, &mut Steps<'a>)>> {
+        self.left = self.left.checked_sub(1)?;
+        match self.advance() {
+            Ok(tag) => Some(Ok((tag, &mut self.car))),
+            Err(error) => {
+                self.left = 0;
+                Some(Err(error))
+            }
+        }
+    }
+
+    /// Skip what is left of the car read last, then read the next car's
+    /// header.
+    fn advance(&mut self) -> OmpcResult<Tag> {
+        let r = &mut self.car.r;
+        for _ in 0..std::mem::take(&mut self.car.left) {
+            skip_step(r)?;
+        }
+        let tag = Tag(r.u64()?);
+        self.car.left = r.u32()?;
+        Ok(tag)
+    }
 }
 
 impl<'a> Iterator for Cars<'a> {
     type Item = OmpcResult<(Tag, Steps<'a>)>;
 
+    /// Each car's steps to read as a copy: the car itself is skipped when
+    /// the next one is read.
     fn next(&mut self) -> Option<Self::Item> {
-        self.left = self.left.checked_sub(1)?;
-        let r = &mut self.r;
-        let car = r.u64().and_then(|tag| Ok((Tag(tag), Steps::past(r)?)));
-        if car.is_err() {
-            self.left = 0;
-        }
-        Some(car)
+        Some(self.next_car()?.map(|(tag, steps)| (tag, steps.clone())))
     }
 }
 
@@ -672,12 +720,12 @@ pub(crate) enum Request {
 }
 
 /// A notification read in place — the one decoder of the control tag. The
-/// envelope is decoded; the steps of a task and the cars of a train are read
-/// once, to the last byte, and left where they lie: [`Notice::steps`] and
-/// [`Notice::cars`] read them again from the same frame, and nothing is
-/// allocated either time. A frame [`Notice::read`] accepts is one
-/// [`EventNotification::decode`] accepts, step for step: that decoder
-/// collects what this one reads.
+/// envelope is decoded; the steps of a task and the cars of a train are
+/// checked once, to the last byte, and left where they lie:
+/// [`Notice::steps`] and [`Notice::cars`] read them again from the same
+/// frame as they run, and nothing is allocated either time. A frame
+/// [`Notice::read`] accepts is one [`EventNotification::decode`] accepts,
+/// step for step: that decoder collects what this one reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Notice {
     /// Tag all messages of the event are matched on.
@@ -686,6 +734,11 @@ pub(crate) struct Notice {
     pub(crate) timed: bool,
     /// What the destination must do.
     pub(crate) request: Request,
+    /// Whether a step of a task may block it or lands a version — a
+    /// receive, a claim, an await, a write's record or a kernel — noted as
+    /// the steps are checked, so nobody walks them again to ask. `false`
+    /// for any other request.
+    pub(crate) blocks: bool,
     /// Where the request's operands start in the frame.
     body: usize,
 }
@@ -708,18 +761,19 @@ impl Notice {
         };
         let kind = r.u8()?;
         let body = frame.len() - r.rest.len();
+        let mut blocks = false;
         let request = match kind {
             KIND_EXCHANGE_SEND => {
                 Request::ExchangeSend { buffer: BufferId(r.u64()?), to: r.u64()? as NodeId }
             }
             KIND_TASK => {
-                Steps::past(&mut r)?;
+                blocks = Steps::past(&mut r)?;
                 Request::Task
             }
             KIND_TASK_TRAIN => {
-                let mut cars = Cars { left: r.u32()?, r };
-                for car in cars.by_ref() {
-                    car?;
+                for _ in 0..r.u32()? {
+                    r.u64()?;
+                    Steps::past(&mut r)?;
                 }
                 Request::TaskTrain
             }
@@ -730,7 +784,7 @@ impl Notice {
                 return Err(OmpcError::Internal(format!("unknown event kind {other}")));
             }
         };
-        Ok(Self { tag, timed, request, body })
+        Ok(Self { tag, timed, request, blocks, body })
     }
 
     /// The steps of a task, read again from `frame`, the bytes this notice
@@ -751,12 +805,12 @@ impl Notice {
             Request::TaskTrain => r.u32()?,
             _ => 0,
         };
-        Ok(Cars { r, left })
+        Ok(Cars { car: Steps { r, left: 0 }, left })
     }
 }
 
 /// The steps `steps` reads, collected: the encoder's list.
-fn owned_steps(steps: Steps<'_>) -> OmpcResult<Vec<TaskStep>> {
+fn owned_steps(steps: &mut Steps<'_>) -> OmpcResult<Vec<TaskStep>> {
     let mut owned = Vec::with_capacity(steps.room());
     for step in steps {
         owned.push(step?.into_owned());
@@ -828,12 +882,12 @@ impl EventNotification {
         let request = match notice.request {
             Request::ExchangeSend { buffer, to } => EventRequest::ExchangeSend { buffer, to },
             Request::Task => {
-                EventRequest::Task(TaskSpec { steps: owned_steps(notice.steps(data)?)? })
+                EventRequest::Task(TaskSpec { steps: owned_steps(&mut notice.steps(data)?)? })
             }
             Request::TaskTrain => {
-                let cars = notice.cars(data)?;
-                let mut owned = Vec::with_capacity((cars.left as usize).min(cars.r.room(12)));
-                for car in cars {
+                let mut cars = notice.cars(data)?;
+                let mut owned = Vec::with_capacity((cars.left as usize).min(cars.car.r.room(12)));
+                while let Some(car) = cars.next_car() {
                     let (tag, steps) = car?;
                     owned.push(TrainCar { tag, spec: TaskSpec { steps: owned_steps(steps)? } });
                 }
@@ -847,9 +901,20 @@ impl EventNotification {
     }
 }
 
-/// Where a train's car count sits in its notification: after the envelope's
-/// tag (8 bytes), communicator (4), `timed` flag (1) and kind (1).
-const TRAIN_CARS_AT: usize = 14;
+/// Where a train's car count, or a task's step count, sits in its
+/// notification: after the envelope's tag (8 bytes), communicator (4),
+/// `timed` flag (1) and kind (1).
+const COUNT_AT: usize = 14;
+
+/// The envelope of a notification of `kind` on the channel `tag`, and a
+/// count to fill in at [`COUNT_AT`].
+fn encode_envelope(w: &mut Writer, tag: Tag, timed: bool, kind: u8) {
+    w.u64(tag.0);
+    w.u32(CommId::WORLD.0);
+    w.u8(timed as u8);
+    w.u8(kind);
+    w.u32(0);
+}
 
 /// What leads each car of a train: its channel's tag, then its step count.
 fn encode_car_header(w: &mut Writer, tag: Tag, steps: u32) {
@@ -880,11 +945,7 @@ impl TrainFrame {
     pub(crate) fn new(tag: Tag, timed: bool, mut data: Vec<u8>) -> Self {
         data.clear();
         let mut w = Writer(data);
-        w.u64(tag.0);
-        w.u32(CommId::WORLD.0);
-        w.u8(timed as u8);
-        w.u8(KIND_TASK_TRAIN);
-        w.u32(0);
+        encode_envelope(&mut w, tag, timed, KIND_TASK_TRAIN);
         Self { w, cars: 0, car_at: 0, steps: 0 }
     }
 
@@ -928,7 +989,40 @@ impl TrainFrame {
 
     /// The finished notification, its car count filled in.
     pub(crate) fn finish(mut self) -> Vec<u8> {
-        self.w.patch_u32(TRAIN_CARS_AT, self.cars);
+        self.w.patch_u32(COUNT_AT, self.cars);
+        self.w.0
+    }
+}
+
+/// An untimed [`EventRequest::Task`] notification written step by step, as
+/// a train's frame is — byte for byte what [`EventNotification::encode`]
+/// writes for the same task, with no step list built on the way. Its
+/// channel's tag and its step count are filled in when it is sent
+/// ([`TaskFrame::finish`]).
+#[derive(Debug)]
+pub(crate) struct TaskFrame {
+    w: Writer,
+    steps: u32,
+}
+
+impl TaskFrame {
+    /// A task with no steps yet.
+    pub(crate) fn new() -> Self {
+        let mut w = Writer::new();
+        encode_envelope(&mut w, Tag(0), false, KIND_TASK);
+        Self { w, steps: 0 }
+    }
+
+    /// Append a step.
+    pub(crate) fn step(&mut self, step: &TaskStep) {
+        encode_step(&mut self.w, step);
+        self.steps += 1;
+    }
+
+    /// The finished notification, on the channel `tag`.
+    pub(crate) fn finish(mut self, tag: Tag) -> Vec<u8> {
+        self.w.patch_u64(0, tag.0);
+        self.w.patch_u32(COUNT_AT, self.steps);
         self.w.0
     }
 }
@@ -1424,7 +1518,7 @@ pub(crate) mod tests {
         train.begin_car();
         train.end_car(Tag(5));
         let train = train.finish();
-        assert_eq!(train.len(), TRAIN_CARS_AT + 4 + 12, "the envelope, a car count, one header");
+        assert_eq!(train.len(), COUNT_AT + 4 + 12, "the envelope, a car count, one header");
         let task = |step| EventRequest::Task(TaskSpec { steps: vec![step] });
         let notification =
             |request| EventNotification { request, tag: Tag(3), comm: CommId::WORLD, timed: false };
@@ -1470,7 +1564,7 @@ pub(crate) mod tests {
             },
         ];
         let bytes = notification(EventRequest::TaskTrain(cars)).encode();
-        let second = TRAIN_CARS_AT + 4 + 12 + 9;
+        let second = COUNT_AT + 4 + 12 + 9;
         assert_eq!(bytes.len(), second + 12 + 9 + step_len(&execute), "the second car's bounds");
         for end in second..bytes.len() {
             let decoded = decode_both(&bytes[..end]);
@@ -1954,6 +2048,71 @@ pub(crate) mod tests {
             let bytes = frame.finish();
             assert_eq!(bytes, n.encode(), "seed {seed}");
             assert_eq!(EventNotification::decode(&bytes), Ok(n), "seed {seed}");
+        }
+    }
+
+    /// A task written step by step into its frame is the notification
+    /// [`EventNotification::encode`] writes for the same untimed task, byte
+    /// for byte, and the notice read from it says whether a step blocks —
+    /// what a walk of its steps says: 600 seeded tasks of every step kind.
+    #[test]
+    fn a_task_written_step_by_step_is_the_encoded_notification() {
+        for seed in 0..600 {
+            let rng = &mut Rng::new(seed);
+            let steps = arb_steps(rng);
+            let mut frame = TaskFrame::new();
+            steps.iter().for_each(|step| frame.step(step));
+            let tag = Tag(rng.next_u64());
+            let bytes = frame.finish(tag);
+            let request = EventRequest::Task(TaskSpec { steps: steps.clone() });
+            let n = EventNotification { request, tag, comm: CommId::WORLD, timed: false };
+            assert_eq!(bytes, n.encode(), "seed {seed}");
+            let blocks = steps.iter().any(|step| {
+                !matches!(
+                    step,
+                    TaskStep::Alloc { .. }
+                        | TaskStep::Delete { .. }
+                        | TaskStep::Retrieve { .. }
+                        | TaskStep::Push { .. }
+                        | TaskStep::Discard { .. }
+                )
+            });
+            assert_eq!(Notice::read(&bytes).map(|notice| notice.blocks), Ok(blocks), "seed {seed}");
+        }
+    }
+
+    /// A lane reads each car once and the next car from where it left the
+    /// one before: read to its end, or cut short part-way — then the rest
+    /// of its steps is skipped — or not read at all. Whichever, every car
+    /// comes with its own tag and steps, as the decoder reads them.
+    #[test]
+    fn a_car_read_part_way_leaves_the_next_car_where_it_starts() {
+        for seed in 0..300 {
+            let rng = &mut Rng::new(seed);
+            let cars: Vec<TrainCar> = (0..rng.range(1, 7))
+                .map(|_| TrainCar {
+                    tag: Tag(rng.next_u64()),
+                    spec: TaskSpec { steps: arb_steps(rng) },
+                })
+                .collect();
+            let n = EventNotification {
+                request: EventRequest::TaskTrain(cars.clone()),
+                tag: Tag(3),
+                comm: CommId::WORLD,
+                timed: false,
+            };
+            let bytes = n.encode();
+            let notice = Notice::read(&bytes).unwrap();
+            let mut read = notice.cars(&bytes).unwrap();
+            for (k, car) in cars.iter().enumerate() {
+                let (tag, steps) = read.next_car().unwrap().unwrap();
+                assert_eq!(tag, car.tag, "seed {seed}, car {k}");
+                let taken = rng.range_usize(0, car.spec.steps.len() + 1);
+                for want in &car.spec.steps[..taken] {
+                    assert_eq!(&steps.next().unwrap().unwrap().into_owned(), want);
+                }
+            }
+            assert!(read.next_car().is_none(), "seed {seed}: no car after the last");
         }
     }
 

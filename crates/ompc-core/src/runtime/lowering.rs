@@ -296,6 +296,15 @@ impl Lowering {
         config.fault_plan.validate_task_errors(graph.len())?;
         let tag = path.events.open_channel();
         let envelope = Envelope { tag, telemetry: Arc::clone(&path.telemetry) };
+        // Room for a push per edge of the graph: a region whose pairs share
+        // one buffer each, the usual case, books no more, so the tables do
+        // not grow during the run.
+        let edges = graph.edges().len();
+        let state = State {
+            pushes: Vec::with_capacity(edges),
+            claimed_early: Vec::with_capacity(edges),
+            ..State::default()
+        };
         Ok(Self {
             path,
             region,
@@ -303,7 +312,7 @@ impl Lowering {
             graph,
             host_fns,
             config: config.clone(),
-            state: Mutex::new(State::default()),
+            state: Mutex::new(state),
         })
     }
 
@@ -811,7 +820,7 @@ impl Lowering {
         let trains = self.path.events.trains();
         let owed = self.path.dm.lock().end_run(self.region);
         let (events, telemetry) = (&self.path.events, &self.path.telemetry);
-        let tasks = owed.iter().map(|(node, owed)| (*node, super::delete_steps(owed)));
+        let tasks = owed.iter().map(|(node, owed)| super::DeleteTask::owed(*node, owed));
         let failed = super::delete_device_copies(events, telemetry, tasks, Some(trains));
         let mut dm = self.path.dm.lock();
         for (node, owed) in owed.iter().filter(|(node, _)| failed.iter().any(|(n, _)| n == node)) {

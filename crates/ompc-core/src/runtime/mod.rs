@@ -49,10 +49,10 @@ pub use telemetry::{
 use crate::buffer::BufferRegistry;
 use crate::config::OmpcConfig;
 use crate::data_manager::{DataManager, Owed, TransferReason, TransferRecord, HEAD_NODE};
-use crate::event::{Composite, EventSystem, TrainTable};
+use crate::event::{EventSystem, TrainTable};
 use crate::heartbeat::{plan_recovery, Millis};
 use crate::model::{self, WorkloadGraph};
-use crate::protocol::TaskStep;
+use crate::protocol::{TaskFrame, TaskStep};
 use crate::task::{RegionGraph, TaskKind};
 use crate::types::{BufferId, NodeId, OmpcError, OmpcResult, TaskId};
 use ompc_sched::{Csr, Platform};
@@ -64,28 +64,57 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// pre-residency runtime did.
 pub type ResidencyMap = BTreeMap<BufferId, NodeId>;
 
-/// Free device copies, one task per node — its `Delete` steps, then a
-/// `Discard` step per push the node is owed a drop of ([`delete_steps`]):
-/// every node's task is posted before any reply is awaited, so a release
-/// costs one round trip however many nodes and buffers it covers. Each node
-/// is attempted; the nodes that did not acknowledge come back with their
-/// error, so the caller can keep owing them. At [`TelemetryLevel::Spans`]
-/// every task leaves an [`SpanPhase::ExitData`] span on its node, the buffer
-/// count as its detail. `trains`, when given, is the locked train table,
-/// released once every task is posted.
+/// One node's task freeing device copies, written straight into the frame
+/// it is sent in ([`TaskFrame`]): its `Delete` steps, then a `Discard` step
+/// per push the node is owed a drop of.
+#[derive(Debug)]
+pub(crate) struct DeleteTask {
+    node: NodeId,
+    frame: TaskFrame,
+    /// How many of its steps are deletes.
+    deletes: usize,
+}
+
+impl DeleteTask {
+    fn new(node: NodeId) -> Self {
+        Self { node, frame: TaskFrame::new(), deletes: 0 }
+    }
+
+    fn delete(&mut self, buffer: BufferId) {
+        self.frame.step(&TaskStep::Delete { buffer });
+        self.deletes += 1;
+    }
+
+    /// The task that frees what `owed` lists on `node`: each delete, then a
+    /// `Discard` per drop.
+    pub(crate) fn owed(node: NodeId, owed: &Owed) -> Self {
+        let mut task = Self::new(node);
+        owed.deletes.iter().for_each(|&buffer| task.delete(buffer));
+        owed.drops.iter().for_each(|push| task.frame.step(&TaskStep::Discard { tag: push.tag }));
+        task
+    }
+}
+
+/// Free device copies, one task per node ([`DeleteTask`]): every node's
+/// task is posted before any reply is awaited, so a release costs one round
+/// trip however many nodes and buffers it covers. Each node is attempted;
+/// the nodes that did not acknowledge come back with their error, so the
+/// caller can keep owing them. At [`TelemetryLevel::Spans`] every task
+/// leaves an [`SpanPhase::ExitData`] span on its node, the buffer count as
+/// its detail. `trains`, when given, is the locked train table, released
+/// once every task is posted.
 pub(crate) fn delete_device_copies(
     events: &EventSystem,
     telemetry: &Telemetry,
-    tasks: impl IntoIterator<Item = (NodeId, Vec<TaskStep>)>,
+    tasks: impl IntoIterator<Item = DeleteTask>,
     trains: Option<TrainTable>,
 ) -> Vec<(NodeId, OmpcError)> {
     let t0 = telemetry.start();
     let mut failed = Vec::new();
     let mut posted = Vec::new();
-    for (node, steps) in tasks {
-        let count = steps.iter().filter(|step| matches!(step, TaskStep::Delete { .. })).count();
-        match events.post_task(node, Composite { steps, ..Composite::default() }) {
-            Ok(channel) => posted.push((channel, count)),
+    for DeleteTask { node, frame, deletes } in tasks {
+        match events.post_frame(node, frame) {
+            Ok(channel) => posted.push((channel, deletes)),
             Err(error) => failed.push((node, error)),
         }
     }
@@ -103,47 +132,36 @@ pub(crate) fn delete_device_copies(
     failed
 }
 
-/// The steps of the task that frees what `owed` lists on a node: each
-/// delete, then a `Discard` per drop.
-pub(crate) fn delete_steps(owed: &Owed) -> Vec<TaskStep> {
-    let deletes = owed.deletes.iter().map(|&buffer| TaskStep::Delete { buffer });
-    let drops = owed.drops.iter().map(|p| TaskStep::Discard { tag: p.tag });
-    deletes.chain(drops).collect()
-}
-
 /// Release every device copy of `buffers` (device-level exit-data
 /// semantics) — the one way a mapping ends on the head: drop the buffers
-/// from the data manager under one lock, then free the copies with one
-/// task per holder ([`delete_device_copies`]). A dead node is never a
-/// holder — its memory died with it, and a delete would only bounce off
-/// the zombie gate. The buffers are forgotten whatever the workers
-/// answer; the first node's error is returned.
+/// from the data manager under one lock ([`DataManager::remove_all`]),
+/// writing each holder's deletes into its task's frame as they are read,
+/// then free the copies with one task per holder
+/// ([`delete_device_copies`]). A dead node is never a holder — its memory
+/// died with it, and a delete would only bounce off the zombie gate. The
+/// buffers are forgotten whatever the workers answer; the first node's
+/// error is returned.
 pub(crate) fn release_device_copies(
     dm: &parking_lot::Mutex<DataManager>,
     events: &EventSystem,
     telemetry: &Telemetry,
     buffers: &[BufferId],
 ) -> OmpcResult<()> {
-    // `remove` returns only worker-node holders, none of them dead, each
-    // once. A few nodes hold many buffers: each node's deletes are written
-    // in `buffers`' order.
-    let mut tasks: Vec<(NodeId, Vec<TaskStep>)> = Vec::new();
-    {
-        let mut dm = dm.lock();
-        for &buffer in buffers {
-            for holder in dm.remove(buffer) {
-                let at = match tasks.iter().position(|&(node, _)| node == holder) {
-                    Some(at) => at,
-                    None => {
-                        tasks.push((holder, Vec::new()));
-                        tasks.len() - 1
-                    }
-                };
-                tasks[at].1.push(TaskStep::Delete { buffer });
+    // Only worker-node holders, none of them dead, each once per buffer. A
+    // few nodes hold many buffers: each node's deletes are written in
+    // `buffers`' order.
+    let mut tasks: Vec<DeleteTask> = Vec::new();
+    dm.lock().remove_all(buffers, |buffer, holder| {
+        let at = match tasks.iter().position(|task| task.node == holder) {
+            Some(at) => at,
+            None => {
+                tasks.push(DeleteTask::new(holder));
+                tasks.len() - 1
             }
-        }
-    }
-    tasks.sort_unstable_by_key(|&(node, _)| node);
+        };
+        tasks[at].delete(buffer);
+    });
+    tasks.sort_unstable_by_key(|task| task.node);
     first_error(delete_device_copies(events, telemetry, tasks, None))
 }
 
@@ -167,14 +185,12 @@ pub(crate) fn push_targets<'a, T: 'a>(
 }
 
 /// A dependence DAG as seen by the execution core: dense task ids and
-/// listed successors. Implemented by the scheduler's `TaskGraph` (simulated
-/// workloads) and the runtime's [`RegionGraph`] (target regions on the real
-/// cluster), so one dispatch loop drives both.
+/// listed successors and predecessors. Implemented by the scheduler's
+/// `TaskGraph` (simulated workloads) and the runtime's [`RegionGraph`]
+/// (target regions on the real cluster), so one dispatch loop drives both.
 pub trait TaskDag {
     /// Number of tasks.
     fn task_count(&self) -> usize;
-    /// Direct successors of `task`, in deterministic order.
-    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_;
     /// Whether `task` may be dispatched while its direct predecessor `pred` is
     /// in flight, to wait on its worker for what `pred` writes: both are
     /// target tasks and every dependence between them is a flow one. Never,
@@ -183,14 +199,24 @@ pub trait TaskDag {
         let _ = (pred, task);
         false
     }
+    /// Every task's direct successors, one entry per edge in the graph's
+    /// own deterministic order, each with whether it may wait on its worker
+    /// for the task: the table the graph keeps, copied.
+    fn successor_table(&self) -> Csr<(usize, bool)>;
+    /// Every task's direct predecessors, one entry per edge: the table the
+    /// graph keeps, copied.
+    fn predecessor_table(&self) -> Csr<usize>;
 }
 
 impl TaskDag for ompc_sched::TaskGraph {
     fn task_count(&self) -> usize {
         self.len()
     }
-    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.successors(task).iter().copied()
+    fn successor_table(&self) -> Csr<(usize, bool)> {
+        self.successor_lists().map(|_, &succ| (succ, false))
+    }
+    fn predecessor_table(&self) -> Csr<usize> {
+        self.predecessor_lists().clone()
     }
 }
 
@@ -198,13 +224,16 @@ impl TaskDag for RegionGraph {
     fn task_count(&self) -> usize {
         self.len()
     }
-    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.successors(TaskId(task)).iter().map(|t| t.0)
-    }
     fn may_wait_on_worker(&self, pred: usize, task: usize) -> bool {
         let (pred, task) = (TaskId(pred), TaskId(task));
         let target = |t| self.task(t).kind.is_target();
         target(pred) && target(task) && self.is_flow_only(pred, task)
+    }
+    fn successor_table(&self) -> Csr<(usize, bool)> {
+        self.successor_lists().map(|task, succ| (succ.0, self.may_wait_on_worker(task, succ.0)))
+    }
+    fn predecessor_table(&self) -> Csr<usize> {
+        self.predecessor_lists().map(|_, pred| pred.0)
     }
 }
 
@@ -212,8 +241,11 @@ impl TaskDag for WorkloadGraph {
     fn task_count(&self) -> usize {
         self.graph.task_count()
     }
-    fn successor_ids(&self, task: usize) -> impl Iterator<Item = usize> + Clone + '_ {
-        self.graph.successor_ids(task)
+    fn successor_table(&self) -> Csr<(usize, bool)> {
+        self.graph.successor_table()
+    }
+    fn predecessor_table(&self) -> Csr<usize> {
+        self.graph.predecessor_table()
     }
 }
 
@@ -585,7 +617,8 @@ pub struct RuntimeCore {
     assignment: Vec<NodeId>,
     window: usize,
     /// The graph's edges both ways, flat: two allocations each however many
-    /// tasks there are. A successor carries whether it may wait on its
+    /// tasks there are, copied from the tables the graph keeps, never
+    /// grouped again. A successor carries whether it may wait on its
     /// worker for the task ([`TaskDag::may_wait_on_worker`]).
     successors: Csr<(usize, bool)>,
     predecessors: Csr<usize>,
@@ -635,18 +668,11 @@ impl RuntimeCore {
 
     fn build(dag: &impl TaskDag, plan: &RuntimePlan, faults: Option<FaultState>) -> Self {
         let total = dag.task_count();
-        // Each edge once, with whether its consumer may wait on its worker.
-        let edges: Vec<(usize, usize, bool)> = (0..total)
-            .flat_map(|t| dag.successor_ids(t).map(move |s| (t, s)))
-            .map(|(t, s)| (t, s, dag.may_wait_on_worker(t, s)))
-            .collect();
-        let successors = Csr::group(total, edges.iter().map(|&(t, s, waits)| (t, (s, waits))));
-        let predecessors = Csr::group(total, edges.iter().map(|&(t, s, _)| (s, t)));
         let mut core = Self {
             assignment: plan.assignment.clone(),
             window: plan.window.max(1),
-            successors,
-            predecessors,
+            successors: dag.successor_table(),
+            predecessors: dag.predecessor_table(),
             blockers: vec![0; total],
             holds: vec![false; total],
             state: vec![TaskState::Blocked; total],
@@ -667,6 +693,19 @@ impl RuntimeCore {
         };
         core.rebuild_ready();
         core
+    }
+
+    /// Task `task`'s direct successors as the core reads them, in the graph's
+    /// order, each with whether it may wait on its worker for the task
+    /// ([`TaskDag::may_wait_on_worker`]).
+    pub fn successors(&self, task: usize) -> &[(usize, bool)] {
+        self.successors.get(task)
+    }
+
+    /// Task `task`'s direct predecessors as the core reads them, one per
+    /// edge.
+    pub fn predecessors(&self, task: usize) -> &[usize] {
+        self.predecessors.get(task)
     }
 
     /// Install a span recorder: the core records a `Dispatch` span per
@@ -1570,8 +1609,8 @@ mod tests {
     /// ([`RuntimeCore::assert_counted`]). Returns how many paths it walked,
     /// and through how many declared deaths.
     fn walk_every_order(region: &RegionGraph, targets: usize) -> (usize, usize) {
-        let edges: Vec<(usize, usize)> =
-            (0..region.len()).flat_map(|t| region.successor_ids(t).map(move |s| (t, s))).collect();
+        let successors = |t| region.successors(TaskId(t)).iter().map(move |s| (t, s.0));
+        let edges: Vec<(usize, usize)> = (0..region.len()).flat_map(successors).collect();
         let (mut paths, mut deaths) = (0, 0);
         for placement in 0..1usize << targets {
             let assignment: Vec<NodeId> = (0..region.len())
@@ -1630,7 +1669,7 @@ mod tests {
         let sink = vec![Dependence::input(a), Dependence::input(c), Dependence::input(d)];
         region.add_task(TaskKind::Host { cost_hint: 0.0 }, sink, "H");
         let edges: Vec<(usize, usize, bool)> = (0..5)
-            .flat_map(|t| region.successor_ids(t).map(move |s| (t, s)))
+            .flat_map(|t| region.successors(TaskId(t)).iter().map(move |s| (t, s.0)))
             .map(|(t, s)| (t, s, region.may_wait_on_worker(t, s)))
             .collect();
         let expected = [(0, 1, true), (0, 4, false), (1, 2, false), (2, 4, false), (3, 4, false)];
@@ -1683,7 +1722,7 @@ mod tests {
         );
         assert_eq!(region.task_count(), 2);
         assert!(region.may_wait_on_worker(0, 1), "a target reader of a target write");
-        assert_eq!(region.successor_ids(0).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(region.successors(TaskId(0)), &[TaskId(1)]);
     }
 
     #[test]

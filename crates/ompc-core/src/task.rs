@@ -103,6 +103,11 @@ struct BufferState {
     /// The newest reader since that write, as an index into
     /// [`RegionGraph::since_write`].
     newest_reader: Option<usize>,
+    /// The task that last changed the state, and what the state was before
+    /// it did: a task naming the buffer twice derives the edges of its
+    /// second clause from the state before the task, as of its first.
+    changed_by: Option<TaskId>,
+    before: (Option<TaskId>, Option<usize>),
 }
 
 /// Who follows a task, built once the graph is queried.
@@ -150,6 +155,23 @@ impl RegionGraph {
         Self::default()
     }
 
+    /// An empty region graph with room for `tasks` tasks declaring
+    /// `dependences` `depend` clauses and ordered by at most `edges` edges:
+    /// none of its tables grows while that many are added.
+    pub fn with_capacity(tasks: usize, dependences: usize, edges: usize) -> Self {
+        Self {
+            tasks: Vec::with_capacity(tasks),
+            dependences: Csr::with_capacity(tasks, dependences),
+            edges: Vec::with_capacity(edges),
+            predecessors: Csr::with_capacity(tasks, edges),
+            flow_only: Vec::with_capacity(edges),
+            reads: Vec::with_capacity(edges),
+            buffer_state: IdMap::with_capacity_and_hasher(tasks, Default::default()),
+            since_write: Vec::with_capacity(edges),
+            ..Self::default()
+        }
+    }
+
     /// Append a task, deriving its dependence edges from `dependences`,
     /// which go straight into the graph's flat table.
     pub fn add_task(
@@ -166,41 +188,39 @@ impl RegionGraph {
         // Collect edges first to avoid duplicated edges when a task both
         // reads and writes the same buffer.
         let mut new_edges = std::mem::take(&mut self.scratch);
+        // One lookup per clause: its edges derive from the buffer's state
+        // before this task, and the task's own change follows at once.
         for dep in dependences {
             let state = self.buffer_state.entry(dep.buffer).or_default();
+            if state.changed_by != Some(id) {
+                state.before = (state.last_writer, state.newest_reader);
+                state.changed_by = Some(id);
+            }
+            let (last_writer, newest_reader) = state.before;
             let edge = |from, kind| TaskEdge { from, to: id, buffer: dep.buffer, kind };
             if dep.dep_type.reads() {
-                if let Some(writer) = state.last_writer {
+                if let Some(writer) = last_writer {
                     self.reads.push((writer, dep.buffer, id));
                     new_edges.push(edge(writer, EdgeKind::Flow));
                 }
             }
             if dep.dep_type.writes() {
-                let mut newest = state.newest_reader;
+                let mut newest = newest_reader;
                 while let Some(at) = newest {
                     let (reader, before) = self.since_write[at];
-                    if reader != id {
-                        new_edges.push(edge(reader, EdgeKind::Anti));
-                    }
+                    new_edges.push(edge(reader, EdgeKind::Anti));
                     newest = before;
                 }
-                if let Some(writer) = state.last_writer {
+                if let Some(writer) = last_writer {
                     // Only add an output edge if we did not already add a
                     // flow edge from the same writer.
                     if !dep.dep_type.reads() {
                         new_edges.push(edge(writer, EdgeKind::Output));
                     }
                 }
-            }
-        }
-        // Update buffer states after computing edges.
-        for dep in dependences {
-            let state = self.buffer_state.entry(dep.buffer).or_default();
-            if dep.dep_type.writes() {
                 state.last_writer = Some(id);
                 state.newest_reader = None;
-            }
-            if dep.dep_type.reads() && !dep.dep_type.writes() {
+            } else {
                 self.since_write.push((id, state.newest_reader));
                 state.newest_reader = Some(self.since_write.len() - 1);
             }
@@ -270,6 +290,18 @@ impl RegionGraph {
     /// Direct successors of a task.
     pub fn successors(&self, id: TaskId) -> &[TaskId] {
         self.followers().successors.get(id.0)
+    }
+
+    /// Every task's [`RegionGraph::successors`], as the one table they are
+    /// read from.
+    pub(crate) fn successor_lists(&self) -> &Csr<TaskId> {
+        &self.followers().successors
+    }
+
+    /// Every task's [`RegionGraph::predecessors`], as the one table they
+    /// are read from.
+    pub(crate) fn predecessor_lists(&self) -> &Csr<TaskId> {
+        &self.predecessors
     }
 
     /// A task's `depend` clauses, in the order it declared them.
@@ -516,6 +548,34 @@ mod tests {
         assert_eq!(g.readers_of(w0), &[(a, r0), (a, w1)]);
         assert_eq!(g.readers_of(w1), &[(a, r1)]);
         assert!(g.readers_of(r0).is_empty() && g.readers_of(r1).is_empty());
+    }
+
+    /// A task naming a buffer twice derives both clauses' edges from the
+    /// buffer's state before it, whichever clause comes first: its read
+    /// reads the version before it, never its own.
+    #[test]
+    fn a_task_naming_a_buffer_twice_reads_the_version_before_it() {
+        let a = BufferId(0);
+        let kind = || TaskKind::Target { kernel: KernelId(0), cost_hint: 1.0 };
+        for write_first in [true, false] {
+            let mut g = RegionGraph::new();
+            let w = g.add_task(kind(), vec![Dependence::output(a)], "w");
+            let r = g.add_task(kind(), vec![Dependence::input(a)], "r");
+            let (write, read) = (Dependence::output(a), Dependence::input(a));
+            let both = if write_first { vec![write, read] } else { vec![read, write] };
+            let t = g.add_task(kind(), both, "t");
+            let after = g.add_task(kind(), vec![Dependence::input(a)], "after");
+            assert_eq!(g.predecessors(t), &[w, r], "write first: {write_first}");
+            assert_eq!(g.readers_of(w), &[(a, r), (a, t)], "write first: {write_first}");
+            let into_t: Vec<_> = g.edges().iter().filter(|e| e.to == t).map(|e| e.kind).collect();
+            assert_eq!(into_t, [EdgeKind::Flow, EdgeKind::Anti], "write first: {write_first}");
+            assert!(g.edges().iter().all(|e| e.from != e.to), "no task depends on itself");
+            assert_eq!(g.predecessors(after), &[t], "t's own version is the one read after it");
+            assert_eq!(g.readers_of(t), &[(a, after)]);
+            // A writer after `t` orders after it and after its reader.
+            let w2 = g.add_task(kind(), vec![Dependence::output(a)], "w2");
+            assert_eq!(g.predecessors(w2), &[t, after], "write first: {write_first}");
+        }
     }
 
     #[test]

@@ -328,7 +328,7 @@ fn run_task_steps(
     memory: &DeviceMemory,
     kernels: &KernelRegistry,
     args: &mut ArgSlots,
-    mut steps: Steps<'_>,
+    steps: &mut Steps<'_>,
     tag: Tag,
     recv_us: Option<u64>,
 ) -> OmpcResult<Reply> {
@@ -371,7 +371,7 @@ fn run_task_steps(
                 let mut ahead = steps.clone();
                 while let Some(Ok(TaskStep::Delete { buffer })) = ahead.next() {
                     state.buffers.remove(&buffer.0);
-                    steps = ahead.clone();
+                    *steps = ahead.clone();
                 }
                 Ok(())
             }
@@ -420,11 +420,11 @@ fn run_task_steps(
 /// run — as failed with `error`, attributed to the car on `car`: whoever
 /// awaits one of them replies the car's very error. Each push sends that
 /// error in place of its bytes, and a claimed copy stays queued for the
-/// head's [`TaskStep::Discard`].
+/// head's [`TaskStep::Discard`]. `steps` is read to its end.
 fn abandon_steps(
     outbox: &mut Outbox,
     memory: &DeviceMemory,
-    steps: Steps<'_>,
+    steps: &mut Steps<'_>,
     car: Tag,
     error: &OmpcError,
 ) {
@@ -502,9 +502,11 @@ fn run_event(
             // per-task blame machinery decides what a failure means). The
             // first car error is this handler's own outcome.
             // The cars' pushes and replies leave together, when the train
-            // ends or a car would wait.
+            // ends or a car would wait. Each car is read once, as it runs,
+            // and the next one read from where it ends.
             let mut result = Ok(());
-            for car in notice.cars(frame)? {
+            let mut cars = notice.cars(frame)?;
+            while let Some(car) = cars.next_car() {
                 let (car, steps) = car?;
                 // Each car stamps its own pickup time: cars run strictly in
                 // order, so car N's recv marks when the handler reached it.
@@ -516,8 +518,8 @@ fn run_event(
             result
         }
         Request::Task => {
-            let ran = notice.steps(frame).and_then(|steps| {
-                run_task_steps(&mut outbox, memory, kernels, args, steps, tag, recv_us)
+            let ran = notice.steps(frame).and_then(|mut steps| {
+                run_task_steps(&mut outbox, memory, kernels, args, &mut steps, tag, recv_us)
             });
             outbox.reply(HEAD_RANK, tag, None, ran)
         }
@@ -535,23 +537,12 @@ fn run_event(
 /// version or reads whether one landed; the sending half of a forward and a
 /// reset run at once too. This is the analogue of the paper's handlers
 /// re-enqueueing events that still have pending I/O, so the lane cannot
-/// deadlock on two opposing forwards.
+/// deadlock on two opposing forwards. Whether a step waits or lands was
+/// noted when the notification was checked at accept ([`Notice::blocks`]):
+/// the task is not walked again to ask.
 fn runs_on_gate(event: &Event) -> bool {
-    let on_lane = |step: TaskStep<BufferIds<'_>>| {
-        matches!(
-            step,
-            TaskStep::RecvFromHead { .. }
-                | TaskStep::RecvFromWorker { .. }
-                | TaskStep::Claim { .. }
-                | TaskStep::Wrote { .. }
-                | TaskStep::AwaitLocal { .. }
-                | TaskStep::Execute { .. }
-        )
-    };
     match event.notice.request {
-        Request::Task => {
-            event.notice.steps(&event.frame).is_ok_and(|steps| !steps.flatten().any(on_lane))
-        }
+        Request::Task => !event.notice.blocks,
         Request::ExchangeSend { .. } | Request::Reset => true,
         _ => false,
     }

@@ -22,6 +22,12 @@ impl<T> Default for Csr<T> {
 }
 
 impl<T> Csr<T> {
+    /// No lists yet, with room for `lists` lists of `items` items in all:
+    /// building that many list after list allocates nothing more.
+    pub fn with_capacity(lists: usize, items: usize) -> Self {
+        Self { start: Vec::with_capacity(lists + 1), items: Vec::with_capacity(items) }
+    }
+
     /// Append `item` to the list being built: the next task's.
     pub fn push(&mut self, item: T) {
         self.items.push(item);
@@ -45,6 +51,16 @@ impl<T> Csr<T> {
     /// The items pushed since the last list was closed.
     pub fn open_list(&self) -> &[T] {
         &self.items[self.start.last().copied().unwrap_or(0)..]
+    }
+
+    /// A table of the same lists, each item `f` of its task and itself:
+    /// copied as it lies, nothing grouped again.
+    pub fn map<U>(&self, mut f: impl FnMut(usize, &T) -> U) -> Csr<U> {
+        let mut items = Vec::with_capacity(self.items.len());
+        for task in 0..self.start.len().saturating_sub(1) {
+            items.extend(self.items[self.span(task)].iter().map(|item| f(task, item)));
+        }
+        Csr { start: self.start.clone(), items }
     }
 }
 
@@ -103,9 +119,22 @@ mod tests {
     }
 
     #[test]
+    fn a_mapped_table_has_the_same_lists() {
+        let entries = [(2, 'a'), (0, 'b'), (2, 'c'), (0, 'd'), (3, 'e')];
+        let lists = Csr::group(4, entries.iter().copied());
+        let mapped = lists.map(|task, &item| (task, item.to_ascii_uppercase()));
+        for task in 0..4 {
+            let want: Vec<(usize, char)> =
+                lists.get(task).iter().map(|&c| (task, c.to_ascii_uppercase())).collect();
+            assert_eq!((mapped.get(task), mapped.span(task)), (&want[..], lists.span(task)));
+        }
+        assert!(Csr::<char>::default().map(|_, &c| c).open_list().is_empty());
+    }
+
+    #[test]
     fn lists_built_one_after_another_read_as_the_grouped_ones() {
         let entries = [(0, 'b'), (0, 'd'), (2, 'a'), (2, 'c'), (3, 'e')];
-        let mut built = Csr::default();
+        let mut built = Csr::with_capacity(4, entries.len());
         for task in 0..4 {
             entries.iter().filter(|&&(t, _)| t == task).for_each(|&(_, item)| built.push(item));
             if task == 3 {

@@ -181,6 +181,18 @@ impl TaskGraph {
         self.adjacency().predecessors.get(task)
     }
 
+    /// Every task's [`TaskGraph::successors`], as the one table they are
+    /// read from.
+    pub fn successor_lists(&self) -> &Csr<usize> {
+        &self.adjacency().successors
+    }
+
+    /// Every task's [`TaskGraph::predecessors`], as the one table they are
+    /// read from.
+    pub fn predecessor_lists(&self) -> &Csr<usize> {
+        &self.adjacency().predecessors
+    }
+
     /// The incoming edges of `task` as `(predecessor, bytes)`, one item per
     /// edge in the order of [`TaskGraph::predecessors`]. `bytes` is the
     /// total between the pair — what [`TaskGraph::edge_bytes`] returns — so

@@ -62,8 +62,9 @@ use crate::Scheduler;
 ///   for an interval `d` places from the end, not the length of the
 ///   timeline. Tasks arrive in rank order, which is close to time order, so
 ///   `d` is small and the walk is typically a step or two. Recording the
-///   chosen slot shifts what follows it in one processor's sorted `Vec`, a
-///   `memmove` that is short for the same reason.
+///   chosen slot finds its place by galloping back the same way, and
+///   shifts what follows it in one processor's sorted `Vec`, a `memmove`
+///   that is short for the same reason.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HeftScheduler;
 
@@ -119,19 +120,7 @@ impl Timelines {
         // arrive close to time order, so the first one that does is near
         // the end: gallop back from the last interval (n−1, n−2, n−4, …)
         // to bracket it, then binary-search inside the bracket.
-        let ended = |iv: &Interval| iv.reach <= ready;
-        let (mut lo, mut hi) = (0, busy.len());
-        let mut step = 1;
-        while step <= busy.len() {
-            let probe = busy.len() - step;
-            if ended(&busy[probe]) {
-                lo = probe + 1;
-                break;
-            }
-            hi = probe;
-            step *= 2;
-        }
-        let first = lo + busy[lo..hi].partition_point(ended);
+        let first = gallop_back(busy, |iv| iv.reach <= ready);
         Self::first_fit(&busy[first..], ready, duration)
     }
 
@@ -152,7 +141,8 @@ impl Timelines {
     /// the same start.
     fn insert(&mut self, proc: usize, start: f64, finish: f64) {
         let busy = &mut self.busy[proc];
-        let pos = busy.partition_point(|iv| iv.start <= start);
+        // Slots are found close to the end, as `search` finds them.
+        let pos = gallop_back(busy, |iv| iv.start <= start);
         let before = pos.checked_sub(1).map(|prev| busy[prev].reach);
         let reach = before.map_or(finish, |before| finish.max(before));
         busy.insert(pos, Interval { start, finish, reach });
@@ -175,6 +165,26 @@ impl Timelines {
         };
         self.tail[proc] = self.tail[proc].max(finish);
     }
+}
+
+/// [`slice::partition_point`] of `busy` for a `pred` that holds of a prefix,
+/// found from the end: gallop back from the last interval (n−1, n−2, n−4,
+/// …) to bracket the first interval `pred` does not hold of, then
+/// binary-search inside the bracket. `O(log d)` for a point `d` places from
+/// the end.
+fn gallop_back(busy: &[Interval], pred: impl Fn(&Interval) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, busy.len());
+    let mut step = 1;
+    while step <= busy.len() {
+        let probe = busy.len() - step;
+        if pred(&busy[probe]) {
+            lo = probe + 1;
+            break;
+        }
+        hi = probe;
+        step *= 2;
+    }
+    lo + busy[lo..hi].partition_point(pred)
 }
 
 /// The relative part of the slot margin, `2^-50`: eight units of f64
@@ -368,6 +378,39 @@ mod tests {
         }
         let finishes: Vec<f64> = timeline.busy[0].iter().map(|iv| iv.finish).collect();
         assert!(finishes.windows(2).any(|w| w[0] > w[1]), "the case under test: {finishes:?}");
+    }
+
+    /// Seeded timelines with repeated starts, zero-length intervals and
+    /// starts before, inside and past everything recorded: the galloping
+    /// `insert` puts every interval where `partition_point` over the whole
+    /// timeline does — after every interval with the same start.
+    #[test]
+    fn insert_puts_every_interval_where_partition_point_does() {
+        for seed in 0..300u64 {
+            let mut rng = ompc_testutil::Rng::new(seed);
+            let mut timeline = Timelines::new(2);
+            for k in 0..rng.range_usize(1, 80) {
+                let busy = &timeline.busy[1];
+                let start = match rng.range(0, 4) {
+                    // Again at a start already recorded, if any.
+                    0 if !busy.is_empty() => busy[rng.range_usize(0, busy.len())].start,
+                    1 => timeline.tail[1] + rng.range(0, 4) as f64,
+                    _ => rng.range(0, 64) as f64 / 4.0,
+                };
+                let finish = start + rng.range(0, 3) as f64 / 2.0;
+                let want = timeline.busy[1].partition_point(|iv| iv.start <= start);
+                let before = timeline.busy[1].len();
+                timeline.insert(1, start, finish);
+                let busy = &timeline.busy[1];
+                assert_eq!(busy.len(), before + 1);
+                let at = (0..busy.len())
+                    .rev()
+                    .find(|&i| busy[i].start == start && busy[i].finish == finish);
+                assert_eq!(at, Some(want), "seed {seed}, interval {k}: [{start}, {finish}]");
+                assert!(busy.windows(2).all(|w| w[0].start <= w[1].start));
+                assert!(timeline.busy[0].is_empty(), "another processor's timeline is untouched");
+            }
+        }
     }
 
     /// Random timelines built the way HEFT builds them, on time scales from

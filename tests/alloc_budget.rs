@@ -43,11 +43,12 @@ const WORKER_BUDGET: f64 = 0.47;
 /// busy loop, 0.22–0.25 in debug), plus 0.3.
 const PROCESS_BUDGET: f64 = 0.75;
 /// Allocator calls of the whole process per task of the data graph, at
-/// most: a region of 64 tasks regrows its per-region tables from empty, so
-/// the head pays ≈ 2.9 calls a task here. 3.06–3.31 in the same 40 idle
-/// release runs (2.94–3.33 beside a busy loop, 3.07–3.17 in debug), plus
-/// 0.3.
-const DATA_PROCESS_BUDGET: f64 = 3.63;
+/// most: a region of 64 tasks allocates each of its per-region tables once,
+/// sized from the region's counts (the region graph's, the execution
+/// core's, the lowering's push tables), so the head pays ≈ 1.8 calls a task
+/// here, nearly all of them one per table per region. 1.97–2.12 in 20 idle
+/// release runs on a 2-vCPU host (1.98–2.06 in 5 debug runs), plus 0.3.
+const DATA_PROCESS_BUDGET: f64 = 2.42;
 
 static PROCESS: AtomicU64 = AtomicU64::new(0);
 

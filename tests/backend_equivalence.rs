@@ -7,6 +7,7 @@
 //! watchdog so a protocol hang fails fast.
 
 use ompc::prelude::*;
+use ompc::runtime::runtime::TaskDag;
 use ompc::runtime::task::EdgeKind;
 use ompc::sched::{Platform, TaskGraph};
 use ompc::sim::ClusterConfig;
@@ -474,6 +475,58 @@ fn assert_region_says(region: &RegionGraph, deps: &[Vec<Dependence>], what: &str
     }
 }
 
+/// The core built for `dag` reads, task by task, what `edges` — the DAG's
+/// edge list, `(from, to)` in its order — say grouped naively: each task's
+/// successors in edge order, each with whether it may wait on its worker,
+/// and its predecessors in edge order.
+fn assert_core_views(dag: &impl TaskDag, edges: &[(usize, usize)], what: &str) {
+    let tasks = dag.task_count();
+    let plan = RuntimePlan { assignment: vec![1; tasks], window: 1 };
+    let core = RuntimeCore::new(dag, &plan);
+    for t in 0..tasks {
+        let successors: Vec<(usize, bool)> = (edges.iter().filter(|&&(from, _)| from == t))
+            .map(|&(_, to)| (to, dag.may_wait_on_worker(t, to)))
+            .collect();
+        let predecessors: Vec<usize> =
+            edges.iter().filter(|&&(_, to)| to == t).map(|&(from, _)| from).collect();
+        assert_eq!(core.successors(t), &successors[..], "{what}: task {t}'s successors");
+        assert_eq!(core.predecessors(t), &predecessors[..], "{what}: task {t}'s predecessors");
+    }
+}
+
+/// The edges of `region`, in its order.
+fn region_edges(region: &RegionGraph) -> Vec<(usize, usize)> {
+    region.edges().iter().map(|e| (e.from.0, e.to.0)).collect()
+}
+
+/// Seeded scheduler graphs — parallel edges, edges added out of task order
+/// — and the workloads around them: the core reads what their edges say.
+#[test]
+fn the_cores_views_of_seeded_task_graphs_are_their_edges_grouped() {
+    for seed in 0..40u64 {
+        let rng = &mut Rng::new(seed);
+        let workload = random_workload(rng);
+        let mut edges: Vec<(usize, usize)> =
+            workload.graph.edges().iter().map(|e| (e.from, e.to)).collect();
+        assert_core_views(&workload, &edges, &format!("seed {seed}: workload"));
+        let tasks = rng.range_usize(1, 40);
+        let mut graph = TaskGraph::new();
+        for _ in 0..tasks {
+            graph.add_task(1e-3);
+        }
+        edges.clear();
+        for _ in 0..rng.range_usize(0, 3 * tasks) {
+            let (a, b) = (rng.range_usize(0, tasks), rng.range_usize(0, tasks));
+            if a != b {
+                let (from, to) = (a.min(b), a.max(b));
+                graph.add_edge(from, to, 8);
+                edges.push((from, to));
+            }
+        }
+        assert_core_views(&graph, &edges, &format!("seed {seed}: task graph"));
+    }
+}
+
 /// Every region this suite runs, built through the region graph's flat
 /// tables — each workload as `run_workload` materializes it, and the shared
 /// input region through `TargetRegion` — says what its dependences say: the
@@ -494,6 +547,7 @@ fn every_region_of_this_suite_has_the_edges_and_readers_its_dependences_say() {
             })
             .collect();
         assert_region_says(&region, &deps, &format!("seed {seed}"));
+        assert_core_views(&region, &region_edges(&region), &format!("seed {seed}"));
         // The flow edges are the workload's own.
         let mut flows: Vec<(usize, usize)> = (region.edges().iter())
             .filter(|e| e.kind == EdgeKind::Flow)
@@ -527,6 +581,7 @@ fn every_region_of_this_suite_has_the_edges_and_readers_its_dependences_say() {
     let held: Vec<Vec<Dependence>> = targets.map(|task| deps[task.id.0].clone()).collect();
     assert_eq!(held, passed, "each target's clauses, as passed");
     assert_region_says(graph, &deps, "shared input region");
+    assert_core_views(graph, &region_edges(graph), "shared input region");
     drop(region);
     device.shutdown();
 }
